@@ -175,10 +175,7 @@ fn main() {
     // with a sane percentile ordering. Structure, not timing: no nanosecond
     // thresholds, just "the attribution layer is alive".
     let wake = ulp_bench::workloads::wake_to_run_snapshot(4, 64);
-    let sock_read = wake
-        .get("sock_read")
-        .expect("sock_read is a wake site")
-        .clone();
+    let sock_read = *wake.get("sock_read").expect("sock_read is a wake site");
     let (p50, p99) = (sock_read.p50(), sock_read.p99());
     let wake_ok = wake.total_count() > 0
         && wake.total_sum() > 0

@@ -42,7 +42,7 @@
 use crate::runtime::RuntimeInner;
 use crate::stats::StatsShard;
 use crate::trace::TraceShard;
-use crate::uc::UcInner;
+use crate::uc::{KcShared, UcInner};
 use std::cell::Cell;
 use std::ptr;
 use std::sync::Arc;
@@ -268,6 +268,22 @@ thread_local! {
     };
 }
 
+thread_local! {
+    /// The kernel context this OS thread *is*, set once when a KC thread
+    /// starts. An identity token only — compared, never dereferenced — so
+    /// it needs no anchor. Kept out of [`ThreadBlock`]: the system-call
+    /// veneers read it, the switch path never does, and the block the
+    /// switch path lives in keeps its layout.
+    static THIS_KC: Cell<*const KcShared> = const { Cell::new(ptr::null()) };
+}
+
+/// Is this OS thread the kernel context `kc`? One thread-local load and a
+/// pointer compare — the system-call veneers ask on every call.
+#[inline]
+pub(crate) fn is_kc(kc: &KcShared) -> bool {
+    THIS_KC.with(|c| ptr::eq(c.get(), kc))
+}
+
 /// Run `f` with this thread's block — the hot path's single TLS access.
 #[inline]
 pub(crate) fn with_thread<R>(f: impl FnOnce(&ThreadBlock) -> R) -> R {
@@ -349,6 +365,12 @@ pub fn set_host(u: Option<Arc<UcInner>>) {
         b.host_ptr.set(p);
         b.host.set(u);
     });
+}
+
+/// Declare this OS thread to be the kernel context `kc` (called once, as a
+/// KC thread starts; cleared by [`clear_thread_state`] as it leaves).
+pub(crate) fn set_kc(kc: &KcShared) {
+    THIS_KC.with(|c| c.set(kc));
 }
 
 /// Record the action to run after the next context switch completes.
@@ -491,6 +513,7 @@ pub fn clear_thread_state() {
         b.shard.set(None);
         b.trace_ptr.set(ptr::null());
         b.trace.set(None);
+        THIS_KC.with(|c| c.set(ptr::null()));
         b.tls_switch.set(false);
         b.tls_spin.set(Duration::ZERO);
         b.save_sigmask.set(false);

@@ -157,7 +157,7 @@ fn tc_loop(boot: &TcBoot) -> ! {
 ///
 /// Exits when the runtime shuts down and the pending queue has drained.
 pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<crate::uc::KcShared>) {
-    let _ = kc.thread_id.set(std::thread::current().id());
+    kc.adopt_current_thread();
     // The native context is the trampoline: mark it live so nothing tries
     // to build one, and so `ensure_tc` (never called for pool KCs, but
     // defensively) is a no-op.

@@ -516,6 +516,7 @@ pub(crate) mod tests {
             coupled: AtomicBool::new(true),
             state: AtomicU8::new(0),
             tls: TlsStorage::new(),
+            errno: std::sync::atomic::AtomicI32::new(0),
             rt: std::sync::Weak::new(),
             sib_stack: Mutex::new(None),
             sib_entry: Mutex::new(None),

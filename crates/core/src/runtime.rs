@@ -743,9 +743,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
     rt.kernel.bind_current(pid);
 
     let kc = Arc::new(KcShared::new(rt.config.idle_policy));
-    kc.thread_id
-        .set(std::thread::current().id())
-        .expect("fresh kc");
+    kc.adopt_current_thread();
     let identity = Arc::new(UcInner {
         id: rt.alloc_id(),
         name: format!("sched-{idx}"),
@@ -756,6 +754,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         coupled: AtomicBool::new(true),
         state: AtomicU8::new(UcState::Running as u8),
         tls: TlsStorage::new(),
+        errno: std::sync::atomic::AtomicI32::new(0),
         rt: Arc::downgrade(&rt),
         sib_stack: Mutex::new(None),
         sib_entry: Mutex::new(None),

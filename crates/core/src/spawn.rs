@@ -233,6 +233,7 @@ impl Runtime {
             coupled: AtomicBool::new(true),
             state: AtomicU8::new(UcState::Created as u8),
             tls: TlsStorage::new(),
+            errno: std::sync::atomic::AtomicI32::new(0),
             rt: Arc::downgrade(&rt),
             sib_stack: Mutex::new(None),
             sib_entry: Mutex::new(None),
@@ -276,10 +277,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
     }
     // This OS thread *is* the original KC: adopt the kernel identity.
     rt.kernel.bind_current(uc.pid);
-    uc.kc
-        .thread_id
-        .set(std::thread::current().id())
-        .expect("fresh KC");
+    uc.kc.adopt_current_thread();
     set_runtime(rt.clone());
     set_current_ulp(Some(uc.clone()));
     uc.set_state(UcState::Running);
@@ -384,6 +382,7 @@ fn spawn_sibling_inner(
         coupled: AtomicBool::new(false),
         state: AtomicU8::new(UcState::Created as u8),
         tls: TlsStorage::new(),
+        errno: std::sync::atomic::AtomicI32::new(0),
         rt: Arc::downgrade(rt),
         sib_stack: Mutex::new(None),
         sib_entry: Mutex::new(Some(f)),
@@ -444,6 +443,7 @@ fn spawn_pooled_inner(
         coupled: AtomicBool::new(false),
         state: AtomicU8::new(UcState::Created as u8),
         tls: TlsStorage::new(),
+        errno: std::sync::atomic::AtomicI32::new(0),
         rt: Arc::downgrade(rt),
         sib_stack: Mutex::new(None),
         sib_entry: Mutex::new(Some(f)),

@@ -14,9 +14,9 @@
 //! The veneers also maintain the per-ULP [`crate::tls::errno`], as libc
 //! would.
 
-use crate::current::{current_runtime, current_ulp};
+use crate::current::with_thread;
 use crate::error::UlpError;
-use crate::tls::set_errno;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use ulp_kernel::fd::Fd;
@@ -25,159 +25,151 @@ use ulp_kernel::process::Pid;
 use ulp_kernel::signal::{MaskHow, SigSet, Signal};
 use ulp_kernel::{Aiocb, EpollOp, Errno, KResult, KernelRef, Listener, PollEvents};
 
-fn kernel() -> KResult<KernelRef> {
-    current_runtime()
-        .map(|rt| rt.kernel.clone())
-        .ok_or(Errno::ESRCH)
+/// Run one veneer: the consistency gate (when `call` names a gated system
+/// call), the call itself against this thread's kernel, then `errno`.
+///
+/// Everything resolves through the thread block's borrow-free mirrors, so a
+/// veneer clones no `Arc` and writes nothing another thread's calls write.
+/// The borrows are held across `f` — across a *blocking* call, even — which
+/// the mirrors' contract allows because `f` cannot context-switch: the
+/// simulated kernel knows nothing of user contexts (the kernel crate does
+/// not depend on this one), so the UC that enters `f` leaves it on the same
+/// OS thread with the same runtime and the same TLS register installed.
+#[inline]
+fn veneer<T>(call: Option<&'static str>, f: impl FnOnce(&KernelRef) -> KResult<T>) -> KResult<T> {
+    with_thread(|b| {
+        let rt = b.rt().ok_or(Errno::ESRCH)?;
+        let me = b.ulp();
+        // The gate: flag system calls issued while decoupled — i.e. from an
+        // OS thread that is not the calling UC's original kernel context.
+        if let (Some(call), Some(me)) = (call, me) {
+            if !me.kc.is_current_thread() {
+                rt.report_violation(UlpError::ConsistencyViolation { ulp: me.id.0, call });
+            }
+        }
+        let r = f(&rt.kernel);
+        if let Some(me) = me {
+            let errno = r.as_ref().err().map_or(0, Errno::as_raw);
+            me.errno.store(errno, Ordering::Relaxed);
+        }
+        r
+    })
 }
 
-/// The consistency gate: flag system calls issued while decoupled.
-fn gate(call: &'static str) {
-    let Some(rt) = current_runtime() else { return };
-    let Some(me) = current_ulp() else { return };
-    if me.kc.is_current_thread() {
-        return;
-    }
-    rt.report_violation(UlpError::ConsistencyViolation { ulp: me.id.0, call });
-}
-
-fn finish<T>(r: KResult<T>) -> KResult<T> {
-    match &r {
-        Ok(_) => set_errno(0),
-        Err(e) => set_errno(e.as_raw()),
-    }
-    r
+/// A gated veneer (every real system call).
+#[inline]
+fn syscall<T>(call: &'static str, f: impl FnOnce(&KernelRef) -> KResult<T>) -> KResult<T> {
+    veneer(Some(call), f)
 }
 
 /// `getpid()` — Table V's microbenchmark. From a decoupled UC this returns
 /// the scheduling KC's PID, which is exactly the inconsistency the paper
 /// describes.
 pub fn getpid() -> KResult<Pid> {
-    gate("getpid");
-    finish(kernel()?.sys_getpid())
+    syscall("getpid", |k| k.sys_getpid())
 }
 
 /// `getppid()`.
 pub fn getppid() -> KResult<Pid> {
-    gate("getppid");
-    finish(kernel()?.sys_getppid())
+    syscall("getppid", |k| k.sys_getppid())
 }
 
 /// `getcwd()`.
 pub fn getcwd() -> KResult<String> {
-    gate("getcwd");
-    finish(kernel()?.sys_getcwd())
+    syscall("getcwd", |k| k.sys_getcwd())
 }
 
 /// `chdir(2)`.
 pub fn chdir(path: &str) -> KResult<()> {
-    gate("chdir");
-    finish(kernel()?.sys_chdir(path))
+    syscall("chdir", |k| k.sys_chdir(path))
 }
 
 /// `open(2)`.
 pub fn open(path: &str, flags: OpenFlags) -> KResult<Fd> {
-    gate("open");
-    finish(kernel()?.sys_open(path, flags))
+    syscall("open", |k| k.sys_open(path, flags))
 }
 
 /// `close(2)`.
 pub fn close(fd: Fd) -> KResult<()> {
-    gate("close");
-    finish(kernel()?.sys_close(fd))
+    syscall("close", |k| k.sys_close(fd))
 }
 
 /// `read(2)` — blocking on pipes: the calling kernel context sleeps.
 pub fn read(fd: Fd, buf: &mut [u8]) -> KResult<usize> {
-    gate("read");
-    finish(kernel()?.sys_read(fd, buf))
+    syscall("read", |k| k.sys_read(fd, buf))
 }
 
 /// `write(2)`.
 pub fn write(fd: Fd, data: &[u8]) -> KResult<usize> {
-    gate("write");
-    finish(kernel()?.sys_write(fd, data))
+    syscall("write", |k| k.sys_write(fd, data))
 }
 
 /// `pread(2)`.
 pub fn pread(fd: Fd, offset: u64, buf: &mut [u8]) -> KResult<usize> {
-    gate("pread");
-    finish(kernel()?.sys_pread(fd, offset, buf))
+    syscall("pread", |k| k.sys_pread(fd, offset, buf))
 }
 
 /// `pwrite(2)`.
 pub fn pwrite(fd: Fd, offset: u64, data: &[u8]) -> KResult<usize> {
-    gate("pwrite");
-    finish(kernel()?.sys_pwrite(fd, offset, data))
+    syscall("pwrite", |k| k.sys_pwrite(fd, offset, data))
 }
 
 /// `lseek(2)`.
 pub fn lseek(fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
-    gate("lseek");
-    finish(kernel()?.sys_lseek(fd, offset, whence))
+    syscall("lseek", |k| k.sys_lseek(fd, offset, whence))
 }
 
 /// `ftruncate(2)`.
 pub fn ftruncate(fd: Fd, len: u64) -> KResult<()> {
-    gate("ftruncate");
-    finish(kernel()?.sys_ftruncate(fd, len))
+    syscall("ftruncate", |k| k.sys_ftruncate(fd, len))
 }
 
 /// `dup(2)`.
 pub fn dup(fd: Fd) -> KResult<Fd> {
-    gate("dup");
-    finish(kernel()?.sys_dup(fd))
+    syscall("dup", |k| k.sys_dup(fd))
 }
 
 /// `dup2(2)`.
 pub fn dup2(fd: Fd, newfd: Fd) -> KResult<Fd> {
-    gate("dup2");
-    finish(kernel()?.sys_dup2(fd, newfd))
+    syscall("dup2", |k| k.sys_dup2(fd, newfd))
 }
 
 /// `pipe(2)`.
 pub fn pipe() -> KResult<(Fd, Fd)> {
-    gate("pipe");
-    finish(kernel()?.sys_pipe())
+    syscall("pipe", |k| k.sys_pipe())
 }
 
 /// `socketpair(2)`: a connected bidirectional loopback stream pair.
 pub fn socketpair() -> KResult<(Fd, Fd)> {
-    gate("socketpair");
-    finish(kernel()?.sys_socketpair())
+    syscall("socketpair", |k| k.sys_socketpair())
 }
 
 /// `listen(2)`-ish: install a shared [`Listener`] in the calling ULP's FD
 /// table so it can be `accept`ed from and watched with epoll.
 pub fn listen(listener: &Arc<Listener>) -> KResult<Fd> {
-    gate("listen");
-    finish(kernel()?.sys_listen(listener))
+    syscall("listen", |k| k.sys_listen(listener))
 }
 
 /// `connect(2)` against an in-kernel listener: returns the client end of a
 /// fresh connection.
 pub fn connect(listener: &Arc<Listener>) -> KResult<Fd> {
-    gate("connect");
-    finish(kernel()?.sys_connect(listener))
+    syscall("connect", |k| k.sys_connect(listener))
 }
 
 /// `accept(2)` — blocking: the calling kernel context sleeps until a client
 /// connects.
 pub fn accept(fd: Fd) -> KResult<Fd> {
-    gate("accept");
-    finish(kernel()?.sys_accept(fd))
+    syscall("accept", |k| k.sys_accept(fd))
 }
 
 /// `epoll_create(2)`.
 pub fn epoll_create() -> KResult<Fd> {
-    gate("epoll_create");
-    finish(kernel()?.sys_epoll_create())
+    syscall("epoll_create", |k| k.sys_epoll_create())
 }
 
 /// `epoll_ctl(2)`: add/modify/delete one interest-list entry.
 pub fn epoll_ctl(epfd: Fd, op: EpollOp, fd: Fd, events: PollEvents) -> KResult<()> {
-    gate("epoll_ctl");
-    finish(kernel()?.sys_epoll_ctl(epfd, op, fd, events))
+    syscall("epoll_ctl", |k| k.sys_epoll_ctl(epfd, op, fd, events))
 }
 
 /// `epoll_wait(2)` — blocking: the calling kernel context sleeps until a
@@ -188,125 +180,112 @@ pub fn epoll_wait(
     max_events: usize,
     timeout: Option<Duration>,
 ) -> KResult<Vec<(Fd, PollEvents)>> {
-    gate("epoll_wait");
-    finish(kernel()?.sys_epoll_wait(epfd, max_events, timeout))
+    syscall("epoll_wait", |k| {
+        k.sys_epoll_wait(epfd, max_events, timeout)
+    })
 }
 
 /// `poll(2)` — blocking readiness wait over an explicit descriptor set.
 /// Returns revents aligned with the request order.
 pub fn poll(fds: &[(Fd, PollEvents)], timeout: Option<Duration>) -> KResult<Vec<PollEvents>> {
-    gate("poll");
-    finish(kernel()?.sys_poll(fds, timeout))
+    syscall("poll", |k| k.sys_poll(fds, timeout))
 }
 
 /// `unlink(2)`.
 pub fn unlink(path: &str) -> KResult<()> {
-    gate("unlink");
-    finish(kernel()?.sys_unlink(path))
+    syscall("unlink", |k| k.sys_unlink(path))
 }
 
 /// `mkdir(2)`.
 pub fn mkdir(path: &str) -> KResult<()> {
-    gate("mkdir");
-    finish(kernel()?.sys_mkdir(path))
+    syscall("mkdir", |k| k.sys_mkdir(path))
 }
 
 /// `rmdir(2)`.
 pub fn rmdir(path: &str) -> KResult<()> {
-    gate("rmdir");
-    finish(kernel()?.sys_rmdir(path))
+    syscall("rmdir", |k| k.sys_rmdir(path))
 }
 
 /// `link(2)`.
 pub fn link(existing: &str, new: &str) -> KResult<()> {
-    gate("link");
-    finish(kernel()?.sys_link(existing, new))
+    syscall("link", |k| k.sys_link(existing, new))
 }
 
 /// `rename(2)`.
 pub fn rename(from: &str, to: &str) -> KResult<()> {
-    gate("rename");
-    finish(kernel()?.sys_rename(from, to))
+    syscall("rename", |k| k.sys_rename(from, to))
 }
 
 /// `stat(2)`.
 pub fn stat(path: &str) -> KResult<FileStat> {
-    gate("stat");
-    finish(kernel()?.sys_stat(path))
+    syscall("stat", |k| k.sys_stat(path))
 }
 
 /// `readdir(3)`.
 pub fn readdir(path: &str) -> KResult<Vec<DirEntry>> {
-    gate("readdir");
-    finish(kernel()?.sys_readdir(path))
+    syscall("readdir", |k| k.sys_readdir(path))
 }
 
 /// `kill(2)`.
 pub fn kill(target: Pid, sig: Signal) -> KResult<()> {
-    gate("kill");
-    finish(kernel()?.sys_kill(target, sig))
+    syscall("kill", |k| k.sys_kill(target, sig))
 }
 
 /// `sigprocmask(2)`. The resulting mask is also recorded on the calling
 /// UC so `Config::save_sigmask` (ucontext-style switching) can carry it
 /// across kernel contexts.
 pub fn sigprocmask(how: MaskHow, set: SigSet) -> KResult<SigSet> {
-    gate("sigprocmask");
-    let k = kernel()?;
-    let old = finish(k.sys_sigprocmask(how, set))?;
-    if let Some(me) = current_ulp() {
-        // Re-read the effective mask from the executing process, and note
-        // it as installed on this kernel context so the lazy carry in the
-        // switch path doesn't redundantly re-install it.
-        if let Ok((_, proc)) = k_current(&k) {
-            let mask = proc.signals.mask();
-            me.sigmask.set(mask);
-            crate::current::with_thread(|b| b.set_installed_mask(Some(mask.bits())));
-        }
+    let (old, mask) = syscall("sigprocmask", |k| {
+        let old = k.sys_sigprocmask(how, set)?;
+        // Re-read the effective mask from the executing process.
+        let proc = k.current_pid().and_then(|pid| k.process(pid));
+        Ok((old, proc.map(|p| p.signals.mask())))
+    })?;
+    if let Some(mask) = mask {
+        with_thread(|b| {
+            if let Some(me) = b.ulp() {
+                // Note it as installed on this kernel context so the lazy
+                // carry in the switch path doesn't redundantly re-install
+                // it.
+                me.sigmask.set(mask);
+                b.set_installed_mask(Some(mask.bits()));
+            }
+        });
     }
     Ok(old)
 }
 
-fn k_current(k: &KernelRef) -> KResult<(Pid, std::sync::Arc<ulp_kernel::Process>)> {
-    let pid = k.current_pid().ok_or(Errno::ESRCH)?;
-    let proc = k.process(pid).ok_or(Errno::ESRCH)?;
-    Ok((pid, proc))
-}
-
 /// `sigpending(2)`.
 pub fn sigpending() -> KResult<SigSet> {
-    gate("sigpending");
-    finish(kernel()?.sys_sigpending())
+    syscall("sigpending", |k| k.sys_sigpending())
 }
 
 /// Dequeue one deliverable signal for the bound process.
 pub fn take_signal() -> KResult<Option<Signal>> {
-    gate("take_signal");
-    finish(kernel()?.sys_take_signal())
+    syscall("take_signal", |k| k.sys_take_signal())
 }
 
 /// `nanosleep(2)` — a blocking system call that parks the kernel context.
 pub fn sleep(d: Duration) -> KResult<()> {
-    gate("nanosleep");
-    finish(kernel()?.sys_sleep(d))
+    syscall("nanosleep", |k| k.sys_sleep(d))
 }
 
 /// `aio_write(3)` (submission is a library call in glibc, so no gate: the
 /// helper thread performs the actual system call under the submitter's
 /// identity).
 pub fn aio_write(fd: Fd, offset: u64, data: Arc<Vec<u8>>) -> KResult<Aiocb> {
-    finish(kernel()?.aio_write(fd, offset, data))
+    veneer(None, |k| k.aio_write(fd, offset, data))
 }
 
 /// `aio_read(3)`.
 pub fn aio_read(fd: Fd, offset: u64, len: usize) -> KResult<Aiocb> {
-    finish(kernel()?.aio_read(fd, offset, len))
+    veneer(None, |k| k.aio_read(fd, offset, len))
 }
 
 /// `waitpid(2)` for the calling ULP's children.
 pub fn waitpid(child: Option<Pid>) -> KResult<(Pid, i32)> {
-    gate("waitpid");
-    let k = kernel()?;
-    let me = k.sys_getpid()?;
-    finish(k.waitpid(me, child))
+    syscall("waitpid", |k| {
+        let me = k.sys_getpid()?;
+        k.waitpid(me, child)
+    })
 }

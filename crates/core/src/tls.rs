@@ -10,9 +10,9 @@
 //! instruction/system call), and [`UlpLocal`] resolves through it.
 //!
 //! [`UlpLocal<T>`] is the `thread_local!` analogue: one instance of `T` per
-//! ULP. The canonical example is [`errno`]/[`set_errno`].
+//! ULP. [`errno`]/[`set_errno`] resolve through the same register.
 
-use crate::current::current_ulp;
+use crate::current::{current_ulp, with_thread};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -129,18 +129,22 @@ impl<T: Send + 'static> UlpLocal<T> {
     }
 }
 
-/// The most famous TLS variable (§V-B footnote: "The most well-known TLS
-/// variable is errno"): one per ULP, set by the system-call veneers.
-static ULP_ERRNO: UlpLocal<i32> = UlpLocal::new(|| 0);
-
-/// This ULP's `errno`.
+/// This ULP's `errno` — the most famous TLS variable (§V-B footnote: "The
+/// most well-known TLS variable is errno"): one per ULP, set by the
+/// system-call veneers. It lives in a field of the UC itself
+/// ([`crate::uc::UcInner::errno`]) rather than a [`UlpLocal`] slot, because
+/// every veneer writes it.
 pub fn errno() -> i32 {
-    ULP_ERRNO.try_with(|e| *e).unwrap_or(0)
+    with_thread(|b| b.ulp().map_or(0, |u| u.errno.load(Ordering::Relaxed)))
 }
 
 /// Set this ULP's `errno` (no-op outside a ULP).
 pub fn set_errno(v: i32) {
-    let _ = ULP_ERRNO.try_with(|e| *e = v);
+    with_thread(|b| {
+        if let Some(u) = b.ulp() {
+            u.errno.store(v, Ordering::Relaxed);
+        }
+    });
 }
 
 #[cfg(test)]

@@ -21,7 +21,9 @@ use crate::tls::TlsStorage;
 use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    fence, AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -92,7 +94,8 @@ pub const ADAPTIVE_SPIN_STREAK: u32 = 64;
 /// The state a BLT's original kernel context shares with its UCs.
 #[derive(Debug)]
 pub struct KcShared {
-    /// The OS thread acting as this kernel context (set at thread start).
+    /// The OS thread acting as this kernel context, for display (set by
+    /// [`KcShared::adopt_current_thread`]).
     pub thread_id: OnceLock<ThreadId>,
     /// How this KC waits when idle (BUSYWAIT / BLOCKING / Adaptive).
     pub idle_policy: IdlePolicy,
@@ -159,10 +162,21 @@ impl KcShared {
         }
     }
 
-    /// Is the calling OS thread this kernel context?
+    /// Make the calling OS thread this kernel context: called once, first
+    /// thing on the thread that will act as it.
+    pub fn adopt_current_thread(&self) {
+        self.thread_id
+            .set(std::thread::current().id())
+            .expect("a kernel context is adopted by one thread, once");
+        crate::current::set_kc(self);
+    }
+
+    /// Is the calling OS thread this kernel context? Thread *identity* — not
+    /// whether some UC happens to be coupled — read from a thread-local
+    /// token, so asking costs no `std::thread::current()` handle.
     #[inline]
     pub fn is_current_thread(&self) -> bool {
-        self.thread_id.get() == Some(&std::thread::current().id())
+        crate::current::is_kc(self)
     }
 
     /// Publish an event (couple request, sibling termination) and wake the
@@ -348,6 +362,10 @@ pub struct UcInner {
     pub state: AtomicU8,
     /// Per-ULP thread-local storage (the privatized TLS region of §V-B).
     pub tls: TlsStorage,
+    /// This ULP's `errno` — the best-known TLS variable, written by every
+    /// system-call veneer, so it gets a plain field instead of a
+    /// [`crate::tls::UlpLocal`] slot behind the `tls` lock.
+    pub errno: AtomicI32,
     /// The owning runtime (weak: UCs must not keep it alive).
     pub rt: Weak<RuntimeInner>,
     /// Sibling-only: the allocated stack (primaries use the thread stack).
@@ -453,14 +471,17 @@ mod tests {
     #[test]
     fn kc_thread_identity() {
         let kc = KcShared::new(IdlePolicy::BusyWait);
-        assert!(!kc.is_current_thread(), "unset id matches no thread");
-        kc.thread_id.set(std::thread::current().id()).unwrap();
-        assert!(kc.is_current_thread());
+        assert!(!kc.is_current_thread(), "unadopted KC matches no thread");
         let kc = Arc::new(kc);
         let kc2 = kc.clone();
-        std::thread::spawn(move || assert!(!kc2.is_current_thread()))
-            .join()
-            .unwrap();
+        std::thread::spawn(move || {
+            kc2.adopt_current_thread();
+            assert!(kc2.is_current_thread());
+            crate::current::clear_thread_state();
+        })
+        .join()
+        .unwrap();
+        assert!(!kc.is_current_thread(), "adopted by another thread");
     }
 
     #[test]

@@ -419,7 +419,6 @@ impl StackPool {
     /// list, owned stacks to the size-classed freelist (dropped if the
     /// class is full).
     pub fn release(&self, stack: Stack) {
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
         if self.dontneed.load(Ordering::Relaxed) {
             stack.dont_need();
             self.recycled.fetch_add(1, Ordering::Relaxed);
@@ -427,17 +426,21 @@ impl StackPool {
         if stack.is_slab_slot() {
             // Drop runs the slab-slot return path.
             drop(stack);
-            return;
-        }
-        let class = stack.usable_size();
-        let mut classes = self.classes.lock();
-        if let Some((_, list)) = classes.iter_mut().find(|(sz, _)| *sz == class) {
-            if list.len() < self.max_per_class {
-                list.push(stack);
+        } else {
+            let class = stack.usable_size();
+            let mut classes = self.classes.lock();
+            match classes.iter_mut().find(|(sz, _)| *sz == class) {
+                Some((_, list)) if list.len() < self.max_per_class => list.push(stack),
+                Some(_) => {}
+                None => classes.push((class, vec![stack])),
             }
-            return;
         }
-        classes.push((class, vec![stack]));
+        // The stack stops counting as outstanding only once it is back on a
+        // free list. Decrementing first would let an acquire that runs
+        // during the `madvise` above find the list still empty, carve a
+        // fresh stack, and leave two cached behind a high-water mark of one
+        // — `cached() <= peak_outstanding()` must hold at every instant.
+        self.outstanding.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// (pool hits, pool misses) since creation.

@@ -198,13 +198,12 @@ impl Kernel {
     /// The buffer is shared, not copied — like glibc, which reads the user's
     /// buffer from the helper thread (submission is O(1) regardless of size).
     pub fn aio_write(self: &Arc<Self>, fd: Fd, offset: u64, data: Arc<Vec<u8>>) -> KResult<Aiocb> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::AioWrite, pid, &proc, || {
+        self.syscall(Sysno::AioWrite, |proc| {
             let cb = Aiocb::new();
             self.aio_service()
                 .tx
                 .send(AioJob {
-                    pid,
+                    pid: proc.pid,
                     fd,
                     op: AioOp::Write { offset, data },
                     cb: cb.inner.clone(),
@@ -216,13 +215,12 @@ impl Kernel {
 
     /// `aio_read(3)`: positional asynchronous read of `len` bytes.
     pub fn aio_read(self: &Arc<Self>, fd: Fd, offset: u64, len: usize) -> KResult<Aiocb> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::AioRead, pid, &proc, || {
+        self.syscall(Sysno::AioRead, |proc| {
             let cb = Aiocb::new();
             self.aio_service()
                 .tx
                 .send(AioJob {
-                    pid,
+                    pid: proc.pid,
                     fd,
                     op: AioOp::Read { offset, len },
                     cb: cb.inner.clone(),

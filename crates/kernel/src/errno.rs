@@ -45,6 +45,8 @@ pub enum Errno {
     ENFILE = 23,
     /// Too many open files.
     EMFILE = 24,
+    /// File too large.
+    EFBIG = 27,
     /// No space left on device.
     ENOSPC = 28,
     /// Illegal seek.
@@ -85,6 +87,7 @@ impl Errno {
             Errno::EINVAL => "EINVAL",
             Errno::ENFILE => "ENFILE",
             Errno::EMFILE => "EMFILE",
+            Errno::EFBIG => "EFBIG",
             Errno::ENOSPC => "ENOSPC",
             Errno::ESPIPE => "ESPIPE",
             Errno::EROFS => "EROFS",

@@ -19,9 +19,9 @@ mod procfs;
 mod tmpfs;
 mod vfs;
 
-pub use path::{normalize, split_parent, strip_prefix};
+pub use path::{normalize, split_parent, strip_prefix, Components};
 pub use procfs::{install_proc_provider, ProcFs, ProcProvider, ProcSource};
-pub use tmpfs::{DirEntry, FileStat, Ino, IoModel, Tmpfs};
+pub use tmpfs::{DirEntry, FileStat, Ino, IoModel, Tmpfs, MAX_FILE_SIZE};
 pub use vfs::{FileSystem, Mount, MountTable};
 
 /// Open flags, mirroring the POSIX `O_*` constants the paper's benchmark

@@ -171,7 +171,7 @@ impl ProcFs {
     /// Map a normalized mount-relative path to a tree node. `self` resolves
     /// through the calling OS thread's process binding; dead (reaped)
     /// pids are `ENOENT`.
-    fn classify(&self, rel: &[String]) -> KResult<Node> {
+    fn classify(&self, rel: &[&str]) -> KResult<Node> {
         let pid_of = |name: &str| -> KResult<Pid> {
             if name == "self" {
                 return self.kernel()?.current_pid().ok_or(Errno::ENOENT);
@@ -181,8 +181,8 @@ impl ProcFs {
         };
         match rel {
             [] => Ok(Node::Root),
-            [d] if d == "ulp" => Ok(Node::UlpDir),
-            [d, f] if d == "ulp" => match f.as_str() {
+            ["ulp"] => Ok(Node::UlpDir),
+            ["ulp", f] => match *f {
                 "metrics" => Ok(Node::UlpFile(ProcSource::Metrics)),
                 "profile" => Ok(Node::UlpFile(ProcSource::Profile)),
                 "stat" => Ok(Node::UlpFile(ProcSource::RuntimeStat)),
@@ -193,7 +193,7 @@ impl ProcFs {
                 self.kernel()?.process(pid).ok_or(Errno::ENOENT)?;
                 Ok(Node::PidDir(pid))
             }
-            [p, f] if f == "stat" => {
+            [p, "stat"] => {
                 let pid = pid_of(p)?;
                 self.kernel()?.process(pid).ok_or(Errno::ENOENT)?;
                 Ok(Node::PidStat(pid))
@@ -251,7 +251,7 @@ impl FileSystem for ProcFs {
         "proc"
     }
 
-    fn open_rel(&self, rel: &[String], flags: OpenFlags) -> KResult<Ino> {
+    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Ino> {
         let node = match self.classify(rel) {
             Ok(n) => n,
             // Creating a file is a write: a read-only fs refuses it even
@@ -275,11 +275,11 @@ impl FileSystem for ProcFs {
         Ok(ino)
     }
 
-    fn resolve_rel(&self, rel: &[String]) -> KResult<Ino> {
+    fn resolve_rel(&self, rel: &[&str]) -> KResult<Ino> {
         Ok(self.classify(rel)?.ino())
     }
 
-    fn stat_rel(&self, rel: &[String]) -> KResult<FileStat> {
+    fn stat_rel(&self, rel: &[&str]) -> KResult<FileStat> {
         let node = self.classify(rel)?;
         let size = match node {
             Node::Root => self.pids()?.len() as u64 + 2, // pid dirs + self + ulp
@@ -295,27 +295,27 @@ impl FileSystem for ProcFs {
         })
     }
 
-    fn mkdir_rel(&self, _rel: &[String]) -> KResult<Ino> {
+    fn mkdir_rel(&self, _rel: &[&str]) -> KResult<Ino> {
         Err(Errno::EROFS)
     }
 
-    fn unlink_rel(&self, _rel: &[String]) -> KResult<()> {
+    fn unlink_rel(&self, _rel: &[&str]) -> KResult<()> {
         Err(Errno::EROFS)
     }
 
-    fn rmdir_rel(&self, _rel: &[String]) -> KResult<()> {
+    fn rmdir_rel(&self, _rel: &[&str]) -> KResult<()> {
         Err(Errno::EROFS)
     }
 
-    fn link_rel(&self, _existing: &[String], _new: &[String]) -> KResult<()> {
+    fn link_rel(&self, _existing: &[&str], _new: &[&str]) -> KResult<()> {
         Err(Errno::EROFS)
     }
 
-    fn rename_rel(&self, _from: &[String], _to: &[String]) -> KResult<()> {
+    fn rename_rel(&self, _from: &[&str], _to: &[&str]) -> KResult<()> {
         Err(Errno::EROFS)
     }
 
-    fn readdir_rel(&self, rel: &[String]) -> KResult<Vec<DirEntry>> {
+    fn readdir_rel(&self, rel: &[&str]) -> KResult<Vec<DirEntry>> {
         let dir_entry = |name: &str, node: Node| DirEntry {
             name: name.to_string(),
             ino: node.ino(),

@@ -1,6 +1,6 @@
 //! The tmpfs proper: an inode table behind a lock, file data in `Vec<u8>`.
 
-use super::{normalize, split_parent, OpenFlags};
+use super::{normalize, split_parent, FileSystem, OpenFlags};
 use crate::errno::{Errno, KResult};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -11,6 +11,11 @@ pub struct Ino(pub u64);
 
 /// Root directory inode.
 pub const ROOT_INO: Ino = Ino(0);
+
+/// Largest size a tmpfs file may reach: `write_at`/`truncate` past it fail
+/// with `EFBIG` instead of zero-filling up to whatever offset the caller
+/// named — the data lives in the simulation's own address space.
+pub const MAX_FILE_SIZE: u64 = 1 << 30;
 
 #[derive(Debug)]
 enum InodeKind {
@@ -166,13 +171,13 @@ impl TmpfsInner {
         }
     }
 
-    fn resolve(&self, cwd: &str, path: &str) -> KResult<Ino> {
-        let comps = normalize(cwd, path);
+    /// Walk `comps` down from the root directory.
+    fn resolve(&self, comps: &[&str]) -> KResult<Ino> {
         let mut cur = ROOT_INO;
-        for comp in &comps {
+        for comp in comps {
             match &self.get(cur)?.kind {
                 InodeKind::Dir { entries } => {
-                    cur = *entries.get(comp).ok_or(Errno::ENOENT)?;
+                    cur = *entries.get(*comp).ok_or(Errno::ENOENT)?;
                 }
                 InodeKind::File { .. } => return Err(Errno::ENOTDIR),
             }
@@ -180,19 +185,27 @@ impl TmpfsInner {
         Ok(cur)
     }
 
-    fn resolve_parent(&self, cwd: &str, path: &str) -> KResult<(Ino, String)> {
-        let comps = normalize(cwd, path);
-        let (parent_comps, name) = split_parent(&comps).ok_or(Errno::EINVAL)?;
-        let mut cur = ROOT_INO;
-        for comp in parent_comps {
-            match &self.get(cur)?.kind {
-                InodeKind::Dir { entries } => {
-                    cur = *entries.get(comp).ok_or(Errno::ENOENT)?;
-                }
-                InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-            }
+    /// Resolve the directory holding `comps`' final name; `EINVAL` for the
+    /// root, which has none.
+    fn resolve_parent<'a>(&self, comps: &[&'a str]) -> KResult<(Ino, &'a str)> {
+        let (parent, name) = split_parent(comps).ok_or(Errno::EINVAL)?;
+        Ok((self.resolve(parent)?, name))
+    }
+
+    /// The entries of the directory `ino` (`ENOTDIR` for a file).
+    fn dir_mut(&mut self, ino: Ino) -> KResult<&mut BTreeMap<String, Ino>> {
+        match &mut self.get_mut(ino)?.kind {
+            InodeKind::Dir { entries } => Ok(entries),
+            InodeKind::File { .. } => Err(Errno::ENOTDIR),
         }
-        Ok((cur, name.to_string()))
+    }
+
+    /// The inode `name` refers to inside the directory `dir`.
+    fn lookup(&self, dir: Ino, name: &str) -> KResult<Ino> {
+        match &self.get(dir)?.kind {
+            InodeKind::Dir { entries } => entries.get(name).copied().ok_or(Errno::ENOENT),
+            InodeKind::File { .. } => Err(Errno::ENOTDIR),
+        }
     }
 
     /// Drop an inode if it has neither links nor open descriptors.
@@ -250,56 +263,56 @@ impl Tmpfs {
         }
     }
 
+    // ----- string API: `(cwd, path)` wrappers over the component API ---------
+
     /// Resolve `path` (relative to `cwd`) to an inode.
     pub fn resolve(&self, cwd: &str, path: &str) -> KResult<Ino> {
-        self.inner.read().resolve(cwd, path)
+        self.resolve_rel(&normalize(cwd, path))
     }
 
     /// Open (and possibly create/truncate) a file; returns its inode with
     /// the open count already incremented.
     pub fn open(&self, cwd: &str, path: &str, flags: OpenFlags) -> KResult<Ino> {
-        let mut inner = self.inner.write();
-        let existing = inner.resolve(cwd, path);
-        let ino = match existing {
-            Ok(ino) => {
-                if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
-                    return Err(Errno::EEXIST);
-                }
-                match &mut inner.get_mut(ino)?.kind {
-                    InodeKind::Dir { .. } => {
-                        if flags.writable() {
-                            return Err(Errno::EISDIR);
-                        }
-                        ino
-                    }
-                    InodeKind::File { data } => {
-                        if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                            data.clear();
-                        }
-                        ino
-                    }
-                }
-            }
-            Err(Errno::ENOENT) if flags.contains(OpenFlags::CREAT) => {
-                let (parent, name) = inner.resolve_parent(cwd, path)?;
-                let ino = inner.alloc(Inode {
-                    kind: InodeKind::File { data: Vec::new() },
-                    nlink: 1,
-                    open_count: 0,
-                });
-                match &mut inner.get_mut(parent)?.kind {
-                    InodeKind::Dir { entries } => {
-                        entries.insert(name, ino);
-                    }
-                    InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-                }
-                ino
-            }
-            Err(e) => return Err(e),
-        };
-        inner.get_mut(ino)?.open_count += 1;
-        Ok(ino)
+        self.open_rel(&normalize(cwd, path), flags)
     }
+
+    /// `stat(2)`: metadata snapshot of the inode at `path`.
+    pub fn stat(&self, cwd: &str, path: &str) -> KResult<FileStat> {
+        self.stat_rel(&normalize(cwd, path))
+    }
+
+    /// `mkdir(2)`: create a directory (`EEXIST` if the path exists).
+    pub fn mkdir(&self, cwd: &str, path: &str) -> KResult<Ino> {
+        self.mkdir_rel(&normalize(cwd, path))
+    }
+
+    /// `unlink(2)`: remove a file link (`EISDIR` for directories).
+    pub fn unlink(&self, cwd: &str, path: &str) -> KResult<()> {
+        self.unlink_rel(&normalize(cwd, path))
+    }
+
+    /// `rmdir(2)`: remove an *empty* directory.
+    pub fn rmdir(&self, cwd: &str, path: &str) -> KResult<()> {
+        self.rmdir_rel(&normalize(cwd, path))
+    }
+
+    /// `link(2)`: add a second name for a file (directories refused).
+    pub fn link(&self, cwd: &str, existing: &str, new: &str) -> KResult<()> {
+        self.link_rel(&normalize(cwd, existing), &normalize(cwd, new))
+    }
+
+    /// `rename(2)`: atomically move a name, replacing a non-directory
+    /// target if present.
+    pub fn rename(&self, cwd: &str, from: &str, to: &str) -> KResult<()> {
+        self.rename_rel(&normalize(cwd, from), &normalize(cwd, to))
+    }
+
+    /// `readdir(3)`: list a directory's entries in name order.
+    pub fn readdir(&self, cwd: &str, path: &str) -> KResult<Vec<DirEntry>> {
+        self.readdir_rel(&normalize(cwd, path))
+    }
+
+    // ----- inode operations --------------------------------------------------
 
     /// Drop one open reference (close); reclaims unlinked inodes.
     pub fn release(&self, ino: Ino) {
@@ -317,7 +330,8 @@ impl Tmpfs {
             match &inner.get(ino)?.kind {
                 InodeKind::Dir { .. } => return Err(Errno::EISDIR),
                 InodeKind::File { data } => {
-                    let off = offset as usize;
+                    // An offset that does not fit `usize` is past any EOF.
+                    let off = usize::try_from(offset).unwrap_or(usize::MAX);
                     if off >= data.len() {
                         return Ok(0);
                     }
@@ -333,21 +347,25 @@ impl Tmpfs {
         Ok(n)
     }
 
-    /// Write `src` at `offset`, extending (zero-filling a gap) as needed.
-    /// This is the memcpy whose duration Figs. 7–8 measure (plus the
-    /// optional modeled transfer time, charged outside the lock).
+    /// Write `src` at `offset`, extending (zero-filling a gap) as needed;
+    /// `EFBIG`, with the file untouched, if that would grow it past
+    /// [`MAX_FILE_SIZE`]. This is the memcpy whose duration Figs. 7–8
+    /// measure (plus the optional modeled transfer time, charged outside
+    /// the lock).
     pub fn write_at(&self, ino: Ino, offset: u64, src: &[u8]) -> KResult<usize> {
+        let end = offset
+            .checked_add(src.len() as u64)
+            .filter(|&end| end <= MAX_FILE_SIZE)
+            .ok_or(Errno::EFBIG)? as usize;
         {
             let mut inner = self.inner.write();
             match &mut inner.get_mut(ino)?.kind {
                 InodeKind::Dir { .. } => return Err(Errno::EISDIR),
                 InodeKind::File { data } => {
-                    let off = offset as usize;
-                    let end = off + src.len();
                     if end > data.len() {
                         data.resize(end, 0);
                     }
-                    data[off..end].copy_from_slice(src);
+                    data[end - src.len()..end].copy_from_slice(src);
                 }
             }
         }
@@ -364,8 +382,12 @@ impl Tmpfs {
         }
     }
 
-    /// Truncate or extend a file to `len`.
+    /// Truncate or extend a file to `len`; `EFBIG`, with the file untouched,
+    /// past [`MAX_FILE_SIZE`].
     pub fn truncate(&self, ino: Ino, len: u64) -> KResult<()> {
+        if len > MAX_FILE_SIZE {
+            return Err(Errno::EFBIG);
+        }
         let mut inner = self.inner.write();
         match &mut inner.get_mut(ino)?.kind {
             InodeKind::Dir { .. } => Err(Errno::EISDIR),
@@ -376,10 +398,71 @@ impl Tmpfs {
         }
     }
 
-    /// `stat(2)`: metadata snapshot of the inode at `path`.
-    pub fn stat(&self, cwd: &str, path: &str) -> KResult<FileStat> {
+    /// Number of live inodes (diagnostics / leak tests).
+    pub fn inode_count(&self) -> usize {
+        self.inner.read().inodes.iter().flatten().count()
+    }
+}
+
+impl Default for Tmpfs {
+    fn default() -> Self {
+        Tmpfs::new()
+    }
+}
+
+/// The path operations walk the borrowed components straight down the inode
+/// table — no string is rebuilt or re-parsed — and the inode operations
+/// forward to the inherent methods above.
+impl FileSystem for Tmpfs {
+    fn fs_name(&self) -> &'static str {
+        "tmpfs"
+    }
+
+    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Ino> {
+        let mut inner = self.inner.write();
+        let ino = match inner.resolve(rel) {
+            Ok(ino) => {
+                if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
+                    return Err(Errno::EEXIST);
+                }
+                match &mut inner.get_mut(ino)?.kind {
+                    InodeKind::Dir { .. } => {
+                        if flags.writable() {
+                            return Err(Errno::EISDIR);
+                        }
+                    }
+                    InodeKind::File { data } => {
+                        if flags.contains(OpenFlags::TRUNC) && flags.writable() {
+                            data.clear();
+                        }
+                    }
+                }
+                ino
+            }
+            Err(Errno::ENOENT) if flags.contains(OpenFlags::CREAT) => {
+                let (parent, name) = inner.resolve_parent(rel)?;
+                inner.dir_mut(parent)?;
+                let ino = inner.alloc(Inode {
+                    kind: InodeKind::File { data: Vec::new() },
+                    nlink: 1,
+                    open_count: 0,
+                });
+                inner.dir_mut(parent)?.insert(name.to_string(), ino);
+                ino
+            }
+            Err(e) => return Err(e),
+        };
+        inner.get_mut(ino)?.open_count += 1;
+        Ok(ino)
+    }
+
+    fn resolve_rel(&self, rel: &[&str]) -> KResult<Ino> {
+        self.inner.read().resolve(rel)
+    }
+
+    fn stat_rel(&self, rel: &[&str]) -> KResult<FileStat> {
         let inner = self.inner.read();
-        let ino = inner.resolve(cwd, path)?;
+        let ino = inner.resolve(rel)?;
         let node = inner.get(ino)?;
         Ok(FileStat {
             ino,
@@ -392,13 +475,13 @@ impl Tmpfs {
         })
     }
 
-    /// `mkdir(2)`: create a directory (`EEXIST` if the path exists).
-    pub fn mkdir(&self, cwd: &str, path: &str) -> KResult<Ino> {
+    fn mkdir_rel(&self, rel: &[&str]) -> KResult<Ino> {
         let mut inner = self.inner.write();
-        if inner.resolve(cwd, path).is_ok() {
+        if inner.resolve(rel).is_ok() {
             return Err(Errno::EEXIST);
         }
-        let (parent, name) = inner.resolve_parent(cwd, path)?;
+        let (parent, name) = inner.resolve_parent(rel)?;
+        inner.dir_mut(parent)?;
         let ino = inner.alloc(Inode {
             kind: InodeKind::Dir {
                 entries: BTreeMap::new(),
@@ -406,45 +489,28 @@ impl Tmpfs {
             nlink: 1,
             open_count: 0,
         });
-        match &mut inner.get_mut(parent)?.kind {
-            InodeKind::Dir { entries } => {
-                entries.insert(name, ino);
-                Ok(ino)
-            }
-            InodeKind::File { .. } => Err(Errno::ENOTDIR),
-        }
+        inner.dir_mut(parent)?.insert(name.to_string(), ino);
+        Ok(ino)
     }
 
-    /// `unlink(2)`: remove a file link (`EISDIR` for directories).
-    pub fn unlink(&self, cwd: &str, path: &str) -> KResult<()> {
+    fn unlink_rel(&self, rel: &[&str]) -> KResult<()> {
         let mut inner = self.inner.write();
-        let (parent, name) = inner.resolve_parent(cwd, path)?;
-        let ino = {
-            match &inner.get(parent)?.kind {
-                InodeKind::Dir { entries } => *entries.get(&name).ok_or(Errno::ENOENT)?,
-                InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-            }
-        };
+        let (parent, name) = inner.resolve_parent(rel)?;
+        let ino = inner.lookup(parent, name)?;
         // POSIX unlink(2) refuses directories (rmdir is separate).
         if let InodeKind::Dir { .. } = inner.get(ino)?.kind {
             return Err(Errno::EISDIR);
         }
-        if let InodeKind::Dir { entries } = &mut inner.get_mut(parent)?.kind {
-            entries.remove(&name);
-        }
+        inner.dir_mut(parent)?.remove(name);
         inner.get_mut(ino)?.nlink -= 1;
         inner.maybe_reclaim(ino);
         Ok(())
     }
 
-    /// `rmdir(2)`: remove an *empty* directory.
-    pub fn rmdir(&self, cwd: &str, path: &str) -> KResult<()> {
+    fn rmdir_rel(&self, rel: &[&str]) -> KResult<()> {
         let mut inner = self.inner.write();
-        let (parent, name) = inner.resolve_parent(cwd, path)?;
-        let ino = match &inner.get(parent)?.kind {
-            InodeKind::Dir { entries } => *entries.get(&name).ok_or(Errno::ENOENT)?,
-            InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-        };
+        let (parent, name) = inner.resolve_parent(rel)?;
+        let ino = inner.lookup(parent, name)?;
         match &inner.get(ino)?.kind {
             InodeKind::File { .. } => return Err(Errno::ENOTDIR),
             InodeKind::Dir { entries } => {
@@ -453,49 +519,37 @@ impl Tmpfs {
                 }
             }
         }
-        if let InodeKind::Dir { entries } = &mut inner.get_mut(parent)?.kind {
-            entries.remove(&name);
-        }
+        inner.dir_mut(parent)?.remove(name);
         inner.get_mut(ino)?.nlink -= 1;
         inner.maybe_reclaim(ino);
         Ok(())
     }
 
-    /// `link(2)`: add a second name for a file (directories refused).
-    pub fn link(&self, cwd: &str, existing: &str, new: &str) -> KResult<()> {
+    fn link_rel(&self, existing: &[&str], new: &[&str]) -> KResult<()> {
         let mut inner = self.inner.write();
-        let ino = inner.resolve(cwd, existing)?;
+        let ino = inner.resolve(existing)?;
         if matches!(inner.get(ino)?.kind, InodeKind::Dir { .. }) {
             return Err(Errno::EPERM);
         }
-        if inner.resolve(cwd, new).is_ok() {
+        if inner.resolve(new).is_ok() {
             return Err(Errno::EEXIST);
         }
-        let (parent, name) = inner.resolve_parent(cwd, new)?;
-        match &mut inner.get_mut(parent)?.kind {
-            InodeKind::Dir { entries } => {
-                entries.insert(name, ino);
-            }
-            InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-        }
+        let (parent, name) = inner.resolve_parent(new)?;
+        inner.dir_mut(parent)?.insert(name.to_string(), ino);
         inner.get_mut(ino)?.nlink += 1;
         Ok(())
     }
 
-    /// `rename(2)`: atomically move a name, replacing a non-directory
-    /// target if present.
-    pub fn rename(&self, cwd: &str, from: &str, to: &str) -> KResult<()> {
+    fn rename_rel(&self, from: &[&str], to: &[&str]) -> KResult<()> {
         let mut inner = self.inner.write();
-        let (from_parent, from_name) = inner.resolve_parent(cwd, from)?;
-        let ino = match &inner.get(from_parent)?.kind {
-            InodeKind::Dir { entries } => *entries.get(&from_name).ok_or(Errno::ENOENT)?,
-            InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-        };
-        let (to_parent, to_name) = inner.resolve_parent(cwd, to)?;
+        let (from_parent, from_name) = inner.resolve_parent(from)?;
+        let ino = inner.lookup(from_parent, from_name)?;
+        let (to_parent, to_name) = inner.resolve_parent(to)?;
         // Replace target if it exists (refuse replacing directories).
-        let replaced = match &inner.get(to_parent)?.kind {
-            InodeKind::Dir { entries } => entries.get(&to_name).copied(),
-            InodeKind::File { .. } => return Err(Errno::ENOTDIR),
+        let replaced = match inner.lookup(to_parent, to_name) {
+            Ok(target) => Some(target),
+            Err(Errno::ENOENT) => None,
+            Err(e) => return Err(e),
         };
         if let Some(target) = replaced {
             if target == ino {
@@ -505,12 +559,8 @@ impl Tmpfs {
                 return Err(Errno::EISDIR);
             }
         }
-        if let InodeKind::Dir { entries } = &mut inner.get_mut(from_parent)?.kind {
-            entries.remove(&from_name);
-        }
-        if let InodeKind::Dir { entries } = &mut inner.get_mut(to_parent)?.kind {
-            entries.insert(to_name, ino);
-        }
+        inner.dir_mut(from_parent)?.remove(from_name);
+        inner.dir_mut(to_parent)?.insert(to_name.to_string(), ino);
         if let Some(target) = replaced {
             inner.get_mut(target)?.nlink -= 1;
             inner.maybe_reclaim(target);
@@ -518,10 +568,9 @@ impl Tmpfs {
         Ok(())
     }
 
-    /// `readdir(3)`: list a directory's entries in name order.
-    pub fn readdir(&self, cwd: &str, path: &str) -> KResult<Vec<DirEntry>> {
+    fn readdir_rel(&self, rel: &[&str]) -> KResult<Vec<DirEntry>> {
         let inner = self.inner.read();
-        let ino = inner.resolve(cwd, path)?;
+        let ino = inner.resolve(rel)?;
         match &inner.get(ino)?.kind {
             InodeKind::File { .. } => Err(Errno::ENOTDIR),
             InodeKind::Dir { entries } => Ok(entries
@@ -535,15 +584,24 @@ impl Tmpfs {
         }
     }
 
-    /// Number of live inodes (diagnostics / leak tests).
-    pub fn inode_count(&self) -> usize {
-        self.inner.read().inodes.iter().flatten().count()
+    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> KResult<usize> {
+        Tmpfs::read_at(self, ino, offset, buf)
     }
-}
 
-impl Default for Tmpfs {
-    fn default() -> Self {
-        Tmpfs::new()
+    fn write_at(&self, ino: Ino, offset: u64, src: &[u8]) -> KResult<usize> {
+        Tmpfs::write_at(self, ino, offset, src)
+    }
+
+    fn size(&self, ino: Ino) -> KResult<u64> {
+        Tmpfs::size(self, ino)
+    }
+
+    fn truncate(&self, ino: Ino, len: u64) -> KResult<()> {
+        Tmpfs::truncate(self, ino, len)
+    }
+
+    fn release(&self, ino: Ino) {
+        Tmpfs::release(self, ino)
     }
 }
 
@@ -707,6 +765,22 @@ mod tests {
         let mut buf = [1u8; 8];
         fs.read_at(ino, 0, &mut buf).unwrap();
         assert_eq!(&buf, &[b'a', b'b', b'c', 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn growth_past_the_size_limit_is_efbig() {
+        let fs = Tmpfs::new();
+        let ino = fs.open("/", "/t", wflags()).unwrap();
+        fs.write_at(ino, 0, b"abc").unwrap();
+        for offset in [MAX_FILE_SIZE - 1, MAX_FILE_SIZE, 1 << 40, u64::MAX - 1] {
+            assert_eq!(fs.write_at(ino, offset, b"xy").unwrap_err(), Errno::EFBIG);
+        }
+        for len in [MAX_FILE_SIZE + 1, 1 << 40, u64::MAX] {
+            assert_eq!(fs.truncate(ino, len).unwrap_err(), Errno::EFBIG);
+        }
+        assert_eq!(fs.size(ino).unwrap(), 3, "refused calls change nothing");
+        let mut buf = [0u8; 2];
+        assert_eq!(fs.read_at(ino, u64::MAX, &mut buf).unwrap(), 0);
     }
 
     #[test]

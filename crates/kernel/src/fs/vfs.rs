@@ -1,10 +1,10 @@
 //! The mount seam: a [`FileSystem`] trait plus a small longest-prefix
 //! [`MountTable`].
 //!
-//! The simulated kernel used to hard-wire a single [`Tmpfs`]; every file
-//! syscall called its inherent methods directly. This module introduces the
-//! minimal indirection needed to hang other filesystems (first of all the
-//! procfs at `/proc`) off the same syscall surface:
+//! The simulated kernel used to hard-wire a single [`Tmpfs`](super::Tmpfs);
+//! every file syscall called its inherent methods directly. This module
+//! introduces the minimal indirection needed to hang other filesystems
+//! (first of all the procfs at `/proc`) off the same syscall surface:
 //!
 //! - [`FileSystem`] splits the tmpfs API into *inode* operations (reads and
 //!   writes against an already-opened [`Ino`]) and *path* operations that
@@ -18,11 +18,12 @@
 //!   filesystem. Operations that would span two mounts (`link`, `rename`)
 //!   are refused with `EXDEV` by the kernel before either side runs.
 //!
-//! [`Tmpfs`] implements the trait by joining the component slice back into
-//! an absolute path against its own root — its inherent string API (and
-//! every existing caller of it) is unchanged.
+//! Components are borrowed (`&[&str]`, pointing into the caller's path
+//! strings), so dispatching a path allocates nothing and — because
+//! [`MountTable::resolve`] lends the filesystem handle instead of cloning it
+//! — touches no reference count.
 
-use super::tmpfs::{DirEntry, FileStat, Ino, Tmpfs};
+use super::tmpfs::{DirEntry, FileStat, Ino};
 use super::{path::strip_prefix, OpenFlags};
 use crate::errno::KResult;
 use std::sync::Arc;
@@ -39,24 +40,24 @@ pub trait FileSystem: Send + Sync + std::fmt::Debug {
 
     /// Open (and possibly create/truncate) the file at `rel`; returns its
     /// inode with an open reference the caller must [`FileSystem::release`].
-    fn open_rel(&self, rel: &[String], flags: OpenFlags) -> KResult<Ino>;
+    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Ino>;
     /// Resolve `rel` to an inode without opening it.
-    fn resolve_rel(&self, rel: &[String]) -> KResult<Ino>;
+    fn resolve_rel(&self, rel: &[&str]) -> KResult<Ino>;
     /// `stat(2)` for the inode at `rel`.
-    fn stat_rel(&self, rel: &[String]) -> KResult<FileStat>;
+    fn stat_rel(&self, rel: &[&str]) -> KResult<FileStat>;
     /// Create a directory at `rel`.
-    fn mkdir_rel(&self, rel: &[String]) -> KResult<Ino>;
+    fn mkdir_rel(&self, rel: &[&str]) -> KResult<Ino>;
     /// Remove the file link at `rel`.
-    fn unlink_rel(&self, rel: &[String]) -> KResult<()>;
+    fn unlink_rel(&self, rel: &[&str]) -> KResult<()>;
     /// Remove the empty directory at `rel`.
-    fn rmdir_rel(&self, rel: &[String]) -> KResult<()>;
+    fn rmdir_rel(&self, rel: &[&str]) -> KResult<()>;
     /// Add a second name `new` for the file at `existing` (same mount —
     /// the kernel refuses cross-mount links with `EXDEV` before calling).
-    fn link_rel(&self, existing: &[String], new: &[String]) -> KResult<()>;
+    fn link_rel(&self, existing: &[&str], new: &[&str]) -> KResult<()>;
     /// Atomically move `from` to `to` (same mount, as with links).
-    fn rename_rel(&self, from: &[String], to: &[String]) -> KResult<()>;
+    fn rename_rel(&self, from: &[&str], to: &[&str]) -> KResult<()>;
     /// List the directory at `rel` in name order.
-    fn readdir_rel(&self, rel: &[String]) -> KResult<Vec<DirEntry>>;
+    fn readdir_rel(&self, rel: &[&str]) -> KResult<Vec<DirEntry>>;
 
     /// Read up to `buf.len()` bytes at `offset` from an opened inode.
     fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> KResult<usize>;
@@ -68,78 +69,6 @@ pub trait FileSystem: Send + Sync + std::fmt::Debug {
     fn truncate(&self, ino: Ino, len: u64) -> KResult<()>;
     /// Drop one open reference (close).
     fn release(&self, ino: Ino);
-}
-
-/// Join mount-relative components back into an absolute path for the
-/// tmpfs's string API (`[]` is the mount root, `/`).
-fn rel_to_abs(rel: &[String]) -> String {
-    if rel.is_empty() {
-        "/".to_string()
-    } else {
-        format!("/{}", rel.join("/"))
-    }
-}
-
-impl FileSystem for Tmpfs {
-    fn fs_name(&self) -> &'static str {
-        "tmpfs"
-    }
-
-    fn open_rel(&self, rel: &[String], flags: OpenFlags) -> KResult<Ino> {
-        self.open("/", &rel_to_abs(rel), flags)
-    }
-
-    fn resolve_rel(&self, rel: &[String]) -> KResult<Ino> {
-        self.resolve("/", &rel_to_abs(rel))
-    }
-
-    fn stat_rel(&self, rel: &[String]) -> KResult<FileStat> {
-        self.stat("/", &rel_to_abs(rel))
-    }
-
-    fn mkdir_rel(&self, rel: &[String]) -> KResult<Ino> {
-        self.mkdir("/", &rel_to_abs(rel))
-    }
-
-    fn unlink_rel(&self, rel: &[String]) -> KResult<()> {
-        self.unlink("/", &rel_to_abs(rel))
-    }
-
-    fn rmdir_rel(&self, rel: &[String]) -> KResult<()> {
-        self.rmdir("/", &rel_to_abs(rel))
-    }
-
-    fn link_rel(&self, existing: &[String], new: &[String]) -> KResult<()> {
-        self.link("/", &rel_to_abs(existing), &rel_to_abs(new))
-    }
-
-    fn rename_rel(&self, from: &[String], to: &[String]) -> KResult<()> {
-        self.rename("/", &rel_to_abs(from), &rel_to_abs(to))
-    }
-
-    fn readdir_rel(&self, rel: &[String]) -> KResult<Vec<DirEntry>> {
-        self.readdir("/", &rel_to_abs(rel))
-    }
-
-    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> KResult<usize> {
-        Tmpfs::read_at(self, ino, offset, buf)
-    }
-
-    fn write_at(&self, ino: Ino, offset: u64, src: &[u8]) -> KResult<usize> {
-        Tmpfs::write_at(self, ino, offset, src)
-    }
-
-    fn size(&self, ino: Ino) -> KResult<u64> {
-        Tmpfs::size(self, ino)
-    }
-
-    fn truncate(&self, ino: Ino, len: u64) -> KResult<()> {
-        Tmpfs::truncate(self, ino, len)
-    }
-
-    fn release(&self, ino: Ino) {
-        Tmpfs::release(self, ino)
-    }
 }
 
 /// One mounted filesystem: where it hangs and what serves it.
@@ -184,7 +113,7 @@ impl MountTable {
     /// Dispatch a normalized absolute component list to the longest-prefix
     /// mount; returns the serving filesystem and the mount-relative
     /// remainder. Always succeeds — the root mount matches everything.
-    pub fn resolve<'a>(&self, comps: &'a [String]) -> (&Arc<dyn FileSystem>, &'a [String]) {
+    pub fn resolve<'c, 'a>(&self, comps: &'c [&'a str]) -> (&Arc<dyn FileSystem>, &'c [&'a str]) {
         for m in &self.mounts {
             if let Some(rest) = strip_prefix(comps, &m.prefix) {
                 return (&m.fs, rest);
@@ -196,12 +125,12 @@ impl MountTable {
     /// Names of mount points living *directly inside* the directory at
     /// `comps` — used by `readdir` to synthesize entries (like `proc` in a
     /// listing of `/`) that the underlying filesystem knows nothing about.
-    pub fn child_mounts(&self, comps: &[String]) -> Vec<String> {
+    pub fn child_mounts(&self, comps: &[&str]) -> Vec<String> {
         let mut names: Vec<String> = self
             .mounts
             .iter()
             .filter(|m| m.prefix.len() == comps.len() + 1)
-            .filter(|m| strip_prefix(&m.prefix, comps).is_some())
+            .filter(|m| m.prefix.iter().zip(comps).all(|(p, c)| p == c))
             .map(|m| m.prefix.last().expect("non-root prefix").clone())
             .collect();
         names.sort();
@@ -223,10 +152,10 @@ impl MountTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::normalize;
+    use crate::fs::{normalize, Tmpfs};
 
-    fn comps(p: &str) -> Vec<String> {
-        normalize("/", p)
+    fn prefix(p: &str) -> Vec<String> {
+        normalize("/", p).iter().map(|c| c.to_string()).collect()
     }
 
     #[test]
@@ -234,7 +163,7 @@ mod tests {
         let fs = Tmpfs::new();
         let ino = fs
             .open_rel(
-                &comps("/f"),
+                &["f"],
                 OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC,
             )
             .unwrap();
@@ -242,7 +171,7 @@ mod tests {
         let mut buf = [0u8; 3];
         assert_eq!(FileSystem::read_at(&fs, ino, 0, &mut buf).unwrap(), 3);
         assert_eq!(&buf, b"abc");
-        assert_eq!(fs.stat_rel(&comps("/f")).unwrap().size, 3);
+        assert_eq!(fs.stat_rel(&["f"]).unwrap().size, 3);
         // The mount root resolves as the tmpfs root directory.
         assert!(fs.stat_rel(&[]).unwrap().is_dir);
         FileSystem::release(&fs, ino);
@@ -255,27 +184,23 @@ mod tests {
         let proc_fs: Arc<dyn FileSystem> = Arc::new(Tmpfs::new());
         let deep: Arc<dyn FileSystem> = Arc::new(Tmpfs::new());
         let mut table = MountTable::new(root.clone());
-        table.mount(comps("/proc"), proc_fs.clone());
-        table.mount(comps("/proc/deep"), deep.clone());
+        table.mount(prefix("/proc"), proc_fs.clone());
+        table.mount(prefix("/proc/deep"), deep.clone());
 
-        let c = comps("/proc/deep/x");
-        let (fs, rest) = table.resolve(&c);
+        let (fs, rest) = table.resolve(&["proc", "deep", "x"]);
         assert!(Arc::ptr_eq(fs, &deep));
-        assert_eq!(rest, &comps("/x")[..]);
+        assert_eq!(rest, ["x"]);
 
-        let c = comps("/proc/self/stat");
-        let (fs, rest) = table.resolve(&c);
+        let (fs, rest) = table.resolve(&["proc", "self", "stat"]);
         assert!(Arc::ptr_eq(fs, &proc_fs));
-        assert_eq!(rest, &comps("/self/stat")[..]);
+        assert_eq!(rest, ["self", "stat"]);
 
-        let c = comps("/etc/passwd");
-        let (fs, rest) = table.resolve(&c);
+        let (fs, rest) = table.resolve(&["etc", "passwd"]);
         assert!(Arc::ptr_eq(fs, &root));
-        assert_eq!(rest, &c[..]);
+        assert_eq!(rest, ["etc", "passwd"]);
 
         // The mount point itself dispatches to the mounted fs root.
-        let c = comps("/proc");
-        let (fs, rest) = table.resolve(&c);
+        let (fs, rest) = table.resolve(&["proc"]);
         assert!(Arc::ptr_eq(fs, &proc_fs));
         assert!(rest.is_empty());
     }
@@ -283,19 +208,19 @@ mod tests {
     #[test]
     fn child_mounts_lists_direct_children_only() {
         let mut table = MountTable::new(Arc::new(Tmpfs::new()) as Arc<dyn FileSystem>);
-        table.mount(comps("/proc"), Arc::new(Tmpfs::new()));
-        table.mount(comps("/dev"), Arc::new(Tmpfs::new()));
-        table.mount(comps("/dev/shm"), Arc::new(Tmpfs::new()));
+        table.mount(prefix("/proc"), Arc::new(Tmpfs::new()));
+        table.mount(prefix("/dev"), Arc::new(Tmpfs::new()));
+        table.mount(prefix("/dev/shm"), Arc::new(Tmpfs::new()));
         assert_eq!(table.child_mounts(&[]), vec!["dev", "proc"]);
-        assert_eq!(table.child_mounts(&comps("/dev")), vec!["shm"]);
-        assert!(table.child_mounts(&comps("/proc")).is_empty());
+        assert_eq!(table.child_mounts(&["dev"]), vec!["shm"]);
+        assert!(table.child_mounts(&["proc"]).is_empty());
     }
 
     #[test]
     fn root_accessor_returns_the_empty_prefix_mount() {
         let root: Arc<dyn FileSystem> = Arc::new(Tmpfs::new());
         let mut table = MountTable::new(root.clone());
-        table.mount(comps("/proc"), Arc::new(Tmpfs::new()));
+        table.mount(prefix("/proc"), Arc::new(Tmpfs::new()));
         assert!(Arc::ptr_eq(table.root(), &root));
     }
 }

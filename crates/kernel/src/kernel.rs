@@ -17,14 +17,14 @@
 use crate::cost::ArchProfile;
 use crate::errno::{Errno, KResult};
 use crate::fd::FileObject;
-use crate::fs::{FileSystem, MountTable, ProcFs, Tmpfs};
+use crate::fs::{MountTable, ProcFs, Tmpfs};
 use crate::process::{Pid, ProcState, Process};
 use crate::signal::Signal;
 use crate::trace::{self, SyscallPhase, Sysno};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared handle to a simulated kernel.
@@ -32,11 +32,23 @@ pub type KernelRef = Arc<Kernel>;
 
 static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(1);
 
+/// One OS thread's binding in one kernel instance.
+struct Binding {
+    kernel: u64,
+    pid: Pid,
+    /// The bound process, looked up in the process table by the first system
+    /// call after [`Kernel::bind_current`] and reused by every later one
+    /// (pids are never reused, so the handle cannot go stale; a reaped
+    /// process is flagged, see [`Process::reaped`]). `None` until then —
+    /// binding may precede the process's creation.
+    proc: Option<Arc<Process>>,
+}
+
 thread_local! {
-    /// (kernel id → bound pid) for the current OS thread. A thread can be
-    /// bound in several kernel instances at once (tests do this), but in at
-    /// most one process per instance.
-    static BINDINGS: RefCell<Vec<(u64, Pid)>> = const { RefCell::new(Vec::new()) };
+    /// The current OS thread's bindings. A thread can be bound in several
+    /// kernel instances at once (tests do this), but in at most one process
+    /// per instance.
+    static BINDINGS: RefCell<Vec<Binding>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The most recent pid bound on the calling thread in *any* kernel
@@ -44,18 +56,7 @@ thread_local! {
 /// ([`crate::fault`]) to key per-process fault streams without a kernel
 /// handle in scope.
 pub(crate) fn any_bound_pid() -> Option<Pid> {
-    BINDINGS.with(|b| b.borrow().last().map(|(_, pid)| *pid))
-}
-
-/// A record of one executed system call, for the consistency audit.
-#[derive(Debug, Clone)]
-pub struct TraceEntry {
-    /// Process the call executed against (the *bound* process).
-    pub pid: Pid,
-    /// System call name.
-    pub call: &'static str,
-    /// OS thread that executed it.
-    pub thread: std::thread::ThreadId,
+    BINDINGS.with(|b| b.borrow().last().map(|e| e.pid))
 }
 
 /// The simulated kernel: process table, shared tmpfs, PID allocation and
@@ -78,10 +79,9 @@ pub struct Kernel {
     /// AIO service, lazily created on the first AIO call (exactly like
     /// glibc, which spawns its helper thread on first use — §II).
     pub(crate) aio: std::sync::OnceLock<crate::aio::AioService>,
-    trace_enabled: AtomicBool,
-    trace: Mutex<Vec<TraceEntry>>,
-    /// Total system calls executed (cheap counter, always on).
-    pub(crate) syscall_count: AtomicU64,
+    /// System calls completed by processes that have since been reaped;
+    /// written only under the `procs` lock (see [`Kernel::total_syscalls`]).
+    retired_syscalls: AtomicU64,
 }
 
 impl Kernel {
@@ -108,9 +108,7 @@ impl Kernel {
                 wait_lock: Mutex::new(()),
                 child_exited: Condvar::new(),
                 aio: std::sync::OnceLock::new(),
-                trace_enabled: AtomicBool::new(false),
-                trace: Mutex::new(Vec::new()),
-                syscall_count: AtomicU64::new(0),
+                retired_syscalls: AtomicU64::new(0),
             }
         });
         let init = kernel.spawn_process(None, "init");
@@ -128,63 +126,78 @@ impl Kernel {
         self.profile
     }
 
-    /// Charge the architectural syscall-entry cost and record the audit
-    /// trace entry. Called at the top of every simulated system call.
-    /// Counters are *not* bumped here — they commit at exit (see
-    /// [`Kernel::syscall_span`]).
-    #[inline]
-    pub(crate) fn enter_syscall(&self, no: Sysno, pid: Pid) {
-        crate::cost::spin_for(self.profile.syscall_entry());
-        if self.trace_enabled.load(Ordering::Relaxed) {
-            self.trace.lock().push(TraceEntry {
-                pid,
-                call: no.name(),
-                thread: std::thread::current().id(),
-            });
-        }
-    }
-
-    /// Run one system call body inside an observed span: charges the entry
-    /// cost, emits the `Enter`/`Exit` pair through the global observer hook
-    /// (see [`crate::trace`]), and forwards the result. The `Exit` record
-    /// carries the raw errno (`0` on success) so the span shows up in the
-    /// merged timeline with its outcome.
+    /// Run one system call body against the process bound to the calling
+    /// OS thread, inside an observed span. `ESRCH` — before anything is
+    /// observed or counted — when the thread is unbound or its process does
+    /// not exist (never created, or reaped).
     ///
-    /// The kernel-wide and per-process syscall counters are bumped **after
-    /// the body returns**, matching where the trace observer records the
-    /// span's latency. This exit-time commit is what lets a procfs file
-    /// body generated *inside* an `open()` (`/proc/ulp/metrics`,
-    /// `/proc/self/stat`) agree exactly with an external snapshot taken
-    /// just before the open: the in-flight open itself is not yet counted
-    /// anywhere when the content is frozen.
+    /// Once the binding has cached its process, finding it is a thread-local
+    /// read plus one load of the `reaped` flag: no process-table lock and no
+    /// reference count, so calls by different processes share nothing here.
+    /// The body runs under a shared borrow of the thread's binding table: it
+    /// may issue further system calls on this thread (procfs does, rendering
+    /// a file inside `open`), but rebinding the thread from inside a system
+    /// call is a bug and panics.
+    ///
+    /// The span charges the architectural syscall-entry cost, emits the
+    /// `Enter`/`Exit` pair through the global observer hook (see
+    /// [`crate::trace`]), and forwards the result. The `Exit` record carries
+    /// the raw errno (`0` on success) so the span shows up in the merged
+    /// timeline with its outcome.
+    ///
+    /// The process's syscall counter is bumped **after the body returns**,
+    /// matching where the trace observer records the span's latency. This
+    /// exit-time commit is what lets a procfs file body generated *inside*
+    /// an `open()` (`/proc/ulp/metrics`, `/proc/self/stat`) agree exactly
+    /// with an external snapshot taken just before the open: the in-flight
+    /// open itself is not yet counted anywhere when the content is frozen.
+    /// There is no kernel-wide counter to bump — [`Kernel::total_syscalls`]
+    /// sums the per-process ones — so a call writes no line that another
+    /// process's calls write.
     #[inline]
-    pub(crate) fn syscall_span<T>(
+    pub(crate) fn syscall<T>(
         &self,
         no: Sysno,
-        pid: Pid,
-        proc: &Process,
-        f: impl FnOnce() -> KResult<T>,
+        f: impl FnOnce(&Process) -> KResult<T>,
     ) -> KResult<T> {
-        trace::emit(no, SyscallPhase::Enter);
-        self.enter_syscall(no, pid);
-        let out = f();
-        self.syscall_count.fetch_add(1, Ordering::Relaxed);
-        proc.syscalls.fetch_add(1, Ordering::Relaxed);
-        trace::emit(
-            no,
-            SyscallPhase::Exit {
-                errno: errno_of(&out),
-            },
-        );
-        out
-    }
-
-    /// Normalize `path` against `cwd` and dispatch it on the mount table:
-    /// returns the owning filesystem plus the mount-relative components.
-    pub(crate) fn resolve_fs(&self, cwd: &str, path: &str) -> (Arc<dyn FileSystem>, Vec<String>) {
-        let comps = crate::fs::normalize(cwd, path);
-        let (fs, rel) = self.mounts.resolve(&comps);
-        (fs.clone(), rel.to_vec())
+        let span = |proc: &Process| {
+            trace::emit(no, SyscallPhase::Enter);
+            crate::cost::spin_for(self.profile.syscall_entry());
+            let out = f(proc);
+            proc.syscalls.fetch_add(1, Ordering::Relaxed);
+            trace::emit(
+                no,
+                SyscallPhase::Exit {
+                    errno: errno_of(&out),
+                },
+            );
+            out
+        };
+        let id = self.id;
+        BINDINGS.with(|cell| {
+            let pid = {
+                let bindings = cell.borrow();
+                match bindings.iter().find(|e| e.kernel == id) {
+                    None => return Err(Errno::ESRCH),
+                    Some(Binding {
+                        proc: Some(proc), ..
+                    }) => {
+                        if proc.reaped.load(Ordering::Acquire) {
+                            return Err(Errno::ESRCH);
+                        }
+                        return span(proc);
+                    }
+                    Some(unresolved) => unresolved.pid,
+                }
+            };
+            // First call since `bind_current`: resolve through the table and
+            // cache the handle for the calls that follow.
+            let proc = self.process(pid).ok_or(Errno::ESRCH)?;
+            if let Some(entry) = cell.borrow_mut().iter_mut().find(|e| e.kernel == id) {
+                entry.proc = Some(proc.clone());
+            }
+            span(&proc)
+        })
     }
 
     // ----- process lifecycle ------------------------------------------------
@@ -277,8 +290,7 @@ impl Kernel {
                     }
                     if let Some(cp) = self.process(t) {
                         if let ProcState::Zombie(status) = cp.state() {
-                            self.procs.lock().remove(&t);
-                            parent_proc.children.lock().remove(&t);
+                            self.reap(&parent_proc, t);
                             return Ok((t, status));
                         }
                     }
@@ -290,9 +302,7 @@ impl Kernel {
                     for &child in &children {
                         if let Some(cp) = self.process(child) {
                             if let ProcState::Zombie(status) = cp.state() {
-                                // Reap: remove from table and parent's set.
-                                self.procs.lock().remove(&child);
-                                parent_proc.children.lock().remove(&child);
+                                self.reap(&parent_proc, child);
                                 return Ok((child, status));
                             }
                         }
@@ -304,6 +314,23 @@ impl Kernel {
             self.child_exited
                 .wait_for(&mut guard, std::time::Duration::from_millis(50));
         }
+    }
+
+    /// Remove the zombie `child` from the process table and `parent`'s
+    /// child set. Under the table lock the process is flagged reaped — a
+    /// thread still bound to it gets `ESRCH` from its next system call — and
+    /// its syscall count moves into the retired sum, so
+    /// [`Kernel::total_syscalls`] counts it exactly once at every instant.
+    fn reap(&self, parent: &Process, child: Pid) {
+        {
+            let mut procs = self.procs.lock();
+            if let Some(proc) = procs.remove(&child) {
+                proc.reaped.store(true, Ordering::Release);
+                self.retired_syscalls
+                    .fetch_add(proc.syscall_count(), Ordering::Relaxed);
+            }
+        }
+        parent.children.lock().remove(&child);
     }
 
     /// Non-blocking variant (`WNOHANG`).
@@ -322,8 +349,7 @@ impl Kernel {
             }
             if let Some(cp) = self.process(t) {
                 if let ProcState::Zombie(status) = cp.state() {
-                    self.procs.lock().remove(&t);
-                    parent_proc.children.lock().remove(&t);
+                    self.reap(&parent_proc, t);
                     return Ok(Some((t, status)));
                 }
             }
@@ -336,8 +362,7 @@ impl Kernel {
         for &child in &children {
             if let Some(cp) = self.process(child) {
                 if let ProcState::Zombie(status) = cp.state() {
-                    self.procs.lock().remove(&child);
-                    parent_proc.children.lock().remove(&child);
+                    self.reap(&parent_proc, child);
                     return Ok(Some((child, status)));
                 }
             }
@@ -349,15 +374,23 @@ impl Kernel {
 
     /// Bind the calling OS thread to `pid`: subsequent system calls from
     /// this thread execute against that process. Replaces any previous
-    /// binding of this thread in this kernel.
+    /// binding of this thread in this kernel. A thread-local update only —
+    /// the process is looked up by the first system call that needs it.
     pub fn bind_current(&self, pid: Pid) {
         let id = self.id;
         BINDINGS.with(|b| {
             let mut b = b.borrow_mut();
-            if let Some(entry) = b.iter_mut().find(|(k, _)| *k == id) {
-                entry.1 = pid;
-            } else {
-                b.push((id, pid));
+            match b.iter_mut().find(|e| e.kernel == id) {
+                Some(entry) if entry.pid == pid => {}
+                Some(entry) => {
+                    entry.pid = pid;
+                    entry.proc = None;
+                }
+                None => b.push(Binding {
+                    kernel: id,
+                    pid,
+                    proc: None,
+                }),
             }
         });
     }
@@ -365,26 +398,13 @@ impl Kernel {
     /// Remove the calling OS thread's binding in this kernel.
     pub fn unbind_current(&self) {
         let id = self.id;
-        BINDINGS.with(|b| b.borrow_mut().retain(|(k, _)| *k != id));
+        BINDINGS.with(|b| b.borrow_mut().retain(|e| e.kernel != id));
     }
 
     /// The process bound to the calling OS thread, if any.
     pub fn current_pid(&self) -> Option<Pid> {
         let id = self.id;
-        BINDINGS.with(|b| {
-            b.borrow()
-                .iter()
-                .find(|(k, _)| *k == id)
-                .map(|(_, pid)| *pid)
-        })
-    }
-
-    /// Like [`Kernel::current_pid`] but returns `ESRCH` when unbound —
-    /// the common prologue of every system call.
-    pub(crate) fn require_current(&self) -> KResult<(Pid, Arc<Process>)> {
-        let pid = self.current_pid().ok_or(Errno::ESRCH)?;
-        let proc = self.process(pid).ok_or(Errno::ESRCH)?;
-        Ok((pid, proc))
+        BINDINGS.with(|b| b.borrow().iter().find(|e| e.kernel == id).map(|e| e.pid))
     }
 
     /// Bind for the duration of a scope.
@@ -397,24 +417,17 @@ impl Kernel {
         }
     }
 
-    // ----- tracing ----------------------------------------------------------
+    // ----- accounting -------------------------------------------------------
 
-    /// Enable/disable the per-call trace used by consistency audits.
-    pub fn set_trace(&self, on: bool) {
-        self.trace_enabled.store(on, Ordering::Relaxed);
-        if !on {
-            self.trace.lock().clear();
-        }
-    }
-
-    /// Drain the recorded trace.
-    pub fn take_trace(&self) -> Vec<TraceEntry> {
-        std::mem::take(&mut *self.trace.lock())
-    }
-
-    /// Total system calls executed since boot.
+    /// Total system calls completed since boot: the live processes' own
+    /// counters plus the counts reaped processes left behind. Exact whenever
+    /// no call is in flight (a call that exits while this sums may or may
+    /// not be included) — which is what `/proc/ulp/metrics` ≡ `GET /metrics`
+    /// compares under quiesce.
     pub fn total_syscalls(&self) -> u64 {
-        self.syscall_count.load(Ordering::Relaxed)
+        let procs = self.procs.lock();
+        self.retired_syscalls.load(Ordering::Relaxed)
+            + procs.values().map(|p| p.syscall_count()).sum::<u64>()
     }
 
     /// The shared filesystem.

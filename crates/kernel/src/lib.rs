@@ -38,6 +38,7 @@ pub mod poll;
 pub mod process;
 pub mod signal;
 pub mod socket;
+mod stream;
 pub mod syscall;
 pub mod trace;
 
@@ -51,9 +52,9 @@ pub use fs::{
     ProcProvider, ProcSource, Tmpfs, Whence,
 };
 pub use futex::{futex_wait, futex_wait_timeout, futex_wake, Semaphore};
-pub use kernel::{BindGuard, Kernel, KernelRef, TraceEntry};
+pub use kernel::{BindGuard, Kernel, KernelRef};
 pub use pipe::{pipe, pipe_with_capacity, PipeReader, PipeWriter};
-pub use poll::{EpollObject, EpollOp, PollEvents, PollWaker, WatchSet};
+pub use poll::{EpollObject, EpollOp, PollEvents, PollWaker, WaitEnd, WatchSet};
 pub use process::{Pid, ProcState, Process};
 pub use signal::{Disposition, MaskHow, SigSet, Signal, SignalState};
 pub use socket::{socketpair, socketpair_with_capacity, Listener, SocketEnd};

@@ -6,38 +6,29 @@
 //! user-level-thread scheduler in a conventional ULT library — and the calls
 //! that BLT's `couple()`/`decouple()` makes harmless (paper §I, §V-B).
 
-use crate::errno::{Errno, KResult};
-use crate::fault::{self, FaultKind};
-use crate::kernel::errno_of;
+use crate::errno::KResult;
 use crate::poll::{PollEvents, WatchSet};
-use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::stream::{ByteStream, StreamNames};
+use crate::trace::{Sysno, WakeSite};
 use std::sync::Arc;
 
 /// Default pipe capacity (Linux: 64 KiB).
 pub const PIPE_CAPACITY: usize = 64 * 1024;
 
+static PIPE_NAMES: StreamNames = StreamNames {
+    block_read: Sysno::PipeBlockRead,
+    block_write: Sysno::PipeBlockWrite,
+    wake_read: WakeSite::PipeRead,
+    wake_write: WakeSite::PipeWrite,
+};
+
 #[derive(Debug)]
 struct PipeInner {
-    buf: Mutex<VecDeque<u8>>,
-    readable: Condvar,
-    writable: Condvar,
-    capacity: usize,
-    readers: AtomicUsize,
-    writers: AtomicUsize,
+    stream: ByteStream,
     /// Readiness watchers (`poll`/`epoll` sleepers). Fired at exactly the
-    /// sites that notify the blocking-path condvars above — one wait-queue
-    /// discipline for both kinds of waiter (see [`crate::poll`]).
+    /// sites that wake the stream's blocked readers and writers — one
+    /// wait-queue discipline for both kinds of waiter (see [`crate::poll`]).
     watch: WatchSet,
-    /// Wake-edge attribution for blocked readers: stamped (under `buf`'s
-    /// lock, so the sleeper's re-check orders after it) by whoever makes
-    /// the pipe readable, consumed by a reader whose sleep it ended.
-    wake_read: WakeCell,
-    /// Same for blocked writers: stamped by whoever frees space or drops
-    /// the last read end.
-    wake_write: WakeCell,
 }
 
 /// Read end of a pipe. Cloning shares the same endpoint (like `dup`).
@@ -51,15 +42,8 @@ pub struct PipeWriter(Arc<PipeInner>);
 /// Create a connected pipe pair with the given capacity.
 pub fn pipe_with_capacity(capacity: usize) -> (PipeReader, PipeWriter) {
     let inner = Arc::new(PipeInner {
-        buf: Mutex::new(VecDeque::with_capacity(capacity.min(PIPE_CAPACITY))),
-        readable: Condvar::new(),
-        writable: Condvar::new(),
-        capacity: capacity.max(1),
-        readers: AtomicUsize::new(1),
-        writers: AtomicUsize::new(1),
+        stream: ByteStream::new(capacity.max(1), &PIPE_NAMES),
         watch: WatchSet::new(),
-        wake_read: WakeCell::new(),
-        wake_write: WakeCell::new(),
     });
     (PipeReader(inner.clone()), PipeWriter(inner))
 }
@@ -71,24 +55,22 @@ pub fn pipe() -> (PipeReader, PipeWriter) {
 
 impl Clone for PipeReader {
     fn clone(&self) -> Self {
-        self.0.readers.fetch_add(1, Ordering::Relaxed);
+        self.0.stream.add_reader();
         PipeReader(self.0.clone())
     }
 }
 
 impl Clone for PipeWriter {
     fn clone(&self) -> Self {
-        self.0.writers.fetch_add(1, Ordering::Relaxed);
+        self.0.stream.add_writer();
         PipeWriter(self.0.clone())
     }
 }
 
 impl Drop for PipeReader {
     fn drop(&mut self) {
-        if self.0.readers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Writers must observe EPIPE.
-            self.0.wake_write.stamp();
-            self.0.writable.notify_all();
+        // Last reader gone: writers must observe EPIPE.
+        if self.0.stream.drop_reader() {
             self.0.watch.notify();
         }
     }
@@ -96,10 +78,8 @@ impl Drop for PipeReader {
 
 impl Drop for PipeWriter {
     fn drop(&mut self) {
-        if self.0.writers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Readers must observe EOF.
-            self.0.wake_read.stamp();
-            self.0.readable.notify_all();
+        // Last writer gone: readers must observe EOF.
+        if self.0.stream.drop_writer() {
             self.0.watch.notify();
         }
     }
@@ -114,97 +94,29 @@ impl PipeReader {
     /// inside the surrounding `read(2)` span, so the timeline distinguishes
     /// "read that returned at once" from "read that stalled its KC".
     pub fn read(&self, out: &mut [u8]) -> KResult<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        // Injected EINTR: fail before any bytes move, as a signal arriving
-        // before the first transfer would.
-        if fault::fire(FaultKind::Eintr) {
-            return Err(Errno::EINTR);
-        }
-        // Injected short read: truncate the destination to one byte, the
-        // worst legal outcome of a successful read.
-        let out = if out.len() > 1 && fault::fire(FaultKind::ShortRead) {
-            &mut out[..1]
-        } else {
-            out
-        };
-        let mut buf = self.0.buf.lock();
-        let mut blocked = false;
-        let res = loop {
-            if !buf.is_empty() {
-                let n = out.len().min(buf.len());
-                for slot in out[..n].iter_mut() {
-                    *slot = buf.pop_front().expect("len checked");
-                }
-                self.0.wake_write.stamp();
-                self.0.writable.notify_all();
-                self.0.watch.notify();
-                break Ok(n);
-            }
-            if self.0.writers.load(Ordering::Acquire) == 0 {
-                break Ok(0); // EOF
-            }
-            if !blocked {
-                blocked = true;
-                trace::emit(Sysno::PipeBlockRead, SyscallPhase::Enter);
-            }
-            self.0.readable.wait(&mut buf);
-        };
-        if blocked {
-            // Attribute the wake that ended the sleep before closing the
-            // span (the edge must land inside it). An EINTR never reaches
-            // here — it fires before the first sleep.
-            self.0.wake_read.consume(WakeSite::PipeRead);
-            trace::emit(
-                Sysno::PipeBlockRead,
-                SyscallPhase::Exit {
-                    errno: errno_of(&res),
-                },
-            );
-        }
-        res
+        self.0.stream.read(out, true, &self.0.watch)
     }
 
     /// Non-blocking read: `EAGAIN` instead of sleeping.
     pub fn try_read(&self, out: &mut [u8]) -> KResult<usize> {
-        if fault::fire(FaultKind::Eagain) {
-            return Err(Errno::EAGAIN);
-        }
-        let mut buf = self.0.buf.lock();
-        if buf.is_empty() {
-            return if self.0.writers.load(Ordering::Acquire) == 0 {
-                Ok(0)
-            } else {
-                Err(Errno::EAGAIN)
-            };
-        }
-        let n = out.len().min(buf.len());
-        for slot in out[..n].iter_mut() {
-            *slot = buf.pop_front().expect("len checked");
-        }
-        self.0.wake_write.stamp();
-        self.0.writable.notify_all();
-        self.0.watch.notify();
-        Ok(n)
+        self.0.stream.read(out, false, &self.0.watch)
     }
 
     /// Bytes currently buffered.
     pub fn available(&self) -> usize {
-        self.0.buf.lock().len()
+        self.0.stream.status().len
     }
 
     /// Current readiness of the read end (level-triggered snapshot): `IN`
     /// when bytes are buffered or every writer is gone (EOF is readable —
     /// a read returns 0 at once), plus `HUP` in the latter case.
     pub fn poll_events(&self) -> PollEvents {
+        let st = self.0.stream.status();
         let mut ev = PollEvents::NONE;
-        let has_data = !self.0.buf.lock().is_empty();
-        let writers_gone = self.0.writers.load(Ordering::Acquire) == 0;
-        if has_data || writers_gone {
+        if st.len > 0 || st.writers == 0 {
             ev = ev | PollEvents::IN;
         }
-        if writers_gone {
+        if st.writers == 0 {
             ev = ev | PollEvents::HUP;
         }
         ev
@@ -223,82 +135,22 @@ impl PipeWriter {
     /// Sleeps are bracketed by a `pipe_block_write` span, exactly as in
     /// [`PipeReader::read`].
     pub fn write(&self, data: &[u8]) -> KResult<usize> {
-        // Injected EINTR: only legal before any bytes are written (once
-        // data moved, a real kernel returns the partial count instead).
-        if fault::fire(FaultKind::Eintr) {
-            return Err(Errno::EINTR);
-        }
-        let mut written = 0;
-        let mut buf = self.0.buf.lock();
-        let mut blocked = false;
-        let res = loop {
-            if written >= data.len() {
-                break Ok(written);
-            }
-            if self.0.readers.load(Ordering::Acquire) == 0 {
-                break if written > 0 {
-                    Ok(written)
-                } else {
-                    Err(Errno::EPIPE)
-                };
-            }
-            let space = self.0.capacity.saturating_sub(buf.len());
-            if space == 0 {
-                if !blocked {
-                    blocked = true;
-                    trace::emit(Sysno::PipeBlockWrite, SyscallPhase::Enter);
-                }
-                self.0.writable.wait(&mut buf);
-                continue;
-            }
-            let n = space.min(data.len() - written);
-            buf.extend(&data[written..written + n]);
-            written += n;
-            self.0.wake_read.stamp();
-            self.0.readable.notify_all();
-            self.0.watch.notify();
-        };
-        if blocked {
-            self.0.wake_write.consume(WakeSite::PipeWrite);
-            trace::emit(
-                Sysno::PipeBlockWrite,
-                SyscallPhase::Exit {
-                    errno: errno_of(&res),
-                },
-            );
-        }
-        res
+        self.0.stream.write(data, true, &self.0.watch)
     }
 
     /// Non-blocking write: writes what fits, `EAGAIN` if nothing fits.
     pub fn try_write(&self, data: &[u8]) -> KResult<usize> {
-        if fault::fire(FaultKind::Eagain) {
-            return Err(Errno::EAGAIN);
-        }
-        let mut buf = self.0.buf.lock();
-        if self.0.readers.load(Ordering::Acquire) == 0 {
-            return Err(Errno::EPIPE);
-        }
-        let space = self.0.capacity.saturating_sub(buf.len());
-        if space == 0 {
-            return Err(Errno::EAGAIN);
-        }
-        let n = space.min(data.len());
-        buf.extend(&data[..n]);
-        self.0.wake_read.stamp();
-        self.0.readable.notify_all();
-        self.0.watch.notify();
-        Ok(n)
+        self.0.stream.write(data, false, &self.0.watch)
     }
 
     /// Current readiness of the write end (level-triggered snapshot): `OUT`
     /// while space remains and a reader exists; `ERR` once every reader is
     /// gone (the pipe-writer analogue of `POLLERR` on Linux).
     pub fn poll_events(&self) -> PollEvents {
-        if self.0.readers.load(Ordering::Acquire) == 0 {
-            return PollEvents::ERR;
-        }
-        if self.0.buf.lock().len() < self.0.capacity {
+        let st = self.0.stream.status();
+        if st.readers == 0 {
+            PollEvents::ERR
+        } else if st.len < self.0.stream.capacity() {
             PollEvents::OUT
         } else {
             PollEvents::NONE
@@ -314,6 +166,7 @@ impl PipeWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::errno::Errno;
     use std::thread;
     use std::time::Duration;
 

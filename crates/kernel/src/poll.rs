@@ -3,8 +3,8 @@
 //! The blocking pipe and socket paths already park the calling OS thread on
 //! a condvar and get woken by whichever thread produced data, freed space or
 //! closed an end. Readiness multiplexing reuses exactly those wakeup sites:
-//! every waitable object owns a [`WatchSet`], and every site that today does
-//! `condvar.notify_all()` *also* calls [`WatchSet::notify`]. A `poll` or
+//! every waitable object owns a [`WatchSet`], and every site that wakes the
+//! blocking path's sleepers *also* calls [`WatchSet::notify`]. A `poll` or
 //! `epoll_wait` sleeper therefore wakes on the same edges that would unblock
 //! a blocking read — there is one wait-queue discipline, not two.
 //!
@@ -23,6 +23,7 @@
 //! dropped end still reaches EOF/HUP.
 
 use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -90,21 +91,57 @@ impl std::ops::BitAnd for PollEvents {
 /// reads the generation, scans object state, and only sleeps if the
 /// generation is still unchanged — an edge that fired between scan and
 /// sleep bumps the generation and the sleep returns immediately.
+///
+/// Sleepers are counted beside the generation, under its lock, so an edge
+/// that finds nobody asleep bumps the generation and is done: no condvar
+/// notify (a host `futex` call even with no waiter) and no wake stamp.
 #[derive(Debug)]
 pub struct PollWaker {
-    gen: Mutex<u64>,
+    state: Mutex<WakerState>,
     cv: Condvar,
-    /// Wake-edge attribution: stamped under the generation lock by the
-    /// thread firing the edge, consumed by the `epoll_wait`/`poll` sleeper
-    /// whose wait it ended (timeouts and EINTR leave it untouched).
-    pub wake: crate::trace::WakeCell,
+    /// Wake-edge attribution: stamped under the generation lock by a thread
+    /// firing an edge while somebody sleeps, and taken under the same lock
+    /// by the first of those sleepers to wake ([`WaitEnd::Edge`]). Both ends
+    /// hold the lock, so a stamp never outlives the sleep it ended and a
+    /// waiter arriving later cannot pick up one that was armed for another.
+    wake: crate::trace::WakeCell,
+}
+
+/// How a [`PollWaker::wait`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitEnd {
+    /// The generation moved past `seen`. Carries the firing thread's
+    /// `(waker, armed_ns)` stamp if the edge ended a real sleep of this
+    /// thread and no fellow sleeper claimed it first; `None` when the
+    /// generation had already moved and the call never slept.
+    Edge(Option<(u64, u64)>),
+    /// The deadline passed with the generation unchanged.
+    TimedOut,
+}
+
+impl WaitEnd {
+    /// The stamp of the edge that ended a real sleep, if any — what the
+    /// `epoll_wait`/`poll` caller emits once its re-scan finds something
+    /// ready (a timeout, or a wake whose scan came back empty, emits none).
+    pub fn stamp(self) -> Option<(u64, u64)> {
+        match self {
+            WaitEnd::Edge(stamp) => stamp,
+            WaitEnd::TimedOut => None,
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct WakerState {
+    gen: u64,
+    sleepers: usize,
 }
 
 impl PollWaker {
     /// A fresh waker at generation 0.
     pub fn new() -> PollWaker {
         PollWaker {
-            gen: Mutex::new(0),
+            state: Mutex::new(WakerState::default()),
             cv: Condvar::new(),
             wake: crate::trace::WakeCell::new(),
         }
@@ -112,37 +149,46 @@ impl PollWaker {
 
     /// Current generation; pass it to [`PollWaker::wait`] after scanning.
     pub fn generation(&self) -> u64 {
-        *self.gen.lock()
+        self.state.lock().gen
     }
 
     /// Fire a readiness edge: bump the generation and wake every sleeper.
     pub fn wake(&self) {
-        let mut g = self.gen.lock();
-        self.wake.stamp();
-        *g += 1;
-        self.cv.notify_all();
+        let mut st = self.state.lock();
+        st.gen += 1;
+        if st.sleepers > 0 {
+            self.wake.stamp();
+            self.cv.notify_all();
+        }
     }
 
     /// Sleep until the generation moves past `seen` or `deadline` passes.
-    /// Returns `true` if an edge fired, `false` on timeout. A `None`
-    /// deadline sleeps indefinitely (only an edge can end the wait).
-    pub fn wait(&self, seen: u64, deadline: Option<Instant>) -> bool {
-        let mut g = self.gen.lock();
-        while *g == seen {
-            match deadline {
+    /// A `None` deadline sleeps indefinitely (only an edge can end the wait).
+    pub fn wait(&self, seen: u64, deadline: Option<Instant>) -> WaitEnd {
+        let mut st = self.state.lock();
+        let mut slept = false;
+        while st.gen == seen {
+            st.sleepers += 1;
+            let timed_out = match deadline {
                 Some(d) => {
                     let now = Instant::now();
-                    if now >= d {
-                        return false;
-                    }
-                    if self.cv.wait_for(&mut g, d - now).timed_out() && *g == seen {
-                        return false;
-                    }
+                    now >= d || self.cv.wait_for(&mut st, d - now).timed_out()
                 }
-                None => self.cv.wait(&mut g),
+                None => {
+                    self.cv.wait(&mut st);
+                    false
+                }
+            };
+            st.sleepers -= 1;
+            if timed_out && st.gen == seen {
+                return WaitEnd::TimedOut;
             }
+            slept = true;
         }
-        true
+        // Still under the lock. A call that never slept was counted by no
+        // edge, so whatever is in the cell belongs to a sleeper that has
+        // not reacquired the lock yet.
+        WaitEnd::Edge(if slept { self.wake.take() } else { None })
     }
 }
 
@@ -154,10 +200,21 @@ impl Default for PollWaker {
 
 /// The watchers of one waitable object. The object fires [`WatchSet::notify`]
 /// at every state change that could affect readiness — the same sites that
-/// already `notify_all()` the blocking-path condvars.
+/// wake the blocking path's sleepers.
 #[derive(Debug, Default)]
 pub struct WatchSet {
     watchers: Mutex<Vec<Weak<PollWaker>>>,
+    /// `watchers.len()`, published under its lock, so that [`notify`] on an
+    /// object nobody watches is one load: no lock, no shared write.
+    ///
+    /// A subscriber cannot miss an edge through this shortcut. It scans the
+    /// object's state *after* subscribing, under the object's own lock; the
+    /// notifier changed that state under the same lock *before* loading the
+    /// count. If the load still saw zero, the subscriber's scan comes later
+    /// in that lock's order and sees the change itself.
+    ///
+    /// [`notify`]: WatchSet::notify
+    registered: AtomicUsize,
 }
 
 impl WatchSet {
@@ -169,11 +226,16 @@ impl WatchSet {
     /// Register a waker. Dead registrations are pruned on the next notify,
     /// so subscribers just drop their `Arc` to unsubscribe.
     pub fn subscribe(&self, waker: &Arc<PollWaker>) {
-        self.watchers.lock().push(Arc::downgrade(waker));
+        let mut ws = self.watchers.lock();
+        ws.push(Arc::downgrade(waker));
+        self.registered.store(ws.len(), Ordering::Release);
     }
 
     /// Fire a readiness edge to every live watcher, pruning dead ones.
     pub fn notify(&self) {
+        if self.registered.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let mut ws = self.watchers.lock();
         ws.retain(|w| match w.upgrade() {
             Some(waker) => {
@@ -182,6 +244,7 @@ impl WatchSet {
             }
             None => false,
         });
+        self.registered.store(ws.len(), Ordering::Release);
     }
 
     /// Number of live registrations (test/diagnostic aid).
@@ -263,7 +326,7 @@ mod tests {
         let w = PollWaker::new();
         let gen = w.generation();
         let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(!w.wait(gen, Some(deadline)));
+        assert_eq!(w.wait(gen, Some(deadline)), WaitEnd::TimedOut);
     }
 
     #[test]
@@ -271,7 +334,53 @@ mod tests {
         let w = PollWaker::new();
         let gen = w.generation();
         w.wake(); // Edge fires after the scan, before the sleep.
-        assert!(w.wait(gen, None), "bumped generation must not sleep");
+        assert_eq!(
+            w.wait(gen, None),
+            WaitEnd::Edge(None),
+            "bumped generation must not sleep"
+        );
+    }
+
+    #[test]
+    fn late_waiter_leaves_a_sleepers_stamp_alone() {
+        // An edge has woken a sleeper and armed the cell for it; before that
+        // sleeper is back under the lock, a second thread calls `wait` with
+        // a generation from before the edge (a shared epoll fd). It did not
+        // sleep, so the stamp is not its to take.
+        let w = PollWaker::new();
+        let gen = w.generation();
+        w.wake();
+        w.wake.stamp_as(7, 123);
+        assert_eq!(w.wait(gen, None), WaitEnd::Edge(None));
+        assert_eq!(w.wake.take(), Some((7, 123)), "stamp must survive");
+    }
+
+    #[test]
+    fn two_sleepers_on_one_waker_claim_one_stamp_once() {
+        let w = Arc::new(PollWaker::new());
+        let gen = w.generation();
+        let sleepers: Vec<_> = (0..2)
+            .map(|_| {
+                let w = w.clone();
+                thread::spawn(move || w.wait(gen, None))
+            })
+            .collect();
+        while w.state.lock().sleepers < 2 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        {
+            // What `wake()` does with tracing on (no stamp hook is installed
+            // in unit tests, so arm the cell by hand under the same lock).
+            let mut st = w.state.lock();
+            st.gen += 1;
+            w.wake.stamp_as(7, 123);
+            w.cv.notify_all();
+        }
+        let ends: Vec<_> = sleepers.into_iter().map(|s| s.join().unwrap()).collect();
+        let claimed = ends.iter().filter(|e| e.stamp() == Some((7, 123))).count();
+        assert_eq!(claimed, 1, "one edge, one attribution: {ends:?}");
+        assert!(ends.iter().all(|e| matches!(e, WaitEnd::Edge(_))));
+        assert_eq!(w.wake.take(), None, "nothing is left for a later wait");
     }
 
     #[test]
@@ -285,7 +394,7 @@ mod tests {
         };
         thread::sleep(Duration::from_millis(10));
         set.notify();
-        assert!(sleeper.join().unwrap());
+        assert!(matches!(sleeper.join().unwrap(), WaitEnd::Edge(_)));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::fd::FdTable;
 use crate::signal::SignalState;
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Process identifier in the simulated kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,6 +45,11 @@ pub struct Process {
     /// Completed system calls charged to this process (committed at syscall
     /// exit; surfaced in `/proc/<pid>/stat`).
     pub syscalls: AtomicU64,
+    /// Set (under the process-table lock) when `waitpid` removes the process
+    /// from the table. Threads still bound to the pid hold a cached handle
+    /// and never look the table up again, so this flag is how their next
+    /// system call learns the process is gone (`ESRCH`).
+    pub(crate) reaped: AtomicBool,
     pub(crate) state: Mutex<ProcState>,
     pub(crate) children: Mutex<HashSet<Pid>>,
 }
@@ -59,6 +64,7 @@ impl Process {
             cwd: Mutex::new("/".to_string()),
             signals: SignalState::new(),
             syscalls: AtomicU64::new(0),
+            reaped: AtomicBool::new(false),
             state: Mutex::new(ProcState::Running),
             children: Mutex::new(HashSet::new()),
         }

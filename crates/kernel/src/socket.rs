@@ -28,10 +28,10 @@ use crate::errno::{Errno, KResult};
 use crate::fault::{self, FaultKind};
 use crate::kernel::errno_of;
 use crate::poll::{PollEvents, WatchSet};
+use crate::stream::{ByteStream, StreamNames};
 use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default per-direction buffer capacity (half a pipe: sockets carry
@@ -42,39 +42,20 @@ pub const SOCK_CAPACITY: usize = 32 * 1024;
 /// least `capacity / SOCK_LOWAT` bytes are free.
 pub const SOCK_LOWAT: usize = 4;
 
-/// One direction of a socketpair: a bounded byte buffer plus the two
-/// condvars of the blocking discipline.
-#[derive(Debug)]
-struct SockBuf {
-    buf: Mutex<VecDeque<u8>>,
-    readable: Condvar,
-    writable: Condvar,
-    /// Wake-edge attribution cells for the two condvars, stamped by
-    /// whoever fires them (see [`crate::pipe`] for the discipline).
-    wake_read: WakeCell,
-    wake_write: WakeCell,
-}
+static SOCK_NAMES: StreamNames = StreamNames {
+    block_read: Sysno::SockBlockRead,
+    block_write: Sysno::SockBlockWrite,
+    wake_read: WakeSite::SockRead,
+    wake_write: WakeSite::SockWrite,
+};
 
-impl SockBuf {
-    fn new(capacity: usize) -> SockBuf {
-        SockBuf {
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(SOCK_CAPACITY))),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-            wake_read: WakeCell::new(),
-            wake_write: WakeCell::new(),
-        }
-    }
-}
-
-/// The shared state of a connected socketpair. `bufs[side]` carries bytes
-/// *written by* end `side` (read by the peer); `ends[side]` counts the live
-/// handles to end `side`, so either end can detect peer close.
+/// The shared state of a connected socketpair. `streams[side]` carries bytes
+/// *written by* end `side` (read by the peer), so a handle to end `side` is
+/// a write handle of `streams[side]` and a read handle of the other — which
+/// is how either end detects peer close.
 #[derive(Debug)]
 struct SockPair {
-    bufs: [SockBuf; 2],
-    ends: [AtomicUsize; 2],
-    capacity: usize,
+    streams: [ByteStream; 2],
     /// One watch set for the whole pair: every state change on either
     /// direction fires it. Level-triggered waiters re-scan their own end's
     /// state, so over-notification is harmless and this stays one list.
@@ -94,9 +75,10 @@ pub struct SocketEnd {
 pub fn socketpair_with_capacity(capacity: usize) -> (SocketEnd, SocketEnd) {
     let capacity = capacity.max(SOCK_LOWAT);
     let pair = Arc::new(SockPair {
-        bufs: [SockBuf::new(capacity), SockBuf::new(capacity)],
-        ends: [AtomicUsize::new(1), AtomicUsize::new(1)],
-        capacity,
+        streams: [
+            ByteStream::new(capacity, &SOCK_NAMES),
+            ByteStream::new(capacity, &SOCK_NAMES),
+        ],
         watch: WatchSet::new(),
     });
     (
@@ -115,7 +97,8 @@ pub fn socketpair() -> (SocketEnd, SocketEnd) {
 
 impl Clone for SocketEnd {
     fn clone(&self) -> Self {
-        self.pair.ends[self.side].fetch_add(1, Ordering::Relaxed);
+        self.tx().add_writer();
+        self.rx().add_reader();
         SocketEnd {
             pair: self.pair.clone(),
             side: self.side,
@@ -125,31 +108,27 @@ impl Clone for SocketEnd {
 
 impl Drop for SocketEnd {
     fn drop(&mut self) {
-        if self.pair.ends[self.side].fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Peer must observe EOF (its reads) and EPIPE (its writes):
-            // wake both directions and every readiness waiter.
-            self.pair.bufs[self.side].wake_read.stamp();
-            self.pair.bufs[self.side].readable.notify_all();
-            self.pair.bufs[1 - self.side].wake_write.stamp();
-            self.pair.bufs[1 - self.side].writable.notify_all();
+        // Last handle to this end gone: the peer must observe EOF (its
+        // reads) and EPIPE (its writes) — both directions wake their
+        // sleepers, and every readiness waiter hears of it. (An end holds
+        // one handle on each of its two streams, so both counts reach zero
+        // together.)
+        self.rx().drop_reader();
+        if self.tx().drop_writer() {
             self.pair.watch.notify();
         }
     }
 }
 
 impl SocketEnd {
-    /// Bytes this end has written go into its own buffer...
-    fn tx(&self) -> &SockBuf {
-        &self.pair.bufs[self.side]
+    /// Bytes this end has written go into its own stream...
+    fn tx(&self) -> &ByteStream {
+        &self.pair.streams[self.side]
     }
 
     /// ...and bytes it reads come from the peer's.
-    fn rx(&self) -> &SockBuf {
-        &self.pair.bufs[1 - self.side]
-    }
-
-    fn peer_gone(&self) -> bool {
-        self.pair.ends[1 - self.side].load(Ordering::Acquire) == 0
+    fn rx(&self) -> &ByteStream {
+        &self.pair.streams[1 - self.side]
     }
 
     /// The pair-wide watch set (both ends share it).
@@ -163,51 +142,7 @@ impl SocketEnd {
     /// fault-plan hooks apply (`EINTR` before any bytes move, short reads
     /// truncated to one byte).
     pub fn read(&self, out: &mut [u8]) -> KResult<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        if fault::fire(FaultKind::Eintr) {
-            return Err(Errno::EINTR);
-        }
-        let out = if out.len() > 1 && fault::fire(FaultKind::ShortRead) {
-            &mut out[..1]
-        } else {
-            out
-        };
-        let rx = self.rx();
-        let mut buf = rx.buf.lock();
-        let mut blocked = false;
-        let res = loop {
-            if !buf.is_empty() {
-                let n = out.len().min(buf.len());
-                for slot in out[..n].iter_mut() {
-                    *slot = buf.pop_front().expect("len checked");
-                }
-                rx.wake_write.stamp();
-                rx.writable.notify_all();
-                drop(buf);
-                self.pair.watch.notify();
-                break Ok(n);
-            }
-            if self.peer_gone() {
-                break Ok(0); // EOF
-            }
-            if !blocked {
-                blocked = true;
-                trace::emit(Sysno::SockBlockRead, SyscallPhase::Enter);
-            }
-            rx.readable.wait(&mut buf);
-        };
-        if blocked {
-            rx.wake_read.consume(WakeSite::SockRead);
-            trace::emit(
-                Sysno::SockBlockRead,
-                SyscallPhase::Exit {
-                    errno: errno_of(&res),
-                },
-            );
-        }
-        res
+        self.rx().read(out, true, &self.pair.watch)
     }
 
     /// Blocking write of the whole buffer into this end's direction; sleeps
@@ -215,53 +150,7 @@ impl SocketEnd {
     /// nothing was written. Sleeps are bracketed by a `sock_block_write`
     /// span.
     pub fn write(&self, data: &[u8]) -> KResult<usize> {
-        if fault::fire(FaultKind::Eintr) {
-            return Err(Errno::EINTR);
-        }
-        let tx = self.tx();
-        let mut written = 0;
-        let mut buf = tx.buf.lock();
-        let mut blocked = false;
-        let res = loop {
-            if written >= data.len() {
-                break Ok(written);
-            }
-            if self.peer_gone() {
-                break if written > 0 {
-                    Ok(written)
-                } else {
-                    Err(Errno::EPIPE)
-                };
-            }
-            let space = self.pair.capacity.saturating_sub(buf.len());
-            if space == 0 {
-                if !blocked {
-                    blocked = true;
-                    trace::emit(Sysno::SockBlockWrite, SyscallPhase::Enter);
-                }
-                tx.writable.wait(&mut buf);
-                continue;
-            }
-            let n = space.min(data.len() - written);
-            buf.extend(&data[written..written + n]);
-            written += n;
-            tx.wake_read.stamp();
-            tx.readable.notify_all();
-        };
-        if written > 0 {
-            drop(buf);
-            self.pair.watch.notify();
-        }
-        if blocked {
-            tx.wake_write.consume(WakeSite::SockWrite);
-            trace::emit(
-                Sysno::SockBlockWrite,
-                SyscallPhase::Exit {
-                    errno: errno_of(&res),
-                },
-            );
-        }
-        res
+        self.tx().write(data, true, &self.pair.watch)
     }
 
     /// Current readiness of this end (level-triggered snapshot):
@@ -272,17 +161,17 @@ impl SocketEnd {
     /// - `HUP` — peer closed.
     pub fn poll_events(&self) -> PollEvents {
         let mut ev = PollEvents::NONE;
-        let rx_len = self.rx().buf.lock().len();
-        let peer_gone = self.peer_gone();
-        if rx_len > 0 || peer_gone {
+        let rx = self.rx().status();
+        let peer_gone = rx.writers == 0;
+        if rx.len > 0 || peer_gone {
             ev = ev | PollEvents::IN;
         }
         if peer_gone {
             ev = ev | PollEvents::HUP;
         } else {
-            let tx_len = self.tx().buf.lock().len();
-            let lowat = self.pair.capacity / SOCK_LOWAT;
-            if self.pair.capacity - tx_len >= lowat.max(1) {
+            let capacity = self.tx().capacity();
+            let lowat = capacity / SOCK_LOWAT;
+            if capacity - self.tx().status().len >= lowat.max(1) {
                 ev = ev | PollEvents::OUT;
             }
         }
@@ -291,7 +180,7 @@ impl SocketEnd {
 
     /// Bytes buffered toward this end (readable without blocking).
     pub fn available(&self) -> usize {
-        self.rx().buf.lock().len()
+        self.rx().status().len
     }
 }
 

@@ -1,0 +1,318 @@
+//! The bounded blocking byte stream behind pipes and socketpairs.
+//!
+//! A pipe is one [`ByteStream`]; a socketpair is two, one per direction.
+//! `read` on an empty stream and `write` on a full one put the calling **OS
+//! thread** to sleep on a condvar until the other side moves bytes or hangs
+//! up.
+//!
+//! ## No host system call without a sleeper
+//!
+//! Everything a waker needs to decide whether anybody must be woken lives
+//! under the one lock it already holds to move the bytes: the buffer, the
+//! live handle counts of both sides, and the number of threads asleep on
+//! each condvar. A transfer that finds no sleeper touches neither the
+//! condvar (on the host, `notify_all` is a `futex` system call even with
+//! nobody waiting) nor the wake-attribution cell. Sleepers count themselves
+//! in and out under the same lock, so a waker that reads zero cannot be
+//! racing a thread that has checked the buffer but not yet gone to sleep —
+//! and the hang-up paths ([`ByteStream::drop_reader`] /
+//! [`ByteStream::drop_writer`]) take the lock for the same reason.
+
+use crate::errno::{Errno, KResult};
+use crate::fault::{self, FaultKind};
+use crate::kernel::errno_of;
+use crate::poll::WatchSet;
+use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::VecDeque;
+
+/// Largest buffer allocated up front; a stream with a larger capacity grows
+/// into it on demand.
+const PREALLOC_MAX: usize = 64 * 1024;
+
+/// How one kind of stream shows up in traces: the nested span a sleeping
+/// `read`/`write` is bracketed by, and the wake-edge site that ends it.
+#[derive(Debug)]
+pub(crate) struct StreamNames {
+    pub(crate) block_read: Sysno,
+    pub(crate) block_write: Sysno,
+    pub(crate) wake_read: WakeSite,
+    pub(crate) wake_write: WakeSite,
+}
+
+/// What [`ByteStream::status`] reports: one consistent look at the stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Status {
+    /// Bytes buffered.
+    pub(crate) len: usize,
+    /// Live handles to the read side.
+    pub(crate) readers: usize,
+    /// Live handles to the write side.
+    pub(crate) writers: usize,
+}
+
+#[derive(Debug)]
+struct State {
+    buf: VecDeque<u8>,
+    readers: usize,
+    writers: usize,
+    /// Threads asleep on `readable` / `writable` (counted in before the
+    /// wait, out after it, always under the lock).
+    read_waiters: usize,
+    write_waiters: usize,
+}
+
+/// One direction of bytes: a bounded buffer with a read side and a write
+/// side, each held through any number of handles. Created with one handle
+/// on each side.
+#[derive(Debug)]
+pub(crate) struct ByteStream {
+    state: Mutex<State>,
+    readable: Condvar,
+    writable: Condvar,
+    /// Wake-edge attribution for blocked readers: stamped (under the lock,
+    /// so the sleeper's re-check orders after it) by whoever makes the
+    /// stream readable while a reader sleeps, consumed by the reader whose
+    /// sleep it ended.
+    wake_read: WakeCell,
+    /// Same for blocked writers: stamped by whoever frees space or drops
+    /// the last read handle.
+    wake_write: WakeCell,
+    capacity: usize,
+    names: &'static StreamNames,
+}
+
+impl ByteStream {
+    pub(crate) fn new(capacity: usize, names: &'static StreamNames) -> ByteStream {
+        ByteStream {
+            state: Mutex::new(State {
+                buf: VecDeque::with_capacity(capacity.min(PREALLOC_MAX)),
+                readers: 1,
+                writers: 1,
+                read_waiters: 0,
+                write_waiters: 0,
+            }),
+            readable: Condvar::new(),
+            writable: Condvar::new(),
+            wake_read: WakeCell::new(),
+            wake_write: WakeCell::new(),
+            capacity,
+            names,
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    pub(crate) fn status(&self) -> Status {
+        let st = self.state.lock();
+        Status {
+            len: st.buf.len(),
+            readers: st.readers,
+            writers: st.writers,
+        }
+    }
+
+    fn wake_readers(&self, st: &MutexGuard<'_, State>) {
+        if st.read_waiters > 0 {
+            self.wake_read.stamp();
+            self.readable.notify_all();
+        }
+    }
+
+    fn wake_writers(&self, st: &MutexGuard<'_, State>) {
+        if st.write_waiters > 0 {
+            self.wake_write.stamp();
+            self.writable.notify_all();
+        }
+    }
+
+    /// Read at least one byte into `out`; 0 at EOF (every write handle gone,
+    /// buffer drained). On an empty stream a `block`ing read sleeps —
+    /// bracketed by the stream's `block_read` span through the syscall
+    /// observer hook, nested inside the surrounding `read(2)` span — and a
+    /// non-blocking one returns `EAGAIN`. `watch` hears about the freed
+    /// space.
+    ///
+    /// Fault plan: a blocking read may be interrupted (`EINTR`, before any
+    /// bytes move) or truncated to one byte; a non-blocking one may get a
+    /// spurious `EAGAIN`.
+    pub(crate) fn read(&self, out: &mut [u8], block: bool, watch: &WatchSet) -> KResult<usize> {
+        if out.is_empty() {
+            return Ok(0);
+        }
+        let out = if !block {
+            if fault::fire(FaultKind::Eagain) {
+                return Err(Errno::EAGAIN);
+            }
+            out
+        } else {
+            if fault::fire(FaultKind::Eintr) {
+                return Err(Errno::EINTR);
+            }
+            if out.len() > 1 && fault::fire(FaultKind::ShortRead) {
+                &mut out[..1]
+            } else {
+                out
+            }
+        };
+        let mut st = self.state.lock();
+        let mut blocked = false;
+        let res = loop {
+            if !st.buf.is_empty() {
+                let n = out.len().min(st.buf.len());
+                let (front, back) = st.buf.as_slices();
+                let from_front = n.min(front.len());
+                out[..from_front].copy_from_slice(&front[..from_front]);
+                out[from_front..n].copy_from_slice(&back[..n - from_front]);
+                st.buf.drain(..n);
+                self.wake_writers(&st);
+                break Ok(n);
+            }
+            if st.writers == 0 {
+                break Ok(0); // EOF
+            }
+            if !block {
+                break Err(Errno::EAGAIN);
+            }
+            if !blocked {
+                blocked = true;
+                trace::emit(self.names.block_read, SyscallPhase::Enter);
+            }
+            st.read_waiters += 1;
+            self.readable.wait(&mut st);
+            st.read_waiters -= 1;
+        };
+        drop(st);
+        if matches!(res, Ok(n) if n > 0) {
+            watch.notify();
+        }
+        if blocked {
+            // Attribute the wake that ended the sleep before closing the
+            // span (the edge must land inside it). An EINTR never reaches
+            // here — it fires before the first sleep.
+            self.wake_read.consume(self.names.wake_read);
+            trace::emit(
+                self.names.block_read,
+                SyscallPhase::Exit {
+                    errno: errno_of(&res),
+                },
+            );
+        }
+        res
+    }
+
+    /// Write `data`. A `block`ing write sleeps whenever the stream is full
+    /// (inside the stream's `block_write` span) until all of it is written;
+    /// a non-blocking one writes what fits, `EAGAIN` if nothing does.
+    /// `EPIPE` once every read handle is gone and nothing was written.
+    /// `watch` hears about the new bytes — before this thread sleeps on
+    /// them being drained, not only on return.
+    ///
+    /// Fault plan: `EINTR` on a blocking write, only before any bytes are
+    /// written (once data moved, a real kernel returns the partial count
+    /// instead); a spurious `EAGAIN` on a non-blocking one.
+    pub(crate) fn write(&self, data: &[u8], block: bool, watch: &WatchSet) -> KResult<usize> {
+        let (fault, errno) = if block {
+            (FaultKind::Eintr, Errno::EINTR)
+        } else {
+            (FaultKind::Eagain, Errno::EAGAIN)
+        };
+        if fault::fire(fault) {
+            return Err(errno);
+        }
+        let mut written = 0;
+        // Bytes `watch` has been told about.
+        let mut announced = 0;
+        let mut st = self.state.lock();
+        let mut blocked = false;
+        let res = loop {
+            if written >= data.len() {
+                break Ok(written);
+            }
+            // What stops a write short: the partial count if any bytes
+            // moved, the reason otherwise.
+            let cut_short = |why| if written > 0 { Ok(written) } else { Err(why) };
+            if st.readers == 0 {
+                break cut_short(Errno::EPIPE);
+            }
+            let space = self.capacity.saturating_sub(st.buf.len());
+            if space == 0 {
+                if !block {
+                    break cut_short(Errno::EAGAIN);
+                }
+                if announced < written {
+                    // A reader driven by readiness must learn of these
+                    // bytes now: it is what will make room.
+                    announced = written;
+                    drop(st);
+                    watch.notify();
+                    st = self.state.lock();
+                    continue;
+                }
+                if !blocked {
+                    blocked = true;
+                    trace::emit(self.names.block_write, SyscallPhase::Enter);
+                }
+                st.write_waiters += 1;
+                self.writable.wait(&mut st);
+                st.write_waiters -= 1;
+                continue;
+            }
+            let n = space.min(data.len() - written);
+            st.buf.extend(&data[written..written + n]);
+            written += n;
+            self.wake_readers(&st);
+        };
+        drop(st);
+        if announced < written {
+            watch.notify();
+        }
+        if blocked {
+            self.wake_write.consume(self.names.wake_write);
+            trace::emit(
+                self.names.block_write,
+                SyscallPhase::Exit {
+                    errno: errno_of(&res),
+                },
+            );
+        }
+        res
+    }
+
+    /// One more handle to the read side.
+    pub(crate) fn add_reader(&self) {
+        self.state.lock().readers += 1;
+    }
+
+    /// One more handle to the write side.
+    pub(crate) fn add_writer(&self) {
+        self.state.lock().writers += 1;
+    }
+
+    /// A read handle is gone. Returns whether it was the last one, in which
+    /// case blocked writers have been woken to observe `EPIPE` (and the
+    /// caller owes the watch set a notify).
+    pub(crate) fn drop_reader(&self) -> bool {
+        let mut st = self.state.lock();
+        st.readers -= 1;
+        if st.readers > 0 {
+            return false;
+        }
+        self.wake_writers(&st);
+        true
+    }
+
+    /// A write handle is gone. Returns whether it was the last one, in
+    /// which case blocked readers have been woken to observe EOF.
+    pub(crate) fn drop_writer(&self) -> bool {
+        let mut st = self.state.lock();
+        st.writers -= 1;
+        if st.writers > 0 {
+            return false;
+        }
+        self.wake_readers(&st);
+        true
+    }
+}

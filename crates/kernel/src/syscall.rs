@@ -1,8 +1,8 @@
 //! The simulated system-call surface.
 //!
 //! Every function here follows the same contract: it resolves the **calling
-//! OS thread's** bound process (the kernel context's identity), then runs its
-//! body inside `Kernel::syscall_span` — which charges the architectural
+//! OS thread's** bound process (the kernel context's identity) and runs its
+//! body against it inside `Kernel::syscall` — which charges the architectural
 //! syscall-entry cost and emits an `Enter`/`Exit` span pair (syscall number
 //! plus errno) through the observer hook in [`crate::trace`], so the runtime
 //! can interleave syscall spans with its couple/decouple timeline. None of
@@ -13,11 +13,11 @@
 
 use crate::errno::{Errno, KResult};
 use crate::fd::{Description, Fd, FileObject};
-use crate::fs::{DirEntry, FileStat, OpenFlags, Whence};
+use crate::fs::{normalize, DirEntry, FileStat, OpenFlags, Whence};
 use crate::kernel::Kernel;
 use crate::pipe;
 use crate::poll::{EpollEntry, EpollObject, EpollOp, PollEvents, PollWaker, WatchSet};
-use crate::process::Pid;
+use crate::process::{Pid, Process};
 use crate::signal::{MaskHow, SigSet, Signal};
 use crate::socket::{self, Listener};
 use crate::trace::{self, SyscallPhase, Sysno};
@@ -25,42 +25,50 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Normalize `path` for `proc` and run `f` on its components (borrowed from
+/// `path`: nothing is allocated for an absolute path of ordinary depth). An
+/// absolute path never reads the working directory; a relative one resolves
+/// against a *copy* of it — `proc.cwd` must not be held while `f` runs,
+/// because the filesystem may take it itself (procfs renders `cwd=` while
+/// serving `open("/proc/self/stat")`).
+fn with_path<T>(proc: &Process, path: &str, f: impl FnOnce(&[&str]) -> T) -> T {
+    if path.starts_with('/') {
+        f(&normalize("", path))
+    } else {
+        let cwd = proc.cwd.lock().clone();
+        f(&normalize(&cwd, path))
+    }
+}
+
 impl Kernel {
     // ----- identity ---------------------------------------------------------
 
     /// `getpid(2)` — the paper's Table V microbenchmark.
     pub fn sys_getpid(&self) -> KResult<Pid> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Getpid, pid, &proc, || Ok(pid))
+        self.syscall(Sysno::Getpid, |proc| Ok(proc.pid))
     }
 
     /// `getppid(2)`.
     pub fn sys_getppid(&self) -> KResult<Pid> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Getppid, pid, &proc, || {
-            Ok(proc.ppid.unwrap_or(Pid(0)))
-        })
+        self.syscall(Sysno::Getppid, |proc| Ok(proc.ppid.unwrap_or(Pid(0))))
     }
 
     /// `getcwd(2)`.
     pub fn sys_getcwd(&self) -> KResult<String> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Getcwd, pid, &proc, || Ok(proc.cwd.lock().clone()))
+        self.syscall(Sysno::Getcwd, |proc| Ok(proc.cwd.lock().clone()))
     }
 
     /// `chdir(2)`.
     pub fn sys_chdir(&self, path: &str) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Chdir, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs, rel) = self.resolve_fs(&cwd, path);
-            let st = fs.stat_rel(&rel)?;
-            if !st.is_dir {
-                return Err(Errno::ENOTDIR);
-            }
-            let comps = crate::fs::normalize(&cwd, path);
-            *proc.cwd.lock() = format!("/{}", comps.join("/"));
-            Ok(())
+        self.syscall(Sysno::Chdir, |proc| {
+            with_path(proc, path, |comps| {
+                let (fs, rel) = self.mounts.resolve(comps);
+                if !fs.stat_rel(rel)?.is_dir {
+                    return Err(Errno::ENOTDIR);
+                }
+                *proc.cwd.lock() = format!("/{}", comps.join("/"));
+                Ok(())
+            })
         })
     }
 
@@ -70,34 +78,30 @@ impl Kernel {
     /// `/proc`); the descriptor lands in the *calling thread's* process FD
     /// table and pins the filesystem it was resolved on.
     pub fn sys_open(&self, path: &str, flags: OpenFlags) -> KResult<Fd> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Open, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs, rel) = self.resolve_fs(&cwd, path);
-            let ino = fs.open_rel(&rel, flags)?;
-            let desc = Arc::new(Description {
-                object: FileObject::File {
-                    fs: fs.clone(),
-                    ino,
-                },
-                offset: Mutex::new(0),
-                flags,
-            });
-            let installed = proc.fds.lock().install(desc);
-            match installed {
-                Ok(fd) => Ok(fd),
-                Err(e) => {
+        self.syscall(Sysno::Open, |proc| {
+            with_path(proc, path, |comps| {
+                let (fs, rel) = self.mounts.resolve(comps);
+                let ino = fs.open_rel(rel, flags)?;
+                let desc = Arc::new(Description {
+                    object: FileObject::File {
+                        fs: fs.clone(),
+                        ino,
+                    },
+                    offset: Mutex::new(0),
+                    flags,
+                });
+                let installed = proc.fds.lock().install(desc);
+                if installed.is_err() {
                     fs.release(ino);
-                    Err(e)
                 }
-            }
+                installed
+            })
         })
     }
 
     /// `close(2)`.
     pub fn sys_close(&self, fd: Fd) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Close, pid, &proc, || {
+        self.syscall(Sysno::Close, |proc| {
             let desc = proc.fds.lock().remove(fd)?;
             if let FileObject::File { fs, ino } = &desc.object {
                 // Only release the inode once the last descriptor sharing this
@@ -113,8 +117,7 @@ impl Kernel {
     /// `write(2)`: file writes advance the shared offset; pipe writes may
     /// block the calling OS thread.
     pub fn sys_write(&self, fd: Fd, data: &[u8]) -> KResult<usize> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Write, pid, &proc, || {
+        self.syscall(Sysno::Write, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
                 FileObject::File { fs, ino } => {
@@ -128,7 +131,7 @@ impl Kernel {
                         *off
                     };
                     let n = fs.write_at(*ino, pos, data)?;
-                    *off = pos + n as u64;
+                    *off = pos.checked_add(n as u64).ok_or(Errno::EFBIG)?;
                     Ok(n)
                 }
                 FileObject::PipeWrite(w) => w.write(data),
@@ -145,8 +148,7 @@ impl Kernel {
     /// behaviors readers must tolerate (the `proc_storm` torture scenario
     /// leans on this to prove procfs reads re-assemble cleanly).
     pub fn sys_read(&self, fd: Fd, buf: &mut [u8]) -> KResult<usize> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Read, pid, &proc, || {
+        self.syscall(Sysno::Read, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
                 FileObject::File { fs, ino } => {
@@ -165,7 +167,7 @@ impl Kernel {
                     };
                     let mut off = desc.offset.lock();
                     let n = fs.read_at(*ino, *off, &mut buf[..want])?;
-                    *off += n as u64;
+                    *off = off.checked_add(n as u64).ok_or(Errno::EFBIG)?;
                     Ok(n)
                 }
                 FileObject::PipeRead(r) => r.read(buf),
@@ -178,8 +180,7 @@ impl Kernel {
 
     /// `pwrite(2)`: positional, does not move the shared offset.
     pub fn sys_pwrite(&self, fd: Fd, offset: u64, data: &[u8]) -> KResult<usize> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Pwrite, pid, &proc, || {
+        self.syscall(Sysno::Pwrite, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
                 FileObject::File { fs, ino } => {
@@ -195,8 +196,7 @@ impl Kernel {
 
     /// `pread(2)`.
     pub fn sys_pread(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> KResult<usize> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Pread, pid, &proc, || {
+        self.syscall(Sysno::Pread, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
                 FileObject::File { fs, ino } => {
@@ -212,21 +212,24 @@ impl Kernel {
 
     /// `lseek(2)`.
     pub fn sys_lseek(&self, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Lseek, pid, &proc, || {
+        self.syscall(Sysno::Lseek, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
                 FileObject::File { fs, ino } => {
                     let mut off = desc.offset.lock();
-                    let base: i64 = match whence {
+                    let base = match whence {
                         Whence::Set => 0,
-                        Whence::Cur => *off as i64,
-                        Whence::End => fs.size(*ino)? as i64,
+                        Whence::Cur => *off,
+                        Whence::End => fs.size(*ino)?,
                     };
-                    let new = base.checked_add(offset).ok_or(Errno::EINVAL)?;
-                    if new < 0 {
-                        return Err(Errno::EINVAL);
-                    }
+                    // `off_t` arithmetic: a negative or unrepresentable
+                    // result is `EINVAL`. Seeking past the largest file size
+                    // is legal — the write that follows gets `EFBIG`.
+                    let new = i64::try_from(base)
+                        .ok()
+                        .and_then(|base| base.checked_add(offset))
+                        .filter(|new| *new >= 0)
+                        .ok_or(Errno::EINVAL)?;
                     *off = new as u64;
                     Ok(*off)
                 }
@@ -237,8 +240,7 @@ impl Kernel {
 
     /// `ftruncate(2)`.
     pub fn sys_ftruncate(&self, fd: Fd, len: u64) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Ftruncate, pid, &proc, || {
+        self.syscall(Sysno::Ftruncate, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
                 FileObject::File { fs, ino } => {
@@ -254,14 +256,12 @@ impl Kernel {
 
     /// `dup(2)`.
     pub fn sys_dup(&self, fd: Fd) -> KResult<Fd> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Dup, pid, &proc, || proc.fds.lock().dup(fd))
+        self.syscall(Sysno::Dup, |proc| proc.fds.lock().dup(fd))
     }
 
     /// `dup2(2)`.
     pub fn sys_dup2(&self, fd: Fd, newfd: Fd) -> KResult<Fd> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Dup2, pid, &proc, || {
+        self.syscall(Sysno::Dup2, |proc| {
             let old = proc.fds.lock().dup2(fd, newfd)?;
             if let Some(desc) = old {
                 if let FileObject::File { fs, ino } = &desc.object {
@@ -276,8 +276,7 @@ impl Kernel {
 
     /// `pipe(2)`: returns (read end, write end).
     pub fn sys_pipe(&self) -> KResult<(Fd, Fd)> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Pipe, pid, &proc, || {
+        self.syscall(Sysno::Pipe, |proc| {
             let (r, w) = pipe::pipe();
             let mut fds = proc.fds.lock();
             let rfd = fds.install(Arc::new(Description {
@@ -300,8 +299,7 @@ impl Kernel {
     /// Both descriptors land in the calling thread's process, opened
     /// read/write.
     pub fn sys_socketpair(&self) -> KResult<(Fd, Fd)> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Socketpair, pid, &proc, || {
+        self.syscall(Sysno::Socketpair, |proc| {
             let (a, b) = socket::socketpair();
             let mut fds = proc.fds.lock();
             let fa = fds.install(Arc::new(Description {
@@ -324,8 +322,7 @@ impl Kernel {
     /// between client and server ULPs by `Arc`, the same way raw pipe ends
     /// are plumbed across processes in this simulation.
     pub fn sys_listen(&self, listener: &Arc<Listener>) -> KResult<Fd> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Listen, pid, &proc, || {
+        self.syscall(Sysno::Listen, |proc| {
             proc.fds.lock().install(Arc::new(Description {
                 object: FileObject::Listener(listener.clone()),
                 offset: Mutex::new(0),
@@ -339,8 +336,7 @@ impl Kernel {
     /// (firing its readiness edge) and installs the client half in the
     /// calling process. `EAGAIN` when the backlog is full.
     pub fn sys_connect(&self, listener: &Arc<Listener>) -> KResult<Fd> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Connect, pid, &proc, || {
+        self.syscall(Sysno::Connect, |proc| {
             let end = listener.connect()?;
             proc.fds.lock().install(Arc::new(Description {
                 object: FileObject::Socket(end),
@@ -355,8 +351,7 @@ impl Kernel {
     /// (the sleep appears as a nested `accept_block` span). `EINVAL` if the
     /// descriptor is not a listener.
     pub fn sys_accept(&self, fd: Fd) -> KResult<Fd> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Accept, pid, &proc, || {
+        self.syscall(Sysno::Accept, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             let listener = match &desc.object {
                 FileObject::Listener(l) => l.clone(),
@@ -376,8 +371,7 @@ impl Kernel {
     /// `epoll_create(2)`: a fresh epoll instance with an empty interest
     /// list.
     pub fn sys_epoll_create(&self) -> KResult<Fd> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::EpollCreate, pid, &proc, || {
+        self.syscall(Sysno::EpollCreate, |proc| {
             proc.fds.lock().install(Arc::new(Description {
                 object: FileObject::Epoll(Arc::new(EpollObject::new())),
                 offset: Mutex::new(0),
@@ -400,8 +394,7 @@ impl Kernel {
     /// the same); `EEXIST` on `Add` of an already-registered descriptor;
     /// `ENOENT` on `Mod`/`Del` of an unregistered one.
     pub fn sys_epoll_ctl(&self, epfd: Fd, op: EpollOp, fd: Fd, events: PollEvents) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::EpollCtl, pid, &proc, || {
+        self.syscall(Sysno::EpollCtl, |proc| {
             if epfd == fd {
                 return Err(Errno::EINVAL);
             }
@@ -477,8 +470,7 @@ impl Kernel {
         max_events: usize,
         timeout: Option<Duration>,
     ) -> KResult<Vec<(Fd, PollEvents)>> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::EpollWait, pid, &proc, || {
+        self.syscall(Sysno::EpollWait, |proc| {
             if max_events == 0 {
                 return Err(Errno::EINVAL);
             }
@@ -488,6 +480,8 @@ impl Kernel {
             };
             let deadline = timeout.map(|t| Instant::now() + t);
             let mut blocked = false;
+            // The stamp of the edge that ended the latest sleep, if one did.
+            let mut stamp = None;
             let res = loop {
                 // Generation before the scan: an edge firing between scan
                 // and sleep bumps it and the sleep returns immediately.
@@ -524,15 +518,16 @@ impl Kernel {
                     blocked = true;
                     trace::emit(Sysno::EpollBlockWait, SyscallPhase::Enter);
                 }
-                ep.waker.wait(gen, deadline);
+                stamp = ep.waker.wait(gen, deadline).stamp();
             };
             if blocked {
                 // Attribute the readiness edge that ended the sleep — but
-                // only when the wait actually ended with ready descriptors.
-                // A timeout or injected EINTR leaves the cell armed for the
-                // sleeper the edge will really wake.
-                if matches!(&res, Ok(ready) if !ready.is_empty()) {
-                    ep.waker.wake.consume(crate::trace::WakeSite::EpollWait);
+                // only when the wait actually ended with ready descriptors:
+                // a timeout or injected EINTR claims no edge.
+                if let Some((waker_id, armed_ns)) = stamp {
+                    if matches!(&res, Ok(ready) if !ready.is_empty()) {
+                        trace::wake_emit(waker_id, armed_ns, crate::trace::WakeSite::EpollWait);
+                    }
                 }
                 trace::emit(
                     Sysno::EpollBlockWait,
@@ -557,8 +552,7 @@ impl Kernel {
         fds: &[(Fd, PollEvents)],
         timeout: Option<Duration>,
     ) -> KResult<Vec<PollEvents>> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Poll, pid, &proc, || {
+        self.syscall(Sysno::Poll, |proc| {
             // One throwaway waker subscribed to every watchable target for
             // the duration of the call; subscriptions die with it (the
             // watch sets prune dead watchers on their next notify).
@@ -574,6 +568,7 @@ impl Kernel {
             }
             let deadline = timeout.map(|t| Instant::now() + t);
             let mut blocked = false;
+            let mut stamp = None;
             let res = loop {
                 let gen = waker.generation();
                 let mut revents = vec![PollEvents::NONE; fds.len()];
@@ -609,13 +604,15 @@ impl Kernel {
                     blocked = true;
                     trace::emit(Sysno::EpollBlockWait, SyscallPhase::Enter);
                 }
-                waker.wait(gen, deadline);
+                stamp = waker.wait(gen, deadline).stamp();
             };
             if blocked {
                 // Same discipline as `sys_epoll_wait`: a timed-out poll
-                // breaks with all-NONE revents and must not consume.
-                if matches!(&res, Ok(revents) if revents.iter().any(|ev| !ev.is_empty())) {
-                    waker.wake.consume(crate::trace::WakeSite::Poll);
+                // breaks with all-NONE revents and claims no edge.
+                if let Some((waker_id, armed_ns)) = stamp {
+                    if matches!(&res, Ok(revents) if revents.iter().any(|ev| !ev.is_empty())) {
+                        trace::wake_emit(waker_id, armed_ns, crate::trace::WakeSite::Poll);
+                    }
                 }
                 trace::emit(
                     Sysno::EpollBlockWait,
@@ -632,71 +629,82 @@ impl Kernel {
 
     /// `unlink(2)`.
     pub fn sys_unlink(&self, path: &str) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Unlink, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs, rel) = self.resolve_fs(&cwd, path);
-            fs.unlink_rel(&rel)
+        self.syscall(Sysno::Unlink, |proc| {
+            with_path(proc, path, |comps| {
+                let (fs, rel) = self.mounts.resolve(comps);
+                fs.unlink_rel(rel)
+            })
         })
     }
 
     /// `mkdir(2)`.
     pub fn sys_mkdir(&self, path: &str) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Mkdir, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs, rel) = self.resolve_fs(&cwd, path);
-            fs.mkdir_rel(&rel).map(|_| ())
+        self.syscall(Sysno::Mkdir, |proc| {
+            with_path(proc, path, |comps| {
+                let (fs, rel) = self.mounts.resolve(comps);
+                fs.mkdir_rel(rel).map(|_| ())
+            })
         })
     }
 
     /// `rmdir(2)`.
     pub fn sys_rmdir(&self, path: &str) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Rmdir, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs, rel) = self.resolve_fs(&cwd, path);
-            fs.rmdir_rel(&rel)
+        self.syscall(Sysno::Rmdir, |proc| {
+            with_path(proc, path, |comps| {
+                let (fs, rel) = self.mounts.resolve(comps);
+                fs.rmdir_rel(rel)
+            })
         })
     }
 
     /// `link(2)`. Both names must resolve inside one mount — a hard link
     /// across filesystems is `EXDEV`, as on Linux.
     pub fn sys_link(&self, existing: &str, new: &str) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Link, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs_a, rel_a) = self.resolve_fs(&cwd, existing);
-            let (fs_b, rel_b) = self.resolve_fs(&cwd, new);
-            if !same_fs(&fs_a, &fs_b) {
-                return Err(Errno::EXDEV);
-            }
-            fs_a.link_rel(&rel_a, &rel_b)
+        self.syscall(Sysno::Link, |proc| {
+            self.on_one_mount(proc, existing, new, |fs, rel_a, rel_b| {
+                fs.link_rel(rel_a, rel_b)
+            })
         })
     }
 
     /// `rename(2)`. Cross-mount renames are `EXDEV` (userspace `mv` would
     /// fall back to copy+unlink; this kernel does not).
     pub fn sys_rename(&self, from: &str, to: &str) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Rename, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs_a, rel_a) = self.resolve_fs(&cwd, from);
-            let (fs_b, rel_b) = self.resolve_fs(&cwd, to);
-            if !same_fs(&fs_a, &fs_b) {
-                return Err(Errno::EXDEV);
-            }
-            fs_a.rename_rel(&rel_a, &rel_b)
+        self.syscall(Sysno::Rename, |proc| {
+            self.on_one_mount(proc, from, to, |fs, rel_a, rel_b| {
+                fs.rename_rel(rel_a, rel_b)
+            })
+        })
+    }
+
+    /// Resolve two paths and run `f` on the one filesystem serving both;
+    /// `EXDEV` when they lie on different mounts.
+    fn on_one_mount(
+        &self,
+        proc: &Process,
+        a: &str,
+        b: &str,
+        f: impl FnOnce(&dyn crate::fs::FileSystem, &[&str], &[&str]) -> KResult<()>,
+    ) -> KResult<()> {
+        with_path(proc, a, |a| {
+            with_path(proc, b, |b| {
+                let (fs_a, rel_a) = self.mounts.resolve(a);
+                let (fs_b, rel_b) = self.mounts.resolve(b);
+                if !same_fs(fs_a, fs_b) {
+                    return Err(Errno::EXDEV);
+                }
+                f(fs_a.as_ref(), rel_a, rel_b)
+            })
         })
     }
 
     /// `stat(2)`.
     pub fn sys_stat(&self, path: &str) -> KResult<FileStat> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Stat, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let (fs, rel) = self.resolve_fs(&cwd, path);
-            fs.stat_rel(&rel)
+        self.syscall(Sysno::Stat, |proc| {
+            with_path(proc, path, |comps| {
+                let (fs, rel) = self.mounts.resolve(comps);
+                fs.stat_rel(rel)
+            })
         })
     }
 
@@ -705,29 +713,28 @@ impl Kernel {
     /// (the tmpfs root has no `proc` entry of its own), the way the real
     /// VFS overlays mounted roots onto the underlying directory.
     pub fn sys_readdir(&self, path: &str) -> KResult<Vec<DirEntry>> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Readdir, pid, &proc, || {
-            let cwd = proc.cwd.lock().clone();
-            let comps = crate::fs::normalize(&cwd, path);
-            let (fs, rel) = self.mounts.resolve(&comps);
-            let mut entries = fs.readdir_rel(rel)?;
-            for name in self.mounts.child_mounts(&comps) {
-                if !entries.iter().any(|e| e.name == name) {
-                    let mut mp = comps.clone();
-                    mp.push(name.clone());
-                    let (mfs, mrel) = self.mounts.resolve(&mp);
-                    let ino = mfs
-                        .stat_rel(mrel)
-                        .map(|st| st.ino)
-                        .unwrap_or(crate::fs::Ino(0));
-                    entries.push(DirEntry {
-                        name,
-                        ino,
-                        is_dir: true,
-                    });
+        self.syscall(Sysno::Readdir, |proc| {
+            with_path(proc, path, |comps| {
+                let (fs, rel) = self.mounts.resolve(comps);
+                let mut entries = fs.readdir_rel(rel)?;
+                for name in self.mounts.child_mounts(comps) {
+                    if !entries.iter().any(|e| e.name == name) {
+                        let mut mp = comps.to_vec();
+                        mp.push(&name);
+                        let (mfs, mrel) = self.mounts.resolve(&mp);
+                        let ino = mfs
+                            .stat_rel(mrel)
+                            .map(|st| st.ino)
+                            .unwrap_or(crate::fs::Ino(0));
+                        entries.push(DirEntry {
+                            name,
+                            ino,
+                            is_dir: true,
+                        });
+                    }
                 }
-            }
-            Ok(entries)
+                Ok(entries)
+            })
         })
     }
 
@@ -735,8 +742,7 @@ impl Kernel {
 
     /// `kill(2)`: post a signal to a process.
     pub fn sys_kill(&self, target: Pid, sig: Signal) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Kill, pid, &proc, || {
+        self.syscall(Sysno::Kill, |_proc| {
             let t = self.process(target).ok_or(Errno::ESRCH)?;
             t.signals.post(sig);
             Ok(())
@@ -745,23 +751,20 @@ impl Kernel {
 
     /// `sigprocmask(2)` on the calling thread's bound process.
     pub fn sys_sigprocmask(&self, how: MaskHow, set: SigSet) -> KResult<SigSet> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Sigprocmask, pid, &proc, || {
+        self.syscall(Sysno::Sigprocmask, |proc| {
             Ok(proc.signals.set_mask(how, set))
         })
     }
 
     /// `sigpending(2)`.
     pub fn sys_sigpending(&self) -> KResult<SigSet> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Sigpending, pid, &proc, || Ok(proc.signals.pending()))
+        self.syscall(Sysno::Sigpending, |proc| Ok(proc.signals.pending()))
     }
 
     /// Dequeue one deliverable signal for the bound process (the simulated
     /// kernel's "return to userspace" delivery point).
     pub fn sys_take_signal(&self) -> KResult<Option<Signal>> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::TakeSignal, pid, &proc, || {
+        self.syscall(Sysno::TakeSignal, |proc| {
             Ok(proc.signals.take_deliverable())
         })
     }
@@ -770,8 +773,7 @@ impl Kernel {
 
     /// `nanosleep(2)`-style blocking sleep: blocks the calling OS thread.
     pub fn sys_sleep(&self, d: std::time::Duration) -> KResult<()> {
-        let (pid, proc) = self.require_current()?;
-        self.syscall_span(Sysno::Nanosleep, pid, &proc, || {
+        self.syscall(Sysno::Nanosleep, |_proc| {
             std::thread::sleep(d);
             Ok(())
         })
@@ -925,6 +927,46 @@ mod tests {
         assert_eq!(k.sys_pread(fd, 3, &mut buf).unwrap(), 3);
         assert_eq!(&buf, b"xyz");
         assert_eq!(k.sys_lseek(fd, 0, Whence::Cur).unwrap(), 0);
+        k.unbind_current();
+    }
+
+    #[test]
+    fn huge_offsets_are_efbig_and_leave_the_file_alone() {
+        use crate::fs::MAX_FILE_SIZE;
+        let (k, _) = boot();
+        let fd = k
+            .sys_open("/big", OpenFlags::RDWR | OpenFlags::CREAT)
+            .unwrap();
+        k.sys_write(fd, b"abc").unwrap();
+        // `offset + len` wraps: used to index out of bounds.
+        assert_eq!(
+            k.sys_pwrite(fd, u64::MAX - 4, b"12345678").unwrap_err(),
+            Errno::EFBIG
+        );
+        // A terabyte of zero fill inside the simulation's own process.
+        assert_eq!(k.sys_pwrite(fd, 1 << 40, b"x").unwrap_err(), Errno::EFBIG);
+        assert_eq!(k.sys_ftruncate(fd, 1 << 40).unwrap_err(), Errno::EFBIG);
+        assert_eq!(
+            k.sys_pwrite(fd, MAX_FILE_SIZE, b"x").unwrap_err(),
+            Errno::EFBIG
+        );
+        assert_eq!(
+            k.sys_ftruncate(fd, MAX_FILE_SIZE + 1).unwrap_err(),
+            Errno::EFBIG
+        );
+        // Seeking out there is legal; writing there is not, and a failed
+        // write moves nothing.
+        let far = i64::MAX as u64;
+        assert_eq!(k.sys_lseek(fd, i64::MAX, Whence::Set).unwrap(), far);
+        assert_eq!(k.sys_write(fd, b"x").unwrap_err(), Errno::EFBIG);
+        assert_eq!(k.sys_lseek(fd, 0, Whence::Cur).unwrap(), far);
+        assert_eq!(k.sys_lseek(fd, 1, Whence::Cur).unwrap_err(), Errno::EINVAL);
+        let mut buf = [0u8; 4];
+        assert_eq!(k.sys_read(fd, &mut buf).unwrap(), 0, "far past EOF");
+        // The file is what it was.
+        assert_eq!(k.sys_stat("/big").unwrap().size, 3);
+        assert_eq!(k.sys_pread(fd, 0, &mut buf).unwrap(), 3);
+        assert_eq!(&buf[..3], b"abc");
         k.unbind_current();
     }
 
@@ -1084,20 +1126,6 @@ mod tests {
         k.sys_sigprocmask(MaskHow::Unblock, SigSet::with(&[Signal::SigUsr2]))
             .unwrap();
         assert_eq!(k.sys_take_signal().unwrap(), Some(Signal::SigUsr2));
-        k.unbind_current();
-    }
-
-    #[test]
-    fn trace_records_executing_thread() {
-        let (k, pid) = boot();
-        k.set_trace(true);
-        k.sys_getpid().unwrap();
-        k.sys_getcwd().unwrap();
-        let trace = k.take_trace();
-        assert_eq!(trace.len(), 2);
-        assert!(trace.iter().all(|t| t.pid == pid));
-        assert_eq!(trace[0].call, "getpid");
-        k.set_trace(false);
         k.unbind_current();
     }
 

@@ -301,6 +301,50 @@ fn eintr_epoll_wait_emits_no_wake_edge() {
     k.unbind_current();
 }
 
+/// Two threads asleep in `epoll_wait` on one epoll descriptor are woken by
+/// one edge. Both report the readable pipe (level-triggered), the edge is
+/// attributed exactly once, and a later call that finds the pipe readable
+/// without sleeping inherits nothing from them.
+#[test]
+fn two_waiters_on_one_epoll_fd_share_one_edge() {
+    let _g = serial();
+    capture_wake_edges();
+    let (k, pid) = boot();
+    let ep = k.sys_epoll_create().unwrap();
+    let (r, w) = k.sys_pipe().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, r, PollEvents::IN)
+        .unwrap();
+    drain_wake_edges();
+
+    let waiters: Vec<_> = (0..2)
+        .map(|_| {
+            let k = k.clone();
+            std::thread::spawn(move || {
+                k.bind_current(pid);
+                let got = k.sys_epoll_wait(ep, 8, None).unwrap();
+                k.unbind_current();
+                got
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    k.sys_write(w, b"x").unwrap();
+    for waiter in waiters {
+        assert_eq!(waiter.join().unwrap(), vec![(r, PollEvents::IN)]);
+    }
+    assert_eq!(
+        k.sys_epoll_wait(ep, 8, None).unwrap(),
+        vec![(r, PollEvents::IN)]
+    );
+    let edges = drain_wake_edges();
+    let epoll_edges = edges
+        .iter()
+        .filter(|(_, _, site)| *site == WakeSite::EpollWait)
+        .count();
+    assert_eq!(epoll_edges, 1, "one stamped edge, one claim: {edges:?}");
+    k.unbind_current();
+}
+
 /// A spurious `futex_wait` return re-loops on the permit count without
 /// consuming the wake stamp: no permit means no post, and an unarmed cell
 /// emits nothing. Only the post that actually supplies the permit is

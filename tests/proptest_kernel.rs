@@ -164,7 +164,7 @@ proptest! {
         let path = format!("{}{}", if absolute { "/" } else { "" }, comps.join("/"));
         let normalized = normalize("/cwd", &path);
         // No dot components survive.
-        prop_assert!(normalized.iter().all(|c| c != "." && c != ".."));
+        prop_assert!(normalized.iter().all(|&c| c != "." && c != ".."));
         // Re-normalizing the result is a fixed point.
         let rejoined = format!("/{}", normalized.join("/"));
         prop_assert_eq!(normalize("/", &rejoined), normalized);
