@@ -231,12 +231,13 @@ pub fn to_json(b: &Bench1) -> String {
     ];
     let churn_row = |name: &str, c: &workloads::PooledChurn| {
         format!(
-            "    \"{name}\": {{\"ulps\": {}, \"pool_kcs\": {POOL_KCS}, \"wave\": {CHURN_WAVE}, \"spawn_per_sec\": {}, \"peak_rss_mib\": {}, \"stack_peak\": {}, \"stack_recycled\": {}}}",
+            "    \"{name}\": {{\"ulps\": {}, \"pool_kcs\": {POOL_KCS}, \"wave\": {CHURN_WAVE}, \"spawn_per_sec\": {}, \"peak_rss_mib\": {}, \"stack_peak\": {}, \"stack_recycled\": {}, \"stack_trimmed\": {}}}",
             c.ulps,
             json_num(c.spawn_per_sec),
             json_num(c.peak_rss_mib),
             c.stack_peak,
             c.stack_recycled,
+            c.stack_trimmed,
         )
     };
     let scale_rows = [
@@ -297,6 +298,8 @@ mod tests {
             peak_rss_mib: 120.5,
             stack_peak: 4096,
             stack_recycled: n.saturating_sub(4096),
+            stack_trimmed: n / 16,
+            stack_warm: 0,
         }
     }
 

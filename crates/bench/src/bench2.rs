@@ -180,21 +180,21 @@ pub fn run_and_save() {
 mod tests {
     use super::*;
 
+    fn handoff(rtt_ns: f64, hit_rate: f64) -> HandoffRtt {
+        HandoffRtt {
+            rtt_ns,
+            hit_rate,
+            switches_per_rtt: 3.0,
+            kc_blocks_per_rtt: 0.0,
+        }
+    }
+
     #[test]
     fn json_shape_is_parseable_enough() {
         let b = Bench2 {
-            handoff_busywait: HandoffRtt {
-                rtt_ns: 500.0,
-                hit_rate: 1.0,
-            },
-            handoff_blocking: HandoffRtt {
-                rtt_ns: 600.0,
-                hit_rate: 0.999,
-            },
-            handoff_adaptive: HandoffRtt {
-                rtt_ns: 550.0,
-                hit_rate: 1.0,
-            },
+            handoff_busywait: handoff(500.0, 1.0),
+            handoff_blocking: handoff(600.0, 0.999),
+            handoff_adaptive: handoff(550.0, 1.0),
             locks: vec![
                 LockRow {
                     name: "tas",
@@ -220,10 +220,7 @@ mod tests {
         );
         // An unmeasured sweep still renders valid JSON.
         let empty = Bench2 {
-            handoff_busywait: HandoffRtt {
-                rtt_ns: f64::INFINITY,
-                hit_rate: f64::NAN,
-            },
+            handoff_busywait: handoff(f64::INFINITY, f64::NAN),
             locks: vec![],
             ..b
         };
@@ -234,23 +231,31 @@ mod tests {
 
     #[test]
     fn handoff_hits_and_beats_slow_path() {
-        // A tiny measured run: the deterministic ping-pong must hand off
-        // on (essentially) every decouple and beat the slow-path RTT the
-        // same binary measures, even at smoke iteration counts.
-        let h = workloads::couple_handoff_rtt(IdlePolicy::BusyWait, ArchProfile::Native, 200);
-        assert!(
-            h.hit_rate > 0.9,
-            "handoff hit rate {:.4} <= 0.9",
-            h.hit_rate
-        );
-        assert!(h.rtt_ns.is_finite() && h.rtt_ns > 0.0, "rtt {}", h.rtt_ns);
-        let slow = workloads::couple_rtt_ns(IdlePolicy::BusyWait, ArchProfile::Native, 200);
-        assert!(
-            h.rtt_ns < slow,
-            "handoff RTT {} ns should beat slow path {} ns",
-            h.rtt_ns,
-            slow
-        );
+        // A tiny measured run: the deterministic ping-pong must hand off on
+        // (essentially) every decouple. "Beats the slow path" is judged on
+        // what makes it faster — a switch fewer, and an original KC that
+        // never blocks (the trampoline, which is what would block under
+        // BLOCKING, never runs) — not on two wall-clock timings taken at
+        // different moments of a parallel test binary.
+        for policy in [IdlePolicy::BusyWait, IdlePolicy::Blocking] {
+            let h = workloads::couple_handoff_rtt(policy, ArchProfile::Native, 200);
+            assert!(
+                h.hit_rate > 0.9,
+                "{policy:?}: handoff hit rate {:.4} <= 0.9",
+                h.hit_rate
+            );
+            assert!(h.rtt_ns.is_finite() && h.rtt_ns > 0.0, "rtt {}", h.rtt_ns);
+            assert!(
+                h.switches_per_rtt < 3.5,
+                "{policy:?}: {:.3} switches per round trip (slow path: 4)",
+                h.switches_per_rtt
+            );
+            assert!(
+                h.kc_blocks_per_rtt < 0.1,
+                "{policy:?}: {:.3} KC blocks per round trip (slow path under BLOCKING: 1)",
+                h.kc_blocks_per_rtt
+            );
+        }
     }
 
     #[test]

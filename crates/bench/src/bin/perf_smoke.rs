@@ -35,6 +35,8 @@ const MIN_CHURN_FRACTION: f64 = 0.5;
 /// Structural RSS ceiling for the churn (MiB): generous over the ~10 MiB
 /// a recycling pool needs, far under the gigabytes a leak produces.
 const CHURN_RSS_CEILING_MIB: f64 = 512.0;
+/// Ceiling on slots the scavenger trimmed ÷ ULPs churned.
+const CHURN_TRIM_CEILING: f64 = 0.25;
 
 /// Pull `"<field>": <num>` out of the committed BENCH_1.json row named
 /// `key` (hand-rolled: the build environment has no serde).
@@ -167,6 +169,18 @@ fn main() {
         churn.stack_recycled
     );
     if !recycle_ok {
+        failed = true;
+    }
+    // Count gate: a busy churn cycles its free list warm, so the scavenger
+    // may `madvise` only the slots a subsiding wave leaves idle — a small
+    // fraction of the lifecycles (1.0 when every release trimmed).
+    let trim_ratio = churn.stack_trimmed as f64 / churn.ulps as f64;
+    println!(
+        "perf-smoke: {} pooled churn slots trimmed per ULP: {trim_ratio:.3} (ceiling {CHURN_TRIM_CEILING}), {} warm at end",
+        if trim_ratio <= CHURN_TRIM_CEILING { "ok" } else { "FAIL" },
+        churn.stack_warm
+    );
+    if trim_ratio > CHURN_TRIM_CEILING {
         failed = true;
     }
 

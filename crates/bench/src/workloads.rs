@@ -191,6 +191,14 @@ pub struct HandoffRtt {
     /// Fraction of decouples that hit the handoff fast path, in [0, 1],
     /// from the runtime's own `couple_handoffs` / `decouples` counters.
     pub hit_rate: f64,
+    /// Context switches per couple()+decouple() round trip, from
+    /// `context_switches / couples`: 3 on the fast path (the couple, the
+    /// peer's handoff decouple, one run-queue dispatch), 4 through the
+    /// trampoline.
+    pub switches_per_rtt: f64,
+    /// Futex blocks of the original KC per round trip (`kc_blocks /
+    /// couples`): 0 on the fast path, which never runs the trampoline.
+    pub kc_blocks_per_rtt: f64,
 }
 
 /// Spin (OS-yielding, so a single-core host can run the peer) until the
@@ -275,9 +283,15 @@ pub fn couple_handoff_rtt(policy: IdlePolicy, profile: ArchProfile, iters: usize
     } else {
         0.0
     };
+    let per_rtt = |n: u64| n as f64 / d.couples.max(1) as f64;
     let rtt_ns = *result.lock();
     drop(rt);
-    HandoffRtt { rtt_ns, hit_rate }
+    HandoffRtt {
+        rtt_ns,
+        hit_rate,
+        switches_per_rtt: per_rtt(d.context_switches),
+        kc_blocks_per_rtt: per_rtt(d.kc_blocks),
+    }
 }
 
 // ---------------------------------------------------------------- lock suite
@@ -481,8 +495,8 @@ pub fn self_rss_mib() -> f64 {
 /// run and reaped in `wave`-sized waves over `pool_kcs` pool kernel
 /// contexts. The interesting numbers are the full-lifecycle throughput
 /// (spawn → dispatch → couple → terminate → reap) and the peak resident
-/// set — with the stack free-list recycling slab slots and `madvise`ing
-/// them away on release, RSS must track the wave size, not `n`.
+/// set — the stack free-list recycles slab slots warm and its scavenger
+/// trims the ones that stay free, so RSS must track the wave size, not `n`.
 #[derive(Debug, Clone, Copy)]
 pub struct PooledChurn {
     /// ULPs churned through the runtime.
@@ -495,6 +509,10 @@ pub struct PooledChurn {
     pub stack_peak: usize,
     /// Acquisitions served by recycling a previously-released stack.
     pub stack_recycled: usize,
+    /// Free stacks the pool's scavenger `madvise`d away during the run.
+    pub stack_trimmed: usize,
+    /// Cached stacks still holding pages when the run ended.
+    pub stack_warm: usize,
 }
 
 /// Churn `n` short-lived pooled ULPs through the runtime in waves of
@@ -525,7 +543,9 @@ pub fn pooled_churn(n: usize, wave: usize, pool_kcs: usize) -> PooledChurn {
         spawn_per_sec: n as f64 / secs,
         peak_rss_mib: peak_rss,
         stack_peak: rt.stack_pool().peak_outstanding(),
-        stack_recycled: rt.stack_pool().recycled(),
+        stack_recycled: rt.stack_pool().stats().0,
+        stack_trimmed: rt.stack_pool().recycled(),
+        stack_warm: rt.stack_pool().warm(),
     }
 }
 

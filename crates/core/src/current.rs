@@ -456,8 +456,8 @@ pub fn run_deferred() {
             }
             Deferred::TerminatePooled { uc, status } => {
                 // Running on the pool KC's native stack; the pooled UC's
-                // context is dead. Recycle its slab slot (the pool DONTNEEDs
-                // it so RSS tracks live ULPs) before publishing the status:
+                // context is dead. Recycle its slab slot (a warm push — the
+                // pool's scavenger trims it later) before publishing the status:
                 // a waiter that wakes on `sib_result` must observe every
                 // counter bump from the hot path already landed, and the
                 // stack back in the pool.

@@ -370,10 +370,12 @@ pub struct PoolMetrics {
     pub outstanding: u64,
     /// High-water mark of simultaneously outstanding stacks.
     pub peak_outstanding: u64,
-    /// Releases whose pages were dropped with `MADV_DONTNEED`.
+    /// Free stacks whose pages the scavenger dropped with `MADV_DONTNEED`.
     pub recycled: u64,
     /// Stacks currently cached for reuse.
     pub cached: u64,
+    /// Cached stacks still holding their pages.
+    pub warm: u64,
 }
 
 impl PoolMetrics {
@@ -387,6 +389,7 @@ impl PoolMetrics {
             peak_outstanding: pool.peak_outstanding() as u64,
             recycled: pool.recycled() as u64,
             cached: pool.cached() as u64,
+            warm: pool.warm() as u64,
         }
     }
 }
@@ -615,8 +618,14 @@ pub fn prometheus_text(
     counter_block(
         &mut out,
         "ulp_stack_recycled_total",
-        "Stack releases whose pages were dropped with MADV_DONTNEED.",
+        "Free stacks whose pages the pool's scavenger dropped with MADV_DONTNEED.",
         pool.recycled,
+    );
+    gauge_block(
+        &mut out,
+        "ulp_stack_warm",
+        "Cached stacks still holding their pages (not yet trimmed by the scavenger).",
+        pool.warm,
     );
     gauge_block(
         &mut out,
@@ -781,6 +790,7 @@ mod tests {
             peak_outstanding: 6,
             recycled: 7,
             cached: 3,
+            warm: 1,
         };
         let text = prometheus_text(&stats, &lat, &SyscallSnapshot::new(), 0, 3, &pool, 5);
         assert!(text.contains("ulp_context_switches_total 42\n"));
@@ -792,6 +802,8 @@ mod tests {
         assert!(text.contains("ulp_stack_outstanding 2\n"));
         assert!(text.contains("ulp_stack_outstanding_peak 6\n"));
         assert!(text.contains("ulp_stack_recycled_total 7\n"));
+        assert!(text.contains("# TYPE ulp_stack_warm gauge"));
+        assert!(text.contains("ulp_stack_warm 1\n"));
         assert!(text.contains("ulp_stack_cached 3\n"));
         assert!(text.contains("ulp_pooled_spawned_total 0\n"));
         assert!(text.contains("# TYPE ulp_syscall_violations_total counter"));

@@ -114,6 +114,7 @@ fn tc_loop(boot: &TcBoot) -> ! {
             Some(t) if t.is_on() => crate::trace::now_ns(),
             _ => 0,
         });
+        rt.stack_pool.scavenge();
         if kc.park(seen) {
             rt.stats.bump_kc_blocks();
             crate::current::with_thread(|b| {
@@ -188,6 +189,7 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<crate::uc::KcShared>) {
 
         // Rule 5: idle. Pool KCs have no primary BltId to tag a KcBlocked
         // event with, so blocks surface in stats (`kc_blocks`) only.
+        rt.stack_pool.scavenge();
         if kc.park(seen) {
             rt.stats.bump_kc_blocks();
         }

@@ -44,8 +44,9 @@ fn provider(source: ProcSource) -> Option<String> {
 }
 
 /// Body of `/proc/ulp/stat`: one `name value` line per runtime counter, in
-/// [`crate::stats::StatsSnapshot`] field order. Plain `cut`/`awk` fodder —
-/// the Prometheus exposition lives next door in `/proc/ulp/metrics`.
+/// [`crate::stats::StatsSnapshot`] field order, then the stack pool's warm
+/// gauge. Plain `cut`/`awk` fodder — the Prometheus exposition lives next
+/// door in `/proc/ulp/metrics`.
 fn runtime_stat_text(rt: &Arc<RuntimeInner>) -> String {
     let s = rt.stats.snapshot();
     format!(
@@ -58,7 +59,8 @@ fn runtime_stat_text(rt: &Arc<RuntimeInner>) -> String {
          siblings_spawned {}\n\
          scheduler_dispatches {}\n\
          kc_blocks {}\n\
-         couple_handoffs {}\n",
+         couple_handoffs {}\n\
+         stack_warm {}\n",
         s.context_switches,
         s.tls_loads,
         s.couples,
@@ -69,6 +71,7 @@ fn runtime_stat_text(rt: &Arc<RuntimeInner>) -> String {
         s.scheduler_dispatches,
         s.kc_blocks,
         s.couple_handoffs,
+        rt.stack_pool.warm(),
     )
 }
 
@@ -107,7 +110,7 @@ mod tests {
     fn stat_text_has_one_line_per_counter() {
         let rt = crate::Runtime::new();
         let text = runtime_stat_text(rt.inner());
-        assert_eq!(text.lines().count(), 10);
+        assert_eq!(text.lines().count(), 11);
         for line in text.lines() {
             let mut parts = line.split_whitespace();
             let name = parts.next().unwrap();

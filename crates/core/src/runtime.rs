@@ -777,7 +777,10 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         let seen = rt.runq.version();
         match rt.runq.pop() {
             Some(uc) => run_uc(&identity, uc),
-            None => rt.runq.park(seen),
+            None => {
+                rt.stack_pool.scavenge();
+                rt.runq.park(seen)
+            }
         }
     }
 

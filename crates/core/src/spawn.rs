@@ -190,10 +190,10 @@ impl Runtime {
     /// Spawn a *pooled* ULP: its own kernel identity (fresh pid, like
     /// [`Runtime::spawn`]) but **no OS thread of its own** — it is served
     /// by one of the `Config::pool_kcs` shared pool kernel contexts, and
-    /// its stack is a recycled slab slot that returns to the pool (and is
-    /// `MADV_DONTNEED`ed) the moment it terminates. This is the
+    /// its stack is a recycled slab slot that returns to the pool warm the
+    /// moment it terminates (idle KCs trim what stays free). This is the
     /// oversubscription mode: 100k–1M pooled ULPs run on a handful of KCs,
-    /// with RSS tracking *live* ULPs rather than ever-spawned ones.
+    /// with RSS tracking recently live ULPs rather than ever-spawned ones.
     ///
     /// `f` starts decoupled (dispatched from the run queue by a scheduler)
     /// and terminates coupled with its pool KC, per rule 7 — the same

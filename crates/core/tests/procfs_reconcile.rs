@@ -122,7 +122,8 @@ fn runtime_stat_file_matches_stats_snapshot() {
                 .parse()
                 .unwrap()
         };
-        assert_eq!(body.lines().count(), 10);
+        assert_eq!(body.lines().count(), 11);
+        get("stack_warm");
         assert_eq!(get("couples"), snap.couples);
         assert_eq!(get("decouples"), snap.decouples);
         assert_eq!(get("blts_spawned"), snap.blts_spawned);

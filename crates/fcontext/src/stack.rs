@@ -20,20 +20,34 @@
 //!   stacks per slab). Slot 0 still abuts the slab's guard page; interior
 //!   slots abut their neighbour's top.
 //!
-//! ## RSS tracks *live* stacks
+//! ## Warm free lists, trimmed by a low-water scavenger
 //!
-//! [`StackPool::release`] calls `madvise(MADV_DONTNEED)` on the usable
-//! region before caching it. For anonymous private memory the kernel drops
-//! the backing pages immediately and refaults zero pages on next touch, so
-//! resident memory follows the number of *live* ULPs instead of the
-//! high-water mark of ever-spawned ones. The freed slot stays mapped (no
-//! VMA churn) and is handed out again LIFO.
+//! [`StackPool::release`] is a user-level push: the stack goes back on its
+//! LIFO free list *warm* (pages intact), so a churn that cycles its free
+//! list never enters the host kernel. Only [`StackPool::scavenge`] calls
+//! `madvise`, on the entries that stayed free through a whole interval.
+//! Each free list keeps two marks: the bottom `clean` entries hold no pages
+//! (already trimmed), and `low` is the smallest length since the last pass.
+//! A pop lowers both to the new length; a push moves neither. A pass holds
+//! the list's lock, `MADV_DONTNEED`s entries `clean..low` (adjacent slab
+//! slots in one call), then sets `clean = low`, `low = len`. So `clean <=
+//! low <= len` always, an outstanding stack (on no list) is never trimmed,
+//! and a stack is trimmed at most once per stay. Passes are at least 10 ms
+//! apart; the runtime attempts one whenever a kernel context is about to
+//! idle, `release` on every 64th call.
+//!
+//! The memory contract: resident stack pages ≤ (live stacks + stacks reused
+//! within the last two intervals) × the pages each user touched, and the
+//! live stacks' alone after two quiet intervals. A trimmed stack stays
+//! mapped (no VMA churn) and reads as zeroes on its next use; a warm one
+//! comes back with its previous user's bytes.
 
 use parking_lot::Mutex;
 use std::io;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Default usable stack size for a user context (512 KiB, matching the
 /// paper's prototype default for PiP tasks' coroutine stacks).
@@ -48,6 +62,9 @@ pub const TRAMPOLINE_STACK_SIZE: usize = 16 * 1024;
 /// from this and the stride). 32 MiB ≈ 512 slots of 64 KiB: a 1M-ULP run
 /// needs ~2k slabs → ~4k VMAs, comfortably under `vm.max_map_count`.
 pub const SLAB_TARGET_BYTES: usize = 32 * 1024 * 1024;
+
+/// Minimum spacing of two scavenger passes (10 ms; see the module docs).
+const SCAVENGE_INTERVAL_NS: u64 = 10_000_000;
 
 fn page_size() -> usize {
     static PAGE: AtomicUsize = AtomicUsize::new(0);
@@ -65,6 +82,52 @@ fn round_up(n: usize, to: usize) -> usize {
     n.div_ceil(to) * to
 }
 
+/// A LIFO free list with the scavenger's two marks (see the module docs).
+#[derive(Debug)]
+struct FreeList<T> {
+    items: Vec<T>,
+    /// `items[..clean]` hold no pages.
+    clean: usize,
+    /// Smallest `items.len()` since the last pass.
+    low: usize,
+}
+
+impl<T> FreeList<T> {
+    fn new(items: Vec<T>) -> Self {
+        FreeList {
+            items,
+            clean: 0,
+            low: 0,
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        let item = self.items.pop()?;
+        let len = self.items.len();
+        self.low = self.low.min(len);
+        self.clean = self.clean.min(len);
+        Some(item)
+    }
+
+    /// Entries still holding pages.
+    fn warm(&self) -> usize {
+        self.items.len() - self.clean
+    }
+
+    /// One scavenger pass: hand the entries nothing popped since the last
+    /// pass to `trim`, mark them clean and open the next interval. Returns
+    /// how many were trimmed.
+    fn pass(&mut self, trim: impl FnOnce(&mut [T])) -> usize {
+        let stale = self.low - self.clean;
+        if stale > 0 {
+            trim(&mut self.items[self.clean..self.low]);
+        }
+        self.clean = self.low;
+        self.low = self.items.len();
+        stale
+    }
+}
+
 /// One dense mapping serving many fixed-stride stack slots.
 ///
 /// Layout: `[guard page][slot 0][slot 1]…[slot n-1]`, all from a single
@@ -80,8 +143,8 @@ struct SlabInner {
     slots: u32,
     /// Slots handed out at least once (slots >= carved are untouched).
     carved: Mutex<u32>,
-    /// Recycled slot indices, LIFO.
-    free: Mutex<Vec<u32>>,
+    /// Recycled slot indices.
+    free: Mutex<FreeList<u32>>,
 }
 
 unsafe impl Send for SlabInner {}
@@ -117,7 +180,7 @@ impl SlabInner {
             stride,
             slots,
             carved: Mutex::new(0),
-            free: Mutex::new(Vec::new()),
+            free: Mutex::new(FreeList::new(Vec::new())),
         }))
     }
 
@@ -127,9 +190,33 @@ impl SlabInner {
         unsafe { self.base.add(page_size() + slot as usize * self.stride) }
     }
 
-    /// Pop a recycled slot or carve a fresh one; `None` when full.
+    fn slot_stack(self: &Arc<Self>, slot: u32) -> Stack {
+        Stack {
+            base: self.slot_base(slot),
+            total: self.stride,
+            usable: self.stride,
+            backing: Backing::Slab {
+                slab: self.clone(),
+                slot,
+            },
+        }
+    }
+
+    /// Pop a recycled slot; with `warm_only`, only one still holding pages.
+    fn pop_free(self: &Arc<Self>, warm_only: bool) -> Option<Stack> {
+        let mut free = self.free.lock();
+        if warm_only && free.warm() == 0 {
+            return None;
+        }
+        free.pop().map(|slot| self.slot_stack(slot))
+    }
+
+    /// Pop a recycled slot or carve a fresh one; `None` when full. The free
+    /// list stays locked across the carve: a slot is carved only while no
+    /// recycled one exists (see `StackPool::charge_out`).
     fn take_slot(self: &Arc<Self>) -> Option<Stack> {
-        let slot = match self.free.lock().pop() {
+        let mut free = self.free.lock();
+        let slot = match free.pop() {
             Some(s) => s,
             None => {
                 let mut carved = self.carved.lock();
@@ -141,21 +228,12 @@ impl SlabInner {
                 s
             }
         };
-        let base = self.slot_base(slot);
-        Some(Stack {
-            base,
-            total: self.stride,
-            usable: self.stride,
-            backing: Backing::Slab {
-                slab: self.clone(),
-                slot,
-            },
-        })
+        Some(self.slot_stack(slot))
     }
 
     /// Every carved slot is back on the free list (nothing outstanding).
     fn is_idle(&self) -> bool {
-        self.free.lock().len() as u32 == *self.carved.lock()
+        self.free.lock().items.len() as u32 == *self.carved.lock()
     }
 }
 
@@ -261,19 +339,6 @@ impl Stack {
     pub fn is_slab_slot(&self) -> bool {
         matches!(self.backing, Backing::Slab { .. })
     }
-
-    /// Drop the usable region's backing pages (`madvise(MADV_DONTNEED)`):
-    /// resident memory is released immediately and the region reads as
-    /// zeroes on next touch. The mapping itself is untouched.
-    pub fn dont_need(&self) {
-        unsafe {
-            libc::madvise(
-                self.bottom() as *mut libc::c_void,
-                self.usable,
-                libc::MADV_DONTNEED,
-            );
-        }
-    }
 }
 
 impl Drop for Stack {
@@ -283,7 +348,7 @@ impl Drop for Stack {
                 libc::munmap(self.base as *mut libc::c_void, self.total);
             },
             Backing::Slab { slab, slot } => {
-                slab.free.lock().push(*slot);
+                slab.free.lock().items.push(*slot);
                 // The slab mapping itself lives until its Arc count drains.
             }
         }
@@ -293,14 +358,14 @@ impl Drop for Stack {
 /// A recycling stack pool: size-classed freelists of owned stacks plus
 /// dense slab slots for high-cardinality use.
 ///
-/// `acquire` prefers a cached stack of the exact class; `release` returns a
-/// stack to the pool (after `MADV_DONTNEED`, unless disabled) or drops it
-/// when the class is at capacity. The pool tracks outstanding stacks and
-/// their high-water mark so callers can assert it never caches more than
-/// was ever live.
+/// `acquire` prefers a cached stack of the exact class; `release` pushes a
+/// stack back warm (or drops it when its class is at capacity) and
+/// `scavenge` later gives idle stacks' pages back to the host. The pool
+/// tracks outstanding stacks and their high-water mark so callers can
+/// assert it never caches more than was ever live.
 #[derive(Debug)]
 pub struct StackPool {
-    classes: Mutex<Vec<(usize, Vec<Stack>)>>,
+    classes: Mutex<Vec<(usize, FreeList<Stack>)>>,
     /// Dense slabs, keyed by stride; newest last. Slots recycle through
     /// each slab's internal free list.
     slabs: Mutex<Vec<Arc<SlabInner>>>,
@@ -311,10 +376,14 @@ pub struct StackPool {
     outstanding: AtomicUsize,
     /// High-water mark of `outstanding`.
     peak_outstanding: AtomicUsize,
-    /// Releases that dropped backing pages with `MADV_DONTNEED`.
+    /// Stacks whose backing pages the scavenger dropped.
     recycled: AtomicUsize,
-    /// Whether `release` calls `madvise(MADV_DONTNEED)` (default on).
-    dontneed: AtomicBool,
+    /// `release` calls so far (every 64th attempts a pass).
+    releases: AtomicUsize,
+    /// Clock origin of `last_pass`.
+    epoch: Instant,
+    /// When the latest scavenger pass began, in nanoseconds since `epoch`.
+    last_pass: AtomicU64,
 }
 
 impl StackPool {
@@ -330,39 +399,41 @@ impl StackPool {
             outstanding: AtomicUsize::new(0),
             peak_outstanding: AtomicUsize::new(0),
             recycled: AtomicUsize::new(0),
-            dontneed: AtomicBool::new(true),
+            releases: AtomicUsize::new(0),
+            epoch: Instant::now(),
+            last_pass: AtomicU64::new(0),
         }
     }
 
-    /// Enable/disable `MADV_DONTNEED` on release (on by default; benches
-    /// that want to measure raw reuse can turn it off).
-    pub fn set_dontneed(&self, on: bool) {
-        self.dontneed.store(on, Ordering::Relaxed);
-    }
-
+    /// Acquires count a stack *before* they look at a free list, `release`
+    /// uncounts it only *after* its push: a stack is always listed or
+    /// counted, so whoever finds its class empty and makes a fresh stack has
+    /// every earlier one in `outstanding` — `cached() <= peak_outstanding()`.
     fn charge_out(&self) {
         let now = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_outstanding.fetch_max(now, Ordering::Relaxed);
+    }
+
+    fn uncharge(&self) {
+        self.outstanding.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Fetch a pooled stack of at least `usable` bytes or allocate a new one.
     pub fn acquire(&self, usable: usize) -> io::Result<Stack> {
         let page = page_size();
         let class = round_up(usable.max(page), page);
+        self.charge_out();
         {
             let mut classes = self.classes.lock();
             if let Some((_, list)) = classes.iter_mut().find(|(sz, _)| *sz == class) {
                 if let Some(stack) = list.pop() {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.charge_out();
                     return Ok(stack);
                 }
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let s = Stack::new(class)?;
-        self.charge_out();
-        Ok(s)
+        Stack::new(class).inspect_err(|_| self.uncharge())
     }
 
     /// Fetch a dense slab slot of at least `usable` bytes (page-rounded to
@@ -372,57 +443,34 @@ impl StackPool {
     pub fn acquire_dense(&self, usable: usize) -> io::Result<Stack> {
         let page = page_size();
         let stride = round_up(usable.max(page), page);
+        self.charge_out();
         let mut slabs = self.slabs.lock();
-        // Prefer recycled slots (LIFO within a slab, newest slab first —
-        // the warmest memory), then carve from the newest slab of the
-        // class, then map a new slab.
-        for slab in slabs.iter().rev() {
-            if slab.stride != stride {
-                continue;
-            }
-            if let Some(s) = slab.free.lock().pop() {
-                let base = slab.slot_base(s);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.charge_out();
-                return Ok(Stack {
-                    base,
-                    total: stride,
-                    usable: stride,
-                    backing: Backing::Slab {
-                        slab: slab.clone(),
-                        slot: s,
-                    },
-                });
-            }
+        let of_class = || slabs.iter().rev().filter(|s| s.stride == stride);
+        // Prefer a warm recycled slot (LIFO within a slab, newest slab
+        // first), then a trimmed one, then carve from the newest slab of
+        // the class, then map a new slab.
+        let recycled = of_class()
+            .find_map(|s| s.pop_free(true))
+            .or_else(|| of_class().find_map(|s| s.pop_free(false)));
+        if let Some(stack) = recycled {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(stack);
         }
-        for slab in slabs.iter().rev() {
-            if slab.stride != stride {
-                continue;
-            }
-            if let Some(stack) = slab.take_slot() {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.charge_out();
-                return Ok(stack);
-            }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(stack) = of_class().find_map(|s| s.take_slot()) {
+            return Ok(stack);
         }
-        let slab = SlabInner::new(stride)?;
+        let slab = SlabInner::new(stride).inspect_err(|_| self.uncharge())?;
         let stack = slab.take_slot().expect("fresh slab has slots");
         slabs.push(slab);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.charge_out();
         Ok(stack)
     }
 
-    /// Return a stack to the pool. The usable region's backing pages are
-    /// dropped with `MADV_DONTNEED` (unless disabled), so cached stacks
-    /// cost no resident memory; slab slots go back to their slab's free
-    /// list, owned stacks to the size-classed freelist (dropped if the
-    /// class is full).
+    /// Return a stack to the pool, pages intact and without entering the
+    /// host kernel: slab slots go back to their slab's free list, owned
+    /// stacks to the size-classed freelist. (An owned stack released into a
+    /// full class is dropped, which unmaps it.)
     pub fn release(&self, stack: Stack) {
-        if self.dontneed.load(Ordering::Relaxed) {
-            stack.dont_need();
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-        }
         if stack.is_slab_slot() {
             // Drop runs the slab-slot return path.
             drop(stack);
@@ -430,17 +478,62 @@ impl StackPool {
             let class = stack.usable_size();
             let mut classes = self.classes.lock();
             match classes.iter_mut().find(|(sz, _)| *sz == class) {
-                Some((_, list)) if list.len() < self.max_per_class => list.push(stack),
+                Some((_, list)) if list.items.len() < self.max_per_class => list.items.push(stack),
                 Some(_) => {}
-                None => classes.push((class, vec![stack])),
+                None => classes.push((class, FreeList::new(vec![stack]))),
             }
         }
-        // The stack stops counting as outstanding only once it is back on a
-        // free list. Decrementing first would let an acquire that runs
-        // during the `madvise` above find the list still empty, carve a
-        // fresh stack, and leave two cached behind a high-water mark of one
-        // — `cached() <= peak_outstanding()` must hold at every instant.
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
+        // Only now that it is back on a free list (see `charge_out`).
+        self.uncharge();
+        // A churn that never idles still gives its high-water pages back.
+        if self.releases.fetch_add(1, Ordering::Relaxed) % 64 == 63 {
+            self.scavenge();
+        }
+    }
+
+    /// Attempt a scavenger pass (see the module docs): a no-op unless the
+    /// previous one began at least 10 ms ago. Returns the number of stacks
+    /// whose pages were dropped.
+    pub fn scavenge(&self) -> usize {
+        use Ordering::Relaxed;
+        let now = self.epoch.elapsed().as_nanos() as u64;
+        let due = |last| (now.saturating_sub(last) >= SCAVENGE_INTERVAL_NS).then_some(now);
+        // Relaxed: the stamp guards no data (each list's lock does), it
+        // only elects one caller per interval.
+        match self.last_pass.fetch_update(Relaxed, Relaxed, due) {
+            Ok(_) => self.pass(),
+            Err(_) => 0,
+        }
+    }
+
+    /// One pass over every free list, one list's lock at a time.
+    fn pass(&self) -> usize {
+        let drop_pages = |lo: *mut u8, len: usize| {
+            // SAFETY: `lo..lo + len` is mapped and covers only stacks on a
+            // free list whose lock is held: nothing runs on or reads them.
+            unsafe { libc::madvise(lo.cast(), len, libc::MADV_DONTNEED) };
+        };
+        let mut trimmed = 0;
+        for (_, list) in self.classes.lock().iter_mut() {
+            trimmed += list.pass(|stacks| {
+                for s in stacks {
+                    drop_pages(s.bottom(), s.usable);
+                }
+            });
+        }
+        let slabs = self.slabs.lock().clone();
+        for slab in &slabs {
+            trimmed += slab.free.lock().pass(|slots| {
+                // Trimmed entries are interchangeable, so their order is
+                // free to make adjacent slots adjacent.
+                slots.sort_unstable();
+                for run in slots.chunk_by(|a, b| a + 1 == *b) {
+                    drop_pages(slab.slot_base(run[0]), run.len() * slab.stride);
+                }
+            });
+        }
+        self.recycled.fetch_add(trimmed, Ordering::Relaxed);
+        trimmed
     }
 
     /// (pool hits, pool misses) since creation.
@@ -461,7 +554,8 @@ impl StackPool {
         self.peak_outstanding.load(Ordering::Relaxed)
     }
 
-    /// Releases whose backing pages were dropped with `MADV_DONTNEED`.
+    /// Free stacks whose backing pages the scavenger dropped with
+    /// `MADV_DONTNEED`, since creation.
     pub fn recycled(&self) -> usize {
         self.recycled.load(Ordering::Relaxed)
     }
@@ -469,8 +563,21 @@ impl StackPool {
     /// Number of stacks currently cached (owned freelist entries plus
     /// recycled slab slots).
     pub fn cached(&self) -> usize {
-        let owned: usize = self.classes.lock().iter().map(|(_, l)| l.len()).sum();
-        let dense: usize = self.slabs.lock().iter().map(|s| s.free.lock().len()).sum();
+        let owned: usize = self.classes.lock().iter().map(|(_, l)| l.items.len()).sum();
+        let dense: usize = self
+            .slabs
+            .lock()
+            .iter()
+            .map(|s| s.free.lock().items.len())
+            .sum();
+        owned + dense
+    }
+
+    /// Cached stacks still holding their pages (`cached()` minus the ones
+    /// the scavenger has trimmed).
+    pub fn warm(&self) -> usize {
+        let owned: usize = self.classes.lock().iter().map(|(_, l)| l.warm()).sum();
+        let dense: usize = self.slabs.lock().iter().map(|s| s.free.lock().warm()).sum();
         owned + dense
     }
 
@@ -482,7 +589,7 @@ impl StackPool {
         {
             let mut classes = self.classes.lock();
             for (_, list) in classes.iter_mut() {
-                while list.len() > max_cached {
+                while list.items.len() > max_cached {
                     drop(list.pop());
                     freed += 1;
                 }
@@ -492,7 +599,7 @@ impl StackPool {
             let mut slabs = self.slabs.lock();
             slabs.retain(|slab| {
                 if slab.is_idle() {
-                    freed += slab.free.lock().len();
+                    freed += slab.free.lock().items.len();
                     false // Arc drops; munmap runs (nothing outstanding).
                 } else {
                     true
@@ -652,25 +759,173 @@ mod tests {
         unreachable!("guard page was writable");
     }
 
-    #[test]
-    fn dontneed_zeroes_on_touch() {
-        // Satellite: after release (which MADV_DONTNEEDs), the recycled
-        // stack reads as zeroes — the dirtied pages were truly dropped.
-        let pool = StackPool::new(4);
-        let s = pool.acquire(32 * 1024).unwrap();
+    /// Dirty both ends of a stack.
+    fn dirty(s: &Stack) {
         unsafe {
             s.bottom().write_volatile(0x5A);
             s.top().sub(1).write_volatile(0xA5);
         }
-        let base = s.bottom() as usize;
-        pool.release(s);
-        let s = pool.acquire(32 * 1024).unwrap();
-        assert_eq!(s.bottom() as usize, base, "same stack back");
-        unsafe {
-            assert_eq!(s.bottom().read_volatile(), 0, "low byte zeroed");
-            assert_eq!(s.top().sub(1).read_volatile(), 0, "high byte zeroed");
+    }
+
+    fn ends(s: &Stack) -> (u8, u8) {
+        unsafe { (s.bottom().read_volatile(), s.top().sub(1).read_volatile()) }
+    }
+
+    /// A pool whose own `scavenge` attempts never fire, so a test decides
+    /// where every pass falls.
+    fn manual_pool() -> StackPool {
+        StackPool {
+            last_pass: AtomicU64::new(u64::MAX),
+            ..StackPool::new(4)
         }
-        assert!(pool.recycled() >= 1);
+    }
+
+    #[test]
+    fn dontneed_zeroes_on_touch() {
+        // A stack left free across two passes is trimmed exactly once and
+        // reads as zeroes afterwards — owned classes and dense slots alike.
+        let pool = manual_pool();
+        let acquire: [fn(&StackPool) -> Stack; 2] = [
+            |p| p.acquire(32 * 1024).unwrap(),
+            |p| p.acquire_dense(32 * 1024).unwrap(),
+        ];
+        for (i, acquire) in acquire.into_iter().enumerate() {
+            let s = acquire(&pool);
+            dirty(&s);
+            let base = s.bottom() as usize;
+            pool.release(s);
+            assert_eq!(pool.warm(), 1);
+            assert_eq!(pool.pass(), 0, "released inside this interval");
+            assert_eq!(pool.pass(), 1, "free through a whole interval");
+            assert_eq!(pool.pass(), 0, "already clean");
+            assert_eq!((pool.warm(), pool.recycled()), (0, i + 1));
+            let s = acquire(&pool);
+            assert_eq!(s.bottom() as usize, base, "same stack back");
+            assert_eq!(ends(&s), (0, 0), "pages were dropped");
+            // Hold nothing over to the next round.
+            pool.release(s);
+            pool.shrink(0);
+        }
+    }
+
+    #[test]
+    fn cycled_stack_is_never_trimmed() {
+        // A stack popped and pushed back inside every interval keeps its
+        // pages however the passes fall between the pops and pushes.
+        let pool = manual_pool();
+        for i in 0..10_000 {
+            let (o, d) = (
+                pool.acquire(16 * 1024).unwrap(),
+                pool.acquire_dense(16 * 1024).unwrap(),
+            );
+            if i > 0 {
+                assert_eq!((ends(&o), ends(&d)), ((0x5A, 0xA5), (0x5A, 0xA5)));
+            }
+            dirty(&o);
+            dirty(&d);
+            if i % 2 == 0 {
+                pool.pass();
+            }
+            pool.release(o);
+            pool.release(d);
+            pool.pass();
+        }
+        assert_eq!(pool.recycled(), 0);
+        assert_eq!(pool.warm(), 2);
+    }
+
+    #[test]
+    fn free_list_marks_stay_ordered() {
+        // Random pops, pushes and passes against a model: `clean <= low <=
+        // len` always; a pass trims only entries that sat on the list
+        // through the whole previous interval, each once per stay; and the
+        // bottom `clean` entries are exactly the trimmed ones.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut list = FreeList::<u32>::new(Vec::new());
+        let mut out: Vec<u32> = (0..32).collect();
+        // Per entry on the list: passes completed when it was pushed.
+        let mut pushed_at = [0usize; 32];
+        let mut trimmed = [false; 32];
+        let mut passes = 0usize;
+        for _ in 0..20_000 {
+            match next() % 5 {
+                0 | 1 if !out.is_empty() => {
+                    let id = out.swap_remove(next() as usize % out.len());
+                    pushed_at[id as usize] = passes;
+                    list.items.push(id);
+                }
+                2 | 3 => {
+                    if let Some(id) = list.pop() {
+                        trimmed[id as usize] = false;
+                        out.push(id);
+                    }
+                }
+                _ => {
+                    let n = list.pass(|stale| {
+                        for &mut id in stale {
+                            assert!(pushed_at[id as usize] < passes, "trimmed too early");
+                            assert!(!trimmed[id as usize], "trimmed twice in one stay");
+                            trimmed[id as usize] = true;
+                        }
+                    });
+                    passes += 1;
+                    assert!(n <= list.items.len());
+                }
+            }
+            assert!(list.clean <= list.low && list.low <= list.items.len());
+            for (at, &id) in list.items.iter().enumerate() {
+                assert_eq!(trimmed[id as usize], at < list.clean);
+            }
+        }
+        assert!(passes > 1000 && list.clean > 0);
+    }
+
+    #[test]
+    fn scavenger_never_trims_an_outstanding_slot() {
+        // Four threads take 1–3 dense slots, fill them with their own
+        // pattern, verify and release, while a fifth runs passes back to
+        // back (no interval). A pass that trimmed a slot somebody holds
+        // would zero a filled page under its owner.
+        const ROUNDS: usize = 1500;
+        let pool = &StackPool::new(4);
+        std::thread::scope(|sc| {
+            let workers = (0..4u8).map(|t| {
+                sc.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let held: Vec<Stack> = (0..1 + round % 3)
+                            .map(|_| pool.acquire_dense(16 * 1024).unwrap())
+                            .collect();
+                        let byte = 0x10 + t;
+                        for s in &held {
+                            unsafe { s.bottom().write_bytes(byte, s.usable_size()) };
+                        }
+                        std::thread::yield_now();
+                        for s in held {
+                            let bytes =
+                                unsafe { std::slice::from_raw_parts(s.bottom(), s.usable_size()) };
+                            assert!(bytes.iter().all(|&b| b == byte), "slot trimmed in use");
+                            pool.release(s);
+                        }
+                    }
+                })
+            });
+            let workers: Vec<_> = workers.collect();
+            // A worker that failed its check has finished too: the scope
+            // re-raises its panic once this loop ends.
+            while !workers.iter().all(|w| w.is_finished()) {
+                pool.pass();
+                assert!(pool.cached() <= pool.peak_outstanding());
+            }
+        });
+        assert_eq!(pool.outstanding(), 0);
+        assert!(pool.recycled() > 0, "the passes found nothing to trim");
+        assert!(pool.cached() <= pool.peak_outstanding());
     }
 
     #[test]

@@ -635,9 +635,9 @@ fn proc_storm(rt: &Runtime, fails: &Fails) {
                                     )),
                                 }
                             }
-                            if body.lines().count() != 10 {
+                            if body.lines().count() != 11 {
                                 f.push(format!(
-                                    "proc-w{w}: /proc/ulp/stat has {} lines, want 10",
+                                    "proc-w{w}: /proc/ulp/stat has {} lines, want 11",
                                     body.lines().count()
                                 ));
                             }
@@ -927,7 +927,7 @@ fn c1m_storm(rt: &Runtime, fails: &Fails) {
             pool.peak_outstanding()
         ));
     }
-    if n > WAVE && pool.recycled() == 0 {
+    if n > WAVE && pool.stats().0 == 0 {
         fails.push("c1m: second wave never recycled a first-wave stack".into());
     }
 }

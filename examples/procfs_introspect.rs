@@ -106,7 +106,7 @@ fn main() {
 
         // 3 — runtime-wide counters.
         let counters = read_proc("/proc/ulp/stat");
-        assert_eq!(counters.lines().count(), 10, "{counters:?}");
+        assert_eq!(counters.lines().count(), 11, "{counters:?}");
         assert!(
             counters.lines().any(|l| {
                 l.strip_prefix("couples ")
