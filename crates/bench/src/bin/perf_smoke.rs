@@ -18,6 +18,13 @@
 //! wave-bounded — a broken stack free-list turns ~10 MiB into gigabytes,
 //! so the RSS ceiling is structural, not a timing gate.
 //!
+//! Also gates the simulated-syscall path's scaling: the `syscall_mix` op mix
+//! on two bare bound threads sharing no object must complete at least 1.3×
+//! the calls per second of one such thread — both rates from this run, on
+//! this host, so the gate is a ratio and not a constant. Two unrelated
+//! processes' file calls serialising on a filesystem-wide lock read 0.65
+//! here. Skipped, with a message, on a host with fewer than two CPUs.
+//!
 //! Iteration counts are deliberately tiny (the min-of-runs protocol keeps
 //! even short runs stable on the fast paths measured here); the 25% margin
 //! absorbs shared-runner jitter.
@@ -37,6 +44,11 @@ const MIN_CHURN_FRACTION: f64 = 0.5;
 const CHURN_RSS_CEILING_MIB: f64 = 512.0;
 /// Ceiling on slots the scavenger trimmed ÷ ULPs churned.
 const CHURN_TRIM_CEILING: f64 = 0.25;
+
+/// Draws of the `syscall_mix` op mix per thread and measurement.
+const MIX_ENTRIES: usize = 400_000;
+/// Floor on two-thread ÷ one-thread `syscall_mix` calls per second.
+const MIN_MIX_SCALING: f64 = 1.3;
 
 /// Pull `"<field>": <num>` out of the committed BENCH_1.json row named
 /// `key` (hand-rolled: the build environment has no serde).
@@ -205,6 +217,29 @@ fn main() {
     );
     if !wake_ok {
         failed = true;
+    }
+
+    // Syscall-path scaling gate: best of three per side, so a neighbour's
+    // burst has to hit all three to move the ratio.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        println!("perf-smoke: skip syscall_mix scaling: fewer than 2 CPUs available");
+    } else {
+        let best = |threads| {
+            (0..3)
+                .map(|_| ulp_bench::workloads::syscall_mix_calls_per_sec(threads, MIX_ENTRIES))
+                .fold(0.0, f64::max)
+        };
+        let (one, two) = (best(1), best(2));
+        let scaling = two / one;
+        println!(
+            "perf-smoke: {} syscall_mix scaling: 2 threads {:.2} M calls/s ÷ 1 thread {:.2} M calls/s = {scaling:.2} (floor {MIN_MIX_SCALING})",
+            if scaling >= MIN_MIX_SCALING { "ok" } else { "FAIL" },
+            two / 1e6,
+            one / 1e6,
+        );
+        if scaling < MIN_MIX_SCALING {
+            failed = true;
+        }
     }
 
     if failed {

@@ -469,6 +469,81 @@ pub fn oversub_switches_per_sec(
     (n_blts * yields_each) as f64 / secs
 }
 
+// ------------------------------------------------ syscall-path scaling gate
+
+/// Aggregate simulated-syscall throughput (calls per second) of `threads`
+/// bare bound threads — no runtime, `Kernel::sys_*` directly — each issuing
+/// `entries` draws of `ulpbench`'s `syscall_mix` op mix (`getpid` 30 %,
+/// `pread`/`pwrite` 256 B 15 % each, `stat` 10 %, `open`→`close` 10 %,
+/// `lseek` 5 %, pipe and socketpair `write`→`read` 8 % and 7 %) against its
+/// own process, 64 KiB file, pipe and socketpair. The threads share no
+/// object, so the one-thread and two-thread rates differ by whatever
+/// kernel-global state the calls still contend on — and by nothing else.
+pub fn syscall_mix_calls_per_sec(threads: usize, entries: usize) -> f64 {
+    const FILE_LEN: u64 = 64 * 1024;
+    const IO: usize = 256;
+    let k = ulp_kernel::Kernel::native();
+    let start = std::sync::Barrier::new(threads + 1);
+    let (calls, secs) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (k, start) = (&k, &start);
+                s.spawn(move || {
+                    let pid = k.spawn_process(Some(ulp_kernel::Pid(1)), &format!("mix{t}"));
+                    k.bind_current(pid);
+                    let path = format!("/scaling_mix_{t}.dat");
+                    let flags = OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::TRUNC;
+                    let file = k.sys_open(&path, flags).expect("open");
+                    k.sys_pwrite(file, 0, &vec![0x5A; FILE_LEN as usize])
+                        .expect("fill");
+                    let (pr, pw) = k.sys_pipe().expect("pipe");
+                    let (sa, sb) = k.sys_socketpair().expect("socketpair");
+                    let (data, mut buf) = ([0xA5u8; IO], [0u8; IO]);
+                    let mut calls = 0u64;
+                    start.wait();
+                    for i in 0..entries as u64 {
+                        // One draw per entry chooses the op and the offset.
+                        let r = ulp_core::chaos::splitmix64((t as u64) << 48 | i);
+                        let off = (r >> 8) % (FILE_LEN - IO as u64 + 1);
+                        calls += match r % 100 {
+                            0..=29 => k.sys_getpid().map(|_| 1),
+                            30..=44 => k.sys_pread(file, off, &mut buf).map(|_| 1),
+                            45..=59 => k.sys_pwrite(file, off, &data).map(|_| 1),
+                            60..=69 => k.sys_stat(&path).map(|_| 1),
+                            70..=79 => k
+                                .sys_open(&path, OpenFlags::RDONLY)
+                                .and_then(|fd| k.sys_close(fd))
+                                .map(|_| 2),
+                            80..=84 => k
+                                .sys_lseek(file, off as i64, ulp_kernel::Whence::Set)
+                                .map(|_| 1),
+                            85..=92 => k
+                                .sys_write(pw, &data)
+                                .and_then(|_| k.sys_read(pr, &mut buf))
+                                .map(|_| 2),
+                            _ => k
+                                .sys_write(sa, &data)
+                                .and_then(|_| k.sys_read(sb, &mut buf))
+                                .map(|_| 2),
+                        }
+                        .expect("syscall_mix call");
+                    }
+                    k.unbind_current();
+                    calls
+                })
+            })
+            .collect();
+        start.wait();
+        let t = Instant::now();
+        let calls: u64 = workers
+            .into_iter()
+            .map(|w| w.join().expect("syscall_mix thread"))
+            .sum();
+        (calls, t.elapsed().as_secs_f64())
+    });
+    calls as f64 / secs
+}
+
 // ------------------------------------------------- Pooled-ULP scale rows
 
 /// Current `VmRSS` of this process in MiB, from `/proc/self/status` (0.0

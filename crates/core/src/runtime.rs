@@ -107,8 +107,11 @@ pub struct Config {
     pub pool_kcs: usize,
     /// Usable stack size for pooled ULPs. Smaller than the sibling default:
     /// pooled stacks come from dense slab slots (no per-stack guard VMA) so
-    /// a million of them fit under `vm.max_map_count`, and are
-    /// `MADV_DONTNEED`ed on recycle so RSS tracks live ULPs.
+    /// a million of them fit under `vm.max_map_count`, and are recycled
+    /// warm: a released slot keeps its pages, and only the stack pool's
+    /// scavenger `madvise`s back the ones that stay free, so RSS tracks
+    /// live plus recently reused ULPs (DESIGN.md §4, "KC pool & stack
+    /// recycling").
     pub pooled_stack_size: usize,
     /// Per-KC trace-ring capacity in records (clamped to `[16, 2^20]`,
     /// rounded up to a power of two). The default suits microbenches;

@@ -9,7 +9,7 @@
 //! mode `couple()`/`decouple()` exists to prevent.
 
 use crate::errno::{Errno, KResult};
-use crate::fs::{FileSystem, Ino, OpenFlags};
+use crate::fs::{FileLike, OpenFlags};
 use crate::pipe::{PipeReader, PipeWriter};
 use crate::poll::EpollObject;
 use crate::socket::{Listener, SocketEnd};
@@ -28,15 +28,10 @@ pub struct Fd(pub i32);
 /// [`crate::trace`]).
 #[derive(Debug)]
 pub enum FileObject {
-    /// A file or directory on a mounted filesystem (tmpfs, procfs, …).
-    /// The description pins the filesystem it was opened on, so reads keep
-    /// working against the right mount even if the table changes.
-    File {
-        /// The filesystem the inode lives on.
-        fs: Arc<dyn FileSystem>,
-        /// The inode within that filesystem.
-        ino: Ino,
-    },
+    /// A file or directory on a mounted filesystem (tmpfs, procfs, …): the
+    /// handle `open` returned. File calls go straight to it, and dropping it
+    /// with the description is all the filesystem ever sees of a close.
+    File(Arc<dyn FileLike>),
     /// Read end of a pipe (blocking reads may sleep the calling KC).
     PipeRead(PipeReader),
     /// Write end of a pipe (blocking writes may sleep the calling KC).
@@ -53,7 +48,10 @@ pub enum FileObject {
 }
 
 /// An *open file description* (POSIX term): shared offset + flags. `dup`ed
-/// descriptors share one description, as on Linux.
+/// descriptors share one description, as on Linux, and a call in flight
+/// holds a clone of its own, so the object is released exactly when the last
+/// of the descriptors *and* calls using it is done — by `Drop`, not by
+/// anybody counting.
 #[derive(Debug)]
 pub struct Description {
     /// What the description refers to (tmpfs file, pipe end, …).
@@ -112,8 +110,7 @@ impl FdTable {
             .ok_or(Errno::EBADF)
     }
 
-    /// Remove a descriptor, returning its description so the caller can
-    /// release filesystem resources.
+    /// Remove a descriptor, returning its description.
     pub fn remove(&mut self, fd: Fd) -> KResult<DescriptionRef> {
         if fd.0 < 0 {
             return Err(Errno::EBADF);
@@ -131,7 +128,8 @@ impl FdTable {
     }
 
     /// `dup2(2)`: duplicate onto a specific slot, closing what was there.
-    /// Returns the previous occupant (if any) so the caller can release it.
+    /// Returns the previous occupant (if any), to be dropped outside the
+    /// table's lock.
     pub fn dup2(&mut self, fd: Fd, newfd: Fd) -> KResult<Option<DescriptionRef>> {
         if newfd.0 < 0 || newfd.0 as usize >= self.limit {
             return Err(Errno::EBADF);
@@ -154,8 +152,8 @@ impl FdTable {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Drain every descriptor (process exit). Returns the descriptions so
-    /// the kernel can release inode references.
+    /// Drain every descriptor (process exit). Returns the descriptions, to
+    /// be dropped outside the table's lock.
     pub fn drain(&mut self) -> Vec<DescriptionRef> {
         self.slots.iter_mut().filter_map(|s| s.take()).collect()
     }
@@ -171,10 +169,12 @@ impl Default for FdTable {
 mod tests {
     use super::*;
 
-    fn file_desc(ino: u64) -> DescriptionRef {
-        let fs: Arc<dyn FileSystem> = Arc::new(crate::fs::Tmpfs::new());
+    fn file_desc() -> DescriptionRef {
+        let file = crate::fs::Tmpfs::new()
+            .open("/", "/f", OpenFlags::RDWR | OpenFlags::CREAT)
+            .unwrap();
         Arc::new(Description {
-            object: FileObject::File { fs, ino: Ino(ino) },
+            object: FileObject::File(file),
             offset: Mutex::new(0),
             flags: OpenFlags::RDWR,
         })
@@ -183,19 +183,19 @@ mod tests {
     #[test]
     fn lowest_free_slot_allocation() {
         let mut t = FdTable::new();
-        let a = t.install(file_desc(1)).unwrap();
-        let b = t.install(file_desc(2)).unwrap();
-        let c = t.install(file_desc(3)).unwrap();
+        let a = t.install(file_desc()).unwrap();
+        let b = t.install(file_desc()).unwrap();
+        let c = t.install(file_desc()).unwrap();
         assert_eq!((a, b, c), (Fd(0), Fd(1), Fd(2)));
         t.remove(b).unwrap();
-        let d = t.install(file_desc(4)).unwrap();
+        let d = t.install(file_desc()).unwrap();
         assert_eq!(d, Fd(1), "freed slot must be reused first");
     }
 
     #[test]
     fn get_after_remove_is_ebadf() {
         let mut t = FdTable::new();
-        let fd = t.install(file_desc(1)).unwrap();
+        let fd = t.install(file_desc()).unwrap();
         t.remove(fd).unwrap();
         assert_eq!(t.get(fd).unwrap_err(), Errno::EBADF);
         assert_eq!(t.remove(fd).unwrap_err(), Errno::EBADF);
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn dup_shares_description() {
         let mut t = FdTable::new();
-        let fd = t.install(file_desc(9)).unwrap();
+        let fd = t.install(file_desc()).unwrap();
         let dup = t.dup(fd).unwrap();
         assert_ne!(fd, dup);
         let a = t.get(fd).unwrap();
@@ -224,10 +224,11 @@ mod tests {
     #[test]
     fn dup2_replaces_and_returns_old() {
         let mut t = FdTable::new();
-        let a = t.install(file_desc(1)).unwrap();
-        let b = t.install(file_desc(2)).unwrap();
+        let a = t.install(file_desc()).unwrap();
+        let second = file_desc();
+        let b = t.install(second.clone()).unwrap();
         let old = t.dup2(a, b).unwrap().expect("b was occupied");
-        assert!(matches!(old.object, FileObject::File { ino: Ino(2), .. }));
+        assert!(Arc::ptr_eq(&old, &second));
         let now = t.get(b).unwrap();
         assert!(Arc::ptr_eq(&now, &t.get(a).unwrap()));
     }
@@ -235,7 +236,7 @@ mod tests {
     #[test]
     fn dup2_same_fd_is_noop() {
         let mut t = FdTable::new();
-        let a = t.install(file_desc(1)).unwrap();
+        let a = t.install(file_desc()).unwrap();
         assert!(t.dup2(a, a).unwrap().is_none());
         assert!(t.get(a).is_ok());
     }
@@ -243,7 +244,7 @@ mod tests {
     #[test]
     fn dup2_extends_table() {
         let mut t = FdTable::new();
-        let a = t.install(file_desc(1)).unwrap();
+        let a = t.install(file_desc()).unwrap();
         t.dup2(a, Fd(10)).unwrap();
         assert!(t.get(Fd(10)).is_ok());
         assert_eq!(t.open_count(), 2);
@@ -252,8 +253,8 @@ mod tests {
     #[test]
     fn drain_empties_table() {
         let mut t = FdTable::new();
-        for i in 0..5 {
-            t.install(file_desc(i)).unwrap();
+        for _ in 0..5 {
+            t.install(file_desc()).unwrap();
         }
         let drained = t.drain();
         assert_eq!(drained.len(), 5);
@@ -264,9 +265,9 @@ mod tests {
     fn fd_limit_enforced() {
         let mut t = FdTable::new();
         t.limit = 3;
-        t.install(file_desc(0)).unwrap();
-        t.install(file_desc(1)).unwrap();
-        t.install(file_desc(2)).unwrap();
-        assert_eq!(t.install(file_desc(3)).unwrap_err(), Errno::EMFILE);
+        t.install(file_desc()).unwrap();
+        t.install(file_desc()).unwrap();
+        t.install(file_desc()).unwrap();
+        assert_eq!(t.install(file_desc()).unwrap_err(), Errno::EMFILE);
     }
 }

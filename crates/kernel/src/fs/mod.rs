@@ -12,7 +12,8 @@
 //! mount seam ([`FileSystem`] + [`MountTable`], see [`vfs`](self)): path
 //! resolution dispatches on the longest mounted prefix, and a read-only
 //! [`ProcFs`] is mounted at `/proc` to expose the live runtime to its own
-//! ULPs.
+//! ULPs. What `open` returns is a [`FileLike`] handle that the open file
+//! description holds; file calls go to it, not back through the mount.
 
 mod path;
 mod procfs;
@@ -22,7 +23,7 @@ mod vfs;
 pub use path::{normalize, split_parent, strip_prefix, Components};
 pub use procfs::{install_proc_provider, ProcFs, ProcProvider, ProcSource};
 pub use tmpfs::{DirEntry, FileStat, Ino, IoModel, Tmpfs, MAX_FILE_SIZE};
-pub use vfs::{FileSystem, Mount, MountTable};
+pub use vfs::{FileLike, FileSystem, Mount, MountTable};
 
 /// Open flags, mirroring the POSIX `O_*` constants the paper's benchmark
 /// uses (`open(O_CREAT|O_WRONLY|O_TRUNC)`).

@@ -17,8 +17,9 @@
 //!
 //! ## Content is frozen at `open()`
 //!
-//! File bodies are generated **lazily at `open()`** and pinned to the
-//! descriptor until `close()`. Reads then serve immutable bytes, so partial
+//! File bodies are generated **lazily at `open()`** and handed to the open
+//! file description as its [`FileLike`] handle — the procfs keeps no record
+//! of what is open. Reads then serve immutable bytes, so partial
 //! reads, seeks, `dup2`'d descriptors and injected `EINTR`/short reads can
 //! never observe a torn in-between state — the same snapshot semantics
 //! Linux procfs gives within a single open file description. The snapshot
@@ -39,14 +40,13 @@
 //! kernel-side fields.
 
 use super::tmpfs::{DirEntry, FileStat, Ino};
-use super::{FileSystem, OpenFlags};
+use super::vfs::read_slice_at;
+use super::{FileLike, FileSystem, OpenFlags};
 use crate::errno::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::process::{Pid, ProcState};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, Weak};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Which runtime-sourced document the procfs is asking the provider for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +86,7 @@ fn provide(source: ProcSource) -> Option<String> {
 /// Placeholder body for `ulp` files when no runtime is attached.
 const NO_RUNTIME: &str = "# ulp runtime not attached\n";
 
-// Stable inode numbers for the synthetic tree. Directories and files keep
-// fixed identities; per-open content handles live above `OPEN_INO_BASE`.
+// Stable inode numbers for the synthetic tree.
 const INO_ROOT: Ino = Ino(0);
 const INO_ULP_DIR: Ino = Ino(1);
 const INO_ULP_METRICS: Ino = Ino(2);
@@ -95,8 +94,6 @@ const INO_ULP_PROFILE: Ino = Ino(3);
 const INO_ULP_STAT: Ino = Ino(4);
 const PID_DIR_BASE: u64 = 0x1_0000;
 const PID_STAT_BASE: u64 = 0x2_0000;
-/// Inos at or above this are per-open frozen-content handles.
-const OPEN_INO_BASE: u64 = 1 << 32;
 
 /// What a normalized mount-relative path names inside the procfs tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,23 +130,43 @@ impl Node {
     }
 }
 
-/// The procfs: a [`Weak`] back-reference to its kernel (for the process
-/// table and the calling thread's binding) plus the table of per-open
-/// frozen file bodies.
-pub struct ProcFs {
-    kernel: Weak<Kernel>,
-    /// Per-open frozen content, keyed by the handle ino. Never held while
-    /// generating content (the provider may block on runtime locks).
-    open_files: Mutex<HashMap<u64, String>>,
-    next_open_ino: AtomicU64,
+/// An opened procfs node, as the open description holds it: the node's
+/// `stat` and, for a file, its body — both frozen at `open()`.
+#[derive(Debug)]
+struct Snapshot {
+    stat: FileStat,
+    /// `None` for a directory.
+    body: Option<String>,
 }
 
-impl std::fmt::Debug for ProcFs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProcFs")
-            .field("open_files", &self.open_files.lock().len())
-            .finish()
+impl FileLike for Snapshot {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> KResult<usize> {
+        let body = self.body.as_ref().ok_or(Errno::EISDIR)?;
+        Ok(read_slice_at(body.as_bytes(), offset, buf))
     }
+
+    fn write_at(&self, _offset: u64, _src: &[u8]) -> KResult<usize> {
+        Err(Errno::EROFS)
+    }
+
+    fn size(&self) -> KResult<u64> {
+        Ok(self.body.as_ref().ok_or(Errno::EISDIR)?.len() as u64)
+    }
+
+    fn truncate(&self, _len: u64) -> KResult<()> {
+        Err(Errno::EROFS)
+    }
+
+    fn stat(&self) -> FileStat {
+        self.stat
+    }
+}
+
+/// The procfs: a [`Weak`] back-reference to its kernel (for the process
+/// table and the calling thread's binding) and nothing else.
+#[derive(Debug)]
+pub struct ProcFs {
+    kernel: Weak<Kernel>,
 }
 
 impl ProcFs {
@@ -157,14 +174,10 @@ impl ProcFs {
     /// inside `Arc::new_cyclic`, so only a [`Weak`] handle exists here —
     /// the procfs can never keep its own kernel alive.
     pub(crate) fn new(kernel: Weak<Kernel>) -> ProcFs {
-        ProcFs {
-            kernel,
-            open_files: Mutex::new(HashMap::new()),
-            next_open_ino: AtomicU64::new(OPEN_INO_BASE),
-        }
+        ProcFs { kernel }
     }
 
-    fn kernel(&self) -> KResult<std::sync::Arc<Kernel>> {
+    fn kernel(&self) -> KResult<Arc<Kernel>> {
         self.kernel.upgrade().ok_or(Errno::ENOENT)
     }
 
@@ -202,13 +215,28 @@ impl ProcFs {
         }
     }
 
-    /// Generate a file node's current body. Runs outside every procfs lock.
-    fn generate(&self, node: Node) -> KResult<String> {
-        match node {
-            Node::PidStat(pid) => self.pid_stat(pid),
-            Node::UlpFile(src) => Ok(provide(src).unwrap_or_else(|| NO_RUNTIME.to_string())),
-            _ => Err(Errno::EISDIR),
-        }
+    /// Freeze `node` as it is now: a file's body is generated here.
+    fn snapshot(&self, node: Node) -> KResult<Snapshot> {
+        let body = match node {
+            Node::PidStat(pid) => Some(self.pid_stat(pid)?),
+            Node::UlpFile(src) => Some(provide(src).unwrap_or_else(|| NO_RUNTIME.to_string())),
+            Node::Root | Node::PidDir(_) | Node::UlpDir => None,
+        };
+        let size = match (&body, node) {
+            (Some(body), _) => body.len() as u64,
+            (None, Node::Root) => self.pids()?.len() as u64 + 2, // pid dirs + self + ulp
+            (None, Node::UlpDir) => 3,
+            (None, _) => 1, // a pid directory holds `stat`
+        };
+        Ok(Snapshot {
+            stat: FileStat {
+                ino: node.ino(),
+                size,
+                is_dir: node.is_dir(),
+                nlink: 1,
+            },
+            body,
+        })
     }
 
     /// The `/proc/<pid>/stat` line: kernel-side fields, then whatever the
@@ -251,7 +279,7 @@ impl FileSystem for ProcFs {
         "proc"
     }
 
-    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Ino> {
+    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Arc<dyn FileLike>> {
         let node = match self.classify(rel) {
             Ok(n) => n,
             // Creating a file is a write: a read-only fs refuses it even
@@ -259,40 +287,18 @@ impl FileSystem for ProcFs {
             Err(Errno::ENOENT) if flags.contains(OpenFlags::CREAT) => return Err(Errno::EROFS),
             Err(e) => return Err(e),
         };
-        if node.is_dir() {
-            if flags.writable() {
-                return Err(Errno::EISDIR);
-            }
-            return Ok(node.ino());
-        }
         if flags.writable() {
-            return Err(Errno::EROFS);
+            return Err(if node.is_dir() {
+                Errno::EISDIR
+            } else {
+                Errno::EROFS
+            });
         }
-        // Freeze the body now, before taking the open-file table lock.
-        let content = self.generate(node)?;
-        let ino = Ino(self.next_open_ino.fetch_add(1, Ordering::Relaxed));
-        self.open_files.lock().insert(ino.0, content);
-        Ok(ino)
-    }
-
-    fn resolve_rel(&self, rel: &[&str]) -> KResult<Ino> {
-        Ok(self.classify(rel)?.ino())
+        Ok(Arc::new(self.snapshot(node)?))
     }
 
     fn stat_rel(&self, rel: &[&str]) -> KResult<FileStat> {
-        let node = self.classify(rel)?;
-        let size = match node {
-            Node::Root => self.pids()?.len() as u64 + 2, // pid dirs + self + ulp
-            Node::PidDir(_) => 1,
-            Node::UlpDir => 3,
-            _ => self.generate(node)?.len() as u64,
-        };
-        Ok(FileStat {
-            ino: node.ino(),
-            size,
-            is_dir: node.is_dir(),
-            nlink: 1,
-        })
+        Ok(self.snapshot(self.classify(rel)?)?.stat)
     }
 
     fn mkdir_rel(&self, _rel: &[&str]) -> KResult<Ino> {
@@ -341,43 +347,6 @@ impl FileSystem for ProcFs {
                 dir_entry("stat", Node::UlpFile(ProcSource::RuntimeStat)),
             ]),
             _ => Err(Errno::ENOTDIR),
-        }
-    }
-
-    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> KResult<usize> {
-        if ino.0 < OPEN_INO_BASE {
-            return Err(Errno::EISDIR);
-        }
-        let files = self.open_files.lock();
-        let content = files.get(&ino.0).ok_or(Errno::EBADF)?.as_bytes();
-        let off = offset as usize;
-        if off >= content.len() {
-            return Ok(0);
-        }
-        let n = buf.len().min(content.len() - off);
-        buf[..n].copy_from_slice(&content[off..off + n]);
-        Ok(n)
-    }
-
-    fn write_at(&self, _ino: Ino, _offset: u64, _src: &[u8]) -> KResult<usize> {
-        Err(Errno::EROFS)
-    }
-
-    fn size(&self, ino: Ino) -> KResult<u64> {
-        if ino.0 < OPEN_INO_BASE {
-            return Err(Errno::EISDIR);
-        }
-        let files = self.open_files.lock();
-        Ok(files.get(&ino.0).ok_or(Errno::EBADF)?.len() as u64)
-    }
-
-    fn truncate(&self, _ino: Ino, _len: u64) -> KResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn release(&self, ino: Ino) {
-        if ino.0 >= OPEN_INO_BASE {
-            self.open_files.lock().remove(&ino.0);
         }
     }
 }

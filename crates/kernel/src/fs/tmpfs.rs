@@ -1,38 +1,38 @@
-//! The tmpfs proper: an inode table behind a lock, file data in `Vec<u8>`.
+//! The tmpfs proper: inodes as `Arc` handles, file data in `Vec<u8>`.
+//!
+//! An inode is an `Arc<Inode>`, kept alive by the names that link it and by
+//! the open file descriptions that hold it as their [`FileLike`] handle — an
+//! unlinked-but-open file lives exactly as long as a description does, and
+//! nothing counts opens or reclaims. What a call shares follows from that:
+//!
+//! - A call on an **open file** (`pread`, `pwrite`, `read`, `write`,
+//!   `lseek(END)`, `ftruncate`, `close`) goes to the handle: the file's own
+//!   data lock and reference count, no filesystem-wide state.
+//! - A call that **looks a name up** (`stat`, `open` of an existing name,
+//!   `readdir`) takes the namespace — the directory tree, owned top-down
+//!   from the root — *shared*: one shard of a [`ShardedLock`], the calling
+//!   thread's, so two threads resolving paths write no common cache line.
+//! - Only a call that **changes a name** (`open` that creates, `mkdir`,
+//!   `unlink`, `rmdir`, `link`, `rename`) takes it *exclusive*
+//!   ([`Tmpfs::exclusive_acquisitions`] counts them).
 
-use super::{normalize, split_parent, FileSystem, OpenFlags};
+use super::vfs::read_slice_at;
+use super::{normalize, split_parent, FileLike, FileSystem, OpenFlags};
 use crate::errno::{Errno, KResult};
+use crossbeam::sync::{ShardedLock, ShardedLockReadGuard, ShardedLockWriteGuard};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ino(pub u64);
 
-/// Root directory inode.
-pub const ROOT_INO: Ino = Ino(0);
-
 /// Largest size a tmpfs file may reach: `write_at`/`truncate` past it fail
 /// with `EFBIG` instead of zero-filling up to whatever offset the caller
 /// named — the data lives in the simulation's own address space.
 pub const MAX_FILE_SIZE: u64 = 1 << 30;
-
-#[derive(Debug)]
-enum InodeKind {
-    File { data: Vec<u8> },
-    Dir { entries: BTreeMap<String, Ino> },
-}
-
-#[derive(Debug)]
-struct Inode {
-    kind: InodeKind,
-    /// Link count; an unlinked-but-open file keeps its data until the last
-    /// descriptor closes (handled by the FD layer holding `Ino` plus the
-    /// tmpfs only reclaiming in `release`).
-    nlink: u32,
-    /// Open descriptor count (managed by the FD layer via `acquire`/`release`).
-    open_count: u32,
-}
 
 /// Metadata snapshot returned by `stat`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub struct DirEntry {
 }
 
 /// Additional modeled transfer cost applied to tmpfs reads/writes, outside
-/// the inode lock.
+/// the file's data lock.
 ///
 /// On the paper's testbeds a tmpfs write is a memcpy performed by the
 /// calling core. On a single-core reproduction host that makes genuine
@@ -130,149 +130,320 @@ impl IoModel {
     }
 }
 
-/// An in-memory filesystem shared by every process of a simulated kernel.
+/// What the inodes of one tmpfs share; may outlive the [`Tmpfs`] value (an
+/// open description keeps its inode, the inode keeps this).
 #[derive(Debug)]
-pub struct Tmpfs {
-    inner: RwLock<TmpfsInner>,
+struct Shared {
     /// io model, stored as (fixed_ns, ns_per_byte bits, spin_threshold).
-    io_fixed: std::sync::atomic::AtomicU64,
-    io_per_byte_bits: std::sync::atomic::AtomicU64,
-    io_spin_threshold: std::sync::atomic::AtomicU64,
+    io_fixed: AtomicU64,
+    io_per_byte_bits: AtomicU64,
+    io_spin_threshold: AtomicU64,
+    /// Inodes alive: up in [`Inode::new`], down in its `Drop`.
+    live: AtomicUsize,
+    /// The next inode number; numbers are never reused.
+    next_ino: AtomicU64,
 }
 
-#[derive(Debug)]
-struct TmpfsInner {
-    inodes: Vec<Option<Inode>>,
-    free: Vec<usize>,
-}
-
-impl TmpfsInner {
-    fn get(&self, ino: Ino) -> KResult<&Inode> {
-        self.inodes
-            .get(ino.0 as usize)
-            .and_then(|s| s.as_ref())
-            .ok_or(Errno::ENOENT)
-    }
-
-    fn get_mut(&mut self, ino: Ino) -> KResult<&mut Inode> {
-        self.inodes
-            .get_mut(ino.0 as usize)
-            .and_then(|s| s.as_mut())
-            .ok_or(Errno::ENOENT)
-    }
-
-    fn alloc(&mut self, inode: Inode) -> Ino {
-        if let Some(slot) = self.free.pop() {
-            self.inodes[slot] = Some(inode);
-            Ino(slot as u64)
-        } else {
-            self.inodes.push(Some(inode));
-            Ino((self.inodes.len() - 1) as u64)
-        }
-    }
-
-    /// Walk `comps` down from the root directory.
-    fn resolve(&self, comps: &[&str]) -> KResult<Ino> {
-        let mut cur = ROOT_INO;
-        for comp in comps {
-            match &self.get(cur)?.kind {
-                InodeKind::Dir { entries } => {
-                    cur = *entries.get(*comp).ok_or(Errno::ENOENT)?;
-                }
-                InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-            }
-        }
-        Ok(cur)
-    }
-
-    /// Resolve the directory holding `comps`' final name; `EINVAL` for the
-    /// root, which has none.
-    fn resolve_parent<'a>(&self, comps: &[&'a str]) -> KResult<(Ino, &'a str)> {
-        let (parent, name) = split_parent(comps).ok_or(Errno::EINVAL)?;
-        Ok((self.resolve(parent)?, name))
-    }
-
-    /// The entries of the directory `ino` (`ENOTDIR` for a file).
-    fn dir_mut(&mut self, ino: Ino) -> KResult<&mut BTreeMap<String, Ino>> {
-        match &mut self.get_mut(ino)?.kind {
-            InodeKind::Dir { entries } => Ok(entries),
-            InodeKind::File { .. } => Err(Errno::ENOTDIR),
-        }
-    }
-
-    /// The inode `name` refers to inside the directory `dir`.
-    fn lookup(&self, dir: Ino, name: &str) -> KResult<Ino> {
-        match &self.get(dir)?.kind {
-            InodeKind::Dir { entries } => entries.get(name).copied().ok_or(Errno::ENOENT),
-            InodeKind::File { .. } => Err(Errno::ENOTDIR),
-        }
-    }
-
-    /// Drop an inode if it has neither links nor open descriptors.
-    fn maybe_reclaim(&mut self, ino: Ino) {
-        if ino == ROOT_INO {
-            return;
-        }
-        if let Ok(node) = self.get(ino) {
-            if node.nlink == 0 && node.open_count == 0 {
-                self.inodes[ino.0 as usize] = None;
-                self.free.push(ino.0 as usize);
-            }
-        }
-    }
-}
-
-impl Tmpfs {
-    /// An empty filesystem containing only the root directory.
-    pub fn new() -> Tmpfs {
-        let root = Inode {
-            kind: InodeKind::Dir {
-                entries: BTreeMap::new(),
-            },
-            nlink: 1,
-            open_count: 0,
-        };
-        Tmpfs {
-            inner: RwLock::new(TmpfsInner {
-                inodes: vec![Some(root)],
-                free: Vec::new(),
-            }),
-            io_fixed: std::sync::atomic::AtomicU64::new(0),
-            io_per_byte_bits: std::sync::atomic::AtomicU64::new(0f64.to_bits()),
-            io_spin_threshold: std::sync::atomic::AtomicU64::new(5_000),
-        }
-    }
-
-    /// Install a modeled transfer cost for reads and writes.
-    pub fn set_io_model(&self, model: IoModel) {
-        use std::sync::atomic::Ordering;
-        self.io_fixed.store(model.fixed_ns, Ordering::Relaxed);
-        self.io_per_byte_bits
-            .store(model.ns_per_byte.to_bits(), Ordering::Relaxed);
-        self.io_spin_threshold
-            .store(model.spin_threshold_ns, Ordering::Relaxed);
-    }
-
-    /// The current transfer-cost model.
-    pub fn io_model(&self) -> IoModel {
-        use std::sync::atomic::Ordering;
+impl Shared {
+    fn io_model(&self) -> IoModel {
         IoModel {
             fixed_ns: self.io_fixed.load(Ordering::Relaxed),
             ns_per_byte: f64::from_bits(self.io_per_byte_bits.load(Ordering::Relaxed)),
             spin_threshold_ns: self.io_spin_threshold.load(Ordering::Relaxed),
         }
     }
+}
+
+#[derive(Debug)]
+enum Kind {
+    /// A file's bytes, behind the file's own lock.
+    File(RwLock<Vec<u8>>),
+    /// A directory. Its entries live in the namespace tree (see [`Dir`]).
+    Dir,
+}
+
+/// A file or directory: the object names link to and open descriptions
+/// hold. Freed when the last of either lets go.
+#[derive(Debug)]
+struct Inode {
+    ino: Ino,
+    /// Names linking this inode (the root counts as named). Written only
+    /// under the exclusive namespace lock, by [`Dir::insert`]/[`Dir::remove`].
+    nlink: AtomicU32,
+    /// A file's length, a directory's entry count: what `stat` reports,
+    /// without a lock of the inode's. Stored inside the lock that guards the
+    /// change (data lock, exclusive namespace lock); that lock, not this
+    /// value, publishes the bytes, hence `Relaxed`.
+    size: AtomicU64,
+    kind: Kind,
+    shared: Arc<Shared>,
+}
+
+impl Inode {
+    fn new(shared: &Arc<Shared>, kind: Kind) -> Arc<Inode> {
+        shared.live.fetch_add(1, Ordering::Relaxed);
+        Arc::new(Inode {
+            ino: Ino(shared.next_ino.fetch_add(1, Ordering::Relaxed)),
+            nlink: AtomicU32::new(0),
+            size: AtomicU64::new(0),
+            kind,
+            shared: shared.clone(),
+        })
+    }
+
+    /// Change the file's bytes under its data lock (`EISDIR` for a
+    /// directory) and record the new length.
+    fn update(&self, change: impl FnOnce(&mut Vec<u8>)) -> KResult<()> {
+        let Kind::File(data) = &self.kind else {
+            return Err(Errno::EISDIR);
+        };
+        let mut data = data.write();
+        change(&mut data);
+        self.size.store(data.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+impl Drop for Inode {
+    fn drop(&mut self) {
+        self.shared.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl FileLike for Inode {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> KResult<usize> {
+        let Kind::File(data) = &self.kind else {
+            return Err(Errno::EISDIR);
+        };
+        let n = read_slice_at(&data.read(), offset, buf);
+        // Modeled transfer time is charged outside the data lock so it
+        // does not serialize other users of the file.
+        self.shared.io_model().charge(n);
+        Ok(n)
+    }
+
+    /// Extends the file (zero-filling a gap) as needed; `EFBIG`, with the
+    /// file untouched, if that would grow it past [`MAX_FILE_SIZE`]. This is
+    /// the memcpy whose duration Figs. 7–8 measure (plus the optional
+    /// modeled transfer time, charged outside the lock).
+    fn write_at(&self, offset: u64, src: &[u8]) -> KResult<usize> {
+        let end = offset
+            .checked_add(src.len() as u64)
+            .filter(|&end| end <= MAX_FILE_SIZE)
+            .ok_or(Errno::EFBIG)? as usize;
+        self.update(|data| {
+            if end > data.len() {
+                data.resize(end, 0);
+            }
+            data[end - src.len()..end].copy_from_slice(src);
+        })?;
+        self.shared.io_model().charge(src.len());
+        Ok(src.len())
+    }
+
+    fn size(&self) -> KResult<u64> {
+        match self.kind {
+            Kind::File(_) => Ok(self.size.load(Ordering::Relaxed)),
+            Kind::Dir => Err(Errno::EISDIR),
+        }
+    }
+
+    /// `EFBIG`, with the file untouched, past [`MAX_FILE_SIZE`].
+    fn truncate(&self, len: u64) -> KResult<()> {
+        if len > MAX_FILE_SIZE {
+            return Err(Errno::EFBIG);
+        }
+        self.update(|data| data.resize(len as usize, 0))
+    }
+
+    fn stat(&self) -> FileStat {
+        FileStat {
+            ino: self.ino,
+            size: self.size.load(Ordering::Relaxed),
+            is_dir: matches!(self.kind, Kind::Dir),
+            nlink: self.nlink.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// What a name refers to.
+#[derive(Debug)]
+enum Node {
+    /// A file: shared with its other hard links and its open descriptions.
+    File(Arc<Inode>),
+    /// A directory, owned by this entry — directories have one name, so the
+    /// namespace is a tree.
+    Dir(Dir),
+}
+
+impl Node {
+    fn inode(&self) -> &Arc<Inode> {
+        match self {
+            Node::File(inode) => inode,
+            Node::Dir(dir) => &dir.inode,
+        }
+    }
+}
+
+/// A directory in the namespace tree: its own inode (what `open` hands out
+/// and `stat` reports) and its entries.
+#[derive(Debug)]
+struct Dir {
+    inode: Arc<Inode>,
+    entries: BTreeMap<String, Node>,
+}
+
+impl Dir {
+    fn new(shared: &Arc<Shared>) -> Dir {
+        Dir {
+            inode: Inode::new(shared, Kind::Dir),
+            entries: BTreeMap::new(),
+        }
+    }
+
+    /// Walk `comps` down from this directory; each must name a directory.
+    fn dir(&self, comps: &[&str]) -> KResult<&Dir> {
+        let mut cur = self;
+        for comp in comps {
+            cur = match cur.entries.get(*comp).ok_or(Errno::ENOENT)? {
+                Node::Dir(dir) => dir,
+                Node::File(_) => return Err(Errno::ENOTDIR),
+            };
+        }
+        Ok(cur)
+    }
+
+    fn dir_mut(&mut self, comps: &[&str]) -> KResult<&mut Dir> {
+        let mut cur = self;
+        for comp in comps {
+            cur = match cur.entries.get_mut(*comp).ok_or(Errno::ENOENT)? {
+                Node::Dir(dir) => dir,
+                Node::File(_) => return Err(Errno::ENOTDIR),
+            };
+        }
+        Ok(cur)
+    }
+
+    /// The directory holding `comps`' final name, and that name; `EINVAL`
+    /// for the root, which has none.
+    fn parent_mut<'a>(&mut self, comps: &[&'a str]) -> KResult<(&mut Dir, &'a str)> {
+        let (parent, name) = split_parent(comps).ok_or(Errno::EINVAL)?;
+        Ok((self.dir_mut(parent)?, name))
+    }
+
+    /// What `comps` names below this directory (itself, for no components).
+    fn inode(&self, comps: &[&str]) -> KResult<&Arc<Inode>> {
+        match split_parent(comps) {
+            None => Ok(&self.inode),
+            Some((parent, name)) => self
+                .dir(parent)?
+                .entries
+                .get(name)
+                .map(Node::inode)
+                .ok_or(Errno::ENOENT),
+        }
+    }
+
+    /// Link `node` under `name`, replacing (and unlinking) what was there.
+    fn insert(&mut self, name: &str, node: Node) {
+        node.inode().nlink.fetch_add(1, Ordering::Relaxed);
+        if let Some(old) = self.entries.insert(name.to_string(), node) {
+            old.inode().nlink.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.record_len();
+    }
+
+    /// Unlink and return what `name` refers to.
+    fn remove(&mut self, name: &str) -> Option<Node> {
+        let node = self.entries.remove(name)?;
+        node.inode().nlink.fetch_sub(1, Ordering::Relaxed);
+        self.record_len();
+        Some(node)
+    }
+
+    fn record_len(&self) {
+        let len = self.entries.len() as u64;
+        self.inode.size.store(len, Ordering::Relaxed);
+    }
+}
+
+/// What the namespace lock guards.
+#[derive(Debug)]
+struct Namespace {
+    root: Dir,
+    /// Exclusive acquisitions so far.
+    exclusive: u64,
+}
+
+/// An in-memory filesystem shared by every process of a simulated kernel.
+#[derive(Debug)]
+pub struct Tmpfs {
+    namespace: ShardedLock<Namespace>,
+    shared: Arc<Shared>,
+}
+
+impl Tmpfs {
+    /// An empty filesystem containing only the root directory.
+    pub fn new() -> Tmpfs {
+        let shared = Arc::new(Shared {
+            io_fixed: AtomicU64::new(IoModel::RAW.fixed_ns),
+            io_per_byte_bits: AtomicU64::new(IoModel::RAW.ns_per_byte.to_bits()),
+            io_spin_threshold: AtomicU64::new(IoModel::RAW.spin_threshold_ns),
+            live: AtomicUsize::new(0),
+            next_ino: AtomicU64::new(0),
+        });
+        let root = Dir::new(&shared);
+        root.inode.nlink.store(1, Ordering::Relaxed);
+        Tmpfs {
+            namespace: ShardedLock::new(Namespace { root, exclusive: 0 }),
+            shared,
+        }
+    }
+
+    /// The namespace for lookups: one shard of the lock, the caller's own.
+    fn lookup(&self) -> ShardedLockReadGuard<'_, Namespace> {
+        self.namespace
+            .read()
+            .expect("a thread panicked while changing tmpfs names")
+    }
+
+    /// The namespace for a call that changes a name.
+    fn change(&self) -> ShardedLockWriteGuard<'_, Namespace> {
+        let mut namespace = self
+            .namespace
+            .write()
+            .expect("a thread panicked while changing tmpfs names");
+        namespace.exclusive += 1;
+        namespace
+    }
+
+    /// Install a modeled transfer cost for reads and writes.
+    pub fn set_io_model(&self, model: IoModel) {
+        let shared = &self.shared;
+        shared.io_fixed.store(model.fixed_ns, Ordering::Relaxed);
+        shared
+            .io_per_byte_bits
+            .store(model.ns_per_byte.to_bits(), Ordering::Relaxed);
+        shared
+            .io_spin_threshold
+            .store(model.spin_threshold_ns, Ordering::Relaxed);
+    }
+
+    /// The current transfer-cost model.
+    pub fn io_model(&self) -> IoModel {
+        self.shared.io_model()
+    }
 
     // ----- string API: `(cwd, path)` wrappers over the component API ---------
 
-    /// Resolve `path` (relative to `cwd`) to an inode.
+    /// Resolve `path` (relative to `cwd`) to an inode number.
     pub fn resolve(&self, cwd: &str, path: &str) -> KResult<Ino> {
-        self.resolve_rel(&normalize(cwd, path))
+        Ok(self.stat(cwd, path)?.ino)
     }
 
-    /// Open (and possibly create/truncate) a file; returns its inode with
-    /// the open count already incremented.
-    pub fn open(&self, cwd: &str, path: &str, flags: OpenFlags) -> KResult<Ino> {
+    /// Open (and possibly create/truncate) a file; the returned handle keeps
+    /// the inode alive, whatever happens to its names, until it is dropped.
+    pub fn open(&self, cwd: &str, path: &str, flags: OpenFlags) -> KResult<Arc<dyn FileLike>> {
         self.open_rel(&normalize(cwd, path), flags)
     }
 
@@ -312,95 +483,17 @@ impl Tmpfs {
         self.readdir_rel(&normalize(cwd, path))
     }
 
-    // ----- inode operations --------------------------------------------------
+    // ----- diagnostics -------------------------------------------------------
 
-    /// Drop one open reference (close); reclaims unlinked inodes.
-    pub fn release(&self, ino: Ino) {
-        let mut inner = self.inner.write();
-        if let Ok(node) = inner.get_mut(ino) {
-            node.open_count = node.open_count.saturating_sub(1);
-        }
-        inner.maybe_reclaim(ino);
-    }
-
-    /// Read up to `buf.len()` bytes at `offset`. Returns bytes read (0 at EOF).
-    pub fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> KResult<usize> {
-        let n = {
-            let inner = self.inner.read();
-            match &inner.get(ino)?.kind {
-                InodeKind::Dir { .. } => return Err(Errno::EISDIR),
-                InodeKind::File { data } => {
-                    // An offset that does not fit `usize` is past any EOF.
-                    let off = usize::try_from(offset).unwrap_or(usize::MAX);
-                    if off >= data.len() {
-                        return Ok(0);
-                    }
-                    let n = buf.len().min(data.len() - off);
-                    buf[..n].copy_from_slice(&data[off..off + n]);
-                    n
-                }
-            }
-        };
-        // Modeled transfer time is charged outside the inode lock so it
-        // does not serialize unrelated filesystem traffic.
-        self.io_model().charge(n);
-        Ok(n)
-    }
-
-    /// Write `src` at `offset`, extending (zero-filling a gap) as needed;
-    /// `EFBIG`, with the file untouched, if that would grow it past
-    /// [`MAX_FILE_SIZE`]. This is the memcpy whose duration Figs. 7–8
-    /// measure (plus the optional modeled transfer time, charged outside
-    /// the lock).
-    pub fn write_at(&self, ino: Ino, offset: u64, src: &[u8]) -> KResult<usize> {
-        let end = offset
-            .checked_add(src.len() as u64)
-            .filter(|&end| end <= MAX_FILE_SIZE)
-            .ok_or(Errno::EFBIG)? as usize;
-        {
-            let mut inner = self.inner.write();
-            match &mut inner.get_mut(ino)?.kind {
-                InodeKind::Dir { .. } => return Err(Errno::EISDIR),
-                InodeKind::File { data } => {
-                    if end > data.len() {
-                        data.resize(end, 0);
-                    }
-                    data[end - src.len()..end].copy_from_slice(src);
-                }
-            }
-        }
-        self.io_model().charge(src.len());
-        Ok(src.len())
-    }
-
-    /// Current size of a file (used by `lseek(SEEK_END)` and `O_APPEND`).
-    pub fn size(&self, ino: Ino) -> KResult<u64> {
-        let inner = self.inner.read();
-        match &inner.get(ino)?.kind {
-            InodeKind::Dir { .. } => Err(Errno::EISDIR),
-            InodeKind::File { data } => Ok(data.len() as u64),
-        }
-    }
-
-    /// Truncate or extend a file to `len`; `EFBIG`, with the file untouched,
-    /// past [`MAX_FILE_SIZE`].
-    pub fn truncate(&self, ino: Ino, len: u64) -> KResult<()> {
-        if len > MAX_FILE_SIZE {
-            return Err(Errno::EFBIG);
-        }
-        let mut inner = self.inner.write();
-        match &mut inner.get_mut(ino)?.kind {
-            InodeKind::Dir { .. } => Err(Errno::EISDIR),
-            InodeKind::File { data } => {
-                data.resize(len as usize, 0);
-                Ok(())
-            }
-        }
-    }
-
-    /// Number of live inodes (diagnostics / leak tests).
+    /// Number of live inodes — named, or held open (leak tests).
     pub fn inode_count(&self) -> usize {
-        self.inner.read().inodes.iter().flatten().count()
+        self.shared.live.load(Ordering::Relaxed)
+    }
+
+    /// Exclusive acquisitions of the namespace lock so far: one per call
+    /// that changed (or set out to change) a name, none for anything else.
+    pub fn exclusive_acquisitions(&self) -> u64 {
+        self.lookup().exclusive
     }
 }
 
@@ -410,198 +503,139 @@ impl Default for Tmpfs {
     }
 }
 
-/// The path operations walk the borrowed components straight down the inode
-/// table — no string is rebuilt or re-parsed — and the inode operations
-/// forward to the inherent methods above.
+/// Open what `rel` already names, applying `flags`' checks and truncation.
+fn open_existing(root: &Dir, rel: &[&str], flags: OpenFlags) -> KResult<Arc<dyn FileLike>> {
+    let inode = root.inode(rel)?;
+    if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
+        return Err(Errno::EEXIST);
+    }
+    if flags.writable() {
+        match inode.kind {
+            Kind::Dir => return Err(Errno::EISDIR),
+            Kind::File(_) if flags.contains(OpenFlags::TRUNC) => inode.update(Vec::clear)?,
+            Kind::File(_) => {}
+        }
+    }
+    Ok(inode.clone())
+}
+
+/// The path operations walk the borrowed components straight down the
+/// directory tree — no string is rebuilt or re-parsed.
 impl FileSystem for Tmpfs {
     fn fs_name(&self) -> &'static str {
         "tmpfs"
     }
 
-    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Ino> {
-        let mut inner = self.inner.write();
-        let ino = match inner.resolve(rel) {
-            Ok(ino) => {
-                if flags.contains(OpenFlags::CREAT) && flags.contains(OpenFlags::EXCL) {
-                    return Err(Errno::EEXIST);
-                }
-                match &mut inner.get_mut(ino)?.kind {
-                    InodeKind::Dir { .. } => {
-                        if flags.writable() {
-                            return Err(Errno::EISDIR);
-                        }
-                    }
-                    InodeKind::File { data } => {
-                        if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                            data.clear();
-                        }
-                    }
-                }
-                ino
-            }
-            Err(Errno::ENOENT) if flags.contains(OpenFlags::CREAT) => {
-                let (parent, name) = inner.resolve_parent(rel)?;
-                inner.dir_mut(parent)?;
-                let ino = inner.alloc(Inode {
-                    kind: InodeKind::File { data: Vec::new() },
-                    nlink: 1,
-                    open_count: 0,
-                });
-                inner.dir_mut(parent)?.insert(name.to_string(), ino);
-                ino
-            }
-            Err(e) => return Err(e),
-        };
-        inner.get_mut(ino)?.open_count += 1;
-        Ok(ino)
-    }
-
-    fn resolve_rel(&self, rel: &[&str]) -> KResult<Ino> {
-        self.inner.read().resolve(rel)
+    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Arc<dyn FileLike>> {
+        // An existing name opens under the shared lock, released before the
+        // creating path asks for the exclusive one.
+        let found = open_existing(&self.lookup().root, rel, flags);
+        if !matches!(found, Err(Errno::ENOENT)) || !flags.contains(OpenFlags::CREAT) {
+            return found;
+        }
+        let mut namespace = self.change();
+        // Somebody may have created the name in between.
+        match open_existing(&namespace.root, rel, flags) {
+            Err(Errno::ENOENT) => {}
+            found => return found,
+        }
+        let (dir, name) = namespace.root.parent_mut(rel)?;
+        let inode = Inode::new(&self.shared, Kind::File(RwLock::new(Vec::new())));
+        dir.insert(name, Node::File(inode.clone()));
+        Ok(inode)
     }
 
     fn stat_rel(&self, rel: &[&str]) -> KResult<FileStat> {
-        let inner = self.inner.read();
-        let ino = inner.resolve(rel)?;
-        let node = inner.get(ino)?;
-        Ok(FileStat {
-            ino,
-            size: match &node.kind {
-                InodeKind::File { data } => data.len() as u64,
-                InodeKind::Dir { entries } => entries.len() as u64,
-            },
-            is_dir: matches!(node.kind, InodeKind::Dir { .. }),
-            nlink: node.nlink,
-        })
+        Ok(self.lookup().root.inode(rel)?.stat())
     }
 
     fn mkdir_rel(&self, rel: &[&str]) -> KResult<Ino> {
-        let mut inner = self.inner.write();
-        if inner.resolve(rel).is_ok() {
+        let mut namespace = self.change();
+        if namespace.root.inode(rel).is_ok() {
             return Err(Errno::EEXIST);
         }
-        let (parent, name) = inner.resolve_parent(rel)?;
-        inner.dir_mut(parent)?;
-        let ino = inner.alloc(Inode {
-            kind: InodeKind::Dir {
-                entries: BTreeMap::new(),
-            },
-            nlink: 1,
-            open_count: 0,
-        });
-        inner.dir_mut(parent)?.insert(name.to_string(), ino);
+        let (dir, name) = namespace.root.parent_mut(rel)?;
+        let new = Dir::new(&self.shared);
+        let ino = new.inode.ino;
+        dir.insert(name, Node::Dir(new));
         Ok(ino)
     }
 
     fn unlink_rel(&self, rel: &[&str]) -> KResult<()> {
-        let mut inner = self.inner.write();
-        let (parent, name) = inner.resolve_parent(rel)?;
-        let ino = inner.lookup(parent, name)?;
+        let mut namespace = self.change();
+        let (dir, name) = namespace.root.parent_mut(rel)?;
         // POSIX unlink(2) refuses directories (rmdir is separate).
-        if let InodeKind::Dir { .. } = inner.get(ino)?.kind {
+        if let Node::Dir(_) = dir.entries.get(name).ok_or(Errno::ENOENT)? {
             return Err(Errno::EISDIR);
         }
-        inner.dir_mut(parent)?.remove(name);
-        inner.get_mut(ino)?.nlink -= 1;
-        inner.maybe_reclaim(ino);
+        dir.remove(name);
         Ok(())
     }
 
     fn rmdir_rel(&self, rel: &[&str]) -> KResult<()> {
-        let mut inner = self.inner.write();
-        let (parent, name) = inner.resolve_parent(rel)?;
-        let ino = inner.lookup(parent, name)?;
-        match &inner.get(ino)?.kind {
-            InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-            InodeKind::Dir { entries } => {
-                if !entries.is_empty() {
-                    return Err(Errno::ENOTEMPTY);
-                }
-            }
+        let mut namespace = self.change();
+        let (dir, name) = namespace.root.parent_mut(rel)?;
+        match dir.entries.get(name).ok_or(Errno::ENOENT)? {
+            Node::File(_) => return Err(Errno::ENOTDIR),
+            Node::Dir(target) if !target.entries.is_empty() => return Err(Errno::ENOTEMPTY),
+            Node::Dir(_) => {}
         }
-        inner.dir_mut(parent)?.remove(name);
-        inner.get_mut(ino)?.nlink -= 1;
-        inner.maybe_reclaim(ino);
+        dir.remove(name);
         Ok(())
     }
 
     fn link_rel(&self, existing: &[&str], new: &[&str]) -> KResult<()> {
-        let mut inner = self.inner.write();
-        let ino = inner.resolve(existing)?;
-        if matches!(inner.get(ino)?.kind, InodeKind::Dir { .. }) {
+        let mut namespace = self.change();
+        let inode = namespace.root.inode(existing)?.clone();
+        if matches!(inode.kind, Kind::Dir) {
             return Err(Errno::EPERM);
         }
-        if inner.resolve(new).is_ok() {
+        if namespace.root.inode(new).is_ok() {
             return Err(Errno::EEXIST);
         }
-        let (parent, name) = inner.resolve_parent(new)?;
-        inner.dir_mut(parent)?.insert(name.to_string(), ino);
-        inner.get_mut(ino)?.nlink += 1;
+        let (dir, name) = namespace.root.parent_mut(new)?;
+        dir.insert(name, Node::File(inode));
         Ok(())
     }
 
     fn rename_rel(&self, from: &[&str], to: &[&str]) -> KResult<()> {
-        let mut inner = self.inner.write();
-        let (from_parent, from_name) = inner.resolve_parent(from)?;
-        let ino = inner.lookup(from_parent, from_name)?;
-        let (to_parent, to_name) = inner.resolve_parent(to)?;
-        // Replace target if it exists (refuse replacing directories).
-        let replaced = match inner.lookup(to_parent, to_name) {
-            Ok(target) => Some(target),
-            Err(Errno::ENOENT) => None,
-            Err(e) => return Err(e),
-        };
-        if let Some(target) = replaced {
-            if target == ino {
-                return Ok(()); // rename to itself (same inode): no-op
-            }
-            if matches!(inner.get(target)?.kind, InodeKind::Dir { .. }) {
-                return Err(Errno::EISDIR);
-            }
+        let mut namespace = self.change();
+        let root = &mut namespace.root;
+        let (from_parent, from_name) = split_parent(from).ok_or(Errno::EINVAL)?;
+        let moved = root.dir(from_parent)?.entries.get(from_name);
+        let moved = moved.ok_or(Errno::ENOENT)?;
+        let (to_parent, to_name) = split_parent(to).ok_or(Errno::EINVAL)?;
+        match root.dir(to_parent)?.entries.get(to_name) {
+            // Onto itself, or onto another link to the same inode: no-op.
+            Some(target) if Arc::ptr_eq(target.inode(), moved.inode()) => return Ok(()),
+            // A non-directory target is replaced; a directory is refused.
+            Some(Node::Dir(_)) => return Err(Errno::EISDIR),
+            _ => {}
         }
-        inner.dir_mut(from_parent)?.remove(from_name);
-        inner.dir_mut(to_parent)?.insert(to_name.to_string(), ino);
-        if let Some(target) = replaced {
-            inner.get_mut(target)?.nlink -= 1;
-            inner.maybe_reclaim(target);
+        if matches!(moved, Node::Dir(_)) && to.starts_with(from) {
+            return Err(Errno::EINVAL); // a directory cannot move below itself
         }
+        const CHECKED: &str = "resolved above, under the same exclusive acquisition";
+        let from_dir = root.dir_mut(from_parent).expect(CHECKED);
+        let node = from_dir.remove(from_name).expect(CHECKED);
+        let to_dir = root.dir_mut(to_parent).expect(CHECKED);
+        to_dir.insert(to_name, node);
         Ok(())
     }
 
     fn readdir_rel(&self, rel: &[&str]) -> KResult<Vec<DirEntry>> {
-        let inner = self.inner.read();
-        let ino = inner.resolve(rel)?;
-        match &inner.get(ino)?.kind {
-            InodeKind::File { .. } => Err(Errno::ENOTDIR),
-            InodeKind::Dir { entries } => Ok(entries
-                .iter()
-                .map(|(name, &ino)| DirEntry {
-                    name: name.clone(),
-                    ino,
-                    is_dir: matches!(inner.get(ino).map(|n| &n.kind), Ok(InodeKind::Dir { .. })),
-                })
-                .collect()),
-        }
-    }
-
-    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> KResult<usize> {
-        Tmpfs::read_at(self, ino, offset, buf)
-    }
-
-    fn write_at(&self, ino: Ino, offset: u64, src: &[u8]) -> KResult<usize> {
-        Tmpfs::write_at(self, ino, offset, src)
-    }
-
-    fn size(&self, ino: Ino) -> KResult<u64> {
-        Tmpfs::size(self, ino)
-    }
-
-    fn truncate(&self, ino: Ino, len: u64) -> KResult<()> {
-        Tmpfs::truncate(self, ino, len)
-    }
-
-    fn release(&self, ino: Ino) {
-        Tmpfs::release(self, ino)
+        let namespace = self.lookup();
+        Ok(namespace
+            .root
+            .dir(rel)?
+            .entries
+            .iter()
+            .map(|(name, node)| DirEntry {
+                name: name.clone(),
+                ino: node.inode().ino,
+                is_dir: matches!(node, Node::Dir(_)),
+            })
+            .collect())
     }
 }
 
@@ -613,34 +647,38 @@ mod tests {
         OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC
     }
 
+    /// Create (or truncate) `path` and close it again.
+    fn touch(fs: &Tmpfs, path: &str) {
+        fs.open("/", path, wflags()).unwrap();
+    }
+
     #[test]
     fn create_write_read_roundtrip() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/hello.txt", wflags()).unwrap();
-        assert_eq!(fs.write_at(ino, 0, b"hello world").unwrap(), 11);
+        let file = fs.open("/", "/hello.txt", wflags()).unwrap();
+        assert_eq!(file.write_at(0, b"hello world").unwrap(), 11);
         let mut buf = [0u8; 5];
-        assert_eq!(fs.read_at(ino, 6, &mut buf).unwrap(), 5);
+        assert_eq!(file.read_at(6, &mut buf).unwrap(), 5);
         assert_eq!(&buf, b"world");
-        fs.release(ino);
     }
 
     #[test]
     fn read_past_eof_returns_zero() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/f", wflags()).unwrap();
-        fs.write_at(ino, 0, b"abc").unwrap();
+        let file = fs.open("/", "/f", wflags()).unwrap();
+        file.write_at(0, b"abc").unwrap();
         let mut buf = [0u8; 4];
-        assert_eq!(fs.read_at(ino, 3, &mut buf).unwrap(), 0);
-        assert_eq!(fs.read_at(ino, 100, &mut buf).unwrap(), 0);
+        assert_eq!(file.read_at(3, &mut buf).unwrap(), 0);
+        assert_eq!(file.read_at(100, &mut buf).unwrap(), 0);
     }
 
     #[test]
     fn sparse_write_zero_fills() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/s", wflags()).unwrap();
-        fs.write_at(ino, 4, b"xy").unwrap();
+        let file = fs.open("/", "/s", wflags()).unwrap();
+        file.write_at(4, b"xy").unwrap();
         let mut buf = [9u8; 6];
-        assert_eq!(fs.read_at(ino, 0, &mut buf).unwrap(), 6);
+        assert_eq!(file.read_at(0, &mut buf).unwrap(), 6);
         assert_eq!(&buf, &[0, 0, 0, 0, b'x', b'y']);
     }
 
@@ -648,32 +686,18 @@ mod tests {
     fn trunc_on_open_clears() {
         let fs = Tmpfs::new();
         let a = fs.open("/", "/t", wflags()).unwrap();
-        fs.write_at(a, 0, b"0123456789").unwrap();
-        fs.release(a);
+        a.write_at(0, b"0123456789").unwrap();
+        drop(a);
         let b = fs.open("/", "/t", wflags()).unwrap();
-        assert_eq!(fs.size(b).unwrap(), 0);
+        assert_eq!(b.size().unwrap(), 0);
     }
 
     #[test]
     fn excl_refuses_existing() {
         let fs = Tmpfs::new();
-        let a = fs
-            .open(
-                "/",
-                "/x",
-                OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::EXCL,
-            )
-            .unwrap();
-        fs.release(a);
-        assert_eq!(
-            fs.open(
-                "/",
-                "/x",
-                OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::EXCL
-            )
-            .unwrap_err(),
-            Errno::EEXIST
-        );
+        let excl = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::EXCL;
+        fs.open("/", "/x", excl).unwrap();
+        assert_eq!(fs.open("/", "/x", excl).unwrap_err(), Errno::EEXIST);
     }
 
     #[test]
@@ -690,19 +714,42 @@ mod tests {
         let fs = Tmpfs::new();
         fs.mkdir("/", "/a").unwrap();
         fs.mkdir("/", "/a/b").unwrap();
-        let ino = fs.open("/a/b", "c.txt", wflags()).unwrap();
-        assert_eq!(fs.resolve("/", "/a/b/c.txt").unwrap(), ino);
+        let file = fs.open("/a/b", "c.txt", wflags()).unwrap();
+        assert_eq!(fs.resolve("/", "/a/b/c.txt").unwrap(), file.stat().ino);
         let entries = fs.readdir("/", "/a/b").unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].name, "c.txt");
         assert!(!entries[0].is_dir);
+        assert_eq!(fs.stat("/", "/a").unwrap().size, 1, "entries of /a");
+    }
+
+    #[test]
+    fn an_open_directory_is_a_handle_that_refuses_file_io() {
+        let fs = Tmpfs::new();
+        fs.mkdir("/", "/d").unwrap();
+        assert_eq!(
+            fs.open("/", "/d", OpenFlags::RDWR).unwrap_err(),
+            Errno::EISDIR
+        );
+        let dir = fs.open("/", "/d", OpenFlags::RDONLY).unwrap();
+        assert_eq!(dir.read_at(0, &mut [0u8; 4]).unwrap_err(), Errno::EISDIR);
+        assert_eq!(dir.write_at(0, b"x").unwrap_err(), Errno::EISDIR);
+        assert_eq!(dir.size().unwrap_err(), Errno::EISDIR);
+        assert_eq!(dir.truncate(0).unwrap_err(), Errno::EISDIR);
+        assert_eq!(dir.stat(), fs.stat("/", "/d").unwrap());
+        // Removed while open: alive, nameless, until the handle goes.
+        let before = fs.inode_count();
+        fs.rmdir("/", "/d").unwrap();
+        assert_eq!(dir.stat().nlink, 0);
+        assert_eq!(fs.inode_count(), before);
+        drop(dir);
+        assert_eq!(fs.inode_count(), before - 1);
     }
 
     #[test]
     fn unlink_removes_and_reclaims() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/gone", wflags()).unwrap();
-        fs.release(ino);
+        touch(&fs, "/gone");
         let before = fs.inode_count();
         fs.unlink("/", "/gone").unwrap();
         assert_eq!(fs.inode_count(), before - 1);
@@ -712,16 +759,26 @@ mod tests {
     #[test]
     fn unlinked_open_file_survives_until_close() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/tmpf", wflags()).unwrap();
-        fs.write_at(ino, 0, b"still here").unwrap();
+        let file = fs.open("/", "/tmpf", wflags()).unwrap();
+        file.write_at(0, b"still here").unwrap();
         fs.unlink("/", "/tmpf").unwrap();
-        // Name is gone but data is reachable through the inode.
+        // Name is gone but data is reachable through the handle.
         assert_eq!(fs.resolve("/", "/tmpf").unwrap_err(), Errno::ENOENT);
         let mut buf = [0u8; 10];
-        assert_eq!(fs.read_at(ino, 0, &mut buf).unwrap(), 10);
+        assert_eq!(file.read_at(0, &mut buf).unwrap(), 10);
+        assert_eq!(file.stat().nlink, 0);
         let before = fs.inode_count();
-        fs.release(ino);
+        drop(file);
         assert_eq!(fs.inode_count(), before - 1);
+    }
+
+    #[test]
+    fn a_handle_outlives_the_filesystem_value() {
+        let fs = Tmpfs::new();
+        let file = fs.open("/", "/f", wflags()).unwrap();
+        drop(fs);
+        assert_eq!(file.write_at(0, b"abc").unwrap(), 3);
+        assert_eq!(file.size().unwrap(), 3);
     }
 
     #[test]
@@ -737,75 +794,78 @@ mod tests {
     fn rmdir_refuses_nonempty() {
         let fs = Tmpfs::new();
         fs.mkdir("/", "/d").unwrap();
-        let ino = fs.open("/", "/d/f", wflags()).unwrap();
-        fs.release(ino);
+        touch(&fs, "/d/f");
         assert_eq!(fs.rmdir("/", "/d").unwrap_err(), Errno::ENOTEMPTY);
+        assert_eq!(fs.rmdir("/", "/d/f").unwrap_err(), Errno::ENOTDIR);
     }
 
     #[test]
     fn stat_reports_sizes() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/s", wflags()).unwrap();
-        fs.write_at(ino, 0, &[7u8; 1234]).unwrap();
+        let file = fs.open("/", "/s", wflags()).unwrap();
+        file.write_at(0, &[7u8; 1234]).unwrap();
         let st = fs.stat("/", "/s").unwrap();
         assert_eq!(st.size, 1234);
         assert!(!st.is_dir);
-        assert_eq!(st.ino, ino);
+        assert_eq!(st, file.stat());
         assert!(fs.stat("/", "/").unwrap().is_dir);
     }
 
     #[test]
     fn truncate_shrinks_and_grows() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/t", wflags()).unwrap();
-        fs.write_at(ino, 0, b"abcdef").unwrap();
-        fs.truncate(ino, 3).unwrap();
-        assert_eq!(fs.size(ino).unwrap(), 3);
-        fs.truncate(ino, 8).unwrap();
+        let file = fs.open("/", "/t", wflags()).unwrap();
+        file.write_at(0, b"abcdef").unwrap();
+        file.truncate(3).unwrap();
+        assert_eq!(file.size().unwrap(), 3);
+        file.truncate(8).unwrap();
         let mut buf = [1u8; 8];
-        fs.read_at(ino, 0, &mut buf).unwrap();
+        file.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, &[b'a', b'b', b'c', 0, 0, 0, 0, 0]);
     }
 
     #[test]
     fn growth_past_the_size_limit_is_efbig() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/t", wflags()).unwrap();
-        fs.write_at(ino, 0, b"abc").unwrap();
+        let file = fs.open("/", "/t", wflags()).unwrap();
+        file.write_at(0, b"abc").unwrap();
         for offset in [MAX_FILE_SIZE - 1, MAX_FILE_SIZE, 1 << 40, u64::MAX - 1] {
-            assert_eq!(fs.write_at(ino, offset, b"xy").unwrap_err(), Errno::EFBIG);
+            assert_eq!(file.write_at(offset, b"xy").unwrap_err(), Errno::EFBIG);
         }
         for len in [MAX_FILE_SIZE + 1, 1 << 40, u64::MAX] {
-            assert_eq!(fs.truncate(ino, len).unwrap_err(), Errno::EFBIG);
+            assert_eq!(file.truncate(len).unwrap_err(), Errno::EFBIG);
         }
-        assert_eq!(fs.size(ino).unwrap(), 3, "refused calls change nothing");
+        assert_eq!(file.size().unwrap(), 3, "refused calls change nothing");
         let mut buf = [0u8; 2];
-        assert_eq!(fs.read_at(ino, u64::MAX, &mut buf).unwrap(), 0);
+        assert_eq!(file.read_at(u64::MAX, &mut buf).unwrap(), 0);
     }
 
     #[test]
     fn path_through_file_is_enotdir() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/f", wflags()).unwrap();
-        fs.release(ino);
+        touch(&fs, "/f");
         assert_eq!(fs.resolve("/", "/f/x").unwrap_err(), Errno::ENOTDIR);
+        assert_eq!(fs.open("/", "/f/x", wflags()).unwrap_err(), Errno::ENOTDIR);
+        assert_eq!(fs.open("/", "/no/x", wflags()).unwrap_err(), Errno::ENOENT);
     }
 
     #[test]
     fn link_creates_second_name() {
         let fs = Tmpfs::new();
-        let ino = fs.open("/", "/orig", wflags()).unwrap();
-        fs.write_at(ino, 0, b"shared").unwrap();
-        fs.release(ino);
+        let file = fs.open("/", "/orig", wflags()).unwrap();
+        file.write_at(0, b"shared").unwrap();
+        let ino = file.stat().ino;
+        drop(file);
         fs.link("/", "/orig", "/alias").unwrap();
         assert_eq!(fs.resolve("/", "/alias").unwrap(), ino);
         assert_eq!(fs.stat("/", "/alias").unwrap().nlink, 2);
         // Unlinking one name keeps the data reachable via the other.
         fs.unlink("/", "/orig").unwrap();
         let mut buf = [0u8; 6];
-        let alias = fs.resolve("/", "/alias").unwrap();
-        assert_eq!(fs.read_at(alias, 0, &mut buf).unwrap(), 6);
+        let alias = fs.open("/", "/alias", OpenFlags::RDONLY).unwrap();
+        assert_eq!(alias.read_at(0, &mut buf).unwrap(), 6);
         assert_eq!(&buf, b"shared");
+        assert_eq!(alias.stat().nlink, 1);
     }
 
     #[test]
@@ -813,10 +873,8 @@ mod tests {
         let fs = Tmpfs::new();
         fs.mkdir("/", "/d").unwrap();
         assert_eq!(fs.link("/", "/d", "/d2").unwrap_err(), Errno::EPERM);
-        let a = fs.open("/", "/a", wflags()).unwrap();
-        fs.release(a);
-        let b = fs.open("/", "/b", wflags()).unwrap();
-        fs.release(b);
+        touch(&fs, "/a");
+        touch(&fs, "/b");
         assert_eq!(fs.link("/", "/a", "/b").unwrap_err(), Errno::EEXIST);
     }
 
@@ -824,37 +882,73 @@ mod tests {
     fn rename_moves_and_replaces() {
         let fs = Tmpfs::new();
         let a = fs.open("/", "/a", wflags()).unwrap();
-        fs.write_at(a, 0, b"A").unwrap();
-        fs.release(a);
-        let b = fs.open("/", "/b", wflags()).unwrap();
-        fs.release(b);
+        a.write_at(0, b"A").unwrap();
+        let a = a.stat().ino;
+        touch(&fs, "/b");
         let before = fs.inode_count();
         fs.rename("/", "/a", "/b").unwrap();
         assert_eq!(fs.resolve("/", "/a").unwrap_err(), Errno::ENOENT);
         assert_eq!(fs.resolve("/", "/b").unwrap(), a);
         assert_eq!(fs.inode_count(), before - 1, "old /b reclaimed");
+        assert_eq!(fs.stat("/", "/b").unwrap().nlink, 1);
         // Across directories too.
         fs.mkdir("/", "/sub").unwrap();
         fs.rename("/", "/b", "/sub/c").unwrap();
         assert_eq!(fs.resolve("/", "/sub/c").unwrap(), a);
+        // Onto itself, and onto another link to the same inode: nothing moves.
+        fs.rename("/", "/sub/c", "/sub/c").unwrap();
+        fs.link("/", "/sub/c", "/twin").unwrap();
+        fs.rename("/", "/twin", "/sub/c").unwrap();
+        assert_eq!(fs.stat("/", "/twin").unwrap().nlink, 2);
     }
 
     #[test]
     fn rename_refuses_dir_target() {
         let fs = Tmpfs::new();
-        let a = fs.open("/", "/f", wflags()).unwrap();
-        fs.release(a);
+        touch(&fs, "/f");
         fs.mkdir("/", "/d").unwrap();
         assert_eq!(fs.rename("/", "/f", "/d").unwrap_err(), Errno::EISDIR);
     }
 
     #[test]
-    fn ino_reuse_after_reclaim() {
+    fn rename_moves_a_directory_with_its_contents_but_not_below_itself() {
         let fs = Tmpfs::new();
-        let a = fs.open("/", "/a", wflags()).unwrap();
-        fs.release(a);
+        fs.mkdir("/", "/d").unwrap();
+        fs.mkdir("/", "/d/sub").unwrap();
+        touch(&fs, "/d/sub/f");
+        assert_eq!(fs.rename("/", "/d", "/d/sub/d").unwrap_err(), Errno::EINVAL);
+        fs.mkdir("/", "/e").unwrap();
+        fs.rename("/", "/d", "/e/d").unwrap();
+        assert!(!fs.stat("/", "/e/d/sub/f").unwrap().is_dir);
+        assert_eq!(fs.stat("/", "/d").unwrap_err(), Errno::ENOENT);
+        assert_eq!(fs.stat("/", "/e").unwrap().size, 1);
+    }
+
+    #[test]
+    fn inode_numbers_are_never_reused() {
+        let fs = Tmpfs::new();
+        let a = fs.open("/", "/a", wflags()).unwrap().stat().ino;
         fs.unlink("/", "/a").unwrap();
-        let b = fs.open("/", "/b", wflags()).unwrap();
-        assert_eq!(a, b, "freed inode slot should be reused");
+        let b = fs.open("/", "/b", wflags()).unwrap().stat().ino;
+        assert!(b > a, "{b:?} after {a:?}");
+    }
+
+    #[test]
+    fn only_name_changes_take_the_namespace_exclusively() {
+        let fs = Tmpfs::new();
+        touch(&fs, "/f");
+        let before = fs.exclusive_acquisitions();
+        let file = fs.open("/", "/f", wflags()).unwrap();
+        file.write_at(0, b"abc").unwrap();
+        fs.stat("/", "/f").unwrap();
+        fs.readdir("/", "/").unwrap();
+        assert_eq!(
+            fs.open("/", "/nope", OpenFlags::RDONLY).unwrap_err(),
+            Errno::ENOENT
+        );
+        drop(file);
+        assert_eq!(fs.exclusive_acquisitions(), before);
+        fs.unlink("/", "/f").unwrap();
+        assert_eq!(fs.exclusive_acquisitions(), before + 1);
     }
 }

@@ -1,17 +1,17 @@
-//! The mount seam: a [`FileSystem`] trait plus a small longest-prefix
-//! [`MountTable`].
+//! The mount seam: a [`FileSystem`] trait for names, a [`FileLike`] trait
+//! for what a name opens to, and a small longest-prefix [`MountTable`].
 //!
-//! The simulated kernel used to hard-wire a single [`Tmpfs`](super::Tmpfs);
-//! every file syscall called its inherent methods directly. This module
-//! introduces the minimal indirection needed to hang other filesystems
-//! (first of all the procfs at `/proc`) off the same syscall surface:
-//!
-//! - [`FileSystem`] splits the tmpfs API into *inode* operations (reads and
-//!   writes against an already-opened [`Ino`]) and *path* operations that
-//!   take **normalized component slices relative to the mount root** (the
-//!   `_rel` suffix). The kernel normalizes `(cwd, path)` once, the mount
-//!   table strips the mount prefix, and the filesystem never sees absolute
-//!   strings it would have to re-parse.
+//! - [`FileSystem`] is the *path* half: operations take **normalized
+//!   component slices relative to the mount root** (the `_rel` suffix). The
+//!   kernel normalizes `(cwd, path)` once, the mount table strips the mount
+//!   prefix, and the filesystem never sees absolute strings it would have to
+//!   re-parse. [`FileSystem::open_rel`] turns a name into a handle.
+//! - [`FileLike`] is the *handle* half: an opened file or directory, held as
+//!   an `Arc` by the open file description. Reads and writes go straight to
+//!   it — no filesystem-wide structure stands between a descriptor and its
+//!   bytes — and closing is dropping it, so what must outlive its last name
+//!   (an unlinked tmpfs file, a procfs snapshot) lives exactly as long as a
+//!   description does.
 //! - [`MountTable`] dispatches a normalized component list to the mount
 //!   with the longest matching prefix ([`strip_prefix`]); the root mount
 //!   (empty prefix) always matches, so resolution can't fail to find *a*
@@ -20,13 +20,42 @@
 //!
 //! Components are borrowed (`&[&str]`, pointing into the caller's path
 //! strings), so dispatching a path allocates nothing and — because
-//! [`MountTable::resolve`] lends the filesystem handle instead of cloning it
-//! — touches no reference count.
+//! [`MountTable::resolve`] lends the filesystem instead of cloning it —
+//! touches no reference count.
 
 use super::tmpfs::{DirEntry, FileStat, Ino};
 use super::{path::strip_prefix, OpenFlags};
 use crate::errno::KResult;
 use std::sync::Arc;
+
+/// An opened file or directory: what an open file description holds.
+/// Dropping the last `Arc` is the close.
+pub trait FileLike: Send + Sync + std::fmt::Debug {
+    /// Read up to `buf.len()` bytes at `offset`; 0 at or past end-of-file.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> KResult<usize>;
+    /// Write `src` at `offset`, extending the object as needed.
+    fn write_at(&self, offset: u64, src: &[u8]) -> KResult<usize>;
+    /// Current size in bytes (`lseek(SEEK_END)`, `O_APPEND`).
+    fn size(&self) -> KResult<u64>;
+    /// Truncate or extend to `len`.
+    fn truncate(&self, len: u64) -> KResult<()>;
+    /// Metadata snapshot of the opened object itself, whatever names it
+    /// still has.
+    fn stat(&self) -> FileStat;
+}
+
+/// `read_at` over bytes held in memory: copy what `content` has at `offset`
+/// into `buf`; 0 at or past its end.
+pub(super) fn read_slice_at(content: &[u8], offset: u64, buf: &mut [u8]) -> usize {
+    // An offset that does not fit `usize` is past any EOF.
+    let off = usize::try_from(offset).unwrap_or(usize::MAX);
+    let Some(rest) = content.get(off..) else {
+        return 0;
+    };
+    let n = buf.len().min(rest.len());
+    buf[..n].copy_from_slice(&rest[..n]);
+    n
+}
 
 /// A mountable filesystem: the seam between the syscall layer and a
 /// concrete file store.
@@ -38,11 +67,8 @@ pub trait FileSystem: Send + Sync + std::fmt::Debug {
     /// Short filesystem-type name (diagnostics: `tmpfs`, `proc`).
     fn fs_name(&self) -> &'static str;
 
-    /// Open (and possibly create/truncate) the file at `rel`; returns its
-    /// inode with an open reference the caller must [`FileSystem::release`].
-    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Ino>;
-    /// Resolve `rel` to an inode without opening it.
-    fn resolve_rel(&self, rel: &[&str]) -> KResult<Ino>;
+    /// Open (and possibly create/truncate) the file or directory at `rel`.
+    fn open_rel(&self, rel: &[&str], flags: OpenFlags) -> KResult<Arc<dyn FileLike>>;
     /// `stat(2)` for the inode at `rel`.
     fn stat_rel(&self, rel: &[&str]) -> KResult<FileStat>;
     /// Create a directory at `rel`.
@@ -58,17 +84,6 @@ pub trait FileSystem: Send + Sync + std::fmt::Debug {
     fn rename_rel(&self, from: &[&str], to: &[&str]) -> KResult<()>;
     /// List the directory at `rel` in name order.
     fn readdir_rel(&self, rel: &[&str]) -> KResult<Vec<DirEntry>>;
-
-    /// Read up to `buf.len()` bytes at `offset` from an opened inode.
-    fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> KResult<usize>;
-    /// Write `src` at `offset` to an opened inode.
-    fn write_at(&self, ino: Ino, offset: u64, src: &[u8]) -> KResult<usize>;
-    /// Current size of an opened inode.
-    fn size(&self, ino: Ino) -> KResult<u64>;
-    /// Truncate or extend an opened inode to `len`.
-    fn truncate(&self, ino: Ino, len: u64) -> KResult<()>;
-    /// Drop one open reference (close).
-    fn release(&self, ino: Ino);
 }
 
 /// One mounted filesystem: where it hangs and what serves it.
@@ -161,20 +176,21 @@ mod tests {
     #[test]
     fn tmpfs_serves_through_the_trait() {
         let fs = Tmpfs::new();
-        let ino = fs
+        let file = fs
             .open_rel(
                 &["f"],
                 OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC,
             )
             .unwrap();
-        assert_eq!(FileSystem::write_at(&fs, ino, 0, b"abc").unwrap(), 3);
+        assert_eq!(file.write_at(0, b"abc").unwrap(), 3);
         let mut buf = [0u8; 3];
-        assert_eq!(FileSystem::read_at(&fs, ino, 0, &mut buf).unwrap(), 3);
+        assert_eq!(file.read_at(0, &mut buf).unwrap(), 3);
         assert_eq!(&buf, b"abc");
-        assert_eq!(fs.stat_rel(&["f"]).unwrap().size, 3);
+        assert_eq!(file.size().unwrap(), 3);
+        assert_eq!(fs.stat_rel(&["f"]).unwrap(), file.stat());
+        assert_eq!(file.stat().size, 3);
         // The mount root resolves as the tmpfs root directory.
         assert!(fs.stat_rel(&[]).unwrap().is_dir);
-        FileSystem::release(&fs, ino);
         assert_eq!(fs.fs_name(), "tmpfs");
     }
 

@@ -16,7 +16,6 @@
 
 use crate::cost::ArchProfile;
 use crate::errno::{Errno, KResult};
-use crate::fd::FileObject;
 use crate::fs::{MountTable, ProcFs, Tmpfs};
 use crate::process::{Pid, ProcState, Process};
 use crate::signal::Signal;
@@ -237,17 +236,10 @@ impl Kernel {
             }
             *st = ProcState::Zombie(status);
         }
-        // Close all descriptors, releasing filesystem references. A dup'ed
-        // description appears multiple times in the drained list; release
-        // its inode only once, when the last clone is dropped.
+        // Close all descriptors. A description a call is still using lives
+        // until that call returns; everything else is released here.
         let drained = proc.fds.lock().drain();
-        for desc in drained {
-            if Arc::strong_count(&desc) == 1 {
-                if let FileObject::File { fs, ino } = &desc.object {
-                    fs.release(*ino);
-                }
-            }
-        }
+        drop(drained);
         if let Some(ppid) = proc.ppid {
             if let Some(parent) = self.process(ppid) {
                 parent.signals.post(Signal::SigChld);

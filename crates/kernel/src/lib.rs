@@ -48,8 +48,8 @@ pub use errno::{Errno, KResult};
 pub use fault::{FaultKind, FaultPlan, FAULT_KINDS};
 pub use fd::{Fd, FdTable};
 pub use fs::{
-    install_proc_provider, DirEntry, FileStat, FileSystem, IoModel, MountTable, OpenFlags, ProcFs,
-    ProcProvider, ProcSource, Tmpfs, Whence,
+    install_proc_provider, DirEntry, FileLike, FileStat, FileSystem, IoModel, MountTable,
+    OpenFlags, ProcFs, ProcProvider, ProcSource, Tmpfs, Whence,
 };
 pub use futex::{futex_wait, futex_wait_timeout, futex_wake, Semaphore};
 pub use kernel::{BindGuard, Kernel, KernelRef};

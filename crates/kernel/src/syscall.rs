@@ -76,40 +76,27 @@ impl Kernel {
 
     /// `open(2)` against the mounted filesystems (tmpfs at `/`, procfs at
     /// `/proc`); the descriptor lands in the *calling thread's* process FD
-    /// table and pins the filesystem it was resolved on.
+    /// table, its description holding the handle the filesystem returned.
     pub fn sys_open(&self, path: &str, flags: OpenFlags) -> KResult<Fd> {
         self.syscall(Sysno::Open, |proc| {
             with_path(proc, path, |comps| {
                 let (fs, rel) = self.mounts.resolve(comps);
-                let ino = fs.open_rel(rel, flags)?;
                 let desc = Arc::new(Description {
-                    object: FileObject::File {
-                        fs: fs.clone(),
-                        ino,
-                    },
+                    object: FileObject::File(fs.open_rel(rel, flags)?),
                     offset: Mutex::new(0),
                     flags,
                 });
-                let installed = proc.fds.lock().install(desc);
-                if installed.is_err() {
-                    fs.release(ino);
-                }
-                installed
+                proc.fds.lock().install(desc)
             })
         })
     }
 
-    /// `close(2)`.
+    /// `close(2)`: the descriptor goes now; the description, and what it
+    /// holds, when the last `dup` and the last call in flight on it are done.
     pub fn sys_close(&self, fd: Fd) -> KResult<()> {
         self.syscall(Sysno::Close, |proc| {
             let desc = proc.fds.lock().remove(fd)?;
-            if let FileObject::File { fs, ino } = &desc.object {
-                // Only release the inode once the last descriptor sharing this
-                // description is gone (dup'ed fds share one Arc).
-                if Arc::strong_count(&desc) == 1 {
-                    fs.release(*ino);
-                }
-            }
+            drop(desc); // outside the table's lock
             Ok(())
         })
     }
@@ -120,17 +107,17 @@ impl Kernel {
         self.syscall(Sysno::Write, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
-                FileObject::File { fs, ino } => {
+                FileObject::File(file) => {
                     if !desc.flags.writable() {
                         return Err(Errno::EBADF);
                     }
                     let mut off = desc.offset.lock();
                     let pos = if desc.flags.contains(OpenFlags::APPEND) {
-                        fs.size(*ino)?
+                        file.size()?
                     } else {
                         *off
                     };
-                    let n = fs.write_at(*ino, pos, data)?;
+                    let n = file.write_at(pos, data)?;
                     *off = pos.checked_add(n as u64).ok_or(Errno::EFBIG)?;
                     Ok(n)
                 }
@@ -151,7 +138,7 @@ impl Kernel {
         self.syscall(Sysno::Read, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
-                FileObject::File { fs, ino } => {
+                FileObject::File(file) => {
                     if !desc.flags.readable() {
                         return Err(Errno::EBADF);
                     }
@@ -166,7 +153,7 @@ impl Kernel {
                         buf.len()
                     };
                     let mut off = desc.offset.lock();
-                    let n = fs.read_at(*ino, *off, &mut buf[..want])?;
+                    let n = file.read_at(*off, &mut buf[..want])?;
                     *off = off.checked_add(n as u64).ok_or(Errno::EFBIG)?;
                     Ok(n)
                 }
@@ -183,11 +170,11 @@ impl Kernel {
         self.syscall(Sysno::Pwrite, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
-                FileObject::File { fs, ino } => {
+                FileObject::File(file) => {
                     if !desc.flags.writable() {
                         return Err(Errno::EBADF);
                     }
-                    fs.write_at(*ino, offset, data)
+                    file.write_at(offset, data)
                 }
                 _ => Err(Errno::ESPIPE),
             }
@@ -199,11 +186,11 @@ impl Kernel {
         self.syscall(Sysno::Pread, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
-                FileObject::File { fs, ino } => {
+                FileObject::File(file) => {
                     if !desc.flags.readable() {
                         return Err(Errno::EBADF);
                     }
-                    fs.read_at(*ino, offset, buf)
+                    file.read_at(offset, buf)
                 }
                 _ => Err(Errno::ESPIPE),
             }
@@ -215,12 +202,12 @@ impl Kernel {
         self.syscall(Sysno::Lseek, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
-                FileObject::File { fs, ino } => {
+                FileObject::File(file) => {
                     let mut off = desc.offset.lock();
                     let base = match whence {
                         Whence::Set => 0,
                         Whence::Cur => *off,
-                        Whence::End => fs.size(*ino)?,
+                        Whence::End => file.size()?,
                     };
                     // `off_t` arithmetic: a negative or unrepresentable
                     // result is `EINVAL`. Seeking past the largest file size
@@ -243,11 +230,11 @@ impl Kernel {
         self.syscall(Sysno::Ftruncate, |proc| {
             let desc = proc.fds.lock().get(fd)?;
             match &desc.object {
-                FileObject::File { fs, ino } => {
+                FileObject::File(file) => {
                     if !desc.flags.writable() {
                         return Err(Errno::EBADF);
                     }
-                    fs.truncate(*ino, len)
+                    file.truncate(len)
                 }
                 _ => Err(Errno::EINVAL),
             }
@@ -263,13 +250,7 @@ impl Kernel {
     pub fn sys_dup2(&self, fd: Fd, newfd: Fd) -> KResult<Fd> {
         self.syscall(Sysno::Dup2, |proc| {
             let old = proc.fds.lock().dup2(fd, newfd)?;
-            if let Some(desc) = old {
-                if let FileObject::File { fs, ino } = &desc.object {
-                    if Arc::strong_count(&desc) == 1 {
-                        fs.release(*ino);
-                    }
-                }
-            }
+            drop(old); // what `newfd` was, outside the table's lock
             Ok(newfd)
         })
     }
@@ -405,7 +386,7 @@ impl Kernel {
             let target = proc.fds.lock().get(fd)?;
             match &target.object {
                 FileObject::Epoll(_) => return Err(Errno::EINVAL),
-                FileObject::File { .. } => return Err(Errno::EPERM),
+                FileObject::File(_) => return Err(Errno::EPERM),
                 _ => {}
             }
             let mut interest = ep.interest.lock();
@@ -792,7 +773,7 @@ fn same_fs(a: &Arc<dyn crate::fs::FileSystem>, b: &Arc<dyn crate::fs::FileSystem
 /// (this kernel does not nest epoll instances).
 fn readiness_of(desc: &Description) -> PollEvents {
     match &desc.object {
-        FileObject::File { .. } => PollEvents::IN | PollEvents::OUT,
+        FileObject::File(_) => PollEvents::IN | PollEvents::OUT,
         FileObject::PipeRead(r) => r.poll_events(),
         FileObject::PipeWrite(w) => w.poll_events(),
         FileObject::Socket(s) => s.poll_events(),
@@ -809,7 +790,7 @@ fn watch_of(desc: &Description) -> Option<&WatchSet> {
         FileObject::PipeWrite(w) => Some(w.watch()),
         FileObject::Socket(s) => Some(s.watch()),
         FileObject::Listener(l) => Some(l.watch()),
-        FileObject::File { .. } | FileObject::Epoll(_) => None,
+        FileObject::File(_) | FileObject::Epoll(_) => None,
     }
 }
 

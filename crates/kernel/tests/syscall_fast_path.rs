@@ -1,11 +1,13 @@
 //! The simulated-syscall fast path, pinned exactly.
 //!
-//! Two things are fixed here. First, what a call costs in heap allocations
+//! Three things are fixed here. First, what a call costs in heap allocations
 //! once its objects exist — counted by a per-thread counting allocator, so
 //! the numbers are exact and the other tests in this binary cannot disturb
-//! them. Second, the semantics of the pieces that make the path cheap: the
-//! per-thread binding's cached process, the per-process syscall counters
-//! summed on demand, and the watch set's nobody-subscribed shortcut.
+//! them. Second, what a file call locks: the tmpfs namespace exclusively,
+//! never, unless it changes a name. Third, the semantics of the pieces that
+//! make the path cheap: the per-thread binding's cached process, the
+//! per-process syscall counters summed on demand, and the watch set's
+//! nobody-subscribed shortcut.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,6 +119,42 @@ fn steady_state_allocations_per_call() {
         let fd = k.sys_open(path, OpenFlags::RDONLY).unwrap();
         k.sys_close(fd).unwrap();
     });
+    k.unbind_current();
+}
+
+#[test]
+fn steady_state_file_calls_never_take_the_namespace_exclusively() {
+    const ROUNDS: u64 = 10_000;
+    let (k, _) = boot("shared");
+    let path = "/shared_only.dat";
+    let file = k
+        .sys_open(path, OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::TRUNC)
+        .unwrap();
+    k.sys_pwrite(file, 0, &[0x5A; 4096]).unwrap();
+    let creating = OpenFlags::WRONLY | OpenFlags::CREAT;
+    let mut buf = [0u8; 256];
+
+    let before = k.tmpfs().exclusive_acquisitions();
+    for round in 0..ROUNDS {
+        let off = round * 13 % 3_000;
+        // `O_CREAT` of a name that exists creates nothing.
+        let flags = [OpenFlags::RDONLY, creating][round as usize % 2];
+        let fd = k.sys_open(path, flags).unwrap();
+        k.sys_close(fd).unwrap();
+        assert!(!k.sys_stat(path).unwrap().is_dir);
+        assert_eq!(k.sys_pwrite(file, off, &buf).unwrap(), 256);
+        assert_eq!(k.sys_pread(file, off, &mut buf).unwrap(), 256);
+        // `lseek(END)` and the append after it: the file grows a byte a round.
+        assert_eq!(k.sys_lseek(file, 0, Whence::End).unwrap(), 4096 + round);
+        assert_eq!(k.sys_write(file, b"x").unwrap(), 1);
+        assert_eq!(k.sys_open("/absent", OpenFlags::RDONLY), Err(Errno::ENOENT));
+    }
+    assert_eq!(k.tmpfs().exclusive_acquisitions(), before);
+
+    // The counter does count: each name change is one acquisition.
+    k.sys_rename(path, "/renamed.dat").unwrap();
+    k.sys_unlink("/renamed.dat").unwrap();
+    assert_eq!(k.tmpfs().exclusive_acquisitions(), before + 2);
     k.unbind_current();
 }
 
