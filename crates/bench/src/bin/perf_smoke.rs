@@ -25,11 +25,19 @@
 //! processes' file calls serialising on a filesystem-wide lock read 0.65
 //! here. Skipped, with a message, on a host with fewer than two CPUs.
 //!
+//! Also gates the run queue's yield path against itself: a 2-ULP yield
+//! under `GlobalFifo` (one locked pop + one locked push on the injector)
+//! may cost at most 1.5× the same yield under `WorkStealing` (thread-local
+//! slot handoff, no lock at all) — both from this run, best of three. The
+//! switch and the bookkeeping are common to both, so the ratio isolates what
+//! the shared queue adds; a fence, a second lock or an unconditional futex
+//! word bump back on the push path reads ≈ 1.9.
+//!
 //! Iteration counts are deliberately tiny (the min-of-runs protocol keeps
 //! even short runs stable on the fast paths measured here); the 25% margin
 //! absorbs shared-runner jitter.
 
-use ulp_core::IdlePolicy;
+use ulp_core::{IdlePolicy, SchedPolicy};
 use ulp_kernel::ArchProfile;
 
 const ITERS: usize = 400;
@@ -44,6 +52,11 @@ const MIN_CHURN_FRACTION: f64 = 0.5;
 const CHURN_RSS_CEILING_MIB: f64 = 512.0;
 /// Ceiling on slots the scavenger trimmed ÷ ULPs churned.
 const CHURN_TRIM_CEILING: f64 = 0.25;
+
+/// Yields per measurement of the `GlobalFifo` ÷ `WorkStealing` yield gate.
+const YIELD_ITERS: usize = 20_000;
+/// Ceiling on `GlobalFifo` yield ns ÷ `WorkStealing` slot-handoff yield ns.
+const MAX_FIFO_OVER_SLOT: f64 = 1.5;
 
 /// Draws of the `syscall_mix` op mix per thread and measurement.
 const MIX_ENTRIES: usize = 400_000;
@@ -127,6 +140,33 @@ fn main() {
         if h.rtt_ns >= slow {
             failed = true;
         }
+    }
+
+    // Yield-path structural gate: the shared injector against the lock-free
+    // slot handoff, best of three per side.
+    let best_yield = |sched| {
+        (0..3)
+            .map(|_| {
+                ulp_bench::workloads::ulp_yield_ns_sched(
+                    IdlePolicy::BusyWait,
+                    sched,
+                    ArchProfile::Native,
+                    YIELD_ITERS,
+                )
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (fifo, slot) = (
+        best_yield(SchedPolicy::GlobalFifo),
+        best_yield(SchedPolicy::WorkStealing),
+    );
+    let ratio = fifo / slot;
+    println!(
+        "perf-smoke: {} yield GlobalFifo {fifo:.1} ns ÷ WorkStealing slot handoff {slot:.1} ns = {ratio:.2} (ceiling {MAX_FIFO_OVER_SLOT})",
+        if ratio <= MAX_FIFO_OVER_SLOT { "ok" } else { "FAIL" },
+    );
+    if ratio > MAX_FIFO_OVER_SLOT {
+        failed = true;
     }
 
     // Oversubscribed-pool scale gate: churn the committed 100k row and

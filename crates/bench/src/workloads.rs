@@ -374,8 +374,17 @@ pub fn yield_interval_summary(
     let s3 = stop.clone();
     let driver = rt.spawn("yield-hist-meas", move || {
         decouple().unwrap();
-        for _ in 0..iters {
-            yield_now();
+        // Count only yields that switched: until the peer has decoupled the
+        // run queue is empty, `yield_now()` returns `false` without
+        // switching, and no interval is recorded — a fixed number of calls
+        // can all land in that window and leave the histogram empty.
+        let mut switched = 0;
+        while switched < iters {
+            if yield_now() {
+                switched += 1;
+            } else {
+                std::thread::yield_now();
+            }
         }
         s3.store(true, Ordering::Release);
         0

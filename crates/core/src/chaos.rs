@@ -41,8 +41,8 @@ pub struct ChaosPlan {
     /// Rate (per 1024) of biased run-queue pops (FIFO tail pop / slot
     /// bypass).
     pub biased_pop_per_1024: u16,
-    /// Rate (per 1024) of single-call idle-policy inversions in the
-    /// scheduler park path.
+    /// Rate (per 1024) of single-call idle-policy inversions in
+    /// `Parker::park` — schedulers, trampolines and pool KCs alike.
     pub idle_flip_per_1024: u16,
 }
 
@@ -78,7 +78,7 @@ pub enum ChaosSite {
     Decouple = 1,
     /// Biased run-queue pop.
     Pop = 2,
-    /// Idle-policy flip in the scheduler park path.
+    /// Idle-policy flip in `Parker::park` (every idle loop).
     Park = 3,
 }
 
@@ -221,8 +221,9 @@ pub(crate) fn bias_pop() -> bool {
     decide(ChaosSite::Pop, 0)
 }
 
-/// Chaos hook in the scheduler park path: true = behave as the opposite
-/// idle policy for this one call.
+/// Chaos hook in `Parker::park`, the one park every idle loop (scheduler,
+/// trampoline, pool KC) goes through: true = behave as the opposite idle
+/// policy for this one call.
 #[inline]
 pub(crate) fn flip_idle() -> bool {
     if !is_armed() {

@@ -168,8 +168,9 @@ pub fn decouple() -> Result<bool, UlpError> {
         // busy executing us — so handoff and idle loop can never pop the
         // same waiter. The waiter's context is fully saved: its
         // CoupleRequest was published by the host scheduler only after the
-        // requester's registers landed (Table I race point 1).
-        if let Some(waiter) = me.kc.pending.lock().pop_front() {
+        // requester's registers landed (Table I race point 1). With nobody
+        // waiting the probe is one load of the queue's length.
+        if let Some(waiter) = me.kc.pending.pop(false) {
             if let Some(s) = b.shard() {
                 s.bump_couple_handoffs();
             }
@@ -425,5 +426,5 @@ pub fn is_coupled() -> Option<bool> {
 /// requester), so cooperative workloads can use this as a "someone is
 /// waiting for my KC" hint.
 pub fn pending_couplers() -> Option<usize> {
-    with_thread(|b| b.ulp().map(|u| u.kc.pending.lock().len()))
+    with_thread(|b| b.ulp().map(|u| u.kc.pending.len()))
 }

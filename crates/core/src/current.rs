@@ -58,10 +58,11 @@ pub enum Deferred {
     CoupleRequest(Arc<UcInner>),
     /// A sibling UC finished: drop its stack and release its slot on the KC.
     TerminateSibling(Arc<UcInner>),
-    /// A pooled ULP finished: recycle its stack into the pool
-    /// (`MADV_DONTNEED`ed so RSS follows live ULPs) and publish its exit
-    /// status — strictly after the final switch, so a waiter that wakes on
-    /// the status observes every hot-path counter bump already landed.
+    /// A pooled ULP finished: push its stack back on the pool's warm free
+    /// list (no `madvise` here — idle KCs' scavenger passes trim what stays
+    /// free) and publish its exit status — strictly after the final switch,
+    /// so a waiter that wakes on the status observes every hot-path counter
+    /// bump already landed.
     TerminatePooled {
         /// The terminated pooled UC.
         uc: Arc<UcInner>,
@@ -416,7 +417,7 @@ pub fn run_deferred() {
                             crate::uc::encode_wake_from(uc.id, ulp_kernel::WakeSite::CoupleResume),
                             std::sync::atomic::Ordering::Relaxed,
                         );
-                        // If the original KC is parked, this notify is what
+                        // If the original KC is parked, this push is what
                         // unblocks it: arm its wake cell so the trampoline
                         // can attribute the KC-blocked exit to this request.
                         uc.kc.wake.stamp_as(uc.id.0, now);
@@ -425,8 +426,7 @@ pub fn run_deferred() {
                     rt.tracer.record(crate::trace::Event::CoupleRequest(uc.id));
                 }
                 let kc = uc.kc.clone();
-                kc.pending.lock().push_back(uc);
-                kc.notify();
+                kc.pending.push(uc, &kc.parker);
             }
             Deferred::TerminateSibling(uc) => {
                 // The sibling's context will never be resumed; its stack can
@@ -452,7 +452,7 @@ pub fn run_deferred() {
                 // The TC loop re-checks conditions right after running this,
                 // but wake anyway in case the primary's exit condition now
                 // holds on a blocked KC.
-                uc.kc.notify();
+                uc.kc.parker.poke();
             }
             Deferred::TerminatePooled { uc, status } => {
                 // Running on the pool KC's native stack; the pooled UC's

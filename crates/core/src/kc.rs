@@ -74,13 +74,13 @@ fn tc_loop(boot: &TcBoot) -> ! {
     let kc = &boot.kc;
     let rt = &boot.rt;
     loop {
-        // Eventcount read precedes the work checks (park protocol).
-        let seen = kc.signal_version();
+        // The version read precedes the work checks (park protocol).
+        let seen = kc.parker.version();
 
         // Rule 6: an idle KC given a UC starts running it. Couple requests
         // are served strictly in arrival order.
-        let next = kc.pending.lock().pop_front();
-        if let Some(uc) = next {
+        if let Some(uc) = kc.pending.pop(false) {
+            kc.parker.found_work();
             // TC→UC switch: the TLS register is restored but NOT reloaded
             // at cost — the §V-B exemption ("excepting the context switch
             // between TC and UC"). The pending queue's Arc moves straight
@@ -115,7 +115,7 @@ fn tc_loop(boot: &TcBoot) -> ! {
             _ => 0,
         });
         rt.stack_pool.scavenge();
-        if kc.park(seen) {
+        if kc.parker.park(seen, || kc.pending.is_empty_locked()) {
             rt.stats.bump_kc_blocks();
             crate::current::with_thread(|b| {
                 if let Some(t) = b.trace() {
@@ -165,11 +165,11 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<crate::uc::KcShared>) {
     kc.tc_started.store(true, Ordering::Release);
     crate::current::set_runtime(rt.clone());
     loop {
-        // Eventcount read precedes the work checks (park protocol).
-        let seen = kc.signal_version();
+        // The version read precedes the work checks (park protocol).
+        let seen = kc.parker.version();
 
-        let next = kc.pending.lock().pop_front();
-        if let Some(uc) = next {
+        if let Some(uc) = kc.pending.pop(false) {
+            kc.parker.found_work();
             // Rebind unconditionally: a direct decouple→couple handoff on
             // this KC may have left the thread bound to a different pooled
             // pid than the last one this loop served, so a cached "last
@@ -183,14 +183,14 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<crate::uc::KcShared>) {
             continue;
         }
 
-        if rt.shutdown.load(Ordering::Acquire) && kc.pending.lock().is_empty() {
+        if rt.shutdown.load(Ordering::Acquire) && kc.pending.is_empty_locked() {
             break;
         }
 
         // Rule 5: idle. Pool KCs have no primary BltId to tag a KcBlocked
         // event with, so blocks surface in stats (`kc_blocks`) only.
         rt.stack_pool.scavenge();
-        if kc.park(seen) {
+        if kc.parker.park(seen, || kc.pending.is_empty_locked()) {
             rt.stats.bump_kc_blocks();
         }
     }

@@ -70,6 +70,7 @@ pub mod export;
 pub mod hist;
 pub mod kc;
 mod metrics_server;
+mod park;
 mod proc;
 pub mod profile;
 pub mod runqueue;

@@ -1,0 +1,615 @@
+//! The parking queue: an intrusive FIFO of user contexts behind a one-RMW
+//! lock, plus the [`Parker`] its idle consumers sleep on.
+//!
+//! One primitive serves every place a kernel context waits for a UC: the
+//! run queue's injector shards and work-stealing deques share the run
+//! queue's parker (idle schedulers), and each [`KcShared`] pairs its
+//! `pending` queue with its own (the trampoline / pool idle loop).
+//!
+//! ## The protocol
+//!
+//! A **consumer** that found nothing to run calls [`Parker::park`]:
+//!
+//! 1. *announce*: `sleepers += 1`;
+//! 2. *re-check*: `version == seen`, and every queue it serves is empty
+//!    **under that queue's lock** ([`ParkQueue::is_empty_locked`]);
+//! 3. only then `futex_wait(version, seen)`; afterwards `sleepers -= 1`
+//!    and back to the top of its loop, which pops before it parks again.
+//!
+//! A **producer** ([`ParkQueue::push`]) links the UC and reads `sleepers`
+//! **inside the same critical section**; only when that read is non-zero
+//! does it (after unlocking) bump `version` and `futex_wake`.
+//!
+//! Take one push *P* and one park *K* that serve the same queue. The queue
+//! lock totally orders P's critical section and K's re-check of that queue:
+//!
+//! - **P first.** K's re-check acquires the lock after P released it, sees
+//!   the UC and does not sleep.
+//! - **K first.** K's announce is sequenced before K's lock acquire, and
+//!   K's release synchronizes with P's acquire, so the announce *happens
+//!   before* P's `sleepers` read. P therefore sees K's announce — then it
+//!   bumps and wakes, and `futex_wait`'s in-kernel compare either sees the
+//!   bump or K is already on the wait list the wake scans — or it sees K's
+//!   later un-announce, in which case K is awake and on its way to a pop and
+//!   a fresh park, to which the same two cases apply.
+//!
+//! Whichever critical section comes second sees the other. Nothing else is
+//! needed: no `SeqCst` fence and no per-push `version` bump, so a push whose
+//! consumers are all awake (every yield: the scheduler *is* the thread
+//! pushing) costs the lock's one RMW. The argument is per queue, so it holds
+//! unchanged for a consumer that re-checks several queues one after another
+//! (`WorkStealing`: every shard and deque) before it sleeps.
+//!
+//! The `sleepers` read sits *inside* the critical section because the lock
+//! acquire is the only edge the K-first case has: hoisted above the acquire
+//! it races the announce (the eventcount this replaces needed a StoreLoad
+//! fence on both sides for exactly that), and the unlock is a plain release
+//! store, which orders nothing after it — "after the unlock" is not a place
+//! the protocol can reason from. For the same reason the consumer's
+//! emptiness re-check may not use the lock-free [`ParkQueue::len`].
+//!
+//! **Non-queue events** — shutdown, sibling exit, handle close — change a
+//! flag instead of a queue, so there is no lock to order them. They use
+//! [`Parker::poke`]: store the flag, bump `version` unconditionally, wake if
+//! anyone is announced. A consumer reads `seen = version` *before* it checks
+//! those flags, so either it saw the bump (and with it the flag) or
+//! `version != seen` turns its park into a no-op. They are rare.
+//!
+//! ## The lock
+//!
+//! Acquire is one `swap`, release a plain store. A waiter spins a bounded
+//! number of `pause`s, taking the lock the moment a plain load sees it
+//! free, and then puts its OS thread to sleep for the shortest time the
+//! kernel grants (the timer slack, ~50 µs): critical sections are a handful
+//! of pointer writes, so a lock held for a whole spin means the holder was
+//! preempted, and a sleeping waiter lets it run. The back-off must be an
+//! *OS-thread* one — the waiter is inside the run queue, so yielding to
+//! another ULP would recurse into the lock it waits for ("Basic Lock
+//! Algorithms in Lightweight Thread Environments", PAPERS.md).
+//!
+//! It is a sleep and not `sched_yield()` because the usual holder is a
+//! scheduler KC running a yield ring — a thread that never blocks and sits
+//! in a critical section a quarter of the time. A freshly woken thread that
+//! preempts it there, wants the lock and *yields* hands the CPU back for
+//! the rest of the hog's time slice, since a yield moves the caller behind
+//! every other runnable thread: 3–4 ms per push, measured as +23 % on
+//! `yield_ring`'s set-up time (64 BLTs decoupling into a running ring on 2
+//! CPUs). A sleeper is woken by its timer and preempts the hog again, so the
+//! same collision costs ~60 µs.
+//!
+//! Critical sections never allocate: UCs are linked through
+//! [`UcInner::qlink`], so a queue of 100k+ runnable UCs costs the same per
+//! operation as a queue of two.
+//!
+//! `model.rs` next to this file checks the protocol on every interleaving
+//! of its atomic steps (2 producers × 1 consumer) under sequential
+//! consistency; the tests below hammer the real thing.
+//!
+//! [`KcShared`]: crate::uc::KcShared
+
+use crate::uc::{IdlePolicy, UcInner, ADAPTIVE_SPIN_STREAK};
+use std::cell::{Cell, UnsafeCell};
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+use ulp_kernel::{futex_wait_timeout, futex_wake};
+
+/// `pause`s a lock waiter spends before it sleeps its OS thread; also the
+/// length of one BUSYWAIT / Adaptive idle pass.
+const SPINS: u32 = 64;
+
+/// A UC's intrusive queue link. A UC sits in at most one [`ParkQueue`] at
+/// a time (it is in one queue, pending on one KC, or running — see
+/// [`UcInner::ctx`]); the fields are only touched under that queue's lock.
+pub struct QLink {
+    prev: Cell<*const UcInner>,
+    next: Cell<*const UcInner>,
+    linked: Cell<bool>,
+}
+
+impl QLink {
+    /// An unlinked link.
+    pub(crate) const fn new() -> QLink {
+        QLink {
+            prev: Cell::new(ptr::null()),
+            next: Cell::new(ptr::null()),
+            linked: Cell::new(false),
+        }
+    }
+}
+
+/// Head and tail of the intrusive list. `head.prev` and `tail.next` are
+/// never read, so neither end's neighbour is written on a pop.
+struct Ends {
+    head: *const UcInner,
+    tail: *const UcInner,
+}
+
+/// A FIFO of UCs behind a one-RMW lock, padded to its own cache line (the
+/// lock word, the list ends and the length share it and nothing else).
+#[repr(align(64))]
+pub struct ParkQueue {
+    locked: AtomicBool,
+    /// Mirror of the list length, written under the lock, readable without
+    /// it: the empty-probe fast path and the gauges.
+    len: AtomicUsize,
+    ends: UnsafeCell<Ends>,
+}
+
+// SAFETY: `ends` and the links of queued UCs are only accessed through a
+// `ParkQueueGuard`, i.e. with `locked` held; `UcInner` is Send + Sync, and
+// the queue owns one strong count per linked UC.
+unsafe impl Send for ParkQueue {}
+unsafe impl Sync for ParkQueue {}
+
+impl Default for ParkQueue {
+    fn default() -> ParkQueue {
+        ParkQueue {
+            locked: AtomicBool::new(false),
+            len: AtomicUsize::new(0),
+            ends: UnsafeCell::new(Ends {
+                head: ptr::null(),
+                tail: ptr::null(),
+            }),
+        }
+    }
+}
+
+impl std::fmt::Debug for ParkQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ParkQueue")
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
+impl Drop for ParkQueue {
+    fn drop(&mut self) {
+        // Give back the strong counts of UCs still queued.
+        let mut q = self.lock();
+        while q.pop_front().is_some() {}
+    }
+}
+
+impl ParkQueue {
+    /// Acquire the queue lock. Critical sections must stay O(1) and must
+    /// not block: waiters spin.
+    #[inline]
+    pub fn lock(&self) -> ParkQueueGuard<'_> {
+        if self.locked.swap(true, Ordering::Acquire) {
+            self.lock_contended();
+        }
+        #[cfg(test)]
+        tests::holder_hook();
+        ParkQueueGuard { q: self }
+    }
+
+    #[cold]
+    fn lock_contended(&self) {
+        loop {
+            for _ in 0..SPINS {
+                // Test-and-test-and-set: the RMW only when the lock looks
+                // free, and a lost race is no reason to give up the CPU.
+                if !self.locked.load(Ordering::Relaxed)
+                    && !self.locked.swap(true, Ordering::Acquire)
+                {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            // Held for a whole spin: the holder is not running. Sleep, not
+            // `sched_yield` (module docs): the shortest sleep the kernel
+            // grants, its timer slack.
+            std::thread::sleep(Duration::from_nanos(1));
+        }
+    }
+
+    /// The producer half of the protocol (module docs): enqueue `uc`, and
+    /// wake `parker`'s sleepers iff one was announced by the time the UC
+    /// was linked.
+    #[inline]
+    pub fn push(&self, uc: Arc<UcInner>, parker: &Parker) {
+        let sleeper = {
+            let mut q = self.lock();
+            q.push_back(uc);
+            parker.sleepers.load(Ordering::Relaxed) != 0
+        };
+        if sleeper {
+            parker.poke();
+        }
+    }
+
+    /// Dequeue the oldest UC (`back`: the youngest — the chaos-biased
+    /// order). An empty queue answers from the length mirror without
+    /// touching the lock, so an empty probe is one load.
+    #[inline]
+    pub fn pop(&self, back: bool) -> Option<Arc<UcInner>> {
+        if self.len() == 0 {
+            return None;
+        }
+        let mut q = self.lock();
+        if back {
+            q.pop_back()
+        } else {
+            q.pop_front()
+        }
+    }
+
+    /// Queued UCs, read without the lock (exact only when quiescent).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
+    }
+
+    /// Emptiness under the lock — the consumer's re-check before it sleeps.
+    pub fn is_empty_locked(&self) -> bool {
+        self.lock().is_empty()
+    }
+}
+
+/// Exclusive access to a [`ParkQueue`]'s list; unlocks on drop.
+pub struct ParkQueueGuard<'a> {
+    q: &'a ParkQueue,
+}
+
+impl Drop for ParkQueueGuard<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.q.locked.store(false, Ordering::Release);
+    }
+}
+
+impl ParkQueueGuard<'_> {
+    #[inline]
+    fn ends(&mut self) -> &mut Ends {
+        // SAFETY: the guard holds the lock, and `&mut self` makes this the
+        // only live reference derived from it.
+        unsafe { &mut *self.q.ends.get() }
+    }
+
+    #[inline]
+    fn set_len(&mut self, n: usize) {
+        self.q.len.store(n, Ordering::Relaxed);
+    }
+
+    /// Whether the list is empty.
+    #[inline]
+    pub fn is_empty(&mut self) -> bool {
+        self.ends().head.is_null()
+    }
+
+    /// Link `uc` at the tail. Panics if it is already queued somewhere.
+    #[inline]
+    pub fn push_back(&mut self, uc: Arc<UcInner>) {
+        let n = self.q.len() + 1;
+        let ends = self.ends();
+        assert!(!uc.qlink.linked.replace(true), "UC queued twice");
+        uc.qlink.prev.set(ends.tail);
+        let p = Arc::into_raw(uc);
+        if ends.tail.is_null() {
+            ends.head = p;
+        } else {
+            // SAFETY: a non-null `tail` is a linked UC whose strong count
+            // the queue holds; links are ours under the lock.
+            unsafe { (*ends.tail).qlink.next.set(p) };
+        }
+        ends.tail = p;
+        self.set_len(n);
+    }
+
+    /// Unlink and return the head.
+    #[inline]
+    pub fn pop_front(&mut self) -> Option<Arc<UcInner>> {
+        let ends = self.ends();
+        let p = ends.head;
+        if p.is_null() {
+            return None;
+        }
+        // SAFETY: `p` is linked (see `push_back`), so it is live and its
+        // `next` is valid unless it is also the tail.
+        let uc = unsafe { &*p };
+        if p == ends.tail {
+            ends.head = ptr::null();
+            ends.tail = ptr::null();
+        } else {
+            ends.head = uc.qlink.next.get();
+        }
+        self.unlinked(p)
+    }
+
+    /// Unlink and return the tail.
+    pub fn pop_back(&mut self) -> Option<Arc<UcInner>> {
+        let ends = self.ends();
+        let p = ends.tail;
+        if p.is_null() {
+            return None;
+        }
+        // SAFETY: as in `pop_front`, with `prev` valid unless `p` is the head.
+        let uc = unsafe { &*p };
+        if p == ends.head {
+            ends.head = ptr::null();
+            ends.tail = ptr::null();
+        } else {
+            ends.tail = uc.qlink.prev.get();
+        }
+        self.unlinked(p)
+    }
+
+    #[inline]
+    fn unlinked(&mut self, p: *const UcInner) -> Option<Arc<UcInner>> {
+        self.set_len(self.q.len() - 1);
+        // SAFETY: `p` came out of `Arc::into_raw` in `push_back` and was
+        // just unlinked, so this reclaims exactly the queue's strong count.
+        let uc = unsafe { Arc::from_raw(p) };
+        uc.qlink.linked.set(false);
+        Some(uc)
+    }
+}
+
+/// What idle consumers of one or more [`ParkQueue`]s sleep on: the futex
+/// word, the announced-sleeper count, and the one place the [`IdlePolicy`]
+/// is interpreted.
+#[derive(Debug)]
+pub struct Parker {
+    /// Futex word. Moves only when a sleeper was announced at a push, or on
+    /// a [`Parker::poke`].
+    version: AtomicU32,
+    /// Consumers between announce and un-announce in [`Parker::park`].
+    sleepers: AtomicU32,
+    /// `Adaptive`: idle passes since a consumer last found work.
+    spin_streak: AtomicU32,
+    idle_policy: IdlePolicy,
+    /// Bound on one futex sleep: callers re-check in a loop, and idle KCs
+    /// run the stack scavenger once per pass.
+    timeout: Duration,
+}
+
+impl Parker {
+    /// A parker idling per `idle_policy`, sleeping at most `timeout` at a
+    /// time.
+    pub fn new(idle_policy: IdlePolicy, timeout: Duration) -> Parker {
+        Parker {
+            version: AtomicU32::new(0),
+            sleepers: AtomicU32::new(0),
+            spin_streak: AtomicU32::new(0),
+            idle_policy,
+            timeout,
+        }
+    }
+
+    /// The futex word; a consumer reads it *before* the checks that precede
+    /// its [`Parker::park`].
+    #[inline]
+    pub fn version(&self) -> u32 {
+        self.version.load(Ordering::SeqCst)
+    }
+
+    /// Bump `version` and wake every announced sleeper: the wake half of a
+    /// push that saw one, and the whole of a non-queue event (the caller
+    /// stored its flag first). The `SeqCst` bump → `sleepers` load pairs
+    /// with `park`'s `SeqCst` announce → `version` load, so the system call
+    /// is skipped only when no consumer can be about to sleep on the old
+    /// version.
+    pub fn poke(&self) {
+        self.version.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) != 0 {
+            futex_wake(&self.version, i32::MAX);
+        }
+    }
+
+    /// Announced sleepers (tests wait on this to catch a consumer parked).
+    #[cfg(test)]
+    pub(crate) fn announced(&self) -> u32 {
+        self.sleepers.load(Ordering::SeqCst)
+    }
+
+    /// A consumer found work: restart `Adaptive`'s spin streak, so a KC in a
+    /// busy orbit keeps spinning instead of falling asleep mid-burst.
+    #[inline]
+    pub fn found_work(&self) {
+        if self.idle_policy == IdlePolicy::Adaptive {
+            self.spin_streak.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Idle once — the consumer half of the protocol (module docs). `seen`
+    /// is the `version` read before the caller's fruitless checks;
+    /// `queues_empty` re-checks every queue it serves under that queue's
+    /// lock. Spins briefly (BUSYWAIT, or `Adaptive` within its streak) or
+    /// sleeps until `version` moves (bounded by the time-out). Returns
+    /// whether the idle policy chose to block.
+    pub fn park(&self, seen: u32, queues_empty: impl FnOnce() -> bool) -> bool {
+        // Torture hook: behave as the opposite idle policy for this one
+        // call (no-op unless chaos is armed). Flipping BUSYWAIT→BLOCKING is
+        // bounded by the time-out even if no producer ever wakes us.
+        let policy = if crate::chaos::flip_idle() {
+            match self.idle_policy {
+                IdlePolicy::BusyWait => IdlePolicy::Blocking,
+                IdlePolicy::Blocking | IdlePolicy::Adaptive => IdlePolicy::BusyWait,
+            }
+        } else {
+            self.idle_policy
+        };
+        let spin = match policy {
+            IdlePolicy::BusyWait => true,
+            IdlePolicy::Blocking => false,
+            IdlePolicy::Adaptive => {
+                self.spin_streak.fetch_add(1, Ordering::Relaxed) < ADAPTIVE_SPIN_STREAK
+            }
+        };
+        if spin {
+            for _ in 0..SPINS {
+                std::hint::spin_loop();
+            }
+            // With fewer cores than spinning KCs a pure spin would stall
+            // hand-offs for a scheduling quantum; the yield keeps busy-wait
+            // semantics (no futex sleep) and lets the peer run. A no-op on
+            // the paper's dedicated cores.
+            std::thread::yield_now();
+            return false;
+        }
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.version.load(Ordering::SeqCst) == seen && queues_empty() {
+            futex_wait_timeout(&self.version, seen, self.timeout);
+        }
+        self.sleepers.fetch_sub(1, Ordering::Release);
+        true
+    }
+}
+
+#[cfg(test)]
+mod model;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::runqueue::tests::dummy_uc;
+    use std::time::Instant;
+
+    thread_local! {
+        static YIELD_AS_HOLDER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Deschedule the calling thread every time it acquires a queue lock
+    /// from now on, so waiters meet a holder that is not running.
+    pub(crate) fn yield_as_lock_holder(on: bool) {
+        YIELD_AS_HOLDER.with(|h| h.set(on));
+    }
+
+    pub(super) fn holder_hook() {
+        if YIELD_AS_HOLDER.with(Cell::get) {
+            std::thread::yield_now();
+        }
+    }
+
+    const TIMEOUT: Duration = Duration::from_millis(20);
+
+    #[test]
+    fn fifo_and_lifo_ends() {
+        let q = ParkQueue::default();
+        let p = Parker::new(IdlePolicy::BusyWait, TIMEOUT);
+        assert!(q.pop(false).is_none());
+        for i in 0..5 {
+            q.push(dummy_uc(i), &p);
+        }
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.pop(false).unwrap().id.0, 0);
+        assert_eq!(q.pop(true).unwrap().id.0, 4);
+        assert_eq!(q.pop(true).unwrap().id.0, 3);
+        assert_eq!(q.pop(false).unwrap().id.0, 1);
+        assert_eq!(q.pop(true).unwrap().id.0, 2);
+        assert!(q.is_empty_locked() && q.len() == 0);
+        // Reusable after draining from either end, and a UC may re-queue.
+        let uc = dummy_uc(9);
+        q.push(uc.clone(), &p);
+        assert!(Arc::ptr_eq(&q.pop(true).unwrap(), &uc));
+        q.push(uc, &p);
+        assert_eq!(q.pop(false).unwrap().id.0, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "queued twice")]
+    fn double_queueing_is_refused() {
+        let (q, q2) = (ParkQueue::default(), ParkQueue::default());
+        let p = Parker::new(IdlePolicy::BusyWait, TIMEOUT);
+        let uc = dummy_uc(1);
+        q.push(uc.clone(), &p);
+        q2.push(uc, &p);
+    }
+
+    #[test]
+    fn dropping_a_queue_releases_its_ucs() {
+        let uc = dummy_uc(1);
+        {
+            let q = ParkQueue::default();
+            q.push(uc.clone(), &Parker::new(IdlePolicy::BusyWait, TIMEOUT));
+            assert_eq!(Arc::strong_count(&uc), 2);
+        }
+        assert_eq!(Arc::strong_count(&uc), 1);
+    }
+
+    #[test]
+    fn park_does_not_sleep_on_a_stale_version_or_a_non_empty_queue() {
+        let q = ParkQueue::default();
+        let p = Parker::new(IdlePolicy::Blocking, Duration::from_secs(5));
+        let t = Instant::now();
+        let seen = p.version();
+        p.poke();
+        assert!(p.park(seen, || true), "Blocking chose to block");
+        let seen = p.version();
+        q.push(dummy_uc(1), &p); // silent: the version does not move
+        assert!(p.park(seen, || q.is_empty_locked()));
+        assert!(t.elapsed() < Duration::from_secs(1), "neither park slept");
+        assert_eq!(p.announced(), 0);
+    }
+
+    #[test]
+    fn busywait_never_blocks_and_adaptive_blocks_after_its_streak() {
+        let busy = Parker::new(IdlePolicy::BusyWait, TIMEOUT);
+        assert!(!busy.park(busy.version(), || true));
+        let ad = Parker::new(IdlePolicy::Adaptive, Duration::from_millis(1));
+        for _ in 0..ADAPTIVE_SPIN_STREAK {
+            assert!(!ad.park(ad.version(), || true));
+        }
+        assert!(ad.park(ad.version(), || true), "streak exhausted: block");
+        ad.found_work();
+        assert!(!ad.park(ad.version(), || true), "work restarts the streak");
+    }
+
+    /// Lost-wake hammer: single-item hand-offs between two OS threads under
+    /// `Blocking`. A lost wake-up is a park that rides out its whole 20 ms
+    /// time-out with a UC already queued, so the parks that lasted that long
+    /// are counted: one per 1000 rounds (4 s lost over the run) fails. Wall
+    /// time itself is no yardstick — on a loaded 2-vCPU host the 200 000
+    /// honest futex round trips alone range from 0.5 s to 4 s.
+    #[test]
+    fn handoffs_lose_no_wakeup() {
+        const ROUNDS: u32 = 200_000;
+        type Side = (ParkQueue, Parker);
+        let side = || -> Arc<Side> {
+            Arc::new((
+                ParkQueue::default(),
+                Parker::new(IdlePolicy::Blocking, TIMEOUT),
+            ))
+        };
+        /// Pop from `s`, parking while it is empty; counts time-outs.
+        fn take(s: &Side, timed_out: &mut u32) -> Arc<UcInner> {
+            loop {
+                let seen = s.1.version();
+                if let Some(uc) = s.0.pop(false) {
+                    return uc;
+                }
+                let t = Instant::now();
+                s.1.park(seen, || s.0.is_empty_locked());
+                *timed_out += (t.elapsed() >= TIMEOUT) as u32;
+            }
+        }
+        let (ping, pong) = (side(), side());
+        let t0 = Instant::now();
+        let echo = {
+            let (ping, pong) = (ping.clone(), pong.clone());
+            std::thread::spawn(move || {
+                let mut timed_out = 0;
+                for _ in 0..ROUNDS {
+                    let uc = take(&ping, &mut timed_out);
+                    pong.0.push(uc, &pong.1);
+                }
+                timed_out
+            })
+        };
+        let mut timed_out = 0;
+        let mut uc = dummy_uc(1);
+        for _ in 0..ROUNDS {
+            ping.0.push(uc, &ping.1);
+            uc = take(&pong, &mut timed_out);
+        }
+        timed_out += echo.join().unwrap();
+        assert!(
+            timed_out < ROUNDS / 1000,
+            "{timed_out} of {ROUNDS} hand-offs rode out the park time-out ({:?} in all): \
+             wake-ups are being lost",
+            t0.elapsed()
+        );
+    }
+}

@@ -1,9 +1,10 @@
 //! The run queue of decoupled user contexts.
 //!
 //! A global FIFO injector plus (under [`SchedPolicy::WorkStealing`])
-//! per-scheduler stealable deques and a **single-slot "next UC" handoff**,
-//! with an eventcount-style parking protocol so idle scheduler KCs sleep
-//! instead of spinning (unless the runtime is configured for BUSYWAIT).
+//! per-scheduler stealable deques and a **single-slot "next UC" handoff**.
+//! Every queue is a `ParkQueue` and they all share one `Parker` (both in
+//! `park.rs`), on which idle scheduler KCs sleep instead of spinning
+//! (unless the runtime is configured for BUSYWAIT).
 //!
 //! ## The hot path
 //!
@@ -11,12 +12,16 @@
 //! is ~150 ns, so the common cases are engineered down to:
 //!
 //! - **Slot handoff** (yield ping-pong on a scheduler thread): the UC parks
-//!   in a thread-local slot — no lock, no eventcount bump, no futex. The
-//!   owning scheduler is by definition awake, so skipping the wake protocol
-//!   is sound; a fairness bound (`SLOT_FAIRNESS_LIMIT`) spills to the real
-//!   deque so queued UCs cannot starve behind a ping-pong pair.
-//! - **Local deque**: one uncontended lock, then the eventcount publish.
-//! - **Injector** (foreign threads, `GlobalFifo`): same, on the shared queue.
+//!   in a thread-local slot — no lock, no futex. The owning scheduler is by
+//!   definition awake, so skipping the wake protocol is sound; a fairness
+//!   bound (`SLOT_FAIRNESS_LIMIT`) spills to the real deque so queued UCs
+//!   cannot starve behind a ping-pong pair.
+//! - **Local deque / injector** (`GlobalFifo`, foreign threads, a taken
+//!   slot): one lock acquisition — a single RMW — that links the UC and
+//!   reads the parker's sleeper count. A yield is one such pop and one such
+//!   push: two locked instructions, no fence, no allocation.
+//! - **Empty probes** (a pop scanning idle shards, stealing from idle
+//!   siblings) read the queue's length mirror: one load, no lock.
 //!
 //! ## Injector sharding
 //!
@@ -25,30 +30,29 @@
 //! cache-line-padded shards (round-robin push, rotating pop scan): with
 //! 100k+ runnable UCs whose enqueues all arrive from *foreign* threads
 //! (pooled spawns, deferred enqueues published on pool KCs), one shared
-//! mutex becomes the bottleneck long before the schedulers do. Work
+//! lock becomes the bottleneck long before the schedulers do. Work
 //! stealing already abandons global FIFO order, so sharding costs nothing
 //! semantically there.
 //!
-//! ## Wake protocol (eventcount)
+//! ## Wake protocol
 //!
-//! A producer publishes (enqueue, `version += 1`) and then checks
-//! `sleepers`; a consumer announces (`sleepers += 1`) and then re-checks
-//! emptiness + `version` before sleeping on the futex. Those two
-//! check-after-publish patterns race in *both* directions, and each needs a
-//! StoreLoad barrier — `Release`/`Acquire` alone permits the producer to
-//! read `sleepers == 0` while the consumer reads the stale version and
-//! sleeps, a missed wake bounded only by the park timeout. Both sides
-//! therefore carry an explicit `SeqCst` fence between their publish and
-//! their check.
+//! The one in `park.rs`, unchanged by there being many queues: a push
+//! reads `sleepers` inside the critical section of *the queue it pushed
+//! to*; an idle scheduler announces itself and then re-checks *every*
+//! queue it could pop from, each under its own lock
+//! ([`RunQueue::is_empty`]), before it sleeps. For the queue a racing push
+//! landed in, either the push's critical section came first and the
+//! re-check sees the UC, or the re-check came first and the push sees the
+//! announce and wakes. The version word moves only then, and on
+//! [`RunQueue::wake_all`].
 
+use crate::park::{ParkQueue, Parker};
 use crate::uc::{IdlePolicy, UcInner};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use ulp_kernel::{futex_wait_timeout, futex_wake};
 
 /// Scheduling discipline of the run queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,13 +73,9 @@ pub enum SchedPolicy {
 /// shadow queued UCs.
 const SLOT_FAIRNESS_LIMIT: u32 = 64;
 
-/// One injector shard, padded to its own cache line so round-robin pushers
-/// don't false-share the neighbors' mutexes.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct InjectorShard {
-    queue: Mutex<VecDeque<Arc<UcInner>>>,
-}
+/// Longest single sleep of an idle scheduler (it re-checks shutdown and
+/// runs the stack scavenger once per pass).
+const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// Injector shard count for `WorkStealing`: scale with the host but stay
 /// small — each pop may scan all shards. `GlobalFifo` always uses 1.
@@ -86,17 +86,12 @@ fn ws_injector_shards() -> usize {
         .clamp(2, 16)
 }
 
-/// A scheduler's stealable local FIFO.
-#[derive(Debug, Default)]
-struct LocalDeque {
-    queue: Mutex<VecDeque<Arc<UcInner>>>,
-}
-
 /// Thread-local registration of a scheduler with its runtime's queue.
 struct LocalReg {
     /// Owning [`RunQueue`] identity (its address) so runtimes never mix.
     tag: usize,
-    deque: Arc<LocalDeque>,
+    /// The scheduler's stealable local FIFO.
+    deque: Arc<ParkQueue>,
     /// The single-slot next-UC handoff; visible only to the owning thread.
     slot: RefCell<Option<Arc<UcInner>>>,
     /// Consecutive pops served from the slot (fairness bookkeeping).
@@ -107,27 +102,22 @@ thread_local! {
     static LOCAL: RefCell<Option<LocalReg>> = const { RefCell::new(None) };
 }
 
-/// The queue of decoupled UCs awaiting dispatch by scheduler KCs, with the
-/// eventcount-style sleep/wake protocol idle schedulers park on.
+/// The queue of decoupled UCs awaiting dispatch by scheduler KCs, and the
+/// parker idle schedulers sleep on.
 #[derive(Debug)]
 pub struct RunQueue {
     /// Sharded global injector: exactly one shard under `GlobalFifo` (exact
     /// FIFO), several padded shards under `WorkStealing` (see module docs).
-    injector: Box<[InjectorShard]>,
+    injector: Box<[ParkQueue]>,
     /// Round-robin cursor for injector pushes (multi-shard only).
-    push_idx: std::sync::atomic::AtomicUsize,
+    push_idx: AtomicUsize,
     /// Rotating start cursor for injector pop scans (multi-shard only).
-    pop_idx: std::sync::atomic::AtomicUsize,
-    /// Eventcount version: bumped on every push that needs the wake protocol.
-    version: AtomicU32,
-    /// Number of parked (or about-to-park) schedulers.
-    sleepers: AtomicU32,
-    idle_policy: IdlePolicy,
+    pop_idx: AtomicUsize,
+    /// What idle schedulers sleep on; shared by every queue above and below.
+    parker: Parker,
     policy: SchedPolicy,
     /// Every registered scheduler's deque, for stealing and global counts.
-    locals: RwLock<Vec<Arc<LocalDeque>>>,
-    /// Consecutive fruitless parks (Adaptive policy bookkeeping).
-    idle_streak: AtomicU32,
+    locals: RwLock<Vec<Arc<ParkQueue>>>,
     /// The owning runtime's trace gate: when tracing is on, a push stamps
     /// the UC's `wait_since` so the dispatcher can histogram the queue
     /// delay. `None` (standalone queues) means no stamping.
@@ -147,15 +137,12 @@ impl RunQueue {
             SchedPolicy::WorkStealing => ws_injector_shards(),
         };
         RunQueue {
-            injector: (0..shards).map(|_| InjectorShard::default()).collect(),
-            push_idx: std::sync::atomic::AtomicUsize::new(0),
-            pop_idx: std::sync::atomic::AtomicUsize::new(0),
-            version: AtomicU32::new(0),
-            sleepers: AtomicU32::new(0),
-            idle_policy,
+            injector: (0..shards).map(|_| ParkQueue::default()).collect(),
+            push_idx: AtomicUsize::new(0),
+            pop_idx: AtomicUsize::new(0),
+            parker: Parker::new(idle_policy, PARK_TIMEOUT),
             policy,
             locals: RwLock::new(Vec::new()),
-            idle_streak: AtomicU32::new(0),
             gate: None,
         }
     }
@@ -184,7 +171,7 @@ impl RunQueue {
         if self.policy != SchedPolicy::WorkStealing {
             return;
         }
-        let deque = Arc::new(LocalDeque::default());
+        let deque = Arc::new(ParkQueue::default());
         self.locals.write().push(deque.clone());
         LOCAL.with(|l| {
             *l.borrow_mut() = Some(LocalReg {
@@ -197,8 +184,9 @@ impl RunQueue {
     }
 
     /// Drop the calling thread's local registration: the slot and any
-    /// leftover deque entries spill to the injector, and the deque leaves
-    /// the steal registry.
+    /// leftover deque entries spill to the injector (whose push wakes a
+    /// sleeping scheduler — another one may be the only one left to run
+    /// them), and the deque leaves the steal registry.
     pub fn unregister_local(&self) {
         let reg = LOCAL.with(|l| {
             let mut slot = l.borrow_mut();
@@ -211,24 +199,13 @@ impl RunQueue {
             }
         });
         let Some(reg) = reg else { return };
-        let mut spilled = false;
         if let Some(uc) = reg.slot.borrow_mut().take() {
             self.inject(uc);
-            spilled = true;
         }
-        {
-            let mut q = reg.deque.queue.lock();
-            while let Some(uc) = q.pop_front() {
-                self.inject(uc);
-                spilled = true;
-            }
+        while let Some(uc) = reg.deque.pop(false) {
+            self.inject(uc);
         }
         self.locals.write().retain(|d| !Arc::ptr_eq(d, &reg.deque));
-        if spilled {
-            // Spilled UCs need the full publish: another scheduler may be
-            // the only one left to run them.
-            self.publish_and_wake();
-        }
     }
 
     /// Enqueue on the injector: the single shard under `GlobalFifo`,
@@ -240,7 +217,7 @@ impl RunQueue {
         } else {
             self.push_idx.fetch_add(1, Ordering::Relaxed) % self.injector.len()
         };
-        self.injector[i].queue.lock().push_back(uc);
+        self.injector[i].push(uc, &self.parker);
     }
 
     /// Dequeue from the injector, scanning shards from a rotating start so
@@ -253,26 +230,7 @@ impl RunQueue {
         } else {
             self.pop_idx.fetch_add(1, Ordering::Relaxed) % n
         };
-        for k in 0..n {
-            let mut q = self.injector[(start + k) % n].queue.lock();
-            let got = if biased { q.pop_back() } else { q.pop_front() };
-            if got.is_some() {
-                return got;
-            }
-        }
-        None
-    }
-
-    /// Eventcount publish half: bump the version, then (behind a StoreLoad
-    /// barrier — see the module docs) wake sleepers if any.
-    #[inline]
-    fn publish_and_wake(&self) {
-        self.version.fetch_add(1, Ordering::Release);
-        self.idle_streak.store(0, Ordering::Release);
-        fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            futex_wake(&self.version, i32::MAX);
-        }
+        (0..n).find_map(|k| self.injector[(start + k) % n].pop(biased))
     }
 
     /// Make a UC schedulable. On a registered scheduler thread under
@@ -298,44 +256,40 @@ impl RunQueue {
                 }
             }
         }
-        if self.policy == SchedPolicy::WorkStealing {
-            let tag = self.tag();
-            let outcome = LOCAL.with(move |l| {
-                let b = l.borrow();
-                let Some(reg) = b.as_ref().filter(|reg| reg.tag == tag) else {
-                    // Not our registered scheduler thread.
-                    return Err(uc);
-                };
-                let mut slot = reg.slot.borrow_mut();
-                if slot.is_none() && reg.slot_streak.get() < SLOT_FAIRNESS_LIMIT {
-                    // Slot handoff: the owner thread is awake by definition,
-                    // so no eventcount bump and no futex — zero shared-line
-                    // traffic on the yield ping-pong path.
-                    *slot = Some(uc);
-                    return Ok(true);
-                }
-                // Slot taken (or owed to the deque for fairness): use the
-                // stealable local deque; the caller runs the full publish.
-                drop(slot);
-                reg.slot_streak.set(0);
-                reg.deque.queue.lock().push_back(uc);
-                Ok(false)
-            });
-            match outcome {
-                Ok(true) => return,
-                Ok(false) => {
-                    self.publish_and_wake();
-                    return;
-                }
-                Err(uc) => {
-                    self.inject(uc);
-                    self.publish_and_wake();
-                    return;
-                }
-            }
+        let foreign = match self.policy {
+            SchedPolicy::WorkStealing => self.push_local(uc),
+            SchedPolicy::GlobalFifo => Some(uc),
+        };
+        if let Some(uc) = foreign {
+            self.inject(uc);
         }
-        self.inject(uc);
-        self.publish_and_wake();
+    }
+
+    /// `WorkStealing`, on the queue's own registered scheduler thread: take
+    /// `uc` into the next-UC slot or the local deque. Any other thread gets
+    /// it back, for the injector.
+    #[inline]
+    fn push_local(&self, uc: Arc<UcInner>) -> Option<Arc<UcInner>> {
+        LOCAL.with(|l| {
+            let b = l.borrow();
+            let Some(reg) = b.as_ref().filter(|reg| reg.tag == self.tag()) else {
+                return Some(uc);
+            };
+            let mut slot = reg.slot.borrow_mut();
+            if slot.is_none() && reg.slot_streak.get() < SLOT_FAIRNESS_LIMIT {
+                // Slot handoff: the owner thread is awake by definition,
+                // so no lock and no futex — zero shared-line traffic on
+                // the yield ping-pong path.
+                *slot = Some(uc);
+                return None;
+            }
+            // Slot taken (or owed to the deque for fairness): use the
+            // stealable local deque, whose push wakes a sleeping thief.
+            drop(slot);
+            reg.slot_streak.set(0);
+            reg.deque.push(uc, &self.parker);
+            None
+        })
     }
 
     /// Pop the next runnable UC, if any: the thread's next-UC slot first,
@@ -357,16 +311,10 @@ impl RunQueue {
                     }
                 }
                 reg.slot_streak.set(0);
-                let popped = {
-                    let mut q = reg.deque.queue.lock();
-                    if biased {
-                        q.pop_back()
-                    } else {
-                        q.pop_front()
-                    }
-                };
                 // Biased pops bypassed the slot; don't strand its occupant.
-                popped.or_else(|| reg.slot.borrow_mut().take())
+                reg.deque
+                    .pop(biased)
+                    .or_else(|| reg.slot.borrow_mut().take())
             });
             if local.is_some() {
                 return local;
@@ -376,119 +324,69 @@ impl RunQueue {
             return Some(uc);
         }
         if self.policy == SchedPolicy::WorkStealing {
-            for deque in self.locals.read().iter() {
-                let mut q = deque.queue.lock();
-                let got = if biased { q.pop_back() } else { q.pop_front() };
-                if got.is_some() {
-                    return got;
-                }
-            }
+            return self.locals.read().iter().find_map(|d| d.pop(biased));
         }
         None
     }
 
-    /// Eventcount version; read *before* the emptiness check that precedes
-    /// a [`RunQueue::park`].
+    /// The parker's version word; read *before* the emptiness check that
+    /// precedes a [`RunQueue::park`].
     #[inline]
     pub fn version(&self) -> u32 {
-        self.version.load(Ordering::Acquire)
+        self.parker.version()
     }
 
-    /// The consumer half of the wake protocol: announce, then (behind the
-    /// matching StoreLoad barrier) re-check before sleeping.
-    fn blocking_wait(&self, seen: u32) {
-        self.sleepers.fetch_add(1, Ordering::AcqRel);
-        fence(Ordering::SeqCst);
-        if self.is_empty() && self.version.load(Ordering::Relaxed) == seen {
-            futex_wait_timeout(&self.version, seen, Duration::from_millis(20));
-        }
-        self.sleepers.fetch_sub(1, Ordering::AcqRel);
+    /// A scheduler popped a UC (`Adaptive` restarts its spin streak).
+    #[inline]
+    pub fn found_work(&self) {
+        self.parker.found_work();
     }
 
-    /// Idle until the version moves past `seen` (bounded; callers re-check
-    /// in a loop). Under BUSYWAIT this spins briefly instead of sleeping.
+    /// Idle until woken (bounded; callers re-check in a loop): announce,
+    /// re-check every queue under its lock, sleep — or spin briefly, per
+    /// the idle policy (`Parker::park`).
     pub fn park(&self, seen: u32) {
-        // Torture hook: behave as the opposite idle policy for this one
-        // call (no-op unless chaos is armed). Flipping BUSYWAIT→BLOCKING is
-        // bounded by the park timeout even if no producer ever wakes us.
-        let policy = if crate::chaos::flip_idle() {
-            match self.idle_policy {
-                IdlePolicy::BusyWait => IdlePolicy::Blocking,
-                IdlePolicy::Blocking | IdlePolicy::Adaptive => IdlePolicy::BusyWait,
-            }
-        } else {
-            self.idle_policy
-        };
-        match policy {
-            IdlePolicy::BusyWait => {
-                for _ in 0..64 {
-                    std::hint::spin_loop();
-                }
-                // See KcShared::park: keep single-core hosts live.
-                std::thread::yield_now();
-            }
-            IdlePolicy::Blocking => self.blocking_wait(seen),
-            IdlePolicy::Adaptive => {
-                let streak = self.idle_streak.fetch_add(1, Ordering::AcqRel);
-                if streak < crate::uc::ADAPTIVE_SPIN_STREAK {
-                    for _ in 0..64 {
-                        std::hint::spin_loop();
-                    }
-                    std::thread::yield_now();
-                } else {
-                    self.blocking_wait(seen);
-                }
-            }
-        }
+        self.parker.park(seen, || self.is_empty());
     }
 
-    /// Bump the eventcount and wake every parked scheduler (used on
+    /// Bump the version word and wake every parked scheduler (used on
     /// shutdown so sleepers re-check the shutdown flag).
     pub fn wake_all(&self) {
-        self.version.fetch_add(1, Ordering::Release);
-        fence(Ordering::SeqCst);
-        futex_wake(&self.version, i32::MAX);
+        self.parker.poke();
+    }
+
+    fn own_slot_full(&self) -> bool {
+        LOCAL.with(|l| {
+            l.borrow()
+                .as_ref()
+                .filter(|reg| reg.tag == self.tag())
+                .is_some_and(|reg| reg.slot.borrow().is_some())
+        })
     }
 
     /// Whether any UC is runnable *from this thread's viewpoint*: the
     /// injector, any registered deque, or — on a registered scheduler
     /// thread — its own next-UC slot (other threads cannot see a foreign
-    /// slot; its owner drains it before it can ever park or exit).
+    /// slot; its owner drains it before it can ever park or exit). Each
+    /// queue is checked under its lock: this is the re-check an idle
+    /// scheduler makes before it sleeps.
     pub fn is_empty(&self) -> bool {
-        if !self.injector.iter().all(|s| s.queue.lock().is_empty()) {
+        if !self.injector.iter().all(ParkQueue::is_empty_locked) {
             return false;
         }
         if self.policy == SchedPolicy::WorkStealing {
-            let own_slot_full = LOCAL.with(|l| {
-                l.borrow()
-                    .as_ref()
-                    .filter(|reg| reg.tag == self.tag())
-                    .is_some_and(|reg| reg.slot.borrow().is_some())
-            });
-            if own_slot_full {
-                return false;
-            }
-            return self.locals.read().iter().all(|d| d.queue.lock().is_empty());
+            return !self.own_slot_full() && self.locals.read().iter().all(|d| d.is_empty_locked());
         }
         true
     }
 
-    /// Runnable UCs currently queued (injector plus local deques).
+    /// Runnable UCs currently queued (injector plus local deques), from
+    /// the queues' length mirrors — no lock taken.
     pub fn len(&self) -> usize {
-        let mut n: usize = self.injector.iter().map(|s| s.queue.lock().len()).sum();
+        let mut n: usize = self.injector.iter().map(ParkQueue::len).sum();
         if self.policy == SchedPolicy::WorkStealing {
-            n += self
-                .locals
-                .read()
-                .iter()
-                .map(|d| d.queue.lock().len())
-                .sum::<usize>();
-            n += LOCAL.with(|l| {
-                l.borrow()
-                    .as_ref()
-                    .filter(|reg| reg.tag == self.tag())
-                    .is_some_and(|reg| reg.slot.borrow().is_some())
-            }) as usize;
+            n += self.locals.read().iter().map(|d| d.len()).sum::<usize>();
+            n += self.own_slot_full() as usize;
         }
         n
     }
@@ -501,7 +399,7 @@ pub(crate) mod tests {
     use crate::uc::{BltId, KcShared, OneShot, UcKind};
     use parking_lot::Mutex;
     use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8};
     use ulp_fcontext::RawContext;
     use ulp_kernel::process::Pid;
 
@@ -525,6 +423,7 @@ pub(crate) mod tests {
             wait_since: AtomicU64::new(0),
             wake_from: AtomicU64::new(0),
             spawn_ns: 0,
+            qlink: crate::park::QLink::new(),
         })
     }
 
@@ -542,22 +441,43 @@ pub(crate) mod tests {
         assert!(q.is_empty());
     }
 
+    /// The version word is a wake-up ticket, not a push counter: it moves
+    /// when a push finds a scheduler announced asleep, and on `wake_all`.
     #[test]
-    fn version_bumps_on_push() {
-        let q = RunQueue::new(IdlePolicy::BusyWait);
+    fn version_moves_only_for_a_sleeper_or_wake_all() {
+        let q = Arc::new(RunQueue::new(IdlePolicy::Blocking));
         let v = q.version();
         q.push(dummy_uc(1));
-        assert!(q.version() > v);
+        assert_eq!(q.version(), v, "nobody announced: the push is silent");
+        assert_eq!(q.pop().unwrap().id, BltId(1));
+        q.wake_all();
+        assert_eq!(q.version(), v + 1, "wake_all always bumps");
+
+        let q2 = q.clone();
+        let sleeper = std::thread::spawn(move || loop {
+            let seen = q2.version();
+            if let Some(uc) = q2.pop() {
+                return uc.id;
+            }
+            q2.park(seen);
+        });
+        while q.parker.announced() == 0 {
+            std::thread::yield_now();
+        }
+        let v = q.version();
+        q.push(dummy_uc(2));
+        assert!(q.version() > v, "an announced sleeper gets a ticket");
+        assert_eq!(sleeper.join().unwrap(), BltId(2));
     }
 
     #[test]
-    fn park_returns_promptly_when_version_moved() {
+    fn park_returns_promptly_when_queue_non_empty() {
         let q = RunQueue::new(IdlePolicy::Blocking);
         let seen = q.version();
-        q.push(dummy_uc(1)); // version moved; park must not hang
+        q.push(dummy_uc(1)); // silent, but the locked re-check sees it
         let t = std::time::Instant::now();
         q.park(seen);
-        assert!(t.elapsed() < Duration::from_millis(100));
+        assert!(t.elapsed() < PARK_TIMEOUT / 2);
     }
 
     #[test]
@@ -617,6 +537,70 @@ pub(crate) mod tests {
             c.join().unwrap();
         }
         assert_eq!(drained.load(Ordering::Acquire), total as u32);
+        assert!(q.is_empty());
+    }
+    /// 4 producers × 2 consumers under `GlobalFifo`/`Blocking`: every UC
+    /// popped exactly once, each producer's UCs in the order it pushed them
+    /// (as seen by any one consumer), and every producer descheduled inside
+    /// each of its critical sections, so the consumers — and the other
+    /// producers — wait on a lock whose holder is not running.
+    #[test]
+    fn hammer_exactly_once_in_producer_order() {
+        const PRODUCERS: u64 = 4;
+        const PER: u64 = 5_000;
+        let q = Arc::new(RunQueue::new(IdlePolicy::Blocking));
+        let done = Arc::new(AtomicBool::new(false));
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, done) = (q.clone(), done.clone());
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    loop {
+                        let seen = q.version();
+                        if let Some(uc) = q.pop() {
+                            got.push(uc.id.0);
+                        } else if done.load(Ordering::SeqCst) {
+                            return got;
+                        } else {
+                            q.park(seen);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    crate::park::tests::yield_as_lock_holder(true);
+                    for i in 0..PER {
+                        q.push(dummy_uc(p << 32 | i));
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        q.wake_all();
+        let mut all = Vec::new();
+        for c in consumers {
+            let got = c.join().unwrap();
+            for p in 0..PRODUCERS {
+                let mine: Vec<u64> = got.iter().copied().filter(|id| id >> 32 == p).collect();
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "producer {p}'s UCs overtook each other"
+                );
+            }
+            all.extend(got);
+        }
+        all.sort_unstable();
+        let want: Vec<u64> = (0..PRODUCERS)
+            .flat_map(|p| (0..PER).map(move |i| p << 32 | i))
+            .collect();
+        assert_eq!(all, want, "lost or duplicated UCs");
         assert!(q.is_empty());
     }
 }
@@ -774,10 +758,10 @@ mod ws_tests {
         assert!(q.is_empty());
     }
 
-    /// Regression test for the eventcount wake protocol: a scheduler parked
-    /// BLOCKING must be woken promptly by a push that lands in *another*
-    /// thread's local deque — the push's publish must reach the sleeper
-    /// even though the UC never touches the injector.
+    /// Regression test for the wake protocol across queues: a scheduler
+    /// parked BLOCKING must be woken promptly by a push that lands in
+    /// *another* thread's local deque — that deque's push must see the
+    /// sleeper even though the UC never touches the injector.
     #[test]
     fn ws_parked_scheduler_wakes_on_local_deque_push() {
         let q = Arc::new(RunQueue::with_policy(
@@ -824,7 +808,7 @@ mod ws_tests {
         producer.join().unwrap();
         assert_eq!(got, 2);
         // A missed wake would ride the full 20 ms park timeout; a correct
-        // publish cuts the park short.
+        // push cuts the park short.
         assert!(
             waited < Duration::from_millis(15),
             "sleeper only woke after {waited:?} — wake was missed"

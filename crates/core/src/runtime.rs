@@ -665,7 +665,7 @@ impl Runtime {
         // empty; nudge any futex sleepers, then join.
         if let Some(kcs) = self.inner.pool.kcs.get() {
             for kc in kcs {
-                kc.notify();
+                kc.parker.poke();
             }
         }
         let pool_handles: Vec<_> = self.inner.pool.threads.lock().drain(..).collect();
@@ -766,6 +766,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         wait_since: AtomicU64::new(0),
         wake_from: AtomicU64::new(0),
         spawn_ns: crate::trace::now_ns(),
+        qlink: crate::park::QLink::new(),
     });
     rt.register_uc(&identity);
     set_runtime(rt.clone());
@@ -779,7 +780,10 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         }
         let seen = rt.runq.version();
         match rt.runq.pop() {
-            Some(uc) => run_uc(&identity, uc),
+            Some(uc) => {
+                rt.runq.found_work();
+                run_uc(&identity, uc)
+            }
             None => {
                 rt.stack_pool.scavenge();
                 rt.runq.park(seen)

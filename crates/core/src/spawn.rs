@@ -97,7 +97,7 @@ impl BltHandle {
             let _gate = self.uc.kc.pending.lock();
             self.uc.kc.handle_closed.store(true, Ordering::Release);
         }
-        self.uc.kc.notify();
+        self.uc.kc.parker.poke();
     }
 }
 
@@ -242,6 +242,7 @@ impl Runtime {
             wait_since: AtomicU64::new(0),
             wake_from: AtomicU64::new(0),
             spawn_ns: crate::trace::now_ns(),
+            qlink: crate::park::QLink::new(),
         });
 
         rt.register_uc(&uc);
@@ -305,7 +306,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
     // drained; both conditions are checked under the registration gate
     // (the `pending` lock), making retirement atomic w.r.t. registration.
     loop {
-        let seen = uc.kc.signal_version();
+        let seen = uc.kc.parker.version();
         {
             let _gate = uc.kc.pending.lock();
             if uc.kc.handle_closed.load(Ordering::Acquire)
@@ -322,7 +323,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
         if uc.kc.sibling_count.load(Ordering::Acquire) > 0 {
             // Serve the live siblings from the TC until they drain.
             uc.kc.primary_waiting.store(true, Ordering::Release);
-            uc.kc.notify();
+            uc.kc.parker.poke();
             let target = unsafe { *uc.kc.tc_ctx.get() };
             unsafe {
                 crate::couple::raw_switch(uc.ctx.get(), target, None);
@@ -330,8 +331,9 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
             // Resumed by the TC once sibling_count hit zero; re-check.
         } else {
             // Handle still open but nothing to serve: idle until a sibling
-            // registers or the handle closes (both notify()).
-            uc.kc.park(seen);
+            // registers or the handle closes (both poke the parker; no
+            // queue is involved, so there is nothing to re-check).
+            uc.kc.parker.park(seen, || true);
         }
     }
 
@@ -367,7 +369,7 @@ fn spawn_sibling_inner(
         Ok(s) => s,
         Err(e) => {
             primary.kc.sibling_count.fetch_sub(1, Ordering::AcqRel);
-            primary.kc.notify();
+            primary.kc.parker.poke();
             return Err(UlpError::StackAlloc(e.to_string()));
         }
     };
@@ -391,6 +393,7 @@ fn spawn_sibling_inner(
         wait_since: AtomicU64::new(0),
         wake_from: AtomicU64::new(0),
         spawn_ns: crate::trace::now_ns(),
+        qlink: crate::park::QLink::new(),
     });
     rt.register_uc(&uc);
     rt.tracer.record(crate::trace::Event::Spawn(uc.id));
@@ -414,7 +417,7 @@ fn spawn_sibling_inner(
         );
     }
     rt.runq.push(uc.clone());
-    primary.kc.notify();
+    primary.kc.parker.poke();
     Ok(SiblingHandle { uc, result })
 }
 
@@ -452,6 +455,7 @@ fn spawn_pooled_inner(
         wait_since: AtomicU64::new(0),
         wake_from: AtomicU64::new(0),
         spawn_ns: crate::trace::now_ns(),
+        qlink: crate::park::QLink::new(),
     });
     // Deliberately NOT in the pid → UC registry (`register_uc`): a million
     // entries would dominate the map, and procfs enrichment of short-lived

@@ -16,20 +16,19 @@
 //! *Sibling* UCs (the §VII M:N extension) run on their own allocated stacks
 //! and share the primary's original KC — and therefore its kernel identity.
 
+use crate::park::{ParkQueue, Parker, QLink};
 use crate::runtime::RuntimeInner;
 use crate::tls::TlsStorage;
 use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{
-    fence, AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+    AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::ThreadId;
 use std::time::Duration;
 use ulp_fcontext::{RawContext, Stack};
 use ulp_kernel::process::Pid;
-use ulp_kernel::{futex_wait_timeout, futex_wake};
 
 /// Identifier of a BLT / UC within one runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,22 +86,34 @@ pub enum IdlePolicy {
     Adaptive,
 }
 
-/// Consecutive fruitless park() calls before an Adaptive KC gives up
-/// spinning and blocks.
+/// Consecutive fruitless idle passes before an Adaptive KC gives up
+/// spinning and blocks (counted by its `Parker`).
 pub const ADAPTIVE_SPIN_STREAK: u32 = 64;
+
+/// Longest single sleep of an idle kernel context (it re-checks its exit
+/// conditions and runs the stack scavenger once per pass).
+const KC_PARK_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// The state a BLT's original kernel context shares with its UCs.
 #[derive(Debug)]
 pub struct KcShared {
+    /// UCs that called `couple()` and wait to run on this KC, served in
+    /// arrival order by the KC's idle loop — or claimed by a `decouple()`
+    /// on the KC's own thread (direct handoff), which first probes the
+    /// queue's lock-free length so an empty probe is one load. Its lock
+    /// doubles as the sibling-registration gate (see `handle_closed`).
+    pub(crate) pending: ParkQueue,
+    /// What the idle loop sleeps on, per the KC's [`IdlePolicy`]. A couple
+    /// request pushed to `pending` wakes it iff the KC had announced itself
+    /// asleep by then (`park.rs`: the push reads the sleeper count inside
+    /// `pending`'s critical section, the idle loop re-checks `pending`
+    /// under the same lock before it sleeps — no fence, and no futex call
+    /// while the KC runs user code or spins); sibling registration and
+    /// exit, handle close and shutdown change no queue and `poke()` it.
+    pub(crate) parker: Parker,
     /// The OS thread acting as this kernel context, for display (set by
     /// [`KcShared::adopt_current_thread`]).
     pub thread_id: OnceLock<ThreadId>,
-    /// How this KC waits when idle (BUSYWAIT / BLOCKING / Adaptive).
-    pub idle_policy: IdlePolicy,
-    /// UCs that called `couple()` and wait to run on this KC.
-    pub pending: Mutex<VecDeque<Arc<UcInner>>>,
-    /// Eventcount for waking the idle loop (futex word under BLOCKING).
-    pub signal: AtomicU32,
     /// The trampoline context's suspended state.
     pub tc_ctx: UnsafeCell<RawContext>,
     /// The trampoline's (small) stack; `None` until the TC is created.
@@ -121,14 +132,6 @@ pub struct KcShared {
     pub handle_closed: AtomicBool,
     /// The primary finished and is parked until siblings drain.
     pub primary_waiting: AtomicBool,
-    /// Consecutive fruitless parks (Adaptive policy bookkeeping).
-    pub idle_streak: AtomicU32,
-    /// Kernel contexts currently inside (or entering) a futex wait on
-    /// `signal`. Lets [`KcShared::notify`] skip the `futex_wake` system
-    /// call entirely when nobody sleeps — the common case whenever the KC
-    /// is running user code or still spinning (same waiter-gated wake
-    /// protocol as `RunQueue`, see `runqueue.rs` for the fence rationale).
-    pub sleepers: AtomicU32,
     /// Tracing-only wake stamp for the TC idle loop: armed by the thread
     /// publishing a couple request to this KC, consumed by the TC when a
     /// park actually ended (the `kc_notify` wake edge). Inert when tracing
@@ -137,7 +140,8 @@ pub struct KcShared {
 }
 
 // tc_ctx is only touched by the KC's own thread and by contexts executing on
-// that thread; the pending queue and signal are the cross-thread interface.
+// that thread; the pending queue and the parker are the cross-thread
+// interface.
 unsafe impl Send for KcShared {}
 unsafe impl Sync for KcShared {}
 
@@ -145,10 +149,9 @@ impl KcShared {
     /// Fresh kernel-context state with the given idle policy.
     pub fn new(idle_policy: IdlePolicy) -> KcShared {
         KcShared {
+            pending: ParkQueue::default(),
+            parker: Parker::new(idle_policy, KC_PARK_TIMEOUT),
             thread_id: OnceLock::new(),
-            idle_policy,
-            pending: Mutex::new(VecDeque::new()),
-            signal: AtomicU32::new(0),
             tc_ctx: UnsafeCell::new(RawContext::null()),
             tc_stack: Mutex::new(None),
             tc_started: AtomicBool::new(false),
@@ -156,8 +159,6 @@ impl KcShared {
             sibling_count: AtomicUsize::new(0),
             handle_closed: AtomicBool::new(false),
             primary_waiting: AtomicBool::new(false),
-            idle_streak: AtomicU32::new(0),
-            sleepers: AtomicU32::new(0),
             wake: ulp_kernel::trace::WakeCell::new(),
         }
     }
@@ -177,86 +178,6 @@ impl KcShared {
     #[inline]
     pub fn is_current_thread(&self) -> bool {
         crate::current::is_kc(self)
-    }
-
-    /// Publish an event (couple request, sibling termination) and wake the
-    /// idle loop if it sleeps.
-    #[inline]
-    pub fn notify(&self) {
-        self.signal.fetch_add(1, Ordering::Release);
-        if self.idle_policy == IdlePolicy::Adaptive {
-            // Reset the spin streak so a busy KC keeps spinning instead of
-            // falling asleep right after new work arrived.
-            self.idle_streak.store(0, Ordering::Release);
-        }
-        // Waiter-gated wake (the batching half of the fast path): skip the
-        // futex_wake system call unless a KC actually announced itself
-        // asleep. The SeqCst fence orders our signal bump before the
-        // sleepers load against the parker's mirror-image fence, so either
-        // we see its announcement or it sees our new version — a wake can
-        // be elided but never lost (same protocol as
-        // `RunQueue::publish_and_wake`, see `runqueue.rs`).
-        fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            futex_wake(&self.signal, i32::MAX);
-        }
-    }
-
-    /// Current eventcount version; read *before* checking for work.
-    #[inline]
-    pub fn signal_version(&self) -> u32 {
-        self.signal.load(Ordering::Acquire)
-    }
-
-    /// Idle once: spin briefly (BUSYWAIT) or sleep until `signal` moves past
-    /// `seen` (BLOCKING). Returns whether the KC actually blocked.
-    pub fn park(&self, seen: u32) -> bool {
-        match self.idle_policy {
-            IdlePolicy::BusyWait => {
-                for _ in 0..64 {
-                    std::hint::spin_loop();
-                }
-                // On hosts with fewer cores than spinning KCs, a pure spin
-                // would stall handoffs for a whole scheduling quantum; a
-                // yield keeps busy-wait semantics (no futex sleep) while
-                // letting the peer run. On the paper's dedicated cores this
-                // is a no-op (no runnable peer on the core).
-                std::thread::yield_now();
-                false
-            }
-            IdlePolicy::Blocking => {
-                self.block_on_signal(seen);
-                true
-            }
-            IdlePolicy::Adaptive => {
-                let streak = self.idle_streak.fetch_add(1, Ordering::AcqRel);
-                if streak < ADAPTIVE_SPIN_STREAK {
-                    for _ in 0..64 {
-                        std::hint::spin_loop();
-                    }
-                    std::thread::yield_now();
-                    false
-                } else {
-                    self.block_on_signal(seen);
-                    true
-                }
-            }
-        }
-    }
-
-    /// Announce this KC as a sleeper, re-check the eventcount, and futex
-    /// wait (bounded; robust against lost wakeups by re-checking at the
-    /// caller's loop top). The announce → fence → re-check order pairs with
-    /// [`KcShared::notify`]'s bump → fence → sleepers-load: a notify racing
-    /// this park either sees `sleepers > 0` and wakes, or bumped `signal`
-    /// early enough for the re-check here to see it and skip the sleep.
-    fn block_on_signal(&self, seen: u32) {
-        self.sleepers.fetch_add(1, Ordering::AcqRel);
-        fence(Ordering::SeqCst);
-        if self.signal.load(Ordering::Relaxed) == seen {
-            futex_wait_timeout(&self.signal, seen, Duration::from_millis(50));
-        }
-        self.sleepers.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -398,6 +319,9 @@ pub struct UcInner {
     /// `now_ns()` at spawn, on the trace clock; surfaced in
     /// `/proc/<pid>/stat` so a ULP can date itself from inside.
     pub spawn_ns: u64,
+    /// Intrusive link for the one `ParkQueue` (run queue or a KC's
+    /// `pending`) this UC may be waiting in.
+    pub(crate) qlink: QLink,
 }
 
 unsafe impl Send for UcInner {}
@@ -460,12 +384,14 @@ impl std::fmt::Debug for UcInner {
 mod tests {
     use super::*;
 
+    /// Non-queue events (sibling exit, handle close, shutdown) always move
+    /// the KC's futex word.
     #[test]
     fn kc_notify_bumps_version() {
         let kc = KcShared::new(IdlePolicy::BusyWait);
-        let v0 = kc.signal_version();
-        kc.notify();
-        assert_eq!(kc.signal_version(), v0 + 1);
+        let v0 = kc.parker.version();
+        kc.parker.poke();
+        assert_eq!(kc.parker.version(), v0 + 1);
     }
 
     #[test]
@@ -487,23 +413,28 @@ mod tests {
     #[test]
     fn busywait_park_does_not_block() {
         let kc = KcShared::new(IdlePolicy::BusyWait);
-        let v = kc.signal_version();
-        assert!(!kc.park(v));
+        let v = kc.parker.version();
+        assert!(!kc.parker.park(v, || kc.pending.is_empty_locked()));
     }
 
+    /// A couple request published to a sleeping KC reaches its idle loop.
     #[test]
     fn blocking_park_wakes_on_notify() {
         let kc = Arc::new(KcShared::new(IdlePolicy::Blocking));
         let kc2 = kc.clone();
-        let t = std::thread::spawn(move || {
-            let v = kc2.signal_version();
-            // May block up to the bounded timeout, but notify should cut it
-            // short.
-            kc2.park(v);
+        let t = std::thread::spawn(move || loop {
+            let v = kc2.parker.version();
+            if let Some(uc) = kc2.pending.pop(false) {
+                return uc.id;
+            }
+            kc2.parker.park(v, || kc2.pending.is_empty_locked());
         });
-        std::thread::sleep(Duration::from_millis(5));
-        kc.notify();
-        t.join().unwrap();
+        while kc.parker.announced() == 0 {
+            std::thread::yield_now();
+        }
+        kc.pending
+            .push(crate::runqueue::tests::dummy_uc(7), &kc.parker);
+        assert_eq!(t.join().unwrap(), BltId(7));
     }
 
     #[test]
