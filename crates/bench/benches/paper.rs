@@ -1,244 +1,34 @@
-//! Harness-free benches: the paper's microbenchmarks plus ablations of the
-//! design choices DESIGN.md calls out (eager vs lazy trampoline creation,
-//! TLS-register switching on/off, ucontext-style signal-mask saving,
-//! global-FIFO vs work-stealing scheduling, over-subscription factor).
+//! Harness-free ablations of the design choices DESIGN.md calls out: TLS
+//! register switching on/off, ucontext-style signal-mask saving, global-FIFO
+//! vs work-stealing scheduling, and eager vs lazy trampoline creation. The
+//! paper's own tables, and over-subscription, are `repro`'s job.
 //!
 //! The build environment is offline, so instead of criterion this uses the
-//! paper's own protocol from `ulp_bench::measure_min` (warm-up loop, then
-//! minimum of ten measured runs). Run:
+//! paper's protocol (warm-up loop, then minimum of ten measured runs). Run:
 //! `cargo bench -p ulp-bench --bench paper [-- <filter>]`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use ulp_bench::{measure_min, min_of_runs, sci};
-use ulp_core::{coupled_scope, decouple, sys, yield_now, IdlePolicy, Runtime, SchedPolicy};
-use ulp_fcontext::Fiber;
-use ulp_kernel::{ArchProfile, IoModel};
+use ulp_bench::{min_of_runs, sci, workloads};
+use ulp_core::{decouple, IdlePolicy, Runtime, SchedPolicy};
 
 fn report(group: &str, name: &str, ns_per_op: f64) {
     println!("{group}/{name}: {ns_per_op:.1} ns/op ({})", sci(ns_per_op));
 }
 
-/// Table III: raw user-level context switch.
-fn bench_ctx_switch() {
-    let mut fiber = Fiber::new(|sus, _| {
-        loop {
-            sus.suspend(0);
-        }
-        #[allow(unreachable_code)]
-        0
-    })
-    .unwrap();
-    // Two swaps per resume.
-    let ns = measure_min(10_000, || {
-        fiber.resume(0);
-    }) / 2.0;
-    report("table3", "ctx_switch_oneway", ns);
-    for profile in [
-        ArchProfile::Native,
-        ArchProfile::Wallaby,
-        ArchProfile::Albireo,
-    ] {
-        let ns = measure_min(10_000, || ulp_kernel::spin_for(profile.tls_load()));
-        report("table3", &format!("tls_load/{}", profile.name()), ns);
-    }
-}
-
-/// A reusable yield-ping-pong harness: two decoupled ULPs on one scheduler;
-/// the driver runs batches of 1024 yields on demand.
-struct YieldPair {
-    rt: Runtime,
-    stop: Arc<AtomicBool>,
-    driver: Option<ulp_core::BltHandle>,
-    peer: Option<ulp_core::BltHandle>,
-    tick: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-}
-
-impl YieldPair {
-    fn new(policy: IdlePolicy, sched: SchedPolicy, tls: bool, sigmask: bool) -> YieldPair {
-        let rt = Runtime::builder()
-            .schedulers(1)
-            .idle_policy(policy)
-            .sched_policy(sched)
-            .tls_switch(tls)
-            .save_sigmask(sigmask)
-            .build();
-        let stop = Arc::new(AtomicBool::new(false));
-        let tick = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
-        let s2 = stop.clone();
-        let peer = rt.spawn("bench-peer", move || {
-            decouple().unwrap();
-            while !s2.load(Ordering::Acquire) {
-                yield_now();
-            }
-            0
-        });
-        // The driver ULP performs yields whenever `tick` flips.
-        let s3 = stop.clone();
-        let t2 = tick.clone();
-        let d2 = done.clone();
-        let driver = rt.spawn("bench-driver", move || {
-            decouple().unwrap();
-            while !s3.load(Ordering::Acquire) {
-                if t2.swap(false, Ordering::AcqRel) {
-                    for _ in 0..1024 {
-                        yield_now();
-                    }
-                    d2.store(true, Ordering::Release);
-                } else {
-                    yield_now();
-                }
-            }
-            0
-        });
-        YieldPair {
-            rt,
-            stop,
-            driver: Some(driver),
-            peer: Some(peer),
-            tick,
-            done,
-        }
-    }
-
-    /// Run 1024 yields on the driver ULP (approximately; measured as a
-    /// batch from outside).
-    fn batch(&self) {
-        self.done.store(false, Ordering::Release);
-        self.tick.store(true, Ordering::Release);
-        while !self.done.load(Ordering::Acquire) {
-            // Yield the observer's timeslice: on few-core hosts a spinning
-            // observer would starve the very ULPs it is timing.
-            std::thread::yield_now();
-        }
-    }
-}
-
-impl Drop for YieldPair {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(d) = self.driver.take() {
-            d.wait();
-        }
-        if let Some(p) = self.peer.take() {
-            p.wait();
-        }
-        let _ = &self.rt;
-    }
-}
-
-/// Table IV + ablations: yield cost under different configurations.
+/// Yield cost (Table IV's workload) with one design choice flipped at a time.
 fn bench_yield() {
-    let configs: &[(&str, IdlePolicy, SchedPolicy, bool, bool)] = &[
-        (
-            "busywait/fifo",
-            IdlePolicy::BusyWait,
-            SchedPolicy::GlobalFifo,
-            true,
-            false,
-        ),
+    let busywait = || Runtime::builder().idle_policy(IdlePolicy::BusyWait);
+    let configs = [
+        ("busywait/fifo", busywait()),
         (
             "busywait/worksteal",
-            IdlePolicy::BusyWait,
-            SchedPolicy::WorkStealing,
-            true,
-            false,
+            busywait().sched_policy(SchedPolicy::WorkStealing),
         ),
-        (
-            "ablate-no-tls",
-            IdlePolicy::BusyWait,
-            SchedPolicy::GlobalFifo,
-            false,
-            false,
-        ),
-        (
-            "ablate-save-sigmask",
-            IdlePolicy::BusyWait,
-            SchedPolicy::GlobalFifo,
-            true,
-            true,
-        ),
+        ("ablate-no-tls", busywait().tls_switch(false)),
+        ("ablate-save-sigmask", busywait().save_sigmask(true)),
     ];
-    for (name, policy, sched, tls, sigmask) in configs {
-        let pair = YieldPair::new(*policy, *sched, *tls, *sigmask);
-        let ns = min_of_runs(|| {
-            let t = std::time::Instant::now();
-            pair.batch();
-            t.elapsed().as_nanos() as f64 / 1024.0
-        });
-        report("table4_yield", name, ns);
-    }
-}
-
-/// Table V: getpid plain vs enclosed by couple()/decouple().
-fn bench_getpid() {
-    {
-        let rt = Runtime::builder().schedulers(1).build();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (dtx, drx) = std::sync::mpsc::channel::<()>();
-        let h = rt.spawn("getpid-loop", move || {
-            while rx.recv().is_ok() {
-                for _ in 0..256 {
-                    sys::getpid().unwrap();
-                }
-                dtx.send(()).unwrap();
-            }
-            0
-        });
-        let ns = min_of_runs(|| {
-            let t = std::time::Instant::now();
-            tx.send(()).unwrap();
-            drx.recv().unwrap();
-            t.elapsed().as_nanos() as f64 / 256.0
-        });
-        drop(tx);
-        h.wait();
-        report("table5_getpid", "plain_klt", ns);
-    }
-
-    for (name, policy) in [
-        ("coupled_scope/busywait", IdlePolicy::BusyWait),
-        ("coupled_scope/blocking", IdlePolicy::Blocking),
-    ] {
-        let rt = Runtime::builder().schedulers(1).idle_policy(policy).build();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (dtx, drx) = std::sync::mpsc::channel::<()>();
-        let h = rt.spawn("getpid-ulp", move || {
-            decouple().unwrap();
-            while rx.recv().is_ok() {
-                for _ in 0..64 {
-                    coupled_scope(|| sys::getpid().unwrap()).unwrap();
-                }
-                dtx.send(()).unwrap();
-            }
-            0
-        });
-        let ns = min_of_runs(|| {
-            let t = std::time::Instant::now();
-            tx.send(()).unwrap();
-            drx.recv().unwrap();
-            t.elapsed().as_nanos() as f64 / 64.0
-        });
-        drop(tx);
-        h.wait();
-        report("table5_getpid", name, ns);
-    }
-}
-
-/// Fig. 7: open-write-close for one representative size per variant.
-fn bench_owc() {
-    use ulp_bench::workloads::{owc_ns, OwcVariant};
-    for variant in [
-        OwcVariant::Plain,
-        OwcVariant::AioReturn,
-        OwcVariant::AioSuspend,
-        OwcVariant::Ulp(IdlePolicy::BusyWait),
-        OwcVariant::Ulp(IdlePolicy::Blocking),
-    ] {
-        let ns = owc_ns(variant, 64 * 1024, ArchProfile::Native, IoModel::RAW, 16);
-        report("fig7_owc_64k", variant.label(), ns);
+    for (name, builder) in configs {
+        let ns = workloads::ulp_yield_ns(builder, 10_000);
+        report("ablate_yield", name, ns);
     }
 }
 
@@ -266,48 +56,13 @@ fn bench_tc_creation() {
     }
 }
 
-/// Ablation: over-subscription factor O (eq. 2) — total time for a fixed
-/// amount of yield-heavy work split across NB = NCprog x (O+1) BLTs.
-fn bench_oversubscription() {
-    const TOTAL_WORK: usize = 4096;
-    for o in [0usize, 1, 3, 7] {
-        let n = o + 1; // NCprog = 1 scheduler
-        let rt = Runtime::builder()
-            .schedulers(1)
-            .idle_policy(IdlePolicy::Blocking)
-            .build();
-        let ns = min_of_runs(|| {
-            let t = std::time::Instant::now();
-            let per = TOTAL_WORK / n;
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    rt.spawn(&format!("o{i}"), move || {
-                        decouple().unwrap();
-                        for _ in 0..per {
-                            yield_now();
-                        }
-                        0
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.wait();
-            }
-            t.elapsed().as_nanos() as f64
-        });
-        report("ablate_oversubscription", &format!("factor_{o}"), ns);
-    }
-}
-
 fn main() {
-    let filter = std::env::args().nth(1).unwrap_or_default();
+    // `cargo bench` passes `--bench` ahead of any filter of the user's.
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with("--"));
+    let filter = filter.unwrap_or_default();
     let groups: &[(&str, fn())] = &[
-        ("table3", bench_ctx_switch),
-        ("table4_yield", bench_yield),
-        ("table5_getpid", bench_getpid),
-        ("fig7_owc_64k", bench_owc),
+        ("ablate_yield", bench_yield),
         ("ablate_tc", bench_tc_creation),
-        ("ablate_oversubscription", bench_oversubscription),
     ];
     for (name, f) in groups {
         if filter.is_empty() || name.contains(&filter) {

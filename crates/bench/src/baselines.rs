@@ -6,10 +6,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Pin the calling thread to `core`; returns whether it stuck.
-pub fn pin_to_core(core: usize) -> bool {
-    crate_pin(core)
-}
-
 fn crate_pin(core: usize) -> bool {
     #[cfg(target_os = "linux")]
     unsafe {

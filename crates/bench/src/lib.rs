@@ -3,23 +3,24 @@
 //! The harness that regenerates every table and figure of the paper's
 //! evaluation (§VI): Table III (context switch & TLS load), Table IV
 //! (yielding), Table V (`getpid`), Figure 7 (open-write-close slowdown vs
-//! AIO) and Figure 8 (overlap ratios). One binary per artifact
-//! (`cargo run -p ulp-bench --release --bin table3` …) plus `repro_all`.
+//! AIO) and Figure 8 (overlap ratios), plus the Fig. 6 scenario and two
+//! extensions — all behind one binary, `cargo run -p ulp-bench --release
+//! --bin repro -- <table3|…|all>`, whose exit code checks the tables' *shape*
+//! ([`repro::shape_checks`]). `perf_smoke` gates structural ratios and
+//! counts of the runtime from its own run. Speed-ups are judged elsewhere:
+//! by `ulpbench` (`benchmark/`), parent against change.
 //!
 //! ## Measurement protocol
 //!
 //! Exactly the paper's (§VI-A): every measurement has "a warming up loop
 //! followed by a measurement loop", and "all values are the minimum ones of
-//! ten runs". [`measure_min`] implements that protocol; cycle counts come
-//! from RDTSC as in the paper.
+//! ten runs". [`measure_min`] implements that protocol.
 
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod bench1;
-pub mod bench2;
-pub mod bench3;
 pub mod report;
+pub mod repro;
 pub mod workloads;
 
 use std::time::Instant;
@@ -55,13 +56,6 @@ pub fn min_of_runs(mut scenario: impl FnMut() -> f64) -> f64 {
         best = best.min(scenario());
     }
     best
-}
-
-/// Convert nanoseconds to cycles with the calibrated TSC frequency
-/// (reported like the paper's "Cycles" columns; only meaningful on
-/// x86_64, the paper makes the same caveat for AArch64).
-pub fn ns_to_cycles(ns: f64) -> u64 {
-    (ns * ulp_kernel::cycles_per_ns()) as u64
 }
 
 /// Format seconds in the paper's scientific notation (e.g. `3.34E-8`).
@@ -149,5 +143,3 @@ mod tests {
         assert_eq!(v, 10.0 - RUNS as f64);
     }
 }
-
-pub mod repro;

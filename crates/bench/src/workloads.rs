@@ -6,10 +6,28 @@ use std::sync::Arc;
 use std::time::Instant;
 use ulp_core::{
     couple, coupled_scope, decouple, pending_couplers, sys, yield_now, IdlePolicy, RawUlpLock,
-    Runtime, SchedPolicy, UlpLock,
+    Runtime, RuntimeBuilder, Topology, UlpLock,
 };
 use ulp_fcontext::Fiber;
-use ulp_kernel::{ArchProfile, IoModel, OpenFlags};
+use ulp_kernel::{Aiocb, ArchProfile, IoModel, OpenFlags};
+
+/// Run `f` on a fresh BLT of `rt` (coupled, as spawned) and hand back what it
+/// returns.
+fn in_blt<T: Send + 'static>(
+    rt: &Runtime,
+    name: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let out = Arc::new(Mutex::new(None));
+    let out2 = out.clone();
+    let status = rt.spawn(name, move || {
+        *out2.lock() = Some(f());
+        0
+    });
+    assert_eq!(status.wait(), 0, "BLT {name} failed");
+    let v = out.lock().take().expect("the BLT stored its result");
+    v
+}
 
 // ---------------------------------------------------------------- Table III
 
@@ -47,33 +65,17 @@ pub fn tls_load_ns(profile: ArchProfile, iters: usize) -> f64 {
 
 // ---------------------------------------------------------------- Table IV
 
-/// Two decoupled ULPs yielding to each other on one scheduler, ns per
-/// yield (Table IV row 1). The returned value is already min-of-runs.
-pub fn ulp_yield_ns(policy: IdlePolicy, profile: ArchProfile, iters: usize) -> f64 {
-    ulp_yield_ns_sched(policy, SchedPolicy::GlobalFifo, profile, iters)
-}
-
-/// [`ulp_yield_ns`] with an explicit scheduling discipline (the BENCH_1
-/// hot-path metric is reported under both).
-pub fn ulp_yield_ns_sched(
-    policy: IdlePolicy,
-    sched: SchedPolicy,
-    profile: ArchProfile,
-    iters: usize,
-) -> f64 {
-    let rt = Runtime::builder()
-        .schedulers(1)
-        .idle_policy(policy)
-        .sched_policy(sched)
-        .profile(profile)
-        .build();
-    let result = Arc::new(Mutex::new(f64::INFINITY));
+/// Two decoupled ULPs yielding to each other on one scheduler of the
+/// runtime `builder` describes, ns per yield (Table IV row 1; the run-queue
+/// and ablation comparisons pass other disciplines and switches). The
+/// returned value is already min-of-runs.
+pub fn ulp_yield_ns(builder: RuntimeBuilder, iters: usize) -> f64 {
+    let rt = builder.schedulers(1).build();
     let peer_up = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
 
     // The partner yields forever until told to stop.
-    let p2 = peer_up.clone();
-    let s2 = stop.clone();
+    let (p2, s2) = (peer_up.clone(), stop.clone());
     let partner = rt.spawn("yield-peer", move || {
         decouple().unwrap();
         p2.store(true, Ordering::Release);
@@ -82,36 +84,19 @@ pub fn ulp_yield_ns_sched(
         }
         0
     });
-
-    let r2 = result.clone();
-    let p3 = peer_up.clone();
-    let s3 = stop.clone();
-    let measurer = rt.spawn("yield-meas", move || {
+    let best = in_blt(&rt, "yield-meas", move || {
         decouple().unwrap();
-        while !p3.load(Ordering::Acquire) {
+        while !peer_up.load(Ordering::Acquire) {
             yield_now();
         }
-        let mut best = f64::INFINITY;
-        for _ in 0..crate::RUNS {
-            for _ in 0..(iters / 10 + 1) {
-                yield_now();
-            }
-            let t = Instant::now();
-            for _ in 0..iters {
-                yield_now();
-            }
-            // One measured iteration is a round trip = two yields.
-            best = best.min(t.elapsed().as_nanos() as f64 / (2 * iters) as f64);
-        }
-        *r2.lock() = best;
-        s3.store(true, Ordering::Release);
-        0
+        // One measured iteration is a round trip = two yields.
+        let best = crate::measure_min(iters, || {
+            yield_now();
+        }) / 2.0;
+        stop.store(true, Ordering::Release);
+        best
     });
-
-    measurer.wait();
     partner.wait();
-    let best = *result.lock();
-    drop(rt);
     best
 }
 
@@ -121,85 +106,51 @@ pub fn ulp_yield_ns_sched(
 /// simulated kernel), ns.
 pub fn getpid_plain_ns(profile: ArchProfile, iters: usize) -> f64 {
     let rt = Runtime::builder().schedulers(1).profile(profile).build();
-    let result = Arc::new(Mutex::new(f64::INFINITY));
-    let r2 = result.clone();
-    rt.spawn("getpid-plain", move || {
-        *r2.lock() = crate::measure_min(iters, || {
+    in_blt(&rt, "getpid-plain", move || {
+        crate::measure_min(iters, || {
             sys::getpid().unwrap();
-        });
-        0
+        })
     })
-    .wait();
-    let v = *result.lock();
-    v
 }
 
-/// `getpid` enclosed in `couple()`/`decouple()` from a decoupled ULP
-/// (Table V's ULP-PiP rows), ns per enclosed call.
-pub fn getpid_coupled_ns(policy: IdlePolicy, profile: ArchProfile, iters: usize) -> f64 {
+/// One `getpid` enclosed in `couple()`/`decouple()` from a decoupled ULP
+/// (Table V's ULP-PiP rows): ns per enclosed call (min-of-runs protocol), and
+/// what the runtime's own counters say the calls consisted of — the delta the
+/// ULP itself reads around the whole measurement, warm-up iterations
+/// included, so every count divides by `couples`. The paper: 4 context
+/// switches and 2 TLS loads per call; `kc_blocks` is the futex blocks of the
+/// original KC, the system calls BUSYWAIT and BLOCKING differ by.
+pub fn getpid_coupled(
+    policy: IdlePolicy,
+    profile: ArchProfile,
+    iters: usize,
+) -> (f64, ulp_core::StatsSnapshot) {
     let rt = Runtime::builder()
         .schedulers(1)
         .idle_policy(policy)
         .profile(profile)
         .build();
-    let result = Arc::new(Mutex::new(f64::INFINITY));
-    let r2 = result.clone();
-    rt.spawn("getpid-ulp", move || {
+    in_blt(&rt, "getpid-ulp", move || {
         decouple().unwrap();
-        *r2.lock() = crate::measure_min(iters, || {
+        // One pair first, so the lazily created trampoline exists and the
+        // counts start from the steady "decoupled, just dispatched" state.
+        coupled_scope(|| ()).unwrap();
+        let stats = || {
+            let rt = ulp_core::current::current_runtime().expect("inside a runtime");
+            rt.stats.snapshot()
+        };
+        let before = stats();
+        let ns = crate::measure_min(iters, || {
             coupled_scope(|| {
                 sys::getpid().unwrap();
             })
             .unwrap();
         });
-        0
+        (ns, stats().delta(&before))
     })
-    .wait();
-    let v = *result.lock();
-    v
-}
-
-/// A bare couple()+decouple() round trip (no enclosed system call) from a
-/// decoupled ULP — the cost of the Table-I transition protocol itself, ns.
-pub fn couple_rtt_ns(policy: IdlePolicy, profile: ArchProfile, iters: usize) -> f64 {
-    let rt = Runtime::builder()
-        .schedulers(1)
-        .idle_policy(policy)
-        .profile(profile)
-        .build();
-    let result = Arc::new(Mutex::new(f64::INFINITY));
-    let r2 = result.clone();
-    rt.spawn("couple-rtt", move || {
-        decouple().unwrap();
-        *r2.lock() = crate::measure_min(iters, || {
-            coupled_scope(|| ()).unwrap();
-        });
-        0
-    })
-    .wait();
-    let v = *result.lock();
-    v
 }
 
 // --------------------------------------------------- direct-handoff coupling
-
-/// Result of the direct-handoff ping-pong measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct HandoffRtt {
-    /// ns per couple()+decouple() round trip on the fast path.
-    pub rtt_ns: f64,
-    /// Fraction of decouples that hit the handoff fast path, in [0, 1],
-    /// from the runtime's own `couple_handoffs` / `decouples` counters.
-    pub hit_rate: f64,
-    /// Context switches per couple()+decouple() round trip, from
-    /// `context_switches / couples`: 3 on the fast path (the couple, the
-    /// peer's handoff decouple, one run-queue dispatch), 4 through the
-    /// trampoline.
-    pub switches_per_rtt: f64,
-    /// Futex blocks of the original KC per round trip (`kc_blocks /
-    /// couples`): 0 on the fast path, which never runs the trampoline.
-    pub kc_blocks_per_rtt: f64,
-}
 
 /// Spin (OS-yielding, so a single-core host can run the peer) until the
 /// calling UC's KC has exactly one couple requester parked. Bounded so a
@@ -213,55 +164,33 @@ fn wait_for_pending_coupler() {
     }
 }
 
-/// The couple/decouple round trip on the **direct-handoff fast path**: a
-/// primary and a sibling sharing one original KC ping-pong couples, so
-/// every decouple finds the peer's request already parked in `pending` and
-/// switches straight into it — 2 switches per round trip instead of the
-/// slow path's 4, the trampoline never runs, and no futex syscall fires.
-///
-/// The wait-before-decouple discipline from the hot-path tests keeps the
-/// orbit deterministic: each side transitions only once the peer's request
-/// is parked. One ping-pong round retires one couple()+decouple() pair *per
-/// UC*, so the reported RTT is the round wall time halved (min-of-runs
-/// protocol, like every other mean in the suite).
-pub fn couple_handoff_rtt(policy: IdlePolicy, profile: ArchProfile, iters: usize) -> HandoffRtt {
-    let rt = Runtime::builder()
-        .schedulers(1)
-        .idle_policy(policy)
-        .profile(profile)
-        .build();
-    let warm = iters / 10 + 1;
-    let rounds = crate::RUNS * (warm + iters);
+/// `rounds` of the couple/decouple ping-pong on the **direct-handoff fast
+/// path**: a primary and a sibling sharing one original KC, each
+/// transitioning only once the peer's request is parked (the discipline of
+/// the hot-path tests, which keeps the orbit deterministic), so every
+/// decouple finds that request in `pending` and switches straight into it.
+/// Returns, from the runtime's own counters, the fraction of decouples that
+/// handed off and the context switches per couple()+decouple() round trip —
+/// 3 on the fast path (the couple, the peer's handoff decouple, one run-queue
+/// dispatch), 4 through the trampoline.
+pub fn couple_handoff(policy: IdlePolicy, rounds: usize) -> (f64, f64) {
+    let rt = Runtime::builder().schedulers(1).idle_policy(policy).build();
     let before = rt.stats().snapshot();
-    let result = Arc::new(Mutex::new(f64::INFINITY));
-    let r2 = result.clone();
-    let h = rt.spawn("handoff-rtt-a", move || {
+    let h = rt.spawn("handoff-a", move || {
         // The sibling's first parked request anchors the orbit; from here
-        // on every decouple — warm-up and measured — hands off.
+        // on every decouple hands off.
         wait_for_pending_coupler();
-        let mut best = f64::INFINITY;
-        for _ in 0..crate::RUNS {
-            for _ in 0..warm {
-                decouple().unwrap();
-                couple().unwrap();
-                wait_for_pending_coupler();
-            }
-            let t = Instant::now();
-            for _ in 0..iters {
-                decouple().unwrap();
-                couple().unwrap();
-                wait_for_pending_coupler();
-            }
-            // Each round retires two full RTTs (one per UC).
-            best = best.min(t.elapsed().as_nanos() as f64 / (2 * iters) as f64);
+        for _ in 0..rounds {
+            decouple().unwrap();
+            couple().unwrap();
+            wait_for_pending_coupler();
         }
-        *r2.lock() = best;
         // Release the peer, whose last couple request is still parked.
         decouple().unwrap();
         0
     });
     let sib = h
-        .spawn_sibling("handoff-rtt-b", move || {
+        .spawn_sibling("handoff-b", move || {
             // One more couple than the primary's rounds: the final one is
             // completed by the primary's releasing decouple, after which we
             // terminate coupled (paper rule 7).
@@ -278,20 +207,10 @@ pub fn couple_handoff_rtt(policy: IdlePolicy, profile: ArchProfile, iters: usize
     assert_eq!(sib.wait(), 0);
     assert_eq!(h.wait(), 0);
     let d = rt.stats().snapshot().delta(&before);
-    let hit_rate = if d.decouples > 0 {
-        d.couple_handoffs as f64 / d.decouples as f64
-    } else {
-        0.0
-    };
-    let per_rtt = |n: u64| n as f64 / d.couples.max(1) as f64;
-    let rtt_ns = *result.lock();
-    drop(rt);
-    HandoffRtt {
-        rtt_ns,
-        hit_rate,
-        switches_per_rtt: per_rtt(d.context_switches),
-        kc_blocks_per_rtt: per_rtt(d.kc_blocks),
-    }
+    (
+        d.couple_handoffs as f64 / d.decouples.max(1) as f64,
+        d.context_switches as f64 / d.couples.max(1) as f64,
+    )
 }
 
 // ---------------------------------------------------------------- lock suite
@@ -299,16 +218,17 @@ pub fn couple_handoff_rtt(policy: IdlePolicy, profile: ArchProfile, iters: usize
 /// Throughput of one shared `R` lock under contention: `n_ulps` decoupled
 /// ULPs over `n_scheds` scheduler KCs, each performing `iters_each`
 /// lock/increment/unlock operations on a single [`UlpLock<u64, R>`].
-/// Returns ns per acquire (wall time over total acquisitions). Run with
-/// `n_ulps <= n_scheds` for the undersubscribed regime and
-/// `n_ulps > n_scheds` for oversubscription, where a spinning waiter can
-/// occupy the scheduler the holder needs — the regime the cooperative
-/// `stall()` paths in the suite exist for.
-pub fn contended_lock_ns<R: RawUlpLock + 'static>(
+/// Returns ns per acquire (wall time over total acquisitions) and the
+/// fraction of the requested increments the counter ended with — 1.0 unless
+/// the lock lost an update. Run with `n_ulps <= n_scheds` for the
+/// undersubscribed regime and `n_ulps > n_scheds` for oversubscription,
+/// where a spinning waiter can occupy the scheduler the holder needs — the
+/// regime the cooperative `stall()` paths in the suite exist for.
+pub fn contended_lock<R: RawUlpLock + 'static>(
     n_scheds: usize,
     n_ulps: usize,
     iters_each: usize,
-) -> f64 {
+) -> (f64, f64) {
     let rt = Runtime::builder()
         .schedulers(n_scheds)
         .idle_policy(IdlePolicy::Blocking)
@@ -337,148 +257,56 @@ pub fn contended_lock_ns<R: RawUlpLock + 'static>(
         h.wait();
     }
     let total_ns = t.elapsed().as_nanos() as f64;
-    let total_ops = (n_ulps * iters_each) as u64;
-    assert_eq!(*lock.lock(), total_ops, "lock {} lost updates", R::NAME);
+    let total_ops = (n_ulps * iters_each) as f64;
+    let completed = *lock.lock() as f64 / total_ops;
     drop(rt);
-    total_ns / total_ops as f64
-}
-
-// ------------------------------------------------------- latency percentiles
-
-/// Distribution of the yield-to-yield interval on a scheduler KC, from the
-/// runtime's own latency histograms (ISSUE 2): the same two-ULP ping-pong
-/// as [`ulp_yield_ns_sched`], but run with tracing enabled so every switch
-/// lands a histogram sample, then folded into percentiles. Runs in a
-/// *separate* runtime from the mean measurements so the ring writes never
-/// pollute the min-of-runs numbers.
-pub fn yield_interval_summary(
-    policy: IdlePolicy,
-    sched: SchedPolicy,
-    iters: usize,
-) -> ulp_core::HistSummary {
-    let rt = Runtime::builder()
-        .schedulers(1)
-        .idle_policy(policy)
-        .sched_policy(sched)
-        .build();
-    rt.trace_enable();
-    let stop = Arc::new(AtomicBool::new(false));
-    let s2 = stop.clone();
-    let partner = rt.spawn("yield-hist-peer", move || {
-        decouple().unwrap();
-        while !s2.load(Ordering::Acquire) {
-            yield_now();
-        }
-        0
-    });
-    let s3 = stop.clone();
-    let driver = rt.spawn("yield-hist-meas", move || {
-        decouple().unwrap();
-        // Count only yields that switched: until the peer has decoupled the
-        // run queue is empty, `yield_now()` returns `false` without
-        // switching, and no interval is recorded — a fixed number of calls
-        // can all land in that window and leave the histogram empty.
-        let mut switched = 0;
-        while switched < iters {
-            if yield_now() {
-                switched += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        s3.store(true, Ordering::Release);
-        0
-    });
-    driver.wait();
-    partner.wait();
-    rt.trace_disable();
-    rt.latency_snapshot().yield_interval.summary()
-}
-
-/// Distributions of the couple-path spans (ISSUE 2): repeated bare
-/// couple()+decouple() round trips with tracing on, folded into
-/// (couple-request→resume, enqueue→dispatch) percentile summaries.
-pub fn couple_latency_summaries(
-    policy: IdlePolicy,
-    iters: usize,
-) -> (ulp_core::HistSummary, ulp_core::HistSummary) {
-    let rt = Runtime::builder().schedulers(1).idle_policy(policy).build();
-    rt.trace_enable();
-    rt.spawn("couple-hist", move || {
-        decouple().unwrap();
-        for _ in 0..iters {
-            coupled_scope(|| ()).unwrap();
-        }
-        0
-    })
-    .wait();
-    rt.trace_disable();
-    let lat = rt.latency_snapshot();
-    (lat.couple_resume.summary(), lat.queue_delay.summary())
-}
-
-/// Distribution of the kernel-side `getpid` enter→exit span: a coupled
-/// getpid loop with tracing on, folded from the runtime's per-syscall
-/// latency histograms — the same numbers the live metrics endpoint
-/// exports as `ulp_syscall_latency_ns{call="getpid"}`. A coupled getpid
-/// is the cheapest dispatch the simulated kernel has, so this row is the
-/// floor of the syscall-span instrumentation overhead.
-pub fn syscall_getpid_summary(iters: usize) -> ulp_core::HistSummary {
-    let rt = Runtime::builder().schedulers(1).build();
-    rt.trace_enable();
-    rt.spawn("getpid-hist", move || {
-        for _ in 0..iters {
-            sys::getpid().unwrap();
-        }
-        0
-    })
-    .wait();
-    rt.trace_disable();
-    rt.syscall_snapshot()
-        .get("getpid")
-        .map(|d| d.summary())
-        .unwrap_or_default()
-}
-
-/// Aggregate context-switch throughput under over-subscription: `n_blts`
-/// yield-looping ULPs over `n_sched` scheduler KCs (switches per second).
-pub fn oversub_switches_per_sec(
-    n_sched: usize,
-    sched: SchedPolicy,
-    n_blts: usize,
-    yields_each: usize,
-) -> f64 {
-    let rt = Runtime::builder()
-        .schedulers(n_sched)
-        .idle_policy(IdlePolicy::Blocking)
-        .sched_policy(sched)
-        .build();
-    let go = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..n_blts)
-        .map(|i| {
-            let g = go.clone();
-            rt.spawn(&format!("oversub{i}"), move || {
-                decouple().unwrap();
-                while !g.load(Ordering::Acquire) {
-                    yield_now();
-                }
-                for _ in 0..yields_each {
-                    yield_now();
-                }
-                0
-            })
-        })
-        .collect();
-    let t = Instant::now();
-    go.store(true, Ordering::Release);
-    for h in handles {
-        h.wait();
-    }
-    let secs = t.elapsed().as_secs_f64();
-    (n_blts * yields_each) as f64 / secs
+    (total_ns / total_ops, completed)
 }
 
 // ------------------------------------------------ syscall-path scaling gate
+
+/// Run `work(thread_index, start)` on `threads` OS threads and return the
+/// summed operation counts they report per second of wall time. Each worker
+/// sets itself up, waits on `start`, then does its operations; the clock
+/// starts when the last of them (and this thread) has reached the barrier.
+fn threads_ops_per_sec(
+    threads: usize,
+    work: impl Fn(usize, &std::sync::Barrier) -> u64 + Sync,
+) -> f64 {
+    let start = std::sync::Barrier::new(threads + 1);
+    let (ops, secs) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let (work, start) = (&work, &start);
+                s.spawn(move || work(t, start))
+            })
+            .collect();
+        start.wait();
+        let t = Instant::now();
+        let ops: u64 = workers
+            .into_iter()
+            .map(|w| w.join().expect("measured thread"))
+            .sum();
+        (ops, t.elapsed().as_secs_f64())
+    });
+    ops as f64 / secs
+}
+
+/// Aggregate increments per second of `threads` OS threads each spinning a
+/// private counter `spins` times: what this host gives threads that share
+/// nothing at all. Two threads ÷ one is the scaling available *right now* —
+/// 2.0 on two free CPUs, nearer 1.0 while a neighbour holds the second —
+/// which is what the `syscall_mix` scaling gate measures itself against.
+pub fn private_counter_rate(threads: usize, spins: u64) -> f64 {
+    threads_ops_per_sec(threads, |_, start| {
+        start.wait();
+        let mut n = 0u64;
+        for _ in 0..spins {
+            n = std::hint::black_box(n + 1);
+        }
+        n
+    })
+}
 
 /// Aggregate simulated-syscall throughput (calls per second) of `threads`
 /// bare bound threads — no runtime, `Kernel::sys_*` directly — each issuing
@@ -492,65 +320,49 @@ pub fn syscall_mix_calls_per_sec(threads: usize, entries: usize) -> f64 {
     const FILE_LEN: u64 = 64 * 1024;
     const IO: usize = 256;
     let k = ulp_kernel::Kernel::native();
-    let start = std::sync::Barrier::new(threads + 1);
-    let (calls, secs) = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|t| {
-                let (k, start) = (&k, &start);
-                s.spawn(move || {
-                    let pid = k.spawn_process(Some(ulp_kernel::Pid(1)), &format!("mix{t}"));
-                    k.bind_current(pid);
-                    let path = format!("/scaling_mix_{t}.dat");
-                    let flags = OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::TRUNC;
-                    let file = k.sys_open(&path, flags).expect("open");
-                    k.sys_pwrite(file, 0, &vec![0x5A; FILE_LEN as usize])
-                        .expect("fill");
-                    let (pr, pw) = k.sys_pipe().expect("pipe");
-                    let (sa, sb) = k.sys_socketpair().expect("socketpair");
-                    let (data, mut buf) = ([0xA5u8; IO], [0u8; IO]);
-                    let mut calls = 0u64;
-                    start.wait();
-                    for i in 0..entries as u64 {
-                        // One draw per entry chooses the op and the offset.
-                        let r = ulp_core::chaos::splitmix64((t as u64) << 48 | i);
-                        let off = (r >> 8) % (FILE_LEN - IO as u64 + 1);
-                        calls += match r % 100 {
-                            0..=29 => k.sys_getpid().map(|_| 1),
-                            30..=44 => k.sys_pread(file, off, &mut buf).map(|_| 1),
-                            45..=59 => k.sys_pwrite(file, off, &data).map(|_| 1),
-                            60..=69 => k.sys_stat(&path).map(|_| 1),
-                            70..=79 => k
-                                .sys_open(&path, OpenFlags::RDONLY)
-                                .and_then(|fd| k.sys_close(fd))
-                                .map(|_| 2),
-                            80..=84 => k
-                                .sys_lseek(file, off as i64, ulp_kernel::Whence::Set)
-                                .map(|_| 1),
-                            85..=92 => k
-                                .sys_write(pw, &data)
-                                .and_then(|_| k.sys_read(pr, &mut buf))
-                                .map(|_| 2),
-                            _ => k
-                                .sys_write(sa, &data)
-                                .and_then(|_| k.sys_read(sb, &mut buf))
-                                .map(|_| 2),
-                        }
-                        .expect("syscall_mix call");
-                    }
-                    k.unbind_current();
-                    calls
-                })
-            })
-            .collect();
+    threads_ops_per_sec(threads, |t, start| {
+        let pid = k.spawn_process(Some(ulp_kernel::Pid(1)), &format!("mix{t}"));
+        k.bind_current(pid);
+        let path = format!("/scaling_mix_{t}.dat");
+        let flags = OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::TRUNC;
+        let file = k.sys_open(&path, flags).expect("open");
+        k.sys_pwrite(file, 0, &vec![0x5A; FILE_LEN as usize])
+            .expect("fill");
+        let (pr, pw) = k.sys_pipe().expect("pipe");
+        let (sa, sb) = k.sys_socketpair().expect("socketpair");
+        let (data, mut buf) = ([0xA5u8; IO], [0u8; IO]);
+        let mut calls = 0u64;
         start.wait();
-        let t = Instant::now();
-        let calls: u64 = workers
-            .into_iter()
-            .map(|w| w.join().expect("syscall_mix thread"))
-            .sum();
-        (calls, t.elapsed().as_secs_f64())
-    });
-    calls as f64 / secs
+        for i in 0..entries as u64 {
+            // One draw per entry chooses the op and the offset.
+            let r = ulp_core::chaos::splitmix64((t as u64) << 48 | i);
+            let off = (r >> 8) % (FILE_LEN - IO as u64 + 1);
+            calls += match r % 100 {
+                0..=29 => k.sys_getpid().map(|_| 1),
+                30..=44 => k.sys_pread(file, off, &mut buf).map(|_| 1),
+                45..=59 => k.sys_pwrite(file, off, &data).map(|_| 1),
+                60..=69 => k.sys_stat(&path).map(|_| 1),
+                70..=79 => k
+                    .sys_open(&path, OpenFlags::RDONLY)
+                    .and_then(|fd| k.sys_close(fd))
+                    .map(|_| 2),
+                80..=84 => k
+                    .sys_lseek(file, off as i64, ulp_kernel::Whence::Set)
+                    .map(|_| 1),
+                85..=92 => k
+                    .sys_write(pw, &data)
+                    .and_then(|_| k.sys_read(pr, &mut buf))
+                    .map(|_| 2),
+                _ => k
+                    .sys_write(sa, &data)
+                    .and_then(|_| k.sys_read(sb, &mut buf))
+                    .map(|_| 2),
+            }
+            .expect("syscall_mix call");
+        }
+        k.unbind_current();
+        calls
+    })
 }
 
 // ------------------------------------------------- Pooled-ULP scale rows
@@ -558,21 +370,12 @@ pub fn syscall_mix_calls_per_sec(threads: usize, entries: usize) -> f64 {
 /// Current `VmRSS` of this process in MiB, from `/proc/self/status` (0.0
 /// when the host exposes no procfs — the rows then read as unmeasured).
 pub fn self_rss_mib() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            if let Some(kib) = rest
-                .split_whitespace()
-                .next()
-                .and_then(|v| v.parse::<f64>().ok())
-            {
-                return kib / 1024.0;
-            }
-        }
-    }
-    0.0
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<f64>().ok());
+    kib.unwrap_or(0.0) / 1024.0
 }
 
 /// One high-cardinality pooled-churn measurement: `n` pooled ULPs spawned,
@@ -583,8 +386,6 @@ pub fn self_rss_mib() -> f64 {
 /// trims the ones that stay free, so RSS must track the wave size, not `n`.
 #[derive(Debug, Clone, Copy)]
 pub struct PooledChurn {
-    /// ULPs churned through the runtime.
-    pub ulps: usize,
     /// Full spawn→exit→reap lifecycles per second.
     pub spawn_per_sec: f64,
     /// Peak `VmRSS` sampled across the run, MiB.
@@ -623,65 +424,12 @@ pub fn pooled_churn(n: usize, wave: usize, pool_kcs: usize) -> PooledChurn {
     }
     let secs = t0.elapsed().as_secs_f64();
     PooledChurn {
-        ulps: n,
         spawn_per_sec: n as f64 / secs,
         peak_rss_mib: peak_rss,
         stack_peak: rt.stack_pool().peak_outstanding(),
         stack_recycled: rt.stack_pool().stats().0,
         stack_trimmed: rt.stack_pool().recycled(),
         stack_warm: rt.stack_pool().warm(),
-    }
-}
-
-/// Steady-state scheduling throughput with a high-cardinality runnable
-/// set: every ULP live and yielding at once, so the run queues (not the
-/// slot-handoff fast path) carry the load.
-#[derive(Debug, Clone, Copy)]
-pub struct PooledStorm {
-    /// Simultaneously-runnable pooled ULPs.
-    pub ulps: usize,
-    /// Aggregate scheduler switches (yields + dispatches) per second.
-    pub switches_per_sec: f64,
-    /// Peak `VmRSS` sampled across the run, MiB.
-    pub peak_rss_mib: f64,
-}
-
-/// `n` pooled ULPs all alive at once, each yielding `yields_each` times;
-/// throughput is the runtime's own switch-counter delta over the wall
-/// clock from first spawn to last reap (every counted switch actually
-/// happened — ULPs also yield while the spawn loop is still filling the
-/// queues, and those switches are part of the measured work).
-pub fn pooled_yield_storm(n: usize, yields_each: usize, pool_kcs: usize) -> PooledStorm {
-    let rt = Runtime::builder()
-        .schedulers(2)
-        .pool_kcs(pool_kcs)
-        .idle_policy(IdlePolicy::Blocking)
-        .build();
-    let before = rt.stats().snapshot();
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..n)
-        .map(|_| {
-            rt.spawn_pooled("storm", move || {
-                for _ in 0..yields_each {
-                    yield_now();
-                }
-                0
-            })
-            .expect("pooled spawn")
-        })
-        .collect();
-    let mid_rss = self_rss_mib();
-    for h in &handles {
-        h.wait();
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let after = rt.stats().snapshot();
-    let switches =
-        (after.yields + after.scheduler_dispatches) - (before.yields + before.scheduler_dispatches);
-    PooledStorm {
-        ulps: n,
-        switches_per_sec: switches as f64 / secs,
-        peak_rss_mib: mid_rss.max(self_rss_mib()),
     }
 }
 
@@ -733,29 +481,30 @@ fn owc_runtime(variant: OwcVariant, profile: ArchProfile, io: IoModel) -> Runtim
     rt
 }
 
-/// One open-write-close operation under `variant`. Assumes the caller runs
-/// inside a BLT (decoupled for the ULP variants).
-fn owc_once(variant: OwcVariant, buf: &Arc<Vec<u8>>) {
+/// One open-write-close operation under `variant`, calling `meanwhile` at
+/// the point where compute could overlap it: with the control block while an
+/// AIO write is in flight, after the synchronous sequence otherwise. Assumes
+/// the caller runs inside a BLT (decoupled for the ULP variants).
+fn owc_with(variant: OwcVariant, buf: &Arc<Vec<u8>>, meanwhile: impl FnOnce(Option<&Aiocb>)) {
     let flags = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC;
+    let open = || sys::open("/bench.dat", flags).unwrap();
+    let synchronous = || {
+        let fd = open();
+        sys::write(fd, buf).unwrap();
+        sys::close(fd).unwrap();
+    };
     match variant {
-        OwcVariant::Plain => {
-            let fd = sys::open("/bench.dat", flags).unwrap();
-            sys::write(fd, buf).unwrap();
-            sys::close(fd).unwrap();
-        }
-        OwcVariant::Ulp(_) => {
-            // "the whole sequence must be done by a KLT otherwise the
-            // system-call consistency is broken" (§VI-D).
-            coupled_scope(|| {
-                let fd = sys::open("/bench.dat", flags).unwrap();
-                sys::write(fd, buf).unwrap();
-                sys::close(fd).unwrap();
-            })
-            .unwrap();
-        }
-        OwcVariant::AioReturn => {
-            let fd = sys::open("/bench.dat", flags).unwrap();
+        OwcVariant::Plain => synchronous(),
+        // "the whole sequence must be done by a KLT otherwise the
+        // system-call consistency is broken" (§VI-D).
+        OwcVariant::Ulp(_) => coupled_scope(synchronous).unwrap(),
+        OwcVariant::AioReturn | OwcVariant::AioSuspend => {
+            let fd = open();
             let cb = sys::aio_write(fd, 0, buf.clone()).unwrap();
+            meanwhile(Some(&cb));
+            if variant == OwcVariant::AioSuspend {
+                cb.suspend();
+            }
             // The ULT-style completion loop: yield + poll aio_error.
             while cb.error() == Some(ulp_kernel::Errno::EINPROGRESS) {
                 if !yield_now() {
@@ -764,15 +513,14 @@ fn owc_once(variant: OwcVariant, buf: &Arc<Vec<u8>>) {
             }
             cb.aio_return().unwrap();
             sys::close(fd).unwrap();
-        }
-        OwcVariant::AioSuspend => {
-            let fd = sys::open("/bench.dat", flags).unwrap();
-            let cb = sys::aio_write(fd, 0, buf.clone()).unwrap();
-            cb.suspend();
-            cb.aio_return().unwrap();
-            sys::close(fd).unwrap();
+            return;
         }
     }
+    meanwhile(None)
+}
+
+fn owc_once(variant: OwcVariant, buf: &Arc<Vec<u8>>) {
+    owc_with(variant, buf, |_| ())
 }
 
 /// Per-operation time of open-write-close under `variant` for a `size`-byte
@@ -785,19 +533,13 @@ pub fn owc_ns(
     iters: usize,
 ) -> f64 {
     let rt = owc_runtime(variant, profile, io);
-    let result = Arc::new(Mutex::new(f64::INFINITY));
-    let r2 = result.clone();
-    rt.spawn("owc", move || {
+    in_blt(&rt, "owc", move || {
         if matches!(variant, OwcVariant::Ulp(_)) {
             decouple().unwrap();
         }
         let buf = Arc::new(vec![0xA5u8; size]);
-        *r2.lock() = crate::measure_min(iters, || owc_once(variant, &buf));
-        0
+        crate::measure_min(iters, || owc_once(variant, &buf))
     })
-    .wait();
-    let v = *result.lock();
-    v
 }
 
 // ------------------------------------------------------------------ compute
@@ -839,19 +581,6 @@ pub fn calibrate_compute(target_ns: f64) -> u64 {
     ((target_ns / per_iter) as u64).max(1)
 }
 
-/// Result of one overlap measurement (Fig. 8, IMB method).
-#[derive(Debug, Clone, Copy)]
-pub struct OverlapResult {
-    /// Wall time of the I/O phase alone.
-    pub pure_io_ns: f64,
-    /// Wall time of the compute phase alone.
-    pub pure_cpu_ns: f64,
-    /// Wall time with both phases overlapped.
-    pub overlapped_ns: f64,
-    /// Percentage in [0, 100].
-    pub ratio: f64,
-}
-
 fn imb_ratio(pure_io: f64, pure_cpu: f64, ovl: f64) -> f64 {
     let denom = pure_io.min(pure_cpu);
     if denom <= 0.0 {
@@ -860,181 +589,200 @@ fn imb_ratio(pure_io: f64, pure_cpu: f64, ovl: f64) -> f64 {
     (100.0 * (pure_io + pure_cpu - ovl) / denom).clamp(0.0, 100.0)
 }
 
-/// Measure the compute/I-O overlap ratio of `variant` for `size`-byte
-/// writes, "calculated in the way used in the Intel MPI benchmarks" (§VI-D):
-/// `overlap = (t_io + t_cpu − t_ovl) / min(t_io, t_cpu)`, with the compute
-/// workload calibrated to the pure-I/O time.
-pub fn overlap(
-    variant: OwcVariant,
-    size: usize,
-    profile: ArchProfile,
-    io: IoModel,
-) -> OverlapResult {
+/// The compute/I-O overlap ratio (%, in [0, 100]) of `variant` for
+/// `size`-byte writes, "calculated in the way used in the Intel MPI
+/// benchmarks" (§VI-D): `overlap = (t_io + t_cpu − t_ovl) / min(t_io, t_cpu)`,
+/// with the compute workload calibrated to the pure-I/O time and each of the
+/// three times the minimum of [`crate::RUNS`] trials.
+pub fn overlap_pct(variant: OwcVariant, size: usize, profile: ArchProfile, io: IoModel) -> f64 {
     const OPS: usize = 8;
     let rt = owc_runtime(variant, profile, io);
 
     // --- pure I/O: OPS back-to-back operations on a coupled BLT.
-    let pure_io_cell = Arc::new(Mutex::new(f64::INFINITY));
-    let c2 = pure_io_cell.clone();
-    rt.spawn("pure-io", move || {
+    let pure_io = in_blt(&rt, "pure-io", move || {
         let buf = Arc::new(vec![0x5Au8; size]);
-        let mut best = f64::INFINITY;
-        for _ in 0..crate::RUNS {
+        crate::min_of_runs(|| {
             owc_once(OwcVariant::Plain, &buf); // warm-up
             let t = Instant::now();
             for _ in 0..OPS {
                 owc_once(OwcVariant::Plain, &buf);
             }
-            best = best.min(t.elapsed().as_nanos() as f64 / OPS as f64);
-        }
-        *c2.lock() = best;
-        0
-    })
-    .wait();
-    let pure_io = *pure_io_cell.lock();
+            t.elapsed().as_nanos() as f64 / OPS as f64
+        })
+    });
 
     // --- compute calibrated to the pure-I/O time, in ~32 slices so the
     // AIO-return variant has polling points.
     let slices = 32u64;
     let slice_iters = calibrate_compute(pure_io / slices as f64);
-    let mut pure_cpu = f64::INFINITY;
-    for _ in 0..3 {
+    let pure_cpu = crate::min_of_runs(|| {
         let t = Instant::now();
         for _ in 0..slices {
             compute_slice(slice_iters);
         }
-        pure_cpu = pure_cpu.min(t.elapsed().as_nanos() as f64);
-    }
+        t.elapsed().as_nanos() as f64
+    });
 
-    // --- overlapped run (minimum of three trials, like everything else).
-    let one_overlapped_trial = |variant: OwcVariant| -> f64 {
-        match variant {
-            OwcVariant::Plain => {
-                // No async mechanism: sequential I/O then compute.
-                let cell = Arc::new(Mutex::new(0f64));
-                let c2 = cell.clone();
-                rt.spawn("ovl-plain", move || {
-                    let buf = Arc::new(vec![1u8; size]);
-                    let t = Instant::now();
+    // --- one overlapped trial, time per operation.
+    let overlapped = || match variant {
+        OwcVariant::Ulp(_) => {
+            // Two ULPs: one does the coupled I/O (its own KC blocks), the
+            // other computes on the scheduler meanwhile. Completion is
+            // timestamped inside each task so thread teardown/join costs do
+            // not pollute the overlapped time.
+            let go = Arc::new(AtomicBool::new(false));
+            let ends: Arc<Mutex<Vec<Instant>>> = Arc::new(Mutex::new(Vec::new()));
+            let (g2, e2) = (go.clone(), ends.clone());
+            let io_task = rt.spawn("ovl-io", move || {
+                decouple().unwrap();
+                while !g2.load(Ordering::Acquire) {
+                    yield_now();
+                }
+                let buf = Arc::new(vec![2u8; size]);
+                // One couple()/decouple() pair around the whole series —
+                // the paper's "enclose a series of system-calls" idiom
+                // (§VII); the original KC executes all OPS operations while
+                // the compute ULP keeps the scheduler busy.
+                coupled_scope(|| {
                     for _ in 0..OPS {
                         owc_once(OwcVariant::Plain, &buf);
-                        for _ in 0..slices {
-                            compute_slice(slice_iters);
+                    }
+                })
+                .unwrap();
+                e2.lock().push(Instant::now());
+                0
+            });
+            let (g3, e3) = (go.clone(), ends.clone());
+            let cpu_task = rt.spawn("ovl-cpu", move || {
+                decouple().unwrap();
+                while !g3.load(Ordering::Acquire) {
+                    yield_now();
+                }
+                for _ in 0..(OPS as u64 * slices) {
+                    compute_slice(slice_iters);
+                }
+                e3.lock().push(Instant::now());
+                0
+            });
+            let t = Instant::now();
+            go.store(true, Ordering::Release);
+            io_task.wait();
+            cpu_task.wait();
+            let last_end = ends.lock().iter().max().copied().expect("both tasks ended");
+            last_end.duration_since(t).as_nanos() as f64 / OPS as f64
+        }
+        // One BLT: plain has no asynchronous mechanism (I/O, then compute);
+        // AIO computes while the helper thread writes, `aio_error`-polling
+        // between slices, as a ULT would, if that is how it will complete.
+        _ => in_blt(&rt, "ovl-seq", move || {
+            let buf = Arc::new(vec![1u8; size]);
+            let t = Instant::now();
+            for _ in 0..OPS {
+                owc_with(variant, &buf, |cb| {
+                    for _ in 0..slices {
+                        compute_slice(slice_iters);
+                        if variant == OwcVariant::AioReturn {
+                            let _ = cb.map(Aiocb::error);
                         }
                     }
-                    *c2.lock() = t.elapsed().as_nanos() as f64 / OPS as f64;
-                    0
-                })
-                .wait();
-                let v = *cell.lock();
-                v
+                });
             }
-            OwcVariant::Ulp(_) => {
-                // Two ULPs: one does the coupled I/O (its own KC blocks), the
-                // other computes on the scheduler meanwhile. Completion is
-                // timestamped inside each task so thread teardown/join costs do
-                // not pollute the overlapped time (the AIO arm also measures
-                // inside its task).
-                let go = Arc::new(AtomicBool::new(false));
-                let ends: Arc<Mutex<Vec<Instant>>> = Arc::new(Mutex::new(Vec::new()));
-                let g2 = go.clone();
-                let e2 = ends.clone();
-                let io_task = rt.spawn("ovl-io", move || {
-                    decouple().unwrap();
-                    while !g2.load(Ordering::Acquire) {
-                        yield_now();
-                    }
-                    let buf = Arc::new(vec![2u8; size]);
-                    // One couple()/decouple() pair around the whole series —
-                    // the paper's "enclose a series of system-calls" idiom
-                    // (§VII); the original KC executes all OPS operations while
-                    // the compute ULP keeps the scheduler busy.
+            t.elapsed().as_nanos() as f64 / OPS as f64
+        }),
+    };
+    imb_ratio(pure_io, pure_cpu, crate::min_of_runs(overlapped))
+}
+
+// ------------------------------------------------- beyond the paper's tables
+
+/// The paper's Fig. 6 usage scenario end to end: the host's CPUs split into
+/// a program group and a system-call group (eq. 1: NC = NCprog + NCsyscall);
+/// NB = NCprog × (O + 1) worker BLTs (eq. 2) are created, decoupled, and
+/// scheduled by NCprog pinned scheduler KCs while their original KCs —
+/// parked on the syscall cores — execute the enclosed open-write-close
+/// bursts. Returns the topology, the wall time per compute + system-call
+/// cycle (µs) and the runtime's counters; panics unless every worker finishes
+/// its cycles (exit status 0) with no consistency violation recorded.
+pub fn fig6_scenario(oversubscription: usize) -> (Topology, f64, ulp_core::StatsSnapshot) {
+    const OPS_PER_BLT: usize = 200;
+    let host_cpus = crate::baselines::n_cpus();
+    // Split the host: at least one program core, the rest for syscalls.
+    let nc_prog = (host_cpus / 2).max(1);
+    let topo = Topology {
+        nc_prog,
+        nc_syscall: (host_cpus - nc_prog).max(1),
+        oversubscription,
+    };
+    let rt = Runtime::builder()
+        .schedulers(topo.nc_prog)
+        .idle_policy(IdlePolicy::Adaptive)
+        .pin_schedulers(true)
+        .syscall_cores((topo.nc_prog..topo.total_cores()).collect())
+        .build();
+    let t = Instant::now();
+    let handles: Vec<_> = (0..topo.n_blts())
+        .map(|i| {
+            rt.spawn(&format!("worker-{i}"), move || {
+                decouple().unwrap();
+                for k in 0..OPS_PER_BLT {
+                    // Compute phase on the program cores...
+                    std::hint::black_box(compute_chunk(2_000));
+                    // ...system-call burst on our own (syscall-core) KC.
                     coupled_scope(|| {
                         let flags = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC;
-                        for _ in 0..OPS {
-                            let fd = sys::open("/bench.dat", flags).unwrap();
-                            sys::write(fd, &buf).unwrap();
-                            sys::close(fd).unwrap();
-                        }
+                        let fd = sys::open(&format!("/w{i}.dat"), flags).unwrap();
+                        sys::write(fd, &(k as u64).to_le_bytes()).unwrap();
+                        sys::close(fd).unwrap();
                     })
                     .unwrap();
-                    e2.lock().push(Instant::now());
-                    0
-                });
-                let g3 = go.clone();
-                let e3 = ends.clone();
-                let cpu_task = rt.spawn("ovl-cpu", move || {
-                    decouple().unwrap();
-                    while !g3.load(Ordering::Acquire) {
+                    if k % 8 == 0 {
                         yield_now();
                     }
-                    for _ in 0..(OPS as u64 * slices) {
-                        compute_slice(slice_iters);
-                    }
-                    e3.lock().push(Instant::now());
-                    0
-                });
-                let t = Instant::now();
-                go.store(true, Ordering::Release);
-                io_task.wait();
-                cpu_task.wait();
-                let last_end = ends
-                    .lock()
-                    .iter()
-                    .max()
-                    .copied()
-                    .unwrap_or_else(Instant::now);
-                last_end.duration_since(t).as_nanos() as f64 / OPS as f64
-            }
-            OwcVariant::AioReturn | OwcVariant::AioSuspend => {
-                let cell = Arc::new(Mutex::new(0f64));
-                let c2 = cell.clone();
-                rt.spawn("ovl-aio", move || {
-                    let buf = Arc::new(vec![3u8; size]);
-                    let flags = OpenFlags::WRONLY | OpenFlags::CREAT | OpenFlags::TRUNC;
-                    let t = Instant::now();
-                    for _ in 0..OPS {
-                        let fd = sys::open("/bench.dat", flags).unwrap();
-                        let cb = sys::aio_write(fd, 0, buf.clone()).unwrap();
-                        // Compute while the helper writes.
-                        for _ in 0..slices {
-                            compute_slice(slice_iters);
-                            if variant == OwcVariant::AioReturn {
-                                // Poll between slices, as a ULT would.
-                                let _ = cb.error();
-                            }
-                        }
-                        match variant {
-                            OwcVariant::AioReturn => {
-                                while cb.error() == Some(ulp_kernel::Errno::EINPROGRESS) {
-                                    std::hint::spin_loop();
-                                }
-                            }
-                            _ => cb.suspend(),
-                        }
-                        cb.aio_return().unwrap();
-                        sys::close(fd).unwrap();
-                    }
-                    *c2.lock() = t.elapsed().as_nanos() as f64 / OPS as f64;
-                    0
-                })
-                .wait();
-                let v = *cell.lock();
-                v
-            }
-        }
-    };
-    let mut ovl = f64::INFINITY;
-    for _ in 0..3 {
-        ovl = ovl.min(one_overlapped_trial(variant));
+                }
+                0
+            })
+        })
+        .collect();
+    for h in handles {
+        assert_eq!(h.wait(), 0, "a Fig. 6 worker failed");
     }
+    let us_per_cycle = t.elapsed().as_secs_f64() * 1e6 / (topo.n_blts() * OPS_PER_BLT) as f64;
+    assert!(rt.violations().is_empty(), "all syscalls were enclosed");
+    (topo, us_per_cycle, rt.stats().snapshot())
+}
 
-    OverlapResult {
-        pure_io_ns: pure_io,
-        pure_cpu_ns: pure_cpu,
-        overlapped_ns: ovl,
-        ratio: imb_ratio(pure_io, pure_cpu, ovl),
-    }
+/// Wall time (µs) of a compute-carrying ring exchange among `ranks`
+/// over-subscribed MPI ranks on one scheduler and a 2 µs network — ranks as
+/// decoupled ULPs, or as one coupled KLT each. Quantifies the §III
+/// motivation the paper leaves qualitative: "context switching overhead can
+/// be problematic when using oversubscribed KLTs or processes".
+pub fn oversub_ring_us(ranks: usize, decoupled: bool) -> f64 {
+    const STEPS: usize = 40;
+    let builder = ulp_mpi::UlpWorld::builder()
+        .ranks(ranks)
+        .schedulers(1)
+        .net(ulp_mpi::NetModel::CLUSTER);
+    let world = if decoupled {
+        builder.build()
+    } else {
+        builder.coupled_ranks().build()
+    };
+    let t = Instant::now();
+    let codes = world.run("ring", |ctx| {
+        let (n, me) = (ctx.size(), ctx.rank());
+        for step in 0..STEPS {
+            ctx.send((me + 1) % n, step as i32, &[me as u8]);
+            // A small compute slice per step, as a real stencil would have.
+            std::hint::black_box(compute_chunk(5_000));
+            let prev = (me + n - 1) % n;
+            let got = ctx.recv(prev as i32, step as i32);
+            debug_assert_eq!(got.data[0] as usize, prev);
+        }
+        let s = ctx.allreduce(ulp_mpi::ReduceOp::Sum, &[1.0]);
+        (s[0] as usize == n) as i32 - 1
+    });
+    assert!(codes.iter().all(|&c| c == 0), "ring failed");
+    t.elapsed().as_micros() as f64
 }
 
 // ---------------------------------------------------------------- wake edges
@@ -1156,5 +904,12 @@ mod tests {
             large > small * 5.0,
             "1MiB ({large}) should dwarf 256B ({small})"
         );
+    }
+
+    #[test]
+    fn contended_lock_measures() {
+        let (ns, completed) = contended_lock::<ulp_core::TasLock>(1, 2, 200);
+        assert!(ns.is_finite() && ns > 0.0, "tas contended ns {ns}");
+        assert_eq!(completed, 1.0);
     }
 }
