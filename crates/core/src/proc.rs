@@ -4,9 +4,9 @@
 //! The kernel crate owns the *filesystem* — mount dispatch, open/read
 //! semantics, content freezing — but knows nothing about runtimes, BLTs or
 //! Prometheus. This module closes the loop the same way the trace observer
-//! does (`crate::trace::install_kernel_observer`): a process-global hook,
-//! installed once, that routes through the calling thread's *thread-local*
-//! runtime. Several runtimes in one process each see their own state in
+//! does: an entry of the one process-global `ulp_kernel::KernelHooks` table,
+//! installed at `Runtime` construction, that routes through the calling
+//! thread's *thread-local* runtime. Several runtimes in one process each see their own state in
 //! `/proc`, because the provider resolves `current_runtime()` at open time
 //! — on the thread executing the ULP's `open(2)`, which by the coupling
 //! protocol is a kernel context of the runtime that owns the ULP.
@@ -24,16 +24,10 @@ use crate::uc::UcState;
 use std::sync::Arc;
 use ulp_kernel::ProcSource;
 
-/// Install the procfs provider hook (process-global, idempotent,
-/// first-install-wins — same shape as the kernel observer install).
-pub(crate) fn install_provider() {
-    ulp_kernel::install_proc_provider(provider);
-}
-
-/// The hook registered with the kernel: render `source` from the calling
-/// thread's runtime, or `None` when no runtime is attached (the kernel
-/// substitutes a placeholder body).
-fn provider(source: ProcSource) -> Option<String> {
+/// The `proc` hook registered with the kernel: render `source` from the
+/// calling thread's runtime, or `None` when no runtime is attached (the
+/// kernel substitutes a placeholder body).
+pub(crate) fn provider(source: ProcSource) -> Option<String> {
     let rt = crate::current::current_runtime()?;
     Some(match source {
         ProcSource::Metrics => rt.prometheus_render(),

@@ -470,13 +470,18 @@ impl Runtime {
         if trace_dump.is_some() || profile_dump.is_some() || metrics_addr.is_some() {
             tracer.enable();
         }
-        // Route the simulated kernel's syscall enter/exit callbacks into the
-        // per-KC trace shards (process-global, idempotent).
-        crate::trace::install_kernel_observer();
-        // Back the kernel's /proc files with this crate's runtime state
-        // (process-global, idempotent; routes per-thread via the
-        // thread-local runtime, so multiple runtimes coexist).
-        crate::proc::install_provider();
+        // The kernel → runtime seam: syscall spans and wake edges onto the
+        // per-KC trace shards, /proc bodies from this crate's runtime state.
+        // Process-global, first install wins; every hook routes through the
+        // calling thread's runtime, so several runtimes coexist
+        // (`tests/two_runtimes.rs`).
+        ulp_kernel::KernelHooks {
+            syscall: crate::trace::kernel_syscall_observer,
+            wake_stamp: crate::trace::wake_stamp_hook,
+            wake_emit: crate::trace::wake_emit_hook,
+            proc: crate::proc::provider,
+        }
+        .install();
         let inner = Arc::new(RuntimeInner {
             runq,
             stats: Stats::default(),

@@ -852,12 +852,13 @@ impl Default for Tracer {
 }
 
 /// Route one simulated-kernel syscall observation onto the calling thread's
-/// trace shard — the glue between `ulp_kernel::trace`'s observer hook and
+/// trace shard — the `syscall` entry of the `ulp_kernel::KernelHooks` table
+/// `Runtime` construction installs, the glue between the kernel and
 /// the runtime's rings. Kernel contexts without a registered shard (e.g.
 /// the AIO helper thread) and disabled gates cost one TLS access and drop
 /// the observation; everything else lands on the same per-KC ring and
 /// process-wide clock as the couple/decouple protocol events.
-fn kernel_syscall_observer(sysno: Sysno, phase: SyscallPhase) {
+pub(crate) fn kernel_syscall_observer(sysno: Sysno, phase: SyscallPhase) {
     crate::current::with_thread(|b| {
         let Some(shard) = b.trace() else {
             return;
@@ -895,7 +896,7 @@ fn kernel_syscall_observer(sysno: Sysno, phase: SyscallPhase) {
 /// when its shard is recording, `(0, 0)` otherwise — so `WakeCell::stamp`
 /// is a no-op whenever tracing is off, and wakes from threads outside the
 /// runtime (no shard, no ULP) read as the anonymous waker 0.
-fn wake_stamp_hook() -> (u64, u64) {
+pub(crate) fn wake_stamp_hook() -> (u64, u64) {
     crate::current::with_thread(|b| match b.trace() {
         Some(t) if t.is_on() => (b.ulp().map_or(0, |u| u.id.0), now_ns()),
         _ => (0, 0),
@@ -906,7 +907,7 @@ fn wake_stamp_hook() -> (u64, u64) {
 /// the wakee from its installed ULP, and records the edge + histogram
 /// sample on its shard. Threads without a shard or ULP drop the edge (it
 /// cannot be attributed to a BLT track).
-fn wake_emit_hook(waker: u64, armed_ns: u64, site: WakeSite) {
+pub(crate) fn wake_emit_hook(waker: u64, armed_ns: u64, site: WakeSite) {
     crate::current::with_thread(|b| {
         let Some(shard) = b.trace() else {
             return;
@@ -917,15 +918,6 @@ fn wake_emit_hook(waker: u64, armed_ns: u64, site: WakeSite) {
         let wakee = b.ulp().map_or(0, |u| u.id.0);
         shard.emit_wake(now_ns(), waker, wakee, site, armed_ns);
     });
-}
-
-/// Install [`kernel_syscall_observer`] as the process-global syscall hook,
-/// and the wake-edge stamp/emit pair next to it.
-/// Idempotent — every `Runtime` construction calls it, first one wins, and
-/// the observer routes per-thread so multiple runtimes coexist.
-pub(crate) fn install_kernel_observer() {
-    ulp_kernel::install_syscall_observer(kernel_syscall_observer);
-    ulp_kernel::install_wake_hooks(wake_stamp_hook, wake_emit_hook);
 }
 
 #[cfg(test)]

@@ -7,12 +7,17 @@
 //! kernel each process owns its own table, so a descriptor opened under one
 //! kernel context is meaningless (EBADF) under another — exactly the failure
 //! mode `couple()`/`decouple()` exists to prevent.
+//!
+//! A descriptor names an *open file description* ([`Description`]): one
+//! `Arc<dyn FileLike>` — a tmpfs file, a procfs snapshot, a pipe end, a
+//! socket end, a listener, an epoll instance; the table does not know which
+//! — plus the access mode it was opened with and, for a seekable object,
+//! the shared offset. The access-mode check and the offset arithmetic live
+//! here, once; everything else is the object's answer.
 
 use crate::errno::{Errno, KResult};
-use crate::fs::{FileLike, OpenFlags};
-use crate::pipe::{PipeReader, PipeWriter};
-use crate::poll::EpollObject;
-use crate::socket::{Listener, SocketEnd};
+use crate::fault::{self, FaultKind};
+use crate::fs::{FileLike, OpenFlags, Whence};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -20,46 +25,142 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fd(pub i32);
 
-/// What a descriptor refers to.
+/// An *open file description* (POSIX term): object + shared offset + flags.
+/// `dup`ed descriptors share one description, as on Linux, and a call in
+/// flight holds a clone of its own, so the object is released exactly when
+/// the last of the descriptors *and* calls using it is done — by `Drop`, not
+/// by anybody counting.
 ///
-/// The pipe variants are the descriptors whose `read(2)`/`write(2)` can put
-/// the calling kernel context to sleep; those sleeps show up as nested
-/// `pipe_block_read`/`pipe_block_write` spans on the trace timeline (see
-/// [`crate::trace`]).
+/// The alignment keeps the allocation in the size class it had before the
+/// object became one pointer: two KLTs running `syscall_mix` are sensitive to
+/// where each thread's buffers land (tens of bytes move it ±15 % on the
+/// reference host) and the smaller class was a bad spot. Kept, not explained.
 #[derive(Debug)]
-pub enum FileObject {
-    /// A file or directory on a mounted filesystem (tmpfs, procfs, …): the
-    /// handle `open` returned. File calls go straight to it, and dropping it
-    /// with the description is all the filesystem ever sees of a close.
-    File(Arc<dyn FileLike>),
-    /// Read end of a pipe (blocking reads may sleep the calling KC).
-    PipeRead(PipeReader),
-    /// Write end of a pipe (blocking writes may sleep the calling KC).
-    PipeWrite(PipeWriter),
-    /// One end of a connected loopback socketpair (bidirectional
-    /// byte-stream; blocking reads/writes may sleep the calling KC).
-    Socket(SocketEnd),
-    /// A listening socket: `accept` pops queued connections, readiness
-    /// fires when a client connects.
-    Listener(Arc<Listener>),
-    /// An epoll instance: an interest list over other descriptors plus the
-    /// waker its `epoll_wait` sleeps on.
-    Epoll(Arc<EpollObject>),
-}
-
-/// An *open file description* (POSIX term): shared offset + flags. `dup`ed
-/// descriptors share one description, as on Linux, and a call in flight
-/// holds a clone of its own, so the object is released exactly when the last
-/// of the descriptors *and* calls using it is done — by `Drop`, not by
-/// anybody counting.
-#[derive(Debug)]
+#[repr(align(16))]
 pub struct Description {
-    /// What the description refers to (tmpfs file, pipe end, …).
-    pub object: FileObject,
-    /// Shared file offset (`lseek`/sequential I/O state).
+    /// What the description refers to. Dropping it with the description is
+    /// all the object ever sees of a close.
+    pub file: Arc<dyn FileLike>,
+    /// Shared file offset (`lseek`/sequential I/O state of a seekable
+    /// object; unused by a stream).
     pub offset: Mutex<u64>,
     /// The flags the description was opened with.
     pub flags: OpenFlags,
+    /// `file.seekable()`, asked once.
+    seekable: bool,
+}
+
+impl Description {
+    /// A fresh description of `file` at offset 0.
+    pub fn new(file: Arc<dyn FileLike>, flags: OpenFlags) -> DescriptionRef {
+        Arc::new(Description {
+            seekable: file.seekable(),
+            file,
+            offset: Mutex::new(0),
+            flags,
+        })
+    }
+
+    /// The object, if the description was opened for reading (`EBADF`).
+    fn readable(&self) -> KResult<&dyn FileLike> {
+        (self.flags.readable().then_some(&*self.file)).ok_or(Errno::EBADF)
+    }
+
+    /// The object, if the description was opened for writing (`EBADF`).
+    fn writable(&self) -> KResult<&dyn FileLike> {
+        (self.flags.writable().then_some(&*self.file)).ok_or(Errno::EBADF)
+    }
+
+    /// The description, if its object has a position (`errno` otherwise) —
+    /// checked before the access mode, so a positional call on the wrong
+    /// end of a pipe is still `ESPIPE`.
+    fn seekable(&self, errno: Errno) -> KResult<&Description> {
+        self.seekable.then_some(self).ok_or(errno)
+    }
+
+    /// `read(2)`: a stream reads itself (and may sleep); a seekable object
+    /// is read at the shared offset, which advances. Seekable reads share
+    /// the streams' fault-injection hooks: an armed [`crate::fault`] plan
+    /// may interrupt a read (`EINTR`, before any bytes move) or truncate it
+    /// to a single byte — POSIX-legal behaviors readers must tolerate (the
+    /// `proc_storm` torture scenario leans on this to prove procfs reads
+    /// re-assemble cleanly).
+    pub fn read(&self, buf: &mut [u8]) -> KResult<usize> {
+        let file = self.readable()?;
+        if !self.seekable {
+            return file.read(buf);
+        }
+        if fault::fire(FaultKind::Eintr) {
+            return Err(Errno::EINTR);
+        }
+        let want = if !buf.is_empty() && fault::fire(FaultKind::ShortRead) {
+            1
+        } else {
+            buf.len()
+        };
+        let mut off = self.offset.lock();
+        let n = file.read_at(*off, &mut buf[..want])?;
+        *off = off.checked_add(n as u64).ok_or(Errno::EFBIG)?;
+        Ok(n)
+    }
+
+    /// `write(2)`: a stream writes itself (and may sleep); a seekable object
+    /// is written at the shared offset — at its end under `O_APPEND` — which
+    /// advances. A failed write moves nothing.
+    pub fn write(&self, data: &[u8]) -> KResult<usize> {
+        let file = self.writable()?;
+        if !self.seekable {
+            return file.write(data);
+        }
+        let mut off = self.offset.lock();
+        let pos = if self.flags.contains(OpenFlags::APPEND) {
+            file.size()?
+        } else {
+            *off
+        };
+        let n = file.write_at(pos, data)?;
+        *off = pos.checked_add(n as u64).ok_or(Errno::EFBIG)?;
+        Ok(n)
+    }
+
+    /// `pread(2)`: positional, does not move the shared offset.
+    pub fn pread(&self, offset: u64, buf: &mut [u8]) -> KResult<usize> {
+        self.seekable(Errno::ESPIPE)?
+            .readable()?
+            .read_at(offset, buf)
+    }
+
+    /// `pwrite(2)`: positional, does not move the shared offset.
+    pub fn pwrite(&self, offset: u64, data: &[u8]) -> KResult<usize> {
+        self.seekable(Errno::ESPIPE)?
+            .writable()?
+            .write_at(offset, data)
+    }
+
+    /// `ftruncate(2)`.
+    pub fn truncate(&self, len: u64) -> KResult<()> {
+        self.seekable(Errno::EINVAL)?.writable()?.truncate(len)
+    }
+
+    /// `lseek(2)`. `off_t` arithmetic: a negative or unrepresentable result
+    /// is `EINVAL`. Seeking past the largest file size is legal — the write
+    /// that follows gets `EFBIG`.
+    pub fn seek(&self, offset: i64, whence: Whence) -> KResult<u64> {
+        let file = &self.seekable(Errno::ESPIPE)?.file;
+        let mut off = self.offset.lock();
+        let base = match whence {
+            Whence::Set => 0,
+            Whence::Cur => *off,
+            Whence::End => file.size()?,
+        };
+        let new = i64::try_from(base)
+            .ok()
+            .and_then(|base| base.checked_add(offset))
+            .filter(|new| *new >= 0)
+            .ok_or(Errno::EINVAL)?;
+        *off = new as u64;
+        Ok(*off)
+    }
 }
 
 /// Shared handle to an open file description (`dup` clones the `Arc`).
@@ -173,11 +274,13 @@ mod tests {
         let file = crate::fs::Tmpfs::new()
             .open("/", "/f", OpenFlags::RDWR | OpenFlags::CREAT)
             .unwrap();
-        Arc::new(Description {
-            object: FileObject::File(file),
-            offset: Mutex::new(0),
-            flags: OpenFlags::RDWR,
-        })
+        Description::new(file, OpenFlags::RDWR)
+    }
+
+    #[test]
+    fn a_description_stays_in_its_allocation_size_class() {
+        // 16 bytes of counts + this: the 80-byte malloc class (see the type).
+        assert_eq!(std::mem::size_of::<Description>(), 48);
     }
 
     #[test]

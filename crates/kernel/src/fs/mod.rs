@@ -21,7 +21,7 @@ mod tmpfs;
 mod vfs;
 
 pub use path::{normalize, split_parent, strip_prefix, Components};
-pub use procfs::{install_proc_provider, ProcFs, ProcProvider, ProcSource};
+pub use procfs::{ProcFs, ProcSource};
 pub use tmpfs::{DirEntry, FileStat, Ino, IoModel, Tmpfs, MAX_FILE_SIZE};
 pub use vfs::{FileLike, FileSystem, Mount, MountTable};
 

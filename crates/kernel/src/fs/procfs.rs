@@ -32,12 +32,11 @@
 //!
 //! The kernel crate sits below `ulp-core` and knows nothing about BLTs,
 //! couple state or Prometheus rendering. Runtime-sourced content arrives
-//! through a process-global [`ProcProvider`] callback, installed once by
-//! `ulp-core` at runtime construction (mirroring the syscall-observer hook
-//! in [`crate::trace`]). The provider routes per OS thread, so multiple
-//! runtimes coexist; with no provider installed (kernel used standalone)
-//! the `ulp` files degrade to a placeholder and `stat` serves only the
-//! kernel-side fields.
+//! through the `proc` entry of the one [`crate::KernelHooks`]
+//! table `ulp-core` installs at runtime construction. The provider routes
+//! per OS thread, so multiple runtimes coexist; with no table installed
+//! (kernel used standalone) the `ulp` files degrade to a placeholder and
+//! `stat` serves only the kernel-side fields.
 
 use super::tmpfs::{DirEntry, FileStat, Ino};
 use super::vfs::read_slice_at;
@@ -45,8 +44,9 @@ use super::{FileLike, FileSystem, OpenFlags};
 use crate::errno::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::process::{Pid, ProcState};
+use crate::trace::proc_provide as provide;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
 /// Which runtime-sourced document the procfs is asking the provider for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,27 +60,6 @@ pub enum ProcSource {
     /// Extra per-process fields appended to `/proc/<pid>/stat` (BLT id,
     /// couple state, kernel context, spawn time).
     PidExtra(Pid),
-}
-
-/// The provider callback: return the document for `source`, or `None` when
-/// the calling OS thread has no runtime attached (or the runtime has no
-/// ULP matching a [`ProcSource::PidExtra`] request). Called on the issuing
-/// thread, synchronously, under **no** procfs lock — it may freely take
-/// runtime-internal locks.
-pub type ProcProvider = fn(ProcSource) -> Option<String>;
-
-static PROVIDER: OnceLock<ProcProvider> = OnceLock::new();
-
-/// Install the process-global procfs content provider. First installation
-/// wins; later calls are no-ops (every runtime construction installs the
-/// same per-thread router, exactly like the syscall observer).
-pub fn install_proc_provider(f: ProcProvider) {
-    let _ = PROVIDER.set(f);
-}
-
-/// Ask the installed provider, if any.
-fn provide(source: ProcSource) -> Option<String> {
-    PROVIDER.get().and_then(|f| f(source))
 }
 
 /// Placeholder body for `ulp` files when no runtime is attached.
@@ -140,6 +119,10 @@ struct Snapshot {
 }
 
 impl FileLike for Snapshot {
+    fn seekable(&self) -> bool {
+        true
+    }
+
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> KResult<usize> {
         let body = self.body.as_ref().ok_or(Errno::EISDIR)?;
         Ok(read_slice_at(body.as_bytes(), offset, buf))

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Inode number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ino(pub u64);
 
 /// Largest size a tmpfs file may reach: `write_at`/`truncate` past it fail
@@ -35,7 +35,7 @@ pub struct Ino(pub u64);
 pub const MAX_FILE_SIZE: u64 = 1 << 30;
 
 /// Metadata snapshot returned by `stat`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FileStat {
     /// Inode number.
     pub ino: Ino,
@@ -211,6 +211,10 @@ impl Drop for Inode {
 }
 
 impl FileLike for Inode {
+    fn seekable(&self) -> bool {
+        true
+    }
+
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> KResult<usize> {
         let Kind::File(data) = &self.kind else {
             return Err(Errno::EISDIR);

@@ -6,12 +6,16 @@
 //!   kernel normalizes `(cwd, path)` once, the mount table strips the mount
 //!   prefix, and the filesystem never sees absolute strings it would have to
 //!   re-parse. [`FileSystem::open_rel`] turns a name into a handle.
-//! - [`FileLike`] is the *handle* half: an opened file or directory, held as
-//!   an `Arc` by the open file description. Reads and writes go straight to
-//!   it — no filesystem-wide structure stands between a descriptor and its
-//!   bytes — and closing is dropping it, so what must outlive its last name
-//!   (an unlinked tmpfs file, a procfs snapshot) lives exactly as long as a
-//!   description does.
+//! - [`FileLike`] is the *handle* half: an open object, held as an `Arc` by
+//!   the open file description. It is the one interface behind a descriptor
+//!   — what `open` returns for a file or directory, and equally what `pipe`,
+//!   `socketpair`, `listen` and `epoll_create` install — so the syscall
+//!   layer checks the access mode and dispatches, never asking what kind of
+//!   thing it holds. Reads and writes go straight to it — no
+//!   filesystem-wide structure stands between a descriptor and its bytes —
+//!   and closing is dropping it, so what must outlive its last name (an
+//!   unlinked tmpfs file, a procfs snapshot, a pipe with one end gone)
+//!   lives exactly as long as a description does.
 //! - [`MountTable`] dispatches a normalized component list to the mount
 //!   with the longest matching prefix ([`strip_prefix`]); the root mount
 //!   (empty prefix) always matches, so resolution can't fail to find *a*
@@ -25,23 +29,78 @@
 
 use super::tmpfs::{DirEntry, FileStat, Ino};
 use super::{path::strip_prefix, OpenFlags};
-use crate::errno::KResult;
+use crate::errno::{Errno, KResult};
+use crate::poll::{EpollObject, PollEvents, WatchSet};
+use crate::socket::SocketEnd;
 use std::sync::Arc;
 
-/// An opened file or directory: what an open file description holds.
-/// Dropping the last `Arc` is the close.
+/// An open object: what an open file description holds, whatever kind of
+/// thing it names. Dropping the last `Arc` is the close.
+///
+/// The trait has two halves and every object implements the one it is. A
+/// *seekable* object (tmpfs file or directory, procfs snapshot) answers the
+/// positional calls; the description keeps the offset and turns `read(2)` /
+/// `write(2)` into [`read_at`](FileLike::read_at) /
+/// [`write_at`](FileLike::write_at). A *stream* object (pipe end, socket end,
+/// listener, epoll instance) answers [`read`](FileLike::read) /
+/// [`write`](FileLike::write) itself and is what `poll`/`epoll` can watch.
+/// Every default is the answer the call gets on the wrong kind of object.
 pub trait FileLike: Send + Sync + std::fmt::Debug {
+    /// Whether the object has a position: `false` sends `pread`/`pwrite`/
+    /// `lseek` to `ESPIPE` and `ftruncate` to `EINVAL`.
+    fn seekable(&self) -> bool {
+        false
+    }
     /// Read up to `buf.len()` bytes at `offset`; 0 at or past end-of-file.
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> KResult<usize>;
+    fn read_at(&self, _offset: u64, _buf: &mut [u8]) -> KResult<usize> {
+        Err(Errno::ESPIPE)
+    }
     /// Write `src` at `offset`, extending the object as needed.
-    fn write_at(&self, offset: u64, src: &[u8]) -> KResult<usize>;
+    fn write_at(&self, _offset: u64, _src: &[u8]) -> KResult<usize> {
+        Err(Errno::ESPIPE)
+    }
     /// Current size in bytes (`lseek(SEEK_END)`, `O_APPEND`).
-    fn size(&self) -> KResult<u64>;
+    fn size(&self) -> KResult<u64> {
+        Err(Errno::ESPIPE)
+    }
     /// Truncate or extend to `len`.
-    fn truncate(&self, len: u64) -> KResult<()>;
+    fn truncate(&self, _len: u64) -> KResult<()> {
+        Err(Errno::EINVAL)
+    }
     /// Metadata snapshot of the opened object itself, whatever names it
-    /// still has.
-    fn stat(&self) -> FileStat;
+    /// still has. An object that never had a name reports inode 0 with no
+    /// links.
+    fn stat(&self) -> FileStat {
+        FileStat::default()
+    }
+
+    /// `read(2)` on a stream object; may put the calling OS thread to sleep.
+    fn read(&self, _buf: &mut [u8]) -> KResult<usize> {
+        Err(Errno::EINVAL)
+    }
+    /// `write(2)` on a stream object; may put the calling OS thread to sleep.
+    fn write(&self, _data: &[u8]) -> KResult<usize> {
+        Err(Errno::EINVAL)
+    }
+    /// `accept(2)`: the next queued connection of a listener.
+    fn accept(&self) -> KResult<SocketEnd> {
+        Err(Errno::EINVAL)
+    }
+    /// The epoll instance behind the descriptor, if it is one
+    /// (`epoll_ctl`/`epoll_wait` answer `EINVAL` otherwise).
+    fn as_epoll(&self) -> Option<&EpollObject> {
+        None
+    }
+    /// Level-triggered readiness snapshot. An object that never blocks is
+    /// permanently readable and writable (POSIX `poll` on a regular file).
+    fn poll_events(&self) -> PollEvents {
+        PollEvents::IN | PollEvents::OUT
+    }
+    /// The watch set a readiness waiter subscribes to; `None` for an object
+    /// whose readiness never changes (`epoll_ctl` answers `EPERM`).
+    fn watch(&self) -> Option<&WatchSet> {
+        None
+    }
 }
 
 /// `read_at` over bytes held in memory: copy what `content` has at `offset`

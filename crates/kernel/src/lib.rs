@@ -41,6 +41,7 @@ pub mod socket;
 mod stream;
 pub mod syscall;
 pub mod trace;
+mod wait;
 
 pub use aio::{aio_suspend_any, Aiocb};
 pub use cost::{cycles, cycles_per_ns, cycles_to_ns, spin_for, ArchProfile};
@@ -48,8 +49,8 @@ pub use errno::{Errno, KResult};
 pub use fault::{FaultKind, FaultPlan, FAULT_KINDS};
 pub use fd::{Fd, FdTable};
 pub use fs::{
-    install_proc_provider, DirEntry, FileLike, FileStat, FileSystem, IoModel, MountTable,
-    OpenFlags, ProcFs, ProcProvider, ProcSource, Tmpfs, Whence,
+    DirEntry, FileLike, FileStat, FileSystem, IoModel, MountTable, OpenFlags, ProcFs, ProcSource,
+    Tmpfs, Whence,
 };
 pub use futex::{futex_wait, futex_wait_timeout, futex_wake, Semaphore};
 pub use kernel::{BindGuard, Kernel, KernelRef};
@@ -58,7 +59,4 @@ pub use poll::{EpollObject, EpollOp, PollEvents, PollWaker, WaitEnd, WatchSet};
 pub use process::{Pid, ProcState, Process};
 pub use signal::{Disposition, MaskHow, SigSet, Signal, SignalState};
 pub use socket::{socketpair, socketpair_with_capacity, Listener, SocketEnd};
-pub use trace::{
-    install_syscall_observer, install_wake_hooks, SyscallObserver, SyscallPhase, Sysno, WakeCell,
-    WakeSite,
-};
+pub use trace::{KernelHooks, SyscallPhase, Sysno, WakeCell, WakeSite};

@@ -7,20 +7,14 @@
 //! that BLT's `couple()`/`decouple()` makes harmless (paper §I, §V-B).
 
 use crate::errno::KResult;
+use crate::fs::FileLike;
 use crate::poll::{PollEvents, WatchSet};
-use crate::stream::{ByteStream, StreamNames};
-use crate::trace::{Sysno, WakeSite};
+use crate::stream::ByteStream;
+use crate::trace::WakeSite;
 use std::sync::Arc;
 
 /// Default pipe capacity (Linux: 64 KiB).
 pub const PIPE_CAPACITY: usize = 64 * 1024;
-
-static PIPE_NAMES: StreamNames = StreamNames {
-    block_read: Sysno::PipeBlockRead,
-    block_write: Sysno::PipeBlockWrite,
-    wake_read: WakeSite::PipeRead,
-    wake_write: WakeSite::PipeWrite,
-};
 
 #[derive(Debug)]
 struct PipeInner {
@@ -42,7 +36,7 @@ pub struct PipeWriter(Arc<PipeInner>);
 /// Create a connected pipe pair with the given capacity.
 pub fn pipe_with_capacity(capacity: usize) -> (PipeReader, PipeWriter) {
     let inner = Arc::new(PipeInner {
-        stream: ByteStream::new(capacity.max(1), &PIPE_NAMES),
+        stream: ByteStream::new(capacity.max(1), WakeSite::PipeRead, WakeSite::PipeWrite),
         watch: WatchSet::new(),
     });
     (PipeReader(inner.clone()), PipeWriter(inner))
@@ -86,31 +80,34 @@ impl Drop for PipeWriter {
 }
 
 impl PipeReader {
-    /// Blocking read: waits for at least one byte (or EOF). Returns 0 at
-    /// EOF (all writers gone, buffer drained).
-    ///
-    /// When the calling thread actually sleeps, the sleep is bracketed by a
-    /// `pipe_block_read` span through the syscall observer hook — nested
-    /// inside the surrounding `read(2)` span, so the timeline distinguishes
-    /// "read that returned at once" from "read that stalled its KC".
-    pub fn read(&self, out: &mut [u8]) -> KResult<usize> {
-        self.0.stream.read(out, true, &self.0.watch)
-    }
-
     /// Non-blocking read: `EAGAIN` instead of sleeping.
     pub fn try_read(&self, out: &mut [u8]) -> KResult<usize> {
         self.0.stream.read(out, false, &self.0.watch)
     }
+}
 
-    /// Bytes currently buffered.
-    pub fn available(&self) -> usize {
-        self.0.stream.status().len
+impl PipeWriter {
+    /// Non-blocking write: writes what fits, `EAGAIN` if nothing fits.
+    pub fn try_write(&self, data: &[u8]) -> KResult<usize> {
+        self.0.stream.write(data, false, &self.0.watch)
+    }
+}
+
+impl FileLike for PipeReader {
+    /// Blocking read: waits for at least one byte (or EOF). Returns 0 at
+    /// EOF (all writers gone, buffer drained).
+    ///
+    /// When the calling thread actually sleeps, the sleep is bracketed by a
+    /// `pipe_block_read` span through the syscall hook — nested inside the
+    /// surrounding `read(2)` span, so the timeline distinguishes "read that
+    /// returned at once" from "read that stalled its KC".
+    fn read(&self, out: &mut [u8]) -> KResult<usize> {
+        self.0.stream.read(out, true, &self.0.watch)
     }
 
-    /// Current readiness of the read end (level-triggered snapshot): `IN`
-    /// when bytes are buffered or every writer is gone (EOF is readable —
-    /// a read returns 0 at once), plus `HUP` in the latter case.
-    pub fn poll_events(&self) -> PollEvents {
+    /// `IN` when bytes are buffered or every writer is gone (EOF is readable
+    /// — a read returns 0 at once), plus `HUP` in the latter case.
+    fn poll_events(&self) -> PollEvents {
         let st = self.0.stream.status();
         let mut ev = PollEvents::NONE;
         if st.len > 0 || st.writers == 0 {
@@ -123,43 +120,33 @@ impl PipeReader {
     }
 
     /// The pipe's readiness watch set (shared by both ends).
-    pub fn watch(&self) -> &WatchSet {
-        &self.0.watch
+    fn watch(&self) -> Option<&WatchSet> {
+        Some(&self.0.watch)
     }
 }
 
-impl PipeWriter {
-    /// Blocking write of the whole buffer; sleeps whenever the pipe is full.
-    /// Returns `EPIPE` if all readers are gone.
-    ///
-    /// Sleeps are bracketed by a `pipe_block_write` span, exactly as in
-    /// [`PipeReader::read`].
-    pub fn write(&self, data: &[u8]) -> KResult<usize> {
+impl FileLike for PipeWriter {
+    /// Blocking write of the whole buffer; sleeps whenever the pipe is full
+    /// (inside a `pipe_block_write` span). `EPIPE` if all readers are gone.
+    fn write(&self, data: &[u8]) -> KResult<usize> {
         self.0.stream.write(data, true, &self.0.watch)
     }
 
-    /// Non-blocking write: writes what fits, `EAGAIN` if nothing fits.
-    pub fn try_write(&self, data: &[u8]) -> KResult<usize> {
-        self.0.stream.write(data, false, &self.0.watch)
-    }
-
-    /// Current readiness of the write end (level-triggered snapshot): `OUT`
-    /// while space remains and a reader exists; `ERR` once every reader is
-    /// gone (the pipe-writer analogue of `POLLERR` on Linux).
-    pub fn poll_events(&self) -> PollEvents {
+    /// `OUT` while space remains and a reader exists; `ERR` once every
+    /// reader is gone (the pipe-writer analogue of `POLLERR` on Linux).
+    fn poll_events(&self) -> PollEvents {
         let st = self.0.stream.status();
         if st.readers == 0 {
             PollEvents::ERR
-        } else if st.len < self.0.stream.capacity() {
+        } else if st.len < self.0.stream.capacity {
             PollEvents::OUT
         } else {
             PollEvents::NONE
         }
     }
 
-    /// The pipe's readiness watch set (shared by both ends).
-    pub fn watch(&self) -> &WatchSet {
-        &self.0.watch
+    fn watch(&self) -> Option<&WatchSet> {
+        Some(&self.0.watch)
     }
 }
 

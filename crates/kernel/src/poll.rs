@@ -1,12 +1,13 @@
-//! Readiness notification: the wait-queue half of `poll`/`epoll`.
+//! Readiness notification: the watcher half of `poll`/`epoll`.
 //!
-//! The blocking pipe and socket paths already park the calling OS thread on
-//! a condvar and get woken by whichever thread produced data, freed space or
-//! closed an end. Readiness multiplexing reuses exactly those wakeup sites:
-//! every waitable object owns a [`WatchSet`], and every site that wakes the
-//! blocking path's sleepers *also* calls [`WatchSet::notify`]. A `poll` or
-//! `epoll_wait` sleeper therefore wakes on the same edges that would unblock
-//! a blocking read — there is one wait-queue discipline, not two.
+//! The blocking pipe, socket and accept paths park the calling OS thread on
+//! a wait queue (`wait.rs`) and get woken by whichever thread produced data,
+//! freed space, connected or closed an end. Readiness multiplexing reuses
+//! exactly those wakeup sites: every waitable object owns a [`WatchSet`],
+//! and every site that wakes the blocking path's sleepers *also* calls
+//! [`WatchSet::notify`]. A `poll` or `epoll_wait` sleeper — asleep on such a
+//! queue itself, inside its [`PollWaker`] — therefore wakes on the same
+//! edges that would unblock a blocking read: one discipline, not two.
 //!
 //! Semantics are **level-triggered** throughout: a waiter never consumes a
 //! readiness edge, it re-scans the watched objects' *current* state after
@@ -17,12 +18,15 @@
 //!
 //! Ownership rule: the **object** (pipe, socket buffer, listener queue) owns
 //! its `WatchSet` and is the only party that fires edges; watchers hold
-//! `Weak` registrations and may vanish at any time. The inverse direction —
-//! an epoll instance holding its interest list — also uses `Weak` (on the
-//! open file description), so neither side keeps the other alive and a
-//! dropped end still reaches EOF/HUP.
+//! `Weak` registrations and may vanish at any time. An epoll instance (a
+//! [`FileLike`] behind its descriptor like everything else) holds its
+//! interest list `Weak` too, on the open file description, so neither side
+//! keeps the other alive and a dropped end still reaches EOF/HUP.
 
-use parking_lot::{Condvar, Mutex};
+use crate::fs::FileLike;
+use crate::trace::WakeSite;
+use crate::wait::{Wait, WaitQueue};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -85,26 +89,19 @@ impl std::ops::BitAnd for PollEvents {
     }
 }
 
-/// One sleeping multiplexer (an `epoll_wait` or `poll` call in progress).
+/// What a multiplexer (an `epoll_wait` or `poll` call) sleeps on: a
+/// generation counter with a `WaitQueue` (see `wait.rs`) beside it.
 ///
 /// The generation counter closes the classic lost-wakeup window: a waiter
 /// reads the generation, scans object state, and only sleeps if the
 /// generation is still unchanged — an edge that fired between scan and
-/// sleep bumps the generation and the sleep returns immediately.
-///
-/// Sleepers are counted beside the generation, under its lock, so an edge
-/// that finds nobody asleep bumps the generation and is done: no condvar
-/// notify (a host `futex` call even with no waiter) and no wake stamp.
+/// sleep bumps the generation and the sleep returns immediately. An edge
+/// that finds nobody asleep bumps the generation and is done (the queue's
+/// sleeper gate).
 #[derive(Debug)]
 pub struct PollWaker {
-    state: Mutex<WakerState>,
-    cv: Condvar,
-    /// Wake-edge attribution: stamped under the generation lock by a thread
-    /// firing an edge while somebody sleeps, and taken under the same lock
-    /// by the first of those sleepers to wake ([`WaitEnd::Edge`]). Both ends
-    /// hold the lock, so a stamp never outlives the sleep it ended and a
-    /// waiter arriving later cannot pick up one that was armed for another.
-    wake: crate::trace::WakeCell,
+    pub(crate) gen: Mutex<u64>,
+    pub(crate) queue: WaitQueue,
 }
 
 /// How a [`PollWaker::wait`] ended.
@@ -119,88 +116,62 @@ pub enum WaitEnd {
     TimedOut,
 }
 
-impl WaitEnd {
-    /// The stamp of the edge that ended a real sleep, if any — what the
-    /// `epoll_wait`/`poll` caller emits once its re-scan finds something
-    /// ready (a timeout, or a wake whose scan came back empty, emits none).
-    pub fn stamp(self) -> Option<(u64, u64)> {
-        match self {
-            WaitEnd::Edge(stamp) => stamp,
-            WaitEnd::TimedOut => None,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct WakerState {
-    gen: u64,
-    sleepers: usize,
-}
-
 impl PollWaker {
-    /// A fresh waker at generation 0.
-    pub fn new() -> PollWaker {
+    /// A fresh waker at generation 0 whose sleepers are attributed to
+    /// `site` ([`WakeSite::EpollWait`] or [`WakeSite::Poll`]).
+    pub fn new(site: WakeSite) -> PollWaker {
         PollWaker {
-            state: Mutex::new(WakerState::default()),
-            cv: Condvar::new(),
-            wake: crate::trace::WakeCell::new(),
+            gen: Mutex::new(0),
+            queue: WaitQueue::new(site),
         }
     }
 
     /// Current generation; pass it to [`PollWaker::wait`] after scanning.
     pub fn generation(&self) -> u64 {
-        self.state.lock().gen
+        *self.gen.lock()
     }
 
     /// Fire a readiness edge: bump the generation and wake every sleeper.
     pub fn wake(&self) {
-        let mut st = self.state.lock();
-        st.gen += 1;
-        if st.sleepers > 0 {
-            self.wake.stamp();
-            self.cv.notify_all();
+        let mut gen = self.gen.lock();
+        *gen += 1;
+        self.queue.wake_all(&gen);
+    }
+
+    /// Sleep, as part of the call `wait` belongs to, until the generation
+    /// moves past `seen` or the call's deadline passes.
+    pub(crate) fn wait_in(&self, wait: &mut Wait<'_>, seen: u64) -> WaitEnd {
+        let mut gen = self.gen.lock();
+        while *gen == seen {
+            if !wait.sleep(&mut gen) && *gen == seen {
+                return WaitEnd::TimedOut;
+            }
         }
+        WaitEnd::Edge(wait.stamp)
     }
 
     /// Sleep until the generation moves past `seen` or `deadline` passes.
-    /// A `None` deadline sleeps indefinitely (only an edge can end the wait).
+    /// A `None` deadline sleeps indefinitely (only an edge can end the
+    /// wait). A one-sleep call of its own: the stamp it claimed is handed
+    /// back rather than emitted.
     pub fn wait(&self, seen: u64, deadline: Option<Instant>) -> WaitEnd {
-        let mut st = self.state.lock();
-        let mut slept = false;
-        while st.gen == seen {
-            st.sleepers += 1;
-            let timed_out = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    now >= d || self.cv.wait_for(&mut st, d - now).timed_out()
-                }
-                None => {
-                    self.cv.wait(&mut st);
-                    false
-                }
-            };
-            st.sleepers -= 1;
-            if timed_out && st.gen == seen {
-                return WaitEnd::TimedOut;
-            }
-            slept = true;
-        }
-        // Still under the lock. A call that never slept was counted by no
-        // edge, so whatever is in the cell belongs to a sleeper that has
-        // not reacquired the lock yet.
-        WaitEnd::Edge(if slept { self.wake.take() } else { None })
-    }
-}
-
-impl Default for PollWaker {
-    fn default() -> Self {
-        PollWaker::new()
+        let mut wait = self.queue.wait(deadline);
+        let end = self.wait_in(&mut wait, seen);
+        wait.finish(&Ok(()), false);
+        end
     }
 }
 
 /// The watchers of one waitable object. The object fires [`WatchSet::notify`]
 /// at every state change that could affect readiness — the same sites that
 /// wake the blocking path's sleepers.
+///
+/// The list is bounded: at most one entry per live waker, none for a `poll`
+/// call that has returned. [`subscribe`](WatchSet::subscribe) is idempotent
+/// per waker, `poll` [`unsubscribe`](WatchSet::unsubscribe)s its throw-away
+/// waker on the way out, and a dead epoll instance's entry goes with the
+/// next walk of the list. (`EPOLL_CTL_DEL` leaves the entry: a sibling
+/// registration may still need it, and a notify too many costs a re-scan.)
 #[derive(Debug, Default)]
 pub struct WatchSet {
     watchers: Mutex<Vec<Weak<PollWaker>>>,
@@ -223,12 +194,27 @@ impl WatchSet {
         WatchSet::default()
     }
 
-    /// Register a waker. Dead registrations are pruned on the next notify,
-    /// so subscribers just drop their `Arc` to unsubscribe.
-    pub fn subscribe(&self, waker: &Arc<PollWaker>) {
+    /// Keep the entries `keep` accepts among the live ones, then `waker` if
+    /// one is given, and publish the new length.
+    fn rebuild(
+        &self,
+        waker: Option<&Arc<PollWaker>>,
+        mut keep: impl FnMut(&Arc<PollWaker>) -> bool,
+    ) {
         let mut ws = self.watchers.lock();
-        ws.push(Arc::downgrade(waker));
+        ws.retain(|w| w.upgrade().is_some_and(|w| keep(&w)));
+        ws.extend(waker.map(Arc::downgrade));
         self.registered.store(ws.len(), Ordering::Release);
+    }
+
+    /// Register a waker; registering it again changes nothing.
+    pub fn subscribe(&self, waker: &Arc<PollWaker>) {
+        self.rebuild(Some(waker), |w| !Arc::ptr_eq(w, waker));
+    }
+
+    /// Remove a waker's registration, if it has one.
+    pub fn unsubscribe(&self, waker: &Arc<PollWaker>) {
+        self.rebuild(None, |w| !Arc::ptr_eq(w, waker));
     }
 
     /// Fire a readiness edge to every live watcher, pruning dead ones.
@@ -236,24 +222,16 @@ impl WatchSet {
         if self.registered.load(Ordering::Acquire) == 0 {
             return;
         }
-        let mut ws = self.watchers.lock();
-        ws.retain(|w| match w.upgrade() {
-            Some(waker) => {
-                waker.wake();
-                true
-            }
-            None => false,
+        self.rebuild(None, |w| {
+            w.wake();
+            true
         });
-        self.registered.store(ws.len(), Ordering::Release);
     }
 
-    /// Number of live registrations (test/diagnostic aid).
+    /// Length of the list, dead entries not yet pruned included — the
+    /// number the bound above is about (test/diagnostic aid).
     pub fn watcher_count(&self) -> usize {
-        self.watchers
-            .lock()
-            .iter()
-            .filter(|w| w.upgrade().is_some())
-            .count()
+        self.watchers.lock().len()
     }
 }
 
@@ -287,19 +265,35 @@ pub struct EpollEntry {
 /// (what `epoll_wait` reports back), but each entry identifies its watched
 /// object by open file description — so the registration survives `dup2`
 /// shuffles of the original slot, and dies only when the description does.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EpollObject {
     /// fd-at-registration → entry.
     pub interest: Mutex<std::collections::BTreeMap<i32, EpollEntry>>,
-    /// Woken by every watched object's `WatchSet` (one subscription per
-    /// `Add`), and re-armed by re-scan — level-triggered.
+    /// Woken by every watched object's `WatchSet` (subscribed on `Add`), and
+    /// re-armed by re-scan — level-triggered.
     pub waker: Arc<PollWaker>,
 }
 
-impl EpollObject {
+impl Default for EpollObject {
     /// A fresh epoll instance with an empty interest list.
-    pub fn new() -> EpollObject {
-        EpollObject::default()
+    fn default() -> EpollObject {
+        EpollObject {
+            interest: Mutex::default(),
+            waker: Arc::new(PollWaker::new(WakeSite::EpollWait)),
+        }
+    }
+}
+
+/// Behind a descriptor an epoll instance is reachable by `epoll_ctl` and
+/// `epoll_wait` and nothing else: it reports no readiness of its own and is
+/// not watchable (this kernel does not nest epoll instances).
+impl FileLike for EpollObject {
+    fn as_epoll(&self) -> Option<&EpollObject> {
+        Some(self)
+    }
+
+    fn poll_events(&self) -> PollEvents {
+        PollEvents::NONE
     }
 }
 
@@ -323,7 +317,7 @@ mod tests {
 
     #[test]
     fn waker_wait_times_out_without_edge() {
-        let w = PollWaker::new();
+        let w = PollWaker::new(WakeSite::EpollWait);
         let gen = w.generation();
         let deadline = Instant::now() + Duration::from_millis(20);
         assert_eq!(w.wait(gen, Some(deadline)), WaitEnd::TimedOut);
@@ -331,7 +325,7 @@ mod tests {
 
     #[test]
     fn edge_between_scan_and_sleep_is_not_lost() {
-        let w = PollWaker::new();
+        let w = PollWaker::new(WakeSite::EpollWait);
         let gen = w.generation();
         w.wake(); // Edge fires after the scan, before the sleep.
         assert_eq!(
@@ -342,50 +336,8 @@ mod tests {
     }
 
     #[test]
-    fn late_waiter_leaves_a_sleepers_stamp_alone() {
-        // An edge has woken a sleeper and armed the cell for it; before that
-        // sleeper is back under the lock, a second thread calls `wait` with
-        // a generation from before the edge (a shared epoll fd). It did not
-        // sleep, so the stamp is not its to take.
-        let w = PollWaker::new();
-        let gen = w.generation();
-        w.wake();
-        w.wake.stamp_as(7, 123);
-        assert_eq!(w.wait(gen, None), WaitEnd::Edge(None));
-        assert_eq!(w.wake.take(), Some((7, 123)), "stamp must survive");
-    }
-
-    #[test]
-    fn two_sleepers_on_one_waker_claim_one_stamp_once() {
-        let w = Arc::new(PollWaker::new());
-        let gen = w.generation();
-        let sleepers: Vec<_> = (0..2)
-            .map(|_| {
-                let w = w.clone();
-                thread::spawn(move || w.wait(gen, None))
-            })
-            .collect();
-        while w.state.lock().sleepers < 2 {
-            thread::sleep(Duration::from_millis(1));
-        }
-        {
-            // What `wake()` does with tracing on (no stamp hook is installed
-            // in unit tests, so arm the cell by hand under the same lock).
-            let mut st = w.state.lock();
-            st.gen += 1;
-            w.wake.stamp_as(7, 123);
-            w.cv.notify_all();
-        }
-        let ends: Vec<_> = sleepers.into_iter().map(|s| s.join().unwrap()).collect();
-        let claimed = ends.iter().filter(|e| e.stamp() == Some((7, 123))).count();
-        assert_eq!(claimed, 1, "one edge, one attribution: {ends:?}");
-        assert!(ends.iter().all(|e| matches!(e, WaitEnd::Edge(_))));
-        assert_eq!(w.wake.take(), None, "nothing is left for a later wait");
-    }
-
-    #[test]
     fn notify_wakes_cross_thread_sleeper() {
-        let w = Arc::new(PollWaker::new());
+        let w = Arc::new(PollWaker::new(WakeSite::EpollWait));
         let set = WatchSet::new();
         set.subscribe(&w);
         let sleeper = {
@@ -398,9 +350,36 @@ mod tests {
     }
 
     #[test]
+    fn subscribe_is_idempotent_and_unsubscribe_removes() {
+        let set = WatchSet::new();
+        let a = Arc::new(PollWaker::new(WakeSite::EpollWait));
+        let b = Arc::new(PollWaker::new(WakeSite::Poll));
+        for _ in 0..100 {
+            set.subscribe(&a);
+        }
+        set.subscribe(&b);
+        assert_eq!(set.watcher_count(), 2, "one entry per waker");
+        let (ga, gb) = (a.generation(), b.generation());
+        set.notify();
+        assert_eq!((a.generation(), b.generation()), (ga + 1, gb + 1));
+        set.unsubscribe(&b);
+        set.unsubscribe(&b);
+        assert_eq!(set.watcher_count(), 1);
+        set.notify();
+        assert_eq!((a.generation(), b.generation()), (ga + 2, gb + 1));
+        set.unsubscribe(&a);
+        assert_eq!(set.watcher_count(), 0);
+        assert_eq!(
+            set.registered.load(Ordering::Acquire),
+            0,
+            "shortcut is back"
+        );
+    }
+
+    #[test]
     fn dead_watchers_are_pruned() {
         let set = WatchSet::new();
-        let w = Arc::new(PollWaker::new());
+        let w = Arc::new(PollWaker::new(WakeSite::EpollWait));
         set.subscribe(&w);
         assert_eq!(set.watcher_count(), 1);
         drop(w);

@@ -13,7 +13,8 @@
 //! server's `accept` (usually driven by an epoll readiness edge on the
 //! listener) pops its half. This is the minimal shape of the classic
 //! threaded-server runtime the SR port describes: one acceptor multiplexing
-//! many per-connection streams.
+//! many per-connection streams. Behind a descriptor both are [`FileLike`]s
+//! (`read`/`write`, `accept`), and every sleep is on a `wait.rs` queue.
 //!
 //! ## Backpressure watermark
 //!
@@ -26,11 +27,12 @@
 
 use crate::errno::{Errno, KResult};
 use crate::fault::{self, FaultKind};
-use crate::kernel::errno_of;
+use crate::fs::FileLike;
 use crate::poll::{PollEvents, WatchSet};
-use crate::stream::{ByteStream, StreamNames};
-use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
-use parking_lot::{Condvar, Mutex};
+use crate::stream::ByteStream;
+use crate::trace::WakeSite;
+use crate::wait::WaitQueue;
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -41,13 +43,6 @@ pub const SOCK_CAPACITY: usize = 32 * 1024;
 /// Low-watermark divisor for write readiness: `POLLOUT` is reported when at
 /// least `capacity / SOCK_LOWAT` bytes are free.
 pub const SOCK_LOWAT: usize = 4;
-
-static SOCK_NAMES: StreamNames = StreamNames {
-    block_read: Sysno::SockBlockRead,
-    block_write: Sysno::SockBlockWrite,
-    wake_read: WakeSite::SockRead,
-    wake_write: WakeSite::SockWrite,
-};
 
 /// The shared state of a connected socketpair. `streams[side]` carries bytes
 /// *written by* end `side` (read by the peer), so a handle to end `side` is
@@ -74,11 +69,9 @@ pub struct SocketEnd {
 /// Create a connected socketpair with the given per-direction capacity.
 pub fn socketpair_with_capacity(capacity: usize) -> (SocketEnd, SocketEnd) {
     let capacity = capacity.max(SOCK_LOWAT);
+    let stream = || ByteStream::new(capacity, WakeSite::SockRead, WakeSite::SockWrite);
     let pair = Arc::new(SockPair {
-        streams: [
-            ByteStream::new(capacity, &SOCK_NAMES),
-            ByteStream::new(capacity, &SOCK_NAMES),
-        ],
+        streams: [stream(), stream()],
         watch: WatchSet::new(),
     });
     (
@@ -130,18 +123,15 @@ impl SocketEnd {
     fn rx(&self) -> &ByteStream {
         &self.pair.streams[1 - self.side]
     }
+}
 
-    /// The pair-wide watch set (both ends share it).
-    pub fn watch(&self) -> &WatchSet {
-        &self.pair.watch
-    }
-
+impl FileLike for SocketEnd {
     /// Blocking read from the peer direction: waits for at least one byte,
     /// returns 0 at EOF (peer closed, buffer drained). Sleeps are bracketed
     /// by a `sock_block_read` span, mirroring the pipe path; the same
     /// fault-plan hooks apply (`EINTR` before any bytes move, short reads
     /// truncated to one byte).
-    pub fn read(&self, out: &mut [u8]) -> KResult<usize> {
+    fn read(&self, out: &mut [u8]) -> KResult<usize> {
         self.rx().read(out, true, &self.pair.watch)
     }
 
@@ -149,7 +139,7 @@ impl SocketEnd {
     /// whenever the direction is full, `EPIPE` once the peer is gone and
     /// nothing was written. Sleeps are bracketed by a `sock_block_write`
     /// span.
-    pub fn write(&self, data: &[u8]) -> KResult<usize> {
+    fn write(&self, data: &[u8]) -> KResult<usize> {
         self.tx().write(data, true, &self.pair.watch)
     }
 
@@ -159,7 +149,7 @@ impl SocketEnd {
     /// - `OUT` — at least the low watermark of this direction is free and
     ///   the peer is alive;
     /// - `HUP` — peer closed.
-    pub fn poll_events(&self) -> PollEvents {
+    fn poll_events(&self) -> PollEvents {
         let mut ev = PollEvents::NONE;
         let rx = self.rx().status();
         let peer_gone = rx.writers == 0;
@@ -169,7 +159,7 @@ impl SocketEnd {
         if peer_gone {
             ev = ev | PollEvents::HUP;
         } else {
-            let capacity = self.tx().capacity();
+            let capacity = self.tx().capacity;
             let lowat = capacity / SOCK_LOWAT;
             if capacity - self.tx().status().len >= lowat.max(1) {
                 ev = ev | PollEvents::OUT;
@@ -178,9 +168,9 @@ impl SocketEnd {
         ev
     }
 
-    /// Bytes buffered toward this end (readable without blocking).
-    pub fn available(&self) -> usize {
-        self.rx().status().len
+    /// The pair-wide watch set (both ends share it).
+    fn watch(&self) -> Option<&WatchSet> {
+        Some(&self.pair.watch)
     }
 }
 
@@ -196,12 +186,10 @@ pub const LISTEN_BACKLOG: usize = 128;
 #[derive(Debug)]
 pub struct Listener {
     queue: Mutex<VecDeque<SocketEnd>>,
-    pending: Condvar,
+    /// Blocked acceptors, woken one per connecting client.
+    acceptors: WaitQueue,
     backlog: usize,
     watch: WatchSet,
-    /// Wake-edge attribution for blocked acceptors: stamped by the
-    /// connecting client, consumed by the acceptor it woke.
-    wake: WakeCell,
 }
 
 impl Listener {
@@ -214,10 +202,9 @@ impl Listener {
     pub fn with_backlog(backlog: usize) -> Arc<Listener> {
         Arc::new(Listener {
             queue: Mutex::new(VecDeque::new()),
-            pending: Condvar::new(),
+            acceptors: WaitQueue::new(WakeSite::Accept),
             backlog: backlog.max(1),
             watch: WatchSet::new(),
-            wake: WakeCell::new(),
         })
     }
 
@@ -232,55 +219,38 @@ impl Listener {
             return Err(Errno::EAGAIN);
         }
         q.push_back(server);
-        self.wake.stamp();
-        self.pending.notify_one();
+        self.acceptors.wake_one(&q);
         drop(q);
         self.watch.notify();
         Ok(client)
     }
+}
 
+/// `read`/`write` on a listener stay the trait's `EINVAL`.
+impl FileLike for Listener {
     /// Blocking accept: pop the next queued connection, parking the calling
     /// OS thread while the queue is empty. Sleeps are bracketed by an
     /// `accept_block` span; the fault plan may inject `EINTR` before a
     /// connection is taken.
-    pub fn accept(&self) -> KResult<SocketEnd> {
+    fn accept(&self) -> KResult<SocketEnd> {
         if fault::fire(FaultKind::Eintr) {
             return Err(Errno::EINTR);
         }
         let mut q = self.queue.lock();
-        let mut blocked = false;
+        let mut wait = self.acceptors.wait(None);
         let res = loop {
             if let Some(end) = q.pop_front() {
                 break Ok(end);
             }
-            if !blocked {
-                blocked = true;
-                trace::emit(Sysno::AcceptBlock, SyscallPhase::Enter);
-            }
-            self.pending.wait(&mut q);
+            wait.sleep(&mut q);
         };
-        if blocked {
-            self.wake.consume(WakeSite::Accept);
-            trace::emit(
-                Sysno::AcceptBlock,
-                SyscallPhase::Exit {
-                    errno: errno_of(&res),
-                },
-            );
-        }
+        drop(q);
+        wait.finish(&res, true);
         res
     }
 
-    /// Non-blocking accept: `EAGAIN` instead of sleeping.
-    pub fn try_accept(&self) -> KResult<SocketEnd> {
-        if fault::fire(FaultKind::Eagain) {
-            return Err(Errno::EAGAIN);
-        }
-        self.queue.lock().pop_front().ok_or(Errno::EAGAIN)
-    }
-
-    /// Current readiness: `IN` when a connection is queued.
-    pub fn poll_events(&self) -> PollEvents {
+    /// `IN` when a connection is queued.
+    fn poll_events(&self) -> PollEvents {
         if self.queue.lock().is_empty() {
             PollEvents::NONE
         } else {
@@ -288,14 +258,9 @@ impl Listener {
         }
     }
 
-    /// Queued, not-yet-accepted connections.
-    pub fn pending_count(&self) -> usize {
-        self.queue.lock().len()
-    }
-
-    /// The listener's watch set (readiness edges fire on connect).
-    pub fn watch(&self) -> &WatchSet {
-        &self.watch
+    /// Readiness edges fire on connect.
+    fn watch(&self) -> Option<&WatchSet> {
+        Some(&self.watch)
     }
 }
 

@@ -5,40 +5,26 @@
 //! thread** to sleep on a condvar until the other side moves bytes or hangs
 //! up.
 //!
-//! ## No host system call without a sleeper
-//!
 //! Everything a waker needs to decide whether anybody must be woken lives
-//! under the one lock it already holds to move the bytes: the buffer, the
-//! live handle counts of both sides, and the number of threads asleep on
-//! each condvar. A transfer that finds no sleeper touches neither the
-//! condvar (on the host, `notify_all` is a `futex` system call even with
-//! nobody waiting) nor the wake-attribution cell. Sleepers count themselves
-//! in and out under the same lock, so a waker that reads zero cannot be
-//! racing a thread that has checked the buffer but not yet gone to sleep —
-//! and the hang-up paths ([`ByteStream::drop_reader`] /
-//! [`ByteStream::drop_writer`]) take the lock for the same reason.
+//! under the one lock it already holds to move the bytes: the buffer and the
+//! live handle counts of both sides, with the two [`WaitQueue`]s (blocked
+//! readers, blocked writers) riding the same lock. A transfer that finds no
+//! sleeper makes no host system call and stamps nothing — the queue's
+//! sleeper gate, argued in [`crate::wait`] — and the hang-up paths
+//! ([`ByteStream::drop_reader`] / [`ByteStream::drop_writer`]) take the lock
+//! so that the gate holds for them too.
 
 use crate::errno::{Errno, KResult};
 use crate::fault::{self, FaultKind};
-use crate::kernel::errno_of;
 use crate::poll::WatchSet;
-use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use crate::trace::WakeSite;
+use crate::wait::WaitQueue;
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 
 /// Largest buffer allocated up front; a stream with a larger capacity grows
 /// into it on demand.
 const PREALLOC_MAX: usize = 64 * 1024;
-
-/// How one kind of stream shows up in traces: the nested span a sleeping
-/// `read`/`write` is bracketed by, and the wake-edge site that ends it.
-#[derive(Debug)]
-pub(crate) struct StreamNames {
-    pub(crate) block_read: Sysno,
-    pub(crate) block_write: Sysno,
-    pub(crate) wake_read: WakeSite,
-    pub(crate) wake_write: WakeSite,
-}
 
 /// What [`ByteStream::status`] reports: one consistent look at the stream.
 #[derive(Debug, Clone, Copy)]
@@ -56,10 +42,6 @@ struct State {
     buf: VecDeque<u8>,
     readers: usize,
     writers: usize,
-    /// Threads asleep on `readable` / `writable` (counted in before the
-    /// wait, out after it, always under the lock).
-    read_waiters: usize,
-    write_waiters: usize,
 }
 
 /// One direction of bytes: a bounded buffer with a read side and a write
@@ -68,41 +50,29 @@ struct State {
 #[derive(Debug)]
 pub(crate) struct ByteStream {
     state: Mutex<State>,
-    readable: Condvar,
-    writable: Condvar,
-    /// Wake-edge attribution for blocked readers: stamped (under the lock,
-    /// so the sleeper's re-check orders after it) by whoever makes the
-    /// stream readable while a reader sleeps, consumed by the reader whose
-    /// sleep it ended.
-    wake_read: WakeCell,
-    /// Same for blocked writers: stamped by whoever frees space or drops
-    /// the last read handle.
-    wake_write: WakeCell,
-    capacity: usize,
-    names: &'static StreamNames,
+    /// Blocked readers: woken by whoever makes the stream readable (bytes,
+    /// or the last write handle going).
+    readable: WaitQueue,
+    /// Blocked writers: woken by whoever frees space or drops the last read
+    /// handle.
+    writable: WaitQueue,
+    pub(crate) capacity: usize,
 }
 
 impl ByteStream {
-    pub(crate) fn new(capacity: usize, names: &'static StreamNames) -> ByteStream {
+    /// A stream whose blocked readers and writers are attributed to the
+    /// given wake sites (and sleep inside those sites' blocking spans).
+    pub(crate) fn new(capacity: usize, read: WakeSite, write: WakeSite) -> ByteStream {
         ByteStream {
             state: Mutex::new(State {
                 buf: VecDeque::with_capacity(capacity.min(PREALLOC_MAX)),
                 readers: 1,
                 writers: 1,
-                read_waiters: 0,
-                write_waiters: 0,
             }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-            wake_read: WakeCell::new(),
-            wake_write: WakeCell::new(),
+            readable: WaitQueue::new(read),
+            writable: WaitQueue::new(write),
             capacity,
-            names,
         }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
     }
 
     pub(crate) fn status(&self) -> Status {
@@ -114,26 +84,11 @@ impl ByteStream {
         }
     }
 
-    fn wake_readers(&self, st: &MutexGuard<'_, State>) {
-        if st.read_waiters > 0 {
-            self.wake_read.stamp();
-            self.readable.notify_all();
-        }
-    }
-
-    fn wake_writers(&self, st: &MutexGuard<'_, State>) {
-        if st.write_waiters > 0 {
-            self.wake_write.stamp();
-            self.writable.notify_all();
-        }
-    }
-
     /// Read at least one byte into `out`; 0 at EOF (every write handle gone,
     /// buffer drained). On an empty stream a `block`ing read sleeps —
-    /// bracketed by the stream's `block_read` span through the syscall
-    /// observer hook, nested inside the surrounding `read(2)` span — and a
-    /// non-blocking one returns `EAGAIN`. `watch` hears about the freed
-    /// space.
+    /// bracketed by the read site's blocking span, nested inside the
+    /// surrounding `read(2)` span — and a non-blocking one returns `EAGAIN`.
+    /// `watch` hears about the freed space.
     ///
     /// Fault plan: a blocking read may be interrupted (`EINTR`, before any
     /// bytes move) or truncated to one byte; a non-blocking one may get a
@@ -158,7 +113,7 @@ impl ByteStream {
             }
         };
         let mut st = self.state.lock();
-        let mut blocked = false;
+        let mut wait = self.readable.wait(None);
         let res = loop {
             if !st.buf.is_empty() {
                 let n = out.len().min(st.buf.len());
@@ -167,7 +122,7 @@ impl ByteStream {
                 out[..from_front].copy_from_slice(&front[..from_front]);
                 out[from_front..n].copy_from_slice(&back[..n - from_front]);
                 st.buf.drain(..n);
-                self.wake_writers(&st);
+                self.writable.wake_all(&st);
                 break Ok(n);
             }
             if st.writers == 0 {
@@ -176,35 +131,20 @@ impl ByteStream {
             if !block {
                 break Err(Errno::EAGAIN);
             }
-            if !blocked {
-                blocked = true;
-                trace::emit(self.names.block_read, SyscallPhase::Enter);
-            }
-            st.read_waiters += 1;
-            self.readable.wait(&mut st);
-            st.read_waiters -= 1;
+            wait.sleep(&mut st);
         };
         drop(st);
         if matches!(res, Ok(n) if n > 0) {
             watch.notify();
         }
-        if blocked {
-            // Attribute the wake that ended the sleep before closing the
-            // span (the edge must land inside it). An EINTR never reaches
-            // here — it fires before the first sleep.
-            self.wake_read.consume(self.names.wake_read);
-            trace::emit(
-                self.names.block_read,
-                SyscallPhase::Exit {
-                    errno: errno_of(&res),
-                },
-            );
-        }
+        // Whatever ended a sleep here was a wake: bytes, or the last writer
+        // going. (An EINTR fires before the first sleep.)
+        wait.finish(&res, true);
         res
     }
 
     /// Write `data`. A `block`ing write sleeps whenever the stream is full
-    /// (inside the stream's `block_write` span) until all of it is written;
+    /// (inside the write site's blocking span) until all of it is written;
     /// a non-blocking one writes what fits, `EAGAIN` if nothing does.
     /// `EPIPE` once every read handle is gone and nothing was written.
     /// `watch` hears about the new bytes — before this thread sleeps on
@@ -226,7 +166,7 @@ impl ByteStream {
         // Bytes `watch` has been told about.
         let mut announced = 0;
         let mut st = self.state.lock();
-        let mut blocked = false;
+        let mut wait = self.writable.wait(None);
         let res = loop {
             if written >= data.len() {
                 break Ok(written);
@@ -251,33 +191,19 @@ impl ByteStream {
                     st = self.state.lock();
                     continue;
                 }
-                if !blocked {
-                    blocked = true;
-                    trace::emit(self.names.block_write, SyscallPhase::Enter);
-                }
-                st.write_waiters += 1;
-                self.writable.wait(&mut st);
-                st.write_waiters -= 1;
+                wait.sleep(&mut st);
                 continue;
             }
             let n = space.min(data.len() - written);
             st.buf.extend(&data[written..written + n]);
             written += n;
-            self.wake_readers(&st);
+            self.readable.wake_all(&st);
         };
         drop(st);
         if announced < written {
             watch.notify();
         }
-        if blocked {
-            self.wake_write.consume(self.names.wake_write);
-            trace::emit(
-                self.names.block_write,
-                SyscallPhase::Exit {
-                    errno: errno_of(&res),
-                },
-            );
-        }
+        wait.finish(&res, true);
         res
     }
 
@@ -300,7 +226,7 @@ impl ByteStream {
         if st.readers > 0 {
             return false;
         }
-        self.wake_writers(&st);
+        self.writable.wake_all(&st);
         true
     }
 
@@ -312,7 +238,7 @@ impl ByteStream {
         if st.writers > 0 {
             return false;
         }
-        self.wake_readers(&st);
+        self.readable.wake_all(&st);
         true
     }
 }

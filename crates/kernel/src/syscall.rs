@@ -12,16 +12,16 @@
 //! KLT").
 
 use crate::errno::{Errno, KResult};
-use crate::fd::{Description, Fd, FileObject};
-use crate::fs::{normalize, DirEntry, FileStat, OpenFlags, Whence};
+use crate::fault::{self, FaultKind};
+use crate::fd::{Description, DescriptionRef, Fd};
+use crate::fs::{normalize, DirEntry, FileLike, FileStat, OpenFlags, Whence};
 use crate::kernel::Kernel;
 use crate::pipe;
-use crate::poll::{EpollEntry, EpollObject, EpollOp, PollEvents, PollWaker, WatchSet};
+use crate::poll::{EpollEntry, EpollObject, EpollOp, PollEvents, PollWaker};
 use crate::process::{Pid, Process};
 use crate::signal::{MaskHow, SigSet, Signal};
 use crate::socket::{self, Listener};
-use crate::trace::{self, SyscallPhase, Sysno};
-use parking_lot::Mutex;
+use crate::trace::{Sysno, WakeSite};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,17 @@ fn with_path<T>(proc: &Process, path: &str, f: impl FnOnce(&[&str]) -> T) -> T {
         let cwd = proc.cwd.lock().clone();
         f(&normalize(&cwd, path))
     }
+}
+
+/// Install a fresh description of `file` in `proc`'s descriptor table.
+fn install(proc: &Process, file: Arc<dyn FileLike>, flags: OpenFlags) -> KResult<Fd> {
+    proc.fds.lock().install(Description::new(file, flags))
+}
+
+/// The description `fd` names in `proc`'s table — a clone of its own, so the
+/// call runs (and may sleep) outside the table's lock.
+fn description(proc: &Process, fd: Fd) -> KResult<DescriptionRef> {
+    proc.fds.lock().get(fd)
 }
 
 impl Kernel {
@@ -81,12 +92,7 @@ impl Kernel {
         self.syscall(Sysno::Open, |proc| {
             with_path(proc, path, |comps| {
                 let (fs, rel) = self.mounts.resolve(comps);
-                let desc = Arc::new(Description {
-                    object: FileObject::File(fs.open_rel(rel, flags)?),
-                    offset: Mutex::new(0),
-                    flags,
-                });
-                proc.fds.lock().install(desc)
+                install(proc, fs.open_rel(rel, flags)?, flags)
             })
         })
     }
@@ -101,143 +107,43 @@ impl Kernel {
         })
     }
 
-    /// `write(2)`: file writes advance the shared offset; pipe writes may
-    /// block the calling OS thread.
+    /// `write(2)`: file writes advance the shared offset; pipe and socket
+    /// writes may block the calling OS thread.
     pub fn sys_write(&self, fd: Fd, data: &[u8]) -> KResult<usize> {
-        self.syscall(Sysno::Write, |proc| {
-            let desc = proc.fds.lock().get(fd)?;
-            match &desc.object {
-                FileObject::File(file) => {
-                    if !desc.flags.writable() {
-                        return Err(Errno::EBADF);
-                    }
-                    let mut off = desc.offset.lock();
-                    let pos = if desc.flags.contains(OpenFlags::APPEND) {
-                        file.size()?
-                    } else {
-                        *off
-                    };
-                    let n = file.write_at(pos, data)?;
-                    *off = pos.checked_add(n as u64).ok_or(Errno::EFBIG)?;
-                    Ok(n)
-                }
-                FileObject::PipeWrite(w) => w.write(data),
-                FileObject::Socket(s) => s.write(data),
-                FileObject::PipeRead(_) => Err(Errno::EBADF),
-                FileObject::Listener(_) | FileObject::Epoll(_) => Err(Errno::EINVAL),
-            }
-        })
+        self.syscall(Sysno::Write, |proc| description(proc, fd)?.write(data))
     }
 
-    /// `read(2)`. File reads share the pipe paths' fault-injection hooks:
-    /// an armed [`crate::fault`] plan may interrupt a read (`EINTR`, before
-    /// any bytes move) or truncate it to a single byte — POSIX-legal
-    /// behaviors readers must tolerate (the `proc_storm` torture scenario
-    /// leans on this to prove procfs reads re-assemble cleanly).
+    /// `read(2)`: file reads advance the shared offset; pipe and socket
+    /// reads may block the calling OS thread.
     pub fn sys_read(&self, fd: Fd, buf: &mut [u8]) -> KResult<usize> {
-        self.syscall(Sysno::Read, |proc| {
-            let desc = proc.fds.lock().get(fd)?;
-            match &desc.object {
-                FileObject::File(file) => {
-                    if !desc.flags.readable() {
-                        return Err(Errno::EBADF);
-                    }
-                    if crate::fault::fire(crate::fault::FaultKind::Eintr) {
-                        return Err(Errno::EINTR);
-                    }
-                    let want = if !buf.is_empty()
-                        && crate::fault::fire(crate::fault::FaultKind::ShortRead)
-                    {
-                        1
-                    } else {
-                        buf.len()
-                    };
-                    let mut off = desc.offset.lock();
-                    let n = file.read_at(*off, &mut buf[..want])?;
-                    *off = off.checked_add(n as u64).ok_or(Errno::EFBIG)?;
-                    Ok(n)
-                }
-                FileObject::PipeRead(r) => r.read(buf),
-                FileObject::Socket(s) => s.read(buf),
-                FileObject::PipeWrite(_) => Err(Errno::EBADF),
-                FileObject::Listener(_) | FileObject::Epoll(_) => Err(Errno::EINVAL),
-            }
-        })
+        self.syscall(Sysno::Read, |proc| description(proc, fd)?.read(buf))
     }
 
     /// `pwrite(2)`: positional, does not move the shared offset.
     pub fn sys_pwrite(&self, fd: Fd, offset: u64, data: &[u8]) -> KResult<usize> {
         self.syscall(Sysno::Pwrite, |proc| {
-            let desc = proc.fds.lock().get(fd)?;
-            match &desc.object {
-                FileObject::File(file) => {
-                    if !desc.flags.writable() {
-                        return Err(Errno::EBADF);
-                    }
-                    file.write_at(offset, data)
-                }
-                _ => Err(Errno::ESPIPE),
-            }
+            description(proc, fd)?.pwrite(offset, data)
         })
     }
 
     /// `pread(2)`.
     pub fn sys_pread(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> KResult<usize> {
         self.syscall(Sysno::Pread, |proc| {
-            let desc = proc.fds.lock().get(fd)?;
-            match &desc.object {
-                FileObject::File(file) => {
-                    if !desc.flags.readable() {
-                        return Err(Errno::EBADF);
-                    }
-                    file.read_at(offset, buf)
-                }
-                _ => Err(Errno::ESPIPE),
-            }
+            description(proc, fd)?.pread(offset, buf)
         })
     }
 
     /// `lseek(2)`.
     pub fn sys_lseek(&self, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
         self.syscall(Sysno::Lseek, |proc| {
-            let desc = proc.fds.lock().get(fd)?;
-            match &desc.object {
-                FileObject::File(file) => {
-                    let mut off = desc.offset.lock();
-                    let base = match whence {
-                        Whence::Set => 0,
-                        Whence::Cur => *off,
-                        Whence::End => file.size()?,
-                    };
-                    // `off_t` arithmetic: a negative or unrepresentable
-                    // result is `EINVAL`. Seeking past the largest file size
-                    // is legal — the write that follows gets `EFBIG`.
-                    let new = i64::try_from(base)
-                        .ok()
-                        .and_then(|base| base.checked_add(offset))
-                        .filter(|new| *new >= 0)
-                        .ok_or(Errno::EINVAL)?;
-                    *off = new as u64;
-                    Ok(*off)
-                }
-                _ => Err(Errno::ESPIPE),
-            }
+            description(proc, fd)?.seek(offset, whence)
         })
     }
 
     /// `ftruncate(2)`.
     pub fn sys_ftruncate(&self, fd: Fd, len: u64) -> KResult<()> {
         self.syscall(Sysno::Ftruncate, |proc| {
-            let desc = proc.fds.lock().get(fd)?;
-            match &desc.object {
-                FileObject::File(file) => {
-                    if !desc.flags.writable() {
-                        return Err(Errno::EBADF);
-                    }
-                    file.truncate(len)
-                }
-                _ => Err(Errno::EINVAL),
-            }
+            description(proc, fd)?.truncate(len)
         })
     }
 
@@ -259,18 +165,10 @@ impl Kernel {
     pub fn sys_pipe(&self) -> KResult<(Fd, Fd)> {
         self.syscall(Sysno::Pipe, |proc| {
             let (r, w) = pipe::pipe();
-            let mut fds = proc.fds.lock();
-            let rfd = fds.install(Arc::new(Description {
-                object: FileObject::PipeRead(r),
-                offset: Mutex::new(0),
-                flags: OpenFlags::RDONLY,
-            }))?;
-            let wfd = fds.install(Arc::new(Description {
-                object: FileObject::PipeWrite(w),
-                offset: Mutex::new(0),
-                flags: OpenFlags::WRONLY,
-            }))?;
-            Ok((rfd, wfd))
+            Ok((
+                install(proc, Arc::new(r), OpenFlags::RDONLY)?,
+                install(proc, Arc::new(w), OpenFlags::WRONLY)?,
+            ))
         })
     }
 
@@ -282,18 +180,10 @@ impl Kernel {
     pub fn sys_socketpair(&self) -> KResult<(Fd, Fd)> {
         self.syscall(Sysno::Socketpair, |proc| {
             let (a, b) = socket::socketpair();
-            let mut fds = proc.fds.lock();
-            let fa = fds.install(Arc::new(Description {
-                object: FileObject::Socket(a),
-                offset: Mutex::new(0),
-                flags: OpenFlags::RDWR,
-            }))?;
-            let fb = fds.install(Arc::new(Description {
-                object: FileObject::Socket(b),
-                offset: Mutex::new(0),
-                flags: OpenFlags::RDWR,
-            }))?;
-            Ok((fa, fb))
+            Ok((
+                install(proc, Arc::new(a), OpenFlags::RDWR)?,
+                install(proc, Arc::new(b), OpenFlags::RDWR)?,
+            ))
         })
     }
 
@@ -304,11 +194,9 @@ impl Kernel {
     /// are plumbed across processes in this simulation.
     pub fn sys_listen(&self, listener: &Arc<Listener>) -> KResult<Fd> {
         self.syscall(Sysno::Listen, |proc| {
-            proc.fds.lock().install(Arc::new(Description {
-                object: FileObject::Listener(listener.clone()),
-                offset: Mutex::new(0),
-                flags: OpenFlags::RDONLY,
-            }))
+            // Read/write like any socket: `read`/`write` on it get the
+            // object's `EINVAL`, not the access mode's `EBADF`.
+            install(proc, listener.clone(), OpenFlags::RDWR)
         })
     }
 
@@ -318,12 +206,7 @@ impl Kernel {
     /// calling process. `EAGAIN` when the backlog is full.
     pub fn sys_connect(&self, listener: &Arc<Listener>) -> KResult<Fd> {
         self.syscall(Sysno::Connect, |proc| {
-            let end = listener.connect()?;
-            proc.fds.lock().install(Arc::new(Description {
-                object: FileObject::Socket(end),
-                offset: Mutex::new(0),
-                flags: OpenFlags::RDWR,
-            }))
+            install(proc, Arc::new(listener.connect()?), OpenFlags::RDWR)
         })
     }
 
@@ -333,19 +216,10 @@ impl Kernel {
     /// descriptor is not a listener.
     pub fn sys_accept(&self, fd: Fd) -> KResult<Fd> {
         self.syscall(Sysno::Accept, |proc| {
-            let desc = proc.fds.lock().get(fd)?;
-            let listener = match &desc.object {
-                FileObject::Listener(l) => l.clone(),
-                _ => return Err(Errno::EINVAL),
-            };
-            // Block outside any FD-table lock: other threads must be able
+            // Blocks outside any FD-table lock: other threads must be able
             // to install/close descriptors while this accept sleeps.
-            let end = listener.accept()?;
-            proc.fds.lock().install(Arc::new(Description {
-                object: FileObject::Socket(end),
-                offset: Mutex::new(0),
-                flags: OpenFlags::RDWR,
-            }))
+            let end = description(proc, fd)?.file.accept()?;
+            install(proc, Arc::new(end), OpenFlags::RDWR)
         })
     }
 
@@ -353,11 +227,7 @@ impl Kernel {
     /// list.
     pub fn sys_epoll_create(&self) -> KResult<Fd> {
         self.syscall(Sysno::EpollCreate, |proc| {
-            proc.fds.lock().install(Arc::new(Description {
-                object: FileObject::Epoll(Arc::new(EpollObject::new())),
-                offset: Mutex::new(0),
-                flags: OpenFlags::RDWR,
-            }))
+            install(proc, Arc::new(EpollObject::default()), OpenFlags::RDWR)
         })
     }
 
@@ -379,16 +249,13 @@ impl Kernel {
             if epfd == fd {
                 return Err(Errno::EINVAL);
             }
-            let ep = match &proc.fds.lock().get(epfd)?.object {
-                FileObject::Epoll(e) => e.clone(),
-                _ => return Err(Errno::EINVAL),
-            };
-            let target = proc.fds.lock().get(fd)?;
-            match &target.object {
-                FileObject::Epoll(_) => return Err(Errno::EINVAL),
-                FileObject::File(_) => return Err(Errno::EPERM),
-                _ => {}
+            let epd = description(proc, epfd)?;
+            let ep = epd.file.as_epoll().ok_or(Errno::EINVAL)?;
+            let target = description(proc, fd)?;
+            if target.file.as_epoll().is_some() {
+                return Err(Errno::EINVAL);
             }
+            let watch = target.file.watch().ok_or(Errno::EPERM)?;
             let mut interest = ep.interest.lock();
             let existing_is_live = interest
                 .get(&fd.0)
@@ -402,9 +269,7 @@ impl Kernel {
                     // A dead or stale entry under this fd number is
                     // replaced: the old description is gone (or the slot
                     // was reused), so this is a fresh registration.
-                    watch_of(&target)
-                        .expect("non-file objects are watchable")
-                        .subscribe(&ep.waker);
+                    watch.subscribe(&ep.waker);
                     interest.insert(
                         fd.0,
                         EpollEntry {
@@ -455,69 +320,25 @@ impl Kernel {
             if max_events == 0 {
                 return Err(Errno::EINVAL);
             }
-            let ep = match &proc.fds.lock().get(epfd)?.object {
-                FileObject::Epoll(e) => e.clone(),
-                _ => return Err(Errno::EINVAL),
-            };
-            let deadline = timeout.map(|t| Instant::now() + t);
-            let mut blocked = false;
-            // The stamp of the edge that ended the latest sleep, if one did.
-            let mut stamp = None;
-            let res = loop {
-                // Generation before the scan: an edge firing between scan
-                // and sleep bumps it and the sleep returns immediately.
-                let gen = ep.waker.generation();
+            let epd = description(proc, epfd)?;
+            let ep = epd.file.as_epoll().ok_or(Errno::EINVAL)?;
+            wait_ready(&ep.waker, timeout, || {
                 let mut ready = Vec::new();
                 ep.interest.lock().retain(|fdnum, entry| {
-                    match entry.target.upgrade() {
-                        Some(desc) => {
-                            let ev = readiness_of(&desc)
-                                & (entry.interest | PollEvents::ERR | PollEvents::HUP);
-                            if !ev.is_empty() && ready.len() < max_events {
-                                ready.push((Fd(*fdnum), ev));
-                            }
-                            true
-                        }
-                        // Last descriptor to the description closed:
-                        // auto-deregister, as Linux epoll does.
-                        None => false,
+                    // A dead target means the last descriptor to the
+                    // description closed: auto-deregister, as Linux does.
+                    let Some(desc) = entry.target.upgrade() else {
+                        return false;
+                    };
+                    let ev = revents(&desc, entry.interest);
+                    if !ev.is_empty() && ready.len() < max_events {
+                        ready.push((Fd(*fdnum), ev));
                     }
+                    true
                 });
-                if !ready.is_empty() {
-                    break Ok(ready);
-                }
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        break Ok(Vec::new());
-                    }
-                }
-                // A signal may interrupt the wait before anything is ready.
-                if crate::fault::fire(crate::fault::FaultKind::Eintr) {
-                    break Err(Errno::EINTR);
-                }
-                if !blocked {
-                    blocked = true;
-                    trace::emit(Sysno::EpollBlockWait, SyscallPhase::Enter);
-                }
-                stamp = ep.waker.wait(gen, deadline).stamp();
-            };
-            if blocked {
-                // Attribute the readiness edge that ended the sleep — but
-                // only when the wait actually ended with ready descriptors:
-                // a timeout or injected EINTR claims no edge.
-                if let Some((waker_id, armed_ns)) = stamp {
-                    if matches!(&res, Ok(ready) if !ready.is_empty()) {
-                        trace::wake_emit(waker_id, armed_ns, crate::trace::WakeSite::EpollWait);
-                    }
-                }
-                trace::emit(
-                    Sysno::EpollBlockWait,
-                    SyscallPhase::Exit {
-                        errno: crate::kernel::errno_of(&res),
-                    },
-                );
-            }
-            res
+                let any = !ready.is_empty();
+                (ready, any)
+            })
         })
     }
 
@@ -535,73 +356,25 @@ impl Kernel {
     ) -> KResult<Vec<PollEvents>> {
         self.syscall(Sysno::Poll, |proc| {
             // One throwaway waker subscribed to every watchable target for
-            // the duration of the call; subscriptions die with it (the
-            // watch sets prune dead watchers on their next notify).
-            let waker = Arc::new(PollWaker::new());
-            let targets: Vec<Option<crate::fd::DescriptionRef>> = {
+            // the duration of the call, and unsubscribed on the way out.
+            let waker = Arc::new(PollWaker::new(WakeSite::Poll));
+            let targets: Vec<Option<DescriptionRef>> = {
                 let table = proc.fds.lock();
                 fds.iter().map(|(fd, _)| table.get(*fd).ok()).collect()
             };
-            for desc in targets.iter().flatten() {
-                if let Some(watch) = watch_of(desc) {
-                    watch.subscribe(&waker);
-                }
-            }
-            let deadline = timeout.map(|t| Instant::now() + t);
-            let mut blocked = false;
-            let mut stamp = None;
-            let res = loop {
-                let gen = waker.generation();
-                let mut revents = vec![PollEvents::NONE; fds.len()];
-                let mut any = false;
-                for (i, target) in targets.iter().enumerate() {
-                    match target {
-                        None => {
-                            revents[i] = PollEvents::NVAL;
-                            any = true;
-                        }
-                        Some(desc) => {
-                            let ev =
-                                readiness_of(desc) & (fds[i].1 | PollEvents::ERR | PollEvents::HUP);
-                            if !ev.is_empty() {
-                                revents[i] = ev;
-                                any = true;
-                            }
-                        }
-                    }
-                }
-                if any {
-                    break Ok(revents);
-                }
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        break Ok(revents);
-                    }
-                }
-                if crate::fault::fire(crate::fault::FaultKind::Eintr) {
-                    break Err(Errno::EINTR);
-                }
-                if !blocked {
-                    blocked = true;
-                    trace::emit(Sysno::EpollBlockWait, SyscallPhase::Enter);
-                }
-                stamp = waker.wait(gen, deadline).stamp();
-            };
-            if blocked {
-                // Same discipline as `sys_epoll_wait`: a timed-out poll
-                // breaks with all-NONE revents and claims no edge.
-                if let Some((waker_id, armed_ns)) = stamp {
-                    if matches!(&res, Ok(revents) if revents.iter().any(|ev| !ev.is_empty())) {
-                        trace::wake_emit(waker_id, armed_ns, crate::trace::WakeSite::Poll);
-                    }
-                }
-                trace::emit(
-                    Sysno::EpollBlockWait,
-                    SyscallPhase::Exit {
-                        errno: crate::kernel::errno_of(&res),
-                    },
-                );
-            }
+            let watches = || targets.iter().flatten().filter_map(|d| d.file.watch());
+            watches().for_each(|w| w.subscribe(&waker));
+            let res = wait_ready(&waker, timeout, || {
+                let revents: Vec<PollEvents> = (targets.iter().zip(fds))
+                    .map(|(target, (_, interest))| match target {
+                        Some(desc) => revents(desc, *interest),
+                        None => PollEvents::NVAL,
+                    })
+                    .collect();
+                let any = revents.iter().any(|ev| !ev.is_empty());
+                (revents, any)
+            });
+            watches().for_each(|w| w.unsubscribe(&waker));
             res
         })
     }
@@ -767,31 +540,44 @@ fn same_fs(a: &Arc<dyn crate::fs::FileSystem>, b: &Arc<dyn crate::fs::FileSystem
     std::ptr::eq(Arc::as_ptr(a) as *const (), Arc::as_ptr(b) as *const ())
 }
 
-/// Level-triggered readiness snapshot of one open file description.
-/// Regular files never block, so they are permanently readable and
-/// writable (POSIX `poll` semantics); an epoll descriptor reports nothing
-/// (this kernel does not nest epoll instances).
-fn readiness_of(desc: &Description) -> PollEvents {
-    match &desc.object {
-        FileObject::File(_) => PollEvents::IN | PollEvents::OUT,
-        FileObject::PipeRead(r) => r.poll_events(),
-        FileObject::PipeWrite(w) => w.poll_events(),
-        FileObject::Socket(s) => s.poll_events(),
-        FileObject::Listener(l) => l.poll_events(),
-        FileObject::Epoll(_) => PollEvents::NONE,
-    }
+/// What a readiness waiter interested in `interest` hears of `desc` right
+/// now: the object's level-triggered snapshot, cut down to the interest plus
+/// the always-reported `ERR`/`HUP`.
+fn revents(desc: &Description, interest: PollEvents) -> PollEvents {
+    desc.file.poll_events() & (interest | PollEvents::ERR | PollEvents::HUP)
 }
 
-/// The watch set a readiness waiter must subscribe to for this description,
-/// if the object is watchable (regular files and epoll instances are not).
-fn watch_of(desc: &Description) -> Option<&WatchSet> {
-    match &desc.object {
-        FileObject::PipeRead(r) => Some(r.watch()),
-        FileObject::PipeWrite(w) => Some(w.watch()),
-        FileObject::Socket(s) => Some(s.watch()),
-        FileObject::Listener(l) => Some(l.watch()),
-        FileObject::File(_) | FileObject::Epoll(_) => None,
-    }
+/// The one readiness loop behind `epoll_wait` and `poll`: scan, and sleep on
+/// `waker` until a scan finds something, `timeout` elapses (the last, empty
+/// scan is the result) or the fault plan injects `EINTR`. `scan` returns
+/// what it found and whether that counts as ready.
+///
+/// The generation is read before each scan, so an edge firing between scan
+/// and sleep ends the sleep at once. The waker's queue opens the
+/// `epoll_block_wait` span on the first real sleep and, at the end,
+/// attributes the edge that ended the last one — but only to a wait that
+/// ended ready: a timeout or an injected `EINTR` claims no edge.
+fn wait_ready<R>(
+    waker: &PollWaker,
+    timeout: Option<Duration>,
+    mut scan: impl FnMut() -> (R, bool),
+) -> KResult<R> {
+    let deadline = timeout.map(|t| Instant::now() + t);
+    let mut wait = waker.queue.wait(deadline);
+    let res = loop {
+        let gen = waker.generation();
+        let (found, ready) = scan();
+        if ready || deadline.is_some_and(|d| Instant::now() >= d) {
+            break Ok((found, ready));
+        }
+        // A signal may interrupt the wait before anything is ready.
+        if fault::fire(FaultKind::Eintr) {
+            break Err(Errno::EINTR);
+        }
+        waker.wait_in(&mut wait, gen);
+    };
+    wait.finish(&res, matches!(res, Ok((_, true))));
+    res.map(|(found, _)| found)
 }
 
 #[cfg(test)]

@@ -1,236 +1,172 @@
-//! Syscall-span observation hooks.
+//! The kernel → runtime seam: one hook table, and the names it speaks in.
 //!
 //! The simulated kernel sits *below* `ulp-core` in the crate graph, so it
-//! cannot write into the runtime's per-KC trace shards directly. Instead it
-//! exposes a process-global **observer hook**: the runtime installs a plain
-//! `fn(Sysno, SyscallPhase)` once at construction, and every simulated
-//! system call emits an `Enter`/`Exit` pair through it. The observer routes
-//! the pair onto the calling OS thread's trace shard (same rings, same
-//! process-wide clock as the couple/decouple protocol events), which is what
-//! lets the merged Perfetto timeline interleave syscall spans with BLT state
-//! tracks and makes system-call-consistency violations visually obvious.
+//! cannot write into the runtime's per-KC trace shards or render runtime
+//! state itself. Instead it exposes one process-global [`KernelHooks`]
+//! table, installed once by the runtime at construction:
 //!
-//! With no observer installed (the kernel crate used standalone, or tracing
-//! never wired up) every emit is a single `OnceLock` load — the kernel keeps
-//! working with zero observability cost.
+//! - `syscall` — every simulated system call emits an `Enter`/`Exit` pair
+//!   through it. The runtime's observer routes the pair onto the calling OS
+//!   thread's trace shard (same rings, same process-wide clock as the
+//!   couple/decouple protocol events), which is what lets the merged
+//!   Perfetto timeline interleave syscall spans with BLT state tracks and
+//!   makes system-call-consistency violations visually obvious.
+//! - `wake_stamp` / `wake_emit` — the two ends of a wake edge (see
+//!   [`WakeCell`]).
+//! - `proc` — the runtime-sourced bodies of `/proc/ulp/*` (see
+//!   [`crate::fs::ProcFs`]).
+//!
+//! The first installation wins. Every hook resolves the *calling thread's*
+//! runtime, so several runtimes in one process install the same table and
+//! each sees only its own threads. With no table installed (the kernel
+//! crate used standalone) every hook site is a single `OnceLock` load — the
+//! kernel keeps working with zero observability cost.
 
+use crate::fs::ProcSource;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Identity of a simulated system call, used to label trace spans and to
-/// index the per-syscall latency histograms.
-///
-/// Discriminants are dense (`0..COUNT`) so the value round-trips through the
-/// packed trace-slot encoding via [`Sysno::from_u16`] and can index a
-/// `[_; Sysno::COUNT]` table directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u16)]
-pub enum Sysno {
-    /// `getpid(2)` — the paper's Table V consistency microbenchmark.
-    Getpid = 0,
-    /// `getppid(2)`.
-    Getppid,
-    /// `getcwd(2)`.
-    Getcwd,
-    /// `chdir(2)`.
-    Chdir,
-    /// `open(2)`.
-    Open,
-    /// `close(2)`.
-    Close,
-    /// `write(2)` (tmpfs or pipe; the pipe case may block).
-    Write,
-    /// `read(2)` (tmpfs or pipe; the pipe case may block).
-    Read,
-    /// `pwrite(2)`.
-    Pwrite,
-    /// `pread(2)`.
-    Pread,
-    /// `lseek(2)`.
-    Lseek,
-    /// `ftruncate(2)`.
-    Ftruncate,
-    /// `dup(2)`.
-    Dup,
-    /// `dup2(2)`.
-    Dup2,
-    /// `pipe(2)`.
-    Pipe,
-    /// `unlink(2)`.
-    Unlink,
-    /// `mkdir(2)`.
-    Mkdir,
-    /// `rmdir(2)`.
-    Rmdir,
-    /// `link(2)`.
-    Link,
-    /// `rename(2)`.
-    Rename,
-    /// `stat(2)`.
-    Stat,
-    /// `readdir(3)`.
-    Readdir,
-    /// `kill(2)`.
-    Kill,
-    /// `sigprocmask(2)`.
-    Sigprocmask,
-    /// `sigpending(2)`.
-    Sigpending,
-    /// Signal-delivery dequeue (the simulated return-to-userspace point).
-    TakeSignal,
-    /// `nanosleep(2)` — blocks the calling OS thread.
-    Nanosleep,
-    /// Blocking `waitpid(2)`.
-    Waitpid,
-    /// `futex(FUTEX_WAIT)` — the BLOCKING idle primitive (§VI-C).
-    FutexWait,
-    /// `aio_write(3)` submission.
-    AioWrite,
-    /// `aio_read(3)` submission.
-    AioRead,
-    /// `aio_suspend(3)` — blocks until an AIO request completes.
-    AioSuspend,
-    /// The in-kernel sleep of a `read(2)` on an empty pipe.
-    PipeBlockRead,
-    /// The in-kernel sleep of a `write(2)` on a full pipe.
-    PipeBlockWrite,
-    /// `socketpair(2)` — create a connected loopback stream pair.
-    Socketpair,
-    /// `listen(2)`-ish: install a listener in the caller's FD table.
-    Listen,
-    /// `connect(2)` against an in-kernel listener.
-    Connect,
-    /// `accept(2)` — may block until a client connects.
-    Accept,
-    /// `poll(2)` — readiness wait over an explicit fd set.
-    Poll,
-    /// `epoll_create(2)`.
-    EpollCreate,
-    /// `epoll_ctl(2)` — add/modify/delete one interest-list entry.
-    EpollCtl,
-    /// `epoll_wait(2)` — may block until a watched fd becomes ready.
-    EpollWait,
-    /// The in-kernel sleep of an `epoll_wait`/`poll` with nothing ready.
-    EpollBlockWait,
-    /// The in-kernel sleep of a `read(2)` on an empty socket direction.
-    SockBlockRead,
-    /// The in-kernel sleep of a `write(2)` on a full socket direction.
-    SockBlockWrite,
-    /// The in-kernel sleep of an `accept(2)` on an empty accept queue.
-    AcceptBlock,
+/// Declare a dense `#[repr(u16)]` name table once: the enum, its `ALL`
+/// array, `COUNT`, `name()` and `from_u16()` all come from the one list of
+/// `Variant => "name"` rows, so they cannot disagree.
+macro_rules! name_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$doc:meta])* $variant:ident => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u16)]
+        pub enum $ty {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl $ty {
+            /// Every value, in discriminant order (`ALL[i] as u16 == i`).
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$variant,)+];
+
+            /// Number of distinct values — the length of per-value tables.
+            pub const COUNT: usize = [$($name,)+].len();
+
+            /// Stable lower-case name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+
+            /// Inverse of `self as u16`; `None` for out-of-range values
+            /// (e.g. a corrupt trace slot).
+            pub fn from_u16(v: u16) -> Option<$ty> {
+                $ty::ALL.get(v as usize).copied()
+            }
+        }
+    };
 }
 
-impl Sysno {
-    /// Number of distinct syscalls — the length of per-syscall tables.
-    pub const COUNT: usize = 46;
-
-    /// All syscalls, in discriminant order (`ALL[i] as u16 == i`).
-    pub const ALL: [Sysno; Sysno::COUNT] = [
-        Sysno::Getpid,
-        Sysno::Getppid,
-        Sysno::Getcwd,
-        Sysno::Chdir,
-        Sysno::Open,
-        Sysno::Close,
-        Sysno::Write,
-        Sysno::Read,
-        Sysno::Pwrite,
-        Sysno::Pread,
-        Sysno::Lseek,
-        Sysno::Ftruncate,
-        Sysno::Dup,
-        Sysno::Dup2,
-        Sysno::Pipe,
-        Sysno::Unlink,
-        Sysno::Mkdir,
-        Sysno::Rmdir,
-        Sysno::Link,
-        Sysno::Rename,
-        Sysno::Stat,
-        Sysno::Readdir,
-        Sysno::Kill,
-        Sysno::Sigprocmask,
-        Sysno::Sigpending,
-        Sysno::TakeSignal,
-        Sysno::Nanosleep,
-        Sysno::Waitpid,
-        Sysno::FutexWait,
-        Sysno::AioWrite,
-        Sysno::AioRead,
-        Sysno::AioSuspend,
-        Sysno::PipeBlockRead,
-        Sysno::PipeBlockWrite,
-        Sysno::Socketpair,
-        Sysno::Listen,
-        Sysno::Connect,
-        Sysno::Accept,
-        Sysno::Poll,
-        Sysno::EpollCreate,
-        Sysno::EpollCtl,
-        Sysno::EpollWait,
-        Sysno::EpollBlockWait,
-        Sysno::SockBlockRead,
-        Sysno::SockBlockWrite,
-        Sysno::AcceptBlock,
-    ];
-
-    /// Stable lower-case name, used as the Perfetto span label and the
-    /// `call="…"` Prometheus label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Sysno::Getpid => "getpid",
-            Sysno::Getppid => "getppid",
-            Sysno::Getcwd => "getcwd",
-            Sysno::Chdir => "chdir",
-            Sysno::Open => "open",
-            Sysno::Close => "close",
-            Sysno::Write => "write",
-            Sysno::Read => "read",
-            Sysno::Pwrite => "pwrite",
-            Sysno::Pread => "pread",
-            Sysno::Lseek => "lseek",
-            Sysno::Ftruncate => "ftruncate",
-            Sysno::Dup => "dup",
-            Sysno::Dup2 => "dup2",
-            Sysno::Pipe => "pipe",
-            Sysno::Unlink => "unlink",
-            Sysno::Mkdir => "mkdir",
-            Sysno::Rmdir => "rmdir",
-            Sysno::Link => "link",
-            Sysno::Rename => "rename",
-            Sysno::Stat => "stat",
-            Sysno::Readdir => "readdir",
-            Sysno::Kill => "kill",
-            Sysno::Sigprocmask => "sigprocmask",
-            Sysno::Sigpending => "sigpending",
-            Sysno::TakeSignal => "take_signal",
-            Sysno::Nanosleep => "nanosleep",
-            Sysno::Waitpid => "waitpid",
-            Sysno::FutexWait => "futex_wait",
-            Sysno::AioWrite => "aio_write",
-            Sysno::AioRead => "aio_read",
-            Sysno::AioSuspend => "aio_suspend",
-            Sysno::PipeBlockRead => "pipe_block_read",
-            Sysno::PipeBlockWrite => "pipe_block_write",
-            Sysno::Socketpair => "socketpair",
-            Sysno::Listen => "listen",
-            Sysno::Connect => "connect",
-            Sysno::Accept => "accept",
-            Sysno::Poll => "poll",
-            Sysno::EpollCreate => "epoll_create",
-            Sysno::EpollCtl => "epoll_ctl",
-            Sysno::EpollWait => "epoll_wait",
-            Sysno::EpollBlockWait => "epoll_block_wait",
-            Sysno::SockBlockRead => "sock_block_read",
-            Sysno::SockBlockWrite => "sock_block_write",
-            Sysno::AcceptBlock => "accept_block",
-        }
-    }
-
-    /// Inverse of `self as u16`; `None` for out-of-range values (e.g. a
-    /// corrupt trace slot).
-    pub fn from_u16(v: u16) -> Option<Sysno> {
-        Sysno::ALL.get(v as usize).copied()
+name_table! {
+    /// Identity of a simulated system call, used to label trace spans and to
+    /// index the per-syscall latency histograms.
+    ///
+    /// Discriminants are dense (`0..COUNT`) so the value round-trips through
+    /// the packed trace-slot encoding via [`Sysno::from_u16`] and can index a
+    /// `[_; Sysno::COUNT]` table directly. The name is the Perfetto span label
+    /// and the `call="…"` Prometheus label.
+    pub enum Sysno {
+        /// `getpid(2)` — the paper's Table V consistency microbenchmark.
+        Getpid => "getpid",
+        /// `getppid(2)`.
+        Getppid => "getppid",
+        /// `getcwd(2)`.
+        Getcwd => "getcwd",
+        /// `chdir(2)`.
+        Chdir => "chdir",
+        /// `open(2)`.
+        Open => "open",
+        /// `close(2)`.
+        Close => "close",
+        /// `write(2)` (tmpfs or pipe; the pipe case may block).
+        Write => "write",
+        /// `read(2)` (tmpfs or pipe; the pipe case may block).
+        Read => "read",
+        /// `pwrite(2)`.
+        Pwrite => "pwrite",
+        /// `pread(2)`.
+        Pread => "pread",
+        /// `lseek(2)`.
+        Lseek => "lseek",
+        /// `ftruncate(2)`.
+        Ftruncate => "ftruncate",
+        /// `dup(2)`.
+        Dup => "dup",
+        /// `dup2(2)`.
+        Dup2 => "dup2",
+        /// `pipe(2)`.
+        Pipe => "pipe",
+        /// `unlink(2)`.
+        Unlink => "unlink",
+        /// `mkdir(2)`.
+        Mkdir => "mkdir",
+        /// `rmdir(2)`.
+        Rmdir => "rmdir",
+        /// `link(2)`.
+        Link => "link",
+        /// `rename(2)`.
+        Rename => "rename",
+        /// `stat(2)`.
+        Stat => "stat",
+        /// `readdir(3)`.
+        Readdir => "readdir",
+        /// `kill(2)`.
+        Kill => "kill",
+        /// `sigprocmask(2)`.
+        Sigprocmask => "sigprocmask",
+        /// `sigpending(2)`.
+        Sigpending => "sigpending",
+        /// Signal-delivery dequeue (the simulated return-to-userspace point).
+        TakeSignal => "take_signal",
+        /// `nanosleep(2)` — blocks the calling OS thread.
+        Nanosleep => "nanosleep",
+        /// Blocking `waitpid(2)`.
+        Waitpid => "waitpid",
+        /// `futex(FUTEX_WAIT)` — the BLOCKING idle primitive (§VI-C).
+        FutexWait => "futex_wait",
+        /// `aio_write(3)` submission.
+        AioWrite => "aio_write",
+        /// `aio_read(3)` submission.
+        AioRead => "aio_read",
+        /// `aio_suspend(3)` — blocks until an AIO request completes.
+        AioSuspend => "aio_suspend",
+        /// The in-kernel sleep of a `read(2)` on an empty pipe.
+        PipeBlockRead => "pipe_block_read",
+        /// The in-kernel sleep of a `write(2)` on a full pipe.
+        PipeBlockWrite => "pipe_block_write",
+        /// `socketpair(2)` — create a connected loopback stream pair.
+        Socketpair => "socketpair",
+        /// `listen(2)`-ish: install a listener in the caller's FD table.
+        Listen => "listen",
+        /// `connect(2)` against an in-kernel listener.
+        Connect => "connect",
+        /// `accept(2)` — may block until a client connects.
+        Accept => "accept",
+        /// `poll(2)` — readiness wait over an explicit fd set.
+        Poll => "poll",
+        /// `epoll_create(2)`.
+        EpollCreate => "epoll_create",
+        /// `epoll_ctl(2)` — add/modify/delete one interest-list entry.
+        EpollCtl => "epoll_ctl",
+        /// `epoll_wait(2)` — may block until a watched fd becomes ready.
+        EpollWait => "epoll_wait",
+        /// The in-kernel sleep of an `epoll_wait`/`poll` with nothing ready.
+        EpollBlockWait => "epoll_block_wait",
+        /// The in-kernel sleep of a `read(2)` on an empty socket direction.
+        SockBlockRead => "sock_block_read",
+        /// The in-kernel sleep of a `write(2)` on a full socket direction.
+        SockBlockWrite => "sock_block_write",
+        /// The in-kernel sleep of an `accept(2)` on an empty accept queue.
+        AcceptBlock => "accept_block",
     }
 }
 
@@ -247,158 +183,123 @@ pub enum SyscallPhase {
     },
 }
 
-/// The hook type: called on the *issuing* OS thread, synchronously, on both
-/// edges of every simulated system call. Must be cheap and must not call
-/// back into the kernel.
-pub type SyscallObserver = fn(Sysno, SyscallPhase);
-
-static OBSERVER: OnceLock<SyscallObserver> = OnceLock::new();
-
-/// Install the process-global syscall observer. The first installation wins;
-/// later calls are no-ops (the runtime may be constructed several times in
-/// one process — e.g. tests — and all instances install the same router).
-pub fn install_syscall_observer(f: SyscallObserver) {
-    let _ = OBSERVER.set(f);
+/// Everything the kernel asks of the runtime above it. Plain `fn` pointers,
+/// each called synchronously on the thread concerned; each resolves that
+/// thread's runtime itself, must be cheap, and must not call back into the
+/// kernel.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelHooks {
+    /// Both edges of every simulated system call, on the issuing thread.
+    pub syscall: fn(Sysno, SyscallPhase),
+    /// Waker side of a wake edge: `(waker_blt_id, now_ns)` of the current
+    /// thread at the moment a stamp is armed. `(0, 0)` when tracing is off
+    /// (the stamp is then suppressed entirely); a waker id of `0` with a
+    /// nonzero timestamp means "a thread outside the runtime" (BLT ids
+    /// start at 1).
+    pub wake_stamp: fn() -> (u64, u64),
+    /// Sleeper side: called on the *woken* thread when a claimed stamp
+    /// proves a real block-ending edge, with `(waker_blt_id, armed_ns,
+    /// site)`. Resolves the wakee from its own thread state.
+    pub wake_emit: fn(u64, u64, WakeSite),
+    /// Runtime-sourced procfs bodies; `None` when the calling thread has no
+    /// runtime (or no ULP matching a [`ProcSource::PidExtra`]). Called under
+    /// no procfs lock — it may take runtime-internal locks.
+    pub proc: fn(ProcSource) -> Option<String>,
 }
 
-/// Emit one syscall observation. A single `OnceLock` load when no observer
-/// was ever installed.
-#[inline]
-pub fn emit(no: Sysno, phase: SyscallPhase) {
-    if let Some(f) = OBSERVER.get() {
-        f(no, phase);
+static HOOKS: OnceLock<KernelHooks> = OnceLock::new();
+
+impl KernelHooks {
+    /// Install the process-global table. The first installation wins; later
+    /// calls are no-ops (every `Runtime` construction installs the same
+    /// per-thread routers).
+    pub fn install(self) {
+        let _ = HOOKS.set(self);
     }
 }
 
-/// Origin of a wake edge — which kind of event made a blocked or queued BLT
-/// runnable again.
-///
-/// Discriminants are dense (`0..COUNT`) so the value round-trips through the
-/// packed trace-slot encoding via [`WakeSite::from_u16`] and can index a
-/// `[_; WakeSite::COUNT]` histogram table directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u16)]
-pub enum WakeSite {
-    /// Run-queue enqueue after a voluntary decouple/yield (the ULP made
-    /// itself runnable again; waker == wakee).
-    Enqueue = 0,
-    /// First enqueue of a freshly spawned ULP (waker = the spawning ULP).
-    Spawn,
-    /// A parked couple request was granted by the TC loop (waker == wakee:
-    /// the requester's own earlier request matured).
-    CoupleResume,
-    /// `decouple()` handed its KC straight to a parked couple requester
-    /// (waker = the decoupling ULP).
-    CoupleHandoff,
-    /// A couple request landing on an idle KC's pending queue woke the KC's
-    /// trampoline loop (wakee = the KC's primary identity).
-    KcNotify,
-    /// `futex_wake` released a sleeper parked in `futex_wait`.
-    FutexWake,
-    /// A pipe write (or writer hang-up) ended a blocked pipe `read(2)`.
-    PipeRead,
-    /// A pipe read (or reader hang-up) ended a blocked pipe `write(2)`.
-    PipeWrite,
-    /// A socket send (or peer hang-up) ended a blocked socket `read(2)`.
-    SockRead,
-    /// A socket receive (or peer hang-up) ended a blocked socket `write(2)`.
-    SockWrite,
-    /// A `connect(2)` rendezvous ended a blocked `accept(2)`.
-    Accept,
-    /// A `PollWaker` fire ended a blocked `epoll_wait(2)`.
-    EpollWait,
-    /// A `PollWaker` fire ended a blocked `poll(2)`.
-    Poll,
-    /// A posted signal was dequeued at the simulated return-to-userspace
-    /// point.
-    Signal,
+/// Emit one syscall observation.
+#[inline]
+pub fn emit(no: Sysno, phase: SyscallPhase) {
+    if let Some(h) = HOOKS.get() {
+        (h.syscall)(no, phase);
+    }
+}
+
+/// Emit one wake edge (no-op when no table is installed).
+#[inline]
+pub fn wake_emit(waker: u64, armed_ns: u64, site: WakeSite) {
+    if let Some(h) = HOOKS.get() {
+        (h.wake_emit)(waker, armed_ns, site);
+    }
+}
+
+/// Ask the runtime for a procfs body; `None` with no table installed or no
+/// runtime on the calling thread.
+pub(crate) fn proc_provide(source: ProcSource) -> Option<String> {
+    HOOKS.get().and_then(|h| (h.proc)(source))
+}
+
+name_table! {
+    /// Origin of a wake edge — which kind of event made a blocked or queued
+    /// BLT runnable again.
+    ///
+    /// Discriminants are dense (`0..COUNT`) so the value round-trips through
+    /// the packed trace-slot encoding via [`WakeSite::from_u16`] and can index
+    /// a `[_; WakeSite::COUNT]` histogram table directly. The name is the
+    /// Perfetto flow label and the `site="…"` Prometheus label.
+    pub enum WakeSite {
+        /// Run-queue enqueue after a voluntary decouple/yield (the ULP made
+        /// itself runnable again; waker == wakee).
+        Enqueue => "enqueue",
+        /// First enqueue of a freshly spawned ULP (waker = the spawning ULP).
+        Spawn => "spawn",
+        /// A parked couple request was granted by the TC loop (waker == wakee:
+        /// the requester's own earlier request matured).
+        CoupleResume => "couple_resume",
+        /// `decouple()` handed its KC straight to a parked couple requester
+        /// (waker = the decoupling ULP).
+        CoupleHandoff => "couple_handoff",
+        /// A couple request landing on an idle KC's pending queue woke the KC's
+        /// trampoline loop (wakee = the KC's primary identity).
+        KcNotify => "kc_notify",
+        /// `futex_wake` released a sleeper parked in `futex_wait`.
+        FutexWake => "futex_wake",
+        /// A pipe write (or writer hang-up) ended a blocked pipe `read(2)`.
+        PipeRead => "pipe_read",
+        /// A pipe read (or reader hang-up) ended a blocked pipe `write(2)`.
+        PipeWrite => "pipe_write",
+        /// A socket send (or peer hang-up) ended a blocked socket `read(2)`.
+        SockRead => "sock_read",
+        /// A socket receive (or peer hang-up) ended a blocked socket `write(2)`.
+        SockWrite => "sock_write",
+        /// A `connect(2)` rendezvous ended a blocked `accept(2)`.
+        Accept => "accept",
+        /// A `PollWaker` fire ended a blocked `epoll_wait(2)`.
+        EpollWait => "epoll_wait",
+        /// A `PollWaker` fire ended a blocked `poll(2)`.
+        Poll => "poll",
+        /// A posted signal was dequeued at the simulated return-to-userspace
+        /// point.
+        Signal => "signal",
+    }
 }
 
 impl WakeSite {
-    /// Number of distinct wake sites — the length of per-site tables.
-    pub const COUNT: usize = 14;
-
-    /// All sites, in discriminant order (`ALL[i] as u16 == i`).
-    pub const ALL: [WakeSite; WakeSite::COUNT] = [
-        WakeSite::Enqueue,
-        WakeSite::Spawn,
-        WakeSite::CoupleResume,
-        WakeSite::CoupleHandoff,
-        WakeSite::KcNotify,
-        WakeSite::FutexWake,
-        WakeSite::PipeRead,
-        WakeSite::PipeWrite,
-        WakeSite::SockRead,
-        WakeSite::SockWrite,
-        WakeSite::Accept,
-        WakeSite::EpollWait,
-        WakeSite::Poll,
-        WakeSite::Signal,
-    ];
-
-    /// Stable lower-case name, used as the Perfetto flow label and the
-    /// `site="…"` Prometheus label.
-    pub fn name(self) -> &'static str {
+    /// The nested blocking span a wake edge of this site ends — the span the
+    /// woken call opened when it went to sleep, and the one the edge must
+    /// land inside. `None` for sites that sleep outside any syscall span:
+    /// the run-queue sites, `kc_notify`, `futex_wake` and `signal`.
+    pub fn blocking_span(self) -> Option<Sysno> {
         match self {
-            WakeSite::Enqueue => "enqueue",
-            WakeSite::Spawn => "spawn",
-            WakeSite::CoupleResume => "couple_resume",
-            WakeSite::CoupleHandoff => "couple_handoff",
-            WakeSite::KcNotify => "kc_notify",
-            WakeSite::FutexWake => "futex_wake",
-            WakeSite::PipeRead => "pipe_read",
-            WakeSite::PipeWrite => "pipe_write",
-            WakeSite::SockRead => "sock_read",
-            WakeSite::SockWrite => "sock_write",
-            WakeSite::Accept => "accept",
-            WakeSite::EpollWait => "epoll_wait",
-            WakeSite::Poll => "poll",
-            WakeSite::Signal => "signal",
+            WakeSite::PipeRead => Some(Sysno::PipeBlockRead),
+            WakeSite::PipeWrite => Some(Sysno::PipeBlockWrite),
+            WakeSite::SockRead => Some(Sysno::SockBlockRead),
+            WakeSite::SockWrite => Some(Sysno::SockBlockWrite),
+            WakeSite::Accept => Some(Sysno::AcceptBlock),
+            WakeSite::EpollWait | WakeSite::Poll => Some(Sysno::EpollBlockWait),
+            _ => None,
         }
-    }
-
-    /// Inverse of `self as u16`; `None` for out-of-range values.
-    pub fn from_u16(v: u16) -> Option<WakeSite> {
-        WakeSite::ALL.get(v as usize).copied()
-    }
-}
-
-/// Hook resolving the *current* thread to a `(waker_blt_id, now_ns)` pair at
-/// the moment a wake stamp is armed. Returns `(0, 0)` when tracing is off
-/// (the stamp is then suppressed entirely); a waker id of `0` with a nonzero
-/// timestamp means "a thread outside the runtime" (BLT ids start at 1).
-pub type WakeStamp = fn() -> (u64, u64);
-
-/// Hook invoked on the *woken* thread when a consumed wake stamp proves a
-/// real block-ending edge: `(waker_blt_id, armed_ns, site)`. The hook
-/// resolves the wakee from its own thread state and records the edge.
-pub type WakeEmit = fn(u64, u64, WakeSite);
-
-static WAKE_STAMP: OnceLock<WakeStamp> = OnceLock::new();
-static WAKE_EMIT: OnceLock<WakeEmit> = OnceLock::new();
-
-/// Install the process-global wake hooks. First installation wins, same as
-/// [`install_syscall_observer`].
-pub fn install_wake_hooks(stamp: WakeStamp, emit: WakeEmit) {
-    let _ = WAKE_STAMP.set(stamp);
-    let _ = WAKE_EMIT.set(emit);
-}
-
-/// Resolve the current thread's wake-stamp identity. `(0, 0)` when no hook
-/// is installed or tracing is off.
-#[inline]
-pub fn wake_stamp_now() -> (u64, u64) {
-    match WAKE_STAMP.get() {
-        Some(f) => f(),
-        None => (0, 0),
-    }
-}
-
-/// Emit one wake edge through the installed hook (no-op when absent).
-#[inline]
-pub fn wake_emit(waker: u64, armed_ns: u64, site: WakeSite) {
-    if let Some(f) = WAKE_EMIT.get() {
-        f(waker, armed_ns, site);
     }
 }
 
@@ -436,7 +337,7 @@ impl WakeCell {
     /// the one that actually ended its wait.
     #[inline]
     pub fn stamp(&self) {
-        let (waker, now) = wake_stamp_now();
+        let (waker, now) = HOOKS.get().map_or((0, 0), |h| (h.wake_stamp)());
         if now != 0 {
             self.stamp_as(waker, now);
         }

@@ -11,7 +11,9 @@
 
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
-use ulp_kernel::{pipe, pipe_with_capacity, socketpair, socketpair_with_capacity, Errno, KResult};
+use ulp_kernel::{
+    pipe, pipe_with_capacity, socketpair, socketpair_with_capacity, Errno, FileLike, KResult,
+};
 
 const ROUNDS: usize = 2_000;
 const LIMIT: Duration = Duration::from_secs(5);

@@ -226,15 +226,18 @@ static WAKE_CLOCK: AtomicU64 = AtomicU64::new(1);
 static CAPTURED: Mutex<Vec<(u64, u64, WakeSite)>> = Mutex::new(Vec::new());
 
 fn capture_wake_edges() {
-    ulp_kernel::install_wake_hooks(
-        || (7, WAKE_CLOCK.fetch_add(1, Ordering::Relaxed)),
-        |waker, armed_ns, site| {
+    ulp_kernel::KernelHooks {
+        syscall: |_, _| {},
+        wake_stamp: || (7, WAKE_CLOCK.fetch_add(1, Ordering::Relaxed)),
+        wake_emit: |waker, armed_ns, site| {
             CAPTURED
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push((waker, armed_ns, site));
         },
-    );
+        proc: |_| None,
+    }
+    .install();
 }
 
 fn drain_wake_edges() -> Vec<(u64, u64, WakeSite)> {
@@ -400,5 +403,117 @@ fn socket_peer_close_wakes_poll_with_hup() {
     let revents = k.sys_poll(&[(b, PollEvents::IN)], None).unwrap();
     closer.join().unwrap();
     assert!(revents[0].contains(PollEvents::HUP), "{:?}", revents[0]);
+    k.unbind_current();
+}
+
+// ---------------------------------------------------------------------------
+// The watch list is bounded: at most one entry per live waker, none for a
+// `poll` that has returned. (At the parent of the PR that added these,
+// `subscribe` pushed unconditionally and only a later notify pruned.)
+
+/// Entries in the watch list of the object behind `fd`, dead ones included.
+fn watch_list_len(k: &KernelRef, pid: Pid, fd: Fd) -> usize {
+    let desc = k.process(pid).unwrap().fds.lock().get(fd).unwrap();
+    desc.file.watch().expect("watchable").watcher_count()
+}
+
+/// Generation of the epoll instance behind `epfd`.
+fn epoll_generation(k: &KernelRef, pid: Pid, epfd: Fd) -> u64 {
+    let desc = k.process(pid).unwrap().fds.lock().get(epfd).unwrap();
+    desc.file.as_epoll().expect("epoll").waker.generation()
+}
+
+#[test]
+fn returned_polls_leave_no_watch_list_entry() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let (r, w) = k.sys_pipe().unwrap();
+    for _ in 0..10_000 {
+        let revents = k
+            .sys_poll(&[(r, PollEvents::IN)], Some(Duration::ZERO))
+            .unwrap();
+        assert!(revents[0].is_empty());
+    }
+    assert_eq!(watch_list_len(&k, pid, r), 0, "timed-out polls");
+
+    // The ready and the EINTR exits unsubscribe too.
+    k.sys_write(w, b"x").unwrap();
+    let revents = k.sys_poll(&[(r, PollEvents::IN)], None).unwrap();
+    assert!(revents[0].contains(PollEvents::IN));
+    assert_eq!(watch_list_len(&k, pid, r), 0, "ready poll");
+    k.sys_read(r, &mut [0u8; 1]).unwrap();
+    fault::arm(FaultPlan {
+        seed: 5,
+        spurious_wake_per_1024: 0,
+        eintr_per_1024: 1024,
+        eagain_per_1024: 0,
+        short_read_per_1024: 0,
+        delay_wake_per_1024: 0,
+    });
+    let err = k.sys_poll(&[(r, PollEvents::IN)], None).unwrap_err();
+    fault::disarm();
+    assert_eq!(err, Errno::EINTR);
+    assert_eq!(watch_list_len(&k, pid, r), 0, "interrupted poll");
+    k.unbind_current();
+}
+
+#[test]
+fn add_del_cycles_leave_one_subscription() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let ep = k.sys_epoll_create().unwrap();
+    let (r, w) = k.sys_pipe().unwrap();
+    for _ in 0..1_000 {
+        k.sys_epoll_ctl(ep, EpollOp::Add, r, PollEvents::IN)
+            .unwrap();
+        k.sys_epoll_ctl(ep, EpollOp::Del, r, PollEvents::NONE)
+            .unwrap();
+    }
+    let before = epoll_generation(&k, pid, ep);
+    k.sys_write(w, b"x").unwrap();
+    assert_eq!(
+        epoll_generation(&k, pid, ep) - before,
+        1,
+        "one write is one edge, however often the pipe was registered"
+    );
+    assert!(watch_list_len(&k, pid, r) <= 1, "one live waker, one entry");
+    k.unbind_current();
+}
+
+/// Deleting one registration of a description must not silence another
+/// registration of the same description in the same epoll instance
+/// (over-notify is allowed, under-notify is not).
+#[test]
+fn deleting_a_sibling_registration_keeps_the_other_woken() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let ep = k.sys_epoll_create().unwrap();
+    let (r, w) = k.sys_pipe().unwrap();
+    let r2 = k.sys_dup(r).unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, r, PollEvents::IN)
+        .unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, r2, PollEvents::IN)
+        .unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Del, r2, PollEvents::NONE)
+        .unwrap();
+    let k2 = k.clone();
+    let writer = std::thread::spawn(move || {
+        k2.bind_current(pid);
+        std::thread::sleep(Duration::from_millis(30));
+        k2.sys_write(w, b"x").unwrap();
+        k2.unbind_current();
+    });
+    let started = Instant::now();
+    let got = k
+        .sys_epoll_wait(ep, 8, Some(Duration::from_secs(10)))
+        .unwrap();
+    writer.join().unwrap();
+    assert_eq!(got.len(), 1, "the surviving registration fired: {got:?}");
+    assert_eq!(got[0].0, r);
+    // Woken by the write, not rescued by the timeout's last scan.
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "slept through the edge"
+    );
     k.unbind_current();
 }

@@ -15,7 +15,8 @@ use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use ulp_kernel::{
-    Errno, Kernel, KernelRef, OpenFlags, Pid, PollWaker, ProcState, WaitEnd, WatchSet, Whence,
+    Errno, Kernel, KernelRef, OpenFlags, Pid, PollWaker, ProcState, WaitEnd, WakeSite, WatchSet,
+    Whence,
 };
 
 thread_local! {
@@ -278,7 +279,7 @@ fn watch_set_subscribe_racing_notify_never_loses_an_edge() {
         // notifier must be kept company at the barrier to the last round.
         let mut lost = None;
         for (round, (watch, ready)) in rounds.iter().enumerate() {
-            let waker = Arc::new(PollWaker::new());
+            let waker = Arc::new(PollWaker::new(WakeSite::Poll));
             start.wait();
             if lost.is_some() {
                 continue;

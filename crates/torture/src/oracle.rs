@@ -139,21 +139,6 @@ impl BltTrack {
     }
 }
 
-/// The blocking-syscall span a kernel-site wake must land inside (J2).
-/// `None` = exempt: run-queue sites pair with scheduling events instead
-/// (J1), and `kc_notify`/`signal`/`futex_wake` consume outside any span.
-fn containing_span(site: WakeSite) -> Option<Sysno> {
-    match site {
-        WakeSite::PipeRead => Some(Sysno::PipeBlockRead),
-        WakeSite::PipeWrite => Some(Sysno::PipeBlockWrite),
-        WakeSite::SockRead => Some(Sysno::SockBlockRead),
-        WakeSite::SockWrite => Some(Sysno::SockBlockWrite),
-        WakeSite::Accept => Some(Sysno::AcceptBlock),
-        WakeSite::EpollWait | WakeSite::Poll => Some(Sysno::EpollBlockWait),
-        _ => None,
-    }
-}
-
 /// Collects violations with per-category caps so one systemic failure
 /// (say, every syscall decoupled under the mutation) doesn't bury the
 /// others in thousands of lines.
@@ -517,7 +502,10 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                         // wakee's matching blocking span is still open:
                         // EINTR'd, timed-out or spuriously-woken waits
                         // never reach the consume point inside the span.
-                        if let Some(sysno) = containing_span(site) {
+                        // (`None` = exempt: run-queue sites pair with
+                        // scheduling events instead (J1), and `kc_notify`/
+                        // `signal`/`futex_wake` consume outside any span.)
+                        if let Some(sysno) = site.blocking_span() {
                             if wake_checks && t.spans.get(&sysno).copied().unwrap_or(0) <= 0 {
                                 r.push(
                                     "J",

@@ -19,7 +19,7 @@ use ulp_core::{
     TicketLock, UlpLock,
 };
 use ulp_core::{EpollOp, Listener, PollEvents};
-use ulp_kernel::{Errno, Fd, OpenFlags, Signal};
+use ulp_kernel::{Errno, Fd, FileLike, OpenFlags, Signal};
 
 /// A torture workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -177,7 +177,7 @@ proptest! {
         chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..64), 1..16),
         capacity in 1usize..128,
     ) {
-        use ulp_repro::kernel::pipe_with_capacity;
+        use ulp_repro::kernel::{pipe_with_capacity, FileLike};
         let (r, w) = pipe_with_capacity(capacity);
         let expected: Vec<u8> = chunks.iter().flatten().copied().collect();
         let writer = std::thread::spawn(move || {

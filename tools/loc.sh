@@ -1,0 +1,68 @@
+#!/bin/sh
+# Per-crate line counts, the "tracked number" of ROADMAP aim 2.
+#
+#   tools/loc.sh            one row per crate under crates/, then a total
+#   tools/loc.sh <dir>...   one row per tracked .rs file under the given dirs
+#   tools/loc.sh --check    the crate table, then the structure gates: exit 1
+#                           if a mechanism this repo replaced is back
+#
+# tracked  = lines of every git-tracked file under the crate
+# src      = lines of the tracked .rs files under its src/
+# non-test = of those, everything above each file's first `#[cfg(test)]`
+#            (the rule CHANGES.md has used since PR 14)
+set -eu
+cd "$(git rev-parse --show-toplevel)"
+
+lines() { # total lines of the files named on stdin
+    xargs -r cat | wc -l
+}
+non_test() { # non-test lines of the .rs files named on stdin
+    xargs -r awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+}
+
+if [ "${1:-}" = --check ]; then
+    shift
+    check=1
+fi
+
+if [ $# -gt 0 ]; then
+    printf '%-44s %8s %9s\n' file lines non-test
+    git ls-files -- "$@" | grep '\.rs$' | while read -r f; do
+        printf '%-44s %8d %9d\n' "$f" "$(echo "$f" | lines)" "$(echo "$f" | non_test)"
+    done
+    exit 0
+fi
+
+printf '%-18s %8s %8s %9s\n' crate tracked src non-test
+tt=0 ts=0 tn=0
+for c in crates/*/; do
+    c=${c%/}
+    t=$(git ls-files -- "$c" | lines)
+    s=$(git ls-files -- "$c/src" | grep '\.rs$' | lines)
+    n=$(git ls-files -- "$c/src" | grep '\.rs$' | non_test)
+    printf '%-18s %8d %8d %9d\n' "$c" "$t" "$s" "$n"
+    tt=$((tt + t)) ts=$((ts + s)) tn=$((tn + n))
+done
+printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
+
+[ -n "${check:-}" ] || exit 0
+
+# Structure gates (PR 18): one open-file interface, one wait queue, one hook
+# table. Each names what came back and where.
+bad=0
+gate() { # gate <message> <matching lines>
+    if [ -n "$2" ]; then
+        printf 'loc.sh: %s\n%s\n' "$1" "$2" >&2
+        bad=1
+    fi
+}
+k=crates/kernel/src
+gate "FileObject is back under crates/ (descriptions hold Arc<dyn FileLike>)" \
+    "$(git grep -n 'FileObject' -- crates || true)"
+gate "Condvar in $k outside wait.rs, aio.rs, kernel.rs (sleep on a WaitQueue)" \
+    "$(git grep -n 'Condvar' -- $k ":!$k/wait.rs" ":!$k/aio.rs" ":!$k/kernel.rs" || true)"
+hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
+if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
+    gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
+fi
+exit $bad
