@@ -4,6 +4,7 @@
 //! gate can rot with the host; speed itself is judged by `ulpbench`, parent
 //! against change. Exit code 1 if a gate fails.
 
+use std::time::Duration;
 use ulp_bench::workloads;
 use ulp_core::{IdlePolicy, Runtime, SchedPolicy};
 
@@ -13,6 +14,12 @@ const HANDOFF_ROUNDS: usize = 4_000;
 const YIELD_ITERS: usize = 20_000;
 /// Ceiling on `GlobalFifo` yield ns ÷ `WorkStealing` slot-handoff yield ns.
 const MAX_FIFO_OVER_SLOT: f64 = 1.5;
+
+/// BLTs and window of the couple-loop gate, and the floor on its throughput
+/// under `Adaptive` ÷ under `Blocking` (≈ 2 on the 2-vCPU host).
+const COUPLE_LOOP_BLTS: usize = 4;
+const COUPLE_LOOP_WINDOW: Duration = Duration::from_millis(150);
+const MIN_ADAPTIVE_OVER_BLOCKING: f64 = 1.3;
 
 /// Pooled ULPs the churn gate spawns, the wave they are reaped in (so the
 /// stack free list's high-water mark is bounded by it), and the pool KCs.
@@ -75,6 +82,27 @@ fn main() {
     gate(
         ratio <= MAX_FIFO_OVER_SLOT,
         format!("yield GlobalFifo {fifo:.1} ns ÷ WorkStealing slot handoff {slot:.1} ns = {ratio:.2} (ceiling {MAX_FIFO_OVER_SLOT})"),
+    );
+
+    // The idle decision against the policy it replaced as the default: four
+    // BLTs in a couple/decouple loop keep schedulers and trampolines spinning
+    // for each other under `Adaptive`, where `Blocking` pays a futex sleep
+    // and an OS-thread wake per `couple()`. Best of three each.
+    let best_loop = |policy: IdlePolicy| {
+        (0..3)
+            .map(|_| {
+                workloads::couple_loop_ops_per_sec(policy, COUPLE_LOOP_BLTS, COUPLE_LOOP_WINDOW)
+            })
+            .fold(0.0, f64::max)
+    };
+    let (adaptive, blocking) = (
+        best_loop(IdlePolicy::Adaptive),
+        best_loop(IdlePolicy::Blocking),
+    );
+    let ratio = adaptive / blocking;
+    gate(
+        ratio >= MIN_ADAPTIVE_OVER_BLOCKING,
+        format!("couple loop Adaptive {adaptive:.0}/s ÷ Blocking {blocking:.0}/s = {ratio:.2} (floor {MIN_ADAPTIVE_OVER_BLOCKING})"),
     );
 
     // Pooled churn: RSS must track the wave, not the ULPs ever spawned (a

@@ -32,9 +32,10 @@ const PROFILES: [ArchProfile; 3] = [
     ArchProfile::Albireo,
 ];
 
-const POLICIES: [(&str, IdlePolicy); 2] = [
+const POLICIES: [(&str, IdlePolicy); 3] = [
     ("ULP-PiP BUSYWAIT", IdlePolicy::BusyWait),
     ("ULP-PiP BLOCKING", IdlePolicy::Blocking),
+    ("ULP-PiP ADAPTIVE", IdlePolicy::Adaptive),
 ];
 
 const FIG_VARIANTS: [OwcVariant; 5] = [
@@ -380,7 +381,7 @@ pub fn shape_checks(rows: &[Row]) -> Vec<Check> {
         let same = |o: &&Row| o.key() == k.key();
         rows.iter().find(same).map_or(f64::NAN, |o| o.value)
     };
-    let [busy, blocking] = POLICIES.map(|p| p.0);
+    let [busy, blocking, adaptive] = POLICIES.map(|p| p.0);
     let is = |r: &Row, series: &str, metric: &str| r.series == series && r.metric == metric;
 
     check(
@@ -438,6 +439,22 @@ pub fn shape_checks(rows: &[Row]) -> Vec<Check> {
         "Table V: BUSYWAIT faster than BLOCKING",
         Some(BUSYWAIT_TIME_WHY),
         &|r| is(r, busy, "time"),
+        Less,
+        &|r| peer(r, &|k| k.series = blocking.into()),
+    );
+    check(
+        "table5",
+        "Table V: in a couple/decouple loop the original KC mostly spins under ADAPTIVE",
+        None,
+        &|r| is(r, adaptive, "kc_blocks_per_op"),
+        Less,
+        &|_| 0.5,
+    );
+    check(
+        "table5",
+        "Table V: ADAPTIVE no slower than BLOCKING",
+        Some(BUSYWAIT_TIME_WHY),
+        &|r| is(r, adaptive, "time"),
         Less,
         &|r| peer(r, &|k| k.series = blocking.into()),
     );
@@ -521,6 +538,10 @@ table5,ULP-PiP BUSYWAIT,native,,kc_blocks_per_op,0
 table5,ULP-PiP BLOCKING,native,,switches_per_op,4
 table5,ULP-PiP BLOCKING,native,,tls_loads_per_op,2
 table5,ULP-PiP BLOCKING,native,,kc_blocks_per_op,0.9
+table5,ULP-PiP ADAPTIVE,native,,time,1900
+table5,ULP-PiP ADAPTIVE,native,,switches_per_op,4
+table5,ULP-PiP ADAPTIVE,native,,tls_loads_per_op,2
+table5,ULP-PiP ADAPTIVE,native,,kc_blocks_per_op,0.1
 fig7,AIO-return,native,256B,slowdown,5.7
 fig7,ULP-BLOCKING,native,256B,slowdown,2.9
 fig7,AIO-return,native,4KiB,slowdown,2.0
@@ -566,7 +587,7 @@ locks,tas,native,8 ULPs on 2 KCs,completed,1";
     #[test]
     fn quoted_numbers_pass_every_gate_and_deviate_where_the_host_does() {
         let checks = shape_checks(&synthetic());
-        assert_eq!(checks.len(), 12, "every check found its artifact");
+        assert_eq!(checks.len(), 14, "every check found its artifact");
         assert!(!checks.iter().any(Check::fails));
         // BUSYWAIT 2.82 us > BLOCKING 2.20 us, and AIO-suspend 87.0 % > ULP
         // 86.8 % at 1 MiB: reported with the reason, and not failed.
@@ -605,6 +626,11 @@ locks,tas,native,8 ULPs on 2 KCs,completed,1";
                 "ULP-PiP BLOCKING,native,,kc_blocks",
             ),
             (
+                "Table V: in a couple/decouple loop",
+                "ULP-PiP ADAPTIVE,native,,kc_blocks",
+                "ULP-PiP BLOCKING,native,,kc_blocks",
+            ),
+            (
                 "Figure 7: slowdown falls",
                 "ULP-BLOCKING,native,256B",
                 "ULP-BLOCKING,native,1MiB,slowdown",
@@ -629,11 +655,11 @@ locks,tas,native,8 ULPs on 2 KCs,completed,1";
 
     #[test]
     fn a_deviating_advisory_check_never_fails_the_run() {
-        // Make all four advisory orderings as wrong as they can be.
+        // Make all five advisory orderings as wrong as they can be.
         let mut rows = synthetic();
         for r in &mut rows {
             match (r.series.as_str(), r.metric) {
-                ("ULP-PiP BUSYWAIT", "time") => r.value *= 100.0,
+                ("ULP-PiP BUSYWAIT" | "ULP-PiP ADAPTIVE", "time") => r.value *= 100.0,
                 ("ULP-PiP BLOCKING", "kc_blocks_per_op") => r.value = 0.0,
                 ("AIO-suspend", _) => r.value = 100.0,
                 ("AIO-return", _) => r.value *= 0.1,
@@ -642,7 +668,7 @@ locks,tas,native,8 ULPs on 2 KCs,completed,1";
         }
         let checks = shape_checks(&rows);
         let deviating = checks.iter().filter(|c| !c.violations.is_empty());
-        assert_eq!(deviating.count(), 4);
+        assert_eq!(deviating.count(), 5);
         assert!(!checks.iter().any(Check::fails));
         // An artifact that did not run is not checked; one that ran without
         // the row a gate reads fails that gate.

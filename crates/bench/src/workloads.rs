@@ -3,7 +3,7 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use ulp_core::{
     couple, coupled_scope, decouple, pending_couplers, sys, yield_now, IdlePolicy, RawUlpLock,
     Runtime, RuntimeBuilder, Topology, UlpLock,
@@ -148,6 +148,36 @@ pub fn getpid_coupled(
         });
         (ns, stats().delta(&before))
     })
+}
+
+/// `blts` BLTs on one scheduler, each looping `coupled_scope(getpid)` +
+/// `yield_now()` for `window`: completed scopes per second, all BLTs
+/// together — `couple_io`'s shape without the file calls, where the idle
+/// policy decides whether every `couple()` pays a futex sleep.
+pub fn couple_loop_ops_per_sec(policy: IdlePolicy, blts: usize, window: Duration) -> f64 {
+    let rt = Runtime::builder().schedulers(1).idle_policy(policy).build();
+    let stop = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..blts)
+        .map(|i| {
+            let stop = stop.clone();
+            rt.spawn(&format!("couple-loop{i}"), move || {
+                decouple().unwrap();
+                let mut ops = 0i32;
+                while !stop.load(Ordering::Relaxed) {
+                    coupled_scope(|| sys::getpid().unwrap()).unwrap();
+                    ops += 1;
+                    yield_now();
+                }
+                ops
+            })
+        })
+        .collect();
+    let t = Instant::now();
+    std::thread::sleep(window);
+    stop.store(true, Ordering::Relaxed);
+    let secs = t.elapsed().as_secs_f64();
+    let ops: i64 = handles.iter().map(|h| i64::from(h.wait())).sum();
+    ops as f64 / secs
 }
 
 // --------------------------------------------------- direct-handoff coupling

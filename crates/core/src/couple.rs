@@ -158,6 +158,12 @@ pub fn decouple() -> Result<bool, UlpError> {
         me.coupled
             .store(false, std::sync::atomic::Ordering::Release);
         let save = me.ctx.get();
+        // The coupled scope ends here and the decoupled stretch begins
+        // (`park.rs`, "The idle decision"): one clock read serves both, and
+        // the waiter's dispatch below.
+        let now = crate::trace::now_ns();
+        let rt = b.rt().expect("checked above");
+        let (runq, schedulers) = (rt.runq.parker(), rt.config.n_schedulers);
         // Direct-handoff fast path: a couple requester already waits in
         // this KC's pending queue, so switch straight into it instead of
         // detouring through the trampoline — the requester resumes on its
@@ -171,6 +177,8 @@ pub fn decouple() -> Result<bool, UlpError> {
         // requester's registers landed (Table I race point 1). With nobody
         // waiting the probe is one load of the queue's length.
         if let Some(waiter) = me.kc.pending.pop(false) {
+            me.phases.decoupling(now, runq, schedulers, None);
+            waiter.phases.dispatched(now, &me.kc.parker);
             if let Some(s) = b.shard() {
                 s.bump_couple_handoffs();
             }
@@ -203,9 +211,7 @@ pub fn decouple() -> Result<bool, UlpError> {
             // pay this branch. Handoffs bypass the pool idle loop, which
             // is why the loop rebinds unconditionally on its next serve.
             if waiter.pid != me.pid {
-                if let Some(rt) = b.rt() {
-                    rt.kernel.bind_current(waiter.pid);
-                }
+                rt.kernel.bind_current(waiter.pid);
             }
             // KC-local install: the waiter lands on its own original KC,
             // so like the TC→UC dispatch this is exempt from the TLS
@@ -214,6 +220,8 @@ pub fn decouple() -> Result<bool, UlpError> {
             b.put_deferred(Deferred::Enqueue(me_owned));
             return Ok(Prep::Switch { save, target });
         }
+        me.phases
+            .decoupling(now, runq, schedulers, Some(&me.kc.parker));
         let target = unsafe { *me.kc.tc_ctx.get() };
         // Vacate the TLS register and move our own reference into the
         // deferred enqueue: it runs on the TC only after our registers are

@@ -402,9 +402,15 @@ pub fn run_deferred() {
                 }
             }
             Deferred::CoupleRequest(uc) => {
+                // The UC's decoupled stretch ends with this publication and
+                // the schedulers may expect it back (`park.rs`, "The idle
+                // decision"); we are one of them.
+                let now = crate::trace::now_ns();
+                if let Some(rt) = b.rt() {
+                    uc.phases.publishing(now, rt.runq.parker());
+                }
                 if let Some(t) = b.trace() {
                     if t.is_on() {
-                        let now = crate::trace::now_ns();
                         t.record_at(now, crate::trace::Event::CoupleRequest(uc.id));
                         // Open the couple-request→resume span; the original
                         // KC closes it when the UC runs again. The wake

@@ -511,9 +511,10 @@ fn wake_blocks(out: &mut String, wake: &WakeSnapshot) {
 /// `kernel_syscalls_total` the kernel's all-time dispatch counter (counted
 /// even when tracing is off, so it is passed separately from the snapshot),
 /// `violations_total` the runtime's recorded system-call-consistency
-/// violations (the audit log's length — also independent of tracing) and
+/// violations (the audit log's length — also independent of tracing),
 /// `trace_dropped` the tracer's lost-record count for the current recording
-/// run (a gauge: `Tracer::enable` resets it).
+/// run (a gauge: `Tracer::enable` resets it) and `park_expected` the run
+/// queue parker's count of wakes on their way (a gauge: 0 at quiescence).
 #[allow(clippy::too_many_arguments)]
 pub fn prometheus_text(
     stats: &StatsSnapshot,
@@ -523,6 +524,7 @@ pub fn prometheus_text(
     violations_total: u64,
     pool: &PoolMetrics,
     trace_dropped: u64,
+    park_expected: u64,
 ) -> String {
     let mut out = String::new();
     counter_block(
@@ -590,6 +592,26 @@ pub fn prometheus_text(
         "ulp_couple_handoff_total",
         "Couples completed by direct handoff from a decoupling UC (fast path).",
         stats.couple_handoffs,
+    );
+    let _ = writeln!(
+        out,
+        "# HELP ulp_park_total How idle periods of kernel contexts ended: spin_hit = work arrived \
+         while spinning (a sleep saved), spin_miss = the spin ran out and the KC slept anyway \
+         (CPU wasted), sleep = every pass through the blocking arm."
+    );
+    let _ = writeln!(out, "# TYPE ulp_park_total counter");
+    for (outcome, n) in [
+        ("spin_hit", stats.park_spin_hits),
+        ("spin_miss", stats.park_spin_misses),
+        ("sleep", stats.park_sleeps),
+    ] {
+        let _ = writeln!(out, "ulp_park_total{{outcome=\"{outcome}\"}} {n}");
+    }
+    gauge_block(
+        &mut out,
+        "ulp_park_expected",
+        "Coupled scopes in flight that idle schedulers spin for (wakes known to be on their way).",
+        park_expected,
     );
     counter_block(
         &mut out,
@@ -792,10 +814,13 @@ mod tests {
             cached: 3,
             warm: 1,
         };
-        let text = prometheus_text(&stats, &lat, &SyscallSnapshot::new(), 0, 3, &pool, 5);
+        let text = prometheus_text(&stats, &lat, &SyscallSnapshot::new(), 0, 3, &pool, 5, 2);
         assert!(text.contains("ulp_context_switches_total 42\n"));
         assert!(text.contains("# TYPE ulp_trace_dropped_total gauge"));
         assert!(text.contains("ulp_trace_dropped_total 5\n"));
+        assert!(text.contains("# TYPE ulp_park_total counter"));
+        assert!(text.contains("ulp_park_total{outcome=\"spin_miss\"} 0\n"));
+        assert!(text.contains("ulp_park_expected 2\n"));
         assert!(text.contains("# TYPE ulp_stack_outstanding gauge"));
         assert!(text.contains("ulp_stack_pool_hits_total 9\n"));
         assert!(text.contains("ulp_stack_pool_misses_total 4\n"));
@@ -983,6 +1008,7 @@ mod tests {
             0,
             &PoolMetrics::default(),
             0,
+            0,
         );
         assert!(text.contains("ulp_kernel_syscalls_total 17\n"));
         assert!(text.contains("ulp_syscall_violations_total 0\n"));
@@ -1063,6 +1089,7 @@ mod tests {
             0,
             &PoolMetrics::default(),
             0,
+            0,
         );
         assert!(text.contains("# TYPE ulp_wake_total counter"));
         assert!(text.contains("ulp_wake_total{site=\"epoll_wait\"} 3\n"));
@@ -1089,6 +1116,7 @@ mod tests {
             0,
             0,
             &PoolMetrics::default(),
+            0,
             0,
         );
         let mut prev = 0u64;

@@ -13,8 +13,9 @@
 use crate::couple::{install_ulp_no_charge, raw_switch};
 use crate::current::run_deferred;
 use crate::error::UlpError;
+use crate::park::{IdleTally, Idled};
 use crate::runtime::RuntimeInner;
-use crate::uc::UcInner;
+use crate::uc::{KcShared, UcInner};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use ulp_fcontext::{prepare, TRAMPOLINE_STACK_SIZE};
@@ -24,7 +25,7 @@ use ulp_fcontext::{prepare, TRAMPOLINE_STACK_SIZE};
 #[derive(Debug)]
 pub struct TcBoot {
     /// The kernel context this trampoline serves.
-    pub kc: Arc<crate::uc::KcShared>,
+    pub kc: Arc<KcShared>,
     /// The owning runtime.
     pub rt: Arc<RuntimeInner>,
     /// The BLT's primary UC — resumed one last time when the primary has
@@ -69,10 +70,27 @@ extern "C" fn tc_entry(_arg: usize, data: *mut u8) -> ! {
     tc_loop(boot)
 }
 
+/// The KC's idle loop popped `uc`'s couple request and is about to run it:
+/// the coupled scope begins (`park.rs`, "The idle decision"). If the request
+/// woke the KC from a park, that park's exit already consumed the `kc_notify`
+/// stamp the request armed; if it was served without one — the KC was
+/// spinning, or between two passes — the stamp is dropped here, or a later
+/// park that merely timed out would claim it.
+fn serve(kc: &KcShared, uc: &UcInner, tally: &mut IdleTally) {
+    tally.found_work();
+    uc.phases.dispatched(crate::trace::now_ns(), &kc.parker);
+    crate::current::with_thread(|b| {
+        if b.trace().is_some_and(|t| t.is_on()) {
+            let _ = kc.wake.take();
+        }
+    });
+}
+
 /// The KC idle loop (paper Fig. 5 right half + §V-B Table I, KC₀ column).
 fn tc_loop(boot: &TcBoot) -> ! {
     let kc = &boot.kc;
     let rt = &boot.rt;
+    let mut tally = IdleTally::default();
     loop {
         // The version read precedes the work checks (park protocol).
         let seen = kc.parker.version();
@@ -80,7 +98,7 @@ fn tc_loop(boot: &TcBoot) -> ! {
         // Rule 6: an idle KC given a UC starts running it. Couple requests
         // are served strictly in arrival order.
         if let Some(uc) = kc.pending.pop(false) {
-            kc.parker.found_work();
+            serve(kc, &uc, &mut tally);
             // TC→UC switch: the TLS register is restored but NOT reloaded
             // at cost — the §V-B exemption ("excepting the context switch
             // between TC and UC"). The pending queue's Arc moves straight
@@ -115,7 +133,8 @@ fn tc_loop(boot: &TcBoot) -> ! {
             _ => 0,
         });
         rt.stack_pool.scavenge();
-        if kc.parker.park(seen, || kc.pending.is_empty_locked()) {
+        let how = tally.idled(kc.parker.park(seen, || kc.pending.is_empty_locked()));
+        if how.blocked() {
             rt.stats.bump_kc_blocks();
             crate::current::with_thread(|b| {
                 if let Some(t) = b.trace() {
@@ -125,8 +144,15 @@ fn tc_loop(boot: &TcBoot) -> ! {
                         // it to the couple requester that armed the KC's
                         // wake cell (other notifies — sibling registration,
                         // handle close — leave the cell unarmed and emit no
-                        // edge, as do spurious futex wakes).
-                        if let Some((waker, armed)) = kc.wake.take() {
+                        // edge, as do spurious futex wakes). A block that
+                        // nobody ended leaves the cell alone: whatever is
+                        // in it belongs to a request still on its way.
+                        let stamp = if how == Idled::Woken {
+                            kc.wake.take()
+                        } else {
+                            None
+                        };
+                        if let Some((waker, armed)) = stamp {
                             t.emit_wake(
                                 now,
                                 waker,
@@ -157,19 +183,20 @@ fn tc_loop(boot: &TcBoot) -> ! {
 /// `raw_switch` away — so a pool KC needs no trampoline stack at all.
 ///
 /// Exits when the runtime shuts down and the pending queue has drained.
-pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<crate::uc::KcShared>) {
+pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<KcShared>) {
     kc.adopt_current_thread();
     // The native context is the trampoline: mark it live so nothing tries
     // to build one, and so `ensure_tc` (never called for pool KCs, but
     // defensively) is a no-op.
     kc.tc_started.store(true, Ordering::Release);
     crate::current::set_runtime(rt.clone());
+    let mut tally = IdleTally::default();
     loop {
         // The version read precedes the work checks (park protocol).
         let seen = kc.parker.version();
 
         if let Some(uc) = kc.pending.pop(false) {
-            kc.parker.found_work();
+            serve(&kc, &uc, &mut tally);
             // Rebind unconditionally: a direct decouple→couple handoff on
             // this KC may have left the thread bound to a different pooled
             // pid than the last one this loop served, so a cached "last
@@ -190,7 +217,10 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<crate::uc::KcShared>) {
         // Rule 5: idle. Pool KCs have no primary BltId to tag a KcBlocked
         // event with, so blocks surface in stats (`kc_blocks`) only.
         rt.stack_pool.scavenge();
-        if kc.parker.park(seen, || kc.pending.is_empty_locked()) {
+        if tally
+            .idled(kc.parker.park(seen, || kc.pending.is_empty_locked()))
+            .blocked()
+        {
             rt.stats.bump_kc_blocks();
         }
     }

@@ -81,23 +81,82 @@
 //! [`UcInner::qlink`], so a queue of 100k+ runnable UCs costs the same per
 //! operation as a queue of two.
 //!
-//! `model.rs` next to this file checks the protocol on every interleaving
-//! of its atomic steps (2 producers × 1 consumer) under sequential
-//! consistency; the tests below hammer the real thing.
+//! ## The idle decision
+//!
+//! Whether a consumer that found nothing spins or sleeps is decided in
+//! [`Parker::park`] and nowhere else. BUSYWAIT always spins, BLOCKING always
+//! sleeps (paper §VI-C); `Adaptive` — the default — spins exactly while a
+//! wake is *known to be on its way*, and otherwise announces and sleeps at
+//! once.
+//!
+//! Every park waits out a phase the *other* side is running. A scheduler
+//! with an empty run queue waits for some coupled scope to end in
+//! `decouple()`; a trampoline with an empty `pending` waits for its UC's
+//! decoupled stretch to end in `couple()`. Each UC carries the last length
+//! of both ([`Phases`]), timed **on the side that executes the phase** —
+//! `scope_run` from the KC's dispatch of the coupler to its `decouple()`,
+//! `ult_gap` from that `decouple()` to the publication of its next
+//! `CoupleRequest` — so a sample never depends on whether the waiter slept.
+//! (A predictor fed by the waiter's own idle gaps does, and was bistable:
+//! sleeping makes the gap long, a long gap says sleep.) Three clock reads
+//! per couple/decouple pair, none on the yield path.
+//!
+//! A phase that was last shorter than a sleep costs registers with the
+//! parker that waits for it ([`Parker::expect`]); the waiter spins while
+//! that count is non-zero and the newest registration is younger than
+//! [`SPIN_DEADLINE_NS`]. The count drops where the phase ends — or where the
+//! UC terminates without ending it — so it is exact at quiescence. A spin
+//! pass returns to the caller's loop without announcing, exactly as the
+//! BUSYWAIT arm does, so it re-reads its queues every pass and cannot lose
+//! a wake-up: the announce → locked re-check → `futex_wait` protocol above
+//! is what every sleep still goes through.
+//!
+//! `model.rs` next to this file checks the protocol — spin arm included —
+//! on every interleaving of its atomic steps (2 producers × 1 consumer)
+//! under sequential consistency; the tests below hammer the real thing.
 //!
 //! [`KcShared`]: crate::uc::KcShared
 
-use crate::uc::{IdlePolicy, UcInner, ADAPTIVE_SPIN_STREAK};
+use crate::trace::now_ns;
+use crate::uc::{IdlePolicy, UcInner};
 use std::cell::{Cell, UnsafeCell};
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use ulp_kernel::{futex_wait_timeout, futex_wake};
 
 /// `pause`s a lock waiter spends before it sleeps its OS thread; also the
-/// length of one BUSYWAIT / Adaptive idle pass.
+/// length of one BUSYWAIT / Adaptive idle pass, which ends in a
+/// `sched_yield`: with more runnable KCs than cores the yield is what lets
+/// them rotate (`couple_io`, 5 threads on 2 vCPUs: 157–163 k ops/s spinning
+/// on `pause` alone, ~180 k sleeping every time, 383–413 k with the yield).
 const SPINS: u32 = 64;
+
+/// A coupled scope that last ran shorter than this is worth a scheduler's
+/// spin: a futex sleep and wake cost 14–40 µs on the 2-vCPU reference host,
+/// `couple_io`'s scope (`getpid`/`open`/`write`/`close`) runs 2–3 µs, and
+/// `echo`'s — ~50 µs blocked in a socket `read` — must stay on the far side
+/// with room to spare.
+const SCOPE_BREAK_EVEN_NS: u32 = 5_000;
+
+/// A decoupled stretch that last ran shorter than this is worth a
+/// trampoline's spin. Wider than [`SCOPE_BREAK_EVEN_NS`] because the stretch
+/// contains the scheduler's own spin pass and the other UCs' turns (10–20 µs
+/// with four UCs in a debug build): at 5 µs `couple_io` read 233–251 k ops/s
+/// instead of 383–413 k. It also contains the scheduler's wake-up exactly
+/// when the scheduler slept, which reads long — and then "do not spin" is
+/// the right answer anyway.
+const GAP_BREAK_EVEN_NS: u32 = 50_000;
+
+/// How long after the newest [`Parker::expect`] a waiter keeps spinning: what
+/// the sleep it is trying to avoid would have cost, so a wrong prediction
+/// wastes no more than it hoped to save (`couple_io`, whose predictions
+/// hold, reads the same from 10 µs to 200 µs). A deadline on the clock and
+/// not a pass count, because beside a CPU-bound neighbour one pass's
+/// `sched_yield` costs a scheduler slice (ISSUE 19: the old streak's 64
+/// passes took 99 ms next to a ULT spinning on the scheduler KC).
+const SPIN_DEADLINE_NS: u64 = 50_000;
 
 /// A UC's intrusive queue link. A UC sits in at most one [`ParkQueue`] at
 /// a time (it is in one queue, pending on one KC, or running — see
@@ -357,8 +416,10 @@ pub struct Parker {
     version: AtomicU32,
     /// Consumers between announce and un-announce in [`Parker::park`].
     sleepers: AtomicU32,
-    /// `Adaptive`: idle passes since a consumer last found work.
-    spin_streak: AtomicU32,
+    /// Wakes known to be on their way (module docs, "The idle decision").
+    expected: AtomicU32,
+    /// `now_ns()` past which `Adaptive` stops spinning for them.
+    spin_until: AtomicU64,
     idle_policy: IdlePolicy,
     /// Bound on one futex sleep: callers re-check in a loop, and idle KCs
     /// run the stack scavenger once per pass.
@@ -372,7 +433,8 @@ impl Parker {
         Parker {
             version: AtomicU32::new(0),
             sleepers: AtomicU32::new(0),
-            spin_streak: AtomicU32::new(0),
+            expected: AtomicU32::new(0),
+            spin_until: AtomicU64::new(0),
             idle_policy,
             timeout,
         }
@@ -404,22 +466,46 @@ impl Parker {
         self.sleepers.load(Ordering::SeqCst)
     }
 
-    /// A consumer found work: restart `Adaptive`'s spin streak, so a KC in a
-    /// busy orbit keeps spinning instead of falling asleep mid-burst.
-    #[inline]
-    pub fn found_work(&self) {
-        if self.idle_policy == IdlePolicy::Adaptive {
-            self.spin_streak.store(0, Ordering::Relaxed);
-        }
+    /// A wake is on its way to this parker's consumers: some UC entered, at
+    /// `now`, a phase that ends in a push to a queue they serve and was last
+    /// shorter than a sleep costs. `Adaptive` consumers spin instead of
+    /// sleeping until the matching [`Parker::unexpect`], or until
+    /// [`SPIN_DEADLINE_NS`] after the newest such call. Both words are
+    /// `Relaxed`: they steer a heuristic and publish nothing — a spinner that
+    /// reads one of them stale spins or sleeps once too often, and every
+    /// sleep still goes through the announce → re-check protocol.
+    pub(crate) fn expect(&self, now: u64) {
+        self.spin_until
+            .store(now + SPIN_DEADLINE_NS, Ordering::Relaxed);
+        self.expected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The phase behind one [`Parker::expect`] ended (its push is next), or
+    /// its UC terminated without ending it.
+    pub(crate) fn unexpect(&self) {
+        let was = self.expected.fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(was != 0, "unexpect() without a matching expect()");
+    }
+
+    /// Wakes currently known to be on their way; 0 at quiescence.
+    pub fn expected(&self) -> u32 {
+        self.expected.load(Ordering::Relaxed)
+    }
+
+    /// The regime gate for trampolines: at least one of this parker's
+    /// `consumers` is awake and it is itself waiting on short phases — the
+    /// runtime is in a couple/decouple orbit, not serving the odd request
+    /// between sleeps.
+    fn in_orbit(&self, consumers: u32) -> bool {
+        self.expected() != 0 && self.sleepers.load(Ordering::Relaxed) < consumers
     }
 
     /// Idle once — the consumer half of the protocol (module docs). `seen`
     /// is the `version` read before the caller's fruitless checks;
     /// `queues_empty` re-checks every queue it serves under that queue's
-    /// lock. Spins briefly (BUSYWAIT, or `Adaptive` within its streak) or
-    /// sleeps until `version` moves (bounded by the time-out). Returns
-    /// whether the idle policy chose to block.
-    pub fn park(&self, seen: u32, queues_empty: impl FnOnce() -> bool) -> bool {
+    /// lock. Either one spin pass (BUSYWAIT, or `Adaptive` with a wake on
+    /// its way) or a sleep until `version` moves (bounded by the time-out).
+    pub fn park(&self, seen: u32, queues_empty: impl FnOnce() -> bool) -> Idled {
         // Torture hook: behave as the opposite idle policy for this one
         // call (no-op unless chaos is armed). Flipping BUSYWAIT→BLOCKING is
         // bounded by the time-out even if no producer ever wakes us.
@@ -435,7 +521,7 @@ impl Parker {
             IdlePolicy::BusyWait => true,
             IdlePolicy::Blocking => false,
             IdlePolicy::Adaptive => {
-                self.spin_streak.fetch_add(1, Ordering::Relaxed) < ADAPTIVE_SPIN_STREAK
+                self.expected() != 0 && now_ns() < self.spin_until.load(Ordering::Relaxed)
             }
         };
         if spin {
@@ -447,14 +533,179 @@ impl Parker {
             // semantics (no futex sleep) and lets the peer run. A no-op on
             // the paper's dedicated cores.
             std::thread::yield_now();
-            return false;
+            return Idled::Spun;
         }
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.version.load(Ordering::SeqCst) == seen && queues_empty() {
-            futex_wait_timeout(&self.version, seen, self.timeout);
-        }
+        let woken = self.version.load(Ordering::SeqCst) == seen
+            && queues_empty()
+            && futex_wait_timeout(&self.version, seen, self.timeout);
         self.sleepers.fetch_sub(1, Ordering::Release);
-        true
+        if woken {
+            Idled::Woken
+        } else {
+            Idled::Blocked
+        }
+    }
+}
+
+/// How one [`Parker::park`] call idled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Idled {
+    /// One spin pass: nothing announced, no system call.
+    Spun,
+    /// Announced, and came back on its own: the re-check refused the sleep,
+    /// or the sleep timed out.
+    Blocked,
+    /// Announced, slept, and a producer's wake ended the sleep.
+    Woken,
+}
+
+impl Idled {
+    /// Whether the call took the blocking arm (Table V's `kc_blocks`).
+    pub fn blocked(self) -> bool {
+        self != Idled::Spun
+    }
+}
+
+/// One idle loop's record of how its idle periods end, kept on its own stack
+/// and counted into its thread's stats shard (`ulp_park_total`): a period
+/// that spun ends in a *hit* (work arrived — a sleep saved) or a *miss* (the
+/// deadline passed and it slept anyway — [`SPIN_DEADLINE_NS`] of CPU burnt).
+#[derive(Debug, Default)]
+pub(crate) struct IdleTally {
+    spinning: bool,
+}
+
+impl IdleTally {
+    /// The loop popped a UC.
+    #[inline]
+    pub(crate) fn found_work(&mut self) {
+        if std::mem::take(&mut self.spinning) {
+            crate::current::with_thread(|b| {
+                if let Some(s) = b.shard() {
+                    s.bump_park_spin_hits();
+                }
+            });
+        }
+    }
+
+    /// The loop idled once; passes `how` through.
+    pub(crate) fn idled(&mut self, how: Idled) -> Idled {
+        if how == Idled::Spun {
+            self.spinning = true;
+        } else {
+            let missed = std::mem::take(&mut self.spinning);
+            crate::current::with_thread(|b| {
+                if let Some(s) = b.shard() {
+                    s.bump_park_sleeps();
+                    if missed {
+                        s.bump_park_spin_misses();
+                    }
+                }
+            });
+        }
+        how
+    }
+}
+
+/// Nanoseconds as a phase length: saturating, so `u32::MAX` doubles as "no
+/// history" (a first phase is measured from time zero and lands there).
+fn phase_ns(from: u64, to: u64) -> u32 {
+    u32::try_from(to.saturating_sub(from)).unwrap_or(u32::MAX)
+}
+
+/// A UC's idle-decision state (module docs, "The idle decision"): when its
+/// current phase began, how long each kind last took, and which parkers
+/// currently count it as a wake on its way. Every field is written by the
+/// thread that holds the UC at that point of its couple/decouple cycle and
+/// read by the next one; the queue hand-over between them orders the
+/// accesses, so they are `Relaxed`.
+#[derive(Debug)]
+pub struct Phases {
+    /// `now_ns()` at the KC's dispatch of this UC while it is coupled, at
+    /// its `decouple()` while it is not.
+    since: AtomicU64,
+    /// Last KC dispatch → `decouple()`, timed on the KC.
+    scope_run: AtomicU32,
+    /// Last `decouple()` → `CoupleRequest` publication, timed on the
+    /// schedulers.
+    ult_gap: AtomicU32,
+    /// Counted in the run queue parker's `expected` (publication →
+    /// `decouple()` or coupled termination).
+    awaited_by_scheduler: AtomicBool,
+    /// Counted in its KC parker's `expected` (`decouple()` → KC dispatch).
+    awaited_by_kc: AtomicBool,
+}
+
+impl Phases {
+    /// No phase timed yet: nobody spins for this UC.
+    pub(crate) const fn new() -> Phases {
+        Phases {
+            since: AtomicU64::new(0),
+            scope_run: AtomicU32::new(u32::MAX),
+            ult_gap: AtomicU32::new(u32::MAX),
+            awaited_by_scheduler: AtomicBool::new(false),
+            awaited_by_kc: AtomicBool::new(false),
+        }
+    }
+
+    /// This UC's `CoupleRequest` is about to be pushed (on a scheduler, at
+    /// `now`): its decoupled stretch ends, and the schedulers can expect it
+    /// back iff its scopes are short.
+    pub(crate) fn publishing(&self, now: u64, runq: &Parker) {
+        let since = self.since.load(Ordering::Relaxed);
+        self.ult_gap.store(phase_ns(since, now), Ordering::Relaxed);
+        if self.scope_run.load(Ordering::Relaxed) < SCOPE_BREAK_EVEN_NS {
+            self.awaited_by_scheduler.store(true, Ordering::Relaxed);
+            runq.expect(now);
+        }
+    }
+
+    /// Its original KC (parker `kc`) popped this UC's request and is about
+    /// to run it, at `now`: the coupled scope begins.
+    pub(crate) fn dispatched(&self, now: u64, kc: &Parker) {
+        self.since.store(now, Ordering::Relaxed);
+        if self.awaited_by_kc.load(Ordering::Relaxed) {
+            self.awaited_by_kc.store(false, Ordering::Relaxed);
+            kc.unexpect();
+        }
+    }
+
+    /// This UC is in `decouple()` on its original KC, at `now`: the coupled
+    /// scope ends. `trampoline` is the KC's parker when the KC goes idle
+    /// behind it (no direct handoff): it can expect the UC back iff its
+    /// decoupled stretches are short and the run queue — `schedulers`
+    /// consumers on `runq` — is in the same orbit.
+    pub(crate) fn decoupling(
+        &self,
+        now: u64,
+        runq: &Parker,
+        schedulers: usize,
+        trampoline: Option<&Parker>,
+    ) {
+        let since = self.since.swap(now, Ordering::Relaxed);
+        self.scope_run
+            .store(phase_ns(since, now), Ordering::Relaxed);
+        // The gate is read with this UC's own registration still in it: a
+        // lone BLT in a couple/decouple loop is an orbit too (Table V).
+        let in_orbit = runq.in_orbit(schedulers as u32);
+        self.ended_coupled(runq);
+        if let Some(kc) = trampoline {
+            if in_orbit && self.ult_gap.load(Ordering::Relaxed) < GAP_BREAK_EVEN_NS {
+                self.awaited_by_kc.store(true, Ordering::Relaxed);
+                kc.expect(now);
+            }
+        }
+    }
+
+    /// The coupled scope is over — by `decouple()`, or because the UC
+    /// terminated coupled (rule 7) and never will: the schedulers stop
+    /// expecting it.
+    pub(crate) fn ended_coupled(&self, runq: &Parker) {
+        if self.awaited_by_scheduler.load(Ordering::Relaxed) {
+            self.awaited_by_scheduler.store(false, Ordering::Relaxed);
+            runq.unexpect();
+        }
     }
 }
 
@@ -536,25 +787,82 @@ pub(crate) mod tests {
         let t = Instant::now();
         let seen = p.version();
         p.poke();
-        assert!(p.park(seen, || true), "Blocking chose to block");
+        assert_eq!(p.park(seen, || true), Idled::Blocked, "Blocking blocks");
         let seen = p.version();
         q.push(dummy_uc(1), &p); // silent: the version does not move
-        assert!(p.park(seen, || q.is_empty_locked()));
+        assert_eq!(p.park(seen, || q.is_empty_locked()), Idled::Blocked);
         assert!(t.elapsed() < Duration::from_secs(1), "neither park slept");
         assert_eq!(p.announced(), 0);
     }
 
+    /// A park that announces calls `queues_empty`; a spin pass does not.
+    fn announces(p: &Parker) -> bool {
+        let announced = Cell::new(false);
+        let how = p.park(p.version(), || {
+            announced.set(true);
+            true
+        });
+        assert_eq!(announced.get(), how.blocked());
+        announced.get()
+    }
+
+    /// The decision table: BUSYWAIT never sleeps and BLOCKING always does,
+    /// whatever is expected; `Adaptive` sleeps on the first call with
+    /// nothing expected, and with a wake on its way spins — announcing
+    /// nothing — until the deadline, then sleeps.
     #[test]
-    fn busywait_never_blocks_and_adaptive_blocks_after_its_streak() {
-        let busy = Parker::new(IdlePolicy::BusyWait, TIMEOUT);
-        assert!(!busy.park(busy.version(), || true));
-        let ad = Parker::new(IdlePolicy::Adaptive, Duration::from_millis(1));
-        for _ in 0..ADAPTIVE_SPIN_STREAK {
-            assert!(!ad.park(ad.version(), || true));
+    fn idle_decision_per_policy_and_expectation() {
+        let short = Duration::from_millis(1);
+        let busy = Parker::new(IdlePolicy::BusyWait, short);
+        assert!(!announces(&busy));
+        let blocking = Parker::new(IdlePolicy::Blocking, short);
+        blocking.expect(now_ns());
+        assert!(announces(&blocking), "Blocking sleeps with a wake expected");
+        blocking.unexpect();
+
+        let ad = Parker::new(IdlePolicy::Adaptive, short);
+        assert!(announces(&ad), "nothing expected: sleep at once");
+        let t0 = now_ns();
+        ad.expect(t0);
+        assert_eq!(ad.expected(), 1);
+        let mut passes = 0u32;
+        while !announces(&ad) {
+            passes += 1;
         }
-        assert!(ad.park(ad.version(), || true), "streak exhausted: block");
-        ad.found_work();
-        assert!(!ad.park(ad.version(), || true), "work restarts the streak");
+        let spun = now_ns() - t0;
+        assert!(passes > 0, "a fresh expectation is worth a spin pass");
+        assert!(
+            spun >= SPIN_DEADLINE_NS,
+            "slept {spun} ns after the expectation, before the deadline"
+        );
+        // Bounded by the clock, not by a pass count: however slow a pass
+        // is, the first one that starts past the deadline sleeps.
+        ad.expect(now_ns());
+        std::thread::sleep(Duration::from_nanos(2 * SPIN_DEADLINE_NS));
+        assert!(announces(&ad), "a stale expectation is not spun for");
+        ad.unexpect();
+        ad.unexpect();
+        assert_eq!(ad.expected(), 0);
+    }
+
+    /// A spinner re-reads the expectation every pass: an `unexpect()` from
+    /// another thread ends the spin at the next pass, an `expect()` starts
+    /// one.
+    #[test]
+    fn expectation_changes_are_seen_within_one_pass() {
+        let p = Arc::new(Parker::new(IdlePolicy::Adaptive, Duration::from_millis(1)));
+        let on = |f: fn(&Parker)| {
+            let p = p.clone();
+            std::thread::spawn(move || f(&p)).join().unwrap();
+        };
+        assert!(announces(&p));
+        on(|p| p.expect(now_ns()));
+        // (Unless this thread was descheduled for the whole deadline.)
+        let t = now_ns();
+        let spun = !announces(&p);
+        assert!(spun || now_ns() - t > SPIN_DEADLINE_NS / 2);
+        on(Parker::unexpect);
+        assert!(announces(&p), "withdrawn mid-spin: the next pass sleeps");
     }
 
     /// Lost-wake hammer: single-item hand-offs between two OS threads under
@@ -565,19 +873,34 @@ pub(crate) mod tests {
     /// honest futex round trips alone range from 0.5 s to 4 s.
     #[test]
     fn handoffs_lose_no_wakeup() {
+        handoffs(IdlePolicy::Blocking);
+    }
+
+    /// The same under `Adaptive`, each side expecting the UC back the moment
+    /// it hands it over, the way a short coupled scope is announced: the
+    /// taker spins, runs into the deadline whenever its peer is descheduled,
+    /// sleeps, and is owed a wake-up just the same.
+    #[test]
+    fn handoffs_lose_no_wakeup_adaptive_with_expectation() {
+        handoffs(IdlePolicy::Adaptive);
+    }
+
+    fn handoffs(policy: IdlePolicy) {
         const ROUNDS: u32 = 200_000;
         type Side = (ParkQueue, Parker);
-        let side = || -> Arc<Side> {
-            Arc::new((
-                ParkQueue::default(),
-                Parker::new(IdlePolicy::Blocking, TIMEOUT),
-            ))
-        };
+        let side =
+            || -> Arc<Side> { Arc::new((ParkQueue::default(), Parker::new(policy, TIMEOUT))) };
+        /// Push to `to`, expecting the UC back on `from`.
+        fn give(to: &Side, uc: Arc<UcInner>, from: &Side) {
+            from.1.expect(now_ns());
+            to.0.push(uc, &to.1);
+        }
         /// Pop from `s`, parking while it is empty; counts time-outs.
         fn take(s: &Side, timed_out: &mut u32) -> Arc<UcInner> {
             loop {
                 let seen = s.1.version();
                 if let Some(uc) = s.0.pop(false) {
+                    s.1.unexpect();
                     return uc;
                 }
                 let t = Instant::now();
@@ -591,9 +914,10 @@ pub(crate) mod tests {
             let (ping, pong) = (ping.clone(), pong.clone());
             std::thread::spawn(move || {
                 let mut timed_out = 0;
+                ping.1.expect(now_ns()); // the first hand-over
                 for _ in 0..ROUNDS {
                     let uc = take(&ping, &mut timed_out);
-                    pong.0.push(uc, &pong.1);
+                    give(&pong, uc, &ping);
                 }
                 timed_out
             })
@@ -601,7 +925,7 @@ pub(crate) mod tests {
         let mut timed_out = 0;
         let mut uc = dummy_uc(1);
         for _ in 0..ROUNDS {
-            ping.0.push(uc, &ping.1);
+            give(&ping, uc, &pong);
             uc = take(&pong, &mut timed_out);
         }
         timed_out += echo.join().unwrap();

@@ -46,7 +46,7 @@
 //! announce and wakes. The version word moves only then, and on
 //! [`RunQueue::wake_all`].
 
-use crate::park::{ParkQueue, Parker};
+use crate::park::{Idled, ParkQueue, Parker};
 use crate::uc::{IdlePolicy, UcInner};
 use parking_lot::RwLock;
 use std::cell::{Cell, RefCell};
@@ -336,17 +336,18 @@ impl RunQueue {
         self.parker.version()
     }
 
-    /// A scheduler popped a UC (`Adaptive` restarts its spin streak).
+    /// What idle schedulers wait on: coupled scopes register the wake their
+    /// `decouple()` will be with it (`park.rs`, "The idle decision").
     #[inline]
-    pub fn found_work(&self) {
-        self.parker.found_work();
+    pub(crate) fn parker(&self) -> &Parker {
+        &self.parker
     }
 
     /// Idle until woken (bounded; callers re-check in a loop): announce,
-    /// re-check every queue under its lock, sleep — or spin briefly, per
+    /// re-check every queue under its lock, sleep — or spin one pass, per
     /// the idle policy (`Parker::park`).
-    pub fn park(&self, seen: u32) {
-        self.parker.park(seen, || self.is_empty());
+    pub fn park(&self, seen: u32) -> Idled {
+        self.parker.park(seen, || self.is_empty())
     }
 
     /// Bump the version word and wake every parked scheduler (used on
@@ -424,6 +425,7 @@ pub(crate) mod tests {
             wake_from: AtomicU64::new(0),
             spawn_ns: 0,
             qlink: crate::park::QLink::new(),
+            phases: crate::park::Phases::new(),
         })
     }
 
@@ -461,7 +463,7 @@ pub(crate) mod tests {
             }
             q2.park(seen);
         });
-        while q.parker.announced() == 0 {
+        while q.parker().announced() == 0 {
             std::thread::yield_now();
         }
         let v = q.version();

@@ -69,7 +69,9 @@ impl Topology {
 pub struct Config {
     /// Scheduler threads (`NCprog`).
     pub n_schedulers: usize,
-    /// How idle kernel contexts wait (BUSYWAIT / BLOCKING, §VI-C).
+    /// How idle kernel contexts wait: the paper's BUSYWAIT / BLOCKING
+    /// (§VI-C), or — the default — `Adaptive`, which spins only while a
+    /// wake is known to be on its way and otherwise sleeps at once.
     pub idle_policy: IdlePolicy,
     /// Architecture cost model for the simulated kernel and TLS register.
     pub profile: ArchProfile,
@@ -123,7 +125,7 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             n_schedulers: 1,
-            idle_policy: IdlePolicy::Blocking,
+            idle_policy: IdlePolicy::Adaptive,
             profile: ArchProfile::Native,
             tls_switch: true,
             eager_tc: false,
@@ -376,6 +378,7 @@ impl RuntimeInner {
             self.audit.lock().len() as u64,
             &crate::export::PoolMetrics::from_pool(&self.stack_pool),
             self.tracer.dropped_records(),
+            self.runq.parker().expected().into(),
         )
     }
 
@@ -440,7 +443,7 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Default-configured runtime (1 scheduler, BLOCKING idle, native
+    /// Default-configured runtime (1 scheduler, `Adaptive` idle, native
     /// profile).
     pub fn new() -> Runtime {
         RuntimeBuilder::default().build()
@@ -545,6 +548,13 @@ impl Runtime {
     /// that the RSS claims of oversubscription mode rest on.
     pub fn stack_pool(&self) -> &ulp_fcontext::StackPool {
         &self.inner.stack_pool
+    }
+
+    /// Coupled scopes in flight whose `decouple()` idle schedulers are
+    /// spinning for (`park.rs`, "The idle decision"; the `ulp_park_expected`
+    /// gauge). Exactly 0 whenever no UC of this runtime is coupled.
+    pub fn park_expected(&self) -> u32 {
+        self.inner.runq.parker().expected()
     }
 
     /// Recorded consistency violations (`ConsistencyMode::Record`).
@@ -721,6 +731,16 @@ impl Default for Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.shutdown();
+        // Every coupled scope the schedulers were told to expect has ended,
+        // by `decouple()` or by termination: a leaked count would keep every
+        // idle scheduler spinning to its deadline for the rest of a
+        // runtime's life. (Waiting on every BLT first is the documented
+        // contract; a test already failing for another reason may not have.)
+        debug_assert!(
+            std::thread::panicking() || self.park_expected() == 0,
+            "run-queue wake expectations leaked: {}",
+            self.park_expected()
+        );
     }
 }
 
@@ -772,6 +792,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         wake_from: AtomicU64::new(0),
         spawn_ns: crate::trace::now_ns(),
         qlink: crate::park::QLink::new(),
+        phases: crate::park::Phases::new(),
     });
     rt.register_uc(&identity);
     set_runtime(rt.clone());
@@ -779,6 +800,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
     set_current_ulp(Some(identity.clone()));
     rt.runq.register_local();
 
+    let mut tally = crate::park::IdleTally::default();
     loop {
         if rt.shutdown.load(Ordering::Acquire) && rt.runq.is_empty() {
             break;
@@ -786,12 +808,12 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         let seen = rt.runq.version();
         match rt.runq.pop() {
             Some(uc) => {
-                rt.runq.found_work();
+                tally.found_work();
                 run_uc(&identity, uc)
             }
             None => {
                 rt.stack_pool.scavenge();
-                rt.runq.park(seen)
+                tally.idled(rt.runq.park(seen));
             }
         }
     }

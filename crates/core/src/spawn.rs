@@ -243,6 +243,7 @@ impl Runtime {
             wake_from: AtomicU64::new(0),
             spawn_ns: crate::trace::now_ns(),
             qlink: crate::park::QLink::new(),
+            phases: crate::park::Phases::new(),
         });
 
         rt.register_uc(&uc);
@@ -294,9 +295,11 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
         Err(_) => PANIC_EXIT_STATUS,
     };
 
-    // Rule 7: terminate as a KLT coupled with the original KC.
+    // Rule 7: terminate as a KLT coupled with the original KC — a coupled
+    // scope no `decouple()` will end, so stop the schedulers expecting one.
     let _ = couple();
     debug_assert!(uc.kc.is_current_thread());
+    uc.phases.ended_coupled(rt.runq.parker());
 
     // The KC may not exit while its `BltHandle` is still open: a sibling
     // spawned through the handle needs this OS thread to serve its couple
@@ -394,6 +397,7 @@ fn spawn_sibling_inner(
         wake_from: AtomicU64::new(0),
         spawn_ns: crate::trace::now_ns(),
         qlink: crate::park::QLink::new(),
+        phases: crate::park::Phases::new(),
     });
     rt.register_uc(&uc);
     rt.tracer.record(crate::trace::Event::Spawn(uc.id));
@@ -456,6 +460,7 @@ fn spawn_pooled_inner(
         wake_from: AtomicU64::new(0),
         spawn_ns: crate::trace::now_ns(),
         qlink: crate::park::QLink::new(),
+        phases: crate::park::Phases::new(),
     });
     // Deliberately NOT in the pid → UC registry (`register_uc`): a million
     // entries would dominate the map, and procfs enrichment of short-lived
@@ -504,6 +509,8 @@ extern "C" fn pooled_entry(_arg: usize, data: *mut u8) -> ! {
     debug_assert!(uc.kc.is_current_thread());
     uc.set_state(UcState::Terminated);
     if let Some(rt) = uc.rt.upgrade() {
+        // No `decouple()` will end this coupled scope.
+        uc.phases.ended_coupled(rt.runq.parker());
         rt.tracer.record(crate::trace::Event::Terminate(uc.id));
         let _ = rt.kernel.exit_process(uc.pid, status);
     }
@@ -550,6 +557,8 @@ extern "C" fn sibling_entry(_arg: usize, data: *mut u8) -> ! {
     // status it may shut tracing down, and trace-based spawn/terminate
     // accounting needs this event on every exit path.
     if let Some(rt) = uc.rt.upgrade() {
+        // No `decouple()` will end this coupled scope.
+        uc.phases.ended_coupled(rt.runq.parker());
         rt.tracer.record(crate::trace::Event::Terminate(uc.id));
     }
     uc.sib_result.set(status);

@@ -61,6 +61,15 @@ pub struct StatsShard {
     /// Couples completed by direct handoff from a decoupling UC (the fast
     /// path that skipped the run queue and the idle-loop futex wake).
     pub couple_handoffs: AtomicU64,
+    /// Idle periods that spun and were ended by work arriving: a futex
+    /// sleep and wake saved (`park.rs`, "The idle decision").
+    pub park_spin_hits: AtomicU64,
+    /// Idle periods that spun to the deadline and slept anyway: the spin
+    /// was wasted CPU.
+    pub park_spin_misses: AtomicU64,
+    /// Idle passes that took the blocking arm — schedulers, trampolines
+    /// and pool KCs alike (`kc_blocks` counts the last two only).
+    pub park_sleeps: AtomicU64,
 }
 
 /// Single-writer increment: plain load + store, never a `lock` prefix.
@@ -131,6 +140,21 @@ impl StatsShard {
     pub fn bump_couple_handoffs(&self) {
         bump(&self.couple_handoffs);
     }
+    /// Count one idle period whose spin was ended by work.
+    #[inline]
+    pub fn bump_park_spin_hits(&self) {
+        bump(&self.park_spin_hits);
+    }
+    /// Count one idle period whose spin ran out and slept.
+    #[inline]
+    pub fn bump_park_spin_misses(&self) {
+        bump(&self.park_spin_misses);
+    }
+    /// Count one idle pass through the blocking arm.
+    #[inline]
+    pub fn bump_park_sleeps(&self) {
+        bump(&self.park_sleeps);
+    }
 
     /// Fold this shard into an accumulating snapshot.
     fn add_into(&self, acc: &mut StatsSnapshot) {
@@ -145,6 +169,9 @@ impl StatsShard {
         acc.scheduler_dispatches += self.scheduler_dispatches.load(Ordering::Relaxed);
         acc.kc_blocks += self.kc_blocks.load(Ordering::Relaxed);
         acc.couple_handoffs += self.couple_handoffs.load(Ordering::Relaxed);
+        acc.park_spin_hits += self.park_spin_hits.load(Ordering::Relaxed);
+        acc.park_spin_misses += self.park_spin_misses.load(Ordering::Relaxed);
+        acc.park_sleeps += self.park_sleeps.load(Ordering::Relaxed);
     }
 }
 
@@ -287,6 +314,12 @@ pub struct StatsSnapshot {
     pub kc_blocks: u64,
     /// Couples completed by direct handoff (fast path).
     pub couple_handoffs: u64,
+    /// Idle periods whose spin was ended by work arriving (a sleep saved).
+    pub park_spin_hits: u64,
+    /// Idle periods whose spin ran to the deadline and slept (CPU wasted).
+    pub park_spin_misses: u64,
+    /// Idle passes through the blocking arm, every kind of KC.
+    pub park_sleeps: u64,
 }
 
 impl StatsSnapshot {
@@ -304,6 +337,9 @@ impl StatsSnapshot {
             scheduler_dispatches: self.scheduler_dispatches - earlier.scheduler_dispatches,
             kc_blocks: self.kc_blocks - earlier.kc_blocks,
             couple_handoffs: self.couple_handoffs - earlier.couple_handoffs,
+            park_spin_hits: self.park_spin_hits - earlier.park_spin_hits,
+            park_spin_misses: self.park_spin_misses - earlier.park_spin_misses,
+            park_sleeps: self.park_sleeps - earlier.park_sleeps,
         }
     }
 }

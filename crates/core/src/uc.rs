@@ -16,7 +16,7 @@
 //! *Sibling* UCs (the §VII M:N extension) run on their own allocated stacks
 //! and share the primary's original KC — and therefore its kernel identity.
 
-use crate::park::{ParkQueue, Parker, QLink};
+use crate::park::{ParkQueue, Parker, Phases, QLink};
 use crate::runtime::RuntimeInner;
 use crate::tls::TlsStorage;
 use parking_lot::{Condvar, Mutex};
@@ -69,26 +69,28 @@ pub enum UcState {
 }
 
 /// How an idle kernel context waits (paper §VI-C: BUSYWAIT vs BLOCKING).
+/// Interpreted in one place, `Parker::park`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IdlePolicy {
-    /// Spin with `std::hint::spin_loop` — lower latency, burns a core.
+    /// Never sleep: spin with `std::hint::spin_loop` (and a `sched_yield`
+    /// per pass) — lowest latency, burns a core.
     BusyWait,
-    /// Sleep on a futex — higher couple latency (two extra system calls per
-    /// round trip), no CPU burn. The default, as in the paper's discussion
-    /// of the latency/power trade-off (§VII).
-    #[default]
+    /// Always sleep on a futex — higher couple latency (two extra system
+    /// calls per round trip), no CPU burn (§VII's latency/power trade-off).
     Blocking,
-    /// The paper's future-work knob, implemented: busy-wait while the KC
-    /// has been idle only briefly, fall back to futex-blocking after a
-    /// bounded spin streak — "determine the way of blocking in an automatic
-    /// way according to the application's behavior" (§VII). Latency close
-    /// to BUSYWAIT under load, power close to BLOCKING when idle.
+    /// The paper's future work, implemented, and the default: "determine
+    /// the way of blocking in an automatic way according to the
+    /// application's behavior" (§VII). An idle KC spins only while a wake
+    /// is known to be on its way — a scheduler while some coupled scope
+    /// that last ran shorter than a sleep costs is in flight, a trampoline
+    /// while its UC's decoupled stretch was last that short and the
+    /// schedulers are in the same orbit — for at most a sleep's cost, and
+    /// otherwise sleeps at once (`park.rs`, "The idle decision"). BUSYWAIT's
+    /// latency in a couple/decouple loop, BLOCKING's CPU bill everywhere
+    /// else.
+    #[default]
     Adaptive,
 }
-
-/// Consecutive fruitless idle passes before an Adaptive KC gives up
-/// spinning and blocks (counted by its `Parker`).
-pub const ADAPTIVE_SPIN_STREAK: u32 = 64;
 
 /// Longest single sleep of an idle kernel context (it re-checks its exit
 /// conditions and runs the stack scavenger once per pass).
@@ -103,7 +105,7 @@ pub struct KcShared {
     /// queue's lock-free length so an empty probe is one load. Its lock
     /// doubles as the sibling-registration gate (see `handle_closed`).
     pub(crate) pending: ParkQueue,
-    /// What the idle loop sleeps on, per the KC's [`IdlePolicy`]. A couple
+    /// What the idle loop idles on, per the KC's [`IdlePolicy`]. A couple
     /// request pushed to `pending` wakes it iff the KC had announced itself
     /// asleep by then (`park.rs`: the push reads the sleeper count inside
     /// `pending`'s critical section, the idle loop re-checks `pending`
@@ -133,9 +135,10 @@ pub struct KcShared {
     /// The primary finished and is parked until siblings drain.
     pub primary_waiting: AtomicBool,
     /// Tracing-only wake stamp for the TC idle loop: armed by the thread
-    /// publishing a couple request to this KC, consumed by the TC when a
-    /// park actually ended (the `kc_notify` wake edge). Inert when tracing
-    /// is off (the stamp hook returns zero).
+    /// publishing a couple request to this KC, consumed by the TC when that
+    /// push woke it from a park (the `kc_notify` wake edge) and discarded
+    /// when the request is served without one. Inert when tracing is off
+    /// (the stamp hook returns zero).
     pub wake: ulp_kernel::trace::WakeCell,
 }
 
@@ -322,6 +325,9 @@ pub struct UcInner {
     /// Intrusive link for the one `ParkQueue` (run queue or a KC's
     /// `pending`) this UC may be waiting in.
     pub(crate) qlink: QLink,
+    /// How long this UC's coupled scopes and decoupled stretches last ran,
+    /// and who spins for it meanwhile (`park.rs`, "The idle decision").
+    pub(crate) phases: Phases,
 }
 
 unsafe impl Send for UcInner {}
@@ -414,7 +420,8 @@ mod tests {
     fn busywait_park_does_not_block() {
         let kc = KcShared::new(IdlePolicy::BusyWait);
         let v = kc.parker.version();
-        assert!(!kc.parker.park(v, || kc.pending.is_empty_locked()));
+        let how = kc.parker.park(v, || kc.pending.is_empty_locked());
+        assert_eq!(how, crate::park::Idled::Spun);
     }
 
     /// A couple request published to a sleeping KC reaches its idle loop.

@@ -1,8 +1,9 @@
 //! Integration tests for the BLT/ULP runtime: lifecycle, the
 //! couple/decouple protocol of Table I, system-call consistency, yielding,
-//! sibling UCs (M:N), and the paper's two idle policies (the Adaptive
-//! extension and the handoff fast path get exact-count coverage in
-//! `hot_path.rs` and chaos coverage in `ulp-torture`).
+//! sibling UCs (M:N), the paper's two idle policies and the default one's
+//! idle decision (`idle_decision_*`; the three policies and the handoff
+//! fast path get exact-count coverage in `hot_path.rs` and chaos coverage
+//! in `ulp-torture`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -556,27 +557,222 @@ fn signal_mask_travels_in_ucontext_mode() {
     assert_eq!(h.wait(), 0);
 }
 
-#[test]
-fn adaptive_policy_spins_then_blocks() {
-    let rt = rt_with(IdlePolicy::Adaptive, 1);
-    // Fast path: couple/decouple round trips while the KC's streak is
-    // short should behave like BUSYWAIT.
-    let h = rt.spawn("adaptive", || {
-        decouple().unwrap();
-        for _ in 0..20 {
-            coupled_scope(|| sys::getpid().unwrap()).unwrap();
+/// Idle periods in which any KC of `rt` spun at all.
+fn spun_periods(rt: &Runtime) -> u64 {
+    let s = rt.stats().snapshot();
+    s.park_spin_hits + s.park_spin_misses
+}
+
+/// Four BLTs looping `coupled_scope(getpid)` + `yield_now()` on one
+/// scheduler: KC futex blocks per operation over 10 000 operations, after
+/// 1 000 of warm-up.
+fn couple_loop_blocks_per_op(rt: Runtime) -> f64 {
+    let ops = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..4)
+        .map(|i| {
+            let (ops, stop) = (ops.clone(), stop.clone());
+            rt.spawn(&format!("looper{i}"), move || {
+                decouple().unwrap();
+                while !stop.load(Ordering::Relaxed) {
+                    coupled_scope(|| sys::getpid().unwrap()).unwrap();
+                    ops.fetch_add(1, Ordering::Relaxed);
+                    yield_now();
+                }
+                0
+            })
+        })
+        .collect();
+    let at = |n: usize| {
+        while ops.load(Ordering::Relaxed) < n {
+            std::thread::sleep(Duration::from_micros(200));
         }
-        // Now leave the KC idle long enough that it exhausts its spin
-        // streak and futex-blocks.
-        std::thread::sleep(Duration::from_millis(80));
-        coupled_scope(|| 0).unwrap()
-    });
-    assert_eq!(h.wait(), 0);
-    // The long idle phase must have produced at least one real block.
+        (ops.load(Ordering::Relaxed), rt.stats().snapshot().kc_blocks)
+    };
+    let (ops0, blocks0) = at(1_000);
+    let (ops1, blocks1) = at(ops0 + 10_000);
+    stop.store(true, Ordering::Relaxed);
+    for h in handles {
+        assert_eq!(h.wait(), 0);
+    }
+    (blocks1 - blocks0) as f64 / (ops1 - ops0) as f64
+}
+
+/// The default policy keeps a couple/decouple orbit awake: every coupled
+/// scope here is short, so schedulers and trampolines spin for each other
+/// and most operations go by without a futex sleep — where BLOCKING pays
+/// one per `couple()` (0.17 against 0.99 on the reference host).
+#[test]
+fn idle_decision_couple_loop_spins_where_blocking_sleeps() {
+    assert_eq!(Runtime::new().config().idle_policy, IdlePolicy::Adaptive);
+    let adaptive = couple_loop_blocks_per_op(Runtime::new());
     assert!(
-        rt.stats().snapshot().kc_blocks > 0,
-        "adaptive KC never fell back to blocking"
+        adaptive < 0.5,
+        "default policy: {adaptive:.2} KC blocks per couple"
     );
+    let blocking = couple_loop_blocks_per_op(rt_with(IdlePolicy::Blocking, 1));
+    eprintln!("KC blocks per couple: default {adaptive:.3}, BLOCKING {blocking:.3}");
+    assert!(
+        blocking > 0.5,
+        "BLOCKING must sleep per couple (Table V): {blocking:.2}"
+    );
+}
+
+/// A UC that has never coupled has no phase history, and nobody spins on a
+/// guess: 16 BLTs decouple into a yield ring and their 16 trampolines (and
+/// the scheduler, before the first arrives) go straight to sleep. Spinning
+/// here is what doubled `yield_ring`'s set-up time under the old streak.
+#[test]
+fn idle_decision_no_history_no_spin() {
+    let rt = Runtime::new();
+    let handles: Vec<_> = (0..16)
+        .map(|i| {
+            rt.spawn(&format!("ring{i}"), || {
+                decouple().unwrap();
+                let t = std::time::Instant::now();
+                while t.elapsed() < Duration::from_millis(50) {
+                    yield_now();
+                }
+                0
+            })
+        })
+        .collect();
+    for h in handles {
+        assert_eq!(h.wait(), 0);
+    }
+    assert_eq!(spun_periods(&rt), 0, "{:?}", rt.stats().snapshot());
+    assert!(rt.stats().snapshot().park_sleeps >= 16);
+}
+
+/// A scope that blocks in the kernel is not announced: its last run was
+/// longer than a sleep costs, so the schedulers are told nothing, the
+/// trampoline's regime gate stays shut, and nobody spins while the UC sits
+/// 2 ms in a pipe `read`.
+#[test]
+fn idle_decision_blocking_scope_announces_nothing() {
+    const ROUNDS: usize = 8;
+    let rt = Runtime::new();
+    let (fds_tx, fds) = std::sync::mpsc::channel();
+    let done = Arc::new(AtomicBool::new(false));
+    let done_tx = done.clone();
+    let round_tx = Arc::new(AtomicUsize::new(0));
+    let round_rx = round_tx.clone();
+    let reader = rt.spawn("reader", move || {
+        let (r, w) = sys::pipe().unwrap();
+        fds_tx.send(w).unwrap();
+        decouple().unwrap();
+        let mut byte = [0u8];
+        for round in 1..=ROUNDS {
+            // The byte is written 2 ms after this: the read below blocks.
+            round_tx.store(round, Ordering::Release);
+            assert_eq!(coupled_scope(|| sys::read(r, &mut byte)).unwrap(), Ok(1));
+            yield_now();
+        }
+        done_tx.store(true, Ordering::Release);
+        0
+    });
+    // Thread mode: the writer shares the reader's FD table.
+    let w = fds.recv().unwrap();
+    let writer = rt.spawn_with_identity("writer", reader.pid(), move || {
+        for round in 1..=ROUNDS {
+            while round_rx.load(Ordering::Acquire) < round {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(2));
+            assert_eq!(sys::write(w, b"x"), Ok(1));
+        }
+        0
+    });
+    while !done.load(Ordering::Acquire) {
+        assert_eq!(rt.park_expected(), 0);
+        std::thread::sleep(Duration::from_micros(250));
+    }
+    assert_eq!(reader.wait(), 0);
+    assert_eq!(writer.wait(), 0);
+    assert_eq!(spun_periods(&rt), 0, "{:?}", rt.stats().snapshot());
+}
+
+/// Every wake the schedulers are told to expect is taken back exactly once,
+/// whichever way the coupled scope ends; `Runtime::drop` asserts the same.
+/// Short scopes first, so the UCs *are* counted when they get there.
+#[test]
+fn idle_decision_expectations_settle_to_zero() {
+    fn orbit(n: usize) {
+        for _ in 0..n {
+            coupled_scope(|| ()).unwrap();
+        }
+    }
+    let rt = Runtime::builder().schedulers(1).pool_kcs(2).build();
+    // `decouple()`, and a primary that terminates coupled (rule 7).
+    let plain = rt.spawn("plain", || {
+        decouple().unwrap();
+        orbit(200);
+        0
+    });
+    // A primary and a sibling on one KC: direct handoffs between the two,
+    // and a sibling that terminates coupled.
+    let primary = rt.spawn("primary", || {
+        decouple().unwrap();
+        orbit(200);
+        0
+    });
+    let sibling = primary
+        .spawn_sibling("sibling", || {
+            orbit(200);
+            0
+        })
+        .unwrap();
+    // A panic unwinding through `coupled_scope` decouples on its way out.
+    let panics = rt.spawn("panics", || {
+        decouple().unwrap();
+        orbit(50);
+        let r = std::panic::catch_unwind(|| coupled_scope(|| panic!("deliberate")));
+        assert!(r.is_err());
+        assert_eq!(is_coupled(), Some(false));
+        0
+    });
+    for status in [plain.wait(), sibling.wait(), primary.wait(), panics.wait()] {
+        assert_eq!(status, 0);
+    }
+    assert_eq!(rt.park_expected(), 0, "after the BLTs");
+    // Pooled ULPs terminate coupled, every one of them (a count leaked per
+    // ULP here cost `pooled_churn` 5–12 % in the prototype).
+    for _ in 0..8 {
+        let batch: Vec<_> = (0..250)
+            .map(|_| {
+                rt.spawn_pooled("churn", || {
+                    orbit(3);
+                    0
+                })
+                .unwrap()
+            })
+            .collect();
+        for h in batch {
+            assert_eq!(h.wait(), 0);
+        }
+    }
+    assert_eq!(rt.park_expected(), 0, "after 2000 pooled ULPs");
+    let s = rt.stats().snapshot();
+    assert!(
+        s.park_spin_hits > 0,
+        "no scheduler ever spun, so nothing above was counted: {s:?}"
+    );
+    // Shutdown with a UC coupled and counted: it ends coupled, afterwards.
+    let (parked_tx, parked) = std::sync::mpsc::channel();
+    let (go, go_rx) = std::sync::mpsc::channel::<()>();
+    let coupled = rt.spawn("coupled-at-shutdown", move || {
+        decouple().unwrap();
+        orbit(50);
+        couple().unwrap();
+        parked_tx.send(()).unwrap();
+        go_rx.recv().unwrap();
+        0
+    });
+    parked.recv().unwrap();
+    rt.shutdown();
+    go.send(()).unwrap();
+    assert_eq!(coupled.wait(), 0);
+    assert_eq!(rt.park_expected(), 0, "after shutdown");
 }
 
 #[test]

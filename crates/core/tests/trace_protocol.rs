@@ -127,3 +127,63 @@ fn table_one_orderings_hold_under_global_fifo() {
 fn table_one_orderings_hold_under_work_stealing() {
     assert_protocol_orderings(&traced_workload(SchedPolicy::WorkStealing));
 }
+
+/// A `kc_notify` wake edge belongs to the couple request whose push ended
+/// the trampoline's park. A request served *without* a park — the KC was
+/// spinning, or between two passes of its loop — arms the same stamp, and
+/// must take it along: left behind, it is claimed by the next park that
+/// merely rides out its 50 ms time-out, and lands in
+/// `ulp_wake_to_run_ns{site="kc_notify"}` as a wake that took that long.
+#[test]
+fn kc_notify_edge_does_not_outlive_its_request() {
+    use std::time::{Duration, Instant};
+    use ulp_core::{couple, WakeSite};
+    let rt = Runtime::builder()
+        .schedulers(1)
+        .idle_policy(IdlePolicy::Adaptive)
+        .build();
+    rt.trace_enable();
+    let h = rt.spawn("orbit-then-roam", || {
+        decouple().unwrap();
+        for _ in 0..50 {
+            couple().unwrap();
+            decouple().unwrap();
+        }
+        // Long enough for the idle KC to time out of several parks.
+        let t = Instant::now();
+        while t.elapsed() < Duration::from_millis(400) {
+            yield_now();
+        }
+        0
+    });
+    assert_eq!(h.wait(), 0);
+    rt.trace_disable();
+    assert_eq!(rt.trace_dropped(), 0);
+    let trace = rt.take_trace();
+    for (i, r) in trace.iter().enumerate() {
+        let TraceEvent::Wake {
+            waker,
+            site: WakeSite::KcNotify,
+            delay_ns,
+            ..
+        } = r.event
+        else {
+            continue;
+        };
+        // The request that armed the edge was published `delay_ns` ago; it
+        // cannot have been served in between.
+        let armed_at = r.at_ns.saturating_sub(delay_ns);
+        let served = trace[..i]
+            .iter()
+            .rev()
+            .take_while(|p| p.at_ns > armed_at)
+            .find(|p| p.event == TraceEvent::Coupled(waker));
+        assert!(
+            served.is_none(),
+            "kc_notify delay_ns = {delay_ns}: the edge at {} ns claims a request armed at \
+             {armed_at} ns that was already served at {} ns",
+            r.at_ns,
+            served.map_or(0, |p| p.at_ns),
+        );
+    }
+}

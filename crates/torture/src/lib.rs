@@ -66,9 +66,9 @@ impl std::fmt::Display for Cell {
 }
 
 /// The full matrix: every scenario × both scheduling policies × the two
-/// paper idle policies (§VI-C) plus the runtime's adaptive extension —
-/// the spin-then-block path consumes the batched futex wakes the
-/// direct-handoff fast path elides, so it gets chaos coverage too.
+/// paper idle policies (§VI-C) plus the runtime's default, `Adaptive` —
+/// whose spin arm serves requests without the futex wake the other two
+/// rely on, so it gets chaos coverage too.
 pub fn matrix() -> Vec<Cell> {
     let mut cells = Vec::new();
     for &scenario in Scenario::ALL {
@@ -177,6 +177,15 @@ pub fn run_cell(cell: Cell, seed: u64) -> RunReport {
     fault::arm(FaultPlan::aggressive(splitmix64(seed ^ SALT_FAULT)));
 
     let mut violations = cell.scenario.run(&rt);
+    // Every scenario waits for all it spawned, so no UC is coupled any more:
+    // whatever the idle schedulers were told to spin for has been taken
+    // back, on every termination path the chaos drove the scenario down.
+    if rt.park_expected() != 0 {
+        violations.push(format!(
+            "{} wake expectations outlived the scenario's ULPs",
+            rt.park_expected()
+        ));
+    }
 
     let chaos_fired = chaos::fired_counts();
     let faults_injected = fault::injected_counts();

@@ -47,8 +47,9 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 
 [ -n "${check:-}" ] || exit 0
 
-# Structure gates (PR 18): one open-file interface, one wait queue, one hook
-# table. Each names what came back and where.
+# Structure gates: one open-file interface, one wait queue, one hook table
+# (PR 18); one idle decision, made from phases and not from a spin streak
+# (PR 19). Each names what came back and where.
 bad=0
 gate() { # gate <message> <matching lines>
     if [ -n "$2" ]; then
@@ -61,6 +62,8 @@ gate "FileObject is back under crates/ (descriptions hold Arc<dyn FileLike>)" \
     "$(git grep -n 'FileObject' -- crates || true)"
 gate "Condvar in $k outside wait.rs, aio.rs, kernel.rs (sleep on a WaitQueue)" \
     "$(git grep -n 'Condvar' -- $k ":!$k/wait.rs" ":!$k/aio.rs" ":!$k/kernel.rs" || true)"
+gate "the Adaptive spin streak is back under crates/ (Parker::park decides from expect()/unexpect())" \
+    "$(git grep -n 'spin_streak\|ADAPTIVE_SPIN_STREAK' -- crates || true)"
 hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
 if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
     gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
