@@ -21,6 +21,13 @@ const COUPLE_LOOP_BLTS: usize = 4;
 const COUPLE_LOOP_WINDOW: Duration = Duration::from_millis(150);
 const MIN_ADAPTIVE_OVER_BLOCKING: f64 = 1.3;
 
+/// Clients and requests per client of the request/reply gate, and the
+/// ceiling on trampoline futex blocks per request (≈ 0.95 when every
+/// `decouple()` wakes the sleeping scheduler, ≈ 0.01 when it stays home).
+const RR_CLIENTS: usize = 4;
+const RR_REQUESTS: usize = 2_000;
+const MAX_RR_KC_BLOCKS: f64 = 0.1;
+
 /// Pooled ULPs the churn gate spawns, the wave they are reaped in (so the
 /// stack free list's high-water mark is bounded by it), and the pool KCs.
 const CHURN_ULPS: usize = 100_000;
@@ -103,6 +110,16 @@ fn main() {
     gate(
         ratio >= MIN_ADAPTIVE_OVER_BLOCKING,
         format!("couple loop Adaptive {adaptive:.0}/s ÷ Blocking {blocking:.0}/s = {ratio:.2} (floor {MIN_ADAPTIVE_OVER_BLOCKING})"),
+    );
+
+    // Staying home: when every scope sleeps in the kernel the scheduler
+    // sleeps too, and a `decouple()` that left for it would pay an OS-thread
+    // wake-up there and another — the KC having gone idle behind it — on the
+    // way back. By the runtime's own counters the KCs must hardly ever sleep.
+    let blocks = workloads::request_reply_kc_blocks(RR_CLIENTS, RR_REQUESTS);
+    gate(
+        blocks < MAX_RR_KC_BLOCKS,
+        format!("request/reply KC blocks per request: {blocks:.3} (ceiling {MAX_RR_KC_BLOCKS}; {RR_CLIENTS} clients over socketpairs)"),
     );
 
     // Pooled churn: RSS must track the wave, not the ULPs ever spawned (a

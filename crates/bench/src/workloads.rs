@@ -180,6 +180,59 @@ pub fn couple_loop_ops_per_sec(policy: IdlePolicy, blts: usize, window: Duration
     ops as f64 / secs
 }
 
+/// `clients` decoupled BLTs on the default runtime, each sending `requests`
+/// one-byte requests over its own socketpair — `coupled_scope { write; read }`
+/// — to a thread-mode replier that shares its FD table and never decouples:
+/// `echo`'s shape, where every scope sleeps in the kernel and so every KC
+/// and the scheduler sleep between requests. Returns, from the runtime's own
+/// counters, trampoline futex blocks per request — one per request when
+/// every `decouple()` leaves for the sleeping scheduler, next to none when
+/// it stays home.
+pub fn request_reply_kc_blocks(clients: usize, requests: usize) -> f64 {
+    let rt = Runtime::new();
+    let (fds_tx, fds) = std::sync::mpsc::channel();
+    let mut handles = Vec::new();
+    for c in 0..clients {
+        let fds_tx = fds_tx.clone();
+        handles.push(rt.spawn(&format!("rr-client{c}"), move || {
+            let (a, b) = sys::socketpair().unwrap();
+            fds_tx.send((c, b)).unwrap();
+            decouple().unwrap();
+            let mut reply = [0u8; 1];
+            for r in 0..requests {
+                coupled_scope(|| {
+                    assert_eq!(sys::write(a, &[r as u8]), Ok(1));
+                    assert_eq!(sys::read(a, &mut reply), Ok(1));
+                })
+                .unwrap();
+                assert_eq!(reply[0], r as u8);
+            }
+            // Hanging up is what lets the replier finish.
+            coupled_scope(|| sys::close(a).unwrap()).unwrap();
+            0
+        }));
+    }
+    for _ in 0..clients {
+        let (c, b) = fds.recv().expect("every client sends its peer end");
+        let pid = handles[c].pid();
+        handles.push(
+            rt.spawn_with_identity(&format!("rr-replier{c}"), pid, move || {
+                let mut byte = [0u8; 1];
+                while sys::read(b, &mut byte) == Ok(1) {
+                    assert_eq!(sys::write(b, &byte), Ok(1));
+                }
+                // The client's exit may have closed the shared table already.
+                let _ = sys::close(b);
+                0
+            }),
+        );
+    }
+    for h in &handles {
+        assert_eq!(h.wait(), 0);
+    }
+    rt.stats().snapshot().kc_blocks as f64 / (clients * requests) as f64
+}
+
 // --------------------------------------------------- direct-handoff coupling
 
 /// Spin (OS-yielding, so a single-core host can run the peer) until the

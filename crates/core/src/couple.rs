@@ -13,6 +13,15 @@
 //! | Seq.6–7 `enqueue(UC₀,KC₁)`, `swap_ctx(UC₀,TC₀)` | [`decouple`]'s switch to the TC with `Deferred::Enqueue` (race point 2 resolved) |
 //! | Seq.8–9 `dequeue()` / `swap_ctx(UCᵢ,UC₀)` | the scheduler loop / direct `yield` switch |
 //!
+//! Table I never says KC₁ ≠ KC₀. A [`decouple`] that would have to wake a
+//! sleeping scheduler just to be woken back by its own [`couple`] *stays
+//! home* instead (`park.rs`, "Staying home", has the decision): Seq. 6–7
+//! still switch to the TC behind a deferred action — `Deferred::Home`, which
+//! publishes the UC to nobody — Seq. 8–9 are the TC's own dispatch of it
+//! (`kc.rs::tc_loop`, counted and charged like a scheduler's), and Seq. 1–4
+//! run unchanged with the TC as the host. Still 4 switches and 2 TLS loads
+//! per round trip; no wake-up, because no other thread is involved.
+//!
 //! ## Hot-path structure
 //!
 //! Every transition does all of its bookkeeping — deferred-action slot,
@@ -34,6 +43,18 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use ulp_fcontext::RawContext;
 
+/// One reload of the emulated TLS register at the profiled cost (§V-B),
+/// counted.
+#[inline]
+fn charge_tls_load(b: &ThreadBlock) {
+    if b.tls_switch() {
+        ulp_kernel::cost::spin_for(b.tls_spin());
+        if let Some(s) = b.shard() {
+            s.bump_tls_loads();
+        }
+    }
+}
+
 /// Install `uc` as the current ULP at the profiled UC↔UC cost: reload the
 /// emulated TLS register (§V-B) and lazily carry the signal mask. Returns
 /// the displaced occupant of the TLS register so callers can thread its
@@ -46,12 +67,7 @@ pub(crate) fn install_on(b: &ThreadBlock, uc: Arc<UcInner>) -> Option<Arc<UcInne
         None
     };
     let displaced = b.swap_ulp(Some(uc));
-    if b.tls_switch() {
-        ulp_kernel::cost::spin_for(b.tls_spin());
-        if let Some(s) = b.shard() {
-            s.bump_tls_loads();
-        }
-    }
+    charge_tls_load(b);
     if let Some(bits) = mask_bits {
         // ucontext-style mask carry (§VII), made lazy: the system call —
         // the "non-negligible overhead" the paper warns about — fires only
@@ -68,6 +84,43 @@ pub(crate) fn install_on(b: &ThreadBlock, uc: Arc<UcInner>) -> Option<Arc<UcInne
         }
     }
     displaced
+}
+
+/// A host — a scheduler KC, or a UC's own trampoline when its `decouple()`
+/// stayed home — dispatches the decoupled `uc` (Table I Seq. 8–9, KC₁
+/// column): count it, close its enqueue→dispatch span on the trace, and load
+/// its TLS register at the UC↔UC cost. `host` names the dispatching KC.
+/// Returns the context to switch to.
+pub(crate) fn host_dispatch(
+    b: &ThreadBlock,
+    uc: Arc<UcInner>,
+    host: crate::uc::BltId,
+) -> RawContext {
+    if let Some(s) = b.shard() {
+        s.bump_dispatches();
+    }
+    // A primary's own run as a ULT starts here, whatever it waited for
+    // before: the evidence for staying home next time (`park.rs`), which
+    // only a primary ever does.
+    let timed = uc.kind == UcKind::Primary;
+    let tracing = b.trace().filter(|t| t.is_on());
+    if timed || tracing.is_some() {
+        let now = crate::trace::now_ns();
+        if timed {
+            uc.phases.hosted(now);
+        }
+        if let Some(t) = tracing {
+            t.note_dispatch(now, &uc, host);
+        }
+    }
+    let target = unsafe { *uc.ctx.get() };
+    // The queue's (or home slot's) Arc moves into the TLS register; the
+    // displaced occupant — a scheduler's identity clone, re-materialized
+    // when the UC couples away, or nothing on a trampoline — is dropped
+    // here: the dispatch boundary is where the switch path's Arc traffic
+    // lives.
+    let _displaced = install_on(b, uc);
+    target
 }
 
 /// The context-switch primitive used by the scheduler/TC call sites:
@@ -220,14 +273,35 @@ pub fn decouple() -> Result<bool, UlpError> {
             b.put_deferred(Deferred::Enqueue(me_owned));
             return Ok(Prep::Switch { save, target });
         }
-        me.phases
-            .decoupling(now, runq, schedulers, Some(&me.kc.parker));
+        // Stay home (module docs) iff the evidence says so — every scheduler
+        // asleep under `Adaptive`, and the last decoupled stretch came
+        // straight back — this KC serves nobody else (a sibling's couple
+        // request needs it idle), and nothing is queued that a scheduler is
+        // about to wake up for anyway (the queues' length mirrors: one load
+        // under `GlobalFifo`; `is_empty()` is the consumers' locked
+        // re-check). A heuristic on racy reads: leaving and staying are both
+        // always correct.
+        let siblings = &me.kc.sibling_count;
+        #[allow(clippy::len_zero)]
+        let stay = me
+            .phases
+            .decoupling(now, runq, schedulers, Some(&me.kc.parker))
+            && me.kind == UcKind::Primary
+            && siblings.load(std::sync::atomic::Ordering::Relaxed) == 0
+            && rt.runq.len() == 0;
         let target = unsafe { *me.kc.tc_ctx.get() };
         // Vacate the TLS register and move our own reference into the
-        // deferred enqueue: it runs on the TC only after our registers are
+        // deferred action: it runs on the TC only after our registers are
         // saved — Table I race point 2.
         let me_owned = b.swap_ulp(None).expect("me is installed");
-        b.put_deferred(Deferred::Enqueue(me_owned));
+        b.put_deferred(if stay {
+            if let Some(s) = b.shard() {
+                s.bump_decouple_homes();
+            }
+            Deferred::Home(me_owned)
+        } else {
+            Deferred::Enqueue(me_owned)
+        });
         Ok(Prep::Switch { save, target })
     })?;
     let Prep::Switch { save, target } = prep else {
@@ -236,7 +310,8 @@ pub fn decouple() -> Result<bool, UlpError> {
     unsafe {
         ulp_fcontext::swap(&mut *save, target, 0);
     }
-    // We are back: some scheduler KC picked us up. We now run as a ULT.
+    // We are back: some scheduler KC — or our own trampoline — picked us
+    // up. We now run as a ULT.
     run_deferred();
     Ok(true)
 }
@@ -259,23 +334,32 @@ pub fn couple() -> Result<bool, UlpError> {
         if me.is_coupled() {
             return Ok(Prep::NoSwitch);
         }
-        // Running as a ULT: by construction we are hosted on a scheduler KC.
-        let Some(host) = b.host_arc() else {
+        // Running as a ULT: by construction we are hosted — on a scheduler
+        // KC, or at home by our own KC's trampoline.
+        let host = b.host_arc();
+        if host.is_none() && !me.kc.is_current_thread() {
             return Err(UlpError::NotAUlp);
-        };
+        }
         if let Some(s) = b.shard() {
             s.bump_couples();
             s.bump_context_switches();
         }
         let save = me.ctx.get();
-        let target = unsafe { *host.ctx.get() };
-        // Switching back into the scheduler's context is a UC↔UC switch:
-        // the host's TLS register is reloaded at cost. Our own reference is
-        // displaced out of the register and moves into the couple request —
-        // the host publishes us to our original KC only after our registers
-        // are saved (race point 1).
-        let me_owned = install_on(b, host).expect("me is installed");
-        b.put_deferred(Deferred::CoupleRequest(me_owned));
+        // Switching back into the host's context is a UC↔UC switch: the
+        // host's TLS register is reloaded at cost — also at home, where the
+        // trampoline is playing the scheduler (the TC↔UC exemption is for a
+        // KC resuming its own coupled UC). Our own reference is displaced out
+        // of the register and moves into the couple request — the host
+        // publishes us to our original KC only after our registers are saved
+        // (race point 1).
+        let (target, me_owned) = match host {
+            Some(host) => (unsafe { *host.ctx.get() }, install_on(b, host)),
+            None => {
+                charge_tls_load(b);
+                (unsafe { *me.kc.tc_ctx.get() }, b.swap_ulp(None))
+            }
+        };
+        b.put_deferred(Deferred::CoupleRequest(me_owned.expect("me is installed")));
         Ok(Prep::Switch { save, target })
     })?;
     let Prep::Switch { save, target } = prep else {
@@ -316,7 +400,8 @@ pub fn couple() -> Result<bool, UlpError> {
 
 /// Cooperatively yield to the next runnable UC, if any (direct UC→UC
 /// switch, the paper's `swap_ctx(UC₀, UCᵢ)`). Returns `true` if a switch
-/// happened. Coupled BLTs and schedulers delegate to the OS scheduler.
+/// happened. Coupled BLTs and schedulers delegate to the OS scheduler; a UC
+/// hosted at home by its own KC hands the KC back and moves to a scheduler.
 pub fn yield_now() -> bool {
     let prep = with_thread(|b| {
         let Some(rt) = b.rt() else {
@@ -329,6 +414,22 @@ pub fn yield_now() -> bool {
             // A KLT's yield is the kernel's business (Table IV's
             // sched_yield rows); nothing user-level to do.
             return Prep::OsYield;
+        }
+        if b.at_home() {
+            // Nobody to switch to on our own KC: give it up and rejoin the
+            // scheduled pool through the trampoline — `decouple()`'s Seq.
+            // 6–7 once more, TLS-exempt like them.
+            if let Some(s) = b.shard() {
+                s.bump_context_switches();
+            }
+            if let Some(t) = b.trace() {
+                t.record(crate::trace::Event::Requeue(me.id));
+            }
+            let save = me.ctx.get();
+            let target = unsafe { *me.kc.tc_ctx.get() };
+            let me_owned = b.swap_ulp(None).expect("me is installed");
+            b.put_deferred(Deferred::Enqueue(me_owned));
+            return Prep::Switch { save, target };
         }
         let Some(next) = rt.runq.pop() else {
             return Prep::NoSwitch;

@@ -154,7 +154,9 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                     Some(("coupled", None)),
                 );
             }
-            Event::Decouple(u) => {
+            // `Requeue`: a UC at home re-entering the run queue is queued
+            // again, exactly as after its `Decouple`.
+            Event::Decouple(u) | Event::Requeue(u) => {
                 tids.insert(u.0, ());
                 transition(&mut events, &mut open, u.0, r.at_ns, Some(("queued", None)));
             }
@@ -513,8 +515,9 @@ fn wake_blocks(out: &mut String, wake: &WakeSnapshot) {
 /// `violations_total` the runtime's recorded system-call-consistency
 /// violations (the audit log's length — also independent of tracing),
 /// `trace_dropped` the tracer's lost-record count for the current recording
-/// run (a gauge: `Tracer::enable` resets it) and `park_expected` the run
-/// queue parker's count of wakes on their way (a gauge: 0 at quiescence).
+/// run (a gauge: `Tracer::enable` resets it), `park_expected` the run
+/// queue parker's count of wakes on their way (a gauge: 0 at quiescence)
+/// and `runqueue_depth` the runnable UCs queued right now (a gauge).
 #[allow(clippy::too_many_arguments)]
 pub fn prometheus_text(
     stats: &StatsSnapshot,
@@ -525,6 +528,7 @@ pub fn prometheus_text(
     pool: &PoolMetrics,
     trace_dropped: u64,
     park_expected: u64,
+    runqueue_depth: u64,
 ) -> String {
     let mut out = String::new();
     counter_block(
@@ -578,7 +582,7 @@ pub fn prometheus_text(
     counter_block(
         &mut out,
         "ulp_scheduler_dispatches_total",
-        "Decoupled UCs dispatched by scheduler KCs.",
+        "Decoupled UCs dispatched by scheduler KCs, or at home by their own KC's trampoline.",
         stats.scheduler_dispatches,
     );
     counter_block(
@@ -592,6 +596,13 @@ pub fn prometheus_text(
         "ulp_couple_handoff_total",
         "Couples completed by direct handoff from a decoupling UC (fast path).",
         stats.couple_handoffs,
+    );
+    counter_block(
+        &mut out,
+        "ulp_decouple_home_total",
+        "Decouples that stayed home: hosted by the UC's own trampoline because leaving would \
+         have woken a sleeping scheduler.",
+        stats.decouple_homes,
     );
     let _ = writeln!(
         out,
@@ -612,6 +623,12 @@ pub fn prometheus_text(
         "ulp_park_expected",
         "Coupled scopes in flight that idle schedulers spin for (wakes known to be on their way).",
         park_expected,
+    );
+    gauge_block(
+        &mut out,
+        "ulp_runqueue_depth",
+        "Decoupled UCs queued for a scheduler right now (injector plus local deques).",
+        runqueue_depth,
     );
     counter_block(
         &mut out,
@@ -791,6 +808,49 @@ mod tests {
         assert_eq!(decoupled["args"]["scheduler"].as_str(), Some("blt:1"));
     }
 
+    /// A home dispatch names the BLT's own KC as the host, and the
+    /// `Requeue` of a `yield_now()` at home puts it back in the queue.
+    #[test]
+    fn home_dispatch_and_requeue_render_as_states() {
+        let json = chrome_trace_json(&[
+            rec(0, Event::Spawn(BltId(4))),
+            rec(100, Event::Decouple(BltId(4))),
+            rec(
+                110,
+                Event::Dispatch {
+                    uc: BltId(4),
+                    scheduler: BltId(4),
+                },
+            ),
+            rec(200, Event::Requeue(BltId(4))),
+            rec(300, Event::Terminate(BltId(4))),
+        ]);
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let spans: Vec<(&str, f64)> = v["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("X"))
+            .map(|e| (e["name"].as_str().unwrap(), e["ts"].as_f64().unwrap()))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                ("coupled", 0.0),
+                ("queued", 0.1),
+                ("decoupled", 0.11),
+                ("queued", 0.2)
+            ]
+        );
+        let hosted = v["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|e| e["name"].as_str() == Some("decoupled"))
+            .expect("decoupled span");
+        assert_eq!(hosted["args"]["scheduler"].as_str(), Some("blt:4"));
+    }
+
     #[test]
     fn prometheus_text_shape() {
         let stats = StatsSnapshot {
@@ -814,8 +874,11 @@ mod tests {
             cached: 3,
             warm: 1,
         };
-        let text = prometheus_text(&stats, &lat, &SyscallSnapshot::new(), 0, 3, &pool, 5, 2);
+        let text = prometheus_text(&stats, &lat, &SyscallSnapshot::new(), 0, 3, &pool, 5, 2, 7);
         assert!(text.contains("ulp_context_switches_total 42\n"));
+        assert!(text.contains("ulp_decouple_home_total 0\n"));
+        assert!(text.contains("# TYPE ulp_runqueue_depth gauge"));
+        assert!(text.contains("ulp_runqueue_depth 7\n"));
         assert!(text.contains("# TYPE ulp_trace_dropped_total gauge"));
         assert!(text.contains("ulp_trace_dropped_total 5\n"));
         assert!(text.contains("# TYPE ulp_park_total counter"));
@@ -1009,6 +1072,7 @@ mod tests {
             &PoolMetrics::default(),
             0,
             0,
+            0,
         );
         assert!(text.contains("ulp_kernel_syscalls_total 17\n"));
         assert!(text.contains("ulp_syscall_violations_total 0\n"));
@@ -1090,6 +1154,7 @@ mod tests {
             &PoolMetrics::default(),
             0,
             0,
+            0,
         );
         assert!(text.contains("# TYPE ulp_wake_total counter"));
         assert!(text.contains("ulp_wake_total{site=\"epoll_wait\"} 3\n"));
@@ -1116,6 +1181,7 @@ mod tests {
             0,
             0,
             &PoolMetrics::default(),
+            0,
             0,
             0,
         );

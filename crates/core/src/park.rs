@@ -111,6 +111,24 @@
 //! a wake-up: the announce → locked re-check → `futex_wait` protocol above
 //! is what every sleep still goes through.
 //!
+//! ## Staying home
+//!
+//! The same evidence answers the opposite question. A `decouple()` that
+//! finds **every scheduler asleep and the run queue empty** would pay one
+//! OS-thread wake-up to leave and a second to come back — and Table I never
+//! says KC₁ ≠ KC₀. Under `Adaptive`, a `Primary` whose KC serves nobody else
+//! then stays on its own KC, hosted by its trampoline, iff its last
+//! decoupled stretch came straight back ([`HOME_BREAK_EVEN_NS`]). That
+//! stretch is timed from the **host's dispatch**, not from `decouple()` like
+//! `ult_gap` (`queued` is the difference): `ult_gap` contains the
+//! scheduler's wake-up exactly when the scheduler slept — right for the spin
+//! decision, where a slow wake says "do not spin", and wrong here, where a
+//! slow wake is the reason to stay. One more clock read per dispatch of a
+//! primary, none on the yield path; with no history (a first `decouple()`)
+//! the answer is leave. The UC is never published to another thread while
+//! it is at home, so none of the protocol above is involved: `couple.rs` and
+//! `kc.rs` have the switches.
+//!
 //! `model.rs` next to this file checks the protocol — spin arm included —
 //! on every interleaving of its atomic steps (2 producers × 1 consumer)
 //! under sequential consistency; the tests below hammer the real thing.
@@ -148,6 +166,21 @@ const SCOPE_BREAK_EVEN_NS: u32 = 5_000;
 /// when the scheduler slept, which reads long — and then "do not spin" is
 /// the right answer anyway.
 const GAP_BREAK_EVEN_NS: u32 = 50_000;
+
+/// A decoupled stretch whose *own* run time — its host's dispatch of the UC →
+/// the publication of its next `CoupleRequest`, the queue wait and the
+/// scheduler's wake-up before it left out — was last shorter than this came
+/// "straight back", and is worth keeping at home when leaving would cost a
+/// wake ("Staying home" below): shorter, that is, than the sleep and wake it
+/// saves. A wrong stay costs one stretch run on the UC's own KC instead of a
+/// program core, and the next sample corrects it; a wrong leave costs two
+/// wake-ups. `echo`'s clients run 0.3–1 µs between two requests and read the
+/// same at 5 µs; a lone BLT's `coupled_scope(getpid)` loop reads 552 ns per
+/// round trip at 5 µs and 386 ns here — this host stalls a thread for more
+/// than 5 µs some 1 400 times a second (for more than 20 µs, 150 times), and
+/// every sample that says "long" sends the loop through the schedulers'
+/// spin orbit for ~2 ms before it comes home again.
+const HOME_BREAK_EVEN_NS: u32 = 50_000;
 
 /// How long after the newest [`Parker::expect`] a waiter keeps spinning: what
 /// the sleep it is trying to avoid would have cost, so a wrong prediction
@@ -492,12 +525,21 @@ impl Parker {
         self.expected.load(Ordering::Relaxed)
     }
 
-    /// The regime gate for trampolines: at least one of this parker's
-    /// `consumers` is awake and it is itself waiting on short phases — the
-    /// runtime is in a couple/decouple orbit, not serving the odd request
-    /// between sleeps.
-    fn in_orbit(&self, consumers: u32) -> bool {
-        self.expected() != 0 && self.sleepers.load(Ordering::Relaxed) < consumers
+    /// How this parker's `consumers` stand towards a UC about to be handed
+    /// to them, from one read of the sleeper count — `(in_orbit, all_asleep)`.
+    /// *In orbit* is the regime gate for trampolines: at least one consumer
+    /// is awake and it is itself waiting on short phases — the runtime is in
+    /// a couple/decouple orbit, not serving the odd request between sleeps.
+    /// *All asleep* is when the hand-over would cost an OS-thread wake-up:
+    /// every consumer has announced itself, and the policy is `Adaptive`
+    /// (BLOCKING and BUSYWAIT are the paper's, and always hand over; module
+    /// docs, "Staying home").
+    fn regime(&self, consumers: u32) -> (bool, bool) {
+        let sleepers = self.sleepers.load(Ordering::Relaxed);
+        (
+            self.expected() != 0 && sleepers < consumers,
+            self.idle_policy == IdlePolicy::Adaptive && sleepers >= consumers,
+        )
     }
 
     /// Idle once — the consumer half of the protocol (module docs). `seen`
@@ -630,6 +672,11 @@ pub struct Phases {
     /// Last `decouple()` → `CoupleRequest` publication, timed on the
     /// schedulers.
     ult_gap: AtomicU32,
+    /// `decouple()` → the dispatch of this UC by a host (a scheduler, or its
+    /// own trampoline at home): the part of `ult_gap` it spent waiting — in
+    /// the run queue, for a scheduler to wake up — rather than running
+    /// ("Staying home"). 0 until a host dispatches it.
+    queued: AtomicU32,
     /// Counted in the run queue parker's `expected` (publication →
     /// `decouple()` or coupled termination).
     awaited_by_scheduler: AtomicBool,
@@ -644,20 +691,32 @@ impl Phases {
             since: AtomicU64::new(0),
             scope_run: AtomicU32::new(u32::MAX),
             ult_gap: AtomicU32::new(u32::MAX),
+            queued: AtomicU32::new(0),
             awaited_by_scheduler: AtomicBool::new(false),
             awaited_by_kc: AtomicBool::new(false),
         }
     }
 
-    /// This UC's `CoupleRequest` is about to be pushed (on a scheduler, at
-    /// `now`): its decoupled stretch ends, and the schedulers can expect it
-    /// back iff its scopes are short.
-    pub(crate) fn publishing(&self, now: u64, runq: &Parker) {
+    /// A host (a scheduler, or the UC's own trampoline at home) is about to
+    /// run this UC as a ULT, at `now`.
+    pub(crate) fn hosted(&self, now: u64) {
+        let since = self.since.load(Ordering::Relaxed);
+        self.queued.store(phase_ns(since, now), Ordering::Relaxed);
+    }
+
+    /// This UC's `CoupleRequest` is about to be pushed, at `now`: its
+    /// decoupled stretch ends. `runq` is the run queue's parker when a
+    /// scheduler publishes it — the schedulers can expect the UC back iff its
+    /// scopes are short — and `None` at home, where no scheduler gave it up
+    /// and none is waiting for it.
+    pub(crate) fn publishing(&self, now: u64, runq: Option<&Parker>) {
         let since = self.since.load(Ordering::Relaxed);
         self.ult_gap.store(phase_ns(since, now), Ordering::Relaxed);
-        if self.scope_run.load(Ordering::Relaxed) < SCOPE_BREAK_EVEN_NS {
-            self.awaited_by_scheduler.store(true, Ordering::Relaxed);
-            runq.expect(now);
+        if let Some(runq) = runq {
+            if self.scope_run.load(Ordering::Relaxed) < SCOPE_BREAK_EVEN_NS {
+                self.awaited_by_scheduler.store(true, Ordering::Relaxed);
+                runq.expect(now);
+            }
         }
     }
 
@@ -675,27 +734,38 @@ impl Phases {
     /// scope ends. `trampoline` is the KC's parker when the KC goes idle
     /// behind it (no direct handoff): it can expect the UC back iff its
     /// decoupled stretches are short and the run queue — `schedulers`
-    /// consumers on `runq` — is in the same orbit.
+    /// consumers on `runq` — is in the same orbit. Returns whether the
+    /// evidence says *stay home*: leaving would wake a sleeping scheduler and
+    /// the last stretch came straight back (the caller knows the rest: whom
+    /// the KC serves, and what is queued).
     pub(crate) fn decoupling(
         &self,
         now: u64,
         runq: &Parker,
         schedulers: usize,
         trampoline: Option<&Parker>,
-    ) {
+    ) -> bool {
         let since = self.since.swap(now, Ordering::Relaxed);
         self.scope_run
             .store(phase_ns(since, now), Ordering::Relaxed);
+        // The last stretch's own run time, and a clean slate for the next: a
+        // UC resumed by another's `yield_now()` is not timed, and counts the
+        // whole of its next `ult_gap` as run.
+        let ult_gap = self.ult_gap.load(Ordering::Relaxed);
+        let ult_run = ult_gap.saturating_sub(self.queued.load(Ordering::Relaxed));
+        self.queued.store(0, Ordering::Relaxed);
         // The gate is read with this UC's own registration still in it: a
         // lone BLT in a couple/decouple loop is an orbit too (Table V).
-        let in_orbit = runq.in_orbit(schedulers as u32);
+        let (in_orbit, all_asleep) = runq.regime(schedulers as u32);
         self.ended_coupled(runq);
-        if let Some(kc) = trampoline {
-            if in_orbit && self.ult_gap.load(Ordering::Relaxed) < GAP_BREAK_EVEN_NS {
-                self.awaited_by_kc.store(true, Ordering::Relaxed);
-                kc.expect(now);
-            }
+        let Some(kc) = trampoline else {
+            return false;
+        };
+        if in_orbit && ult_gap < GAP_BREAK_EVEN_NS {
+            self.awaited_by_kc.store(true, Ordering::Relaxed);
+            kc.expect(now);
         }
+        all_asleep && ult_run < HOME_BREAK_EVEN_NS
     }
 
     /// The coupled scope is over — by `decouple()`, or because the UC

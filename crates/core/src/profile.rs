@@ -812,7 +812,9 @@ pub fn fold_profile_window(records: &[TraceRecord], window: Option<(u64, u64)>) 
                 t.transition(at, Some(COUPLED));
                 t.birth_unresolved = true;
             }
-            Event::Decouple(u) => {
+            // `Requeue`: a UC at home re-entering the run queue is queued
+            // again, exactly as after its `Decouple`.
+            Event::Decouple(u) | Event::Requeue(u) => {
                 let t = blt!(u);
                 t.resolve_birth(false);
                 t.transition(at, Some(QUEUED));
@@ -994,6 +996,45 @@ mod tests {
             rec(600, Event::Coupled(BltId(4))),
             rec(800, Event::Terminate(BltId(4))),
         ]
+    }
+
+    /// A stay at home folds like any dispatch — its `queued` span is the
+    /// two switches through the trampoline — and the `Requeue` of a
+    /// `yield_now()` at home opens a second queued span that a scheduler's
+    /// dispatch closes; the partition stays exact.
+    #[test]
+    fn home_dispatch_and_requeue_partition_the_lifetime() {
+        let home = |at| {
+            rec(
+                at,
+                Event::Dispatch {
+                    uc: BltId(4),
+                    scheduler: BltId(4),
+                },
+            )
+        };
+        let p = fold_profile(&[
+            rec(0, Event::Spawn(BltId(4))),
+            rec(100, Event::Decouple(BltId(4))),
+            home(101),
+            rec(150, Event::Requeue(BltId(4))),
+            rec(
+                400,
+                Event::Dispatch {
+                    uc: BltId(4),
+                    scheduler: BltId(1),
+                },
+            ),
+            rec(500, Event::CoupleRequest(BltId(4))),
+            rec(600, Event::Coupled(BltId(4))),
+            rec(700, Event::Terminate(BltId(4))),
+        ]);
+        let b = p.get(BltId(4)).expect("blt 4 profiled");
+        assert_eq!(b.state(ProfileState::Queued).total_ns, 1 + 250);
+        assert_eq!(b.state(ProfileState::Queued).spans, 2);
+        assert_eq!(b.state(ProfileState::Decoupled).total_ns, 49 + 100);
+        assert_eq!(b.state(ProfileState::Decoupled).spans, 2);
+        assert_eq!(b.lifecycle_ns(), 700);
     }
 
     #[test]

@@ -242,18 +242,7 @@ impl RunQueue {
             if g.is_on() {
                 // Open the enqueue→dispatch span (one relaxed load when
                 // tracing is off — the `gate` Option is a plain field).
-                uc.wait_since
-                    .store(crate::trace::now_ns(), Ordering::Relaxed);
-                // Default wake attribution for the dispatcher: a plain
-                // self-enqueue (decouple / yield). Callers with a more
-                // specific cause (spawn) pre-stamp and win — the previous
-                // consumer already swapped the cell back to 0.
-                if uc.wake_from.load(Ordering::Relaxed) == 0 {
-                    uc.wake_from.store(
-                        crate::uc::encode_wake_from(uc.id, ulp_kernel::WakeSite::Enqueue),
-                        Ordering::Relaxed,
-                    );
-                }
+                uc.stamp_enqueued(crate::trace::now_ns());
             }
         }
         let foreign = match self.policy {

@@ -379,6 +379,7 @@ impl RuntimeInner {
             &crate::export::PoolMetrics::from_pool(&self.stack_pool),
             self.tracer.dropped_records(),
             self.runq.parker().expected().into(),
+            self.runq.len() as u64,
         )
     }
 
@@ -826,43 +827,13 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
 
 /// Dispatch one decoupled UC on this scheduler KC (Table I, KC₁ column).
 fn run_uc(host: &Arc<UcInner>, uc: Arc<UcInner>) {
-    let target = unsafe { *uc.ctx.get() };
     let save = host.ctx.get();
-    // One thread-block access for the whole dispatch: count it, trace it,
-    // then the UC↔UC install loads the worker's TLS register at cost. The
-    // queue's Arc moves into the TLS register; the displaced host-identity
-    // clone (re-materialized when the UC couples away) is dropped here —
-    // the dispatch boundary is where the switch path's Arc traffic lives.
-    with_thread(|b| {
+    // One thread-block access for the whole dispatch.
+    let target = with_thread(|b| {
         if let Some(s) = b.shard() {
-            s.bump_dispatches();
             s.bump_context_switches();
         }
-        if let Some(t) = b.trace() {
-            if t.is_on() {
-                let now = crate::trace::now_ns();
-                // Close the enqueue→dispatch span opened at the run-queue
-                // push, and emit the wake edge that ended it — recorded
-                // before the Dispatch so the causal order survives the
-                // stable by-timestamp sort.
-                let since = uc.wait_since.swap(0, Ordering::Relaxed);
-                let wake = uc.wake_from.swap(0, Ordering::Relaxed);
-                if let Some((waker, site)) = crate::uc::decode_wake_from(wake) {
-                    t.emit_wake(now, waker.0, uc.id.0, site, since);
-                }
-                t.record_at(
-                    now,
-                    crate::trace::Event::Dispatch {
-                        uc: uc.id,
-                        scheduler: host.id,
-                    },
-                );
-                if since != 0 {
-                    t.hist_queue_delay.record(now.saturating_sub(since));
-                }
-            }
-        }
-        let _displaced_host = crate::couple::install_on(b, uc);
+        crate::couple::host_dispatch(b, uc, host.id)
     });
     unsafe {
         ulp_fcontext::swap(&mut *save, target, 0);

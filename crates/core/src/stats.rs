@@ -54,13 +54,17 @@ pub struct StatsShard {
     /// Pooled ULPs spawned (oversubscription mode: own kernel identity,
     /// shared pool KC, recycled stack).
     pub pooled_spawned: AtomicU64,
-    /// Decoupled UCs popped and run by scheduler KCs.
+    /// Decoupled UCs popped and run by scheduler KCs — or dispatched at
+    /// home by their own KC's trampoline (`decouple_homes` of them).
     pub scheduler_dispatches: AtomicU64,
     /// Idle kernel contexts that blocked on a futex (BLOCKING idle policy).
     pub kc_blocks: AtomicU64,
     /// Couples completed by direct handoff from a decoupling UC (the fast
     /// path that skipped the run queue and the idle-loop futex wake).
     pub couple_handoffs: AtomicU64,
+    /// Decouples that stayed home: the UC's own trampoline hosted it
+    /// because leaving would have woken a sleeping scheduler.
+    pub decouple_homes: AtomicU64,
     /// Idle periods that spun and were ended by work arriving: a futex
     /// sleep and wake saved (`park.rs`, "The idle decision").
     pub park_spin_hits: AtomicU64,
@@ -140,6 +144,11 @@ impl StatsShard {
     pub fn bump_couple_handoffs(&self) {
         bump(&self.couple_handoffs);
     }
+    /// Count one decouple that stayed home.
+    #[inline]
+    pub fn bump_decouple_homes(&self) {
+        bump(&self.decouple_homes);
+    }
     /// Count one idle period whose spin was ended by work.
     #[inline]
     pub fn bump_park_spin_hits(&self) {
@@ -169,6 +178,7 @@ impl StatsShard {
         acc.scheduler_dispatches += self.scheduler_dispatches.load(Ordering::Relaxed);
         acc.kc_blocks += self.kc_blocks.load(Ordering::Relaxed);
         acc.couple_handoffs += self.couple_handoffs.load(Ordering::Relaxed);
+        acc.decouple_homes += self.decouple_homes.load(Ordering::Relaxed);
         acc.park_spin_hits += self.park_spin_hits.load(Ordering::Relaxed);
         acc.park_spin_misses += self.park_spin_misses.load(Ordering::Relaxed);
         acc.park_sleeps += self.park_sleeps.load(Ordering::Relaxed);
@@ -314,6 +324,8 @@ pub struct StatsSnapshot {
     pub kc_blocks: u64,
     /// Couples completed by direct handoff (fast path).
     pub couple_handoffs: u64,
+    /// Decouples that stayed home, hosted by the UC's own trampoline.
+    pub decouple_homes: u64,
     /// Idle periods whose spin was ended by work arriving (a sleep saved).
     pub park_spin_hits: u64,
     /// Idle periods whose spin ran to the deadline and slept (CPU wasted).
@@ -337,6 +349,7 @@ impl StatsSnapshot {
             scheduler_dispatches: self.scheduler_dispatches - earlier.scheduler_dispatches,
             kc_blocks: self.kc_blocks - earlier.kc_blocks,
             couple_handoffs: self.couple_handoffs - earlier.couple_handoffs,
+            decouple_homes: self.decouple_homes - earlier.decouple_homes,
             park_spin_hits: self.park_spin_hits - earlier.park_spin_hits,
             park_spin_misses: self.park_spin_misses - earlier.park_spin_misses,
             park_sleeps: self.park_sleeps - earlier.park_sleeps,

@@ -40,10 +40,12 @@ fn veneer<T>(call: Option<&'static str>, f: impl FnOnce(&KernelRef) -> KResult<T
     with_thread(|b| {
         let rt = b.rt().ok_or(Errno::ESRCH)?;
         let me = b.ulp();
-        // The gate: flag system calls issued while decoupled — i.e. from an
-        // OS thread that is not the calling UC's original kernel context.
+        // The gate: flag system calls issued while decoupled — from an OS
+        // thread that is not the calling UC's original kernel context, or
+        // from the right one only because this `decouple()` happened to stay
+        // home, which no program can count on.
         if let (Some(call), Some(me)) = (call, me) {
-            if !me.kc.is_current_thread() {
+            if !me.is_coupled() {
                 rt.report_violation(UlpError::ConsistencyViolation { ulp: me.id.0, call });
             }
         }

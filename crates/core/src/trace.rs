@@ -50,11 +50,14 @@ use ulp_kernel::{SyscallPhase, Sysno, WakeSite};
 pub enum Event {
     /// A BLT was spawned (as a KLT).
     Spawn(BltId),
-    /// A scheduler KC dispatched a decoupled UC.
+    /// A host dispatched a decoupled UC: a scheduler KC — or, with
+    /// `scheduler == uc`, the UC's own original KC, whose trampoline kept it
+    /// at home (Table I with KC₁ = KC₀; a KC is named by its primary's id,
+    /// as in [`Event::KcBlocked`]).
     Dispatch {
         /// The UC being dispatched.
         uc: BltId,
-        /// The scheduler KC doing the dispatching.
+        /// The KC doing the dispatching.
         scheduler: BltId,
     },
     /// A UC decoupled from its original KC.
@@ -80,6 +83,10 @@ pub enum Event {
         /// The UC taking it over.
         to: BltId,
     },
+    /// A UC at home gave its own KC up and re-entered the run queue through
+    /// the trampoline (`yield_now()` at home): an enqueue with no UC taking
+    /// over, which a scheduler's `Dispatch` answers.
+    Requeue(BltId),
     /// A UC terminated.
     Terminate(BltId),
     /// An idle KC went to sleep (BLOCKING/Adaptive).
@@ -161,6 +168,7 @@ impl Event {
                 0,
             ),
             Event::CoupleHandoff { from, to } => (11, from.0, to.0, 0),
+            Event::Requeue(u) => (13, u.0, 0, 0),
             Event::Wake {
                 waker,
                 wakee,
@@ -217,6 +225,7 @@ impl Event {
                 site: WakeSite::from_u16(c as u8 as u16)?,
                 delay_ns: c >> 8,
             },
+            13 => Event::Requeue(BltId(a)),
             _ => return None,
         })
     }
@@ -587,6 +596,28 @@ impl TraceShard {
             for h in hists.iter() {
                 h.reset();
             }
+        }
+    }
+
+    /// A host is dispatching `uc` at `now`: close the enqueue→dispatch span
+    /// opened when it became runnable, emitting the wake edge that ended it
+    /// *before* the `Dispatch` record so the causal order survives the stable
+    /// by-timestamp sort. The caller checked [`TraceShard::is_on`].
+    pub(crate) fn note_dispatch(&self, now: u64, uc: &crate::uc::UcInner, host: BltId) {
+        let since = uc.wait_since.swap(0, Ordering::Relaxed);
+        let wake = uc.wake_from.swap(0, Ordering::Relaxed);
+        if let Some((waker, site)) = crate::uc::decode_wake_from(wake) {
+            self.emit_wake(now, waker.0, uc.id.0, site, since);
+        }
+        self.record_at(
+            now,
+            Event::Dispatch {
+                uc: uc.id,
+                scheduler: host,
+            },
+        );
+        if since != 0 {
+            self.hist_queue_delay.record(now.saturating_sub(since));
         }
     }
 
@@ -1014,6 +1045,7 @@ mod tests {
                 from: BltId(11),
                 to: BltId(12),
             },
+            Event::Requeue(BltId(15)),
             Event::Wake {
                 waker: BltId(13),
                 wakee: BltId(14),

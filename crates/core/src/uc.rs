@@ -371,6 +371,21 @@ impl UcInner {
     pub fn is_coupled(&self) -> bool {
         self.coupled.load(Ordering::Acquire)
     }
+
+    /// Tracing only: this UC became runnable at `now` — open its
+    /// enqueue→dispatch span, which whoever dispatches it closes. The wake
+    /// attribution defaults to a plain self-enqueue (decouple / yield); a
+    /// caller with a more specific cause (spawn) pre-stamps and wins — the
+    /// previous consumer already swapped the cell back to 0.
+    pub(crate) fn stamp_enqueued(&self, now: u64) {
+        self.wait_since.store(now, Ordering::Relaxed);
+        if self.wake_from.load(Ordering::Relaxed) == 0 {
+            self.wake_from.store(
+                encode_wake_from(self.id, ulp_kernel::WakeSite::Enqueue),
+                Ordering::Relaxed,
+            );
+        }
+    }
 }
 
 impl std::fmt::Debug for UcInner {

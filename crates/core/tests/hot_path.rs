@@ -63,6 +63,12 @@ fn assert_table5_invariant(sched: SchedPolicy, idle: IdlePolicy) {
         assert_eq!(d.decouples, PAIRS);
         assert_eq!(d.scheduler_dispatches, PAIRS);
         assert_eq!(d.yields, 0);
+        // BUSYWAIT and BLOCKING are the paper's rows: every decouple leaves
+        // for a scheduler. Under `Adaptive` one that finds the scheduler
+        // asleep may stay home — same counts (`tests/stay_home.rs`).
+        if idle != IdlePolicy::Adaptive {
+            assert_eq!(d.decouple_homes, 0, "{sched:?}/{idle:?}: {d:?}");
+        }
         0
     });
     assert_eq!(h.wait(), 0);
@@ -155,6 +161,10 @@ fn assert_handoff_invariant(sched: SchedPolicy, idle: IdlePolicy) {
         );
         assert_eq!(d.scheduler_dispatches, 2 * PAIRS);
         assert_eq!(d.yields, 0);
+        assert_eq!(
+            d.decouple_homes, 0,
+            "a KC that serves a sibling never keeps its UC home ({sched:?}/{idle:?}): {d:?}"
+        );
         assert_eq!(
             d.kc_blocks, 0,
             "the TC never runs on the fast path, so the KC never futex-blocks \

@@ -1,0 +1,387 @@
+//! Staying home (`park.rs`, "Staying home"; DESIGN.md §4): a `decouple()`
+//! that would have to wake a sleeping scheduler lets its own trampoline host
+//! the UC instead.
+//!
+//! A binary of its own, and every test takes [`SERIAL`]: two tests arm the
+//! kernel's process-global fault plan with `delay_wake_per_1024: 1024` —
+//! which makes *every* `futex_wake` cost 50 µs plus timer slack, and makes
+//! `injected_counts()[DelayWake]` an exact count of the calls — and all of
+//! them want the one scheduler asleep when they look.
+
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+use ulp_core::ulp_kernel::fault::{self, FaultKind, FaultPlan};
+use ulp_core::{
+    couple, coupled_scope, decouple, is_coupled, pending_couplers, sys, yield_now, IdlePolicy,
+    Runtime, SchedPolicy, StatsSnapshot, TraceEvent,
+};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The runtime's stats, from inside a ULP.
+fn my_stats() -> StatsSnapshot {
+    ulp_core::current::current_runtime()
+        .expect("inside a runtime")
+        .stats
+        .snapshot()
+}
+
+/// From a decoupled UC: run coupled scopes long enough for the scheduler to
+/// fall asleep behind them until a `decouple()` stays home, and return the
+/// number of scopes that took. The first leaves by rule (the stretch before
+/// it gave no evidence yet, or a long one).
+fn go_home() -> u32 {
+    for scopes in 1..=200 {
+        let homes = my_stats().decouple_homes;
+        coupled_scope(|| sys::sleep(Duration::from_micros(300)).unwrap()).unwrap();
+        if my_stats().decouple_homes > homes {
+            return scopes;
+        }
+    }
+    panic!("no decouple() stayed home in 200 scopes: {:?}", my_stats());
+}
+
+/// Every `futex_wake` delayed (and thereby counted) from here on.
+fn count_futex_wakes() -> impl Drop {
+    struct Disarm;
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            fault::disarm();
+        }
+    }
+    fault::arm(FaultPlan {
+        seed: 1,
+        spurious_wake_per_1024: 0,
+        eintr_per_1024: 0,
+        eagain_per_1024: 0,
+        short_read_per_1024: 0,
+        delay_wake_per_1024: 1024,
+    });
+    Disarm
+}
+
+fn futex_wakes() -> u64 {
+    fault::injected_counts()[FaultKind::DelayWake as usize]
+}
+
+/// With the scheduler asleep a lone BLT's round trip is Table V's — 4
+/// switches, 2 TLS loads, 1 dispatch — and nothing else: the KC never
+/// sleeps and nobody in the process calls `futex_wake`.
+#[test]
+fn home_round_trip_is_table_v_without_a_wake() {
+    const PAIRS: u64 = 8;
+    let _serial = serial();
+    for sched in [SchedPolicy::GlobalFifo, SchedPolicy::WorkStealing] {
+        let _counted = count_futex_wakes();
+        let rt = Runtime::builder().sched_policy(sched).build();
+        assert_eq!(rt.config().idle_policy, IdlePolicy::Adaptive);
+        let h = rt.spawn("lone", move || {
+            decouple().unwrap();
+            // A window in which the scheduler's 20 ms park time-out fires
+            // finds it awake for a microsecond and leaves once: measure
+            // again — the claim is about round trips that stay.
+            for _attempt in 0..50 {
+                go_home();
+                let (before, wakes) = (my_stats(), futex_wakes());
+                for _ in 0..PAIRS {
+                    coupled_scope(|| sys::getpid().unwrap()).unwrap();
+                }
+                let d = my_stats().delta(&before);
+                assert_eq!(d.context_switches, 4 * PAIRS, "{sched:?}: {d:?}");
+                assert_eq!(d.tls_loads, 2 * PAIRS, "{sched:?}: {d:?}");
+                assert_eq!(d.scheduler_dispatches, PAIRS, "{sched:?}: {d:?}");
+                assert_eq!((d.couples, d.decouples), (PAIRS, PAIRS));
+                assert_eq!((d.yields, d.couple_handoffs), (0, 0));
+                if d.decouple_homes == PAIRS {
+                    assert_eq!(d.kc_blocks, 0, "the KC slept at home: {d:?}");
+                    assert_eq!(futex_wakes() - wakes, 0, "somebody was woken: {d:?}");
+                    return 0;
+                }
+            }
+            panic!("never saw {PAIRS} round trips in a row stay home");
+        });
+        assert_eq!(h.wait(), 0);
+        assert!(rt.violations().is_empty());
+    }
+}
+
+/// The evidence for staying must not contain the wake-up it is meant to
+/// save. Here every `futex_wake` takes 50 µs and more before it wakes
+/// anybody, so a stretch timed from `decouple()` — `ult_gap`, which the
+/// trampoline's *spin* decision rightly reads — never gets under its 50 µs
+/// bound as long as the UC keeps leaving, and a stay decided on it would
+/// never happen. Timed from the scheduler's dispatch, the first stretch
+/// after a slow wake already says "came straight back".
+#[test]
+fn evidence_bootstraps_when_a_scheduler_wake_is_slow() {
+    let _serial = serial();
+    let _delayed = count_futex_wakes();
+    let rt = Runtime::new();
+    // The scheduler is asleep by the time the BLT leaves for it.
+    std::thread::sleep(Duration::from_millis(5));
+    let h = rt.spawn("slow-wakes", || {
+        decouple().unwrap();
+        assert!(futex_wakes() > 0, "leaving woke (slowly) the scheduler");
+        let scopes = go_home();
+        assert!(scopes <= 3, "took {scopes} scopes to come home");
+        0
+    });
+    assert_eq!(h.wait(), 0);
+}
+
+/// No history, no stay: the very first `decouple()` leaves even though the
+/// scheduler has been asleep for 20 ms and nothing is queued.
+#[test]
+fn first_decouple_never_stays() {
+    let _serial = serial();
+    let rt = Runtime::new();
+    std::thread::sleep(Duration::from_millis(20));
+    let h = rt.spawn("first", || {
+        let kc = std::thread::current().id();
+        decouple().unwrap();
+        assert_eq!(my_stats().decouple_homes, 0);
+        assert_ne!(std::thread::current().id(), kc, "still on the own KC");
+        0
+    });
+    assert_eq!(h.wait(), 0);
+}
+
+/// BLOCKING and BUSYWAIT are the paper's rows: they never stay, whatever
+/// the evidence.
+#[test]
+fn blocking_and_busywait_never_stay() {
+    let _serial = serial();
+    for idle in [IdlePolicy::Blocking, IdlePolicy::BusyWait] {
+        let rt = Runtime::builder().idle_policy(idle).build();
+        let h = rt.spawn("paper", || {
+            decouple().unwrap();
+            for _ in 0..20 {
+                coupled_scope(|| sys::sleep(Duration::from_micros(300)).unwrap()).unwrap();
+            }
+            0
+        });
+        assert_eq!(h.wait(), 0);
+        let s = rt.stats().snapshot();
+        assert_eq!(s.decouple_homes, 0, "{idle:?}: {s:?}");
+        assert_eq!(s.scheduler_dispatches, 21, "{idle:?}: {s:?}");
+    }
+}
+
+/// `yield_now()` at home gives the KC up: it returns `true` with the UC on a
+/// scheduler, and the next scope works from there.
+#[test]
+fn yield_at_home_moves_to_a_scheduler() {
+    let _serial = serial();
+    let rt = Runtime::new();
+    rt.trace_enable();
+    let h = rt.spawn("yielder", || {
+        let kc = std::thread::current().id();
+        let pid = sys::getpid().unwrap();
+        decouple().unwrap();
+        go_home();
+        assert_eq!(std::thread::current().id(), kc, "home is the own KC");
+        assert_eq!(is_coupled(), Some(false), "and decoupled all the same");
+        assert!(yield_now(), "a switch happened");
+        assert_ne!(std::thread::current().id(), kc, "still on the own KC");
+        assert!(!yield_now(), "alone on the scheduler: nothing to switch to");
+        assert_eq!(coupled_scope(|| sys::getpid().unwrap()).unwrap(), pid);
+        0
+    });
+    assert_eq!(h.wait(), 0);
+    // On the trace: home dispatch, Requeue, then a scheduler's dispatch.
+    let id = h.id();
+    let hosts: Vec<_> = rt
+        .take_trace()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Dispatch { uc, scheduler } if uc == id => Some(Some(scheduler)),
+            TraceEvent::Requeue(uc) if uc == id => Some(None),
+            _ => None,
+        })
+        .collect();
+    let requeue = hosts
+        .iter()
+        .position(Option::is_none)
+        .expect("the yield at home is on the trace");
+    assert_eq!(
+        hosts[requeue - 1],
+        Some(id),
+        "the Requeue leaves a home dispatch"
+    );
+    assert!(
+        matches!(hosts[requeue + 1], Some(host) if host != id),
+        "and a scheduler's dispatch answers it: {hosts:?}"
+    );
+}
+
+/// A system call from a UC at home hits the right kernel context — by a
+/// scheduling decision the program cannot count on, so the auditor flags it
+/// exactly as it would from a scheduler.
+#[test]
+fn syscall_at_home_is_still_a_violation() {
+    let _serial = serial();
+    let rt = Runtime::new();
+    let h = rt.spawn("careless", || {
+        let pid = sys::getpid().unwrap();
+        decouple().unwrap();
+        go_home();
+        assert_eq!(
+            sys::getpid().unwrap(),
+            pid,
+            "home is the own kernel context"
+        );
+        0
+    });
+    assert_eq!(h.wait(), 0);
+    assert_eq!(rt.violations().len(), 1, "{:?}", rt.violations());
+}
+
+/// A KC that serves a sibling goes idle behind every `decouple()`, and a
+/// pool KC behind every pooled ULP's: neither ever stays.
+#[test]
+fn sibling_bearing_kcs_and_pooled_ulps_never_stay() {
+    let _serial = serial();
+    let rt = Runtime::builder().pool_kcs(1).build();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_sib = stop.clone();
+    let scopes = || {
+        for _ in 0..30 {
+            coupled_scope(|| sys::sleep(Duration::from_micros(300)).unwrap()).unwrap();
+        }
+    };
+    let primary = rt.spawn("primary", move || {
+        decouple().unwrap();
+        scopes();
+        stop.store(true, Ordering::Release);
+        0
+    });
+    // Mostly asleep on the shared KC, so the scheduler sleeps too.
+    let sibling = primary
+        .spawn_sibling("sibling", move || {
+            while !stop_sib.load(Ordering::Acquire) {
+                coupled_scope(|| sys::sleep(Duration::from_micros(300)).unwrap()).unwrap();
+            }
+            0
+        })
+        .unwrap();
+    assert_eq!(sibling.wait(), 0);
+    assert_eq!(primary.wait(), 0);
+    let pooled = rt
+        .spawn_pooled("pooled", move || {
+            scopes();
+            0
+        })
+        .unwrap();
+    assert_eq!(pooled.wait(), 0);
+    let s = rt.stats().snapshot();
+    assert_eq!(s.decouple_homes, 0, "{s:?}");
+}
+
+/// A sibling registered while the primary is at home finds the KC busy, as
+/// if the primary were coupled: its request waits in `pending` and is served
+/// — first, the queue is FIFO — at the primary's next `couple()` or
+/// `yield_now()`.
+#[test]
+fn sibling_registered_while_primary_is_home_is_served_next() {
+    let _serial = serial();
+    for leave_by_yield in [false, true] {
+        let rt = Runtime::new();
+        let home = Arc::new(AtomicBool::new(false));
+        let order = Arc::new(AtomicU32::new(0));
+        let (at_home, turn) = (home.clone(), order.clone());
+        let primary = rt.spawn("primary", move || {
+            decouple().unwrap();
+            go_home();
+            at_home.store(true, Ordering::Release);
+            // Stay put (an OS yield is not a `yield_now()`) until the
+            // sibling's request is parked on this KC.
+            while pending_couplers() != Some(1) {
+                std::thread::yield_now();
+            }
+            if leave_by_yield {
+                assert!(yield_now());
+            }
+            couple().unwrap();
+            let mine = turn.fetch_add(1, Ordering::AcqRel);
+            decouple().unwrap();
+            mine as i32
+        });
+        while !home.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let turn = order.clone();
+        let sibling = primary
+            .spawn_sibling("late", move || {
+                couple().unwrap();
+                let mine = turn.fetch_add(1, Ordering::AcqRel);
+                decouple().unwrap();
+                mine as i32
+            })
+            .unwrap();
+        assert_eq!(sibling.wait(), 0, "the sibling's request was first in");
+        assert_eq!(primary.wait(), 1);
+        assert_eq!(rt.park_expected(), 0);
+    }
+}
+
+/// Nothing a home round trip does registers with a parker — a request
+/// published by a *scheduler* after a short scope does, and the schedulers
+/// then spin for a `decouple()` that will not come to them — and a UC that
+/// terminates from home (rule 7: its last `couple()` goes through its own
+/// trampoline) leaves nothing behind either.
+#[test]
+fn home_round_trips_leave_no_expectation() {
+    const TRIPS: u64 = 10_000;
+    let _serial = serial();
+    let rt = Runtime::new();
+    let in_scope = Arc::new(AtomicBool::new(false));
+    let sampled = Arc::new(AtomicBool::new(false));
+    let (entered, go_on) = (in_scope.clone(), sampled.clone());
+    let h = rt.spawn("homebody", move || {
+        decouple().unwrap();
+        go_home();
+        // Short scopes. One that leaves (a stall made the stretch before it
+        // look long) lands in PR 19's orbit — scheduler and trampoline
+        // spinning for each other, which keeps every later one leaving too —
+        // so it is followed by a sleeping scope, which ends that.
+        let (mut trips, mut left) = (0, 0);
+        while trips < TRIPS {
+            let homes = my_stats().decouple_homes;
+            coupled_scope(|| ()).unwrap();
+            if my_stats().decouple_homes > homes {
+                trips += 1;
+            } else {
+                left += 1;
+                go_home();
+            }
+        }
+        assert!(left < TRIPS / 10, "{left} of {TRIPS} short scopes left");
+        // The last scope was short and we are at home: the next request is
+        // published from here. Hold its scope open until the root has looked.
+        coupled_scope(|| {
+            entered.store(true, Ordering::Release);
+            while !go_on.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        })
+        .unwrap();
+        // Long scope, scheduler asleep: that stayed too. Terminate from home.
+        0
+    });
+    while !in_scope.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        rt.park_expected(),
+        0,
+        "a scope entered from home registered"
+    );
+    sampled.store(true, Ordering::Release);
+    assert_eq!(h.wait(), 0);
+    assert_eq!(rt.park_expected(), 0);
+}

@@ -67,6 +67,11 @@ fn primary(event: &TraceEvent) -> Option<BltId> {
         // between replays while the Decouple/Coupled bracket stays fixed.
         // Keeping it out of the canonical form keeps replay digests stable.
         TraceEvent::CoupleHandoff { .. } => None,
+        // Likewise staying home: whether a `decouple()` found every
+        // scheduler asleep is timing, and only `Adaptive` — which no replay
+        // cell runs — ever stays. A home dispatch is a `Dispatch` like any
+        // other; the `Requeue` of a `yield_now()` at home stays out.
+        TraceEvent::Requeue(_) => None,
         // Wake edges are pure timing attribution (who happened to end a
         // wait, and how long it took) layered on the schedule the other
         // events already pin down — same exclusion rationale as handoffs.
@@ -105,6 +110,7 @@ fn words(event: &TraceEvent, relabel: &HashMap<BltId, u64>) -> [u64; 4] {
         // Unreachable through bytes() — primary() filters handoffs out —
         // but the match stays exhaustive for when the policy changes.
         TraceEvent::CoupleHandoff { from, to } => [11, r(from), r(to), 0],
+        TraceEvent::Requeue(b) => [13, r(b), 0, 0],
         TraceEvent::Wake {
             waker, wakee, site, ..
         } => [12, r(waker), r(wakee), site as u64],

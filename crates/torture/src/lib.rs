@@ -130,6 +130,8 @@ pub struct StatsDelta {
     pub spawned: u64,
     /// `couple_handoffs` delta (fast-path couples).
     pub handoffs: u64,
+    /// `decouple_homes` delta (decouples that stayed on their own KC).
+    pub homes: u64,
 }
 
 fn delta(before: &StatsSnapshot, after: &StatsSnapshot) -> StatsDelta {
@@ -141,6 +143,7 @@ fn delta(before: &StatsSnapshot, after: &StatsSnapshot) -> StatsDelta {
         spawned: (after.blts_spawned + after.siblings_spawned + after.pooled_spawned)
             - (before.blts_spawned + before.siblings_spawned + before.pooled_spawned),
         handoffs: after.couple_handoffs - before.couple_handoffs,
+        homes: after.decouple_homes - before.decouple_homes,
     }
 }
 

@@ -15,14 +15,20 @@
 //!   BLT's events: `Decouple` only from coupled, `CoupleRequest` only from
 //!   decoupled, `Coupled` only answers a pending request, `Dispatch` and
 //!   `Yield` only move decoupled UCs, signals deliver only while coupled,
-//!   and nothing follows `Terminate`.
+//!   and nothing follows `Terminate`. Table I never says KC₁ ≠ KC₀: a
+//!   `Dispatch` whose host is the UC's own KC (`scheduler == uc`) is a
+//!   *home* dispatch, legal like any other — but a UC at home has no
+//!   neighbour to `Yield` to or from, and only a UC at home may `Requeue`.
 //! - **D — request/completion and queue balance.** Per BLT, couple
-//!   requests equal couple completions, and run-queue resumptions
-//!   (`Dispatch` + `Yield`-to) equal enqueues (`Decouple` + `Yield`-from,
-//!   plus the birth enqueue of a decoupled-born sibling).
+//!   requests equal couple completions, and resumptions (`Dispatch` +
+//!   `Yield`-to) equal enqueues (`Decouple` + `Yield`-from + `Requeue`,
+//!   plus the birth enqueue of a decoupled-born sibling) — a home dispatch
+//!   answers its `Decouple` exactly as a scheduler's would.
 //! - **E — counter conservation.** Trace-event totals equal the runtime's
 //!   independent statistics counters (events and counters are bumped by
-//!   different code paths; drift means one of them lies).
+//!   different code paths; drift means one of them lies): home dispatches
+//!   are recorded by the trampoline, `decouple_homes` counted by the
+//!   `decouple()` that decided to stay.
 //! - **F — histogram conservation.** The couple-resume histogram holds
 //!   exactly one sample per `Coupled` event; the queue-delay histogram one
 //!   per `Dispatch`/`Yield`.
@@ -109,6 +115,9 @@ struct BltTrack {
     yields_from: u64,
     yields_to: u64,
     dispatches: u64,
+    requeues: u64,
+    /// Hosted by its own KC's trampoline since its last `Dispatch`.
+    at_home: bool,
     terminates: u64,
     /// Running (enter − exit) per system call; final value must be zero.
     spans: HashMap<Sysno, i64>,
@@ -131,6 +140,8 @@ impl BltTrack {
             yields_from: 0,
             yields_to: 0,
             dispatches: 0,
+            requeues: 0,
+            at_home: false,
             terminates: 0,
             spans: HashMap::new(),
             pending_runnable: None,
@@ -219,6 +230,7 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
     let mut totals_coupled = 0u64;
     let mut totals_yield = 0u64;
     let mut totals_dispatch = 0u64;
+    let mut totals_home = 0u64;
     let mut totals_handoff = 0u64;
     let mut decoupled_enters = 0u64;
     let mut first_decoupled_enter: Option<(BltId, Sysno)> = None;
@@ -261,6 +273,7 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                 }
                 let t = track.entry(b).or_insert_with(BltTrack::new);
                 t.requests += 1;
+                t.at_home = false;
                 match t.state {
                     CoupleState::Decoupled => t.state = CoupleState::PendingCouple,
                     s => r.push("C", format!("{b:?}: CoupleRequest while {s:?}")),
@@ -290,14 +303,16 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                     ),
                 }
             }
-            TraceEvent::Dispatch { uc, .. } => {
+            TraceEvent::Dispatch { uc, scheduler } => {
                 totals_dispatch += 1;
+                totals_home += u64::from(scheduler == uc);
                 if !spawned.contains(&uc) {
                     r.push("C", format!("{uc:?}: Dispatch of a never-spawned BLT"));
                     continue;
                 }
                 let t = track.entry(uc).or_insert_with(BltTrack::new);
                 t.dispatches += 1;
+                t.at_home = scheduler == uc;
                 // J1 — the run-queue stay this dispatch ends must have
                 // been opened by exactly one wake edge.
                 let woken = t.pending_runnable.take();
@@ -340,21 +355,41 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                     } else {
                         t.yields_from += 1;
                     }
+                    let side = if incoming { "to" } else { "from" };
+                    if t.at_home {
+                        r.push("C", format!("{b:?}: Yield {side} while at home"));
+                    }
                     match t.state {
                         CoupleState::Unknown => {
                             t.born_decoupled = true;
                             t.state = CoupleState::Decoupled;
                         }
                         CoupleState::Decoupled => {}
-                        s => r.push(
-                            "C",
-                            format!(
-                                "{b:?}: Yield {} while {s:?}",
-                                if incoming { "to" } else { "from" }
-                            ),
-                        ),
+                        s => r.push("C", format!("{b:?}: Yield {side} while {s:?}")),
                     }
                 }
+            }
+            TraceEvent::Requeue(b) => {
+                if !spawned.contains(&b) {
+                    r.push("C", format!("{b:?}: Requeue by a never-spawned BLT"));
+                    continue;
+                }
+                let t = track.entry(b).or_insert_with(BltTrack::new);
+                t.requeues += 1;
+                // Only a running UC hosted by its own trampoline gives its
+                // KC up this way; on a scheduler it would `Yield` to a
+                // neighbour or not switch at all.
+                if t.state != CoupleState::Decoupled || !t.at_home {
+                    r.push(
+                        "C",
+                        format!(
+                            "{b:?}: Requeue while {:?}, {} home",
+                            t.state,
+                            if t.at_home { "at" } else { "not at" }
+                        ),
+                    );
+                }
+                t.at_home = false;
             }
             TraceEvent::Terminate(b) => {
                 totals_terminate += 1;
@@ -543,7 +578,7 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
         }
         // D — queue conservation: each enqueue (decouple, yield-away,
         // decoupled birth) is consumed by exactly one resumption.
-        let enqueues = t.decouples + t.yields_from + u64::from(t.born_decoupled);
+        let enqueues = t.decouples + t.yields_from + t.requeues + u64::from(t.born_decoupled);
         let resumptions = t.dispatches + t.yields_to;
         if enqueues != resumptions {
             r.push(
@@ -607,6 +642,7 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
             input.stats.handoffs,
             "handoffs",
         ),
+        ("home Dispatch", totals_home, input.stats.homes, "homes"),
     ];
     for (event, traced, counted, counter) in e {
         if traced != counted {

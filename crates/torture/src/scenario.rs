@@ -66,6 +66,14 @@ pub enum Scenario {
     /// injection. `ULP_C1M_N` scales the ULP count beyond the in-matrix
     /// default.
     C1mStorm,
+    /// One worker whose coupled scopes sleep in the kernel long enough for
+    /// the lone scheduler to go to sleep too — the regime in which a
+    /// `decouple()` under `Adaptive` stays home, hosted by its own KC's
+    /// trampoline — with a `yield_now()` mid-stream (at home: a `Requeue`)
+    /// and a sibling spawned late, onto a KC whose primary may be at home.
+    /// Fails under `Adaptive` if no decouple ever stayed, and under the
+    /// paper's two policies if one did.
+    HomeStay,
 }
 
 impl Scenario {
@@ -80,6 +88,7 @@ impl Scenario {
         Scenario::ProcStorm,
         Scenario::ServerStorm,
         Scenario::C1mStorm,
+        Scenario::HomeStay,
     ];
 
     /// Stable name (used in reports and for `--scenario` selection).
@@ -94,6 +103,7 @@ impl Scenario {
             Scenario::ProcStorm => "proc_storm",
             Scenario::ServerStorm => "server_storm",
             Scenario::C1mStorm => "c1m_storm",
+            Scenario::HomeStay => "home_stay",
         }
     }
 
@@ -114,6 +124,7 @@ impl Scenario {
             Scenario::ProcStorm => 2,
             Scenario::ServerStorm => 2,
             Scenario::C1mStorm => 2,
+            Scenario::HomeStay => 1,
         }
     }
 
@@ -143,6 +154,7 @@ impl Scenario {
             Scenario::ProcStorm => proc_storm(rt, &fails),
             Scenario::ServerStorm => server_storm(rt, &fails),
             Scenario::C1mStorm => c1m_storm(rt, &fails),
+            Scenario::HomeStay => home_stay(rt, &fails),
         }
         fails.take()
     }
@@ -857,7 +869,7 @@ fn write_all(fd: Fd, data: &[u8]) -> Result<(), Errno> {
 }
 
 /// How many pooled ULPs `c1m_storm` churns through. The in-matrix default
-/// is small enough that all 54 cells stay fast; local/CI scale runs raise
+/// is small enough that all 60 cells stay fast; local/CI scale runs raise
 /// it (`ULP_C1M_N=10000` and beyond) and [`Scenario::trace_capacity`]
 /// grows the rings to match.
 fn c1m_count() -> usize {
@@ -929,6 +941,99 @@ fn c1m_storm(rt: &Runtime, fails: &Fails) {
     }
     if n > WAVE && pool.stats().0 == 0 {
         fails.push("c1m: second wave never recycled a first-wave stack".into());
+    }
+}
+
+/// Staying home under fire. Every round of `home-w` is an explicit
+/// `couple()` / `decouple()` pair around 100 µs asleep in the kernel — so
+/// nothing is expected back and the lone scheduler sleeps as well — followed
+/// by a short `coupled_scope` probe. Each `decouple()` after the first finds
+/// the gates of `park.rs`, "Staying home", open unless chaos shut one (a
+/// forced yield made the last stretch long, an idle flip or a spurious wake
+/// has the scheduler up), so the probe usually couples *from home*; under
+/// the planted `torture_mutation` its `getpid` is the decoupled system call
+/// of a UC at home, which family B must flag. Every eighth round yields —
+/// at home that is a `Requeue` through the trampoline — and half way the
+/// root spawns a sibling onto the KC: from then on the primary must leave
+/// every time, and a request the sibling parks while the primary is still
+/// at home is served at the primary's next `couple()`. The oracle replays
+/// all of it (families C/D/E know a home dispatch); the scenario itself
+/// checks pids and that the path was (not) reached.
+fn home_stay(rt: &Runtime, fails: &Fails) {
+    const ROUNDS: u64 = 64;
+    const SIB_ROUNDS: usize = 12;
+    let round = Arc::new(AtomicU64::new(0));
+    let sib_done = Arc::new(AtomicU64::new(0));
+    let homes0 = rt.stats().snapshot().decouple_homes;
+
+    let (f, at, done) = (fails.clone(), round.clone(), sib_done.clone());
+    let h = rt.spawn("home-w", move || {
+        let my_pid = sys::getpid();
+        let _ = decouple();
+        // The sibling needs this KC for as long as it runs.
+        let mut i = 0;
+        while i < ROUNDS || done.load(Ordering::Acquire) == 0 {
+            if ulp_core::couple().is_err() {
+                f.push(format!("home-w: couple failed at round {i}"));
+                return 1;
+            }
+            if sys::getpid() != my_pid {
+                f.push(format!("home-w: pid changed at round {i}"));
+            }
+            let _ = sys::sleep(std::time::Duration::from_micros(100));
+            let _ = decouple();
+            match coupled_scope(sys::getpid) {
+                Ok(pid) if pid == my_pid => {}
+                other => f.push(format!("home-w: probe at round {i} -> {other:?}")),
+            }
+            i += 1;
+            at.store(i, Ordering::Release);
+            if i % 8 == 0 {
+                yield_now();
+            }
+        }
+        0
+    });
+
+    while round.load(Ordering::Acquire) < ROUNDS / 2 && !h.is_finished() {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    let (f, my_pid, done) = (fails.clone(), h.pid(), sib_done.clone());
+    let sib = h.spawn_sibling("home-s", move || {
+        for i in 0..SIB_ROUNDS {
+            match coupled_scope(sys::getpid) {
+                Ok(Ok(pid)) if pid == my_pid => {}
+                other => f.push(format!("home-s: pid at round {i} -> {other:?}")),
+            }
+            yield_now();
+        }
+        done.store(1, Ordering::Release);
+        0
+    });
+    match sib {
+        Ok(s) => {
+            s.wait();
+        }
+        Err(e) => {
+            fails.push(format!("home-s: spawn failed: {e}"));
+            sib_done.store(1, Ordering::Release);
+        }
+    }
+    if h.wait() != 0 {
+        fails.push("home_stay: worker exited nonzero".into());
+    }
+    let homes = rt.stats().snapshot().decouple_homes - homes0;
+    let adaptive = rt.config().idle_policy == ulp_core::IdlePolicy::Adaptive;
+    if adaptive && homes == 0 {
+        fails.push(format!(
+            "home_stay: no decouple stayed home in {ROUNDS}+ rounds"
+        ));
+    }
+    if !adaptive && homes != 0 {
+        fails.push(format!(
+            "home_stay: {homes} decouples stayed home under {:?}",
+            rt.config().idle_policy
+        ));
     }
 }
 

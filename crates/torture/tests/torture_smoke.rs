@@ -80,6 +80,63 @@ fn chaos_and_faults_actually_fire() {
     );
 }
 
+/// Every decoupled stretch a UC spent at home: the UC and the record range
+/// from its home `Dispatch` (host = the UC's own KC) to the record that ends
+/// the stay.
+fn home_stays(trace: &[ulp_core::TraceRecord]) -> Vec<(ulp_core::BltId, std::ops::Range<usize>)> {
+    use ulp_core::TraceEvent as E;
+    let mut stays = Vec::new();
+    for (i, rec) in trace.iter().enumerate() {
+        let E::Dispatch { uc, scheduler } = rec.event else {
+            continue;
+        };
+        if uc != scheduler {
+            continue;
+        }
+        let end = trace[i + 1..]
+            .iter()
+            .position(|r| match r.event {
+                E::CoupleRequest(b) | E::Requeue(b) => b == uc,
+                _ => false,
+            })
+            .map_or(trace.len(), |n| i + 1 + n);
+        stays.push((uc, i..end));
+    }
+    stays
+}
+
+/// `home_stay` reaches what it is there for: under `Adaptive` some
+/// decouples stay home, one of the stays ends in a `Requeue` (the
+/// `yield_now()` mid-stream), and the oracle — which checks every home
+/// dispatch against the `decouple_homes` counter — has nothing to say.
+#[test]
+fn home_stay_cell_reaches_the_home_path() {
+    if cfg!(torture_mutation) {
+        return;
+    }
+    use ulp_core::TraceEvent as E;
+    let cell = Cell {
+        scenario: Scenario::HomeStay,
+        sched: SchedPolicy::GlobalFifo,
+        idle: IdlePolicy::Adaptive,
+    };
+    let report = run_cell(cell, run_seed(MASTER, 20));
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    let stays = home_stays(&report.trace);
+    assert_eq!(stays.len() as u64, report.stats.homes);
+    assert!(report.stats.homes > 0, "no decouple stayed home");
+    let requeues = report
+        .trace
+        .iter()
+        .filter(|r| matches!(r.event, E::Requeue(_)))
+        .count();
+    eprintln!(
+        "home_stay: {} of {} decouples stayed home, {requeues} left by yield_now()",
+        report.stats.homes, report.stats.decouples
+    );
+    assert!(requeues > 0, "no yield_now() ever found its UC at home");
+}
+
 /// The whole reason the harness exists: with the consistency bug planted
 /// (`RUSTFLAGS="--cfg torture_mutation"`), the oracle MUST fail the run.
 #[cfg(torture_mutation)]
@@ -98,6 +155,42 @@ fn planted_mutation_is_caught_by_the_oracle() {
     assert!(
         report.violations.iter().any(|v| v.starts_with("[B]")),
         "mutation must surface as invariant-B (syscall consistency) violations: {:?}",
+        report.violations
+    );
+}
+
+/// … also when the decoupled system call comes from a UC that stayed *home*:
+/// it runs on the right kernel context by luck, so only the coupling state —
+/// what family B and the runtime's auditor go by — gives it away.
+#[cfg(torture_mutation)]
+#[test]
+fn planted_mutation_is_caught_at_home_too() {
+    use ulp_core::TraceEvent as E;
+    let cell = Cell {
+        scenario: Scenario::HomeStay,
+        sched: SchedPolicy::GlobalFifo,
+        idle: IdlePolicy::Adaptive,
+    };
+    let report = run_cell(cell, run_seed(MASTER, 20));
+    let at_home = home_stays(&report.trace)
+        .into_iter()
+        .flat_map(|(uc, stay)| report.trace[stay].iter().map(move |r| (uc, r)))
+        .filter(|(home, r)| {
+            matches!(r.event, E::SyscallEnter { uc, coupled: false, .. } if uc == *home)
+        })
+        .count();
+    assert!(at_home > 0, "the mutation never hit a UC at home");
+    assert!(
+        report.violations.iter().any(|v| v.starts_with("[B]")),
+        "{:?}",
+        report.violations
+    );
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.contains("runtime consistency audit")),
+        "the veneer gate let a decoupled call through at home: {:?}",
         report.violations
     );
 }
