@@ -1,14 +1,14 @@
 //! Harness-free ablations of the design choices DESIGN.md calls out: TLS
-//! register switching on/off, ucontext-style signal-mask saving, global-FIFO
-//! vs work-stealing scheduling, and eager vs lazy trampoline creation. The
-//! paper's own tables, and over-subscription, are `repro`'s job.
+//! register switching on/off, ucontext-style signal-mask saving, and eager
+//! vs lazy trampoline creation. The paper's own tables, and
+//! over-subscription, are `repro`'s job.
 //!
 //! The build environment is offline, so instead of criterion this uses the
 //! paper's protocol (warm-up loop, then minimum of ten measured runs). Run:
 //! `cargo bench -p ulp-bench --bench paper [-- <filter>]`.
 
 use ulp_bench::{min_of_runs, sci, workloads};
-use ulp_core::{decouple, IdlePolicy, Runtime, SchedPolicy};
+use ulp_core::{decouple, IdlePolicy, Runtime};
 
 fn report(group: &str, name: &str, ns_per_op: f64) {
     println!("{group}/{name}: {ns_per_op:.1} ns/op ({})", sci(ns_per_op));
@@ -19,10 +19,6 @@ fn bench_yield() {
     let busywait = || Runtime::builder().idle_policy(IdlePolicy::BusyWait);
     let configs = [
         ("busywait/fifo", busywait()),
-        (
-            "busywait/worksteal",
-            busywait().sched_policy(SchedPolicy::WorkStealing),
-        ),
         ("ablate-no-tls", busywait().tls_switch(false)),
         ("ablate-save-sigmask", busywait().save_sigmask(true)),
     ];

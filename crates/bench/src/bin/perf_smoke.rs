@@ -6,20 +6,23 @@
 
 use std::time::Duration;
 use ulp_bench::workloads;
-use ulp_core::{IdlePolicy, Runtime, SchedPolicy};
+use ulp_core::{IdlePolicy, Runtime};
 
 /// Rounds of the handoff ping-pong.
 const HANDOFF_ROUNDS: usize = 4_000;
-/// Yields per measurement of the `GlobalFifo` ÷ `WorkStealing` yield gate.
+/// Yields (and bare switches) per measurement of the yield ÷ switch gate,
+/// and the fresh runtimes / fibers the best is taken over.
 const YIELD_ITERS: usize = 20_000;
-/// Ceiling on `GlobalFifo` yield ns ÷ `WorkStealing` slot-handoff yield ns.
-const MAX_FIFO_OVER_SLOT: f64 = 1.5;
+const YIELD_INSTANCES: usize = 8;
+/// Ceiling on 2-ULP yield ns ÷ bare context-switch ns of the same run.
+const MAX_YIELD_OVER_SWITCH: f64 = 4.5;
 
-/// BLTs and window of the couple-loop gate, and the floor on its throughput
-/// under `Adaptive` ÷ under `Blocking` (≈ 2 on the 2-vCPU host).
+/// BLTs and window of the couple-loop gate, the ceiling on KC futex blocks
+/// per scope under `Adaptive` (≈ 0.01) and the floor under `Blocking` (≈ 1).
 const COUPLE_LOOP_BLTS: usize = 4;
 const COUPLE_LOOP_WINDOW: Duration = Duration::from_millis(150);
-const MIN_ADAPTIVE_OVER_BLOCKING: f64 = 1.3;
+const MAX_ADAPTIVE_KC_BLOCKS: f64 = 0.05;
+const MIN_BLOCKING_KC_BLOCKS: f64 = 0.5;
 
 /// Clients and requests per client of the request/reply gate, and the
 /// ceiling on trampoline futex blocks per request (≈ 0.95 when every
@@ -65,51 +68,44 @@ fn main() {
         ),
     );
 
-    // The run queue against itself: a 2-ULP yield under `GlobalFifo` (one
-    // locked pop + one locked push on the injector) against the same yield
-    // under `WorkStealing` (thread-local slot handoff, no lock at all), best
-    // of three each. The switch and the bookkeeping are common to both, so
-    // the ratio isolates what the shared queue adds; a fence, a second lock
-    // or an unconditional futex-word bump back on the push path reads ≈ 1.9.
-    let best_yield = |sched: SchedPolicy| {
-        (0..3)
-            .map(|_| {
-                let builder = Runtime::builder()
-                    .idle_policy(IdlePolicy::BusyWait)
-                    .sched_policy(sched);
-                workloads::ulp_yield_ns(builder, YIELD_ITERS)
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let (fifo, slot) = (
-        best_yield(SchedPolicy::GlobalFifo),
-        best_yield(SchedPolicy::WorkStealing),
-    );
-    let ratio = fifo / slot;
+    // The run queue against the switch it wraps: a 2-ULP yield (one locked
+    // pop, one locked push, the switch, the bookkeeping) against the bare
+    // `fcontext` switch, the best of eight fresh runtimes and fibers each
+    // (one instance reads up to 25 % over the floor by where its memory
+    // landed). Both scale with the host's clock, so the ratio is what the
+    // yield path adds: 2.4–3.7 here, ≈ 6 with the eventcount and two-RMW
+    // lock PR 15 removed — the class of change the ceiling is for. One
+    // unconditional futex-word bump on the push path is +4 ns (≈ 3.4), under
+    // this host's noise; `version_moves_only_for_a_sleeper_or_wake_all` in
+    // `runqueue.rs` catches that one by counting.
+    let (mut yield_ns, mut switch_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..YIELD_INSTANCES {
+        let builder = Runtime::builder().idle_policy(IdlePolicy::BusyWait);
+        yield_ns = yield_ns.min(workloads::ulp_yield_ns(builder, YIELD_ITERS));
+        switch_ns = switch_ns.min(workloads::ctx_switch_ns(YIELD_ITERS));
+    }
+    let ratio = yield_ns / switch_ns;
     gate(
-        ratio <= MAX_FIFO_OVER_SLOT,
-        format!("yield GlobalFifo {fifo:.1} ns ÷ WorkStealing slot handoff {slot:.1} ns = {ratio:.2} (ceiling {MAX_FIFO_OVER_SLOT})"),
+        ratio <= MAX_YIELD_OVER_SWITCH,
+        format!("yield {yield_ns:.1} ns ÷ context switch {switch_ns:.1} ns = {ratio:.2} (ceiling {MAX_YIELD_OVER_SWITCH})"),
     );
 
     // The idle decision against the policy it replaced as the default: four
     // BLTs in a couple/decouple loop keep schedulers and trampolines spinning
     // for each other under `Adaptive`, where `Blocking` pays a futex sleep
-    // and an OS-thread wake per `couple()`. Best of three each.
-    let best_loop = |policy: IdlePolicy| {
-        (0..3)
-            .map(|_| {
-                workloads::couple_loop_ops_per_sec(policy, COUPLE_LOOP_BLTS, COUPLE_LOOP_WINDOW)
-            })
-            .fold(0.0, f64::max)
-    };
-    let (adaptive, blocking) = (
-        best_loop(IdlePolicy::Adaptive),
-        best_loop(IdlePolicy::Blocking),
-    );
-    let ratio = adaptive / blocking;
+    // and an OS-thread wake per `couple()`. Judged by the sleeps the runtime
+    // counted — what they cost is the host's mood (a wake is ≈ 2 µs in some
+    // minutes and ≈ 40 µs in others), so the throughput ratio is only shown.
+    let (adaptive, adaptive_blocks) =
+        workloads::couple_loop(IdlePolicy::Adaptive, COUPLE_LOOP_BLTS, COUPLE_LOOP_WINDOW);
+    let (blocking, blocking_blocks) =
+        workloads::couple_loop(IdlePolicy::Blocking, COUPLE_LOOP_BLTS, COUPLE_LOOP_WINDOW);
     gate(
-        ratio >= MIN_ADAPTIVE_OVER_BLOCKING,
-        format!("couple loop Adaptive {adaptive:.0}/s ÷ Blocking {blocking:.0}/s = {ratio:.2} (floor {MIN_ADAPTIVE_OVER_BLOCKING})"),
+        adaptive_blocks < MAX_ADAPTIVE_KC_BLOCKS && blocking_blocks > MIN_BLOCKING_KC_BLOCKS,
+        format!(
+            "couple loop KC blocks per op: Adaptive {adaptive_blocks:.3} (ceiling {MAX_ADAPTIVE_KC_BLOCKS}), Blocking {blocking_blocks:.3} (floor {MIN_BLOCKING_KC_BLOCKS}); {adaptive:.0}/s ÷ {blocking:.0}/s = {:.2}",
+            adaptive / blocking
+        ),
     );
 
     // Staying home: when every scope sleeps in the kernel the scheduler

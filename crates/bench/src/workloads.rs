@@ -66,9 +66,9 @@ pub fn tls_load_ns(profile: ArchProfile, iters: usize) -> f64 {
 // ---------------------------------------------------------------- Table IV
 
 /// Two decoupled ULPs yielding to each other on one scheduler of the
-/// runtime `builder` describes, ns per yield (Table IV row 1; the run-queue
-/// and ablation comparisons pass other disciplines and switches). The
-/// returned value is already min-of-runs.
+/// runtime `builder` describes, ns per yield (Table IV row 1; the ablation
+/// comparisons pass other switches). The returned value is already
+/// min-of-runs.
 pub fn ulp_yield_ns(builder: RuntimeBuilder, iters: usize) -> f64 {
     let rt = builder.schedulers(1).build();
     let peer_up = Arc::new(AtomicBool::new(false));
@@ -151,10 +151,11 @@ pub fn getpid_coupled(
 }
 
 /// `blts` BLTs on one scheduler, each looping `coupled_scope(getpid)` +
-/// `yield_now()` for `window`: completed scopes per second, all BLTs
-/// together — `couple_io`'s shape without the file calls, where the idle
-/// policy decides whether every `couple()` pays a futex sleep.
-pub fn couple_loop_ops_per_sec(policy: IdlePolicy, blts: usize, window: Duration) -> f64 {
+/// `yield_now()` for `window` — `couple_io`'s shape without the file calls,
+/// where the idle policy decides whether every `couple()` pays a futex
+/// sleep. Returns completed scopes per second, all BLTs together, and — by
+/// the runtime's own counters — KC futex blocks per scope.
+pub fn couple_loop(policy: IdlePolicy, blts: usize, window: Duration) -> (f64, f64) {
     let rt = Runtime::builder().schedulers(1).idle_policy(policy).build();
     let stop = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..blts)
@@ -177,7 +178,8 @@ pub fn couple_loop_ops_per_sec(policy: IdlePolicy, blts: usize, window: Duration
     stop.store(true, Ordering::Relaxed);
     let secs = t.elapsed().as_secs_f64();
     let ops: i64 = handles.iter().map(|h| i64::from(h.wait())).sum();
-    ops as f64 / secs
+    let s = rt.stats().snapshot();
+    (ops as f64 / secs, s.kc_blocks as f64 / s.couples as f64)
 }
 
 /// `clients` decoupled BLTs on the default runtime, each sending `requests`

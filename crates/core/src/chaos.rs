@@ -9,9 +9,8 @@
 //!   is made to take a detour through the run queue right before it would
 //!   transition, which exercises the request-published-after-save race
 //!   (Table I race point 1) and UC migration across scheduler KCs;
-//! - **biased run-queue pops** — the global FIFO is popped from the tail
-//!   and the work-stealing fast path (slot handoff) is bypassed, so
-//!   dispatch order degenerates away from the common case;
+//! - **biased run-queue pops** — the global FIFO is popped from the tail,
+//!   so dispatch order degenerates away from the common case;
 //! - **idle-policy flips** — individual `park()` calls behave as if the
 //!   opposite idle policy were configured, shaking out wakeup protocols
 //!   that only work because a spinner happened to re-check in time.
@@ -211,8 +210,8 @@ fn preempt_point_slow(site: ChaosSite) {
 }
 
 /// Chaos hook in the run-queue pop path: true = use the biased order
-/// (FIFO tail / bypass the work-stealing slot). Global stream (key 0) —
-/// pop interleaving is inherently racy, so per-caller keys buy nothing.
+/// (FIFO tail). Global stream (key 0) — pop interleaving is inherently
+/// racy, so per-caller keys buy nothing.
 #[inline]
 pub(crate) fn bias_pop() -> bool {
     if !is_armed() {

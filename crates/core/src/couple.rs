@@ -277,10 +277,9 @@ pub fn decouple() -> Result<bool, UlpError> {
         // asleep under `Adaptive`, and the last decoupled stretch came
         // straight back — this KC serves nobody else (a sibling's couple
         // request needs it idle), and nothing is queued that a scheduler is
-        // about to wake up for anyway (the queues' length mirrors: one load
-        // under `GlobalFifo`; `is_empty()` is the consumers' locked
-        // re-check). A heuristic on racy reads: leaving and staying are both
-        // always correct.
+        // about to wake up for anyway (the queue's length mirror: one load;
+        // `is_empty()` is the consumers' locked re-check). A heuristic on
+        // racy reads: leaving and staying are both always correct.
         let siblings = &me.kc.sibling_count;
         #[allow(clippy::len_zero)]
         let stay = me

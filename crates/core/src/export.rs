@@ -627,7 +627,7 @@ pub fn prometheus_text(
     gauge_block(
         &mut out,
         "ulp_runqueue_depth",
-        "Decoupled UCs queued for a scheduler right now (injector plus local deques).",
+        "Decoupled UCs queued for a scheduler right now.",
         runqueue_depth,
     );
     counter_block(

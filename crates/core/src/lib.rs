@@ -93,7 +93,6 @@ pub use profile::{
     diff_folded, fold_profile, fold_profile_window, parse_collapsed, BltProfile, ProfileSnapshot,
     ProfileState,
 };
-pub use runqueue::SchedPolicy;
 pub use runtime::{Config, ConsistencyMode, Runtime, RuntimeBuilder, Topology};
 pub use signals::{clear_handler, handled_count, on_signal, poll_signals};
 pub use spawn::{BltHandle, PooledHandle, SiblingHandle, PANIC_EXIT_STATUS};

@@ -2,17 +2,17 @@
 //! lock, plus the [`Parker`] its idle consumers sleep on.
 //!
 //! One primitive serves every place a kernel context waits for a UC: the
-//! run queue's injector shards and work-stealing deques share the run
-//! queue's parker (idle schedulers), and each [`KcShared`] pairs its
-//! `pending` queue with its own (the trampoline / pool idle loop).
+//! run queue pairs its one queue with the parker idle schedulers sleep on,
+//! and each [`KcShared`] pairs its `pending` queue with its own (the
+//! trampoline / pool idle loop).
 //!
 //! ## The protocol
 //!
 //! A **consumer** that found nothing to run calls [`Parker::park`]:
 //!
 //! 1. *announce*: `sleepers += 1`;
-//! 2. *re-check*: `version == seen`, and every queue it serves is empty
-//!    **under that queue's lock** ([`ParkQueue::is_empty_locked`]);
+//! 2. *re-check*: `version == seen`, and the queue it serves is empty
+//!    **under the queue's lock** ([`ParkQueue::is_empty_locked`]);
 //! 3. only then `futex_wait(version, seen)`; afterwards `sleepers -= 1`
 //!    and back to the top of its loop, which pops before it parks again.
 //!
@@ -36,9 +36,7 @@
 //! Whichever critical section comes second sees the other. Nothing else is
 //! needed: no `SeqCst` fence and no per-push `version` bump, so a push whose
 //! consumers are all awake (every yield: the scheduler *is* the thread
-//! pushing) costs the lock's one RMW. The argument is per queue, so it holds
-//! unchanged for a consumer that re-checks several queues one after another
-//! (`WorkStealing`: every shard and deque) before it sleeps.
+//! pushing) costs the lock's one RMW.
 //!
 //! The `sleepers` read sits *inside* the critical section because the lock
 //! acquire is the only edge the K-first case has: hoisted above the acquire
@@ -107,7 +105,7 @@
 //! [`SPIN_DEADLINE_NS`]. The count drops where the phase ends — or where the
 //! UC terminates without ending it — so it is exact at quiescence. A spin
 //! pass returns to the caller's loop without announcing, exactly as the
-//! BUSYWAIT arm does, so it re-reads its queues every pass and cannot lose
+//! BUSYWAIT arm does, so it re-reads its queue every pass and cannot lose
 //! a wake-up: the announce → locked re-check → `futex_wait` protocol above
 //! is what every sleep still goes through.
 //!
@@ -544,7 +542,7 @@ impl Parker {
 
     /// Idle once — the consumer half of the protocol (module docs). `seen`
     /// is the `version` read before the caller's fruitless checks;
-    /// `queues_empty` re-checks every queue it serves under that queue's
+    /// `queues_empty` re-checks the queue it serves under the queue's
     /// lock. Either one spin pass (BUSYWAIT, or `Adaptive` with a wake on
     /// its way) or a sleep until `version` moves (bounded by the time-out).
     pub fn park(&self, seen: u32, queues_empty: impl FnOnce() -> bool) -> Idled {

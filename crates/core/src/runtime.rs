@@ -82,8 +82,6 @@ pub struct Config {
     /// the first `decouple()` (§V-A: "may be created at the time of a KLT
     /// creation, or in a lazy way") — an ablation.
     pub eager_tc: bool,
-    /// Usable stack size for sibling UCs.
-    pub sibling_stack_size: usize,
     /// Try to pin scheduler threads to distinct cores.
     pub pin_schedulers: bool,
     /// FlexSC-style dedicated system-call cores (paper Fig. 6 / §VII):
@@ -93,9 +91,6 @@ pub struct Config {
     pub syscall_cores: Option<Vec<usize>>,
     /// Consistency-violation handling for `sys::*` veneers.
     pub consistency: ConsistencyMode,
-    /// Run-queue discipline: one global FIFO (the prototype's shape) or
-    /// per-scheduler deques with work stealing.
-    pub sched_policy: crate::runqueue::SchedPolicy,
     /// ucontext-style switching (§VII): install each UC's signal mask on
     /// the executing kernel context at every UC↔UC switch, paying a system
     /// call. `false` (default) reproduces fcontext behavior — signals are
@@ -107,14 +102,6 @@ pub struct Config {
     /// Clamped to at least 1. The pool threads start lazily at the first
     /// pooled spawn.
     pub pool_kcs: usize,
-    /// Usable stack size for pooled ULPs. Smaller than the sibling default:
-    /// pooled stacks come from dense slab slots (no per-stack guard VMA) so
-    /// a million of them fit under `vm.max_map_count`, and are recycled
-    /// warm: a released slot keeps its pages, and only the stack pool's
-    /// scavenger `madvise`s back the ones that stay free, so RSS tracks
-    /// live plus recently reused ULPs (DESIGN.md §4, "KC pool & stack
-    /// recycling").
-    pub pooled_stack_size: usize,
     /// Per-KC trace-ring capacity in records (clamped to `[16, 2^20]`,
     /// rounded up to a power of two). The default suits microbenches;
     /// high-cardinality runs that reason over the trace need more.
@@ -129,14 +116,11 @@ impl Default for Config {
             profile: ArchProfile::Native,
             tls_switch: true,
             eager_tc: false,
-            sibling_stack_size: 256 * 1024,
             pin_schedulers: false,
             syscall_cores: None,
             consistency: ConsistencyMode::Record,
-            sched_policy: crate::runqueue::SchedPolicy::GlobalFifo,
             save_sigmask: false,
             pool_kcs: default_pool_kcs(),
-            pooled_stack_size: 64 * 1024,
             trace_capacity: 4096,
         }
     }
@@ -190,11 +174,6 @@ impl RuntimeBuilder {
         self.config.eager_tc = on;
         self
     }
-    /// Usable stack size for sibling UCs.
-    pub fn sibling_stack_size(mut self, bytes: usize) -> Self {
-        self.config.sibling_stack_size = bytes;
-        self
-    }
     /// Try to pin scheduler threads to distinct cores.
     pub fn pin_schedulers(mut self, on: bool) -> Self {
         self.config.pin_schedulers = on;
@@ -215,20 +194,10 @@ impl RuntimeBuilder {
         self.config.save_sigmask = on;
         self
     }
-    /// Run-queue discipline (global FIFO vs work stealing).
-    pub fn sched_policy(mut self, p: crate::runqueue::SchedPolicy) -> Self {
-        self.config.sched_policy = p;
-        self
-    }
     /// Shared (pool) kernel contexts for `spawn_pooled` ULPs, clamped to at
     /// least 1. Overrides the `ULP_KCS`/parallelism default.
     pub fn pool_kcs(mut self, n: usize) -> Self {
         self.config.pool_kcs = n.max(1);
-        self
-    }
-    /// Usable stack size for pooled ULPs (slab-slot allocated, recycled).
-    pub fn pooled_stack_size(mut self, bytes: usize) -> Self {
-        self.config.pooled_stack_size = bytes;
         self
     }
     /// Per-KC trace-ring capacity in records (clamped to `[16, 2^20]`).
@@ -459,7 +428,7 @@ impl Runtime {
         let kernel = kernel.unwrap_or_else(|| Kernel::new(config.profile));
         let root_pid = Pid(1);
         let tracer = crate::trace::Tracer::new(config.trace_capacity);
-        let mut runq = RunQueue::with_policy(config.idle_policy, config.sched_policy);
+        let mut runq = RunQueue::new(config.idle_policy);
         runq.set_trace_gate(tracer.gate());
         // ULP_TRACE=<path>: record from birth, dump Perfetto JSON at
         // shutdown (no code changes needed in the traced program).
@@ -799,7 +768,6 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
     set_runtime(rt.clone());
     set_host(Some(identity.clone()));
     set_current_ulp(Some(identity.clone()));
-    rt.runq.register_local();
 
     let mut tally = crate::park::IdleTally::default();
     loop {
@@ -819,7 +787,6 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         }
     }
 
-    rt.runq.unregister_local();
     let _ = rt.kernel.exit_process(pid, 0);
     rt.kernel.unbind_current();
     clear_thread_state();

@@ -27,6 +27,17 @@ use ulp_kernel::process::Pid;
 /// process).
 pub const PANIC_EXIT_STATUS: i32 = 101;
 
+/// Usable stack size of a sibling UC (a classed, guard-paged stack).
+const SIBLING_STACK_SIZE: usize = 256 * 1024;
+
+/// Usable stack size of a pooled ULP. Smaller than a sibling's: pooled
+/// stacks come from dense slab slots (no per-stack guard VMA) so a million
+/// of them fit under `vm.max_map_count`, and are recycled warm: a released
+/// slot keeps its pages, and only the stack pool's scavenger `madvise`s
+/// back the ones that stay free, so RSS tracks live plus recently reused
+/// ULPs (DESIGN.md §4, "KC pool & stack recycling").
+const POOLED_STACK_SIZE: usize = 64 * 1024;
+
 /// Handle to a spawned BLT — the parent's side of `wait()`.
 #[derive(Debug)]
 pub struct BltHandle {
@@ -368,7 +379,7 @@ fn spawn_sibling_inner(
         primary.kc.sibling_count.fetch_add(1, Ordering::AcqRel);
     }
     rt.stats.bump_siblings();
-    let stack = match rt.stack_pool.acquire(rt.config.sibling_stack_size) {
+    let stack = match rt.stack_pool.acquire(SIBLING_STACK_SIZE) {
         Ok(s) => s,
         Err(e) => {
             primary.kc.sibling_count.fetch_sub(1, Ordering::AcqRel);
@@ -435,7 +446,7 @@ fn spawn_pooled_inner(
     // would blow `vm.max_map_count` long before 1M ULPs.
     let stack = rt
         .stack_pool
-        .acquire_dense(rt.config.pooled_stack_size)
+        .acquire_dense(POOLED_STACK_SIZE)
         .map_err(|e| UlpError::StackAlloc(e.to_string()))?;
     let pid = rt.kernel.spawn_process(Some(rt.root_pid), name);
     let kc = rt.pool_kc();

@@ -8,16 +8,15 @@
 //! 3. decouple: UC → trampoline (exempt again)
 //! 4. a scheduler dispatches the UC (the UC's TLS register reloads — load 2)
 //!
-//! These tests pin the *exact* counts — not `>=` — under every combination
-//! of run-queue discipline and idle policy, so any stray switch, double
-//! count, or lost count introduced in the switch path fails loudly. The
-//! counters are sharded per KC; the exactness also proves the shard
-//! aggregation loses nothing.
+//! These tests pin the *exact* counts — not `>=` — under every idle
+//! policy, so any stray switch, double count, or lost count introduced in
+//! the switch path fails loudly. The counters are sharded per KC; the
+//! exactness also proves the shard aggregation loses nothing.
 
 use ulp_core::ulp_kernel::ArchProfile;
 use ulp_core::{
-    couple, coupled_scope, decouple, pending_couplers, sys, IdlePolicy, Runtime, SchedPolicy,
-    StatsSnapshot, PANIC_EXIT_STATUS,
+    couple, coupled_scope, decouple, pending_couplers, sys, IdlePolicy, Runtime, StatsSnapshot,
+    PANIC_EXIT_STATUS,
 };
 
 /// Snapshot the runtime's stats from inside a ULP.
@@ -28,12 +27,11 @@ fn my_stats() -> StatsSnapshot {
         .snapshot()
 }
 
-fn assert_table5_invariant(sched: SchedPolicy, idle: IdlePolicy) {
+fn assert_table5_invariant(idle: IdlePolicy) {
     const PAIRS: u64 = 8;
     let rt = Runtime::builder()
         .schedulers(1)
         .idle_policy(idle)
-        .sched_policy(sched)
         .profile(ArchProfile::Native)
         .build();
     let h = rt.spawn("table5", move || {
@@ -52,12 +50,12 @@ fn assert_table5_invariant(sched: SchedPolicy, idle: IdlePolicy) {
         assert_eq!(
             d.context_switches,
             4 * PAIRS,
-            "Table V: exactly 4 switches per couple+decouple pair ({sched:?}/{idle:?}), got {d:?}"
+            "Table V: exactly 4 switches per couple+decouple pair ({idle:?}), got {d:?}"
         );
         assert_eq!(
             d.tls_loads,
             2 * PAIRS,
-            "Table V: exactly 2 TLS loads per pair ({sched:?}/{idle:?}), got {d:?}"
+            "Table V: exactly 2 TLS loads per pair ({idle:?}), got {d:?}"
         );
         assert_eq!(d.couples, PAIRS);
         assert_eq!(d.decouples, PAIRS);
@@ -67,7 +65,7 @@ fn assert_table5_invariant(sched: SchedPolicy, idle: IdlePolicy) {
         // for a scheduler. Under `Adaptive` one that finds the scheduler
         // asleep may stay home — same counts (`tests/stay_home.rs`).
         if idle != IdlePolicy::Adaptive {
-            assert_eq!(d.decouple_homes, 0, "{sched:?}/{idle:?}: {d:?}");
+            assert_eq!(d.decouple_homes, 0, "{idle:?}: {d:?}");
         }
         0
     });
@@ -116,13 +114,12 @@ fn wait_for_pending_coupler() {
 /// The wait-before-decouple discipline makes the schedule deterministic:
 /// each side transitions only once the peer's request is parked, so the
 /// counts are exact in every interleaving the OS scheduler picks.
-fn assert_handoff_invariant(sched: SchedPolicy, idle: IdlePolicy) {
+fn assert_handoff_invariant(idle: IdlePolicy) {
     const WARMUP: u64 = 2;
     const PAIRS: u64 = 8;
     let rt = Runtime::builder()
         .schedulers(1)
         .idle_policy(idle)
-        .sched_policy(sched)
         .profile(ArchProfile::Native)
         .build();
     let h = rt.spawn("handoff-a", move || {
@@ -145,30 +142,30 @@ fn assert_handoff_invariant(sched: SchedPolicy, idle: IdlePolicy) {
         assert_eq!(
             d.context_switches,
             6 * PAIRS,
-            "handoff: 6 switches per round, not the slow path's 8 ({sched:?}/{idle:?}): {d:?}"
+            "handoff: 6 switches per round, not the slow path's 8 ({idle:?}): {d:?}"
         );
         assert_eq!(
             d.tls_loads,
             4 * PAIRS,
-            "handoff installs are KC-local and TLS-exempt ({sched:?}/{idle:?}): {d:?}"
+            "handoff installs are KC-local and TLS-exempt ({idle:?}): {d:?}"
         );
         assert_eq!(d.couples, 2 * PAIRS);
         assert_eq!(d.decouples, 2 * PAIRS);
         assert_eq!(
             d.couple_handoffs,
             2 * PAIRS,
-            "every decouple must hit the handoff fast path ({sched:?}/{idle:?}): {d:?}"
+            "every decouple must hit the handoff fast path ({idle:?}): {d:?}"
         );
         assert_eq!(d.scheduler_dispatches, 2 * PAIRS);
         assert_eq!(d.yields, 0);
         assert_eq!(
             d.decouple_homes, 0,
-            "a KC that serves a sibling never keeps its UC home ({sched:?}/{idle:?}): {d:?}"
+            "a KC that serves a sibling never keeps its UC home ({idle:?}): {d:?}"
         );
         assert_eq!(
             d.kc_blocks, 0,
             "the TC never runs on the fast path, so the KC never futex-blocks \
-             ({sched:?}/{idle:?}): {d:?}"
+             ({idle:?}): {d:?}"
         );
         // Release the peer, whose last couple request is still parked.
         decouple().unwrap();
@@ -195,62 +192,32 @@ fn assert_handoff_invariant(sched: SchedPolicy, idle: IdlePolicy) {
 
 #[test]
 fn handoff_counts_global_fifo_busywait() {
-    assert_handoff_invariant(SchedPolicy::GlobalFifo, IdlePolicy::BusyWait);
+    assert_handoff_invariant(IdlePolicy::BusyWait);
 }
 
 #[test]
 fn handoff_counts_global_fifo_blocking() {
-    assert_handoff_invariant(SchedPolicy::GlobalFifo, IdlePolicy::Blocking);
+    assert_handoff_invariant(IdlePolicy::Blocking);
 }
 
 #[test]
 fn handoff_counts_global_fifo_adaptive() {
-    assert_handoff_invariant(SchedPolicy::GlobalFifo, IdlePolicy::Adaptive);
-}
-
-#[test]
-fn handoff_counts_work_stealing_busywait() {
-    assert_handoff_invariant(SchedPolicy::WorkStealing, IdlePolicy::BusyWait);
-}
-
-#[test]
-fn handoff_counts_work_stealing_blocking() {
-    assert_handoff_invariant(SchedPolicy::WorkStealing, IdlePolicy::Blocking);
-}
-
-#[test]
-fn handoff_counts_work_stealing_adaptive() {
-    assert_handoff_invariant(SchedPolicy::WorkStealing, IdlePolicy::Adaptive);
+    assert_handoff_invariant(IdlePolicy::Adaptive);
 }
 
 #[test]
 fn table5_counts_global_fifo_busywait() {
-    assert_table5_invariant(SchedPolicy::GlobalFifo, IdlePolicy::BusyWait);
+    assert_table5_invariant(IdlePolicy::BusyWait);
 }
 
 #[test]
 fn table5_counts_global_fifo_blocking() {
-    assert_table5_invariant(SchedPolicy::GlobalFifo, IdlePolicy::Blocking);
-}
-
-#[test]
-fn table5_counts_work_stealing_busywait() {
-    assert_table5_invariant(SchedPolicy::WorkStealing, IdlePolicy::BusyWait);
-}
-
-#[test]
-fn table5_counts_work_stealing_blocking() {
-    assert_table5_invariant(SchedPolicy::WorkStealing, IdlePolicy::Blocking);
+    assert_table5_invariant(IdlePolicy::Blocking);
 }
 
 #[test]
 fn table5_counts_global_fifo_adaptive() {
-    assert_table5_invariant(SchedPolicy::GlobalFifo, IdlePolicy::Adaptive);
-}
-
-#[test]
-fn table5_counts_work_stealing_adaptive() {
-    assert_table5_invariant(SchedPolicy::WorkStealing, IdlePolicy::Adaptive);
+    assert_table5_invariant(IdlePolicy::Adaptive);
 }
 
 /// With the tracer compiled in but **off** (the default), every event site

@@ -20,7 +20,7 @@
 
 use std::sync::mpsc;
 use ulp_core::ulp_kernel::OpenFlags;
-use ulp_core::{sys, Runtime, SchedPolicy};
+use ulp_core::{sys, Runtime};
 
 /// Read a whole procfs file from inside a ULP.
 fn read_all(path: &str) -> String {
@@ -38,14 +38,9 @@ fn read_all(path: &str) -> String {
     String::from_utf8(out).unwrap()
 }
 
-/// The reconciliation rendezvous, parameterized over the run-queue policy
-/// (the exposition must be policy-independent: both disciplines funnel into
-/// the same render).
-fn metrics_reconcile_under(policy: SchedPolicy) {
-    let rt = Runtime::builder()
-        .schedulers(2)
-        .sched_policy(policy)
-        .build();
+#[test]
+fn metrics_reconcile_global_fifo() {
+    let rt = Runtime::builder().schedulers(2).build();
     rt.trace_enable();
 
     let (ready_tx, ready_rx) = mpsc::channel::<()>();
@@ -89,16 +84,6 @@ fn metrics_reconcile_under(policy: SchedPolicy) {
         let _ = go_tx.send(rt.prometheus_dump());
     }
     assert_eq!(h.wait(), 0);
-}
-
-#[test]
-fn metrics_reconcile_global_fifo() {
-    metrics_reconcile_under(SchedPolicy::GlobalFifo);
-}
-
-#[test]
-fn metrics_reconcile_work_stealing() {
-    metrics_reconcile_under(SchedPolicy::WorkStealing);
 }
 
 /// `/proc/ulp/stat` serves the live `StatsSnapshot`, one `name value` line

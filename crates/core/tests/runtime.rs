@@ -478,32 +478,80 @@ fn runtime_shutdown_is_clean() {
     rt.shutdown();
 }
 
-#[test]
-fn work_stealing_policy_runs_everything() {
-    let rt = Runtime::builder()
-        .schedulers(3)
-        .idle_policy(IdlePolicy::Blocking)
-        .sched_policy(ulp_core::SchedPolicy::WorkStealing)
-        .build();
-    let done = Arc::new(AtomicUsize::new(0));
-    let handles: Vec<_> = (0..9)
+/// A ring of 64 decoupled BLTs that only `yield_now()`: member 0 ends the
+/// run after `laps` yields of its own, and everybody reports how many
+/// yields it got in. The run queue is one FIFO, so a yielding UC goes
+/// behind everything already runnable — what `ulpbench`'s `ring_is_fair`
+/// check and the yield-based locks of `sync.rs` assume. Returns the
+/// per-member counts; panics if the ring had to be stopped from outside
+/// (member 0 starved).
+fn yield_ring_counts(schedulers: usize, laps: u64) -> Vec<u64> {
+    const RING: usize = 64;
+    let rt = Runtime::builder().schedulers(schedulers).build();
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..RING)
         .map(|i| {
-            let done = done.clone();
-            rt.spawn(&format!("ws{i}"), move || {
+            let (arrived, stop) = (arrived.clone(), stop.clone());
+            let (tx, rx) = std::sync::mpsc::channel();
+            let h = rt.spawn(&format!("ring{i}"), move || {
                 decouple().unwrap();
-                for _ in 0..30 {
+                // Count only once the whole ring is on the schedulers.
+                arrived.fetch_add(1, Ordering::AcqRel);
+                while arrived.load(Ordering::Acquire) < RING && !stop.load(Ordering::Relaxed) {
                     yield_now();
                 }
-                coupled_scope(|| sys::getpid().unwrap()).unwrap();
-                done.fetch_add(1, Ordering::AcqRel);
+                let mut yields = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    yields += yield_now() as u64;
+                    if i == 0 && yields == laps {
+                        stop.store(true, Ordering::Relaxed);
+                    }
+                }
+                tx.send(yields).unwrap();
                 0
-            })
+            });
+            (h, rx)
         })
         .collect();
-    for h in handles {
-        assert_eq!(h.wait(), 0);
+    // A ring that starves member 0 never stops itself: end it, then fail.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !stop.load(Ordering::Relaxed) && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(done.load(Ordering::Acquire), 9);
+    let starved = !stop.swap(true, Ordering::Relaxed);
+    let counts: Vec<u64> = handles
+        .into_iter()
+        .map(|(h, rx)| {
+            assert_eq!(h.wait(), 0);
+            rx.recv().unwrap()
+        })
+        .collect();
+    assert!(!starved, "member 0 never finished {laps} laps: {counts:?}");
+    counts
+}
+
+/// One scheduler runs the ring strictly in queue order, so when member 0
+/// stops it every member is on the same lap or the next one.
+#[test]
+fn yield_ring_is_fair_on_one_scheduler() {
+    let counts = yield_ring_counts(1, 2_000);
+    let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+    assert!(max - min <= 1, "min {min} max {max}: {counts:?}");
+}
+
+/// Two schedulers pop the one queue concurrently — the first test of
+/// `yield_now()` with both awake. An OS preemption of either stalls the one
+/// member it was running, so the counts spread, but nobody starves and
+/// nobody gets more than twice anybody else's share.
+#[test]
+fn yield_ring_is_fair_on_two_schedulers() {
+    let counts = yield_ring_counts(2, 20_000);
+    let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+    assert!(
+        *min > 0 && *max as f64 / *min as f64 <= 2.0,
+        "min {min} max {max}: {counts:?}"
+    );
 }
 
 #[test]

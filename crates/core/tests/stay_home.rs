@@ -14,7 +14,7 @@ use std::time::Duration;
 use ulp_core::ulp_kernel::fault::{self, FaultKind, FaultPlan};
 use ulp_core::{
     couple, coupled_scope, decouple, is_coupled, pending_couplers, sys, yield_now, IdlePolicy,
-    Runtime, SchedPolicy, StatsSnapshot, TraceEvent,
+    Runtime, StatsSnapshot, TraceEvent,
 };
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -76,38 +76,36 @@ fn futex_wakes() -> u64 {
 fn home_round_trip_is_table_v_without_a_wake() {
     const PAIRS: u64 = 8;
     let _serial = serial();
-    for sched in [SchedPolicy::GlobalFifo, SchedPolicy::WorkStealing] {
-        let _counted = count_futex_wakes();
-        let rt = Runtime::builder().sched_policy(sched).build();
-        assert_eq!(rt.config().idle_policy, IdlePolicy::Adaptive);
-        let h = rt.spawn("lone", move || {
-            decouple().unwrap();
-            // A window in which the scheduler's 20 ms park time-out fires
-            // finds it awake for a microsecond and leaves once: measure
-            // again — the claim is about round trips that stay.
-            for _attempt in 0..50 {
-                go_home();
-                let (before, wakes) = (my_stats(), futex_wakes());
-                for _ in 0..PAIRS {
-                    coupled_scope(|| sys::getpid().unwrap()).unwrap();
-                }
-                let d = my_stats().delta(&before);
-                assert_eq!(d.context_switches, 4 * PAIRS, "{sched:?}: {d:?}");
-                assert_eq!(d.tls_loads, 2 * PAIRS, "{sched:?}: {d:?}");
-                assert_eq!(d.scheduler_dispatches, PAIRS, "{sched:?}: {d:?}");
-                assert_eq!((d.couples, d.decouples), (PAIRS, PAIRS));
-                assert_eq!((d.yields, d.couple_handoffs), (0, 0));
-                if d.decouple_homes == PAIRS {
-                    assert_eq!(d.kc_blocks, 0, "the KC slept at home: {d:?}");
-                    assert_eq!(futex_wakes() - wakes, 0, "somebody was woken: {d:?}");
-                    return 0;
-                }
+    let _counted = count_futex_wakes();
+    let rt = Runtime::new();
+    assert_eq!(rt.config().idle_policy, IdlePolicy::Adaptive);
+    let h = rt.spawn("lone", move || {
+        decouple().unwrap();
+        // A window in which the scheduler's 20 ms park time-out fires
+        // finds it awake for a microsecond and leaves once: measure
+        // again — the claim is about round trips that stay.
+        for _attempt in 0..50 {
+            go_home();
+            let (before, wakes) = (my_stats(), futex_wakes());
+            for _ in 0..PAIRS {
+                coupled_scope(|| sys::getpid().unwrap()).unwrap();
             }
-            panic!("never saw {PAIRS} round trips in a row stay home");
-        });
-        assert_eq!(h.wait(), 0);
-        assert!(rt.violations().is_empty());
-    }
+            let d = my_stats().delta(&before);
+            assert_eq!(d.context_switches, 4 * PAIRS, "{d:?}");
+            assert_eq!(d.tls_loads, 2 * PAIRS, "{d:?}");
+            assert_eq!(d.scheduler_dispatches, PAIRS, "{d:?}");
+            assert_eq!((d.couples, d.decouples), (PAIRS, PAIRS));
+            assert_eq!((d.yields, d.couple_handoffs), (0, 0));
+            if d.decouple_homes == PAIRS {
+                assert_eq!(d.kc_blocks, 0, "the KC slept at home: {d:?}");
+                assert_eq!(futex_wakes() - wakes, 0, "somebody was woken: {d:?}");
+                return 0;
+            }
+        }
+        panic!("never saw {PAIRS} round trips in a row stay home");
+    });
+    assert_eq!(h.wait(), 0);
+    assert!(rt.violations().is_empty());
 }
 
 /// The evidence for staying must not contain the wake-up it is meant to

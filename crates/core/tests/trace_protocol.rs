@@ -3,22 +3,19 @@
 //! The paper's Table I fixes the couple/decouple protocol: a UC may only
 //! *request* coupling after it has decoupled, and the `Coupled` transition
 //! happens on the UC's **original** kernel context — never on a scheduler.
-//! These tests drive a contended workload under both scheduling policies
-//! and check those orderings on the merged per-KC trace, which also
-//! exercises the timestamp merge across shards.
+//! These tests drive a contended workload on two schedulers and check those
+//! orderings on the merged per-KC trace, which also exercises the timestamp
+//! merge across shards.
 
-use ulp_core::{
-    coupled_scope, decouple, yield_now, IdlePolicy, Runtime, SchedPolicy, TraceEvent, TraceRecord,
-};
+use ulp_core::{coupled_scope, decouple, yield_now, IdlePolicy, Runtime, TraceEvent, TraceRecord};
 
 const BLTS: usize = 3;
 const ITERS: usize = 5;
 
-fn traced_workload(policy: SchedPolicy) -> Vec<TraceRecord> {
+fn traced_workload() -> Vec<TraceRecord> {
     let rt = Runtime::builder()
         .schedulers(2)
         .idle_policy(IdlePolicy::Blocking)
-        .sched_policy(policy)
         .build();
     rt.trace_enable();
     let handles: Vec<_> = (0..BLTS)
@@ -120,12 +117,7 @@ fn assert_protocol_orderings(trace: &[TraceRecord]) {
 
 #[test]
 fn table_one_orderings_hold_under_global_fifo() {
-    assert_protocol_orderings(&traced_workload(SchedPolicy::GlobalFifo));
-}
-
-#[test]
-fn table_one_orderings_hold_under_work_stealing() {
-    assert_protocol_orderings(&traced_workload(SchedPolicy::WorkStealing));
+    assert_protocol_orderings(&traced_workload());
 }
 
 /// A `kc_notify` wake edge belongs to the couple request whose push ended

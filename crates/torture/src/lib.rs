@@ -32,58 +32,42 @@ pub use scenario::Scenario;
 
 use std::sync::Mutex;
 use ulp_core::chaos::{self, splitmix64, ChaosPlan};
-use ulp_core::{
-    ConsistencyMode, IdlePolicy, Runtime, SchedPolicy, StatsSnapshot, TraceRecord, UlpError,
-};
+use ulp_core::{ConsistencyMode, IdlePolicy, Runtime, StatsSnapshot, TraceRecord, UlpError};
 use ulp_kernel::fault::{self, FaultPlan};
 
 /// Domain-separation salts so one run seed derives independent streams.
 const SALT_CHAOS: u64 = 0x43_48_41_4F_53; // "CHAOS"
 const SALT_FAULT: u64 = 0x46_41_55_4C_54; // "FAULT"
 
-/// One cell of the torture matrix: a workload scenario under a scheduling
-/// policy and an idle policy.
+/// One cell of the torture matrix: a workload scenario under an idle
+/// policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// The workload.
     pub scenario: Scenario,
-    /// Run-queue discipline.
-    pub sched: SchedPolicy,
     /// Idle-KC policy.
     pub idle: IdlePolicy,
 }
 
 impl std::fmt::Display for Cell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{:?}/{:?}",
-            self.scenario.name(),
-            self.sched,
-            self.idle
-        )
+        write!(f, "{}/{:?}", self.scenario.name(), self.idle)
     }
 }
 
-/// The full matrix: every scenario × both scheduling policies × the two
-/// paper idle policies (§VI-C) plus the runtime's default, `Adaptive` —
+/// The full matrix: every scenario × the two paper idle policies (§VI-C)
+/// plus the runtime's default, `Adaptive` —
 /// whose spin arm serves requests without the futex wake the other two
 /// rely on, so it gets chaos coverage too.
 pub fn matrix() -> Vec<Cell> {
     let mut cells = Vec::new();
     for &scenario in Scenario::ALL {
-        for sched in [SchedPolicy::GlobalFifo, SchedPolicy::WorkStealing] {
-            for idle in [
-                IdlePolicy::Blocking,
-                IdlePolicy::BusyWait,
-                IdlePolicy::Adaptive,
-            ] {
-                cells.push(Cell {
-                    scenario,
-                    sched,
-                    idle,
-                });
-            }
+        for idle in [
+            IdlePolicy::Blocking,
+            IdlePolicy::BusyWait,
+            IdlePolicy::Adaptive,
+        ] {
+            cells.push(Cell { scenario, idle });
         }
     }
     cells
@@ -159,7 +143,6 @@ pub fn run_cell(cell: Cell, seed: u64) -> RunReport {
     let _g = RUN_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let rt = Runtime::builder()
         .schedulers(cell.scenario.schedulers())
-        .sched_policy(cell.sched)
         .idle_policy(cell.idle)
         // Pool KC threads start lazily on the first `spawn_pooled`, so
         // pinning the pool size costs nothing for scenarios that never

@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! torture [--iters N] [--seed HEX] [--exact-seed]
-//!         [--scenario NAME] [--sched NAME] [--idle NAME]
+//!         [--scenario NAME] [--idle NAME]
 //!         [--artifact-dir DIR] [--replay-check] [--expect-violations] [--list]
 //! ```
 //!
 //! Iteration `i` runs matrix cell `i % cells` with the per-run seed
-//! `run_seed(master, i)`. `--scenario`/`--sched`/`--idle` filter the
-//! matrix down to one cell, and `--exact-seed` skips the per-iteration
-//! derivation (the per-run seed IS `--seed`), which together make the
-//! `reproduce:` line in a failure report replay the failing run exactly.
+//! `run_seed(master, i)`. `--scenario`/`--idle` filter the matrix down to
+//! one cell, and `--exact-seed` skips the per-iteration derivation (the
+//! per-run seed IS `--seed`), which together make the `reproduce:` line in
+//! a failure report replay the failing run exactly.
 //! See `EXPERIMENTS.md`, "Torture harness".
 
 use std::io::Write as _;
@@ -22,7 +22,6 @@ struct Options {
     master_seed: u64,
     exact_seed: bool,
     scenario: Option<Scenario>,
-    sched: Option<ulp_core::SchedPolicy>,
     idle: Option<ulp_core::IdlePolicy>,
     artifact_dir: Option<String>,
     replay_check: bool,
@@ -32,7 +31,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: torture [--iters N] [--seed HEX] [--exact-seed] [--scenario NAME] \
-         [--sched globalfifo|workstealing] [--idle blocking|busywait|adaptive] \
+         [--idle blocking|busywait|adaptive] \
          [--artifact-dir DIR] [--replay-check] [--expect-violations] [--list]\n\
          scenarios: {}",
         Scenario::ALL
@@ -61,7 +60,6 @@ fn parse_args() -> Options {
             .unwrap_or(0xDECAF),
         exact_seed: false,
         scenario: None,
-        sched: None,
         idle: None,
         artifact_dir: None,
         replay_check: false,
@@ -91,17 +89,6 @@ fn parse_args() -> Options {
                         usage()
                     }
                 }
-            }
-            "--sched" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                opts.sched = Some(match name.to_ascii_lowercase().as_str() {
-                    "globalfifo" => ulp_core::SchedPolicy::GlobalFifo,
-                    "workstealing" => ulp_core::SchedPolicy::WorkStealing,
-                    _ => {
-                        eprintln!("unknown sched policy {name:?}");
-                        usage()
-                    }
-                });
             }
             "--idle" => {
                 let name = args.next().unwrap_or_else(|| usage());
@@ -172,10 +159,9 @@ fn write_artifacts(dir: &str, iter: u64, report: &RunReport) {
     }
     text.push_str(&format!(
         "\nreproduce:\n  cargo run -p ulp-torture -- --iters 1 --exact-seed --seed {:#x} \
-         --scenario {} --sched {:?} --idle {:?}\n",
+         --scenario {} --idle {:?}\n",
         report.seed,
         report.cell.scenario.name(),
-        report.cell.sched,
         report.cell.idle,
     ));
     if let Err(e) = std::fs::write(&report_path, text) {
@@ -198,7 +184,6 @@ fn replay_check(master: u64) -> bool {
     {
         let cell = Cell {
             scenario: Scenario::Chain,
-            sched: ulp_core::SchedPolicy::GlobalFifo,
             idle,
         };
         let seed = run_seed(master, 0x5EED + i as u64);
@@ -231,7 +216,6 @@ fn main() -> ExitCode {
     let cells: Vec<Cell> = matrix()
         .into_iter()
         .filter(|c| opts.scenario.is_none_or(|s| c.scenario == s))
-        .filter(|c| opts.sched.is_none_or(|s| c.sched == s))
         .filter(|c| opts.idle.is_none_or(|p| c.idle == p))
         .collect();
     if cells.is_empty() {
@@ -266,7 +250,7 @@ fn main() -> ExitCode {
             "FAIL"
         };
         println!(
-            "[{i:4}] {cell:<38} seed {seed:#018x}  {:5} events  digest {:#018x}  {verdict}",
+            "[{i:4}] {cell:<24} seed {seed:#018x}  {:5} events  digest {:#018x}  {verdict}",
             report.trace.len(),
             report.digest
         );

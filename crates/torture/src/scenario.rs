@@ -869,7 +869,7 @@ fn write_all(fd: Fd, data: &[u8]) -> Result<(), Errno> {
 }
 
 /// How many pooled ULPs `c1m_storm` churns through. The in-matrix default
-/// is small enough that all 60 cells stay fast; local/CI scale runs raise
+/// is small enough that all 30 cells stay fast; local/CI scale runs raise
 /// it (`ULP_C1M_N=10000` and beyond) and [`Scenario::trace_capacity`]
 /// grows the rings to match.
 fn c1m_count() -> usize {

@@ -4,7 +4,7 @@
 //! Chaos/fault state is process-global; `run_cell` serializes internally,
 //! so these tests are safe under the default parallel test runner.
 
-use ulp_core::{IdlePolicy, SchedPolicy};
+use ulp_core::IdlePolicy;
 use ulp_torture::{digest, matrix, run_cell, run_seed, Cell, Scenario};
 
 /// Fixed master seed for CI determinism (same default as the binary).
@@ -40,7 +40,6 @@ fn chain_cell_replays_byte_identically() {
     }
     let cell = Cell {
         scenario: Scenario::Chain,
-        sched: SchedPolicy::GlobalFifo,
         idle: IdlePolicy::Blocking,
     };
     let seed = run_seed(MASTER, 777);
@@ -64,7 +63,6 @@ fn chaos_and_faults_actually_fire() {
     }
     let cell = Cell {
         scenario: Scenario::Chain,
-        sched: SchedPolicy::GlobalFifo,
         idle: IdlePolicy::Blocking,
     };
     let report = run_cell(cell, run_seed(MASTER, 1));
@@ -117,7 +115,6 @@ fn home_stay_cell_reaches_the_home_path() {
     use ulp_core::TraceEvent as E;
     let cell = Cell {
         scenario: Scenario::HomeStay,
-        sched: SchedPolicy::GlobalFifo,
         idle: IdlePolicy::Adaptive,
     };
     let report = run_cell(cell, run_seed(MASTER, 20));
@@ -144,7 +141,6 @@ fn home_stay_cell_reaches_the_home_path() {
 fn planted_mutation_is_caught_by_the_oracle() {
     let cell = Cell {
         scenario: Scenario::Chain,
-        sched: SchedPolicy::GlobalFifo,
         idle: IdlePolicy::Blocking,
     };
     let report = run_cell(cell, run_seed(MASTER, 0));
@@ -168,7 +164,6 @@ fn planted_mutation_is_caught_at_home_too() {
     use ulp_core::TraceEvent as E;
     let cell = Cell {
         scenario: Scenario::HomeStay,
-        sched: SchedPolicy::GlobalFifo,
         idle: IdlePolicy::Adaptive,
     };
     let report = run_cell(cell, run_seed(MASTER, 20));
