@@ -17,12 +17,14 @@ const YIELD_INSTANCES: usize = 8;
 /// Ceiling on 2-ULP yield ns ÷ bare context-switch ns of the same run.
 const MAX_YIELD_OVER_SWITCH: f64 = 4.5;
 
-/// BLTs and window of the couple-loop gate, the ceiling on KC futex blocks
-/// per scope under `Adaptive` (≈ 0.01) and the floor under `Blocking` (≈ 1).
+/// BLTs and window of the couple-loop gates, the ceiling on KC futex blocks
+/// per scope under `Adaptive` (≈ 0.01) and the floor under `Blocking` (≈ 1),
+/// and the floor on decouples that stay home under `Adaptive` (≈ 0.99).
 const COUPLE_LOOP_BLTS: usize = 4;
 const COUPLE_LOOP_WINDOW: Duration = Duration::from_millis(150);
 const MAX_ADAPTIVE_KC_BLOCKS: f64 = 0.05;
 const MIN_BLOCKING_KC_BLOCKS: f64 = 0.5;
+const MIN_ADAPTIVE_HOME_RATIO: f64 = 0.9;
 
 /// Clients and requests per client of the request/reply gate, and the
 /// ceiling on trampoline futex blocks per request (≈ 0.95 when every
@@ -91,20 +93,33 @@ fn main() {
     );
 
     // The idle decision against the policy it replaced as the default: four
-    // BLTs in a couple/decouple loop keep schedulers and trampolines spinning
-    // for each other under `Adaptive`, where `Blocking` pays a futex sleep
-    // and an OS-thread wake per `couple()`. Judged by the sleeps the runtime
-    // counted — what they cost is the host's mood (a wake is ≈ 2 µs in some
-    // minutes and ≈ 40 µs in others), so the throughput ratio is only shown.
-    let (adaptive, adaptive_blocks) =
-        workloads::couple_loop(IdlePolicy::Adaptive, COUPLE_LOOP_BLTS, COUPLE_LOOP_WINDOW);
-    let (blocking, blocking_blocks) =
-        workloads::couple_loop(IdlePolicy::Blocking, COUPLE_LOOP_BLTS, COUPLE_LOOP_WINDOW);
+    // BLTs in a `scope; yield_now()` loop keep their KCs awake under
+    // `Adaptive`, where `Blocking` pays a futex sleep and an OS-thread wake
+    // per `couple()`. Judged by the sleeps the runtime counted — what they
+    // cost is the host's mood (a wake is ≈ 2 µs in some minutes and ≈ 40 µs
+    // in others), so the throughput ratio is only shown.
+    let run = |policy| workloads::couple_loop(policy, COUPLE_LOOP_BLTS, COUPLE_LOOP_WINDOW);
+    let (adaptive, a) = run(IdlePolicy::Adaptive);
+    let (blocking, b) = run(IdlePolicy::Blocking);
+    let (busywait, w) = run(IdlePolicy::BusyWait);
+    let adaptive_blocks = a.kc_blocks as f64 / a.couples as f64;
+    let blocking_blocks = b.kc_blocks as f64 / b.couples as f64;
     gate(
         adaptive_blocks < MAX_ADAPTIVE_KC_BLOCKS && blocking_blocks > MIN_BLOCKING_KC_BLOCKS,
         format!(
             "couple loop KC blocks per op: Adaptive {adaptive_blocks:.3} (ceiling {MAX_ADAPTIVE_KC_BLOCKS}), Blocking {blocking_blocks:.3} (floor {MIN_BLOCKING_KC_BLOCKS}); {adaptive:.0}/s ÷ {blocking:.0}/s = {:.2}",
             adaptive / blocking
+        ),
+    );
+    // The same loops, by who hosted the stretches: these come straight back,
+    // so under `Adaptive` they stay on their own KCs whoever is awake, and
+    // the paper's two policies hand every one of them to a scheduler.
+    let home_ratio = a.decouple_homes as f64 / a.decouples as f64;
+    gate(
+        home_ratio >= MIN_ADAPTIVE_HOME_RATIO && (b.decouple_homes, w.decouple_homes) == (0, 0),
+        format!(
+            "couple loop decouples that stayed home: Adaptive {home_ratio:.3} (floor {MIN_ADAPTIVE_HOME_RATIO}), Blocking {} and BusyWait {} (exactly 0; BusyWait {busywait:.0}/s)",
+            b.decouple_homes, w.decouple_homes
         ),
     );
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ulp_core::{
     couple, coupled_scope, decouple, pending_couplers, sys, yield_now, IdlePolicy, RawUlpLock,
-    Runtime, RuntimeBuilder, Topology, UlpLock,
+    Runtime, RuntimeBuilder, StatsSnapshot, Topology, UlpLock,
 };
 use ulp_fcontext::Fiber;
 use ulp_kernel::{Aiocb, ArchProfile, IoModel, OpenFlags};
@@ -124,7 +124,7 @@ pub fn getpid_coupled(
     policy: IdlePolicy,
     profile: ArchProfile,
     iters: usize,
-) -> (f64, ulp_core::StatsSnapshot) {
+) -> (f64, StatsSnapshot) {
     let rt = Runtime::builder()
         .schedulers(1)
         .idle_policy(policy)
@@ -153,9 +153,9 @@ pub fn getpid_coupled(
 /// `blts` BLTs on one scheduler, each looping `coupled_scope(getpid)` +
 /// `yield_now()` for `window` — `couple_io`'s shape without the file calls,
 /// where the idle policy decides whether every `couple()` pays a futex
-/// sleep. Returns completed scopes per second, all BLTs together, and — by
-/// the runtime's own counters — KC futex blocks per scope.
-pub fn couple_loop(policy: IdlePolicy, blts: usize, window: Duration) -> (f64, f64) {
+/// sleep and whether a `decouple()` leaves at all. Returns completed scopes
+/// per second, all BLTs together, and the runtime's own counters.
+pub fn couple_loop(policy: IdlePolicy, blts: usize, window: Duration) -> (f64, StatsSnapshot) {
     let rt = Runtime::builder().schedulers(1).idle_policy(policy).build();
     let stop = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..blts)
@@ -178,8 +178,7 @@ pub fn couple_loop(policy: IdlePolicy, blts: usize, window: Duration) -> (f64, f
     stop.store(true, Ordering::Relaxed);
     let secs = t.elapsed().as_secs_f64();
     let ops: i64 = handles.iter().map(|h| i64::from(h.wait())).sum();
-    let s = rt.stats().snapshot();
-    (ops as f64 / secs, s.kc_blocks as f64 / s.couples as f64)
+    (ops as f64 / secs, rt.stats().snapshot())
 }
 
 /// `clients` decoupled BLTs on the default runtime, each sending `requests`
@@ -788,7 +787,7 @@ pub fn overlap_pct(variant: OwcVariant, size: usize, profile: ArchProfile, io: I
 /// bursts. Returns the topology, the wall time per compute + system-call
 /// cycle (µs) and the runtime's counters; panics unless every worker finishes
 /// its cycles (exit status 0) with no consistency violation recorded.
-pub fn fig6_scenario(oversubscription: usize) -> (Topology, f64, ulp_core::StatsSnapshot) {
+pub fn fig6_scenario(oversubscription: usize) -> (Topology, f64, StatsSnapshot) {
     const OPS_PER_BLT: usize = 200;
     let host_cpus = crate::baselines::n_cpus();
     // Split the host: at least one program core, the rest for syscalls.

@@ -202,9 +202,12 @@ fn preempt_point_slow(site: ChaosSite) {
     });
     let Some(key) = key else { return };
     if decide(site, key) {
-        // A forced yield from a coupled UC degrades to an OS yield; from a
-        // decoupled UC it takes a real detour through the run queue. Either
-        // way yield_now() has no chaos hook of its own, so no recursion.
+        // A forced yield from a coupled UC degrades to an OS yield, and so
+        // does one from a UC at home on a young stretch; from a decoupled UC
+        // on a scheduler — or at home past the break-even, or with a sibling
+        // waiting for the KC — it takes a real detour through the run queue.
+        // Either way yield_now() has no chaos hook of its own, so no
+        // recursion.
         crate::couple::yield_now();
     }
 }

@@ -13,14 +13,17 @@
 //! | Seq.6–7 `enqueue(UC₀,KC₁)`, `swap_ctx(UC₀,TC₀)` | [`decouple`]'s switch to the TC with `Deferred::Enqueue` (race point 2 resolved) |
 //! | Seq.8–9 `dequeue()` / `swap_ctx(UCᵢ,UC₀)` | the scheduler loop / direct `yield` switch |
 //!
-//! Table I never says KC₁ ≠ KC₀. A [`decouple`] that would have to wake a
-//! sleeping scheduler just to be woken back by its own [`couple`] *stays
-//! home* instead (`park.rs`, "Staying home", has the decision): Seq. 6–7
-//! still switch to the TC behind a deferred action — `Deferred::Home`, which
-//! publishes the UC to nobody — Seq. 8–9 are the TC's own dispatch of it
-//! (`kc.rs::tc_loop`, counted and charged like a scheduler's), and Seq. 1–4
-//! run unchanged with the TC as the host. Still 4 switches and 2 TLS loads
-//! per round trip; no wake-up, because no other thread is involved.
+//! Table I never says KC₁ ≠ KC₀. A [`decouple`] whose last decoupled stretch
+//! was shorter than the two hand-overs leaving costs — out to a scheduler,
+//! and back through its own [`couple`] — *stays home* instead (`park.rs`,
+//! "Staying home", has the decision; whether a scheduler happens to be awake
+//! is not part of it): Seq. 6–7 still switch to the TC behind a deferred
+//! action — `Deferred::Home`, which publishes the UC to nobody — Seq. 8–9 are
+//! the TC's own dispatch of it (`kc.rs::tc_loop`, counted and charged like a
+//! scheduler's), and Seq. 1–4 run unchanged with the TC as the host. Still 4
+//! switches and 2 TLS loads per round trip; no wake-up, because no other
+//! thread is involved. At home [`yield_now`] is the kernel's yield while the
+//! stretch is young; past that it hands the KC back to rejoin the pool.
 //!
 //! ## Hot-path structure
 //!
@@ -273,21 +276,18 @@ pub fn decouple() -> Result<bool, UlpError> {
             b.put_deferred(Deferred::Enqueue(me_owned));
             return Ok(Prep::Switch { save, target });
         }
-        // Stay home (module docs) iff the evidence says so — every scheduler
-        // asleep under `Adaptive`, and the last decoupled stretch came
-        // straight back — this KC serves nobody else (a sibling's couple
-        // request needs it idle), and nothing is queued that a scheduler is
-        // about to wake up for anyway (the queue's length mirror: one load;
-        // `is_empty()` is the consumers' locked re-check). A heuristic on
-        // racy reads: leaving and staying are both always correct.
+        // Stay home (module docs) iff the UC's own evidence says so — the
+        // policy is `Adaptive` and the last decoupled stretch came straight
+        // back — and this KC serves nobody else (a sibling's couple request
+        // needs it idle). Whether a scheduler is awake is not asked: leaving
+        // buys nothing for a stretch shorter than the two hand-overs it
+        // costs. A heuristic on racy reads: either answer is always correct.
         let siblings = &me.kc.sibling_count;
-        #[allow(clippy::len_zero)]
         let stay = me
             .phases
             .decoupling(now, runq, schedulers, Some(&me.kc.parker))
             && me.kind == UcKind::Primary
-            && siblings.load(std::sync::atomic::Ordering::Relaxed) == 0
-            && rt.runq.len() == 0;
+            && siblings.load(std::sync::atomic::Ordering::Relaxed) == 0;
         let target = unsafe { *me.kc.tc_ctx.get() };
         // Vacate the TLS register and move our own reference into the
         // deferred action: it runs on the TC only after our registers are
@@ -399,9 +399,34 @@ pub fn couple() -> Result<bool, UlpError> {
 
 /// Cooperatively yield to the next runnable UC, if any (direct UC→UC
 /// switch, the paper's `swap_ctx(UC₀, UCᵢ)`). Returns `true` if a switch
-/// happened. Coupled BLTs and schedulers delegate to the OS scheduler; a UC
-/// hosted at home by its own KC hands the KC back and moves to a scheduler.
+/// happened.
+///
+/// A `false` comes in two kinds. A coupled BLT, a scheduler or a plain thread
+/// delegates to the OS scheduler — a KLT's yield is the kernel's business —
+/// and this call **has already** yielded to it. So has a UC hosted *at home*
+/// by its own KC's trampoline while that KC has nobody else to serve (no
+/// sibling, no pending couple request) and the decoupled stretch is younger
+/// than the hand-over leaving would cost (`park.rs`, "Staying home"). Only a
+/// decoupled UC on a scheduler that finds the run queue empty returns `false`
+/// without having yielded anything; waiters call [`stall`].
+///
+/// A UC at home whose stretch has outlived that break-even, or whose KC a
+/// sibling is waiting for, hands the KC back, moves to a scheduler (a
+/// `Requeue` on the trace) and returns `true`: whatever waits on `yield_now()`
+/// for longer than a wake costs rejoins the scheduled pool.
 pub fn yield_now() -> bool {
+    yield_or(false)
+}
+
+/// One cooperative back-off step for a waiter: switch to a runnable UC, else
+/// yield to the OS scheduler — exactly once, whichever [`yield_now`]'s `false`.
+pub fn stall() {
+    yield_or(true);
+}
+
+/// [`yield_now`]; `os_fallback`: with nothing to switch to, yield to the OS.
+#[inline(always)]
+fn yield_or(os_fallback: bool) -> bool {
     let prep = with_thread(|b| {
         let Some(rt) = b.rt() else {
             return Prep::OsYield;
@@ -415,9 +440,24 @@ pub fn yield_now() -> bool {
             return Prep::OsYield;
         }
         if b.at_home() {
-            // Nobody to switch to on our own KC: give it up and rejoin the
-            // scheduled pool through the trampoline — `decouple()`'s Seq.
-            // 6–7 once more, TLS-exempt like them.
+            // No other user-level context may run on this KC. While it has
+            // nobody else to serve and the stretch is young we are its KLT in
+            // all but name, and the yield is the kernel's (DESIGN.md §4).
+            if me
+                .kc
+                .sibling_count
+                .load(std::sync::atomic::Ordering::Relaxed)
+                == 0
+                && me.kc.pending.len() == 0
+                && me.phases.home_stretch_is_young(crate::trace::now_ns())
+            {
+                if let Some(s) = b.shard() {
+                    s.bump_yield_homes();
+                }
+                return Prep::OsYield;
+            }
+            // Otherwise give the KC up and rejoin the scheduled pool through
+            // the trampoline: `decouple()`'s Seq. 6–7 once more, TLS-exempt.
             if let Some(s) = b.shard() {
                 s.bump_context_switches();
             }
@@ -473,19 +513,18 @@ pub fn yield_now() -> bool {
         Prep::Switch { save, target }
     });
     match prep {
-        Prep::OsYield => {
-            std::thread::yield_now();
-            false
-        }
-        Prep::NoSwitch => false,
+        Prep::OsYield => std::thread::yield_now(),
+        Prep::NoSwitch if os_fallback => std::thread::yield_now(),
+        Prep::NoSwitch => {}
         Prep::Switch { save, target } => {
             unsafe {
                 ulp_fcontext::swap(&mut *save, target, 0);
             }
             run_deferred();
-            true
+            return true;
         }
     }
+    false
 }
 
 /// Run `f` coupled with the original kernel context — the paper's

@@ -600,9 +600,15 @@ pub fn prometheus_text(
     counter_block(
         &mut out,
         "ulp_decouple_home_total",
-        "Decouples that stayed home: hosted by the UC's own trampoline because leaving would \
-         have woken a sleeping scheduler.",
+        "Decouples that stayed home: hosted by the UC's own trampoline because its last \
+         decoupled stretch was shorter than a hand-over.",
         stats.decouple_homes,
+    );
+    counter_block(
+        &mut out,
+        "ulp_yield_home_total",
+        "yield_now() calls at home that were the kernel's yield: no Requeue, the UC stayed.",
+        stats.yield_homes,
     );
     let _ = writeln!(
         out,
@@ -877,6 +883,7 @@ mod tests {
         let text = prometheus_text(&stats, &lat, &SyscallSnapshot::new(), 0, 3, &pool, 5, 2, 7);
         assert!(text.contains("ulp_context_switches_total 42\n"));
         assert!(text.contains("ulp_decouple_home_total 0\n"));
+        assert!(text.contains("ulp_yield_home_total 0\n"));
         assert!(text.contains("# TYPE ulp_runqueue_depth gauge"));
         assert!(text.contains("ulp_runqueue_depth 7\n"));
         assert!(text.contains("# TYPE ulp_trace_dropped_total gauge"));

@@ -85,7 +85,7 @@ pub mod trace;
 pub mod uc;
 
 pub use chaos::ChaosPlan;
-pub use couple::{couple, coupled_scope, decouple, is_coupled, pending_couplers, yield_now};
+pub use couple::{couple, coupled_scope, decouple, is_coupled, pending_couplers, stall, yield_now};
 pub use error::UlpError;
 pub use export::{chrome_trace_json, prometheus_text, PoolMetrics};
 pub use hist::{HistData, HistSummary, LatencySnapshot, SyscallSnapshot, WakeSnapshot};

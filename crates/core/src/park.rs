@@ -111,21 +111,23 @@
 //!
 //! ## Staying home
 //!
-//! The same evidence answers the opposite question. A `decouple()` that
-//! finds **every scheduler asleep and the run queue empty** would pay one
-//! OS-thread wake-up to leave and a second to come back — and Table I never
-//! says KC₁ ≠ KC₀. Under `Adaptive`, a `Primary` whose KC serves nobody else
-//! then stays on its own KC, hosted by its trampoline, iff its last
-//! decoupled stretch came straight back ([`HOME_BREAK_EVEN_NS`]). That
-//! stretch is timed from the **host's dispatch**, not from `decouple()` like
-//! `ult_gap` (`queued` is the difference): `ult_gap` contains the
-//! scheduler's wake-up exactly when the scheduler slept — right for the spin
-//! decision, where a slow wake says "do not spin", and wrong here, where a
-//! slow wake is the reason to stay. One more clock read per dispatch of a
-//! primary, none on the yield path; with no history (a first `decouple()`)
-//! the answer is leave. The UC is never published to another thread while
-//! it is at home, so none of the protocol above is involved: `couple.rs` and
-//! `kc.rs` have the switches.
+//! The same evidence answers the opposite question. A `decouple()` pays one
+//! hand-over to leave — a wake-up, or a slice of a spinning scheduler — and
+//! its `couple()` a second to come back, and Table I never says KC₁ ≠ KC₀.
+//! A `Primary` whose KC serves nobody else gains nothing by leaving for a
+//! stretch shorter than that, *whoever is awake*: under `Adaptive` it stays
+//! on its own KC, hosted by its trampoline, iff its last decoupled stretch
+//! came straight back ([`HOME_BREAK_EVEN_NS`]). That stretch is timed from
+//! the **host's dispatch**, not from `decouple()` like `ult_gap` (`queued` is
+//! the difference): `ult_gap` contains the scheduler's wake-up exactly when
+//! the scheduler slept — right for the spin decision, where a slow wake says
+//! "do not spin", and wrong here, where a slow wake is the reason to stay.
+//! One more clock read per dispatch of a primary; with no history (a first
+//! `decouple()`) the answer is leave. At home `yield_now()` is the kernel's
+//! yield while the running stretch is younger than the same break-even (one
+//! clock read, on the at-home branch only) and hands the KC back after. The
+//! UC is never published to another thread while it is at home, so none of
+//! the protocol above is involved: `couple.rs` and `kc.rs` have the switches.
 //!
 //! `model.rs` next to this file checks the protocol — spin arm included —
 //! on every interleaving of its atomic steps (2 producers × 1 consumer)
@@ -168,16 +170,16 @@ const GAP_BREAK_EVEN_NS: u32 = 50_000;
 /// A decoupled stretch whose *own* run time — its host's dispatch of the UC →
 /// the publication of its next `CoupleRequest`, the queue wait and the
 /// scheduler's wake-up before it left out — was last shorter than this came
-/// "straight back", and is worth keeping at home when leaving would cost a
-/// wake ("Staying home" below): shorter, that is, than the sleep and wake it
-/// saves. A wrong stay costs one stretch run on the UC's own KC instead of a
-/// program core, and the next sample corrects it; a wrong leave costs two
-/// wake-ups. `echo`'s clients run 0.3–1 µs between two requests and read the
-/// same at 5 µs; a lone BLT's `coupled_scope(getpid)` loop reads 552 ns per
-/// round trip at 5 µs and 386 ns here — this host stalls a thread for more
-/// than 5 µs some 1 400 times a second (for more than 20 µs, 150 times), and
-/// every sample that says "long" sends the loop through the schedulers'
-/// spin orbit for ~2 ms before it comes home again.
+/// "straight back", and is worth keeping at home ("Staying home" above):
+/// shorter, that is, than the two hand-overs leaving costs; a stretch at home
+/// that outlives it leaves at its next `yield_now()`. A wrong stay costs one
+/// stretch run on the UC's own KC instead of a program core, and the next
+/// sample corrects it; a wrong leave costs two hand-overs. `echo`'s clients
+/// run 0.3–1 µs between two requests and read the same at 5 µs, but this host
+/// stalls a thread for more than 5 µs some 1 400 times a second (for more
+/// than 20 µs, 150 times), and every sample that says "long" is a round trip
+/// through a scheduler: a lone BLT's `coupled_scope(getpid)` loop read 552 ns
+/// per round trip at 5 µs and 386 ns here.
 const HOME_BREAK_EVEN_NS: u32 = 50_000;
 
 /// How long after the newest [`Parker::expect`] a waiter keeps spinning: what
@@ -523,21 +525,11 @@ impl Parker {
         self.expected.load(Ordering::Relaxed)
     }
 
-    /// How this parker's `consumers` stand towards a UC about to be handed
-    /// to them, from one read of the sleeper count — `(in_orbit, all_asleep)`.
-    /// *In orbit* is the regime gate for trampolines: at least one consumer
-    /// is awake and it is itself waiting on short phases — the runtime is in
-    /// a couple/decouple orbit, not serving the odd request between sleeps.
-    /// *All asleep* is when the hand-over would cost an OS-thread wake-up:
-    /// every consumer has announced itself, and the policy is `Adaptive`
-    /// (BLOCKING and BUSYWAIT are the paper's, and always hand over; module
-    /// docs, "Staying home").
-    fn regime(&self, consumers: u32) -> (bool, bool) {
-        let sleepers = self.sleepers.load(Ordering::Relaxed);
-        (
-            self.expected() != 0 && sleepers < consumers,
-            self.idle_policy == IdlePolicy::Adaptive && sleepers >= consumers,
-        )
+    /// The regime gate for trampolines: of this parker's `consumers` at least
+    /// one is awake and it is itself waiting on short phases — the runtime is
+    /// in a couple/decouple orbit, not serving the odd request between sleeps.
+    fn in_orbit(&self, consumers: u32) -> bool {
+        self.expected() != 0 && self.sleepers.load(Ordering::Relaxed) < consumers
     }
 
     /// Idle once — the consumer half of the protocol (module docs). `seen`
@@ -733,9 +725,8 @@ impl Phases {
     /// behind it (no direct handoff): it can expect the UC back iff its
     /// decoupled stretches are short and the run queue — `schedulers`
     /// consumers on `runq` — is in the same orbit. Returns whether the
-    /// evidence says *stay home*: leaving would wake a sleeping scheduler and
-    /// the last stretch came straight back (the caller knows the rest: whom
-    /// the KC serves, and what is queued).
+    /// evidence says *stay home*: the policy is `Adaptive` and the last
+    /// stretch came straight back (the caller knows whom the KC serves).
     pub(crate) fn decoupling(
         &self,
         now: u64,
@@ -754,7 +745,7 @@ impl Phases {
         self.queued.store(0, Ordering::Relaxed);
         // The gate is read with this UC's own registration still in it: a
         // lone BLT in a couple/decouple loop is an orbit too (Table V).
-        let (in_orbit, all_asleep) = runq.regime(schedulers as u32);
+        let in_orbit = runq.in_orbit(schedulers as u32);
         self.ended_coupled(runq);
         let Some(kc) = trampoline else {
             return false;
@@ -763,7 +754,16 @@ impl Phases {
             self.awaited_by_kc.store(true, Ordering::Relaxed);
             kc.expect(now);
         }
-        all_asleep && ult_run < HOME_BREAK_EVEN_NS
+        // BLOCKING and BUSYWAIT are the paper's, and always hand over.
+        runq.idle_policy == IdlePolicy::Adaptive && ult_run < HOME_BREAK_EVEN_NS
+    }
+
+    /// Whether the decoupled stretch this UC is running at home, at `now`, is
+    /// still younger than a hand-over costs: until then its `yield_now()` has
+    /// nowhere better to go ("Staying home").
+    #[inline]
+    pub(crate) fn home_stretch_is_young(&self, now: u64) -> bool {
+        phase_ns(self.since.load(Ordering::Relaxed), now) < HOME_BREAK_EVEN_NS
     }
 
     /// The coupled scope is over — by `decouple()`, or because the UC

@@ -63,8 +63,10 @@ pub struct StatsShard {
     /// path that skipped the run queue and the idle-loop futex wake).
     pub couple_handoffs: AtomicU64,
     /// Decouples that stayed home: the UC's own trampoline hosted it
-    /// because leaving would have woken a sleeping scheduler.
+    /// because its last decoupled stretch was shorter than a hand-over.
     pub decouple_homes: AtomicU64,
+    /// `yield_now()` calls at home that were the kernel's yield: the UC stayed.
+    pub yield_homes: AtomicU64,
     /// Idle periods that spun and were ended by work arriving: a futex
     /// sleep and wake saved (`park.rs`, "The idle decision").
     pub park_spin_hits: AtomicU64,
@@ -149,6 +151,11 @@ impl StatsShard {
     pub fn bump_decouple_homes(&self) {
         bump(&self.decouple_homes);
     }
+    /// Count one `yield_now()` at home that was the kernel's yield.
+    #[inline]
+    pub fn bump_yield_homes(&self) {
+        bump(&self.yield_homes);
+    }
     /// Count one idle period whose spin was ended by work.
     #[inline]
     pub fn bump_park_spin_hits(&self) {
@@ -179,6 +186,7 @@ impl StatsShard {
         acc.kc_blocks += self.kc_blocks.load(Ordering::Relaxed);
         acc.couple_handoffs += self.couple_handoffs.load(Ordering::Relaxed);
         acc.decouple_homes += self.decouple_homes.load(Ordering::Relaxed);
+        acc.yield_homes += self.yield_homes.load(Ordering::Relaxed);
         acc.park_spin_hits += self.park_spin_hits.load(Ordering::Relaxed);
         acc.park_spin_misses += self.park_spin_misses.load(Ordering::Relaxed);
         acc.park_sleeps += self.park_sleeps.load(Ordering::Relaxed);
@@ -326,6 +334,8 @@ pub struct StatsSnapshot {
     pub couple_handoffs: u64,
     /// Decouples that stayed home, hosted by the UC's own trampoline.
     pub decouple_homes: u64,
+    /// `yield_now()` calls at home that were the kernel's yield.
+    pub yield_homes: u64,
     /// Idle periods whose spin was ended by work arriving (a sleep saved).
     pub park_spin_hits: u64,
     /// Idle periods whose spin ran to the deadline and slept (CPU wasted).
@@ -350,6 +360,7 @@ impl StatsSnapshot {
             kc_blocks: self.kc_blocks - earlier.kc_blocks,
             couple_handoffs: self.couple_handoffs - earlier.couple_handoffs,
             decouple_homes: self.decouple_homes - earlier.decouple_homes,
+            yield_homes: self.yield_homes - earlier.yield_homes,
             park_spin_hits: self.park_spin_hits - earlier.park_spin_hits,
             park_spin_misses: self.park_spin_misses - earlier.park_spin_misses,
             park_sleeps: self.park_sleeps - earlier.park_sleeps,

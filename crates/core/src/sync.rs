@@ -33,17 +33,10 @@
 //! thread); decoupled ULTs stay at the yielding level so they never block
 //! the scheduler KC under them (see `DESIGN.md`).
 
+use crate::couple::stall;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use ulp_kernel::{futex_wait, futex_wake};
-
-/// One cooperative back-off step.
-#[inline]
-fn stall() {
-    if !crate::couple::yield_now() {
-        std::thread::yield_now();
-    }
-}
 
 /// A raw (data-less) mutual-exclusion lock: the common interface of the
 /// suite's four contention policies.

@@ -62,8 +62,8 @@ fn assert_table5_invariant(idle: IdlePolicy) {
         assert_eq!(d.scheduler_dispatches, PAIRS);
         assert_eq!(d.yields, 0);
         // BUSYWAIT and BLOCKING are the paper's rows: every decouple leaves
-        // for a scheduler. Under `Adaptive` one that finds the scheduler
-        // asleep may stay home — same counts (`tests/stay_home.rs`).
+        // for a scheduler. Under `Adaptive` one whose last stretch was short
+        // stays home — same counts (`tests/stay_home.rs`).
         if idle != IdlePolicy::Adaptive {
             assert_eq!(d.decouple_homes, 0, "{idle:?}: {d:?}");
         }
@@ -218,6 +218,51 @@ fn table5_counts_global_fifo_blocking() {
 #[test]
 fn table5_counts_global_fifo_adaptive() {
     assert_table5_invariant(IdlePolicy::Adaptive);
+}
+
+/// A round trip from home followed by a `yield_now()` at home costs what the
+/// round trip costs — **4 switches, 2 TLS loads, 1 dispatch** — because the
+/// yield is the kernel's: no `Requeue` switch, no scheduler dispatch to
+/// answer it.
+#[test]
+fn home_round_trip_plus_home_yield_counts() {
+    const PAIRS: u64 = 8;
+    let rt = Runtime::builder()
+        .schedulers(1)
+        .idle_policy(IdlePolicy::Adaptive)
+        .profile(ArchProfile::Native)
+        .build();
+    let h = rt.spawn("home-yield", move || {
+        decouple().unwrap();
+        // A stall that makes one stretch look long sends that round through
+        // a scheduler: measure again — the row is about rounds that stay.
+        for _attempt in 0..50 {
+            coupled_scope(|| ()).unwrap();
+            let before = my_stats();
+            for _ in 0..PAIRS {
+                coupled_scope(|| {
+                    let _ = sys::getpid().unwrap();
+                })
+                .unwrap();
+                ulp_core::yield_now();
+            }
+            let d = my_stats().delta(&before);
+            if (d.decouple_homes, d.yield_homes) != (PAIRS, PAIRS) {
+                continue;
+            }
+            assert_eq!(d.context_switches, 4 * PAIRS, "{d:?}");
+            assert_eq!(d.tls_loads, 2 * PAIRS, "{d:?}");
+            assert_eq!(d.scheduler_dispatches, PAIRS, "{d:?}");
+            assert_eq!((d.couples, d.decouples), (PAIRS, PAIRS));
+            assert_eq!((d.yields, d.couple_handoffs, d.kc_blocks), (0, 0, 0));
+            return 0;
+        }
+        panic!(
+            "never saw {PAIRS} rounds in a row stay home: {:?}",
+            my_stats()
+        );
+    });
+    assert_eq!(h.wait(), 0);
 }
 
 /// With the tracer compiled in but **off** (the default), every event site

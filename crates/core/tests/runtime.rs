@@ -646,10 +646,11 @@ fn couple_loop_blocks_per_op(rt: Runtime) -> f64 {
     (blocks1 - blocks0) as f64 / (ops1 - ops0) as f64
 }
 
-/// The default policy keeps a couple/decouple orbit awake: every coupled
-/// scope here is short, so schedulers and trampolines spin for each other
-/// and most operations go by without a futex sleep — where BLOCKING pays
-/// one per `couple()` (0.17 against 0.99 on the reference host).
+/// The default policy keeps a couple/decouple loop awake: every coupled
+/// scope and every decoupled stretch here is short, so the loopers stay home
+/// — or, when one has left, scheduler and trampoline spin for each other —
+/// and most operations go by without a futex sleep, where BLOCKING pays one
+/// per `couple()` (0.00–0.01 against 0.99 on the reference host).
 #[test]
 fn idle_decision_couple_loop_spins_where_blocking_sleeps() {
     assert_eq!(Runtime::new().config().idle_policy, IdlePolicy::Adaptive);

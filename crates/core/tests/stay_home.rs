@@ -1,16 +1,17 @@
 //! Staying home (`park.rs`, "Staying home"; DESIGN.md §4): a `decouple()`
-//! that would have to wake a sleeping scheduler lets its own trampoline host
-//! the UC instead.
+//! whose last decoupled stretch was shorter than a hand-over lets its own
+//! trampoline host the UC instead, whoever else is awake, and a `yield_now()`
+//! there is the kernel's yield until the stretch outlives the break-even.
 //!
-//! A binary of its own, and every test takes [`SERIAL`]: two tests arm the
+//! A binary of its own, and every test takes [`SERIAL`]: three tests arm the
 //! kernel's process-global fault plan with `delay_wake_per_1024: 1024` —
 //! which makes *every* `futex_wake` cost 50 µs plus timer slack, and makes
-//! `injected_counts()[DelayWake]` an exact count of the calls — and all of
-//! them want the one scheduler asleep when they look.
+//! `injected_counts()[DelayWake]` an exact count of the calls — and the
+//! exact-count ones want the machine to themselves.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use ulp_core::ulp_kernel::fault::{self, FaultKind, FaultPlan};
 use ulp_core::{
     couple, coupled_scope, decouple, is_coupled, pending_couplers, sys, yield_now, IdlePolicy,
@@ -31,10 +32,14 @@ fn my_stats() -> StatsSnapshot {
         .snapshot()
 }
 
-/// From a decoupled UC: run coupled scopes long enough for the scheduler to
-/// fall asleep behind them until a `decouple()` stays home, and return the
-/// number of scopes that took. The first leaves by rule (the stretch before
-/// it gave no evidence yet, or a long one).
+/// Twice `park.rs`'s `HOME_BREAK_EVEN_NS`: a stretch this old has outlived it.
+const PAST_THE_BREAK_EVEN: Duration = Duration::from_micros(100);
+
+/// From a decoupled UC: run coupled scopes — long enough for the scheduler to
+/// fall asleep behind them, which the tests that count `futex_wake` calls
+/// want — until a `decouple()` stays home, and return the number of scopes
+/// that took. The first may leave by rule (the stretch before it gave no
+/// evidence yet, or a long one).
 fn go_home() -> u32 {
     for scopes in 1..=200 {
         let homes = my_stats().decouple_homes;
@@ -160,38 +165,89 @@ fn blocking_and_busywait_never_stay() {
             decouple().unwrap();
             for _ in 0..20 {
                 coupled_scope(|| sys::sleep(Duration::from_micros(300)).unwrap()).unwrap();
+                assert!(!yield_now(), "alone on the scheduler");
             }
             0
         });
         assert_eq!(h.wait(), 0);
         let s = rt.stats().snapshot();
         assert_eq!(s.decouple_homes, 0, "{idle:?}: {s:?}");
+        assert_eq!(s.yield_homes, 0, "{idle:?}: {s:?}");
         assert_eq!(s.scheduler_dispatches, 21, "{idle:?}: {s:?}");
     }
 }
 
-/// `yield_now()` at home gives the KC up: it returns `true` with the UC on a
-/// scheduler, and the next scope works from there.
+/// `yield_now()` at home on a young stretch, with nobody else for the KC to
+/// serve, is the kernel's yield, as a coupled BLT's is: `false`, the same OS
+/// thread, nothing switched, loaded or dispatched, no `Requeue` on the trace
+/// and nobody in the process woken.
 #[test]
-fn yield_at_home_moves_to_a_scheduler() {
+fn yield_at_home_with_nobody_to_serve_is_the_kernels_yield() {
     let _serial = serial();
+    let _counted = count_futex_wakes();
     let rt = Runtime::new();
     rt.trace_enable();
     let h = rt.spawn("yielder", || {
+        let kc = std::thread::current().id();
+        decouple().unwrap();
+        // A stall between the `decouple()` that stayed and the yield makes
+        // the stretch old and the yield a `Requeue` (the next test): measure
+        // again — the claim is about a yield that finds the stretch young.
+        for left in 0..50 {
+            go_home();
+            let (before, wakes) = (my_stats(), futex_wakes());
+            if yield_now() {
+                continue;
+            }
+            let d = my_stats().delta(&before);
+            assert_eq!(std::thread::current().id(), kc, "left the own KC");
+            assert_eq!(is_coupled(), Some(false), "decoupled all the same");
+            assert_eq!(d.yield_homes, 1, "{d:?}");
+            assert_eq!(
+                (d.context_switches, d.tls_loads, d.scheduler_dispatches),
+                (0, 0, 0),
+                "{d:?}"
+            );
+            assert_eq!((d.yields, d.couples, d.decouples), (0, 0, 0), "{d:?}");
+            assert_eq!(futex_wakes() - wakes, 0, "somebody was woken: {d:?}");
+            return left;
+        }
+        panic!("never saw a yield_now() at home find its stretch young");
+    });
+    let left = h.wait();
+    let requeues = rt
+        .take_trace()
+        .iter()
+        .filter(|r| matches!(r.event, TraceEvent::Requeue(_)))
+        .count();
+    assert_eq!(requeues as i32, left, "only a yield that left is a Requeue");
+}
+
+/// A stretch that has outlived the break-even gives the KC up at its next
+/// `yield_now()`: it returns `true` with the UC on a scheduler — one
+/// `Requeue` — and the next scope works from there.
+#[test]
+fn a_stretch_past_the_break_even_leaves_at_its_next_yield() {
+    let _serial = serial();
+    let rt = Runtime::new();
+    rt.trace_enable();
+    let h = rt.spawn("overstayer", || {
         let kc = std::thread::current().id();
         let pid = sys::getpid().unwrap();
         decouple().unwrap();
         go_home();
         assert_eq!(std::thread::current().id(), kc, "home is the own KC");
         assert_eq!(is_coupled(), Some(false), "and decoupled all the same");
+        ulp_core::ulp_kernel::cost::spin_for(PAST_THE_BREAK_EVEN);
         assert!(yield_now(), "a switch happened");
         assert_ne!(std::thread::current().id(), kc, "still on the own KC");
         assert!(!yield_now(), "alone on the scheduler: nothing to switch to");
+        assert_eq!(my_stats().yield_homes, 0, "no yield found it young");
         assert_eq!(coupled_scope(|| sys::getpid().unwrap()).unwrap(), pid);
         0
     });
     assert_eq!(h.wait(), 0);
-    // On the trace: home dispatch, Requeue, then a scheduler's dispatch.
+    // On the trace: home dispatch, the one Requeue, then a scheduler's dispatch.
     let id = h.id();
     let hosts: Vec<_> = rt
         .take_trace()
@@ -202,10 +258,8 @@ fn yield_at_home_moves_to_a_scheduler() {
             _ => None,
         })
         .collect();
-    let requeue = hosts
-        .iter()
-        .position(Option::is_none)
-        .expect("the yield at home is on the trace");
+    assert_eq!(hosts.iter().filter(|h| h.is_none()).count(), 1, "{hosts:?}");
+    let requeue = hosts.iter().position(Option::is_none).unwrap();
     assert_eq!(
         hosts[requeue - 1],
         Some(id),
@@ -381,5 +435,149 @@ fn home_round_trips_leave_no_expectation() {
     );
     sampled.store(true, Ordering::Release);
     assert_eq!(h.wait(), 0);
+    assert_eq!(rt.park_expected(), 0);
+}
+
+/// Staying is decided from the UC's own evidence, not from who is asleep:
+/// four BLTs loop `coupled_scope(getpid); yield_now()` while a fifth keeps
+/// the one scheduler busy in a `yield_now()` loop of its own — so no
+/// `decouple()` ever finds the scheduler asleep — and they stay home all
+/// the same, their KCs never sleeping, without starving the fifth.
+#[test]
+fn staying_needs_no_sleeping_scheduler() {
+    const BLTS: u64 = 4;
+    const OPS: u64 = 2_000;
+    let _serial = serial();
+    let rt = Runtime::new();
+    let stop = Arc::new(AtomicBool::new(false));
+    let spins = Arc::new(AtomicU64::new(0));
+    let (stopped, spun) = (stop.clone(), spins.clone());
+    let ring = rt.spawn("ring", move || {
+        decouple().unwrap();
+        while !stopped.load(Ordering::Acquire) {
+            ulp_core::stall();
+            spun.fetch_add(1, Ordering::Relaxed);
+        }
+        0
+    });
+    // A failed assertion below must end the ring too, or the runtime's drop
+    // waits for it for ever.
+    struct Stop(Arc<AtomicBool>);
+    impl Drop for Stop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let _stop = Stop(stop);
+    while spins.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
+    // In a minute when the host has one core to give, a looper's stretch —
+    // it contains the other four threads' turns — runs to the break-even by
+    // itself: measure again. With the sleepers gate back no attempt passes.
+    for attempt in 1..=5 {
+        let before = (rt.stats().snapshot(), spins.load(Ordering::Relaxed));
+        let loopers: Vec<_> = (0..BLTS)
+            .map(|i| {
+                rt.spawn(&format!("looper{i}"), || {
+                    let pid = sys::getpid().unwrap();
+                    decouple().unwrap();
+                    for _ in 0..OPS {
+                        assert_eq!(coupled_scope(|| sys::getpid().unwrap()).unwrap(), pid);
+                        yield_now();
+                    }
+                    0
+                })
+            })
+            .collect();
+        for h in &loopers {
+            assert_eq!(h.wait(), 0);
+        }
+        let d = rt.stats().snapshot().delta(&before.0);
+        let ring_turns = spins.load(Ordering::Relaxed) - before.1;
+        eprintln!(
+            "beside an awake scheduler, attempt {attempt}: {} of {} decouples stayed home, \
+             {} KC blocks, {ring_turns} ring turns",
+            d.decouple_homes, d.decouples, d.kc_blocks
+        );
+        // Each looper's first `decouple()` has no history and leaves by rule.
+        assert_eq!(d.decouples, BLTS * (OPS + 1), "{d:?}");
+        assert!(ring_turns > 0, "the scheduler's own UC starved: {d:?}");
+        assert!(rt.violations().is_empty());
+        if d.decouple_homes * 10 >= BLTS * OPS * 9 && d.kc_blocks * 20 < BLTS * OPS {
+            drop(_stop);
+            assert_eq!(ring.wait(), 0);
+            assert_eq!(rt.park_expected(), 0);
+            return;
+        }
+    }
+    panic!("never saw 90 % of the decouples stay home with under 0.05 KC blocks per op");
+}
+
+/// The valve: a UC that *waits* on `yield_now()` does not wait at home. 16
+/// BLTs come home and meet at a barrier they poll with `yield_now()`, held
+/// shut for 5 ms: each hands its KC back once its stretch has outlived the
+/// break-even (one `Requeue`) and waits in the scheduled pool, where one
+/// scheduler thread runs the ring — not 16 OS threads yielding at each other
+/// on two cores.
+#[test]
+fn yield_waiters_at_home_rejoin_the_pool() {
+    const BLTS: usize = 16;
+    let _serial = serial();
+    let rt = Runtime::new();
+    let open = Arc::new(AtomicBool::new(false));
+    let (arrived, left) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+    let waiters: Vec<_> = (0..BLTS)
+        .map(|i| {
+            let (open, arrived, left) = (open.clone(), arrived.clone(), left.clone());
+            rt.spawn(&format!("waiter{i}"), move || {
+                let kc = std::thread::current().id();
+                let pid = sys::getpid().unwrap();
+                decouple().unwrap();
+                // (`go_home()` reads the runtime's counter: another's stay.)
+                while std::thread::current().id() != kc {
+                    coupled_scope(|| sys::sleep(Duration::from_micros(300)).unwrap()).unwrap();
+                }
+                arrived.fetch_add(1, Ordering::AcqRel);
+                // At home the only switch `yield_now()` makes is the Requeue.
+                let mut requeues = 0;
+                while !open.load(Ordering::Acquire) {
+                    let was_home = std::thread::current().id() == kc;
+                    if yield_now() && was_home {
+                        assert_ne!(std::thread::current().id(), kc);
+                        requeues += 1;
+                    }
+                }
+                assert_eq!(coupled_scope(|| sys::getpid().unwrap()).unwrap(), pid);
+                left.fetch_add(1, Ordering::AcqRel);
+                requeues
+            })
+        })
+        .collect();
+    // The watchdog: a waiter that never comes back fails the test, not the job.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let all = |count: &AtomicU32| {
+        while count.load(Ordering::Acquire) != BLTS as u32 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        count.load(Ordering::Acquire) == BLTS as u32
+    };
+    let all_arrived = all(&arrived);
+    std::thread::sleep(Duration::from_millis(5));
+    open.store(true, Ordering::Release);
+    assert!(all_arrived, "not every waiter came home in 60 s");
+    assert!(
+        all(&left),
+        "waiters still at the barrier 60 s after they set out: {:?}",
+        rt.stats().snapshot()
+    );
+    for (i, h) in waiters.iter().enumerate() {
+        let requeues = h.wait();
+        assert!(
+            requeues >= 1,
+            "waiter{i} polled the barrier from home for 5 ms ({requeues} requeues)"
+        );
+    }
+    assert!(rt.violations().is_empty());
     assert_eq!(rt.park_expected(), 0);
 }

@@ -116,9 +116,7 @@ impl RankCtx {
     /// stalling its kernel context.
     #[inline]
     pub(crate) fn stall(&self) {
-        if !ulp_core::yield_now() {
-            std::thread::yield_now();
-        }
+        ulp_core::stall();
     }
 
     /// Eager (buffered) send: deposits the message with its simulated

@@ -45,9 +45,7 @@ impl PipBarrier {
             while self.generation.load(Ordering::Acquire) == gen {
                 // Run other ULPs while we wait; degrade to an OS yield when
                 // nothing is runnable (or we're not a ULT).
-                if !ulp_core::yield_now() {
-                    std::thread::yield_now();
-                }
+                ulp_core::stall();
             }
             false
         }

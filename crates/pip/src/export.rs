@@ -53,9 +53,7 @@ impl ExportTable {
             }
             // Let the exporting ULP run; fall back to the OS scheduler when
             // we are not a ULT.
-            if !ulp_core::yield_now() {
-                std::thread::yield_now();
-            }
+            ulp_core::stall();
         }
     }
 

@@ -67,8 +67,8 @@ fn primary(event: &TraceEvent) -> Option<BltId> {
         // between replays while the Decouple/Coupled bracket stays fixed.
         // Keeping it out of the canonical form keeps replay digests stable.
         TraceEvent::CoupleHandoff { .. } => None,
-        // Likewise staying home: whether a `decouple()` found every
-        // scheduler asleep is timing, and only `Adaptive` — which no replay
+        // Likewise staying home: whether a `decouple()` found its last
+        // stretch short is timing, and only `Adaptive` — which no replay
         // cell runs — ever stays. A home dispatch is a `Dispatch` like any
         // other; the `Requeue` of a `yield_now()` at home stays out.
         TraceEvent::Requeue(_) => None,

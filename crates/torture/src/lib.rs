@@ -116,6 +116,8 @@ pub struct StatsDelta {
     pub handoffs: u64,
     /// `decouple_homes` delta (decouples that stayed on their own KC).
     pub homes: u64,
+    /// `yield_homes` delta (`yield_now()` calls at home that stayed there).
+    pub yield_homes: u64,
 }
 
 fn delta(before: &StatsSnapshot, after: &StatsSnapshot) -> StatsDelta {
@@ -128,6 +130,7 @@ fn delta(before: &StatsSnapshot, after: &StatsSnapshot) -> StatsDelta {
             - (before.blts_spawned + before.siblings_spawned + before.pooled_spawned),
         handoffs: after.couple_handoffs - before.couple_handoffs,
         homes: after.decouple_homes - before.decouple_homes,
+        yield_homes: after.yield_homes - before.yield_homes,
     }
 }
 

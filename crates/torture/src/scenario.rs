@@ -66,13 +66,13 @@ pub enum Scenario {
     /// injection. `ULP_C1M_N` scales the ULP count beyond the in-matrix
     /// default.
     C1mStorm,
-    /// One worker whose coupled scopes sleep in the kernel long enough for
-    /// the lone scheduler to go to sleep too — the regime in which a
-    /// `decouple()` under `Adaptive` stays home, hosted by its own KC's
-    /// trampoline — with a `yield_now()` mid-stream (at home: a `Requeue`)
-    /// and a sibling spawned late, onto a KC whose primary may be at home.
-    /// Fails under `Adaptive` if no decouple ever stayed, and under the
-    /// paper's two policies if one did.
+    /// One worker whose decoupled stretches come straight back — so under
+    /// `Adaptive` its `decouple()` stays home, hosted by its own KC's
+    /// trampoline — with two `yield_now()`s mid-stream (at home: the kernel's
+    /// yield on a young stretch, a `Requeue` past the break-even) and a
+    /// sibling spawned late, onto a KC whose primary may be at home. Fails
+    /// under `Adaptive` if no decouple ever stayed, and under the paper's two
+    /// policies if a decouple or a yield did.
     HomeStay,
 }
 
@@ -949,16 +949,17 @@ fn c1m_storm(rt: &Runtime, fails: &Fails) {
 /// nothing is expected back and the lone scheduler sleeps as well — followed
 /// by a short `coupled_scope` probe. Each `decouple()` after the first finds
 /// the gates of `park.rs`, "Staying home", open unless chaos shut one (a
-/// forced yield made the last stretch long, an idle flip or a spurious wake
-/// has the scheduler up), so the probe usually couples *from home*; under
-/// the planted `torture_mutation` its `getpid` is the decoupled system call
-/// of a UC at home, which family B must flag. Every eighth round yields —
-/// at home that is a `Requeue` through the trampoline — and half way the
-/// root spawns a sibling onto the KC: from then on the primary must leave
-/// every time, and a request the sibling parks while the primary is still
-/// at home is served at the primary's next `couple()`. The oracle replays
-/// all of it (families C/D/E know a home dispatch); the scenario itself
-/// checks pids and that the path was (not) reached.
+/// forced yield that left made the last stretch long), so the probe usually
+/// couples *from home*; under the planted `torture_mutation` its `getpid` is
+/// the decoupled system call of a UC at home, which family B must flag.
+/// Every eighth round yields twice — at home the first, on a young stretch,
+/// is the kernel's yield, and the second, after a spin past the break-even,
+/// a `Requeue` through the trampoline — and half way the root spawns a
+/// sibling onto the KC: from then on the primary must leave every time, and
+/// a request the sibling parks while the primary is still at home is served
+/// at the primary's next `couple()`. The oracle replays all of it (families
+/// C/D/E know a home dispatch); the scenario itself checks pids and that the
+/// path was (not) reached.
 fn home_stay(rt: &Runtime, fails: &Fails) {
     const ROUNDS: u64 = 64;
     const SIB_ROUNDS: usize = 12;
@@ -989,6 +990,9 @@ fn home_stay(rt: &Runtime, fails: &Fails) {
             i += 1;
             at.store(i, Ordering::Release);
             if i % 8 == 0 {
+                yield_now();
+                // Past `park.rs`'s `HOME_BREAK_EVEN_NS` (50 µs).
+                ulp_kernel::cost::spin_for(std::time::Duration::from_micros(60));
                 yield_now();
             }
         }
@@ -1022,16 +1026,18 @@ fn home_stay(rt: &Runtime, fails: &Fails) {
     if h.wait() != 0 {
         fails.push("home_stay: worker exited nonzero".into());
     }
-    let homes = rt.stats().snapshot().decouple_homes - homes0;
+    let stats = rt.stats().snapshot();
+    let homes = stats.decouple_homes - homes0;
     let adaptive = rt.config().idle_policy == ulp_core::IdlePolicy::Adaptive;
     if adaptive && homes == 0 {
         fails.push(format!(
             "home_stay: no decouple stayed home in {ROUNDS}+ rounds"
         ));
     }
-    if !adaptive && homes != 0 {
+    if !adaptive && (homes, stats.yield_homes) != (0, 0) {
         fails.push(format!(
-            "home_stay: {homes} decouples stayed home under {:?}",
+            "home_stay: {homes} decouples and {} yields stayed home under {:?}",
+            stats.yield_homes,
             rt.config().idle_policy
         ));
     }

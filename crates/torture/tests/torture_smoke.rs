@@ -104,8 +104,9 @@ fn home_stays(trace: &[ulp_core::TraceRecord]) -> Vec<(ulp_core::BltId, std::ops
 }
 
 /// `home_stay` reaches what it is there for: under `Adaptive` some
-/// decouples stay home, one of the stays ends in a `Requeue` (the
-/// `yield_now()` mid-stream), and the oracle — which checks every home
+/// decouples stay home, one of the stays sees a `yield_now()` that is the
+/// kernel's yield and one ends in a `Requeue` (the two yields mid-stream,
+/// either side of the break-even), and the oracle — which checks every home
 /// dispatch against the `decouple_homes` counter — has nothing to say.
 #[test]
 fn home_stay_cell_reaches_the_home_path() {
@@ -128,10 +129,17 @@ fn home_stay_cell_reaches_the_home_path() {
         .filter(|r| matches!(r.event, E::Requeue(_)))
         .count();
     eprintln!(
-        "home_stay: {} of {} decouples stayed home, {requeues} left by yield_now()",
-        report.stats.homes, report.stats.decouples
+        "home_stay: {} of {} decouples stayed home, {} yield_now() stayed too, {requeues} left",
+        report.stats.homes, report.stats.decouples, report.stats.yield_homes
     );
-    assert!(requeues > 0, "no yield_now() ever found its UC at home");
+    assert!(
+        report.stats.yield_homes > 0,
+        "no yield_now() ever found its UC at home on a young stretch"
+    );
+    assert!(
+        requeues > 0,
+        "no yield_now() at home ever outlived the break-even"
+    );
 }
 
 /// The whole reason the harness exists: with the consistency bug planted

@@ -50,7 +50,9 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # Structure gates: one open-file interface, one wait queue, one hook table
 # (PR 18); one idle decision, made from phases and not from a spin streak
 # (PR 19); one run-queue discipline (ISSUE 22; the bracketed letters keep this
-# file out of its own pattern). Each names what came back and where.
+# file out of its own pattern); a stay-home decision made from the UC's own
+# evidence, not from who is asleep or what is queued (ISSUE 23). Each names
+# what came back and where.
 bad=0
 gate() { # gate <message> <matching lines>
     if [ -n "$2" ]; then
@@ -67,6 +69,8 @@ gate "the Adaptive spin streak is back under crates/ (Parker::park decides from 
     "$(git grep -n 'spin_streak\|ADAPTIVE_SPIN_STREAK' -- crates || true)"
 gate "a second run-queue discipline is back under crates/ (one FIFO; ROADMAP item 1 has the conditions for a per-scheduler queue)" \
     "$(git grep -n 'SchedPolic[y]\|WorkStealin[g]\|push_loca[l]\|register_loca[l]' -- crates || true)"
+gate "the sleepers / queue-length gate is back in decouple()'s stay decision (DESIGN.md §4, Staying home: three gates)" \
+    "$(git grep -n 'all_aslee[p]' -- crates || true; git grep -n 'runq\.len()' -- crates/core/src/couple.rs crates/core/src/park.rs || true)"
 hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
 if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
     gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
