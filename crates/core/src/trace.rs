@@ -141,8 +141,11 @@ pub enum Event {
 impl Event {
     /// Flatten into the ring's fixed `(tag, a, b, c)` payload words. Only
     /// [`Event::Wake`] uses the fourth word (`site` in the low byte, the
-    /// wake-to-run delay — saturated to 2^56−1 ns — above it).
-    fn pack(self) -> (u64, u64, u64, u64) {
+    /// wake-to-run delay — saturated to 2^56−1 ns — above it). Public only so
+    /// the golden trace fixtures (`crates/torture/tests/golden/`) can store a
+    /// record as the words the ring holds.
+    #[doc(hidden)]
+    pub fn pack(self) -> (u64, u64, u64, u64) {
         match self {
             Event::Spawn(u) => (0, u.0, 0, 0),
             Event::Dispatch { uc, scheduler } => (1, uc.0, scheduler.0, 0),
@@ -184,7 +187,8 @@ impl Event {
     }
 
     /// Inverse of [`Event::pack`]; `None` for a corrupt/unknown tag.
-    fn unpack(tag: u64, a: u64, b: u64, c: u64) -> Option<Event> {
+    #[doc(hidden)]
+    pub fn unpack(tag: u64, a: u64, b: u64, c: u64) -> Option<Event> {
         Some(match tag {
             0 => Event::Spawn(BltId(a)),
             1 => Event::Dispatch {
