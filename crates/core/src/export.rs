@@ -5,10 +5,13 @@
 //! - [`chrome_trace_json`] renders a drained trace as Chrome trace-event
 //!   JSON (the JSON Array/Object format Perfetto's `ui.perfetto.dev` opens
 //!   directly): each BLT is a track, and its lifecycle shows as back-to-back
-//!   spans — `coupled` / `queued` / `decoupled` / `coupling` — stitched from
-//!   the Table-I protocol events, with KC blocks and signal deliveries as
-//!   instant markers. Each BLT additionally gets a **syscall track** right
-//!   below its state track (`thread_sort_index` keeps them adjacent) carrying
+//!   spans — `coupled` / `queued` / `decoupled` / `coupling` — as
+//!   `replay.rs` derives them from the Table-I protocol events (this
+//!   module only draws the items it is handed, so the timeline and the
+//!   folded profile cannot disagree about a span), with KC blocks and signal
+//!   deliveries as instant markers. Each BLT additionally gets a **syscall
+//!   track** right below its state track (`thread_sort_index` keeps them
+//!   adjacent) carrying
 //!   the simulated kernel's enter/exit spans — nested where a call sleeps
 //!   in-kernel (`read` around `pipe_block_read`) — and a
 //!   `syscall_violation` instant wherever a call was issued decoupled, so
@@ -16,14 +19,16 @@
 //! - [`prometheus_text`] renders the runtime's counters and latency
 //!   histograms in the Prometheus text exposition format, cumulative
 //!   `le`-bucketed as scrapers expect, including the per-syscall
-//!   `ulp_syscall_latency_ns{call="…"}` family.
+//!   `ulp_syscall_latency_ns{call="…"}` family. The counters are the rows of
+//!   the table in `stats.rs`; every bucket line comes from one function.
 
-use crate::hist::{bucket_le, HistData, LatencySnapshot, SyscallSnapshot, WakeSnapshot};
+use crate::hist::{bucket_le, HistData, LatencySnapshot, SyscallSnapshot};
+use crate::profile::ProfileState;
+use crate::replay::{replay, Item, Mark, Window};
 use crate::stats::StatsSnapshot;
-use crate::trace::{Event, TraceRecord};
-use std::collections::BTreeMap;
+use crate::trace::TraceRecord;
+use std::collections::BTreeSet;
 use std::fmt::Write;
-use ulp_kernel::Sysno;
 
 /// Render one half of a wake flow arrow (`ph:"s"` start on the waker's
 /// track, `ph:"f"` finish on the wakee's track). Chrome flow events bind to
@@ -56,25 +61,13 @@ fn us(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1000.0)
 }
 
-/// One BLT track's currently open span.
-struct Open {
-    start_ns: u64,
-    state: &'static str,
-    /// `decoupled` spans carry the dispatching scheduler as an argument.
-    scheduler: Option<u64>,
-}
-
-fn push_complete(out: &mut Vec<String>, tid: u64, open: Open, end_ns: u64) {
-    let dur = end_ns.saturating_sub(open.start_ns);
-    let args = match open.scheduler {
-        Some(s) => format!(",\"args\":{{\"scheduler\":\"blt:{s}\"}}"),
-        None => String::new(),
-    };
+/// A complete span (`ph:"X"`) of `ns` nanoseconds on track `tid`; `args` is
+/// the span's detail-pane object (`""` for none).
+fn push_span(out: &mut Vec<String>, tid: u64, name: &str, at_ns: u64, ns: u64, args: &str) {
     out.push(format!(
-        "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{}{args}}}",
-        open.state,
-        us(open.start_ns),
-        us(dur),
+        "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{}{args}}}",
+        us(at_ns),
+        us(ns),
     ));
 }
 
@@ -85,234 +78,100 @@ fn push_instant(out: &mut Vec<String>, tid: u64, name: &str, at_ns: u64) {
     ));
 }
 
-/// A complete span on a BLT's syscall track. `errno`/`coupled` land in
-/// `args` so Perfetto's detail pane shows the outcome on click.
-fn push_syscall_span(
-    out: &mut Vec<String>,
-    tid: u64,
-    no: Sysno,
-    start_ns: u64,
-    end_ns: u64,
-    errno: i32,
-    coupled: bool,
-) {
-    let dur = end_ns.saturating_sub(start_ns);
-    out.push(format!(
-        "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"errno\":{errno},\"coupled\":{coupled}}}}}",
-        no.name(),
-        us(start_ns),
-        us(dur),
-    ));
-}
-
 /// Render a drained trace as Chrome trace-event JSON (Perfetto-loadable).
 pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
-    let mut recs: Vec<&TraceRecord> = records.iter().collect();
-    recs.sort_by_key(|r| r.at_ns);
-    let end_ns = recs.last().map_or(0, |r| r.at_ns);
+    chrome_trace_json_window(records, None)
+}
 
-    // tid = BltId; BTreeMap keeps track order stable in the output.
-    let mut open: BTreeMap<u64, Open> = BTreeMap::new();
-    let mut tids: BTreeMap<u64, ()> = BTreeMap::new();
-    // Per-UC stack of in-flight syscalls (calls nest: `read` sleeps inside
-    // `pipe_block_read`), keyed by BLT id; rendered on tid BASE + id.
-    let mut sys_open: BTreeMap<u64, Vec<(u64, Sysno, bool)>> = BTreeMap::new();
-    let mut sys_tids: BTreeMap<u64, ()> = BTreeMap::new();
+/// [`chrome_trace_json`] of the trace window `[t0, t1)` (`None`: all of it).
+/// The window is the replay's, so it is `/profile?t0=..`'s too: a span that
+/// straddles an edge is drawn clipped to it, one that lies outside is not
+/// drawn, and a track is declared only if something was drawn on it.
+pub(crate) fn chrome_trace_json_window(records: &[TraceRecord], window: Window) -> String {
+    // tid = BltId; the sets keep track order stable in the output.
+    let mut tids: BTreeSet<u64> = BTreeSet::new();
+    // A BLT's syscalls render on tid BASE + id.
+    let mut sys_tids: BTreeSet<u64> = BTreeSet::new();
     let mut events: Vec<String> = Vec::new();
     // Sequential flow-arrow ids (Chrome pairs `s`/`f` halves by cat+id).
     let mut flow_id = 0u64;
 
-    let transition = |events: &mut Vec<String>,
-                      open: &mut BTreeMap<u64, Open>,
-                      tid: u64,
-                      at_ns: u64,
-                      next: Option<(&'static str, Option<u64>)>| {
-        if let Some(prev) = open.remove(&tid) {
-            push_complete(events, tid, prev, at_ns);
+    replay(records, window, |item| match item {
+        // `kc_blocked` is drawn as the instant the park began, not a span.
+        Item::Span { cut, state, .. } if !cut.counted || state == ProfileState::KcBlocked => {}
+        Item::Span {
+            blt,
+            state,
+            host,
+            cut,
+        } => {
+            tids.insert(blt.0);
+            // `decoupled` spans carry the dispatching KC as an argument.
+            let args = host.map_or(String::new(), |h| {
+                tids.insert(h.0);
+                format!(",\"args\":{{\"scheduler\":\"blt:{}\"}}", h.0)
+            });
+            push_span(&mut events, blt.0, state.name(), cut.at_ns, cut.ns, &args);
         }
-        if let Some((state, scheduler)) = next {
-            open.insert(
-                tid,
-                Open {
-                    start_ns: at_ns,
-                    state,
-                    scheduler,
-                },
+        Item::Mark { blt, mark, at_ns } => {
+            let name = match mark {
+                Mark::KcBlocked => "kc_blocked".to_string(),
+                Mark::CoupleHandoff => "couple_handoff".to_string(),
+                Mark::Signal(signal) => format!("signal:{signal}"),
+                // §V-B hazard: a syscall issued while decoupled may land on
+                // the wrong kernel context's state.
+                Mark::SyscallViolation => "syscall_violation".to_string(),
+            };
+            let tid = if mark == Mark::SyscallViolation {
+                sys_tids.insert(blt.0);
+                SYSCALL_TID_BASE + blt.0
+            } else {
+                tids.insert(blt.0);
+                blt.0
+            };
+            push_instant(&mut events, tid, &name, at_ns);
+        }
+        Item::Syscall {
+            blt,
+            path,
+            cut,
+            errno,
+            coupled,
+            ..
+        } if cut.counted => {
+            // `errno`/`coupled` land in `args` so Perfetto's detail pane
+            // shows the outcome on click; errno 0 is a placeholder for a
+            // call that had not returned by the horizon.
+            sys_tids.insert(blt.0);
+            let no = path.last().expect("a path ends in its own call");
+            let args = format!(
+                ",\"args\":{{\"errno\":{},\"coupled\":{coupled}}}",
+                errno.unwrap_or(0)
             );
+            let tid = SYSCALL_TID_BASE + blt.0;
+            push_span(&mut events, tid, no.name(), cut.at_ns, cut.ns, &args);
         }
-    };
-
-    for r in &recs {
-        match r.event {
-            Event::Spawn(u) => {
-                tids.insert(u.0, ());
-                transition(
-                    &mut events,
-                    &mut open,
-                    u.0,
-                    r.at_ns,
-                    Some(("coupled", None)),
-                );
-            }
-            // `Requeue`: a UC at home re-entering the run queue is queued
-            // again, exactly as after its `Decouple`.
-            Event::Decouple(u) | Event::Requeue(u) => {
-                tids.insert(u.0, ());
-                transition(&mut events, &mut open, u.0, r.at_ns, Some(("queued", None)));
-            }
-            Event::Dispatch { uc, scheduler } => {
-                tids.insert(uc.0, ());
-                tids.insert(scheduler.0, ());
-                transition(
-                    &mut events,
-                    &mut open,
-                    uc.0,
-                    r.at_ns,
-                    Some(("decoupled", Some(scheduler.0))),
-                );
-            }
-            Event::Yield { from, to } => {
-                tids.insert(from.0, ());
-                tids.insert(to.0, ());
-                // The yielding UC re-enters the queue; the incoming UC runs.
-                transition(
-                    &mut events,
-                    &mut open,
-                    from.0,
-                    r.at_ns,
-                    Some(("queued", None)),
-                );
-                transition(
-                    &mut events,
-                    &mut open,
-                    to.0,
-                    r.at_ns,
-                    Some(("decoupled", None)),
-                );
-            }
-            Event::CoupleRequest(u) => {
-                tids.insert(u.0, ());
-                transition(
-                    &mut events,
-                    &mut open,
-                    u.0,
-                    r.at_ns,
-                    Some(("coupling", None)),
-                );
-            }
-            Event::Coupled(u) => {
-                tids.insert(u.0, ());
-                transition(
-                    &mut events,
-                    &mut open,
-                    u.0,
-                    r.at_ns,
-                    Some(("coupled", None)),
-                );
-            }
-            Event::Terminate(u) => {
-                tids.insert(u.0, ());
-                transition(&mut events, &mut open, u.0, r.at_ns, None);
-            }
-            Event::KcBlocked(u) => {
-                tids.insert(u.0, ());
-                push_instant(&mut events, u.0, "kc_blocked", r.at_ns);
-            }
-            Event::CoupleHandoff { from, .. } => {
-                // The span transitions are driven by the bracketing
-                // Decouple(from)/Coupled(to) records; mark the fast path.
-                tids.insert(from.0, ());
-                push_instant(&mut events, from.0, "couple_handoff", r.at_ns);
-            }
-            Event::Signal { uc, signal } => {
-                tids.insert(uc.0, ());
-                push_instant(&mut events, uc.0, &format!("signal:{signal}"), r.at_ns);
-            }
-            Event::SyscallEnter { uc, sysno, coupled } => {
-                sys_tids.insert(uc.0, ());
-                if !coupled {
-                    // §V-B hazard: a syscall issued while decoupled may land
-                    // on the wrong kernel context's state.
-                    push_instant(
-                        &mut events,
-                        SYSCALL_TID_BASE + uc.0,
-                        "syscall_violation",
-                        r.at_ns,
-                    );
-                }
-                sys_open
-                    .entry(uc.0)
-                    .or_default()
-                    .push((r.at_ns, sysno, coupled));
-            }
-            Event::SyscallExit {
-                uc,
-                sysno,
-                coupled,
-                errno,
-            } => {
-                sys_tids.insert(uc.0, ());
-                let stack = sys_open.entry(uc.0).or_default();
-                // An exit without a matching enter means tracing came on
-                // mid-call; there is no start edge to draw, so skip it.
-                if stack.last().is_some_and(|&(_, no, _)| no == sysno) {
-                    let (start_ns, no, _) = stack.pop().expect("guarded by last()");
-                    push_syscall_span(
-                        &mut events,
-                        SYSCALL_TID_BASE + uc.0,
-                        no,
-                        start_ns,
-                        r.at_ns,
-                        errno,
-                        coupled,
-                    );
-                }
-            }
-            Event::Wake {
-                waker,
-                wakee,
-                site,
-                delay_ns,
-            } => {
-                // Causality arrow: start on the waker's track at the moment
-                // the wake was armed, finish on the wakee's track when it
-                // ran again. Waker 0 (a thread outside the runtime) still
-                // gets a track so the arrow has somewhere to start.
-                tids.insert(waker.0, ());
-                tids.insert(wakee.0, ());
-                flow_id += 1;
-                push_flow(
-                    &mut events,
-                    's',
-                    flow_id,
-                    site,
-                    waker.0,
-                    r.at_ns.saturating_sub(delay_ns),
-                );
-                push_flow(&mut events, 'f', flow_id, site, wakee.0, r.at_ns);
-            }
+        Item::Wake {
+            waker,
+            wakee,
+            site,
+            delay_ns,
+            at_ns,
+            counted: true,
+        } => {
+            // Causality arrow: start on the waker's track at the moment the
+            // wake was armed, finish on the wakee's track when it ran
+            // again. Waker 0 (a thread outside the runtime) still gets a
+            // track so the arrow has somewhere to start.
+            tids.insert(waker.0);
+            tids.insert(wakee.0);
+            flow_id += 1;
+            let armed = at_ns.saturating_sub(delay_ns);
+            push_flow(&mut events, 's', flow_id, site, waker.0, armed);
+            push_flow(&mut events, 'f', flow_id, site, wakee.0, at_ns);
         }
-    }
-
-    // Close whatever is still open at the trace horizon.
-    for (tid, span) in std::mem::take(&mut open) {
-        push_complete(&mut events, tid, span, end_ns);
-    }
-    for (uc, stack) in std::mem::take(&mut sys_open) {
-        // Innermost first so nested spans keep sane durations; errno 0 is a
-        // placeholder — the call had not returned by the horizon.
-        for (start_ns, no, coupled) in stack.into_iter().rev() {
-            push_syscall_span(
-                &mut events,
-                SYSCALL_TID_BASE + uc,
-                no,
-                start_ns,
-                end_ns,
-                0,
-                coupled,
-            );
-        }
-    }
+        _ => {}
+    });
 
     // Metadata: one process, one named state track per BLT, plus its syscall
     // track; sort indices interleave them (state above, syscalls just below).
@@ -321,7 +180,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"ulp-runtime\"}}"
             .to_string(),
     );
-    for tid in tids.keys() {
+    for tid in &tids {
         meta.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"blt:{tid}\"}}}}",
         ));
@@ -330,7 +189,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
             2 * tid,
         ));
     }
-    for uc in sys_tids.keys() {
+    for uc in &sys_tids {
         let tid = SYSCALL_TID_BASE + uc;
         meta.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"syscalls blt:{uc}\"}}}}",
@@ -348,16 +207,9 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     )
 }
 
-fn counter_block(out: &mut String, name: &str, help: &str, value: u64) {
+fn header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn gauge_block(out: &mut String, name: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {value}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
 /// Stack-pool counters and gauges for the exporter, decoupled from the
@@ -396,113 +248,49 @@ impl PoolMetrics {
     }
 }
 
-fn hist_block(out: &mut String, name: &str, help: &str, d: &HistData) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    if let Some(last) = d.buckets.iter().rposition(|&c| c != 0) {
-        let mut cum = 0u64;
-        for (i, &c) in d.buckets.iter().enumerate().take(last + 1) {
+/// One histogram series, cumulative `le`-bucketed up to the last occupied
+/// bucket and then `+Inf`, carrying `label` (`("call", "read")`) when its
+/// family is a labelled one. The only place a bucket line is written.
+fn hist_series(out: &mut String, name: &str, label: Option<(&str, &str)>, d: &HistData) {
+    let (lead, alone) = match label {
+        Some((k, v)) => (format!("{k}=\"{v}\","), format!("{{{k}=\"{v}\"}}")),
+        None => Default::default(),
+    };
+    let occupied = d.buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
+    let mut cum = 0u64;
+    let finite = d.buckets[..occupied]
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &c)| {
             cum += c;
-            if let Some(le) = bucket_le(i) {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
-            }
-        }
+            bucket_le(i).map(|le| (le.to_string(), cum))
+        });
+    for (le, n) in finite.chain([("+Inf".to_string(), d.count)]) {
+        let _ = writeln!(out, "{name}_bucket{{{lead}le=\"{le}\"}} {n}");
     }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", d.count);
-    let _ = writeln!(out, "{name}_sum {}", d.sum);
-    let _ = writeln!(out, "{name}_count {}", d.count);
+    let _ = writeln!(out, "{name}_sum{alone} {}", d.sum);
+    let _ = writeln!(out, "{name}_count{alone} {}", d.count);
 }
 
-/// The per-syscall families: a `call`-labelled counter and a `call`-labelled
-/// cumulative histogram. Zero-count calls are omitted (standard practice for
-/// labelled families — absent series, not zero series), but the HELP/TYPE
-/// headers are always present so scrapers see the families exist.
-fn syscall_blocks(out: &mut String, sys: &SyscallSnapshot) {
-    let _ = writeln!(
-        out,
-        "# HELP ulp_syscall_total Simulated system calls completed, by call name."
-    );
-    let _ = writeln!(out, "# TYPE ulp_syscall_total counter");
-    for (name, d) in sys.nonzero() {
-        let _ = writeln!(out, "ulp_syscall_total{{call=\"{name}\"}} {}", d.count);
+/// A `label`-keyed counter family and the histogram family beside it (the
+/// per-syscall and per-wake-site pairs). Zero-count rows are omitted
+/// (standard practice for labelled families — absent series, not zero
+/// series), but the HELP/TYPE headers are always present so scrapers see the
+/// families exist.
+fn labelled_families(
+    out: &mut String,
+    label: &str,
+    (total, total_help): (&str, &str),
+    (hist, hist_help): (&str, &str),
+    rows: &[(&str, &HistData)],
+) {
+    header(out, total, total_help, "counter");
+    for (value, d) in rows {
+        let _ = writeln!(out, "{total}{{{label}=\"{value}\"}} {}", d.count);
     }
-    let _ = writeln!(
-        out,
-        "# HELP ulp_syscall_latency_ns Syscall enter-to-exit latency, nanoseconds, by call name."
-    );
-    let _ = writeln!(out, "# TYPE ulp_syscall_latency_ns histogram");
-    for (name, d) in sys.nonzero() {
-        if let Some(last) = d.buckets.iter().rposition(|&c| c != 0) {
-            let mut cum = 0u64;
-            for (i, &c) in d.buckets.iter().enumerate().take(last + 1) {
-                cum += c;
-                if let Some(le) = bucket_le(i) {
-                    let _ = writeln!(
-                        out,
-                        "ulp_syscall_latency_ns_bucket{{call=\"{name}\",le=\"{le}\"}} {cum}"
-                    );
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "ulp_syscall_latency_ns_bucket{{call=\"{name}\",le=\"+Inf\"}} {}",
-            d.count
-        );
-        let _ = writeln!(
-            out,
-            "ulp_syscall_latency_ns_sum{{call=\"{name}\"}} {}",
-            d.sum
-        );
-        let _ = writeln!(
-            out,
-            "ulp_syscall_latency_ns_count{{call=\"{name}\"}} {}",
-            d.count
-        );
-    }
-}
-
-/// The per-wake-site families: a `site`-labelled counter and a
-/// `site`-labelled cumulative histogram of wake-to-run latency. Same
-/// absent-series convention as [`syscall_blocks`].
-fn wake_blocks(out: &mut String, wake: &WakeSnapshot) {
-    let _ = writeln!(
-        out,
-        "# HELP ulp_wake_total Wake edges recorded, by the site that ended the wait."
-    );
-    let _ = writeln!(out, "# TYPE ulp_wake_total counter");
-    for (name, d) in wake.nonzero() {
-        let _ = writeln!(out, "ulp_wake_total{{site=\"{name}\"}} {}", d.count);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP ulp_wake_to_run_ns Wake armed to wakee running again, nanoseconds, by wake site."
-    );
-    let _ = writeln!(out, "# TYPE ulp_wake_to_run_ns histogram");
-    for (name, d) in wake.nonzero() {
-        if let Some(last) = d.buckets.iter().rposition(|&c| c != 0) {
-            let mut cum = 0u64;
-            for (i, &c) in d.buckets.iter().enumerate().take(last + 1) {
-                cum += c;
-                if let Some(le) = bucket_le(i) {
-                    let _ = writeln!(
-                        out,
-                        "ulp_wake_to_run_ns_bucket{{site=\"{name}\",le=\"{le}\"}} {cum}"
-                    );
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "ulp_wake_to_run_ns_bucket{{site=\"{name}\",le=\"+Inf\"}} {}",
-            d.count
-        );
-        let _ = writeln!(out, "ulp_wake_to_run_ns_sum{{site=\"{name}\"}} {}", d.sum);
-        let _ = writeln!(
-            out,
-            "ulp_wake_to_run_ns_count{{site=\"{name}\"}} {}",
-            d.count
-        );
+    header(out, hist, hist_help, "histogram");
+    for (value, d) in rows {
+        hist_series(out, hist, Some((label, value)), d);
     }
 }
 
@@ -531,204 +319,154 @@ pub fn prometheus_text(
     runqueue_depth: u64,
 ) -> String {
     let mut out = String::new();
-    counter_block(
-        &mut out,
-        "ulp_context_switches_total",
-        "User-level context switches (all kinds).",
-        stats.context_switches,
-    );
-    counter_block(
-        &mut out,
-        "ulp_tls_loads_total",
-        "Emulated TLS-register reloads on UC-to-UC switches.",
-        stats.tls_loads,
-    );
-    counter_block(
-        &mut out,
-        "ulp_couples_total",
-        "couple() transitions (ULT back to KLT).",
-        stats.couples,
-    );
-    counter_block(
-        &mut out,
-        "ulp_decouples_total",
-        "decouple() transitions (KLT to ULT).",
-        stats.decouples,
-    );
-    counter_block(
-        &mut out,
-        "ulp_yields_total",
-        "Direct UC-to-UC yield switches.",
-        stats.yields,
-    );
-    counter_block(
-        &mut out,
-        "ulp_blts_spawned_total",
-        "BLTs spawned.",
-        stats.blts_spawned,
-    );
-    counter_block(
-        &mut out,
-        "ulp_siblings_spawned_total",
-        "Sibling UCs spawned (M:N extension).",
-        stats.siblings_spawned,
-    );
-    counter_block(
-        &mut out,
-        "ulp_pooled_spawned_total",
-        "Pooled ULPs spawned (oversubscription mode: shared pool KCs).",
-        stats.pooled_spawned,
-    );
-    counter_block(
-        &mut out,
-        "ulp_scheduler_dispatches_total",
-        "Decoupled UCs dispatched by scheduler KCs, or at home by their own KC's trampoline.",
-        stats.scheduler_dispatches,
-    );
-    counter_block(
-        &mut out,
-        "ulp_kc_blocks_total",
-        "Idle kernel contexts that blocked on a futex.",
-        stats.kc_blocks,
-    );
-    counter_block(
-        &mut out,
-        "ulp_couple_handoff_total",
-        "Couples completed by direct handoff from a decoupling UC (fast path).",
-        stats.couple_handoffs,
-    );
-    counter_block(
-        &mut out,
-        "ulp_decouple_home_total",
-        "Decouples that stayed home: hosted by the UC's own trampoline because its last \
-         decoupled stretch was shorter than a hand-over.",
-        stats.decouple_homes,
-    );
-    counter_block(
-        &mut out,
-        "ulp_yield_home_total",
-        "yield_now() calls at home that were the kernel's yield: no Requeue, the UC stayed.",
-        stats.yield_homes,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP ulp_park_total How idle periods of kernel contexts ended: spin_hit = work arrived \
-         while spinning (a sleep saved), spin_miss = the spin ran out and the KC slept anyway \
-         (CPU wasted), sleep = every pass through the blocking arm."
-    );
-    let _ = writeln!(out, "# TYPE ulp_park_total counter");
-    for (outcome, n) in [
-        ("spin_hit", stats.park_spin_hits),
-        ("spin_miss", stats.park_spin_misses),
-        ("sleep", stats.park_sleeps),
-    ] {
-        let _ = writeln!(out, "ulp_park_total{{outcome=\"{outcome}\"}} {n}");
+    for c in stats.counters() {
+        if !c.help.is_empty() {
+            let family = c
+                .series
+                .split('{')
+                .next()
+                .expect("split yields a first piece");
+            header(&mut out, family, c.help, "counter");
+        }
+        let _ = writeln!(out, "{} {}", c.series, c.value);
     }
-    gauge_block(
+    for (kind, name, help, value) in [
+        (
+            "gauge",
+            "ulp_park_expected",
+            "Coupled scopes in flight that idle schedulers spin for (wakes known to be on their way).",
+            park_expected,
+        ),
+        (
+            "gauge",
+            "ulp_runqueue_depth",
+            "Decoupled UCs queued for a scheduler right now.",
+            runqueue_depth,
+        ),
+        (
+            "counter",
+            "ulp_kernel_syscalls_total",
+            "System calls dispatched by the simulated kernel (all processes).",
+            kernel_syscalls_total,
+        ),
+        (
+            "counter",
+            "ulp_syscall_violations_total",
+            "System-call-consistency violations recorded by the audit log (§V-B hazards).",
+            violations_total,
+        ),
+        (
+            "counter",
+            "ulp_stack_pool_hits_total",
+            "Stack acquisitions served from the free list or a recycled slab slot.",
+            pool.hits,
+        ),
+        (
+            "counter",
+            "ulp_stack_pool_misses_total",
+            "Stack acquisitions that mapped or carved fresh memory.",
+            pool.misses,
+        ),
+        (
+            "counter",
+            "ulp_stack_recycled_total",
+            "Free stacks whose pages the pool's scavenger dropped with MADV_DONTNEED.",
+            pool.recycled,
+        ),
+        (
+            "gauge",
+            "ulp_stack_warm",
+            "Cached stacks still holding their pages (not yet trimmed by the scavenger).",
+            pool.warm,
+        ),
+        (
+            "gauge",
+            "ulp_stack_outstanding",
+            "Stacks currently handed out (live ULP/sibling/TC stacks).",
+            pool.outstanding,
+        ),
+        (
+            "gauge",
+            "ulp_stack_outstanding_peak",
+            "High-water mark of simultaneously outstanding stacks.",
+            pool.peak_outstanding,
+        ),
+        (
+            "gauge",
+            "ulp_stack_cached",
+            "Stacks currently cached for reuse in the pool.",
+            pool.cached,
+        ),
+        (
+            "gauge",
+            "ulp_trace_dropped_total",
+            "Trace records lost since the current recording run began (ring overflow).",
+            trace_dropped,
+        ),
+    ] {
+        header(&mut out, name, help, kind);
+        let _ = writeln!(out, "{name} {value}");
+    }
+    labelled_families(
         &mut out,
-        "ulp_park_expected",
-        "Coupled scopes in flight that idle schedulers spin for (wakes known to be on their way).",
-        park_expected,
+        "call",
+        (
+            "ulp_syscall_total",
+            "Simulated system calls completed, by call name.",
+        ),
+        (
+            "ulp_syscall_latency_ns",
+            "Syscall enter-to-exit latency, nanoseconds, by call name.",
+        ),
+        &sys.nonzero().collect::<Vec<_>>(),
     );
-    gauge_block(
+    labelled_families(
         &mut out,
-        "ulp_runqueue_depth",
-        "Decoupled UCs queued for a scheduler right now.",
-        runqueue_depth,
+        "site",
+        (
+            "ulp_wake_total",
+            "Wake edges recorded, by the site that ended the wait.",
+        ),
+        (
+            "ulp_wake_to_run_ns",
+            "Wake armed to wakee running again, nanoseconds, by wake site.",
+        ),
+        &lat.wake.nonzero().collect::<Vec<_>>(),
     );
-    counter_block(
-        &mut out,
-        "ulp_kernel_syscalls_total",
-        "System calls dispatched by the simulated kernel (all processes).",
-        kernel_syscalls_total,
-    );
-    counter_block(
-        &mut out,
-        "ulp_syscall_violations_total",
-        "System-call-consistency violations recorded by the audit log (§V-B hazards).",
-        violations_total,
-    );
-    counter_block(
-        &mut out,
-        "ulp_stack_pool_hits_total",
-        "Stack acquisitions served from the free list or a recycled slab slot.",
-        pool.hits,
-    );
-    counter_block(
-        &mut out,
-        "ulp_stack_pool_misses_total",
-        "Stack acquisitions that mapped or carved fresh memory.",
-        pool.misses,
-    );
-    counter_block(
-        &mut out,
-        "ulp_stack_recycled_total",
-        "Free stacks whose pages the pool's scavenger dropped with MADV_DONTNEED.",
-        pool.recycled,
-    );
-    gauge_block(
-        &mut out,
-        "ulp_stack_warm",
-        "Cached stacks still holding their pages (not yet trimmed by the scavenger).",
-        pool.warm,
-    );
-    gauge_block(
-        &mut out,
-        "ulp_stack_outstanding",
-        "Stacks currently handed out (live ULP/sibling/TC stacks).",
-        pool.outstanding,
-    );
-    gauge_block(
-        &mut out,
-        "ulp_stack_outstanding_peak",
-        "High-water mark of simultaneously outstanding stacks.",
-        pool.peak_outstanding,
-    );
-    gauge_block(
-        &mut out,
-        "ulp_stack_cached",
-        "Stacks currently cached for reuse in the pool.",
-        pool.cached,
-    );
-    gauge_block(
-        &mut out,
-        "ulp_trace_dropped_total",
-        "Trace records lost since the current recording run began (ring overflow).",
-        trace_dropped,
-    );
-    syscall_blocks(&mut out, sys);
-    wake_blocks(&mut out, &lat.wake);
-    hist_block(
-        &mut out,
-        "ulp_queue_delay_ns",
-        "Run-queue enqueue to scheduler dispatch, nanoseconds.",
-        &lat.queue_delay,
-    );
-    hist_block(
-        &mut out,
-        "ulp_couple_resume_ns",
-        "Couple request published to resume on the original KC, nanoseconds.",
-        &lat.couple_resume,
-    );
-    hist_block(
-        &mut out,
-        "ulp_yield_interval_ns",
-        "Interval between consecutive yields on one kernel context, nanoseconds.",
-        &lat.yield_interval,
-    );
-    hist_block(
-        &mut out,
-        "ulp_kc_block_ns",
-        "Kernel-context futex block to wake, nanoseconds.",
-        &lat.kc_block,
-    );
+    for (name, help, d) in [
+        (
+            "ulp_queue_delay_ns",
+            "Run-queue enqueue to scheduler dispatch, nanoseconds.",
+            &lat.queue_delay,
+        ),
+        (
+            "ulp_couple_resume_ns",
+            "Couple request published to resume on the original KC, nanoseconds.",
+            &lat.couple_resume,
+        ),
+        (
+            "ulp_yield_interval_ns",
+            "Interval between consecutive yields on one kernel context, nanoseconds.",
+            &lat.yield_interval,
+        ),
+        (
+            "ulp_kc_block_ns",
+            "Kernel-context futex block to wake, nanoseconds.",
+            &lat.kc_block,
+        ),
+    ] {
+        header(&mut out, name, help, "histogram");
+        hist_series(&mut out, name, None, d);
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Event;
     use crate::uc::BltId;
+    use ulp_kernel::Sysno;
 
     fn rec(at_ns: u64, event: Event) -> TraceRecord {
         TraceRecord {
@@ -1054,6 +792,127 @@ mod tests {
             .expect("open span closed at horizon");
         assert_eq!(futex["ts"].as_f64(), Some(0.2));
         assert_eq!(futex["dur"].as_f64(), Some(0.7));
+    }
+
+    fn sys(at_ns: u64, kc: u32, uc: u64, sysno: Sysno, exit: bool) -> TraceRecord {
+        let (uc, coupled) = (BltId(uc), true);
+        let event = if exit {
+            Event::SyscallExit {
+                uc,
+                sysno,
+                coupled,
+                errno: 0,
+            }
+        } else {
+            Event::SyscallEnter { uc, sysno, coupled }
+        };
+        TraceRecord { at_ns, event, kc }
+    }
+
+    fn spans(json: &str) -> Vec<(String, u64, f64, f64)> {
+        let v: serde_json::Value = serde_json::from_str(json).expect("valid JSON");
+        v["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("X"))
+            .map(|e| {
+                (
+                    e["name"].as_str().unwrap().to_string(),
+                    e["tid"].as_f64().unwrap() as u64,
+                    e["ts"].as_f64().unwrap(),
+                    e["dur"].as_f64().unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// Two unbound threads (both report `BltId(0)`) sleep in overlapping
+    /// `futex_wait`s on their own shards: each exit closes its own shard's
+    /// enter, so each span keeps its own duration.
+    #[test]
+    fn blt0_syscall_streams_pair_by_shard() {
+        let json = chrome_trace_json(&[
+            sys(100, 1, 0, Sysno::FutexWait, false),
+            sys(200, 2, 0, Sysno::FutexWait, false),
+            sys(300, 1, 0, Sysno::FutexWait, true),
+            sys(900, 2, 0, Sysno::FutexWait, true),
+        ]);
+        let tid = SYSCALL_TID_BASE;
+        assert_eq!(
+            spans(&json),
+            [
+                ("futex_wait".to_string(), tid, 0.1, 0.2),
+                ("futex_wait".to_string(), tid, 0.2, 0.7)
+            ]
+        );
+    }
+
+    /// A sibling records `Spawn` and then a `Dispatch`: it was born into the
+    /// run queue, and the timeline says so like the flamegraph does.
+    #[test]
+    fn sibling_birth_span_renders_queued() {
+        let json = chrome_trace_json(&[
+            rec(0, Event::Spawn(BltId(9))),
+            rec(
+                300,
+                Event::Dispatch {
+                    uc: BltId(9),
+                    scheduler: BltId(1),
+                },
+            ),
+            rec(500, Event::Terminate(BltId(9))),
+        ]);
+        assert_eq!(
+            spans(&json),
+            [
+                ("queued".to_string(), 9, 0.0, 0.3),
+                ("decoupled".to_string(), 9, 0.3, 0.2)
+            ]
+        );
+    }
+
+    /// A mismatched exit clears the shard's stack, as in the live recorder
+    /// and the fold: the `open` it would otherwise have left behind is not
+    /// paired with a later exit. And a BLT whose only syscall record is an
+    /// orphan exit has nothing drawn, so no syscall track is declared.
+    #[test]
+    fn mismatched_exit_clears_the_stack_and_orphans_declare_no_track() {
+        let json = chrome_trace_json(&[
+            sys(100, 1, 4, Sysno::Open, false),
+            sys(200, 1, 4, Sysno::Close, true),
+            sys(300, 1, 4, Sysno::Open, true),
+            sys(400, 1, 4, Sysno::Getpid, false),
+            sys(450, 1, 4, Sysno::Getpid, true),
+            sys(500, 1, 7, Sysno::Close, true),
+        ]);
+        let tid = SYSCALL_TID_BASE + 4;
+        assert_eq!(spans(&json), [("getpid".to_string(), tid, 0.4, 0.05)]);
+        assert!(json.contains("\"syscalls blt:4\""));
+        assert!(!json.contains("\"syscalls blt:7\""), "{json}");
+    }
+
+    /// A window is the fold's window: spans are clipped to it at both edges,
+    /// what lies outside is neither drawn nor given a track.
+    #[test]
+    fn windowed_export_clips_spans_to_the_window() {
+        // fig6 (blt 4): coupled [0,100] queued [100,250] decoupled [250,400]
+        // coupling [400,600] coupled [600,800]; instants at 650 and 700.
+        let json = chrome_trace_json_window(&fig6_records(), Some((300, 450)));
+        assert_eq!(
+            spans(&json),
+            [
+                ("decoupled".to_string(), 4, 0.3, 0.1),
+                ("coupling".to_string(), 4, 0.4, 0.05)
+            ]
+        );
+        assert!(!json.contains("kc_blocked") && !json.contains("signal:10"));
+        // Wholly inside one span: that span, the window's width.
+        let json = chrome_trace_json_window(&fig6_records(), Some((300, 350)));
+        assert_eq!(spans(&json), [("decoupled".to_string(), 4, 0.3, 0.05)]);
+        // Before anything happened on another BLT's clock: nothing at all.
+        let json = chrome_trace_json_window(&fig6_records(), Some((900, 950)));
+        assert!(spans(&json).is_empty() && !json.contains("blt:4"));
     }
 
     #[test]

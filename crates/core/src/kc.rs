@@ -148,7 +148,7 @@ fn tc_loop(boot: &TcBoot) -> ! {
         rt.stack_pool.scavenge();
         let how = tally.idled(kc.parker.park(seen, || kc.pending.is_empty_locked()));
         if how.blocked() {
-            rt.stats.bump_kc_blocks();
+            rt.stats.fallback().bump_kc_blocks();
             crate::current::with_thread(|b| {
                 if let Some(t) = b.trace() {
                     if t.is_on() {
@@ -234,7 +234,7 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<KcShared>) {
             .idled(kc.parker.park(seen, || kc.pending.is_empty_locked()))
             .blocked()
         {
-            rt.stats.bump_kc_blocks();
+            rt.stats.fallback().bump_kc_blocks();
         }
     }
     rt.kernel.unbind_current();

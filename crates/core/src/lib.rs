@@ -73,6 +73,7 @@ mod metrics_server;
 mod park;
 mod proc;
 pub mod profile;
+mod replay;
 pub mod runqueue;
 pub mod runtime;
 pub mod signals;

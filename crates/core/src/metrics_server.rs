@@ -19,7 +19,8 @@
 //!   (nanoseconds on the trace clock, end-exclusive, either edge omittable).
 //! - `/profile.json` — the structured [`crate::profile::ProfileSnapshot`].
 //! - `/trace` — Chrome-trace/Perfetto JSON of the current ring contents;
-//!   accepts the same `?t0=..&t1=..` window as `/profile`.
+//!   accepts the same `?t0=..&t1=..` window as `/profile`, and clips spans
+//!   to it the same way.
 //!
 //! The profile and trace routes read the rings through the tracer's
 //! non-destructive snapshot path: scraping mid-run consumes nothing, so the
@@ -188,8 +189,8 @@ fn answer(stream: &mut TcpStream, rt: &Weak<RuntimeInner>) -> std::io::Result<()
             // (nanoseconds on the trace clock, end-exclusive).
             "/profile" => Some(|rt, w| ("text/plain", rt.profile_collapsed_window(w))),
             "/profile.json" => Some(|rt, _| ("application/json", rt.profile_json())),
-            // `/trace?t0=..&t1=..` restricts the rendering to records in
-            // that window (same query grammar as `/profile`).
+            // `/trace?t0=..&t1=..` draws the same window `/profile` folds:
+            // spans clipped to it, nothing outside it.
             "/trace" => Some(|rt, w| ("application/json", rt.trace_json_window(w))),
             _ => None,
         };

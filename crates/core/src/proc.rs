@@ -21,6 +21,7 @@
 
 use crate::runtime::RuntimeInner;
 use crate::uc::UcState;
+use std::fmt::Write;
 use std::sync::Arc;
 use ulp_kernel::ProcSource;
 
@@ -37,36 +38,17 @@ pub(crate) fn provider(source: ProcSource) -> Option<String> {
     })
 }
 
-/// Body of `/proc/ulp/stat`: one `name value` line per runtime counter, in
-/// [`crate::stats::StatsSnapshot`] field order, then the stack pool's warm
+/// Body of `/proc/ulp/stat`: one `name value` line per row of the counter
+/// table (`stats.rs`), in declaration order, then the stack pool's warm
 /// gauge. Plain `cut`/`awk` fodder — the Prometheus exposition lives next
 /// door in `/proc/ulp/metrics`.
 fn runtime_stat_text(rt: &Arc<RuntimeInner>) -> String {
-    let s = rt.stats.snapshot();
-    format!(
-        "context_switches {}\n\
-         tls_loads {}\n\
-         couples {}\n\
-         decouples {}\n\
-         yields {}\n\
-         blts_spawned {}\n\
-         siblings_spawned {}\n\
-         scheduler_dispatches {}\n\
-         kc_blocks {}\n\
-         couple_handoffs {}\n\
-         stack_warm {}\n",
-        s.context_switches,
-        s.tls_loads,
-        s.couples,
-        s.decouples,
-        s.yields,
-        s.blts_spawned,
-        s.siblings_spawned,
-        s.scheduler_dispatches,
-        s.kc_blocks,
-        s.couple_handoffs,
-        rt.stack_pool.warm(),
-    )
+    let mut out = String::new();
+    for c in rt.stats.snapshot().counters() {
+        let _ = writeln!(out, "{} {}", c.name, c.value);
+    }
+    let _ = writeln!(out, "stack_warm {}", rt.stack_pool.warm());
+    out
 }
 
 /// Runtime enrichment appended to `/proc/<pid>/stat`: the Table-I view of
@@ -104,7 +86,11 @@ mod tests {
     fn stat_text_has_one_line_per_counter() {
         let rt = crate::Runtime::new();
         let text = runtime_stat_text(rt.inner());
-        assert_eq!(text.lines().count(), 11);
+        let counters = rt.stats().snapshot().counters().count();
+        assert_eq!(text.lines().count(), counters + 1);
+        for missing_at_pr_23 in ["pooled_spawned", "yield_homes", "park_sleeps"] {
+            assert!(text.contains(&format!("{missing_at_pr_23} 0\n")), "{text}");
+        }
         for line in text.lines() {
             let mut parts = line.split_whitespace();
             let name = parts.next().unwrap();

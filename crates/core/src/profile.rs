@@ -2,9 +2,10 @@
 //! attribution and Brendan-Gregg collapsed stacks.
 //!
 //! The tracer ([`crate::trace`]) answers *what happened when*; this module
-//! answers *where the time went*. [`fold_profile`] replays a drained (or
-//! non-destructively snapshotted) record stream through the same Table-I
-//! state machine the Perfetto export uses and aggregates, per BLT:
+//! answers *where the time went*. [`fold_profile`] takes a drained (or
+//! non-destructively snapshotted) record stream through `replay.rs` —
+//! which owns the Table-I state machine, the syscall nesting and the window,
+//! for this module and the Perfetto export alike — and aggregates, per BLT:
 //!
 //! - wall-clock time in each lifecycle state — `coupled` / `queued` /
 //!   `coupling` / `decoupled` — which **partition** the BLT's lifetime
@@ -44,7 +45,8 @@
 //! latency histograms, which also only record completed spans.
 
 use crate::hist::{LatencySnapshot, SyscallSnapshot};
-use crate::trace::{Event, TraceRecord, SYS_STACK_DEPTH};
+use crate::replay::{replay, Cut, Item};
+use crate::trace::TraceRecord;
 use crate::uc::BltId;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -79,11 +81,8 @@ pub const PROFILE_STATES: usize = 5;
 /// Number of lifecycle states that partition a BLT's lifetime.
 const LIFECYCLE_STATES: usize = 4;
 
-const COUPLED: usize = ProfileState::Coupled as usize;
 const QUEUED: usize = ProfileState::Queued as usize;
 const COUPLING: usize = ProfileState::Coupling as usize;
-const DECOUPLED: usize = ProfileState::Decoupled as usize;
-const KC_BLOCKED: usize = ProfileState::KcBlocked as usize;
 
 impl ProfileState {
     /// All states, in bucket order.
@@ -515,45 +514,6 @@ pub fn parse_collapsed(text: &str) -> Result<Vec<(String, u64)>, String> {
     Ok(out)
 }
 
-/// One in-flight syscall frame during the fold.
-struct SysFrame {
-    start_ns: u64,
-    sysno: Sysno,
-    /// Lifecycle state at the enter edge (attribution anchor).
-    state: usize,
-    /// Wall time consumed by already-closed child frames.
-    child_ns: u64,
-    /// Entered beyond [`SYS_STACK_DEPTH`]: balanced but never folded,
-    /// mirroring the histogram recorder's cap.
-    deep: bool,
-}
-
-/// A span's overlap with the fold window (its full length when unwindowed).
-fn clip(window: Option<(u64, u64)>, start: u64, end: u64) -> u64 {
-    match window {
-        None => end.saturating_sub(start),
-        Some((t0, t1)) => end.min(t1).saturating_sub(start.max(t0)),
-    }
-}
-
-/// Does a span `[start, end)` intersect the fold window? Gates span *counts*
-/// the same way [`clip`] gates span *time*, except that zero-length spans
-/// strictly inside the window still count.
-fn in_window(window: Option<(u64, u64)>, start: u64, end: u64) -> bool {
-    match window {
-        None => true,
-        Some((t0, t1)) => start < t1 && (end > t0 || (start == end && start >= t0)),
-    }
-}
-
-/// Is a point event inside the fold window?
-fn in_point(window: Option<(u64, u64)>, at: u64) -> bool {
-    match window {
-        None => true,
-        Some((t0, t1)) => at >= t0 && at < t1,
-    }
-}
-
 /// Scheduling-site wakes (run-queue pushes and couple resumes) end a
 /// `queued`/`coupling` span and so attribute it to their chain; kernel-site
 /// wakes update the causal chain and per-site aggregates only — the span
@@ -567,7 +527,6 @@ fn wake_attributes_span(site: WakeSite) -> bool {
 
 /// Per-BLT accumulation state.
 struct Builder {
-    window: Option<(u64, u64)>,
     start_ns: u64,
     end_ns: Option<u64>,
     states: [StateBucket; PROFILE_STATES],
@@ -578,13 +537,6 @@ struct Builder {
     /// (subtracted from the state's self time exactly like syscall frames,
     /// so the collapsed lines still sum to [`BltProfile::flame_ns`]).
     state_wake_ns: [u64; LIFECYCLE_STATES],
-    /// The currently open lifecycle span.
-    open: Option<(u64, usize)>,
-    /// The open span is the birth span: still relabelable to `queued` if
-    /// the first scheduling event shows the BLT was born decoupled (a
-    /// sibling, whose registration is a run-queue push).
-    birth_unresolved: bool,
-    kc_open: Option<u64>,
     coupled_resumes: u64,
     /// (state, call chain as u16 discriminants) → (count, total, self).
     paths: BTreeMap<(usize, Vec<u16>), (u64, u64, u64)>,
@@ -605,17 +557,13 @@ struct Builder {
 type WakePathMap = BTreeMap<(usize, Vec<(u64, u8)>), (u64, u64)>;
 
 impl Builder {
-    fn new(start_ns: u64, window: Option<(u64, u64)>) -> Builder {
+    fn new(start_ns: u64) -> Builder {
         Builder {
-            window,
             start_ns,
             end_ns: None,
             states: [StateBucket::default(); PROFILE_STATES],
             state_sys_ns: [0; LIFECYCLE_STATES],
             state_wake_ns: [0; LIFECYCLE_STATES],
-            open: None,
-            birth_unresolved: false,
-            kc_open: None,
             coupled_resumes: 0,
             paths: BTreeMap::new(),
             wakes: [(0, 0); WakeSite::COUNT],
@@ -625,87 +573,28 @@ impl Builder {
         }
     }
 
-    /// Close the open span at `at` and optionally open the next state.
-    /// Spans are *counted* at close (equivalent to counting at open on a
-    /// full fold, since [`Builder::finish`] closes every straggler at the
-    /// horizon) so a windowed fold can count exactly the spans that
-    /// intersect its window.
-    fn transition(&mut self, at: u64, next: Option<usize>) {
-        if let Some((start, s)) = self.open.take() {
-            let dur = clip(self.window, start, at);
-            self.states[s].total_ns += dur;
-            let counted = in_window(self.window, start, at);
-            if counted {
-                self.states[s].spans += 1;
-            }
-            // A blocked span ends: if a scheduling-site wake claimed it,
-            // fold its wall time under the wake chain instead of the bare
-            // state frame.
-            if s == QUEUED || s == COUPLING {
-                if let Some(chain) = self.pending_wake.take() {
-                    if counted || dur > 0 {
-                        let entry = self.wake_paths.entry((s, chain)).or_insert((0, 0));
-                        if counted {
-                            entry.0 += 1;
-                        }
-                        entry.1 += dur;
-                        self.state_wake_ns[s] += dur;
-                    }
-                }
-            }
+    /// A span in state `s` ended; `cut` is what the window keeps of it.
+    fn span(&mut self, s: usize, cut: Cut) {
+        self.states[s].total_ns += cut.ns;
+        if cut.counted {
+            self.states[s].spans += 1;
         }
-        if let Some(s) = next {
-            self.open = Some((at, s));
-        }
-    }
-
-    /// Resolve the birth span's label: the first scheduling event tells us
-    /// whether the BLT was born coupled (a primary: first event `Decouple`
-    /// or anything else) or decoupled (a sibling: first event `Dispatch` or
-    /// an incoming `Yield`, i.e. its birth *was* a run-queue push).
-    fn resolve_birth(&mut self, born_decoupled: bool) {
-        if !self.birth_unresolved {
-            return;
-        }
-        self.birth_unresolved = false;
-        if born_decoupled {
-            if let Some((_, s)) = self.open.as_mut() {
-                if *s == COUPLED {
-                    // Not yet counted: spans count at close, after relabel.
-                    *s = QUEUED;
+        // A blocked span ends: if a scheduling-site wake claimed it, fold
+        // its wall time under the wake chain instead of the bare state
+        // frame.
+        if s == QUEUED || s == COUPLING {
+            if let Some(chain) = self.pending_wake.take() {
+                if cut.counted {
+                    let entry = self.wake_paths.entry((s, chain)).or_insert((0, 0));
+                    entry.0 += 1;
+                    entry.1 += cut.ns;
+                    self.state_wake_ns[s] += cut.ns;
                 }
             }
         }
     }
 
-    fn close_kc(&mut self, at: u64) {
-        if let Some(t0) = self.kc_open.take() {
-            self.states[KC_BLOCKED].total_ns += clip(self.window, t0, at);
-            if in_window(self.window, t0, at) {
-                self.states[KC_BLOCKED].spans += 1;
-            }
-        }
-    }
-
-    /// The state syscall frames entered right now should attribute to.
-    fn sys_state(&self, coupled: bool) -> usize {
-        match self.open {
-            Some((_, s)) if s < LIFECYCLE_STATES => s,
-            // No lifecycle track (BLT 0, scheduler identities): fall back
-            // to the consistency flag the event itself carries.
-            _ => {
-                if coupled {
-                    COUPLED
-                } else {
-                    DECOUPLED
-                }
-            }
-        }
-    }
-
-    fn finish(mut self, horizon: u64) -> BltProfile {
-        self.transition(horizon, None);
-        self.close_kc(horizon);
+    fn finish(mut self, id: BltId) -> BltProfile {
         for (i, bucket) in self.states.iter_mut().enumerate() {
             let attributed = if i < LIFECYCLE_STATES {
                 self.state_sys_ns[i].saturating_add(self.state_wake_ns[i])
@@ -750,7 +639,7 @@ impl Builder {
             })
             .collect();
         BltProfile {
-            id: BltId(0), // overwritten by the caller
+            id,
             start_ns: self.start_ns,
             end_ns: self.end_ns,
             states: self.states,
@@ -764,8 +653,8 @@ impl Builder {
 
 /// Fold a record stream (drained via `Runtime::take_trace` or snapshotted
 /// non-destructively via `Runtime::trace_snapshot`) into a
-/// [`ProfileSnapshot`]. Records need not be pre-sorted; the fold sorts a
-/// copy by timestamp, exactly like the Perfetto export.
+/// [`ProfileSnapshot`]. Records need not be pre-sorted; the replay sorts a
+/// copy by timestamp.
 pub fn fold_profile(records: &[TraceRecord]) -> ProfileSnapshot {
     fold_profile_window(records, None)
 }
@@ -783,192 +672,88 @@ pub fn fold_profile(records: &[TraceRecord]) -> ProfileSnapshot {
 /// the full window: the runtime's histograms have no time dimension to
 /// narrow against.
 pub fn fold_profile_window(records: &[TraceRecord], window: Option<(u64, u64)>) -> ProfileSnapshot {
-    let mut recs: Vec<&TraceRecord> = records.iter().collect();
-    recs.sort_by_key(|r| r.at_ns);
-    let horizon_ns = recs.last().map_or(0, |r| r.at_ns);
-
     let mut builders: BTreeMap<u64, Builder> = BTreeMap::new();
-    // In-flight syscall frames, keyed by (BLT, recording shard). Enter and
-    // exit of one span always land on the same shard (a syscall executes
-    // synchronously on one kernel context), so the shard key keeps streams
-    // from distinct unbound threads — which all report as `BltId(0)` — from
-    // corrupting each other's nesting.
-    let mut sys_stacks: BTreeMap<(u64, u32), Vec<SysFrame>> = BTreeMap::new();
-
-    for r in &recs {
-        let at = r.at_ns;
-        // Fetch-or-create the builder for a BLT; a BLT's profile is born at
-        // its first event of any kind.
-        macro_rules! blt {
-            ($id:expr) => {
-                builders
-                    .entry($id.0)
-                    .or_insert_with(|| Builder::new(at, window))
-            };
+    let horizon_ns = replay(records, window, |item| match item {
+        Item::Born { blt, at_ns } => {
+            builders.insert(blt.0, Builder::new(at_ns));
         }
-        match r.event {
-            Event::Spawn(u) => {
-                let t = blt!(u);
-                t.transition(at, Some(COUPLED));
-                t.birth_unresolved = true;
+        Item::Span {
+            blt, state, cut, ..
+        } => of(&mut builders, blt).span(state as usize, cut),
+        Item::Resumed { blt, counted } => {
+            of(&mut builders, blt).coupled_resumes += u64::from(counted)
+        }
+        Item::Terminated { blt, at_ns } => of(&mut builders, blt).end_ns = Some(at_ns),
+        Item::Mark { .. } => {}
+        Item::Wake {
+            waker,
+            wakee,
+            site,
+            delay_ns,
+            counted,
+            ..
+        } => {
+            // The wakee's new causal chain: this edge, then whatever chain
+            // the waker itself carried, merged to depth 4 — an external
+            // waker (`blt:0`, or one the trace has not met) contributes an
+            // empty tail.
+            let tail = builders.get(&waker.0).map_or(&[][..], |b| &b.chain);
+            let mut chain = vec![(waker.0, site as u8)];
+            chain.extend(tail.iter().take(WAKE_CHAIN_DEPTH - 1));
+            let t = of(&mut builders, wakee);
+            if counted {
+                let (n, sum) = &mut t.wakes[site as usize];
+                *n += 1;
+                *sum = sum.saturating_add(delay_ns);
             }
-            // `Requeue`: a UC at home re-entering the run queue is queued
-            // again, exactly as after its `Decouple`.
-            Event::Decouple(u) | Event::Requeue(u) => {
-                let t = blt!(u);
-                t.resolve_birth(false);
-                t.transition(at, Some(QUEUED));
+            if wake_attributes_span(site) {
+                t.pending_wake = Some(chain.clone());
             }
-            Event::Dispatch { uc, .. } => {
-                let t = blt!(uc);
-                t.resolve_birth(true);
-                t.transition(at, Some(DECOUPLED));
+            t.chain = chain;
+        }
+        // In flight at the horizon, or beyond the recorder's nesting cap:
+        // never timed by the histograms, so not folded either.
+        Item::Syscall { errno: None, .. } | Item::Syscall { deep: true, .. } => {}
+        Item::Syscall {
+            blt,
+            state,
+            path,
+            cut,
+            self_ns,
+            top_level,
+            ..
+        } => {
+            let t = of(&mut builders, blt);
+            if top_level {
+                t.state_sys_ns[state as usize] += cut.ns;
             }
-            Event::Yield { from, to } => {
-                {
-                    let t = blt!(from);
-                    t.resolve_birth(false);
-                    t.transition(at, Some(QUEUED));
-                }
-                {
-                    let t = blt!(to);
-                    t.resolve_birth(true);
-                    t.transition(at, Some(DECOUPLED));
-                }
-            }
-            Event::CoupleRequest(u) => {
-                let t = blt!(u);
-                t.resolve_birth(false);
-                t.transition(at, Some(COUPLING));
-            }
-            Event::Coupled(u) => {
-                let t = blt!(u);
-                t.resolve_birth(false);
-                if in_point(window, at) {
-                    t.coupled_resumes += 1;
-                }
-                t.close_kc(at);
-                t.transition(at, Some(COUPLED));
-            }
-            Event::Terminate(u) => {
-                let t = blt!(u);
-                t.resolve_birth(false);
-                t.transition(at, None);
-                t.close_kc(at);
-                t.end_ns = Some(at);
-            }
-            Event::KcBlocked(u) => {
-                let t = blt!(u);
-                // A re-park without an intervening `Coupled` (spurious
-                // futex wake) closes the previous window here — the wake
-                // itself is not traced, so the awake gap is charged to the
-                // blocked track rather than invented. The span is counted
-                // at close (`close_kc`), like the lifecycle spans.
-                t.close_kc(at);
-                t.kc_open = Some(at);
-            }
-            Event::Signal { .. } => {}
-            // The handoff marker carries no lifetime of its own: the
-            // bracketing Decouple(from) and Coupled(to) records drive the
-            // state transitions, so the I1 partition stays exact.
-            Event::CoupleHandoff { .. } => {}
-            Event::Wake {
-                waker,
-                wakee,
-                site,
-                delay_ns,
-            } => {
-                // The wakee's new causal chain: this edge, then whatever
-                // chain the waker itself carried, merged to depth 4. Read
-                // the waker's chain first — an external waker (`blt:0` or
-                // one with no builder yet) contributes an empty tail.
-                let tail: Vec<(u64, u8)> = builders
-                    .get(&waker.0)
-                    .map(|b| b.chain.clone())
-                    .unwrap_or_default();
-                let t = blt!(wakee);
-                t.chain.clear();
-                t.chain.push((waker.0, site as u8));
-                t.chain.extend(tail.into_iter().take(WAKE_CHAIN_DEPTH - 1));
-                if in_point(window, at) {
-                    t.wakes[site as usize].0 += 1;
-                    t.wakes[site as usize].1 = t.wakes[site as usize].1.saturating_add(delay_ns);
-                }
-                if wake_attributes_span(site) {
-                    t.pending_wake = Some(t.chain.clone());
-                }
-            }
-            Event::SyscallEnter { uc, sysno, coupled } => {
-                let state = blt!(uc).sys_state(coupled);
-                let stack = sys_stacks.entry((uc.0, r.kc)).or_default();
-                let deep = stack.len() >= SYS_STACK_DEPTH;
-                stack.push(SysFrame {
-                    start_ns: at,
-                    sysno,
-                    state,
-                    child_ns: 0,
-                    deep,
-                });
-            }
-            Event::SyscallExit { uc, sysno, .. } => {
-                let stack = sys_stacks.entry((uc.0, r.kc)).or_default();
-                match stack.last() {
-                    None => {} // tracing came on mid-span: no enter edge
-                    Some(top) if top.sysno != sysno => {
-                        // Mismatched frame: the histogram recorder clears
-                        // its whole stack here; mirror it so counts agree.
-                        stack.clear();
-                    }
-                    Some(_) => {
-                        let frame = stack.pop().expect("guarded by last()");
-                        let dur = clip(window, frame.start_ns, at);
-                        if frame.deep {
-                            // Beyond the recorder's nesting cap: balanced
-                            // but never timed — fold nothing, like the
-                            // histograms.
-                            continue;
-                        }
-                        if let Some(parent) = stack.last_mut() {
-                            parent.child_ns += dur;
-                        } else {
-                            let t = blt!(uc);
-                            if frame.state < LIFECYCLE_STATES {
-                                t.state_sys_ns[frame.state] += dur;
-                            }
-                        }
-                        if !in_window(window, frame.start_ns, at) {
-                            // The span lies wholly outside the fold window:
-                            // no path row (dur is 0, so the child/state
-                            // bookkeeping above was a no-op too).
-                            continue;
-                        }
-                        let mut path: Vec<u16> = stack.iter().map(|f| f.sysno as u16).collect();
-                        path.push(sysno as u16);
-                        let t = blt!(uc);
-                        let entry = t.paths.entry((frame.state, path)).or_insert((0, 0, 0));
-                        entry.0 += 1;
-                        entry.1 += dur;
-                        entry.2 += dur.saturating_sub(frame.child_ns);
-                    }
-                }
+            if cut.counted {
+                let path = path.iter().map(|&no| no as u16).collect();
+                let entry = t.paths.entry((state as usize, path)).or_insert((0, 0, 0));
+                entry.0 += 1;
+                entry.1 += cut.ns;
+                entry.2 += self_ns;
             }
         }
-    }
-
+    });
     let blts = builders
         .into_iter()
-        .map(|(id, builder)| {
-            let mut p = builder.finish(horizon_ns);
-            p.id = BltId(id);
-            p
-        })
+        .map(|(id, builder)| builder.finish(BltId(id)))
         .collect();
     ProfileSnapshot { horizon_ns, blts }
+}
+
+/// The builder [`Item::Born`] created for `blt`.
+fn of(builders: &mut BTreeMap<u64, Builder>, blt: BltId) -> &mut Builder {
+    builders
+        .get_mut(&blt.0)
+        .expect("the replay announces a BLT before anything about it")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Event;
 
     fn rec(at_ns: u64, event: Event) -> TraceRecord {
         TraceRecord {

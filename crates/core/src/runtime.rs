@@ -373,24 +373,14 @@ impl RuntimeInner {
     }
 
     /// Render the tracer's current contents as Chrome-trace JSON without
-    /// draining them (the `/trace` endpoint body), restricted to records
-    /// with `at_ns` in `[t0, t1)` when a window is given — the
-    /// `/trace?t0=..` query form. Plain record filtering: a span whose
-    /// enter edge falls outside the window renders as an unmatched phase
-    /// event, which Perfetto tolerates (the window is a viewport, not a
-    /// re-fold).
+    /// draining them (the `/trace` endpoint body), restricted to the trace
+    /// window `[t0, t1)` when one is given — the `/trace?t0=..` query form.
+    /// The window is the one `/profile?t0=..` folds: the whole history is
+    /// replayed and each span is drawn clipped to the window, so a UC that
+    /// was `decoupled` from before `t0` until after `t1` is one `decoupled`
+    /// span of the window's width, not an empty track.
     pub(crate) fn trace_json_window(&self, window: Option<(u64, u64)>) -> String {
-        let records = self.tracer.snapshot();
-        match window {
-            None => crate::export::chrome_trace_json(&records),
-            Some((t0, t1)) => {
-                let windowed: Vec<_> = records
-                    .into_iter()
-                    .filter(|r| r.at_ns >= t0 && r.at_ns < t1)
-                    .collect();
-                crate::export::chrome_trace_json(&windowed)
-            }
-        }
+        crate::export::chrome_trace_json_window(&self.tracer.snapshot(), window)
     }
 }
 

@@ -230,7 +230,7 @@ impl Runtime {
 
     fn spawn_inner(&self, name: &str, pid: Option<Pid>, f: UlpFn) -> BltHandle {
         let rt = self.inner().clone();
-        rt.stats.bump_blts();
+        rt.stats.fallback().bump_blts();
         let shared_identity = pid.is_some();
         let pid = pid.unwrap_or_else(|| rt.kernel.spawn_process(Some(rt.root_pid), name));
         let kc = Arc::new(KcShared::new(rt.config.idle_policy));
@@ -378,7 +378,7 @@ fn spawn_sibling_inner(
         }
         primary.kc.sibling_count.fetch_add(1, Ordering::AcqRel);
     }
-    rt.stats.bump_siblings();
+    rt.stats.fallback().bump_siblings();
     let stack = match rt.stack_pool.acquire(SIBLING_STACK_SIZE) {
         Ok(s) => s,
         Err(e) => {
@@ -441,7 +441,7 @@ fn spawn_pooled_inner(
     name: &str,
     f: UlpFn,
 ) -> Result<PooledHandle, UlpError> {
-    rt.stats.bump_pooled();
+    rt.stats.fallback().bump_pooled();
     // Dense slab slot, not a classed guard-paged stack: two VMAs per stack
     // would blow `vm.max_map_count` long before 1M ULPs.
     let stack = rt

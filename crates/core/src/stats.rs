@@ -25,59 +25,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// One kernel context's private block of event counters.
-///
-/// `align(128)` keeps each shard on its own cache line pair (two lines
-/// covers adjacent-line prefetchers), so two KCs bumping their own shards
-/// never false-share. The fields are atomics only so the aggregator may read
-/// them concurrently; each counter has exactly one writer (the registering
-/// thread), which lets `StatsShard::bump` use a load+store instead of an
-/// interlocked read-modify-write.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct StatsShard {
-    /// User-level context switches, all kinds (couple, decouple, yield,
-    /// dispatch — Table V counts four per couple+decouple pair).
-    pub context_switches: AtomicU64,
-    /// Emulated TLS-register reloads on UC-to-UC switches (§V-B).
-    pub tls_loads: AtomicU64,
-    /// `couple()` transitions — ULT back to KLT.
-    pub couples: AtomicU64,
-    /// `decouple()` transitions — KLT to ULT.
-    pub decouples: AtomicU64,
-    /// Direct UC-to-UC yield switches.
-    pub yields: AtomicU64,
-    /// BLTs spawned (each starts as a kernel-level thread).
-    pub blts_spawned: AtomicU64,
-    /// Sibling UCs spawned (the M:N extension).
-    pub siblings_spawned: AtomicU64,
-    /// Pooled ULPs spawned (oversubscription mode: own kernel identity,
-    /// shared pool KC, recycled stack).
-    pub pooled_spawned: AtomicU64,
-    /// Decoupled UCs popped and run by scheduler KCs — or dispatched at
-    /// home by their own KC's trampoline (`decouple_homes` of them).
-    pub scheduler_dispatches: AtomicU64,
-    /// Idle kernel contexts that blocked on a futex (BLOCKING idle policy).
-    pub kc_blocks: AtomicU64,
-    /// Couples completed by direct handoff from a decoupling UC (the fast
-    /// path that skipped the run queue and the idle-loop futex wake).
-    pub couple_handoffs: AtomicU64,
-    /// Decouples that stayed home: the UC's own trampoline hosted it
-    /// because its last decoupled stretch was shorter than a hand-over.
-    pub decouple_homes: AtomicU64,
-    /// `yield_now()` calls at home that were the kernel's yield: the UC stayed.
-    pub yield_homes: AtomicU64,
-    /// Idle periods that spun and were ended by work arriving: a futex
-    /// sleep and wake saved (`park.rs`, "The idle decision").
-    pub park_spin_hits: AtomicU64,
-    /// Idle periods that spun to the deadline and slept anyway: the spin
-    /// was wasted CPU.
-    pub park_spin_misses: AtomicU64,
-    /// Idle passes that took the blocking arm — schedulers, trampolines
-    /// and pool KCs alike (`kc_blocks` counts the last two only).
-    pub park_sleeps: AtomicU64,
-}
-
 /// Single-writer increment: plain load + store, never a `lock` prefix.
 /// Sound because only the shard's owning thread writes it; concurrent
 /// snapshot readers may observe a value one bump stale, which is fine for
@@ -88,116 +35,151 @@ fn bump(counter: &AtomicU64) {
     counter.store(v + 1, Ordering::Relaxed);
 }
 
-/// Incrementers, named after the field they bump. These are what the switch
-/// hot path calls (through the cached per-thread shard pointer).
-impl StatsShard {
-    /// Count one user-level context switch.
-    #[inline]
-    pub fn bump_context_switches(&self) {
-        bump(&self.context_switches);
-    }
-    /// Count one emulated TLS-register reload.
-    #[inline]
-    pub fn bump_tls_loads(&self) {
-        bump(&self.tls_loads);
-    }
-    /// Count one `couple()` transition.
-    #[inline]
-    pub fn bump_couples(&self) {
-        bump(&self.couples);
-    }
-    /// Count one `decouple()` transition.
-    #[inline]
-    pub fn bump_decouples(&self) {
-        bump(&self.decouples);
-    }
-    /// Count one UC-to-UC yield.
-    #[inline]
-    pub fn bump_yields(&self) {
-        bump(&self.yields);
-    }
-    /// Count one BLT spawn.
-    #[inline]
-    pub fn bump_blts(&self) {
-        bump(&self.blts_spawned);
-    }
-    /// Count one sibling-UC spawn.
-    #[inline]
-    pub fn bump_siblings(&self) {
-        bump(&self.siblings_spawned);
-    }
-    /// Count one pooled-ULP spawn.
-    #[inline]
-    pub fn bump_pooled(&self) {
-        bump(&self.pooled_spawned);
-    }
-    /// Count one scheduler dispatch of a decoupled UC.
-    #[inline]
-    pub fn bump_dispatches(&self) {
-        bump(&self.scheduler_dispatches);
-    }
-    /// Count one kernel context blocking idle.
-    #[inline]
-    pub fn bump_kc_blocks(&self) {
-        bump(&self.kc_blocks);
-    }
-    /// Count one direct-handoff couple completion.
-    #[inline]
-    pub fn bump_couple_handoffs(&self) {
-        bump(&self.couple_handoffs);
-    }
-    /// Count one decouple that stayed home.
-    #[inline]
-    pub fn bump_decouple_homes(&self) {
-        bump(&self.decouple_homes);
-    }
-    /// Count one `yield_now()` at home that was the kernel's yield.
-    #[inline]
-    pub fn bump_yield_homes(&self) {
-        bump(&self.yield_homes);
-    }
-    /// Count one idle period whose spin was ended by work.
-    #[inline]
-    pub fn bump_park_spin_hits(&self) {
-        bump(&self.park_spin_hits);
-    }
-    /// Count one idle period whose spin ran out and slept.
-    #[inline]
-    pub fn bump_park_spin_misses(&self) {
-        bump(&self.park_spin_misses);
-    }
-    /// Count one idle pass through the blocking arm.
-    #[inline]
-    pub fn bump_park_sleeps(&self) {
-        bump(&self.park_sleeps);
-    }
+/// One row of the counter table as the exporters see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counter {
+    /// The [`StatsSnapshot`] field, which is also the `/proc/ulp/stat` name.
+    pub name: &'static str,
+    /// The Prometheus series: a family name, with its label when several
+    /// rows share one family.
+    pub series: &'static str,
+    /// The family's `# HELP` text; empty on a row that continues the family
+    /// of the row above it.
+    pub help: &'static str,
+    /// The counter's value in this snapshot.
+    pub value: u64,
+}
 
-    /// Fold this shard into an accumulating snapshot.
-    fn add_into(&self, acc: &mut StatsSnapshot) {
-        acc.context_switches += self.context_switches.load(Ordering::Relaxed);
-        acc.tls_loads += self.tls_loads.load(Ordering::Relaxed);
-        acc.couples += self.couples.load(Ordering::Relaxed);
-        acc.decouples += self.decouples.load(Ordering::Relaxed);
-        acc.yields += self.yields.load(Ordering::Relaxed);
-        acc.blts_spawned += self.blts_spawned.load(Ordering::Relaxed);
-        acc.siblings_spawned += self.siblings_spawned.load(Ordering::Relaxed);
-        acc.pooled_spawned += self.pooled_spawned.load(Ordering::Relaxed);
-        acc.scheduler_dispatches += self.scheduler_dispatches.load(Ordering::Relaxed);
-        acc.kc_blocks += self.kc_blocks.load(Ordering::Relaxed);
-        acc.couple_handoffs += self.couple_handoffs.load(Ordering::Relaxed);
-        acc.decouple_homes += self.decouple_homes.load(Ordering::Relaxed);
-        acc.yield_homes += self.yield_homes.load(Ordering::Relaxed);
-        acc.park_spin_hits += self.park_spin_hits.load(Ordering::Relaxed);
-        acc.park_spin_misses += self.park_spin_misses.load(Ordering::Relaxed);
-        acc.park_sleeps += self.park_sleeps.load(Ordering::Relaxed);
-    }
+/// Declare the runtime's counters once: each `field, bump_fn => "series":
+/// "help"` row becomes a [`StatsShard`] atomic with its incrementer, a
+/// [`StatsSnapshot`] field that `add_into` folds and `delta` subtracts, and a
+/// [`Counter`] that `/metrics` and `/proc/ulp/stat` render — so a counter
+/// cannot reach one of them and miss another.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $field:ident, $bump:ident => $series:literal: $help:literal,)+) => {
+        /// One kernel context's private block of event counters.
+        ///
+        /// `align(128)` keeps each shard on its own cache line pair (two lines
+        /// covers adjacent-line prefetchers), so two KCs bumping their own
+        /// shards never false-share. The fields are atomics only so the
+        /// aggregator may read them concurrently; each counter has exactly one
+        /// writer (the registering thread), which lets the `bump_*`
+        /// incrementers — what the switch hot path calls, through the cached
+        /// per-thread shard pointer — use a load+store instead of an
+        /// interlocked read-modify-write.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct StatsShard {
+            $($(#[$doc])* pub $field: AtomicU64,)+
+        }
+
+        impl StatsShard {
+            $(
+                #[doc = concat!("Count one `", stringify!($field), "` event.")]
+                #[inline]
+                pub fn $bump(&self) {
+                    bump(&self.$field);
+                }
+            )+
+
+            /// Fold this shard into an accumulating snapshot.
+            fn add_into(&self, acc: &mut StatsSnapshot) {
+                $(acc.$field += self.$field.load(Ordering::Relaxed);)+
+            }
+        }
+
+        /// Plain-data snapshot of [`Stats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl StatsSnapshot {
+            /// Difference against an earlier snapshot (for per-scenario accounting).
+            pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field - earlier.$field,)+
+                }
+            }
+
+            /// Every counter with its names and help text, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = Counter> {
+                [$(Counter {
+                    name: stringify!($field),
+                    series: $series,
+                    help: $help,
+                    value: self.$field,
+                },)+]
+                .into_iter()
+            }
+        }
+    };
+}
+
+counters! {
+    /// User-level context switches, all kinds (couple, decouple, yield,
+    /// dispatch — Table V counts four per couple+decouple pair).
+    context_switches, bump_context_switches => "ulp_context_switches_total":
+        "User-level context switches (all kinds).",
+    /// Emulated TLS-register reloads on UC-to-UC switches (§V-B).
+    tls_loads, bump_tls_loads => "ulp_tls_loads_total":
+        "Emulated TLS-register reloads on UC-to-UC switches.",
+    /// `couple()` transitions — ULT back to KLT.
+    couples, bump_couples => "ulp_couples_total":
+        "couple() transitions (ULT back to KLT).",
+    /// `decouple()` transitions — KLT to ULT.
+    decouples, bump_decouples => "ulp_decouples_total":
+        "decouple() transitions (KLT to ULT).",
+    /// Direct UC-to-UC yield switches.
+    yields, bump_yields => "ulp_yields_total":
+        "Direct UC-to-UC yield switches.",
+    /// BLTs spawned (each starts as a kernel-level thread).
+    blts_spawned, bump_blts => "ulp_blts_spawned_total":
+        "BLTs spawned.",
+    /// Sibling UCs spawned (the M:N extension).
+    siblings_spawned, bump_siblings => "ulp_siblings_spawned_total":
+        "Sibling UCs spawned (M:N extension).",
+    /// Pooled ULPs spawned (oversubscription mode: own kernel identity,
+    /// shared pool KC, recycled stack).
+    pooled_spawned, bump_pooled => "ulp_pooled_spawned_total":
+        "Pooled ULPs spawned (oversubscription mode: shared pool KCs).",
+    /// Decoupled UCs popped and run by scheduler KCs — or dispatched at
+    /// home by their own KC's trampoline (`decouple_homes` of them).
+    scheduler_dispatches, bump_dispatches => "ulp_scheduler_dispatches_total":
+        "Decoupled UCs dispatched by scheduler KCs, or at home by their own KC's trampoline.",
+    /// Idle kernel contexts that blocked on a futex (BLOCKING idle policy).
+    kc_blocks, bump_kc_blocks => "ulp_kc_blocks_total":
+        "Idle kernel contexts that blocked on a futex.",
+    /// Couples completed by direct handoff from a decoupling UC (the fast
+    /// path that skipped the run queue and the idle-loop futex wake).
+    couple_handoffs, bump_couple_handoffs => "ulp_couple_handoff_total":
+        "Couples completed by direct handoff from a decoupling UC (fast path).",
+    /// Decouples that stayed home: the UC's own trampoline hosted it
+    /// because its last decoupled stretch was shorter than a hand-over.
+    decouple_homes, bump_decouple_homes => "ulp_decouple_home_total":
+        "Decouples that stayed home: hosted by the UC's own trampoline because its last \
+         decoupled stretch was shorter than a hand-over.",
+    /// `yield_now()` calls at home that were the kernel's yield: the UC stayed.
+    yield_homes, bump_yield_homes => "ulp_yield_home_total":
+        "yield_now() calls at home that were the kernel's yield: no Requeue, the UC stayed.",
+    /// Idle periods that spun and were ended by work arriving: a futex
+    /// sleep and wake saved (`park.rs`, "The idle decision").
+    park_spin_hits, bump_park_spin_hits => "ulp_park_total{outcome=\"spin_hit\"}":
+        "How idle periods of kernel contexts ended: spin_hit = work arrived \
+         while spinning (a sleep saved), spin_miss = the spin ran out and the KC slept anyway \
+         (CPU wasted), sleep = every pass through the blocking arm.",
+    /// Idle periods that spun to the deadline and slept anyway: the spin
+    /// was wasted CPU.
+    park_spin_misses, bump_park_spin_misses => "ulp_park_total{outcome=\"spin_miss\"}": "",
+    /// Idle passes that took the blocking arm — schedulers, trampolines
+    /// and pool KCs alike (`kc_blocks` counts the last two only).
+    park_sleeps, bump_park_sleeps => "ulp_park_total{outcome=\"sleep\"}": "",
 }
 
 /// Aggregated runtime event counters (diagnostics only).
 ///
-/// Writers go through per-KC shards (see [`Stats::register_shard`]); the
-/// legacy `bump_*` methods on `Stats` itself hit a shared fallback shard and
-/// remain for callers without a registered shard.
+/// Writers go through per-KC shards (see [`Stats::register_shard`]); callers
+/// without a registered shard bump the shared [`Stats::fallback`] shard.
 #[derive(Debug, Default)]
 pub struct Stats {
     /// Catch-all shard for threads that never registered one. Unlike the
@@ -236,60 +218,11 @@ impl Stats {
         self.shards.lock().len()
     }
 
-    /// Count one context switch on the fallback shard.
+    /// The shared shard for threads that never registered one (spawn
+    /// bookkeeping on the caller's thread, an idle KC's block count).
     #[inline]
-    pub fn bump_context_switches(&self) {
-        self.fallback.bump_context_switches();
-    }
-    /// Count one TLS reload on the fallback shard.
-    #[inline]
-    pub fn bump_tls_loads(&self) {
-        self.fallback.bump_tls_loads();
-    }
-    /// Count one `couple()` on the fallback shard.
-    #[inline]
-    pub fn bump_couples(&self) {
-        self.fallback.bump_couples();
-    }
-    /// Count one `decouple()` on the fallback shard.
-    #[inline]
-    pub fn bump_decouples(&self) {
-        self.fallback.bump_decouples();
-    }
-    /// Count one yield on the fallback shard.
-    #[inline]
-    pub fn bump_yields(&self) {
-        self.fallback.bump_yields();
-    }
-    /// Count one BLT spawn on the fallback shard.
-    #[inline]
-    pub fn bump_blts(&self) {
-        self.fallback.bump_blts();
-    }
-    /// Count one sibling spawn on the fallback shard.
-    #[inline]
-    pub fn bump_siblings(&self) {
-        self.fallback.bump_siblings();
-    }
-    /// Count one pooled-ULP spawn on the fallback shard.
-    #[inline]
-    pub fn bump_pooled(&self) {
-        self.fallback.bump_pooled();
-    }
-    /// Count one dispatch on the fallback shard.
-    #[inline]
-    pub fn bump_dispatches(&self) {
-        self.fallback.bump_dispatches();
-    }
-    /// Count one KC idle-block on the fallback shard.
-    #[inline]
-    pub fn bump_kc_blocks(&self) {
-        self.fallback.bump_kc_blocks();
-    }
-    /// Count one direct-handoff couple on the fallback shard.
-    #[inline]
-    pub fn bump_couple_handoffs(&self) {
-        self.fallback.bump_couple_handoffs();
+    pub fn fallback(&self) -> &StatsShard {
+        &self.fallback
     }
 
     /// Point-in-time snapshot for reporting: the fallback shard plus every
@@ -307,67 +240,6 @@ impl Stats {
     }
 }
 
-/// Plain-data snapshot of [`Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// User-level context switches, all kinds.
-    pub context_switches: u64,
-    /// Emulated TLS-register reloads on UC-to-UC switches.
-    pub tls_loads: u64,
-    /// `couple()` transitions (ULT back to KLT).
-    pub couples: u64,
-    /// `decouple()` transitions (KLT to ULT).
-    pub decouples: u64,
-    /// Direct UC-to-UC yield switches.
-    pub yields: u64,
-    /// BLTs spawned.
-    pub blts_spawned: u64,
-    /// Sibling UCs spawned (M:N extension).
-    pub siblings_spawned: u64,
-    /// Pooled ULPs spawned (oversubscription mode).
-    pub pooled_spawned: u64,
-    /// Decoupled UCs dispatched by scheduler KCs.
-    pub scheduler_dispatches: u64,
-    /// Idle kernel contexts that blocked on a futex.
-    pub kc_blocks: u64,
-    /// Couples completed by direct handoff (fast path).
-    pub couple_handoffs: u64,
-    /// Decouples that stayed home, hosted by the UC's own trampoline.
-    pub decouple_homes: u64,
-    /// `yield_now()` calls at home that were the kernel's yield.
-    pub yield_homes: u64,
-    /// Idle periods whose spin was ended by work arriving (a sleep saved).
-    pub park_spin_hits: u64,
-    /// Idle periods whose spin ran to the deadline and slept (CPU wasted).
-    pub park_spin_misses: u64,
-    /// Idle passes through the blocking arm, every kind of KC.
-    pub park_sleeps: u64,
-}
-
-impl StatsSnapshot {
-    /// Difference against an earlier snapshot (for per-scenario accounting).
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            context_switches: self.context_switches - earlier.context_switches,
-            tls_loads: self.tls_loads - earlier.tls_loads,
-            couples: self.couples - earlier.couples,
-            decouples: self.decouples - earlier.decouples,
-            yields: self.yields - earlier.yields,
-            blts_spawned: self.blts_spawned - earlier.blts_spawned,
-            siblings_spawned: self.siblings_spawned - earlier.siblings_spawned,
-            pooled_spawned: self.pooled_spawned - earlier.pooled_spawned,
-            scheduler_dispatches: self.scheduler_dispatches - earlier.scheduler_dispatches,
-            kc_blocks: self.kc_blocks - earlier.kc_blocks,
-            couple_handoffs: self.couple_handoffs - earlier.couple_handoffs,
-            decouple_homes: self.decouple_homes - earlier.decouple_homes,
-            yield_homes: self.yield_homes - earlier.yield_homes,
-            park_spin_hits: self.park_spin_hits - earlier.park_spin_hits,
-            park_spin_misses: self.park_spin_misses - earlier.park_spin_misses,
-            park_sleeps: self.park_sleeps - earlier.park_sleeps,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,9 +247,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = Stats::default();
-        s.bump_couples();
-        s.bump_couples();
-        s.bump_tls_loads();
+        s.fallback().bump_couples();
+        s.fallback().bump_couples();
+        s.fallback().bump_tls_loads();
         let snap = s.snapshot();
         assert_eq!(snap.couples, 2);
         assert_eq!(snap.tls_loads, 1);
@@ -387,10 +259,10 @@ mod tests {
     #[test]
     fn delta_subtracts() {
         let s = Stats::default();
-        s.bump_yields();
+        s.fallback().bump_yields();
         let a = s.snapshot();
-        s.bump_yields();
-        s.bump_yields();
+        s.fallback().bump_yields();
+        s.fallback().bump_yields();
         let b = s.snapshot();
         assert_eq!(b.delta(&a).yields, 2);
     }
@@ -403,7 +275,7 @@ mod tests {
         shard_a.bump_context_switches();
         shard_a.bump_context_switches();
         shard_b.bump_context_switches();
-        s.bump_context_switches(); // fallback
+        s.fallback().bump_context_switches(); // fallback
         shard_b.bump_tls_loads();
         let snap = s.snapshot();
         assert_eq!(snap.context_switches, 4);
@@ -423,7 +295,7 @@ mod tests {
     fn pooled_counter_folds_and_deltas() {
         let s = Stats::default();
         let shard = s.register_shard();
-        s.bump_pooled(); // fallback
+        s.fallback().bump_pooled(); // fallback
         shard.bump_pooled();
         let a = s.snapshot();
         assert_eq!(a.pooled_spawned, 2);
@@ -441,15 +313,48 @@ mod tests {
         // Fallback bumps (what per-ULP spawn accounting uses) never
         // register shards.
         for _ in 0..100 {
-            s.bump_pooled();
+            s.fallback().bump_pooled();
         }
         assert_eq!(s.shard_count(), 2);
     }
 
     #[test]
     fn shard_is_cache_line_isolated() {
-        assert!(std::mem::align_of::<StatsShard>() >= 128);
-        assert!(std::mem::size_of::<StatsShard>() >= 128);
+        assert_eq!(std::mem::align_of::<StatsShard>(), 128);
+        assert_eq!(std::mem::size_of::<StatsShard>(), 128);
+        // The table generates the fields in row order and the compiler keeps
+        // them there (the hot counters stay on the first line): word `i` of
+        // the shard is counter `i` of the table.
+        let shard = StatsShard::default();
+        // SAFETY: 128 bytes of `AtomicU64` fields, as just asserted.
+        let words = unsafe { &*(&shard as *const StatsShard).cast::<[AtomicU64; 16]>() };
+        for (i, w) in words.iter().enumerate() {
+            w.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let mut snap = StatsSnapshot::default();
+        shard.add_into(&mut snap);
+        let in_order: Vec<u64> = snap.counters().map(|c| c.value).collect();
+        assert_eq!(in_order, (1..=16).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn table_rows_reach_snapshot_delta_and_exporters() {
+        let s = Stats::default();
+        s.fallback().bump_park_sleeps();
+        let zero = StatsSnapshot::default();
+        let rows: Vec<Counter> = s.snapshot().delta(&zero).counters().collect();
+        assert_eq!(rows.len(), 16);
+        assert_eq!(rows[0].name, "context_switches");
+        assert_eq!(rows[0].series, "ulp_context_switches_total");
+        let last = rows.last().unwrap();
+        assert_eq!((last.name, last.value), ("park_sleeps", 1));
+        assert_eq!(last.series, "ulp_park_total{outcome=\"sleep\"}");
+        // Only a labelled row may leave its help to the row above it.
+        assert!(!rows[0].help.is_empty());
+        assert!(rows
+            .iter()
+            .filter(|r| r.help.is_empty())
+            .all(|r| r.series.contains('{')));
     }
 
     #[test]

@@ -357,8 +357,8 @@ fn profile_route_honors_time_windows() {
     }
 }
 
-/// The time-windowed trace route: `/trace?t0=..&t1=..` renders only the
-/// records inside the window, with the same query grammar and 400
+/// The time-windowed trace route: `/trace?t0=..&t1=..` renders only what
+/// happened inside the window, with the same query grammar and 400
 /// behavior as `/profile`.
 #[test]
 fn trace_route_honors_time_windows() {
@@ -424,6 +424,55 @@ fn trace_route_honors_time_windows() {
     let (status, empty) = scrape(addr, "/trace?t0=0&t1=1", "GET");
     assert!(status.contains("200"), "bad status: {status}");
     assert_eq!(event_count(&empty), 0, "sub-nanosecond window at the epoch");
+}
+
+/// `/trace?t0=..&t1=..` clips like `/profile?t0=..&t1=..`: a UC that was
+/// `decoupled` from before `t0` until after `t1` has no record of its own
+/// inside the window, and is still drawn — one `decoupled` span, the window's width.
+#[test]
+fn trace_route_clips_spans_that_straddle_the_window() {
+    use ulp_core::TraceEvent as E;
+    let rt = ulp_core::Runtime::builder().schedulers(1).build();
+    let addr = rt.serve_metrics("127.0.0.1:0").expect("bind a free port");
+    rt.trace_enable();
+    let h = rt.spawn("roamer", || {
+        ulp_core::decouple().unwrap();
+        // Decoupled and silent for a while: no record of its own falls in here.
+        let until = std::time::Instant::now() + std::time::Duration::from_millis(2);
+        while std::time::Instant::now() < until {
+            std::hint::spin_loop();
+        }
+        ulp_core::couple().unwrap();
+        0
+    });
+    let id = h.id();
+    assert_eq!(h.wait(), 0);
+    rt.trace_disable();
+
+    let records = rt.trace_snapshot();
+    let at = |want: &dyn Fn(&E) -> bool| {
+        let r = records.iter().find(|r| want(&r.event));
+        r.expect("the roamer's record").at_ns
+    };
+    let dispatched = at(&|e| matches!(e, E::Dispatch { uc, .. } if *uc == id));
+    let requested = at(&|e| matches!(e, E::CoupleRequest(uc) if *uc == id));
+    let quarter = (requested - dispatched) / 4;
+    let (t0, t1) = (dispatched + quarter, dispatched + 2 * quarter);
+
+    let (status, body) = scrape(addr, &format!("/trace?t0={t0}&t1={t1}"), "GET");
+    assert!(status.contains("200"), "bad status: {status}");
+    let v: serde_json::Value = serde_json::from_str(&body).expect("/trace is valid JSON");
+    let spans: Vec<_> = v["traceEvents"]
+        .as_array()
+        .expect("traceEvents")
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("X") && e["tid"].as_f64() == Some(id.0 as f64))
+        .collect();
+    assert_eq!(spans.len(), 1, "want the one straddling span: {spans:?}");
+    assert_eq!(spans[0]["name"].as_str(), Some("decoupled"));
+    let us = |ns: u64| format!("{:.3}", ns as f64 / 1000.0).parse::<f64>().unwrap();
+    assert_eq!(spans[0]["ts"].as_f64(), Some(us(t0)));
+    assert_eq!(spans[0]["dur"].as_f64(), Some(us(t1 - t0)));
 }
 
 /// The syscall-latency snapshot must survive runtime shutdown: a harness

@@ -107,7 +107,10 @@ fn runtime_stat_file_matches_stats_snapshot() {
                 .parse()
                 .unwrap()
         };
-        assert_eq!(body.lines().count(), 11);
+        assert_eq!(body.lines().count(), snap.counters().count() + 1);
+        for c in snap.counters() {
+            get(c.name);
+        }
         get("stack_warm");
         assert_eq!(get("couples"), snap.couples);
         assert_eq!(get("decouples"), snap.decouples);

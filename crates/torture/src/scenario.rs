@@ -597,6 +597,8 @@ fn read_proc(path: &str) -> Result<String, String> {
 fn proc_storm(rt: &Runtime, fails: &Fails) {
     const ROUNDS: usize = 24;
     const WORKERS: usize = 3;
+    // One line per row of the runtime's counter table, then `stack_warm`.
+    let stat_lines = rt.stats().snapshot().counters().count() + 1;
     let mut handles = Vec::new();
     for w in 0..WORKERS {
         let f = fails.clone();
@@ -647,9 +649,9 @@ fn proc_storm(rt: &Runtime, fails: &Fails) {
                                     )),
                                 }
                             }
-                            if body.lines().count() != 11 {
+                            if body.lines().count() != stat_lines {
                                 f.push(format!(
-                                    "proc-w{w}: /proc/ulp/stat has {} lines, want 11",
+                                    "proc-w{w}: /proc/ulp/stat has {} lines, want {stat_lines}",
                                     body.lines().count()
                                 ));
                             }

@@ -210,6 +210,13 @@ fn rows() -> Vec<Row> {
         bad,
         legal,
     };
+    // `life(S)` whose couple request is never granted.
+    let unanswered = || {
+        without(life(S), |e| {
+            matches!(e, E::Coupled(_))
+                || matches!(e, E::Wake { site, .. } if *site == WakeSite::CoupleResume)
+        })
+    };
     let a_getpid = || {
         with(
             with(life(S), enter(5, A, Sysno::Getpid)),
@@ -245,10 +252,7 @@ fn rows() -> Vec<Row> {
         row(
             "C",
             "Terminate with couple request in flight",
-            without(life(S), |e| {
-                matches!(e, E::Coupled(_))
-                    || matches!(e, E::Wake { site, .. } if *site == WakeSite::CoupleResume)
-            }),
+            unanswered(),
             life(S),
         ),
         row(
@@ -260,10 +264,7 @@ fn rows() -> Vec<Row> {
         row(
             "D",
             "1 couple requests vs 0 completions",
-            without(life(S), |e| {
-                matches!(e, E::Coupled(_))
-                    || matches!(e, E::Wake { site, .. } if *site == WakeSite::CoupleResume)
-            }),
+            unanswered(),
             life(S),
         ),
         row(

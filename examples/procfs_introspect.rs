@@ -106,7 +106,9 @@ fn main() {
 
         // 3 — runtime-wide counters.
         let counters = read_proc("/proc/ulp/stat");
-        assert_eq!(counters.lines().count(), 11, "{counters:?}");
+        // One line per row of the runtime's counter table, then `stack_warm`.
+        let rows = ulp_repro::core::StatsSnapshot::default().counters().count();
+        assert_eq!(counters.lines().count(), rows + 1, "{counters:?}");
         assert!(
             counters.lines().any(|l| {
                 l.strip_prefix("couples ")

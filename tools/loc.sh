@@ -51,8 +51,9 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # (PR 18); one idle decision, made from phases and not from a spin streak
 # (PR 19); one run-queue discipline (ISSUE 22; the bracketed letters keep this
 # file out of its own pattern); a stay-home decision made from the UC's own
-# evidence, not from who is asleep or what is queued (ISSUE 23). Each names
-# what came back and where.
+# evidence, not from who is asleep or what is queued (ISSUE 23); one replay of
+# the Table-I state machine for the renderers and one cumulative-bucket
+# renderer (ISSUE 24). Each names what came back and where.
 bad=0
 gate() { # gate <message> <matching lines>
     if [ -n "$2" ]; then
@@ -71,6 +72,18 @@ gate "a second run-queue discipline is back under crates/ (one FIFO; ROADMAP ite
     "$(git grep -n 'SchedPolic[y]\|WorkStealin[g]\|push_loca[l]\|register_loca[l]' -- crates || true)"
 gate "the sleepers / queue-length gate is back in decouple()'s stay decision (DESIGN.md §4, Staying home: three gates)" \
     "$(git grep -n 'all_aslee[p]' -- crates || true; git grep -n 'runq\.len()' -- crates/core/src/couple.rs crates/core/src/park.rs || true)"
+c=crates/core/src
+# Match arms only (`Event::X… =>`), above each file's first `#[cfg(test)]`:
+# the recording sites construct these variants, and tests may match them.
+gate "a lifecycle Event:: variant is matched in $c outside trace.rs and replay.rs (consume replay::Item instead)" \
+    "$(git ls-files -- "$c" | grep -v "^$c/\(trace\|replay\)\.rs$" | xargs -r awk '
+        FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+        !t && /Event::(Decouple|Dispatch|Requeue|Yield|CoupleRequest|Coupled)[^A-Za-z].*=>/ { print FILENAME ":" FNR ": " $0 }')"
+# `{{` only occurs in a format string; the tests quote rendered text (`{`).
+if [ "$(git grep -c '_bucket{{' -- $c/export.rs | cut -d: -f2)" != 1 ]; then
+    gate "export.rs writes bucket lines in more than one place (hist_series renders every histogram family)" \
+        "$(git grep -n '_bucket{{' -- $c/export.rs || echo "$c/export.rs: no bucket renderer found")"
+fi
 hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
 if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
     gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
