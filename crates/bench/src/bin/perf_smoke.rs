@@ -26,12 +26,15 @@ const MAX_ADAPTIVE_KC_BLOCKS: f64 = 0.05;
 const MIN_BLOCKING_KC_BLOCKS: f64 = 0.5;
 const MIN_ADAPTIVE_HOME_RATIO: f64 = 0.9;
 
-/// Clients and requests per client of the request/reply gate, and the
-/// ceiling on trampoline futex blocks per request (≈ 0.95 when every
-/// `decouple()` wakes the sleeping scheduler, ≈ 0.01 when it stays home).
+/// Clients and requests per client of the request/reply gates, the ceiling
+/// on trampoline futex blocks per request (≈ 0.95 when every `decouple()`
+/// wakes the sleeping scheduler, ≈ 0.01 when it stays home) and the ceiling
+/// on kernel condvar sleeps per request (≈ 2 when every blocked `read`
+/// sleeps, ≈ 0.001 when the short ones spin).
 const RR_CLIENTS: usize = 4;
 const RR_REQUESTS: usize = 2_000;
 const MAX_RR_KC_BLOCKS: f64 = 0.1;
+const MAX_RR_KERNEL_SLEEPS: f64 = 0.1;
 
 /// Pooled ULPs the churn gate spawns, the wave they are reaped in (so the
 /// stack free list's high-water mark is bounded by it), and the pool KCs.
@@ -127,10 +130,18 @@ fn main() {
     // sleeps too, and a `decouple()` that left for it would pay an OS-thread
     // wake-up there and another — the KC having gone idle behind it — on the
     // way back. By the runtime's own counters the KCs must hardly ever sleep.
-    let blocks = workloads::request_reply_kc_blocks(RR_CLIENTS, RR_REQUESTS);
+    let (blocks, kernel_sleeps) = workloads::request_reply_sleeps(RR_CLIENTS, RR_REQUESTS);
     gate(
         blocks < MAX_RR_KC_BLOCKS,
         format!("request/reply KC blocks per request: {blocks:.3} (ceiling {MAX_RR_KC_BLOCKS}; {RR_CLIENTS} clients over socketpairs)"),
+    );
+    // The kernel's wait decision on the same run: each blocked `read` waits
+    // out one hand-over to the peer, a few µs, so the queues' last waits are
+    // short and the waits spin instead of sleeping. By the kernel's own
+    // counters the readers must hardly ever sleep on a condvar.
+    gate(
+        kernel_sleeps <= MAX_RR_KERNEL_SLEEPS,
+        format!("request/reply kernel sleeps per request: {kernel_sleeps:.3} (ceiling {MAX_RR_KERNEL_SLEEPS})"),
     );
 
     // Pooled churn: RSS must track the wave, not the ULPs ever spawned (a

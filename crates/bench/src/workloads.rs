@@ -184,13 +184,15 @@ pub fn couple_loop(policy: IdlePolicy, blts: usize, window: Duration) -> (f64, S
 /// `clients` decoupled BLTs on the default runtime, each sending `requests`
 /// one-byte requests over its own socketpair — `coupled_scope { write; read }`
 /// — to a thread-mode replier that shares its FD table and never decouples:
-/// `echo`'s shape, where every scope sleeps in the kernel and so every KC
-/// and the scheduler sleep between requests. Returns, from the runtime's own
-/// counters, trampoline futex blocks per request — one per request when
-/// every `decouple()` leaves for the sleeping scheduler, next to none when
-/// it stays home.
-pub fn request_reply_kc_blocks(clients: usize, requests: usize) -> f64 {
+/// `echo`'s shape, where every scope waits in the kernel and so every KC
+/// and the scheduler sleep between requests. Returns, from the runtime's and
+/// the kernel's own counters, per request: trampoline futex blocks — one
+/// when every `decouple()` leaves for the sleeping scheduler, next to none
+/// when it stays home — and kernel condvar sleeps — two when every blocked
+/// `read` sleeps, next to none when the short ones spin.
+pub fn request_reply_sleeps(clients: usize, requests: usize) -> (f64, f64) {
     let rt = Runtime::new();
+    let kernel_sleeps = ulp_kernel::wait_outcomes().sleeps;
     let (fds_tx, fds) = std::sync::mpsc::channel();
     let mut handles = Vec::new();
     for c in 0..clients {
@@ -231,7 +233,12 @@ pub fn request_reply_kc_blocks(clients: usize, requests: usize) -> f64 {
     for h in &handles {
         assert_eq!(h.wait(), 0);
     }
-    rt.stats().snapshot().kc_blocks as f64 / (clients * requests) as f64
+    let kernel_sleeps = ulp_kernel::wait_outcomes().sleeps - kernel_sleeps;
+    let per_request = |n: u64| n as f64 / (clients * requests) as f64;
+    (
+        per_request(rt.stats().snapshot().kc_blocks),
+        per_request(kernel_sleeps),
+    )
 }
 
 // --------------------------------------------------- direct-handoff coupling

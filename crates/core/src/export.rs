@@ -29,6 +29,7 @@ use crate::stats::StatsSnapshot;
 use crate::trace::TraceRecord;
 use std::collections::BTreeSet;
 use std::fmt::Write;
+use ulp_kernel::WaitOutcomes;
 
 /// Render one half of a wake flow arrow (`ph:"s"` start on the waker's
 /// track, `ph:"f"` finish on the wakee's track). Chrome flow events bind to
@@ -272,6 +273,14 @@ fn hist_series(out: &mut String, name: &str, label: Option<(&str, &str)>, d: &Hi
     let _ = writeln!(out, "{name}_count{alone} {}", d.count);
 }
 
+/// One-series families: `(kind, name, help, value)` each.
+fn scalar_families(out: &mut String, rows: &[(&str, &str, &str, u64)]) {
+    for (kind, name, help, value) in rows {
+        header(out, name, help, kind);
+        let _ = writeln!(out, "{name} {value}");
+    }
+}
+
 /// A `label`-keyed counter family and the histogram family beside it (the
 /// per-syscall and per-wake-site pairs). Zero-count rows are omitted
 /// (standard practice for labelled families — absent series, not zero
@@ -300,8 +309,10 @@ fn labelled_families(
 /// `sys` supplies the per-syscall latency families,
 /// `kernel_syscalls_total` the kernel's all-time dispatch counter (counted
 /// even when tracing is off, so it is passed separately from the snapshot),
-/// `violations_total` the runtime's recorded system-call-consistency
-/// violations (the audit log's length — also independent of tracing),
+/// `kernel_waits` how the waits of blocking kernel calls ended (process-wide,
+/// likewise counted untraced), `violations_total` the runtime's recorded
+/// system-call-consistency violations (the audit log's length — also
+/// independent of tracing),
 /// `trace_dropped` the tracer's lost-record count for the current recording
 /// run (a gauge: `Tracer::enable` resets it), `park_expected` the run
 /// queue parker's count of wakes on their way (a gauge: 0 at quiescence)
@@ -312,6 +323,7 @@ pub fn prometheus_text(
     lat: &LatencySnapshot,
     sys: &SyscallSnapshot,
     kernel_syscalls_total: u64,
+    kernel_waits: &WaitOutcomes,
     violations_total: u64,
     pool: &PoolMetrics,
     trace_dropped: u64,
@@ -330,83 +342,99 @@ pub fn prometheus_text(
         }
         let _ = writeln!(out, "{} {}", c.series, c.value);
     }
-    for (kind, name, help, value) in [
-        (
-            "gauge",
-            "ulp_park_expected",
-            "Coupled scopes in flight that idle schedulers spin for (wakes known to be on their way).",
-            park_expected,
-        ),
-        (
-            "gauge",
-            "ulp_runqueue_depth",
-            "Decoupled UCs queued for a scheduler right now.",
-            runqueue_depth,
-        ),
-        (
-            "counter",
-            "ulp_kernel_syscalls_total",
-            "System calls dispatched by the simulated kernel (all processes).",
-            kernel_syscalls_total,
-        ),
-        (
-            "counter",
-            "ulp_syscall_violations_total",
-            "System-call-consistency violations recorded by the audit log (§V-B hazards).",
-            violations_total,
-        ),
-        (
-            "counter",
-            "ulp_stack_pool_hits_total",
-            "Stack acquisitions served from the free list or a recycled slab slot.",
-            pool.hits,
-        ),
-        (
-            "counter",
-            "ulp_stack_pool_misses_total",
-            "Stack acquisitions that mapped or carved fresh memory.",
-            pool.misses,
-        ),
-        (
-            "counter",
-            "ulp_stack_recycled_total",
-            "Free stacks whose pages the pool's scavenger dropped with MADV_DONTNEED.",
-            pool.recycled,
-        ),
-        (
-            "gauge",
-            "ulp_stack_warm",
-            "Cached stacks still holding their pages (not yet trimmed by the scavenger).",
-            pool.warm,
-        ),
-        (
-            "gauge",
-            "ulp_stack_outstanding",
-            "Stacks currently handed out (live ULP/sibling/TC stacks).",
-            pool.outstanding,
-        ),
-        (
-            "gauge",
-            "ulp_stack_outstanding_peak",
-            "High-water mark of simultaneously outstanding stacks.",
-            pool.peak_outstanding,
-        ),
-        (
-            "gauge",
-            "ulp_stack_cached",
-            "Stacks currently cached for reuse in the pool.",
-            pool.cached,
-        ),
-        (
-            "gauge",
-            "ulp_trace_dropped_total",
-            "Trace records lost since the current recording run began (ring overflow).",
-            trace_dropped,
-        ),
-    ] {
-        header(&mut out, name, help, kind);
-        let _ = writeln!(out, "{name} {value}");
+    scalar_families(
+        &mut out,
+        &[
+            (
+                "gauge",
+                "ulp_park_expected",
+                "Coupled scopes in flight that idle schedulers spin for (wakes known to be on their way).",
+                park_expected,
+            ),
+            (
+                "gauge",
+                "ulp_runqueue_depth",
+                "Decoupled UCs queued for a scheduler right now.",
+                runqueue_depth,
+            ),
+            (
+                "counter",
+                "ulp_kernel_syscalls_total",
+                "System calls dispatched by the simulated kernel (all processes).",
+                kernel_syscalls_total,
+            ),
+        ],
+    );
+    header(
+        &mut out,
+        "ulp_kernel_wait_total",
+        "How blocking kernel calls that had to wait ended: spin_hit = satisfied while spinning \
+         (an OS-thread sleep saved), spin_miss = spun, then slept or gave up anyway (CPU wasted), \
+         sleep = every condvar sleep.",
+        "counter",
+    );
+    for (outcome, n) in kernel_waits.rows() {
+        let _ = writeln!(out, "ulp_kernel_wait_total{{outcome=\"{outcome}\"}} {n}");
     }
+    scalar_families(
+        &mut out,
+        &[
+            (
+                "counter",
+                "ulp_syscall_violations_total",
+                "System-call-consistency violations recorded by the audit log (§V-B hazards).",
+                violations_total,
+            ),
+            (
+                "counter",
+                "ulp_stack_pool_hits_total",
+                "Stack acquisitions served from the free list or a recycled slab slot.",
+                pool.hits,
+            ),
+            (
+                "counter",
+                "ulp_stack_pool_misses_total",
+                "Stack acquisitions that mapped or carved fresh memory.",
+                pool.misses,
+            ),
+            (
+                "counter",
+                "ulp_stack_recycled_total",
+                "Free stacks whose pages the pool's scavenger dropped with MADV_DONTNEED.",
+                pool.recycled,
+            ),
+            (
+                "gauge",
+                "ulp_stack_warm",
+                "Cached stacks still holding their pages (not yet trimmed by the scavenger).",
+                pool.warm,
+            ),
+            (
+                "gauge",
+                "ulp_stack_outstanding",
+                "Stacks currently handed out (live ULP/sibling/TC stacks).",
+                pool.outstanding,
+            ),
+            (
+                "gauge",
+                "ulp_stack_outstanding_peak",
+                "High-water mark of simultaneously outstanding stacks.",
+                pool.peak_outstanding,
+            ),
+            (
+                "gauge",
+                "ulp_stack_cached",
+                "Stacks currently cached for reuse in the pool.",
+                pool.cached,
+            ),
+            (
+                "gauge",
+                "ulp_trace_dropped_total",
+                "Trace records lost since the current recording run began (ring overflow).",
+                trace_dropped,
+            ),
+        ],
+    );
     labelled_families(
         &mut out,
         "call",
@@ -618,7 +646,19 @@ mod tests {
             cached: 3,
             warm: 1,
         };
-        let text = prometheus_text(&stats, &lat, &SyscallSnapshot::new(), 0, 3, &pool, 5, 2, 7);
+        let waits = WaitOutcomes {
+            spin_hits: 11,
+            spin_misses: 1,
+            sleeps: 4,
+        };
+        let sys = SyscallSnapshot::new();
+        let text = prometheus_text(&stats, &lat, &sys, 0, &waits, 3, &pool, 5, 2, 7);
+        assert!(text.contains("# TYPE ulp_kernel_wait_total counter"));
+        assert!(text.contains(
+            "ulp_kernel_wait_total{outcome=\"spin_hit\"} 11\n\
+             ulp_kernel_wait_total{outcome=\"spin_miss\"} 1\n\
+             ulp_kernel_wait_total{outcome=\"sleep\"} 4\n"
+        ));
         assert!(text.contains("ulp_context_switches_total 42\n"));
         assert!(text.contains("ulp_decouple_home_total 0\n"));
         assert!(text.contains("ulp_yield_home_total 0\n"));
@@ -934,6 +974,7 @@ mod tests {
             &LatencySnapshot::default(),
             &sys,
             17,
+            &WaitOutcomes::default(),
             0,
             &PoolMetrics::default(),
             0,
@@ -1016,6 +1057,7 @@ mod tests {
             &lat,
             &SyscallSnapshot::new(),
             0,
+            &WaitOutcomes::default(),
             0,
             &PoolMetrics::default(),
             0,
@@ -1045,6 +1087,7 @@ mod tests {
             &lat,
             &SyscallSnapshot::new(),
             0,
+            &WaitOutcomes::default(),
             0,
             &PoolMetrics::default(),
             0,

@@ -344,6 +344,7 @@ impl RuntimeInner {
             &self.tracer.latency_snapshot(),
             &self.tracer.syscall_snapshot(),
             self.kernel.total_syscalls(),
+            &ulp_kernel::wait_outcomes(),
             self.audit.lock().len() as u64,
             &crate::export::PoolMetrics::from_pool(&self.stack_pool),
             self.tracer.dropped_records(),

@@ -187,8 +187,19 @@ impl KcShared {
 /// One-shot result cell used by sibling handles.
 #[derive(Debug, Default)]
 pub struct OneShot {
-    value: Mutex<Option<i32>>,
+    slot: Mutex<Slot>,
     ready: Condvar,
+}
+
+/// What [`OneShot`]'s lock guards: the value, and the threads asleep on it.
+#[derive(Debug, Default)]
+struct Slot {
+    value: Option<i32>,
+    /// Threads inside [`OneShot::wait`]'s condvar wait. A `set` that finds
+    /// none makes no notify — a host `futex` call even with nobody waiting —
+    /// and cannot be racing one about to sleep: that thread holds the lock
+    /// from its check of `value` until the wait releases it.
+    waiters: usize,
 }
 
 impl OneShot {
@@ -199,22 +210,32 @@ impl OneShot {
 
     /// Publish the value and wake every waiter. Later calls overwrite.
     pub fn set(&self, v: i32) {
-        *self.value.lock() = Some(v);
-        self.ready.notify_all();
+        let waiters = {
+            let mut slot = self.slot.lock();
+            slot.value = Some(v);
+            slot.waiters
+        };
+        if waiters != 0 {
+            self.ready.notify_all();
+        }
     }
 
     /// Block (on the condvar) until a value is published, then return it.
     pub fn wait(&self) -> i32 {
-        let mut guard = self.value.lock();
-        while guard.is_none() {
-            self.ready.wait(&mut guard);
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(v) = slot.value {
+                return v;
+            }
+            slot.waiters += 1;
+            self.ready.wait(&mut slot);
+            slot.waiters -= 1;
         }
-        guard.expect("checked above")
     }
 
     /// The value if already published; never blocks.
     pub fn try_get(&self) -> Option<i32> {
-        *self.value.lock()
+        self.slot.lock().value
     }
 }
 
@@ -483,5 +504,33 @@ mod tests {
         cell.set(9);
         assert_eq!(t.join().unwrap(), 9);
         assert_eq!(cell.try_get(), Some(9));
+    }
+
+    /// `set` notifies only when a waiter is counted in, so a `set` that
+    /// lands between a waiter's check and its sleep must still reach it:
+    /// the two race from a barrier, and a stranded waiter fails the round
+    /// instead of hanging the test.
+    #[test]
+    fn oneshot_set_racing_wait_strands_no_waiter() {
+        use std::sync::{mpsc, Barrier};
+        for round in 0..10_000 {
+            let cell = Arc::new(OneShot::new());
+            let start = Arc::new(Barrier::new(2));
+            let (done, got) = mpsc::channel();
+            let waiter = {
+                let (cell, start) = (cell.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let _ = done.send(cell.wait());
+                })
+            };
+            start.wait();
+            cell.set(round);
+            let got = got
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("round {round}: waiter stranded"));
+            assert_eq!(got, round);
+            waiter.join().unwrap();
+        }
     }
 }

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeSet;
 use ulp_core::{prometheus_text, LatencySnapshot, PoolMetrics, StatsSnapshot, SyscallSnapshot};
+use ulp_kernel::WaitOutcomes;
 
 /// The table rows the exporter's output calls for, in emission order. The
 /// headers of the labelled families are written even when no series is, so
@@ -15,6 +16,7 @@ fn emitted_rows() -> Vec<String> {
         &LatencySnapshot::default(),
         &SyscallSnapshot::new(),
         0,
+        &WaitOutcomes::default(),
         0,
         &PoolMetrics::default(),
         0,

@@ -72,9 +72,10 @@ pub struct Kernel {
     pub(crate) mounts: MountTable,
     pub(crate) procs: Mutex<HashMap<Pid, Arc<Process>>>,
     next_pid: AtomicU64,
-    /// waitpid parking: signaled whenever any child exits.
-    pub(crate) wait_lock: Mutex<()>,
-    pub(crate) child_exited: Condvar,
+    /// waitpid parking: the number of `waitpid` callers asleep on
+    /// `child_exited`, which an exit notifies only when that is non-zero.
+    wait_lock: Mutex<usize>,
+    child_exited: Condvar,
     /// AIO service, lazily created on the first AIO call (exactly like
     /// glibc, which spawns its helper thread on first use — §II).
     pub(crate) aio: std::sync::OnceLock<crate::aio::AioService>,
@@ -104,7 +105,7 @@ impl Kernel {
                 mounts,
                 procs: Mutex::new(HashMap::new()),
                 next_pid: AtomicU64::new(1),
-                wait_lock: Mutex::new(()),
+                wait_lock: Mutex::new(0),
                 child_exited: Condvar::new(),
                 aio: std::sync::OnceLock::new(),
                 retired_syscalls: AtomicU64::new(0),
@@ -245,8 +246,13 @@ impl Kernel {
                 parent.signals.post(Signal::SigChld);
             }
         }
-        let _guard = self.wait_lock.lock();
-        self.child_exited.notify_all();
+        // A waiter that scanned before the zombie was marked either counted
+        // itself in by now or re-scans under this lock after it (see
+        // `waitpid_inner`): nobody counted in means nobody to notify.
+        let waiters = *self.wait_lock.lock();
+        if waiters != 0 {
+            self.child_exited.notify_all();
+        }
         Ok(())
     }
 
@@ -266,45 +272,58 @@ impl Kernel {
     }
 
     fn waitpid_inner(&self, parent: Pid, target: Option<Pid>) -> KResult<(Pid, i32)> {
-        loop {
-            {
-                let parent_proc = self.process(parent).ok_or(Errno::ESRCH)?;
-                if let Some(t) = target {
-                    // Targeted fast path: membership and zombie checks are
-                    // O(1) against the children set instead of cloning and
-                    // scanning it — a root with a million pooled children
-                    // reaps each one in constant time.
-                    {
-                        let kids = parent_proc.children.lock();
-                        if kids.is_empty() || !kids.contains(&t) {
-                            return Err(Errno::ECHILD);
-                        }
-                    }
-                    if let Some(cp) = self.process(t) {
-                        if let ProcState::Zombie(status) = cp.state() {
-                            self.reap(&parent_proc, t);
-                            return Ok((t, status));
-                        }
-                    }
-                } else {
-                    let children = parent_proc.children.lock().clone();
-                    if children.is_empty() {
+        // Reap a zombie child if there is one; `ECHILD` if there are none.
+        let scan = || -> KResult<Option<(Pid, i32)>> {
+            let parent_proc = self.process(parent).ok_or(Errno::ESRCH)?;
+            if let Some(t) = target {
+                // Targeted fast path: membership and zombie checks are
+                // O(1) against the children set instead of cloning and
+                // scanning it — a root with a million pooled children
+                // reaps each one in constant time.
+                {
+                    let kids = parent_proc.children.lock();
+                    if kids.is_empty() || !kids.contains(&t) {
                         return Err(Errno::ECHILD);
                     }
-                    for &child in &children {
-                        if let Some(cp) = self.process(child) {
-                            if let ProcState::Zombie(status) = cp.state() {
-                                self.reap(&parent_proc, child);
-                                return Ok((child, status));
-                            }
+                }
+                if let Some(cp) = self.process(t) {
+                    if let ProcState::Zombie(status) = cp.state() {
+                        self.reap(&parent_proc, t);
+                        return Ok(Some((t, status)));
+                    }
+                }
+            } else {
+                let children = parent_proc.children.lock().clone();
+                if children.is_empty() {
+                    return Err(Errno::ECHILD);
+                }
+                for &child in &children {
+                    if let Some(cp) = self.process(child) {
+                        if let ProcState::Zombie(status) = cp.state() {
+                            self.reap(&parent_proc, child);
+                            return Ok(Some((child, status)));
                         }
                     }
                 }
             }
-            let mut guard = self.wait_lock.lock();
-            // Re-check happens at loop top; brief wait avoids lost wakeups.
+            Ok(None)
+        };
+        loop {
+            if let Some(reaped) = scan()? {
+                return Ok(reaped);
+            }
+            let mut waiters = self.wait_lock.lock();
+            // An exit since the scan may have found nobody counted in and
+            // notified nobody; it marked its zombie before taking this lock,
+            // so a scan under it sees the zombie.
+            if let Some(reaped) = scan()? {
+                return Ok(reaped);
+            }
+            *waiters += 1;
+            // Bounded all the same: a waitpid is a cold path.
             self.child_exited
-                .wait_for(&mut guard, std::time::Duration::from_millis(50));
+                .wait_for(&mut waiters, std::time::Duration::from_millis(50));
+            *waiters -= 1;
         }
     }
 
@@ -530,6 +549,42 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         k.exit_process(child, 3).unwrap();
         assert_eq!(waiter.join().unwrap(), (child, 3));
+    }
+
+    /// An exit notifies only the waiters counted in, so a waiter that
+    /// scanned before an exit and reaches the lock after it — the exit
+    /// found nobody to notify — must see the zombie by its re-scan under the
+    /// lock, not after the 50 ms bound on its sleep. The test plays that
+    /// exit: it holds the lock while the waiter's scan comes up empty, marks
+    /// the zombie, finds nobody counted in, and lets go.
+    #[test]
+    fn waitpid_racing_exit_is_not_left_to_the_time_out() {
+        use std::time::{Duration, Instant};
+        const ROUNDS: u32 = 5;
+        let k = Kernel::native();
+        let mut slow = 0;
+        for _ in 0..ROUNDS {
+            let child = k.spawn_process(Some(Pid(1)), "c");
+            let held = k.wait_lock.lock();
+            let waiter = {
+                let k = k.clone();
+                std::thread::spawn(move || {
+                    assert_eq!(k.waitpid(Pid(1), Some(child)), Ok((child, 0)));
+                    Instant::now()
+                })
+            };
+            std::thread::sleep(Duration::from_millis(5));
+            *k.process(child).unwrap().state.lock() = ProcState::Zombie(0);
+            assert_eq!(*held, 0, "nobody counted in: the exit notifies nobody");
+            let released = Instant::now();
+            drop(held);
+            let took = waiter.join().unwrap() - released;
+            slow += (took >= Duration::from_millis(45)) as u32;
+        }
+        assert!(
+            slow <= 1,
+            "{slow} of {ROUNDS} waitpids rode out the time-out"
+        );
     }
 
     #[test]

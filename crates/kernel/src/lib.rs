@@ -60,3 +60,4 @@ pub use process::{Pid, ProcState, Process};
 pub use signal::{Disposition, MaskHow, SigSet, Signal, SignalState};
 pub use socket::{socketpair, socketpair_with_capacity, Listener, SocketEnd};
 pub use trace::{KernelHooks, SyscallPhase, Sysno, WakeCell, WakeSite};
+pub use wait::{wait_outcomes, WaitOutcomes};

@@ -150,14 +150,15 @@ impl PollWaker {
         WaitEnd::Edge(wait.stamp)
     }
 
-    /// Sleep until the generation moves past `seen` or `deadline` passes.
-    /// A `None` deadline sleeps indefinitely (only an edge can end the
-    /// wait). A one-sleep call of its own: the stamp it claimed is handed
+    /// Wait until the generation moves past `seen` or `deadline` passes.
+    /// A `None` deadline waits indefinitely (only an edge can end the
+    /// wait). A one-wait call of its own: the stamp it claimed is handed
     /// back rather than emitted.
     pub fn wait(&self, seen: u64, deadline: Option<Instant>) -> WaitEnd {
         let mut wait = self.queue.wait(deadline);
         let end = self.wait_in(&mut wait, seen);
-        wait.finish(&Ok(()), false);
+        wait.stamp = None;
+        wait.finish(&Ok(()), matches!(end, WaitEnd::Edge(_)));
         end
     }
 }

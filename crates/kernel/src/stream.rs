@@ -1,15 +1,15 @@
 //! The bounded blocking byte stream behind pipes and socketpairs.
 //!
 //! A pipe is one [`ByteStream`]; a socketpair is two, one per direction.
-//! `read` on an empty stream and `write` on a full one put the calling **OS
-//! thread** to sleep on a condvar until the other side moves bytes or hangs
-//! up.
+//! `read` on an empty stream and `write` on a full one make the calling **OS
+//! thread** wait — a short spin when the queue's last wait was short, a
+//! condvar sleep otherwise — until the other side moves bytes or hangs up.
 //!
 //! Everything a waker needs to decide whether anybody must be woken lives
 //! under the one lock it already holds to move the bytes: the buffer and the
 //! live handle counts of both sides, with the two [`WaitQueue`]s (blocked
 //! readers, blocked writers) riding the same lock. A transfer that finds no
-//! sleeper makes no host system call and stamps nothing — the queue's
+//! waiter makes no host system call and stamps nothing — the queue's
 //! sleeper gate, argued in [`crate::wait`] — and the hang-up paths
 //! ([`ByteStream::drop_reader`] / [`ByteStream::drop_writer`]) take the lock
 //! so that the gate holds for them too.

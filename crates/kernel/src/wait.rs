@@ -1,61 +1,151 @@
 //! The one wait queue behind every attributed sleep in the kernel.
 //!
 //! A blocking `read`/`write` on a pipe or socket, a blocking `accept` and a
-//! blocking `epoll_wait`/`poll` all put the calling **OS thread** to sleep
-//! the same way, so the protocol is written once, here. A [`WaitQueue`]
-//! lives beside whatever mutex guards the predicate its sleepers wait for
-//! (a byte buffer, an accept queue, a generation counter) and owns the rest:
-//! condvar, sleeper count, wake-attribution cell, blocking span. Every
-//! method that touches them takes the owner's `MutexGuard` as proof the
-//! lock is held; that lock orders wakers against sleepers, and the three
-//! rules (argued in DESIGN.md §4 "Readiness & wait queues") lean on it:
+//! blocking `epoll_wait`/`poll` all wait for their predicate the same way,
+//! so the protocol is written once, here. A [`WaitQueue`] lives beside
+//! whatever mutex guards the predicate its waiters wait for (a byte buffer,
+//! an accept queue, a generation counter) and owns the rest: condvar, waiter
+//! count, wait-length evidence, wake-attribution cell, blocking span. Every
+//! method that touches them takes the owner's `MutexGuard` as proof the lock
+//! is held; that lock orders wakers against waiters, and the four rules
+//! (argued in DESIGN.md §4 "Readiness & wait queues") lean on it:
 //!
-//! 1. **No host system call without a sleeper.** Sleepers count themselves
+//! 1. **No host system call without a sleeper.** Waiters count themselves
 //!    in and out under the lock; a wake that reads zero does nothing at all
 //!    — no condvar notify (a host `futex` call even with nobody waiting),
-//!    no stamp. It cannot be racing a thread that has checked the predicate
-//!    but not yet slept: that thread still holds the lock.
-//! 2. **Only a sleeper claims the stamp, and claims it under the lock.**
+//!    no stamp — and one that reads only spinners notifies nobody. It
+//!    cannot be racing a thread that has checked the predicate but not yet
+//!    waited: that thread still holds the lock.
+//! 2. **Only a waiter claims the stamp, and claims it under the lock.**
 //!    The cell is armed only while somebody is counted in, and everybody
-//!    counted in takes it on waking, so it is empty whenever nobody sleeps:
-//!    a call that never slept never touches it, one edge is attributed at
-//!    most once. Whether a claimed stamp is *emitted* is the call's decision
-//!    at [`Wait::finish`] — a timeout or an empty re-scan attributes nothing.
-//! 3. **The edge lands inside the span.** The first real sleep of a call
-//!    opens the site's blocking span ([`WakeSite::blocking_span`]);
-//!    [`Wait::finish`] emits the wake edge and *then* the span's `Exit`
-//!    (oracle family J2). A call that never sleeps emits neither.
+//!    counted in takes it on coming back, so it is empty whenever nobody
+//!    waits: a call that never waited never touches it, one edge is
+//!    attributed at most once. Whether a claimed stamp is *emitted* is the
+//!    call's decision at [`Wait::finish`] — a timeout or an empty re-scan
+//!    attributes nothing.
+//! 3. **The edge lands inside the span.** The first wait of a call — spin
+//!    pass or sleep — opens the site's blocking span
+//!    ([`WakeSite::blocking_span`]); [`Wait::finish`] emits the wake edge
+//!    and *then* the span's `Exit` (oracle family J2). A call that never
+//!    waits emits neither.
+//! 4. **Spin only on the queue's own evidence, timed at the waker.** Each
+//!    queue keeps how long its last completed wait took, from the waiting
+//!    call's first failed check to the wake that made the predicate true,
+//!    timed by the *waker* in [`WaitQueue::wake_all`]/[`WaitQueue::wake_one`]
+//!    — so a slow OS wake-up never lengthens the sample and cannot argue for
+//!    the next sleep (the bistability `Parker::park` avoids by the same
+//!    means, `park.rs`, "The idle decision"). A call on a queue whose last
+//!    wait was shorter than [`SPIN_BREAK_EVEN_NS`] spins up to that long:
+//!    each pass counts in as a spinner, releases the lock, `sched_yield`s,
+//!    re-takes the lock and returns to the caller's re-check. A spinner is
+//!    counted in while the lock is free, so the waker that satisfies it
+//!    sees it, stamps for it and times its wait; past the break-even the
+//!    call falls through to announce → locked re-check → condvar sleep,
+//!    and no wake can fall between. A queue with no history sleeps at once.
 //!
 //! Not on this type, on purpose: [`crate::futex::Semaphore`] (the paper's
 //! §VI-C BLOCKING primitive: lock-free on a futex word, no mutex to ride),
-//! and the `aio` / `waitpid` condvars, which carry no wake attribution.
+//! and the `aio` / `waitpid` condvars, which carry no wake attribution. This
+//! is the kernel's one spin site (`tools/loc.sh --check`).
 
 use crate::errno::KResult;
 use crate::kernel::errno_of;
 use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
 use parking_lot::{Condvar, MutexGuard};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// The sleepers on one predicate. See the module docs for the protocol.
+/// A queue whose last wait took less than this spins before it sleeps, for
+/// at most this long: about what the sleep it avoids costs (a condvar sleep
+/// and its OS-thread wake-up take 14–40 µs on the 2-vCPU reference host),
+/// so a wrong guess wastes no more than a right one saves. `echo`'s waits —
+/// a client's reply, the server's next request — end in a few µs and cannot
+/// tell 10, 20 and 50 µs apart: ten `--seconds 8` runs each, `op_p50_us`
+/// median [q1–q3] 6.79 [6.61–6.86], 6.99 [6.65–7.08], 7.03 [6.84–7.21] and
+/// `cpu_us_per_op` 3.52 [3.49–3.58], 3.66 [3.47–3.75], 3.64 [3.48–3.71],
+/// against 14.0 [13.4–14.4] and 6.71 [6.56–6.90] sleeping at once.
+const SPIN_BREAK_EVEN_NS: u64 = 20_000;
+
+/// One spinner in [`WaitQueue::sleepers`]: spinners count in the high half
+/// of the word and condvar sleepers in the low half, so a waker's one load
+/// says both whether anybody waits and whether anybody needs a notify.
+const SPINNER: usize = 1 << (usize::BITS / 2);
+
+/// Process-wide outcomes of calls that had to wait (`ulp_kernel_wait_total`).
+static SPIN_HITS: AtomicU64 = AtomicU64::new(0);
+static SPIN_MISSES: AtomicU64 = AtomicU64::new(0);
+static SLEEPS: AtomicU64 = AtomicU64::new(0);
+
+/// How the waits of blocking kernel calls have ended, summed over every
+/// kernel in the process; calls that never had to wait count nowhere.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WaitOutcomes {
+    /// Calls that spun and whose wait was satisfied while spinning: an
+    /// OS-thread sleep and wake saved.
+    pub spin_hits: u64,
+    /// Calls that spun and then slept, timed out or gave up anyway: the
+    /// spin was CPU spent for nothing.
+    pub spin_misses: u64,
+    /// Condvar sleeps: every pass through the blocking arm.
+    pub sleeps: u64,
+}
+
+impl WaitOutcomes {
+    /// The `outcome` label and count of each `ulp_kernel_wait_total` series.
+    pub fn rows(&self) -> [(&'static str, u64); 3] {
+        [
+            ("spin_hit", self.spin_hits),
+            ("spin_miss", self.spin_misses),
+            ("sleep", self.sleeps),
+        ]
+    }
+}
+
+/// The process-wide [`WaitOutcomes`] so far.
+pub fn wait_outcomes() -> WaitOutcomes {
+    WaitOutcomes {
+        spin_hits: SPIN_HITS.load(Relaxed),
+        spin_misses: SPIN_MISSES.load(Relaxed),
+        sleeps: SLEEPS.load(Relaxed),
+    }
+}
+
+/// `at` in nanoseconds on the clock the wait evidence is kept in.
+fn ns(at: Instant) -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    at.saturating_duration_since(epoch).as_nanos() as u64
+}
+
+/// The waiters on one predicate. See the module docs for the protocol.
 #[derive(Debug)]
 pub(crate) struct WaitQueue {
     cv: Condvar,
-    /// Threads inside [`Wait::sleep`]. Read and written only under the
-    /// owner's lock, which is all the ordering it needs.
+    /// Threads counted in by [`Wait::sleep`]: condvar sleepers in units of
+    /// one, spinners in units of [`SPINNER`]. Read and written only under
+    /// the owner's lock, which is all the ordering it needs (so are the two
+    /// words below).
     sleepers: AtomicUsize,
+    /// The first failed check of the call the first waiter counted in
+    /// belongs to, on the [`ns`] clock.
+    waiting_since: AtomicU64,
+    /// How long the last wait a waker ended took (`u64::MAX`: none yet).
+    last_wait: AtomicU64,
     cell: WakeCell,
     site: WakeSite,
     span: Sysno,
 }
 
 impl WaitQueue {
-    /// A queue whose sleeps show up as `site`'s blocking span and whose
+    /// A queue whose waits show up as `site`'s blocking span and whose
     /// wake edges carry `site`.
     pub(crate) fn new(site: WakeSite) -> WaitQueue {
         WaitQueue {
             cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
+            waiting_since: AtomicU64::new(0),
+            last_wait: AtomicU64::new(u64::MAX),
             cell: WakeCell::new(),
             site,
             span: site
@@ -64,19 +154,39 @@ impl WaitQueue {
         }
     }
 
-    /// The predicate changed: release every sleeper, if there is one.
+    /// The predicate changed: release every waiter, if there is one.
     pub(crate) fn wake_all<T>(&self, _held: &MutexGuard<'_, T>) {
-        if self.sleepers.load(Relaxed) > 0 {
-            self.cell.stamp();
+        if self.wait_ended() {
             self.cv.notify_all();
         }
     }
 
-    /// The predicate changed for one taker: release one sleeper, if any.
+    /// The predicate changed for one taker: release one waiter, if any.
     pub(crate) fn wake_one<T>(&self, _held: &MutexGuard<'_, T>) {
-        if self.sleepers.load(Relaxed) > 0 {
-            self.cell.stamp();
+        if self.wait_ended() {
             self.cv.notify_one();
+        }
+    }
+
+    /// The waker's half: if anybody is counted in, stamp for them and time
+    /// their wait (rule 4). Returns whether a condvar sleeper is among them.
+    #[inline]
+    fn wait_ended(&self) -> bool {
+        let waiting = self.sleepers.load(Relaxed);
+        if waiting == 0 {
+            return false;
+        }
+        self.cell.stamp();
+        let took = ns(Instant::now()).saturating_sub(self.waiting_since.load(Relaxed));
+        self.last_wait.store(took, Relaxed);
+        waiting & (SPINNER - 1) != 0
+    }
+
+    /// Count a waiter of the call whose first failed check was at `since`
+    /// in, in units of `unit`.
+    fn count_in(&self, unit: usize, since: u64) {
+        if self.sleepers.fetch_add(unit, Relaxed) == 0 {
+            self.waiting_since.store(since, Relaxed);
         }
     }
 
@@ -87,39 +197,66 @@ impl WaitQueue {
             queue: self,
             deadline,
             blocked: false,
+            since: 0,
+            spinning: false,
             stamp: None,
         }
     }
 }
 
-/// One blocking call's passage through a [`WaitQueue`]: any number of
-/// sleeps between re-checks of the predicate, then one [`Wait::finish`].
+/// One blocking call's passage through a [`WaitQueue`]: any number of spin
+/// passes and sleeps between re-checks of the predicate, then one
+/// [`Wait::finish`].
 #[derive(Debug)]
 pub(crate) struct Wait<'q> {
     queue: &'q WaitQueue,
     deadline: Option<Instant>,
     /// The blocking span is open.
     blocked: bool,
-    /// What the latest sleep found in the cell: the stamp it claimed.
+    /// The call's first failed check, on the [`ns`] clock (once `blocked`).
+    since: u64,
+    /// The call has spun and not slept since: its spin's outcome is open.
+    spinning: bool,
+    /// What the latest pass found in the cell: the stamp it claimed.
     pub(crate) stamp: Option<(u64, u64)>,
 }
 
 impl Wait<'_> {
-    /// Sleep until woken or the deadline passes, releasing `held` meanwhile.
-    /// Returns `false` if the deadline passed; either way the caller
-    /// re-checks its predicate (condvar wakes may be spurious).
+    /// Wait once — one spin pass, or a sleep until woken or the deadline —
+    /// releasing `held` meanwhile. Returns `false` if the deadline passed;
+    /// either way the caller re-checks its predicate (a pass or a condvar
+    /// wake may find it still false).
     pub(crate) fn sleep<T>(&mut self, held: &mut MutexGuard<'_, T>) -> bool {
         let q = self.queue;
+        let at = Instant::now();
+        let now = ns(at);
         if !self.blocked {
             self.blocked = true;
+            self.since = now;
             trace::emit(q.span, SyscallPhase::Enter);
         }
-        q.sleepers.fetch_add(1, Relaxed);
-        let woken = match self.deadline {
-            Some(d) => {
-                let now = Instant::now();
-                now < d && !q.cv.wait_for(held, d - now).timed_out()
+        let left = match self.deadline {
+            Some(d) if d <= at => {
+                self.stamp = None;
+                return false;
             }
+            d => d.map(|d| d - at),
+        };
+        if now - self.since < SPIN_BREAK_EVEN_NS && q.last_wait.load(Relaxed) < SPIN_BREAK_EVEN_NS {
+            self.spinning = true;
+            q.count_in(SPINNER, self.since);
+            MutexGuard::unlocked(held, std::thread::yield_now);
+            q.sleepers.fetch_sub(SPINNER, Relaxed);
+            self.stamp = q.cell.take();
+            return true;
+        }
+        if std::mem::take(&mut self.spinning) {
+            SPIN_MISSES.fetch_add(1, Relaxed);
+        }
+        SLEEPS.fetch_add(1, Relaxed);
+        q.count_in(1, self.since);
+        let woken = match left {
+            Some(left) => !q.cv.wait_for(held, left).timed_out(),
             None => {
                 q.cv.wait(held);
                 true
@@ -130,11 +267,17 @@ impl Wait<'_> {
         woken
     }
 
-    /// End the call with `res`. If it slept: emit the claimed wake edge when
-    /// `attribute` says an edge is what ended the wait, then close the span.
+    /// End the call with `res`; `attribute` says an edge is what ended the
+    /// wait. If it waited: emit the claimed wake edge if `attribute`, close
+    /// the span, and count a spin that never slept as a hit or a miss by
+    /// the same word.
     pub(crate) fn finish<R>(self, res: &KResult<R>, attribute: bool) {
         if !self.blocked {
             return;
+        }
+        if self.spinning {
+            let outcome = if attribute { &SPIN_HITS } else { &SPIN_MISSES };
+            outcome.fetch_add(1, Relaxed);
         }
         if let (true, Some((waker, armed_ns))) = (attribute, self.stamp) {
             trace::wake_emit(waker, armed_ns, self.queue.site);
@@ -152,7 +295,7 @@ mod tests {
     use crate::trace::KernelHooks;
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::thread;
     use std::time::Duration;
 
@@ -288,5 +431,219 @@ mod tests {
             None,
             "nothing is left for a later wait"
         );
+    }
+
+    /// A last wait well inside the break-even.
+    const SHORT: u64 = SPIN_BREAK_EVEN_NS / 10;
+
+    /// Attempts a test that must catch a waiter mid-spin makes before it
+    /// gives up: one pass is a `sched_yield`, so a flipper on the other CPU
+    /// catches one within a few attempts.
+    const ATTEMPTS: usize = 1_000;
+
+    /// One waiter on `q` for `*flag`, on a thread of its own; returns whether
+    /// its call spun without ever sleeping, and how many passes it made.
+    fn waiter(q: &Arc<WaitQueue>, flag: &Arc<Mutex<bool>>) -> thread::JoinHandle<(bool, usize)> {
+        let (q, flag) = (q.clone(), flag.clone());
+        thread::spawn(move || {
+            let mut held = flag.lock();
+            let mut wait = q.wait(None);
+            let mut passes = 0;
+            while !*held {
+                wait.sleep(&mut held);
+                passes += 1;
+            }
+            let spun_only = wait.spinning;
+            drop(held);
+            wait.finish(&Ok(()), true);
+            (spun_only, passes)
+        })
+    }
+
+    #[test]
+    fn a_short_last_wait_catches_a_flip_without_a_sleep() {
+        for _ in 0..ATTEMPTS {
+            let q = Arc::new(WaitQueue::new(WakeSite::SockRead));
+            q.last_wait.store(SHORT, Relaxed);
+            let flag = Arc::new(Mutex::new(false));
+            let w = waiter(&q, &flag);
+            // Flip the predicate the moment the waiter is seen spinning —
+            // or, if it got to sleep first, once it is asleep.
+            let caught = loop {
+                let mut held = flag.lock();
+                match q.sleepers.load(Relaxed) {
+                    0 => {}
+                    waiting => {
+                        *held = true;
+                        q.wake_all(&held);
+                        break waiting == SPINNER;
+                    }
+                }
+            };
+            let (spun_only, passes) = w.join().unwrap();
+            if caught {
+                assert!(spun_only, "caught spinning, yet it slept ({passes} passes)");
+                return;
+            }
+        }
+        panic!("no waiter was caught spinning in {ATTEMPTS} attempts");
+    }
+
+    #[test]
+    fn the_waker_times_the_wait() {
+        let q = Arc::new(WaitQueue::new(WakeSite::SockRead));
+        let flag = Arc::new(Mutex::new(false));
+        let w = waiter(&q, &flag);
+        sleepers_reach(&q, &flag, 1);
+        thread::sleep(Duration::from_millis(2));
+        let mut held = flag.lock();
+        *held = true;
+        q.wake_all(&held);
+        // Timed by the wake, under the lock: before the sleeper runs again,
+        // so however long its OS wake-up takes is not in the sample.
+        let took = q.last_wait.load(Relaxed);
+        drop(held);
+        assert!((2_000_000..u64::MAX).contains(&took), "{took} ns");
+        assert!(!w.join().unwrap().0, "no history: it slept");
+    }
+
+    #[test]
+    fn no_history_or_a_long_one_sleeps_at_once() {
+        for last in [u64::MAX, 10 * SPIN_BREAK_EVEN_NS] {
+            let q = WaitQueue::new(WakeSite::SockRead);
+            q.last_wait.store(last, Relaxed);
+            let lock = Mutex::new(false);
+            let mut held = lock.lock();
+            let timeout = Duration::from_millis(5);
+            let t = Instant::now();
+            let mut wait = q.wait(Some(t + timeout));
+            // A spin pass would come back `true` after one yield.
+            assert!(
+                !wait.sleep(&mut held),
+                "last wait {last} ns: it did not sleep"
+            );
+            assert!(t.elapsed() >= timeout && !wait.spinning);
+        }
+    }
+
+    #[test]
+    fn a_spin_past_its_budget_sleeps_and_is_woken() {
+        // A flip landing anywhere around the end of the spin — mid-spin,
+        // between the last pass and the announce, asleep — must end the
+        // wait; a lost one leaves the waiter asleep with no deadline.
+        let mut slept_then_woken = 0;
+        for round in 0..2_000u64 {
+            let q = Arc::new(WaitQueue::new(WakeSite::SockRead));
+            q.last_wait.store(SHORT, Relaxed);
+            let flag = Arc::new(Mutex::new(false));
+            let (done, finished) = mpsc::channel();
+            let w = {
+                let w = waiter(&q, &flag);
+                thread::spawn(move || done.send(w.join().unwrap()))
+            };
+            while q.sleepers.load(Relaxed) == 0 {
+                std::hint::spin_loop();
+            }
+            let delay = Duration::from_nanos(round % 40 * SPIN_BREAK_EVEN_NS / 20);
+            let t = Instant::now();
+            while t.elapsed() < delay {
+                std::hint::spin_loop();
+            }
+            {
+                let mut held = flag.lock();
+                let asleep = q.sleepers.load(Relaxed) == 1;
+                *held = true;
+                q.wake_all(&held);
+                drop(held);
+                let (spun_only, passes) = finished
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("the flip was lost: still waiting 5 s later");
+                if asleep {
+                    assert!(!spun_only);
+                    slept_then_woken += (passes > 1) as usize;
+                }
+            }
+            w.join().unwrap().unwrap();
+        }
+        assert!(
+            slept_then_woken > 0,
+            "no round caught a waiter asleep after its spin"
+        );
+    }
+
+    #[test]
+    fn a_deadline_passing_mid_spin_times_out_on_time() {
+        let q = WaitQueue::new(WakeSite::SockRead);
+        q.last_wait.store(SHORT, Relaxed);
+        let lock = Mutex::new(false);
+        let mut held = lock.lock();
+        let t = Instant::now();
+        let mut wait = q.wait(Some(t + Duration::from_nanos(SPIN_BREAK_EVEN_NS / 4)));
+        let mut passes = 0;
+        while wait.sleep(&mut held) {
+            passes += 1;
+        }
+        assert!(
+            wait.spinning,
+            "a deadline inside the budget is met spinning"
+        );
+        assert!(
+            passes > 0 && t.elapsed() < Duration::from_millis(5),
+            "{passes} passes, {:?}",
+            t.elapsed()
+        );
+        assert_eq!((q.sleepers.load(Relaxed), wait.stamp), (0, None));
+
+        // The same through a `PollWaker`: `TimedOut`, not a sleep to the end.
+        let w = PollWaker::new(WakeSite::EpollWait);
+        w.queue.last_wait.store(SHORT, Relaxed);
+        let t = Instant::now();
+        let deadline = t + Duration::from_nanos(SPIN_BREAK_EVEN_NS / 4);
+        assert_eq!(w.wait(w.generation(), Some(deadline)), WaitEnd::TimedOut);
+        assert!(t.elapsed() < Duration::from_millis(5), "{:?}", t.elapsed());
+    }
+
+    #[test]
+    fn a_spinner_and_a_sleeper_on_one_waker_claim_one_stamp_once() {
+        for _ in 0..ATTEMPTS {
+            let w = Arc::new(PollWaker::new(WakeSite::EpollWait));
+            let gen = w.generation();
+            let spawn = |w: &Arc<PollWaker>| {
+                let w = w.clone();
+                thread::spawn(move || w.wait(gen, None))
+            };
+            // The sleeper finds no history and sleeps; then the history
+            // says "short", and the second waiter spins.
+            let sleeper = spawn(&w);
+            while w.queue.sleepers.load(Relaxed) != 1 {
+                thread::yield_now();
+            }
+            w.queue.last_wait.store(SHORT, Relaxed);
+            let spinner = spawn(&w);
+            let caught = loop {
+                let mut held = w.gen.lock();
+                match w.queue.sleepers.load(Relaxed) {
+                    1 => continue,
+                    waiting => {
+                        // `wake()` with tracing on, stamp armed by hand.
+                        *held += 1;
+                        w.queue.cell.stamp_as(7, 123);
+                        w.queue.cv.notify_all();
+                        break waiting == SPINNER + 1;
+                    }
+                }
+            };
+            let ends = [sleeper.join().unwrap(), spinner.join().unwrap()];
+            let claimed = (ends.iter())
+                .filter(|e| **e == WaitEnd::Edge(Some((7, 123))))
+                .count();
+            assert_eq!(claimed, 1, "one edge, one attribution: {ends:?}");
+            assert!(ends.iter().all(|e| matches!(e, WaitEnd::Edge(_))));
+            assert_eq!(w.queue.cell.take(), None, "nothing is left");
+            if caught {
+                return;
+            }
+        }
+        panic!("no spinner was caught beside the sleeper in {ATTEMPTS} attempts");
     }
 }

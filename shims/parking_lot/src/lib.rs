@@ -27,21 +27,29 @@ impl<T> Mutex<T> {
     }
 }
 
+/// Acquire a std lock, recovering it from poisoning.
+fn lock_std<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
+            mutex: &self.inner,
+            inner: Some(lock_std(&self.inner)),
         }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                inner: Some(e.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let g = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            mutex: &self.inner,
+            inner: Some(g),
+        })
     }
 
     pub fn get_mut(&mut self) -> &mut T {
@@ -68,10 +76,30 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// Guard for [`Mutex`]. The inner `Option` is only `None` transiently while
-/// a [`Condvar`] wait has taken the std guard; it is always `Some` when user
-/// code can observe it.
+/// a [`Condvar`] wait or [`MutexGuard::unlocked`] has taken the std guard;
+/// it is always `Some` when user code can observe it.
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a std::sync::Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
+}
+
+impl<'a, T: ?Sized> MutexGuard<'a, T> {
+    /// Release the lock, run `f`, and take the lock again before returning
+    /// — also when `f` unwinds (parking_lot 0.12's `MutexGuard::unlocked`).
+    pub fn unlocked<F, U>(s: &mut Self, f: F) -> U
+    where
+        F: FnOnce() -> U,
+    {
+        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
+        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
+            fn drop(&mut self) {
+                self.0.inner = Some(lock_std(self.0.mutex));
+            }
+        }
+        drop(s.inner.take());
+        let _relock = Relock(s);
+        f()
+    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -240,6 +268,25 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn unlocked_releases_and_retakes() {
+        let m = Mutex::new(1);
+        let mut g = m.lock();
+        let seen = MutexGuard::unlocked(&mut g, || {
+            *m.try_lock().expect("released while f runs") += 1;
+            7
+        });
+        assert_eq!((seen, *g), (7, 2));
+        assert!(m.try_lock().is_none(), "held again");
+        drop(g);
+        let mut g = m.lock();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            MutexGuard::unlocked(&mut g, || panic!("inside unlocked"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(*g, 2, "re-taken on unwind");
     }
 
     #[test]

@@ -66,6 +66,17 @@ gate "FileObject is back under crates/ (descriptions hold Arc<dyn FileLike>)" \
     "$(git grep -n 'FileObject' -- crates || true)"
 gate "Condvar in $k outside wait.rs, aio.rs, kernel.rs (sleep on a WaitQueue)" \
     "$(git grep -n 'Condvar' -- $k ":!$k/wait.rs" ":!$k/aio.rs" ":!$k/kernel.rs" || true)"
+# One spin site in the kernel, `Wait::sleep`, as `Parker::park` is the
+# runtime's. Non-test code only, and none of the non-Linux fallbacks (not
+# built on Linux; futex.rs's stands in for the futex call itself). cost.rs
+# busy-waits to model an architectural cost: it waits for nothing.
+gate "yield_now or a spin loop in $k outside wait.rs (the kernel's one spin site is Wait::sleep)" \
+    "$(git ls-files -- "$k" | grep '\.rs$' | grep -v "^$k/\(wait\|cost\)\.rs$" | xargs -r awk '
+        FNR == 1 { t = 0; fallback = "" }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+        /#\[cfg\(not\(target_os = "linux"\)\)\]/ { match($0, /^[[:space:]]*/); fallback = substr($0, 1, RLENGTH) "}"; next }
+        fallback != "" { if ($0 == fallback) fallback = ""; next }
+        !t && /yield_now|spin_loop/ { print FILENAME ":" FNR ": " $0 }')"
 gate "the Adaptive spin streak is back under crates/ (Parker::park decides from expect()/unexpect())" \
     "$(git grep -n 'spin_streak\|ADAPTIVE_SPIN_STREAK' -- crates || true)"
 gate "a second run-queue discipline is back under crates/ (one FIFO; ROADMAP item 1 has the conditions for a per-scheduler queue)" \
