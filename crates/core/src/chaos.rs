@@ -97,27 +97,9 @@ struct ChaosState {
 static ARMED: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<ChaosState>> = Mutex::new(None);
 
-/// splitmix64's finalizer: a high-quality 64-bit mix. Public so the torture
-/// harness derives its per-run and per-stream seeds from the same function
-/// that drives the in-runtime decisions.
-#[inline]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte string — the stable key for name-derived streams.
-#[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// The mix and the name hash every decision stream draws from, shared with
+/// the kernel's fault layer (and the torture harness's seeds and digests).
+pub use ulp_kernel::fault::{fnv1a, splitmix64};
 
 /// Install `plan` process-wide and reset all decision counters. Chaos
 /// state is global (the hooks sit below any `Runtime` handle), so tests

@@ -42,7 +42,7 @@
 use crate::runtime::RuntimeInner;
 use crate::stats::StatsShard;
 use crate::trace::TraceShard;
-use crate::uc::{KcShared, UcInner};
+use crate::uc::{KcShared, UcInner, UcKind};
 use std::cell::Cell;
 use std::ptr;
 use std::sync::Arc;
@@ -60,17 +60,15 @@ pub enum Deferred {
     Home(Arc<UcInner>),
     /// Hand the UC to its original KC and wake it (couple Seq. 1–4).
     CoupleRequest(Arc<UcInner>),
-    /// A sibling UC finished: drop its stack and release its slot on the KC.
-    TerminateSibling(Arc<UcInner>),
-    /// A pooled ULP finished: push its stack back on the pool's warm free
-    /// list (no `madvise` here — idle KCs' scavenger passes trim what stays
-    /// free) and publish its exit status — strictly after the final switch,
-    /// so a waiter that wakes on the status observes every hot-path counter
-    /// bump already landed.
-    TerminatePooled {
-        /// The terminated pooled UC.
+    /// A secondary UC (sibling or pooled ULP) finished coupled on its KC:
+    /// push its stack back on the pool's warm free list, uninstall it, drop
+    /// a sibling's slot in the KC's `sibling_count`, and *then* publish its
+    /// exit status — so a waiter that wakes on the status observes all of
+    /// that and every hot-path counter bump already landed.
+    Terminate {
+        /// The terminated UC.
         uc: Arc<UcInner>,
-        /// Exit status to publish to `PooledHandle::wait`.
+        /// Exit status to publish to `UlpHandle::wait`.
         status: i32,
     },
 }
@@ -81,10 +79,7 @@ impl std::fmt::Debug for Deferred {
             Deferred::Enqueue(u) => write!(f, "Enqueue({})", u.id),
             Deferred::Home(u) => write!(f, "Home({})", u.id),
             Deferred::CoupleRequest(u) => write!(f, "CoupleRequest({})", u.id),
-            Deferred::TerminateSibling(u) => write!(f, "TerminateSibling({})", u.id),
-            Deferred::TerminatePooled { uc, status } => {
-                write!(f, "TerminatePooled({}, {status})", uc.id)
-            }
+            Deferred::Terminate { uc, status } => write!(f, "Terminate({}, {status})", uc.id),
         }
     }
 }
@@ -476,10 +471,11 @@ pub fn run_deferred() {
                 let kc = uc.kc.clone();
                 kc.pending.push(uc, &kc.parker);
             }
-            Deferred::TerminateSibling(uc) => {
-                // The sibling's context will never be resumed; its stack can
-                // be reclaimed. We are currently executing on the KC's
-                // trampoline stack, never on the sibling's.
+            Deferred::Terminate { uc, status } => {
+                // The UC's context will never be resumed, and we run on its
+                // KC's trampoline (a pool KC's native stack), never on its
+                // own: recycle the stack — a warm push, the pool's scavenger
+                // trims it later.
                 if let Some(stack) = uc.sib_stack.lock().take() {
                     if let Some(rt) = b.rt() {
                         rt.stack_pool.release(stack);
@@ -494,33 +490,14 @@ pub fn run_deferred() {
                 if b.ulp_ptr.get() == Arc::as_ptr(&uc) {
                     let _ = b.swap_ulp(None);
                 }
-                uc.kc
-                    .sibling_count
-                    .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
-                // The TC loop re-checks conditions right after running this,
-                // but wake anyway in case the primary's exit condition now
-                // holds on a blocked KC.
-                uc.kc.parker.poke();
-            }
-            Deferred::TerminatePooled { uc, status } => {
-                // Running on the pool KC's native stack; the pooled UC's
-                // context is dead. Recycle its slab slot (a warm push — the
-                // pool's scavenger trims it later) before publishing the status:
-                // a waiter that wakes on `sib_result` must observe every
-                // counter bump from the hot path already landed, and the
-                // stack back in the pool.
-                if let Some(stack) = uc.sib_stack.lock().take() {
-                    if let Some(rt) = b.rt() {
-                        rt.stack_pool.release(stack);
-                    } else if let Some(rt) = uc.rt.upgrade() {
-                        rt.stack_pool.release(stack);
-                    }
-                }
-                // As with a sibling: uninstall the dead UC so the pool KC's
-                // idle blocks read as anonymous, not as a terminated BLT's
-                // syscall spans.
-                if b.ulp_ptr.get() == Arc::as_ptr(&uc) {
-                    let _ = b.swap_ulp(None);
+                // A sibling's slot holds its primary's KC back from retiring.
+                // The TC loop re-checks right after this, but wake anyway in
+                // case the primary's exit condition now holds on a blocked KC.
+                if uc.kind == UcKind::Sibling {
+                    uc.kc
+                        .sibling_count
+                        .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+                    uc.kc.parker.poke();
                 }
                 uc.sib_result.set(status);
             }
@@ -630,8 +607,8 @@ mod tests {
         assert!(format!("{d:?}").contains("Enqueue(blt:3)"));
         let d = Deferred::CoupleRequest(uc.clone());
         assert!(format!("{d:?}").contains("CoupleRequest"));
-        let d = Deferred::TerminateSibling(uc);
-        assert!(format!("{d:?}").contains("TerminateSibling"));
+        let d = Deferred::Terminate { uc, status: 7 };
+        assert!(format!("{d:?}").contains("Terminate(blt:3, 7)"));
     }
 
     #[test]

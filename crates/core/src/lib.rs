@@ -96,7 +96,7 @@ pub use profile::{
 };
 pub use runtime::{Config, ConsistencyMode, Runtime, RuntimeBuilder, Topology};
 pub use signals::{clear_handler, handled_count, on_signal, poll_signals};
-pub use spawn::{BltHandle, PooledHandle, SiblingHandle, PANIC_EXIT_STATUS};
+pub use spawn::{BltHandle, PooledHandle, SiblingHandle, UlpHandle, PANIC_EXIT_STATUS};
 pub use stats::{Stats, StatsSnapshot};
 pub use sync::{
     FutexLock, McsLock, RawUlpLock, TasLock, TicketLock, UlpBarrier, UlpEvent, UlpLock,

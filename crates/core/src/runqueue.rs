@@ -129,37 +129,20 @@ impl RunQueue {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::tls::TlsStorage;
-    use crate::uc::{BltId, KcShared, OneShot, UcKind};
-    use parking_lot::Mutex;
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-    use ulp_fcontext::RawContext;
+    use crate::uc::{BltId, KcShared, UcKind};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use ulp_kernel::process::Pid;
 
     pub(crate) fn dummy_uc(id: u64) -> Arc<UcInner> {
-        Arc::new(UcInner {
-            id: BltId(id),
-            name: format!("uc{id}"),
-            kind: UcKind::Primary,
-            ctx: UnsafeCell::new(RawContext::null()),
-            kc: Arc::new(KcShared::new(IdlePolicy::BusyWait)),
-            pid: Pid(0),
-            coupled: AtomicBool::new(true),
-            state: AtomicU8::new(0),
-            tls: TlsStorage::new(),
-            errno: std::sync::atomic::AtomicI32::new(0),
-            rt: std::sync::Weak::new(),
-            sib_stack: Mutex::new(None),
-            sib_entry: Mutex::new(None),
-            sib_result: Arc::new(OneShot::new()),
-            sigmask: crate::uc::SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
-            wait_since: AtomicU64::new(0),
-            wake_from: AtomicU64::new(0),
-            spawn_ns: 0,
-            qlink: crate::park::QLink::new(),
-            phases: crate::park::Phases::new(),
-        })
+        UcInner::new(
+            BltId(id),
+            format!("uc{id}"),
+            UcKind::Primary,
+            Arc::new(KcShared::new(IdlePolicy::BusyWait)),
+            Pid(0),
+            std::sync::Weak::new(),
+            None,
+        )
     }
 
     #[test]

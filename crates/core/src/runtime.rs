@@ -14,14 +14,12 @@ use crate::current::{
 use crate::error::UlpError;
 use crate::runqueue::RunQueue;
 use crate::stats::Stats;
-use crate::tls::TlsStorage;
-use crate::uc::{BltId, IdlePolicy, KcShared, OneShot, UcInner, UcKind, UcState};
+use crate::uc::{BltId, IdlePolicy, KcShared, UcInner, UcKind, UcState};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use ulp_fcontext::{RawContext, StackPool};
+use ulp_fcontext::StackPool;
 use ulp_kernel::process::Pid;
 use ulp_kernel::{ArchProfile, Kernel, KernelRef};
 
@@ -274,15 +272,13 @@ impl RuntimeInner {
         BltId(self.next_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Register a UC in the pid → UC lookup used by the procfs provider.
-    /// Siblings share their primary's kernel identity and are skipped — the
-    /// pid row belongs to the UC that *owns* the identity. A live earlier
-    /// registration wins (thread-mode BLTs sharing a pid don't displace the
-    /// original); dead or terminated entries are replaced.
+    /// Register a primary or scheduler UC in the pid → UC lookup used by the
+    /// procfs provider. Secondary UCs are never registered: a sibling's pid
+    /// row belongs to the primary that *owns* the identity, and pooled ULPs
+    /// would be a million short-lived entries. A live earlier registration
+    /// wins (thread-mode BLTs sharing a pid don't displace the original);
+    /// dead or terminated entries are replaced.
     pub(crate) fn register_uc(&self, uc: &Arc<UcInner>) {
-        if uc.kind == UcKind::Sibling {
-            return;
-        }
         let mut map = self.ucs.lock();
         let stale = match map.get(&uc.pid.0).and_then(std::sync::Weak::upgrade) {
             Some(cur) => cur.state() == UcState::Terminated,
@@ -301,7 +297,7 @@ impl RuntimeInner {
     /// Hand out the next pool KC (round-robin), starting the pool threads
     /// on first use. Lazy so runtimes that never call `spawn_pooled` pay
     /// nothing for the pool.
-    pub(crate) fn pool_kc(self: &Arc<Self>) -> Arc<KcShared> {
+    pub(crate) fn pool_kc(self: &Arc<Self>) -> &Arc<KcShared> {
         let kcs = self.pool.kcs.get_or_init(|| {
             let n = self.config.pool_kcs.max(1);
             let mut kcs = Vec::with_capacity(n);
@@ -321,7 +317,7 @@ impl RuntimeInner {
             kcs
         });
         let i = self.pool.next.fetch_add(1, Ordering::Relaxed) % kcs.len();
-        kcs[i].clone()
+        &kcs[i]
     }
 
     /// Record a consistency violation per the configured mode.
@@ -733,28 +729,16 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
 
     let kc = Arc::new(KcShared::new(rt.config.idle_policy));
     kc.adopt_current_thread();
-    let identity = Arc::new(UcInner {
-        id: rt.alloc_id(),
-        name: format!("sched-{idx}"),
-        kind: UcKind::Scheduler,
-        ctx: UnsafeCell::new(RawContext::null()),
+    let identity = UcInner::new(
+        rt.alloc_id(),
+        format!("sched-{idx}"),
+        UcKind::Scheduler,
         kc,
         pid,
-        coupled: AtomicBool::new(true),
-        state: AtomicU8::new(UcState::Running as u8),
-        tls: TlsStorage::new(),
-        errno: std::sync::atomic::AtomicI32::new(0),
-        rt: Arc::downgrade(&rt),
-        sib_stack: Mutex::new(None),
-        sib_entry: Mutex::new(None),
-        sib_result: Arc::new(OneShot::new()),
-        sigmask: crate::uc::SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
-        wait_since: AtomicU64::new(0),
-        wake_from: AtomicU64::new(0),
-        spawn_ns: crate::trace::now_ns(),
-        qlink: crate::park::QLink::new(),
-        phases: crate::park::Phases::new(),
-    });
+        Arc::downgrade(&rt),
+        None,
+    );
+    identity.set_state(UcState::Running);
     rt.register_uc(&identity);
     set_runtime(rt.clone());
     set_host(Some(identity.clone()));

@@ -1,4 +1,4 @@
-//! Spawning BLTs (and sibling UCs) and waiting for their termination.
+//! Spawning BLTs and secondary UCs, and waiting for their termination.
 //!
 //! Paper rules 1, 2 and 7 (§II): "A BLT is created as a KLT consisting of a
 //! pair of UC and KC"; "the KC created at the beginning is called original
@@ -7,20 +7,28 @@
 //! thread whose native context *is* the BLT's UC; the user function starts
 //! executing immediately as a KLT; the spawner `wait()`s for it just like
 //! `wait(2)` on a forked PiP process.
+//!
+//! A *secondary* UC — a sibling (§VII's M:N extension) or a pooled ULP —
+//! has no thread of its own. Both kinds take one path: `spawn_secondary`
+//! gives the UC a stack and pushes it on the run queue decoupled,
+//! `secondary_entry` runs it and couples it to its original KC to
+//! terminate (rule 7), and `Deferred::Terminate` recycles the stack before
+//! it publishes the status [`UlpHandle::wait`] returns. Two facts depend on
+//! the kind: a pooled ULP owns its pid (it exits the process and its handle
+//! reaps it), and a sibling holds a slot in its primary KC's
+//! `sibling_count`, which keeps that KC from retiring.
 
 use crate::couple::couple;
 use crate::current::{run_deferred, set_current_ulp, set_runtime, Deferred};
 use crate::error::UlpError;
 use crate::runtime::{Runtime, RuntimeInner};
-use crate::tls::TlsStorage;
-use crate::uc::{BltId, KcShared, OneShot, UcInner, UcKind, UcState, UlpFn};
+use crate::uc::{BltId, KcShared, UcInner, UcKind, UcState, UlpFn};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use ulp_fcontext::prepare;
+use ulp_fcontext::{prepare, Stack};
 use ulp_kernel::process::Pid;
 
 /// Exit status reported when a ULP's body panics (mirroring a crashed
@@ -42,17 +50,15 @@ const POOLED_STACK_SIZE: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct BltHandle {
     pub(crate) uc: Arc<UcInner>,
-    pub(crate) pid: Pid,
     /// False for thread-mode BLTs sharing another process's identity.
-    pub(crate) owns_identity: bool,
-    pub(crate) rt: Weak<RuntimeInner>,
+    owns_identity: bool,
     join: Mutex<Option<JoinHandle<i32>>>,
 }
 
 impl BltHandle {
     /// The BLT's simulated-kernel process ID.
     pub fn pid(&self) -> Pid {
-        self.pid
+        self.uc.pid
     }
 
     /// The BLT's runtime-local id.
@@ -75,10 +81,7 @@ impl BltHandle {
         self.close_kc();
         let status = handle.join().unwrap_or(PANIC_EXIT_STATUS);
         if self.owns_identity {
-            if let Some(rt) = self.rt.upgrade() {
-                // Reap the zombie like the PiP root would.
-                let _ = rt.kernel.try_waitpid(rt.root_pid, Some(self.pid));
-            }
+            reap(&self.uc);
         }
         status
     }
@@ -95,8 +98,30 @@ impl BltHandle {
     where
         F: FnOnce() -> i32 + Send + 'static,
     {
-        let rt = self.rt.upgrade().ok_or(UlpError::ShuttingDown)?;
-        spawn_sibling_inner(&rt, &self.uc, name, Box::new(f))
+        let rt = self.uc.rt.upgrade().ok_or(UlpError::ShuttingDown)?;
+        let kc = &self.uc.kc;
+        // Registration gate: either this sibling registers before the KC
+        // retires (and worker_main's drain loop will serve it), or the handle
+        // already closed and the spawn fails cleanly — never a sibling parked
+        // on a KC whose thread is gone.
+        {
+            let _gate = kc.pending.lock();
+            if kc.handle_closed.load(Ordering::Acquire) {
+                return Err(UlpError::PrimaryExited);
+            }
+            kc.sibling_count.fetch_add(1, Ordering::AcqRel);
+        }
+        rt.stats.fallback().bump_siblings();
+        let stack = rt.stack_pool.acquire(SIBLING_STACK_SIZE).map_err(|e| {
+            kc.sibling_count.fetch_sub(1, Ordering::AcqRel);
+            kc.parker.poke();
+            UlpError::StackAlloc(e.to_string())
+        })?;
+        let sib = spawn_secondary(&rt, name, UcKind::Sibling, kc, self.uc.pid, stack, f);
+        // The count was bumped under the gate above; wake the primary in
+        // case it idles in its pre-retirement loop.
+        kc.parker.poke();
+        Ok(sib)
     }
 
     /// Declare that no further sibling will be spawned through this handle,
@@ -120,70 +145,49 @@ impl Drop for BltHandle {
     }
 }
 
-/// Handle to a sibling UC.
+/// Handle to a secondary UC — a sibling or a pooled ULP — the spawner's
+/// side of its `wait()`.
 #[derive(Debug)]
-pub struct SiblingHandle {
+pub struct UlpHandle {
     pub(crate) uc: Arc<UcInner>,
-    result: Arc<OneShot>,
 }
 
-impl SiblingHandle {
-    /// The sibling's runtime-local id.
+/// Handle to a sibling UC ([`BltHandle::spawn_sibling`]).
+pub type SiblingHandle = UlpHandle;
+
+/// Handle to a pooled (oversubscribed) ULP ([`Runtime::spawn_pooled`]) —
+/// own kernel identity, shared pool KC, recycled stack.
+pub type PooledHandle = UlpHandle;
+
+impl UlpHandle {
+    /// The UC's runtime-local id.
     pub fn id(&self) -> BltId {
         self.uc.id
     }
 
-    /// The shared kernel identity (same PID as the primary).
+    /// The UC's simulated-kernel process ID: a pooled ULP's own, a
+    /// sibling's primary's.
     pub fn pid(&self) -> Pid {
         self.uc.pid
     }
 
-    /// Block until the sibling terminates; returns its exit status.
+    /// Block until the UC terminates and return its exit status; for a
+    /// pooled ULP, which owns its pid, also reap its simulated-kernel zombie
+    /// (like `wait(2)`). The status is published only after the UC's final
+    /// context switch has landed and its stack is back in the pool, so every
+    /// counter it bumped is visible by then. A second call returns the same
+    /// status at once and reaps nothing.
     pub fn wait(&self) -> i32 {
-        self.result.wait()
-    }
-
-    /// Whether the sibling has terminated (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.result.try_get().is_some()
-    }
-}
-
-/// Handle to a pooled (oversubscribed) ULP — own kernel identity, shared
-/// pool KC, recycled stack.
-#[derive(Debug)]
-pub struct PooledHandle {
-    pub(crate) uc: Arc<UcInner>,
-    result: Arc<OneShot>,
-    rt: Weak<RuntimeInner>,
-}
-
-impl PooledHandle {
-    /// The ULP's runtime-local id.
-    pub fn id(&self) -> BltId {
-        self.uc.id
-    }
-
-    /// The ULP's own simulated-kernel process ID.
-    pub fn pid(&self) -> Pid {
-        self.uc.pid
-    }
-
-    /// Block until the ULP terminates, reap its simulated-kernel zombie,
-    /// and return its exit status. Idempotent-safe to call once (like
-    /// `wait(2)`); the status is published only after the ULP's final
-    /// context switch, so every counter it bumped is visible by then.
-    pub fn wait(&self) -> i32 {
-        let status = self.result.wait();
-        if let Some(rt) = self.rt.upgrade() {
-            let _ = rt.kernel.try_waitpid(rt.root_pid, Some(self.uc.pid));
+        let status = self.uc.sib_result.wait();
+        if self.uc.kind == UcKind::Pooled {
+            reap(&self.uc);
         }
         status
     }
 
-    /// Whether the ULP has terminated (non-blocking).
+    /// Whether the UC has terminated (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.result.try_get().is_some()
+        self.uc.sib_result.try_get().is_some()
     }
 }
 
@@ -207,14 +211,24 @@ impl Runtime {
     /// with RSS tracking recently live ULPs rather than ever-spawned ones.
     ///
     /// `f` starts decoupled (dispatched from the run queue by a scheduler)
-    /// and terminates coupled with its pool KC, per rule 7 — the same
-    /// switch/TLS cost shape as a sibling, with the pool KC rebinding its
+    /// and terminates coupled with its pool KC, per rule 7 — a sibling's
+    /// path and switch/TLS cost shape, with the pool KC rebinding its
     /// kernel identity to the ULP's pid for the coupled stretch.
     pub fn spawn_pooled<F>(&self, name: &str, f: F) -> Result<PooledHandle, UlpError>
     where
         F: FnOnce() -> i32 + Send + 'static,
     {
-        spawn_pooled_inner(self.inner(), name, Box::new(f))
+        let rt = self.inner();
+        rt.stats.fallback().bump_pooled();
+        // Dense slab slot, not a classed guard-paged stack: two VMAs per
+        // stack would blow `vm.max_map_count` long before 1M ULPs.
+        let stack = rt
+            .stack_pool
+            .acquire_dense(POOLED_STACK_SIZE)
+            .map_err(|e| UlpError::StackAlloc(e.to_string()))?;
+        let pid = rt.kernel.spawn_process(Some(rt.root_pid), name);
+        let kc = rt.pool_kc();
+        Ok(spawn_secondary(rt, name, UcKind::Pooled, kc, pid, stack, f))
     }
 
     /// Spawn a BLT that *shares* an existing kernel identity instead of
@@ -234,29 +248,15 @@ impl Runtime {
         let shared_identity = pid.is_some();
         let pid = pid.unwrap_or_else(|| rt.kernel.spawn_process(Some(rt.root_pid), name));
         let kc = Arc::new(KcShared::new(rt.config.idle_policy));
-        let uc = Arc::new(UcInner {
-            id: rt.alloc_id(),
-            name: name.to_string(),
-            kind: UcKind::Primary,
-            ctx: UnsafeCell::new(ulp_fcontext::RawContext::null()),
+        let uc = UcInner::new(
+            rt.alloc_id(),
+            name.to_string(),
+            UcKind::Primary,
             kc,
             pid,
-            coupled: AtomicBool::new(true),
-            state: AtomicU8::new(UcState::Created as u8),
-            tls: TlsStorage::new(),
-            errno: std::sync::atomic::AtomicI32::new(0),
-            rt: Arc::downgrade(&rt),
-            sib_stack: Mutex::new(None),
-            sib_entry: Mutex::new(None),
-            sib_result: Arc::new(OneShot::new()),
-            sigmask: crate::uc::SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
-            wait_since: AtomicU64::new(0),
-            wake_from: AtomicU64::new(0),
-            spawn_ns: crate::trace::now_ns(),
-            qlink: crate::park::QLink::new(),
-            phases: crate::park::Phases::new(),
-        });
-
+            Arc::downgrade(&rt),
+            None,
+        );
         rt.register_uc(&uc);
         rt.tracer.record(crate::trace::Event::Spawn(uc.id));
         let thread_uc = uc.clone();
@@ -268,11 +268,16 @@ impl Runtime {
 
         BltHandle {
             uc,
-            pid,
             owns_identity: !shared_identity,
-            rt: Arc::downgrade(&rt),
             join: Mutex::new(Some(join)),
         }
+    }
+}
+
+/// Reap `uc`'s simulated-kernel zombie, as the PiP root would.
+fn reap(uc: &UcInner) {
+    if let Some(rt) = uc.rt.upgrade() {
+        let _ = rt.kernel.try_waitpid(rt.root_pid, Some(uc.pid));
     }
 }
 
@@ -361,132 +366,43 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
     status
 }
 
-fn spawn_sibling_inner(
-    rt: &Arc<RuntimeInner>,
-    primary: &Arc<UcInner>,
-    name: &str,
-    f: UlpFn,
-) -> Result<SiblingHandle, UlpError> {
-    // Registration gate: either this sibling registers before the KC
-    // retires (and worker_main's drain loop will serve it), or the handle
-    // already closed and the spawn fails cleanly — never a sibling parked
-    // on a KC whose thread is gone.
-    {
-        let _gate = primary.kc.pending.lock();
-        if primary.kc.handle_closed.load(Ordering::Acquire) {
-            return Err(UlpError::PrimaryExited);
-        }
-        primary.kc.sibling_count.fetch_add(1, Ordering::AcqRel);
-    }
-    rt.stats.fallback().bump_siblings();
-    let stack = match rt.stack_pool.acquire(SIBLING_STACK_SIZE) {
-        Ok(s) => s,
-        Err(e) => {
-            primary.kc.sibling_count.fetch_sub(1, Ordering::AcqRel);
-            primary.kc.parker.poke();
-            return Err(UlpError::StackAlloc(e.to_string()));
-        }
-    };
-    let result = Arc::new(OneShot::new());
-    let uc = Arc::new(UcInner {
-        id: rt.alloc_id(),
-        name: name.to_string(),
-        kind: UcKind::Sibling,
-        ctx: UnsafeCell::new(ulp_fcontext::RawContext::null()),
-        kc: primary.kc.clone(),
-        pid: primary.pid,
-        coupled: AtomicBool::new(false),
-        state: AtomicU8::new(UcState::Created as u8),
-        tls: TlsStorage::new(),
-        errno: std::sync::atomic::AtomicI32::new(0),
-        rt: Arc::downgrade(rt),
-        sib_stack: Mutex::new(None),
-        sib_entry: Mutex::new(Some(f)),
-        sib_result: result.clone(),
-        sigmask: crate::uc::SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
-        wait_since: AtomicU64::new(0),
-        wake_from: AtomicU64::new(0),
-        spawn_ns: crate::trace::now_ns(),
-        qlink: crate::park::QLink::new(),
-        phases: crate::park::Phases::new(),
-    });
-    rt.register_uc(&uc);
-    rt.tracer.record(crate::trace::Event::Spawn(uc.id));
-    // Bootstrap the context: entry receives a raw Arc it adopts.
-    let raw = Arc::into_raw(uc.clone()) as *mut u8;
-    let ctx = unsafe { prepare(stack.top(), sibling_entry, raw) };
-    unsafe {
-        *uc.ctx.get() = ctx;
-    }
-    *uc.sib_stack.lock() = Some(stack);
-    // Siblings are born decoupled, straight into the scheduled pool. The
-    // count was already bumped under the registration gate above; wake the
-    // primary in case it idles in its pre-retirement loop. The first
-    // dispatch's wake edge attributes to us, the spawner (a pre-stamp the
-    // push's default self-enqueue attribution respects).
-    if rt.tracer.is_enabled() {
-        let waker = crate::current::current_ulp().map_or(BltId(0), |u| u.id);
-        uc.wake_from.store(
-            crate::uc::encode_wake_from(waker, ulp_kernel::WakeSite::Spawn),
-            Ordering::Relaxed,
-        );
-    }
-    rt.runq.push(uc.clone());
-    primary.kc.parker.poke();
-    Ok(SiblingHandle { uc, result })
-}
-
-fn spawn_pooled_inner(
+/// The one spawn path of a secondary UC (a sibling or a pooled ULP): a UC
+/// of `kind` on the original KC `kc`, carrying `pid`, whose context is
+/// prepared on `stack` to start in [`secondary_entry`] — born decoupled,
+/// straight onto the run queue. Secondary UCs stay out of the pid → UC
+/// registry (`RuntimeInner::register_uc`); `/proc/<pid>/stat` still works
+/// off the kernel's own process table.
+fn spawn_secondary<F>(
     rt: &Arc<RuntimeInner>,
     name: &str,
-    f: UlpFn,
-) -> Result<PooledHandle, UlpError> {
-    rt.stats.fallback().bump_pooled();
-    // Dense slab slot, not a classed guard-paged stack: two VMAs per stack
-    // would blow `vm.max_map_count` long before 1M ULPs.
-    let stack = rt
-        .stack_pool
-        .acquire_dense(POOLED_STACK_SIZE)
-        .map_err(|e| UlpError::StackAlloc(e.to_string()))?;
-    let pid = rt.kernel.spawn_process(Some(rt.root_pid), name);
-    let kc = rt.pool_kc();
-    let result = Arc::new(OneShot::new());
-    let uc = Arc::new(UcInner {
-        id: rt.alloc_id(),
-        name: name.to_string(),
-        kind: UcKind::Pooled,
-        ctx: UnsafeCell::new(ulp_fcontext::RawContext::null()),
-        kc,
+    kind: UcKind,
+    kc: &Arc<KcShared>,
+    pid: Pid,
+    stack: Stack,
+    f: F,
+) -> UlpHandle
+where
+    F: FnOnce() -> i32 + Send + 'static,
+{
+    let uc = UcInner::new(
+        rt.alloc_id(),
+        name.to_string(),
+        kind,
+        kc.clone(),
         pid,
-        coupled: AtomicBool::new(false),
-        state: AtomicU8::new(UcState::Created as u8),
-        tls: TlsStorage::new(),
-        errno: std::sync::atomic::AtomicI32::new(0),
-        rt: Arc::downgrade(rt),
-        sib_stack: Mutex::new(None),
-        sib_entry: Mutex::new(Some(f)),
-        sib_result: result.clone(),
-        sigmask: crate::uc::SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
-        wait_since: AtomicU64::new(0),
-        wake_from: AtomicU64::new(0),
-        spawn_ns: crate::trace::now_ns(),
-        qlink: crate::park::QLink::new(),
-        phases: crate::park::Phases::new(),
-    });
-    // Deliberately NOT in the pid → UC registry (`register_uc`): a million
-    // entries would dominate the map, and procfs enrichment of short-lived
-    // pooled rows is not worth that. `/proc/<pid>/stat` still works off the
-    // kernel's own process table.
+        Arc::downgrade(rt),
+        Some(Box::new(f)),
+    );
     rt.tracer.record(crate::trace::Event::Spawn(uc.id));
+    // Bootstrap the context: the entry receives a raw Arc it adopts.
     let raw = Arc::into_raw(uc.clone()) as *mut u8;
-    let ctx = unsafe { prepare(stack.top(), pooled_entry, raw) };
-    unsafe {
-        *uc.ctx.get() = ctx;
-    }
+    // SAFETY: `stack` stays this UC's until `Deferred::Terminate` releases it
+    // after the UC's last switch, and no other thread can read `uc.ctx`
+    // before the push below publishes the UC.
+    unsafe { *uc.ctx.get() = prepare(stack.top(), secondary_entry, raw) };
     *uc.sib_stack.lock() = Some(stack);
-    // Born decoupled, straight into the scheduled pool (like a sibling).
-    // As with siblings, the first dispatch's wake edge attributes to the
-    // spawner.
+    // The first dispatch's wake edge attributes to us, the spawner (a
+    // pre-stamp the push's default self-enqueue attribution respects).
     if rt.tracer.is_enabled() {
         let waker = crate::current::current_ulp().map_or(BltId(0), |u| u.id);
         uc.wake_from.store(
@@ -495,95 +411,52 @@ fn spawn_pooled_inner(
         );
     }
     rt.runq.push(uc.clone());
-    Ok(PooledHandle {
-        uc,
-        result,
-        rt: Arc::downgrade(rt),
-    })
+    UlpHandle { uc }
 }
 
-extern "C" fn pooled_entry(_arg: usize, data: *mut u8) -> ! {
-    // Whoever dispatched us deferred an action; drain it first.
-    run_deferred();
-    let uc: Arc<UcInner> = unsafe { Arc::from_raw(data as *const UcInner) };
-    uc.set_state(UcState::Running);
-    let f = uc.sib_entry.lock().take().expect("pooled dispatched twice");
-    let status = match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(code) => code,
-        Err(_) => PANIC_EXIT_STATUS,
-    };
-
-    // Rule 7: terminate coupled with the (pool) original KC. The pool KC
-    // bound this thread to our pid when it served the couple request, so
-    // the process exit below runs under the right kernel identity.
-    let _ = couple();
-    debug_assert!(uc.kc.is_current_thread());
-    uc.set_state(UcState::Terminated);
-    if let Some(rt) = uc.rt.upgrade() {
-        // No `decouple()` will end this coupled scope.
-        uc.phases.ended_coupled(rt.runq.parker());
-        rt.tracer.record(crate::trace::Event::Terminate(uc.id));
-        let _ = rt.kernel.exit_process(uc.pid, status);
-    }
-
-    // Hand the KC back to the pool loop. The deferred hook recycles our
-    // stack and only *then* publishes the exit status — a waiter that wakes
-    // on it observes the stack already back in the pool and every hot-path
-    // counter landed.
-    let kc = uc.kc.clone();
-    let save_slot = uc.ctx.get();
-    let deferred = Deferred::TerminatePooled {
-        uc: uc.clone(),
-        status,
-    };
-    drop(uc);
-    let target = unsafe { *kc.tc_ctx.get() };
-    unsafe {
-        crate::couple::raw_switch(save_slot, target, Some(deferred));
-    }
-    unreachable!("terminated pooled ULP resumed");
-}
-
-extern "C" fn sibling_entry(_arg: usize, data: *mut u8) -> ! {
+/// Entry of every secondary UC, first dispatched from the run queue.
+extern "C" fn secondary_entry(_arg: usize, data: *mut u8) -> ! {
     // Whoever dispatched us deferred an action (e.g. a yield's
     // self-enqueue); drain it before anything else.
     run_deferred();
+    // SAFETY: `data` is the `Arc::into_raw` of `spawn_secondary`, and a
+    // context's entry runs once.
     let uc: Arc<UcInner> = unsafe { Arc::from_raw(data as *const UcInner) };
     uc.set_state(UcState::Running);
-    let f = uc
-        .sib_entry
-        .lock()
-        .take()
-        .expect("sibling dispatched twice");
-    let status = match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(code) => code,
-        Err(_) => PANIC_EXIT_STATUS,
-    };
+    let f = uc.sib_entry.lock().take().expect("UC dispatched twice");
+    let status = catch_unwind(AssertUnwindSafe(f)).unwrap_or(PANIC_EXIT_STATUS);
 
-    // Terminate coupled with the (shared) original KC, per rule 7.
+    // Rule 7: terminate coupled with the original KC — the primary's for a
+    // sibling, a pool KC for a pooled ULP, which bound this thread to our
+    // pid when it served the couple request.
     let _ = couple();
     debug_assert!(uc.kc.is_current_thread());
     uc.set_state(UcState::Terminated);
-    // Record before publishing the result: once the waiter sees the
-    // status it may shut tracing down, and trace-based spawn/terminate
-    // accounting needs this event on every exit path.
+    // Record before the status is published: once a waiter sees it, it may
+    // shut tracing down, and trace-based spawn/terminate accounting needs
+    // this event on every exit path.
     if let Some(rt) = uc.rt.upgrade() {
         // No `decouple()` will end this coupled scope.
         uc.phases.ended_coupled(rt.runq.parker());
         rt.tracer.record(crate::trace::Event::Terminate(uc.id));
+        // A sibling's pid is its primary's, which exits with the primary.
+        if uc.kind == UcKind::Pooled {
+            let _ = rt.kernel.exit_process(uc.pid, status);
+        }
     }
-    uc.sib_result.set(status);
 
-    // Hand the KC back to the trampoline; it reclaims our stack and
-    // decrements the sibling count only after this context is fully saved
-    // (nobody will ever resume it).
-    let kc = uc.kc.clone();
+    // Hand the KC back to its idle loop. The deferred hook runs once this
+    // context is fully saved (nobody will ever resume it): it recycles our
+    // stack, releases a sibling's slot on the KC and only *then* publishes
+    // the status. Nothing may stay owned by this frame, whose locals are
+    // never dropped.
     let save_slot = uc.ctx.get();
-    let deferred = Deferred::TerminateSibling(uc.clone());
-    drop(uc);
-    let target = unsafe { *kc.tc_ctx.get() };
-    unsafe {
-        crate::couple::raw_switch(save_slot, target, Some(deferred));
-    }
-    unreachable!("terminated sibling resumed");
+    // SAFETY: we are coupled on our KC's own thread, so its idle loop is
+    // suspended in `tc_ctx` and nothing else writes it.
+    let target = unsafe { *uc.kc.tc_ctx.get() };
+    let deferred = Deferred::Terminate { uc, status };
+    // SAFETY: `save_slot` lives in the UC the deferred action holds, and that
+    // action runs only once the switch has saved this context there.
+    unsafe { crate::couple::raw_switch(save_slot, target, Some(deferred)) };
+    unreachable!("terminated UC resumed");
 }

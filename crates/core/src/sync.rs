@@ -66,10 +66,10 @@ pub trait RawUlpLock: Default + Send + Sync {
 
 /// Test-and-set spinlock: one `AtomicBool`, no fairness.
 ///
-/// The baseline policy — identical to the lock inside [`UlpMutex`]. A
-/// test-and-test-and-set read phase keeps contended waiting on a shared
-/// (read-only) cache line until the lock looks free; acquisition barges,
-/// so a waiter can starve under pathological schedules.
+/// The baseline policy, and [`UlpMutex`]'s. A test-and-test-and-set read
+/// phase keeps contended waiting on a shared (read-only) cache line until
+/// the lock looks free; acquisition barges, so a waiter can starve under
+/// pathological schedules.
 #[derive(Debug, Default)]
 pub struct TasLock {
     locked: AtomicBool,
@@ -412,80 +412,14 @@ impl<T, R: RawUlpLock> Drop for UlpLockGuard<'_, T, R> {
 }
 
 /// A cooperative spin mutex: contended lock attempts yield to other ULPs
-/// instead of blocking the kernel context.
+/// instead of blocking the kernel context — the suite's [`TasLock`] policy.
 ///
 /// Not reentrant; poisoning-free (a panicking ULP releases via the guard's
 /// unwind-run `Drop`, exactly like `parking_lot`).
-#[derive(Debug, Default)]
-pub struct UlpMutex<T> {
-    locked: AtomicBool,
-    value: std::cell::UnsafeCell<T>,
-}
-
-unsafe impl<T: Send> Send for UlpMutex<T> {}
-unsafe impl<T: Send> Sync for UlpMutex<T> {}
-
-impl<T> UlpMutex<T> {
-    /// An unlocked mutex holding `value`.
-    pub const fn new(value: T) -> UlpMutex<T> {
-        UlpMutex {
-            locked: AtomicBool::new(false),
-            value: std::cell::UnsafeCell::new(value),
-        }
-    }
-
-    /// Acquire, yielding cooperatively while contended.
-    pub fn lock(&self) -> UlpMutexGuard<'_, T> {
-        loop {
-            if let Some(g) = self.try_lock() {
-                return g;
-            }
-            stall();
-        }
-    }
-
-    /// Try to acquire without waiting.
-    pub fn try_lock(&self) -> Option<UlpMutexGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(UlpMutexGuard { mutex: self })
-        } else {
-            None
-        }
-    }
-
-    /// Consume the mutex, returning the value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
-    }
-}
+pub type UlpMutex<T> = UlpLock<T, TasLock>;
 
 /// RAII guard for [`UlpMutex`].
-pub struct UlpMutexGuard<'a, T> {
-    mutex: &'a UlpMutex<T>,
-}
-
-impl<T> std::ops::Deref for UlpMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        unsafe { &*self.mutex.value.get() }
-    }
-}
-
-impl<T> std::ops::DerefMut for UlpMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        unsafe { &mut *self.mutex.value.get() }
-    }
-}
-
-impl<T> Drop for UlpMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        self.mutex.locked.store(false, Ordering::Release);
-    }
-}
+pub type UlpMutexGuard<'a, T> = UlpLockGuard<'a, T, TasLock>;
 
 /// A one-shot (resettable) event: waiters yield until `set()`.
 #[derive(Debug, Default)]
@@ -536,9 +470,9 @@ impl UlpEvent {
     }
 }
 
-/// A reusable (sense-reversing) barrier whose waiters yield to other ULPs.
-/// Functionally identical to `ulp_pip::PipBarrier`, provided here so the
-/// core crate is self-contained for non-PiP users.
+/// A reusable (sense-reversing) barrier whose waiters yield to other ULPs
+/// instead of blocking their kernel context. `ulp_pip::PipBarrier` is this
+/// type under PiP's name.
 #[derive(Debug)]
 pub struct UlpBarrier {
     parties: usize,
@@ -557,7 +491,8 @@ impl UlpBarrier {
         }
     }
 
-    /// Wait for all parties; returns `true` on the releasing (leader) ULP.
+    /// Wait for all parties; returns `true` on the releasing ULP (the
+    /// "leader", as `pthread_barrier_wait`'s SERIAL_THREAD).
     pub fn wait(&self) -> bool {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {

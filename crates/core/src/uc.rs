@@ -13,8 +13,11 @@
 //! A *primary* UC is an OS thread's native context: the BLT starts life as a
 //! KLT with the user function running directly on the spawned thread, and
 //! the first `decouple()` turns that very context into a schedulable ULT.
-//! *Sibling* UCs (the §VII M:N extension) run on their own allocated stacks
-//! and share the primary's original KC — and therefore its kernel identity.
+//! A *secondary* UC runs on its own allocated stack, is born decoupled and
+//! terminates coupled on a KC it does not own: a *sibling* (the §VII M:N
+//! extension) shares a primary's original KC — and therefore its kernel
+//! identity — while a *pooled* ULP owns its pid and is served by a shared
+//! pool KC.
 
 use crate::park::{ParkQueue, Parker, Phases, QLink};
 use crate::runtime::RuntimeInner;
@@ -184,7 +187,8 @@ impl KcShared {
     }
 }
 
-/// One-shot result cell used by sibling handles.
+/// One-shot exit-status cell of a secondary UC: set by its termination
+/// (`Deferred::Terminate`), read by its [`crate::UlpHandle`].
 #[derive(Debug, Default)]
 pub struct OneShot {
     slot: Mutex<Slot>,
@@ -239,8 +243,9 @@ impl OneShot {
     }
 }
 
-/// Closure type a BLT or sibling executes; the i32 is the exit status the
-/// parent observes through `wait()`, mirroring `wait(2)` for PiP processes.
+/// Closure type a BLT or secondary UC executes; the i32 is the exit status
+/// the parent observes through `wait()`, mirroring `wait(2)` for PiP
+/// processes.
 pub type UlpFn = Box<dyn FnOnce() -> i32 + Send + 'static>;
 
 /// A UC's signal mask as a lock-free cell.
@@ -289,7 +294,7 @@ pub struct UcInner {
     pub id: BltId,
     /// Human-readable name given at spawn.
     pub name: String,
-    /// Primary, sibling or scheduler.
+    /// Primary, sibling, pooled or scheduler.
     pub kind: UcKind,
     /// This UC's suspended register state (valid only while suspended;
     /// guarded by the runtime's ownership protocol: a UC is either in
@@ -313,11 +318,13 @@ pub struct UcInner {
     pub errno: AtomicI32,
     /// The owning runtime (weak: UCs must not keep it alive).
     pub rt: Weak<RuntimeInner>,
-    /// Sibling-only: the allocated stack (primaries use the thread stack).
+    /// Secondary UCs only (siblings and pooled ULPs): the allocated stack
+    /// (primaries and schedulers run on their thread's stack).
     pub sib_stack: Mutex<Option<Stack>>,
-    /// Sibling-only: the entry closure, taken at first dispatch.
+    /// Secondary UCs only: the entry closure, taken at first dispatch.
     pub sib_entry: Mutex<Option<UlpFn>>,
-    /// Sibling-only: exit status for `SiblingHandle::wait`.
+    /// Secondary UCs only: the exit status for [`crate::UlpHandle::wait`],
+    /// published once the stack is back in the pool.
     pub sib_result: Arc<OneShot>,
     /// The signal mask this UC believes it has (§VII): under the default
     /// fcontext-style switching the mask is NOT installed on the executing
@@ -373,6 +380,44 @@ pub(crate) fn decode_wake_from(v: u64) -> Option<(BltId, ulp_kernel::WakeSite)> 
 }
 
 impl UcInner {
+    /// The one constructor: a UC of `kind` on the kernel context `kc`,
+    /// carrying `pid`, in state `Created`. A primary or scheduler starts
+    /// coupled on its own thread with no `entry`; a secondary UC (sibling or
+    /// pooled) is born decoupled and brings the closure its first dispatch
+    /// runs.
+    pub(crate) fn new(
+        id: BltId,
+        name: String,
+        kind: UcKind,
+        kc: Arc<KcShared>,
+        pid: Pid,
+        rt: Weak<RuntimeInner>,
+        entry: Option<UlpFn>,
+    ) -> Arc<UcInner> {
+        Arc::new(UcInner {
+            id,
+            name,
+            kind,
+            ctx: UnsafeCell::new(RawContext::null()),
+            kc,
+            pid,
+            coupled: AtomicBool::new(matches!(kind, UcKind::Primary | UcKind::Scheduler)),
+            state: AtomicU8::new(UcState::Created as u8),
+            tls: TlsStorage::new(),
+            errno: AtomicI32::new(0),
+            rt,
+            sib_stack: Mutex::new(None),
+            sib_entry: Mutex::new(entry),
+            sib_result: Arc::new(OneShot::new()),
+            sigmask: SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
+            wait_since: AtomicU64::new(0),
+            wake_from: AtomicU64::new(0),
+            spawn_ns: crate::trace::now_ns(),
+            qlink: QLink::new(),
+            phases: Phases::new(),
+        })
+    }
+
     /// Current lifecycle state.
     pub fn state(&self) -> UcState {
         match self.state.load(Ordering::Acquire) {

@@ -373,6 +373,32 @@ fn sibling_panic_is_contained() {
     assert_eq!(h.wait(), 0);
 }
 
+/// A sibling's exit status is published last, as a pooled ULP's is: once
+/// `wait()` returns, the sibling's stack is already back in the pool.
+#[test]
+fn sibling_wait_returns_after_its_stack_is_back() {
+    let rt = rt_with(IdlePolicy::Blocking, 1);
+    let h = rt.spawn("hub", || 0);
+    // The hub's trampoline serves every sibling's final couple; its stack
+    // is taken before the first sibling can terminate, so this one warms it.
+    assert_eq!(h.spawn_sibling("warm", || 0).unwrap().wait(), 0);
+    let pool = rt.stack_pool();
+    let mut early = 0;
+    for round in 0..1000 {
+        let before = pool.outstanding();
+        let sib = h.spawn_sibling("s", move || round).unwrap();
+        assert_eq!(sib.wait(), round);
+        if pool.outstanding() != before {
+            early += 1;
+        }
+    }
+    assert_eq!(
+        early, 0,
+        "{early} of 1000 sibling waits returned before the stack was back"
+    );
+    assert_eq!(h.wait(), 0);
+}
+
 #[test]
 fn oversubscription_many_ulps_few_schedulers() {
     // Fig. 6's over-subscription scenario: many more BLTs than scheduler

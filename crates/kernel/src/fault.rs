@@ -17,8 +17,8 @@
 //! - **delayed wakeups** — `futex_wake` stalls briefly before waking, so
 //!   sleepers and their wakers race over a widened window.
 //!
-//! Decisions come from the same splitmix64 construction as
-//! `ulp_core::chaos`, keyed by `(kind, currently bound pid)` with a per-key
+//! Decisions come from [`splitmix64`] — the function `ulp_core::chaos`
+//! re-exports and draws from — keyed by `(kind, currently bound pid)` with a per-key
 //! opportunity counter, so each process's fault stream replays identically
 //! regardless of how other threads interleave. A disarmed layer costs one
 //! relaxed atomic load per hook.
@@ -102,14 +102,27 @@ struct FaultState {
 static ARMED: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<FaultState>> = Mutex::new(None);
 
-/// splitmix64 finalizer — duplicated from `ulp_core::chaos` (the dependency
-/// points the other way) and pinned by test to the same output.
+/// splitmix64's finalizer: a high-quality 64-bit mix. Defined here, in the
+/// lowest crate that draws decisions; `ulp_core::chaos` re-exports it, and
+/// the torture harness derives its per-run and per-stream seeds from it.
 #[inline]
-fn mix64(x: u64) -> u64 {
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// FNV-1a over a byte string — the stable key for name-derived chaos
+/// streams and the torture harness's run digest.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
 }
 
 /// Install `plan` process-wide and reset all decision counters. Fault state
@@ -177,7 +190,7 @@ fn fire_slow(kind: FaultKind) -> bool {
     }
     let n = st.counters.entry((kind as u8, key)).or_insert(0);
     *n += 1;
-    let draw = mix64(st.plan.seed ^ mix64(key ^ ((kind as u64) << 56)) ^ mix64(*n));
+    let draw = splitmix64(st.plan.seed ^ splitmix64(key ^ ((kind as u64) << 56)) ^ splitmix64(*n));
     let fire = (draw & 1023) < u64::from(rate);
     if fire {
         st.injected[kind as usize] += 1;
@@ -249,13 +262,6 @@ mod tests {
         disarm();
         assert_eq!(injected[FaultKind::SpuriousWake as usize], 7);
         assert_eq!(injected[FaultKind::Eintr as usize], 0);
-    }
-
-    #[test]
-    fn mix64_matches_chaos_splitmix() {
-        // Pinned to the same vector as ulp_core::chaos::splitmix64 so the
-        // two decision layers stay seed-compatible.
-        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]

@@ -1,65 +1,17 @@
-//! ULP-aware barrier (PiP's `pip_barrier_t`).
+//! ULP-aware barrier (PiP's `pip_barrier_t`): [`ulp_core::UlpBarrier`]
+//! under PiP's name.
 //!
 //! A classic sense-reversing barrier whose waiters *cooperatively yield*:
 //! a decoupled ULP waiting here lets its scheduler run the stragglers —
 //! essential under over-subscription, where blocking the OS thread would
 //! starve the very tasks the barrier waits for.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A sense-reversing barrier whose waiters yield through the ULP
-/// scheduler instead of blocking their kernel context.
-#[derive(Debug)]
-pub struct PipBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl PipBarrier {
-    /// A barrier for `parties` tasks.
-    pub fn new(parties: usize) -> PipBarrier {
-        assert!(parties > 0, "barrier needs at least one party");
-        PipBarrier {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    /// How many tasks the barrier waits for.
-    pub fn parties(&self) -> usize {
-        self.parties
-    }
-
-    /// Wait until all parties arrive. Returns `true` for the task that
-    /// released the barrier (the "leader", as `pthread_barrier_wait`'s
-    /// SERIAL_THREAD).
-    pub fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            self.arrived.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
-            true
-        } else {
-            while self.generation.load(Ordering::Acquire) == gen {
-                // Run other ULPs while we wait; degrade to an OS yield when
-                // nothing is runnable (or we're not a ULT).
-                ulp_core::stall();
-            }
-            false
-        }
-    }
-
-    /// How many tasks are currently waiting (racy; diagnostics).
-    pub fn waiting(&self) -> usize {
-        self.arrived.load(Ordering::Acquire)
-    }
-}
+pub use ulp_core::UlpBarrier as PipBarrier;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]

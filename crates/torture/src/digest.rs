@@ -31,20 +31,8 @@
 //! seeding can pin down.
 
 use std::collections::HashMap;
+use ulp_core::chaos::fnv1a;
 use ulp_core::{BltId, TraceEvent, TraceRecord};
-
-/// FNV-1a, same construction the chaos layer uses for name keys.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The BLT an event is attributed to, or `None` for events that never
 /// enter the canonical form (KC idle markers).
@@ -157,7 +145,7 @@ pub fn bytes(trace: &[TraceRecord]) -> Vec<u8> {
 
 /// FNV-1a hash of [`bytes`] — the run digest reported by the harness.
 pub fn canonical(trace: &[TraceRecord]) -> u64 {
-    fnv1a(FNV_OFFSET, &bytes(trace))
+    fnv1a(&bytes(trace))
 }
 
 #[cfg(test)]

@@ -90,6 +90,18 @@ gate "a lifecycle Event:: variant is matched in $c outside trace.rs and replay.r
     "$(git ls-files -- "$c" | grep -v "^$c/\(trace\|replay\)\.rs$" | xargs -r awk '
         FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
         !t && /Event::(Decouple|Dispatch|Requeue|Yield|CoupleRequest|Coupled)[^A-Za-z].*=>/ { print FILENAME ":" FNR ": " $0 }')"
+# One secondary-UC path: every `UcInner` is built by `UcInner::new`, and
+# siblings and pooled ULPs share one entry and one termination. A literal is
+# a `UcInner {` on a line that declares no struct or impl, above each file's
+# first `#[cfg(test)]`.
+lits=$(git ls-files -- "$c" | grep '\.rs$' | xargs -r awk '
+    FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+    !t && /UcInner \{/ && !/(struct|impl)[[:space:]]/ { print FILENAME ":" FNR ": " $0 }')
+if [ "$(printf '%s\n' "$lits" | grep -c .)" -gt 1 ]; then
+    gate "more than one UcInner literal in $c (build every UC with UcInner::new)" "$lits"
+fi
+gate "a second secondary-UC path is back under crates/ (siblings and pooled ULPs share secondary_entry and Deferred::Terminate)" \
+    "$(git grep -n 'sibling_entr[y]\|pooled_entr[y]\|TerminateSiblin[g]\|TerminatePoole[d]' -- crates || true)"
 # `{{` only occurs in a format string; the tests quote rendered text (`{`).
 if [ "$(git grep -c '_bucket{{' -- $c/export.rs | cut -d: -f2)" != 1 ]; then
     gate "export.rs writes bucket lines in more than one place (hist_series renders every histogram family)" \
