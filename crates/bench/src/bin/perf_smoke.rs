@@ -26,6 +26,11 @@ const MAX_ADAPTIVE_KC_BLOCKS: f64 = 0.05;
 const MIN_BLOCKING_KC_BLOCKS: f64 = 0.5;
 const MIN_ADAPTIVE_HOME_RATIO: f64 = 0.9;
 
+/// Scopes per UC of the sibling-orbit gate, and the ceiling on KC futex
+/// blocks per couple (≈ 0.0002 with `Adaptive`'s spin arm, ≈ 0.5 without).
+const ORBIT_SCOPES: usize = 20_000;
+const MAX_ORBIT_KC_BLOCKS: f64 = 0.05;
+
 /// Clients and requests per client of the request/reply gates, the ceiling
 /// on trampoline futex blocks per request (≈ 0.95 when every `decouple()`
 /// wakes the sleeping scheduler, ≈ 0.01 when it stays home) and the ceiling
@@ -123,6 +128,24 @@ fn main() {
         format!(
             "couple loop decouples that stayed home: Adaptive {home_ratio:.3} (floor {MIN_ADAPTIVE_HOME_RATIO}), Blocking {} and BusyWait {} (exactly 0; BusyWait {busywait:.0}/s)",
             b.decouple_homes, w.decouple_homes
+        ),
+    );
+
+    // The hand-over regime the loops above stay out of: a primary and its
+    // sibling share a KC, so neither stays home, and under `Adaptive` the
+    // trampoline and the scheduler spin for each other's short waits — the
+    // one place the spin arm shows, since no gated workload hands over.
+    let orbit = {
+        let rt = Runtime::new();
+        ulp_core::sibling_orbit(&rt, ORBIT_SCOPES);
+        rt.stats().snapshot()
+    };
+    let orbit_blocks = orbit.kc_blocks as f64 / orbit.couples as f64;
+    gate(
+        orbit_blocks <= MAX_ORBIT_KC_BLOCKS,
+        format!(
+            "sibling orbit KC blocks per couple: {orbit_blocks:.4} (ceiling {MAX_ORBIT_KC_BLOCKS}; {} couples)",
+            orbit.couples
         ),
     );
 

@@ -214,12 +214,10 @@ pub fn decouple() -> Result<bool, UlpError> {
         me.coupled
             .store(false, std::sync::atomic::Ordering::Release);
         let save = me.ctx.get();
-        // The coupled scope ends here and the decoupled stretch begins
-        // (`park.rs`, "The idle decision"): one clock read serves both, and
-        // the waiter's dispatch below.
+        // The decoupled stretch begins (`park.rs`, "Staying home").
         let now = crate::trace::now_ns();
         let rt = b.rt().expect("checked above");
-        let (runq, schedulers) = (rt.runq.parker(), rt.config.n_schedulers);
+        let policy = rt.config.idle_policy;
         // Direct-handoff fast path: a couple requester already waits in
         // this KC's pending queue, so switch straight into it instead of
         // detouring through the trampoline — the requester resumes on its
@@ -233,8 +231,7 @@ pub fn decouple() -> Result<bool, UlpError> {
         // requester's registers landed (Table I race point 1). With nobody
         // waiting the probe is one load of the queue's length.
         if let Some(waiter) = me.kc.pending.pop(false) {
-            me.phases.decoupling(now, runq, schedulers, None);
-            waiter.phases.dispatched(now, &me.kc.parker);
+            me.phases.decoupling(now, policy);
             if let Some(s) = b.shard() {
                 s.bump_couple_handoffs();
             }
@@ -283,9 +280,7 @@ pub fn decouple() -> Result<bool, UlpError> {
         // buys nothing for a stretch shorter than the two hand-overs it
         // costs. A heuristic on racy reads: either answer is always correct.
         let siblings = &me.kc.sibling_count;
-        let stay = me
-            .phases
-            .decoupling(now, runq, schedulers, Some(&me.kc.parker))
+        let stay = me.phases.decoupling(now, policy)
             && me.kind == UcKind::Primary
             && siblings.load(std::sync::atomic::Ordering::Relaxed) == 0;
         let target = unsafe { *me.kc.tc_ctx.get() };

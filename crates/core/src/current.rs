@@ -433,17 +433,11 @@ pub fn run_deferred() {
                 b.home.set(Some(uc));
             }
             Deferred::CoupleRequest(uc) => {
-                // The UC's decoupled stretch ends with this publication. A
-                // scheduler that publishes it is one of those who may expect
-                // it back (`park.rs`, "The idle decision"); the UC's own
-                // trampoline, at home, is not: no scheduler is waiting for
-                // this scope to end, and the KC is awake — it is us.
+                // The UC's decoupled stretch ends with this publication
+                // (`park.rs`, "Staying home").
                 let at_home = b.at_home();
                 let now = crate::trace::now_ns();
-                if let Some(rt) = b.rt() {
-                    let runq = (!at_home).then(|| rt.runq.parker());
-                    uc.phases.publishing(now, runq);
-                }
+                uc.phases.publishing(now);
                 if let Some(t) = b.trace() {
                     if t.is_on() {
                         t.record_at(now, crate::trace::Event::CoupleRequest(uc.id));

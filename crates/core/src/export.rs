@@ -314,9 +314,8 @@ fn labelled_families(
 /// system-call-consistency violations (the audit log's length — also
 /// independent of tracing),
 /// `trace_dropped` the tracer's lost-record count for the current recording
-/// run (a gauge: `Tracer::enable` resets it), `park_expected` the run
-/// queue parker's count of wakes on their way (a gauge: 0 at quiescence)
-/// and `runqueue_depth` the runnable UCs queued right now (a gauge).
+/// run (a gauge: `Tracer::enable` resets it) and `runqueue_depth` the
+/// runnable UCs queued right now (a gauge).
 #[allow(clippy::too_many_arguments)]
 pub fn prometheus_text(
     stats: &StatsSnapshot,
@@ -327,7 +326,6 @@ pub fn prometheus_text(
     violations_total: u64,
     pool: &PoolMetrics,
     trace_dropped: u64,
-    park_expected: u64,
     runqueue_depth: u64,
 ) -> String {
     let mut out = String::new();
@@ -345,12 +343,6 @@ pub fn prometheus_text(
     scalar_families(
         &mut out,
         &[
-            (
-                "gauge",
-                "ulp_park_expected",
-                "Coupled scopes in flight that idle schedulers spin for (wakes known to be on their way).",
-                park_expected,
-            ),
             (
                 "gauge",
                 "ulp_runqueue_depth",
@@ -652,7 +644,7 @@ mod tests {
             sleeps: 4,
         };
         let sys = SyscallSnapshot::new();
-        let text = prometheus_text(&stats, &lat, &sys, 0, &waits, 3, &pool, 5, 2, 7);
+        let text = prometheus_text(&stats, &lat, &sys, 0, &waits, 3, &pool, 5, 7);
         assert!(text.contains("# TYPE ulp_kernel_wait_total counter"));
         assert!(text.contains(
             "ulp_kernel_wait_total{outcome=\"spin_hit\"} 11\n\
@@ -668,7 +660,6 @@ mod tests {
         assert!(text.contains("ulp_trace_dropped_total 5\n"));
         assert!(text.contains("# TYPE ulp_park_total counter"));
         assert!(text.contains("ulp_park_total{outcome=\"spin_miss\"} 0\n"));
-        assert!(text.contains("ulp_park_expected 2\n"));
         assert!(text.contains("# TYPE ulp_stack_outstanding gauge"));
         assert!(text.contains("ulp_stack_pool_hits_total 9\n"));
         assert!(text.contains("ulp_stack_pool_misses_total 4\n"));
@@ -979,7 +970,6 @@ mod tests {
             &PoolMetrics::default(),
             0,
             0,
-            0,
         );
         assert!(text.contains("ulp_kernel_syscalls_total 17\n"));
         assert!(text.contains("ulp_syscall_violations_total 0\n"));
@@ -1062,7 +1052,6 @@ mod tests {
             &PoolMetrics::default(),
             0,
             0,
-            0,
         );
         assert!(text.contains("# TYPE ulp_wake_total counter"));
         assert!(text.contains("ulp_wake_total{site=\"epoll_wait\"} 3\n"));
@@ -1090,7 +1079,6 @@ mod tests {
             &WaitOutcomes::default(),
             0,
             &PoolMetrics::default(),
-            0,
             0,
             0,
         );

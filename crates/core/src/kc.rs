@@ -70,15 +70,14 @@ extern "C" fn tc_entry(_arg: usize, data: *mut u8) -> ! {
     tc_loop(boot)
 }
 
-/// The KC's idle loop popped `uc`'s couple request and is about to run it:
-/// the coupled scope begins (`park.rs`, "The idle decision"). If the request
-/// woke the KC from a park, that park's exit already consumed the `kc_notify`
-/// stamp the request armed; if it was served without one — the KC was
-/// spinning, or between two passes — the stamp is dropped here, or a later
-/// park that merely timed out would claim it.
-fn serve(kc: &KcShared, uc: &UcInner, tally: &mut IdleTally) {
+/// The KC's idle loop popped a couple request and is about to run its UC:
+/// the idle period is over. If the request woke the KC from a park, that
+/// park's exit already consumed the `kc_notify` stamp the request armed; if
+/// it was served without one — the KC was spinning, or between two passes —
+/// the stamp is dropped here, or a later park that merely timed out would
+/// claim it.
+fn serve(kc: &KcShared, tally: &mut IdleTally) {
     tally.found_work();
-    uc.phases.dispatched(crate::trace::now_ns(), &kc.parker);
     crate::current::with_thread(|b| {
         if b.trace().is_some_and(|t| t.is_on()) {
             let _ = kc.wake.take();
@@ -111,7 +110,7 @@ fn tc_loop(boot: &TcBoot) -> ! {
         // Rule 6: an idle KC given a UC starts running it. Couple requests
         // are served strictly in arrival order.
         if let Some(uc) = kc.pending.pop(false) {
-            serve(kc, &uc, &mut tally);
+            serve(kc, &mut tally);
             // TC→UC switch: the TLS register is restored but NOT reloaded
             // at cost — the §V-B exemption ("excepting the context switch
             // between TC and UC"). The pending queue's Arc moves straight
@@ -146,7 +145,9 @@ fn tc_loop(boot: &TcBoot) -> ! {
             _ => 0,
         });
         rt.stack_pool.scavenge();
-        let how = tally.idled(kc.parker.park(seen, || kc.pending.is_empty_locked()));
+        let how = kc
+            .parker
+            .park(seen, &mut tally, || kc.pending.is_empty_locked());
         if how.blocked() {
             rt.stats.fallback().bump_kc_blocks();
             crate::current::with_thread(|b| {
@@ -203,13 +204,13 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<KcShared>) {
     // defensively) is a no-op.
     kc.tc_started.store(true, Ordering::Release);
     crate::current::set_runtime(rt.clone());
-    let mut tally = IdleTally::default();
+    let mut tally = IdleTally::starting();
     loop {
         // The version read precedes the work checks (park protocol).
         let seen = kc.parker.version();
 
         if let Some(uc) = kc.pending.pop(false) {
-            serve(&kc, &uc, &mut tally);
+            serve(&kc, &mut tally);
             // Rebind unconditionally: a direct decouple→couple handoff on
             // this KC may have left the thread bound to a different pooled
             // pid than the last one this loop served, so a cached "last
@@ -230,8 +231,9 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<KcShared>) {
         // Rule 5: idle. Pool KCs have no primary BltId to tag a KcBlocked
         // event with, so blocks surface in stats (`kc_blocks`) only.
         rt.stack_pool.scavenge();
-        if tally
-            .idled(kc.parker.park(seen, || kc.pending.is_empty_locked()))
+        if kc
+            .parker
+            .park(seen, &mut tally, || kc.pending.is_empty_locked())
             .blocked()
         {
             rt.stats.fallback().bump_kc_blocks();

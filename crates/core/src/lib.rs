@@ -126,3 +126,26 @@ pub fn self_info() -> Option<(BltId, ulp_kernel::Pid, UcKind)> {
 pub fn self_id() -> Option<BltId> {
     current::current_ulp().map(|u| u.id)
 }
+
+/// A primary and one sibling on `rt`, each running `scopes`
+/// `coupled_scope(getpid)`s: their KC keeps neither at home, so every scope
+/// and every stretch is a hand-over. Shared by this crate's tests and
+/// `perf_smoke`; not part of the API.
+#[doc(hidden)]
+pub fn sibling_orbit(rt: &Runtime, scopes: usize) {
+    let orbit = move || {
+        for _ in 0..scopes {
+            coupled_scope(|| sys::getpid().unwrap()).unwrap();
+        }
+        0
+    };
+    let primary = rt.spawn("orbit-primary", move || {
+        decouple().unwrap();
+        orbit()
+    });
+    let sibling = primary
+        .spawn_sibling("orbit-sibling", orbit)
+        .expect("a live primary takes a sibling");
+    assert_eq!(sibling.wait(), 0);
+    assert_eq!(primary.wait(), 0);
+}

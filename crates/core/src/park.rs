@@ -18,7 +18,9 @@
 //!
 //! A **producer** ([`ParkQueue::push`]) links the UC and reads `sleepers`
 //! **inside the same critical section**; only when that read is non-zero
-//! does it (after unlocking) bump `version` and `futex_wake`.
+//! does it (after unlocking) bump `version` and `futex_wake`. (`sleepers`
+//! is the low half of the parker's [`Waiters`] count; `Adaptive` spinners
+//! count in the high half, which wakes nobody — "The idle decision".)
 //!
 //! Take one push *P* and one park *K* that serve the same queue. The queue
 //! lock totally orders P's critical section and K's re-check of that queue:
@@ -83,57 +85,64 @@
 //!
 //! Whether a consumer that found nothing spins or sleeps is decided in
 //! [`Parker::park`] and nowhere else. BUSYWAIT always spins, BLOCKING always
-//! sleeps (paper §VI-C); `Adaptive` — the default — spins exactly while a
-//! wake is *known to be on its way*, and otherwise announces and sleeps at
-//! once.
+//! sleeps (paper §VI-C); `Adaptive` — the default — applies the kernel's
+//! rule through the kernel's type: every parker holds a [`Waiters`]
+//! (`ulp_kernel`'s `wait.rs`, rule 4), and a consumer spins while its idle
+//! period is younger than [`SPIN_BREAK_EVEN_NS`] and the parker's last wait
+//! was shorter than that, and was timed less than 1 ms before the period
+//! began; otherwise it announces and sleeps at once. A parker with no history
+//! sleeps, and so does one whose consumer was busy for a millisecond since —
+//! running a coupled scope that blocked in the kernel, hosting a UC at home:
+//! the sample describes a regime that may be over.
 //!
-//! Every park waits out a phase the *other* side is running. A scheduler
-//! with an empty run queue waits for some coupled scope to end in
-//! `decouple()`; a trampoline with an empty `pending` waits for its UC's
-//! decoupled stretch to end in `couple()`. Each UC carries the last length
-//! of both ([`Phases`]), timed **on the side that executes the phase** —
-//! `scope_run` from the KC's dispatch of the coupler to its `decouple()`,
-//! `ult_gap` from that `decouple()` to the publication of its next
-//! `CoupleRequest` — so a sample never depends on whether the waiter slept.
-//! (A predictor fed by the waiter's own idle gaps does, and was bistable:
-//! sleeping makes the gap long, a long gap says sleep.) Three clock reads
-//! per couple/decouple pair, none on the yield path.
+//! The last wait runs from the first failed check of the idle period the
+//! first waiter counted in belongs to — kept in the consumer's [`IdleTally`],
+//! which every idle loop owns — to the push that ended it, and it is timed
+//! **by the pusher**, inside the critical section in which [`ParkQueue::push`]
+//! reads the count anyway. A slow OS wake-up therefore never lengthens the
+//! sample. (A predictor fed by the waiter's own idle gaps does, and was
+//! bistable: sleeping makes the gap long, a long gap says sleep.) For the
+//! pusher to see a spinner, a spin pass counts itself in, in the high half of
+//! the count ([`SPINNER`]), and out after; a push that finds only spinners
+//! times their wait and wakes nobody. Nothing is registered and nothing needs
+//! balancing: a sample is a timestamp, so a UC that blocks or terminates
+//! mid-scope leaves nothing behind. Only `Adaptive` dates a wait, and only a
+//! dated one costs the push a clock read ([`IdleTally::starting`] has the
+//! one undated `Adaptive` period).
 //!
-//! A phase that was last shorter than a sleep costs registers with the
-//! parker that waits for it ([`Parker::expect`]); the waiter spins while
-//! that count is non-zero and the newest registration is younger than
-//! [`SPIN_DEADLINE_NS`]. The count drops where the phase ends — or where the
-//! UC terminates without ending it — so it is exact at quiescence. A spin
-//! pass returns to the caller's loop without announcing, exactly as the
-//! BUSYWAIT arm does, so it re-reads its queue every pass and cannot lose
-//! a wake-up: the announce → locked re-check → `futex_wait` protocol above
-//! is what every sleep still goes through.
+//! A spin pass returns to the caller's loop without announcing, exactly as
+//! the BUSYWAIT arm does, so it re-reads its queue every pass and cannot lose
+//! a wake-up: the announce → locked re-check → `futex_wait` protocol above is
+//! what every sleep still goes through.
 //!
 //! ## Staying home
 //!
-//! The same evidence answers the opposite question. A `decouple()` pays one
-//! hand-over to leave — a wake-up, or a slice of a spinning scheduler — and
-//! its `couple()` a second to come back, and Table I never says KC₁ ≠ KC₀.
-//! A `Primary` whose KC serves nobody else gains nothing by leaving for a
-//! stretch shorter than that, *whoever is awake*: under `Adaptive` it stays
-//! on its own KC, hosted by its trampoline, iff its last decoupled stretch
-//! came straight back ([`HOME_BREAK_EVEN_NS`]). That stretch is timed from
-//! the **host's dispatch**, not from `decouple()` like `ult_gap` (`queued` is
-//! the difference): `ult_gap` contains the scheduler's wake-up exactly when
-//! the scheduler slept — right for the spin decision, where a slow wake says
-//! "do not spin", and wrong here, where a slow wake is the reason to stay.
-//! One more clock read per dispatch of a primary; with no history (a first
-//! `decouple()`) the answer is leave. At home `yield_now()` is the kernel's
-//! yield while the running stretch is younger than the same break-even (one
-//! clock read, on the at-home branch only) and hands the KC back after. The
-//! UC is never published to another thread while it is at home, so none of
-//! the protocol above is involved: `couple.rs` and `kc.rs` have the switches.
+//! A `decouple()` pays one hand-over to leave — a wake-up, or a slice of a
+//! spinning scheduler — and its `couple()` a second to come back, and Table
+//! I never says KC₁ ≠ KC₀. A `Primary` whose KC serves nobody else gains
+//! nothing by leaving for a stretch shorter than that, *whoever is awake*:
+//! under `Adaptive` it stays on its own KC, hosted by its trampoline, iff its
+//! last decoupled stretch came straight back ([`HOME_BREAK_EVEN_NS`]). Each UC
+//! carries that evidence ([`Phases`]), timed **on the side that runs the
+//! stretch**: `ult_gap` from its `decouple()` to the publication of its next
+//! `CoupleRequest`, less `queued`, the part before a host dispatched it —
+//! which contains the scheduler's wake-up exactly when the scheduler slept,
+//! and a slow wake is the reason to stay, not to leave. Three clock reads per
+//! couple/decouple pair (one of them per dispatch of a primary), none on the
+//! yield path; with no history (a first `decouple()`) the answer is leave.
+//! At home `yield_now()` is the kernel's yield while the running stretch is
+//! younger than the same break-even (one clock read, on the at-home branch
+//! only) and hands the KC back after. The UC is never published to another
+//! thread while it is at home, so none of the protocol above is involved:
+//! `couple.rs` and `kc.rs` have the switches.
 //!
-//! `model.rs` next to this file checks the protocol — spin arm included —
-//! on every interleaving of its atomic steps (2 producers × 1 consumer)
-//! under sequential consistency; the tests below hammer the real thing.
+//! `model.rs` next to this file checks the protocol — spinners' count
+//! included — on every interleaving of its atomic steps (2 producers × 1
+//! consumer) under sequential consistency; the tests below hammer the real
+//! thing.
 //!
 //! [`KcShared`]: crate::uc::KcShared
+//! [`SPIN_BREAK_EVEN_NS`]: ulp_kernel::SPIN_BREAK_EVEN_NS
 
 use crate::trace::now_ns;
 use crate::uc::{IdlePolicy, UcInner};
@@ -142,7 +151,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use ulp_kernel::{futex_wait_timeout, futex_wake};
+use ulp_kernel::{futex_wait_timeout, futex_wake, Waiters, SLEEPERS, SPINNER};
 
 /// `pause`s a lock waiter spends before it sleeps its OS thread; also the
 /// length of one BUSYWAIT / Adaptive idle pass, which ends in a
@@ -150,22 +159,6 @@ use ulp_kernel::{futex_wait_timeout, futex_wake};
 /// them rotate (`couple_io`, 5 threads on 2 vCPUs: 157–163 k ops/s spinning
 /// on `pause` alone, ~180 k sleeping every time, 383–413 k with the yield).
 const SPINS: u32 = 64;
-
-/// A coupled scope that last ran shorter than this is worth a scheduler's
-/// spin: a futex sleep and wake cost 14–40 µs on the 2-vCPU reference host,
-/// `couple_io`'s scope (`getpid`/`open`/`write`/`close`) runs 2–3 µs, and
-/// `echo`'s — ~50 µs blocked in a socket `read` — must stay on the far side
-/// with room to spare.
-const SCOPE_BREAK_EVEN_NS: u32 = 5_000;
-
-/// A decoupled stretch that last ran shorter than this is worth a
-/// trampoline's spin. Wider than [`SCOPE_BREAK_EVEN_NS`] because the stretch
-/// contains the scheduler's own spin pass and the other UCs' turns (10–20 µs
-/// with four UCs in a debug build): at 5 µs `couple_io` read 233–251 k ops/s
-/// instead of 383–413 k. It also contains the scheduler's wake-up exactly
-/// when the scheduler slept, which reads long — and then "do not spin" is
-/// the right answer anyway.
-const GAP_BREAK_EVEN_NS: u32 = 50_000;
 
 /// A decoupled stretch whose *own* run time — its host's dispatch of the UC →
 /// the publication of its next `CoupleRequest`, the queue wait and the
@@ -181,15 +174,6 @@ const GAP_BREAK_EVEN_NS: u32 = 50_000;
 /// through a scheduler: a lone BLT's `coupled_scope(getpid)` loop read 552 ns
 /// per round trip at 5 µs and 386 ns here.
 const HOME_BREAK_EVEN_NS: u32 = 50_000;
-
-/// How long after the newest [`Parker::expect`] a waiter keeps spinning: what
-/// the sleep it is trying to avoid would have cost, so a wrong prediction
-/// wastes no more than it hoped to save (`couple_io`, whose predictions
-/// hold, reads the same from 10 µs to 200 µs). A deadline on the clock and
-/// not a pass count, because beside a CPU-bound neighbour one pass's
-/// `sched_yield` costs a scheduler slice (ISSUE 19: the old streak's 64
-/// passes took 99 ms next to a ULT spinning on the scheduler KC).
-const SPIN_DEADLINE_NS: u64 = 50_000;
 
 /// A UC's intrusive queue link. A UC sits in at most one [`ParkQueue`] at
 /// a time (it is in one queue, pending on one KC, or running — see
@@ -297,15 +281,15 @@ impl ParkQueue {
         }
     }
 
-    /// The producer half of the protocol (module docs): enqueue `uc`, and
-    /// wake `parker`'s sleepers iff one was announced by the time the UC
-    /// was linked.
+    /// The producer half of the protocol (module docs): enqueue `uc`; if
+    /// anybody waits on `parker` by the time the UC is linked, time their
+    /// wait ("The idle decision"), and wake them iff a sleeper is among them.
     #[inline]
     pub fn push(&self, uc: Arc<UcInner>, parker: &Parker) {
         let sleeper = {
             let mut q = self.lock();
             q.push_back(uc);
-            parker.sleepers.load(Ordering::Relaxed) != 0
+            parker.waiters.ended() & SLEEPERS != 0
         };
         if sleeper {
             parker.poke();
@@ -440,19 +424,17 @@ impl ParkQueueGuard<'_> {
 }
 
 /// What idle consumers of one or more [`ParkQueue`]s sleep on: the futex
-/// word, the announced-sleeper count, and the one place the [`IdlePolicy`]
-/// is interpreted.
+/// word, who waits on it and for how long the last of them waited, and the
+/// one place the [`IdlePolicy`] is interpreted.
 #[derive(Debug)]
 pub struct Parker {
     /// Futex word. Moves only when a sleeper was announced at a push, or on
     /// a [`Parker::poke`].
     version: AtomicU32,
-    /// Consumers between announce and un-announce in [`Parker::park`].
-    sleepers: AtomicU32,
-    /// Wakes known to be on their way (module docs, "The idle decision").
-    expected: AtomicU32,
-    /// `now_ns()` past which `Adaptive` stops spinning for them.
-    spin_until: AtomicU64,
+    /// Consumers between announce and un-announce in [`Parker::park`], and
+    /// `Adaptive` spinners for the length of a pass; the last wait a push
+    /// ended (module docs, "The idle decision").
+    waiters: Waiters,
     idle_policy: IdlePolicy,
     /// Bound on one futex sleep: callers re-check in a loop, and idle KCs
     /// run the stack scavenger once per pass.
@@ -465,9 +447,7 @@ impl Parker {
     pub fn new(idle_policy: IdlePolicy, timeout: Duration) -> Parker {
         Parker {
             version: AtomicU32::new(0),
-            sleepers: AtomicU32::new(0),
-            expected: AtomicU32::new(0),
-            spin_until: AtomicU64::new(0),
+            waiters: Waiters::default(),
             idle_policy,
             timeout,
         }
@@ -482,13 +462,13 @@ impl Parker {
 
     /// Bump `version` and wake every announced sleeper: the wake half of a
     /// push that saw one, and the whole of a non-queue event (the caller
-    /// stored its flag first). The `SeqCst` bump → `sleepers` load pairs
-    /// with `park`'s `SeqCst` announce → `version` load, so the system call
-    /// is skipped only when no consumer can be about to sleep on the old
+    /// stored its flag first). The `SeqCst` bump → count load pairs with
+    /// `park`'s `SeqCst` announce → `version` load, so the system call is
+    /// skipped only when no consumer can be about to sleep on the old
     /// version.
     pub fn poke(&self) {
         self.version.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) != 0 {
+        if self.waiters.counted() & SLEEPERS != 0 {
             futex_wake(&self.version, i32::MAX);
         }
     }
@@ -496,48 +476,21 @@ impl Parker {
     /// Announced sleepers (tests wait on this to catch a consumer parked).
     #[cfg(test)]
     pub(crate) fn announced(&self) -> u32 {
-        self.sleepers.load(Ordering::SeqCst)
-    }
-
-    /// A wake is on its way to this parker's consumers: some UC entered, at
-    /// `now`, a phase that ends in a push to a queue they serve and was last
-    /// shorter than a sleep costs. `Adaptive` consumers spin instead of
-    /// sleeping until the matching [`Parker::unexpect`], or until
-    /// [`SPIN_DEADLINE_NS`] after the newest such call. Both words are
-    /// `Relaxed`: they steer a heuristic and publish nothing — a spinner that
-    /// reads one of them stale spins or sleeps once too often, and every
-    /// sleep still goes through the announce → re-check protocol.
-    pub(crate) fn expect(&self, now: u64) {
-        self.spin_until
-            .store(now + SPIN_DEADLINE_NS, Ordering::Relaxed);
-        self.expected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The phase behind one [`Parker::expect`] ended (its push is next), or
-    /// its UC terminated without ending it.
-    pub(crate) fn unexpect(&self) {
-        let was = self.expected.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(was != 0, "unexpect() without a matching expect()");
-    }
-
-    /// Wakes currently known to be on their way; 0 at quiescence.
-    pub fn expected(&self) -> u32 {
-        self.expected.load(Ordering::Relaxed)
-    }
-
-    /// The regime gate for trampolines: of this parker's `consumers` at least
-    /// one is awake and it is itself waiting on short phases — the runtime is
-    /// in a couple/decouple orbit, not serving the odd request between sleeps.
-    fn in_orbit(&self, consumers: u32) -> bool {
-        self.expected() != 0 && self.sleepers.load(Ordering::Relaxed) < consumers
+        self.waiters.counted() & SLEEPERS
     }
 
     /// Idle once — the consumer half of the protocol (module docs). `seen`
-    /// is the `version` read before the caller's fruitless checks;
-    /// `queues_empty` re-checks the queue it serves under the queue's
-    /// lock. Either one spin pass (BUSYWAIT, or `Adaptive` with a wake on
-    /// its way) or a sleep until `version` moves (bounded by the time-out).
-    pub fn park(&self, seen: u32, queues_empty: impl FnOnce() -> bool) -> Idled {
+    /// is the `version` read before the caller's fruitless checks, `idle`
+    /// the caller's record of its idle period, and `queues_empty` re-checks
+    /// the queue it serves under the queue's lock. Either one spin pass
+    /// (BUSYWAIT, or `Adaptive` while the rule says spin) or a sleep until
+    /// `version` moves (bounded by the time-out).
+    pub fn park(
+        &self,
+        seen: u32,
+        idle: &mut IdleTally,
+        queues_empty: impl FnOnce() -> bool,
+    ) -> Idled {
         // Torture hook: behave as the opposite idle policy for this one
         // call (no-op unless chaos is armed). Flipping BUSYWAIT→BLOCKING is
         // bounded by the time-out even if no producer ever wakes us.
@@ -549,35 +502,47 @@ impl Parker {
         } else {
             self.idle_policy
         };
-        let spin = match policy {
-            IdlePolicy::BusyWait => true,
-            IdlePolicy::Blocking => false,
+        // Only `Adaptive` reads the clock: BLOCKING's sleep is the paper's,
+        // and its waits are undated, so no push times them either.
+        let since = match policy {
+            IdlePolicy::BusyWait => {
+                spin_pass();
+                return idle.idled(Idled::Spun);
+            }
+            IdlePolicy::Blocking => 0,
             IdlePolicy::Adaptive => {
-                self.expected() != 0 && now_ns() < self.spin_until.load(Ordering::Relaxed)
+                let now = now_ns();
+                let since = *idle.since.get_or_insert(now);
+                if self.waiters.spin(since, now) {
+                    // Counted in for the pass, so a push during it times this
+                    // wait (and, finding no sleeper, wakes nobody).
+                    self.waiters.count_in(SPINNER, since);
+                    spin_pass();
+                    self.waiters.count_out(SPINNER);
+                    return idle.idled(Idled::Spun);
+                }
+                since
             }
         };
-        if spin {
-            for _ in 0..SPINS {
-                std::hint::spin_loop();
-            }
-            // With fewer cores than spinning KCs a pure spin would stall
-            // hand-offs for a scheduling quantum; the yield keeps busy-wait
-            // semantics (no futex sleep) and lets the peer run. A no-op on
-            // the paper's dedicated cores.
-            std::thread::yield_now();
-            return Idled::Spun;
-        }
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.waiters.count_in(1, since);
         let woken = self.version.load(Ordering::SeqCst) == seen
             && queues_empty()
             && futex_wait_timeout(&self.version, seen, self.timeout);
-        self.sleepers.fetch_sub(1, Ordering::Release);
-        if woken {
-            Idled::Woken
-        } else {
-            Idled::Blocked
-        }
+        self.waiters.count_out(1);
+        idle.idled(if woken { Idled::Woken } else { Idled::Blocked })
     }
+}
+
+/// One idle pass that does not sleep: a bounded `pause` spin, then a
+/// `sched_yield`. With fewer cores than spinning KCs a pure spin would stall
+/// hand-offs for a scheduling quantum; the yield keeps busy-wait semantics
+/// (no futex sleep) and lets the peer run. A no-op on the paper's dedicated
+/// cores.
+fn spin_pass() {
+    for _ in 0..SPINS {
+        std::hint::spin_loop();
+    }
+    std::thread::yield_now();
 }
 
 /// How one [`Parker::park`] call idled.
@@ -599,19 +564,39 @@ impl Idled {
     }
 }
 
-/// One idle loop's record of how its idle periods end, kept on its own stack
-/// and counted into its thread's stats shard (`ulp_park_total`): a period
+/// One idle loop's idle period, kept on its own stack: when it began — its
+/// first failed check, from which [`Parker::park`] times it — and how it
+/// ends, counted into the thread's stats shard (`ulp_park_total`): a period
 /// that spun ends in a *hit* (work arrived — a sleep saved) or a *miss* (the
-/// deadline passed and it slept anyway — [`SPIN_DEADLINE_NS`] of CPU burnt).
+/// break-even passed and it slept anyway — up to
+/// [`SPIN_BREAK_EVEN_NS`](ulp_kernel::SPIN_BREAK_EVEN_NS) of CPU
+/// burnt).
 #[derive(Debug, Default)]
-pub(crate) struct IdleTally {
+pub struct IdleTally {
+    /// The period's first failed check on the `now_ns()` clock (`None`: the
+    /// loop is not idle, or has not parked under a policy that reads it; 0:
+    /// undated, [`IdleTally::starting`]).
+    since: Option<u64>,
     spinning: bool,
 }
 
 impl IdleTally {
-    /// The loop popped a UC.
+    /// The tally of a loop that starts idle — a scheduler, a pool KC. Its
+    /// first idle period began before anything could be handed to it, so it
+    /// is undated and the push that ends it takes no sample: a scheduler that
+    /// started just before the first UC decoupled would sample a few µs, and
+    /// spin on it through that UC's first coupled scope.
+    pub(crate) fn starting() -> IdleTally {
+        IdleTally {
+            since: Some(0),
+            spinning: false,
+        }
+    }
+
+    /// The loop popped a UC: the idle period is over.
     #[inline]
     pub(crate) fn found_work(&mut self) {
+        self.since = None;
         if std::mem::take(&mut self.spinning) {
             crate::current::with_thread(|b| {
                 if let Some(s) = b.shard() {
@@ -622,7 +607,7 @@ impl IdleTally {
     }
 
     /// The loop idled once; passes `how` through.
-    pub(crate) fn idled(&mut self, how: Idled) -> Idled {
+    fn idled(&mut self, how: Idled) -> Idled {
         if how == Idled::Spun {
             self.spinning = true;
         } else {
@@ -646,44 +631,31 @@ fn phase_ns(from: u64, to: u64) -> u32 {
     u32::try_from(to.saturating_sub(from)).unwrap_or(u32::MAX)
 }
 
-/// A UC's idle-decision state (module docs, "The idle decision"): when its
-/// current phase began, how long each kind last took, and which parkers
-/// currently count it as a wake on its way. Every field is written by the
-/// thread that holds the UC at that point of its couple/decouple cycle and
-/// read by the next one; the queue hand-over between them orders the
-/// accesses, so they are `Relaxed`.
+/// A UC's stay-home evidence (module docs, "Staying home"): when its
+/// decoupled stretch began and how long the last one took. Every field is
+/// written by the thread that holds the UC at that point of its
+/// couple/decouple cycle and read by the next one; the queue hand-over
+/// between them orders the accesses, so they are `Relaxed`.
 #[derive(Debug)]
 pub struct Phases {
-    /// `now_ns()` at the KC's dispatch of this UC while it is coupled, at
-    /// its `decouple()` while it is not.
+    /// `now_ns()` at this UC's last `decouple()`.
     since: AtomicU64,
-    /// Last KC dispatch → `decouple()`, timed on the KC.
-    scope_run: AtomicU32,
-    /// Last `decouple()` → `CoupleRequest` publication, timed on the
-    /// schedulers.
+    /// Last `decouple()` → `CoupleRequest` publication, timed on the hosts.
     ult_gap: AtomicU32,
     /// `decouple()` → the dispatch of this UC by a host (a scheduler, or its
     /// own trampoline at home): the part of `ult_gap` it spent waiting — in
-    /// the run queue, for a scheduler to wake up — rather than running
-    /// ("Staying home"). 0 until a host dispatches it.
+    /// the run queue, for a scheduler to wake up — rather than running. 0
+    /// until a host dispatches it.
     queued: AtomicU32,
-    /// Counted in the run queue parker's `expected` (publication →
-    /// `decouple()` or coupled termination).
-    awaited_by_scheduler: AtomicBool,
-    /// Counted in its KC parker's `expected` (`decouple()` → KC dispatch).
-    awaited_by_kc: AtomicBool,
 }
 
 impl Phases {
-    /// No phase timed yet: nobody spins for this UC.
+    /// No stretch timed yet: the first `decouple()` leaves.
     pub(crate) const fn new() -> Phases {
         Phases {
             since: AtomicU64::new(0),
-            scope_run: AtomicU32::new(u32::MAX),
             ult_gap: AtomicU32::new(u32::MAX),
             queued: AtomicU32::new(0),
-            awaited_by_scheduler: AtomicBool::new(false),
-            awaited_by_kc: AtomicBool::new(false),
         }
     }
 
@@ -695,67 +667,26 @@ impl Phases {
     }
 
     /// This UC's `CoupleRequest` is about to be pushed, at `now`: its
-    /// decoupled stretch ends. `runq` is the run queue's parker when a
-    /// scheduler publishes it — the schedulers can expect the UC back iff its
-    /// scopes are short — and `None` at home, where no scheduler gave it up
-    /// and none is waiting for it.
-    pub(crate) fn publishing(&self, now: u64, runq: Option<&Parker>) {
+    /// decoupled stretch ends.
+    pub(crate) fn publishing(&self, now: u64) {
         let since = self.since.load(Ordering::Relaxed);
         self.ult_gap.store(phase_ns(since, now), Ordering::Relaxed);
-        if let Some(runq) = runq {
-            if self.scope_run.load(Ordering::Relaxed) < SCOPE_BREAK_EVEN_NS {
-                self.awaited_by_scheduler.store(true, Ordering::Relaxed);
-                runq.expect(now);
-            }
-        }
     }
 
-    /// Its original KC (parker `kc`) popped this UC's request and is about
-    /// to run it, at `now`: the coupled scope begins.
-    pub(crate) fn dispatched(&self, now: u64, kc: &Parker) {
+    /// This UC is in `decouple()` on its original KC, at `now`: its next
+    /// decoupled stretch begins. Returns whether the evidence says *stay
+    /// home*: `policy` is `Adaptive` and the last stretch came straight back
+    /// (the caller knows whom the KC serves).
+    pub(crate) fn decoupling(&self, now: u64, policy: IdlePolicy) -> bool {
         self.since.store(now, Ordering::Relaxed);
-        if self.awaited_by_kc.load(Ordering::Relaxed) {
-            self.awaited_by_kc.store(false, Ordering::Relaxed);
-            kc.unexpect();
-        }
-    }
-
-    /// This UC is in `decouple()` on its original KC, at `now`: the coupled
-    /// scope ends. `trampoline` is the KC's parker when the KC goes idle
-    /// behind it (no direct handoff): it can expect the UC back iff its
-    /// decoupled stretches are short and the run queue — `schedulers`
-    /// consumers on `runq` — is in the same orbit. Returns whether the
-    /// evidence says *stay home*: the policy is `Adaptive` and the last
-    /// stretch came straight back (the caller knows whom the KC serves).
-    pub(crate) fn decoupling(
-        &self,
-        now: u64,
-        runq: &Parker,
-        schedulers: usize,
-        trampoline: Option<&Parker>,
-    ) -> bool {
-        let since = self.since.swap(now, Ordering::Relaxed);
-        self.scope_run
-            .store(phase_ns(since, now), Ordering::Relaxed);
         // The last stretch's own run time, and a clean slate for the next: a
         // UC resumed by another's `yield_now()` is not timed, and counts the
         // whole of its next `ult_gap` as run.
         let ult_gap = self.ult_gap.load(Ordering::Relaxed);
         let ult_run = ult_gap.saturating_sub(self.queued.load(Ordering::Relaxed));
         self.queued.store(0, Ordering::Relaxed);
-        // The gate is read with this UC's own registration still in it: a
-        // lone BLT in a couple/decouple loop is an orbit too (Table V).
-        let in_orbit = runq.in_orbit(schedulers as u32);
-        self.ended_coupled(runq);
-        let Some(kc) = trampoline else {
-            return false;
-        };
-        if in_orbit && ult_gap < GAP_BREAK_EVEN_NS {
-            self.awaited_by_kc.store(true, Ordering::Relaxed);
-            kc.expect(now);
-        }
         // BLOCKING and BUSYWAIT are the paper's, and always hand over.
-        runq.idle_policy == IdlePolicy::Adaptive && ult_run < HOME_BREAK_EVEN_NS
+        policy == IdlePolicy::Adaptive && ult_run < HOME_BREAK_EVEN_NS
     }
 
     /// Whether the decoupled stretch this UC is running at home, at `now`, is
@@ -764,16 +695,6 @@ impl Phases {
     #[inline]
     pub(crate) fn home_stretch_is_young(&self, now: u64) -> bool {
         phase_ns(self.since.load(Ordering::Relaxed), now) < HOME_BREAK_EVEN_NS
-    }
-
-    /// The coupled scope is over — by `decouple()`, or because the UC
-    /// terminated coupled (rule 7) and never will: the schedulers stop
-    /// expecting it.
-    pub(crate) fn ended_coupled(&self, runq: &Parker) {
-        if self.awaited_by_scheduler.load(Ordering::Relaxed) {
-            self.awaited_by_scheduler.store(false, Ordering::Relaxed);
-            runq.unexpect();
-        }
     }
 }
 
@@ -785,6 +706,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::runqueue::tests::dummy_uc;
     use std::time::Instant;
+    use ulp_kernel::SPIN_BREAK_EVEN_NS;
 
     thread_local! {
         static YIELD_AS_HOLDER: Cell<bool> = const { Cell::new(false) };
@@ -852,21 +774,26 @@ pub(crate) mod tests {
     fn park_does_not_sleep_on_a_stale_version_or_a_non_empty_queue() {
         let q = ParkQueue::default();
         let p = Parker::new(IdlePolicy::Blocking, Duration::from_secs(5));
+        let idle = &mut IdleTally::default();
         let t = Instant::now();
         let seen = p.version();
         p.poke();
-        assert_eq!(p.park(seen, || true), Idled::Blocked, "Blocking blocks");
+        assert_eq!(
+            p.park(seen, idle, || true),
+            Idled::Blocked,
+            "Blocking blocks"
+        );
         let seen = p.version();
         q.push(dummy_uc(1), &p); // silent: the version does not move
-        assert_eq!(p.park(seen, || q.is_empty_locked()), Idled::Blocked);
+        assert_eq!(p.park(seen, idle, || q.is_empty_locked()), Idled::Blocked);
         assert!(t.elapsed() < Duration::from_secs(1), "neither park slept");
         assert_eq!(p.announced(), 0);
     }
 
     /// A park that announces calls `queues_empty`; a spin pass does not.
-    fn announces(p: &Parker) -> bool {
+    fn announces(p: &Parker, idle: &mut IdleTally) -> bool {
         let announced = Cell::new(false);
-        let how = p.park(p.version(), || {
+        let how = p.park(p.version(), idle, || {
             announced.set(true);
             true
         });
@@ -874,63 +801,150 @@ pub(crate) mod tests {
         announced.get()
     }
 
+    /// Give `p` a last wait of about `took`, ended the way a push ends one.
+    fn last_wait(p: &Parker, took: Duration) {
+        p.waiters.count_in(1, now_ns());
+        std::thread::sleep(took);
+        p.waiters.ended();
+        p.waiters.count_out(1);
+    }
+
+    const BREAK_EVEN: Duration = Duration::from_nanos(SPIN_BREAK_EVEN_NS);
+
     /// The decision table: BUSYWAIT never sleeps and BLOCKING always does,
-    /// whatever is expected; `Adaptive` sleeps on the first call with
-    /// nothing expected, and with a wake on its way spins — announcing
-    /// nothing — until the deadline, then sleeps.
+    /// whatever the last wait; `Adaptive` sleeps at once with no history, a
+    /// long last wait, a short one timed long ago or in a loop's first idle
+    /// period, and after a fresh short one spins — announcing nothing — until
+    /// its idle period is as old as the break-even, then sleeps.
     #[test]
-    fn idle_decision_per_policy_and_expectation() {
+    fn idle_decision_per_policy_and_last_wait() {
         let short = Duration::from_millis(1);
         let busy = Parker::new(IdlePolicy::BusyWait, short);
-        assert!(!announces(&busy));
+        assert!(!announces(&busy, &mut IdleTally::default()));
         let blocking = Parker::new(IdlePolicy::Blocking, short);
-        blocking.expect(now_ns());
-        assert!(announces(&blocking), "Blocking sleeps with a wake expected");
-        blocking.unexpect();
+        last_wait(&blocking, Duration::ZERO);
+        assert!(
+            announces(&blocking, &mut IdleTally::default()),
+            "Blocking sleeps after a short wait"
+        );
 
         let ad = Parker::new(IdlePolicy::Adaptive, short);
-        assert!(announces(&ad), "nothing expected: sleep at once");
+        assert!(
+            announces(&ad, &mut IdleTally::default()),
+            "no history: sleep at once"
+        );
+        last_wait(&ad, 2 * BREAK_EVEN);
+        assert!(
+            announces(&ad, &mut IdleTally::default()),
+            "a long last wait: sleep at once"
+        );
+        last_wait(&ad, Duration::ZERO);
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(
+            announces(&ad, &mut IdleTally::default()),
+            "a short last wait timed 2 ms ago: sleep at once"
+        );
+        last_wait(&ad, Duration::ZERO);
+        assert!(
+            announces(&ad, &mut IdleTally::starting()),
+            "a loop's first idle period: sleep at once"
+        );
+        last_wait(&ad, Duration::ZERO);
+        let idle = &mut IdleTally::default();
         let t0 = now_ns();
-        ad.expect(t0);
-        assert_eq!(ad.expected(), 1);
         let mut passes = 0u32;
-        while !announces(&ad) {
+        while !announces(&ad, idle) {
             passes += 1;
         }
         let spun = now_ns() - t0;
-        assert!(passes > 0, "a fresh expectation is worth a spin pass");
+        assert!(passes > 0, "a short last wait is worth a spin pass");
         assert!(
-            spun >= SPIN_DEADLINE_NS,
-            "slept {spun} ns after the expectation, before the deadline"
+            spun >= SPIN_BREAK_EVEN_NS,
+            "slept {spun} ns into the idle period, before the break-even"
         );
-        // Bounded by the clock, not by a pass count: however slow a pass
-        // is, the first one that starts past the deadline sleeps.
-        ad.expect(now_ns());
-        std::thread::sleep(Duration::from_nanos(2 * SPIN_DEADLINE_NS));
-        assert!(announces(&ad), "a stale expectation is not spun for");
-        ad.unexpect();
-        ad.unexpect();
-        assert_eq!(ad.expected(), 0);
+        assert_eq!(ad.waiters.counted(), 0, "every pass counted itself out");
+        // Bounded by the idle period's age, not by a pass count: however slow
+        // a pass is, the first one that starts past the break-even sleeps;
+        // and work found starts a new period that may spin again.
+        last_wait(&ad, Duration::ZERO);
+        idle.found_work();
+        assert!(!announces(&ad, idle), "a fresh period spins");
+        std::thread::sleep(2 * BREAK_EVEN);
+        assert!(announces(&ad, idle), "an old period is not spun for");
     }
 
-    /// A spinner re-reads the expectation every pass: an `unexpect()` from
-    /// another thread ends the spin at the next pass, an `expect()` starts
-    /// one.
+    /// The pusher's half: a push that finds a spinner counted in times its
+    /// wait and, with no sleeper among the waiters, neither bumps the version
+    /// nor wakes; the spinner takes the UC on its next pass, never having
+    /// announced. A push that ends a sleep times it too, so a 2 ms one makes
+    /// the next idle period sleep at once.
     #[test]
-    fn expectation_changes_are_seen_within_one_pass() {
-        let p = Arc::new(Parker::new(IdlePolicy::Adaptive, Duration::from_millis(1)));
-        let on = |f: fn(&Parker)| {
-            let p = p.clone();
-            std::thread::spawn(move || f(&p)).join().unwrap();
-        };
-        assert!(announces(&p));
-        on(|p| p.expect(now_ns()));
-        // (Unless this thread was descheduled for the whole deadline.)
-        let t = now_ns();
-        let spun = !announces(&p);
-        assert!(spun || now_ns() - t > SPIN_DEADLINE_NS / 2);
-        on(Parker::unexpect);
-        assert!(announces(&p), "withdrawn mid-spin: the next pass sleeps");
+    fn a_push_times_the_wait_and_wakes_only_a_sleeper() {
+        for _ in 0..1_000 {
+            let side = Arc::new((
+                ParkQueue::default(),
+                Parker::new(IdlePolicy::Adaptive, TIMEOUT),
+            ));
+            last_wait(&side.1, Duration::ZERO);
+            let consumer = {
+                let side = side.clone();
+                std::thread::spawn(move || {
+                    let (q, p) = &*side;
+                    let (idle, mut announced) = (&mut IdleTally::default(), false);
+                    loop {
+                        let seen = p.version();
+                        if let Some(uc) = q.pop(false) {
+                            return (uc.id.0, announced);
+                        }
+                        announced |= p.park(seen, idle, || q.is_empty_locked()).blocked();
+                    }
+                })
+            };
+            // Push the moment the consumer is seen spinning — or, if it got
+            // to sleep first, once it is asleep.
+            let (q, p) = &*side;
+            let caught = loop {
+                match p.waiters.counted() {
+                    0 => std::hint::spin_loop(),
+                    counted => {
+                        let v = p.version();
+                        q.push(dummy_uc(1), p);
+                        if counted == SPINNER {
+                            assert_eq!(p.version(), v, "a push that found only a spinner woke");
+                        }
+                        break counted == SPINNER;
+                    }
+                }
+            };
+            let (id, announced) = consumer.join().unwrap();
+            assert_eq!(id, 1);
+            if !caught {
+                continue;
+            }
+            assert!(!announced, "caught spinning, yet it announced");
+            // Now a sleep: the spin runs out, the consumer announces, and the
+            // push comes 2 ms later.
+            let consumer = {
+                let side = side.clone();
+                std::thread::spawn(move || {
+                    let (q, p) = &*side;
+                    let idle = &mut IdleTally::default();
+                    while q.pop(false).is_none() {
+                        p.park(p.version(), idle, || q.is_empty_locked());
+                    }
+                })
+            };
+            while p.announced() == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(2));
+            q.push(dummy_uc(2), p);
+            consumer.join().unwrap();
+            let now = now_ns();
+            assert!(!p.waiters.spin(now, now), "the 2 ms wait was not timed");
+            return;
+        }
+        panic!("no consumer was caught spinning in 1 000 attempts");
     }
 
     /// Lost-wake hammer: single-item hand-offs between two OS threads under
@@ -944,10 +958,10 @@ pub(crate) mod tests {
         handoffs(IdlePolicy::Blocking);
     }
 
-    /// The same under `Adaptive`, each side expecting the UC back the moment
-    /// it hands it over, the way a short coupled scope is announced: the
-    /// taker spins, runs into the deadline whenever its peer is descheduled,
-    /// sleeps, and is owed a wake-up just the same.
+    /// The same under `Adaptive`, where each side expects the UC back: its
+    /// last wait was a hand-over, short, so the taker spins, runs into the
+    /// break-even whenever its peer is descheduled, sleeps, and is owed a
+    /// wake-up just the same.
     #[test]
     fn handoffs_lose_no_wakeup_adaptive_with_expectation() {
         handoffs(IdlePolicy::Adaptive);
@@ -958,21 +972,16 @@ pub(crate) mod tests {
         type Side = (ParkQueue, Parker);
         let side =
             || -> Arc<Side> { Arc::new((ParkQueue::default(), Parker::new(policy, TIMEOUT))) };
-        /// Push to `to`, expecting the UC back on `from`.
-        fn give(to: &Side, uc: Arc<UcInner>, from: &Side) {
-            from.1.expect(now_ns());
-            to.0.push(uc, &to.1);
-        }
         /// Pop from `s`, parking while it is empty; counts time-outs.
-        fn take(s: &Side, timed_out: &mut u32) -> Arc<UcInner> {
+        fn take(s: &Side, idle: &mut IdleTally, timed_out: &mut u32) -> Arc<UcInner> {
             loop {
                 let seen = s.1.version();
                 if let Some(uc) = s.0.pop(false) {
-                    s.1.unexpect();
+                    idle.found_work();
                     return uc;
                 }
                 let t = Instant::now();
-                s.1.park(seen, || s.0.is_empty_locked());
+                s.1.park(seen, idle, || s.0.is_empty_locked());
                 *timed_out += (t.elapsed() >= TIMEOUT) as u32;
             }
         }
@@ -981,20 +990,19 @@ pub(crate) mod tests {
         let echo = {
             let (ping, pong) = (ping.clone(), pong.clone());
             std::thread::spawn(move || {
-                let mut timed_out = 0;
-                ping.1.expect(now_ns()); // the first hand-over
+                let (mut idle, mut timed_out) = (IdleTally::default(), 0);
                 for _ in 0..ROUNDS {
-                    let uc = take(&ping, &mut timed_out);
-                    give(&pong, uc, &ping);
+                    let uc = take(&ping, &mut idle, &mut timed_out);
+                    pong.0.push(uc, &pong.1);
                 }
                 timed_out
             })
         };
-        let mut timed_out = 0;
+        let (mut idle, mut timed_out) = (IdleTally::default(), 0);
         let mut uc = dummy_uc(1);
         for _ in 0..ROUNDS {
-            give(&ping, uc, &pong);
-            uc = take(&pong, &mut timed_out);
+            ping.0.push(uc, &ping.1);
+            uc = take(&pong, &mut idle, &mut timed_out);
         }
         timed_out += echo.join().unwrap();
         assert!(

@@ -10,31 +10,43 @@
 //! has no time-out, so a lost wake-up is a deadlock: a reachable state in
 //! which the consumer sleeps, nobody can step, and a UC is still queued.
 //!
-//! `Adaptive`'s spin arm is in the model: a producer may
-//! [`expect`](super::Parker::expect) before it pushes and — like a UC that
-//! blocks in the kernel mid-scope — never `unexpect`, and the consumer
-//! spins instead of announcing while something is expected and the deadline
-//! has not passed. The deadline is a budget of [`SPIN_PASSES`] that every
-//! `expect` refills and every pass draws on: model time only advances when
-//! the consumer runs. Besides the deadlock check, every reachable state must
-//! let the consumer, running alone, come to rest — asleep, done, or waiting
-//! for the lock — within [`REST_STEPS`] of its own steps (spinning is
-//! bounded whatever was expected), and get hold of a UC that is already
-//! visible in the queue within [`POP_STEPS`] (a spinner looks at its queue
-//! every pass).
+//! `Adaptive`'s spin arm is in the model, with the count it shares with the
+//! sleepers: the parker's count is one word, sleepers in its low half and
+//! spinners in its high half ([`SPINNER`]). A spinner counts in before its
+//! pass and out after; a producer reads the whole word inside its critical
+//! section, times the wait if the word is non-zero, and wakes only if the
+//! sleepers' half is. The consumer spins while the parker's last wait was
+//! short and its idle period is younger than the break-even — a budget of
+//! [`SPIN_PASSES`], since model time only advances when the consumer runs,
+//! refilled by every pop. A producer's timing sets "short" from that budget;
+//! both starting values are explored. (A short sample gone stale makes the
+//! consumer sleep where it would have spun — a state the model reaches
+//! anyway, when a period's budget runs out.) Besides the deadlock check, every
+//! reachable state must let the consumer, running alone, come to rest —
+//! asleep, done, or waiting for the lock — within [`REST_STEPS`] of its own
+//! steps (spinning is bounded whatever the evidence says), and get hold of a
+//! UC that is already visible in the queue within [`POP_STEPS`] (a spinner
+//! looks at its queue every pass).
 //!
 //! The enumerator only interleaves; it cannot reorder one thread's steps.
 //! What it checks is therefore the *order* of the steps (each mutant below
-//! swaps or drops one). That this order is also enough on real hardware —
-//! the `sleepers` read inside the critical section, no fence — is the
-//! happens-before argument in the module docs, not something a
-//! sequentially consistent model can show.
+//! swaps, drops or mis-masks one). That this order is also enough on real
+//! hardware — the count read inside the critical section, no fence — is the
+//! happens-before argument in the module docs, not something a sequentially
+//! consistent model can show.
 
 use std::collections::HashSet;
 
 const PRODUCERS: usize = 2;
 
-/// Spin passes one `expect` is worth (the model's `SPIN_DEADLINE_NS`).
+/// One spinner in the parker's count (the model's `wait::SPINNER`: the high
+/// half of an 8-bit word).
+const SPINNER: u8 = 1 << 4;
+
+/// The sleepers' half of the count.
+const SLEEPERS: u8 = SPINNER - 1;
+
+/// Spin passes an idle period is worth (the model's `SPIN_BREAK_EVEN_NS`).
 const SPIN_PASSES: u8 = 4;
 
 /// Consumer steps from anywhere to a UC that is already visible: the
@@ -43,31 +55,35 @@ const SPIN_PASSES: u8 = 4;
 /// `ReadSeen`, `ProbeLen` and the pop's lock and unlink.
 const POP_STEPS: usize = 10;
 
-/// Consumer steps from anywhere to rest: every pass of the budget
-/// (`SpinCheck`, `SpinPass`, `ReadSeen`, `ProbeLen`), a pop of each UC in
+/// Consumer steps from anywhere to rest: every pass of an idle period's
+/// budget (`Decide`, `SpinIn`, `SpinPass`, `SpinOut`, `ReadSeen`,
+/// `ProbeLen`) in each of the periods the pops start, a pop of each UC in
 /// between, and the park that follows.
-const REST_STEPS: usize = 4 * SPIN_PASSES as usize + 5 * PRODUCERS + POP_STEPS;
+const REST_STEPS: usize = (PRODUCERS + 1) * 6 * SPIN_PASSES as usize + 5 * PRODUCERS + POP_STEPS;
 
-/// Which consumer runs.
+/// Which protocol runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Park {
+enum Variant {
     /// announce → locked re-check → wait, spin passes that go back to the
-    /// top of the idle loop (the real code).
-    AnnounceThenRecheck,
+    /// top of the idle loop, wakes for the sleepers' half (the real code).
+    Shipped,
     /// locked re-check → announce → wait (mutant).
     RecheckThenAnnounce,
     /// A spin pass that goes straight to the next pass without looking at
     /// the queue (mutant).
     SpinWithoutRecheck,
+    /// A producer that masks the wrong half of the count, and so wakes for
+    /// spinners and not for sleepers (mutant).
+    WakeOnSpinners,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum P {
-    Expect,
     Lock,
     Link,
     StoreLen,
-    ReadSleepers,
+    ReadCount,
+    Time,
     Unlock,
     Bump,
     RereadSleepers,
@@ -79,8 +95,10 @@ enum P {
 enum C {
     ReadSeen,
     ProbeLen,
-    SpinCheck,
+    Decide,
+    SpinIn,
     SpinPass,
+    SpinOut,
     PopLock,
     PopUnlink,
     PopUnlock,
@@ -103,14 +121,16 @@ struct State {
     list: u8,
     /// The lock-free length mirror.
     len: u8,
-    sleepers: u8,
+    /// The parker's count: sleepers + spinners × [`SPINNER`].
+    count: u8,
     version: u8,
-    /// `Parker::expected`, and the passes left before the deadline.
-    expected: u8,
-    spin_budget: u8,
+    /// The parker's last wait was short.
+    short: bool,
+    /// Spin passes in the consumer's idle period (its `IdleTally`).
+    passes: u8,
     p: [P; PRODUCERS],
-    /// Each producer's in-critical-section `sleepers` read.
-    p_saw: [bool; PRODUCERS],
+    /// Each producer's in-critical-section read of the count.
+    p_saw: [u8; PRODUCERS],
     c: C,
     seen: u8,
     recheck_empty: bool,
@@ -120,25 +140,18 @@ struct State {
 const CONSUMER: usize = PRODUCERS;
 
 impl State {
-    /// Bit `i` of `expecters`: producer `i` announces its push with an
-    /// `expect` it never takes back.
-    fn new(expecters: usize) -> State {
+    /// `short`: the parker's history before anything runs.
+    fn new(short: bool) -> State {
         State {
             locked: None,
             list: 0,
             len: 0,
-            sleepers: 0,
+            count: 0,
             version: 0,
-            expected: 0,
-            spin_budget: 0,
-            p: std::array::from_fn(|i| {
-                if expecters >> i & 1 == 1 {
-                    P::Expect
-                } else {
-                    P::Lock
-                }
-            }),
-            p_saw: [false; PRODUCERS],
+            short,
+            passes: 0,
+            p: [P::Lock; PRODUCERS],
+            p_saw: [0; PRODUCERS],
             c: C::ReadSeen,
             seen: 0,
             recheck_empty: false,
@@ -152,15 +165,10 @@ impl State {
 
     /// Thread `t` takes its next atomic step; `None` if it cannot (done,
     /// waiting for the lock, or asleep).
-    fn step(&self, t: usize, park: Park) -> Option<State> {
+    fn step(&self, t: usize, variant: Variant) -> Option<State> {
         let mut s = self.clone();
         if t < PRODUCERS {
             s.p[t] = match self.p[t] {
-                P::Expect => {
-                    s.expected += 1;
-                    s.spin_budget = SPIN_PASSES;
-                    P::Lock
-                }
                 P::Lock => {
                     if s.locked.is_some() {
                         return None;
@@ -174,15 +182,27 @@ impl State {
                 }
                 P::StoreLen => {
                     s.len = s.list;
-                    P::ReadSleepers
+                    P::ReadCount
                 }
-                P::ReadSleepers => {
-                    s.p_saw[t] = s.sleepers != 0;
+                P::ReadCount => {
+                    s.p_saw[t] = s.count;
+                    P::Time
+                }
+                // The wait ends now; how long it took is how far into its
+                // idle period the consumer is.
+                P::Time => {
+                    if s.p_saw[t] != 0 {
+                        s.short = s.passes < SPIN_PASSES;
+                    }
                     P::Unlock
                 }
                 P::Unlock => {
                     s.locked = None;
-                    if s.p_saw[t] {
+                    let half = match variant {
+                        Variant::WakeOnSpinners => !SLEEPERS,
+                        _ => SLEEPERS,
+                    };
+                    if s.p_saw[t] & half != 0 {
                         P::Bump
                     } else {
                         P::Done
@@ -193,7 +213,7 @@ impl State {
                     P::RereadSleepers
                 }
                 P::RereadSleepers => {
-                    if s.sleepers != 0 {
+                    if s.count & SLEEPERS != 0 {
                         P::Wake
                     } else {
                         P::Done
@@ -209,14 +229,14 @@ impl State {
             };
             return Some(s);
         }
-        let (park_entry, after_announce, after_recheck) = match park {
-            Park::RecheckThenAnnounce => (C::ReadVersion, C::FutexWait, C::Announce),
+        let (park_entry, after_announce, after_recheck) = match variant {
+            Variant::RecheckThenAnnounce => (C::ReadVersion, C::FutexWait, C::Announce),
             _ => (C::Announce, C::ReadVersion, C::FutexWait),
         };
         // Leaving the park without sleeping: un-announce if announced (the
         // mutant may give up before it ever was; one consumer, so the count
         // says which).
-        let give_up = if s.sleepers != 0 {
+        let give_up = if s.count & SLEEPERS != 0 {
             C::Unannounce
         } else {
             C::ReadSeen
@@ -232,25 +252,33 @@ impl State {
             }
             C::ProbeLen => {
                 if s.len == 0 {
-                    C::SpinCheck
+                    C::Decide
                 } else {
                     C::PopLock
                 }
             }
             // `Parker::park`'s decision: spin, or take the blocking arm.
-            C::SpinCheck => {
-                if s.expected != 0 && s.spin_budget != 0 {
-                    C::SpinPass
+            C::Decide => {
+                if s.short && s.passes < SPIN_PASSES {
+                    C::SpinIn
                 } else {
                     park_entry
                 }
             }
-            // One pass, then back to the caller's loop — which starts by
-            // re-reading the version and the queue.
+            C::SpinIn => {
+                s.count += SPINNER;
+                C::SpinPass
+            }
             C::SpinPass => {
-                s.spin_budget -= 1;
-                if park == Park::SpinWithoutRecheck {
-                    C::SpinCheck
+                s.passes += 1;
+                C::SpinOut
+            }
+            // Counted out, then back to the caller's loop — which starts by
+            // re-reading the version and the queue.
+            C::SpinOut => {
+                s.count -= SPINNER;
+                if variant == Variant::SpinWithoutRecheck {
+                    C::Decide
                 } else {
                     C::ReadSeen
                 }
@@ -262,11 +290,13 @@ impl State {
                 s.locked = Some(CONSUMER);
                 C::PopUnlink
             }
+            // A UC popped ends the idle period (`IdleTally::found_work`).
             C::PopUnlink => {
                 if s.list != 0 {
                     s.list -= 1;
                     s.len = s.list;
                     s.popped += 1;
+                    s.passes = 0;
                 }
                 C::PopUnlock
             }
@@ -275,7 +305,7 @@ impl State {
                 C::ReadSeen
             }
             C::Announce => {
-                s.sleepers += 1;
+                s.count += 1;
                 after_announce
             }
             C::ReadVersion => {
@@ -314,7 +344,7 @@ impl State {
             }
             C::Asleep | C::Done => return None,
             C::Unannounce => {
-                s.sleepers -= 1;
+                s.count -= 1;
                 C::ReadSeen
             }
         };
@@ -345,7 +375,7 @@ enum Flaw {
 
 /// Run the consumer alone from `s`: steps until it holds a UC (if one is
 /// visible in `s`) and until it rests, each capped one past its bound.
-fn solo(s: &State, park: Park) -> Result<(), Flaw> {
+fn solo(s: &State, variant: Variant) -> Result<(), Flaw> {
     let visible = s.len != 0 && s.locked.is_none();
     let (mut cur, mut steps) = (s.clone(), 0);
     while !cur.consumer_rests() {
@@ -356,37 +386,37 @@ fn solo(s: &State, park: Park) -> Result<(), Flaw> {
             return Err(Flaw::NoRest);
         }
         cur = cur
-            .step(CONSUMER, park)
+            .step(CONSUMER, variant)
             .expect("a consumer not at rest can step");
         steps += 1;
     }
     Ok(())
 }
 
-/// Explore every reachable state depth-first, for every choice of which
-/// producers `expect`. `Err` carries the flaw and the schedule (which thread
-/// executed which step) that leads to it.
-fn explore(park: Park) -> Result<usize, (Flaw, Vec<String>)> {
+/// Explore every reachable state depth-first, from either history. `Err`
+/// carries the flaw and the schedule (which thread executed which step) that
+/// leads to it.
+fn explore(variant: Variant) -> Result<usize, (Flaw, Vec<String>)> {
     fn dfs(
         s: &State,
-        park: Park,
+        variant: Variant,
         seen: &mut HashSet<State>,
         path: &mut Vec<String>,
     ) -> Result<(), (Flaw, Vec<String>)> {
         if !seen.insert(s.clone()) {
             return Ok(());
         }
-        solo(s, park).map_err(|flaw| (flaw, path.clone()))?;
+        solo(s, variant).map_err(|flaw| (flaw, path.clone()))?;
         let mut stepped = false;
         for t in 0..=PRODUCERS {
-            if let Some(next) = s.step(t, park) {
+            if let Some(next) = s.step(t, variant) {
                 stepped = true;
                 path.push(if t < PRODUCERS {
                     format!("P{t}:{:?}", s.p[t])
                 } else {
                     format!("C:{:?}", s.c)
                 });
-                dfs(&next, park, seen, path)?;
+                dfs(&next, variant, seen, path)?;
                 path.pop();
             }
         }
@@ -397,15 +427,15 @@ fn explore(park: Park) -> Result<usize, (Flaw, Vec<String>)> {
         Ok(())
     }
     let mut seen = HashSet::new();
-    for expecters in 0..1 << PRODUCERS {
-        dfs(&State::new(expecters), park, &mut seen, &mut Vec::new())?;
+    for short in [false, true] {
+        dfs(&State::new(short), variant, &mut seen, &mut Vec::new())?;
     }
     Ok(seen.len())
 }
 
 #[test]
 fn no_interleaving_loses_a_wakeup() {
-    let states = explore(Park::AnnounceThenRecheck)
+    let states = explore(Variant::Shipped)
         .unwrap_or_else(|(flaw, schedule)| panic!("{flaw:?}:\n{}", schedule.join("\n")));
     // The space is small but not trivial; a collapse means a step went
     // missing from the model.
@@ -417,7 +447,7 @@ fn no_interleaving_loses_a_wakeup() {
 #[test]
 fn recheck_before_announce_is_caught() {
     let (flaw, schedule) =
-        explore(Park::RecheckThenAnnounce).expect_err("the mutant must deadlock");
+        explore(Variant::RecheckThenAnnounce).expect_err("the mutant must deadlock");
     eprintln!("mutant schedule: {}", schedule.join(" "));
     assert!(matches!(flaw, Flaw::LostWakeup), "{flaw:?}");
     assert_eq!(schedule.last().map(String::as_str), Some("C:FutexWait"));
@@ -426,25 +456,46 @@ fn recheck_before_announce_is_caught() {
     let announce = last("C:Announce").expect("the consumer announced");
     let silent = (0..PRODUCERS).any(|p| {
         let link = last(&format!("P{p}:Link")).expect("every producer pushed");
-        let read = last(&format!("P{p}:ReadSleepers")).expect("every producer pushed");
+        let read = last(&format!("P{p}:ReadCount")).expect("every producer pushed");
         recheck < link && read < announce
     });
     assert!(
         silent,
-        "expected a push linked after the re-check whose sleepers read precedes the announce"
+        "expected a push linked after the re-check whose count read precedes the announce"
     );
 }
 
 /// The enumerator can see a spinner that has stopped looking: a UC pushed
-/// while passes remain sits in the queue until the budget runs out.
+/// while passes remain sits in the queue until the budget runs out. (Only a
+/// spinner can overrun the pop bound; here the first schedule found is a
+/// push that times a short wait, after which the consumer, alone, spins.)
 #[test]
 fn spin_without_queue_recheck_is_caught() {
     let (flaw, schedule) =
-        explore(Park::SpinWithoutRecheck).expect_err("the mutant must overrun the pop bound");
+        explore(Variant::SpinWithoutRecheck).expect_err("the mutant must overrun the pop bound");
     eprintln!("mutant schedule: {}", schedule.join(" "));
     assert!(matches!(flaw, Flaw::SlowPop), "{flaw:?}");
+}
+
+/// The enumerator can see a push that reads the wrong half of the count: it
+/// finds the consumer announced, takes the sleeper for a spinner that will
+/// look again, and leaves it asleep with the UC queued.
+#[test]
+fn push_masking_the_wrong_half_is_caught() {
+    let (flaw, schedule) = explore(Variant::WakeOnSpinners).expect_err("the mutant must deadlock");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    assert!(matches!(flaw, Flaw::LostWakeup), "{flaw:?}");
+    let last = |what: &str| schedule.iter().rposition(|s| s == what);
+    let announce = last("C:Announce").expect("the consumer announced");
+    let unannounce = last("C:Unannounce");
+    let skipped = (0..PRODUCERS).any(|p| {
+        let read = last(&format!("P{p}:ReadCount")).expect("every producer pushed");
+        read > announce
+            && unannounce.is_none_or(|u| u < announce)
+            && last(&format!("P{p}:Bump")).is_none_or(|b| b < read)
+    });
     assert!(
-        schedule.iter().any(|s| s.ends_with(":Expect")),
-        "only an expectation makes the consumer spin"
+        skipped,
+        "expected a push that read the announced sleeper and never bumped"
     );
 }

@@ -26,7 +26,7 @@
 //! UC, or the re-check came first and the push sees the announce and
 //! wakes. The version word moves only then, and on [`RunQueue::wake_all`].
 
-use crate::park::{Idled, ParkQueue, Parker};
+use crate::park::{IdleTally, Idled, ParkQueue, Parker};
 use crate::uc::{IdlePolicy, UcInner};
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,18 +93,11 @@ impl RunQueue {
         self.parker.version()
     }
 
-    /// What idle schedulers wait on: coupled scopes register the wake their
-    /// `decouple()` will be with it (`park.rs`, "The idle decision").
-    #[inline]
-    pub(crate) fn parker(&self) -> &Parker {
-        &self.parker
-    }
-
     /// Idle until woken (bounded; callers re-check in a loop): announce,
     /// re-check the queue under its lock, sleep — or spin one pass, per the
-    /// idle policy (`Parker::park`).
-    pub fn park(&self, seen: u32) -> Idled {
-        self.parker.park(seen, || self.is_empty())
+    /// idle policy (`Parker::park`). `idle` is the caller's idle period.
+    pub fn park(&self, seen: u32, idle: &mut IdleTally) -> Idled {
+        self.parker.park(seen, idle, || self.is_empty())
     }
 
     /// Bump the version word and wake every parked scheduler (used on
@@ -172,14 +165,17 @@ pub(crate) mod tests {
         assert_eq!(q.version(), v + 1, "wake_all always bumps");
 
         let q2 = q.clone();
-        let sleeper = std::thread::spawn(move || loop {
-            let seen = q2.version();
-            if let Some(uc) = q2.pop() {
-                return uc.id;
+        let sleeper = std::thread::spawn(move || {
+            let mut idle = IdleTally::default();
+            loop {
+                let seen = q2.version();
+                if let Some(uc) = q2.pop() {
+                    return uc.id;
+                }
+                q2.park(seen, &mut idle);
             }
-            q2.park(seen);
         });
-        while q.parker().announced() == 0 {
+        while q.parker.announced() == 0 {
             std::thread::yield_now();
         }
         let v = q.version();
@@ -194,7 +190,7 @@ pub(crate) mod tests {
         let seen = q.version();
         q.push(dummy_uc(1)); // silent, but the locked re-check sees it
         let t = std::time::Instant::now();
-        q.park(seen);
+        q.park(seen, &mut IdleTally::default());
         assert!(t.elapsed() < PARK_TIMEOUT / 2);
     }
 
@@ -205,7 +201,7 @@ pub(crate) mod tests {
         let t = std::thread::spawn(move || {
             let seen = q2.version();
             if q2.pop().is_none() {
-                q2.park(seen);
+                q2.park(seen, &mut IdleTally::default());
             }
             // Either we were woken or timed out; the UC must be visible now.
             q2.pop()
@@ -272,7 +268,7 @@ pub(crate) mod tests {
             .map(|_| {
                 let (q, done) = (q.clone(), done.clone());
                 std::thread::spawn(move || {
-                    let mut got = Vec::new();
+                    let (mut got, mut idle) = (Vec::new(), IdleTally::default());
                     loop {
                         let seen = q.version();
                         if let Some(uc) = q.pop() {
@@ -280,7 +276,7 @@ pub(crate) mod tests {
                         } else if done.load(Ordering::SeqCst) {
                             return got;
                         } else {
-                            q.park(seen);
+                            q.park(seen, &mut idle);
                         }
                     }
                 })

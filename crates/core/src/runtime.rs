@@ -68,8 +68,8 @@ pub struct Config {
     /// Scheduler threads (`NCprog`).
     pub n_schedulers: usize,
     /// How idle kernel contexts wait: the paper's BUSYWAIT / BLOCKING
-    /// (§VI-C), or — the default — `Adaptive`, which spins only while a
-    /// wake is known to be on its way and otherwise sleeps at once.
+    /// (§VI-C), or — the default — `Adaptive`, which spins only while the
+    /// KC's last wait was short and recent and otherwise sleeps at once.
     pub idle_policy: IdlePolicy,
     /// Architecture cost model for the simulated kernel and TLS register.
     pub profile: ArchProfile,
@@ -344,7 +344,6 @@ impl RuntimeInner {
             self.audit.lock().len() as u64,
             &crate::export::PoolMetrics::from_pool(&self.stack_pool),
             self.tracer.dropped_records(),
-            self.runq.parker().expected().into(),
             self.runq.len() as u64,
         )
     }
@@ -505,13 +504,6 @@ impl Runtime {
     /// that the RSS claims of oversubscription mode rest on.
     pub fn stack_pool(&self) -> &ulp_fcontext::StackPool {
         &self.inner.stack_pool
-    }
-
-    /// Coupled scopes in flight whose `decouple()` idle schedulers are
-    /// spinning for (`park.rs`, "The idle decision"; the `ulp_park_expected`
-    /// gauge). Exactly 0 whenever no UC of this runtime is coupled.
-    pub fn park_expected(&self) -> u32 {
-        self.inner.runq.parker().expected()
     }
 
     /// Recorded consistency violations (`ConsistencyMode::Record`).
@@ -688,16 +680,6 @@ impl Default for Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.shutdown();
-        // Every coupled scope the schedulers were told to expect has ended,
-        // by `decouple()` or by termination: a leaked count would keep every
-        // idle scheduler spinning to its deadline for the rest of a
-        // runtime's life. (Waiting on every BLT first is the documented
-        // contract; a test already failing for another reason may not have.)
-        debug_assert!(
-            std::thread::panicking() || self.park_expected() == 0,
-            "run-queue wake expectations leaked: {}",
-            self.park_expected()
-        );
     }
 }
 
@@ -744,7 +726,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
     set_host(Some(identity.clone()));
     set_current_ulp(Some(identity.clone()));
 
-    let mut tally = crate::park::IdleTally::default();
+    let mut idle = crate::park::IdleTally::starting();
     loop {
         if rt.shutdown.load(Ordering::Acquire) && rt.runq.is_empty() {
             break;
@@ -752,12 +734,12 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         let seen = rt.runq.version();
         match rt.runq.pop() {
             Some(uc) => {
-                tally.found_work();
+                idle.found_work();
                 run_uc(&identity, uc)
             }
             None => {
                 rt.stack_pool.scavenge();
-                tally.idled(rt.runq.park(seen));
+                rt.runq.park(seen, &mut idle);
             }
         }
     }

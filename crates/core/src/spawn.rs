@@ -311,11 +311,9 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
         Err(_) => PANIC_EXIT_STATUS,
     };
 
-    // Rule 7: terminate as a KLT coupled with the original KC — a coupled
-    // scope no `decouple()` will end, so stop the schedulers expecting one.
+    // Rule 7: terminate as a KLT coupled with the original KC.
     let _ = couple();
     debug_assert!(uc.kc.is_current_thread());
-    uc.phases.ended_coupled(rt.runq.parker());
 
     // The KC may not exit while its `BltHandle` is still open: a sibling
     // spawned through the handle needs this OS thread to serve its couple
@@ -324,6 +322,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
     // handle has closed (wait()/drop) AND every registered sibling has
     // drained; both conditions are checked under the registration gate
     // (the `pending` lock), making retirement atomic w.r.t. registration.
+    let mut idle = crate::park::IdleTally::default();
     loop {
         let seen = uc.kc.parker.version();
         {
@@ -352,7 +351,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
             // Handle still open but nothing to serve: idle until a sibling
             // registers or the handle closes (both poke the parker; no
             // queue is involved, so there is nothing to re-check).
-            uc.kc.parker.park(seen, || true);
+            uc.kc.parker.park(seen, &mut idle, || true);
         }
     }
 
@@ -436,8 +435,6 @@ extern "C" fn secondary_entry(_arg: usize, data: *mut u8) -> ! {
     // shut tracing down, and trace-based spawn/terminate accounting needs
     // this event on every exit path.
     if let Some(rt) = uc.rt.upgrade() {
-        // No `decouple()` will end this coupled scope.
-        uc.phases.ended_coupled(rt.runq.parker());
         rt.tracer.record(crate::trace::Event::Terminate(uc.id));
         // A sibling's pid is its primary's, which exits with the primary.
         if uc.kind == UcKind::Pooled {

@@ -42,7 +42,6 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 use ulp_kernel::{SyscallPhase, Sysno, WakeSite};
 
 /// What happened.
@@ -248,17 +247,9 @@ pub struct TraceRecord {
     pub kc: u32,
 }
 
-/// Process-wide monotonic epoch so timestamps from different kernel
-/// contexts are comparable (an `Instant` is already monotonic across
-/// threads on Linux; anchoring all shards to one makes the subtraction
-/// shared).
-static CLOCK_EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Nanoseconds since the process-wide trace clock epoch.
-#[inline]
-pub(crate) fn now_ns() -> u64 {
-    CLOCK_EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
+/// The trace clock is the process's one clock, so timestamps from different
+/// kernel contexts — and the kernel's own wait stamps — are comparable.
+pub(crate) use ulp_kernel::now_ns;
 
 /// The shared on/off switch every event site loads (once, relaxed) before
 /// doing anything else. Also carries the enable-time epoch so shards can

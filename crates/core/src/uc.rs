@@ -83,14 +83,13 @@ pub enum IdlePolicy {
     Blocking,
     /// The paper's future work, implemented, and the default: "determine
     /// the way of blocking in an automatic way according to the
-    /// application's behavior" (§VII). An idle KC spins only while a wake
-    /// is known to be on its way — a scheduler while some coupled scope
-    /// that last ran shorter than a sleep costs is in flight, a trampoline
-    /// while its UC's decoupled stretch was last that short and the
-    /// schedulers are in the same orbit — for at most a sleep's cost, and
-    /// otherwise sleeps at once (`park.rs`, "The idle decision"). BUSYWAIT's
-    /// latency in a couple/decouple loop, BLOCKING's CPU bill everywhere
-    /// else.
+    /// application's behavior" (§VII). An idle KC spins only while its
+    /// last wait — timed by the push that ended it, within the last
+    /// millisecond — was shorter than a sleep costs, for at most that long,
+    /// and otherwise sleeps at once:
+    /// the kernel's rule for a blocked system call, asked of the KC
+    /// (`park.rs`, "The idle decision"). BUSYWAIT's latency in a
+    /// couple/decouple loop, BLOCKING's CPU bill everywhere else.
     #[default]
     Adaptive,
 }
@@ -353,8 +352,8 @@ pub struct UcInner {
     /// Intrusive link for the one `ParkQueue` (run queue or a KC's
     /// `pending`) this UC may be waiting in.
     pub(crate) qlink: QLink,
-    /// How long this UC's coupled scopes and decoupled stretches last ran,
-    /// and who spins for it meanwhile (`park.rs`, "The idle decision").
+    /// How long this UC's last decoupled stretch ran, the evidence for
+    /// staying home (`park.rs`, "Staying home").
     pub(crate) phases: Phases,
 }
 
@@ -501,7 +500,8 @@ mod tests {
     fn busywait_park_does_not_block() {
         let kc = KcShared::new(IdlePolicy::BusyWait);
         let v = kc.parker.version();
-        let how = kc.parker.park(v, || kc.pending.is_empty_locked());
+        let idle = &mut crate::park::IdleTally::default();
+        let how = kc.parker.park(v, idle, || kc.pending.is_empty_locked());
         assert_eq!(how, crate::park::Idled::Spun);
     }
 
@@ -510,12 +510,15 @@ mod tests {
     fn blocking_park_wakes_on_notify() {
         let kc = Arc::new(KcShared::new(IdlePolicy::Blocking));
         let kc2 = kc.clone();
-        let t = std::thread::spawn(move || loop {
-            let v = kc2.parker.version();
-            if let Some(uc) = kc2.pending.pop(false) {
-                return uc.id;
+        let t = std::thread::spawn(move || {
+            let idle = &mut crate::park::IdleTally::default();
+            loop {
+                let v = kc2.parker.version();
+                if let Some(uc) = kc2.pending.pop(false) {
+                    return uc.id;
+                }
+                kc2.parker.park(v, idle, || kc2.pending.is_empty_locked());
             }
-            kc2.parker.park(v, || kc2.pending.is_empty_locked());
         });
         while kc.parker.announced() == 0 {
             std::thread::yield_now();

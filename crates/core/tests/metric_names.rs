@@ -21,7 +21,6 @@ fn emitted_rows() -> Vec<String> {
         &PoolMetrics::default(),
         0,
         0,
-        0,
     );
     let mut rows = Vec::new();
     let mut lines = text.lines().peekable();

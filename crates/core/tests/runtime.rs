@@ -693,6 +693,27 @@ fn idle_decision_couple_loop_spins_where_blocking_sleeps() {
     );
 }
 
+/// A primary and its sibling orbit one KC: with two UCs to serve it never
+/// keeps either at home, so every scope is a couple request to the KC and
+/// every stretch a turn on the scheduler — the hand-over regime no gated
+/// workload runs. Those waits are short, so under the default policy the
+/// trampoline and the scheduler spin for each other and the KC hardly ever
+/// sleeps: 0.0001–0.0002 KC blocks per couple on the reference host, 0.5
+/// with `Adaptive`'s spin arm deleted.
+#[test]
+fn idle_decision_sibling_orbit_spins() {
+    let rt = Runtime::new();
+    ulp_core::sibling_orbit(&rt, 20_000);
+    assert!(rt.violations().is_empty());
+    let s = rt.stats().snapshot();
+    let per_couple = s.kc_blocks as f64 / s.couples as f64;
+    eprintln!(
+        "sibling orbit: {} KC blocks in {} couples = {per_couple:.4}",
+        s.kc_blocks, s.couples
+    );
+    assert!(per_couple <= 0.05, "{s:?}");
+}
+
 /// A UC that has never coupled has no phase history, and nobody spins on a
 /// guess: 16 BLTs decouple into a yield ring and their 16 trampolines (and
 /// the scheduler, before the first arrives) go straight to sleep. Spinning
@@ -719,17 +740,16 @@ fn idle_decision_no_history_no_spin() {
     assert!(rt.stats().snapshot().park_sleeps >= 16);
 }
 
-/// A scope that blocks in the kernel is not announced: its last run was
-/// longer than a sleep costs, so the schedulers are told nothing, the
-/// trampoline's regime gate stays shut, and nobody spins while the UC sits
-/// 2 ms in a pipe `read`.
+/// A scope that blocks in the kernel leads no KC to spin: the wait it ends
+/// is timed long, and a short wait timed before it is stale by the time the
+/// KC idles again (a 2 ms `read` outlives a sample's millisecond), so the
+/// scheduler and the trampoline sleep at once — while the UC sits in its
+/// `read`, and when it leaves home after one.
 #[test]
 fn idle_decision_blocking_scope_announces_nothing() {
     const ROUNDS: usize = 8;
     let rt = Runtime::new();
     let (fds_tx, fds) = std::sync::mpsc::channel();
-    let done = Arc::new(AtomicBool::new(false));
-    let done_tx = done.clone();
     let round_tx = Arc::new(AtomicUsize::new(0));
     let round_rx = round_tx.clone();
     let reader = rt.spawn("reader", move || {
@@ -743,7 +763,6 @@ fn idle_decision_blocking_scope_announces_nothing() {
             assert_eq!(coupled_scope(|| sys::read(r, &mut byte)).unwrap(), Ok(1));
             yield_now();
         }
-        done_tx.store(true, Ordering::Release);
         0
     });
     // Thread mode: the writer shares the reader's FD table.
@@ -758,20 +777,19 @@ fn idle_decision_blocking_scope_announces_nothing() {
         }
         0
     });
-    while !done.load(Ordering::Acquire) {
-        assert_eq!(rt.park_expected(), 0);
-        std::thread::sleep(Duration::from_micros(250));
-    }
     assert_eq!(reader.wait(), 0);
     assert_eq!(writer.wait(), 0);
     assert_eq!(spun_periods(&rt), 0, "{:?}", rt.stats().snapshot());
 }
 
-/// Every wake the schedulers are told to expect is taken back exactly once,
-/// whichever way the coupled scope ends; `Runtime::drop` asserts the same.
-/// Short scopes first, so the UCs *are* counted when they get there.
+/// Every way a coupled scope can end, under the default policy, with the
+/// idle KCs spinning for short waits: a scope that ends in `decouple()`, a
+/// primary and a sibling terminating coupled, a panic unwinding through
+/// `coupled_scope`, pooled ULPs, and shutdown with a UC coupled. Nothing is
+/// registered anywhere, so nothing has to be taken back: the runtime winds
+/// down from each.
 #[test]
-fn idle_decision_expectations_settle_to_zero() {
+fn idle_decision_survives_every_way_a_scope_ends() {
     fn orbit(n: usize) {
         for _ in 0..n {
             coupled_scope(|| ()).unwrap();
@@ -809,9 +827,7 @@ fn idle_decision_expectations_settle_to_zero() {
     for status in [plain.wait(), sibling.wait(), primary.wait(), panics.wait()] {
         assert_eq!(status, 0);
     }
-    assert_eq!(rt.park_expected(), 0, "after the BLTs");
-    // Pooled ULPs terminate coupled, every one of them (a count leaked per
-    // ULP here cost `pooled_churn` 5–12 % in the prototype).
+    // Pooled ULPs terminate coupled, every one of them.
     for _ in 0..8 {
         let batch: Vec<_> = (0..250)
             .map(|_| {
@@ -826,13 +842,12 @@ fn idle_decision_expectations_settle_to_zero() {
             assert_eq!(h.wait(), 0);
         }
     }
-    assert_eq!(rt.park_expected(), 0, "after 2000 pooled ULPs");
     let s = rt.stats().snapshot();
     assert!(
         s.park_spin_hits > 0,
         "no scheduler ever spun, so nothing above was counted: {s:?}"
     );
-    // Shutdown with a UC coupled and counted: it ends coupled, afterwards.
+    // Shutdown with a UC coupled: it ends coupled, afterwards.
     let (parked_tx, parked) = std::sync::mpsc::channel();
     let (go, go_rx) = std::sync::mpsc::channel::<()>();
     let coupled = rt.spawn("coupled-at-shutdown", move || {
@@ -847,7 +862,6 @@ fn idle_decision_expectations_settle_to_zero() {
     rt.shutdown();
     go.send(()).unwrap();
     assert_eq!(coupled.wait(), 0);
-    assert_eq!(rt.park_expected(), 0, "after shutdown");
 }
 
 #[test]

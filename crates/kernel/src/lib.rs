@@ -44,7 +44,7 @@ pub mod trace;
 mod wait;
 
 pub use aio::{aio_suspend_any, Aiocb};
-pub use cost::{cycles, cycles_per_ns, cycles_to_ns, spin_for, ArchProfile};
+pub use cost::{cycles, cycles_per_ns, cycles_to_ns, now_ns, spin_for, ArchProfile};
 pub use errno::{Errno, KResult};
 pub use fault::{FaultKind, FaultPlan, FAULT_KINDS};
 pub use fd::{Fd, FdTable};
@@ -60,4 +60,4 @@ pub use process::{Pid, ProcState, Process};
 pub use signal::{Disposition, MaskHow, SigSet, Signal, SignalState};
 pub use socket::{socketpair, socketpair_with_capacity, Listener, SocketEnd};
 pub use trace::{KernelHooks, SyscallPhase, Sysno, WakeCell, WakeSite};
-pub use wait::{wait_outcomes, WaitOutcomes};
+pub use wait::{wait_outcomes, WaitOutcomes, Waiters, SLEEPERS, SPINNER, SPIN_BREAK_EVEN_NS};

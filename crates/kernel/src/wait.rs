@@ -29,48 +29,150 @@
 //!    and *then* the span's `Exit` (oracle family J2). A call that never
 //!    waits emits neither.
 //! 4. **Spin only on the queue's own evidence, timed at the waker.** Each
-//!    queue keeps how long its last completed wait took, from the waiting
-//!    call's first failed check to the wake that made the predicate true,
-//!    timed by the *waker* in [`WaitQueue::wake_all`]/[`WaitQueue::wake_one`]
-//!    — so a slow OS wake-up never lengthens the sample and cannot argue for
-//!    the next sleep (the bistability `Parker::park` avoids by the same
-//!    means, `park.rs`, "The idle decision"). A call on a queue whose last
-//!    wait was shorter than [`SPIN_BREAK_EVEN_NS`] spins up to that long:
-//!    each pass counts in as a spinner, releases the lock, `sched_yield`s,
-//!    re-takes the lock and returns to the caller's re-check. A spinner is
-//!    counted in while the lock is free, so the waker that satisfies it
-//!    sees it, stamps for it and times its wait; past the break-even the
-//!    call falls through to announce → locked re-check → condvar sleep,
-//!    and no wake can fall between. A queue with no history sleeps at once.
+//!    queue's [`Waiters`] keeps how long its last completed wait took, from
+//!    the waiting call's first failed check to the wake that made the
+//!    predicate true, timed by the *waker* in
+//!    [`WaitQueue::wake_all`]/[`WaitQueue::wake_one`] — so a slow OS wake-up
+//!    never lengthens the sample and cannot argue for the next sleep. A call
+//!    on a queue whose last wait was shorter than [`SPIN_BREAK_EVEN_NS`],
+//!    and was timed less than 1 ms before the call began (`EVIDENCE_NS`: an
+//!    older sample describes a regime that may be over), spins up to that
+//!    long: each pass counts in as a spinner, releases the lock,
+//!    `sched_yield`s, re-takes the lock and returns to the caller's
+//!    re-check. A spinner is counted in while the lock is free, so the waker
+//!    that satisfies it sees it, stamps for it and times its wait; past the
+//!    break-even the call falls through to announce → locked re-check →
+//!    condvar sleep, and no wake can fall between. A queue with no history
+//!    sleeps at once. [`Waiters`] is the rule for the runtime too: every
+//!    `Parker` (`ulp-core`'s `park.rs`, "The idle decision") holds one and
+//!    decides with the same [`Waiters::spin`] — one rule, one break-even.
 //!
 //! Not on this type, on purpose: [`crate::futex::Semaphore`] (the paper's
 //! §VI-C BLOCKING primitive: lock-free on a futex word, no mutex to ride),
 //! and the `aio` / `waitpid` condvars, which carry no wake attribution. This
 //! is the kernel's one spin site (`tools/loc.sh --check`).
 
+use crate::cost::{now_ns, ns_at};
 use crate::errno::KResult;
 use crate::kernel::errno_of;
 use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
 use parking_lot::{Condvar, MutexGuard};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::time::Instant;
 
-/// A queue whose last wait took less than this spins before it sleeps, for
-/// at most this long: about what the sleep it avoids costs (a condvar sleep
-/// and its OS-thread wake-up take 14–40 µs on the 2-vCPU reference host),
-/// so a wrong guess wastes no more than a right one saves. `echo`'s waits —
-/// a client's reply, the server's next request — end in a few µs and cannot
-/// tell 10, 20 and 50 µs apart: ten `--seconds 8` runs each, `op_p50_us`
-/// median [q1–q3] 6.79 [6.61–6.86], 6.99 [6.65–7.08], 7.03 [6.84–7.21] and
-/// `cpu_us_per_op` 3.52 [3.49–3.58], 3.66 [3.47–3.75], 3.64 [3.48–3.71],
-/// against 14.0 [13.4–14.4] and 6.71 [6.56–6.90] sleeping at once.
-const SPIN_BREAK_EVEN_NS: u64 = 20_000;
+/// A wait whose predecessor took less than this spins before it sleeps, for
+/// at most this long: about what the sleep it avoids costs (a condvar or
+/// futex sleep and its OS-thread wake-up take 14–40 µs on the 2-vCPU
+/// reference host), so a wrong guess wastes no more than a right one saves.
+/// `echo`'s waits — a client's reply, the server's next request — end in a
+/// few µs and cannot tell 10, 20 and 50 µs apart: ten `--seconds 8` runs
+/// each, `op_p50_us` median [q1–q3] 6.79 [6.61–6.86], 6.99 [6.65–7.08],
+/// 7.03 [6.84–7.21] and `cpu_us_per_op` 3.52 [3.49–3.58], 3.66 [3.47–3.75],
+/// 3.64 [3.48–3.71], against 14.0 [13.4–14.4] and 6.71 [6.56–6.90] sleeping
+/// at once.
+pub const SPIN_BREAK_EVEN_NS: u64 = 20_000;
 
-/// One spinner in [`WaitQueue::sleepers`]: spinners count in the high half
-/// of the word and condvar sleepers in the low half, so a waker's one load
-/// says both whether anybody waits and whether anybody needs a notify.
-const SPINNER: usize = 1 << (usize::BITS / 2);
+/// How long after its waker timed it a short last wait is still evidence:
+/// the waiting side has been busy since (a coupled scope blocked in the
+/// kernel, a UC run at home), and either wrong answer now costs at most one
+/// break-even per millisecond of work, 2 %.
+const EVIDENCE_NS: u64 = 50 * SPIN_BREAK_EVEN_NS;
+
+/// One spinner in a [`Waiters`] count: spinners count in the high half of
+/// the word and sleepers in the low half ([`SLEEPERS`]), so a waker's one
+/// load says both whether anybody waits and whether anybody needs a wake-up.
+pub const SPINNER: u32 = 1 << 16;
+
+/// The sleepers' half of a [`Waiters`] count.
+pub const SLEEPERS: u32 = SPINNER - 1;
+
+/// Who waits for one thing, and rule 4's evidence for whether the next
+/// waiter spins: the count of waiters, the first failed check of the wait
+/// the first of them belongs to, and how long the last wait a waker ended
+/// took, and when. Every kernel wait queue holds one, and so does every
+/// `Parker` of the runtime. The holder orders wakers against waiters (a
+/// mutex here, the queue lock and the futex protocol there); the stamps only
+/// steer the decision, so a stale read costs one spin pass or one sleep too
+/// many, never a wake.
+#[derive(Debug)]
+pub struct Waiters {
+    /// Sleepers in units of one, spinners in units of [`SPINNER`].
+    count: AtomicU32,
+    /// The first failed check of the wait the first waiter counted in belongs
+    /// to, on the [`now_ns`] clock.
+    since: AtomicU64,
+    /// How long the last wait a waker ended took (`u64::MAX`: none yet).
+    last_wait: AtomicU64,
+    /// When its waker timed it, on the [`now_ns`] clock.
+    timed_at: AtomicU64,
+}
+
+impl Default for Waiters {
+    /// Nobody counted in, no history: the first wait sleeps.
+    fn default() -> Waiters {
+        Waiters {
+            count: AtomicU32::new(0),
+            since: AtomicU64::new(0),
+            last_wait: AtomicU64::new(u64::MAX),
+            timed_at: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Waiters {
+    /// Rule 4: whether a wait whose first failed check was at `since` spins
+    /// at `now` — it is younger than [`SPIN_BREAK_EVEN_NS`], and so was the
+    /// last wait a waker ended, timed at most `EVIDENCE_NS` (1 ms) before
+    /// this one began. An undated wait (`since` 0) sleeps.
+    #[inline]
+    pub fn spin(&self, since: u64, now: u64) -> bool {
+        since != 0
+            && now.saturating_sub(since) < SPIN_BREAK_EVEN_NS
+            && self.last_wait.load(Relaxed) < SPIN_BREAK_EVEN_NS
+            && since.saturating_sub(self.timed_at.load(Relaxed)) < EVIDENCE_NS
+    }
+
+    /// Count a waiter of the wait whose first failed check was at `since`
+    /// in (0: undated, so its waker reads no clock and takes no sample):
+    /// `unit` is 1 for a sleeper, [`SPINNER`] for a spinner. A sleeper's
+    /// count-in is the announce a futex protocol pairs with its waker, hence
+    /// `SeqCst`.
+    #[inline]
+    pub fn count_in(&self, unit: u32, since: u64) {
+        if self.count.fetch_add(unit, SeqCst) == 0 {
+            self.since.store(since, Relaxed);
+        }
+    }
+
+    /// Count a waiter counted in with `unit` out again.
+    #[inline]
+    pub fn count_out(&self, unit: u32) {
+        self.count.fetch_sub(unit, SeqCst);
+    }
+
+    /// Everybody counted in: sleepers in [`SLEEPERS`], spinners above.
+    #[inline]
+    pub fn counted(&self) -> u32 {
+        self.count.load(SeqCst)
+    }
+
+    /// The waker's half, where it made the predicate true: if anybody is
+    /// counted in and their wait is dated, time it, from its first failed
+    /// check to now. Returns the count it read.
+    #[inline]
+    pub fn ended(&self) -> u32 {
+        let counted = self.counted();
+        if counted != 0 {
+            let since = self.since.load(Relaxed);
+            if since != 0 {
+                let now = now_ns();
+                self.last_wait.store(now.saturating_sub(since), Relaxed);
+                self.timed_at.store(now, Relaxed);
+            }
+        }
+        counted
+    }
+}
 
 /// Process-wide outcomes of calls that had to wait (`ulp_kernel_wait_total`).
 static SPIN_HITS: AtomicU64 = AtomicU64::new(0);
@@ -111,27 +213,13 @@ pub fn wait_outcomes() -> WaitOutcomes {
     }
 }
 
-/// `at` in nanoseconds on the clock the wait evidence is kept in.
-fn ns(at: Instant) -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    at.saturating_duration_since(epoch).as_nanos() as u64
-}
-
 /// The waiters on one predicate. See the module docs for the protocol.
 #[derive(Debug)]
 pub(crate) struct WaitQueue {
     cv: Condvar,
-    /// Threads counted in by [`Wait::sleep`]: condvar sleepers in units of
-    /// one, spinners in units of [`SPINNER`]. Read and written only under
-    /// the owner's lock, which is all the ordering it needs (so are the two
-    /// words below).
-    sleepers: AtomicUsize,
-    /// The first failed check of the call the first waiter counted in
-    /// belongs to, on the [`ns`] clock.
-    waiting_since: AtomicU64,
-    /// How long the last wait a waker ended took (`u64::MAX`: none yet).
-    last_wait: AtomicU64,
+    /// Threads counted in by [`Wait::sleep`], and rule 4's evidence. Read
+    /// and written only under the owner's lock.
+    waiters: Waiters,
     cell: WakeCell,
     site: WakeSite,
     span: Sysno,
@@ -143,9 +231,7 @@ impl WaitQueue {
     pub(crate) fn new(site: WakeSite) -> WaitQueue {
         WaitQueue {
             cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            waiting_since: AtomicU64::new(0),
-            last_wait: AtomicU64::new(u64::MAX),
+            waiters: Waiters::default(),
             cell: WakeCell::new(),
             site,
             span: site
@@ -172,22 +258,12 @@ impl WaitQueue {
     /// their wait (rule 4). Returns whether a condvar sleeper is among them.
     #[inline]
     fn wait_ended(&self) -> bool {
-        let waiting = self.sleepers.load(Relaxed);
+        let waiting = self.waiters.ended();
         if waiting == 0 {
             return false;
         }
         self.cell.stamp();
-        let took = ns(Instant::now()).saturating_sub(self.waiting_since.load(Relaxed));
-        self.last_wait.store(took, Relaxed);
-        waiting & (SPINNER - 1) != 0
-    }
-
-    /// Count a waiter of the call whose first failed check was at `since`
-    /// in, in units of `unit`.
-    fn count_in(&self, unit: usize, since: u64) {
-        if self.sleepers.fetch_add(unit, Relaxed) == 0 {
-            self.waiting_since.store(since, Relaxed);
-        }
+        waiting & SLEEPERS != 0
     }
 
     /// Begin one blocking call. Nothing happens until its first
@@ -213,7 +289,8 @@ pub(crate) struct Wait<'q> {
     deadline: Option<Instant>,
     /// The blocking span is open.
     blocked: bool,
-    /// The call's first failed check, on the [`ns`] clock (once `blocked`).
+    /// The call's first failed check, on the [`now_ns`] clock (once
+    /// `blocked`).
     since: u64,
     /// The call has spun and not slept since: its spin's outcome is open.
     spinning: bool,
@@ -229,7 +306,7 @@ impl Wait<'_> {
     pub(crate) fn sleep<T>(&mut self, held: &mut MutexGuard<'_, T>) -> bool {
         let q = self.queue;
         let at = Instant::now();
-        let now = ns(at);
+        let now = ns_at(at);
         if !self.blocked {
             self.blocked = true;
             self.since = now;
@@ -242,11 +319,11 @@ impl Wait<'_> {
             }
             d => d.map(|d| d - at),
         };
-        if now - self.since < SPIN_BREAK_EVEN_NS && q.last_wait.load(Relaxed) < SPIN_BREAK_EVEN_NS {
+        if q.waiters.spin(self.since, now) {
             self.spinning = true;
-            q.count_in(SPINNER, self.since);
+            q.waiters.count_in(SPINNER, self.since);
             MutexGuard::unlocked(held, std::thread::yield_now);
-            q.sleepers.fetch_sub(SPINNER, Relaxed);
+            q.waiters.count_out(SPINNER);
             self.stamp = q.cell.take();
             return true;
         }
@@ -254,7 +331,7 @@ impl Wait<'_> {
             SPIN_MISSES.fetch_add(1, Relaxed);
         }
         SLEEPS.fetch_add(1, Relaxed);
-        q.count_in(1, self.since);
+        q.waiters.count_in(1, self.since);
         let woken = match left {
             Some(left) => !q.cv.wait_for(held, left).timed_out(),
             None => {
@@ -262,7 +339,7 @@ impl Wait<'_> {
                 true
             }
         };
-        q.sleepers.fetch_sub(1, Relaxed);
+        q.waiters.count_out(1);
         self.stamp = q.cell.take();
         woken
     }
@@ -313,10 +390,10 @@ mod tests {
         .install();
     }
 
-    fn sleepers_reach(q: &WaitQueue, lock: &Mutex<bool>, n: usize) {
+    fn sleepers_reach(q: &WaitQueue, lock: &Mutex<bool>, n: u32) {
         loop {
             let held = lock.lock();
-            if q.sleepers.load(Relaxed) >= n {
+            if q.waiters.counted() >= n {
                 return;
             }
             drop(held);
@@ -376,7 +453,7 @@ mod tests {
         let mut wait = q.wait(Some(Instant::now() + Duration::from_millis(10)));
         assert!(!wait.sleep(&mut held), "nobody woke it");
         assert_eq!(wait.stamp, None);
-        assert_eq!(q.sleepers.load(Relaxed), 0);
+        assert_eq!(q.waiters.counted(), 0);
         assert!(!wait.sleep(&mut held), "a passed deadline does not sleep");
     }
 
@@ -406,7 +483,7 @@ mod tests {
             .collect();
         loop {
             let held = w.gen.lock();
-            if w.queue.sleepers.load(Relaxed) == 2 {
+            if w.queue.waiters.counted() == 2 {
                 break;
             }
             drop(held);
@@ -436,6 +513,13 @@ mod tests {
     /// A last wait well inside the break-even.
     const SHORT: u64 = SPIN_BREAK_EVEN_NS / 10;
 
+    /// Give `w` a last wait of [`SHORT`] that never goes stale (timed "at"
+    /// the end of the clock), so a waiter that is slow to start still spins.
+    fn short_history(w: &Waiters) {
+        w.last_wait.store(SHORT, Relaxed);
+        w.timed_at.store(u64::MAX, Relaxed);
+    }
+
     /// Attempts a test that must catch a waiter mid-spin makes before it
     /// gives up: one pass is a `sched_yield`, so a flipper on the other CPU
     /// catches one within a few attempts.
@@ -464,14 +548,14 @@ mod tests {
     fn a_short_last_wait_catches_a_flip_without_a_sleep() {
         for _ in 0..ATTEMPTS {
             let q = Arc::new(WaitQueue::new(WakeSite::SockRead));
-            q.last_wait.store(SHORT, Relaxed);
+            short_history(&q.waiters);
             let flag = Arc::new(Mutex::new(false));
             let w = waiter(&q, &flag);
             // Flip the predicate the moment the waiter is seen spinning —
             // or, if it got to sleep first, once it is asleep.
             let caught = loop {
                 let mut held = flag.lock();
-                match q.sleepers.load(Relaxed) {
+                match q.waiters.counted() {
                     0 => {}
                     waiting => {
                         *held = true;
@@ -501,7 +585,7 @@ mod tests {
         q.wake_all(&held);
         // Timed by the wake, under the lock: before the sleeper runs again,
         // so however long its OS wake-up takes is not in the sample.
-        let took = q.last_wait.load(Relaxed);
+        let took = q.waiters.last_wait.load(Relaxed);
         drop(held);
         assert!((2_000_000..u64::MAX).contains(&took), "{took} ns");
         assert!(!w.join().unwrap().0, "no history: it slept");
@@ -511,7 +595,8 @@ mod tests {
     fn no_history_or_a_long_one_sleeps_at_once() {
         for last in [u64::MAX, 10 * SPIN_BREAK_EVEN_NS] {
             let q = WaitQueue::new(WakeSite::SockRead);
-            q.last_wait.store(last, Relaxed);
+            q.waiters.last_wait.store(last, Relaxed);
+            q.waiters.timed_at.store(u64::MAX, Relaxed); // fresh: the length decides
             let lock = Mutex::new(false);
             let mut held = lock.lock();
             let timeout = Duration::from_millis(5);
@@ -526,6 +611,41 @@ mod tests {
         }
     }
 
+    /// A short last wait is evidence for `EVIDENCE_NS` after its waker timed
+    /// it: a call that begins later, the queue's owner having been busy
+    /// meanwhile, sleeps at once.
+    #[test]
+    fn a_short_wait_timed_long_ago_sleeps_at_once() {
+        let q = WaitQueue::new(WakeSite::SockRead);
+        q.waiters.last_wait.store(SHORT, Relaxed);
+        let timed = now_ns();
+        q.waiters.timed_at.store(timed, Relaxed);
+        assert!(q.waiters.spin(timed, timed), "fresh, it is spun for");
+        thread::sleep(Duration::from_nanos(2 * EVIDENCE_NS));
+        let lock = Mutex::new(false);
+        let mut held = lock.lock();
+        let timeout = Duration::from_millis(5);
+        let t = Instant::now();
+        let mut wait = q.wait(Some(t + timeout));
+        assert!(!wait.sleep(&mut held), "a stale short wait was spun for");
+        assert!(t.elapsed() >= timeout && !wait.spinning);
+    }
+
+    /// A wait counted in with `since` 0 — a BLOCKING park, a loop's first
+    /// idle period — is undated: the waker that ends it takes no sample
+    /// (the short history survives), and it never spins itself.
+    #[test]
+    fn an_undated_wait_is_no_sample() {
+        let w = Waiters::default();
+        short_history(&w);
+        w.count_in(1, 0);
+        assert_eq!(w.ended(), 1);
+        w.count_out(1);
+        let now = now_ns();
+        assert!(w.spin(now, now), "the undated wait was timed");
+        assert!(!w.spin(0, now), "an undated wait spun");
+    }
+
     #[test]
     fn a_spin_past_its_budget_sleeps_and_is_woken() {
         // A flip landing anywhere around the end of the spin — mid-spin,
@@ -534,14 +654,14 @@ mod tests {
         let mut slept_then_woken = 0;
         for round in 0..2_000u64 {
             let q = Arc::new(WaitQueue::new(WakeSite::SockRead));
-            q.last_wait.store(SHORT, Relaxed);
+            short_history(&q.waiters);
             let flag = Arc::new(Mutex::new(false));
             let (done, finished) = mpsc::channel();
             let w = {
                 let w = waiter(&q, &flag);
                 thread::spawn(move || done.send(w.join().unwrap()))
             };
-            while q.sleepers.load(Relaxed) == 0 {
+            while q.waiters.counted() == 0 {
                 std::hint::spin_loop();
             }
             let delay = Duration::from_nanos(round % 40 * SPIN_BREAK_EVEN_NS / 20);
@@ -551,7 +671,7 @@ mod tests {
             }
             {
                 let mut held = flag.lock();
-                let asleep = q.sleepers.load(Relaxed) == 1;
+                let asleep = q.waiters.counted() == 1;
                 *held = true;
                 q.wake_all(&held);
                 drop(held);
@@ -574,7 +694,7 @@ mod tests {
     #[test]
     fn a_deadline_passing_mid_spin_times_out_on_time() {
         let q = WaitQueue::new(WakeSite::SockRead);
-        q.last_wait.store(SHORT, Relaxed);
+        short_history(&q.waiters);
         let lock = Mutex::new(false);
         let mut held = lock.lock();
         let t = Instant::now();
@@ -592,11 +712,11 @@ mod tests {
             "{passes} passes, {:?}",
             t.elapsed()
         );
-        assert_eq!((q.sleepers.load(Relaxed), wait.stamp), (0, None));
+        assert_eq!((q.waiters.counted(), wait.stamp), (0, None));
 
         // The same through a `PollWaker`: `TimedOut`, not a sleep to the end.
         let w = PollWaker::new(WakeSite::EpollWait);
-        w.queue.last_wait.store(SHORT, Relaxed);
+        short_history(&w.queue.waiters);
         let t = Instant::now();
         let deadline = t + Duration::from_nanos(SPIN_BREAK_EVEN_NS / 4);
         assert_eq!(w.wait(w.generation(), Some(deadline)), WaitEnd::TimedOut);
@@ -615,14 +735,14 @@ mod tests {
             // The sleeper finds no history and sleeps; then the history
             // says "short", and the second waiter spins.
             let sleeper = spawn(&w);
-            while w.queue.sleepers.load(Relaxed) != 1 {
+            while w.queue.waiters.counted() != 1 {
                 thread::yield_now();
             }
-            w.queue.last_wait.store(SHORT, Relaxed);
+            short_history(&w.queue.waiters);
             let spinner = spawn(&w);
             let caught = loop {
                 let mut held = w.gen.lock();
-                match w.queue.sleepers.load(Relaxed) {
+                match w.queue.waiters.counted() {
                     1 => continue,
                     waiting => {
                         // `wake()` with tracing on, stamp armed by hand.

@@ -948,7 +948,7 @@ fn c1m_storm(rt: &Runtime, fails: &Fails) {
 
 /// Staying home under fire. Every round of `home-w` is an explicit
 /// `couple()` / `decouple()` pair around 100 µs asleep in the kernel — so
-/// nothing is expected back and the lone scheduler sleeps as well — followed
+/// every last wait reads long and the lone scheduler sleeps as well — followed
 /// by a short `coupled_scope` probe. Each `decouple()` after the first finds
 /// the gates of `park.rs`, "Staying home", open unless chaos shut one (a
 /// forced yield that left made the last stretch long), so the probe usually

@@ -9,15 +9,37 @@
 # tracked  = lines of every git-tracked file under the crate
 # src      = lines of the tracked .rs files under its src/
 # non-test = of those, everything above each file's first `#[cfg(test)]`
-#            (the rule CHANGES.md has used since PR 14)
+#            that is followed by a `mod` item, in the files that are not
+#            themselves test-only modules (declared `#[cfg(test)] mod x;`)
 set -eu
 cd "$(git rev-parse --show-toplevel)"
+
+# awk: `t` is 1 from the file's test code on — its first `#[cfg(test)]`
+# followed by a `mod` item (one on a statement or a fn is shipped code) —
+# and `from` marks the line it turns on at.
+tests='FNR == 1 { t = 0; c = 0 }
+    !t && c && /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/ { t = 1; from = 1 }
+    { c = /^[[:space:]]*#\[cfg\(test\)\]/ }'
+# The files `#[cfg(test)] mod x;` declares: x.rs or x/mod.rs beside a
+# lib.rs, main.rs or mod.rs, under the declaring file's own directory else.
+test_mods=$(git ls-files -- '*.rs' | xargs -r awk '
+    FNR == 1 { c = 0 }
+    c && /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+;/ {
+        m = $0; sub(/^.*mod[[:space:]]+/, "", m); sub(/;.*/, "", m)
+        d = FILENAME
+        if (d ~ /(^|\/)(lib|main|mod)\.rs$/) sub(/[^\/]*$/, "", d); else sub(/\.rs$/, "/", d)
+        print d m ".rs"; print d m "/mod.rs"
+    }
+    { c = /^[[:space:]]*#\[cfg\(test\)\]/ }')
+shipped() { # the .rs files on stdin that are not test-only modules
+    grep '\.rs$' | grep -vxF "$test_mods" || true
+}
 
 lines() { # total lines of the files named on stdin
     xargs -r cat | wc -l
 }
 non_test() { # non-test lines of the .rs files named on stdin
-    xargs -r awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+    shipped | xargs -r awk "$tests"' from { n--; from = 0 } !t { n++ } END { print n + 0 }'
 }
 
 if [ "${1:-}" = --check ]; then
@@ -39,7 +61,7 @@ for c in crates/*/; do
     c=${c%/}
     t=$(git ls-files -- "$c" | lines)
     s=$(git ls-files -- "$c/src" | grep '\.rs$' | lines)
-    n=$(git ls-files -- "$c/src" | grep '\.rs$' | non_test)
+    n=$(git ls-files -- "$c/src" | non_test)
     printf '%-18s %8d %8d %9d\n' "$c" "$t" "$s" "$n"
     tt=$((tt + t)) ts=$((ts + s)) tn=$((tn + n))
 done
@@ -47,13 +69,15 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 
 [ -n "${check:-}" ] || exit 0
 
-# Structure gates: one open-file interface, one wait queue, one hook table
-# (PR 18); one idle decision, made from phases and not from a spin streak
-# (PR 19); one run-queue discipline (ISSUE 22; the bracketed letters keep this
-# file out of its own pattern); a stay-home decision made from the UC's own
-# evidence, not from who is asleep or what is queued (ISSUE 23); one replay of
-# the Table-I state machine for the renderers and one cumulative-bucket
-# renderer (ISSUE 24). Each names what came back and where.
+# Structure gates: one open-file interface, one wait queue, one hook table;
+# one spin-or-sleep rule for runtime and kernel, decided from the last wait
+# its waker timed, with nothing registered and nothing to balance; one
+# run-queue discipline (the bracketed letters keep this file out of its own
+# patterns); a stay-home decision made from the UC's own evidence, not from
+# who is asleep or what is queued; one replay of the Table-I state machine for
+# the renderers and one cumulative-bucket renderer; one secondary-UC path.
+# Each names what came back and where. Code-shaped gates read shipped code
+# only: the lines above each file's test code, outside test-only modules.
 bad=0
 gate() { # gate <message> <matching lines>
     if [ -n "$2" ]; then
@@ -67,35 +91,39 @@ gate "FileObject is back under crates/ (descriptions hold Arc<dyn FileLike>)" \
 gate "Condvar in $k outside wait.rs, aio.rs, kernel.rs (sleep on a WaitQueue)" \
     "$(git grep -n 'Condvar' -- $k ":!$k/wait.rs" ":!$k/aio.rs" ":!$k/kernel.rs" || true)"
 # One spin site in the kernel, `Wait::sleep`, as `Parker::park` is the
-# runtime's. Non-test code only, and none of the non-Linux fallbacks (not
+# runtime's. Shipped code only, and none of the non-Linux fallbacks (not
 # built on Linux; futex.rs's stands in for the futex call itself). cost.rs
 # busy-waits to model an architectural cost: it waits for nothing.
 gate "yield_now or a spin loop in $k outside wait.rs (the kernel's one spin site is Wait::sleep)" \
-    "$(git ls-files -- "$k" | grep '\.rs$' | grep -v "^$k/\(wait\|cost\)\.rs$" | xargs -r awk '
-        FNR == 1 { t = 0; fallback = "" }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+    "$(git ls-files -- "$k" | shipped | grep -v "^$k/\(wait\|cost\)\.rs$" | xargs -r awk "$tests"'
+        FNR == 1 { fallback = "" }
         /#\[cfg\(not\(target_os = "linux"\)\)\]/ { match($0, /^[[:space:]]*/); fallback = substr($0, 1, RLENGTH) "}"; next }
         fallback != "" { if ($0 == fallback) fallback = ""; next }
         !t && /yield_now|spin_loop/ { print FILENAME ":" FNR ": " $0 }')"
-gate "the Adaptive spin streak is back under crates/ (Parker::park decides from expect()/unexpect())" \
+# One spin-or-sleep rule: `Parker::park` and `Wait::sleep` both ask
+# `ulp_kernel::Waiters::spin` (wait.rs), against one break-even.
+gate "the Adaptive spin streak is back under crates/ (Parker::park spins on the last wait a push timed: wait.rs's Waiters)" \
     "$(git grep -n 'spin_streak\|ADAPTIVE_SPIN_STREAK' -- crates || true)"
+gate "a wake registration is back under crates/ (a timed sample needs no balancing: Parker::park spins on wait.rs's Waiters)" \
+    "$(git grep -nE 'fn expect\b|\bunexpect\b|spin_until|awaited_by|SCOPE_BREAK_EVEN|GAP_BREAK_EVEN|SPIN_DEADLINE_NS|park_expected' -- crates || true)"
+breakevens=$(git grep -n 'const SPIN_BREAK_EVEN_NS' -- crates || true)
+if [ "$(printf '%s\n' "$breakevens" | grep -c .)" -gt 1 ]; then
+    gate "SPIN_BREAK_EVEN_NS is defined more than once under crates/ (one rule, one constant: the kernel's wait.rs)" "$breakevens"
+fi
 gate "a second run-queue discipline is back under crates/ (one FIFO; ROADMAP item 1 has the conditions for a per-scheduler queue)" \
     "$(git grep -n 'SchedPolic[y]\|WorkStealin[g]\|push_loca[l]\|register_loca[l]' -- crates || true)"
 gate "the sleepers / queue-length gate is back in decouple()'s stay decision (DESIGN.md §4, Staying home: three gates)" \
     "$(git grep -n 'all_aslee[p]' -- crates || true; git grep -n 'runq\.len()' -- crates/core/src/couple.rs crates/core/src/park.rs || true)"
 c=crates/core/src
-# Match arms only (`Event::X… =>`), above each file's first `#[cfg(test)]`:
-# the recording sites construct these variants, and tests may match them.
+# Match arms only (`Event::X… =>`), in shipped code: the recording sites
+# construct these variants, and tests may match them.
 gate "a lifecycle Event:: variant is matched in $c outside trace.rs and replay.rs (consume replay::Item instead)" \
-    "$(git ls-files -- "$c" | grep -v "^$c/\(trace\|replay\)\.rs$" | xargs -r awk '
-        FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+    "$(git ls-files -- "$c" | shipped | grep -v "^$c/\(trace\|replay\)\.rs$" | xargs -r awk "$tests"'
         !t && /Event::(Decouple|Dispatch|Requeue|Yield|CoupleRequest|Coupled)[^A-Za-z].*=>/ { print FILENAME ":" FNR ": " $0 }')"
 # One secondary-UC path: every `UcInner` is built by `UcInner::new`, and
 # siblings and pooled ULPs share one entry and one termination. A literal is
-# a `UcInner {` on a line that declares no struct or impl, above each file's
-# first `#[cfg(test)]`.
-lits=$(git ls-files -- "$c" | grep '\.rs$' | xargs -r awk '
-    FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+# a `UcInner {` on a line that declares no struct or impl, in shipped code.
+lits=$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
     !t && /UcInner \{/ && !/(struct|impl)[[:space:]]/ { print FILENAME ":" FNR ": " $0 }')
 if [ "$(printf '%s\n' "$lits" | grep -c .)" -gt 1 ]; then
     gate "more than one UcInner literal in $c (build every UC with UcInner::new)" "$lits"
