@@ -25,6 +25,12 @@ const COUPLE_LOOP_WINDOW: Duration = Duration::from_millis(150);
 const MAX_ADAPTIVE_KC_BLOCKS: f64 = 0.05;
 const MIN_BLOCKING_KC_BLOCKS: f64 = 0.5;
 const MIN_ADAPTIVE_HOME_RATIO: f64 = 0.9;
+/// Tolerance on the paper's policies' switches and TLS loads per round trip
+/// (exactly Table V's 4 and 2 but for a few start-up and exit switches), and
+/// the ceiling on either per round trip that stays home (0 but for the
+/// `Requeue`s of stalled stretches; 4 and 2 with the trampoline detour).
+const TABLE_V_SLACK: f64 = 0.01;
+const MAX_HOME_TRIP_COST: f64 = 0.1;
 
 /// Scopes per UC of the sibling-orbit gate, and the ceiling on KC futex
 /// blocks per couple (≈ 0.0002 with `Adaptive`'s spin arm, ≈ 0.5 without).
@@ -128,6 +134,35 @@ fn main() {
         format!(
             "couple loop decouples that stayed home: Adaptive {home_ratio:.3} (floor {MIN_ADAPTIVE_HOME_RATIO}), Blocking {} and BusyWait {} (exactly 0; BusyWait {busywait:.0}/s)",
             b.decouple_homes, w.decouple_homes
+        ),
+    );
+
+    // What one round trip consisted of, by the same counters, leaving out the
+    // yields (one switch and one TLS load each, on a scheduler): the paper's
+    // policies pay Table V's 4 switches and 2 TLS loads for every one, and a
+    // round trip that stays home is a flag flipped on the UC's own thread —
+    // what is left once each decouple that left is charged Table V's.
+    let home_trip = |d: &ulp_core::StatsSnapshot| {
+        let left = (d.decouples - d.decouple_homes) as f64;
+        let homes = d.decouple_homes.max(1) as f64;
+        let per = |n: u64, table_v: f64| ((n - d.yields) as f64 - table_v * left) / homes;
+        (per(d.context_switches, 4.0), per(d.tls_loads, 2.0))
+    };
+    let trip = |d: &ulp_core::StatsSnapshot| {
+        let per = |n: u64| (n - d.yields) as f64 / d.decouples as f64;
+        (per(d.context_switches), per(d.tls_loads))
+    };
+    let (home_sw, home_tls) = home_trip(&a);
+    let paper = [trip(&b), trip(&w)];
+    gate(
+        home_sw <= MAX_HOME_TRIP_COST
+            && home_tls <= MAX_HOME_TRIP_COST
+            && paper.iter().all(|(sw, tls)| {
+                (sw - 4.0).abs() <= TABLE_V_SLACK && (tls - 2.0).abs() <= TABLE_V_SLACK
+            }),
+        format!(
+            "couple loop switches + TLS loads per round trip: Adaptive at home {home_sw:.3} + {home_tls:.3} (ceiling {MAX_HOME_TRIP_COST}), Blocking {:.3} + {:.3} and BusyWait {:.3} + {:.3} (4 + 2 ± {TABLE_V_SLACK})",
+            paper[0].0, paper[0].1, paper[1].0, paper[1].1
         ),
     );
 

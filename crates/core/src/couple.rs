@@ -5,25 +5,29 @@
 //! KC ("decoupled"). The full procedure, including both synchronization
 //! points, is the paper's Table I; the mapping here is:
 //!
-//! | Table I step | This module |
-//! |---|---|
-//! | Seq.1–2 `enqueue(UC₀,KC₀)`, `unblock(KC₀)` | `Deferred::CoupleRequest` executed by the host scheduler *after* the UC is saved (race point 1 resolved) |
-//! | Seq.3–4 `swap_ctx(UC₀,UCᵢ)` / `swap_ctx(TC₀,UC₀)` | [`couple`]'s switch to the host + the TC idle loop's dispatch |
-//! | Seq.5 `system_call()` | user code, now on the original KC |
-//! | Seq.6–7 `enqueue(UC₀,KC₁)`, `swap_ctx(UC₀,TC₀)` | [`decouple`]'s switch to the TC with `Deferred::Enqueue` (race point 2 resolved) |
-//! | Seq.8–9 `dequeue()` / `swap_ctx(UCᵢ,UC₀)` | the scheduler loop / direct `yield` switch |
+//! | Table I step | This module | At home (KC₁ = KC₀) |
+//! |---|---|---|
+//! | Seq.1–2 `enqueue(UC₀,KC₀)`, `unblock(KC₀)` | `Deferred::CoupleRequest` executed by the host scheduler *after* the UC is saved (race point 1 resolved) | [`couple`] publishes its own request |
+//! | Seq.3–4 `swap_ctx(UC₀,UCᵢ)` / `swap_ctx(TC₀,UC₀)` | [`couple`]'s switch to the host + the TC idle loop's dispatch | no switch: [`couple`] sets the flag |
+//! | Seq.5 `system_call()` | user code, now on the original KC | the same |
+//! | Seq.6–7 `enqueue(UC₀,KC₁)`, `swap_ctx(UC₀,TC₀)` | [`decouple`]'s switch to the TC with `Deferred::Enqueue` (race point 2 resolved) | no switch: [`decouple`] clears the flag |
+//! | Seq.8–9 `dequeue()` / `swap_ctx(UCᵢ,UC₀)` | the scheduler loop / direct `yield` switch | [`decouple`] counts its own dispatch |
+//!
+//! Away, a round trip is Table V's 4 switches and 2 TLS loads; at home, none.
 //!
 //! Table I never says KC₁ ≠ KC₀. A [`decouple`] whose last decoupled stretch
 //! was shorter than the two hand-overs leaving costs — out to a scheduler,
 //! and back through its own [`couple`] — *stays home* instead (`park.rs`,
 //! "Staying home", has the decision; whether a scheduler happens to be awake
-//! is not part of it): Seq. 6–7 still switch to the TC behind a deferred
-//! action — `Deferred::Home`, which publishes the UC to nobody — Seq. 8–9 are
-//! the TC's own dispatch of it (`kc.rs::tc_loop`, counted and charged like a
-//! scheduler's), and Seq. 1–4 run unchanged with the TC as the host. Still 4
-//! switches and 2 TLS loads per round trip; no wake-up, because no other
-//! thread is involved. At home [`yield_now`] is the kernel's yield while the
-//! stretch is young; past that it hands the KC back to rejoin the pool.
+//! is not part of it). At home the UC is its KC's KLT in all but its flag, so
+//! staying is a state, not a trip: Seq. 6–9 collapse into [`decouple`]
+//! clearing the flag and counting the dispatch on its own stack, and Seq. 1–4
+//! into [`couple`] setting it again — unless a sibling's request is already
+//! queued on the KC, which is then served first, through the trampoline, so
+//! the queue stays FIFO. No switch, no TLS load and no wake-up: no other
+//! context is involved, and the UC is published to nobody. At home
+//! [`yield_now`] is the kernel's yield while the stretch is young; past that
+//! it hands the KC back to rejoin the pool.
 //!
 //! ## Hot-path structure
 //!
@@ -89,8 +93,7 @@ pub(crate) fn install_on(b: &ThreadBlock, uc: Arc<UcInner>) -> Option<Arc<UcInne
     displaced
 }
 
-/// A host — a scheduler KC, or a UC's own trampoline when its `decouple()`
-/// stayed home — dispatches the decoupled `uc` (Table I Seq. 8–9, KC₁
+/// A scheduler KC dispatches the decoupled `uc` (Table I Seq. 8–9, KC₁
 /// column): count it, close its enqueue→dispatch span on the trace, and load
 /// its TLS register at the UC↔UC cost. `host` names the dispatching KC.
 /// Returns the context to switch to.
@@ -104,7 +107,7 @@ pub(crate) fn host_dispatch(
     }
     // A primary's own run as a ULT starts here, whatever it waited for
     // before: the evidence for staying home next time (`park.rs`), which
-    // only a primary ever does.
+    // only a primary ever does. (A `decouple()` that stays does the same.)
     let timed = uc.kind == UcKind::Primary;
     let tracing = b.trace().filter(|t| t.is_on());
     if timed || tracing.is_some() {
@@ -117,11 +120,10 @@ pub(crate) fn host_dispatch(
         }
     }
     let target = unsafe { *uc.ctx.get() };
-    // The queue's (or home slot's) Arc moves into the TLS register; the
-    // displaced occupant — a scheduler's identity clone, re-materialized
-    // when the UC couples away, or nothing on a trampoline — is dropped
-    // here: the dispatch boundary is where the switch path's Arc traffic
-    // lives.
+    // The queue's Arc moves into the TLS register; the displaced occupant —
+    // the scheduler's identity clone, re-materialized when the UC couples
+    // away — is dropped here: the dispatch boundary is where the switch
+    // path's Arc traffic lives.
     let _displaced = install_on(b, uc);
     target
 }
@@ -166,6 +168,11 @@ enum Prep {
     OsYield,
     /// No runnable UC / no transition necessary.
     NoSwitch,
+    /// [`couple`] / [`decouple`] only: the transition completed on this
+    /// thread without a switch (a UC at home). A variant of its own, not a
+    /// payload on `NoSwitch`, which reshaped the enum and cost the yield path
+    /// that matches on it 2–7 % on `yield_ring`.
+    Stayed,
     /// Perform `swap(save, target)`.
     Switch {
         save: *mut RawContext,
@@ -206,7 +213,6 @@ pub fn decouple() -> Result<bool, UlpError> {
         }
         if let Some(s) = b.shard() {
             s.bump_decouples();
-            s.bump_context_switches();
         }
         if let Some(t) = b.trace() {
             t.record(crate::trace::Event::Decouple(me.id));
@@ -234,6 +240,7 @@ pub fn decouple() -> Result<bool, UlpError> {
             me.phases.decoupling(now, policy);
             if let Some(s) = b.shard() {
                 s.bump_couple_handoffs();
+                s.bump_context_switches();
             }
             if let Some(t) = b.trace() {
                 t.record(crate::trace::Event::CoupleHandoff {
@@ -283,29 +290,41 @@ pub fn decouple() -> Result<bool, UlpError> {
         let stay = me.phases.decoupling(now, policy)
             && me.kind == UcKind::Primary
             && siblings.load(std::sync::atomic::Ordering::Relaxed) == 0;
-        let target = unsafe { *me.kc.tc_ctx.get() };
-        // Vacate the TLS register and move our own reference into the
-        // deferred action: it runs on the TC only after our registers are
-        // saved — Table I race point 2.
-        let me_owned = b.swap_ulp(None).expect("me is installed");
-        b.put_deferred(if stay {
+        if stay {
+            // Seq. 6–9 with KC₁ = KC₀, on our own stack: the KC hosts us by
+            // running us, so its dispatch is counted and traced here, at the
+            // `now` the stretch began — a zero queue delay, which is the
+            // `Phases::queued` that `decoupling` left. Race point 2 has
+            // nothing to order: nobody else can load our context.
             if let Some(s) = b.shard() {
                 s.bump_decouple_homes();
+                s.bump_dispatches();
             }
-            Deferred::Home(me_owned)
-        } else {
-            Deferred::Enqueue(me_owned)
-        });
+            if let Some(t) = b.trace().filter(|t| t.is_on()) {
+                me.stamp_enqueued(now);
+                t.note_dispatch(now, me, me.id);
+            }
+            return Ok(Prep::Stayed);
+        }
+        if let Some(s) = b.shard() {
+            s.bump_context_switches();
+        }
+        let target = unsafe { *me.kc.tc_ctx.get() };
+        // Vacate the TLS register and move our own reference into the
+        // deferred enqueue: it runs on the TC only after our registers are
+        // saved — Table I race point 2.
+        let me_owned = b.swap_ulp(None).expect("me is installed");
+        b.put_deferred(Deferred::Enqueue(me_owned));
         Ok(Prep::Switch { save, target })
     })?;
+    let stayed = matches!(prep, Prep::Stayed);
     let Prep::Switch { save, target } = prep else {
-        return Ok(false);
+        return Ok(stayed);
     };
     unsafe {
         ulp_fcontext::swap(&mut *save, target, 0);
     }
-    // We are back: some scheduler KC — or our own trampoline — picked us
-    // up. We now run as a ULT.
+    // We are back: some scheduler KC picked us up. We now run as a ULT.
     run_deferred();
     Ok(true)
 }
@@ -329,67 +348,114 @@ pub fn couple() -> Result<bool, UlpError> {
             return Ok(Prep::NoSwitch);
         }
         // Running as a ULT: by construction we are hosted — on a scheduler
-        // KC, or at home by our own KC's trampoline.
-        let host = b.host_arc();
-        if host.is_none() && !me.kc.is_current_thread() {
+        // KC, or at home on our own.
+        let at_home = b.at_home();
+        if at_home && !me.kc.is_current_thread() {
             return Err(UlpError::NotAUlp);
         }
         if let Some(s) = b.shard() {
             s.bump_couples();
+        }
+        if at_home && me.kc.pending.len() == 0 {
+            // Seq. 1–4 with KC₁ = KC₀ and nobody queued ahead of us: the
+            // request is published and served on the spot, by us.
+            note_couple_request(b, me);
+            now_coupled(b, me);
+            return Ok(Prep::Stayed);
+        }
+        if let Some(s) = b.shard() {
             s.bump_context_switches();
         }
         let save = me.ctx.get();
         // Switching back into the host's context is a UC↔UC switch: the
-        // host's TLS register is reloaded at cost — also at home, where the
-        // trampoline is playing the scheduler (the TC↔UC exemption is for a
-        // KC resuming its own coupled UC). Our own reference is displaced out
-        // of the register and moves into the couple request — the host
-        // publishes us to our original KC only after our registers are saved
-        // (race point 1).
-        let (target, me_owned) = match host {
-            Some(host) => (unsafe { *host.ctx.get() }, install_on(b, host)),
-            None => {
-                charge_tls_load(b);
-                (unsafe { *me.kc.tc_ctx.get() }, b.swap_ulp(None))
-            }
+        // host's TLS register is reloaded at cost — also at home, where a
+        // request queued ahead of ours sends us through the trampoline (the
+        // TC↔UC exemption is for a KC resuming its own coupled UC). Our own
+        // reference is displaced out of the register and moves into the
+        // couple request — the host publishes us to our original KC only
+        // after our registers are saved (race point 1), behind that request.
+        let (target, me_owned) = if at_home {
+            charge_tls_load(b);
+            (unsafe { *me.kc.tc_ctx.get() }, b.swap_ulp(None))
+        } else {
+            let host = b.host_arc().expect("a UC away from home is hosted");
+            (unsafe { *host.ctx.get() }, install_on(b, host))
         };
         b.put_deferred(Deferred::CoupleRequest(me_owned.expect("me is installed")));
         Ok(Prep::Switch { save, target })
     })?;
-    let Prep::Switch { save, target } = prep else {
-        return Ok(false);
-    };
-    unsafe {
-        ulp_fcontext::swap(&mut *save, target, 0);
-    }
-    // We are back, resumed by our original KC's trampoline: we are a KLT.
-    run_deferred();
-    with_thread(|b| {
-        let me = b.ulp().expect("reinstalled by the KC trampoline");
-        debug_assert!(me.kc.is_current_thread());
-        me.coupled.store(true, std::sync::atomic::Ordering::Release);
-        if let Some(t) = b.trace() {
-            if t.is_on() {
-                let now = crate::trace::now_ns();
-                // Close the couple-request→resume span opened when the host
-                // published our request, emitting the wake edge that ended
-                // it first so the causal order survives the stable sort.
-                let since = me.wait_since.swap(0, std::sync::atomic::Ordering::Relaxed);
-                let wake = me.wake_from.swap(0, std::sync::atomic::Ordering::Relaxed);
-                if let Some((waker, site)) = crate::uc::decode_wake_from(wake) {
-                    t.emit_wake(now, waker.0, me.id.0, site, since);
-                }
-                t.record_at(now, crate::trace::Event::Coupled(me.id));
-                if since != 0 {
-                    t.hist_couple_resume.record(now.saturating_sub(since));
-                }
+    match prep {
+        Prep::Switch { save, target } => {
+            unsafe {
+                ulp_fcontext::swap(&mut *save, target, 0);
             }
+            // We are back, resumed by our original KC's trampoline (or a
+            // handoff): we are a KLT.
+            run_deferred();
+            with_thread(|b| now_coupled(b, b.ulp().expect("reinstalled by the KC")));
         }
-    });
+        Prep::Stayed => {}
+        _ => return Ok(false),
+    }
     // Safe point: deliverable signals of our own process run now that we
     // are back on the kernel context that owns them.
     crate::signals::safe_point();
     Ok(true)
+}
+
+/// `uc`'s couple request is published on its original KC (Table I Seq.
+/// 1–2): by its host once `uc` is saved, or by `uc` itself at home. Its
+/// decoupled stretch ends here (`park.rs`, "Staying home"), and the trace
+/// opens the request→resume span that [`now_coupled`] closes.
+pub(crate) fn note_couple_request(b: &ThreadBlock, uc: &UcInner) {
+    let now = crate::trace::now_ns();
+    uc.phases.publishing(now);
+    if let Some(t) = b.trace() {
+        if t.is_on() {
+            t.record_at(now, crate::trace::Event::CoupleRequest(uc.id));
+            // The wake attribution defaults to a plain couple resume — the
+            // direct-handoff fast path refines it, and the resumer consumes
+            // it at the `Coupled` record.
+            uc.wait_since
+                .store(now, std::sync::atomic::Ordering::Relaxed);
+            uc.wake_from.store(
+                crate::uc::encode_wake_from(uc.id, ulp_kernel::WakeSite::CoupleResume),
+                std::sync::atomic::Ordering::Relaxed,
+            );
+            // If the original KC is parked, the push is what unblocks it:
+            // arm its wake cell so the trampoline can attribute the
+            // KC-blocked exit to this request. On the KC's own thread
+            // nothing is parked.
+            if !b.at_home() {
+                uc.kc.wake.stamp_as(uc.id.0, now);
+            }
+        }
+    } else if let Some(rt) = uc.rt.upgrade() {
+        rt.tracer.record(crate::trace::Event::CoupleRequest(uc.id));
+    }
+}
+
+/// The calling UC runs on its original KC again (Table I Seq. 4): mark it
+/// coupled, and close on the trace the span [`note_couple_request`] opened,
+/// emitting the wake edge that ended it first so the causal order survives
+/// the stable sort.
+fn now_coupled(b: &ThreadBlock, me: &UcInner) {
+    debug_assert!(me.kc.is_current_thread());
+    me.coupled.store(true, std::sync::atomic::Ordering::Release);
+    if let Some(t) = b.trace() {
+        if t.is_on() {
+            let now = crate::trace::now_ns();
+            let since = me.wait_since.swap(0, std::sync::atomic::Ordering::Relaxed);
+            let wake = me.wake_from.swap(0, std::sync::atomic::Ordering::Relaxed);
+            if let Some((waker, site)) = crate::uc::decode_wake_from(wake) {
+                t.emit_wake(now, waker.0, me.id.0, site, since);
+            }
+            t.record_at(now, crate::trace::Event::Coupled(me.id));
+            if since != 0 {
+                t.hist_couple_resume.record(now.saturating_sub(since));
+            }
+        }
+    }
 }
 
 /// Cooperatively yield to the next runnable UC, if any (direct UC→UC
@@ -510,7 +576,7 @@ fn yield_or(os_fallback: bool) -> bool {
     match prep {
         Prep::OsYield => std::thread::yield_now(),
         Prep::NoSwitch if os_fallback => std::thread::yield_now(),
-        Prep::NoSwitch => {}
+        Prep::NoSwitch | Prep::Stayed => {}
         Prep::Switch { save, target } => {
             unsafe {
                 ulp_fcontext::swap(&mut *save, target, 0);

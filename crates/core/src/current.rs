@@ -54,10 +54,6 @@ pub enum Deferred {
     /// Make the UC schedulable: push it on the runtime's run queue
     /// (decouple Seq. 6–9, and the self-requeue half of `yield`).
     Enqueue(Arc<UcInner>),
-    /// Keep the UC on its own KC (decouple Seq. 6–9 with KC₁ = KC₀): leave
-    /// it in this thread's home slot, from which the trampoline dispatches
-    /// it as a host on its next pass. The UC is published to nobody.
-    Home(Arc<UcInner>),
     /// Hand the UC to its original KC and wake it (couple Seq. 1–4).
     CoupleRequest(Arc<UcInner>),
     /// A secondary UC (sibling or pooled ULP) finished coupled on its KC:
@@ -77,7 +73,6 @@ impl std::fmt::Debug for Deferred {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Deferred::Enqueue(u) => write!(f, "Enqueue({})", u.id),
-            Deferred::Home(u) => write!(f, "Home({})", u.id),
             Deferred::CoupleRequest(u) => write!(f, "CoupleRequest({})", u.id),
             Deferred::Terminate { uc, status } => write!(f, "Terminate({}, {status})", uc.id),
         }
@@ -107,10 +102,6 @@ pub(crate) struct ThreadBlock {
     trace_ptr: Cell<*const TraceShard>,
     /// The pending deferred action, executed right after the next switch.
     deferred: Cell<Option<Deferred>>,
-    /// On a BLT's original KC: the UC that decoupled and stayed home, between
-    /// its `Deferred::Home` and the trampoline's dispatch of it. Only this
-    /// thread ever sees it.
-    home: Cell<Option<Arc<UcInner>>>,
     /// Cached `Config::tls_switch` / `ArchProfile::tls_load` / parts of
     /// `Config::save_sigmask`, loaded once in [`set_runtime`] so the switch
     /// path never chases the runtime's config.
@@ -204,19 +195,12 @@ impl ThreadBlock {
         out
     }
 
-    /// Whether the decoupled UC installed on this thread is *at home*: hosted
-    /// by its own KC's trampoline, which — unlike a scheduler — has no UC
-    /// identity to switch back to. (A decoupled UC runs on a scheduler or at
-    /// home, nowhere else.)
+    /// Whether the decoupled UC installed on this thread is *at home*: on its
+    /// own KC, which — unlike a scheduler — has no UC identity to switch back
+    /// to. (A decoupled UC runs on a scheduler or at home, nowhere else.)
     #[inline]
     pub(crate) fn at_home(&self) -> bool {
         self.host_ptr.get().is_null()
-    }
-
-    /// Take the UC a `Deferred::Home` left for this thread's trampoline.
-    #[inline]
-    pub(crate) fn take_home(&self) -> Option<Arc<UcInner>> {
-        self.home.take()
     }
 
     /// Store the emulated TLS register, returning the displaced occupant.
@@ -280,7 +264,6 @@ thread_local! {
             trace: Cell::new(None),
             trace_ptr: Cell::new(ptr::null()),
             deferred: Cell::new(None),
-            home: Cell::new(None),
             tls_switch: Cell::new(false),
             tls_spin: Cell::new(Duration::ZERO),
             save_sigmask: Cell::new(false),
@@ -421,49 +404,9 @@ pub fn run_deferred() {
                     rt.runq.push(uc);
                 }
             }
-            Deferred::Home(uc) => {
-                if let Some(t) = b.trace() {
-                    if t.is_on() {
-                        // What a run-queue push stamps, so the home dispatch
-                        // closes the same enqueue→dispatch span a scheduler's
-                        // would.
-                        uc.stamp_enqueued(crate::trace::now_ns());
-                    }
-                }
-                b.home.set(Some(uc));
-            }
             Deferred::CoupleRequest(uc) => {
-                // The UC's decoupled stretch ends with this publication
-                // (`park.rs`, "Staying home").
-                let at_home = b.at_home();
-                let now = crate::trace::now_ns();
-                uc.phases.publishing(now);
-                if let Some(t) = b.trace() {
-                    if t.is_on() {
-                        t.record_at(now, crate::trace::Event::CoupleRequest(uc.id));
-                        // Open the couple-request→resume span; the original
-                        // KC closes it when the UC runs again. The wake
-                        // attribution defaults to a plain couple resume —
-                        // the direct-handoff fast path refines it, and the
-                        // resumer consumes it at the `Coupled` record.
-                        uc.wait_since
-                            .store(now, std::sync::atomic::Ordering::Relaxed);
-                        uc.wake_from.store(
-                            crate::uc::encode_wake_from(uc.id, ulp_kernel::WakeSite::CoupleResume),
-                            std::sync::atomic::Ordering::Relaxed,
-                        );
-                        // If the original KC is parked, this push is what
-                        // unblocks it: arm its wake cell so the trampoline
-                        // can attribute the KC-blocked exit to this request.
-                        if !at_home {
-                            uc.kc.wake.stamp_as(uc.id.0, now);
-                        }
-                    }
-                } else if let Some(rt) = uc.rt.upgrade() {
-                    rt.tracer.record(crate::trace::Event::CoupleRequest(uc.id));
-                }
-                let kc = uc.kc.clone();
-                kc.pending.push(uc, &kc.parker);
+                crate::couple::note_couple_request(b, &uc);
+                KcShared::request(uc);
             }
             Deferred::Terminate { uc, status } => {
                 // The UC's context will never be resumed, and we run on its
@@ -522,7 +465,6 @@ pub fn clear_thread_state() {
             "leaving runtime with pending deferred"
         );
         b.deferred.set(None);
-        b.home.set(None);
         b.rt_ptr.set(ptr::null());
         b.rt.set(None);
         b.ulp_ptr.set(ptr::null());

@@ -94,19 +94,6 @@ fn tc_loop(boot: &TcBoot) -> ! {
         // The version read precedes the work checks (park protocol).
         let seen = kc.parker.version();
 
-        // The UC that just decoupled stayed home (`Deferred::Home`): Table
-        // I's KC₁ column, played by KC₀. Dispatch it exactly as a scheduler
-        // does, and it runs as a ULT on this thread until it switches back
-        // here to couple (`Deferred::CoupleRequest`, onto our own `pending`)
-        // or to yield (`Deferred::Enqueue`, to the schedulers).
-        if let Some(target) = crate::current::with_thread(|b| {
-            let uc = b.take_home()?;
-            Some(crate::couple::host_dispatch(b, uc, boot.primary.id))
-        }) {
-            unsafe { raw_switch(kc.tc_ctx.get(), target, None) };
-            continue;
-        }
-
         // Rule 6: an idle KC given a UC starts running it. Couple requests
         // are served strictly in arrival order.
         if let Some(uc) = kc.pending.pop(false) {
@@ -118,8 +105,11 @@ fn tc_loop(boot: &TcBoot) -> ! {
             let target = unsafe { *uc.ctx.get() };
             install_ulp_no_charge(uc);
             unsafe { raw_switch(kc.tc_ctx.get(), target, None) };
-            // Back on the TC: the UC decoupled again (its enqueue ran via
-            // the deferred hook inside raw_switch) or a sibling terminated.
+            // Back on the TC: the UC left — it decoupled to a scheduler or
+            // gave up its home by `yield_now()` (its enqueue ran via the
+            // deferred hook inside raw_switch), couples from home behind a
+            // queued request (that request is next), or a sibling
+            // terminated. A UC that stays home never comes back here.
             continue;
         }
 

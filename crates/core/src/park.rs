@@ -121,20 +121,22 @@
 //! spinning scheduler — and its `couple()` a second to come back, and Table
 //! I never says KC₁ ≠ KC₀. A `Primary` whose KC serves nobody else gains
 //! nothing by leaving for a stretch shorter than that, *whoever is awake*:
-//! under `Adaptive` it stays on its own KC, hosted by its trampoline, iff its
-//! last decoupled stretch came straight back ([`HOME_BREAK_EVEN_NS`]). Each UC
-//! carries that evidence ([`Phases`]), timed **on the side that runs the
-//! stretch**: `ult_gap` from its `decouple()` to the publication of its next
+//! under `Adaptive` it stays on its own KC iff its last decoupled stretch
+//! came straight back ([`HOME_BREAK_EVEN_NS`]). Each UC carries that
+//! evidence ([`Phases`]), timed **on the side that runs the stretch**:
+//! `ult_gap` from its `decouple()` to the publication of its next
 //! `CoupleRequest`, less `queued`, the part before a host dispatched it —
 //! which contains the scheduler's wake-up exactly when the scheduler slept,
-//! and a slow wake is the reason to stay, not to leave. Three clock reads per
-//! couple/decouple pair (one of them per dispatch of a primary), none on the
-//! yield path; with no history (a first `decouple()`) the answer is leave.
+//! and a slow wake is the reason to stay, not to leave. Two clock reads per
+//! couple/decouple pair — one in each — and a third per dispatch of a
+//! primary by a scheduler; a stay is its own dispatch, at the `decouple()`'s
+//! clock read. None on the yield path; with no history (a first
+//! `decouple()`) the answer is leave.
 //! At home `yield_now()` is the kernel's yield while the running stretch is
 //! younger than the same break-even (one clock read, on the at-home branch
 //! only) and hands the KC back after. The UC is never published to another
 //! thread while it is at home, so none of the protocol above is involved:
-//! `couple.rs` and `kc.rs` have the switches.
+//! `couple.rs` flips its flag on its own thread, switching nothing.
 //!
 //! `model.rs` next to this file checks the protocol — spinners' count
 //! included — on every interleaving of its atomic steps (2 producers × 1
@@ -289,7 +291,7 @@ impl ParkQueue {
         let sleeper = {
             let mut q = self.lock();
             q.push_back(uc);
-            parker.waiters.ended() & SLEEPERS != 0
+            parker.ended()
         };
         if sleeper {
             parker.poke();
@@ -473,6 +475,15 @@ impl Parker {
         }
     }
 
+    /// A push's half of the protocol, called inside the critical section of
+    /// the queue it linked a UC to: time the wait of whoever waits here
+    /// ("The idle decision"), and say whether a sleeper is among them — one
+    /// the pusher must [`Parker::poke`] once the lock is released.
+    #[inline]
+    pub(crate) fn ended(&self) -> bool {
+        self.waiters.ended() & SLEEPERS != 0
+    }
+
     /// Announced sleepers (tests wait on this to catch a consumer parked).
     #[cfg(test)]
     pub(crate) fn announced(&self) -> u32 {
@@ -642,10 +653,10 @@ pub struct Phases {
     since: AtomicU64,
     /// Last `decouple()` → `CoupleRequest` publication, timed on the hosts.
     ult_gap: AtomicU32,
-    /// `decouple()` → the dispatch of this UC by a host (a scheduler, or its
-    /// own trampoline at home): the part of `ult_gap` it spent waiting — in
-    /// the run queue, for a scheduler to wake up — rather than running. 0
-    /// until a host dispatches it.
+    /// `decouple()` → the dispatch of this UC by a scheduler: the part of
+    /// `ult_gap` it spent waiting — in the run queue, for a scheduler to wake
+    /// up — rather than running. 0 until a scheduler dispatches it, and for a
+    /// stretch at home, which nothing waits for.
     queued: AtomicU32,
 }
 
@@ -659,8 +670,7 @@ impl Phases {
         }
     }
 
-    /// A host (a scheduler, or the UC's own trampoline at home) is about to
-    /// run this UC as a ULT, at `now`.
+    /// A scheduler is about to run this UC as a ULT, at `now`.
     pub(crate) fn hosted(&self, now: u64) {
         let since = self.since.load(Ordering::Relaxed);
         self.queued.store(phase_ns(since, now), Ordering::Relaxed);

@@ -783,8 +783,9 @@ mod tests {
         ]
     }
 
-    /// A stay at home folds like any dispatch — its `queued` span is the
-    /// two switches through the trampoline — and the `Requeue` of a
+    /// A stay at home folds like any dispatch — its `queued` span is empty,
+    /// opened and closed at the `decouple()`'s own clock read — and the
+    /// `Requeue` of a
     /// `yield_now()` at home opens a second queued span that a scheduler's
     /// dispatch closes; the partition stays exact.
     #[test]

@@ -10,7 +10,7 @@
 //! decoupled lands at the scheduling KC instead, which is precisely the
 //! §VII caveat this reproduction keeps observable.
 
-use crate::current::{current_runtime, current_ulp};
+use crate::current::with_thread;
 use std::collections::HashMap;
 use std::sync::Arc;
 use ulp_kernel::Signal;
@@ -27,17 +27,24 @@ static HANDLED: crate::tls::UlpLocal<u64> = crate::tls::UlpLocal::new(|| 0);
 
 /// Register a handler for `sig` on the calling ULP (the `sigaction(2)`
 /// analogue). Returns the previously registered handler, if any.
+///
+/// The registration is mirrored into the disposition table of the process
+/// bound to this kernel context when that is the ULP's own — it runs on its
+/// original KC. A decoupled caller on a scheduler would reach the
+/// scheduler's process (§V-B), so its registration is not mirrored.
 pub fn on_signal(sig: Signal, f: impl Fn(Signal) + Send + Sync + 'static) -> Option<()> {
     let prev = HANDLERS.try_with(|h| h.insert(sig as u8, Arc::new(f)).map(|_| ()))?;
-    // Mirror the registration into the simulated kernel's disposition
-    // table of the ULP's own process.
-    if let (Some(rt), Some(me)) = (current_runtime(), current_ulp()) {
-        if let Some(proc) = rt.kernel.process(me.pid) {
-            let _ = proc
-                .signals
-                .set_disposition(sig, ulp_kernel::Disposition::Handler(me.id.0));
+    with_thread(|b| {
+        let (Some(rt), Some(me)) = (b.rt(), b.ulp()) else {
+            return;
+        };
+        if me.kc.is_current_thread() {
+            rt.kernel.with_bound_process(|proc| {
+                proc.signals
+                    .set_disposition(sig, ulp_kernel::Disposition::Handler(me.id.0))
+            });
         }
-    }
+    });
     prev
 }
 
@@ -52,28 +59,30 @@ pub fn handled_count() -> u64 {
 }
 
 /// Drain and dispatch every deliverable signal of the calling ULP's **own**
-/// process. Returns how many were dispatched. Only effective while coupled
-/// (the paper's consistency rule applies to signals too): when decoupled,
-/// this returns 0 without touching the scheduler's signal queue.
+/// process. Returns how many were dispatched. Only effective on the ULP's
+/// original kernel context (the paper's consistency rule applies to signals
+/// too): on a scheduler this returns 0 without touching the scheduler's
+/// signal queue.
 pub fn poll_signals() -> usize {
-    let Some(rt) = current_runtime() else {
-        return 0;
-    };
-    let Some(me) = current_ulp() else { return 0 };
-    if !me.kc.is_current_thread() {
-        // Decoupled: our own process's signals are not reachable from this
-        // kernel context; do NOT steal the scheduler's.
-        return 0;
-    }
-    let Some(proc) = rt.kernel.process(me.pid) else {
-        return 0;
-    };
     let mut dispatched = 0;
-    while let Some(sig) = proc.signals.take_deliverable() {
+    // One signal per thread-block access: a handler is user code and may
+    // switch, so none runs inside one.
+    while let Some(sig) = with_thread(|b| {
+        let (rt, me) = (b.rt()?, b.ulp()?);
+        if !me.kc.is_current_thread() {
+            // Decoupled: our own process's signals are not reachable from
+            // this kernel context; do NOT steal the scheduler's.
+            return None;
+        }
+        let sig = rt
+            .kernel
+            .with_bound_process(|proc| proc.signals.take_deliverable())??;
         rt.tracer.record(crate::trace::Event::Signal {
             uc: me.id,
             signal: sig as u8,
         });
+        Some(sig)
+    }) {
         let handler = HANDLERS
             .try_with(|h| h.get(&(sig as u8)).cloned())
             .flatten();
@@ -89,13 +98,20 @@ pub fn poll_signals() -> usize {
     dispatched
 }
 
-/// Safe-point hook invoked by the runtime after each successful couple.
+/// Safe-point hook invoked by the runtime after each successful couple: one
+/// load of the bound process's deliverable word, and the drain only when it
+/// is non-zero.
 pub(crate) fn safe_point() {
-    // Cheap pre-checks before doing any map work.
-    if current_ulp().is_none() {
-        return;
+    let deliverable = with_thread(|b| {
+        b.rt().is_some_and(|rt| {
+            rt.kernel
+                .with_bound_process(|proc| proc.signals.any_deliverable())
+                == Some(true)
+        })
+    });
+    if deliverable {
+        poll_signals();
     }
-    poll_signals();
 }
 
 /// A guard that polls signals when dropped — used to wrap coupled regions.

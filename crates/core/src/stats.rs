@@ -143,10 +143,10 @@ counters! {
     /// shared pool KC, recycled stack).
     pooled_spawned, bump_pooled => "ulp_pooled_spawned_total":
         "Pooled ULPs spawned (oversubscription mode: shared pool KCs).",
-    /// Decoupled UCs popped and run by scheduler KCs — or dispatched at
-    /// home by their own KC's trampoline (`decouple_homes` of them).
+    /// Decoupled UCs popped and run by scheduler KCs — or kept at home by
+    /// their own KC (`decouple_homes` of them).
     scheduler_dispatches, bump_dispatches => "ulp_scheduler_dispatches_total":
-        "Decoupled UCs dispatched by scheduler KCs, or at home by their own KC's trampoline.",
+        "Decoupled UCs dispatched by scheduler KCs, or kept at home by their own KC.",
     /// Idle kernel contexts that blocked on a futex (BLOCKING idle policy).
     kc_blocks, bump_kc_blocks => "ulp_kc_blocks_total":
         "Idle kernel contexts that blocked on a futex.",
@@ -154,10 +154,10 @@ counters! {
     /// path that skipped the run queue and the idle-loop futex wake).
     couple_handoffs, bump_couple_handoffs => "ulp_couple_handoff_total":
         "Couples completed by direct handoff from a decoupling UC (fast path).",
-    /// Decouples that stayed home: the UC's own trampoline hosted it
-    /// because its last decoupled stretch was shorter than a hand-over.
+    /// Decouples that stayed home: the UC stayed on its own KC because its
+    /// last decoupled stretch was shorter than a hand-over.
     decouple_homes, bump_decouple_homes => "ulp_decouple_home_total":
-        "Decouples that stayed home: hosted by the UC's own trampoline because its last \
+        "Decouples that stayed home: on the UC's own KC, because its last \
          decoupled stretch was shorter than a hand-over.",
     /// `yield_now()` calls at home that were the kernel's yield: the UC stayed.
     yield_homes, bump_yield_homes => "ulp_yield_home_total":

@@ -240,8 +240,7 @@ pub fn sigprocmask(how: MaskHow, set: SigSet) -> KResult<SigSet> {
     let (old, mask) = syscall("sigprocmask", |k| {
         let old = k.sys_sigprocmask(how, set)?;
         // Re-read the effective mask from the executing process.
-        let proc = k.current_pid().and_then(|pid| k.process(pid));
-        Ok((old, proc.map(|p| p.signals.mask())))
+        Ok((old, k.with_bound_process(|p| p.signals.mask())))
     })?;
     if let Some(mask) = mask {
         with_thread(|b| {

@@ -50,9 +50,9 @@ pub enum Event {
     /// A BLT was spawned (as a KLT).
     Spawn(BltId),
     /// A host dispatched a decoupled UC: a scheduler KC — or, with
-    /// `scheduler == uc`, the UC's own original KC, whose trampoline kept it
-    /// at home (Table I with KC₁ = KC₀; a KC is named by its primary's id,
-    /// as in [`Event::KcBlocked`]).
+    /// `scheduler == uc`, the UC's own original KC, which kept it at home
+    /// (Table I with KC₁ = KC₀, recorded by the `decouple()` that stayed; a
+    /// KC is named by its primary's id, as in [`Event::KcBlocked`]).
     Dispatch {
         /// The UC being dispatched.
         uc: BltId,

@@ -177,6 +177,26 @@ impl KcShared {
         crate::current::set_kc(self);
     }
 
+    /// Publish `uc`'s couple request on its original KC, waking the KC iff it
+    /// sleeps (Table I Seq. 1–2; `park.rs` has the protocol). The KC is
+    /// reached through `uc`, and its `Arc` is cloned only to wake it: once
+    /// the lock is released whoever pops `uc` may drop the last reference,
+    /// so the sleeper check comes before the link — both inside the critical
+    /// section, which is all the protocol asks.
+    pub(crate) fn request(uc: Arc<UcInner>) {
+        // SAFETY: `uc` holds a strong count on its KC, and the queue holds
+        // `uc` from the link until a pop, which needs the lock held below —
+        // the KC outlives every use of this reference.
+        let kc = unsafe { &*Arc::as_ptr(&uc.kc) };
+        let mut q = kc.pending.lock();
+        let sleeper = kc.parker.ended().then(|| uc.kc.clone());
+        q.push_back(uc);
+        drop(q);
+        if let Some(kc) = sleeper {
+            kc.parker.poke();
+        }
+    }
+
     /// Is the calling OS thread this kernel context? Thread *identity* — not
     /// whether some UC happens to be coupled — read from a thread-local
     /// token, so asking costs no `std::thread::current()` handle.

@@ -8,6 +8,10 @@
 //! 3. decouple: UC → trampoline (exempt again)
 //! 4. a scheduler dispatches the UC (the UC's TLS register reloads — load 2)
 //!
+//! A lone BLT under `Adaptive` stays home instead (`park.rs`, "Staying
+//! home"): its round trip is Table I with KC₁ = KC₀ on its own stack — **0
+//! switches and 0 TLS loads**, one dispatch by its own KC.
+//!
 //! These tests pin the *exact* counts — not `>=` — under every idle
 //! policy, so any stray switch, double count, or lost count introduced in
 //! the switch path fails loudly. The counters are sharded per KC; the
@@ -62,14 +66,72 @@ fn assert_table5_invariant(idle: IdlePolicy) {
         assert_eq!(d.scheduler_dispatches, PAIRS);
         assert_eq!(d.yields, 0);
         // BUSYWAIT and BLOCKING are the paper's rows: every decouple leaves
-        // for a scheduler. Under `Adaptive` one whose last stretch was short
-        // stays home — same counts (`tests/stay_home.rs`).
-        if idle != IdlePolicy::Adaptive {
-            assert_eq!(d.decouple_homes, 0, "{idle:?}: {d:?}");
-        }
+        // for a scheduler.
+        assert_eq!(d.decouple_homes, 0, "{idle:?}: {d:?}");
         0
     });
     assert_eq!(h.wait(), 0);
+}
+
+/// From a decoupled UC under `Adaptive`: run empty coupled scopes until one's
+/// `decouple()` stays home, so the next `couple()` starts from home.
+fn come_home() {
+    for _ in 0..200 {
+        let homes = my_stats().decouple_homes;
+        coupled_scope(|| ()).unwrap();
+        if my_stats().decouple_homes > homes {
+            return;
+        }
+    }
+    panic!("no decouple() stayed home in 200 scopes: {:?}", my_stats());
+}
+
+/// Rounds [`assert_home_rounds`] measures in a row.
+const HOME_PAIRS: u64 = 8;
+
+/// Under `Adaptive`, `f` runs [`HOME_PAIRS`] times from home with exactly the
+/// counts a round trip that stays has — 1 couple, 1 decouple, 1 dispatch by
+/// the UC's own KC, and no switch, TLS load, yield, handoff or KC block —
+/// plus whatever `check` asks of the delta. A stall that makes one stretch
+/// look long sends that round through a scheduler: measure again — the row
+/// is about rounds that stay.
+fn assert_home_rounds(name: &str, f: fn(), check: fn(&StatsSnapshot) -> bool) {
+    let rt = Runtime::builder()
+        .schedulers(1)
+        .idle_policy(IdlePolicy::Adaptive)
+        .profile(ArchProfile::Native)
+        .build();
+    let h = rt.spawn(name, move || {
+        decouple().unwrap();
+        for _attempt in 0..50 {
+            come_home();
+            let before = my_stats();
+            for _ in 0..HOME_PAIRS {
+                f();
+            }
+            let d = my_stats().delta(&before);
+            if d.decouple_homes != HOME_PAIRS || !check(&d) {
+                continue;
+            }
+            assert_eq!((d.context_switches, d.tls_loads), (0, 0), "{d:?}");
+            assert_eq!(d.scheduler_dispatches, HOME_PAIRS, "{d:?}");
+            assert_eq!((d.couples, d.decouples), (HOME_PAIRS, HOME_PAIRS));
+            assert_eq!((d.yields, d.couple_handoffs, d.kc_blocks), (0, 0, 0));
+            return 0;
+        }
+        panic!(
+            "never saw {HOME_PAIRS} rounds in a row stay home: {:?}",
+            my_stats()
+        );
+    });
+    assert_eq!(h.wait(), 0);
+}
+
+fn getpid_scope() {
+    coupled_scope(|| {
+        let _ = sys::getpid().unwrap();
+    })
+    .unwrap();
 }
 
 /// Spin (OS-yielding, so a single-core host can run the peer) until the
@@ -215,54 +277,27 @@ fn table5_counts_global_fifo_blocking() {
     assert_table5_invariant(IdlePolicy::Blocking);
 }
 
+/// ADAPTIVE's Table V row: a lone BLT stays home, and its round trip is no
+/// trip at all.
 #[test]
 fn table5_counts_global_fifo_adaptive() {
-    assert_table5_invariant(IdlePolicy::Adaptive);
+    assert_home_rounds("table5", getpid_scope, |_| true);
 }
 
 /// A round trip from home followed by a `yield_now()` at home costs what the
-/// round trip costs — **4 switches, 2 TLS loads, 1 dispatch** — because the
+/// round trip costs — nothing switched or loaded, 1 dispatch — because the
 /// yield is the kernel's: no `Requeue` switch, no scheduler dispatch to
 /// answer it.
 #[test]
 fn home_round_trip_plus_home_yield_counts() {
-    const PAIRS: u64 = 8;
-    let rt = Runtime::builder()
-        .schedulers(1)
-        .idle_policy(IdlePolicy::Adaptive)
-        .profile(ArchProfile::Native)
-        .build();
-    let h = rt.spawn("home-yield", move || {
-        decouple().unwrap();
-        // A stall that makes one stretch look long sends that round through
-        // a scheduler: measure again — the row is about rounds that stay.
-        for _attempt in 0..50 {
-            coupled_scope(|| ()).unwrap();
-            let before = my_stats();
-            for _ in 0..PAIRS {
-                coupled_scope(|| {
-                    let _ = sys::getpid().unwrap();
-                })
-                .unwrap();
-                ulp_core::yield_now();
-            }
-            let d = my_stats().delta(&before);
-            if (d.decouple_homes, d.yield_homes) != (PAIRS, PAIRS) {
-                continue;
-            }
-            assert_eq!(d.context_switches, 4 * PAIRS, "{d:?}");
-            assert_eq!(d.tls_loads, 2 * PAIRS, "{d:?}");
-            assert_eq!(d.scheduler_dispatches, PAIRS, "{d:?}");
-            assert_eq!((d.couples, d.decouples), (PAIRS, PAIRS));
-            assert_eq!((d.yields, d.couple_handoffs, d.kc_blocks), (0, 0, 0));
-            return 0;
-        }
-        panic!(
-            "never saw {PAIRS} rounds in a row stay home: {:?}",
-            my_stats()
-        );
-    });
-    assert_eq!(h.wait(), 0);
+    assert_home_rounds(
+        "home-yield",
+        || {
+            getpid_scope();
+            ulp_core::yield_now();
+        },
+        |d| d.yield_homes == HOME_PAIRS,
+    );
 }
 
 /// With the tracer compiled in but **off** (the default), every event site

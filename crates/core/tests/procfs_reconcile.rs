@@ -161,15 +161,24 @@ fn pid_stat_carries_ulp_enrichment() {
         assert!(line.contains("kc=ThreadId"), "{line:?}");
         assert!(line.contains("spawn_ns="), "{line:?}");
         // Scheduler identities are registered too: their pid rows exist and
-        // are enriched with couple state.
-        let dirs = sys::readdir("/proc").unwrap();
-        let enriched = dirs
-            .iter()
-            .filter(|e| e.name.parse::<u32>().is_ok())
-            .map(|e| read_all(&format!("/proc/{}/stat", e.name)))
-            .filter(|l| l.contains("blt="))
-            .count();
-        assert!(enriched >= 2, "self + at least one scheduler");
+        // are enriched with couple state — once the scheduler thread has
+        // started, which nothing here waits for, so poll (bounded).
+        let enriched = || {
+            let dirs = sys::readdir("/proc").unwrap();
+            dirs.iter()
+                .filter(|e| e.name.parse::<u32>().is_ok())
+                .map(|e| read_all(&format!("/proc/{}/stat", e.name)))
+                .filter(|l| l.contains("blt="))
+                .count()
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while enriched() < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "self + at least one scheduler, within 5 s"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         0
     });
     assert_eq!(h.wait(), 0);

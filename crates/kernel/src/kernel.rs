@@ -173,30 +173,41 @@ impl Kernel {
             );
             out
         };
+        self.with_bound_process(span).unwrap_or(Err(Errno::ESRCH))
+    }
+
+    /// Run `f` on the process bound to the calling OS thread, found as
+    /// [`Kernel::syscall`] finds it: through the binding's cached handle —
+    /// a thread-local read and one load of the `reaped` flag, no
+    /// process-table lock, no reference count. `None` when the thread is
+    /// unbound or its process does not exist (never created, or reaped).
+    /// `f` runs under a shared borrow of the thread's binding table, so it
+    /// must not rebind the thread.
+    #[inline]
+    pub fn with_bound_process<R>(&self, f: impl FnOnce(&Process) -> R) -> Option<R> {
         let id = self.id;
         BINDINGS.with(|cell| {
             let pid = {
                 let bindings = cell.borrow();
-                match bindings.iter().find(|e| e.kernel == id) {
-                    None => return Err(Errno::ESRCH),
-                    Some(Binding {
+                match bindings.iter().find(|e| e.kernel == id)? {
+                    Binding {
                         proc: Some(proc), ..
-                    }) => {
+                    } => {
                         if proc.reaped.load(Ordering::Acquire) {
-                            return Err(Errno::ESRCH);
+                            return None;
                         }
-                        return span(proc);
+                        return Some(f(proc));
                     }
-                    Some(unresolved) => unresolved.pid,
+                    unresolved => unresolved.pid,
                 }
             };
-            // First call since `bind_current`: resolve through the table and
-            // cache the handle for the calls that follow.
-            let proc = self.process(pid).ok_or(Errno::ESRCH)?;
+            // First lookup since `bind_current`: resolve through the table
+            // and cache the handle for the lookups that follow.
+            let proc = self.process(pid)?;
             if let Some(entry) = cell.borrow_mut().iter_mut().find(|e| e.kernel == id) {
                 entry.proc = Some(proc.clone());
             }
-            span(&proc)
+            Some(f(&proc))
         })
     }
 

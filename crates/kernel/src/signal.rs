@@ -9,6 +9,7 @@
 
 use crate::errno::{Errno, KResult};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The small signal vocabulary the simulation needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,6 +132,12 @@ pub enum Disposition {
 #[derive(Debug, Default)]
 pub struct SignalState {
     inner: Mutex<SignalInner>,
+    /// `pending & !mask`, republished under `inner`'s lock by every change
+    /// to either: a safe point that finds it zero — nearly every one — is
+    /// one load and takes no lock. The `Release` store pairs with the
+    /// `Acquire` load in [`SignalState::any_deliverable`], so a thread that
+    /// saw a `kill` return, or synchronized with one that did, sees its bit.
+    deliverable: AtomicU32,
     /// Wake-edge attribution: stamped by `post` (the sender), consumed
     /// when `take_deliverable` actually delivers — a masked signal keeps
     /// the cell armed until the unblock that lets it through, so the edge
@@ -153,11 +160,25 @@ impl SignalState {
         SignalState::default()
     }
 
+    /// Republish the deliverable set; the caller holds `inner`'s lock.
+    fn publish(&self, inner: &SignalInner) {
+        self.deliverable
+            .store(inner.pending.0 & !inner.mask.0, Ordering::Release);
+    }
+
+    /// Whether a signal is pending and unblocked — what
+    /// [`SignalState::take_deliverable`] would find, as of the last change.
+    #[inline]
+    pub fn any_deliverable(&self) -> bool {
+        self.deliverable.load(Ordering::Acquire) != 0
+    }
+
     /// Post a signal (sender side of `kill`).
     pub fn post(&self, sig: Signal) {
         let mut inner = self.inner.lock();
         inner.pending.add(sig);
         inner.posted += 1;
+        self.publish(&inner);
         self.wake.stamp();
     }
 
@@ -170,6 +191,7 @@ impl SignalState {
             MaskHow::Unblock => SigSet(old.0 & !set.0),
             MaskHow::SetMask => set,
         };
+        self.publish(&inner);
         old
     }
 
@@ -189,6 +211,7 @@ impl SignalState {
         let deliverable = SigSet(inner.pending.0 & !inner.mask.0);
         let sig = deliverable.iter().next()?;
         inner.pending.remove(sig);
+        self.publish(&inner);
         self.wake.consume(crate::trace::WakeSite::Signal);
         Some(sig)
     }
@@ -288,6 +311,41 @@ mod tests {
             .set_disposition(Signal::SigUsr2, Disposition::Ignore)
             .unwrap();
         assert_eq!(old, Disposition::Handler(42));
+    }
+
+    #[test]
+    fn the_deliverable_word_follows_every_change() {
+        let st = SignalState::new();
+        let (usr1, usr2) = (Signal::SigUsr1, Signal::SigUsr2);
+        let steps: [&dyn Fn(&SignalState); 9] = [
+            &|st| st.post(usr1),
+            &|st| {
+                st.set_mask(MaskHow::Block, SigSet::with(&[usr1]));
+            },
+            &|st| st.post(usr2),
+            &|st| assert_eq!(st.take_deliverable(), Some(usr2)),
+            &|st| assert_eq!(st.take_deliverable(), None),
+            &|st| {
+                st.set_mask(MaskHow::SetMask, SigSet::with(&[usr2]));
+            },
+            &|st| st.post(usr2),
+            &|st| assert_eq!(st.take_deliverable(), Some(usr1)),
+            &|st| {
+                st.set_mask(MaskHow::Unblock, SigSet::with(&[usr2]));
+            },
+        ];
+        let expect = |st: &SignalState| {
+            let open = SigSet(st.pending().0 & !st.mask().0);
+            assert_eq!(st.any_deliverable(), !open.is_empty(), "{st:?}");
+        };
+        expect(&st);
+        for step in steps {
+            step(&st);
+            expect(&st);
+        }
+        assert_eq!(st.take_deliverable(), Some(usr2));
+        expect(&st);
+        assert!(!st.any_deliverable());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! - **E — counter conservation.** Trace-event totals equal the runtime's
 //!   independent statistics counters (events and counters are bumped by
 //!   different code paths; drift means one of them lies): home dispatches
-//!   are recorded by the trampoline, `decouple_homes` counted by the
+//!   are the trace records, `decouple_homes` the shard counts, of the
 //!   `decouple()` that decided to stay.
 //! - **F — histogram conservation.** The couple-resume histogram holds
 //!   exactly one sample per `Coupled` event; the queue-delay histogram one
@@ -116,7 +116,7 @@ struct BltTrack {
     yields_to: u64,
     dispatches: u64,
     requeues: u64,
-    /// Hosted by its own KC's trampoline since its last `Dispatch`.
+    /// On its own KC, decoupled, since its last `Dispatch`.
     at_home: bool,
     terminates: u64,
     /// Running (enter − exit) per system call; final value must be zero.
@@ -376,8 +376,8 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                 }
                 let t = track.entry(b).or_insert_with(BltTrack::new);
                 t.requeues += 1;
-                // Only a running UC hosted by its own trampoline gives its
-                // KC up this way; on a scheduler it would `Yield` to a
+                // Only a running UC at home on its own KC gives the KC up
+                // this way; on a scheduler it would `Yield` to a
                 // neighbour or not switch at all.
                 if t.state != CoupleState::Decoupled || !t.at_home {
                     r.push(

@@ -67,8 +67,7 @@ pub enum Scenario {
     /// default.
     C1mStorm,
     /// One worker whose decoupled stretches come straight back — so under
-    /// `Adaptive` its `decouple()` stays home, hosted by its own KC's
-    /// trampoline — with two `yield_now()`s mid-stream (at home: the kernel's
+    /// `Adaptive` its `decouple()` stays home, on its own KC — with two `yield_now()`s mid-stream (at home: the kernel's
     /// yield on a young stretch, a `Requeue` past the break-even) and a
     /// sibling spawned late, onto a KC whose primary may be at home. Fails
     /// under `Adaptive` if no decouple ever stayed, and under the paper's two

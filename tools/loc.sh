@@ -75,7 +75,8 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # run-queue discipline (the bracketed letters keep this file out of its own
 # patterns); a stay-home decision made from the UC's own evidence, not from
 # who is asleep or what is queued; one replay of the Table-I state machine for
-# the renderers and one cumulative-bucket renderer; one secondary-UC path.
+# the renderers and one cumulative-bucket renderer; one secondary-UC path; a
+# stay at home that is a state of the UC, not a trip through the trampoline.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -114,6 +115,8 @@ gate "a second run-queue discipline is back under crates/ (one FIFO; ROADMAP ite
     "$(git grep -n 'SchedPolic[y]\|WorkStealin[g]\|push_loca[l]\|register_loca[l]' -- crates || true)"
 gate "the sleepers / queue-length gate is back in decouple()'s stay decision (DESIGN.md §4, Staying home: three gates)" \
     "$(git grep -n 'all_aslee[p]' -- crates || true; git grep -n 'runq\.len()' -- crates/core/src/couple.rs crates/core/src/park.rs || true)"
+gate "the trampoline detour of staying home is back under crates/ (a home decouple()/couple() flips the UC's flag on its own thread: DESIGN.md §4, Staying home)" \
+    "$(git grep -nE 'Deferred::Hom[e]\b|\bHome\(Arc<UcInne[r]>\)|take_hom[e]|\bhom[e]: *Cell<' -- crates || true)"
 c=crates/core/src
 # Match arms only (`Event::X… =>`), in shipped code: the recording sites
 # construct these variants, and tests may match them.
