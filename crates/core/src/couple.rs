@@ -39,9 +39,12 @@
 //! different OS thread, so no thread-block borrow may be live across the
 //! swap. The context that lands runs [`run_deferred`] (its own single
 //! access). `Arc` ownership moves instead of being counted: the run queue's
-//! popped `Arc` moves into the TLS register, the displaced occupant moves
-//! into its deferred enqueue, and `run_deferred` moves it back into the
-//! queue — a yield performs no refcount operation at all.
+//! popped `Arc` moves into the TLS register and the displaced yielder moves
+//! straight to the queue's tail, in the one critical section that popped —
+//! a yield performs no refcount operation at all, and takes the run queue's
+//! lock once. That section stays open across the swap (the yielder's
+//! context is not saved yet) and the landing context's `Deferred::Release`
+//! closes it, then pays the install's TLS load and mask carry.
 
 use crate::current::{run_deferred, with_thread, Deferred, ThreadBlock};
 use crate::error::UlpError;
@@ -68,14 +71,20 @@ fn charge_tls_load(b: &ThreadBlock) {
 /// ownership into a deferred action.
 #[inline]
 pub(crate) fn install_on(b: &ThreadBlock, uc: Arc<UcInner>) -> Option<Arc<UcInner>> {
-    let mask_bits = if b.save_sigmask() {
-        Some(uc.sigmask.bits())
-    } else {
-        None
-    };
     let displaced = b.swap_ulp(Some(uc));
+    finish_install(b);
+    displaced
+}
+
+/// The rest of a UC↔UC install once the TLS anchor holds the incoming UC:
+/// reload the emulated TLS register at the profiled cost and lazily carry the
+/// signal mask. A yield runs it on the incoming side, after the run-queue
+/// lock is released: one spins, the other may enter the kernel.
+#[inline]
+pub(crate) fn finish_install(b: &ThreadBlock) {
     charge_tls_load(b);
-    if let Some(bits) = mask_bits {
+    if b.save_sigmask() {
+        let bits = b.ulp().expect("a UC is installed").sigmask.bits();
         // ucontext-style mask carry (§VII), made lazy: the system call —
         // the "non-negligible overhead" the paper warns about — fires only
         // when the incoming UC's mask differs from the one this kernel
@@ -90,7 +99,6 @@ pub(crate) fn install_on(b: &ThreadBlock, uc: Arc<UcInner>) -> Option<Arc<UcInne
             }
         }
     }
-    displaced
 }
 
 /// A scheduler KC dispatches the decoupled `uc` (Table I Seq. 8–9, KC₁
@@ -531,46 +539,29 @@ fn yield_or(os_fallback: bool) -> bool {
             b.put_deferred(Deferred::Enqueue(me_owned));
             return Prep::Switch { save, target };
         }
-        let Some(next) = rt.runq.pop() else {
+        let save = me.ctx.get();
+        // One critical section: pop, install, link ourselves at the tail.
+        // The popped Arc moves into the TLS register and our displaced self
+        // into the queue; no refcount is touched.
+        let Some((target, sleeper)) = rt.runq.yield_to(|next| {
+            if let Some(t) = b.trace() {
+                if t.is_on() {
+                    note_yield(t, me, &next);
+                }
+            }
+            // SAFETY: `next` came off the run queue, so its context is
+            // saved, and popping it made it ours alone.
+            let target = unsafe { *next.ctx.get() };
+            (b.swap_ulp(Some(next)).expect("me is installed"), target)
+        }) else {
             return Prep::NoSwitch;
         };
         if let Some(s) = b.shard() {
             s.bump_yields();
             s.bump_context_switches();
         }
-        if let Some(t) = b.trace() {
-            if t.is_on() {
-                let now = crate::trace::now_ns();
-                // Close the incoming UC's enqueue→dispatch span (stamped by
-                // the run-queue push that made it runnable), emitting its
-                // wake edge before the Yield record so the causal order
-                // survives the stable sort.
-                let since = next
-                    .wait_since
-                    .swap(0, std::sync::atomic::Ordering::Relaxed);
-                let wake = next.wake_from.swap(0, std::sync::atomic::Ordering::Relaxed);
-                if let Some((waker, site)) = crate::uc::decode_wake_from(wake) {
-                    t.emit_wake(now, waker.0, next.id.0, site, since);
-                }
-                t.record_at(
-                    now,
-                    crate::trace::Event::Yield {
-                        from: me.id,
-                        to: next.id,
-                    },
-                );
-                t.note_yield(now);
-                if since != 0 {
-                    t.hist_queue_delay.record(now.saturating_sub(since));
-                }
-            }
-        }
-        let save = me.ctx.get();
-        let target = unsafe { *next.ctx.get() };
-        // Move the popped Arc into the TLS register; our displaced self
-        // moves into the deferred self-enqueue. No refcount is touched.
-        let me_owned = install_on(b, next).expect("me is installed");
-        b.put_deferred(Deferred::Enqueue(me_owned));
+        // The lock stays held until the incoming context has us saved.
+        b.put_deferred(Deferred::Release { sleeper });
         Prep::Switch { save, target }
     });
     match prep {
@@ -586,6 +577,32 @@ fn yield_or(os_fallback: bool) -> bool {
         }
     }
     false
+}
+
+/// Trace a yield from `me` to `next`: close `next`'s enqueue→dispatch span
+/// (stamped by the run-queue push that made it runnable), emitting its wake
+/// edge before the Yield record so the causal order survives the stable
+/// sort.
+fn note_yield(t: &crate::trace::TraceShard, me: &UcInner, next: &UcInner) {
+    let now = crate::trace::now_ns();
+    let since = next
+        .wait_since
+        .swap(0, std::sync::atomic::Ordering::Relaxed);
+    let wake = next.wake_from.swap(0, std::sync::atomic::Ordering::Relaxed);
+    if let Some((waker, site)) = crate::uc::decode_wake_from(wake) {
+        t.emit_wake(now, waker.0, next.id.0, site, since);
+    }
+    t.record_at(
+        now,
+        crate::trace::Event::Yield {
+            from: me.id,
+            to: next.id,
+        },
+    );
+    t.note_yield(now);
+    if since != 0 {
+        t.hist_queue_delay.record(now.saturating_sub(since));
+    }
 }
 
 /// Run `f` coupled with the original kernel context — the paper's
@@ -635,4 +652,45 @@ pub fn is_coupled() -> Option<bool> {
 /// waiting for my KC" hint.
 pub fn pending_couplers() -> Option<usize> {
     with_thread(|b| b.ulp().map(|u| u.kc.pending.len()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::park::{ParkQueue, Parker};
+    use std::mem::{align_of, size_of};
+
+    /// The switch path's layouts, pinned: a reshape moves `yield_ring` by
+    /// several per cent (one `bool` on `Prep` cost 2–7 %), so a change here
+    /// is a deliberate diff, measured before it lands.
+    #[test]
+    fn hot_layouts_are_pinned() {
+        fn layout<T>() -> (usize, usize) {
+            (size_of::<T>(), align_of::<T>())
+        }
+        let layouts = [
+            ("Deferred", layout::<Deferred>()),
+            ("Prep", layout::<Prep>()),
+            ("ParkQueue", layout::<ParkQueue>()),
+            ("Parker", layout::<Parker>()),
+            ("UcInner", layout::<UcInner>()),
+            ("ThreadBlock", layout::<ThreadBlock>()),
+        ];
+        assert_eq!(
+            layouts,
+            [
+                ("Deferred", (16, 8)),
+                ("Prep", (24, 8)),
+                ("ParkQueue", (64, 64)),
+                ("Parker", (56, 8)),
+                ("UcInner", (248, 8)),
+                ("ThreadBlock", (128, 8)),
+            ]
+        );
+        assert_eq!(
+            size_of::<Option<Deferred>>(),
+            16,
+            "the slot keeps its niche"
+        );
+    }
 }

@@ -52,8 +52,17 @@ use std::time::Duration;
 /// suspended.
 pub enum Deferred {
     /// Make the UC schedulable: push it on the runtime's run queue
-    /// (decouple Seq. 6–9, and the self-requeue half of `yield`).
+    /// (decouple Seq. 6–9, and the `Requeue` of a yield at home).
     Enqueue(Arc<UcInner>),
+    /// A yield switched here with the run queue's lock held, the yielder
+    /// already linked at its tail (`RunQueue::yield_to`): release the lock
+    /// — the yielder's context is saved now — wake the scheduler the yield
+    /// counted asleep, if any, and finish installing this thread's UC: its
+    /// TLS load and signal-mask carry, which may not run under the lock.
+    Release {
+        /// The yield's critical section counted a sleeping scheduler.
+        sleeper: bool,
+    },
     /// Hand the UC to its original KC and wake it (couple Seq. 1–4).
     CoupleRequest(Arc<UcInner>),
     /// A secondary UC (sibling or pooled ULP) finished coupled on its KC:
@@ -73,6 +82,7 @@ impl std::fmt::Debug for Deferred {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Deferred::Enqueue(u) => write!(f, "Enqueue({})", u.id),
+            Deferred::Release { sleeper } => write!(f, "Release(sleeper: {sleeper})"),
             Deferred::CoupleRequest(u) => write!(f, "CoupleRequest({})", u.id),
             Deferred::Terminate { uc, status } => write!(f, "Terminate({}, {status})", uc.id),
         }
@@ -205,7 +215,7 @@ impl ThreadBlock {
 
     /// Store the emulated TLS register, returning the displaced occupant.
     /// The yield path threads `Arc` ownership through here (incoming UC in,
-    /// outgoing UC back out into its deferred enqueue) so a yield moves
+    /// outgoing UC back out onto the run queue's tail) so a yield moves
     /// reference counts instead of touching them.
     #[inline]
     pub(crate) fn swap_ulp(&self, new: Option<Arc<UcInner>>) -> Option<Arc<UcInner>> {
@@ -404,6 +414,13 @@ pub fn run_deferred() {
                     rt.runq.push(uc);
                 }
             }
+            Deferred::Release { sleeper } => {
+                let rt = b.rt().expect("a yield runs on a runtime thread");
+                // SAFETY: the yield that left this action took the lock on
+                // this thread and switched straight here.
+                unsafe { rt.runq.release(sleeper) };
+                crate::couple::finish_install(b);
+            }
             Deferred::CoupleRequest(uc) => {
                 crate::couple::note_couple_request(b, &uc);
                 KcShared::request(uc);
@@ -545,6 +562,8 @@ mod tests {
         assert!(format!("{d:?}").contains("CoupleRequest"));
         let d = Deferred::Terminate { uc, status: 7 };
         assert!(format!("{d:?}").contains("Terminate(blt:3, 7)"));
+        let d = Deferred::Release { sleeper: true };
+        assert_eq!(format!("{d:?}"), "Release(sleeper: true)");
     }
 
     #[test]

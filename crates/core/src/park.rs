@@ -57,15 +57,30 @@
 //!
 //! ## The lock
 //!
-//! Acquire is one `swap`, release a plain store. A waiter spins a bounded
+//! Acquire is one `swap`, release a plain store. One critical section, the
+//! yield's, spans a context switch ([`ParkQueue::pop_and_link`]): the
+//! yielder pops the next UC, installs it, links itself at the tail and reads
+//! the parker under one acquisition, and the incoming context releases the
+//! lock once the switch has saved the yielder ([`ParkQueue::release`], run
+//! from `Deferred::Release`) — Linux's `rq->lock`, held across
+//! `context_switch()` and dropped in `finish_task_switch()`. No other thread
+//! can pop the yielder before its registers are on its stack (Table I race
+//! point 2), and a yield costs one RMW where a pop and a deferred push cost
+//! two. Nothing that spins or enters the kernel runs under that hold: the
+//! emulated TLS load and the signal-mask carry of the install run on the
+//! incoming side, after the release. A waiter spins a bounded
 //! number of `pause`s, taking the lock the moment a plain load sees it
 //! free, and then puts its OS thread to sleep for the shortest time the
 //! kernel grants (the timer slack, ~50 µs): critical sections are a handful
-//! of pointer writes, so a lock held for a whole spin means the holder was
-//! preempted, and a sleeping waiter lets it run. The back-off must be an
-//! *OS-thread* one — the waiter is inside the run queue, so yielding to
-//! another ULP would recurse into the lock it waits for ("Basic Lock
-//! Algorithms in Lightweight Thread Environments", PAPERS.md).
+//! of pointer writes and at most one context switch, so a lock held for a
+//! whole spin means the holder was preempted, and a sleeping waiter lets it
+//! run. The back-off must be an *OS-thread* one — the waiter is inside the
+//! run queue, so yielding to another ULP would recurse into the lock it
+//! waits for ("Basic Lock Algorithms in Lightweight Thread Environments",
+//! PAPERS.md) — and since the yield's hold spans a switch, a ULP yield by a
+//! waiter would take the lock its own thread already holds. Debug builds
+//! record the holding thread and panic on that re-acquisition (a lost
+//! `Release`) instead of sleeping forever.
 //!
 //! It is a sleep and not `sched_yield()` because the usual holder is a
 //! scheduler KC running a yield ring — a thread that never blocks and sits
@@ -138,10 +153,10 @@
 //! thread while it is at home, so none of the protocol above is involved:
 //! `couple.rs` flips its flag on its own thread, switching nothing.
 //!
-//! `model.rs` next to this file checks the protocol — spinners' count
-//! included — on every interleaving of its atomic steps (2 producers × 1
-//! consumer) under sequential consistency; the tests below hammer the real
-//! thing.
+//! `model.rs` next to this file checks the protocol — spinners' count and
+//! the yield's held hand-over included — on every interleaving of its atomic
+//! steps (2 producers × 1 yielder × 1 consumer) under sequential
+//! consistency; the tests below hammer the real thing.
 //!
 //! [`KcShared`]: crate::uc::KcShared
 //! [`SPIN_BREAK_EVEN_NS`]: ulp_kernel::SPIN_BREAK_EVEN_NS
@@ -213,6 +228,18 @@ pub struct ParkQueue {
     /// it: the empty-probe fast path and the gauges.
     len: AtomicUsize,
     ends: UnsafeCell<Ends>,
+    /// The holding thread's [`thread_token`], 0 while free: a holder that
+    /// acquires again panics instead of sleeping forever.
+    #[cfg(debug_assertions)]
+    holder: AtomicUsize,
+}
+
+/// A token for the calling OS thread: the address of one of its
+/// thread-locals, distinct among live threads and never 0.
+#[cfg(debug_assertions)]
+fn thread_token() -> usize {
+    thread_local!(static TOKEN: u8 = const { 0 });
+    TOKEN.with(|t| ptr::from_ref(t) as usize)
 }
 
 // SAFETY: `ends` and the links of queued UCs are only accessed through a
@@ -230,6 +257,8 @@ impl Default for ParkQueue {
                 head: ptr::null(),
                 tail: ptr::null(),
             }),
+            #[cfg(debug_assertions)]
+            holder: AtomicUsize::new(0),
         }
     }
 }
@@ -255,12 +284,27 @@ impl ParkQueue {
     /// not block: waiters spin.
     #[inline]
     pub fn lock(&self) -> ParkQueueGuard<'_> {
+        #[cfg(debug_assertions)]
+        assert_ne!(
+            self.holder.load(Ordering::Relaxed),
+            thread_token(),
+            "run-queue lock re-acquired by its holder: a Release was lost"
+        );
         if self.locked.swap(true, Ordering::Acquire) {
             self.lock_contended();
         }
+        #[cfg(debug_assertions)]
+        self.holder.store(thread_token(), Ordering::Relaxed);
         #[cfg(test)]
         tests::holder_hook();
         ParkQueueGuard { q: self }
+    }
+
+    #[inline]
+    fn unlock(&self) {
+        #[cfg(debug_assertions)]
+        self.holder.store(0, Ordering::Relaxed);
+        self.locked.store(false, Ordering::Release);
     }
 
     #[cold]
@@ -293,6 +337,53 @@ impl ParkQueue {
             q.push_back(uc);
             parker.ended()
         };
+        if sleeper {
+            parker.poke();
+        }
+    }
+
+    /// The yield's one critical section ("The lock"): pop the oldest UC
+    /// (`back`: the youngest), let `swap_in` install it and hand back the UC
+    /// it displaced, link that one at the tail and read `parker` as
+    /// [`ParkQueue::push`] does. An empty queue is one load and `None`.
+    /// Otherwise this returns `swap_in`'s result and whether a sleeper was
+    /// counted with the lock **still held**: the caller switches away, and
+    /// the context that runs next on this thread calls
+    /// [`ParkQueue::release`] before anything else.
+    #[inline]
+    pub fn pop_and_link<R>(
+        &self,
+        back: bool,
+        parker: &Parker,
+        swap_in: impl FnOnce(Arc<UcInner>) -> (Arc<UcInner>, R),
+    ) -> Option<(R, bool)> {
+        if self.len() == 0 {
+            return None;
+        }
+        let mut q = self.lock();
+        let next = if back { q.pop_back() } else { q.pop_front() }?;
+        let (displaced, out) = swap_in(next);
+        q.push_back(displaced);
+        let sleeper = parker.ended();
+        std::mem::forget(q);
+        Some((out, sleeper))
+    }
+
+    /// End the critical section [`ParkQueue::pop_and_link`] left open, then
+    /// wake the sleeper it counted — the order [`ParkQueue::push`] keeps.
+    ///
+    /// # Safety
+    /// The calling thread holds the lock, left held by its own
+    /// `pop_and_link` (debug builds check).
+    #[inline]
+    pub unsafe fn release(&self, parker: &Parker, sleeper: bool) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.holder.load(Ordering::Relaxed),
+            thread_token(),
+            "run-queue lock released by a thread that does not hold it"
+        );
+        self.unlock();
         if sleeper {
             parker.poke();
         }
@@ -334,7 +425,7 @@ pub struct ParkQueueGuard<'a> {
 impl Drop for ParkQueueGuard<'_> {
     #[inline]
     fn drop(&mut self) {
-        self.q.locked.store(false, Ordering::Release);
+        self.q.unlock();
     }
 }
 
@@ -720,6 +811,7 @@ pub(crate) mod tests {
 
     thread_local! {
         static YIELD_AS_HOLDER: Cell<bool> = const { Cell::new(false) };
+        static ACQUIRED: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Deschedule the calling thread every time it acquires a queue lock
@@ -729,9 +821,83 @@ pub(crate) mod tests {
     }
 
     pub(super) fn holder_hook() {
+        ACQUIRED.with(|n| n.set(n.get() + 1));
         if YIELD_AS_HOLDER.with(Cell::get) {
             std::thread::yield_now();
         }
+    }
+
+    /// Queue locks the calling OS thread has acquired so far.
+    fn acquired() -> u64 {
+        ACQUIRED.with(Cell::get)
+    }
+
+    /// A yield is one critical section: with another UC runnable,
+    /// `yield_now()` takes the run queue's lock once — pop, install and link,
+    /// released across the switch — and with nothing runnable not at all.
+    /// Two UCs ring on one scheduler, so every switch into one is the other's
+    /// yield; each notes its thread's acquisitions just before it yields, and
+    /// the one resumed reads how many that yield took.
+    #[test]
+    fn a_yield_takes_the_run_queue_lock_once() {
+        use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+        const ROUNDS: usize = 200;
+        let rt = crate::Runtime::builder()
+            .schedulers(1)
+            .idle_policy(IdlePolicy::Blocking)
+            .build();
+        let mark = Arc::new(AtomicU64::new(0));
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let ring: Vec<_> = (0..2)
+            .map(|i| {
+                let (mark, arrived) = (mark.clone(), arrived.clone());
+                rt.spawn(&format!("ring{i}"), move || {
+                    crate::decouple().unwrap();
+                    arrived.fetch_add(1, SeqCst);
+                    while arrived.load(SeqCst) < 2 {
+                        mark.store(acquired(), Relaxed);
+                        crate::stall();
+                    }
+                    let taken: Vec<u64> = (0..ROUNDS)
+                        .map(|_| {
+                            mark.store(acquired(), Relaxed);
+                            assert!(crate::yield_now(), "the other member is runnable");
+                            acquired() - mark.load(Relaxed)
+                        })
+                        .collect();
+                    // The last switch into whichever member finishes second is
+                    // the scheduler's dispatch, not a yield.
+                    assert!(taken[..ROUNDS - 1].iter().all(|&n| n == 1), "{taken:?}");
+                    0
+                })
+            })
+            .collect();
+        for h in ring {
+            assert_eq!(h.wait(), 0);
+        }
+        let alone = rt.spawn("alone", || {
+            crate::decouple().unwrap();
+            let before = acquired();
+            assert!(!crate::yield_now(), "nothing else is runnable");
+            assert_eq!(acquired(), before, "an empty run queue is one load");
+            0
+        });
+        assert_eq!(alone.wait(), 0);
+    }
+
+    /// A lost `Release` is a reported outcome, not a hang: the thread that
+    /// holds a queue's lock and acquires it again panics.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "run-queue lock re-acquired by its holder: a Release was lost")]
+    fn reacquiring_a_held_lock_panics() {
+        // Leaked: dropping it while unwinding would acquire the lock again.
+        let q: &ParkQueue = Box::leak(Box::default());
+        let p = Parker::new(IdlePolicy::BusyWait, TIMEOUT);
+        q.push(dummy_uc(1), &p);
+        let held = q.pop_and_link(false, &p, |next| (next, ()));
+        assert_eq!(held, Some(((), false)));
+        q.pop(false);
     }
 
     const TIMEOUT: Duration = Duration::from_millis(20);

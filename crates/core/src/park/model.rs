@@ -1,6 +1,6 @@
 //! Exhaustive small-schedule check of the parking protocol (`park.rs`
-//! module docs): 2 producers × 1 consumer, one queue, every interleaving of
-//! the atomic steps, sequentially consistent memory.
+//! module docs): 2 producers × 1 yielder × 1 consumer, one queue, every
+//! interleaving of the atomic steps, sequentially consistent memory.
 //!
 //! Each thread is a program counter over the steps the real code performs
 //! in the same order — [`ParkQueue::push`](super::ParkQueue::push) then
@@ -9,6 +9,17 @@
 //! [`Parker::park`](super::Parker::park)) for the consumer — and the futex
 //! has no time-out, so a lost wake-up is a deadlock: a reachable state in
 //! which the consumer sleeps, nobody can step, and a UC is still queued.
+//!
+//! The yielder is a UC's `yield_now()` on another scheduler
+//! ([`ParkQueue::pop_and_link`](super::ParkQueue::pop_and_link), then the
+//! switch, then [`ParkQueue::release`](super::ParkQueue::release) on the
+//! incoming side): it probes the length, pops the next UC, links its own UC
+//! at the tail, reads the count, and only then is its context *saved* — the
+//! switch — before the lock is dropped and a counted sleeper poked. The
+//! consumer races it as the other scheduler, and must never pop the
+//! yielder's UC before that save (Table I race point 2). The queue starts
+//! with no UC or with one the yielder may switch to; either way the consumer
+//! ends up popping one UC per producer plus that one or the yielder's.
 //!
 //! `Adaptive`'s spin arm is in the model, with the count it shares with the
 //! sleepers: the parker's count is one word, sleepers in its low half and
@@ -39,6 +50,16 @@ use std::collections::HashSet;
 
 const PRODUCERS: usize = 2;
 
+/// Producers and the yielder: the threads that link a UC and may wake.
+const PUSHERS: usize = PRODUCERS + 1;
+
+/// The yielder's thread index, after the producers'.
+const YIELDER: usize = PRODUCERS;
+
+/// Most UCs the consumer pops: one per producer, and the queue's first UC
+/// or the yielder's, whichever the yielder left queued.
+const UCS: usize = PRODUCERS + 1;
+
 /// One spinner in the parker's count (the model's `wait::SPINNER`: the high
 /// half of an 8-bit word).
 const SPINNER: u8 = 1 << 4;
@@ -59,7 +80,7 @@ const POP_STEPS: usize = 10;
 /// budget (`Decide`, `SpinIn`, `SpinPass`, `SpinOut`, `ReadSeen`,
 /// `ProbeLen`) in each of the periods the pops start, a pop of each UC in
 /// between, and the park that follows.
-const REST_STEPS: usize = (PRODUCERS + 1) * 6 * SPIN_PASSES as usize + 5 * PRODUCERS + POP_STEPS;
+const REST_STEPS: usize = (UCS + 1) * 6 * SPIN_PASSES as usize + 5 * UCS + POP_STEPS;
 
 /// Which protocol runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -75,15 +96,23 @@ enum Variant {
     /// A producer that masks the wrong half of the count, and so wakes for
     /// spinners and not for sleepers (mutant).
     WakeOnSpinners,
+    /// A yielder that drops the lock before its switch has saved it — what
+    /// queueing itself without deferring to the incoming context does
+    /// (mutant).
+    ReleaseBeforeSwitch,
 }
 
+/// A pusher's steps; `ProbeLen`, `Pop` and `Save` are the yielder's only.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum P {
+    ProbeLen,
     Lock,
+    Pop,
     Link,
     StoreLen,
     ReadCount,
     Time,
+    Save,
     Unlock,
     Bump,
     RereadSleepers,
@@ -115,10 +144,17 @@ enum C {
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct State {
-    /// Lock holder: 0..PRODUCERS are producers, PRODUCERS the consumer.
+    /// Lock holder: 0..PRODUCERS are producers, then [`YIELDER`] and
+    /// [`CONSUMER`].
     locked: Option<usize>,
     /// UCs linked in the list (touched under the lock only).
     list: u8,
+    /// Where in the list the yielder's UC is (0: the head), if linked.
+    yielder_at: Option<u8>,
+    /// The yielder's switch has saved its context.
+    saved: bool,
+    /// The consumer popped the yielder's UC before it was saved.
+    popped_unsaved: bool,
     /// The lock-free length mirror.
     len: u8,
     /// The parker's count: sleepers + spinners × [`SPINNER`].
@@ -128,34 +164,44 @@ struct State {
     short: bool,
     /// Spin passes in the consumer's idle period (its `IdleTally`).
     passes: u8,
-    p: [P; PRODUCERS],
-    /// Each producer's in-critical-section read of the count.
-    p_saw: [u8; PRODUCERS],
+    p: [P; PUSHERS],
+    /// Each pusher's in-critical-section read of the count.
+    p_saw: [u8; PUSHERS],
     c: C,
     seen: u8,
     recheck_empty: bool,
     popped: u8,
+    /// UCs the consumer pops before it is done: the producers' and the
+    /// queue's first, if any (or the yielder's, if it switched to that one).
+    ucs: u8,
 }
 
-const CONSUMER: usize = PRODUCERS;
+const CONSUMER: usize = PUSHERS;
 
 impl State {
-    /// `short`: the parker's history before anything runs.
-    fn new(short: bool) -> State {
+    /// `short`: the parker's history before anything runs; `queued`: UCs
+    /// runnable before anything runs (0 or 1).
+    fn new(short: bool, queued: u8) -> State {
+        let mut p = [P::Lock; PUSHERS];
+        p[YIELDER] = P::ProbeLen;
         State {
             locked: None,
-            list: 0,
-            len: 0,
+            list: queued,
+            yielder_at: None,
+            saved: false,
+            popped_unsaved: false,
+            len: queued,
             count: 0,
             version: 0,
             short,
             passes: 0,
-            p: [P::Lock; PRODUCERS],
-            p_saw: [0; PRODUCERS],
+            p,
+            p_saw: [0; PUSHERS],
             c: C::ReadSeen,
             seen: 0,
             recheck_empty: false,
             popped: 0,
+            ucs: PRODUCERS as u8 + queued,
         }
     }
 
@@ -167,16 +213,52 @@ impl State {
     /// waiting for the lock, or asleep).
     fn step(&self, t: usize, variant: Variant) -> Option<State> {
         let mut s = self.clone();
-        if t < PRODUCERS {
+        if t < PUSHERS {
+            // After the unlock: poke iff the count read saw the half woken.
+            let half = match variant {
+                Variant::WakeOnSpinners => !SLEEPERS,
+                _ => SLEEPERS,
+            };
+            let poke = if s.p_saw[t] & half != 0 {
+                P::Bump
+            } else {
+                P::Done
+            };
+            let early = t == YIELDER && variant == Variant::ReleaseBeforeSwitch;
             s.p[t] = match self.p[t] {
+                // Nothing runnable: no switch, nothing locked.
+                P::ProbeLen => {
+                    if s.len == 0 {
+                        P::Done
+                    } else {
+                        P::Lock
+                    }
+                }
                 P::Lock => {
                     if s.locked.is_some() {
                         return None;
                     }
                     s.locked = Some(t);
+                    if t == YIELDER {
+                        P::Pop
+                    } else {
+                        P::Link
+                    }
+                }
+                // The length probe raced a pop: unlock, no switch.
+                P::Pop if s.list == 0 => {
+                    s.locked = None;
+                    P::Done
+                }
+                P::Pop => {
+                    s.list -= 1;
+                    s.len = s.list;
                     P::Link
                 }
                 P::Link => {
+                    if t == YIELDER {
+                        s.yielder_at = Some(s.list);
+                    }
                     s.list += 1;
                     P::StoreLen
                 }
@@ -194,18 +276,29 @@ impl State {
                     if s.p_saw[t] != 0 {
                         s.short = s.passes < SPIN_PASSES;
                     }
-                    P::Unlock
+                    if t == YIELDER && !early {
+                        P::Save
+                    } else {
+                        P::Unlock
+                    }
                 }
+                // The yielder's switch: its registers are on its stack.
+                P::Save => {
+                    s.saved = true;
+                    if early {
+                        poke
+                    } else {
+                        P::Unlock
+                    }
+                }
+                // The yielder's runs in the context it switched to
+                // (`Deferred::Release`).
                 P::Unlock => {
                     s.locked = None;
-                    let half = match variant {
-                        Variant::WakeOnSpinners => !SLEEPERS,
-                        _ => SLEEPERS,
-                    };
-                    if s.p_saw[t] & half != 0 {
-                        P::Bump
+                    if early {
+                        P::Save
                     } else {
-                        P::Done
+                        poke
                     }
                 }
                 P::Bump => {
@@ -243,7 +336,7 @@ impl State {
         };
         s.c = match self.c {
             C::ReadSeen => {
-                if s.popped as usize == PRODUCERS {
+                if s.popped == s.ucs {
                     C::Done
                 } else {
                     s.seen = s.version;
@@ -293,6 +386,13 @@ impl State {
             // A UC popped ends the idle period (`IdleTally::found_work`).
             C::PopUnlink => {
                 if s.list != 0 {
+                    s.yielder_at = match s.yielder_at {
+                        Some(0) => {
+                            s.popped_unsaved |= !s.saved;
+                            None
+                        }
+                        at => at.map(|i| i - 1),
+                    };
                     s.list -= 1;
                     s.len = s.list;
                     s.popped += 1;
@@ -371,6 +471,8 @@ enum Flaw {
     SlowPop,
     /// Running alone, the consumer took more than [`REST_STEPS`] to rest.
     NoRest,
+    /// The consumer popped the yielder's UC before its switch saved it.
+    UnsavedPop,
 }
 
 /// Run the consumer alone from `s`: steps until it holds a UC (if one is
@@ -406,15 +508,18 @@ fn explore(variant: Variant) -> Result<usize, (Flaw, Vec<String>)> {
         if !seen.insert(s.clone()) {
             return Ok(());
         }
+        if s.popped_unsaved {
+            return Err((Flaw::UnsavedPop, path.clone()));
+        }
         solo(s, variant).map_err(|flaw| (flaw, path.clone()))?;
         let mut stepped = false;
-        for t in 0..=PRODUCERS {
+        for t in 0..=CONSUMER {
             if let Some(next) = s.step(t, variant) {
                 stepped = true;
-                path.push(if t < PRODUCERS {
-                    format!("P{t}:{:?}", s.p[t])
-                } else {
-                    format!("C:{:?}", s.c)
+                path.push(match t {
+                    YIELDER => format!("Y:{:?}", s.p[t]),
+                    CONSUMER => format!("C:{:?}", s.c),
+                    _ => format!("P{t}:{:?}", s.p[t]),
                 });
                 dfs(&next, variant, seen, path)?;
                 path.pop();
@@ -428,9 +533,23 @@ fn explore(variant: Variant) -> Result<usize, (Flaw, Vec<String>)> {
     }
     let mut seen = HashSet::new();
     for short in [false, true] {
-        dfs(&State::new(short), variant, &mut seen, &mut Vec::new())?;
+        for queued in [0, 1] {
+            dfs(
+                &State::new(short, queued),
+                variant,
+                &mut seen,
+                &mut Vec::new(),
+            )?;
+        }
     }
     Ok(seen.len())
+}
+
+/// The labels a schedule gives each pusher's steps: `P0`, `P1`, …, `Y`.
+fn pushers() -> impl Iterator<Item = String> {
+    (0..PRODUCERS)
+        .map(|p| format!("P{p}"))
+        .chain(["Y".to_string()])
 }
 
 #[test]
@@ -454,11 +573,13 @@ fn recheck_before_announce_is_caught() {
     let last = |what: &str| schedule.iter().rposition(|s| s == what);
     let recheck = last("C:RecheckRead").expect("the consumer re-checked");
     let announce = last("C:Announce").expect("the consumer announced");
-    let silent = (0..PRODUCERS).any(|p| {
-        let link = last(&format!("P{p}:Link")).expect("every producer pushed");
-        let read = last(&format!("P{p}:ReadCount")).expect("every producer pushed");
-        recheck < link && read < announce
-    });
+    let silent =
+        pushers().any(
+            |p| match (last(&format!("{p}:Link")), last(&format!("{p}:ReadCount"))) {
+                (Some(link), Some(read)) => recheck < link && read < announce,
+                _ => false,
+            },
+        );
     assert!(
         silent,
         "expected a push linked after the re-check whose count read precedes the announce"
@@ -488,14 +609,31 @@ fn push_masking_the_wrong_half_is_caught() {
     let last = |what: &str| schedule.iter().rposition(|s| s == what);
     let announce = last("C:Announce").expect("the consumer announced");
     let unannounce = last("C:Unannounce");
-    let skipped = (0..PRODUCERS).any(|p| {
-        let read = last(&format!("P{p}:ReadCount")).expect("every producer pushed");
-        read > announce
-            && unannounce.is_none_or(|u| u < announce)
-            && last(&format!("P{p}:Bump")).is_none_or(|b| b < read)
+    let skipped = pushers().any(|p| {
+        last(&format!("{p}:ReadCount")).is_some_and(|read| {
+            read > announce
+                && unannounce.is_none_or(|u| u < announce)
+                && last(&format!("{p}:Bump")).is_none_or(|b| b < read)
+        })
     });
     assert!(
         skipped,
         "expected a push that read the announced sleeper and never bumped"
     );
+}
+
+/// The enumerator can see the yield's hand-over go wrong: a yielder that
+/// releases the lock before its switch lets the other scheduler pop a UC
+/// whose registers are not yet saved (Table I race point 2).
+#[test]
+fn release_before_the_switch_is_caught() {
+    let (flaw, schedule) = explore(Variant::ReleaseBeforeSwitch)
+        .expect_err("the mutant must hand out an unsaved context");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    assert!(matches!(flaw, Flaw::UnsavedPop), "{flaw:?}");
+    let last = |what: &str| schedule.iter().rposition(|s| s == what);
+    let unlock = last("Y:Unlock").expect("the yielder unlocked");
+    let pop = last("C:PopUnlink").expect("the consumer popped");
+    assert!(unlock < pop, "the pop came after the early unlock");
+    assert!(last("Y:Save").is_none(), "the yielder was not saved yet");
 }

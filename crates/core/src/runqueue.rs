@@ -13,9 +13,11 @@
 //! Every `yield`/`decouple` pushes here, and Table IV's yield latency budget
 //! is ~150 ns. A push or a pop is one lock acquisition — a single RMW —
 //! that links or unlinks the UC; the push also reads the parker's sleeper
-//! count inside it. A yield is one such pop and one such push: two locked
-//! instructions, no fence, no allocation. [`RunQueue::len`] reads the
-//! queue's length mirror: one load, no lock.
+//! count inside it. A yield is one acquisition too ([`RunQueue::yield_to`]):
+//! pop the next UC, install it, link the yielder at the tail and read the
+//! count, with the lock held across the switch and released by the incoming
+//! context — one locked instruction, no fence, no allocation.
+//! [`RunQueue::len`] reads the queue's length mirror: one load, no lock.
 //!
 //! ## Wake protocol
 //!
@@ -68,14 +70,51 @@ impl RunQueue {
     /// Make a UC schedulable: it goes to the back of the queue, and a
     /// scheduler announced asleep is woken.
     pub fn push(&self, uc: Arc<UcInner>) {
-        if let Some(g) = &self.gate {
-            if g.is_on() {
-                // Open the enqueue→dispatch span (one relaxed load when
-                // tracing is off — the `gate` Option is a plain field).
-                uc.stamp_enqueued(crate::trace::now_ns());
-            }
+        if self.tracing() {
+            uc.stamp_enqueued(crate::trace::now_ns());
         }
         self.queue.push(uc, &self.parker);
+    }
+
+    /// Whether a push opens the UC's enqueue→dispatch span: one relaxed load
+    /// when tracing is off — the `gate` Option is a plain field.
+    #[inline]
+    fn tracing(&self) -> bool {
+        self.gate.as_ref().is_some_and(|g| g.is_on())
+    }
+
+    /// A yield's one critical section (`park.rs`, "The lock"): pop the next
+    /// runnable UC, hand it to `swap_in` — which installs it and returns the
+    /// yielder it displaced — and queue the yielder behind everything already
+    /// runnable, stamped as [`RunQueue::push`] stamps. `None`, with nothing
+    /// locked, when nothing is runnable. Otherwise the lock stays held across
+    /// the caller's switch, and the incoming context ends the section with
+    /// [`RunQueue::release`] and the returned sleeper flag.
+    #[inline]
+    pub(crate) fn yield_to<R>(
+        &self,
+        swap_in: impl FnOnce(Arc<UcInner>) -> (Arc<UcInner>, R),
+    ) -> Option<(R, bool)> {
+        // The torture hook `pop` consults, drawn on every call as there, so
+        // a seeded run draws the same decisions.
+        self.queue
+            .pop_and_link(crate::chaos::bias_pop(), &self.parker, |next| {
+                let (yielder, out) = swap_in(next);
+                if self.tracing() {
+                    yielder.stamp_enqueued(crate::trace::now_ns());
+                }
+                (yielder, out)
+            })
+    }
+
+    /// End the critical section [`RunQueue::yield_to`] left open, and wake
+    /// the sleeper it counted.
+    ///
+    /// # Safety
+    /// The calling thread holds the lock, left held by its own `yield_to`.
+    #[inline]
+    pub(crate) unsafe fn release(&self, sleeper: bool) {
+        self.queue.release(&self.parker, sleeper);
     }
 
     /// Pop the next runnable UC, if any: the one that has waited longest.

@@ -415,8 +415,8 @@ where
 
 /// Entry of every secondary UC, first dispatched from the run queue.
 extern "C" fn secondary_entry(_arg: usize, data: *mut u8) -> ! {
-    // Whoever dispatched us deferred an action (e.g. a yield's
-    // self-enqueue); drain it before anything else.
+    // Whoever dispatched us deferred an action (e.g. a yield's run-queue
+    // release); drain it before anything else.
     run_deferred();
     // SAFETY: `data` is the `Arc::into_raw` of `spawn_secondary`, and a
     // context's entry runs once.

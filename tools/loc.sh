@@ -76,7 +76,8 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # patterns); a stay-home decision made from the UC's own evidence, not from
 # who is asleep or what is queued; one replay of the Table-I state machine for
 # the renderers and one cumulative-bucket renderer; one secondary-UC path; a
-# stay at home that is a state of the UC, not a trip through the trampoline.
+# stay at home that is a state of the UC, not a trip through the trampoline;
+# one run-queue critical section per yield.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -133,6 +134,16 @@ if [ "$(printf '%s\n' "$lits" | grep -c .)" -gt 1 ]; then
 fi
 gate "a second secondary-UC path is back under crates/ (siblings and pooled ULPs share secondary_entry and Deferred::Terminate)" \
     "$(git grep -n 'sibling_entr[y]\|pooled_entr[y]\|TerminateSiblin[g]\|TerminatePoole[d]' -- crates || true)"
+# One critical section per yield: the scheduler loop is the one place that
+# pops the run queue on its own; a yield pops and links itself in one
+# acquisition (`RunQueue::yield_to`), so a second `pop` there is a second
+# acquisition back on the switch path.
+pops=$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
+    !t && /runq\.pop\(/ { print FILENAME ":" FNR ": " $0 }')
+if [ "$(printf '%s\n' "$pops" | grep -v "^$c/runtime\.rs:" | grep -c .)" -gt 0 ] ||
+    [ "$(printf '%s\n' "$pops" | grep -c "^$c/runtime\.rs:")" -gt 1 ]; then
+    gate "runq.pop() in $c outside the scheduler loop in runtime.rs (a yield is one critical section: RunQueue::yield_to)" "$pops"
+fi
 # `{{` only occurs in a format string; the tests quote rendered text (`{`).
 if [ "$(git grep -c '_bucket{{' -- $c/export.rs | cut -d: -f2)" != 1 ]; then
     gate "export.rs writes bucket lines in more than one place (hist_series renders every histogram family)" \
