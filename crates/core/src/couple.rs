@@ -278,8 +278,8 @@ pub fn decouple() -> Result<bool, UlpError> {
             // Siblings share our pid, so established BLT workloads never
             // pay this branch. Handoffs bypass the pool idle loop, which
             // is why the loop rebinds unconditionally on its next serve.
-            if waiter.pid != me.pid {
-                rt.kernel.bind_current(waiter.pid);
+            if !Arc::ptr_eq(&waiter.proc, &me.proc) {
+                rt.kernel.bind_process(&waiter.proc);
             }
             // KC-local install: the waiter lands on its own original KC,
             // so like the TC→UC dispatch this is exempt from the TLS
@@ -662,7 +662,10 @@ mod tests {
 
     /// The switch path's layouts, pinned: a reshape moves `yield_ring` by
     /// several per cent (one `bool` on `Prep` cost 2–7 %), so a change here
-    /// is a deliberate diff, measured before it lands.
+    /// is a deliberate diff, measured before it lands. `UcInner` grew from
+    /// 248 to 256 bytes when its 4-byte pid became the 8-byte process handle
+    /// (`yield_ring` and `echo` measured in pairs against the 248-byte
+    /// layout, CHANGES.md).
     #[test]
     fn hot_layouts_are_pinned() {
         fn layout<T>() -> (usize, usize) {
@@ -683,7 +686,7 @@ mod tests {
                 ("Prep", (24, 8)),
                 ("ParkQueue", (64, 64)),
                 ("Parker", (56, 8)),
-                ("UcInner", (248, 8)),
+                ("UcInner", (256, 8)),
                 ("ThreadBlock", (128, 8)),
             ]
         );

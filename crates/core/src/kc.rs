@@ -180,8 +180,8 @@ fn tc_loop(boot: &TcBoot) -> ! {
 ///
 /// Unlike a BLT's original KC, a pool KC has no primary UC and no kernel
 /// process of its own: it lends its OS thread to many pooled ULPs in turn,
-/// rebinding its kernel identity to each ULP's pid as it serves it (the
-/// binding is a thread-local pointer swap, so the rebind costs nothing that
+/// rebinding its kernel identity to each ULP's process as it serves it (the
+/// binding is a thread-local handle swap, so the rebind costs nothing that
 /// scales with the ULP count). The thread's native context doubles as the
 /// TC — `tc_started` is pre-set and `tc_ctx` is filled by the first
 /// `raw_switch` away — so a pool KC needs no trampoline stack at all.
@@ -203,9 +203,10 @@ pub(crate) fn pool_main(rt: Arc<RuntimeInner>, kc: Arc<KcShared>) {
             serve(&kc, &mut tally);
             // Rebind unconditionally: a direct decouple→couple handoff on
             // this KC may have left the thread bound to a different pooled
-            // pid than the last one this loop served, so a cached "last
-            // bound" pid would go stale. `bind_current` is a TLS update.
-            rt.kernel.bind_current(uc.pid);
+            // process than the last one this loop served, so a cached "last
+            // bound" one would go stale. Binding the UC's own handle is a
+            // TLS update: no process-table lookup, now or at the first call.
+            rt.kernel.bind_process(&uc.proc);
             let target = unsafe { *uc.ctx.get() };
             install_ulp_no_charge(uc);
             unsafe { raw_switch(kc.tc_ctx.get(), target, None) };

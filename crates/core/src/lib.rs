@@ -119,7 +119,7 @@ pub use ulp_kernel::{EpollOp, Listener, PollEvents};
 /// Identity of the calling ULP: (runtime-local id, simulated PID, kind),
 /// or `None` on a thread that is not running a ULP.
 pub fn self_info() -> Option<(BltId, ulp_kernel::Pid, UcKind)> {
-    current::current_ulp().map(|u| (u.id, u.pid, u.kind))
+    current::current_ulp().map(|u| (u.id, u.pid(), u.kind))
 }
 
 /// The calling ULP's runtime-local id.

@@ -163,15 +163,19 @@ pub(crate) mod tests {
     use super::*;
     use crate::uc::{BltId, KcShared, UcKind};
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-    use ulp_kernel::process::Pid;
+    use ulp_kernel::process::{Pid, Process};
 
+    /// A UC on no runtime, carrying the init process of a kernel the
+    /// dummies share.
     pub(crate) fn dummy_uc(id: u64) -> Arc<UcInner> {
+        static INIT: std::sync::OnceLock<Arc<Process>> = std::sync::OnceLock::new();
+        let init = INIT.get_or_init(|| ulp_kernel::Kernel::native().process(Pid(1)).unwrap());
         UcInner::new(
             BltId(id),
             format!("uc{id}"),
             UcKind::Primary,
             Arc::new(KcShared::new(IdlePolicy::BusyWait)),
-            Pid(0),
+            init.clone(),
             std::sync::Weak::new(),
             None,
         )

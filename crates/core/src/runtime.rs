@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use ulp_fcontext::StackPool;
-use ulp_kernel::process::Pid;
+use ulp_kernel::process::{Pid, Process};
 use ulp_kernel::{ArchProfile, Kernel, KernelRef};
 
 /// What the runtime does when a system call is issued from a decoupled UC
@@ -229,8 +229,9 @@ pub struct RuntimeInner {
     pub stats: Stats,
     /// Reusable sibling stacks.
     pub stack_pool: StackPool,
-    /// The PiP-root-equivalent process every BLT is a child of.
-    pub root_pid: Pid,
+    /// The PiP-root-equivalent process every BLT is a child of (the
+    /// kernel's init), resolved once at build.
+    pub root: Arc<Process>,
     /// Set by [`Runtime::shutdown`]; schedulers exit once the queue drains.
     pub shutdown: AtomicBool,
     pub(crate) schedulers: Mutex<Vec<JoinHandle<()>>>,
@@ -280,12 +281,12 @@ impl RuntimeInner {
     /// dead or terminated entries are replaced.
     pub(crate) fn register_uc(&self, uc: &Arc<UcInner>) {
         let mut map = self.ucs.lock();
-        let stale = match map.get(&uc.pid.0).and_then(std::sync::Weak::upgrade) {
+        let stale = match map.get(&uc.pid().0).and_then(std::sync::Weak::upgrade) {
             Some(cur) => cur.state() == UcState::Terminated,
             None => true,
         };
         if stale {
-            map.insert(uc.pid.0, Arc::downgrade(uc));
+            map.insert(uc.pid().0, Arc::downgrade(uc));
         }
     }
 
@@ -384,7 +385,7 @@ impl std::fmt::Debug for RuntimeInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeInner")
             .field("config", &self.config)
-            .field("root_pid", &self.root_pid)
+            .field("root_pid", &self.root.pid)
             .field("shutdown", &self.shutdown.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -412,7 +413,7 @@ impl Runtime {
 
     fn from_parts(config: Config, kernel: Option<KernelRef>) -> Runtime {
         let kernel = kernel.unwrap_or_else(|| Kernel::new(config.profile));
-        let root_pid = Pid(1);
+        let root = kernel.process(Pid(1)).expect("a kernel boots with init");
         let tracer = crate::trace::Tracer::new(config.trace_capacity);
         let mut runq = RunQueue::new(config.idle_policy);
         runq.set_trace_gate(tracer.gate());
@@ -445,7 +446,7 @@ impl Runtime {
             runq,
             stats: Stats::default(),
             stack_pool: StackPool::new(128),
-            root_pid,
+            root,
             shutdown: AtomicBool::new(false),
             schedulers: Mutex::new(Vec::new()),
             audit: Mutex::new(Vec::new()),
@@ -461,7 +462,7 @@ impl Runtime {
         });
         // The creating thread acts as the PiP root: bind it so `sys::*`
         // works from the root, too.
-        inner.kernel.bind_current(root_pid);
+        inner.kernel.bind_process(&inner.root);
         set_runtime(inner.clone());
         let mut handles = Vec::new();
         for idx in 0..inner.config.n_schedulers {
@@ -491,7 +492,7 @@ impl Runtime {
 
     /// The root process every BLT is a child of (the PiP-root identity).
     pub fn root_pid(&self) -> Pid {
-        self.inner.root_pid
+        self.inner.root.pid
     }
 
     /// Runtime counters.
@@ -704,10 +705,8 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
     if rt.config.pin_schedulers {
         let _ = pin_current_thread(idx);
     }
-    let pid = rt
-        .kernel
-        .spawn_process(Some(rt.root_pid), &format!("ulp-sched-{idx}"));
-    rt.kernel.bind_current(pid);
+    let proc = rt.kernel.spawn_child(&rt.root, &format!("ulp-sched-{idx}"));
+    rt.kernel.bind_process(&proc);
 
     let kc = Arc::new(KcShared::new(rt.config.idle_policy));
     kc.adopt_current_thread();
@@ -716,7 +715,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         format!("sched-{idx}"),
         UcKind::Scheduler,
         kc,
-        pid,
+        proc,
         Arc::downgrade(&rt),
         None,
     );
@@ -744,7 +743,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         }
     }
 
-    let _ = rt.kernel.exit_process(pid, 0);
+    let _ = rt.kernel.exit(&identity.proc, 0);
     rt.kernel.unbind_current();
     clear_thread_state();
 }

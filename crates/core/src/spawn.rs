@@ -29,7 +29,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use ulp_fcontext::{prepare, Stack};
-use ulp_kernel::process::Pid;
+use ulp_kernel::process::{Pid, Process};
 
 /// Exit status reported when a ULP's body panics (mirroring a crashed
 /// process).
@@ -58,7 +58,7 @@ pub struct BltHandle {
 impl BltHandle {
     /// The BLT's simulated-kernel process ID.
     pub fn pid(&self) -> Pid {
-        self.uc.pid
+        self.uc.pid()
     }
 
     /// The BLT's runtime-local id.
@@ -117,7 +117,8 @@ impl BltHandle {
             kc.parker.poke();
             UlpError::StackAlloc(e.to_string())
         })?;
-        let sib = spawn_secondary(&rt, name, UcKind::Sibling, kc, self.uc.pid, stack, f);
+        let proc = self.uc.proc.clone();
+        let sib = spawn_secondary(&rt, name, UcKind::Sibling, kc, proc, stack, f);
         // The count was bumped under the gate above; wake the primary in
         // case it idles in its pre-retirement loop.
         kc.parker.poke();
@@ -168,7 +169,7 @@ impl UlpHandle {
     /// The UC's simulated-kernel process ID: a pooled ULP's own, a
     /// sibling's primary's.
     pub fn pid(&self) -> Pid {
-        self.uc.pid
+        self.uc.pid()
     }
 
     /// Block until the UC terminates and return its exit status; for a
@@ -199,7 +200,12 @@ impl Runtime {
     where
         F: FnOnce() -> i32 + Send + 'static,
     {
-        self.spawn_inner(name, None, Box::new(f))
+        // Box before the `None` handle exists: boxing can unwind, and a
+        // handle argument already built would give every instantiation of
+        // this generic an unwind cleanup to drop it — enough to change what
+        // the compiler inlines around a caller's closure.
+        let f: UlpFn = Box::new(f);
+        self.spawn_inner(name, None, f)
     }
 
     /// Spawn a *pooled* ULP: its own kernel identity (fresh pid, like
@@ -226,34 +232,49 @@ impl Runtime {
             .stack_pool
             .acquire_dense(POOLED_STACK_SIZE)
             .map_err(|e| UlpError::StackAlloc(e.to_string()))?;
-        let pid = rt.kernel.spawn_process(Some(rt.root_pid), name);
+        let proc = rt.kernel.spawn_child(&rt.root, name);
         let kc = rt.pool_kc();
-        Ok(spawn_secondary(rt, name, UcKind::Pooled, kc, pid, stack, f))
+        Ok(spawn_secondary(
+            rt,
+            name,
+            UcKind::Pooled,
+            kc,
+            proc,
+            stack,
+            f,
+        ))
     }
 
     /// Spawn a BLT that *shares* an existing kernel identity instead of
     /// getting a fresh process — PiP's thread mode, where tasks look like
     /// PThreads to the kernel (same PID, shared FD table) while still being
     /// privatized at user level (§IV).
+    ///
+    /// # Panics
+    /// If `pid` names no process (never created, or reaped).
     pub fn spawn_with_identity<F>(&self, name: &str, pid: Pid, f: F) -> BltHandle
     where
         F: FnOnce() -> i32 + Send + 'static,
     {
-        self.spawn_inner(name, Some(pid), Box::new(f))
+        let proc = self
+            .kernel()
+            .process(pid)
+            .unwrap_or_else(|| panic!("spawn_with_identity: no process {pid}"));
+        self.spawn_inner(name, Some(proc), Box::new(f))
     }
 
-    fn spawn_inner(&self, name: &str, pid: Option<Pid>, f: UlpFn) -> BltHandle {
+    fn spawn_inner(&self, name: &str, proc: Option<Arc<Process>>, f: UlpFn) -> BltHandle {
         let rt = self.inner().clone();
         rt.stats.fallback().bump_blts();
-        let shared_identity = pid.is_some();
-        let pid = pid.unwrap_or_else(|| rt.kernel.spawn_process(Some(rt.root_pid), name));
+        let shared_identity = proc.is_some();
+        let proc = proc.unwrap_or_else(|| rt.kernel.spawn_child(&rt.root, name));
         let kc = Arc::new(KcShared::new(rt.config.idle_policy));
         let uc = UcInner::new(
             rt.alloc_id(),
             name.to_string(),
             UcKind::Primary,
             kc,
-            pid,
+            proc,
             Arc::downgrade(&rt),
             None,
         );
@@ -277,7 +298,7 @@ impl Runtime {
 /// Reap `uc`'s simulated-kernel zombie, as the PiP root would.
 fn reap(uc: &UcInner) {
     if let Some(rt) = uc.rt.upgrade() {
-        let _ = rt.kernel.try_waitpid(rt.root_pid, Some(uc.pid));
+        rt.kernel.reap_child(&rt.root, &uc.proc);
     }
 }
 
@@ -294,7 +315,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
         }
     }
     // This OS thread *is* the original KC: adopt the kernel identity.
-    rt.kernel.bind_current(uc.pid);
+    rt.kernel.bind_process(&uc.proc);
     uc.kc.adopt_current_thread();
     set_runtime(rt.clone());
     set_current_ulp(Some(uc.clone()));
@@ -358,7 +379,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
     uc.set_state(UcState::Terminated);
     rt.tracer.record(crate::trace::Event::Terminate(uc.id));
     if owns_identity {
-        let _ = rt.kernel.exit_process(uc.pid, status);
+        let _ = rt.kernel.exit(&uc.proc, status);
     }
     rt.kernel.unbind_current();
     crate::current::clear_thread_state();
@@ -366,7 +387,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
 }
 
 /// The one spawn path of a secondary UC (a sibling or a pooled ULP): a UC
-/// of `kind` on the original KC `kc`, carrying `pid`, whose context is
+/// of `kind` on the original KC `kc`, carrying `proc`, whose context is
 /// prepared on `stack` to start in [`secondary_entry`] — born decoupled,
 /// straight onto the run queue. Secondary UCs stay out of the pid → UC
 /// registry (`RuntimeInner::register_uc`); `/proc/<pid>/stat` still works
@@ -376,7 +397,7 @@ fn spawn_secondary<F>(
     name: &str,
     kind: UcKind,
     kc: &Arc<KcShared>,
-    pid: Pid,
+    proc: Arc<Process>,
     stack: Stack,
     f: F,
 ) -> UlpHandle
@@ -388,7 +409,7 @@ where
         name.to_string(),
         kind,
         kc.clone(),
-        pid,
+        proc,
         Arc::downgrade(rt),
         Some(Box::new(f)),
     );
@@ -427,7 +448,7 @@ extern "C" fn secondary_entry(_arg: usize, data: *mut u8) -> ! {
 
     // Rule 7: terminate coupled with the original KC — the primary's for a
     // sibling, a pool KC for a pooled ULP, which bound this thread to our
-    // pid when it served the couple request.
+    // process when it served the couple request.
     let _ = couple();
     debug_assert!(uc.kc.is_current_thread());
     uc.set_state(UcState::Terminated);
@@ -438,7 +459,7 @@ extern "C" fn secondary_entry(_arg: usize, data: *mut u8) -> ! {
         rt.tracer.record(crate::trace::Event::Terminate(uc.id));
         // A sibling's pid is its primary's, which exits with the primary.
         if uc.kind == UcKind::Pooled {
-            let _ = rt.kernel.exit_process(uc.pid, status);
+            let _ = rt.kernel.exit(&uc.proc, status);
         }
     }
 

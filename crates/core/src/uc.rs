@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::ThreadId;
 use std::time::Duration;
 use ulp_fcontext::{RawContext, Stack};
-use ulp_kernel::process::Pid;
+use ulp_kernel::process::{Pid, Process};
 
 /// Identifier of a BLT / UC within one runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -323,8 +323,9 @@ pub struct UcInner {
     /// The original kernel context ("the KC which was used to create the
     /// KLT in the beginning", §II).
     pub kc: Arc<KcShared>,
-    /// The simulated-kernel process identity carried by the original KC.
-    pub pid: Pid,
+    /// The simulated-kernel process carried by the original KC: the handle
+    /// its spawn, binding, exit and reap go through.
+    pub proc: Arc<Process>,
     /// Whether the UC currently runs as a KLT on its original KC.
     pub coupled: AtomicBool,
     /// Lifecycle state, as [`UcState`] discriminants.
@@ -400,7 +401,7 @@ pub(crate) fn decode_wake_from(v: u64) -> Option<(BltId, ulp_kernel::WakeSite)> 
 
 impl UcInner {
     /// The one constructor: a UC of `kind` on the kernel context `kc`,
-    /// carrying `pid`, in state `Created`. A primary or scheduler starts
+    /// carrying `proc`, in state `Created`. A primary or scheduler starts
     /// coupled on its own thread with no `entry`; a secondary UC (sibling or
     /// pooled) is born decoupled and brings the closure its first dispatch
     /// runs.
@@ -409,7 +410,7 @@ impl UcInner {
         name: String,
         kind: UcKind,
         kc: Arc<KcShared>,
-        pid: Pid,
+        proc: Arc<Process>,
         rt: Weak<RuntimeInner>,
         entry: Option<UlpFn>,
     ) -> Arc<UcInner> {
@@ -419,7 +420,7 @@ impl UcInner {
             kind,
             ctx: UnsafeCell::new(RawContext::null()),
             kc,
-            pid,
+            proc,
             coupled: AtomicBool::new(matches!(kind, UcKind::Primary | UcKind::Scheduler)),
             state: AtomicU8::new(UcState::Created as u8),
             tls: TlsStorage::new(),
@@ -435,6 +436,12 @@ impl UcInner {
             qlink: QLink::new(),
             phases: Phases::new(),
         })
+    }
+
+    /// The simulated-kernel process ID carried by the original KC.
+    #[inline]
+    pub fn pid(&self) -> Pid {
+        self.proc.pid
     }
 
     /// Current lifecycle state.
@@ -479,7 +486,7 @@ impl std::fmt::Debug for UcInner {
             .field("id", &self.id)
             .field("name", &self.name)
             .field("kind", &self.kind)
-            .field("pid", &self.pid)
+            .field("pid", &self.pid())
             .field("coupled", &self.is_coupled())
             .field("state", &self.state())
             .finish()

@@ -251,7 +251,7 @@ impl ProcFs {
     /// Live (or zombie, i.e. not yet reaped) pids, ascending.
     fn pids(&self) -> KResult<Vec<Pid>> {
         let kernel = self.kernel()?;
-        let mut pids: Vec<Pid> = kernel.procs.lock().keys().copied().collect();
+        let mut pids: Vec<Pid> = kernel.table().keys().copied().collect();
         pids.sort();
         Ok(pids)
     }

@@ -13,6 +13,17 @@
 //! migrated to a foreign kernel context therefore observes foreign kernel
 //! state, which is precisely the system-call-consistency hazard the paper's
 //! `couple()`/`decouple()` protocol exists to fix (§V-B).
+//!
+//! ## Handles and names
+//!
+//! A process's lifecycle goes through its handle, an `Arc<Process>`:
+//! [`Kernel::spawn_child`] hands it back, and [`Kernel::bind_process`],
+//! [`Kernel::exit`] and [`Kernel::reap_child`] take it, so the process table's
+//! lock is taken once to insert a process and once to remove it, both by the
+//! spawner. The pid forms (`spawn_process`, `exit_process`, `waitpid`,
+//! `try_waitpid`, `bind_current`) resolve the name once and call the same
+//! bodies. They are for callers that hold only a name — system calls that
+//! name another pid (`kill`, `waitpid`, `/proc/<pid>`) — and for tests.
 
 use crate::cost::ArchProfile;
 use crate::errno::{Errno, KResult};
@@ -35,11 +46,12 @@ static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(1);
 struct Binding {
     kernel: u64,
     pid: Pid,
-    /// The bound process, looked up in the process table by the first system
-    /// call after [`Kernel::bind_current`] and reused by every later one
-    /// (pids are never reused, so the handle cannot go stale; a reaped
-    /// process is flagged, see [`Process::reaped`]). `None` until then —
-    /// binding may precede the process's creation.
+    /// The bound process: given by [`Kernel::bind_process`], or looked up in
+    /// the process table by the first system call after
+    /// [`Kernel::bind_current`], and reused by every later call (pids are
+    /// never reused, so the handle cannot go stale; a reaped process is
+    /// flagged, see [`Process::reaped`]). `None` until then — binding by pid
+    /// may precede the process's creation.
     proc: Option<Arc<Process>>,
 }
 
@@ -70,7 +82,10 @@ pub struct Kernel {
     /// Mounted filesystems: the tmpfs at `/`, a read-only procfs at
     /// `/proc`. Path syscalls dispatch on the longest mounted prefix.
     pub(crate) mounts: MountTable,
-    pub(crate) procs: Mutex<HashMap<Pid, Arc<Process>>>,
+    /// The process table, keyed by pid. Only lookups by name take its lock
+    /// (see [`Kernel::table`]): a process's own lifecycle takes it twice, to
+    /// insert and to remove it.
+    procs: Mutex<HashMap<Pid, Arc<Process>>>,
     next_pid: AtomicU64,
     /// waitpid parking: the number of `waitpid` callers asleep on
     /// `child_exited`, which an exit notifies only when that is non-zero.
@@ -211,36 +226,55 @@ impl Kernel {
         })
     }
 
-    // ----- process lifecycle ------------------------------------------------
+    // ----- process lifecycle (module docs: handles and names) ----------------
 
-    /// Create a new simulated process (the kernel half of spawning a ULP).
-    /// The caller is responsible for binding an OS thread to it.
-    pub fn spawn_process(&self, ppid: Option<Pid>, name: &str) -> Pid {
+    /// The process table, the one place that takes its lock (tests count
+    /// the acquisitions per thread).
+    #[inline]
+    pub(crate) fn table(&self) -> parking_lot::MutexGuard<'_, HashMap<Pid, Arc<Process>>> {
+        #[cfg(test)]
+        tests::TABLE_LOCKS.with(|n| n.set(n.get() + 1));
+        self.procs.lock()
+    }
+
+    /// Create a child of `parent` (the kernel half of spawning a ULP): the
+    /// one table insert, plus the parent's child set. The caller binds an OS
+    /// thread to the handle it gets back ([`Kernel::bind_process`]).
+    pub fn spawn_child(&self, parent: &Arc<Process>, name: &str) -> Arc<Process> {
+        self.insert(Some(parent), name)
+    }
+
+    fn insert(&self, parent: Option<&Arc<Process>>, name: &str) -> Arc<Process> {
         let pid = Pid(self.next_pid.fetch_add(1, Ordering::Relaxed) as u32);
-        let proc = Arc::new(Process::new(pid, ppid, name.to_string()));
-        self.procs.lock().insert(pid, proc);
-        if let Some(parent) = ppid {
-            if let Some(p) = self.process(parent) {
-                p.children.lock().insert(pid);
-            }
+        let proc = Arc::new(Process::new(pid, parent, name.to_string()));
+        self.table().insert(pid, proc.clone());
+        if let Some(parent) = parent {
+            parent.children.lock().insert(pid);
         }
-        pid
+        proc
+    }
+
+    /// [`Kernel::spawn_child`] by the parent's pid; `None` makes a root
+    /// process, and so does a parent that does not exist.
+    pub fn spawn_process(&self, ppid: Option<Pid>, name: &str) -> Pid {
+        let parent = ppid.and_then(|p| self.process(p));
+        self.insert(parent.as_ref(), name).pid
     }
 
     /// Look up a live or zombie process.
     pub fn process(&self, pid: Pid) -> Option<Arc<Process>> {
-        self.procs.lock().get(&pid).cloned()
+        self.table().get(&pid).cloned()
     }
 
     /// Number of processes currently in the table (incl. zombies).
     pub fn process_count(&self) -> usize {
-        self.procs.lock().len()
+        self.table().len()
     }
 
-    /// Terminate a process: close its descriptors, mark it a zombie, wake
-    /// `waitpid` sleepers and post SIGCHLD to the parent.
-    pub fn exit_process(&self, pid: Pid, status: i32) -> KResult<()> {
-        let proc = self.process(pid).ok_or(Errno::ESRCH)?;
+    /// Terminate `proc`: close its descriptors, mark it a zombie, wake
+    /// `waitpid` sleepers and post SIGCHLD to the parent it holds — if that
+    /// parent is still there. `ESRCH` if it already exited.
+    pub fn exit(&self, proc: &Process, status: i32) -> KResult<()> {
         {
             let mut st = proc.state.lock();
             if matches!(*st, ProcState::Zombie(_)) {
@@ -252,8 +286,8 @@ impl Kernel {
         // until that call returns; everything else is released here.
         let drained = proc.fds.lock().drain();
         drop(drained);
-        if let Some(ppid) = proc.ppid {
-            if let Some(parent) = self.process(ppid) {
+        if let Some(parent) = proc.parent.upgrade() {
+            if !parent.reaped.load(Ordering::Acquire) {
                 parent.signals.post(Signal::SigChld);
             }
         }
@@ -265,6 +299,35 @@ impl Kernel {
             self.child_exited.notify_all();
         }
         Ok(())
+    }
+
+    /// [`Kernel::exit`] by pid.
+    pub fn exit_process(&self, pid: Pid, status: i32) -> KResult<()> {
+        let proc = self.process(pid).ok_or(Errno::ESRCH)?;
+        self.exit(&proc, status)
+    }
+
+    /// Reap `child`, a zombie child of `parent`: the one table removal.
+    /// Under the table lock the child is flagged reaped — a thread still
+    /// bound to it gets `ESRCH` from its next system call — and its syscall
+    /// count moves into the retired sum, so [`Kernel::total_syscalls`]
+    /// counts it exactly once at every instant. The exit status if this call
+    /// reaped it; `None` if it is still running or is not (or no longer)
+    /// `parent`'s child.
+    pub fn reap_child(&self, parent: &Process, child: &Process) -> Option<i32> {
+        let ProcState::Zombie(status) = child.state() else {
+            return None;
+        };
+        // Leaving the child set is the claim: of two reapers, one wins.
+        if !parent.children.lock().remove(&child.pid) {
+            return None;
+        }
+        let mut procs = self.table();
+        procs.remove(&child.pid);
+        child.reaped.store(true, Ordering::Release);
+        self.retired_syscalls
+            .fetch_add(child.syscall_count(), Ordering::Relaxed);
+        Some(status)
     }
 
     /// Blocking `waitpid`: reap a zombie child of `parent`. With
@@ -283,51 +346,16 @@ impl Kernel {
     }
 
     fn waitpid_inner(&self, parent: Pid, target: Option<Pid>) -> KResult<(Pid, i32)> {
-        // Reap a zombie child if there is one; `ECHILD` if there are none.
-        let scan = || -> KResult<Option<(Pid, i32)>> {
-            let parent_proc = self.process(parent).ok_or(Errno::ESRCH)?;
-            if let Some(t) = target {
-                // Targeted fast path: membership and zombie checks are
-                // O(1) against the children set instead of cloning and
-                // scanning it — a root with a million pooled children
-                // reaps each one in constant time.
-                {
-                    let kids = parent_proc.children.lock();
-                    if kids.is_empty() || !kids.contains(&t) {
-                        return Err(Errno::ECHILD);
-                    }
-                }
-                if let Some(cp) = self.process(t) {
-                    if let ProcState::Zombie(status) = cp.state() {
-                        self.reap(&parent_proc, t);
-                        return Ok(Some((t, status)));
-                    }
-                }
-            } else {
-                let children = parent_proc.children.lock().clone();
-                if children.is_empty() {
-                    return Err(Errno::ECHILD);
-                }
-                for &child in &children {
-                    if let Some(cp) = self.process(child) {
-                        if let ProcState::Zombie(status) = cp.state() {
-                            self.reap(&parent_proc, child);
-                            return Ok(Some((child, status)));
-                        }
-                    }
-                }
-            }
-            Ok(None)
-        };
+        let parent = self.process(parent).ok_or(Errno::ESRCH)?;
         loop {
-            if let Some(reaped) = scan()? {
+            if let Some(reaped) = self.reap_any(&parent, target)? {
                 return Ok(reaped);
             }
             let mut waiters = self.wait_lock.lock();
             // An exit since the scan may have found nobody counted in and
             // notified nobody; it marked its zombie before taking this lock,
             // so a scan under it sees the zombie.
-            if let Some(reaped) = scan()? {
+            if let Some(reaped) = self.reap_any(&parent, target)? {
                 return Ok(reaped);
             }
             *waiters += 1;
@@ -338,54 +366,31 @@ impl Kernel {
         }
     }
 
-    /// Remove the zombie `child` from the process table and `parent`'s
-    /// child set. Under the table lock the process is flagged reaped — a
-    /// thread still bound to it gets `ESRCH` from its next system call — and
-    /// its syscall count moves into the retired sum, so
-    /// [`Kernel::total_syscalls`] counts it exactly once at every instant.
-    fn reap(&self, parent: &Process, child: Pid) {
-        {
-            let mut procs = self.procs.lock();
-            if let Some(proc) = procs.remove(&child) {
-                proc.reaped.store(true, Ordering::Release);
-                self.retired_syscalls
-                    .fetch_add(proc.syscall_count(), Ordering::Relaxed);
-            }
-        }
-        parent.children.lock().remove(&child);
-    }
-
     /// Non-blocking variant (`WNOHANG`).
     pub fn try_waitpid(&self, parent: Pid, target: Option<Pid>) -> KResult<Option<(Pid, i32)>> {
-        let parent_proc = self.process(parent).ok_or(Errno::ESRCH)?;
-        if let Some(t) = target {
-            // Targeted fast path (see `waitpid_inner`): O(1) per reap.
-            {
-                let kids = parent_proc.children.lock();
-                if kids.is_empty() {
-                    return Err(Errno::ECHILD);
-                }
-                if !kids.contains(&t) {
-                    return Ok(None);
-                }
+        let parent = self.process(parent).ok_or(Errno::ESRCH)?;
+        self.reap_any(&parent, target)
+    }
+
+    /// One `waitpid` scan: reap a zombie child of `parent` — `target` only,
+    /// when given — if there is one; `ECHILD` if there are no candidates.
+    fn reap_any(&self, parent: &Process, target: Option<Pid>) -> KResult<Option<(Pid, i32)>> {
+        let candidates = {
+            let kids = parent.children.lock();
+            match target {
+                // Membership is O(1) against the children set, not a clone
+                // and a scan of it: a root with a million pooled children
+                // reaps each one in constant time.
+                Some(t) if kids.contains(&t) => vec![t],
+                Some(_) => return Err(Errno::ECHILD),
+                None if kids.is_empty() => return Err(Errno::ECHILD),
+                None => kids.iter().copied().collect(),
             }
-            if let Some(cp) = self.process(t) {
-                if let ProcState::Zombie(status) = cp.state() {
-                    self.reap(&parent_proc, t);
-                    return Ok(Some((t, status)));
-                }
-            }
-            return Ok(None);
-        }
-        let children = parent_proc.children.lock().clone();
-        if children.is_empty() {
-            return Err(Errno::ECHILD);
-        }
-        for &child in &children {
-            if let Some(cp) = self.process(child) {
-                if let ProcState::Zombie(status) = cp.state() {
-                    self.reap(&parent_proc, child);
-                    return Ok(Some((child, status)));
+        };
+        for pid in candidates {
+            if let Some(child) = self.process(pid) {
+                if let Some(status) = self.reap_child(parent, &child) {
+                    return Ok(Some((pid, status)));
                 }
             }
         }
@@ -394,24 +399,37 @@ impl Kernel {
 
     // ----- thread ↔ process binding ----------------------------------------
 
-    /// Bind the calling OS thread to `pid`: subsequent system calls from
-    /// this thread execute against that process. Replaces any previous
-    /// binding of this thread in this kernel. A thread-local update only —
-    /// the process is looked up by the first system call that needs it.
+    /// Bind the calling OS thread to `proc`: subsequent system calls from
+    /// this thread execute against that process, through the handle — no
+    /// table lookup, now or later. Replaces any previous binding of this
+    /// thread in this kernel. A thread-local update only.
+    #[inline]
+    pub fn bind_process(&self, proc: &Arc<Process>) {
+        self.bind(proc.pid, Some(proc));
+    }
+
+    /// [`Kernel::bind_process`] by pid. Binding may precede the process's
+    /// creation, so the name is resolved by the first system call that needs
+    /// it, and cached for the calls that follow.
     pub fn bind_current(&self, pid: Pid) {
+        self.bind(pid, None);
+    }
+
+    fn bind(&self, pid: Pid, proc: Option<&Arc<Process>>) {
         let id = self.id;
         BINDINGS.with(|b| {
             let mut b = b.borrow_mut();
             match b.iter_mut().find(|e| e.kernel == id) {
-                Some(entry) if entry.pid == pid => {}
+                // A handle cached for the same pid stays: pids are not reused.
+                Some(entry) if entry.pid == pid && entry.proc.is_some() => {}
                 Some(entry) => {
                     entry.pid = pid;
-                    entry.proc = None;
+                    entry.proc = proc.cloned();
                 }
                 None => b.push(Binding {
                     kernel: id,
                     pid,
-                    proc: None,
+                    proc: proc.cloned(),
                 }),
             }
         });
@@ -447,7 +465,7 @@ impl Kernel {
     /// not be included) — which is what `/proc/ulp/metrics` ≡ `GET /metrics`
     /// compares under quiesce.
     pub fn total_syscalls(&self) -> u64 {
-        let procs = self.procs.lock();
+        let procs = self.table();
         self.retired_syscalls.load(Ordering::Relaxed)
             + procs.values().map(|p| p.syscall_count()).sum::<u64>()
     }
@@ -485,6 +503,16 @@ impl Drop for BindGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Process-table lock acquisitions by the calling thread.
+        pub(super) static TABLE_LOCKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn table_locks() -> u64 {
+        TABLE_LOCKS.with(Cell::get)
+    }
 
     #[test]
     fn boot_creates_init() {
@@ -618,6 +646,106 @@ mod tests {
             .signals
             .pending()
             .contains(Signal::SigChld));
+    }
+
+    /// A process named once: spawn, bind, a system call, exit and reap
+    /// through the handle take the process-table lock twice — the insert and
+    /// the removal, both on the spawner's thread — and the bound thread
+    /// never takes it. (By pid the same life took it 8 times: 2 to spawn, 1
+    /// to resolve the binding, 2 to exit, 3 to reap.)
+    #[test]
+    fn a_life_through_handles_takes_the_table_twice() {
+        let k = Kernel::native();
+        let root = k.process(Pid(1)).unwrap();
+        let start = table_locks();
+        let child = k.spawn_child(&root, "c");
+        let on_bound = {
+            let (k, child) = (k.clone(), child.clone());
+            std::thread::spawn(move || {
+                let start = table_locks();
+                k.bind_process(&child);
+                assert_eq!(k.sys_getpid(), Ok(child.pid));
+                k.exit(&child, 5).unwrap();
+                k.unbind_current();
+                table_locks() - start
+            })
+            .join()
+            .unwrap()
+        };
+        assert_eq!(on_bound, 0, "the bound thread took the table lock");
+        assert_eq!(k.reap_child(&root, &child), Some(5));
+        assert_eq!(table_locks() - start, 2);
+        assert!(k.process(child.pid).is_none(), "reaped");
+        assert_eq!(k.process_count(), 1);
+    }
+
+    #[test]
+    fn exit_through_a_handle_posts_sigchld_to_a_live_parent() {
+        let k = Kernel::native();
+        let root = k.process(Pid(1)).unwrap();
+        let parent = k.spawn_child(&root, "parent");
+        let child = k.spawn_child(&parent, "child");
+        assert_eq!(child.ppid, Some(parent.pid));
+        k.exit(&child, 0).unwrap();
+        assert!(parent.signals.pending().contains(Signal::SigChld));
+        assert_eq!(parent.signals.total_posted(), 1);
+        assert_eq!(k.exit(&child, 0), Err(Errno::ESRCH), "exits once");
+    }
+
+    /// A child that outlives its parent exits quietly: nothing is posted to
+    /// a parent that has been reaped — held or dropped — nor to anyone else.
+    #[test]
+    fn an_orphan_exits_without_a_post() {
+        let k = Kernel::native();
+        let root = k.process(Pid(1)).unwrap();
+        for drop_parent in [false, true] {
+            let parent = k.spawn_child(&root, "parent");
+            let child = k.spawn_child(&parent, "child");
+            k.exit(&parent, 0).unwrap();
+            assert_eq!(k.reap_child(&root, &parent), Some(0));
+            let (root_posts, parent_posts) =
+                (root.signals.total_posted(), parent.signals.total_posted());
+            let parent = (!drop_parent).then_some(parent);
+            assert_eq!(k.exit(&child, 3), Ok(()));
+            assert_eq!(root.signals.total_posted(), root_posts);
+            if let Some(parent) = parent {
+                assert_eq!(parent.signals.total_posted(), parent_posts);
+            } else {
+                assert!(child.parent.upgrade().is_none(), "the parent is gone");
+            }
+        }
+    }
+
+    #[test]
+    fn a_thread_bound_to_a_reaped_handle_gets_esrch() {
+        let k = Kernel::native();
+        let root = k.process(Pid(1)).unwrap();
+        let child = k.spawn_child(&root, "c");
+        k.bind_process(&child);
+        assert_eq!(k.sys_getpid(), Ok(child.pid));
+        k.exit(&child, 0).unwrap();
+        assert_eq!(k.sys_getpid(), Ok(child.pid), "a zombie still answers");
+        assert_eq!(k.reap_child(&root, &child), Some(0));
+        assert_eq!(k.sys_getpid(), Err(Errno::ESRCH));
+        assert_eq!(k.current_pid(), Some(child.pid), "still bound by name");
+        k.unbind_current();
+    }
+
+    /// Reaping claims the child once: a running child, a second reap and a
+    /// reap by a process that is not the parent all leave the table alone.
+    #[test]
+    fn reap_child_claims_a_zombie_once() {
+        let k = Kernel::native();
+        let root = k.process(Pid(1)).unwrap();
+        let other = k.spawn_child(&root, "other");
+        let child = k.spawn_child(&root, "c");
+        assert_eq!(k.reap_child(&root, &child), None, "still running");
+        k.exit(&child, 9).unwrap();
+        assert_eq!(k.reap_child(&other, &child), None, "not its child");
+        assert_eq!(k.reap_child(&root, &child), Some(9));
+        assert_eq!(k.reap_child(&root, &child), None, "reaped once");
+        assert_eq!(k.process_count(), 2);
+        assert_eq!(k.try_waitpid(Pid(1), Some(child.pid)), Err(Errno::ECHILD));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::signal::SignalState;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Process identifier in the simulated kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,6 +35,10 @@ pub struct Process {
     pub pid: Pid,
     /// Parent PID (`None` for the root process).
     pub ppid: Option<Pid>,
+    /// The parent itself, for the SIGCHLD an exit posts without a table
+    /// lookup. Weak: a child never keeps its parent alive, and a parent
+    /// that is gone has no one to tell.
+    pub(crate) parent: Weak<Process>,
     /// Human-readable name (the "program" this ULP was spawned from).
     pub name: Mutex<String>,
     /// The per-process descriptor table (the §V-B consistency stakes).
@@ -55,10 +60,11 @@ pub struct Process {
 }
 
 impl Process {
-    pub(crate) fn new(pid: Pid, ppid: Option<Pid>, name: String) -> Process {
+    pub(crate) fn new(pid: Pid, parent: Option<&Arc<Process>>, name: String) -> Process {
         Process {
             pid,
-            ppid,
+            ppid: parent.map(|p| p.pid),
+            parent: parent.map_or_else(Weak::new, Arc::downgrade),
             name: Mutex::new(name),
             fds: Mutex::new(FdTable::new()),
             cwd: Mutex::new("/".to_string()),
@@ -101,9 +107,11 @@ mod tests {
 
     #[test]
     fn new_process_defaults() {
-        let p = Process::new(Pid(7), Some(Pid(1)), "prog".into());
+        let init = Arc::new(Process::new(Pid(1), None, "init".into()));
+        let p = Process::new(Pid(7), Some(&init), "prog".into());
         assert_eq!(p.pid, Pid(7));
         assert_eq!(p.ppid, Some(Pid(1)));
+        assert!(Arc::ptr_eq(&p.parent.upgrade().unwrap(), &init));
         assert_eq!(p.state(), ProcState::Running);
         assert_eq!(*p.cwd.lock(), "/");
         assert_eq!(p.fds.lock().open_count(), 0);

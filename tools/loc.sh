@@ -77,7 +77,8 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # who is asleep or what is queued; one replay of the Table-I state machine for
 # the renderers and one cumulative-bucket renderer; one secondary-UC path; a
 # stay at home that is a state of the UC, not a trip through the trampoline;
-# one run-queue critical section per yield.
+# one run-queue critical section per yield; a process's lifecycle named by
+# its handle in core.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -144,6 +145,11 @@ if [ "$(printf '%s\n' "$pops" | grep -v "^$c/runtime\.rs:" | grep -c .)" -gt 0 ]
     [ "$(printf '%s\n' "$pops" | grep -c "^$c/runtime\.rs:")" -gt 1 ]; then
     gate "runq.pop() in $c outside the scheduler loop in runtime.rs (a yield is one critical section: RunQueue::yield_to)" "$pops"
 fi
+# Core holds every process it spawns as an `Arc<Process>`: spawning, binding,
+# exiting and reaping by pid would take the process-table lock again.
+gate "a pid-named process lifecycle call in $c (core names processes by handle: spawn_child, bind_process, exit, reap_child)" \
+    "$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
+        !t && /(^|[^A-Za-z0-9_])(spawn_process|exit_process|try_waitpid|bind_current)\(/ { print FILENAME ":" FNR ": " $0 }')"
 # `{{` only occurs in a format string; the tests quote rendered text (`{`).
 if [ "$(git grep -c '_bucket{{' -- $c/export.rs | cut -d: -f2)" != 1 ]; then
     gate "export.rs writes bucket lines in more than one place (hist_series renders every histogram family)" \
