@@ -681,6 +681,11 @@ impl Default for Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.shutdown();
+        // The thread that built the runtime anchors it until that thread
+        // exits or builds another, so the tracer can outlive this handle;
+        // stop it here, or the kernel would keep calling its hooks for a
+        // recorder nobody can read.
+        self.inner.tracer.disable();
     }
 }
 

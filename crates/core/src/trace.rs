@@ -727,13 +727,21 @@ impl Tracer {
         self.fallback.lock().clear();
         self.fallback_dropped.store(0, Ordering::Relaxed);
         self.gate.epoch_ns.store(now_ns(), Ordering::Release);
-        self.gate.enabled.store(true, Ordering::Release);
+        // The kernel calls its hooks only while some tracer records: count
+        // this one in before its gate opens, and back out if it was open
+        // already (a restart is no transition).
+        ulp_kernel::trace::start_recording();
+        if self.gate.enabled.swap(true, Ordering::AcqRel) {
+            ulp_kernel::trace::stop_recording();
+        }
     }
 
     /// Stop recording (contents are kept until the next [`Tracer::enable`]
     /// or [`Tracer::take`]).
     pub fn disable(&self) {
-        self.gate.enabled.store(false, Ordering::Release);
+        if self.gate.enabled.swap(false, Ordering::AcqRel) {
+            ulp_kernel::trace::stop_recording();
+        }
     }
 
     /// Whether recording is currently on.
@@ -874,6 +882,14 @@ impl Tracer {
 impl Default for Tracer {
     fn default() -> Self {
         Tracer::new(4096)
+    }
+}
+
+impl Drop for Tracer {
+    /// A tracer dropped while recording stops, so the kernel's count of
+    /// recording tracers stays balanced.
+    fn drop(&mut self) {
+        self.disable();
     }
 }
 

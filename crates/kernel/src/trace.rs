@@ -5,12 +5,13 @@
 //! state itself. Instead it exposes one process-global [`KernelHooks`]
 //! table, installed once by the runtime at construction:
 //!
-//! - `syscall` — every simulated system call emits an `Enter`/`Exit` pair
-//!   through it. The runtime's observer routes the pair onto the calling OS
-//!   thread's trace shard (same rings, same process-wide clock as the
-//!   couple/decouple protocol events), which is what lets the merged
-//!   Perfetto timeline interleave syscall spans with BLT state tracks and
-//!   makes system-call-consistency violations visually obvious.
+//! - `syscall` — while a tracer records, every simulated system call emits
+//!   an `Enter`/`Exit` pair through it. The runtime's observer routes the
+//!   pair onto the calling OS thread's trace shard (same rings, same
+//!   process-wide clock as the couple/decouple protocol events), which is
+//!   what lets the merged Perfetto timeline interleave syscall spans with
+//!   BLT state tracks and makes system-call-consistency violations
+//!   visually obvious.
 //! - `wake_stamp` / `wake_emit` — the two ends of a wake edge (see
 //!   [`WakeCell`]).
 //! - `proc` — the runtime-sourced bodies of `/proc/ulp/*` (see
@@ -18,12 +19,23 @@
 //!
 //! The first installation wins. Every hook resolves the *calling thread's*
 //! runtime, so several runtimes in one process install the same table and
-//! each sees only its own threads. With no table installed (the kernel
-//! crate used standalone) every hook site is a single `OnceLock` load — the
-//! kernel keeps working with zero observability cost.
+//! each sees only its own threads.
+//!
+//! The observation hooks — `syscall`, `wake_stamp`, `wake_emit` — run only
+//! while some tracer records: one process-wide count of recording tracers
+//! ([`start_recording`] / [`stop_recording`], read by [`recording`]) is the
+//! first thing every such site loads, once and relaxed, and while it reads
+//! zero the site returns before it even looks the table up. An untraced
+//! system call therefore pays that one load per event site and no indirect
+//! call; a traced one reaches its hooks exactly as before, and the observer
+//! still filters by the calling thread's own shard. `proc` always runs: a
+//! procfs body is content, not an observation. `tools/loc.sh --check` fails
+//! on a `HOOKS.get()` anywhere else in the crate, so a new site cannot skip
+//! the count. With no table installed (the kernel crate used standalone)
+//! the kernel keeps working all the same.
 
 use crate::fs::ProcSource;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Declare a dense `#[repr(u16)]` name table once: the enum, its `ALL`
@@ -186,28 +198,36 @@ pub enum SyscallPhase {
 /// Everything the kernel asks of the runtime above it. Plain `fn` pointers,
 /// each called synchronously on the thread concerned; each resolves that
 /// thread's runtime itself, must be cheap, and must not call back into the
-/// kernel.
+/// kernel. The three observation hooks are called only while
+/// [`recording`] is nonzero; `proc` is called whenever a body is read.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelHooks {
-    /// Both edges of every simulated system call, on the issuing thread.
+    /// Both edges of every simulated system call, on the issuing thread,
+    /// while some tracer records.
     pub syscall: fn(Sysno, SyscallPhase),
-    /// Waker side of a wake edge: `(waker_blt_id, now_ns)` of the current
-    /// thread at the moment a stamp is armed. `(0, 0)` when tracing is off
-    /// (the stamp is then suppressed entirely); a waker id of `0` with a
-    /// nonzero timestamp means "a thread outside the runtime" (BLT ids
-    /// start at 1).
+    /// Waker side of a wake edge, while some tracer records:
+    /// `(waker_blt_id, now_ns)` of the current thread at the moment a stamp
+    /// is armed. `(0, 0)` when the calling thread's own tracer is off (the
+    /// stamp is then suppressed entirely); a waker id of `0` with a nonzero
+    /// timestamp means "a thread outside the runtime" (BLT ids start at 1).
     pub wake_stamp: fn() -> (u64, u64),
-    /// Sleeper side: called on the *woken* thread when a claimed stamp
-    /// proves a real block-ending edge, with `(waker_blt_id, armed_ns,
-    /// site)`. Resolves the wakee from its own thread state.
+    /// Sleeper side, while some tracer records: called on the *woken*
+    /// thread when a claimed stamp proves a real block-ending edge, with
+    /// `(waker_blt_id, armed_ns, site)`. Resolves the wakee from its own
+    /// thread state.
     pub wake_emit: fn(u64, u64, WakeSite),
-    /// Runtime-sourced procfs bodies; `None` when the calling thread has no
-    /// runtime (or no ULP matching a [`ProcSource::PidExtra`]). Called under
-    /// no procfs lock — it may take runtime-internal locks.
+    /// Runtime-sourced procfs bodies, always consulted; `None` when the
+    /// calling thread has no runtime (or no ULP matching a
+    /// [`ProcSource::PidExtra`]). Called under no procfs lock — it may take
+    /// runtime-internal locks.
     pub proc: fn(ProcSource) -> Option<String>,
 }
 
 static HOOKS: OnceLock<KernelHooks> = OnceLock::new();
+
+/// How many tracers in the process are recording. The observation hooks are
+/// called only while it is nonzero (module docs).
+static RECORDING: AtomicUsize = AtomicUsize::new(0);
 
 impl KernelHooks {
     /// Install the process-global table. The first installation wins; later
@@ -218,17 +238,46 @@ impl KernelHooks {
     }
 }
 
-/// Emit one syscall observation.
+/// Count one more recording tracer: from now on the observation hooks are
+/// called. A tracer calls it before its own gate opens, so the first event
+/// it records finds its hooks live.
+pub fn start_recording() {
+    RECORDING.fetch_add(1, Ordering::Release);
+}
+
+/// Count one recording tracer out, after its own gate has closed; the
+/// hooks stop being called when the last one has. Balances exactly one
+/// earlier [`start_recording`].
+pub fn stop_recording() {
+    let was = RECORDING.fetch_sub(1, Ordering::Release);
+    debug_assert!(was != 0, "stop_recording without a start_recording");
+}
+
+/// How many tracers are recording now: the one relaxed load every
+/// observation site makes before anything else.
+#[inline]
+pub fn recording() -> usize {
+    RECORDING.load(Ordering::Relaxed)
+}
+
+/// Emit one syscall observation (no-op unless some tracer records).
 #[inline]
 pub fn emit(no: Sysno, phase: SyscallPhase) {
+    if recording() == 0 {
+        return;
+    }
     if let Some(h) = HOOKS.get() {
         (h.syscall)(no, phase);
     }
 }
 
-/// Emit one wake edge (no-op when no table is installed).
+/// Emit one wake edge (no-op unless some tracer records and a table is
+/// installed).
 #[inline]
 pub fn wake_emit(waker: u64, armed_ns: u64, site: WakeSite) {
+    if recording() == 0 {
+        return;
+    }
     if let Some(h) = HOOKS.get() {
         (h.wake_emit)(waker, armed_ns, site);
     }
@@ -332,11 +381,15 @@ impl WakeCell {
     }
 
     /// Arm the cell with the current thread's identity and clock. No-op when
-    /// tracing is off (the hook returns `now == 0`). Later stamps overwrite
-    /// earlier unconsumed ones — the *last* wake before the sleeper runs is
-    /// the one that actually ended its wait.
+    /// no tracer records, or the calling thread's is off (the hook returns
+    /// `now == 0`). Later stamps overwrite earlier unconsumed ones — the
+    /// *last* wake before the sleeper runs is the one that actually ended
+    /// its wait.
     #[inline]
     pub fn stamp(&self) {
+        if recording() == 0 {
+            return;
+        }
         let (waker, now) = HOOKS.get().map_or((0, 0), |h| (h.wake_stamp)());
         if now != 0 {
             self.stamp_as(waker, now);

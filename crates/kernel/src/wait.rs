@@ -372,15 +372,18 @@ mod tests {
     use crate::trace::KernelHooks;
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicU64;
-    use std::sync::{mpsc, Arc};
+    use std::sync::{mpsc, Arc, Once};
     use std::thread;
     use std::time::Duration;
 
-    /// With a stamp hook installed `WakeCell::stamp` really arms the cell,
-    /// so an ungated wake would show. (First install wins and this is the
-    /// only installer in the unit-test binary; the other hooks do nothing.)
+    /// With a stamp hook installed and a recorder counted in,
+    /// `WakeCell::stamp` really arms the cell, so an ungated wake would
+    /// show. (First install wins and this is the only installer in the
+    /// unit-test binary; the other hooks do nothing. The recorder stays
+    /// counted in for the rest of the binary, as the hook stays installed.)
     fn install_stamp_hook() {
         static CLOCK: AtomicU64 = AtomicU64::new(1);
+        static RECORDING: Once = Once::new();
         KernelHooks {
             syscall: |_, _| {},
             wake_stamp: || (7, CLOCK.fetch_add(1, Relaxed)),
@@ -388,6 +391,7 @@ mod tests {
             proc: |_: ProcSource| None,
         }
         .install();
+        RECORDING.call_once(crate::trace::start_recording);
     }
 
     fn sleepers_reach(q: &WaitQueue, lock: &Mutex<bool>, n: u32) {

@@ -1,0 +1,157 @@
+//! The kernel calls its observation hooks only while a tracer records.
+//!
+//! The hook table is process-global (first install wins) and `ulp-core`
+//! never loads in this binary, so this test owns it and installs hooks that
+//! count every call. The same workload — `getpid`s, a blocking pipe `read`
+//! woken by a writer thread, a blocking `poll` woken the same way — runs
+//! three times: with no recorder counted in it must reach no hook at all;
+//! with one it must reach the syscall hook exactly twice per call, plus each
+//! blocking span's pair, and emit exactly one wake edge per blocking wait;
+//! with the recorder counted out again it must reach none.
+
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
+use std::time::Duration;
+use ulp_kernel::trace::{self, SyscallPhase};
+use ulp_kernel::{
+    wait_outcomes, Fd, Kernel, KernelHooks, KernelRef, OpenFlags, Pid, PollEvents, Sysno, WakeSite,
+};
+
+static SYSCALLS: Mutex<Vec<(Sysno, SyscallPhase)>> = Mutex::new(Vec::new());
+static STAMPS: AtomicU64 = AtomicU64::new(0);
+static EDGES: Mutex<Vec<WakeSite>> = Mutex::new(Vec::new());
+static PROCS: AtomicU64 = AtomicU64::new(0);
+
+fn install_counting_hooks() {
+    KernelHooks {
+        syscall: |no, phase| SYSCALLS.lock().unwrap().push((no, phase)),
+        wake_stamp: || (7, 1 + STAMPS.fetch_add(1, Relaxed)),
+        wake_emit: |_, _, site| EDGES.lock().unwrap().push(site),
+        proc: |_| {
+            PROCS.fetch_add(1, Relaxed);
+            None
+        },
+    }
+    .install();
+}
+
+/// Everything the hooks saw since the last call: syscall observations,
+/// wake stamps, wake edges.
+fn drain() -> (Vec<(Sysno, SyscallPhase)>, u64, Vec<WakeSite>) {
+    (
+        std::mem::take(&mut *SYSCALLS.lock().unwrap()),
+        STAMPS.swap(0, Relaxed),
+        std::mem::take(&mut *EDGES.lock().unwrap()),
+    )
+}
+
+const GETPIDS: usize = 1000;
+
+/// Write one byte to `w` from a fresh thread bound to `pid`, once a kernel
+/// sleep after the first `sleeps` has begun: the caller's.
+fn write_once_asleep(k: &KernelRef, pid: Pid, w: Fd, sleeps: u64) -> std::thread::JoinHandle<()> {
+    let k = k.clone();
+    std::thread::spawn(move || {
+        k.bind_current(pid);
+        while wait_outcomes().sleeps == sleeps {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(k.sys_write(w, b"x").unwrap(), 1);
+        k.unbind_current();
+    })
+}
+
+/// The workload; returns how many system calls it issued on every thread.
+fn workload(k: &KernelRef, pid: Pid) -> usize {
+    for _ in 0..GETPIDS {
+        assert_eq!(k.sys_getpid().unwrap(), pid);
+    }
+    let (r, w) = k.sys_pipe().unwrap();
+    let mut buf = [0u8; 1];
+
+    // A pipe read that sleeps until a writer thread writes.
+    let writer = write_once_asleep(k, pid, w, wait_outcomes().sleeps);
+    assert_eq!(k.sys_read(r, &mut buf).unwrap(), 1);
+    writer.join().unwrap();
+
+    // A poll that sleeps until a writer thread writes.
+    let writer = write_once_asleep(k, pid, w, wait_outcomes().sleeps);
+    let revents = k.sys_poll(&[(r, PollEvents::IN)], None).unwrap();
+    assert!(revents[0].contains(PollEvents::IN), "{revents:?}");
+    writer.join().unwrap();
+    assert_eq!(k.sys_read(r, &mut buf).unwrap(), 1);
+
+    k.sys_close(r).unwrap();
+    k.sys_close(w).unwrap();
+    // getpids, pipe, read, write, poll, read, write, close, close.
+    GETPIDS + 8
+}
+
+fn count(seen: &[(Sysno, SyscallPhase)], no: Sysno) -> (usize, usize) {
+    let enters = seen
+        .iter()
+        .filter(|(n, p)| *n == no && *p == SyscallPhase::Enter)
+        .count();
+    let exits = seen
+        .iter()
+        .filter(|(n, p)| *n == no && matches!(p, SyscallPhase::Exit { .. }))
+        .count();
+    (enters, exits)
+}
+
+#[test]
+fn hooks_are_called_only_while_a_recorder_is_counted_in() {
+    install_counting_hooks();
+    let k = Kernel::native();
+    let pid = k.spawn_process(Some(Pid(1)), "hook-gate");
+    k.bind_current(pid);
+    assert_eq!(trace::recording(), 0, "nothing in this binary records yet");
+
+    // Untraced: no hook call at all.
+    drain();
+    workload(&k, pid);
+    let (seen, stamps, edges) = drain();
+    assert!(
+        seen.is_empty(),
+        "untraced syscall hook calls: {}",
+        seen.len()
+    );
+    assert_eq!(stamps, 0, "untraced wake stamps");
+    assert!(edges.is_empty(), "untraced wake edges: {edges:?}");
+
+    // Traced: every call's pair, each blocking span's pair, one edge each.
+    trace::start_recording();
+    assert_eq!(trace::recording(), 1);
+    let calls = workload(&k, pid);
+    let (seen, stamps, edges) = drain();
+    assert_eq!(
+        seen.len(),
+        2 * calls + 2 + 2,
+        "two per call, two per blocking span"
+    );
+    assert_eq!(count(&seen, Sysno::Getpid), (GETPIDS, GETPIDS));
+    assert_eq!(count(&seen, Sysno::PipeBlockRead), (1, 1));
+    assert_eq!(count(&seen, Sysno::EpollBlockWait), (1, 1));
+    assert_eq!(stamps, 2, "one stamp per write that ended a sleep");
+    assert_eq!(edges, [WakeSite::PipeRead, WakeSite::Poll]);
+
+    // Stopped: silent again.
+    trace::stop_recording();
+    assert_eq!(trace::recording(), 0);
+    workload(&k, pid);
+    let (seen, stamps, edges) = drain();
+    assert!(
+        seen.is_empty(),
+        "syscall hook calls after stop: {}",
+        seen.len()
+    );
+    assert_eq!(stamps, 0, "wake stamps after stop");
+    assert!(edges.is_empty(), "wake edges after stop: {edges:?}");
+
+    // The procfs bodies are content, not observations: always asked.
+    let before = PROCS.load(Relaxed);
+    let fd = k.sys_open("/proc/ulp/metrics", OpenFlags::RDONLY).unwrap();
+    k.sys_close(fd).unwrap();
+    assert!(PROCS.load(Relaxed) > before, "the proc hook runs untraced");
+    k.unbind_current();
+}

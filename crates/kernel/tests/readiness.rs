@@ -7,7 +7,7 @@
 //! neighbors (same discipline as the torture harness's run lock).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 use ulp_kernel::fault::{self, FaultPlan};
 use ulp_kernel::poll::EpollOp;
@@ -219,8 +219,10 @@ fn writer_close_wakes_blocked_epoll_with_hup() {
 // a wake edge, while the genuine wake that finally ends the wait emits
 // exactly one. The kernel's wake hooks are process-global (first install
 // wins) and `ulp-core` never loads in this binary, so these tests own them;
-// every wake test drains the capture buffer under the serial lock before
-// the phase it asserts on, so edges leaked by neighboring tests are inert.
+// the hooks are called only while a recorder is counted in, so the first
+// capture counts one in for the rest of the binary. Every wake test drains
+// the capture buffer under the serial lock before the phase it asserts on,
+// so edges leaked by neighboring tests are inert.
 
 static WAKE_CLOCK: AtomicU64 = AtomicU64::new(1);
 static CAPTURED: Mutex<Vec<(u64, u64, WakeSite)>> = Mutex::new(Vec::new());
@@ -238,6 +240,8 @@ fn capture_wake_edges() {
         proc: |_| None,
     }
     .install();
+    static RECORDING: Once = Once::new();
+    RECORDING.call_once(ulp_kernel::trace::start_recording);
 }
 
 fn drain_wake_edges() -> Vec<(u64, u64, WakeSite)> {

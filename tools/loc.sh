@@ -78,7 +78,7 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # the renderers and one cumulative-bucket renderer; one secondary-UC path; a
 # stay at home that is a state of the UC, not a trip through the trampoline;
 # one run-queue critical section per yield; a process's lifecycle named by
-# its handle in core.
+# its handle in core; kernel hook calls only while a tracer records.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -155,6 +155,19 @@ if [ "$(git grep -c '_bucket{{' -- $c/export.rs | cut -d: -f2)" != 1 ]; then
     gate "export.rs writes bucket lines in more than one place (hist_series renders every histogram family)" \
         "$(git grep -n '_bucket{{' -- $c/export.rs || echo "$c/export.rs: no bucket renderer found")"
 fi
+# The observation hooks run only while a tracer records: every `HOOKS.get()`
+# in the kernel sits in one of the three emitters after their load of the
+# recorder count, or in `proc_provide` (a procfs body is content, asked for
+# always), so a new hook site cannot skip the count.
+gate "HOOKS.get() in $k outside the gated emitters and proc_provide (emit, wake_emit and WakeCell::stamp ask recording() first: trace.rs)" \
+    "$(git ls-files -- "$k" | shipped | xargs -r awk "$tests"'
+        FNR == 1 { f = ""; asked = 0 }
+        match($0, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/) { f = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", f); asked = 0 }
+        /recording\(\) == 0/ { asked = 1 }
+        !t && /HOOKS\.get\(\)/ && !/^[[:space:]]*\/\// && !(FILENAME == "'"$k"'/trace.rs" &&
+            (f == "proc_provide" || (asked && (f == "emit" || f == "wake_emit" || f == "stamp")))) {
+            print FILENAME ":" FNR ": " $0
+        }')"
 hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
 if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
     gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
