@@ -334,6 +334,19 @@ pub fn set_runtime(rt: Arc<RuntimeInner>) {
     });
 }
 
+/// Take `rt` off this thread if the thread anchors it without being one of
+/// its kernel contexts — the thread that built it (`Runtime::from_parts`
+/// installs the builder). Without this the builder keeps the whole runtime
+/// alive past the last handle, until it exits or builds another runtime; a
+/// runtime built later on the same thread has replaced the anchor and keeps
+/// it.
+pub(crate) fn release_runtime(rt: &Arc<RuntimeInner>) {
+    let builder = BLOCK.with(|b| b.rt_ptr.get() == Arc::as_ptr(rt) && b.host_ptr.get().is_null());
+    if builder {
+        clear_thread_state();
+    }
+}
+
 /// The runtime this OS thread belongs to.
 pub fn current_runtime() -> Option<Arc<RuntimeInner>> {
     BLOCK.with(|b| {

@@ -678,14 +678,19 @@ impl Default for Runtime {
     }
 }
 
+/// Dropping the runtime shuts it down and, on the thread that built it,
+/// releases that thread's anchor, so the runtime's memory (trace rings,
+/// stats shards, stack pool, kernel) goes with the last handle. A drop on
+/// another thread cannot reach the builder's thread-local anchor: the
+/// runtime then lives on until the builder exits or builds another one.
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.shutdown();
-        // The thread that built the runtime anchors it until that thread
-        // exits or builds another, so the tracer can outlive this handle;
-        // stop it here, or the kernel would keep calling its hooks for a
-        // recorder nobody can read.
+        // What the builder's anchor may still keep alive must not keep
+        // recording: stop the tracer, or the kernel would keep calling its
+        // hooks for a recorder nobody can read.
         self.inner.tracer.disable();
+        crate::current::release_runtime(&self.inner);
     }
 }
 
@@ -773,4 +778,37 @@ fn run_uc(host: &Arc<UcInner>, uc: Arc<UcInner>) {
         crate::current::current_ulp().map(|u| u.id) == Some(host.id),
         "scheduler resumed without its identity installed"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The building thread anchors a runtime only while a handle to it
+    /// lives; a second runtime built on that thread keeps its own anchor
+    /// when the first one drops.
+    #[test]
+    fn dropping_a_runtime_frees_it_on_the_building_thread() {
+        std::thread::spawn(|| {
+            let rt = Runtime::builder().schedulers(1).build();
+            assert_eq!(rt.spawn("worker", || 7).wait(), 7);
+            let inner = Arc::downgrade(&rt.inner);
+            drop(rt);
+            assert!(inner.upgrade().is_none(), "the builder still anchors it");
+            assert!(crate::current::current_runtime().is_none());
+
+            let first = Runtime::builder().schedulers(1).build();
+            let second = Runtime::builder().schedulers(1).build();
+            let (a, b) = (Arc::downgrade(&first.inner), Arc::downgrade(&second.inner));
+            drop(first);
+            assert!(a.upgrade().is_none(), "the replaced anchor is gone");
+            let anchored = crate::current::current_runtime().expect("second's anchor");
+            assert!(Arc::ptr_eq(&anchored, &second.inner));
+            drop(anchored);
+            drop(second);
+            assert!(b.upgrade().is_none());
+        })
+        .join()
+        .unwrap();
+    }
 }

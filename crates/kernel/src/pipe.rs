@@ -19,9 +19,12 @@ pub const PIPE_CAPACITY: usize = 64 * 1024;
 #[derive(Debug)]
 struct PipeInner {
     stream: ByteStream,
-    /// Readiness watchers (`poll`/`epoll` sleepers). Fired at exactly the
-    /// sites that wake the stream's blocked readers and writers — one
-    /// wait-queue discipline for both kinds of waiter (see [`crate::poll`]).
+    /// Readiness watchers (`poll`/`epoll` sleepers) of both ends. Fired at
+    /// exactly the sites that wake the stream's blocked readers and writers
+    /// — one wait-queue discipline for both kinds of waiter (see
+    /// [`crate::poll`]). One set serves both ends because they never share
+    /// an event kind: the reader's edges are `IN`/`HUP`, the writer's
+    /// `OUT`/`ERR`, so the interest filter already tells them apart.
     watch: WatchSet,
 }
 
@@ -65,7 +68,7 @@ impl Drop for PipeReader {
     fn drop(&mut self) {
         // Last reader gone: writers must observe EPIPE.
         if self.0.stream.drop_reader() {
-            self.0.watch.notify();
+            self.0.watch.notify(PollEvents::ERR);
         }
     }
 }
@@ -74,7 +77,7 @@ impl Drop for PipeWriter {
     fn drop(&mut self) {
         // Last writer gone: readers must observe EOF.
         if self.0.stream.drop_writer() {
-            self.0.watch.notify();
+            self.0.watch.notify(PollEvents::IN | PollEvents::HUP);
         }
     }
 }

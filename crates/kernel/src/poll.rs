@@ -5,18 +5,30 @@
 //! freed space, connected or closed an end. Readiness multiplexing reuses
 //! exactly those wakeup sites: every waitable object owns a [`WatchSet`],
 //! and every site that wakes the blocking path's sleepers *also* calls
-//! [`WatchSet::notify`]. A `poll` or `epoll_wait` sleeper — asleep on such a
-//! queue itself, inside its [`PollWaker`] — therefore wakes on the same
-//! edges that would unblock a blocking read: one discipline, not two.
+//! [`WatchSet::notify`], naming the edge it fires — `IN` for new bytes, a
+//! queued connection or the last writer going, `OUT` for drained bytes,
+//! `ERR`/`HUP` for a hang-up. A `poll` or `epoll_wait` sleeper — asleep on
+//! such a queue itself, inside its [`PollWaker`] — therefore wakes on the
+//! same edges that would unblock a blocking read: one discipline, not two.
 //!
-//! Semantics are **level-triggered** throughout: a waiter never consumes a
-//! readiness edge, it re-scans the watched objects' *current* state after
-//! every wakeup. That makes spurious notifications harmless (the scan just
-//! comes back empty and the waiter sleeps again), which in turn keeps the
-//! notify sites trivial: fire on every state change, never track what a
-//! watcher has already seen.
+//! Each registration carries the events its watcher asked for, and an edge
+//! wakes only the registrations it could concern: `edge & (interest | ERR |
+//! HUP)` must be nonempty (`ERR` and `HUP` are reported whatever was asked,
+//! so they always reach). This is Linux's `ep_poll_callback` dropping a
+//! wake whose poll key misses the registration's event mask, and it is what
+//! keeps a server that watches its sockets for `IN` from being woken by the
+//! drains and replies of its own traffic.
 //!
-//! Ownership rule: the **object** (pipe, socket buffer, listener queue) owns
+//! Semantics are still **level-triggered** throughout: a waiter never
+//! consumes a readiness edge, it re-scans the watched objects' *current*
+//! state after every wakeup. The filter only drops edges that no
+//! registration on that set could report; a wake that does get through is
+//! a hint to re-scan, and a spurious one is harmless (the scan comes back
+//! empty and the waiter sleeps again). So the notify sites stay trivial:
+//! fire the edge of every state change, never track what a watcher has
+//! already seen.
+//!
+//! Ownership rule: the **object** (pipe, socket end, listener queue) owns
 //! its `WatchSet` and is the only party that fires edges; watchers hold
 //! `Weak` registrations and may vanish at any time. An epoll instance (a
 //! [`FileLike`] behind its descriptor like everything else) holds its
@@ -27,7 +39,7 @@ use crate::fs::FileLike;
 use crate::trace::WakeSite;
 use crate::wait::{Wait, WaitQueue};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -163,30 +175,48 @@ impl PollWaker {
     }
 }
 
-/// The watchers of one waitable object. The object fires [`WatchSet::notify`]
-/// at every state change that could affect readiness — the same sites that
-/// wake the blocking path's sleepers.
+/// The events every registration hears whatever it asked for: `epoll_wait`
+/// and `poll` report `ERR` and `HUP` unrequested.
+const IMPLIED: PollEvents = PollEvents(PollEvents::ERR.0 | PollEvents::HUP.0);
+
+/// One registration: a weak waker and the events it listens for.
+#[derive(Debug)]
+struct Watcher {
+    waker: Weak<PollWaker>,
+    interest: PollEvents,
+}
+
+/// The watchers of one waitable object. The object fires
+/// [`WatchSet::notify`] with the edge of every state change that could
+/// affect readiness — the same sites that wake the blocking path's
+/// sleepers — and the edge wakes the watchers whose interest it meets
+/// (`ERR`/`HUP` meet every interest).
 ///
 /// The list is bounded: at most one entry per live waker, none for a `poll`
-/// call that has returned. [`subscribe`](WatchSet::subscribe) is idempotent
-/// per waker, `poll` [`unsubscribe`](WatchSet::unsubscribe)s its throw-away
-/// waker on the way out, and a dead epoll instance's entry goes with the
-/// next walk of the list. (`EPOLL_CTL_DEL` leaves the entry: a sibling
-/// registration may still need it, and a notify too many costs a re-scan.)
+/// call that has returned. [`subscribe`](WatchSet::subscribe) keeps one
+/// entry per waker and only ever widens its interest, `poll`
+/// [`unsubscribe`](WatchSet::unsubscribe)s its throw-away waker on the way
+/// out, and a dead epoll instance's entry goes with the next walk of the
+/// list. (`EPOLL_CTL_DEL` leaves the entry, and `EPOLL_CTL_MOD` cannot
+/// narrow it: a sibling registration of the same waker may still need the
+/// wider mask, and a notify too many costs a re-scan where one too few
+/// costs a hang.)
 #[derive(Debug, Default)]
 pub struct WatchSet {
-    watchers: Mutex<Vec<Weak<PollWaker>>>,
-    /// `watchers.len()`, published under its lock, so that [`notify`] on an
-    /// object nobody watches is one load: no lock, no shared write.
+    watchers: Mutex<Vec<Watcher>>,
+    /// The union of the entries' interests, `ERR|HUP` included, 0 when the
+    /// list is empty — published under the list's lock, so that a
+    /// [`notify`] no entry could hear is one load: no lock, no shared write.
     ///
     /// A subscriber cannot miss an edge through this shortcut. It scans the
     /// object's state *after* subscribing, under the object's own lock; the
     /// notifier changed that state under the same lock *before* loading the
-    /// count. If the load still saw zero, the subscriber's scan comes later
-    /// in that lock's order and sees the change itself.
+    /// union. If the load still missed the subscriber's bits, the
+    /// subscriber's scan comes later in that lock's order and sees the
+    /// change itself.
     ///
     /// [`notify`]: WatchSet::notify
-    registered: AtomicUsize,
+    heard: AtomicU16,
 }
 
 impl WatchSet {
@@ -195,37 +225,55 @@ impl WatchSet {
         WatchSet::default()
     }
 
-    /// Keep the entries `keep` accepts among the live ones, then `waker` if
-    /// one is given, and publish the new length.
-    fn rebuild(
-        &self,
-        waker: Option<&Arc<PollWaker>>,
-        mut keep: impl FnMut(&Arc<PollWaker>) -> bool,
-    ) {
+    /// Edit the list under its lock, dropping the dead entries first, and
+    /// publish the new union.
+    fn update(&self, edit: impl FnOnce(&mut Vec<Watcher>)) {
         let mut ws = self.watchers.lock();
-        ws.retain(|w| w.upgrade().is_some_and(|w| keep(&w)));
-        ws.extend(waker.map(Arc::downgrade));
-        self.registered.store(ws.len(), Ordering::Release);
+        ws.retain(|w| w.waker.strong_count() > 0);
+        edit(&mut ws);
+        let heard = ws
+            .iter()
+            .fold(PollEvents::NONE, |u, w| u | w.interest | IMPLIED);
+        self.heard.store(heard.0, Ordering::Release);
     }
 
-    /// Register a waker; registering it again changes nothing.
-    pub fn subscribe(&self, waker: &Arc<PollWaker>) {
-        self.rebuild(Some(waker), |w| !Arc::ptr_eq(w, waker));
+    /// Register a waker for the edges meeting `interest` (and `ERR|HUP`).
+    /// Registering it again widens its entry to the union of the masks; it
+    /// never narrows it.
+    pub fn subscribe(&self, waker: &Arc<PollWaker>, interest: PollEvents) {
+        self.update(|ws| {
+            match ws
+                .iter_mut()
+                .find(|w| w.waker.as_ptr() == Arc::as_ptr(waker))
+            {
+                Some(w) => w.interest = w.interest | interest,
+                None => ws.push(Watcher {
+                    waker: Arc::downgrade(waker),
+                    interest,
+                }),
+            }
+        });
     }
 
     /// Remove a waker's registration, if it has one.
     pub fn unsubscribe(&self, waker: &Arc<PollWaker>) {
-        self.rebuild(None, |w| !Arc::ptr_eq(w, waker));
+        self.update(|ws| ws.retain(|w| w.waker.as_ptr() != Arc::as_ptr(waker)));
     }
 
-    /// Fire a readiness edge to every live watcher, pruning dead ones.
-    pub fn notify(&self) {
-        if self.registered.load(Ordering::Acquire) == 0 {
+    /// Fire `edge` to every live watcher whose interest it meets, pruning
+    /// dead ones. One load when no entry could hear it.
+    pub fn notify(&self, edge: PollEvents) {
+        if self.heard.load(Ordering::Acquire) & edge.0 == 0 {
             return;
         }
-        self.rebuild(None, |w| {
-            w.wake();
-            true
+        self.update(|ws| {
+            for w in ws.iter() {
+                if edge.intersects(w.interest | IMPLIED) {
+                    if let Some(waker) = w.waker.upgrade() {
+                        waker.wake();
+                    }
+                }
+            }
         });
     }
 
@@ -270,8 +318,9 @@ pub struct EpollEntry {
 pub struct EpollObject {
     /// fd-at-registration → entry.
     pub interest: Mutex<std::collections::BTreeMap<i32, EpollEntry>>,
-    /// Woken by every watched object's `WatchSet` (subscribed on `Add`), and
-    /// re-armed by re-scan — level-triggered.
+    /// Woken by every watched object's `WatchSet` (subscribed on `Add` and
+    /// widened on `Mod`, with the entry's events) for the edges its
+    /// registrations asked for, and re-armed by re-scan — level-triggered.
     pub waker: Arc<PollWaker>,
 }
 
@@ -340,13 +389,13 @@ mod tests {
     fn notify_wakes_cross_thread_sleeper() {
         let w = Arc::new(PollWaker::new(WakeSite::EpollWait));
         let set = WatchSet::new();
-        set.subscribe(&w);
+        set.subscribe(&w, PollEvents::IN);
         let sleeper = {
             let w = w.clone();
             thread::spawn(move || w.wait(w.generation(), None))
         };
         thread::sleep(Duration::from_millis(10));
-        set.notify();
+        set.notify(PollEvents::IN);
         assert!(matches!(sleeper.join().unwrap(), WaitEnd::Edge(_)));
     }
 
@@ -356,35 +405,91 @@ mod tests {
         let a = Arc::new(PollWaker::new(WakeSite::EpollWait));
         let b = Arc::new(PollWaker::new(WakeSite::Poll));
         for _ in 0..100 {
-            set.subscribe(&a);
+            set.subscribe(&a, PollEvents::IN);
         }
-        set.subscribe(&b);
+        set.subscribe(&b, PollEvents::IN);
         assert_eq!(set.watcher_count(), 2, "one entry per waker");
         let (ga, gb) = (a.generation(), b.generation());
-        set.notify();
+        set.notify(PollEvents::IN);
         assert_eq!((a.generation(), b.generation()), (ga + 1, gb + 1));
         set.unsubscribe(&b);
         set.unsubscribe(&b);
         assert_eq!(set.watcher_count(), 1);
-        set.notify();
+        set.notify(PollEvents::IN);
         assert_eq!((a.generation(), b.generation()), (ga + 2, gb + 1));
         set.unsubscribe(&a);
         assert_eq!(set.watcher_count(), 0);
-        assert_eq!(
-            set.registered.load(Ordering::Acquire),
-            0,
-            "shortcut is back"
-        );
+        assert_eq!(set.heard.load(Ordering::Acquire), 0, "shortcut is back");
     }
 
     #[test]
     fn dead_watchers_are_pruned() {
         let set = WatchSet::new();
         let w = Arc::new(PollWaker::new(WakeSite::EpollWait));
-        set.subscribe(&w);
+        set.subscribe(&w, PollEvents::IN);
         assert_eq!(set.watcher_count(), 1);
         drop(w);
-        set.notify();
+        set.notify(PollEvents::IN);
         assert_eq!(set.watcher_count(), 0);
+    }
+
+    /// Generations of `wakers`, to compare before and after an edge.
+    fn gens(wakers: &[&Arc<PollWaker>]) -> Vec<u64> {
+        wakers.iter().map(|w| w.generation()).collect()
+    }
+
+    #[test]
+    fn an_edge_wakes_only_the_interests_it_meets() {
+        let set = WatchSet::new();
+        let reader = Arc::new(PollWaker::new(WakeSite::EpollWait));
+        let writer = Arc::new(PollWaker::new(WakeSite::EpollWait));
+        let deaf = Arc::new(PollWaker::new(WakeSite::EpollWait));
+        set.subscribe(&reader, PollEvents::IN);
+        set.subscribe(&writer, PollEvents::OUT);
+        set.subscribe(&deaf, PollEvents::NONE);
+        let all = [&reader, &writer, &deaf];
+        let g = gens(&all);
+        set.notify(PollEvents::IN);
+        assert_eq!(gens(&all), vec![g[0] + 1, g[1], g[2]], "IN");
+        set.notify(PollEvents::OUT);
+        assert_eq!(gens(&all), vec![g[0] + 1, g[1] + 1, g[2]], "OUT");
+        // Hang-ups reach every registration, whatever it asked for.
+        set.notify(PollEvents::IN | PollEvents::HUP);
+        assert_eq!(gens(&all), vec![g[0] + 2, g[1] + 2, g[2] + 1], "IN|HUP");
+        set.notify(PollEvents::ERR);
+        assert_eq!(gens(&all), vec![g[0] + 3, g[1] + 3, g[2] + 2], "ERR");
+    }
+
+    #[test]
+    fn resubscribing_widens_and_never_narrows() {
+        let set = WatchSet::new();
+        let w = Arc::new(PollWaker::new(WakeSite::EpollWait));
+        set.subscribe(&w, PollEvents::IN);
+        set.subscribe(&w, PollEvents::OUT);
+        set.subscribe(&w, PollEvents::NONE);
+        assert_eq!(set.watcher_count(), 1, "one entry per waker");
+        let g = w.generation();
+        set.notify(PollEvents::IN);
+        set.notify(PollEvents::OUT);
+        assert_eq!(w.generation(), g + 2, "both masks kept");
+    }
+
+    #[test]
+    fn the_shortcut_is_the_union_of_the_interests() {
+        let set = WatchSet::new();
+        let heard = |set: &WatchSet| PollEvents(set.heard.load(Ordering::Acquire));
+        assert_eq!(heard(&set), PollEvents::NONE, "nobody registered");
+        let a = Arc::new(PollWaker::new(WakeSite::EpollWait));
+        set.subscribe(&a, PollEvents::NONE);
+        assert_eq!(heard(&set), PollEvents::ERR | PollEvents::HUP, "implied");
+        let b = Arc::new(PollWaker::new(WakeSite::Poll));
+        set.subscribe(&b, PollEvents::IN);
+        assert_eq!(
+            heard(&set),
+            PollEvents::IN | PollEvents::ERR | PollEvents::HUP
+        );
+        set.unsubscribe(&b);
+        set.unsubscribe(&a);
+        assert_eq!(heard(&set), PollEvents::NONE, "empty again");
     }
 }

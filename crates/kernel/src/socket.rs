@@ -51,10 +51,14 @@ pub const SOCK_LOWAT: usize = 4;
 #[derive(Debug)]
 struct SockPair {
     streams: [ByteStream; 2],
-    /// One watch set for the whole pair: every state change on either
-    /// direction fires it. Level-triggered waiters re-scan their own end's
-    /// state, so over-notification is harmless and this stays one list.
-    watch: WatchSet,
+    /// `watches[side]` holds the readiness watchers of end `side`, and only
+    /// the edges that change that end's readiness reach it: the peer's
+    /// writes (`IN`), the peer's reads draining what this end wrote
+    /// (`OUT`) and the peer going (`IN|HUP`). An end's own reads and writes
+    /// fire nothing at its own watchers — the two ends of one pair share an
+    /// event kind, so one set for both would wake a server that watches its
+    /// end for `IN` on every reply it writes and every drain of it.
+    watches: [WatchSet; 2],
 }
 
 /// One end of a connected socketpair. `Clone` duplicates the handle (like
@@ -72,7 +76,7 @@ pub fn socketpair_with_capacity(capacity: usize) -> (SocketEnd, SocketEnd) {
     let stream = || ByteStream::new(capacity, WakeSite::SockRead, WakeSite::SockWrite);
     let pair = Arc::new(SockPair {
         streams: [stream(), stream()],
-        watch: WatchSet::new(),
+        watches: [WatchSet::new(), WatchSet::new()],
     });
     (
         SocketEnd {
@@ -103,12 +107,12 @@ impl Drop for SocketEnd {
     fn drop(&mut self) {
         // Last handle to this end gone: the peer must observe EOF (its
         // reads) and EPIPE (its writes) — both directions wake their
-        // sleepers, and every readiness waiter hears of it. (An end holds
-        // one handle on each of its two streams, so both counts reach zero
-        // together.)
+        // sleepers, and the peer's readiness waiters hear `IN|HUP`. (An end
+        // holds one handle on each of its two streams, so both counts reach
+        // zero together.)
         self.rx().drop_reader();
         if self.tx().drop_writer() {
-            self.pair.watch.notify();
+            self.peer_watch().notify(PollEvents::IN | PollEvents::HUP);
         }
     }
 }
@@ -123,6 +127,12 @@ impl SocketEnd {
     fn rx(&self) -> &ByteStream {
         &self.pair.streams[1 - self.side]
     }
+
+    /// Every edge this end fires is the peer's: its writes make the peer
+    /// readable, its reads make the peer writable.
+    fn peer_watch(&self) -> &WatchSet {
+        &self.pair.watches[1 - self.side]
+    }
 }
 
 impl FileLike for SocketEnd {
@@ -132,7 +142,7 @@ impl FileLike for SocketEnd {
     /// fault-plan hooks apply (`EINTR` before any bytes move, short reads
     /// truncated to one byte).
     fn read(&self, out: &mut [u8]) -> KResult<usize> {
-        self.rx().read(out, true, &self.pair.watch)
+        self.rx().read(out, true, self.peer_watch())
     }
 
     /// Blocking write of the whole buffer into this end's direction; sleeps
@@ -140,7 +150,7 @@ impl FileLike for SocketEnd {
     /// nothing was written. Sleeps are bracketed by a `sock_block_write`
     /// span.
     fn write(&self, data: &[u8]) -> KResult<usize> {
-        self.tx().write(data, true, &self.pair.watch)
+        self.tx().write(data, true, self.peer_watch())
     }
 
     /// Current readiness of this end (level-triggered snapshot):
@@ -168,9 +178,9 @@ impl FileLike for SocketEnd {
         ev
     }
 
-    /// The pair-wide watch set (both ends share it).
+    /// This end's own watch set: the peer fires it.
     fn watch(&self) -> Option<&WatchSet> {
-        Some(&self.pair.watch)
+        Some(&self.pair.watches[self.side])
     }
 }
 
@@ -221,7 +231,7 @@ impl Listener {
         q.push_back(server);
         self.acceptors.wake_one(&q);
         drop(q);
-        self.watch.notify();
+        self.watch.notify(PollEvents::IN);
         Ok(client)
     }
 }

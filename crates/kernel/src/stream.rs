@@ -16,7 +16,7 @@
 
 use crate::errno::{Errno, KResult};
 use crate::fault::{self, FaultKind};
-use crate::poll::WatchSet;
+use crate::poll::{PollEvents, WatchSet};
 use crate::trace::WakeSite;
 use crate::wait::WaitQueue;
 use parking_lot::Mutex;
@@ -88,12 +88,13 @@ impl ByteStream {
     /// buffer drained). On an empty stream a `block`ing read sleeps —
     /// bracketed by the read site's blocking span, nested inside the
     /// surrounding `read(2)` span — and a non-blocking one returns `EAGAIN`.
-    /// `watch` hears about the freed space.
+    /// `writers` — the watch set of the end that writes into this stream —
+    /// hears about the freed space as an `OUT` edge.
     ///
     /// Fault plan: a blocking read may be interrupted (`EINTR`, before any
     /// bytes move) or truncated to one byte; a non-blocking one may get a
     /// spurious `EAGAIN`.
-    pub(crate) fn read(&self, out: &mut [u8], block: bool, watch: &WatchSet) -> KResult<usize> {
+    pub(crate) fn read(&self, out: &mut [u8], block: bool, writers: &WatchSet) -> KResult<usize> {
         if out.is_empty() {
             return Ok(0);
         }
@@ -135,7 +136,7 @@ impl ByteStream {
         };
         drop(st);
         if matches!(res, Ok(n) if n > 0) {
-            watch.notify();
+            writers.notify(PollEvents::OUT);
         }
         // Whatever ended a sleep here was a wake: bytes, or the last writer
         // going. (An EINTR fires before the first sleep.)
@@ -147,13 +148,14 @@ impl ByteStream {
     /// (inside the write site's blocking span) until all of it is written;
     /// a non-blocking one writes what fits, `EAGAIN` if nothing does.
     /// `EPIPE` once every read handle is gone and nothing was written.
-    /// `watch` hears about the new bytes — before this thread sleeps on
+    /// `readers` — the watch set of the end that reads this stream — hears
+    /// about the new bytes as an `IN` edge, before this thread sleeps on
     /// them being drained, not only on return.
     ///
     /// Fault plan: `EINTR` on a blocking write, only before any bytes are
     /// written (once data moved, a real kernel returns the partial count
     /// instead); a spurious `EAGAIN` on a non-blocking one.
-    pub(crate) fn write(&self, data: &[u8], block: bool, watch: &WatchSet) -> KResult<usize> {
+    pub(crate) fn write(&self, data: &[u8], block: bool, readers: &WatchSet) -> KResult<usize> {
         let (fault, errno) = if block {
             (FaultKind::Eintr, Errno::EINTR)
         } else {
@@ -163,7 +165,7 @@ impl ByteStream {
             return Err(errno);
         }
         let mut written = 0;
-        // Bytes `watch` has been told about.
+        // Bytes `readers` has been told about.
         let mut announced = 0;
         let mut st = self.state.lock();
         let mut wait = self.writable.wait(None);
@@ -187,7 +189,7 @@ impl ByteStream {
                     // bytes now: it is what will make room.
                     announced = written;
                     drop(st);
-                    watch.notify();
+                    readers.notify(PollEvents::IN);
                     st = self.state.lock();
                     continue;
                 }
@@ -201,7 +203,7 @@ impl ByteStream {
         };
         drop(st);
         if announced < written {
-            watch.notify();
+            readers.notify(PollEvents::IN);
         }
         wait.finish(&res, true);
         res
@@ -219,7 +221,7 @@ impl ByteStream {
 
     /// A read handle is gone. Returns whether it was the last one, in which
     /// case blocked writers have been woken to observe `EPIPE` (and the
-    /// caller owes the watch set a notify).
+    /// caller owes the writing end's watch set its hang-up edge).
     pub(crate) fn drop_reader(&self) -> bool {
         let mut st = self.state.lock();
         st.readers -= 1;
@@ -231,7 +233,8 @@ impl ByteStream {
     }
 
     /// A write handle is gone. Returns whether it was the last one, in
-    /// which case blocked readers have been woken to observe EOF.
+    /// which case blocked readers have been woken to observe EOF (and the
+    /// caller owes the reading end's watch set its `IN|HUP` edge).
     pub(crate) fn drop_writer(&self) -> bool {
         let mut st = self.state.lock();
         st.writers -= 1;

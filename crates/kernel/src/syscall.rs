@@ -269,7 +269,7 @@ impl Kernel {
                     // A dead or stale entry under this fd number is
                     // replaced: the old description is gone (or the slot
                     // was reused), so this is a fresh registration.
-                    watch.subscribe(&ep.waker);
+                    watch.subscribe(&ep.waker, events);
                     interest.insert(
                         fd.0,
                         EpollEntry {
@@ -285,6 +285,9 @@ impl Kernel {
                     if !existing_is_live {
                         return Err(Errno::ENOENT);
                     }
+                    // Widens the waker's entry on the object: the edges
+                    // the new mask adds must reach it from now on.
+                    watch.subscribe(&ep.waker, events);
                     interest
                         .get_mut(&fd.0)
                         .expect("liveness checked above")
@@ -355,15 +358,20 @@ impl Kernel {
         timeout: Option<Duration>,
     ) -> KResult<Vec<PollEvents>> {
         self.syscall(Sysno::Poll, |proc| {
-            // One throwaway waker subscribed to every watchable target for
-            // the duration of the call, and unsubscribed on the way out.
+            // One throwaway waker subscribed to every watchable target, for
+            // the events asked of that target, for the duration of the
+            // call, and unsubscribed on the way out.
             let waker = Arc::new(PollWaker::new(WakeSite::Poll));
             let targets: Vec<Option<DescriptionRef>> = {
                 let table = proc.fds.lock();
                 fds.iter().map(|(fd, _)| table.get(*fd).ok()).collect()
             };
-            let watches = || targets.iter().flatten().filter_map(|d| d.file.watch());
-            watches().for_each(|w| w.subscribe(&waker));
+            let watches = || {
+                (targets.iter().zip(fds)).filter_map(|(target, (_, interest))| {
+                    Some((target.as_ref()?.file.watch()?, *interest))
+                })
+            };
+            watches().for_each(|(w, interest)| w.subscribe(&waker, interest));
             let res = wait_ready(&waker, timeout, || {
                 let revents: Vec<PollEvents> = (targets.iter().zip(fds))
                     .map(|(target, (_, interest))| match target {
@@ -374,7 +382,7 @@ impl Kernel {
                 let any = revents.iter().any(|ev| !ev.is_empty());
                 (revents, any)
             });
-            watches().for_each(|w| w.unsubscribe(&waker));
+            watches().for_each(|(w, _)| w.unsubscribe(&waker));
             res
         })
     }

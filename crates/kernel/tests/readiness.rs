@@ -521,3 +521,208 @@ fn deleting_a_sibling_registration_keeps_the_other_woken() {
     );
     k.unbind_current();
 }
+
+// ---------------------------------------------------------------------------
+// Edges and interests: an edge wakes only the registrations whose events it
+// meets (`ERR`/`HUP` meet every one), and each socket end has its own watch
+// set, fired by its peer. Counted exactly through the epoll generation, and
+// every sleep that an edge must end has a watchdog rather than a hang.
+
+/// Fill `fd`'s outgoing buffer of `capacity` bytes.
+fn fill(k: &KernelRef, fd: Fd, capacity: usize) {
+    assert_eq!(k.sys_write(fd, &vec![7u8; capacity]).unwrap(), capacity);
+}
+
+/// Drain everything `fd` has buffered, without blocking once it is empty.
+fn drain(k: &KernelRef, fd: Fd) {
+    let mut buf = vec![0u8; 64 * 1024];
+    while k
+        .sys_poll(&[(fd, PollEvents::IN)], Some(Duration::ZERO))
+        .unwrap()[0]
+        .contains(PollEvents::IN)
+    {
+        k.sys_read(fd, &mut buf).unwrap();
+    }
+}
+
+/// Run `epoll_wait` on another thread while `edge` fires here after 30 ms;
+/// returns what the wait reported and how long it slept. The wait's own
+/// 10 s timeout is the watchdog: an edge that never reached the epoll
+/// shows as a sleep of 10 s, not as a hung test.
+fn wait_through(
+    k: &KernelRef,
+    pid: Pid,
+    ep: Fd,
+    edge: impl FnOnce(),
+) -> (Vec<(Fd, PollEvents)>, Duration) {
+    assert_eq!(
+        k.sys_epoll_wait(ep, 8, Some(Duration::ZERO)).unwrap(),
+        vec![],
+        "nothing may be ready before the edge"
+    );
+    let k2 = k.clone();
+    let waiter = std::thread::spawn(move || {
+        k2.bind_current(pid);
+        let started = Instant::now();
+        let got = k2
+            .sys_epoll_wait(ep, 8, Some(Duration::from_secs(10)))
+            .unwrap();
+        k2.unbind_current();
+        (got, started.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(30));
+    edge();
+    let (got, slept) = waiter.join().unwrap();
+    assert!(
+        slept < Duration::from_secs(5),
+        "slept {slept:?} through the edge: {got:?}"
+    );
+    (got, slept)
+}
+
+#[test]
+fn an_in_epoll_on_a_socket_end_hears_only_the_peer_write() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let (a, b) = k.sys_socketpair().unwrap();
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, b, PollEvents::IN)
+        .unwrap();
+    let gen = || epoll_generation(&k, pid, ep);
+    let mut buf = [0u8; 8];
+
+    let g = gen();
+    k.sys_write(b, b"req").unwrap();
+    assert_eq!(gen(), g, "this end's own write");
+    k.sys_read(a, &mut buf).unwrap();
+    assert_eq!(gen(), g, "the peer's read");
+    k.sys_write(a, b"reply").unwrap();
+    assert_eq!(gen(), g + 1, "one peer write, one edge");
+    k.sys_read(b, &mut buf).unwrap();
+    assert_eq!(gen(), g + 1, "this end's own read");
+    k.unbind_current();
+}
+
+#[test]
+fn out_waiters_are_woken_by_the_peer_drain() {
+    let _g = serial();
+    let (k, pid) = boot();
+
+    let (a, b) = k.sys_socketpair().unwrap();
+    fill(&k, a, ulp_kernel::socket::SOCK_CAPACITY);
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, a, PollEvents::OUT)
+        .unwrap();
+    let (got, _) = wait_through(&k, pid, ep, || drain(&k, b));
+    assert_eq!(got, vec![(a, PollEvents::OUT)], "full socket end");
+
+    let (r, w) = k.sys_pipe().unwrap();
+    fill(&k, w, ulp_kernel::pipe::PIPE_CAPACITY);
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, w, PollEvents::OUT)
+        .unwrap();
+    let (got, _) = wait_through(&k, pid, ep, || drain(&k, r));
+    assert_eq!(got, vec![(w, PollEvents::OUT)], "full pipe writer");
+    k.unbind_current();
+}
+
+#[test]
+fn mod_from_in_to_in_out_delivers_out() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let (a, b) = k.sys_socketpair().unwrap();
+    fill(&k, a, ulp_kernel::socket::SOCK_CAPACITY);
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, a, PollEvents::IN)
+        .unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Mod, a, PollEvents::IN | PollEvents::OUT)
+        .unwrap();
+    let (got, _) = wait_through(&k, pid, ep, || drain(&k, b));
+    assert_eq!(got, vec![(a, PollEvents::OUT)]);
+    k.unbind_current();
+}
+
+#[test]
+fn hangups_reach_a_registration_that_asked_for_nothing() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let close = |fd| k.sys_close(fd).unwrap();
+
+    let (r, w) = k.sys_pipe().unwrap();
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, r, PollEvents::NONE)
+        .unwrap();
+    let (got, _) = wait_through(&k, pid, ep, || close(w));
+    assert_eq!(got, vec![(r, PollEvents::HUP)], "pipe reader, writer gone");
+
+    let (r, w) = k.sys_pipe().unwrap();
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, w, PollEvents::NONE)
+        .unwrap();
+    let (got, _) = wait_through(&k, pid, ep, || close(r));
+    assert_eq!(got, vec![(w, PollEvents::ERR)], "pipe writer, reader gone");
+
+    let (a, b) = k.sys_socketpair().unwrap();
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, b, PollEvents::NONE)
+        .unwrap();
+    let (got, _) = wait_through(&k, pid, ep, || close(a));
+    assert_eq!(got, vec![(b, PollEvents::HUP)], "socket end, peer gone");
+    k.unbind_current();
+}
+
+#[test]
+fn one_poll_over_both_ends_of_a_socketpair() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let (a, b) = k.sys_socketpair().unwrap();
+    let k2 = k.clone();
+    let writer = std::thread::spawn(move || {
+        k2.bind_current(pid);
+        std::thread::sleep(Duration::from_millis(30));
+        k2.sys_write(a, b"x").unwrap();
+        k2.unbind_current();
+    });
+    let started = Instant::now();
+    let revents = k
+        .sys_poll(
+            &[(a, PollEvents::IN), (b, PollEvents::IN)],
+            Some(Duration::from_secs(10)),
+        )
+        .unwrap();
+    writer.join().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "slept through the write"
+    );
+    assert_eq!(revents, vec![PollEvents::NONE, PollEvents::IN]);
+    assert_eq!(
+        (watch_list_len(&k, pid, a), watch_list_len(&k, pid, b)),
+        (0, 0),
+        "the returned poll left an entry behind"
+    );
+    k.unbind_current();
+}
+
+/// One epoll watching both ends of a pipe has one entry on the pipe's one
+/// watch set, subscribed twice: it must hear the `IN` the first
+/// registration asked for as well as the `OUT` the second one did.
+#[test]
+fn one_epoll_over_both_ends_of_a_pipe_hears_both_edges() {
+    let _g = serial();
+    let (k, pid) = boot();
+    let (r, w) = k.sys_pipe().unwrap();
+    let ep = k.sys_epoll_create().unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, r, PollEvents::IN)
+        .unwrap();
+    k.sys_epoll_ctl(ep, EpollOp::Add, w, PollEvents::OUT)
+        .unwrap();
+    assert_eq!(watch_list_len(&k, pid, r), 1, "one waker, one entry");
+    let gen = || epoll_generation(&k, pid, ep);
+    let g = gen();
+    k.sys_write(w, b"x").unwrap();
+    assert_eq!(gen(), g + 1, "the write's IN edge");
+    k.sys_read(r, &mut [0u8; 1]).unwrap();
+    assert_eq!(gen(), g + 2, "the read's OUT edge");
+    k.unbind_current();
+}

@@ -7,7 +7,7 @@
 //! never, unless it changes a name. Third, the semantics of the pieces that
 //! make the path cheap: the per-thread binding's cached process, the
 //! per-process syscall counters summed on demand, and the watch set's
-//! nobody-subscribed shortcut.
+//! nobody-listening shortcut.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,8 +15,8 @@ use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use ulp_kernel::{
-    Errno, Kernel, KernelRef, OpenFlags, Pid, PollWaker, ProcState, WaitEnd, WakeSite, WatchSet,
-    Whence,
+    Errno, Kernel, KernelRef, OpenFlags, Pid, PollEvents, PollWaker, ProcState, WaitEnd, WakeSite,
+    WatchSet, Whence,
 };
 
 thread_local! {
@@ -260,11 +260,20 @@ fn watch_set_subscribe_racing_notify_never_loses_an_edge() {
     // subscribe, read the generation, scan the object's state under its
     // lock, sleep only if nothing was ready. The notifier's is the one
     // every waitable object follows: change the state under the lock, then
-    // notify. A fresh watch set per round starts with nobody subscribed, so
-    // every round races `subscribe` against the notify shortcut.
+    // notify the edge. A fresh watch set per round starts with nobody
+    // listening for that edge — empty in even rounds, holding a bystander
+    // that listens for `OUT` only in odd ones — so every round races an
+    // `IN` subscribe against the shortcut's load of the interest union.
     const ROUNDS: usize = 20_000;
+    let bystander = Arc::new(PollWaker::new(WakeSite::EpollWait));
     let rounds: Vec<(WatchSet, Mutex<bool>)> = (0..ROUNDS)
-        .map(|_| (WatchSet::new(), Mutex::new(false)))
+        .map(|round| {
+            let watch = WatchSet::new();
+            if round % 2 == 1 {
+                watch.subscribe(&bystander, PollEvents::OUT);
+            }
+            (watch, Mutex::new(false))
+        })
         .collect();
     let start = Barrier::new(2);
     std::thread::scope(|s| {
@@ -272,7 +281,7 @@ fn watch_set_subscribe_racing_notify_never_loses_an_edge() {
             for (watch, ready) in &rounds {
                 start.wait();
                 *ready.lock().unwrap() = true;
-                watch.notify();
+                watch.notify(PollEvents::IN);
             }
         });
         // A lost edge is recorded, not asserted, inside the loop: the
@@ -284,7 +293,7 @@ fn watch_set_subscribe_racing_notify_never_loses_an_edge() {
             if lost.is_some() {
                 continue;
             }
-            watch.subscribe(&waker);
+            watch.subscribe(&waker, PollEvents::IN);
             let seen = waker.generation();
             if *ready.lock().unwrap() {
                 continue;

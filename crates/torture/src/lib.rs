@@ -88,6 +88,11 @@ pub struct RunReport {
     pub digest: u64,
     /// Trace records lost (nonzero is itself a violation).
     pub dropped: u64,
+    /// The most records any one trace ring kept: set against
+    /// `ring_capacity`, the margin the run had before it would drop one.
+    pub ring_peak: usize,
+    /// The per-KC trace-ring capacity the run recorded into.
+    pub ring_capacity: usize,
     /// How many times each chaos site fired.
     pub chaos_fired: [u64; chaos::CHAOS_SITES],
     /// How many faults of each kind were injected.
@@ -194,6 +199,7 @@ pub fn run_cell(cell: Cell, seed: u64) -> RunReport {
         expect_coupled_syscalls: true,
     }));
     let digest = digest::canonical(&trace);
+    let ring_peak = ring_peak(&trace);
 
     RunReport {
         cell,
@@ -202,10 +208,23 @@ pub fn run_cell(cell: Cell, seed: u64) -> RunReport {
         trace,
         digest,
         dropped,
+        ring_peak,
+        // Rounded up as the tracer rounds it.
+        ring_capacity: cell.scenario.trace_capacity().next_power_of_two(),
         chaos_fired,
         faults_injected,
         stats,
     }
+}
+
+/// The most records one trace ring (one `kc`, the fallback ring's 0
+/// included) contributed to `trace`.
+fn ring_peak(trace: &[TraceRecord]) -> usize {
+    let mut per_ring = std::collections::HashMap::<u32, usize>::new();
+    for r in trace {
+        *per_ring.entry(r.kc).or_default() += 1;
+    }
+    per_ring.into_values().max().unwrap_or(0)
 }
 
 /// Derive iteration `i`'s run seed from the master seed.

@@ -144,11 +144,14 @@ fn write_artifacts(dir: &str, iter: u64, report: &RunReport) {
     let report_path = format!("{base}.report.txt");
     let mut text = format!(
         "cell: {}\nseed: {:#018x}\niteration: {iter}\ndigest: {:#018x}\n\
-         dropped: {}\nchaos fired: {:?}\nfaults injected: {:?}\n\nviolations:\n",
+         dropped: {}\nfullest trace ring: {}/{}\nchaos fired: {:?}\n\
+         faults injected: {:?}\n\nviolations:\n",
         report.cell,
         report.seed,
         report.digest,
         report.dropped,
+        report.ring_peak,
+        report.ring_capacity,
         report.chaos_fired,
         report.faults_injected,
     );
@@ -250,8 +253,10 @@ fn main() -> ExitCode {
             "FAIL"
         };
         println!(
-            "[{i:4}] {cell:<24} seed {seed:#018x}  {:5} events  digest {:#018x}  {verdict}",
+            "[{i:4}] {cell:<24} seed {seed:#018x}  {:5} events  ring {:>5}/{:<6} digest {:#018x}  {verdict}",
             report.trace.len(),
+            report.ring_peak,
+            report.ring_capacity,
             report.digest
         );
         let _ = std::io::stdout().flush();

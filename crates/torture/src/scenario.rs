@@ -10,7 +10,9 @@
 //!
 //! Workload sizes are deliberately small: every scenario must fit its
 //! trace into its per-KC rings ([`Scenario::trace_capacity`], default
-//! 4096 records), because a dropped record is itself an oracle failure.
+//! 4096 records, more for the scenarios whose waiting loops make a
+//! schedule-dependent number of events), because a dropped record is
+//! itself an oracle failure.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -128,13 +130,31 @@ impl Scenario {
     }
 
     /// Per-KC trace-ring capacity the scenario needs for a lossless
-    /// history (oracle invariant A). Everything but the churn storm fits
-    /// the default 4096-record rings; `c1m_storm` scales with the ULP
-    /// count it was asked for, since every pooled ULP contributes a fixed
-    /// handful of events plus chaos yields.
+    /// history (oracle invariant A), sized from the scenario's own worst
+    /// case with headroom. The ring is harness configuration: a run that
+    /// overflows it is void (family A) whatever the system did.
+    ///
+    /// - `c1m_storm` scales with the ULP count it was asked for, since
+    ///   every pooled ULP contributes a fixed handful of events plus chaos
+    ///   yields.
+    /// - `mn_siblings` and `lock_storm` wait by looping — the primaries
+    ///   until their siblings finish, the lock policies' waiters until the
+    ///   holder lets go — so their count is set by the schedule, not by
+    ///   the workload. Under `Adaptive` a primary that stays home couples
+    ///   and decouples at full speed while it waits: the fullest ring of
+    ///   `mn_siblings` is ≈ 600 records in a typical run and was 14 844 in
+    ///   the worst seen (one run in 40 overflows a 4096-record ring), and
+    ///   `lock_storm`'s ≈ 120 typical, 4 940 worst. Their rings hold
+    ///   about 4× and 6× that worst.
+    /// - Everything else fits the default 4096-record rings.
+    ///
+    /// A run reports its fullest ring against this capacity
+    /// ([`crate::RunReport::ring_peak`]), so the margin stays visible.
     pub fn trace_capacity(&self) -> usize {
         match self {
             Scenario::C1mStorm => (c1m_count() * 32).clamp(4096, 1 << 20),
+            Scenario::MnSiblings => 1 << 16,
+            Scenario::LockStorm => 1 << 15,
             _ => 4096,
         }
     }

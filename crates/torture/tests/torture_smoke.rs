@@ -19,6 +19,10 @@ fn full_matrix_one_pass_is_violation_free() {
     }
     for (i, cell) in matrix().into_iter().enumerate() {
         let report = run_cell(cell, run_seed(MASTER, i as u64));
+        println!(
+            "{cell}: fullest trace ring {}/{}",
+            report.ring_peak, report.ring_capacity
+        );
         assert!(
             report.violations.is_empty(),
             "{cell} seed {:#018x}: {:?}",

@@ -78,7 +78,8 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # the renderers and one cumulative-bucket renderer; one secondary-UC path; a
 # stay at home that is a state of the UC, not a trip through the trampoline;
 # one run-queue critical section per yield; a process's lifecycle named by
-# its handle in core; kernel hook calls only while a tracer records.
+# its handle in core; kernel hook calls only while a tracer records;
+# readiness edges fired by their object, named, on per-end socket sets.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -168,6 +169,21 @@ gate "HOOKS.get() in $k outside the gated emitters and proc_provide (emit, wake_
             (f == "proc_provide" || (asked && (f == "emit" || f == "wake_emit" || f == "stamp")))) {
             print FILENAME ":" FNR ": " $0
         }')"
+# Readiness edges are the object's to fire, and they name the edge: only
+# the stream, pipe and socket code calls `WatchSet::notify`, always with the
+# edge it fires, so the interest filter can drop what nobody asked for. A
+# socket end fires its peer's own set, never a set both ends share.
+gate "a WatchSet .notify( in $k outside stream.rs, pipe.rs, socket.rs (only the object fires its edges: poll.rs)" \
+    "$(git ls-files -- "$k" | shipped | grep -v "^$k/\(stream\|pipe\|socket\)\.rs$" | xargs -r awk "$tests"'
+        !t && /\.notify\(/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
+gate "a .notify() in $k that names no edge (notify(edge): the watchers whose interest it meets wake: poll.rs)" \
+    "$(git ls-files -- "$k" | shipped | xargs -r awk "$tests"'
+        !t && /\.notify\(\)/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
+gate "a pair-wide watch set is back in $k/socket.rs (each end has its own: SockPair::watches)" \
+    "$(git ls-files -- "$k/socket.rs" | shipped | xargs -r awk "$tests"'
+        /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?struct[[:space:]]/ { pair = /struct[[:space:]]+SockPair[^A-Za-z0-9_]/ }
+        /^}/ { pair = 0 }
+        !t && pair && /:[[:space:]]*WatchSet[[:space:]]*,/ { print FILENAME ":" FNR ": " $0 }')"
 hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
 if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
     gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
