@@ -474,21 +474,22 @@ impl TraceShard {
     }
 
     /// Pop the matching enter frame and feed this syscall's latency
-    /// histogram. An unbalanced exit (tracing enabled mid-span, or a
+    /// histogram; returns whether the exit closed a frame this shard saw
+    /// open. An unbalanced exit (tracing enabled mid-span, or a
     /// mismatched syscall number) clears the stack and drops the sample
     /// rather than attributing a bogus duration.
-    pub(crate) fn note_syscall_exit(&self, now: u64, sysno: Sysno) {
+    pub(crate) fn note_syscall_exit(&self, now: u64, sysno: Sysno) -> bool {
         let d = self.sys_depth.load(Ordering::Relaxed);
         if d == 0 {
-            return;
+            return false;
         }
         self.sys_depth.store(d - 1, Ordering::Relaxed);
         let Some(slot) = self.sys_stack_no.get((d - 1) as usize) else {
-            return; // overflowed frame: balanced, but never timed
+            return true; // overflowed frame: balanced, but never timed
         };
         if slot.load(Ordering::Relaxed) != sysno as u64 {
             self.sys_depth.store(0, Ordering::Relaxed);
-            return;
+            return false;
         }
         let at = self.sys_stack_at[(d - 1) as usize].load(Ordering::Relaxed);
         // A zero-width span (clock granularity) still counts as a sample:
@@ -497,6 +498,7 @@ impl TraceShard {
         if let Some(hists) = self.sys_hists.get() {
             hists[sysno as usize].record(now.saturating_sub(at));
         }
+        true
     }
 
     /// Drain everything between the cursor and `head` (seqlock-validated;
@@ -918,8 +920,14 @@ pub(crate) fn kernel_syscall_observer(sysno: Sysno, phase: SyscallPhase) {
                 shard.note_syscall_enter(now, sysno);
                 shard.record_at(now, Event::SyscallEnter { uc, sysno, coupled });
             }
+            // An exit whose enter this shard never saw — the span began
+            // before the gate opened, e.g. an idle KC's futex wait — is
+            // dropped with its sample, so the ring holds no exit the
+            // latency histograms did not count.
             SyscallPhase::Exit { errno } => {
-                shard.note_syscall_exit(now, sysno);
+                if !shard.note_syscall_exit(now, sysno) {
+                    return;
+                }
                 shard.record_at(
                     now,
                     Event::SyscallExit {
@@ -1134,12 +1142,12 @@ mod tests {
         let s = t.register_shard();
         t.enable();
         // Tracing flipped on mid-span: the exit has no matching frame.
-        s.note_syscall_exit(now_ns(), Sysno::Getpid);
+        assert!(!s.note_syscall_exit(now_ns(), Sysno::Getpid));
         assert_eq!(t.syscall_snapshot().get("getpid").unwrap().count, 0);
         // Mismatched frame: sample dropped, stack cleared.
         let base = now_ns();
         s.note_syscall_enter(base, Sysno::Open);
-        s.note_syscall_exit(base + 5, Sysno::Close);
+        assert!(!s.note_syscall_exit(base + 5, Sysno::Close));
         assert_eq!(t.syscall_snapshot().get("open").unwrap().count, 0);
         assert_eq!(t.syscall_snapshot().get("close").unwrap().count, 0);
     }

@@ -6,13 +6,32 @@
 //! in `ulp-torture`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 use ulp_core::ulp_kernel::{Errno, OpenFlags};
 use ulp_core::{
     couple, coupled_scope, decouple, is_coupled, sys, yield_now, ConsistencyMode, IdlePolicy,
     Runtime, UcKind, UlpLocal,
 };
+
+/// The `idle_decision_*` tests measure how idle KCs wait — spin hits, spin
+/// periods, KC blocks per couple — and a spin hits only while the threads
+/// handing work over have a CPU each. On a 2-vCPU host a neighbouring test
+/// in this binary (a couple loop spinning its own two KCs, a burst of BLTs)
+/// takes them away and pushes the sibling orbit from 0.002 KC blocks per
+/// couple, run alone, up past 0.05. So those tests run alone, the others
+/// beside each other.
+static CPUS: RwLock<()> = RwLock::new(());
+
+/// Hold the CPUs for a test that measures idle waits.
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    CPUS.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run beside every test but the ones that measure idle waits.
+fn shared() -> RwLockReadGuard<'static, ()> {
+    CPUS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn rt_with(policy: IdlePolicy, scheds: usize) -> Runtime {
     Runtime::builder()
@@ -23,6 +42,7 @@ fn rt_with(policy: IdlePolicy, scheds: usize) -> Runtime {
 
 #[test]
 fn blt_runs_as_klt_and_exits() {
+    let _cpu = shared();
     let rt = Runtime::new();
     let h = rt.spawn("plain", || 7);
     assert_eq!(h.wait(), 7);
@@ -30,6 +50,7 @@ fn blt_runs_as_klt_and_exits() {
 
 #[test]
 fn blt_panic_is_contained() {
+    let _cpu = shared();
     let rt = Runtime::new();
     let h = rt.spawn("crasher", || panic!("deliberate"));
     assert_eq!(h.wait(), ulp_core::PANIC_EXIT_STATUS);
@@ -40,6 +61,7 @@ fn blt_panic_is_contained() {
 
 #[test]
 fn many_blts_concurrently() {
+    let _cpu = shared();
     let rt = Runtime::new();
     let handles: Vec<_> = (0..16)
         .map(|i| rt.spawn(&format!("w{i}"), move || i))
@@ -51,6 +73,7 @@ fn many_blts_concurrently() {
 
 #[test]
 fn decouple_then_finish() {
+    let _cpu = shared();
     // A BLT that decouples and never explicitly couples: the termination
     // path must couple it back (rule 7) and the thread must exit cleanly.
     let rt = rt_with(IdlePolicy::Blocking, 1);
@@ -65,6 +88,7 @@ fn decouple_then_finish() {
 
 #[test]
 fn couple_restores_original_kc_identity() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("ident", || {
         let home_pid = sys::getpid().unwrap();
@@ -94,6 +118,7 @@ fn couple_restores_original_kc_identity() {
 
 #[test]
 fn fd_consistency_demo() {
+    let _cpu = shared();
     // The motivating example from §I: open on one KC, write via another.
     let rt = Runtime::builder()
         .schedulers(1)
@@ -116,6 +141,7 @@ fn fd_consistency_demo() {
 
 #[test]
 fn consistency_mode_off_records_nothing() {
+    let _cpu = shared();
     let rt = Runtime::builder()
         .schedulers(1)
         .consistency(ConsistencyMode::Off)
@@ -131,6 +157,7 @@ fn consistency_mode_off_records_nothing() {
 
 #[test]
 fn yield_ping_pong_two_ulps() {
+    let _cpu = shared();
     // Table IV's scenario: two decoupled ULPs yielding to each other on one
     // scheduler.
     let rt = rt_with(IdlePolicy::BusyWait, 1);
@@ -167,6 +194,7 @@ fn yield_ping_pong_two_ulps() {
 
 #[test]
 fn yield_alone_is_noop() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("alone", || {
         decouple().unwrap();
@@ -181,6 +209,7 @@ fn yield_alone_is_noop() {
 
 #[test]
 fn blocking_syscall_does_not_block_other_ulps() {
+    let _cpu = shared();
     // The paper's core claim (contribution 2): a BLT in a blocking system
     // call (coupled on its own KC) must not prevent other ULTs from being
     // scheduled.
@@ -217,6 +246,7 @@ fn blocking_syscall_does_not_block_other_ulps() {
 
 #[test]
 fn busywait_policy_works_end_to_end() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::BusyWait, 1);
     let h = rt.spawn("busy", || {
         decouple().unwrap();
@@ -231,6 +261,7 @@ fn busywait_policy_works_end_to_end() {
 
 #[test]
 fn blocking_policy_blocks_kcs() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("sleepy", || {
         decouple().unwrap();
@@ -250,6 +281,7 @@ fn blocking_policy_blocks_kcs() {
 
 #[test]
 fn couple_decouple_cost_accounting() {
+    let _cpu = shared();
     // The paper: one couple+decouple pair = 4 context switches + 2 TLS
     // loads (§VI-C). Verify the counters agree.
     let rt = rt_with(IdlePolicy::BusyWait, 1);
@@ -279,6 +311,7 @@ fn couple_decouple_cost_accounting() {
 
 #[test]
 fn ulp_local_privatizes_state() {
+    let _cpu = shared();
     static COUNTER: UlpLocal<u64> = UlpLocal::new(|| 0);
     let rt = rt_with(IdlePolicy::Blocking, 2);
     let handles: Vec<_> = (0..4)
@@ -302,6 +335,7 @@ fn ulp_local_privatizes_state() {
 
 #[test]
 fn errno_is_per_ulp() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h1 = rt.spawn("err1", || {
         let e = sys::open("/missing", OpenFlags::RDONLY).unwrap_err();
@@ -317,6 +351,7 @@ fn errno_is_per_ulp() {
 
 #[test]
 fn siblings_share_kernel_identity() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("primary", || {
         let me = sys::getpid().unwrap();
@@ -344,6 +379,7 @@ fn siblings_share_kernel_identity() {
 
 #[test]
 fn many_siblings_drain_before_primary_exits() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 2);
     let h = rt.spawn("hub", || 0);
     let sibs: Vec<_> = (0..8)
@@ -366,6 +402,7 @@ fn many_siblings_drain_before_primary_exits() {
 
 #[test]
 fn sibling_panic_is_contained() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("primary", || 0);
     let sib = h.spawn_sibling("bad", || panic!("sibling crash")).unwrap();
@@ -377,6 +414,7 @@ fn sibling_panic_is_contained() {
 /// `wait()` returns, the sibling's stack is already back in the pool.
 #[test]
 fn sibling_wait_returns_after_its_stack_is_back() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("hub", || 0);
     // The hub's trampoline serves every sibling's final couple; its stack
@@ -401,6 +439,7 @@ fn sibling_wait_returns_after_its_stack_is_back() {
 
 #[test]
 fn oversubscription_many_ulps_few_schedulers() {
+    let _cpu = shared();
     // Fig. 6's over-subscription scenario: many more BLTs than scheduler
     // cores, all doing couple/decouple cycles.
     let rt = Runtime::builder()
@@ -433,6 +472,7 @@ fn oversubscription_many_ulps_few_schedulers() {
 
 #[test]
 fn self_info_reports_kind() {
+    let _cpu = shared();
     let rt = Runtime::new();
     let h = rt.spawn("who", || {
         let (_, pid, kind) = ulp_core::self_info().unwrap();
@@ -446,6 +486,7 @@ fn self_info_reports_kind() {
 
 #[test]
 fn topology_equations() {
+    let _cpu = shared();
     let t = ulp_core::Topology {
         nc_prog: 6,
         nc_syscall: 2,
@@ -457,6 +498,7 @@ fn topology_equations() {
 
 #[test]
 fn decouple_twice_is_noop() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("dd", || {
         assert!(decouple().unwrap());
@@ -470,6 +512,7 @@ fn decouple_twice_is_noop() {
 
 #[test]
 fn stress_couple_decouple_under_contention() {
+    let _cpu = shared();
     let rt = Runtime::builder()
         .schedulers(2)
         .idle_policy(IdlePolicy::BusyWait)
@@ -496,6 +539,7 @@ fn stress_couple_decouple_under_contention() {
 
 #[test]
 fn runtime_shutdown_is_clean() {
+    let _cpu = shared();
     let rt = Runtime::new();
     let h = rt.spawn("quickie", || 3);
     assert_eq!(h.wait(), 3);
@@ -561,6 +605,7 @@ fn yield_ring_counts(schedulers: usize, laps: u64) -> Vec<u64> {
 /// stops it every member is on the same lap or the next one.
 #[test]
 fn yield_ring_is_fair_on_one_scheduler() {
+    let _cpu = shared();
     let counts = yield_ring_counts(1, 2_000);
     let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
     assert!(max - min <= 1, "min {min} max {max}: {counts:?}");
@@ -572,6 +617,7 @@ fn yield_ring_is_fair_on_one_scheduler() {
 /// nobody gets more than twice anybody else's share.
 #[test]
 fn yield_ring_is_fair_on_two_schedulers() {
+    let _cpu = shared();
     let counts = yield_ring_counts(2, 20_000);
     let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
     assert!(
@@ -582,6 +628,7 @@ fn yield_ring_is_fair_on_two_schedulers() {
 
 #[test]
 fn signal_caveat_fcontext_mode() {
+    let _cpu = shared();
     // §VII: with fcontext-style switching (default), the signal mask a ULP
     // sets while coupled stays with *its own* kernel context; while the UC
     // runs decoupled, the scheduling KC's process does not carry it —
@@ -613,6 +660,7 @@ fn signal_caveat_fcontext_mode() {
 
 #[test]
 fn signal_mask_travels_in_ucontext_mode() {
+    let _cpu = shared();
     // The §VII remedy: ucontext-style switching installs the UC's mask on
     // whatever kernel context runs it (at system-call cost).
     use ulp_core::ulp_kernel::{MaskHow, SigSet, Signal};
@@ -679,6 +727,7 @@ fn couple_loop_blocks_per_op(rt: Runtime) -> f64 {
 /// per `couple()` (0.00–0.01 against 0.99 on the reference host).
 #[test]
 fn idle_decision_couple_loop_spins_where_blocking_sleeps() {
+    let _cpu = alone();
     assert_eq!(Runtime::new().config().idle_policy, IdlePolicy::Adaptive);
     let adaptive = couple_loop_blocks_per_op(Runtime::new());
     assert!(
@@ -698,10 +747,12 @@ fn idle_decision_couple_loop_spins_where_blocking_sleeps() {
 /// every stretch a turn on the scheduler — the hand-over regime no gated
 /// workload runs. Those waits are short, so under the default policy the
 /// trampoline and the scheduler spin for each other and the KC hardly ever
-/// sleeps: 0.0001–0.0002 KC blocks per couple on the reference host, 0.5
-/// with `Adaptive`'s spin arm deleted.
+/// sleeps: 0.0001–0.0002 KC blocks per couple on the reference host in a
+/// release build, 0.0004–0.005 in a debug one, 0.5 with `Adaptive`'s spin
+/// arm deleted.
 #[test]
 fn idle_decision_sibling_orbit_spins() {
+    let _cpu = alone();
     let rt = Runtime::new();
     ulp_core::sibling_orbit(&rt, 20_000);
     assert!(rt.violations().is_empty());
@@ -720,6 +771,7 @@ fn idle_decision_sibling_orbit_spins() {
 /// here is what doubled `yield_ring`'s set-up time under the old streak.
 #[test]
 fn idle_decision_no_history_no_spin() {
+    let _cpu = alone();
     let rt = Runtime::new();
     let handles: Vec<_> = (0..16)
         .map(|i| {
@@ -747,6 +799,7 @@ fn idle_decision_no_history_no_spin() {
 /// `read`, and when it leaves home after one.
 #[test]
 fn idle_decision_blocking_scope_announces_nothing() {
+    let _cpu = alone();
     const ROUNDS: usize = 8;
     let rt = Runtime::new();
     let (fds_tx, fds) = std::sync::mpsc::channel();
@@ -790,6 +843,7 @@ fn idle_decision_blocking_scope_announces_nothing() {
 /// down from each.
 #[test]
 fn idle_decision_survives_every_way_a_scope_ends() {
+    let _cpu = alone();
     fn orbit(n: usize) {
         for _ in 0..n {
             coupled_scope(|| ()).unwrap();
@@ -866,6 +920,7 @@ fn idle_decision_survives_every_way_a_scope_ends() {
 
 #[test]
 fn syscall_core_topology_is_accepted() {
+    let _cpu = shared();
     // On a 1-CPU host pinning degrades gracefully; the topology plumbing
     // must still deliver correct execution.
     let rt = Runtime::builder()
@@ -889,6 +944,7 @@ fn syscall_core_topology_is_accepted() {
 
 #[test]
 fn trace_records_the_table_one_sequence() {
+    let _cpu = shared();
     use ulp_core::TraceEvent;
     let rt = rt_with(IdlePolicy::Blocking, 1);
     rt.trace_enable();
@@ -926,6 +982,7 @@ fn trace_records_the_table_one_sequence() {
 
 #[test]
 fn trace_disabled_by_default_and_cheap() {
+    let _cpu = shared();
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("quiet", || {
         decouple().unwrap();
@@ -937,6 +994,7 @@ fn trace_disabled_by_default_and_cheap() {
 
 #[test]
 fn signal_handlers_run_at_couple_safe_points() {
+    let _cpu = shared();
     use ulp_core::ulp_kernel::Signal;
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let fired = Arc::new(AtomicUsize::new(0));
@@ -969,6 +1027,7 @@ fn signal_handlers_run_at_couple_safe_points() {
 
 #[test]
 fn poll_signals_is_consistency_aware() {
+    let _cpu = shared();
     use ulp_core::ulp_kernel::Signal;
     let rt = rt_with(IdlePolicy::Blocking, 1);
     let h = rt.spawn("poller", move || {
@@ -997,6 +1056,7 @@ fn poll_signals_is_consistency_aware() {
 
 #[test]
 fn pooled_ulp_runs_and_reports_status() {
+    let _cpu = shared();
     let rt = Runtime::builder().schedulers(1).pool_kcs(2).build();
     let h = rt.spawn_pooled("pooled", || 42).unwrap();
     assert_eq!(h.wait(), 42);
@@ -1005,6 +1065,7 @@ fn pooled_ulp_runs_and_reports_status() {
 
 #[test]
 fn pooled_ulp_panic_is_contained() {
+    let _cpu = shared();
     let rt = Runtime::builder().schedulers(1).pool_kcs(1).build();
     let h = rt.spawn_pooled("crasher", || panic!("deliberate")).unwrap();
     assert_eq!(h.wait(), ulp_core::PANIC_EXIT_STATUS);
@@ -1014,6 +1075,7 @@ fn pooled_ulp_panic_is_contained() {
 
 #[test]
 fn pooled_ulps_own_their_kernel_identity() {
+    let _cpu = shared();
     // Many pooled ULPs share one pool KC, but each carries its own pid:
     // a coupled system call must observe the ULP's own process, even when
     // the serve arrived via the decouple direct-handoff path (which must
@@ -1040,6 +1102,7 @@ fn pooled_ulps_own_their_kernel_identity() {
 
 #[test]
 fn pooled_shards_track_kernel_contexts_not_ulps() {
+    let _cpu = shared();
     // Regression: stats/trace shards are per KC. The seed-era runtime had
     // one KC per BLT so the distinction was invisible; with pooling, a
     // shard per *spawn* would grow the snapshot fold without bound.
@@ -1061,6 +1124,7 @@ fn pooled_shards_track_kernel_contexts_not_ulps() {
 
 #[test]
 fn pooled_stacks_recycle_instead_of_accumulating() {
+    let _cpu = shared();
     let rt = Runtime::builder().schedulers(1).pool_kcs(1).build();
     for wave in 0..4 {
         let handles: Vec<_> = (0..16)
