@@ -161,6 +161,8 @@
 //! [`KcShared`]: crate::uc::KcShared
 //! [`SPIN_BREAK_EVEN_NS`]: ulp_kernel::SPIN_BREAK_EVEN_NS
 
+use crate::runtime::RuntimeInner;
+use crate::stats::StatsShard;
 use crate::trace::now_ns;
 use crate::uc::{IdlePolicy, UcInner};
 use std::cell::{Cell, UnsafeCell};
@@ -581,6 +583,13 @@ impl Parker {
         self.waiters.counted() & SLEEPERS
     }
 
+    /// Everybody counted in, spinners too (tests wait on this to catch a
+    /// consumer idle).
+    #[cfg(test)]
+    pub(crate) fn counted(&self) -> u32 {
+        self.waiters.counted()
+    }
+
     /// Idle once — the consumer half of the protocol (module docs). `seen`
     /// is the `version` read before the caller's fruitless checks, `idle`
     /// the caller's record of its idle period, and `queues_empty` re-checks
@@ -680,6 +689,9 @@ pub struct IdleTally {
     /// undated, [`IdleTally::starting`]).
     since: Option<u64>,
     spinning: bool,
+    /// Whose fallback shard counts the ends on a thread with no shard of its
+    /// own (a plain thread's join, [`IdleTally::counting_into`]).
+    fallback: Option<Arc<RuntimeInner>>,
 }
 
 impl IdleTally {
@@ -691,7 +703,16 @@ impl IdleTally {
     pub(crate) fn starting() -> IdleTally {
         IdleTally {
             since: Some(0),
-            spinning: false,
+            ..IdleTally::default()
+        }
+    }
+
+    /// The tally of a wait on a thread that may have no stats shard: it
+    /// counts into `rt`'s fallback shard then.
+    pub(crate) fn counting_into(rt: Option<Arc<RuntimeInner>>) -> IdleTally {
+        IdleTally {
+            fallback: rt,
+            ..IdleTally::default()
         }
     }
 
@@ -700,11 +721,7 @@ impl IdleTally {
     pub(crate) fn found_work(&mut self) {
         self.since = None;
         if std::mem::take(&mut self.spinning) {
-            crate::current::with_thread(|b| {
-                if let Some(s) = b.shard() {
-                    s.bump_park_spin_hits();
-                }
-            });
+            self.count(StatsShard::bump_park_spin_hits);
         }
     }
 
@@ -714,16 +731,24 @@ impl IdleTally {
             self.spinning = true;
         } else {
             let missed = std::mem::take(&mut self.spinning);
-            crate::current::with_thread(|b| {
-                if let Some(s) = b.shard() {
-                    s.bump_park_sleeps();
-                    if missed {
-                        s.bump_park_spin_misses();
-                    }
+            self.count(|s| {
+                s.bump_park_sleeps();
+                if missed {
+                    s.bump_park_spin_misses();
                 }
             });
         }
         how
+    }
+
+    /// Count into the thread's shard, or else the fallback's.
+    fn count(&self, f: impl FnOnce(&StatsShard)) {
+        crate::current::with_thread(|b| {
+            let fallback = || self.fallback.as_ref().map(|rt| rt.stats.fallback());
+            if let Some(s) = b.shard().or_else(fallback) {
+                f(s);
+            }
+        });
     }
 }
 
@@ -1049,6 +1074,19 @@ pub(crate) mod tests {
         assert!(announces(&ad, idle), "an old period is not spun for");
     }
 
+    /// [`ParkQueue::push`], returning the count its critical section read.
+    fn push_reading(q: &ParkQueue, uc: Arc<UcInner>, p: &Parker) -> u32 {
+        let counted = {
+            let mut g = q.lock();
+            g.push_back(uc);
+            p.waiters.ended()
+        };
+        if counted & SLEEPERS != 0 {
+            p.poke();
+        }
+        counted
+    }
+
     /// The pusher's half: a push that finds a spinner counted in times its
     /// wait and, with no sleeper among the waiters, neither bumps the version
     /// nor wakes; the spinner takes the UC on its next pass, never having
@@ -1076,22 +1114,18 @@ pub(crate) mod tests {
                     }
                 })
             };
-            // Push the moment the consumer is seen spinning — or, if it got
-            // to sleep first, once it is asleep.
+            // Push the moment the consumer is counted in. Whether the push
+            // caught a spinner is what its critical section read: a spin may
+            // run out between a look at the count and the push.
             let (q, p) = &*side;
-            let caught = loop {
-                match p.waiters.counted() {
-                    0 => std::hint::spin_loop(),
-                    counted => {
-                        let v = p.version();
-                        q.push(dummy_uc(1), p);
-                        if counted == SPINNER {
-                            assert_eq!(p.version(), v, "a push that found only a spinner woke");
-                        }
-                        break counted == SPINNER;
-                    }
-                }
-            };
+            while p.waiters.counted() == 0 {
+                std::hint::spin_loop();
+            }
+            let v = p.version();
+            let caught = push_reading(q, dummy_uc(1), p) == SPINNER;
+            if caught {
+                assert_eq!(p.version(), v, "a push that found only a spinner woke");
+            }
             let (id, announced) = consumer.join().unwrap();
             assert_eq!(id, 1);
             if !caught {

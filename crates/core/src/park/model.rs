@@ -45,6 +45,15 @@
 //! hardware — the count read inside the critical section, no fence — is the
 //! happens-before argument in the module docs, not something a sequentially
 //! consistent model can show.
+//!
+//! The second model below is the join (`uc.rs`, `OneShot`): two joiners,
+//! each on its own parker, and one setter. A joiner reads its version, checks
+//! the value and registers under the cell's lock, then parks as the consumer
+//! above does, its locked re-check reading the value; the setter stores the
+//! value and reads every registered parker's count in one critical section,
+//! then pokes the ones that had a sleeper. A lost wake-up is a joiner asleep
+//! with the value published and nobody left to step; the mutant reads the
+//! counts before the setter's lock.
 
 use std::collections::HashSet;
 
@@ -636,4 +645,355 @@ fn release_before_the_switch_is_caught() {
     let pop = last("C:PopUnlink").expect("the consumer popped");
     assert!(unlock < pop, "the pop came after the early unlock");
     assert!(last("Y:Save").is_none(), "the yielder was not saved yet");
+}
+
+// ---------------------------------------------------------------------------
+// The join hand-off (`uc.rs`, `OneShot`): the same protocol with the value in
+// place of the queue, two joiners on their own parkers and one setter.
+// ---------------------------------------------------------------------------
+
+/// Joiners of one cell, each on its own OS thread's parker.
+const JOINERS: usize = 2;
+
+/// Which join protocol runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum JoinVariant {
+    /// The setter stores the value, takes the waiter list and reads each
+    /// parker's count in one critical section, then pokes (the real code).
+    Shipped,
+    /// A setter that reads the counts before it takes the lock (mutant).
+    CountBeforeLock,
+}
+
+/// The setter's steps: `Count` reads every registered parker's count (and
+/// times its wait), `Poke(i)` is joiner `i`'s `Parker::poke`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum S {
+    Count,
+    Lock,
+    Store,
+    Unlock,
+    Bump(usize),
+    RereadSleepers(usize),
+    Wake(usize),
+    Done,
+}
+
+/// A joiner's steps: `OneShot::wait`'s loop around `Parker::park`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum J {
+    ReadSeen,
+    CheckLock,
+    CheckRead,
+    CheckUnlock,
+    Decide,
+    SpinIn,
+    SpinPass,
+    SpinOut,
+    Announce,
+    ReadVersion,
+    RecheckLock,
+    RecheckRead,
+    RecheckUnlock,
+    FutexWait,
+    Asleep,
+    Unannounce,
+    Done,
+}
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Join {
+    /// Lock holder: a joiner's index, or [`JOINERS`] for the setter.
+    locked: Option<usize>,
+    value: bool,
+    /// Joiners whose parker is on the cell's list.
+    registered: [bool; JOINERS],
+    s: S,
+    /// What the setter's count read saw, per joiner (`None`: not on the list).
+    s_saw: [Option<u8>; JOINERS],
+    j: [J; JOINERS],
+    /// Each parker's count: sleepers + spinners × [`SPINNER`].
+    count: [u8; JOINERS],
+    version: [u8; JOINERS],
+    seen: [u8; JOINERS],
+    /// The parker's last wait was short.
+    short: [bool; JOINERS],
+    passes: [u8; JOINERS],
+    /// What the joiner's locked read saw: the value (check) or its absence
+    /// (re-check).
+    read: [bool; JOINERS],
+}
+
+impl Join {
+    fn new(short: bool, variant: JoinVariant) -> Join {
+        Join {
+            locked: None,
+            value: false,
+            registered: [false; JOINERS],
+            s: match variant {
+                JoinVariant::Shipped => S::Lock,
+                JoinVariant::CountBeforeLock => S::Count,
+            },
+            s_saw: [None; JOINERS],
+            j: [J::ReadSeen; JOINERS],
+            count: [0; JOINERS],
+            version: [0; JOINERS],
+            seen: [0; JOINERS],
+            short: [short; JOINERS],
+            passes: [0; JOINERS],
+            read: [false; JOINERS],
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.s == S::Done && self.j.iter().all(|&j| j == J::Done)
+    }
+
+    /// The first joiner at or after `from` whose count read saw a sleeper.
+    fn next_poke(&self, from: usize) -> S {
+        (from..JOINERS)
+            .find(|&i| self.s_saw[i].is_some_and(|c| c & SLEEPERS != 0))
+            .map_or(S::Done, S::Bump)
+    }
+
+    /// Thread `t` (a joiner, or [`JOINERS`] for the setter) takes its next
+    /// atomic step; `None` if it cannot.
+    fn step(&self, t: usize, variant: JoinVariant) -> Option<Join> {
+        let mut s = self.clone();
+        if t == JOINERS {
+            s.s = match self.s {
+                // `Parker::ended()` on each registered parker: read the count
+                // and, if anybody is counted in, time the wait.
+                S::Count => {
+                    for i in 0..JOINERS {
+                        if s.registered[i] {
+                            s.s_saw[i] = Some(s.count[i]);
+                            if s.count[i] != 0 {
+                                s.short[i] = s.passes[i] < SPIN_PASSES;
+                            }
+                        }
+                    }
+                    if variant == JoinVariant::CountBeforeLock {
+                        S::Lock
+                    } else {
+                        S::Unlock
+                    }
+                }
+                S::Lock => {
+                    if s.locked.is_some() {
+                        return None;
+                    }
+                    s.locked = Some(JOINERS);
+                    S::Store
+                }
+                S::Store => {
+                    s.value = true;
+                    if variant == JoinVariant::CountBeforeLock {
+                        S::Unlock
+                    } else {
+                        S::Count
+                    }
+                }
+                // The list goes with the value: a later check sees the value.
+                S::Unlock => {
+                    s.locked = None;
+                    s.registered = [false; JOINERS];
+                    s.next_poke(0)
+                }
+                S::Bump(i) => {
+                    s.version[i] += 1;
+                    S::RereadSleepers(i)
+                }
+                S::RereadSleepers(i) => {
+                    if s.count[i] & SLEEPERS != 0 {
+                        S::Wake(i)
+                    } else {
+                        s.next_poke(i + 1)
+                    }
+                }
+                S::Wake(i) => {
+                    if s.j[i] == J::Asleep {
+                        s.j[i] = J::Unannounce;
+                    }
+                    s.next_poke(i + 1)
+                }
+                S::Done => return None,
+            };
+            return Some(s);
+        }
+        let give_up = if s.count[t] & SLEEPERS != 0 {
+            J::Unannounce
+        } else {
+            J::ReadSeen
+        };
+        s.j[t] = match self.j[t] {
+            J::ReadSeen => {
+                s.seen[t] = s.version[t];
+                J::CheckLock
+            }
+            J::CheckLock => {
+                if s.locked.is_some() {
+                    return None;
+                }
+                s.locked = Some(t);
+                J::CheckRead
+            }
+            // Found the value, or register (once per wait).
+            J::CheckRead => {
+                s.read[t] = s.value;
+                if !s.value {
+                    s.registered[t] = true;
+                }
+                J::CheckUnlock
+            }
+            J::CheckUnlock => {
+                s.locked = None;
+                if s.read[t] {
+                    J::Done
+                } else {
+                    J::Decide
+                }
+            }
+            J::Decide => {
+                if s.short[t] && s.passes[t] < SPIN_PASSES {
+                    J::SpinIn
+                } else {
+                    J::Announce
+                }
+            }
+            J::SpinIn => {
+                s.count[t] += SPINNER;
+                J::SpinPass
+            }
+            J::SpinPass => {
+                s.passes[t] += 1;
+                J::SpinOut
+            }
+            J::SpinOut => {
+                s.count[t] -= SPINNER;
+                J::ReadSeen
+            }
+            J::Announce => {
+                s.count[t] += 1;
+                J::ReadVersion
+            }
+            J::ReadVersion => {
+                if s.version[t] == s.seen[t] {
+                    J::RecheckLock
+                } else {
+                    give_up
+                }
+            }
+            J::RecheckLock => {
+                if s.locked.is_some() {
+                    return None;
+                }
+                s.locked = Some(t);
+                J::RecheckRead
+            }
+            J::RecheckRead => {
+                s.read[t] = !s.value;
+                J::RecheckUnlock
+            }
+            J::RecheckUnlock => {
+                s.locked = None;
+                if s.read[t] {
+                    J::FutexWait
+                } else {
+                    give_up
+                }
+            }
+            J::FutexWait => {
+                if s.version[t] == s.seen[t] {
+                    J::Asleep
+                } else {
+                    give_up
+                }
+            }
+            J::Asleep | J::Done => return None,
+            J::Unannounce => {
+                s.count[t] -= 1;
+                J::ReadSeen
+            }
+        };
+        Some(s)
+    }
+}
+
+/// Explore every interleaving of the join hand-off from either history.
+/// `Err` carries the schedule to a state in which a joiner sleeps, nobody
+/// can step, and the value is published: a lost wake-up.
+fn explore_join(variant: JoinVariant) -> Result<usize, Vec<String>> {
+    fn dfs(
+        s: &Join,
+        variant: JoinVariant,
+        seen: &mut HashSet<Join>,
+        path: &mut Vec<String>,
+    ) -> Result<(), Vec<String>> {
+        if !seen.insert(s.clone()) {
+            return Ok(());
+        }
+        let mut stepped = false;
+        for t in 0..=JOINERS {
+            if let Some(next) = s.step(t, variant) {
+                stepped = true;
+                path.push(if t == JOINERS {
+                    format!("S:{:?}", s.s)
+                } else {
+                    format!("J{t}:{:?}", s.j[t])
+                });
+                dfs(&next, variant, seen, path)?;
+                path.pop();
+            }
+        }
+        if !stepped && !s.finished() {
+            assert!(
+                s.value && s.j.contains(&J::Asleep),
+                "only the futex can block for good"
+            );
+            return Err(path.clone());
+        }
+        Ok(())
+    }
+    let mut seen = HashSet::new();
+    for short in [false, true] {
+        dfs(
+            &Join::new(short, variant),
+            variant,
+            &mut seen,
+            &mut Vec::new(),
+        )?;
+    }
+    Ok(seen.len())
+}
+
+#[test]
+fn no_join_interleaving_loses_a_wakeup() {
+    let states = explore_join(JoinVariant::Shipped)
+        .unwrap_or_else(|schedule| panic!("LostWakeup:\n{}", schedule.join("\n")));
+    assert!(states > 1_000, "only {states} states explored");
+}
+
+/// The enumerator can see a setter that reads the counts before its critical
+/// section: a joiner registers, the setter reads its count as 0, the joiner
+/// announces and re-checks before the value is stored, and sleeps unpoked.
+#[test]
+fn a_setter_counting_before_its_lock_is_caught() {
+    let schedule =
+        explore_join(JoinVariant::CountBeforeLock).expect_err("the mutant must deadlock");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    let at = |what: &str| schedule.iter().position(|s| s == what);
+    let count = at("S:Count").expect("the setter read the counts");
+    let store = at("S:Store").expect("the setter stored the value");
+    let stale = (0..JOINERS).any(|i| {
+        let last = |what: &str| schedule.iter().rposition(|s| *s == format!("J{i}:{what}"));
+        matches!(
+            (last("Announce"), last("RecheckRead"), last("CheckRead")),
+            (Some(a), Some(r), Some(c)) if c < count && count < a && r < store
+        )
+    });
+    assert!(
+        stale,
+        "expected a registered joiner that announced after the count read and re-checked before the store"
+    );
 }

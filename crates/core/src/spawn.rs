@@ -172,14 +172,20 @@ impl UlpHandle {
         self.uc.pid()
     }
 
-    /// Block until the UC terminates and return its exit status; for a
+    /// Wait until the UC terminates and return its exit status; for a
     /// pooled ULP, which owns its pid, also reap its simulated-kernel zombie
     /// (like `wait(2)`). The status is published only after the UC's final
     /// context switch has landed and its stack is back in the pool, so every
     /// counter it bumped is visible by then. A second call returns the same
     /// status at once and reaps nothing.
+    ///
+    /// A caller that owns its OS thread (a plain thread, a KLT, a coupled
+    /// BLT) spins or sleeps on that thread's parker by the runtime's
+    /// [`crate::IdlePolicy`], as an idle KC does; a decoupled ULT
+    /// [`crate::stall`]s, so it never holds the scheduler the UC may need
+    /// (`OneShot::wait`).
     pub fn wait(&self) -> i32 {
-        let status = self.uc.sib_result.wait();
+        let status = self.uc.sib_result.wait(&self.uc.rt);
         if self.uc.kind == UcKind::Pooled {
             reap(&self.uc);
         }

@@ -165,7 +165,7 @@ counters! {
     /// Idle periods that spun and were ended by work arriving: a futex
     /// sleep and wake saved (`park.rs`, "The idle decision").
     park_spin_hits, bump_park_spin_hits => "ulp_park_total{outcome=\"spin_hit\"}":
-        "How idle periods of kernel contexts ended: spin_hit = work arrived \
+        "How idle periods of kernel contexts and joins ended: spin_hit = work arrived \
          while spinning (a sleep saved), spin_miss = the spin ran out and the KC slept anyway \
          (CPU wasted), sleep = every pass through the blocking arm.",
     /// Idle periods that spun to the deadline and slept anyway: the spin

@@ -10,6 +10,13 @@
 //! All of them are usable from plain OS threads too (they degrade to
 //! yield-spin), which keeps mixed KLT/ULT programs correct.
 //!
+//! Joins keep the same contract: [`crate::UlpHandle::wait`] stalls in a
+//! decoupled ULT, and only a caller that owns its OS thread parks — on that
+//! thread's parker, spinning or sleeping by `ulp_kernel::Waiters` as an idle
+//! KC does (`uc.rs`, `OneShot`). [`UlpEvent`] and [`UlpBarrier`] still
+//! `stall()` in every caller, so a waiting KLT or plain thread yields to the
+//! OS in a loop rather than sleeping.
+//!
 //! ## The lock suite
 //!
 //! Beyond the veneer types ([`UlpMutex`], [`UlpEvent`], [`UlpBarrier`]),

@@ -19,11 +19,11 @@
 //! identity — while a *pooled* ULP owns its pid and is served by a shared
 //! pool KC.
 
-use crate::park::{ParkQueue, Parker, Phases, QLink};
+use crate::park::{IdleTally, ParkQueue, Parker, Phases, QLink};
 use crate::runtime::RuntimeInner;
 use crate::tls::TlsStorage;
-use parking_lot::{Condvar, Mutex};
-use std::cell::UnsafeCell;
+use parking_lot::Mutex;
+use std::cell::{OnceCell, UnsafeCell};
 use std::sync::atomic::{
     AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
@@ -206,23 +206,52 @@ impl KcShared {
     }
 }
 
+/// Longest single sleep of a join. Only [`OneShot::set`] ends one, so the
+/// bound is a backstop for a lost wake-up, which it turns into a one-second
+/// join instead of a hang.
+const JOIN_PARK_TIMEOUT: Duration = Duration::from_secs(1);
+
+thread_local! {
+    /// The parkers this OS thread joins on, one per [`IdlePolicy`], made on
+    /// first use. A thread waits for one cell at a time, so each parker has
+    /// one consumer, and its [`ulp_kernel::Waiters`] remember how long this
+    /// thread's last join took.
+    static JOIN_PARKERS: [OnceCell<Arc<Parker>>; 3] =
+        const { [OnceCell::new(), OnceCell::new(), OnceCell::new()] };
+}
+
+/// The calling OS thread's join parker for `policy`.
+fn join_parker(policy: IdlePolicy) -> Arc<Parker> {
+    JOIN_PARKERS.with(|ps| {
+        ps[policy as usize]
+            .get_or_init(|| Arc::new(Parker::new(policy, JOIN_PARK_TIMEOUT)))
+            .clone()
+    })
+}
+
 /// One-shot exit-status cell of a secondary UC: set by its termination
 /// (`Deferred::Terminate`), read by its [`crate::UlpHandle`].
+///
+/// A join waits as an idle KC does (`park.rs`), with the value in place of
+/// the queue. A waiter that owns its OS thread (a plain thread, a KLT, a
+/// coupled BLT) registers that thread's [`Parker`] here and parks on it, so
+/// `ulp_kernel::Waiters` decides whether it spins or sleeps. A decoupled
+/// ULT `stall()`s instead: its OS thread is a scheduler's, which the child
+/// may need to run.
 #[derive(Debug, Default)]
 pub struct OneShot {
     slot: Mutex<Slot>,
-    ready: Condvar,
 }
 
-/// What [`OneShot`]'s lock guards: the value, and the threads asleep on it.
+/// What [`OneShot`]'s lock guards: the value, and who waits for it.
 #[derive(Debug, Default)]
 struct Slot {
     value: Option<i32>,
-    /// Threads inside [`OneShot::wait`]'s condvar wait. A `set` that finds
-    /// none makes no notify — a host `futex` call even with nobody waiting —
-    /// and cannot be racing one about to sleep: that thread holds the lock
-    /// from its check of `value` until the wait releases it.
-    waiters: usize,
+    /// The parkers of the waiters that found no value. [`OneShot::set`]
+    /// takes them in the critical section that stores the value, so a
+    /// waiter's locked re-check before it sleeps either sees the value or
+    /// was counted by the setter (`park.rs`, "The protocol").
+    waiters: Vec<Arc<Parker>>,
 }
 
 impl OneShot {
@@ -231,28 +260,61 @@ impl OneShot {
         OneShot::default()
     }
 
-    /// Publish the value and wake every waiter. Later calls overwrite.
+    /// Publish the value; time every registered waiter's wait and wake the
+    /// ones asleep. Later calls overwrite.
     pub fn set(&self, v: i32) {
-        let waiters = {
+        let sleepers = {
             let mut slot = self.slot.lock();
             slot.value = Some(v);
-            slot.waiters
+            let mut waiters = std::mem::take(&mut slot.waiters);
+            waiters.retain(|p| p.ended());
+            waiters
         };
-        if waiters != 0 {
-            self.ready.notify_all();
+        for p in sleepers {
+            p.poke();
         }
     }
 
-    /// Block (on the condvar) until a value is published, then return it.
-    pub fn wait(&self) -> i32 {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(v) = slot.value {
-                return v;
+    /// Wait until a value is published, then return it; at once if it
+    /// already is. `rt` is the runtime of the UC that publishes it: its
+    /// [`IdlePolicy`] decides how an OS thread waits, and a thread with no
+    /// stats shard of its own counts its wait (`ulp_park_total`) into that
+    /// runtime's fallback shard.
+    pub fn wait(&self, rt: &Weak<RuntimeInner>) -> i32 {
+        if let Some(v) = self.try_get() {
+            return v;
+        }
+        if crate::couple::is_coupled() == Some(false) {
+            // A decoupled ULT: never park the OS thread under it.
+            loop {
+                crate::couple::stall();
+                if let Some(v) = self.try_get() {
+                    return v;
+                }
             }
-            slot.waiters += 1;
-            self.ready.wait(&mut slot);
-            slot.waiters -= 1;
+        }
+        let rt = rt.upgrade();
+        let policy = rt
+            .as_ref()
+            .map_or(IdlePolicy::default(), |rt| rt.config.idle_policy);
+        let parker = join_parker(policy);
+        let idle = &mut IdleTally::counting_into(rt);
+        let mut registered = false;
+        loop {
+            let seen = parker.version();
+            {
+                let mut slot = self.slot.lock();
+                if let Some(v) = slot.value {
+                    drop(slot);
+                    idle.found_work();
+                    return v;
+                }
+                if !registered {
+                    slot.waiters.push(parker.clone());
+                    registered = true;
+                }
+            }
+            parker.park(seen, idle, || self.slot.lock().value.is_none());
         }
     }
 
@@ -574,17 +636,18 @@ mod tests {
         let cell = Arc::new(OneShot::new());
         assert_eq!(cell.try_get(), None);
         let c2 = cell.clone();
-        let t = std::thread::spawn(move || c2.wait());
+        let t = std::thread::spawn(move || c2.wait(&Weak::new()));
         std::thread::sleep(Duration::from_millis(5));
         cell.set(9);
         assert_eq!(t.join().unwrap(), 9);
         assert_eq!(cell.try_get(), Some(9));
+        assert_eq!(cell.wait(&Weak::new()), 9, "a second wait returns at once");
     }
 
-    /// `set` notifies only when a waiter is counted in, so a `set` that
+    /// `set` wakes only a waiter counted in as a sleeper, so a `set` that
     /// lands between a waiter's check and its sleep must still reach it:
-    /// the two race from a barrier, and a stranded waiter fails the round
-    /// instead of hanging the test.
+    /// the two race from a barrier, and a waiter left to its park's
+    /// time-out fails the round instead of slowing the test down.
     #[test]
     fn oneshot_set_racing_wait_strands_no_waiter() {
         use std::sync::{mpsc, Barrier};
@@ -596,16 +659,110 @@ mod tests {
                 let (cell, start) = (cell.clone(), start.clone());
                 std::thread::spawn(move || {
                     start.wait();
-                    let _ = done.send(cell.wait());
+                    let _ = done.send(cell.wait(&Weak::new()));
                 })
             };
             start.wait();
             cell.set(round);
             let got = got
-                .recv_timeout(Duration::from_secs(5))
+                .recv_timeout(JOIN_PARK_TIMEOUT / 2)
                 .unwrap_or_else(|_| panic!("round {round}: waiter stranded"));
             assert_eq!(got, round);
             waiter.join().unwrap();
         }
+    }
+
+    /// What a runtime's fallback shard says about how waits ended: spin
+    /// hits and sleeps. A plain thread has no shard of its own, so only its
+    /// joins count there.
+    fn fallback_parks(rt: &crate::Runtime) -> (u64, u64) {
+        let f = rt.inner.stats.fallback();
+        (
+            f.park_spin_hits.load(Ordering::Relaxed),
+            f.park_sleeps.load(Ordering::Relaxed),
+        )
+    }
+
+    /// A thread's first join has no history, so it sleeps at once, and the
+    /// `set` that finds it asleep wakes it: one poke, long before the park's
+    /// time-out.
+    #[test]
+    fn a_join_without_history_sleeps_and_set_wakes_it() {
+        let rt = crate::Runtime::new();
+        let rt_weak = Arc::downgrade(&rt.inner);
+        let cell = Arc::new(OneShot::new());
+        let (parker_tx, parker_rx) = std::sync::mpsc::channel();
+        let joiner = {
+            let cell = cell.clone();
+            std::thread::spawn(move || {
+                parker_tx.send(join_parker(IdlePolicy::Adaptive)).unwrap();
+                let t = std::time::Instant::now();
+                (cell.wait(&rt_weak), t.elapsed())
+            })
+        };
+        let parker = parker_rx.recv().unwrap();
+        while parker.announced() == 0 {
+            std::thread::yield_now();
+        }
+        let v = parker.version();
+        cell.set(4);
+        let (got, took) = joiner.join().unwrap();
+        assert_eq!(got, 4);
+        assert_eq!(parker.version(), v + 1, "the set poked the sleeper once");
+        assert!(
+            took < JOIN_PARK_TIMEOUT / 2,
+            "the join took {took:?}: woken by the park's time-out, not by the set"
+        );
+        let (hits, sleeps) = fallback_parks(&rt);
+        assert_eq!(hits, 0, "a join with no history does not spin");
+        assert!(sleeps >= 1, "the join slept");
+    }
+
+    /// A join whose thread's last join was short spins, and the `set` that
+    /// ends it times the wait and wakes nobody. Whether a join spun is read
+    /// from what the joiner counted (a spin hit and no sleep), not from a
+    /// look at the parker before the `set`: a spin may run out in between.
+    #[test]
+    fn a_short_join_spins_and_its_set_wakes_nobody() {
+        use std::sync::mpsc;
+        let rt = crate::Runtime::new();
+        let rt_weak = Arc::downgrade(&rt.inner);
+        let (cells, cells_rx) = mpsc::channel::<Arc<OneShot>>();
+        let (parker_tx, parker_rx) = mpsc::channel();
+        let (done_tx, done) = mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            parker_tx.send(join_parker(IdlePolicy::Adaptive)).unwrap();
+            for cell in cells_rx {
+                done_tx.send(cell.wait(&rt_weak)).unwrap();
+            }
+        });
+        let parker = parker_rx.recv().unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut spun = 0;
+        for round in 0.. {
+            if spun == 20 || std::time::Instant::now() > deadline {
+                break;
+            }
+            let cell = Arc::new(OneShot::new());
+            let (hits, sleeps) = fallback_parks(&rt);
+            cells.send(cell.clone()).unwrap();
+            while parker.counted() == 0 {
+                std::hint::spin_loop();
+            }
+            let v = parker.version();
+            cell.set(round);
+            assert_eq!(done.recv().unwrap(), round);
+            if fallback_parks(&rt) == (hits + 1, sleeps) {
+                spun += 1;
+                assert_eq!(
+                    parker.version(),
+                    v,
+                    "a set that ended a spin woke the joiner"
+                );
+            }
+        }
+        drop(cells);
+        joiner.join().unwrap();
+        assert!(spun > 0, "no join spun in 10 s of short joins");
     }
 }

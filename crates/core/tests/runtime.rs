@@ -1148,3 +1148,179 @@ fn pooled_stacks_recycle_instead_of_accumulating() {
     );
     assert_eq!(pool.outstanding(), 0, "all pooled stacks returned");
 }
+
+// ---------------------------------------------------------------------------
+// Joins: `UlpHandle::wait()` by the one spin-or-sleep rule. A caller that
+// owns its OS thread parks on that thread's parker; a decoupled ULT stalls,
+// so it never holds the scheduler its child needs.
+// ---------------------------------------------------------------------------
+
+/// Run `body` on its own thread and return its result, failing (not hanging)
+/// if it does not return within 10 s. The thread is not joined: a body that
+/// hangs must fail the test, not hang it.
+fn within_watchdog(what: &str, body: impl FnOnce() -> i32 + Send + 'static) -> i32 {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    result
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what}: no return in 10 s (the join holds the scheduler)"))
+}
+
+/// The default runtime has one scheduler. A decoupled ULT that joins a
+/// pooled child runs on it, and the child needs it to run at all.
+#[test]
+fn a_decoupled_ult_joins_a_pooled_child_on_one_scheduler() {
+    let _cpu = shared();
+    let got = within_watchdog("a decoupled ULT joining a pooled child", || {
+        let rt = Arc::new(Runtime::new());
+        let spawner = rt.clone();
+        let h = rt.spawn("joiner", move || {
+            decouple().unwrap();
+            let status = spawner.spawn_pooled("child", || 7).unwrap().wait();
+            couple().unwrap();
+            status
+        });
+        h.wait()
+    });
+    assert_eq!(got, 7);
+}
+
+/// The sibling variant: the child is dispatched by the one scheduler and
+/// terminates on its host's KC.
+#[test]
+fn a_decoupled_ult_joins_a_sibling_child_on_one_scheduler() {
+    let _cpu = shared();
+    let got = within_watchdog("a decoupled ULT joining a sibling child", || {
+        let rt = Runtime::new();
+        let host = Arc::new(rt.spawn("host", || 0));
+        let spawner = host.clone();
+        let h = rt.spawn("joiner", move || {
+            decouple().unwrap();
+            let status = spawner.spawn_sibling("child", || 7).unwrap().wait();
+            couple().unwrap();
+            status
+        });
+        let status = h.wait();
+        assert_eq!(host.wait(), 0);
+        status
+    });
+    assert_eq!(got, 7);
+}
+
+/// A plain thread's join outcomes, read from the runtime's fallback shard:
+/// the thread has no shard of its own, and nothing else parks there.
+fn join_parks(rt: &Runtime) -> (u64, u64) {
+    let f = rt.stats().fallback();
+    (
+        f.park_spin_hits.load(Ordering::Relaxed),
+        f.park_sleeps.load(Ordering::Relaxed),
+    )
+}
+
+/// A controller that keeps a few short pooled lives in flight and joins
+/// the oldest, as `pooled_churn` does: once its joins are timed short they
+/// spin, and a streak of them ends as spin hits with no futex sleep. A join
+/// that finds the status already there does not wait and counts nowhere.
+#[test]
+fn a_plain_thread_streak_of_short_joins_spins() {
+    const IN_FLIGHT: usize = 4;
+    const STREAK: u32 = 50;
+    let _cpu = alone();
+    let rt = Arc::new(Runtime::builder().pool_kcs(1).build());
+    let controller = rt.clone();
+    let (streak, joins) = std::thread::spawn(move || {
+        let rt = controller;
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let mut flights = std::collections::VecDeque::new();
+        let (mut streak, mut joins) = (0, 0);
+        while streak < STREAK && std::time::Instant::now() < deadline {
+            flights.push_back(rt.spawn_pooled("short", || 0).unwrap());
+            if flights.len() < IN_FLIGHT {
+                continue;
+            }
+            let h = flights.pop_front().unwrap();
+            let (hits, sleeps) = join_parks(&rt);
+            assert_eq!(h.wait(), 0);
+            joins += 1;
+            match join_parks(&rt) {
+                (h, s) if (h, s) == (hits, sleeps) => {}
+                (h, s) if (h, s) == (hits + 1, sleeps) => streak += 1,
+                _ => streak = 0,
+            }
+        }
+        for h in flights {
+            assert_eq!(h.wait(), 0);
+        }
+        (streak, joins)
+    })
+    .join()
+    .unwrap();
+    assert!(
+        streak >= STREAK,
+        "{joins} joins in 20 s never made {STREAK} spin hits in a row (last streak {streak})"
+    );
+}
+
+/// A join whose child waits 5 ms for an event sleeps, and the child's
+/// termination wakes it — well before the join's 1 s park time-out.
+#[test]
+fn a_long_join_sleeps_until_the_set_wakes_it() {
+    let _cpu = shared();
+    let rt = Arc::new(Runtime::new());
+    let go = Arc::new(ulp_core::UlpEvent::new());
+    let h = rt
+        .spawn_pooled("long", {
+            let go = go.clone();
+            move || {
+                go.wait();
+                3
+            }
+        })
+        .unwrap();
+    let before = join_parks(&rt);
+    let joiner = std::thread::spawn(move || {
+        let t = std::time::Instant::now();
+        (h.wait(), t.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(5));
+    go.set();
+    let (status, took) = joiner.join().unwrap();
+    assert_eq!(status, 3);
+    assert!(join_parks(&rt).1 > before.1, "a 5 ms join did not sleep");
+    assert!(
+        took < Duration::from_millis(500),
+        "the join took {took:?}: woken by its park time-out, not by the set"
+    );
+}
+
+/// Two threads join one handle; both get the status (and one of them reaps).
+#[test]
+fn two_threads_join_one_handle() {
+    let _cpu = shared();
+    let rt = Runtime::new();
+    let go = Arc::new(ulp_core::UlpEvent::new());
+    let h = Arc::new(
+        rt.spawn_pooled("shared", {
+            let go = go.clone();
+            move || {
+                go.wait();
+                11
+            }
+        })
+        .unwrap(),
+    );
+    let joiners: Vec<_> = (0..2)
+        .map(|_| {
+            let h = h.clone();
+            std::thread::spawn(move || h.wait())
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(5));
+    go.set();
+    for j in joiners {
+        assert_eq!(j.join().unwrap(), 11);
+    }
+    assert_eq!(h.wait(), 11, "a later join returns at once");
+}

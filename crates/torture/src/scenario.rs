@@ -146,6 +146,11 @@ impl Scenario {
     ///   the worst seen (one run in 40 overflows a 4096-record ring), and
     ///   `lock_storm`'s ≈ 120 typical, 4 940 worst. Their rings hold
     ///   about 4× and 6× that worst.
+    /// - `signal_storm` runs a fixed 3 × 200 couple/yield rounds, but how
+    ///   many of their records land on one KC's ring is the schedule's
+    ///   doing: the fullest ring reads ≈ 3 300 records under `Blocking`,
+    ///   and 3 438 in the worst of 1 200 runs (84 % of a 4096-record
+    ///   ring). Its ring holds about 4.8× that worst.
     /// - Everything else fits the default 4096-record rings.
     ///
     /// A run reports its fullest ring against this capacity
@@ -155,6 +160,7 @@ impl Scenario {
             Scenario::C1mStorm => (c1m_count() * 32).clamp(4096, 1 << 20),
             Scenario::MnSiblings => 1 << 16,
             Scenario::LockStorm => 1 << 15,
+            Scenario::SignalStorm => 1 << 14,
             _ => 4096,
         }
     }

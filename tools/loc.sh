@@ -79,7 +79,8 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # stay at home that is a state of the UC, not a trip through the trampoline;
 # one run-queue critical section per yield; a process's lifecycle named by
 # its handle in core; kernel hook calls only while a tracer records;
-# readiness edges fired by their object, named, on per-end socket sets.
+# readiness edges fired by their object, named, on per-end socket sets; no
+# condvar in core, whose waits park on a Parker or stall.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -121,6 +122,12 @@ gate "the sleepers / queue-length gate is back in decouple()'s stay decision (DE
 gate "the trampoline detour of staying home is back under crates/ (a home decouple()/couple() flips the UC's flag on its own thread: DESIGN.md §4, Staying home)" \
     "$(git grep -nE 'Deferred::Hom[e]\b|\bHome\(Arc<UcInne[r]>\)|take_hom[e]|\bhom[e]: *Cell<' -- crates || true)"
 c=crates/core/src
+# A runtime wait never sleeps on a condvar: a waiter that owns its OS thread
+# parks on a `Parker`, where `ulp_kernel::Waiters` decides spin or sleep, and
+# a decoupled ULT stalls, so it never holds the scheduler under it.
+gate "a Condvar in shipped $c code (a waiter that owns its KC parks on its Parker by ulp_kernel::Waiters, and a decoupled ULT stalls)" \
+    "$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
+        !t && /Condvar/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
 # Match arms only (`Event::X… =>`), in shipped code: the recording sites
 # construct these variants, and tests may match them.
 gate "a lifecycle Event:: variant is matched in $c outside trace.rs and replay.rs (consume replay::Item instead)" \
