@@ -8,17 +8,22 @@
 //! `aio_suspend()`." We reproduce exactly that: a helper OS thread spawned
 //! lazily on first use, a submission queue, and completion observed either
 //! by polling (`Aiocb::error` / `Aiocb::aio_return` — the ULT-friendly way)
-//! or by blocking (`Aiocb::suspend`).
+//! or by blocking (`Aiocb::suspend`). A blocking suspend sleeps on the
+//! control block's `WaitQueue`, the kernel's one attributed sleep
+//! (`crate::wait`): inside an `aio_suspend` span, ended by an `aio_done`
+//! wake edge from the helper. A fresh control block has no wait history, so
+//! its first suspend sleeps at once — the paper's blocking baseline.
 
 use crate::errno::{Errno, KResult};
 use crate::fd::Fd;
-use crate::kernel::{Kernel, KernelRef};
+use crate::kernel::Kernel;
 use crate::process::Pid;
-use crate::trace::{self, SyscallPhase, Sysno};
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
+use crate::trace::{Sysno, WakeSite};
+use crate::wait::WaitQueue;
+use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[derive(Debug)]
 enum AioOp {
@@ -46,7 +51,8 @@ enum AioState {
 #[derive(Debug)]
 struct AiocbInner {
     state: Mutex<AioState>,
-    done: Condvar,
+    /// `suspend` callers waiting for the helper to complete the request.
+    done: WaitQueue,
 }
 
 /// An asynchronous I/O control block — the handle `aio_write`/`aio_read`
@@ -61,7 +67,7 @@ impl Aiocb {
         Aiocb {
             inner: Arc::new(AiocbInner {
                 state: Mutex::new(AioState::InProgress),
-                done: Condvar::new(),
+                done: WaitQueue::new(WakeSite::AioDone),
             }),
         }
     }
@@ -95,38 +101,29 @@ impl Aiocb {
     }
 
     /// `aio_suspend(3)` for a single control block: put the calling OS
-    /// thread to sleep until completion. The sleep (if any) is bracketed by
-    /// an `aio_suspend` span through the syscall observer hook.
+    /// thread to sleep until completion. The sleep (if any) is an
+    /// `aio_suspend` span ended by an `aio_done` wake edge.
     pub fn suspend(&self) {
-        let mut st = self.inner.state.lock();
-        if !matches!(*st, AioState::InProgress) {
-            return;
-        }
-        trace::emit(Sysno::AioSuspend, SyscallPhase::Enter);
-        while matches!(*st, AioState::InProgress) {
-            self.inner.done.wait(&mut st);
-        }
-        trace::emit(Sysno::AioSuspend, SyscallPhase::Exit { errno: 0 });
+        self.wait(None);
     }
 
     /// `aio_suspend` with a timeout; `false` on `EAGAIN` (timed out). A
     /// timed-out sleep exits its `aio_suspend` span with `errno == EAGAIN`.
     pub fn suspend_timeout(&self, timeout: Duration) -> bool {
-        let mut st = self.inner.state.lock();
-        if !matches!(*st, AioState::InProgress) {
-            return true;
-        }
-        trace::emit(Sysno::AioSuspend, SyscallPhase::Enter);
-        self.inner.done.wait_for(&mut st, timeout);
-        let done = !matches!(*st, AioState::InProgress);
-        let errno = if done { 0 } else { Errno::EAGAIN.as_raw() };
-        trace::emit(Sysno::AioSuspend, SyscallPhase::Exit { errno });
-        done
+        self.wait(Some(Instant::now() + timeout))
     }
 
-    /// Whether the request has completed (success or failure).
-    pub fn is_complete(&self) -> bool {
-        !matches!(*self.inner.state.lock(), AioState::InProgress)
+    /// Wait on the control block's queue until the request completes or
+    /// `deadline` passes; whether it completed.
+    fn wait(&self, deadline: Option<Instant>) -> bool {
+        let mut st = self.inner.state.lock();
+        let mut wait = self.inner.done.wait(deadline);
+        while matches!(*st, AioState::InProgress) && wait.sleep(&mut st) {}
+        let done = !matches!(*st, AioState::InProgress);
+        drop(st);
+        let res = if done { Ok(()) } else { Err(Errno::EAGAIN) };
+        wait.finish(&res, done);
+        done
     }
 
     /// For reads: take the data buffer filled by the helper thread. `None`
@@ -152,7 +149,7 @@ impl std::fmt::Debug for AioService {
 
 impl AioService {
     fn start(kernel: Weak<Kernel>) -> AioService {
-        let (tx, rx) = unbounded::<AioJob>();
+        let (tx, rx) = channel::<AioJob>();
         std::thread::Builder::new()
             .name("ulp-aio-helper".to_string())
             .spawn(move || {
@@ -180,7 +177,7 @@ impl AioService {
                     };
                     let mut st = job.cb.state.lock();
                     *st = AioState::Done { res, data };
-                    job.cb.done.notify_all();
+                    job.cb.done.wake_all(&st);
                 }
             })
             .expect("spawn aio helper");
@@ -231,35 +228,11 @@ impl Kernel {
     }
 }
 
-/// `aio_suspend(3)` over a set of control blocks: returns the index of the
-/// first completed one, blocking until some request completes.
-pub fn aio_suspend_any(cbs: &[Aiocb]) -> Option<usize> {
-    if cbs.is_empty() {
-        return None;
-    }
-    loop {
-        for (i, cb) in cbs.iter().enumerate() {
-            if cb.is_complete() {
-                return Some(i);
-            }
-        }
-        // Park on the first incomplete cb; completion of any other will be
-        // caught on the next scan (bounded by this cb's completion or a
-        // short timeout to avoid missed-wakeup hangs).
-        if let Some(first) = cbs.iter().find(|cb| !cb.is_complete()) {
-            first.suspend_timeout(Duration::from_millis(1));
-        }
-    }
-}
-
-pub(crate) fn _require_kernelref_is_send(k: KernelRef) -> impl Send {
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fs::OpenFlags;
+    use crate::kernel::KernelRef;
 
     fn boot() -> (KernelRef, Pid) {
         let k = Kernel::native();
@@ -367,18 +340,28 @@ mod tests {
         k.unbind_current();
     }
 
+    /// A suspend that sleeps is woken by the helper's completion: the test
+    /// holds the submitter's descriptor table, which the helper's `pwrite`
+    /// needs, through a timed-out suspend and until a second suspender is
+    /// asleep. A lost wake fails the 10 s watchdog instead of hanging.
     #[test]
-    fn suspend_any_finds_completion() {
-        let (k, _) = boot();
-        let fd = k.sys_open("/any", wflags()).unwrap();
-        let cbs: Vec<Aiocb> = (0..4)
-            .map(|i| k.aio_write(fd, i * 16, Arc::new(vec![0u8; 16])).unwrap())
-            .collect();
-        let idx = aio_suspend_any(&cbs).unwrap();
-        assert!(idx < 4);
-        for cb in &cbs {
-            cb.suspend();
+    fn suspend_sleeps_until_the_helper_completes() {
+        let (k, pid) = boot();
+        let fd = k.sys_open("/slept", wflags()).unwrap();
+        let proc = k.process(pid).unwrap();
+        let fds = proc.fds.lock();
+        let cb = k.aio_write(fd, 0, Arc::new(vec![5u8; 8])).unwrap();
+        assert!(!cb.suspend_timeout(Duration::from_millis(5)), "EAGAIN");
+        let suspender = {
+            let cb = cb.clone();
+            crate::kernel::tests::watchdog("a suspend the helper completed", move || cb.suspend())
+        };
+        while cb.inner.done.waiters.counted() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
+        drop(fds);
+        suspender();
+        assert_eq!(cb.aio_return(), Ok(8));
         k.unbind_current();
     }
 

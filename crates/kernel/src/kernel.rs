@@ -24,6 +24,11 @@
 //! `try_waitpid`, `bind_current`) resolve the name once and call the same
 //! bodies. They are for callers that hold only a name — system calls that
 //! name another pid (`kill`, `waitpid`, `/proc/<pid>`) — and for tests.
+//!
+//! A `waitpid` sleeps on its parent's `child_exit` `WaitQueue` under the
+//! parent's `children` lock, which an exit (after marking its zombie) and
+//! a reap (as it removes the child) take to wake it: a sleeper re-scans
+//! and reaps, or finds its target (or last child) reaped elsewhere.
 
 use crate::cost::ArchProfile;
 use crate::errno::{Errno, KResult};
@@ -31,7 +36,7 @@ use crate::fs::{MountTable, ProcFs, Tmpfs};
 use crate::process::{Pid, ProcState, Process};
 use crate::signal::Signal;
 use crate::trace::{self, SyscallPhase, Sysno};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,10 +92,6 @@ pub struct Kernel {
     /// insert and to remove it.
     procs: Mutex<HashMap<Pid, Arc<Process>>>,
     next_pid: AtomicU64,
-    /// waitpid parking: the number of `waitpid` callers asleep on
-    /// `child_exited`, which an exit notifies only when that is non-zero.
-    wait_lock: Mutex<usize>,
-    child_exited: Condvar,
     /// AIO service, lazily created on the first AIO call (exactly like
     /// glibc, which spawns its helper thread on first use — §II).
     pub(crate) aio: std::sync::OnceLock<crate::aio::AioService>,
@@ -120,8 +121,6 @@ impl Kernel {
                 mounts,
                 procs: Mutex::new(HashMap::new()),
                 next_pid: AtomicU64::new(1),
-                wait_lock: Mutex::new(0),
-                child_exited: Condvar::new(),
                 aio: std::sync::OnceLock::new(),
                 retired_syscalls: AtomicU64::new(0),
             }
@@ -231,7 +230,7 @@ impl Kernel {
     /// The process table, the one place that takes its lock (tests count
     /// the acquisitions per thread).
     #[inline]
-    pub(crate) fn table(&self) -> parking_lot::MutexGuard<'_, HashMap<Pid, Arc<Process>>> {
+    pub(crate) fn table(&self) -> MutexGuard<'_, HashMap<Pid, Arc<Process>>> {
         #[cfg(test)]
         tests::TABLE_LOCKS.with(|n| n.set(n.get() + 1));
         self.procs.lock()
@@ -249,7 +248,7 @@ impl Kernel {
         let proc = Arc::new(Process::new(pid, parent, name.to_string()));
         self.table().insert(pid, proc.clone());
         if let Some(parent) = parent {
-            parent.children.lock().insert(pid);
+            parent.children.lock().insert(pid, proc.clone());
         }
         proc
     }
@@ -271,9 +270,9 @@ impl Kernel {
         self.table().len()
     }
 
-    /// Terminate `proc`: close its descriptors, mark it a zombie, wake
-    /// `waitpid` sleepers and post SIGCHLD to the parent it holds — if that
-    /// parent is still there. `ESRCH` if it already exited.
+    /// Terminate `proc`: close its descriptors, mark it a zombie, post
+    /// SIGCHLD to the parent it holds and wake its `waitpid` sleepers — if
+    /// that parent is still there. `ESRCH` if it already exited.
     pub fn exit(&self, proc: &Process, status: i32) -> KResult<()> {
         {
             let mut st = proc.state.lock();
@@ -290,13 +289,9 @@ impl Kernel {
             if !parent.reaped.load(Ordering::Acquire) {
                 parent.signals.post(Signal::SigChld);
             }
-        }
-        // A waiter that scanned before the zombie was marked either counted
-        // itself in by now or re-scans under this lock after it (see
-        // `waitpid_inner`): nobody counted in means nobody to notify.
-        let waiters = *self.wait_lock.lock();
-        if waiters != 0 {
-            self.child_exited.notify_all();
+            // A waiter that scanned before the zombie was marked is asleep
+            // once this lock is free; one that scans after sees it.
+            parent.child_exit.wake_all(&parent.children.lock());
         }
         Ok(())
     }
@@ -315,24 +310,24 @@ impl Kernel {
     /// reaped it; `None` if it is still running or is not (or no longer)
     /// `parent`'s child.
     pub fn reap_child(&self, parent: &Process, child: &Process) -> Option<i32> {
-        let ProcState::Zombie(status) = child.state() else {
-            return None;
-        };
-        // Leaving the child set is the claim: of two reapers, one wins.
-        if !parent.children.lock().remove(&child.pid) {
-            return None;
-        }
+        let status = claim(parent, &mut parent.children.lock(), child)?;
+        self.retire(child);
+        Some(status)
+    }
+
+    /// The one table removal, of a child [`claim`]ed (no child set locked).
+    fn retire(&self, child: &Process) {
         let mut procs = self.table();
         procs.remove(&child.pid);
         child.reaped.store(true, Ordering::Release);
         self.retired_syscalls
             .fetch_add(child.syscall_count(), Ordering::Relaxed);
-        Some(status)
     }
 
     /// Blocking `waitpid`: reap a zombie child of `parent`. With
     /// `Some(target)`, wait for that child specifically. Blocks the calling
-    /// OS thread — a *blocking system call* in the paper's sense.
+    /// OS thread — a *blocking system call* in the paper's sense — inside a
+    /// `waitpid_block` span. `ECHILD` once no candidate is left.
     pub fn waitpid(&self, parent: Pid, target: Option<Pid>) -> KResult<(Pid, i32)> {
         trace::emit(Sysno::Waitpid, SyscallPhase::Enter);
         let out = self.waitpid_inner(parent, target);
@@ -347,54 +342,29 @@ impl Kernel {
 
     fn waitpid_inner(&self, parent: Pid, target: Option<Pid>) -> KResult<(Pid, i32)> {
         let parent = self.process(parent).ok_or(Errno::ESRCH)?;
-        loop {
-            if let Some(reaped) = self.reap_any(&parent, target)? {
-                return Ok(reaped);
-            }
-            let mut waiters = self.wait_lock.lock();
-            // An exit since the scan may have found nobody counted in and
-            // notified nobody; it marked its zombie before taking this lock,
-            // so a scan under it sees the zombie.
-            if let Some(reaped) = self.reap_any(&parent, target)? {
-                return Ok(reaped);
-            }
-            *waiters += 1;
-            // Bounded all the same: a waitpid is a cold path.
-            self.child_exited
-                .wait_for(&mut waiters, std::time::Duration::from_millis(50));
-            *waiters -= 1;
-        }
+        let mut kids = parent.children.lock();
+        let mut wait = parent.child_exit.wait(None);
+        let res = loop {
+            match claim_any(&parent, &mut kids, target).transpose() {
+                Some(done) => break done,
+                None => wait.sleep(&mut kids),
+            };
+        };
+        drop(kids);
+        wait.finish(&res, res.is_ok());
+        let (child, status) = res?;
+        self.retire(&child);
+        Ok((child.pid, status))
     }
 
     /// Non-blocking variant (`WNOHANG`).
     pub fn try_waitpid(&self, parent: Pid, target: Option<Pid>) -> KResult<Option<(Pid, i32)>> {
         let parent = self.process(parent).ok_or(Errno::ESRCH)?;
-        self.reap_any(&parent, target)
-    }
-
-    /// One `waitpid` scan: reap a zombie child of `parent` — `target` only,
-    /// when given — if there is one; `ECHILD` if there are no candidates.
-    fn reap_any(&self, parent: &Process, target: Option<Pid>) -> KResult<Option<(Pid, i32)>> {
-        let candidates = {
-            let kids = parent.children.lock();
-            match target {
-                // Membership is O(1) against the children set, not a clone
-                // and a scan of it: a root with a million pooled children
-                // reaps each one in constant time.
-                Some(t) if kids.contains(&t) => vec![t],
-                Some(_) => return Err(Errno::ECHILD),
-                None if kids.is_empty() => return Err(Errno::ECHILD),
-                None => kids.iter().copied().collect(),
-            }
-        };
-        for pid in candidates {
-            if let Some(child) = self.process(pid) {
-                if let Some(status) = self.reap_child(parent, &child) {
-                    return Ok(Some((pid, status)));
-                }
-            }
-        }
-        Ok(None)
+        let claimed = claim_any(&parent, &mut parent.children.lock(), target)?;
+        Ok(claimed.map(|(child, status)| {
+            self.retire(&child);
+            (child.pid, status)
+        }))
     }
 
     // ----- thread ↔ process binding ----------------------------------------
@@ -476,6 +446,40 @@ impl Kernel {
     }
 }
 
+/// A parent's child set, locked.
+type Children<'a> = MutexGuard<'a, HashMap<Pid, Arc<Process>>>;
+
+/// Claim `child` if it is a zombie in `kids`, `parent`'s child set: leaving
+/// the set is the claim (of two reapers, one wins), and it wakes `parent`'s
+/// waiters, as one may wait for this child. The caller then retires it.
+fn claim(parent: &Process, kids: &mut Children<'_>, child: &Process) -> Option<i32> {
+    let ProcState::Zombie(status) = child.state() else {
+        return None;
+    };
+    kids.remove(&child.pid)?;
+    parent.child_exit.wake_all(kids);
+    Some(status)
+}
+
+/// One `waitpid` scan of `parent`'s locked child set: claim a zombie child
+/// — `target` only, when given, found by key — if there is one; `ECHILD`
+/// if there are no candidates.
+fn claim_any(
+    parent: &Process,
+    kids: &mut Children<'_>,
+    target: Option<Pid>,
+) -> KResult<Option<(Arc<Process>, i32)>> {
+    let found = match target {
+        Some(t) => Some(kids.get(&t).ok_or(Errno::ECHILD)?),
+        None if kids.is_empty() => return Err(Errno::ECHILD),
+        None => kids.values().find(|c| c.is_zombie()),
+    };
+    let Some(child) = found.cloned() else {
+        return Ok(None);
+    };
+    Ok(claim(parent, kids, &child).map(|status| (child, status)))
+}
+
 /// Raw errno of a syscall result: `0` on success.
 #[inline]
 pub(crate) fn errno_of<T>(r: &KResult<T>) -> i32 {
@@ -501,7 +505,7 @@ impl Drop for BindGuard {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
 
@@ -579,51 +583,101 @@ mod tests {
         assert_eq!(k.waitpid(Pid(1), None).unwrap_err(), Errno::ECHILD);
     }
 
+    /// Run `f` on a thread of its own; the closure returned waits for its
+    /// result, and panics naming `what` if 10 s pass first (a lost wake
+    /// hangs, with no time-out left to ride).
+    pub(crate) fn watchdog<T: Send + 'static>(
+        what: &'static str,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> impl FnOnce() -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || done.send(f()).unwrap());
+        move || {
+            let out = (result.recv_timeout(std::time::Duration::from_secs(10)))
+                .unwrap_or_else(|e| panic!("{what}: no return in 10 s ({e})"));
+            thread.join().unwrap();
+            out
+        }
+    }
+
+    /// Wait until somebody sleeps on `parent`'s `child_exit` queue.
+    fn asleep_on(parent: &Process) {
+        while parent.child_exit.waiters.counted() & crate::wait::SLEEPERS == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn waitpid_blocks_until_exit() {
         let k = Kernel::native();
-        let child = k.spawn_process(Some(Pid(1)), "c");
-        let k2 = k.clone();
-        let waiter = std::thread::spawn(move || k2.waitpid(Pid(1), Some(child)).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        k.exit_process(child, 3).unwrap();
-        assert_eq!(waiter.join().unwrap(), (child, 3));
+        let root = k.process(Pid(1)).unwrap();
+        let child = k.spawn_child(&root, "c");
+        let pid = child.pid;
+        let waiter = {
+            let k = k.clone();
+            watchdog("waitpid", move || k.waitpid(Pid(1), Some(pid)))
+        };
+        asleep_on(&root);
+        k.exit(&child, 3).unwrap();
+        assert_eq!(waiter(), Ok((pid, 3)));
     }
 
-    /// An exit notifies only the waiters counted in, so a waiter that
-    /// scanned before an exit and reaches the lock after it — the exit
-    /// found nobody to notify — must see the zombie by its re-scan under the
-    /// lock, not after the 50 ms bound on its sleep. The test plays that
-    /// exit: it holds the lock while the waiter's scan comes up empty, marks
-    /// the zombie, finds nobody counted in, and lets go.
+    /// An exit marks its zombie before it takes the parent's child-set lock
+    /// to wake the waiters, so a waiter whose scan comes after that lock —
+    /// the exit found nobody asleep and woke nobody — sees the zombie on
+    /// that scan. The test plays that exit: it holds the lock while the
+    /// waiter is on its way to its scan, marks the zombie, wakes nobody, and
+    /// lets go. Every waiter returns: there is no time-out left to ride.
     #[test]
     fn waitpid_racing_exit_is_not_left_to_the_time_out() {
-        use std::time::{Duration, Instant};
-        const ROUNDS: u32 = 5;
         let k = Kernel::native();
-        let mut slow = 0;
-        for _ in 0..ROUNDS {
-            let child = k.spawn_process(Some(Pid(1)), "c");
-            let held = k.wait_lock.lock();
+        let root = k.process(Pid(1)).unwrap();
+        for _ in 0..5 {
+            let child = k.spawn_child(&root, "c");
+            let pid = child.pid;
+            let held = root.children.lock();
             let waiter = {
                 let k = k.clone();
-                std::thread::spawn(move || {
-                    assert_eq!(k.waitpid(Pid(1), Some(child)), Ok((child, 0)));
-                    Instant::now()
+                watchdog("waitpid after an exit that woke nobody", move || {
+                    k.waitpid(Pid(1), Some(pid))
                 })
             };
-            std::thread::sleep(Duration::from_millis(5));
-            *k.process(child).unwrap().state.lock() = ProcState::Zombie(0);
-            assert_eq!(*held, 0, "nobody counted in: the exit notifies nobody");
-            let released = Instant::now();
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            *child.state.lock() = ProcState::Zombie(0);
+            assert_eq!(
+                root.child_exit.waiters.counted(),
+                0,
+                "the exit wakes nobody"
+            );
             drop(held);
-            let took = waiter.join().unwrap() - released;
-            slow += (took >= Duration::from_millis(45)) as u32;
+            assert_eq!(waiter(), Ok((pid, 0)));
         }
-        assert!(
-            slow <= 1,
-            "{slow} of {ROUNDS} waitpids rode out the time-out"
-        );
+    }
+
+    /// A `waitpid` asleep for one child, or for any child, while another
+    /// caller reaps that child — the last one — returns `ECHILD`: the reap
+    /// wakes it, and its next scan finds no candidate.
+    #[test]
+    fn waitpid_whose_child_is_reaped_elsewhere_returns_echild() {
+        let k = Kernel::native();
+        let root = k.process(Pid(1)).unwrap();
+        for target in [true, false] {
+            // A fresh parent: a queue with no history sleeps at once.
+            let parent = k.spawn_child(&root, "parent");
+            let child = k.spawn_child(&parent, "c");
+            let waiter = {
+                let (k, ppid) = (k.clone(), parent.pid);
+                let target = target.then_some(child.pid);
+                watchdog("waitpid whose child was reaped", move || {
+                    k.waitpid(ppid, target)
+                })
+            };
+            asleep_on(&parent);
+            // An exit that wakes nobody, so the reap below is what ends it.
+            *child.state.lock() = ProcState::Zombie(4);
+            assert_eq!(k.reap_child(&parent, &child), Some(4));
+            assert_eq!(waiter(), Err(Errno::ECHILD), "target {target}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod syscall;
 pub mod trace;
 mod wait;
 
-pub use aio::{aio_suspend_any, Aiocb};
+pub use aio::Aiocb;
 pub use cost::{cycles, cycles_per_ns, cycles_to_ns, now_ns, spin_for, ArchProfile};
 pub use errno::{Errno, KResult};
 pub use fault::{FaultKind, FaultPlan, FAULT_KINDS};

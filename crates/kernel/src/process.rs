@@ -4,8 +4,10 @@
 
 use crate::fd::FdTable;
 use crate::signal::SignalState;
+use crate::trace::WakeSite;
+use crate::wait::WaitQueue;
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -56,7 +58,10 @@ pub struct Process {
     /// system call learns the process is gone (`ESRCH`).
     pub(crate) reaped: AtomicBool,
     pub(crate) state: Mutex<ProcState>,
-    pub(crate) children: Mutex<HashSet<Pid>>,
+    /// The unreaped children. Its lock orders exits and reaps against the
+    /// `waitpid` callers on `child_exit` (Linux's `signal->wait_chldexit`).
+    pub(crate) children: Mutex<HashMap<Pid, Arc<Process>>>,
+    pub(crate) child_exit: WaitQueue,
 }
 
 impl Process {
@@ -72,7 +77,8 @@ impl Process {
             syscalls: AtomicU64::new(0),
             reaped: AtomicBool::new(false),
             state: Mutex::new(ProcState::Running),
-            children: Mutex::new(HashSet::new()),
+            children: Mutex::new(HashMap::new()),
+            child_exit: WaitQueue::new(WakeSite::ChildExit),
         }
     }
 
@@ -95,7 +101,7 @@ impl Process {
     /// representation keeps child registration and targeted reaping O(1)
     /// even for a root process with a million pooled children.
     pub fn children(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = self.children.lock().iter().copied().collect();
+        let mut v: Vec<Pid> = self.children.lock().keys().copied().collect();
         v.sort_unstable();
         v
     }

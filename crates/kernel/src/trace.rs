@@ -179,6 +179,8 @@ name_table! {
         SockBlockWrite => "sock_block_write",
         /// The in-kernel sleep of an `accept(2)` on an empty accept queue.
         AcceptBlock => "accept_block",
+        /// The in-kernel sleep of a `waitpid(2)` with no zombie to reap.
+        WaitpidBlock => "waitpid_block",
     }
 }
 
@@ -331,6 +333,10 @@ name_table! {
         /// A posted signal was dequeued at the simulated return-to-userspace
         /// point.
         Signal => "signal",
+        /// A child's exit (or reaping elsewhere) ended a blocked `waitpid(2)`.
+        ChildExit => "child_exit",
+        /// The AIO helper's completion ended a blocked `aio_suspend(3)`.
+        AioDone => "aio_done",
     }
 }
 
@@ -347,6 +353,8 @@ impl WakeSite {
             WakeSite::SockWrite => Some(Sysno::SockBlockWrite),
             WakeSite::Accept => Some(Sysno::AcceptBlock),
             WakeSite::EpollWait | WakeSite::Poll => Some(Sysno::EpollBlockWait),
+            WakeSite::ChildExit => Some(Sysno::WaitpidBlock),
+            WakeSite::AioDone => Some(Sysno::AioSuspend),
             _ => None,
         }
     }

@@ -1,14 +1,16 @@
 //! The one wait queue behind every attributed sleep in the kernel.
 //!
-//! A blocking `read`/`write` on a pipe or socket, a blocking `accept` and a
-//! blocking `epoll_wait`/`poll` all wait for their predicate the same way,
-//! so the protocol is written once, here. A [`WaitQueue`] lives beside
-//! whatever mutex guards the predicate its waiters wait for (a byte buffer,
-//! an accept queue, a generation counter) and owns the rest: condvar, waiter
-//! count, wait-length evidence, wake-attribution cell, blocking span. Every
-//! method that touches them takes the owner's `MutexGuard` as proof the lock
-//! is held; that lock orders wakers against waiters, and the four rules
-//! (argued in DESIGN.md §4 "Readiness & wait queues") lean on it:
+//! A blocking `read`/`write` on a pipe or socket, a blocking `accept`, a
+//! blocking `epoll_wait`/`poll`, a blocking `waitpid` and an `aio_suspend`
+//! all wait for their predicate the same way, so the protocol is written
+//! once, here. A [`WaitQueue`] lives beside whatever mutex guards the
+//! predicate its waiters wait for (a byte buffer, an accept queue, a
+//! generation counter, a parent's child set, an AIO control block's state)
+//! and owns the rest: condvar, waiter count, wait-length evidence,
+//! wake-attribution cell, blocking span. Every method that touches them
+//! takes the owner's `MutexGuard` as proof the lock is held; that lock
+//! orders wakers against waiters, and the four rules (argued in DESIGN.md
+//! §4 "Readiness & wait queues") lean on it:
 //!
 //! 1. **No host system call without a sleeper.** Waiters count themselves
 //!    in and out under the lock; a wake that reads zero does nothing at all
@@ -47,10 +49,10 @@
 //!    `Parker` (`ulp-core`'s `park.rs`, "The idle decision") holds one and
 //!    decides with the same [`Waiters::spin`] — one rule, one break-even.
 //!
-//! Not on this type, on purpose: [`crate::futex::Semaphore`] (the paper's
-//! §VI-C BLOCKING primitive: lock-free on a futex word, no mutex to ride),
-//! and the `aio` / `waitpid` condvars, which carry no wake attribution. This
-//! is the kernel's one spin site (`tools/loc.sh --check`).
+//! The one exception, on purpose: [`crate::futex::Semaphore`] (the paper's
+//! §VI-C BLOCKING primitive: lock-free on a futex word, no mutex to ride).
+//! This is the kernel's one spin site and its one condvar
+//! (`tools/loc.sh --check`).
 
 use crate::cost::{now_ns, ns_at};
 use crate::errno::KResult;
@@ -219,7 +221,7 @@ pub(crate) struct WaitQueue {
     cv: Condvar,
     /// Threads counted in by [`Wait::sleep`], and rule 4's evidence. Read
     /// and written only under the owner's lock.
-    waiters: Waiters,
+    pub(crate) waiters: Waiters,
     cell: WakeCell,
     site: WakeSite,
     span: Sysno,

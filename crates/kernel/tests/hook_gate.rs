@@ -3,14 +3,16 @@
 //! The hook table is process-global (first install wins) and `ulp-core`
 //! never loads in this binary, so this test owns it and installs hooks that
 //! count every call. The same workload — `getpid`s, a blocking pipe `read`
-//! woken by a writer thread, a blocking `poll` woken the same way — runs
-//! three times: with no recorder counted in it must reach no hook at all;
-//! with one it must reach the syscall hook exactly twice per call, plus each
-//! blocking span's pair, and emit exactly one wake edge per blocking wait;
-//! with the recorder counted out again it must reach none.
+//! woken by a writer thread, a blocking `poll` woken the same way, a
+//! `waitpid` woken by its child's exit and an `aio_suspend` woken by the AIO
+//! helper's completion — runs three times: with no recorder counted in it
+//! must reach no hook at all; with one it must reach the syscall hook
+//! exactly twice per call, plus each blocking span's pair, and emit exactly
+//! one wake edge per blocking wait; with the recorder counted out again it
+//! must reach none. Each blocking call is woken only once it sleeps.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use ulp_kernel::trace::{self, SyscallPhase};
 use ulp_kernel::{
@@ -53,12 +55,36 @@ fn write_once_asleep(k: &KernelRef, pid: Pid, w: Fd, sleeps: u64) -> std::thread
     let k = k.clone();
     std::thread::spawn(move || {
         k.bind_current(pid);
-        while wait_outcomes().sleeps == sleeps {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        asleep_after(sleeps);
         assert_eq!(k.sys_write(w, b"x").unwrap(), 1);
         k.unbind_current();
     })
+}
+
+/// Wait until a kernel sleep after the first `sleeps` has begun.
+fn asleep_after(sleeps: u64) {
+    while wait_outcomes().sleeps == sleeps {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Run the blocking call `f` on a thread of its own, then `wake` once that
+/// thread sleeps in the kernel; `f`'s result, or a panic naming it if it has
+/// not returned 10 s later (a lost wake hangs, with no time-out to ride).
+fn woken<T: Send + 'static>(
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+    wake: impl FnOnce(),
+) -> T {
+    let sleeps = wait_outcomes().sleeps;
+    let (done, result) = mpsc::channel();
+    let sleeper = std::thread::spawn(move || done.send(f()).unwrap());
+    asleep_after(sleeps);
+    wake();
+    let out = (result.recv_timeout(Duration::from_secs(10)))
+        .unwrap_or_else(|_| panic!("{what}: no return 10 s after its wake"));
+    sleeper.join().unwrap();
+    out
 }
 
 /// The workload; returns how many system calls it issued on every thread.
@@ -83,8 +109,35 @@ fn workload(k: &KernelRef, pid: Pid) -> usize {
 
     k.sys_close(r).unwrap();
     k.sys_close(w).unwrap();
-    // getpids, pipe, read, write, poll, read, write, close, close.
-    GETPIDS + 8
+
+    // A waitpid that sleeps until its child exits.
+    let child = k.spawn_process(Some(pid), "hook-gate-child");
+    let reaped = {
+        let k2 = k.clone();
+        woken(
+            "waitpid",
+            move || k2.waitpid(pid, Some(child)),
+            || k.exit_process(child, 6).unwrap(),
+        )
+    };
+    assert_eq!(reaped, Ok((child, 6)));
+
+    // An aio_suspend that sleeps until the helper completes: the helper's
+    // pwrite needs this process's descriptor table, held until then.
+    let fd = k
+        .sys_open("/hook-gate", OpenFlags::RDWR | OpenFlags::CREAT)
+        .unwrap();
+    let proc = k.process(pid).unwrap();
+    let fds = proc.fds.lock();
+    let cb = k.aio_write(fd, 0, Arc::new(vec![1u8; 8])).unwrap();
+    let suspended = cb.clone();
+    woken("aio_suspend", move || suspended.suspend(), || drop(fds));
+    assert_eq!(cb.aio_return(), Ok(8));
+    k.sys_close(fd).unwrap();
+
+    // getpids, pipe, read, write, poll, read, write, close, close, waitpid,
+    // open, aio_write, the helper's pwrite, close.
+    GETPIDS + 13
 }
 
 fn count(seen: &[(Sysno, SyscallPhase)], no: Sysno) -> (usize, usize) {
@@ -126,14 +179,29 @@ fn hooks_are_called_only_while_a_recorder_is_counted_in() {
     let (seen, stamps, edges) = drain();
     assert_eq!(
         seen.len(),
-        2 * calls + 2 + 2,
+        2 * calls + 4 * 2,
         "two per call, two per blocking span"
     );
     assert_eq!(count(&seen, Sysno::Getpid), (GETPIDS, GETPIDS));
     assert_eq!(count(&seen, Sysno::PipeBlockRead), (1, 1));
     assert_eq!(count(&seen, Sysno::EpollBlockWait), (1, 1));
-    assert_eq!(stamps, 2, "one stamp per write that ended a sleep");
-    assert_eq!(edges, [WakeSite::PipeRead, WakeSite::Poll]);
+    assert_eq!(count(&seen, Sysno::Waitpid), (1, 1));
+    assert_eq!(count(&seen, Sysno::WaitpidBlock), (1, 1));
+    assert_eq!(count(&seen, Sysno::AioSuspend), (1, 1));
+    assert_eq!(
+        stamps,
+        4 + 1,
+        "one stamp per event that ended a sleep, and the exit's SIGCHLD post"
+    );
+    assert_eq!(
+        edges,
+        [
+            WakeSite::PipeRead,
+            WakeSite::Poll,
+            WakeSite::ChildExit,
+            WakeSite::AioDone
+        ]
+    );
 
     // Stopped: silent again.
     trace::stop_recording();

@@ -117,19 +117,21 @@ fn requeued(host: BltId) -> Vec<TraceRecord> {
     t
 }
 
-/// `life(S)` with a blocking pipe read while coupled at the end; the
-/// `pipe_read` edge lands at `edge_at`.
-fn blocking_read(edge_at: u64) -> Vec<TraceRecord> {
+/// `life(S)` with a blocking `call` while coupled at the end: its sleep is
+/// `site`'s blocking span, from 42 to 45, and the `site` edge lands at
+/// `edge_at`.
+fn blocking(call: Sysno, site: WakeSite, edge_at: u64) -> Vec<TraceRecord> {
+    let span = site.blocking_span().expect("a kernel site");
     let mut t = life(S);
     t.pop();
     t.extend([
-        enter(41, A, Sysno::Read),
-        enter(42, A, Sysno::PipeBlockRead),
-        exit(45, A, Sysno::PipeBlockRead),
-        exit(46, A, Sysno::Read),
+        enter(41, A, call),
+        enter(42, A, span),
+        exit(45, A, span),
+        exit(46, A, call),
         rec(50, E::Terminate(A)),
     ]);
-    t.push(wake(edge_at, A, WakeSite::PipeRead));
+    t.push(wake(edge_at, A, site));
     t.sort_by_key(|r| r.at_ns);
     t
 }
@@ -349,8 +351,14 @@ fn rows() -> Vec<Row> {
         row(
             "J",
             "pipe_read wake edge outside any open PipeBlockRead span",
-            blocking_read(47),
-            blocking_read(44),
+            blocking(Sysno::Read, WakeSite::PipeRead, 47),
+            blocking(Sysno::Read, WakeSite::PipeRead, 44),
+        ),
+        row(
+            "J",
+            "child_exit wake edge outside any open WaitpidBlock span",
+            blocking(Sysno::Waitpid, WakeSite::ChildExit, 47),
+            blocking(Sysno::Waitpid, WakeSite::ChildExit, 44),
         ),
     ]
 }

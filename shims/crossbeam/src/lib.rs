@@ -1,18 +1,7 @@
 //! Offline stand-in for `crossbeam`.
 //!
-//! Two parts of crossbeam are provided, the two this workspace uses: the
-//! `channel` module, implemented over `std::sync::mpsc` (whose `Sender` has
-//! been `Sync` since Rust 1.72, so the crossbeam ergonomics carry over), and
-//! `sync::ShardedLock`.
-
-pub mod channel {
-    pub use std::sync::mpsc::{Receiver, RecvError, SendError, Sender};
-
-    /// Unbounded MPSC channel (crossbeam's `unbounded` signature).
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        std::sync::mpsc::channel()
-    }
-}
+//! One part of crossbeam is provided, the one this workspace uses:
+//! `sync::ShardedLock`, the tmpfs namespace lock.
 
 pub mod sync {
     use std::cell::{Cell, UnsafeCell};
@@ -247,16 +236,5 @@ pub mod sync {
             assert!(lock.read().is_err());
             assert!(lock.write().is_err());
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn channel_roundtrip() {
-        let (tx, rx) = super::channel::unbounded();
-        tx.send(41).unwrap();
-        tx.send(1).unwrap();
-        assert_eq!(rx.iter().take(2).sum::<i32>(), 42);
     }
 }
