@@ -48,6 +48,7 @@
 
 use crate::current::{run_deferred, with_thread, Deferred, ThreadBlock};
 use crate::error::UlpError;
+use crate::park::ParkQueueGuard;
 use crate::uc::{UcInner, UcKind};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -466,6 +467,38 @@ fn now_coupled(b: &ThreadBlock, me: &UcInner) {
     }
 }
 
+/// A decoupled UC's wait on a [`WaitList`](crate::park::WaitList) whose lock
+/// `q` holds and whose condition the caller found false under it: link the
+/// UC on the list and switch to its host as [`couple`] does — a scheduler,
+/// or at home the trampoline. The lock stays held across the switch, so no
+/// setter can take the UC before its registers are saved, and the host's
+/// `Deferred::Unlock` releases it. Returns once a setter's run-queue push
+/// has had the UC dispatched again: one context switch to leave and the
+/// dispatch's to come back, no yield.
+pub(crate) fn leave_onto(mut q: ParkQueueGuard<'_>) {
+    let (save, target) = with_thread(|b| {
+        let me = b.ulp().expect("a decoupled UC is installed");
+        if let Some(s) = b.shard() {
+            s.bump_context_switches();
+        }
+        let save = me.ctx.get();
+        // The host's TLS load and mask carry wait for the release.
+        let (target, me_owned) = if b.at_home() {
+            (unsafe { *me.kc.tc_ctx.get() }, b.swap_ulp(None))
+        } else {
+            let host = b.host_arc().expect("a UC away from home is hosted");
+            (unsafe { *host.ctx.get() }, b.swap_ulp(Some(host)))
+        };
+        q.push_back(me_owned.expect("me is installed"));
+        b.put_deferred(Deferred::Unlock(q.hold()));
+        (save, target)
+    });
+    unsafe {
+        ulp_fcontext::swap(&mut *save, target, 0);
+    }
+    run_deferred();
+}
+
 /// Cooperatively yield to the next runnable UC, if any (direct UC→UC
 /// switch, the paper's `swap_ctx(UC₀, UCᵢ)`). Returns `true` if a switch
 /// happened.
@@ -657,7 +690,7 @@ pub fn pending_couplers() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::park::{ParkQueue, Parker};
+    use crate::park::{CacheLine, ParkQueue, Parker};
     use std::mem::{align_of, size_of};
 
     /// The switch path's layouts, pinned: a reshape moves `yield_ring` by
@@ -674,7 +707,7 @@ mod tests {
         let layouts = [
             ("Deferred", layout::<Deferred>()),
             ("Prep", layout::<Prep>()),
-            ("ParkQueue", layout::<ParkQueue>()),
+            ("CacheLine<ParkQueue>", layout::<CacheLine<ParkQueue>>()),
             ("Parker", layout::<Parker>()),
             ("UcInner", layout::<UcInner>()),
             ("ThreadBlock", layout::<ThreadBlock>()),
@@ -684,7 +717,7 @@ mod tests {
             [
                 ("Deferred", (16, 8)),
                 ("Prep", (24, 8)),
-                ("ParkQueue", (64, 64)),
+                ("CacheLine<ParkQueue>", (64, 64)),
                 ("Parker", (56, 8)),
                 ("UcInner", (256, 8)),
                 ("ThreadBlock", (128, 8)),

@@ -39,12 +39,13 @@
 //! context switch — a UC may resume on a different OS thread, where this
 //! thread's block would be the wrong one.
 
+use crate::park::ParkQueue;
 use crate::runtime::RuntimeInner;
 use crate::stats::StatsShard;
 use crate::trace::TraceShard;
 use crate::uc::{KcShared, UcInner, UcKind};
 use std::cell::Cell;
-use std::ptr;
+use std::ptr::{self, NonNull};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,6 +66,12 @@ pub enum Deferred {
     },
     /// Hand the UC to its original KC and wake it (couple Seq. 1–4).
     CoupleRequest(Arc<UcInner>),
+    /// A decoupled UC switched here with a wait list's lock held, itself
+    /// already linked on the list (`park.rs`, `WaitList`): release the lock
+    /// — its context is saved now, so a setter may take it — and, on a
+    /// scheduler, finish installing the scheduler's identity as
+    /// [`Deferred::Release`] does.
+    Unlock(NonNull<ParkQueue>),
     /// A secondary UC (sibling or pooled ULP) finished coupled on its KC:
     /// push its stack back on the pool's warm free list, uninstall it, drop
     /// a sibling's slot in the KC's `sibling_count`, and *then* publish its
@@ -84,6 +91,7 @@ impl std::fmt::Debug for Deferred {
             Deferred::Enqueue(u) => write!(f, "Enqueue({})", u.id),
             Deferred::Release { sleeper } => write!(f, "Release(sleeper: {sleeper})"),
             Deferred::CoupleRequest(u) => write!(f, "CoupleRequest({})", u.id),
+            Deferred::Unlock(_) => write!(f, "Unlock"),
             Deferred::Terminate { uc, status } => write!(f, "Terminate({}, {status})", uc.id),
         }
     }
@@ -437,6 +445,17 @@ pub fn run_deferred() {
             Deferred::CoupleRequest(uc) => {
                 crate::couple::note_couple_request(b, &uc);
                 KcShared::request(uc);
+            }
+            Deferred::Unlock(list) => {
+                // SAFETY: the waiter that left this action took the lock on
+                // this thread, linked itself and switched straight here; no
+                // setter can resume it — and let the list go — before this.
+                unsafe { ParkQueue::release_held(list) };
+                // A trampoline hosts nobody: a UC at home left as its
+                // `yield_now()` does, TLS-exempt.
+                if b.ulp().is_some() {
+                    crate::couple::finish_install(b);
+                }
             }
             Deferred::Terminate { uc, status } => {
                 // The UC's context will never be resumed, and we run on its

@@ -4,7 +4,8 @@
 //! One primitive serves every place a kernel context waits for a UC: the
 //! run queue pairs its one queue with the parker idle schedulers sleep on,
 //! and each [`KcShared`] pairs its `pending` queue with its own (the
-//! trampoline / pool idle loop).
+//! trampoline / pool idle loop). A [`WaitList`] is the same queue holding
+//! the UCs that wait for a condition ("Wait lists").
 //!
 //! ## The protocol
 //!
@@ -94,7 +95,9 @@
 //!
 //! Critical sections never allocate: UCs are linked through
 //! [`UcInner::qlink`], so a queue of 100k+ runnable UCs costs the same per
-//! operation as a queue of two.
+//! operation as a queue of two. (The one exception is an OS thread that
+//! registers its parker on a [`WaitList`], whose vector may grow; a waiting
+//! UC is linked like any other.)
 //!
 //! ## The idle decision
 //!
@@ -153,10 +156,30 @@
 //! thread while it is at home, so none of the protocol above is involved:
 //! `couple.rs` flips its flag on its own thread, switching nothing.
 //!
+//! ## Wait lists
+//!
+//! The same queue is where a UC waits for something other than a KC: a
+//! [`WaitList`] is a `ParkQueue` of waiting UCs beside the parkers of
+//! waiting OS threads, and its lock also guards its client's condition — a
+//! join's exit status, an event's flag, a barrier's generation. A decoupled
+//! UC checks the condition under the lock, links itself and switches to its
+//! host with the lock still held, as a yield does ("The lock"): the host's
+//! `Deferred::Unlock` releases it once the UC is saved, so no setter can
+//! resume a context whose registers are not on its stack (Table I race
+//! point 2). Any other waiter owns its OS thread and parks that thread's
+//! parker, registered under the lock, exactly as an idle loop parks — the
+//! condition in place of the queue. The setter changes the condition, takes
+//! the UCs and reads every registered parker's count in one critical
+//! section, and after the unlock pushes the UCs to their run queue and
+//! pokes the parkers that had a sleeper. A UC off the run queue has no
+//! time-out to ride: a lost wake-up there is a hang, which the model below
+//! rules out.
+//!
 //! `model.rs` next to this file checks the protocol — spinners' count and
 //! the yield's held hand-over included — on every interleaving of its atomic
 //! steps (2 producers × 1 yielder × 1 consumer) under sequential
-//! consistency; the tests below hammer the real thing.
+//! consistency, and the wait list's (1 UC × 1 parker × 1 setter); the tests
+//! below hammer the real thing.
 //!
 //! [`KcShared`]: crate::uc::KcShared
 //! [`SPIN_BREAK_EVEN_NS`]: ulp_kernel::SPIN_BREAK_EVEN_NS
@@ -165,7 +188,7 @@ use crate::runtime::RuntimeInner;
 use crate::stats::StatsShard;
 use crate::trace::now_ns;
 use crate::uc::{IdlePolicy, UcInner};
-use std::cell::{Cell, UnsafeCell};
+use std::cell::{Cell, OnceCell, UnsafeCell};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -221,9 +244,9 @@ struct Ends {
     tail: *const UcInner,
 }
 
-/// A FIFO of UCs behind a one-RMW lock, padded to its own cache line (the
-/// lock word, the list ends and the length share it and nothing else).
-#[repr(align(64))]
+/// A FIFO of UCs behind a one-RMW lock. The run queue and each KC's
+/// `pending` queue sit on a [`CacheLine`] of their own; a [`WaitList`],
+/// allocated with every UC's exit cell, does not pay for one.
 pub struct ParkQueue {
     locked: AtomicBool,
     /// Mirror of the list length, written under the lock, readable without
@@ -252,16 +275,22 @@ unsafe impl Sync for ParkQueue {}
 
 impl Default for ParkQueue {
     fn default() -> ParkQueue {
-        ParkQueue {
-            locked: AtomicBool::new(false),
-            len: AtomicUsize::new(0),
-            ends: UnsafeCell::new(Ends {
-                head: ptr::null(),
-                tail: ptr::null(),
-            }),
-            #[cfg(debug_assertions)]
-            holder: AtomicUsize::new(0),
-        }
+        ParkQueue::new()
+    }
+}
+
+/// `T` alone on its cache line: a hot queue's lock word, list ends and
+/// length share theirs with nothing else.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+pub struct CacheLine<T>(T);
+
+impl<T> std::ops::Deref for CacheLine<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 
@@ -282,6 +311,20 @@ impl Drop for ParkQueue {
 }
 
 impl ParkQueue {
+    /// An empty queue.
+    pub const fn new() -> ParkQueue {
+        ParkQueue {
+            locked: AtomicBool::new(false),
+            len: AtomicUsize::new(0),
+            ends: UnsafeCell::new(Ends {
+                head: ptr::null(),
+                tail: ptr::null(),
+            }),
+            #[cfg(debug_assertions)]
+            holder: AtomicUsize::new(0),
+        }
+    }
+
     /// Acquire the queue lock. Critical sections must stay O(1) and must
     /// not block: waiters spin.
     #[inline]
@@ -391,6 +434,23 @@ impl ParkQueue {
         }
     }
 
+    /// End the critical section a [`ParkQueueGuard::hold`] left open.
+    ///
+    /// # Safety
+    /// The calling thread holds `q`'s lock, left held by its own `hold`, and
+    /// `q` is live until the unlock — its last access: a waiter linked on a
+    /// [`WaitList`] may be resumed, and free the list, once it lands.
+    pub unsafe fn release_held(q: ptr::NonNull<ParkQueue>) {
+        let q = q.as_ref();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            q.holder.load(Ordering::Relaxed),
+            thread_token(),
+            "wait-list lock released by a thread that does not hold it"
+        );
+        q.unlock();
+    }
+
     /// Dequeue the oldest UC (`back`: the youngest — the chaos-biased
     /// order). An empty queue answers from the length mirror without
     /// touching the lock, so an empty probe is one load.
@@ -448,6 +508,25 @@ impl ParkQueueGuard<'_> {
     #[inline]
     pub fn is_empty(&mut self) -> bool {
         self.ends().head.is_null()
+    }
+
+    /// Keep the lock held past this guard, across a switch: the context that
+    /// runs next on this thread ends the critical section with
+    /// [`ParkQueue::release_held`].
+    pub fn hold(self) -> ptr::NonNull<ParkQueue> {
+        let q = ptr::NonNull::from(self.q);
+        std::mem::forget(self);
+        q
+    }
+
+    /// Unlink every UC at once, in order, into a queue of the caller's, to be
+    /// drained once this lock is released.
+    pub fn take_all(&mut self) -> ParkQueue {
+        let mut taken = ParkQueue::new();
+        *taken.len.get_mut() = self.q.len();
+        std::mem::swap(self.ends(), taken.ends.get_mut());
+        self.set_len(0);
+        taken
     }
 
     /// Link `uc` at the tail. Panics if it is already queued somewhere.
@@ -749,6 +828,134 @@ impl IdleTally {
                 f(s);
             }
         });
+    }
+}
+
+/// Longest single sleep of an OS thread on a [`WaitList`]. Only
+/// [`WaitList::wake_all`] ends one, so the bound is a backstop for a lost
+/// wake-up, which it turns into a one-second wait instead of a hang.
+pub(crate) const WAIT_PARK_TIMEOUT: Duration = Duration::from_secs(1);
+
+thread_local! {
+    /// The parkers this OS thread waits on, one per [`IdlePolicy`], made on
+    /// first use. A thread waits on one list at a time, so each parker has
+    /// one consumer, and its [`Waiters`] remember how long this thread's
+    /// last wait took.
+    static WAIT_PARKERS: [OnceCell<Arc<Parker>>; 3] =
+        const { [OnceCell::new(), OnceCell::new(), OnceCell::new()] };
+}
+
+/// The calling OS thread's wait parker for `policy`.
+pub(crate) fn wait_parker(policy: IdlePolicy) -> Arc<Parker> {
+    WAIT_PARKERS.with(|ps| {
+        ps[policy as usize]
+            .get_or_init(|| Arc::new(Parker::new(policy, WAIT_PARK_TIMEOUT)))
+            .clone()
+    })
+}
+
+/// The ULT-level wait list ("Wait lists" in the module docs): who waits for
+/// a condition its client — `OneShot`, `UlpEvent`, `UlpBarrier` — keeps in
+/// its own fields, reads under this list's lock and changes only in
+/// [`WaitList::wake_all`].
+#[derive(Debug, Default)]
+pub struct WaitList {
+    /// The waiting UCs, off every run queue; its lock guards `parkers` and
+    /// the client's condition.
+    ucs: ParkQueue,
+    /// The parkers of the waiting OS threads.
+    parkers: UnsafeCell<Vec<Arc<Parker>>>,
+}
+
+// SAFETY: `parkers` is only touched with `ucs`'s lock held; the queue is
+// Send + Sync, and so is an `Arc<Parker>`.
+unsafe impl Send for WaitList {}
+unsafe impl Sync for WaitList {}
+
+impl WaitList {
+    /// A list nobody waits on.
+    pub const fn new() -> WaitList {
+        WaitList {
+            ucs: ParkQueue::new(),
+            parkers: UnsafeCell::new(Vec::new()),
+        }
+    }
+
+    /// Wait until `ready` answers — at once if it does. A decoupled UC
+    /// leaves the run queue onto this list; any other caller parks its OS
+    /// thread's parker, spinning or sleeping by the [`IdlePolicy`] of the
+    /// runtime `rt` returns (asked only then), which also counts the wait
+    /// (`ulp_park_total`) for a thread with no stats shard of its own.
+    /// `ready` is asked once without the lock, then only under it.
+    pub fn wait<R>(
+        &self,
+        rt: impl FnOnce() -> Option<Arc<RuntimeInner>>,
+        ready: impl Fn() -> Option<R>,
+    ) -> R {
+        if let Some(v) = ready() {
+            return v;
+        }
+        if crate::couple::is_coupled() == Some(false) {
+            // Its OS thread is a scheduler's (or its own KC's trampoline's):
+            // never park it.
+            loop {
+                let q = self.ucs.lock();
+                if let Some(v) = ready() {
+                    return v;
+                }
+                crate::couple::leave_onto(q);
+            }
+        }
+        let rt = rt();
+        let policy = rt
+            .as_ref()
+            .map_or(IdlePolicy::default(), |rt| rt.config.idle_policy);
+        let parker = wait_parker(policy);
+        let idle = &mut IdleTally::counting_into(rt);
+        loop {
+            let seen = parker.version();
+            {
+                let _q = self.ucs.lock();
+                if let Some(v) = ready() {
+                    drop(_q);
+                    idle.found_work();
+                    return v;
+                }
+                // SAFETY: under the lock. A `wake_all` may have taken the
+                // registration since the last pass (an event reset after it).
+                let parkers = unsafe { &mut *self.parkers.get() };
+                if !parkers.iter().any(|p| Arc::ptr_eq(p, &parker)) {
+                    parkers.push(parker.clone());
+                }
+            }
+            parker.park(seen, idle, || {
+                let _q = self.ucs.lock();
+                ready().is_none()
+            });
+        }
+    }
+
+    /// Make the client's condition true with `change`, under the list's
+    /// lock, and take every waiter in the same critical section: the UCs go
+    /// to their run queue and the parkers that `ended()` found asleep are
+    /// poked, both after the unlock.
+    pub fn wake_all(&self, change: impl FnOnce()) {
+        let (ucs, sleepers) = {
+            let mut q = self.ucs.lock();
+            change();
+            // SAFETY: under the lock.
+            let mut parkers = unsafe { std::mem::take(&mut *self.parkers.get()) };
+            parkers.retain(|p| p.ended());
+            (q.take_all(), parkers)
+        };
+        while let Some(uc) = ucs.pop(false) {
+            if let Some(rt) = uc.rt.upgrade() {
+                rt.runq.push(uc);
+            }
+        }
+        for p in sleepers {
+            p.poke();
+        }
     }
 }
 

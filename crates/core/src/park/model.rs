@@ -46,14 +46,20 @@
 //! happens-before argument in the module docs, not something a sequentially
 //! consistent model can show.
 //!
-//! The second model below is the join (`uc.rs`, `OneShot`): two joiners,
-//! each on its own parker, and one setter. A joiner reads its version, checks
-//! the value and registers under the cell's lock, then parks as the consumer
-//! above does, its locked re-check reading the value; the setter stores the
-//! value and reads every registered parker's count in one critical section,
-//! then pokes the ones that had a sleeper. A lost wake-up is a joiner asleep
-//! with the value published and nobody left to step; the mutant reads the
-//! counts before the setter's lock.
+//! The second model below is the wait list (`WaitList`, the one list
+//! `OneShot`, `UlpEvent` and `UlpBarrier` wait on): two waiters and one
+//! setter. The UC waiter is a decoupled ULT: it checks the condition under
+//! the list's lock, links itself, is *saved* by its switch to the host, and
+//! only then does the host release the lock; a setter's run-queue push is
+//! the only thing that resumes it, so a lost wake-up leaves it off the run
+//! queue for good. The parker waiter is an OS thread: it reads its version,
+//! checks and registers under the lock, then parks as the consumer above
+//! does, its locked re-check reading the condition. The setter stores the
+//! value, takes the UC and reads the registered parker's count in one
+//! critical section, then pushes the UC and pokes a sleeper. A lost wake-up
+//! is a waiter off the run queue or asleep with nobody left to step; the
+//! mutants read the count before the setter's lock, take the list before the
+//! store, and link the UC waiter before its context is saved.
 
 use std::collections::HashSet;
 
@@ -648,38 +654,68 @@ fn release_before_the_switch_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// The join hand-off (`uc.rs`, `OneShot`): the same protocol with the value in
-// place of the queue, two joiners on their own parkers and one setter.
+// The wait list (`WaitList`): one decoupled UC and one OS thread's parker
+// wait for the condition, one setter makes it true.
 // ---------------------------------------------------------------------------
 
-/// Joiners of one cell, each on its own OS thread's parker.
-const JOINERS: usize = 2;
+/// The UC waiter's thread index; the parker's is [`PARKED`], the setter's
+/// [`SETTER`].
+const UC: usize = 0;
+const PARKED: usize = 1;
+const SETTER: usize = 2;
 
-/// Which join protocol runs.
+/// Which wait-list protocol runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum JoinVariant {
-    /// The setter stores the value, takes the waiter list and reads each
-    /// parker's count in one critical section, then pokes (the real code).
+enum ListVariant {
+    /// The setter stores the value, takes the list and reads the parker's
+    /// count in one critical section; the UC waiter's lock is released by
+    /// its host after the switch has saved it (the real code).
     Shipped,
     /// A setter that reads the counts before it takes the lock (mutant).
     CountBeforeLock,
+    /// A setter that takes the list in one critical section and stores the
+    /// value after it (mutant).
+    TakeBeforeStore,
+    /// A UC waiter that links itself and unlocks before its switch has saved
+    /// it — a deferred-free leave (mutant).
+    LinkBeforeSave,
 }
 
-/// The setter's steps: `Count` reads every registered parker's count (and
-/// times its wait), `Poke(i)` is joiner `i`'s `Parker::poke`.
+/// The UC waiter's steps: `WaitList::wait`'s lock-free look, then
+/// `couple.rs`'s `leave_onto` and the host's `Deferred::Unlock`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum U {
+    Peek,
+    Lock,
+    Check,
+    CheckedUnlock,
+    Link,
+    Save,
+    Unlock,
+    /// Off the run queue: steps again only once a setter pushed it.
+    Away,
+    Done,
+}
+
+/// The setter's steps: `WaitList::wake_all`. `Count` reads the registered
+/// parker's count (and times its wait), `Take` unlinks the UC and — unless
+/// `Count` already did — reads the count, `Push` puts the UC it took on the
+/// run queue.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum S {
     Count,
     Lock,
     Store,
+    Take,
     Unlock,
-    Bump(usize),
-    RereadSleepers(usize),
-    Wake(usize),
+    Push,
+    Bump,
+    RereadSleepers,
+    Wake,
     Done,
 }
 
-/// A joiner's steps: `OneShot::wait`'s loop around `Parker::park`.
+/// A parker waiter's steps: `WaitList::wait`'s loop around `Parker::park`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum J {
     ReadSeen,
@@ -701,246 +737,372 @@ enum J {
     Done,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct Join {
-    /// Lock holder: a joiner's index, or [`JOINERS`] for the setter.
-    locked: Option<usize>,
-    value: bool,
-    /// Joiners whose parker is on the cell's list.
-    registered: [bool; JOINERS],
-    s: S,
-    /// What the setter's count read saw, per joiner (`None`: not on the list).
-    s_saw: [Option<u8>; JOINERS],
-    j: [J; JOINERS],
-    /// Each parker's count: sleepers + spinners × [`SPINNER`].
-    count: [u8; JOINERS],
-    version: [u8; JOINERS],
-    seen: [u8; JOINERS],
-    /// The parker's last wait was short.
-    short: [bool; JOINERS],
-    passes: [u8; JOINERS],
-    /// What the joiner's locked read saw: the value (check) or its absence
-    /// (re-check).
-    read: [bool; JOINERS],
+impl S {
+    /// The setter's critical-section steps, in the order `variant` takes
+    /// them; `Push` and the poke follow.
+    fn order(variant: ListVariant) -> &'static [S] {
+        match variant {
+            ListVariant::CountBeforeLock => &[S::Count, S::Lock, S::Store, S::Take, S::Unlock],
+            ListVariant::TakeBeforeStore => &[S::Lock, S::Take, S::Unlock, S::Store],
+            _ => &[S::Lock, S::Store, S::Take, S::Unlock],
+        }
+    }
+
+    fn after(self, variant: ListVariant) -> S {
+        let order = S::order(variant);
+        let at = order
+            .iter()
+            .position(|&s| s == self)
+            .expect("a listed step");
+        order.get(at + 1).copied().unwrap_or(S::Push)
+    }
 }
 
-impl Join {
-    fn new(short: bool, variant: JoinVariant) -> Join {
-        Join {
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct List {
+    /// Lock holder: [`UC`], [`PARKED`] or [`SETTER`].
+    locked: Option<usize>,
+    value: bool,
+    /// The UC is linked on the list.
+    linked: bool,
+    /// The UC's context is saved, since it last ran.
+    saved: bool,
+    /// The UC is on the run queue, pushed by the setter.
+    runnable: bool,
+    /// The setter pushed the UC before its context was saved.
+    pushed_unsaved: bool,
+    /// The parker is on the list.
+    registered: bool,
+    u: U,
+    s: S,
+    /// The setter took the UC off the list and has yet to push it.
+    took_uc: bool,
+    /// What the setter's count read saw (`None`: the parker was not on the
+    /// list).
+    s_saw: Option<u8>,
+    j: J,
+    /// The parker's count: sleepers + spinners × [`SPINNER`].
+    count: u8,
+    version: u8,
+    seen: u8,
+    /// The parker's last wait was short.
+    short: bool,
+    passes: u8,
+    /// What the parker's locked read saw: the value (check) or its absence
+    /// (re-check).
+    read: bool,
+}
+
+impl List {
+    fn new(short: bool, variant: ListVariant) -> List {
+        List {
             locked: None,
             value: false,
-            registered: [false; JOINERS],
-            s: match variant {
-                JoinVariant::Shipped => S::Lock,
-                JoinVariant::CountBeforeLock => S::Count,
-            },
-            s_saw: [None; JOINERS],
-            j: [J::ReadSeen; JOINERS],
-            count: [0; JOINERS],
-            version: [0; JOINERS],
-            seen: [0; JOINERS],
-            short: [short; JOINERS],
-            passes: [0; JOINERS],
-            read: [false; JOINERS],
+            linked: false,
+            saved: false,
+            runnable: false,
+            pushed_unsaved: false,
+            registered: false,
+            u: U::Peek,
+            s: S::order(variant)[0],
+            took_uc: false,
+            s_saw: None,
+            j: J::ReadSeen,
+            count: 0,
+            version: 0,
+            seen: 0,
+            short,
+            passes: 0,
+            read: false,
         }
     }
 
     fn finished(&self) -> bool {
-        self.s == S::Done && self.j.iter().all(|&j| j == J::Done)
+        self.u == U::Done && self.s == S::Done && self.j == J::Done
     }
 
-    /// The first joiner at or after `from` whose count read saw a sleeper.
-    fn next_poke(&self, from: usize) -> S {
-        (from..JOINERS)
-            .find(|&i| self.s_saw[i].is_some_and(|c| c & SLEEPERS != 0))
-            .map_or(S::Done, S::Bump)
+    /// The setter's count read: `ended()` on the parker, if it is on the list.
+    fn count_read(&mut self) {
+        if self.registered {
+            self.s_saw = Some(self.count);
+            if self.count != 0 {
+                self.short = self.passes < SPIN_PASSES;
+            }
+        }
     }
 
-    /// Thread `t` (a joiner, or [`JOINERS`] for the setter) takes its next
-    /// atomic step; `None` if it cannot.
-    fn step(&self, t: usize, variant: JoinVariant) -> Option<Join> {
+    /// After the push: poke iff the count read saw a sleeper.
+    fn poke_or_done(&self) -> S {
+        if self.s_saw.is_some_and(|c| c & SLEEPERS != 0) {
+            S::Bump
+        } else {
+            S::Done
+        }
+    }
+
+    /// Thread `t` takes its next atomic step; `None` if it cannot (done,
+    /// waiting for the lock, asleep, or off the run queue).
+    fn step(&self, t: usize, variant: ListVariant) -> Option<List> {
         let mut s = self.clone();
-        if t == JOINERS {
-            s.s = match self.s {
-                // `Parker::ended()` on each registered parker: read the count
-                // and, if anybody is counted in, time the wait.
-                S::Count => {
-                    for i in 0..JOINERS {
-                        if s.registered[i] {
-                            s.s_saw[i] = Some(s.count[i]);
-                            if s.count[i] != 0 {
-                                s.short[i] = s.passes[i] < SPIN_PASSES;
-                            }
+        let lock = |s: &mut List| {
+            if s.locked.is_some() {
+                return false;
+            }
+            s.locked = Some(t);
+            true
+        };
+        match t {
+            UC => {
+                s.u = match self.u {
+                    U::Peek => {
+                        if s.value {
+                            U::Done
+                        } else {
+                            U::Lock
                         }
                     }
-                    if variant == JoinVariant::CountBeforeLock {
-                        S::Lock
-                    } else {
-                        S::Unlock
+                    U::Lock => {
+                        if !lock(&mut s) {
+                            return None;
+                        }
+                        U::Check
                     }
-                }
-                S::Lock => {
-                    if s.locked.is_some() {
-                        return None;
+                    U::Check => {
+                        if s.value {
+                            U::CheckedUnlock
+                        } else {
+                            U::Link
+                        }
                     }
-                    s.locked = Some(JOINERS);
-                    S::Store
-                }
-                S::Store => {
-                    s.value = true;
-                    if variant == JoinVariant::CountBeforeLock {
-                        S::Unlock
-                    } else {
-                        S::Count
+                    U::CheckedUnlock => {
+                        s.locked = None;
+                        U::Done
                     }
-                }
-                // The list goes with the value: a later check sees the value.
-                S::Unlock => {
-                    s.locked = None;
-                    s.registered = [false; JOINERS];
-                    s.next_poke(0)
-                }
-                S::Bump(i) => {
-                    s.version[i] += 1;
-                    S::RereadSleepers(i)
-                }
-                S::RereadSleepers(i) => {
-                    if s.count[i] & SLEEPERS != 0 {
-                        S::Wake(i)
-                    } else {
-                        s.next_poke(i + 1)
+                    U::Link => {
+                        s.linked = true;
+                        if variant == ListVariant::LinkBeforeSave {
+                            U::Unlock
+                        } else {
+                            U::Save
+                        }
                     }
-                }
-                S::Wake(i) => {
-                    if s.j[i] == J::Asleep {
-                        s.j[i] = J::Unannounce;
+                    // The switch to the host: the registers are on the stack.
+                    U::Save => {
+                        s.saved = true;
+                        if variant == ListVariant::LinkBeforeSave {
+                            U::Away
+                        } else {
+                            U::Unlock
+                        }
                     }
-                    s.next_poke(i + 1)
-                }
-                S::Done => return None,
-            };
-            return Some(s);
+                    // The host's `Deferred::Unlock`.
+                    U::Unlock => {
+                        s.locked = None;
+                        if variant == ListVariant::LinkBeforeSave {
+                            U::Save
+                        } else {
+                            U::Away
+                        }
+                    }
+                    // A scheduler dispatches it: back to its loop's check.
+                    U::Away if s.runnable => {
+                        s.runnable = false;
+                        s.saved = false;
+                        U::Lock
+                    }
+                    U::Away | U::Done => return None,
+                };
+            }
+            SETTER => {
+                s.s = match self.s {
+                    S::Count => {
+                        s.count_read();
+                        S::Count.after(variant)
+                    }
+                    S::Lock => {
+                        if !lock(&mut s) {
+                            return None;
+                        }
+                        S::Lock.after(variant)
+                    }
+                    S::Store => {
+                        s.value = true;
+                        S::Store.after(variant)
+                    }
+                    // The whole list goes: the UC, and the parker (its count
+                    // read here unless `Count` read it already).
+                    S::Take => {
+                        if variant != ListVariant::CountBeforeLock {
+                            s.count_read();
+                        }
+                        s.registered = false;
+                        s.took_uc = std::mem::take(&mut s.linked);
+                        S::Take.after(variant)
+                    }
+                    S::Unlock => {
+                        s.locked = None;
+                        S::Unlock.after(variant)
+                    }
+                    S::Push => {
+                        if std::mem::take(&mut s.took_uc) {
+                            s.pushed_unsaved |= !s.saved;
+                            s.runnable = true;
+                        }
+                        s.poke_or_done()
+                    }
+                    S::Bump => {
+                        s.version += 1;
+                        S::RereadSleepers
+                    }
+                    S::RereadSleepers => {
+                        if s.count & SLEEPERS != 0 {
+                            S::Wake
+                        } else {
+                            S::Done
+                        }
+                    }
+                    S::Wake => {
+                        if s.j == J::Asleep {
+                            s.j = J::Unannounce;
+                        }
+                        S::Done
+                    }
+                    S::Done => return None,
+                };
+            }
+            _ => {
+                let give_up = if s.count & SLEEPERS != 0 {
+                    J::Unannounce
+                } else {
+                    J::ReadSeen
+                };
+                s.j = match self.j {
+                    J::ReadSeen => {
+                        s.seen = s.version;
+                        J::CheckLock
+                    }
+                    J::CheckLock => {
+                        if !lock(&mut s) {
+                            return None;
+                        }
+                        J::CheckRead
+                    }
+                    // Found the value, or register (if not on the list).
+                    J::CheckRead => {
+                        s.read = s.value;
+                        if !s.value {
+                            s.registered = true;
+                        }
+                        J::CheckUnlock
+                    }
+                    J::CheckUnlock => {
+                        s.locked = None;
+                        if s.read {
+                            J::Done
+                        } else {
+                            J::Decide
+                        }
+                    }
+                    J::Decide => {
+                        if s.short && s.passes < SPIN_PASSES {
+                            J::SpinIn
+                        } else {
+                            J::Announce
+                        }
+                    }
+                    J::SpinIn => {
+                        s.count += SPINNER;
+                        J::SpinPass
+                    }
+                    J::SpinPass => {
+                        s.passes += 1;
+                        J::SpinOut
+                    }
+                    J::SpinOut => {
+                        s.count -= SPINNER;
+                        J::ReadSeen
+                    }
+                    J::Announce => {
+                        s.count += 1;
+                        J::ReadVersion
+                    }
+                    J::ReadVersion => {
+                        if s.version == s.seen {
+                            J::RecheckLock
+                        } else {
+                            give_up
+                        }
+                    }
+                    J::RecheckLock => {
+                        if !lock(&mut s) {
+                            return None;
+                        }
+                        J::RecheckRead
+                    }
+                    J::RecheckRead => {
+                        s.read = !s.value;
+                        J::RecheckUnlock
+                    }
+                    J::RecheckUnlock => {
+                        s.locked = None;
+                        if s.read {
+                            J::FutexWait
+                        } else {
+                            give_up
+                        }
+                    }
+                    J::FutexWait => {
+                        if s.version == s.seen {
+                            J::Asleep
+                        } else {
+                            give_up
+                        }
+                    }
+                    J::Asleep | J::Done => return None,
+                    J::Unannounce => {
+                        s.count -= 1;
+                        J::ReadSeen
+                    }
+                };
+            }
         }
-        let give_up = if s.count[t] & SLEEPERS != 0 {
-            J::Unannounce
-        } else {
-            J::ReadSeen
-        };
-        s.j[t] = match self.j[t] {
-            J::ReadSeen => {
-                s.seen[t] = s.version[t];
-                J::CheckLock
-            }
-            J::CheckLock => {
-                if s.locked.is_some() {
-                    return None;
-                }
-                s.locked = Some(t);
-                J::CheckRead
-            }
-            // Found the value, or register (once per wait).
-            J::CheckRead => {
-                s.read[t] = s.value;
-                if !s.value {
-                    s.registered[t] = true;
-                }
-                J::CheckUnlock
-            }
-            J::CheckUnlock => {
-                s.locked = None;
-                if s.read[t] {
-                    J::Done
-                } else {
-                    J::Decide
-                }
-            }
-            J::Decide => {
-                if s.short[t] && s.passes[t] < SPIN_PASSES {
-                    J::SpinIn
-                } else {
-                    J::Announce
-                }
-            }
-            J::SpinIn => {
-                s.count[t] += SPINNER;
-                J::SpinPass
-            }
-            J::SpinPass => {
-                s.passes[t] += 1;
-                J::SpinOut
-            }
-            J::SpinOut => {
-                s.count[t] -= SPINNER;
-                J::ReadSeen
-            }
-            J::Announce => {
-                s.count[t] += 1;
-                J::ReadVersion
-            }
-            J::ReadVersion => {
-                if s.version[t] == s.seen[t] {
-                    J::RecheckLock
-                } else {
-                    give_up
-                }
-            }
-            J::RecheckLock => {
-                if s.locked.is_some() {
-                    return None;
-                }
-                s.locked = Some(t);
-                J::RecheckRead
-            }
-            J::RecheckRead => {
-                s.read[t] = !s.value;
-                J::RecheckUnlock
-            }
-            J::RecheckUnlock => {
-                s.locked = None;
-                if s.read[t] {
-                    J::FutexWait
-                } else {
-                    give_up
-                }
-            }
-            J::FutexWait => {
-                if s.version[t] == s.seen[t] {
-                    J::Asleep
-                } else {
-                    give_up
-                }
-            }
-            J::Asleep | J::Done => return None,
-            J::Unannounce => {
-                s.count[t] -= 1;
-                J::ReadSeen
-            }
-        };
         Some(s)
     }
 }
 
-/// Explore every interleaving of the join hand-off from either history.
-/// `Err` carries the schedule to a state in which a joiner sleeps, nobody
-/// can step, and the value is published: a lost wake-up.
-fn explore_join(variant: JoinVariant) -> Result<usize, Vec<String>> {
+/// What the wait-list search can find wrong.
+#[derive(Debug)]
+enum ListFlaw {
+    /// A waiter is off the run queue or asleep, the value is published, and
+    /// nobody can step.
+    LostWakeup,
+    /// The setter put the UC on the run queue before its switch saved it.
+    UnsavedPush,
+}
+
+/// Explore every interleaving of the wait list from either parker history.
+/// `Err` carries the flaw and the schedule that leads to it.
+fn explore_list(variant: ListVariant) -> Result<usize, (ListFlaw, Vec<String>)> {
     fn dfs(
-        s: &Join,
-        variant: JoinVariant,
-        seen: &mut HashSet<Join>,
+        s: &List,
+        variant: ListVariant,
+        seen: &mut HashSet<List>,
         path: &mut Vec<String>,
-    ) -> Result<(), Vec<String>> {
+    ) -> Result<(), (ListFlaw, Vec<String>)> {
         if !seen.insert(s.clone()) {
             return Ok(());
         }
+        if s.pushed_unsaved {
+            return Err((ListFlaw::UnsavedPush, path.clone()));
+        }
         let mut stepped = false;
-        for t in 0..=JOINERS {
+        for t in [UC, PARKED, SETTER] {
             if let Some(next) = s.step(t, variant) {
                 stepped = true;
-                path.push(if t == JOINERS {
-                    format!("S:{:?}", s.s)
-                } else {
-                    format!("J{t}:{:?}", s.j[t])
+                path.push(match t {
+                    UC => format!("U:{:?}", s.u),
+                    SETTER => format!("S:{:?}", s.s),
+                    _ => format!("J:{:?}", s.j),
                 });
                 dfs(&next, variant, seen, path)?;
                 path.pop();
@@ -948,17 +1110,17 @@ fn explore_join(variant: JoinVariant) -> Result<usize, Vec<String>> {
         }
         if !stepped && !s.finished() {
             assert!(
-                s.value && s.j.contains(&J::Asleep),
-                "only the futex can block for good"
+                s.value && (s.u == U::Away || s.j == J::Asleep),
+                "only a waiter off the run queue or asleep can block for good"
             );
-            return Err(path.clone());
+            return Err((ListFlaw::LostWakeup, path.clone()));
         }
         Ok(())
     }
     let mut seen = HashSet::new();
     for short in [false, true] {
         dfs(
-            &Join::new(short, variant),
+            &List::new(short, variant),
             variant,
             &mut seen,
             &mut Vec::new(),
@@ -968,32 +1130,72 @@ fn explore_join(variant: JoinVariant) -> Result<usize, Vec<String>> {
 }
 
 #[test]
-fn no_join_interleaving_loses_a_wakeup() {
-    let states = explore_join(JoinVariant::Shipped)
-        .unwrap_or_else(|schedule| panic!("LostWakeup:\n{}", schedule.join("\n")));
+fn no_wait_list_interleaving_loses_a_wakeup() {
+    let states = explore_list(ListVariant::Shipped)
+        .unwrap_or_else(|(flaw, schedule)| panic!("{flaw:?}:\n{}", schedule.join("\n")));
     assert!(states > 1_000, "only {states} states explored");
 }
 
 /// The enumerator can see a setter that reads the counts before its critical
-/// section: a joiner registers, the setter reads its count as 0, the joiner
-/// announces and re-checks before the value is stored, and sleeps unpoked.
+/// section: the parker registers, the setter reads its count as 0, the
+/// parker announces and re-checks before the value is stored, and sleeps
+/// unpoked.
 #[test]
 fn a_setter_counting_before_its_lock_is_caught() {
-    let schedule =
-        explore_join(JoinVariant::CountBeforeLock).expect_err("the mutant must deadlock");
+    let (flaw, schedule) =
+        explore_list(ListVariant::CountBeforeLock).expect_err("the mutant must deadlock");
     eprintln!("mutant schedule: {}", schedule.join(" "));
-    let at = |what: &str| schedule.iter().position(|s| s == what);
+    assert!(matches!(flaw, ListFlaw::LostWakeup), "{flaw:?}");
+    let at = |what: &str| schedule.iter().rposition(|s| s == what);
     let count = at("S:Count").expect("the setter read the counts");
     let store = at("S:Store").expect("the setter stored the value");
-    let stale = (0..JOINERS).any(|i| {
-        let last = |what: &str| schedule.iter().rposition(|s| *s == format!("J{i}:{what}"));
-        matches!(
-            (last("Announce"), last("RecheckRead"), last("CheckRead")),
-            (Some(a), Some(r), Some(c)) if c < count && count < a && r < store
-        )
-    });
     assert!(
-        stale,
-        "expected a registered joiner that announced after the count read and re-checked before the store"
+        matches!(
+            (at("J:Announce"), at("J:RecheckRead"), at("J:CheckRead")),
+            (Some(a), Some(r), Some(c)) if c < count && count < a && r < store
+        ),
+        "expected a registered parker that announced after the count read and re-checked before the store"
     );
+}
+
+/// The enumerator can see a setter that takes the list before it stores the
+/// value: a waiter checks or re-checks in between, finds no value, and waits
+/// on a list nobody will take again (or sleeps on a count read before it
+/// announced).
+#[test]
+fn a_setter_taking_the_list_before_its_store_is_caught() {
+    let (flaw, schedule) =
+        explore_list(ListVariant::TakeBeforeStore).expect_err("the mutant must deadlock");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    assert!(matches!(flaw, ListFlaw::LostWakeup), "{flaw:?}");
+    let at = |what: &str| schedule.iter().rposition(|s| s == what);
+    let take = at("S:Take").expect("the setter took the list");
+    let store = at("S:Store").expect("the setter stored the value");
+    let between = |i: Option<usize>| i.is_some_and(|i| take < i && i < store);
+    assert!(
+        ["U:Check", "J:CheckRead", "J:RecheckRead"]
+            .iter()
+            .any(|check| between(at(check))),
+        "expected a waiter's check between the take and the store"
+    );
+}
+
+/// The enumerator can see a UC waiter published before it is saved: one that
+/// links itself and lets the lock go before its switch lets the setter push
+/// a context whose registers are not on its stack yet (Table I race point
+/// 2, on a wait list).
+#[test]
+fn a_waiter_linked_before_its_save_is_caught() {
+    let (flaw, schedule) = explore_list(ListVariant::LinkBeforeSave)
+        .expect_err("the mutant must push an unsaved context");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    assert!(matches!(flaw, ListFlaw::UnsavedPush), "{flaw:?}");
+    let at = |what: &str| schedule.iter().rposition(|s| s == what);
+    let unlock = at("U:Unlock").expect("the waiter unlocked");
+    let take = at("S:Take").expect("the setter took the list");
+    assert!(
+        unlock < take,
+        "the setter took the UC after the early unlock"
+    );
+    assert!(at("U:Save").is_none(), "the waiter was not saved yet");
 }

@@ -13,7 +13,7 @@
 //! Every `yield`/`decouple` pushes here, and Table IV's yield latency budget
 //! is ~150 ns. A push or a pop is one lock acquisition — a single RMW —
 //! that links or unlinks the UC; the push also reads the parker's sleeper
-//! count inside it. A yield is one acquisition too ([`RunQueue::yield_to`]):
+//! count inside it. A yield is one acquisition too (`RunQueue::yield_to`):
 //! pop the next UC, install it, link the yielder at the tail and read the
 //! count, with the lock held across the switch and released by the incoming
 //! context — one locked instruction, no fence, no allocation.
@@ -28,7 +28,7 @@
 //! UC, or the re-check came first and the push sees the announce and
 //! wakes. The version word moves only then, and on [`RunQueue::wake_all`].
 
-use crate::park::{IdleTally, Idled, ParkQueue, Parker};
+use crate::park::{CacheLine, IdleTally, Idled, ParkQueue, Parker};
 use crate::uc::{IdlePolicy, UcInner};
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,7 +42,7 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 #[derive(Debug)]
 pub struct RunQueue {
     /// Runnable UCs, in the order they became runnable.
-    queue: ParkQueue,
+    queue: CacheLine<ParkQueue>,
     /// What idle schedulers sleep on.
     parker: Parker,
     /// The owning runtime's trace gate: when tracing is on, a push stamps
@@ -55,7 +55,7 @@ impl RunQueue {
     /// An empty queue whose idle schedulers wait per `idle_policy`.
     pub fn new(idle_policy: IdlePolicy) -> RunQueue {
         RunQueue {
-            queue: ParkQueue::default(),
+            queue: CacheLine::default(),
             parker: Parker::new(idle_policy, PARK_TIMEOUT),
             gate: None,
         }

@@ -181,9 +181,9 @@ impl UlpHandle {
     ///
     /// A caller that owns its OS thread (a plain thread, a KLT, a coupled
     /// BLT) spins or sleeps on that thread's parker by the runtime's
-    /// [`crate::IdlePolicy`], as an idle KC does; a decoupled ULT
-    /// [`crate::stall`]s, so it never holds the scheduler the UC may need
-    /// (`OneShot::wait`).
+    /// [`crate::IdlePolicy`], as an idle KC does; a decoupled ULT leaves the
+    /// run queue until the status is published, so it never holds the
+    /// scheduler the UC may need (`OneShot::wait`).
     pub fn wait(&self) -> i32 {
         let status = self.uc.sib_result.wait(&self.uc.rt);
         if self.uc.kind == UcKind::Pooled {

@@ -3,19 +3,18 @@
 //! An OS mutex or condition variable blocks the **kernel context**, which
 //! under a ULT runtime stalls every other user context that scheduler
 //! would have run — the very problem the paper exists to solve for system
-//! calls. These primitives block *cooperatively*: a waiting ULP yields to
-//! the next runnable UC (falling back to an OS yield when it is a KLT or
-//! nothing is runnable), so waiting never steals a scheduler.
+//! calls. No waiter here blocks a scheduler's kernel context: waiting never
+//! steals a scheduler.
 //!
-//! All of them are usable from plain OS threads too (they degrade to
-//! yield-spin), which keeps mixed KLT/ULT programs correct.
-//!
-//! Joins keep the same contract: [`crate::UlpHandle::wait`] stalls in a
-//! decoupled ULT, and only a caller that owns its OS thread parks — on that
-//! thread's parker, spinning or sleeping by `ulp_kernel::Waiters` as an idle
-//! KC does (`uc.rs`, `OneShot`). [`UlpEvent`] and [`UlpBarrier`] still
-//! `stall()` in every caller, so a waiting KLT or plain thread yields to the
-//! OS in a loop rather than sleeping.
+//! [`UlpEvent`] and [`UlpBarrier`] wait as a join does
+//! ([`crate::UlpHandle::wait`], `uc.rs`'s `OneShot`): all three are clients
+//! of one list, `park.rs`'s `WaitList`. A decoupled ULT leaves the run
+//! queue onto the list and is pushed back by the `set()`, the last arrival
+//! or the child's exit; a caller that owns its OS thread — a plain thread,
+//! a KLT, a coupled BLT — parks on that thread's parker, spinning or
+//! sleeping by `ulp_kernel::Waiters` as an idle KC does. Either way a
+//! waiter holds no scheduler, which keeps mixed KLT/ULT programs correct
+//! and an oversubscribed barrier free of yield loops.
 //!
 //! ## The lock suite
 //!
@@ -41,8 +40,9 @@
 //! the scheduler KC under them (see `DESIGN.md`).
 
 use crate::couple::stall;
+use crate::current::current_runtime;
+use crate::park::WaitList;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 use ulp_kernel::{futex_wait, futex_wake};
 
 /// A raw (data-less) mutual-exclusion lock: the common interface of the
@@ -428,10 +428,13 @@ pub type UlpMutex<T> = UlpLock<T, TasLock>;
 /// RAII guard for [`UlpMutex`].
 pub type UlpMutexGuard<'a, T> = UlpLockGuard<'a, T, TasLock>;
 
-/// A one-shot (resettable) event: waiters yield until `set()`.
+/// A one-shot (resettable) event: waiters wait on a `WaitList` until
+/// `set()`.
 #[derive(Debug, Default)]
 pub struct UlpEvent {
+    /// 1 while signaled; set only inside [`WaitList::wake_all`].
     state: AtomicU32,
+    waiters: WaitList,
 }
 
 impl UlpEvent {
@@ -439,12 +442,14 @@ impl UlpEvent {
     pub const fn new() -> UlpEvent {
         UlpEvent {
             state: AtomicU32::new(0),
+            waiters: WaitList::new(),
         }
     }
 
     /// Signal the event; wakes all current and future waiters.
     pub fn set(&self) {
-        self.state.store(1, Ordering::Release);
+        self.waiters
+            .wake_all(|| self.state.store(1, Ordering::Release));
     }
 
     /// Clear the event back to unsignaled.
@@ -457,34 +462,24 @@ impl UlpEvent {
         self.state.load(Ordering::Acquire) == 1
     }
 
-    /// Cooperatively wait until set.
+    /// Wait until set: a decoupled ULT off the run queue, any other caller
+    /// on its thread's parker.
     pub fn wait(&self) {
-        while !self.is_set() {
-            stall();
-        }
-    }
-
-    /// Wait with a deadline; `false` on timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while !self.is_set() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            stall();
-        }
-        true
+        self.waiters
+            .wait(current_runtime, || self.is_set().then_some(()));
     }
 }
 
-/// A reusable (sense-reversing) barrier whose waiters yield to other ULPs
-/// instead of blocking their kernel context. `ulp_pip::PipBarrier` is this
-/// type under PiP's name.
+/// A reusable (sense-reversing) barrier whose waiters leave the run queue
+/// (or park their own OS thread) instead of blocking a scheduler's.
+/// `ulp_pip::PipBarrier` is this type under PiP's name.
 #[derive(Debug)]
 pub struct UlpBarrier {
     parties: usize,
     arrived: AtomicUsize,
+    /// Flipped only inside [`WaitList::wake_all`], by the last arrival.
     generation: AtomicUsize,
+    waiters: WaitList,
 }
 
 impl UlpBarrier {
@@ -495,6 +490,7 @@ impl UlpBarrier {
             parties,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            waiters: WaitList::new(),
         }
     }
 
@@ -504,12 +500,13 @@ impl UlpBarrier {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             self.arrived.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
+            self.waiters.wake_all(|| {
+                self.generation.fetch_add(1, Ordering::Release);
+            });
             true
         } else {
-            while self.generation.load(Ordering::Acquire) == gen {
-                stall();
-            }
+            let flipped = || (self.generation.load(Ordering::Acquire) != gen).then_some(());
+            self.waiters.wait(current_runtime, flipped);
             false
         }
     }
@@ -524,6 +521,7 @@ impl UlpBarrier {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn mutex_guards_exclusive_access() {
@@ -571,14 +569,43 @@ mod tests {
         t.join().unwrap();
     }
 
+    /// A thread that owns its OS thread and waits ≥ 5 ms on an event sleeps
+    /// on its parker — a park outcome, counted in its own stats shard (the
+    /// thread that builds a runtime has one) — and the `set()` wakes it,
+    /// long before the park's 1 s time-out.
     #[test]
-    fn event_timeout_expires() {
-        let e = UlpEvent::new();
-        let t = Instant::now();
-        assert!(!e.wait_timeout(Duration::from_millis(20)));
-        assert!(t.elapsed() >= Duration::from_millis(20));
-        e.set();
-        assert!(e.wait_timeout(Duration::from_millis(1)));
+    fn a_plain_thread_waiting_on_an_event_sleeps_until_set() {
+        std::thread::spawn(|| {
+            let _rt = crate::Runtime::builder().schedulers(1).build();
+            let sleeps = || {
+                crate::current::with_thread(|b| {
+                    let shard = b.shard().expect("the building thread has a shard");
+                    shard.park_sleeps.load(Ordering::Relaxed)
+                })
+            };
+            let e = Arc::new(UlpEvent::new());
+            let setter = {
+                let e = e.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(10));
+                    let at = std::time::Instant::now();
+                    e.set();
+                    at
+                })
+            };
+            let before = sleeps();
+            e.wait();
+            let returned = std::time::Instant::now();
+            let set_at = setter.join().unwrap();
+            assert!(sleeps() > before, "a 10 ms wait did not sleep");
+            let took = returned.saturating_duration_since(set_at);
+            assert!(
+                took < Duration::from_millis(500),
+                "returned {took:?} after the set: woken by the park's time-out"
+            );
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

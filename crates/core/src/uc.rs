@@ -19,11 +19,11 @@
 //! identity — while a *pooled* ULP owns its pid and is served by a shared
 //! pool KC.
 
-use crate::park::{IdleTally, ParkQueue, Parker, Phases, QLink};
+use crate::park::{CacheLine, ParkQueue, Parker, Phases, QLink, WaitList};
 use crate::runtime::RuntimeInner;
 use crate::tls::TlsStorage;
 use parking_lot::Mutex;
-use std::cell::{OnceCell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::sync::atomic::{
     AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
@@ -106,7 +106,7 @@ pub struct KcShared {
     /// on the KC's own thread (direct handoff), which first probes the
     /// queue's lock-free length so an empty probe is one load. Its lock
     /// doubles as the sibling-registration gate (see `handle_closed`).
-    pub(crate) pending: ParkQueue,
+    pub(crate) pending: CacheLine<ParkQueue>,
     /// What the idle loop idles on, per the KC's [`IdlePolicy`]. A couple
     /// request pushed to `pending` wakes it iff the KC had announced itself
     /// asleep by then (`park.rs`: the push reads the sleeper count inside
@@ -154,7 +154,7 @@ impl KcShared {
     /// Fresh kernel-context state with the given idle policy.
     pub fn new(idle_policy: IdlePolicy) -> KcShared {
         KcShared {
-            pending: ParkQueue::default(),
+            pending: CacheLine::default(),
             parker: Parker::new(idle_policy, KC_PARK_TIMEOUT),
             thread_id: OnceLock::new(),
             tc_ctx: UnsafeCell::new(RawContext::null()),
@@ -206,53 +206,23 @@ impl KcShared {
     }
 }
 
-/// Longest single sleep of a join. Only [`OneShot::set`] ends one, so the
-/// bound is a backstop for a lost wake-up, which it turns into a one-second
-/// join instead of a hang.
-const JOIN_PARK_TIMEOUT: Duration = Duration::from_secs(1);
-
-thread_local! {
-    /// The parkers this OS thread joins on, one per [`IdlePolicy`], made on
-    /// first use. A thread waits for one cell at a time, so each parker has
-    /// one consumer, and its [`ulp_kernel::Waiters`] remember how long this
-    /// thread's last join took.
-    static JOIN_PARKERS: [OnceCell<Arc<Parker>>; 3] =
-        const { [OnceCell::new(), OnceCell::new(), OnceCell::new()] };
-}
-
-/// The calling OS thread's join parker for `policy`.
-fn join_parker(policy: IdlePolicy) -> Arc<Parker> {
-    JOIN_PARKERS.with(|ps| {
-        ps[policy as usize]
-            .get_or_init(|| Arc::new(Parker::new(policy, JOIN_PARK_TIMEOUT)))
-            .clone()
-    })
-}
-
 /// One-shot exit-status cell of a secondary UC: set by its termination
-/// (`Deferred::Terminate`), read by its [`crate::UlpHandle`].
-///
-/// A join waits as an idle KC does (`park.rs`), with the value in place of
-/// the queue. A waiter that owns its OS thread (a plain thread, a KLT, a
-/// coupled BLT) registers that thread's [`Parker`] here and parks on it, so
-/// `ulp_kernel::Waiters` decides whether it spins or sleeps. A decoupled
-/// ULT `stall()`s instead: its OS thread is a scheduler's, which the child
-/// may need to run.
+/// (`Deferred::Terminate`), read by its [`crate::UlpHandle`]. A client of
+/// `park.rs`'s `WaitList`, as `UlpEvent` and `UlpBarrier` are: a decoupled
+/// ULT that joins leaves the run queue onto the list, so it never holds the
+/// scheduler the child may need, and a caller that owns its OS thread (a
+/// plain thread, a KLT, a coupled BLT) parks that thread's parker, spinning
+/// or sleeping by `ulp_kernel::Waiters` as an idle KC does.
 #[derive(Debug, Default)]
 pub struct OneShot {
-    slot: Mutex<Slot>,
+    /// The value as its low 32 bits, with [`PUBLISHED`] set once there is
+    /// one; stored only inside [`WaitList::wake_all`].
+    value: AtomicU64,
+    waiters: WaitList,
 }
 
-/// What [`OneShot`]'s lock guards: the value, and who waits for it.
-#[derive(Debug, Default)]
-struct Slot {
-    value: Option<i32>,
-    /// The parkers of the waiters that found no value. [`OneShot::set`]
-    /// takes them in the critical section that stores the value, so a
-    /// waiter's locked re-check before it sleeps either sees the value or
-    /// was counted by the setter (`park.rs`, "The protocol").
-    waiters: Vec<Arc<Parker>>,
-}
+/// [`OneShot::value`]'s "published" bit.
+const PUBLISHED: u64 = 1 << 32;
 
 impl OneShot {
     /// An empty cell.
@@ -260,19 +230,11 @@ impl OneShot {
         OneShot::default()
     }
 
-    /// Publish the value; time every registered waiter's wait and wake the
-    /// ones asleep. Later calls overwrite.
+    /// Publish the value and wake every waiter. Later calls overwrite.
     pub fn set(&self, v: i32) {
-        let sleepers = {
-            let mut slot = self.slot.lock();
-            slot.value = Some(v);
-            let mut waiters = std::mem::take(&mut slot.waiters);
-            waiters.retain(|p| p.ended());
-            waiters
-        };
-        for p in sleepers {
-            p.poke();
-        }
+        let word = PUBLISHED | u64::from(v as u32);
+        self.waiters
+            .wake_all(|| self.value.store(word, Ordering::Release));
     }
 
     /// Wait until a value is published, then return it; at once if it
@@ -281,46 +243,13 @@ impl OneShot {
     /// stats shard of its own counts its wait (`ulp_park_total`) into that
     /// runtime's fallback shard.
     pub fn wait(&self, rt: &Weak<RuntimeInner>) -> i32 {
-        if let Some(v) = self.try_get() {
-            return v;
-        }
-        if crate::couple::is_coupled() == Some(false) {
-            // A decoupled ULT: never park the OS thread under it.
-            loop {
-                crate::couple::stall();
-                if let Some(v) = self.try_get() {
-                    return v;
-                }
-            }
-        }
-        let rt = rt.upgrade();
-        let policy = rt
-            .as_ref()
-            .map_or(IdlePolicy::default(), |rt| rt.config.idle_policy);
-        let parker = join_parker(policy);
-        let idle = &mut IdleTally::counting_into(rt);
-        let mut registered = false;
-        loop {
-            let seen = parker.version();
-            {
-                let mut slot = self.slot.lock();
-                if let Some(v) = slot.value {
-                    drop(slot);
-                    idle.found_work();
-                    return v;
-                }
-                if !registered {
-                    slot.waiters.push(parker.clone());
-                    registered = true;
-                }
-            }
-            parker.park(seen, idle, || self.slot.lock().value.is_none());
-        }
+        self.waiters.wait(|| rt.upgrade(), || self.try_get())
     }
 
     /// The value if already published; never blocks.
     pub fn try_get(&self) -> Option<i32> {
-        self.slot.lock().value
+        let word = self.value.load(Ordering::Acquire);
+        (word & PUBLISHED != 0).then_some(word as u32 as i32)
     }
 }
 
@@ -432,8 +361,8 @@ pub struct UcInner {
     /// `now_ns()` at spawn, on the trace clock; surfaced in
     /// `/proc/<pid>/stat` so a ULP can date itself from inside.
     pub spawn_ns: u64,
-    /// Intrusive link for the one `ParkQueue` (run queue or a KC's
-    /// `pending`) this UC may be waiting in.
+    /// Intrusive link for the one `ParkQueue` (the run queue, a KC's
+    /// `pending` or a `WaitList`) this UC may be waiting in.
     pub(crate) qlink: QLink,
     /// How long this UC's last decoupled stretch ran, the evidence for
     /// staying home (`park.rs`, "Staying home").
@@ -665,7 +594,7 @@ mod tests {
             start.wait();
             cell.set(round);
             let got = got
-                .recv_timeout(JOIN_PARK_TIMEOUT / 2)
+                .recv_timeout(crate::park::WAIT_PARK_TIMEOUT / 2)
                 .unwrap_or_else(|_| panic!("round {round}: waiter stranded"));
             assert_eq!(got, round);
             waiter.join().unwrap();
@@ -695,7 +624,9 @@ mod tests {
         let joiner = {
             let cell = cell.clone();
             std::thread::spawn(move || {
-                parker_tx.send(join_parker(IdlePolicy::Adaptive)).unwrap();
+                parker_tx
+                    .send(crate::park::wait_parker(IdlePolicy::Adaptive))
+                    .unwrap();
                 let t = std::time::Instant::now();
                 (cell.wait(&rt_weak), t.elapsed())
             })
@@ -710,7 +641,7 @@ mod tests {
         assert_eq!(got, 4);
         assert_eq!(parker.version(), v + 1, "the set poked the sleeper once");
         assert!(
-            took < JOIN_PARK_TIMEOUT / 2,
+            took < crate::park::WAIT_PARK_TIMEOUT / 2,
             "the join took {took:?}: woken by the park's time-out, not by the set"
         );
         let (hits, sleeps) = fallback_parks(&rt);
@@ -731,7 +662,9 @@ mod tests {
         let (parker_tx, parker_rx) = mpsc::channel();
         let (done_tx, done) = mpsc::channel();
         let joiner = std::thread::spawn(move || {
-            parker_tx.send(join_parker(IdlePolicy::Adaptive)).unwrap();
+            parker_tx
+                .send(crate::park::wait_parker(IdlePolicy::Adaptive))
+                .unwrap();
             for cell in cells_rx {
                 done_tx.send(cell.wait(&rt_weak)).unwrap();
             }

@@ -510,3 +510,46 @@ fn sibling_after_wait_fails_cleanly() {
     let err = h.spawn_sibling("too-late", || 0).unwrap_err();
     assert_eq!(err, ulp_core::UlpError::PrimaryExited);
 }
+
+/// An oversubscribed barrier costs each waiter two context switches a phase
+/// — leaving the run queue onto the barrier's wait list, and the dispatch
+/// that resumes it — and no yield: 64 decoupled ULTs on one scheduler run 10
+/// phases. The leaders of phase 0 and phase 10 take the counts, each before
+/// any waiter it released runs again (there is one scheduler, and the leader
+/// holds it), so the window holds phase 0's 63 resumptions, phases 1–9 whole
+/// and phase 10's 63 departures: 2 × 63 × 10 switches.
+#[test]
+fn an_oversubscribed_barrier_switches_twice_per_waiter_and_phase() {
+    use std::sync::{Arc, Mutex};
+    const ULTS: usize = 64;
+    const PHASES: usize = 10;
+    let rt = Runtime::builder().schedulers(1).build();
+    let barrier = Arc::new(ulp_core::UlpBarrier::new(ULTS));
+    let counts = Arc::new(Mutex::new(Vec::new()));
+    let ults: Vec<_> = (0..ULTS)
+        .map(|i| {
+            let (barrier, counts) = (barrier.clone(), counts.clone());
+            rt.spawn(&format!("party{i}"), move || {
+                decouple().unwrap();
+                for phase in 0..=PHASES {
+                    if barrier.wait() && (phase == 0 || phase == PHASES) {
+                        counts.lock().unwrap().push(my_stats());
+                    }
+                }
+                0
+            })
+        })
+        .collect();
+    for h in ults {
+        assert_eq!(h.wait(), 0);
+    }
+    let counts = counts.lock().unwrap();
+    let d = counts[1].delta(&counts[0]);
+    let waits = ((ULTS - 1) * PHASES) as u64;
+    assert_eq!(d.yields, 0, "a waiter yielded: {d:?}");
+    assert_eq!(
+        d.context_switches,
+        2 * waits,
+        "{waits} waits should switch twice each: {d:?}"
+    );
+}

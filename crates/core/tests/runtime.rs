@@ -1209,6 +1209,78 @@ fn a_decoupled_ult_joins_a_sibling_child_on_one_scheduler() {
     assert_eq!(got, 7);
 }
 
+/// The calling OS thread's CPU time (`CLOCK_THREAD_CPUTIME_ID`).
+fn thread_cpu() -> Duration {
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut libc::timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = libc::timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid out-pointer for the call.
+    assert_eq!(
+        unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) },
+        0
+    );
+    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+}
+
+/// A decoupled ULT joins a pooled child that waits 50 ms on an event, on one
+/// scheduler: the joiner leaves the run queue for the whole wait. It makes
+/// two context switches of its own — leaving onto the exit cell's wait
+/// list, and the dispatch that resumes it — beside the child's four
+/// (dispatched when the event is set, its `couple()` to the scheduler, the
+/// pool KC's dispatch, its termination), and the scheduler's thread, under
+/// the joiner the whole time, spends no CPU on it: a joiner that stalled
+/// would keep it yielding through the 50 ms.
+#[test]
+fn a_decoupled_join_leaves_the_scheduler_while_its_child_waits() {
+    let _cpu = shared();
+    let (child_waits, waiting) = std::sync::mpsc::channel();
+    let go = Arc::new(ulp_core::UlpEvent::new());
+    let setter = {
+        let go = go.clone();
+        std::thread::spawn(move || {
+            waiting.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            go.set();
+        })
+    };
+    let got = within_watchdog("a decoupled ULT joining a waiting child", move || {
+        let rt = Arc::new(Runtime::builder().schedulers(1).build());
+        let spawner = rt.clone();
+        let h = rt.spawn("joiner", move || {
+            decouple().unwrap();
+            let child = spawner
+                .spawn_pooled("child", move || {
+                    go.wait();
+                    7
+                })
+                .unwrap();
+            // One scheduler: the yield runs the child until it waits.
+            assert!(yield_now());
+            child_waits.send(()).unwrap();
+            let stats = || spawner.stats().snapshot();
+            let (before, cpu) = (stats(), thread_cpu());
+            let status = child.wait();
+            let (d, cpu) = (stats().delta(&before), thread_cpu() - cpu);
+            assert_eq!(d.yields, 0, "{d:?}");
+            assert_eq!(d.context_switches, 2 + 4, "{d:?}");
+            assert!(
+                cpu < Duration::from_millis(20),
+                "the scheduler's thread ran {cpu:?} of a 50 ms join"
+            );
+            couple().unwrap();
+            status
+        });
+        h.wait()
+    });
+    setter.join().unwrap();
+    assert_eq!(got, 7);
+}
+
 /// A plain thread's join outcomes, read from the runtime's fallback shard:
 /// the thread has no shard of its own, and nothing else parks there.
 fn join_parks(rt: &Runtime) -> (u64, u64) {

@@ -623,3 +623,39 @@ fn yield_waiters_at_home_rejoin_the_pool() {
     }
     assert!(rt.violations().is_empty());
 }
+
+/// A UC at home that waits on an event gives its KC back to the trampoline
+/// — one context switch, no yield, as a wait away gives back its scheduler
+/// — and the `set()` puts it on the run queue, so a scheduler resumes it:
+/// two switches in all. The setter sets once the departure is counted.
+#[test]
+fn an_event_wait_at_home_leaves_through_the_trampoline() {
+    let _serial = serial();
+    let rt = Runtime::new();
+    let go = Arc::new(ulp_core::UlpEvent::new());
+    let (waiting, switches) = std::sync::mpsc::channel();
+    let h = rt.spawn("home-waiter", {
+        let go = go.clone();
+        move || {
+            let kc = std::thread::current().id();
+            let pid = sys::getpid().unwrap();
+            decouple().unwrap();
+            go_home();
+            assert_eq!(std::thread::current().id(), kc, "at home");
+            let before = my_stats();
+            waiting.send(before.context_switches).unwrap();
+            go.wait();
+            let d = my_stats().delta(&before);
+            assert_ne!(std::thread::current().id(), kc, "resumed at home");
+            assert_eq!((d.context_switches, d.yields), (2, 0), "{d:?}");
+            assert_eq!(coupled_scope(|| sys::getpid().unwrap()).unwrap(), pid);
+            0
+        }
+    });
+    let before = switches.recv().unwrap();
+    while rt.stats().snapshot().context_switches == before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    go.set();
+    assert_eq!(h.wait(), 0);
+}

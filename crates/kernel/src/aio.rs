@@ -245,13 +245,20 @@ mod tests {
         OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::TRUNC
     }
 
+    /// `cb.suspend()` behind the 10 s watchdog: a lost completion wake fails
+    /// the test instead of hanging it.
+    fn suspend(cb: &Aiocb) {
+        let cb = cb.clone();
+        crate::kernel::tests::watchdog("aio_suspend", move || cb.suspend())();
+    }
+
     #[test]
     fn aio_write_completes_and_returns_count() {
         let (k, _) = boot();
         let fd = k.sys_open("/a", wflags()).unwrap();
         let data = Arc::new(vec![7u8; 4096]);
         let cb = k.aio_write(fd, 0, data).unwrap();
-        cb.suspend();
+        suspend(&cb);
         assert_eq!(cb.error(), None);
         assert_eq!(cb.aio_return().unwrap(), 4096);
         assert_eq!(k.sys_stat("/a").unwrap().size, 4096);
@@ -263,7 +270,7 @@ mod tests {
         let (k, _) = boot();
         let fd = k.sys_open("/b", wflags()).unwrap();
         let cb = k.aio_write(fd, 0, Arc::new(vec![1u8; 16])).unwrap();
-        cb.suspend();
+        suspend(&cb);
         cb.aio_return().unwrap();
         assert_eq!(cb.aio_return().unwrap_err(), Errno::EINVAL);
         k.unbind_current();
@@ -292,7 +299,7 @@ mod tests {
         let fd = k.sys_open("/d", wflags()).unwrap();
         k.sys_pwrite(fd, 0, b"async read me").unwrap();
         let cb = k.aio_read(fd, 6, 7).unwrap();
-        cb.suspend();
+        suspend(&cb);
         // Fetch the buffer before aio_return consumes the control block.
         assert_eq!(cb.take_data().unwrap(), b"read me");
         assert!(cb.take_data().is_none(), "data taken once");
@@ -304,7 +311,7 @@ mod tests {
     fn aio_on_bad_fd_reports_error() {
         let (k, _) = boot();
         let cb = k.aio_write(Fd(99), 0, Arc::new(vec![0u8; 8])).unwrap();
-        cb.suspend();
+        suspend(&cb);
         assert_eq!(cb.error(), Some(Errno::EBADF));
         assert_eq!(cb.aio_return().unwrap_err(), Errno::EBADF);
         k.unbind_current();
@@ -320,7 +327,7 @@ mod tests {
         let cb = k.aio_write(fd, 0, Arc::new(vec![9u8; 64])).unwrap();
         // Rebinding *this* thread mid-flight must not affect the helper.
         let _g = k.bind_scope(other);
-        cb.suspend();
+        suspend(&cb);
         assert_eq!(cb.aio_return().unwrap(), 64);
         k.unbind_current();
     }
@@ -333,7 +340,7 @@ mod tests {
             .map(|i| k.aio_write(fd, i * 8, Arc::new(vec![i as u8; 8])).unwrap())
             .collect();
         for cb in &cbs {
-            cb.suspend();
+            suspend(cb);
             assert_eq!(cb.aio_return().unwrap(), 8);
         }
         assert_eq!(k.sys_stat("/many").unwrap().size, 32 * 8);

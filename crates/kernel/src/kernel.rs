@@ -191,7 +191,7 @@ impl Kernel {
     }
 
     /// Run `f` on the process bound to the calling OS thread, found as
-    /// [`Kernel::syscall`] finds it: through the binding's cached handle —
+    /// `Kernel::syscall` finds it: through the binding's cached handle —
     /// a thread-local read and one load of the `reaped` flag, no
     /// process-table lock, no reference count. `None` when the thread is
     /// unbound or its process does not exist (never created, or reaped).

@@ -173,11 +173,16 @@ impl SignalState {
         self.deliverable.load(Ordering::Acquire) != 0
     }
 
-    /// Post a signal (sender side of `kill`).
+    /// Post a signal (sender side of `kill`). A standard signal does not
+    /// queue: a post that finds it already pending ends no wait, so only the
+    /// post that makes it pending stamps the wake cell.
     pub fn post(&self, sig: Signal) {
         let mut inner = self.inner.lock();
-        inner.pending.add(sig);
         inner.posted += 1;
+        if inner.pending.contains(sig) {
+            return;
+        }
+        inner.pending.add(sig);
         self.publish(&inner);
         self.wake.stamp();
     }

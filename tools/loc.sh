@@ -80,8 +80,9 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # one run-queue critical section per yield; a process's lifecycle named by
 # its handle in core; kernel hook calls only while a tracer records;
 # readiness edges fired by their object, named, on per-end socket sets; no
-# condvar in core, whose waits park on a Parker or stall; every .rs path a
-# document names resolves to a tracked file.
+# condvar in core, whose waits park on a Parker or leave the run queue on a
+# WaitList, and no stall() outside the lock suite; every .rs path and every
+# crates/<x> directory a document names exists.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -125,10 +126,21 @@ gate "the trampoline detour of staying home is back under crates/ (a home decoup
 c=crates/core/src
 # A runtime wait never sleeps on a condvar: a waiter that owns its OS thread
 # parks on a `Parker`, where `ulp_kernel::Waiters` decides spin or sleep, and
-# a decoupled ULT stalls, so it never holds the scheduler under it.
-gate "a Condvar in shipped $c code (a waiter that owns its KC parks on its Parker by ulp_kernel::Waiters, and a decoupled ULT stalls)" \
+# a decoupled ULT leaves the run queue onto the `WaitList` it waits on, so it
+# never holds the scheduler under it.
+gate "a Condvar in shipped $c code (a waiter that owns its KC parks on its Parker by ulp_kernel::Waiters, and a decoupled ULT leaves the run queue on a WaitList)" \
     "$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
         !t && /Condvar/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
+# Nor does it poll: the lock suite's four policies are the only waiters
+# that still `stall()` (the later steps of ROADMAP item 9), beside the
+# definition in couple.rs.
+gate "a stall() in shipped $c code outside the RawUlpLock impls in sync.rs (ULT-level waits leave the run queue on park.rs's WaitList)" \
+    "$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
+        FNR == 1 { lock = 0 }
+        /^impl RawUlpLock for / { lock = FILENAME == "'"$c"'/sync.rs" }
+        /^}/ { lock = 0 }
+        !t && !lock && /(^|[^A-Za-z0-9_])stall\(\)/ && !/^[[:space:]]*\/\// &&
+            !(FILENAME == "'"$c"'/couple.rs" && /fn stall\(\)/) { print FILENAME ":" FNR ": " $0 }')"
 # Match arms only (`Event::X… =>`), in shipped code: the recording sites
 # construct these variants, and tests may match them.
 gate "a lifecycle Event:: variant is matched in $c outside trace.rs and replay.rs (consume replay::Item instead)" \
@@ -198,12 +210,14 @@ gate "a pair-wide watch set is back in $k/socket.rs (each end has its own: SockP
 # Root-level plans and logs (ROADMAP.md, CHANGES.md, ...) are history and
 # may name what is gone: of the root documents only those that describe the
 # tree are read, and every document below the root.
+docs() { # the tracked documents the path lints read
+    git ls-files -- '*/*.md' README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md \
+        SERVING.md PAPER.md PAPERS.md SNIPPETS.md
+}
 gate "a document names a .rs path that no tracked file resolves to (a path, its tail, or crate/file.rs for crates/<crate>/src/file.rs)" \
     "$({
         git ls-files | sed 's/^/F /'
-        git ls-files -- '*/*.md' README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md \
-            SERVING.md PAPER.md PAPERS.md SNIPPETS.md |
-            xargs -r grep -noE '`[^` ]*/[^` /]*\.rs`' | sed 's/^/M /'
+        docs | xargs -r grep -noE '`[^` ]*/[^` /]*\.rs`' | sed 's/^/M /'
     } | awk '
         /^F / { p = substr($0, 3); all[++n] = p; known[p] = 1
                 while (sub(/^[^\/]*\//, "", p)) known[p] = 1; next }
@@ -216,6 +230,15 @@ gate "a document names a .rs path that no tracked file resolves to (a path, its 
                 for (i = 1; i <= n && !ok; i++) ok = all[i] ~ ("(^|/)" re "$") }
             if (!ok) print hit
         }')"
+# Every `crates/<x>` a document names is a crate directory of the tree.
+gate "a document names a crates/<x> directory that does not exist (the crates are the directories under crates/)" \
+    "$({
+        git ls-files -- crates | sed 's/^/F /'
+        docs | xargs -r grep -noE '(^|[^A-Za-z0-9_.-])crates/[A-Za-z0-9_-]+' | sed 's/^/M /'
+    } | awk '
+        /^F / { p = substr($0, 3); sub(/^crates\//, "", p); sub(/\/.*/, "", p); known[p] = 1; next }
+        { hit = substr($0, 3); tok = hit; sub(/^[^:]*:[0-9]*:.*crates\//, "", tok)
+          if (!known[tok]) print hit }')"
 hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
 if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
     gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
