@@ -474,12 +474,16 @@ fn now_coupled(b: &ThreadBlock, me: &UcInner) {
 /// setter can take the UC before its registers are saved, and the host's
 /// `Deferred::Unlock` releases it. Returns once a setter's run-queue push
 /// has had the UC dispatched again: one context switch to leave and the
-/// dispatch's to come back, no yield.
+/// dispatch's to come back, no yield. The trace shows a `Wait`, which that
+/// dispatch answers.
 pub(crate) fn leave_onto(mut q: ParkQueueGuard<'_>) {
     let (save, target) = with_thread(|b| {
         let me = b.ulp().expect("a decoupled UC is installed");
         if let Some(s) = b.shard() {
             s.bump_context_switches();
+        }
+        if let Some(t) = b.trace() {
+            t.record(crate::trace::Event::Wait(me.id));
         }
         let save = me.ctx.get();
         // The host's TLS load and mask carry wait for the release.

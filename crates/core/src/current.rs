@@ -43,7 +43,7 @@ use crate::park::ParkQueue;
 use crate::runtime::RuntimeInner;
 use crate::stats::StatsShard;
 use crate::trace::TraceShard;
-use crate::uc::{KcShared, UcInner, UcKind};
+use crate::uc::{BltId, KcShared, UcInner, UcKind};
 use std::cell::Cell;
 use std::ptr::{self, NonNull};
 use std::sync::Arc;
@@ -80,7 +80,7 @@ pub enum Deferred {
     Terminate {
         /// The terminated UC.
         uc: Arc<UcInner>,
-        /// Exit status to publish to `UlpHandle::wait`.
+        /// Exit status to publish on the UC's exit cell.
         status: i32,
     },
 }
@@ -375,6 +375,12 @@ pub fn current_ulp() -> Option<Arc<UcInner>> {
     })
 }
 
+/// The id of the ULP installed on this OS thread; `BltId(0)` on a thread
+/// running none (a plain thread, an idle KC), as trace records name it.
+pub(crate) fn current_id() -> BltId {
+    with_thread(|b| b.ulp().map_or(BltId(0), |u| u.id))
+}
+
 /// Store the emulated TLS register (cost accounting is the switch code's
 /// responsibility).
 pub fn set_current_ulp(u: Option<Arc<UcInner>>) {
@@ -485,7 +491,7 @@ pub fn run_deferred() {
                         .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
                     uc.kc.parker.poke();
                 }
-                uc.sib_result.set(status);
+                uc.exit.set(status, uc.id);
             }
         }
     });

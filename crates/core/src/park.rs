@@ -187,7 +187,7 @@
 use crate::runtime::RuntimeInner;
 use crate::stats::StatsShard;
 use crate::trace::now_ns;
-use crate::uc::{IdlePolicy, UcInner};
+use crate::uc::{BltId, IdlePolicy, UcInner};
 use std::cell::{Cell, OnceCell, UnsafeCell};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -938,8 +938,9 @@ impl WaitList {
     /// Make the client's condition true with `change`, under the list's
     /// lock, and take every waiter in the same critical section: the UCs go
     /// to their run queue and the parkers that `ended()` found asleep are
-    /// poked, both after the unlock.
-    pub fn wake_all(&self, change: impl FnOnce()) {
+    /// poked, both after the unlock. A traced UC's wake edge names `setter`
+    /// (`wait_list`), as a spawn's names the spawner.
+    pub fn wake_all(&self, setter: BltId, change: impl FnOnce()) {
         let (ucs, sleepers) = {
             let mut q = self.ucs.lock();
             change();
@@ -950,6 +951,12 @@ impl WaitList {
         };
         while let Some(uc) = ucs.pop(false) {
             if let Some(rt) = uc.rt.upgrade() {
+                if rt.tracer.is_enabled() {
+                    uc.wake_from.store(
+                        crate::uc::encode_wake_from(setter, ulp_kernel::WakeSite::WaitList),
+                        Ordering::Relaxed,
+                    );
+                }
                 rt.runq.push(uc);
             }
         }

@@ -65,7 +65,8 @@ pub const WAKE_CHAIN_DEPTH: usize = 4;
 pub enum ProfileState {
     /// Running as a KLT on its original kernel context.
     Coupled = 0,
-    /// Decoupled and waiting in the run queue.
+    /// Decoupled and on no KC: in the run queue, or on a wait list until
+    /// its setter queues it.
     Queued = 1,
     /// Couple request published, waiting for the original KC to resume it.
     Coupling = 2,

@@ -314,8 +314,11 @@ impl<F: FnMut(Item<'_>)> Replay<F> {
                 self.life(u, at).birth_unresolved = true;
             }
             // `Requeue`: a UC at home re-entering the run queue is queued
-            // again, exactly as after its `Decouple`.
-            Event::Decouple(u) | Event::Requeue(u) => self.turn(u, at, false, Some((Queued, None))),
+            // again, exactly as after its `Decouple`; so is a `Wait`, off
+            // every KC until its setter queues it and a dispatch resumes it.
+            Event::Decouple(u) | Event::Requeue(u) | Event::Wait(u) => {
+                self.turn(u, at, false, Some((Queued, None)))
+            }
             Event::Dispatch { uc, scheduler } => {
                 self.turn(uc, at, true, Some((Decoupled, Some(scheduler))))
             }

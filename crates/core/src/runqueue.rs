@@ -176,6 +176,7 @@ pub(crate) mod tests {
             UcKind::Primary,
             Arc::new(KcShared::new(IdlePolicy::BusyWait)),
             init.clone(),
+            false,
             std::sync::Weak::new(),
             None,
         )

@@ -392,8 +392,10 @@ impl std::fmt::Debug for RuntimeInner {
 }
 
 /// The BLT/ULP runtime. Dropping it shuts the schedulers down (after the
-/// run queue drains); call [`crate::BltHandle::wait`] on every spawned BLT
-/// first.
+/// run queue drains); join every spawned UC first
+/// ([`crate::BltHandle::wait`], [`crate::UlpHandle::wait`]): the join is
+/// what says a UC has ended, and one still decoupled when the schedulers
+/// stop has no host to get back to its KC.
 #[derive(Debug)]
 pub struct Runtime {
     pub(crate) inner: Arc<RuntimeInner>,
@@ -726,6 +728,7 @@ fn scheduler_main(rt: Arc<RuntimeInner>, idx: usize) {
         UcKind::Scheduler,
         kc,
         proc,
+        true,
         Arc::downgrade(&rt),
         None,
     );

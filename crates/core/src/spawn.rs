@@ -13,21 +13,21 @@
 //! gives the UC a stack and pushes it on the run queue decoupled,
 //! `secondary_entry` runs it and couples it to its original KC to
 //! terminate (rule 7), and `Deferred::Terminate` recycles the stack before
-//! it publishes the status [`UlpHandle::wait`] returns. Two facts depend on
-//! the kind: a pooled ULP owns its pid (it exits the process and its handle
-//! reaps it), and a sibling holds a slot in its primary KC's
+//! it publishes the status. A sibling holds a slot in its primary KC's
 //! `sibling_count`, which keeps that KC from retiring.
+//!
+//! Every UC ends one way: its last act publishes its status on its exit cell
+//! (`UcInner::exit`), which both handles' `wait()` joins; no OS thread is
+//! joined. Whether it exits and reaps its pid is `UcInner::owns_pid`.
 
 use crate::couple::couple;
 use crate::current::{run_deferred, set_current_ulp, set_runtime, Deferred};
 use crate::error::UlpError;
 use crate::runtime::{Runtime, RuntimeInner};
 use crate::uc::{BltId, KcShared, UcInner, UcKind, UcState, UlpFn};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use ulp_fcontext::{prepare, Stack};
 use ulp_kernel::process::{Pid, Process};
 
@@ -50,9 +50,6 @@ const POOLED_STACK_SIZE: usize = 64 * 1024;
 #[derive(Debug)]
 pub struct BltHandle {
     pub(crate) uc: Arc<UcInner>,
-    /// False for thread-mode BLTs sharing another process's identity.
-    owns_identity: bool,
-    join: Mutex<Option<JoinHandle<i32>>>,
 }
 
 impl BltHandle {
@@ -68,27 +65,17 @@ impl BltHandle {
 
     /// Wait for the BLT to terminate (as a KLT coupled with its original
     /// KC), reap its simulated-kernel zombie, and return its exit status —
-    /// the analogue of `wait(2)` on a PiP child process (§II).
-    ///
-    /// # Panics
-    /// If called twice.
+    /// the analogue of `wait(2)` on a PiP child process (§II). It joins as
+    /// [`UlpHandle::wait`] does, never holding a scheduler; a second call
+    /// returns the same status and reaps nothing.
     pub fn wait(&self) -> i32 {
-        let handle = self
-            .join
-            .lock()
-            .take()
-            .expect("BltHandle::wait called twice");
         self.close_kc();
-        let status = handle.join().unwrap_or(PANIC_EXIT_STATUS);
-        if self.owns_identity {
-            reap(&self.uc);
-        }
-        status
+        join(&self.uc)
     }
 
-    /// Has the BLT terminated? (Non-blocking.)
+    /// Whether the BLT has terminated (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.uc.state() == UcState::Terminated
+        self.uc.exit.try_get().is_some()
     }
 
     /// Spawn a sibling UC sharing this BLT's original KC — the paper's M:N
@@ -185,16 +172,12 @@ impl UlpHandle {
     /// run queue until the status is published, so it never holds the
     /// scheduler the UC may need (`OneShot::wait`).
     pub fn wait(&self) -> i32 {
-        let status = self.uc.sib_result.wait(&self.uc.rt);
-        if self.uc.kind == UcKind::Pooled {
-            reap(&self.uc);
-        }
-        status
+        join(&self.uc)
     }
 
     /// Whether the UC has terminated (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.uc.sib_result.try_get().is_some()
+        self.uc.exit.try_get().is_some()
     }
 }
 
@@ -272,7 +255,7 @@ impl Runtime {
     fn spawn_inner(&self, name: &str, proc: Option<Arc<Process>>, f: UlpFn) -> BltHandle {
         let rt = self.inner().clone();
         rt.stats.fallback().bump_blts();
-        let shared_identity = proc.is_some();
+        let owns_pid = proc.is_none(); // a thread-mode BLT borrows its pid
         let proc = proc.unwrap_or_else(|| rt.kernel.spawn_child(&rt.root, name));
         let kc = Arc::new(KcShared::new(rt.config.idle_policy));
         let uc = UcInner::new(
@@ -281,37 +264,44 @@ impl Runtime {
             UcKind::Primary,
             kc,
             proc,
+            owns_pid,
             Arc::downgrade(&rt),
             None,
         );
         rt.register_uc(&uc);
         rt.tracer.record(crate::trace::Event::Spawn(uc.id));
         let thread_uc = uc.clone();
-        let thread_rt = rt.clone();
-        let join = std::thread::Builder::new()
+        std::thread::Builder::new()
             .name(format!("ulp-{name}"))
-            .spawn(move || worker_main(thread_rt, thread_uc, f, !shared_identity))
+            .spawn(move || worker_main(rt, thread_uc, f))
             .expect("spawn BLT thread");
+        BltHandle { uc }
+    }
+}
 
-        BltHandle {
-            uc,
-            owns_identity: !shared_identity,
-            join: Mutex::new(Some(join)),
+/// The one join of every UC: wait on its exit cell, then reap its
+/// simulated-kernel zombie if it owns its pid, as the PiP root would.
+fn join(uc: &UcInner) -> i32 {
+    let status = uc.exit.wait(&uc.rt);
+    if uc.owns_pid {
+        if let Some(rt) = uc.rt.upgrade() {
+            rt.kernel.reap_child(&rt.root, &uc.proc);
         }
     }
+    status
 }
 
-/// Reap `uc`'s simulated-kernel zombie, as the PiP root would.
-fn reap(uc: &UcInner) {
-    if let Some(rt) = uc.rt.upgrade() {
-        rt.kernel.reap_child(&rt.root, &uc.proc);
-    }
+/// Body of a BLT's original kernel context. Its last act, on every way out,
+/// publishes the status once `serve_blt` has dropped this thread's hold on
+/// the runtime: a waiter may drop the `Runtime` as soon as `wait()` returns.
+fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn) {
+    let status = catch_unwind(AssertUnwindSafe(|| serve_blt(rt, &uc, f)));
+    uc.exit.set(status.unwrap_or(PANIC_EXIT_STATUS), uc.id);
 }
 
-/// Body of a BLT's original kernel context. `owns_identity` is false for
-/// thread-mode BLTs sharing another process's identity: those must not
-/// exit the shared process when they finish.
-fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity: bool) -> i32 {
+/// A BLT's life on its original KC, to its exit status: run `f`, couple
+/// back (rule 7), serve the siblings until the handle closes, exit.
+fn serve_blt(rt: Arc<RuntimeInner>, uc: &Arc<UcInner>, f: UlpFn) -> i32 {
     // Fig. 6 topology: park original KCs on the dedicated syscall cores so
     // their kernel work stays off the program cores (FlexSC-like, §VII).
     if let Some(cores) = &rt.config.syscall_cores {
@@ -328,15 +318,12 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
     uc.set_state(UcState::Running);
 
     if rt.config.eager_tc {
-        let _ = crate::kc::ensure_tc(&uc, &rt);
+        let _ = crate::kc::ensure_tc(uc, &rt);
     }
 
     // Run the user function; a panic terminates the ULP like a crashed
     // process, not the whole program.
-    let status = match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(code) => code,
-        Err(_) => PANIC_EXIT_STATUS,
-    };
+    let status = catch_unwind(AssertUnwindSafe(f)).unwrap_or(PANIC_EXIT_STATUS);
 
     // Rule 7: terminate as a KLT coupled with the original KC.
     let _ = couple();
@@ -360,7 +347,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
                 break;
             }
         }
-        if crate::kc::ensure_tc(&uc, &rt).is_err() {
+        if crate::kc::ensure_tc(uc, &rt).is_err() {
             // Without a trampoline the KC cannot serve anyone; fall back to
             // the plain exit path rather than spin.
             break;
@@ -384,7 +371,7 @@ fn worker_main(rt: Arc<RuntimeInner>, uc: Arc<UcInner>, f: UlpFn, owns_identity:
 
     uc.set_state(UcState::Terminated);
     rt.tracer.record(crate::trace::Event::Terminate(uc.id));
-    if owns_identity {
+    if uc.owns_pid {
         let _ = rt.kernel.exit(&uc.proc, status);
     }
     rt.kernel.unbind_current();
@@ -416,6 +403,7 @@ where
         kind,
         kc.clone(),
         proc,
+        kind == UcKind::Pooled,
         Arc::downgrade(rt),
         Some(Box::new(f)),
     );
@@ -430,9 +418,8 @@ where
     // The first dispatch's wake edge attributes to us, the spawner (a
     // pre-stamp the push's default self-enqueue attribution respects).
     if rt.tracer.is_enabled() {
-        let waker = crate::current::current_ulp().map_or(BltId(0), |u| u.id);
         uc.wake_from.store(
-            crate::uc::encode_wake_from(waker, ulp_kernel::WakeSite::Spawn),
+            crate::uc::encode_wake_from(crate::current::current_id(), ulp_kernel::WakeSite::Spawn),
             Ordering::Relaxed,
         );
     }
@@ -464,7 +451,7 @@ extern "C" fn secondary_entry(_arg: usize, data: *mut u8) -> ! {
     if let Some(rt) = uc.rt.upgrade() {
         rt.tracer.record(crate::trace::Event::Terminate(uc.id));
         // A sibling's pid is its primary's, which exits with the primary.
-        if uc.kind == UcKind::Pooled {
+        if uc.owns_pid {
             let _ = rt.kernel.exit(&uc.proc, status);
         }
     }

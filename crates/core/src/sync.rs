@@ -40,7 +40,7 @@
 //! the scheduler KC under them (see `DESIGN.md`).
 
 use crate::couple::stall;
-use crate::current::current_runtime;
+use crate::current::{current_id, current_runtime};
 use crate::park::WaitList;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use ulp_kernel::{futex_wait, futex_wake};
@@ -449,7 +449,7 @@ impl UlpEvent {
     /// Signal the event; wakes all current and future waiters.
     pub fn set(&self) {
         self.waiters
-            .wake_all(|| self.state.store(1, Ordering::Release));
+            .wake_all(current_id(), || self.state.store(1, Ordering::Release));
     }
 
     /// Clear the event back to unsignaled.
@@ -500,7 +500,7 @@ impl UlpBarrier {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             self.arrived.store(0, Ordering::Release);
-            self.waiters.wake_all(|| {
+            self.waiters.wake_all(current_id(), || {
                 self.generation.fetch_add(1, Ordering::Release);
             });
             true

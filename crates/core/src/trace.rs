@@ -86,6 +86,11 @@ pub enum Event {
     /// the trampoline (`yield_now()` at home): an enqueue with no UC taking
     /// over, which a scheduler's `Dispatch` answers.
     Requeue(BltId),
+    /// A decoupled UC left its host to wait on a wait list (a join, an
+    /// event, a barrier): an enqueue with no UC taking over, which a
+    /// scheduler's `Dispatch` answers once the list's setter has put it
+    /// back on the run queue.
+    Wait(BltId),
     /// A UC terminated.
     Terminate(BltId),
     /// An idle KC went to sleep (BLOCKING/Adaptive).
@@ -171,6 +176,7 @@ impl Event {
             ),
             Event::CoupleHandoff { from, to } => (11, from.0, to.0, 0),
             Event::Requeue(u) => (13, u.0, 0, 0),
+            Event::Wait(u) => (14, u.0, 0, 0),
             Event::Wake {
                 waker,
                 wakee,
@@ -229,6 +235,7 @@ impl Event {
                 delay_ns: c >> 8,
             },
             13 => Event::Requeue(BltId(a)),
+            14 => Event::Wait(BltId(a)),
             _ => return None,
         })
     }
@@ -1065,6 +1072,7 @@ mod tests {
                 to: BltId(12),
             },
             Event::Requeue(BltId(15)),
+            Event::Wait(BltId(16)),
             Event::Wake {
                 waker: BltId(13),
                 wakee: BltId(14),

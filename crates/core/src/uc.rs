@@ -206,13 +206,13 @@ impl KcShared {
     }
 }
 
-/// One-shot exit-status cell of a secondary UC: set by its termination
-/// (`Deferred::Terminate`), read by its [`crate::UlpHandle`]. A client of
-/// `park.rs`'s `WaitList`, as `UlpEvent` and `UlpBarrier` are: a decoupled
-/// ULT that joins leaves the run queue onto the list, so it never holds the
-/// scheduler the child may need, and a caller that owns its OS thread (a
-/// plain thread, a KLT, a coupled BLT) parks that thread's parker, spinning
-/// or sleeping by `ulp_kernel::Waiters` as an idle KC does.
+/// One-shot exit-status cell of a UC ([`UcInner::exit`]), set by its
+/// termination and read by its handle. A client of `park.rs`'s `WaitList`,
+/// as `UlpEvent` and `UlpBarrier` are: a decoupled ULT that joins leaves the
+/// run queue onto the list, so it never holds the scheduler the child may
+/// need, and a caller that owns its OS thread (a plain thread, a KLT, a
+/// coupled BLT) parks that thread's parker, spinning or sleeping by
+/// `ulp_kernel::Waiters` as an idle KC does.
 #[derive(Debug, Default)]
 pub struct OneShot {
     /// The value as its low 32 bits, with [`PUBLISHED`] set once there is
@@ -230,11 +230,12 @@ impl OneShot {
         OneShot::default()
     }
 
-    /// Publish the value and wake every waiter. Later calls overwrite.
-    pub fn set(&self, v: i32) {
+    /// Publish the value and wake every waiter, which the trace says
+    /// `setter` woke. Later calls overwrite.
+    pub fn set(&self, v: i32, setter: BltId) {
         let word = PUBLISHED | u64::from(v as u32);
         self.waiters
-            .wake_all(|| self.value.store(word, Ordering::Release));
+            .wake_all(setter, || self.value.store(word, Ordering::Release));
     }
 
     /// Wait until a value is published, then return it; at once if it
@@ -334,9 +335,13 @@ pub struct UcInner {
     pub sib_stack: Mutex<Option<Stack>>,
     /// Secondary UCs only: the entry closure, taken at first dispatch.
     pub sib_entry: Mutex<Option<UlpFn>>,
-    /// Secondary UCs only: the exit status for [`crate::UlpHandle::wait`],
-    /// published once the stack is back in the pool.
-    pub sib_result: Arc<OneShot>,
+    /// The exit status its handle's `wait()` returns, published as the UC's
+    /// last act: a primary's once its KC has left the runtime, a secondary
+    /// UC's once its stack is back in the pool.
+    pub exit: Arc<OneShot>,
+    /// Whether its end exits `proc` and its handle reaps it: false for a
+    /// sibling and a thread-mode BLT, which carry another's pid.
+    pub owns_pid: bool,
     /// The signal mask this UC believes it has (§VII): under the default
     /// fcontext-style switching the mask is NOT installed on the executing
     /// kernel context, reproducing the paper's signaling caveat; with
@@ -392,16 +397,18 @@ pub(crate) fn decode_wake_from(v: u64) -> Option<(BltId, ulp_kernel::WakeSite)> 
 
 impl UcInner {
     /// The one constructor: a UC of `kind` on the kernel context `kc`,
-    /// carrying `proc`, in state `Created`. A primary or scheduler starts
-    /// coupled on its own thread with no `entry`; a secondary UC (sibling or
-    /// pooled) is born decoupled and brings the closure its first dispatch
-    /// runs.
+    /// carrying `proc` (its own iff `owns_pid`), in state `Created`. A
+    /// primary or scheduler starts coupled on its own thread with no `entry`;
+    /// a secondary UC (sibling or pooled) is born decoupled and brings the
+    /// closure its first dispatch runs.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: BltId,
         name: String,
         kind: UcKind,
         kc: Arc<KcShared>,
         proc: Arc<Process>,
+        owns_pid: bool,
         rt: Weak<RuntimeInner>,
         entry: Option<UlpFn>,
     ) -> Arc<UcInner> {
@@ -419,7 +426,8 @@ impl UcInner {
             rt,
             sib_stack: Mutex::new(None),
             sib_entry: Mutex::new(entry),
-            sib_result: Arc::new(OneShot::new()),
+            exit: Arc::new(OneShot::new()),
+            owns_pid,
             sigmask: SigMaskCell::new(ulp_kernel::SigSet::EMPTY),
             wait_since: AtomicU64::new(0),
             wake_from: AtomicU64::new(0),
@@ -567,7 +575,7 @@ mod tests {
         let c2 = cell.clone();
         let t = std::thread::spawn(move || c2.wait(&Weak::new()));
         std::thread::sleep(Duration::from_millis(5));
-        cell.set(9);
+        cell.set(9, BltId(0));
         assert_eq!(t.join().unwrap(), 9);
         assert_eq!(cell.try_get(), Some(9));
         assert_eq!(cell.wait(&Weak::new()), 9, "a second wait returns at once");
@@ -592,7 +600,7 @@ mod tests {
                 })
             };
             start.wait();
-            cell.set(round);
+            cell.set(round, BltId(0));
             let got = got
                 .recv_timeout(crate::park::WAIT_PARK_TIMEOUT / 2)
                 .unwrap_or_else(|_| panic!("round {round}: waiter stranded"));
@@ -636,7 +644,7 @@ mod tests {
             std::thread::yield_now();
         }
         let v = parker.version();
-        cell.set(4);
+        cell.set(4, BltId(0));
         let (got, took) = joiner.join().unwrap();
         assert_eq!(got, 4);
         assert_eq!(parker.version(), v + 1, "the set poked the sleeper once");
@@ -683,7 +691,7 @@ mod tests {
                 std::hint::spin_loop();
             }
             let v = parker.version();
-            cell.set(round);
+            cell.set(round, BltId(0));
             assert_eq!(done.recv().unwrap(), round);
             if fallback_parks(&rt) == (hits + 1, sleeps) {
                 spun += 1;

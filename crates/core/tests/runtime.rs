@@ -769,6 +769,11 @@ fn idle_decision_sibling_orbit_spins() {
 /// guess: 16 BLTs decouple into a yield ring and their 16 trampolines (and
 /// the scheduler, before the first arrives) go straight to sleep. Spinning
 /// here is what doubled `yield_ring`'s set-up time under the old streak.
+/// The idle decisions are read once every BLT has coupled back to end
+/// (rule 7) and before the joins: a join that parks waits by the same
+/// spin-or-sleep rule, and its spin periods would count in this thread's
+/// shard beside the KCs'. (`is_finished()` cannot be polled instead: a
+/// BLT's KC stays for its siblings until its handle closes.)
 #[test]
 fn idle_decision_no_history_no_spin() {
     let _cpu = alone();
@@ -785,11 +790,15 @@ fn idle_decision_no_history_no_spin() {
             })
         })
         .collect();
+    while rt.stats().snapshot().couples < 16 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (spun, s) = (spun_periods(&rt), rt.stats().snapshot());
     for h in handles {
         assert_eq!(h.wait(), 0);
     }
-    assert_eq!(spun_periods(&rt), 0, "{:?}", rt.stats().snapshot());
-    assert!(rt.stats().snapshot().park_sleeps >= 16);
+    assert_eq!(spun, 0, "{s:?}");
+    assert!(s.park_sleeps >= 16);
 }
 
 /// A scope that blocks in the kernel leads no KC to spin: the wait it ends
@@ -1207,6 +1216,114 @@ fn a_decoupled_ult_joins_a_sibling_child_on_one_scheduler() {
         status
     });
     assert_eq!(got, 7);
+}
+
+/// The primary variant, and the one that hung while a BLT's join was its OS
+/// thread's: the joiner's `wait()` sat in `pthread_join` on the one
+/// scheduler's thread while the BLT it waited for was queued behind it.
+#[test]
+fn a_decoupled_ult_joins_a_decoupled_blt_on_one_scheduler() {
+    let _cpu = shared();
+    let got = within_watchdog("a decoupled ULT joining a decoupled BLT", || {
+        let rt = Runtime::builder().schedulers(1).build();
+        let child = rt.spawn("child", || {
+            decouple().unwrap();
+            for _ in 0..1_000 {
+                yield_now();
+            }
+            7
+        });
+        let h = rt.spawn("joiner", move || {
+            decouple().unwrap();
+            let status = child.wait();
+            couple().unwrap();
+            status
+        });
+        h.wait()
+    });
+    assert_eq!(got, 7);
+}
+
+/// A BLT's handle is joined like any UC's: a second `wait()` returns the
+/// same status at once, and the process the first one reaped stays reaped.
+#[test]
+fn a_blt_waited_twice_returns_the_same_status() {
+    let _cpu = shared();
+    let rt = Runtime::new();
+    let h = rt.spawn("twice", || 3);
+    let pid = h.pid();
+    assert_eq!(h.wait(), 3);
+    assert!(rt.kernel().process(pid).is_none(), "the first wait reaped");
+    let procs = rt.kernel().process_count();
+    assert_eq!(h.wait(), 3);
+    assert_eq!(
+        rt.kernel().process_count(),
+        procs,
+        "the second reaped nothing"
+    );
+}
+
+/// `is_finished()` reads the exit cell `wait()` waits on, for every kind of
+/// UC: false while the body runs, and true by the time `wait()` returns — at
+/// once for a secondary UC, whose KC is not its own; a primary's KC stays
+/// for its siblings until the handle closes, which its `wait()` does.
+#[test]
+fn is_finished_agrees_with_wait_for_every_kind() {
+    let _cpu = shared();
+    let rt = Runtime::builder().schedulers(1).pool_kcs(1).build();
+    let go = Arc::new(ulp_core::UlpEvent::new());
+    let body = |status| {
+        let go = go.clone();
+        move || {
+            go.wait();
+            status
+        }
+    };
+    let primary = rt.spawn("primary", body(1));
+    let sibling = primary.spawn_sibling("sibling", body(2)).unwrap();
+    let pooled = rt.spawn_pooled("pooled", body(3)).unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    assert!(!primary.is_finished() && !sibling.is_finished() && !pooled.is_finished());
+    go.set();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !(sibling.is_finished() && pooled.is_finished()) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no secondary UC finished"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!((sibling.wait(), pooled.wait()), (2, 3));
+    assert_eq!(primary.wait(), 1);
+    assert!(primary.is_finished() && sibling.is_finished() && pooled.is_finished());
+}
+
+/// A thread-mode BLT borrows another's process (PiP's thread mode): its end
+/// neither exits that process nor reaps it. The owner's end does both.
+#[test]
+fn a_thread_mode_blt_neither_exits_nor_reaps_the_shared_pid() {
+    let _cpu = shared();
+    let rt = Runtime::new();
+    let go = Arc::new(ulp_core::UlpEvent::new());
+    let owner = rt.spawn("owner", {
+        let go = go.clone();
+        move || {
+            go.wait();
+            4
+        }
+    });
+    let pid = owner.pid();
+    let guest = rt.spawn_with_identity("guest", pid, || 9);
+    assert_eq!(guest.pid(), pid);
+    assert_eq!(guest.wait(), 9);
+    let proc = rt
+        .kernel()
+        .process(pid)
+        .expect("the guest reaped the owner's pid");
+    assert!(!proc.is_zombie(), "the guest exited the owner's process");
+    go.set();
+    assert_eq!(owner.wait(), 4);
+    assert!(proc.is_zombie() && rt.kernel().process(pid).is_none());
 }
 
 /// The calling OS thread's CPU time (`CLOCK_THREAD_CPUTIME_ID`).

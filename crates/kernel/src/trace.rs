@@ -337,6 +337,10 @@ name_table! {
         ChildExit => "child_exit",
         /// The AIO helper's completion ended a blocked `aio_suspend(3)`.
         AioDone => "aio_done",
+        /// A wait list's setter — a UC's exit, an event's `set`, a barrier's
+        /// last arrival — put a ULT that waited on it back on the run queue
+        /// (waker = the setter).
+        WaitList => "wait_list",
     }
 }
 

@@ -89,7 +89,10 @@ impl PipTask {
 
     /// Wait for the task to terminate (PiP's `pip_wait`, backed by the
     /// BLT termination rule: tasks always terminate as KLTs on their
-    /// original KC, so this is an ordinary join + reap).
+    /// original KC, whose last act publishes the status this joins on the
+    /// exit cell every UC has, and a process-mode task's pid is reaped).
+    /// A decoupled caller leaves the run queue meanwhile; a second call
+    /// returns the same status.
     pub fn wait(&self) -> i32 {
         self.handle.wait()
     }

@@ -42,6 +42,7 @@ fn primary(event: &TraceEvent) -> Option<BltId> {
         | TraceEvent::Decouple(b)
         | TraceEvent::CoupleRequest(b)
         | TraceEvent::Coupled(b)
+        | TraceEvent::Wait(b)
         | TraceEvent::Terminate(b) => Some(b),
         TraceEvent::Dispatch { uc, .. } => Some(uc),
         TraceEvent::Yield { from, .. } => Some(from),
@@ -99,6 +100,7 @@ fn words(event: &TraceEvent, relabel: &HashMap<BltId, u64>) -> [u64; 4] {
         // but the match stays exhaustive for when the policy changes.
         TraceEvent::CoupleHandoff { from, to } => [11, r(from), r(to), 0],
         TraceEvent::Requeue(b) => [13, r(b), 0, 0],
+        TraceEvent::Wait(b) => [14, r(b), 0, 0],
         TraceEvent::Wake {
             waker, wakee, site, ..
         } => [12, r(waker), r(wakee), site as u64],

@@ -125,17 +125,20 @@ pub struct StatsDelta {
     pub yield_homes: u64,
 }
 
-fn delta(before: &StatsSnapshot, after: &StatsSnapshot) -> StatsDelta {
-    StatsDelta {
-        couples: after.couples - before.couples,
-        decouples: after.decouples - before.decouples,
-        yields: after.yields - before.yields,
-        dispatches: after.scheduler_dispatches - before.scheduler_dispatches,
-        spawned: (after.blts_spawned + after.siblings_spawned + after.pooled_spawned)
-            - (before.blts_spawned + before.siblings_spawned + before.pooled_spawned),
-        handoffs: after.couple_handoffs - before.couple_handoffs,
-        homes: after.decouple_homes - before.decouple_homes,
-        yield_homes: after.yield_homes - before.yield_homes,
+impl StatsDelta {
+    /// What the counters moved from `before` to `after`.
+    pub fn between(before: &StatsSnapshot, after: &StatsSnapshot) -> StatsDelta {
+        StatsDelta {
+            couples: after.couples - before.couples,
+            decouples: after.decouples - before.decouples,
+            yields: after.yields - before.yields,
+            dispatches: after.scheduler_dispatches - before.scheduler_dispatches,
+            spawned: (after.blts_spawned + after.siblings_spawned + after.pooled_spawned)
+                - (before.blts_spawned + before.siblings_spawned + before.pooled_spawned),
+            handoffs: after.couple_handoffs - before.couple_handoffs,
+            homes: after.decouple_homes - before.decouple_homes,
+            yield_homes: after.yield_homes - before.yield_homes,
+        }
     }
 }
 
@@ -180,7 +183,7 @@ pub fn run_cell(cell: Cell, seed: u64) -> RunReport {
     rt.trace_disable();
     let trace = rt.take_trace();
     let dropped = rt.trace_dropped();
-    let stats = delta(&stats0, &rt.stats().snapshot());
+    let stats = StatsDelta::between(&stats0, &rt.stats().snapshot());
     let latency = rt.latency_snapshot();
     let syscalls = rt.syscall_snapshot();
     let consistency: Vec<UlpError> = rt.violations();

@@ -19,11 +19,13 @@
 //!   `Dispatch` whose host is the UC's own KC (`scheduler == uc`) is a
 //!   *home* dispatch, legal like any other — but a UC at home has no
 //!   neighbour to `Yield` to or from, and only a UC at home may `Requeue`.
+//!   Only a decoupled UC (at home or not) may `Wait` on a wait list.
 //! - **D — request/completion and queue balance.** Per BLT, couple
 //!   requests equal couple completions, and resumptions (`Dispatch` +
-//!   `Yield`-to) equal enqueues (`Decouple` + `Yield`-from + `Requeue`,
-//!   plus the birth enqueue of a decoupled-born sibling) — a home dispatch
-//!   answers its `Decouple` exactly as a scheduler's would.
+//!   `Yield`-to) equal enqueues (`Decouple` + `Yield`-from + `Requeue` +
+//!   `Wait`, plus the birth enqueue of a decoupled-born sibling) — a home
+//!   dispatch answers its `Decouple` exactly as a scheduler's would, and a
+//!   scheduler's dispatch answers a `Wait` once the setter has queued it.
 //! - **E — counter conservation.** Trace-event totals equal the runtime's
 //!   independent statistics counters (events and counters are bumped by
 //!   different code paths; drift means one of them lies): home dispatches
@@ -47,7 +49,7 @@
 //!   A already voided the run (a lossy trace folds to a lossy profile).
 //! - **J — wake-edge causality.** Every `Dispatch`/`Yield`-to of a
 //!   previously-enqueued BLT is preceded by exactly one unconsumed
-//!   run-queue wake edge (`enqueue`/`spawn`), and every `Coupled` by
+//!   run-queue wake edge (`enqueue`/`spawn`/`wait_list`), and every `Coupled` by
 //!   exactly one couple wake edge (`couple_resume`/`couple_handoff`) —
 //!   (J1); a kernel-site wake (`pipe_read`, `sock_write`, `accept`,
 //!   `epoll_wait`, …) lands strictly inside the wakee's still-open
@@ -116,6 +118,7 @@ struct BltTrack {
     yields_to: u64,
     dispatches: u64,
     requeues: u64,
+    waits: u64,
     /// On its own KC, decoupled, since its last `Dispatch`.
     at_home: bool,
     terminates: u64,
@@ -141,6 +144,7 @@ impl BltTrack {
             yields_to: 0,
             dispatches: 0,
             requeues: 0,
+            waits: 0,
             at_home: false,
             terminates: 0,
             spans: HashMap::new(),
@@ -391,6 +395,19 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                 }
                 t.at_home = false;
             }
+            TraceEvent::Wait(b) => {
+                if !spawned.contains(&b) {
+                    r.push("C", format!("{b:?}: Wait by a never-spawned BLT"));
+                    continue;
+                }
+                let t = track.entry(b).or_insert_with(BltTrack::new);
+                t.waits += 1;
+                // A KLT waits on its own OS thread, off the trace.
+                if t.state != CoupleState::Decoupled {
+                    r.push("C", format!("{b:?}: Wait while {:?}", t.state));
+                }
+                t.at_home = false;
+            }
             TraceEvent::Terminate(b) => {
                 totals_terminate += 1;
                 if !spawned.contains(&b) {
@@ -505,7 +522,7 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                 }
                 let t = track.entry(wakee).or_insert_with(BltTrack::new);
                 match site {
-                    WakeSite::Enqueue | WakeSite::Spawn => {
+                    WakeSite::Enqueue | WakeSite::Spawn | WakeSite::WaitList => {
                         // J1 — at most one edge per run-queue stay.
                         let prev = t.pending_runnable.replace(site);
                         if wake_checks && prev.is_some() {
@@ -577,8 +594,10 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
             );
         }
         // D — queue conservation: each enqueue (decouple, yield-away,
-        // decoupled birth) is consumed by exactly one resumption.
-        let enqueues = t.decouples + t.yields_from + t.requeues + u64::from(t.born_decoupled);
+        // requeue, wait, decoupled birth) is consumed by exactly one
+        // resumption.
+        let enqueues =
+            t.decouples + t.yields_from + t.requeues + t.waits + u64::from(t.born_decoupled);
         let resumptions = t.dispatches + t.yields_to;
         if enqueues != resumptions {
             r.push(

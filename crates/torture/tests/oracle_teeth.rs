@@ -117,6 +117,21 @@ fn requeued(host: BltId) -> Vec<TraceRecord> {
     t
 }
 
+/// `life(host)` with a wait on a wait list at 24, whose setter's edge
+/// precedes the scheduler's dispatch that answers it.
+fn waited(host: BltId) -> Vec<TraceRecord> {
+    let mut t = life(host);
+    t.splice(
+        4..4,
+        [
+            rec(24, E::Wait(A)),
+            wake(26, A, WakeSite::WaitList),
+            dispatch(26, A, S),
+        ],
+    );
+    t
+}
+
 /// `life(S)` with a blocking `call` while coupled at the end: its sleep is
 /// `site`'s blocking span, from 42 to 45, and the `site` edge lands at
 /// `edge_at`.
@@ -244,6 +259,23 @@ fn rows() -> Vec<Row> {
             "Requeue while Decoupled, not at home",
             requeued(S),
             requeued(A),
+        ),
+        row(
+            "C",
+            "Wait while Coupled",
+            with(life(S), rec(45, E::Wait(A))),
+            waited(A),
+        ),
+        row(
+            "D",
+            "2 enqueues vs 1 resumptions",
+            {
+                // The setter's edge and the dispatch that answers the wait.
+                let mut t = waited(S);
+                t.retain(|r| r.at_ns != 26);
+                t
+            },
+            waited(S),
         ),
         row(
             "C",

@@ -145,7 +145,15 @@ gate "a stall() in shipped $c code outside the RawUlpLock impls in sync.rs (ULT-
 # construct these variants, and tests may match them.
 gate "a lifecycle Event:: variant is matched in $c outside trace.rs and replay.rs (consume replay::Item instead)" \
     "$(git ls-files -- "$c" | shipped | grep -v "^$c/\(trace\|replay\)\.rs$" | xargs -r awk "$tests"'
-        !t && /Event::(Decouple|Dispatch|Requeue|Yield|CoupleRequest|Coupled)[^A-Za-z].*=>/ { print FILENAME ":" FNR ": " $0 }')"
+        !t && /Event::(Decouple|Dispatch|Requeue|Wait|Yield|CoupleRequest|Coupled)[^A-Za-z].*=>/ { print FILENAME ":" FNR ": " $0 }')"
+# One join for every UC: its termination publishes the status on its exit
+# cell and its handle waits on that cell's wait list (spawn.rs), so no UC's
+# OS thread is joined. The shutdown joins the schedulers and pool KCs
+# (runtime.rs) and the metrics server its listener; nothing else in core
+# holds a thread's JoinHandle.
+gate "a thread .join() or JoinHandle in shipped $c code outside runtime.rs and metrics_server.rs (a UC's join is its exit cell's wait list)" \
+    "$(git ls-files -- "$c" | shipped | grep -v "^$c/\(runtime\|metrics_server\)\.rs$" | xargs -r awk "$tests"'
+        !t && /JoinHandle|\.join\(\)/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
 # One secondary-UC path: every `UcInner` is built by `UcInner::new`, and
 # siblings and pooled ULPs share one entry and one termination. A literal is
 # a `UcInner {` on a line that declares no struct or impl, in shipped code.
@@ -239,6 +247,15 @@ gate "a document names a crates/<x> directory that does not exist (the crates ar
         /^F / { p = substr($0, 3); sub(/^crates\//, "", p); sub(/\/.*/, "", p); known[p] = 1; next }
         { hit = substr($0, 3); tok = hit; sub(/^[^:]*:[0-9]*:.*crates\//, "", tok)
           if (!known[tok]) print hit }')"
+# Every `repro -- <name>` a document gives is a subcommand: a name in
+# repro.rs's ARTIFACTS table, or `all`.
+artifacts=$(awk '/^const ARTIFACTS/ { a = 1; next } a && /^\];/ { a = 0 }
+    a && match($0, /^[[:space:]]*\("[A-Za-z0-9_]+"/) { s = substr($0, RSTART, RLENGTH); sub(/^[^"]*"/, "", s); sub(/"$/, "", s); print s }' \
+    crates/bench/src/repro.rs)
+gate "a document runs a repro subcommand that does not exist (a name in crates/bench/src/repro.rs's ARTIFACTS, or all)" \
+    "$(docs | xargs -r grep -noE '(^|[^A-Za-z0-9_-])repro -- [A-Za-z0-9_]+' | awk -v names="all $(echo $artifacts)" '
+        BEGIN { n = split(names, a, " "); for (i = 1; i <= n; i++) ok[a[i]] = 1 }
+        { w = $0; sub(/.*repro -- /, "", w); if (!ok[w]) print }')"
 hooks=$(git grep -n '^\(pub \)\?static [A-Z_]*: *OnceLock<' -- $k || true)
 if [ "$(printf '%s\n' "$hooks" | grep -c .)" -gt 1 ]; then
     gate "more than one OnceLock hook static in $k (extend KernelHooks)" "$hooks"
