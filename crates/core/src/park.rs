@@ -167,13 +167,15 @@
 //! `Deferred::Unlock` releases it once the UC is saved, so no setter can
 //! resume a context whose registers are not on its stack (Table I race
 //! point 2). Any other waiter owns its OS thread and parks that thread's
-//! parker, registered under the lock, exactly as an idle loop parks — the
-//! condition in place of the queue. The setter changes the condition, takes
-//! the UCs and reads every registered parker's count in one critical
-//! section, and after the unlock pushes the UCs to their run queue and
-//! pokes the parkers that had a sleeper. A UC off the run queue has no
-//! time-out to ride: a lost wake-up there is a hang, which the model below
-//! rules out.
+//! one parker, registered under the lock, exactly as an idle loop parks —
+//! the condition in place of the queue — by `Adaptive`'s rule under every
+//! policy: BUSYWAIT and BLOCKING are an idle KC's (§VI-C), not a join's, and
+//! a join that spun cost Table V's BUSYWAIT row 1.6×. The setter changes the
+//! condition, takes the UCs and reads every registered parker's count in
+//! one critical section, and after the unlock pushes the UCs to their run
+//! queue and pokes the parkers that had a sleeper. A UC off the run queue
+//! has no time-out to ride: a lost wake-up there is a hang, which the model
+//! below rules out.
 //!
 //! `model.rs` next to this file checks the protocol — spinners' count and
 //! the yield's held hand-over included — on every interleaving of its atomic
@@ -837,19 +839,16 @@ impl IdleTally {
 pub(crate) const WAIT_PARK_TIMEOUT: Duration = Duration::from_secs(1);
 
 thread_local! {
-    /// The parkers this OS thread waits on, one per [`IdlePolicy`], made on
-    /// first use. A thread waits on one list at a time, so each parker has
-    /// one consumer, and its [`Waiters`] remember how long this thread's
-    /// last wait took.
-    static WAIT_PARKERS: [OnceCell<Arc<Parker>>; 3] =
-        const { [OnceCell::new(), OnceCell::new(), OnceCell::new()] };
+    /// This OS thread's one wait parker, made on first use: one consumer, so
+    /// its [`Waiters`] remember how long the thread's last wait took. It is
+    /// `Adaptive` under every runtime's [`IdlePolicy`] ("Wait lists").
+    static WAIT_PARKERS: OnceCell<Arc<Parker>> = const { OnceCell::new() };
 }
 
-/// The calling OS thread's wait parker for `policy`.
-pub(crate) fn wait_parker(policy: IdlePolicy) -> Arc<Parker> {
-    WAIT_PARKERS.with(|ps| {
-        ps[policy as usize]
-            .get_or_init(|| Arc::new(Parker::new(policy, WAIT_PARK_TIMEOUT)))
+/// The calling OS thread's wait parker.
+pub(crate) fn wait_parker() -> Arc<Parker> {
+    WAIT_PARKERS.with(|p| {
+        p.get_or_init(|| Arc::new(Parker::new(IdlePolicy::Adaptive, WAIT_PARK_TIMEOUT)))
             .clone()
     })
 }
@@ -883,10 +882,9 @@ impl WaitList {
 
     /// Wait until `ready` answers — at once if it does. A decoupled UC
     /// leaves the run queue onto this list; any other caller parks its OS
-    /// thread's parker, spinning or sleeping by the [`IdlePolicy`] of the
-    /// runtime `rt` returns (asked only then), which also counts the wait
-    /// (`ulp_park_total`) for a thread with no stats shard of its own.
-    /// `ready` is asked once without the lock, then only under it.
+    /// thread's [`wait_parker`], counted (`ulp_park_total`) in the fallback
+    /// shard of the runtime `rt` returns if the thread has no shard of its
+    /// own. `ready` is asked once without the lock, then only under it.
     pub fn wait<R>(
         &self,
         rt: impl FnOnce() -> Option<Arc<RuntimeInner>>,
@@ -906,12 +904,8 @@ impl WaitList {
                 crate::couple::leave_onto(q);
             }
         }
-        let rt = rt();
-        let policy = rt
-            .as_ref()
-            .map_or(IdlePolicy::default(), |rt| rt.config.idle_policy);
-        let parker = wait_parker(policy);
-        let idle = &mut IdleTally::counting_into(rt);
+        let parker = wait_parker();
+        let idle = &mut IdleTally::counting_into(rt());
         loop {
             let seen = parker.version();
             {

@@ -73,9 +73,14 @@ impl BltHandle {
         join(&self.uc)
     }
 
-    /// Whether the BLT has terminated (non-blocking).
+    /// Whether the BLT is done with user code (non-blocking): its body has
+    /// returned and no sibling is live, so [`BltHandle::wait`] waits only
+    /// for the KC to retire, which the handle's close lets it do.
     pub fn is_finished(&self) -> bool {
+        let kc = &self.uc.kc;
         self.uc.exit.try_get().is_some()
+            || kc.primary_waiting.load(Ordering::Acquire)
+                && kc.sibling_count.load(Ordering::Acquire) == 0
     }
 
     /// Spawn a sibling UC sharing this BLT's original KC — the paper's M:N
@@ -167,10 +172,10 @@ impl UlpHandle {
     /// status at once and reaps nothing.
     ///
     /// A caller that owns its OS thread (a plain thread, a KLT, a coupled
-    /// BLT) spins or sleeps on that thread's parker by the runtime's
-    /// [`crate::IdlePolicy`], as an idle KC does; a decoupled ULT leaves the
-    /// run queue until the status is published, so it never holds the
-    /// scheduler the UC may need (`OneShot::wait`).
+    /// BLT) parks that thread's parker by `Waiters`' one rule, whatever the
+    /// runtime's [`crate::IdlePolicy`]; a decoupled ULT leaves the run queue
+    /// until the status is published, so it never holds the scheduler the UC
+    /// may need (`OneShot::wait`).
     pub fn wait(&self) -> i32 {
         join(&self.uc)
     }
@@ -328,6 +333,7 @@ fn serve_blt(rt: Arc<RuntimeInner>, uc: &Arc<UcInner>, f: UlpFn) -> i32 {
     // Rule 7: terminate as a KLT coupled with the original KC.
     let _ = couple();
     debug_assert!(uc.kc.is_current_thread());
+    uc.kc.primary_waiting.store(true, Ordering::Release);
 
     // The KC may not exit while its `BltHandle` is still open: a sibling
     // spawned through the handle needs this OS thread to serve its couple
@@ -354,7 +360,6 @@ fn serve_blt(rt: Arc<RuntimeInner>, uc: &Arc<UcInner>, f: UlpFn) -> i32 {
         }
         if uc.kc.sibling_count.load(Ordering::Acquire) > 0 {
             // Serve the live siblings from the TC until they drain.
-            uc.kc.primary_waiting.store(true, Ordering::Release);
             uc.kc.parker.poke();
             let target = unsafe { *uc.kc.tc_ctx.get() };
             unsafe {

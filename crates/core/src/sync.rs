@@ -11,8 +11,9 @@
 //! of one list, `park.rs`'s `WaitList`. A decoupled ULT leaves the run
 //! queue onto the list and is pushed back by the `set()`, the last arrival
 //! or the child's exit; a caller that owns its OS thread — a plain thread,
-//! a KLT, a coupled BLT — parks on that thread's parker, spinning or
-//! sleeping by `ulp_kernel::Waiters` as an idle KC does. Either way a
+//! a KLT, a coupled BLT — parks on that thread's one parker, spinning only
+//! while `ulp_kernel::Waiters` says its last wait was short, whatever the
+//! runtime's `IdlePolicy` (that policy is an idle KC's). Either way a
 //! waiter holds no scheduler, which keeps mixed KLT/ULT programs correct
 //! and an oversubscribed barrier free of yield loops.
 //!

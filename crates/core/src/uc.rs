@@ -71,8 +71,9 @@ pub enum UcState {
     Terminated = 2,
 }
 
-/// How an idle kernel context waits (paper §VI-C: BUSYWAIT vs BLOCKING).
-/// Interpreted in one place, `Parker::park`.
+/// How an idle kernel context waits (paper §VI-C: BUSYWAIT vs BLOCKING); a
+/// join, an event or a barrier waits by `ulp_kernel::Waiters`' one rule
+/// under every policy. Interpreted in one place, `Parker::park`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IdlePolicy {
     /// Never sleep: spin with `std::hint::spin_loop` (and a `sched_yield`
@@ -134,7 +135,7 @@ pub struct KcShared {
     /// sibling either registers before the KC retires or observes the
     /// closed flag and fails to spawn — never registers into a dead KC.
     pub handle_closed: AtomicBool,
-    /// The primary finished and is parked until siblings drain.
+    /// The primary's body returned and it coupled back (rule 7).
     pub primary_waiting: AtomicBool,
     /// Tracing-only wake stamp for the TC idle loop: armed by the thread
     /// publishing a couple request to this KC, consumed by the TC when that
@@ -211,8 +212,7 @@ impl KcShared {
 /// as `UlpEvent` and `UlpBarrier` are: a decoupled ULT that joins leaves the
 /// run queue onto the list, so it never holds the scheduler the child may
 /// need, and a caller that owns its OS thread (a plain thread, a KLT, a
-/// coupled BLT) parks that thread's parker, spinning or sleeping by
-/// `ulp_kernel::Waiters` as an idle KC does.
+/// coupled BLT) parks that thread's one parker by `ulp_kernel::Waiters`.
 #[derive(Debug, Default)]
 pub struct OneShot {
     /// The value as its low 32 bits, with [`PUBLISHED`] set once there is
@@ -239,10 +239,9 @@ impl OneShot {
     }
 
     /// Wait until a value is published, then return it; at once if it
-    /// already is. `rt` is the runtime of the UC that publishes it: its
-    /// [`IdlePolicy`] decides how an OS thread waits, and a thread with no
-    /// stats shard of its own counts its wait (`ulp_park_total`) into that
-    /// runtime's fallback shard.
+    /// already is. `rt` is the runtime of the UC that publishes it: a thread
+    /// with no stats shard of its own counts its wait (`ulp_park_total`)
+    /// into that runtime's fallback shard. Its [`IdlePolicy`] plays no part.
     pub fn wait(&self, rt: &Weak<RuntimeInner>) -> i32 {
         self.waiters.wait(|| rt.upgrade(), || self.try_get())
     }
@@ -632,9 +631,7 @@ mod tests {
         let joiner = {
             let cell = cell.clone();
             std::thread::spawn(move || {
-                parker_tx
-                    .send(crate::park::wait_parker(IdlePolicy::Adaptive))
-                    .unwrap();
+                parker_tx.send(crate::park::wait_parker()).unwrap();
                 let t = std::time::Instant::now();
                 (cell.wait(&rt_weak), t.elapsed())
             })
@@ -670,9 +667,7 @@ mod tests {
         let (parker_tx, parker_rx) = mpsc::channel();
         let (done_tx, done) = mpsc::channel();
         let joiner = std::thread::spawn(move || {
-            parker_tx
-                .send(crate::park::wait_parker(IdlePolicy::Adaptive))
-                .unwrap();
+            parker_tx.send(crate::park::wait_parker()).unwrap();
             for cell in cells_rx {
                 done_tx.send(cell.wait(&rt_weak)).unwrap();
             }

@@ -772,8 +772,8 @@ fn idle_decision_sibling_orbit_spins() {
 /// The idle decisions are read once every BLT has coupled back to end
 /// (rule 7) and before the joins: a join that parks waits by the same
 /// spin-or-sleep rule, and its spin periods would count in this thread's
-/// shard beside the KCs'. (`is_finished()` cannot be polled instead: a
-/// BLT's KC stays for its siblings until its handle closes.)
+/// shard beside the KCs'. (`is_finished()` would serve as well: it turns
+/// true once a BLT's body has returned and coupled back.)
 #[test]
 fn idle_decision_no_history_no_spin() {
     let _cpu = alone();
@@ -1244,6 +1244,37 @@ fn a_decoupled_ult_joins_a_decoupled_blt_on_one_scheduler() {
     assert_eq!(got, 7);
 }
 
+/// `is_finished()` on an open primary handle turns true once the body has
+/// returned and no sibling is live, not when the KC retires — that waits
+/// for the handle to close — so a loop that polls it before joining ends.
+#[test]
+fn a_poll_then_join_loop_on_an_open_blt_handle_ends() {
+    let _cpu = shared();
+    let got = within_watchdog("polling is_finished() on an open BLT handle", || {
+        let rt = Runtime::new();
+        let go = Arc::new(ulp_core::UlpEvent::new());
+        let h = rt.spawn("body", || 5);
+        let sib = h
+            .spawn_sibling("sibling", {
+                let go = go.clone();
+                move || {
+                    go.wait();
+                    6
+                }
+            })
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(!h.is_finished(), "a sibling is live");
+        go.set();
+        while !h.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(sib.wait(), 6);
+        h.wait()
+    });
+    assert_eq!(got, 5);
+}
+
 /// A BLT's handle is joined like any UC's: a second `wait()` returns the
 /// same status at once, and the process the first one reaped stays reaped.
 #[test]
@@ -1263,10 +1294,11 @@ fn a_blt_waited_twice_returns_the_same_status() {
     );
 }
 
-/// `is_finished()` reads the exit cell `wait()` waits on, for every kind of
-/// UC: false while the body runs, and true by the time `wait()` returns — at
-/// once for a secondary UC, whose KC is not its own; a primary's KC stays
-/// for its siblings until the handle closes, which its `wait()` does.
+/// `is_finished()` agrees with `wait()` for every kind of UC: false while
+/// the body runs, and true by the time `wait()` returns. A secondary UC's
+/// reads its exit cell; a primary's also reads true once its body has
+/// returned and no sibling is live, though its KC stays until the handle
+/// closes, which its `wait()` does.
 #[test]
 fn is_finished_agrees_with_wait_for_every_kind() {
     let _cpu = shared();
@@ -1396,6 +1428,30 @@ fn a_decoupled_join_leaves_the_scheduler_while_its_child_waits() {
     });
     setter.join().unwrap();
     assert_eq!(got, 7);
+}
+
+/// A join is not an idle KC: BUSYWAIT and BLOCKING say how a runtime's KCs
+/// idle, and a plain thread that joins a BLT living 50 ms waits by the one
+/// rule under both — with no history it sleeps at once. A joiner that spun
+/// beside a BUSYWAIT runtime's spinning KCs made three spinners on two
+/// cores and cost Table V's BUSYWAIT row 1.6×.
+#[test]
+fn a_busywait_join_does_not_spin_the_joiner() {
+    let _cpu = alone();
+    for policy in [IdlePolicy::BusyWait, IdlePolicy::Blocking] {
+        let rt = rt_with(policy, 1);
+        let h = rt.spawn("lives 50 ms", || {
+            std::thread::sleep(Duration::from_millis(50));
+            0
+        });
+        let cpu = thread_cpu();
+        assert_eq!(h.wait(), 0);
+        let cpu = thread_cpu() - cpu;
+        assert!(
+            cpu < Duration::from_millis(5),
+            "{policy:?}: the joiner ran {cpu:?} of a 50 ms join"
+        );
+    }
 }
 
 /// A plain thread's join outcomes, read from the runtime's fallback shard:

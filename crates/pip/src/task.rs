@@ -97,7 +97,10 @@ impl PipTask {
         self.handle.wait()
     }
 
-    /// Whether the task has terminated (non-blocking `wait` probe).
+    /// Whether the task is done with user code (non-blocking `wait` probe):
+    /// its body has returned and no sibling UC of it is live, so
+    /// [`PipTask::wait`] waits on no user code. Its KC retires at that
+    /// `wait` ([`BltHandle::is_finished`]).
     pub fn is_finished(&self) -> bool {
         self.handle.is_finished()
     }

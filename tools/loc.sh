@@ -81,8 +81,9 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # its handle in core; kernel hook calls only while a tracer records;
 # readiness edges fired by their object, named, on per-end socket sets; no
 # condvar in core, whose waits park on a Parker or leave the run queue on a
-# WaitList, and no stall() outside the lock suite; every .rs path and every
-# crates/<x> directory a document names exists.
+# WaitList, and no stall() outside the lock suite; an idle policy read only
+# where a KC's parker is built or staying home decided; every .rs path and
+# every crates/<x> directory a document names exists.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
 bad=0
@@ -154,6 +155,13 @@ gate "a lifecycle Event:: variant is matched in $c outside trace.rs and replay.r
 gate "a thread .join() or JoinHandle in shipped $c code outside runtime.rs and metrics_server.rs (a UC's join is its exit cell's wait list)" \
     "$(git ls-files -- "$c" | shipped | grep -v "^$c/\(runtime\|metrics_server\)\.rs$" | xargs -r awk "$tests"'
         !t && /JoinHandle|\.join\(\)/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
+# An idle policy is a KC's (paper §VI-C): only the files that build a
+# scheduler's, a trampoline's or a pool KC's parker, or decide staying home,
+# read it from a config. A join, an event or a barrier parks its thread's one
+# wait parker by `ulp_kernel::Waiters`' rule whatever the policy (park.rs).
+gate "config.idle_policy read in shipped $c code outside runtime.rs, spawn.rs and couple.rs (an idle policy is a KC's: a join, an event or a barrier waits by the one Waiters rule)" \
+    "$(git ls-files -- "$c" | shipped | grep -v "^$c/\(runtime\|spawn\|couple\)\.rs$" | xargs -r awk "$tests"'
+        !t && /config(\(\))?\.idle_policy/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
 # One secondary-UC path: every `UcInner` is built by `UcInner::new`, and
 # siblings and pooled ULPs share one entry and one termination. A literal is
 # a `UcInner {` on a line that declares no struct or impl, in shipped code.
