@@ -40,7 +40,7 @@ const MAX_ORBIT_KC_BLOCKS: f64 = 0.05;
 /// Clients and requests per client of the request/reply gates, the ceiling
 /// on trampoline futex blocks per request (≈ 0.95 when every `decouple()`
 /// wakes the sleeping scheduler, ≈ 0.01 when it stays home) and the ceiling
-/// on kernel condvar sleeps per request (≈ 2 when every blocked `read`
+/// on kernel futex sleeps per request (≈ 2 when every blocked `read`
 /// sleeps, ≈ 0.001 when the short ones spin).
 const RR_CLIENTS: usize = 4;
 const RR_REQUESTS: usize = 2_000;
@@ -196,7 +196,7 @@ fn main() {
     // The kernel's wait decision on the same run: each blocked `read` waits
     // out one hand-over to the peer, a few µs, so the queues' last waits are
     // short and the waits spin instead of sleeping. By the kernel's own
-    // counters the readers must hardly ever sleep on a condvar.
+    // counters the readers must hardly ever sleep on their queue's word.
     gate(
         kernel_sleeps <= MAX_RR_KERNEL_SLEEPS,
         format!("request/reply kernel sleeps per request: {kernel_sleeps:.3} (ceiling {MAX_RR_KERNEL_SLEEPS})"),

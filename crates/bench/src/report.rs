@@ -168,8 +168,9 @@ pub fn write_csv(rows: &[Row], path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Where the numbers were measured — a number without its machine cannot be
-/// compared with anything. A probe that fails reads `unknown`.
+/// Where the numbers were measured, and by which code — a number without its
+/// machine cannot be compared with anything. A probe that fails reads
+/// `unknown`.
 pub fn host_block() -> Vec<(&'static str, String)> {
     let first_line_of = |cmd: &str, args: &[&str]| {
         let out = std::process::Command::new(cmd).args(args).output().ok()?;
@@ -194,7 +195,9 @@ pub fn host_block() -> Vec<(&'static str, String)> {
     [
         ("nproc", Some(crate::baselines::n_cpus().to_string())),
         ("cpu_model", cpu_model),
-        ("git_sha", first_line_of("git", &["rev-parse", "HEAD"])),
+        // The commit the binary was built from (`build.rs`), not the
+        // directory it runs in.
+        ("git_sha", Some(env!("ULP_GIT_SHA").to_string())),
         ("rustc", first_line_of("rustc", &["-V"])),
     ]
     .map(|(probe, value)| (probe, value.unwrap_or_else(|| "unknown".to_string())))

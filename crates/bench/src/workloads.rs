@@ -188,7 +188,7 @@ pub fn couple_loop(policy: IdlePolicy, blts: usize, window: Duration) -> (f64, S
 /// and the scheduler sleep between requests. Returns, from the runtime's and
 /// the kernel's own counters, per request: trampoline futex blocks — one
 /// when every `decouple()` leaves for the sleeping scheduler, next to none
-/// when it stays home — and kernel condvar sleeps — two when every blocked
+/// when it stays home — and kernel futex sleeps — two when every blocked
 /// `read` sleeps, next to none when the short ones spin.
 pub fn request_reply_sleeps(clients: usize, requests: usize) -> (f64, f64) {
     let rt = Runtime::new();

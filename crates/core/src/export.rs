@@ -362,7 +362,7 @@ pub fn prometheus_text(
         "ulp_kernel_wait_total",
         "How blocking kernel calls that had to wait ended: spin_hit = satisfied while spinning \
          (an OS-thread sleep saved), spin_miss = spun, then slept or gave up anyway (CPU wasted), \
-         sleep = every condvar sleep.",
+         sleep = every futex sleep.",
         "counter",
     );
     for (outcome, n) in kernel_waits.rows() {

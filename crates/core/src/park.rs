@@ -20,8 +20,10 @@
 //! A **producer** ([`ParkQueue::push`]) links the UC and reads `sleepers`
 //! **inside the same critical section**; only when that read is non-zero
 //! does it (after unlocking) bump `version` and `futex_wake`. (`sleepers`
-//! is the low half of the parker's [`Waiters`] count; `Adaptive` spinners
-//! count in the high half, which wakes nobody — "The idle decision".)
+//! is the low half of the parker's [`Waiters`] count and `version` its
+//! word, the one every kernel wait queue's sleepers sleep on too; `Adaptive`
+//! spinners count in the high half, which wakes nobody — "The idle
+//! decision".)
 //!
 //! Take one push *P* and one park *K* that serve the same queue. The queue
 //! lock totally orders P's critical section and K's re-check of that queue:
@@ -180,7 +182,8 @@
 //! `model.rs` next to this file checks the protocol — spinners' count and
 //! the yield's held hand-over included — on every interleaving of its atomic
 //! steps (2 producers × 1 yielder × 1 consumer) under sequential
-//! consistency, and the wait list's (1 UC × 1 parker × 1 setter); the tests
+//! consistency, the wait list's (1 UC × 1 parker × 1 setter) and the
+//! kernel wait queue's on the same word (2 waiters × 1 waker); the tests
 //! below hammer the real thing.
 //!
 //! [`KcShared`]: crate::uc::KcShared
@@ -195,7 +198,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use ulp_kernel::{futex_wait_timeout, futex_wake, Waiters, SLEEPERS, SPINNER};
+use ulp_kernel::{futex_wait_timeout, Waiters, SLEEPERS, SPINNER};
 
 /// `pause`s a lock waiter spends before it sleeps its OS thread; also the
 /// length of one BUSYWAIT / Adaptive idle pass, which ends in a
@@ -599,17 +602,17 @@ impl ParkQueueGuard<'_> {
     }
 }
 
-/// What idle consumers of one or more [`ParkQueue`]s sleep on: the futex
-/// word, who waits on it and for how long the last of them waited, and the
-/// one place the [`IdlePolicy`] is interpreted.
+/// What idle consumers of one or more [`ParkQueue`]s sleep on: who waits,
+/// for how long the last of them waited and the futex word they sleep on —
+/// one [`Waiters`], as every kernel wait queue's — and the one place the
+/// [`IdlePolicy`] is interpreted.
 #[derive(Debug)]
 pub struct Parker {
-    /// Futex word. Moves only when a sleeper was announced at a push, or on
-    /// a [`Parker::poke`].
-    version: AtomicU32,
     /// Consumers between announce and un-announce in [`Parker::park`], and
     /// `Adaptive` spinners for the length of a pass; the last wait a push
-    /// ended (module docs, "The idle decision").
+    /// ended (module docs, "The idle decision"); and `version`, the word,
+    /// which moves only when a sleeper was announced at a push, or on a
+    /// [`Parker::poke`].
     waiters: Waiters,
     idle_policy: IdlePolicy,
     /// Bound on one futex sleep: callers re-check in a loop, and idle KCs
@@ -622,31 +625,24 @@ impl Parker {
     /// time.
     pub fn new(idle_policy: IdlePolicy, timeout: Duration) -> Parker {
         Parker {
-            version: AtomicU32::new(0),
             waiters: Waiters::default(),
             idle_policy,
             timeout,
         }
     }
 
-    /// The futex word; a consumer reads it *before* the checks that precede
-    /// its [`Parker::park`].
+    /// The futex word, `version`; a consumer reads it *before* the checks
+    /// that precede its [`Parker::park`].
     #[inline]
     pub fn version(&self) -> u32 {
-        self.version.load(Ordering::SeqCst)
+        self.waiters.word().load(Ordering::SeqCst)
     }
 
-    /// Bump `version` and wake every announced sleeper: the wake half of a
-    /// push that saw one, and the whole of a non-queue event (the caller
-    /// stored its flag first). The `SeqCst` bump → count load pairs with
-    /// `park`'s `SeqCst` announce → `version` load, so the system call is
-    /// skipped only when no consumer can be about to sleep on the old
-    /// version.
+    /// Bump `version` and wake every announced sleeper
+    /// ([`Waiters::poke`]): the wake half of a push that saw one, and the
+    /// whole of a non-queue event (the caller stored its flag first).
     pub fn poke(&self) {
-        self.version.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.counted() & SLEEPERS != 0 {
-            futex_wake(&self.version, i32::MAX);
-        }
+        self.waiters.poke(i32::MAX);
     }
 
     /// A push's half of the protocol, called inside the critical section of
@@ -717,9 +713,9 @@ impl Parker {
             }
         };
         self.waiters.count_in(1, since);
-        let woken = self.version.load(Ordering::SeqCst) == seen
+        let woken = self.version() == seen
             && queues_empty()
-            && futex_wait_timeout(&self.version, seen, self.timeout);
+            && futex_wait_timeout(self.waiters.word(), seen, self.timeout);
         self.waiters.count_out(1);
         idle.idled(if woken { Idled::Woken } else { Idled::Blocked })
     }

@@ -60,6 +60,18 @@
 //! is a waiter off the run queue or asleep with nobody left to step; the
 //! mutants read the count before the setter's lock, take the list before the
 //! store, and link the UC waiter before its context is saved.
+//!
+//! The third model is the kernel's wait queue (`ulp_kernel`'s `WaitQueue`),
+//! whose sleepers sleep on the same `Waiters` word: two waiters, one of
+//! which may spin, and one waker, each taking the owner's lock. A waiter
+//! checks its predicate under the lock; a spin pass counts in, unlocks,
+//! yields, relocks and counts out; a sleep counts in and reads `seen` under
+//! the lock, unlocks, and sleeps on the word while it reads `seen`. The waker
+//! changes the predicate, reads the count and — if it saw a sleeper — bumps
+//! the word and wakes every sleeper on it, all under the lock (`wake_all`;
+//! which sleeper a `wake_one` picks is the host's, as before). The mutants
+//! read `seen` after the unlock, read the count before the predicate changes,
+//! and wake without bumping.
 
 use std::collections::HashSet;
 
@@ -1198,4 +1210,401 @@ fn a_waiter_linked_before_its_save_is_caught() {
         "the setter took the UC after the early unlock"
     );
     assert!(at("U:Save").is_none(), "the waiter was not saved yet");
+}
+
+// ---------------------------------------------------------------------------
+// The kernel's wait queue (`ulp_kernel`'s `wait.rs`): two waiters and one
+// waker, each taking the owner's lock; the sleepers sleep on the `Waiters`
+// word, as a `Parker`'s consumers do.
+// ---------------------------------------------------------------------------
+
+/// Waiters on the queue; waiter 0 may spin, waiter 1 always sleeps.
+const WAITERS: usize = 2;
+
+/// The waker's thread index, after the waiters'.
+const WAKER: usize = WAITERS;
+
+/// Which wait-queue protocol runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum QueueVariant {
+    /// A sleeper counts in and reads `seen` under the lock, then sleeps on
+    /// the word with the lock released; the waker changes the predicate,
+    /// reads the count and pokes, all under the lock (the real code).
+    Shipped,
+    /// A sleeper that reads `seen` after it has released the lock (mutant).
+    SeenAfterUnlock,
+    /// A waker that reads the count before it takes the lock to change the
+    /// predicate (mutant).
+    CountBeforeStore,
+    /// A poke that wakes the word's sleepers without bumping it (mutant).
+    WakeWithoutBump,
+}
+
+/// A waiter's steps: the caller's locked check, then `Wait::sleep`'s spin
+/// pass or sleep, back to the check with the lock held again.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Q {
+    Lock,
+    Check,
+    CheckedUnlock,
+    SpinIn,
+    SpinUnlock,
+    SpinPass,
+    SpinRelock,
+    SpinOut,
+    CountIn,
+    ReadSeen,
+    Unlock,
+    FutexWait,
+    Asleep,
+    Relock,
+    CountOut,
+    Done,
+}
+
+/// The waker's steps: the owner's critical section around `wake_all`.
+/// `Bump`, `RereadSleepers` and `Wake` are `Waiters::poke`, taken only when
+/// `ReadCount` saw a sleeper.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum W {
+    ReadCount,
+    Lock,
+    Store,
+    Bump,
+    RereadSleepers,
+    Wake,
+    Unlock,
+    Done,
+}
+
+impl W {
+    /// The waker's steps before the poke, in the order `variant` takes them.
+    fn order(variant: QueueVariant) -> &'static [W] {
+        match variant {
+            QueueVariant::CountBeforeStore => &[W::ReadCount, W::Lock, W::Store],
+            _ => &[W::Lock, W::Store, W::ReadCount],
+        }
+    }
+}
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Queue {
+    /// Lock holder: a waiter's index or [`WAKER`].
+    locked: Option<usize>,
+    /// The predicate the waiters wait for.
+    ready: bool,
+    /// The `Waiters` count: sleepers + spinners × [`SPINNER`].
+    count: u8,
+    /// The `Waiters` word.
+    word: u8,
+    /// The queue's last wait was short: waiter 0 spins.
+    short: bool,
+    /// Waiter 0's spin passes so far.
+    passes: u8,
+    q: [Q; WAITERS],
+    seen: [u8; WAITERS],
+    w: W,
+    /// Where the waker is in its pre-poke steps.
+    w_at: u8,
+    /// What the waker's count read saw.
+    w_saw: u8,
+}
+
+impl Queue {
+    fn new(short: bool, variant: QueueVariant) -> Queue {
+        Queue {
+            locked: None,
+            ready: false,
+            count: 0,
+            word: 0,
+            short,
+            passes: 0,
+            q: [Q::Lock; WAITERS],
+            seen: [0; WAITERS],
+            w: W::order(variant)[0],
+            w_at: 0,
+            w_saw: 0,
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.w == W::Done && self.q.iter().all(|&q| q == Q::Done)
+    }
+
+    /// The waker's next step after the one at `w_at` of its pre-poke order:
+    /// the next of that order, else the poke if the count read saw a
+    /// sleeper, else the unlock.
+    fn waker_next(&mut self, variant: QueueVariant) -> W {
+        self.w_at += 1;
+        if let Some(&w) = W::order(variant).get(self.w_at as usize) {
+            return w;
+        }
+        match variant {
+            _ if self.w_saw & SLEEPERS == 0 => W::Unlock,
+            QueueVariant::WakeWithoutBump => W::RereadSleepers,
+            _ => W::Bump,
+        }
+    }
+
+    /// Thread `t` takes its next atomic step; `None` if it cannot (done,
+    /// waiting for the lock, or asleep).
+    fn step(&self, t: usize, variant: QueueVariant) -> Option<Queue> {
+        let mut s = self.clone();
+        let lock = |s: &mut Queue| {
+            if s.locked.is_some() {
+                return false;
+            }
+            s.locked = Some(t);
+            true
+        };
+        if t == WAKER {
+            s.w = match self.w {
+                W::ReadCount => {
+                    s.w_saw = s.count;
+                    s.waker_next(variant)
+                }
+                W::Lock => {
+                    if !lock(&mut s) {
+                        return None;
+                    }
+                    s.waker_next(variant)
+                }
+                W::Store => {
+                    s.ready = true;
+                    s.waker_next(variant)
+                }
+                W::Bump => {
+                    s.word += 1;
+                    W::RereadSleepers
+                }
+                W::RereadSleepers => {
+                    if s.count & SLEEPERS != 0 {
+                        W::Wake
+                    } else {
+                        W::Unlock
+                    }
+                }
+                // `futex_wake(word, i32::MAX)`: every sleeper on the host's
+                // list for the word.
+                W::Wake => {
+                    for q in &mut s.q {
+                        if *q == Q::Asleep {
+                            *q = Q::Relock;
+                        }
+                    }
+                    W::Unlock
+                }
+                W::Unlock => {
+                    s.locked = None;
+                    W::Done
+                }
+                W::Done => return None,
+            };
+            return Some(s);
+        }
+        let late_seen = variant == QueueVariant::SeenAfterUnlock;
+        s.q[t] = match self.q[t] {
+            Q::Lock => {
+                if !lock(&mut s) {
+                    return None;
+                }
+                Q::Check
+            }
+            // The caller's check of its predicate, and on failure `sleep`'s
+            // decision (`Waiters::spin`), under the lock.
+            Q::Check => {
+                if s.ready {
+                    Q::CheckedUnlock
+                } else if t == 0 && s.short && s.passes < SPIN_PASSES {
+                    Q::SpinIn
+                } else {
+                    Q::CountIn
+                }
+            }
+            Q::CheckedUnlock => {
+                s.locked = None;
+                Q::Done
+            }
+            Q::SpinIn => {
+                s.count += SPINNER;
+                Q::SpinUnlock
+            }
+            Q::SpinUnlock => {
+                s.locked = None;
+                Q::SpinPass
+            }
+            Q::SpinPass => {
+                s.passes += 1;
+                Q::SpinRelock
+            }
+            Q::SpinRelock => {
+                if !lock(&mut s) {
+                    return None;
+                }
+                Q::SpinOut
+            }
+            Q::SpinOut => {
+                s.count -= SPINNER;
+                Q::Check
+            }
+            Q::CountIn => {
+                s.count += 1;
+                if late_seen {
+                    Q::Unlock
+                } else {
+                    Q::ReadSeen
+                }
+            }
+            Q::ReadSeen => {
+                s.seen[t] = s.word;
+                if late_seen {
+                    Q::FutexWait
+                } else {
+                    Q::Unlock
+                }
+            }
+            Q::Unlock => {
+                s.locked = None;
+                if late_seen {
+                    Q::ReadSeen
+                } else {
+                    Q::FutexWait
+                }
+            }
+            // The host's compare-and-sleep is one step.
+            Q::FutexWait => {
+                if s.word == s.seen[t] {
+                    Q::Asleep
+                } else {
+                    Q::Relock
+                }
+            }
+            Q::Relock => {
+                if !lock(&mut s) {
+                    return None;
+                }
+                Q::CountOut
+            }
+            Q::CountOut => {
+                s.count -= 1;
+                Q::Check
+            }
+            Q::Asleep | Q::Done => return None,
+        };
+        Some(s)
+    }
+}
+
+/// Explore every interleaving of the wait queue from either history. `Err`
+/// carries the schedule to a lost wake-up: a waiter asleep, the predicate
+/// true, and nobody left to step.
+fn explore_queue(variant: QueueVariant) -> Result<usize, Vec<String>> {
+    fn dfs(
+        s: &Queue,
+        variant: QueueVariant,
+        seen: &mut HashSet<Queue>,
+        path: &mut Vec<String>,
+    ) -> Result<(), Vec<String>> {
+        if !seen.insert(s.clone()) {
+            return Ok(());
+        }
+        let mut stepped = false;
+        for t in 0..=WAKER {
+            if let Some(next) = s.step(t, variant) {
+                stepped = true;
+                path.push(match t {
+                    WAKER => format!("W:{:?}", s.w),
+                    _ => format!("Q{t}:{:?}", s.q[t]),
+                });
+                dfs(&next, variant, seen, path)?;
+                path.pop();
+            }
+        }
+        if !stepped && !s.finished() {
+            assert!(
+                s.ready && s.q.contains(&Q::Asleep),
+                "only a sleeper can block for good"
+            );
+            return Err(path.clone());
+        }
+        Ok(())
+    }
+    let mut seen = HashSet::new();
+    for short in [false, true] {
+        dfs(
+            &Queue::new(short, variant),
+            variant,
+            &mut seen,
+            &mut Vec::new(),
+        )?;
+    }
+    Ok(seen.len())
+}
+
+#[test]
+fn no_wait_queue_interleaving_loses_a_wakeup() {
+    let states = explore_queue(QueueVariant::Shipped)
+        .unwrap_or_else(|schedule| panic!("LostWakeup:\n{}", schedule.join("\n")));
+    // 761 with the shipped protocol: a collapse means a step went missing.
+    assert!(states > 500, "only {states} states explored");
+}
+
+/// The enumerator can see a sleeper that reads the word after its unlock:
+/// the whole wake fits between the unlock and the read, and the sleeper then
+/// sleeps on the word the wake left behind.
+#[test]
+fn a_seen_read_after_the_unlock_is_caught() {
+    let schedule =
+        explore_queue(QueueVariant::SeenAfterUnlock).expect_err("the mutant must lose a wake-up");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    let at = |what: &str| schedule.iter().rposition(|s| s == what);
+    let bump = at("W:Bump").expect("the waker bumped");
+    assert!(
+        (0..WAITERS).any(|t| {
+            let unlock = at(&format!("Q{t}:Unlock"));
+            let read = at(&format!("Q{t}:ReadSeen"));
+            matches!((unlock, read), (Some(u), Some(r)) if u < bump && bump < r)
+        }),
+        "expected a bump between a sleeper's unlock and its read of the word"
+    );
+}
+
+/// The enumerator can see a waker that reads the count before the predicate
+/// changes: it reads nobody, a sleeper counts in and sleeps on a false
+/// predicate, and the store that follows wakes nobody.
+#[test]
+fn a_count_read_before_the_store_is_caught() {
+    let schedule =
+        explore_queue(QueueVariant::CountBeforeStore).expect_err("the mutant must lose a wake-up");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    let at = |what: &str| schedule.iter().rposition(|s| s == what);
+    let read = at("W:ReadCount").expect("the waker read the count");
+    let store = at("W:Store").expect("the waker stored");
+    assert!(
+        (0..WAITERS).any(|t| matches!(
+            at(&format!("Q{t}:CountIn")),
+            Some(c) if read < c && c < store
+        )),
+        "expected a sleeper counted in between the count read and the store"
+    );
+    assert!(at("W:Wake").is_none(), "the waker woke nobody");
+}
+
+/// The enumerator can see a poke that wakes without bumping: a sleeper
+/// counted in under the lock but not yet on the host's list misses the wake,
+/// then finds the word unmoved and sleeps for good.
+#[test]
+fn a_wake_without_a_bump_is_caught() {
+    let schedule =
+        explore_queue(QueueVariant::WakeWithoutBump).expect_err("the mutant must lose a wake-up");
+    eprintln!("mutant schedule: {}", schedule.join(" "));
+    let at = |what: &str| schedule.iter().rposition(|s| s == what);
+    let wake = at("W:Wake").expect("the waker woke");
+    assert!(
+        (0..WAITERS).any(|t| matches!(
+            at(&format!("Q{t}:FutexWait")),
+            Some(f) if wake < f
+        )),
+        "expected a sleeper reaching the futex after the wake"
+    );
 }

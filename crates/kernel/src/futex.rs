@@ -25,30 +25,9 @@ pub fn futex_wait(atom: &AtomicU32, expected: u32) {
     // Injected spurious wake: return as if woken without sleeping. POSIX
     // allows this at any time, so callers must loop on their predicate.
     if !fault::fire(FaultKind::SpuriousWake) {
-        futex_wait_raw(atom, expected);
+        futex_sleep(atom, expected, None);
     }
     trace::emit(Sysno::FutexWait, SyscallPhase::Exit { errno: 0 });
-}
-
-#[inline]
-fn futex_wait_raw(atom: &AtomicU32, expected: u32) {
-    #[cfg(target_os = "linux")]
-    unsafe {
-        libc::syscall(
-            libc::SYS_futex,
-            atom.as_ptr(),
-            libc::FUTEX_WAIT | libc::FUTEX_PRIVATE_FLAG,
-            expected,
-            std::ptr::null::<libc::timespec>(),
-        );
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        // Portable fallback: yield-spin.
-        if atom.load(Ordering::Acquire) == expected {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// Block until `*atom != expected`, a wake-up, or `timeout`. Returns `false`
@@ -60,37 +39,42 @@ pub fn futex_wait_timeout(atom: &AtomicU32, expected: u32, timeout: Duration) ->
     trace::emit(Sysno::FutexWait, SyscallPhase::Enter);
     // An injected spurious wake reports `woken` — indistinguishable from a
     // real wake, exactly as the futex man page warns.
-    let woken =
-        fault::fire(FaultKind::SpuriousWake) || futex_wait_timeout_raw(atom, expected, timeout);
+    let woken = fault::fire(FaultKind::SpuriousWake) || futex_sleep(atom, expected, Some(timeout));
     let errno = if woken { 0 } else { Errno::ETIMEDOUT.as_raw() };
     trace::emit(Sysno::FutexWait, SyscallPhase::Exit { errno });
     woken
 }
 
-fn futex_wait_timeout_raw(atom: &AtomicU32, expected: u32, timeout: Duration) -> bool {
+/// The host's compare-and-sleep alone: no span, no injected fault. Blocks
+/// until `*atom != expected`, a wake-up, or `timeout` (`None`: none), and
+/// returns `false` only on the timeout. A kernel wait queue sleeps here
+/// because its call's own blocking span is already open (`wait.rs`).
+pub(crate) fn futex_sleep(atom: &AtomicU32, expected: u32, timeout: Option<Duration>) -> bool {
     #[cfg(target_os = "linux")]
+    // SAFETY: `atom` is a live `AtomicU32` for the whole call, and `ts`, when
+    // passed, outlives it.
     unsafe {
-        let ts = libc::timespec {
-            tv_sec: timeout.as_secs() as libc::time_t,
-            tv_nsec: timeout.subsec_nanos() as libc::c_long,
-        };
+        let ts = timeout.map(|t| libc::timespec {
+            tv_sec: t.as_secs() as libc::time_t,
+            tv_nsec: t.subsec_nanos() as libc::c_long,
+        });
         let r = libc::syscall(
             libc::SYS_futex,
             atom.as_ptr(),
             libc::FUTEX_WAIT | libc::FUTEX_PRIVATE_FLAG,
             expected,
-            &ts as *const libc::timespec,
+            ts.as_ref()
+                .map_or(std::ptr::null(), |ts| ts as *const libc::timespec),
         );
-        if r == -1 {
-            *libc::__errno_location() != libc::ETIMEDOUT
-        } else {
-            true
-        }
+        r != -1 || *libc::__errno_location() != libc::ETIMEDOUT
     }
     #[cfg(not(target_os = "linux"))]
     {
-        let _ = timeout;
-        atom.load(Ordering::Acquire) != expected
+        // Portable fallback: yield-spin.
+        if timeout.is_none() && atom.load(Ordering::Acquire) == expected {
+            std::thread::yield_now();
+        }
+        timeout.is_none() || atom.load(Ordering::Acquire) != expected
     }
 }
 

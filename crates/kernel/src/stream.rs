@@ -3,7 +3,8 @@
 //! A pipe is one [`ByteStream`]; a socketpair is two, one per direction.
 //! `read` on an empty stream and `write` on a full one make the calling **OS
 //! thread** wait — a short spin when the queue's last wait was short, a
-//! condvar sleep otherwise — until the other side moves bytes or hangs up.
+//! futex sleep on the queue's word otherwise — until the other side moves
+//! bytes or hangs up.
 //!
 //! Everything a waker needs to decide whether anybody must be woken lives
 //! under the one lock it already holds to move the bytes: the buffer and the

@@ -6,18 +6,19 @@
 //! once, here. A [`WaitQueue`] lives beside whatever mutex guards the
 //! predicate its waiters wait for (a byte buffer, an accept queue, a
 //! generation counter, a parent's child set, an AIO control block's state)
-//! and owns the rest: condvar, waiter count, wait-length evidence,
-//! wake-attribution cell, blocking span. Every method that touches them
+//! and owns the rest: the futex word its sleepers sleep on, the waiter
+//! count and the wait-length evidence (one [`Waiters`]), the
+//! wake-attribution cell, the blocking span. Every method that touches them
 //! takes the owner's `MutexGuard` as proof the lock is held; that lock
 //! orders wakers against waiters, and the four rules (argued in DESIGN.md
 //! §4 "Readiness & wait queues") lean on it:
 //!
 //! 1. **No host system call without a sleeper.** Waiters count themselves
 //!    in and out under the lock; a wake that reads zero does nothing at all
-//!    — no condvar notify (a host `futex` call even with nobody waiting),
-//!    no stamp — and one that reads only spinners notifies nobody. It
-//!    cannot be racing a thread that has checked the predicate but not yet
-//!    waited: that thread still holds the lock.
+//!    — no bump of the word, no `futex_wake`, no stamp — and one that reads
+//!    only spinners wakes nobody and leaves the word alone. It cannot be
+//!    racing a thread that has checked the predicate but not yet counted
+//!    in: that thread still holds the lock.
 //! 2. **Only a waiter claims the stamp, and claims it under the lock.**
 //!    The cell is armed only while somebody is counted in, and everybody
 //!    counted in takes it on coming back, so it is empty whenever nobody
@@ -43,29 +44,36 @@
 //!    `sched_yield`s, re-takes the lock and returns to the caller's
 //!    re-check. A spinner is counted in while the lock is free, so the waker
 //!    that satisfies it sees it, stamps for it and times its wait; past the
-//!    break-even the call falls through to announce → locked re-check →
-//!    condvar sleep, and no wake can fall between. A queue with no history
-//!    sleeps at once. [`Waiters`] is the rule for the runtime too: every
-//!    `Parker` (`ulp-core`'s `park.rs`, "The idle decision") holds one and
-//!    decides with the same [`Waiters::spin`] — one rule, one break-even.
+//!    break-even the call falls through to the sleep: count in and read the
+//!    word under the lock, sleep on the word with the lock released. The
+//!    waker bumps the word under that same lock, so no wake can fall
+//!    between: the sleep is on the host's futex list when the wake scans
+//!    it, or finds the word moved and returns at once (std's futex condvar
+//!    works the same way). A queue with no history sleeps at once.
+//!    [`Waiters`] is the rule for the runtime too: every `Parker`
+//!    (`ulp-core`'s `park.rs`, "The idle decision") holds one, decides with
+//!    the same [`Waiters::spin`] and sleeps on the same word — one rule, one
+//!    break-even, one way to sleep.
 //!
-//! The one exception, on purpose: [`crate::futex::Semaphore`] (the paper's
-//! §VI-C BLOCKING primitive: lock-free on a futex word, no mutex to ride).
-//! This is the kernel's one spin site and its one condvar
-//! (`tools/loc.sh --check`).
+//! `Wait::sleep` is the kernel's one spin site (`tools/loc.sh --check`).
+//! The one wait outside this module, on purpose, is
+//! [`crate::futex::Semaphore`] (the paper's §VI-C BLOCKING primitive):
+//! lock-free on a futex word of its own, with no mutex to ride and no spin
+//! arm.
 
 use crate::cost::{now_ns, ns_at};
 use crate::errno::KResult;
+use crate::futex::{futex_sleep, futex_wake};
 use crate::kernel::errno_of;
 use crate::trace::{self, SyscallPhase, Sysno, WakeCell, WakeSite};
-use parking_lot::{Condvar, MutexGuard};
+use parking_lot::MutexGuard;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::time::Instant;
 
 /// A wait whose predecessor took less than this spins before it sleeps, for
-/// at most this long: about what the sleep it avoids costs (a condvar or
-/// futex sleep and its OS-thread wake-up take 14–40 µs on the 2-vCPU
-/// reference host), so a wrong guess wastes no more than a right one saves.
+/// at most this long: about what the sleep it avoids costs (a futex sleep
+/// and its OS-thread wake-up take 14–40 µs on the 2-vCPU reference host),
+/// so a wrong guess wastes no more than a right one saves.
 /// `echo`'s waits — a client's reply, the server's next request — end in a
 /// few µs and cannot tell 10, 20 and 50 µs apart: ten `--seconds 8` runs
 /// each, `op_p50_us` median [q1–q3] 6.79 [6.61–6.86], 6.99 [6.65–7.08],
@@ -88,18 +96,20 @@ pub const SPINNER: u32 = 1 << 16;
 /// The sleepers' half of a [`Waiters`] count.
 pub const SLEEPERS: u32 = SPINNER - 1;
 
-/// Who waits for one thing, and rule 4's evidence for whether the next
-/// waiter spins: the count of waiters, the first failed check of the wait
-/// the first of them belongs to, and how long the last wait a waker ended
-/// took, and when. Every kernel wait queue holds one, and so does every
-/// `Parker` of the runtime. The holder orders wakers against waiters (a
-/// mutex here, the queue lock and the futex protocol there); the stamps only
-/// steer the decision, so a stale read costs one spin pass or one sleep too
-/// many, never a wake.
+/// Who waits for one thing, rule 4's evidence for whether the next waiter
+/// spins, and the futex word its sleepers sleep on: the count of waiters,
+/// the first failed check of the wait the first of them belongs to, how long
+/// the last wait a waker ended took, and when. Every kernel wait queue holds
+/// one, and so does every `Parker` of the runtime. The holder orders wakers
+/// against waiters (a mutex here, the queue lock and the futex protocol
+/// there); the stamps only steer the decision, so a stale read costs one
+/// spin pass or one sleep too many, never a wake.
 #[derive(Debug)]
 pub struct Waiters {
     /// Sleepers in units of one, spinners in units of [`SPINNER`].
     count: AtomicU32,
+    /// What the sleepers sleep on; moves only on a [`Waiters::poke`].
+    word: AtomicU32,
     /// The first failed check of the wait the first waiter counted in belongs
     /// to, on the [`now_ns`] clock.
     since: AtomicU64,
@@ -114,6 +124,7 @@ impl Default for Waiters {
     fn default() -> Waiters {
         Waiters {
             count: AtomicU32::new(0),
+            word: AtomicU32::new(0),
             since: AtomicU64::new(0),
             last_wait: AtomicU64::new(u64::MAX),
             timed_at: AtomicU64::new(0),
@@ -174,6 +185,25 @@ impl Waiters {
         }
         counted
     }
+
+    /// The futex word: a sleeper reads it before its last check of whatever
+    /// it waits for, and sleeps on it only while it still reads the same.
+    #[inline]
+    pub fn word(&self) -> &AtomicU32 {
+        &self.word
+    }
+
+    /// Move the word, then wake up to `n` of its sleepers if any is counted
+    /// in. The `SeqCst` bump → count load pairs with a sleeper's `SeqCst`
+    /// count-in → word load, so the system call is skipped only when no
+    /// sleeper can be about to sleep on the old word.
+    #[inline]
+    pub fn poke(&self, n: i32) {
+        self.word.fetch_add(1, SeqCst);
+        if self.counted() & SLEEPERS != 0 {
+            futex_wake(&self.word, n);
+        }
+    }
 }
 
 /// Process-wide outcomes of calls that had to wait (`ulp_kernel_wait_total`).
@@ -191,7 +221,7 @@ pub struct WaitOutcomes {
     /// Calls that spun and then slept, timed out or gave up anyway: the
     /// spin was CPU spent for nothing.
     pub spin_misses: u64,
-    /// Condvar sleeps: every pass through the blocking arm.
+    /// Futex sleeps: every pass through the blocking arm.
     pub sleeps: u64,
 }
 
@@ -218,9 +248,9 @@ pub fn wait_outcomes() -> WaitOutcomes {
 /// The waiters on one predicate. See the module docs for the protocol.
 #[derive(Debug)]
 pub(crate) struct WaitQueue {
-    cv: Condvar,
-    /// Threads counted in by [`Wait::sleep`], and rule 4's evidence. Read
-    /// and written only under the owner's lock.
+    /// Threads counted in by [`Wait::sleep`], rule 4's evidence, and the
+    /// word the sleepers sleep on. Counted and poked only under the owner's
+    /// lock.
     pub(crate) waiters: Waiters,
     cell: WakeCell,
     site: WakeSite,
@@ -232,7 +262,6 @@ impl WaitQueue {
     /// wake edges carry `site`.
     pub(crate) fn new(site: WakeSite) -> WaitQueue {
         WaitQueue {
-            cv: Condvar::new(),
             waiters: Waiters::default(),
             cell: WakeCell::new(),
             site,
@@ -245,19 +274,19 @@ impl WaitQueue {
     /// The predicate changed: release every waiter, if there is one.
     pub(crate) fn wake_all<T>(&self, _held: &MutexGuard<'_, T>) {
         if self.wait_ended() {
-            self.cv.notify_all();
+            self.waiters.poke(i32::MAX);
         }
     }
 
     /// The predicate changed for one taker: release one waiter, if any.
     pub(crate) fn wake_one<T>(&self, _held: &MutexGuard<'_, T>) {
         if self.wait_ended() {
-            self.cv.notify_one();
+            self.waiters.poke(1);
         }
     }
 
     /// The waker's half: if anybody is counted in, stamp for them and time
-    /// their wait (rule 4). Returns whether a condvar sleeper is among them.
+    /// their wait (rule 4). Returns whether a sleeper is among them.
     #[inline]
     fn wait_ended(&self) -> bool {
         let waiting = self.waiters.ended();
@@ -303,8 +332,8 @@ pub(crate) struct Wait<'q> {
 impl Wait<'_> {
     /// Wait once — one spin pass, or a sleep until woken or the deadline —
     /// releasing `held` meanwhile. Returns `false` if the deadline passed;
-    /// either way the caller re-checks its predicate (a pass or a condvar
-    /// wake may find it still false).
+    /// either way the caller re-checks its predicate (a pass or a wake may
+    /// find it still false).
     pub(crate) fn sleep<T>(&mut self, held: &mut MutexGuard<'_, T>) -> bool {
         let q = self.queue;
         let at = Instant::now();
@@ -333,15 +362,14 @@ impl Wait<'_> {
             SPIN_MISSES.fetch_add(1, Relaxed);
         }
         SLEEPS.fetch_add(1, Relaxed);
-        q.waiters.count_in(1, self.since);
-        let woken = match left {
-            Some(left) => !q.cv.wait_for(held, left).timed_out(),
-            None => {
-                q.cv.wait(held);
-                true
-            }
-        };
-        q.waiters.count_out(1);
+        let w = &q.waiters;
+        w.count_in(1, self.since);
+        // Read under the lock every poke takes: one after the unlock moves
+        // the word, and the sleep returns at once. No `futex_wait` span: the
+        // call's blocking span is open already.
+        let seen = w.word().load(Relaxed);
+        let woken = MutexGuard::unlocked(held, || futex_sleep(w.word(), seen, left));
+        w.count_out(1);
         self.stamp = q.cell.take();
         woken
     }
@@ -396,7 +424,7 @@ mod tests {
         RECORDING.call_once(crate::trace::start_recording);
     }
 
-    fn sleepers_reach(q: &WaitQueue, lock: &Mutex<bool>, n: u32) {
+    fn sleepers_reach<T>(q: &WaitQueue, lock: &Mutex<T>, n: u32) {
         loop {
             let held = lock.lock();
             if q.waiters.counted() >= n {
@@ -451,6 +479,86 @@ mod tests {
         assert_eq!(q.cell.take(), None, "claimed once");
     }
 
+    /// Rule 1, seen from outside: a wake that finds nobody counted in, or
+    /// only a spinner, leaves the word where it was (no bump, so no
+    /// `futex_wake` either); each wake that finds a sleeper moves it once.
+    #[test]
+    fn a_wake_moves_the_word_only_for_a_sleeper() {
+        let q = WaitQueue::new(WakeSite::SockRead);
+        let lock = Mutex::new(());
+        let held = lock.lock();
+        let word = || q.waiters.word().load(SeqCst);
+        let before = word();
+        let wake_both = || {
+            q.wake_one(&held);
+            q.wake_all(&held);
+        };
+        wake_both();
+        assert_eq!(word(), before, "nobody counted in, yet the word moved");
+        q.waiters.count_in(SPINNER, 0);
+        wake_both();
+        q.waiters.count_out(SPINNER);
+        assert_eq!(
+            word(),
+            before,
+            "only a spinner counted in, yet the word moved"
+        );
+        q.waiters.count_in(1, 0);
+        wake_both();
+        q.waiters.count_out(1);
+        assert_eq!(word(), before.wrapping_add(2), "a sleeper counted in");
+    }
+
+    /// Two sleepers wait for one token each: one `wake_one` with one token
+    /// releases exactly one of them, the other is still counted in as a
+    /// sleeper 20 ms later, and a second `wake_one` releases it.
+    #[test]
+    fn wake_one_releases_one_taker() {
+        let q = Arc::new(WaitQueue::new(WakeSite::Accept));
+        let tokens = Arc::new(Mutex::new(0u32));
+        let (done, released) = mpsc::channel();
+        let takers: Vec<_> = (0..2)
+            .map(|taker| {
+                let (q, tokens, done) = (q.clone(), tokens.clone(), done.clone());
+                thread::spawn(move || {
+                    let mut held = tokens.lock();
+                    let mut wait = q.wait(None);
+                    while *held == 0 {
+                        wait.sleep(&mut held);
+                    }
+                    *held -= 1;
+                    done.send(taker).unwrap();
+                })
+            })
+            .collect();
+        sleepers_reach(&q, &tokens, 2);
+        let give_one = || {
+            let mut held = tokens.lock();
+            *held += 1;
+            q.wake_one(&held);
+        };
+        let watchdog = Duration::from_secs(10);
+        give_one();
+        let first = (released.recv_timeout(watchdog)).expect("no taker released in 10 s");
+        thread::sleep(Duration::from_millis(20));
+        assert!(
+            released.try_recv().is_err(),
+            "one token released two takers"
+        );
+        {
+            let held = tokens.lock();
+            assert_eq!(
+                (*held, q.waiters.counted()),
+                (0, 1),
+                "the other taker is still counted in as a sleeper"
+            );
+        }
+        give_one();
+        let second = (released.recv_timeout(watchdog)).expect("the second taker was lost");
+        assert_ne!(first, second);
+        takers.into_iter().for_each(|t| t.join().unwrap());
+    }
+
     #[test]
     fn a_timed_out_sleeper_leaves_the_cell_empty() {
         let q = WaitQueue::new(WakeSite::Poll);
@@ -501,7 +609,7 @@ mod tests {
             let mut held = w.gen.lock();
             *held += 1;
             w.queue.cell.stamp_as(7, 123);
-            w.queue.cv.notify_all();
+            w.queue.waiters.poke(i32::MAX);
         }
         let ends: Vec<_> = sleepers.into_iter().map(|s| s.join().unwrap()).collect();
         let claimed = (ends.iter())
@@ -754,7 +862,7 @@ mod tests {
                         // `wake()` with tracing on, stamp armed by hand.
                         *held += 1;
                         w.queue.cell.stamp_as(7, 123);
-                        w.queue.cv.notify_all();
+                        w.queue.waiters.poke(i32::MAX);
                         break waiting == SPINNER + 1;
                     }
                 }

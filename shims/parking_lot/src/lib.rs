@@ -2,13 +2,14 @@
 //!
 //! The build environment has no access to crates.io, so this crate provides
 //! the `parking_lot` API surface the workspace uses — non-poisoning
-//! `Mutex`/`RwLock` guards and a `Condvar` that takes `&mut MutexGuard` —
-//! implemented over `std::sync`. Poisoned std locks are recovered silently,
-//! matching parking_lot's "no poisoning" contract.
+//! `Mutex`/`RwLock` guards and [`MutexGuard::unlocked`] — implemented over
+//! `std::sync`. Poisoned std locks are recovered silently, matching
+//! parking_lot's "no poisoning" contract. There is no `Condvar`: every
+//! sleep in the workspace is a futex sleep, most of them on a
+//! `ulp_kernel::Waiters` word.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 /// Non-poisoning mutual exclusion lock (parking_lot-compatible surface).
 pub struct Mutex<T: ?Sized> {
@@ -76,8 +77,8 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// Guard for [`Mutex`]. The inner `Option` is only `None` transiently while
-/// a [`Condvar`] wait or [`MutexGuard::unlocked`] has taken the std guard;
-/// it is always `Some` when user code can observe it.
+/// [`MutexGuard::unlocked`] has taken the std guard; it is always `Some`
+/// when user code can observe it.
 pub struct MutexGuard<'a, T: ?Sized> {
     mutex: &'a std::sync::Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
@@ -118,71 +119,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// Result of a bounded [`Condvar::wait_for`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// Condition variable operating on `&mut MutexGuard`, parking_lot style.
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard present");
-        let g = self.inner.wait(g).unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(g);
-    }
-
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.inner.take().expect("guard present");
-        let (g, result) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
-        guard.inner = Some(g);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        // std does not report whether a thread was woken; parking_lot's
-        // callers in this workspace ignore the value.
-        false
-    }
-
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
     }
 }
 
@@ -260,7 +196,6 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_roundtrip() {
@@ -287,32 +222,6 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(*g, 2, "re-taken on unwind");
-    }
-
-    #[test]
-    fn condvar_wait_and_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        *pair.0.lock() = true;
-        pair.1.notify_all();
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(r.timed_out());
     }
 
     #[test]

@@ -80,9 +80,9 @@ printf '%-18s %8d %8d %9d\n' total "$tt" "$ts" "$tn"
 # one run-queue critical section per yield; a process's lifecycle named by
 # its handle in core; kernel hook calls only while a tracer records;
 # readiness edges fired by their object, named, on per-end socket sets; no
-# condvar in core, whose waits park on a Parker or leave the run queue on a
-# WaitList, and no stall() outside the lock suite; an idle policy read only
-# where a KC's parker is built or staying home decided; every .rs path and
+# condvar in shipped code, since every sleep is a futex sleep, and no
+# stall() outside the lock suite; an idle policy read only where a KC's
+# parker is built or staying home decided; every .rs path and
 # every crates/<x> directory a document names exists.
 # Each names what came back and where. Code-shaped gates read shipped code
 # only: the lines above each file's test code, outside test-only modules.
@@ -96,8 +96,14 @@ gate() { # gate <message> <matching lines>
 k=crates/kernel/src
 gate "FileObject is back under crates/ (descriptions hold Arc<dyn FileLike>)" \
     "$(git grep -n 'FileObject' -- crates || true)"
-gate "Condvar in $k outside wait.rs (sleep on a WaitQueue)" \
-    "$(git grep -n 'Condvar' -- $k ":!$k/wait.rs" || true)"
+# One way to sleep: every OS-thread sleep in the runtime and the kernel is a
+# futex sleep — on a `ulp_kernel::Waiters` word (a kernel call's on its
+# `WaitQueue`, a KC's or a joiner's on its `Parker`) or on the paper's
+# `futex::Semaphore` — and a decoupled ULT leaves the run queue onto the
+# `WaitList` it waits on.
+gate "a Condvar in shipped code under crates/ or shims/ (sleep on a Waiters word: a WaitQueue in the kernel, a Parker or a WaitList in the runtime)" \
+    "$(git ls-files -- 'crates/*/src/*' 'shims/*/src/*' | shipped | xargs -r awk "$tests"'
+        !t && /Condvar/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
 # One spin site in the kernel, `Wait::sleep`, as `Parker::park` is the
 # runtime's. Shipped code only, and none of the non-Linux fallbacks (not
 # built on Linux; futex.rs's stands in for the futex call itself). cost.rs
@@ -125,16 +131,9 @@ gate "the sleepers / queue-length gate is back in decouple()'s stay decision (DE
 gate "the trampoline detour of staying home is back under crates/ (a home decouple()/couple() flips the UC's flag on its own thread: DESIGN.md §4, Staying home)" \
     "$(git grep -nE 'Deferred::Hom[e]\b|\bHome\(Arc<UcInne[r]>\)|take_hom[e]|\bhom[e]: *Cell<' -- crates || true)"
 c=crates/core/src
-# A runtime wait never sleeps on a condvar: a waiter that owns its OS thread
-# parks on a `Parker`, where `ulp_kernel::Waiters` decides spin or sleep, and
-# a decoupled ULT leaves the run queue onto the `WaitList` it waits on, so it
-# never holds the scheduler under it.
-gate "a Condvar in shipped $c code (a waiter that owns its KC parks on its Parker by ulp_kernel::Waiters, and a decoupled ULT leaves the run queue on a WaitList)" \
-    "$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
-        !t && /Condvar/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }')"
-# Nor does it poll: the lock suite's four policies are the only waiters
-# that still `stall()` (the later steps of ROADMAP item 9), beside the
-# definition in couple.rs.
+# A runtime wait does not poll either: the lock suite's four policies are
+# the only waiters that still `stall()` (the later steps of ROADMAP item 9),
+# beside the definition in couple.rs.
 gate "a stall() in shipped $c code outside the RawUlpLock impls in sync.rs (ULT-level waits leave the run queue on park.rs's WaitList)" \
     "$(git ls-files -- "$c" | shipped | xargs -r awk "$tests"'
         FNR == 1 { lock = 0 }
